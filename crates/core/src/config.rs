@@ -18,13 +18,6 @@ pub struct TurboFluxConfig {
     /// Count floor below which drift is ignored (avoids churn on tiny
     /// counts).
     pub order_drift_floor: u64,
-    /// Check drift only for query vertices whose explicit count actually
-    /// changed since the last check (tracked by a dirty bitmask in the
-    /// DCG), instead of scanning all counts on every update. Equivalent to
-    /// the full scan — an unchanged count cannot start drifting — so this
-    /// exists purely as an ablation hook for the incremental
-    /// [`crate::order::OrderMaintenance`] path.
-    pub incremental_drift_check: bool,
     /// Use the label-partitioned adjacency index for candidate enumeration
     /// (O(log + |label group|) per lookup). Disabling falls back to the
     /// flat full-list scan over the same storage — candidates, order, and
@@ -78,7 +71,6 @@ impl Default for TurboFluxConfig {
             adjust_matching_order: true,
             order_drift_factor: 2.0,
             order_drift_floor: 64,
-            incremental_drift_check: true,
             label_indexed_adjacency: true,
             parallel_workers: 0,
             parallel_min_frontier: 64,
@@ -115,7 +107,6 @@ mod tests {
         let c = TurboFluxConfig::default();
         assert_eq!(c.semantics, MatchSemantics::Homomorphism);
         assert!(c.adjust_matching_order);
-        assert!(c.incremental_drift_check);
         assert!(c.label_indexed_adjacency);
         assert_eq!(c.parallel_workers, 0, "auto-sized by default");
         assert!(c.parallel_min_frontier > 1, "small updates stay sequential");

@@ -10,21 +10,21 @@
 //! The engine can run in two ownership modes over the data graph:
 //!
 //! * **standalone** ([`TurboFlux::new`] + [`TurboFlux::apply_op`]): the
-//!   engine owns the graph and mutates it as part of applying updates;
+//!   engine owns the graph and applies each op to it as one round — stage,
+//!   evaluate, finalize (`crate::round`);
 //! * **externally driven** ([`TurboFlux::register`] +
 //!   [`TurboFlux::eval_inserted_edge`] / [`TurboFlux::eval_deleting_edge`]
-//!   / [`TurboFlux::register_new_vertices`]): the caller — typically a
-//!   [`crate::fleet::Fleet`] multiplexing many engines over one stream —
-//!   owns the graph, mutates it itself, and passes it in read-only for
-//!   evaluation. Internally the standalone mode is the externally driven
-//!   mode applied to the engine's own graph.
+//!   / [`TurboFlux::register_new_vertices`]): the caller owns the graph,
+//!   mutates it itself, and passes it in read-only for evaluation. This is
+//!   what the round driver does with the cells of a [`crate::fleet::Fleet`]
+//!   (many engines over one graph) and a [`crate::shard::ShardedEngine`]
+//!   (many engines over one partitioned graph); standalone mode is the same
+//!   round on the engine's own graph.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 use rustc_hash::FxHashMap;
-use tfx_graph::{
-    shard_of, DynamicGraph, GraphStats, GraphView, LabelId, LabelSet, UpdateOp, VertexId,
-};
+use tfx_graph::{shard_of, DynamicGraph, GraphStats, GraphView, LabelId, UpdateOp, VertexId};
 use tfx_query::{
     choose_start_vertex, ContinuousMatcher, EdgeId, MatchRecord, MatchSemantics, Positiveness,
     QVertexId, QueryGraph, QueryTree,
@@ -34,6 +34,7 @@ use crate::config::TurboFluxConfig;
 use crate::dcg::{Dcg, EdgeState};
 use crate::order::OrderMaintenance;
 use crate::parallel::ScratchPool;
+use crate::round::{self, Round};
 use crate::scratch::SearchScratch;
 use crate::shared_index::SigKey;
 use crate::shared_subtree::{BoundBranch, FleetCtx};
@@ -355,13 +356,6 @@ impl TurboFlux {
         // i.e. the clock is consulted immediately after (re)arming.
         self.deadline_tick.store(0, Ordering::Relaxed);
         self.deadline_hit.store(false, Ordering::Relaxed);
-    }
-
-    /// Whether this engine opts into reading the fleet's shared candidate
-    /// index ([`TurboFluxConfig::fleet_shared_index`]).
-    #[inline]
-    pub(crate) fn uses_shared_index(&self) -> bool {
-        self.cfg.fleet_shared_index
     }
 
     /// Caps intra-update parallelism regardless of the configured
@@ -726,45 +720,28 @@ impl TurboFlux {
     }
 
     /// Applies one update operation to the engine-owned graph, reporting
-    /// positive / negative matches (Algorithm 2, lines 12–20). Standalone
-    /// mode only — with [`TurboFlux::register`] the caller drives the
-    /// `eval_*` methods directly.
+    /// positive / negative matches (Algorithm 2, lines 12–20): one round of
+    /// [`crate::round`] on a single engine. Standalone mode only — with
+    /// [`TurboFlux::register`] the caller drives the `eval_*` methods
+    /// directly.
     pub fn apply_op(&mut self, op: &UpdateOp, sink: &mut dyn FnMut(Positiveness, &MatchRecord)) {
-        match op {
-            UpdateOp::AddVertex { .. } => {
-                let before = VertexId(self.g.vertex_count() as u32);
-                if self.g.apply(op) {
-                    let g = std::mem::take(&mut self.g);
-                    self.register_new_vertices(&g, before);
-                    self.g = g;
-                }
-            }
-            UpdateOp::InsertEdge { src, label, dst } => {
-                let before = VertexId(self.g.vertex_count() as u32);
-                // Streams normally announce vertices via `AddVertex`;
-                // tolerate label-less stragglers by creating empty-labeled
-                // endpoints.
-                let hi = src.0.max(dst.0);
-                if hi >= before.0 {
-                    self.g.ensure_vertex(VertexId(hi), LabelSet::empty());
-                }
-                let inserted = self.g.insert_edge(*src, *label, *dst);
-                let g = std::mem::take(&mut self.g);
-                self.register_new_vertices(&g, before);
-                if inserted {
-                    self.eval_inserted_edge(&g, *src, *label, *dst, sink);
-                }
-                self.g = g;
-            }
-            UpdateOp::DeleteEdge { src, label, dst } => {
-                if self.g.has_edge(*src, *label, *dst) {
-                    let g = std::mem::take(&mut self.g);
-                    self.eval_deleting_edge(&g, *src, *label, *dst, sink);
-                    self.g = g;
-                    self.g.delete_edge(*src, *label, *dst);
-                }
-            }
+        let (round, _) = round::stage(&mut self.g, op);
+        if round == Round::Skip {
+            return;
         }
+        let g = std::mem::take(&mut self.g);
+        if let Some(from) = round.new_vertices() {
+            self.register_new_vertices(&g, from);
+        }
+        match round {
+            Round::Insert { src, label, dst, .. } => {
+                self.eval_inserted_edge(&g, src, label, dst, sink)
+            }
+            Round::Delete { src, label, dst } => self.eval_deleting_edge(&g, src, label, dst, sink),
+            Round::Skip | Round::Register { .. } => {}
+        }
+        self.g = g;
+        round::finalize(&mut self.g, &round);
     }
 
     /// Registers start candidates for every data vertex with id ≥ `from`

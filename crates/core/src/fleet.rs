@@ -1,10 +1,9 @@
-//! Batched, parallel multi-query evaluation over one shared update stream.
+//! Batched multi-query evaluation over one shared update stream.
 //!
 //! Real deployments register many continuous queries against the same
 //! streaming graph. A [`Fleet`] owns the single [`DynamicGraph`] and `N`
 //! independent [`TurboFlux`] engines (one DCG per query) and evaluates
-//! update batches with [`Fleet::apply_batch`], fanning the per-update
-//! evaluation out across OS threads.
+//! update batches with [`Fleet::apply_batch`].
 //!
 //! # Multi-query optimization
 //!
@@ -14,13 +13,13 @@
 //! * **Op routing.** The per-engine `qedge_by_label` buckets are lifted
 //!   into one fleet-wide `label → interested engines` table (rebuilt on
 //!   [`Fleet::register`] / [`Fleet::deregister`]; engines with wildcard
-//!   query edges sit in an always-interested list). Each edge op is
+//!   query edges are interested in every label). Each edge op is
 //!   dispatched only to engines with a query edge that can match its label
 //!   — an op whose label no query mentions costs O(1), not O(N engines).
 //!   Skipping is exact: a non-interested engine would find zero matching
 //!   query edges, change nothing, and emit nothing, so routing cannot
-//!   change output. Vertex additions still visit every engine (start-vertex
-//!   registration is root-*vertex*-label work, not edge-label work).
+//!   change output. Vertex additions still visit every engine
+//!   ([`crate::round::route`]).
 //! * **Shared candidate index.** Distinct queries whose execution trees
 //!   contain equal-signature edges (same edge label, child label set, and
 //!   orientation) re-filter identical adjacency runs. The fleet maintains
@@ -32,51 +31,26 @@
 //!
 //! [`Fleet::stats`] reports routing and sharing counters.
 //!
-//! # Concurrency model
+//! # Execution
 //!
-//! Updates must be evaluated against precise graph states — an insertion
-//! after the edge entered the graph, a deletion before it left — so a batch
-//! cannot simply be partitioned. Instead each batch runs as a sequence of
-//! per-op *rounds* inside one [`std::thread::scope`]:
-//!
-//! 1. the driver stages op `i` (mutates the graph and the shared index
-//!    under a write lock and derives a [`Round`] plan plus the routed
-//!    target list),
-//! 2. workers wake on a barrier and claim targets off a shared atomic
-//!    cursor (work stealing — engines with expensive queries don't convoy
-//!    the cheap ones), each evaluating the round against the shared
-//!    read-locked graph and index,
-//! 3. a second barrier ends the round and the driver finalizes the op
-//!    (deletions leave the graph only after every engine evaluated them).
-//!
-//! Engines never touch each other's state; each is guarded by its own
-//! (uncontended) mutex so the borrow checker can hand disjoint `&mut`s to
-//! whichever worker claimed it.
-//!
-//! # Determinism
-//!
-//! Workers buffer matches per engine, tagged with the op index. Engines
-//! process ops strictly in order, so every buffer is naturally sorted by op
-//! index, and after the scope ends the buffers are drained in engine-id
-//! order. The emitted sequence is therefore ordered by `(engine, op_index,
-//! engine-internal emission order)` — byte-identical to
-//! [`Fleet::apply_batch_sequential`] and independent of thread count,
-//! scheduling, routing, and candidate sourcing.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, RwLock};
+//! A batch runs on the round driver ([`crate::round`]) with one cell per
+//! engine: the fleet contributes only its [`Rounds`] hooks — keeping the
+//! shared index and the shared subtree instances in step with the graph
+//! around `stage` / `finalize`, the routing table as the target list, and
+//! the post-finalize matching-order check of shared-branch engines. The
+//! loop, the worker pool and the `(engine, op_index, emission)` output
+//! order — independent of thread count, routing and candidate sourcing —
+//! are the driver's.
 
 use rustc_hash::FxHashMap;
-use tfx_graph::{DynamicGraph, LabelId, LabelSet, UpdateOp, VertexId};
+use tfx_graph::{DynamicGraph, LabelId, UpdateOp};
 use tfx_query::{MatchRecord, Positiveness, QueryGraph};
 
 use crate::config::TurboFluxConfig;
 use crate::engine::TurboFlux;
+use crate::round::{self, Cells, Emit, Key, Round, Rounds, Target};
 use crate::shared_index::SharedCandidateIndex;
 use crate::shared_subtree::{canonical_branch, FleetCtx, SharedSubtrees};
-
-/// One buffered match: `(op index, positiveness, mapping)`.
-type Pending = (usize, Positiveness, MatchRecord);
 
 /// A match delta reported by [`Fleet::apply_batch`].
 #[derive(Clone, Copy, Debug)]
@@ -116,266 +90,133 @@ pub struct FleetStats {
     pub suffix_evals: u64,
 }
 
-/// Per-op evaluation plan, derived once by the driver and executed by every
-/// targeted engine. Graph mutations happen in the driver (`stage` /
-/// `finalize`); rounds only read the graph.
-#[derive(Clone, Copy, Debug)]
-enum Round {
-    /// No-op (duplicate edge, missing edge, known vertex).
-    Skip,
-    /// Vertices with id ≥ `from` are new: register start candidates.
-    Register { from: VertexId },
-    /// The edge was inserted (and vertices ≥ `from` created for it).
-    Insert { from: VertexId, src: VertexId, label: LabelId, dst: VertexId },
-    /// The edge is about to be deleted; it is still present in the graph.
-    Delete { src: VertexId, label: LabelId, dst: VertexId },
-}
-
-/// Applies the graph-mutating half of `op` that must precede evaluation
-/// (keeping the shared candidate index and the shared subtree instances
-/// exactly in step with the graph) and plans the engines' round. Insertion
-/// maintenance of the subtree instances runs here — before any engine
-/// evaluates — so suffix climbs read post-op shared state (a superset of
-/// the naive mid-op state; the order filter discards the difference).
-fn stage(
-    graph: &mut DynamicGraph,
-    shared: &mut SharedCandidateIndex,
-    subtrees: &mut SharedSubtrees,
-    op: &UpdateOp,
-) -> Round {
-    match *op {
-        UpdateOp::AddVertex { .. } => {
-            let from = VertexId(graph.vertex_count() as u32);
-            if graph.apply(op) {
-                subtrees.register_new_vertices(graph, from);
-                Round::Register { from }
-            } else {
-                Round::Skip
-            }
-        }
-        UpdateOp::InsertEdge { src, label, dst } => {
-            let from = VertexId(graph.vertex_count() as u32);
-            // Tolerate label-less straggler endpoints, exactly like the
-            // standalone `TurboFlux::apply_op`.
-            let hi = src.0.max(dst.0);
-            if hi >= from.0 {
-                graph.ensure_vertex(VertexId(hi), LabelSet::empty());
-            }
-            if graph.insert_edge(src, label, dst) {
-                shared.insert_edge(graph, src, label, dst);
-                if graph.vertex_count() as u32 > from.0 {
-                    subtrees.register_new_vertices(graph, from);
-                }
-                subtrees.maintain_insert(graph, src, label, dst);
-                Round::Insert { from, src, label, dst }
-            } else if graph.vertex_count() as u32 > from.0 {
-                subtrees.register_new_vertices(graph, from);
-                Round::Register { from }
-            } else {
-                Round::Skip
-            }
-        }
-        UpdateOp::DeleteEdge { src, label, dst } => {
-            if graph.has_edge(src, label, dst) {
-                Round::Delete { src, label, dst }
-            } else {
-                Round::Skip
-            }
-        }
+impl FleetStats {
+    /// Adds `engine`'s own sharing counters.
+    fn absorb(&mut self, engine: &TurboFlux) {
+        self.shared_hits += engine.shared_hits;
+        self.shared_misses += engine.shared_misses;
+        self.subtree_hits += engine.subtree_hits;
+        self.suffix_evals += engine.suffix_evals;
     }
 }
 
-/// Applies the graph-mutating half of an op that must *follow* evaluation.
-/// Deletion maintenance of the subtree instances runs here — after every
-/// engine evaluated — so suffix climbs read frozen pre-op shared state (a
-/// superset of the naive mid-op state, discarded the same way).
-fn finalize(
-    graph: &mut DynamicGraph,
-    shared: &mut SharedCandidateIndex,
-    subtrees: &mut SharedSubtrees,
-    round: &Round,
-) {
-    if let Round::Delete { src, label, dst } = *round {
-        subtrees.maintain_delete(graph, src, label, dst);
-        shared.delete_edge(src, label, dst);
-        graph.delete_edge(src, label, dst);
+/// Everything the engines share, and the fleet's round hooks over it.
+struct Shared {
+    graph: DynamicGraph,
+    index: SharedCandidateIndex,
+    subtrees: SharedSubtrees,
+    /// Edge label → engine positions with a query edge that label can
+    /// match, wildcard engines included (ascending). Rebuilt on
+    /// register/deregister.
+    routing: FxHashMap<LabelId, Vec<usize>>,
+    /// Engine positions with label-wildcard query edges (ascending): the
+    /// routing entry of every label no query names.
+    wildcard: Vec<usize>,
+    ops_routed: u64,
+    ops_skipped: u64,
+}
+
+impl Rounds for Shared {
+    type Cell = TurboFlux;
+
+    fn cells_per_query(&self) -> usize {
+        1
     }
-}
 
-/// Appends the routed target list for `round` to the cleared `out`:
-/// `(engine position, evaluate)` pairs in ascending position order.
-/// Non-listed engines provably have nothing to do; listed-but-not-evaluate
-/// engines only register new vertices.
-fn plan_round(
-    routing: &FxHashMap<LabelId, Vec<usize>>,
-    wildcard: &[usize],
-    nengines: usize,
-    graph: &DynamicGraph,
-    round: &Round,
-    out: &mut Vec<(usize, bool)>,
-) {
-    out.clear();
-    match *round {
-        Round::Skip => {}
-        Round::Register { .. } => out.extend((0..nengines).map(|p| (p, true))),
-        Round::Insert { from, label, .. } => {
-            let routed = routing.get(&label).map_or(&[][..], Vec::as_slice);
-            if (from.0 as usize) < graph.vertex_count() {
-                // The op also created vertices: every engine registers
-                // start candidates; only interested ones evaluate the edge.
-                let mut interested = merge_sorted(routed, wildcard);
-                out.extend((0..nengines).map(|p| {
-                    let eval = interested.peek() == Some(&p);
-                    if eval {
-                        interested.next();
-                    }
-                    (p, eval)
-                }));
-            } else {
-                out.extend(merge_sorted(routed, wildcard).map(|p| (p, true)));
-            }
+    /// Keeps the shared index and the subtree instances exactly in step
+    /// with the graph. Insertion maintenance of the instances runs here —
+    /// before any engine evaluates — so suffix climbs read post-op shared
+    /// state (a superset of the naive mid-op state; the order filter
+    /// discards the difference).
+    fn stage(
+        &mut self,
+        op: &UpdateOp,
+        engines: &mut Cells<'_, '_, TurboFlux>,
+        targets: &mut Vec<Target>,
+    ) -> Round {
+        let (round, _) = round::stage(&mut self.graph, op);
+        if let Some(from) = round.new_vertices() {
+            self.subtrees.register_new_vertices(&self.graph, from);
         }
-        Round::Delete { label, .. } => {
-            let routed = routing.get(&label).map_or(&[][..], Vec::as_slice);
-            out.extend(merge_sorted(routed, wildcard).map(|p| (p, true)));
+        if let Round::Insert { src, label, dst, .. } = round {
+            self.index.insert_edge(&self.graph, src, label, dst);
+            self.subtrees.maintain_insert(&self.graph, src, label, dst);
         }
+        let interested = round
+            .edge()
+            .map_or(&[][..], |(_, label, _)| self.routing.get(&label).unwrap_or(&self.wildcard));
+        round::route(&round, engines.len(), interested.iter().copied(), targets);
+        if round.edge().is_some() {
+            self.ops_routed += interested.len() as u64;
+            self.ops_skipped += (engines.len() - interested.len()) as u64;
+        }
+        round
     }
-}
 
-/// Merges two ascending, individually duplicate-free position lists into
-/// one ascending deduplicated iterator (an engine can appear in both: a
-/// labeled bucket and the wildcard list).
-fn merge_sorted<'a>(
-    a: &'a [usize],
-    b: &'a [usize],
-) -> std::iter::Peekable<impl Iterator<Item = usize> + 'a> {
-    let (mut i, mut j) = (0, 0);
-    std::iter::from_fn(move || {
-        let next = match (a.get(i), b.get(j)) {
-            (Some(&x), Some(&y)) => {
-                if x <= y {
-                    i += 1;
-                    if x == y {
-                        j += 1;
-                    }
-                    x
-                } else {
-                    j += 1;
-                    y
-                }
-            }
-            (Some(&x), None) => {
-                i += 1;
-                x
-            }
-            (None, Some(&y)) => {
-                j += 1;
-                y
-            }
-            (None, None) => return None,
-        };
-        Some(next)
-    })
-    .peekable()
-}
-
-/// Counts an edge-op round's routing outcome into the fleet counters.
-fn count_round(round: &Round, targets: &[(usize, bool)], nengines: usize) -> (u64, u64) {
-    match round {
-        Round::Insert { .. } | Round::Delete { .. } => {
-            let evals = targets.iter().filter(|t| t.1).count() as u64;
-            (evals, nengines as u64 - evals)
-        }
-        _ => (0, 0),
-    }
-}
-
-/// Runs one round on one engine, buffering its matches. `eval == false`
-/// restricts an `Insert` round to vertex registration (the engine was not
-/// routed the edge itself).
-#[allow(clippy::too_many_arguments)]
-fn run_round(
-    engine: &mut TurboFlux,
-    g: &DynamicGraph,
-    shared: &SharedCandidateIndex,
-    subtrees: &SharedSubtrees,
-    op_index: usize,
-    round: &Round,
-    eval: bool,
-    buf: &mut Vec<Pending>,
-) {
-    let fleet = FleetCtx { idx: engine.uses_shared_index().then_some(shared), sub: Some(subtrees) };
-    match *round {
-        Round::Skip => {}
-        Round::Register { from } => engine.register_new_vertices(g, from),
-        Round::Insert { from, src, label, dst } => {
+    fn run(&self, engine: &mut TurboFlux, target: Target, round: &Round, emit: &mut Emit<'_>) {
+        let g = &self.graph;
+        if let Some(from) = round.new_vertices() {
             engine.register_new_vertices(g, from);
-            if eval {
-                engine.eval_inserted_edge_in(g, fleet, src, label, dst, &mut |p, r| {
-                    buf.push((op_index, p, r.clone()));
-                });
-            }
         }
-        Round::Delete { src, label, dst } => {
-            if eval {
-                engine.eval_deleting_edge_in(g, fleet, src, label, dst, &mut |p, r| {
-                    buf.push((op_index, p, r.clone()));
-                });
+        if !target.eval {
+            return;
+        }
+        let fleet = FleetCtx {
+            idx: engine.cfg.fleet_shared_index.then_some(&self.index),
+            sub: Some(&self.subtrees),
+        };
+        let mut sink = |p, r: &MatchRecord| emit(Key::default(), p, r);
+        match *round {
+            Round::Insert { src, label, dst, .. } => {
+                engine.eval_inserted_edge_in(g, fleet, src, label, dst, &mut sink)
             }
+            Round::Delete { src, label, dst } => {
+                engine.eval_deleting_edge_in(g, fleet, src, label, dst, &mut sink)
+            }
+            Round::Skip | Round::Register { .. } => {}
         }
     }
-}
 
-/// Post-finalize matching-order maintenance for one shared-branch engine:
-/// the in-eval adjust is suppressed for such engines (effective counts
-/// fold in instance state, which for deletions settles only at finalize),
-/// so the driver runs the drift check here, once per routed engine per
-/// edge op.
-fn adjust_shared_order(engine: &mut TurboFlux, subtrees: &SharedSubtrees) {
-    if engine.has_shared_branches() {
-        engine.maybe_adjust_order_in(FleetCtx { idx: None, sub: Some(subtrees) });
-    }
-}
-
-/// Drains the per-engine buffers in deterministic `(engine id, op_index)`
-/// order (each buffer is already sorted by op index; `ids` ascend with
-/// position, so position order is id order).
-fn emit(ids: &[usize], bufs: &[Vec<Pending>], sink: &mut dyn FnMut(FleetDelta<'_>)) {
-    for (pos, buf) in bufs.iter().enumerate() {
-        debug_assert!(buf.windows(2).all(|w| w[0].0 <= w[1].0));
-        let engine = ids[pos];
-        for (op_index, p, rec) in buf {
-            sink(FleetDelta { engine, op_index: *op_index, positiveness: *p, record: rec });
+    /// Deletion maintenance of the subtree instances runs here — after
+    /// every engine evaluated — so suffix climbs read frozen pre-op shared
+    /// state (a superset of the naive mid-op state, discarded the same
+    /// way). Then the matching-order check of shared-branch engines: their
+    /// in-eval adjust is suppressed (effective counts fold in instance
+    /// state, which for deletions settles only now), so it runs here, once
+    /// per routed engine per edge op.
+    fn finalize(
+        &mut self,
+        round: &Round,
+        targets: &[Target],
+        engines: &mut Cells<'_, '_, TurboFlux>,
+    ) {
+        if let Round::Delete { src, label, dst } = *round {
+            self.subtrees.maintain_delete(&self.graph, src, label, dst);
+            self.index.delete_edge(src, label, dst);
+        }
+        round::finalize(&mut self.graph, round);
+        // Only edge rounds have evaluating targets.
+        for t in targets.iter().filter(|t| t.eval) {
+            let engine = engines.get(t.cell);
+            if engine.has_shared_branches() {
+                engine.maybe_adjust_order_in(FleetCtx { idx: None, sub: Some(&self.subtrees) });
+            }
         }
     }
 }
 
 /// A set of continuous queries evaluated together over one streaming graph.
 pub struct Fleet {
-    graph: DynamicGraph,
-    shared: SharedCandidateIndex,
-    subtrees: SharedSubtrees,
+    shared: Shared,
     engines: Vec<TurboFlux>,
     /// Stable registration id per engine position; strictly ascending
     /// ([`Fleet::deregister`] removes, never renumbers), so position order
     /// is id order and [`FleetDelta`]s stay sorted by `(engine, op_index)`.
     ids: Vec<usize>,
     next_id: usize,
-    /// Edge label → engine positions with a query edge of that label
-    /// (ascending). Rebuilt on register/deregister.
-    routing: FxHashMap<LabelId, Vec<usize>>,
-    /// Engine positions with label-wildcard query edges: interested in
-    /// every edge op (ascending).
-    wildcard: Vec<usize>,
-    ops_routed: u64,
-    ops_skipped: u64,
-    /// Shared-index counters drained from deregistered engines (live
-    /// engines keep their own; [`Fleet::stats`] sums both).
-    drained_hits: u64,
-    drained_misses: u64,
-    /// Subtree counters drained from deregistered engines.
-    drained_subtree_hits: u64,
-    drained_suffix_evals: u64,
+    /// Sharing counters drained from deregistered engines (live engines
+    /// keep their own; [`Fleet::stats`] sums both).
+    drained: FleetStats,
     threads: usize,
 }
 
@@ -390,20 +231,19 @@ impl Fleet {
     /// threads (clamped to ≥ 1; `1` evaluates inline without spawning).
     pub fn with_threads(g0: DynamicGraph, threads: usize) -> Self {
         Fleet {
-            graph: g0,
-            shared: SharedCandidateIndex::new(),
-            subtrees: SharedSubtrees::new(),
+            shared: Shared {
+                graph: g0,
+                index: SharedCandidateIndex::new(),
+                subtrees: SharedSubtrees::new(),
+                routing: FxHashMap::default(),
+                wildcard: Vec::new(),
+                ops_routed: 0,
+                ops_skipped: 0,
+            },
             engines: Vec::new(),
             ids: Vec::new(),
             next_id: 0,
-            routing: FxHashMap::default(),
-            wildcard: Vec::new(),
-            ops_routed: 0,
-            ops_skipped: 0,
-            drained_hits: 0,
-            drained_misses: 0,
-            drained_subtree_hits: 0,
-            drained_suffix_evals: 0,
+            drained: FleetStats::default(),
             threads: threads.max(1),
         }
     }
@@ -419,7 +259,9 @@ impl Fleet {
     /// intra-update parallelism; [`Fleet::apply_batch`] tightens the cap
     /// further while several engines evaluate concurrently.
     pub fn register(&mut self, q: QueryGraph, cfg: TurboFluxConfig) -> usize {
-        let mut engine = TurboFlux::analyze(q, &self.graph, cfg, None, None);
+        let Shared { graph, index, subtrees, .. } = &mut self.shared;
+        let graph = &*graph;
+        let mut engine = TurboFlux::analyze(q, graph, cfg, None, None);
         engine.set_worker_budget(self.threads);
         if cfg.fleet_shared_subtrees {
             // Bind every complete root-child subtree with at least one
@@ -435,7 +277,7 @@ impl Fleet {
                 .collect();
             for c in branch_roots {
                 let (key, mapping) = canonical_branch(engine.query(), engine.query_tree(), c);
-                let inst = self.subtrees.acquire(&self.graph, key);
+                let inst = subtrees.acquire(graph, key);
                 engine.bind_branch(c, inst, &mapping);
             }
         }
@@ -449,15 +291,13 @@ impl Fleet {
                     continue;
                 }
                 if let Some(key) = engine.shared_sig_key(u) {
-                    engine.shared_sigs[u.index()] = Some(self.shared.acquire(&self.graph, key));
+                    engine.shared_sigs[u.index()] = Some(index.acquire(graph, key));
                 }
             }
         }
-        let fleet = FleetCtx {
-            idx: cfg.fleet_shared_index.then_some(&self.shared),
-            sub: Some(&self.subtrees),
-        };
-        engine.finish_registration(&self.graph, fleet);
+        let fleet =
+            FleetCtx { idx: cfg.fleet_shared_index.then_some(&*index), sub: Some(&*subtrees) };
+        engine.finish_registration(graph, fleet);
         self.engines.push(engine);
         let id = self.next_id;
         self.next_id += 1;
@@ -477,43 +317,49 @@ impl Fleet {
         self.ids.remove(pos);
         let engine = self.engines.remove(pos);
         for sig in engine.shared_sigs.iter().flatten() {
-            self.shared.release(*sig);
+            self.shared.index.release(*sig);
         }
         for b in &engine.branches {
-            self.subtrees.release(b.inst);
+            self.shared.subtrees.release(b.inst);
         }
-        self.drained_hits += engine.shared_hits;
-        self.drained_misses += engine.shared_misses;
-        self.drained_subtree_hits += engine.subtree_hits;
-        self.drained_suffix_evals += engine.suffix_evals;
+        self.drained.absorb(&engine);
         self.rebuild_routing();
         true
     }
 
     /// Rebuilds the label → interested-positions table and the wildcard
-    /// list from the engines' query-edge buckets. Positions are pushed in
-    /// ascending order, so every list stays sorted.
+    /// list from the engines' query-edge buckets. Every engine pushes its
+    /// position at most once per list, in ascending position order, so
+    /// every list stays sorted and duplicate-free.
     fn rebuild_routing(&mut self) {
-        self.routing.clear();
-        self.wildcard.clear();
-        for (pos, engine) in self.engines.iter().enumerate() {
+        let Shared { routing, wildcard, .. } = &mut self.shared;
+        routing.clear();
+        wildcard.clear();
+        for engine in &self.engines {
             for &label in engine.qedge_by_label.keys() {
-                self.routing.entry(label).or_default().push(pos);
+                routing.entry(label).or_default();
             }
-            if !engine.qedge_wildcard.is_empty() {
-                self.wildcard.push(pos);
+        }
+        for (pos, engine) in self.engines.iter().enumerate() {
+            if engine.qedge_wildcard.is_empty() {
+                for label in engine.qedge_by_label.keys() {
+                    routing.get_mut(label).expect("entered above").push(pos);
+                }
+            } else {
+                wildcard.push(pos);
+                routing.values_mut().for_each(|interested| interested.push(pos));
             }
         }
     }
 
     /// The shared data graph.
     pub fn graph(&self) -> &DynamicGraph {
-        &self.graph
+        &self.shared.graph
     }
 
     /// The fleet-shared candidate index.
     pub fn shared_index(&self) -> &SharedCandidateIndex {
-        &self.shared
+        &self.shared.index
     }
 
     /// Engine position for a stable registration id.
@@ -543,222 +389,69 @@ impl Fleet {
 
     /// The fleet-shared subtree store.
     pub fn shared_subtrees(&self) -> &SharedSubtrees {
-        &self.subtrees
+        &self.shared.subtrees
     }
 
     /// Cumulative routing and sharing counters (`subtrees_shared` is a
     /// live gauge: instances currently serving ≥ 2 engines).
     pub fn stats(&self) -> FleetStats {
         let mut stats = FleetStats {
-            ops_routed: self.ops_routed,
-            ops_skipped: self.ops_skipped,
-            shared_hits: self.drained_hits,
-            shared_misses: self.drained_misses,
-            subtrees_shared: self.subtrees.shared_instance_count() as u64,
-            subtree_hits: self.drained_subtree_hits,
-            suffix_evals: self.drained_suffix_evals,
+            ops_routed: self.shared.ops_routed,
+            ops_skipped: self.shared.ops_skipped,
+            subtrees_shared: self.shared.subtrees.shared_instance_count() as u64,
+            ..self.drained
         };
-        for engine in &self.engines {
-            stats.shared_hits += engine.shared_hits;
-            stats.shared_misses += engine.shared_misses;
-            stats.subtree_hits += engine.subtree_hits;
-            stats.suffix_evals += engine.suffix_evals;
-        }
+        self.engines.iter().for_each(|engine| stats.absorb(engine));
         stats
     }
 
     /// Reports all matches of engine `id` against the current graph state.
     pub fn report_initial(&mut self, id: usize, sink: &mut dyn FnMut(&MatchRecord)) {
         let pos = self.pos_of(id);
-        let Fleet { graph, subtrees, engines, .. } = self;
-        let fleet = FleetCtx { idx: None, sub: Some(subtrees) };
-        engines[pos].initial_matches_ctx(graph, fleet, sink);
+        let fleet = FleetCtx { idx: None, sub: Some(&self.shared.subtrees) };
+        self.engines[pos].initial_matches_ctx(&self.shared.graph, fleet, sink);
     }
 
     /// Applies a batch of updates to the shared graph, evaluating every
-    /// routed engine, in parallel when the fleet has both threads and
-    /// engines to spare. Matches are buffered per batch and delivered in
-    /// deterministic `(engine, op_index, emission)` order — identical to
-    /// [`Fleet::apply_batch_sequential`] regardless of thread count.
+    /// routed engine — on up to [`Fleet::threads`] threads in rounds that
+    /// route to several engines. Matches are delivered in deterministic
+    /// `(engine, op_index, emission)` order, identical to
+    /// [`Fleet::apply_batch_sequential`] regardless of thread count. A
+    /// one-engine fleet streams them as they are found; otherwise they are
+    /// buffered per batch.
     pub fn apply_batch(&mut self, ops: &[UpdateOp], sink: &mut dyn FnMut(FleetDelta<'_>)) {
-        let workers = self.threads.min(self.engines.len());
-        if workers <= 1 || ops.is_empty() {
-            return self.apply_batch_sequential(ops, sink);
-        }
-        // Nested parallelism cap: with `workers` fleet threads evaluating
-        // engines concurrently, each engine's intra-update fan-out gets an
-        // equal share so fleet × update workers never exceed the budget.
-        // Intra-update output is byte-identical for any worker count, so
-        // the cap cannot perturb the emitted delta order.
-        let budget = (self.threads / workers).max(1);
-        for engine in &mut self.engines {
-            engine.set_worker_budget(budget);
-        }
-        let Fleet {
-            graph,
-            shared,
-            subtrees,
-            engines,
-            ids,
-            routing,
-            wildcard,
-            ops_routed,
-            ops_skipped,
-            ..
-        } = &mut *self;
-        let nengines = engines.len();
-        let mut bufs: Vec<Vec<Pending>> = std::iter::repeat_with(Vec::new).take(nengines).collect();
-        let (mut routed_acc, mut skipped_acc) = (0u64, 0u64);
-        {
-            // Each engine (plus its buffer) behind its own mutex: exactly
-            // one worker claims it per round, so locks never contend; the
-            // mutex exists to hand out disjoint `&mut`s safely.
-            let slots: Vec<Mutex<(&mut TurboFlux, &mut Vec<Pending>)>> =
-                engines.iter_mut().zip(bufs.iter_mut()).map(|(e, b)| Mutex::new((e, b))).collect();
-            // Workers read the graph, shared index, and subtree store
-            // during rounds; the driver writes them strictly between
-            // rounds (while no read guard is held, by the barrier
-            // protocol), so this lock never blocks anyone.
-            let state = RwLock::new((
-                std::mem::take(graph),
-                std::mem::take(shared),
-                std::mem::take(subtrees),
-            ));
-            let cursor = AtomicUsize::new(0);
-            let barrier = Barrier::new(workers + 1);
-            let round: RwLock<(usize, Round)> = RwLock::new((0, Round::Skip));
-            // Routed target list for the current round, rewritten by the
-            // driver while it holds the state write lock.
-            let targets: RwLock<Vec<(usize, bool)>> = RwLock::new(Vec::new());
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| {
-                        for _ in 0..ops.len() {
-                            barrier.wait(); // round published
-                            {
-                                let st = state.read().unwrap();
-                                let (g, sh, sub) = &*st;
-                                let (op_index, rd) = *round.read().unwrap();
-                                let tg = targets.read().unwrap();
-                                // Work stealing: grab the next unclaimed
-                                // target until none are left.
-                                loop {
-                                    let t = cursor.fetch_add(1, Ordering::Relaxed);
-                                    if t >= tg.len() {
-                                        break;
-                                    }
-                                    let (pos, eval) = tg[t];
-                                    let mut slot = slots[pos].lock().unwrap();
-                                    let (engine, buf) = &mut *slot;
-                                    run_round(engine, g, sh, sub, op_index, &rd, eval, buf);
-                                }
-                            } // read guards dropped before the barrier
-                            barrier.wait(); // round complete
-                        }
-                    });
-                }
-                for (op_index, op) in ops.iter().enumerate() {
-                    {
-                        let mut st = state.write().unwrap();
-                        let (g, sh, sub) = &mut *st;
-                        let rd = stage(g, sh, sub, op);
-                        let mut tg = targets.write().unwrap();
-                        plan_round(routing, wildcard, nengines, g, &rd, &mut tg);
-                        let (r, sk) = count_round(&rd, &tg, nengines);
-                        routed_acc += r;
-                        skipped_acc += sk;
-                        *round.write().unwrap() = (op_index, rd);
-                    }
-                    cursor.store(0, Ordering::SeqCst);
-                    barrier.wait(); // start the round
-                    barrier.wait(); // every routed engine evaluated
-                    let rd = round.read().unwrap().1;
-                    let mut st = state.write().unwrap();
-                    let (g, sh, sub) = &mut *st;
-                    finalize(g, sh, sub, &rd);
-                    if matches!(rd, Round::Insert { .. } | Round::Delete { .. }) {
-                        let tg = targets.read().unwrap();
-                        for &(pos, eval) in tg.iter() {
-                            if eval {
-                                let mut slot = slots[pos].lock().unwrap();
-                                adjust_shared_order(slot.0, sub);
-                            }
-                        }
-                    }
-                }
-            });
-            let (g, sh, sub) = state.into_inner().unwrap();
-            *graph = g;
-            *shared = sh;
-            *subtrees = sub;
-        }
-        *ops_routed += routed_acc;
-        *ops_skipped += skipped_acc;
-        emit(ids, &bufs, sink);
+        self.drive(ops, self.threads, sink);
     }
 
-    /// Single-threaded reference implementation of [`Fleet::apply_batch`]:
-    /// same staging, same routing, same buffering, same output order. Used
-    /// as the determinism oracle and the benchmark baseline.
+    /// [`Fleet::apply_batch`] on the calling thread only: the determinism
+    /// oracle and the benchmark baseline of the threaded rounds.
     pub fn apply_batch_sequential(
         &mut self,
         ops: &[UpdateOp],
         sink: &mut dyn FnMut(FleetDelta<'_>),
     ) {
-        // Engines run one at a time here, so each may use the full budget.
-        for engine in &mut self.engines {
-            engine.set_worker_budget(self.threads);
-        }
-        let Fleet {
-            graph,
-            shared,
-            subtrees,
-            engines,
-            ids,
-            routing,
-            wildcard,
-            ops_routed,
-            ops_skipped,
-            ..
-        } = &mut *self;
-        let nengines = engines.len();
-        let mut bufs: Vec<Vec<Pending>> = std::iter::repeat_with(Vec::new).take(nengines).collect();
-        let mut targets: Vec<(usize, bool)> = Vec::new();
-        for (op_index, op) in ops.iter().enumerate() {
-            let round = stage(graph, shared, subtrees, op);
-            plan_round(routing, wildcard, nengines, graph, &round, &mut targets);
-            let (r, sk) = count_round(&round, &targets, nengines);
-            *ops_routed += r;
-            *ops_skipped += sk;
-            for &(pos, eval) in &targets {
-                run_round(
-                    &mut engines[pos],
-                    graph,
-                    shared,
-                    subtrees,
-                    op_index,
-                    &round,
-                    eval,
-                    &mut bufs[pos],
-                );
-            }
-            finalize(graph, shared, subtrees, &round);
-            if matches!(round, Round::Insert { .. } | Round::Delete { .. }) {
-                for &(pos, eval) in &targets {
-                    if eval {
-                        adjust_shared_order(&mut engines[pos], subtrees);
-                    }
-                }
-            }
-        }
-        emit(ids, &bufs, sink);
+        self.drive(ops, 0, sink);
+    }
+
+    fn drive(&mut self, ops: &[UpdateOp], workers: usize, sink: &mut dyn FnMut(FleetDelta<'_>)) {
+        round::share_threads(&mut self.engines, self.threads, workers);
+        let ids = &self.ids;
+        round::drive(
+            &mut self.shared,
+            &mut self.engines,
+            ops,
+            workers,
+            &mut |pos, op_index, p, r| {
+                sink(FleetDelta { engine: ids[pos], op_index, positiveness: p, record: r })
+            },
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfx_graph::LabelSet;
+    use tfx_graph::{LabelSet, VertexId};
 
     fn l(i: u32) -> LabelId {
         LabelId(i)

@@ -41,6 +41,7 @@ mod ops_delete;
 mod ops_insert;
 pub mod order;
 mod parallel;
+mod round;
 mod scratch;
 mod search;
 pub mod shard;

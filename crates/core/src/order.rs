@@ -10,13 +10,11 @@
 //!
 //! Drift detection is handled by [`OrderMaintenance`]: the counts the order
 //! was derived from are snapshotted, and after every update the current
-//! counts are compared against that snapshot. By default only counts that
-//! actually changed are examined (the DCG marks them in a dirty bitmask as
-//! part of its normal counter bookkeeping); a count that did not change
-//! since its last check cannot have started drifting, so the incremental
-//! check accepts/rejects exactly the same updates as the full scan. The
-//! full scan is kept behind [`crate::TurboFluxConfig::incremental_drift_check`]
-//! `= false` as an ablation baseline.
+//! counts are compared against that snapshot. Only counts that actually
+//! changed are examined (the DCG marks them in a dirty bitmask as part of
+//! its normal counter bookkeeping); a count that did not change since its
+//! last check cannot have started drifting, so the masked check accepts and
+//! rejects exactly the same updates as a scan over every query vertex.
 
 use tfx_query::QVertexId;
 
@@ -49,16 +47,8 @@ impl OrderMaintenance {
         hi > floor && hi as f64 > lo as f64 * factor
     }
 
-    /// Full scan over every query vertex (the ablation baseline).
-    pub fn drifted_full(&self, counts: &[u64], factor: f64, floor: u64) -> bool {
-        counts
-            .iter()
-            .zip(&self.snapshot)
-            .any(|(&now, &then)| Self::pair_drifted(now, then, factor, floor))
-    }
-
     /// Checks only the query vertices whose bit is set in `dirty`.
-    /// Equivalent to [`Self::drifted_full`] as long as `dirty` covers every
+    /// Equivalent to scanning every vertex as long as `dirty` covers every
     /// count changed since its last check: an unchanged count keeps its
     /// previous (non-drifted) verdict.
     pub fn drifted_masked(&self, counts: &[u64], mut dirty: u64, factor: f64, floor: u64) -> bool {
@@ -194,17 +184,12 @@ impl TurboFlux {
             return;
         }
         let dirty = self.collect_dirty(fleet);
-        if dirty == 0 && self.cfg.incremental_drift_check {
+        if dirty == 0 {
             return;
         }
         let (factor, floor) = (self.cfg.order_drift_factor, self.cfg.order_drift_floor);
         self.refresh_effective_counts(fleet, dirty);
-        let drifted = if self.cfg.incremental_drift_check {
-            self.order_maint.drifted_masked(&self.counts_buf, dirty, factor, floor)
-        } else {
-            self.order_maint.drifted_full(&self.counts_buf, factor, floor)
-        };
-        if drifted {
+        if self.order_maint.drifted_masked(&self.counts_buf, dirty, factor, floor) {
             self.recompute_matching_order(fleet);
         }
     }
@@ -215,18 +200,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn full_scan_detects_drift_above_floor_and_factor() {
+    fn full_mask_detects_drift_above_floor_and_factor() {
         let mut om = OrderMaintenance::default();
         om.resnapshot(&[10, 100, 0]);
         // Within factor 2 of the snapshot: no drift.
-        assert!(!om.drifted_full(&[19, 100, 0], 2.0, 4));
+        assert!(!om.drifted_masked(&[19, 100, 0], 0b111, 2.0, 4));
         // Count 0 doubled past the factor and the floor.
-        assert!(om.drifted_full(&[21, 100, 0], 2.0, 4));
+        assert!(om.drifted_masked(&[21, 100, 0], 0b111, 2.0, 4));
         // Shrinking counts drift symmetrically.
-        assert!(om.drifted_full(&[10, 40, 0], 2.0, 4));
+        assert!(om.drifted_masked(&[10, 40, 0], 0b111, 2.0, 4));
         // Under the floor nothing drifts, however large the ratio.
-        assert!(!om.drifted_full(&[3, 100, 0], 2.0, 12));
-        assert!(om.drifted_full(&[10, 100, 5], 2.0, 4));
+        assert!(!om.drifted_masked(&[3, 100, 0], 0b111, 2.0, 12));
+        assert!(om.drifted_masked(&[10, 100, 5], 0b111, 2.0, 4));
     }
 
     #[test]
@@ -257,11 +242,11 @@ mod tests {
                     *c = c.checked_add_signed(deltas[i]).unwrap();
                 }
             }
-            assert_eq!(
-                om.drifted_masked(&counts, mask, 2.0, 16),
-                om.drifted_full(&counts, 2.0, 16),
-                "mask {mask:#b}"
-            );
+            let full = counts
+                .iter()
+                .zip(&snapshot)
+                .any(|(&now, &then)| OrderMaintenance::pair_drifted(now, then, 2.0, 16));
+            assert_eq!(om.drifted_masked(&counts, mask, 2.0, 16), full, "mask {mask:#b}");
         }
     }
 
@@ -271,6 +256,6 @@ mod tests {
         om.resnapshot(&[1, 2]);
         om.resnapshot(&[500, 600]);
         assert_eq!(om.snapshot(), &[500, 600]);
-        assert!(!om.drifted_full(&[500, 600], 2.0, 0));
+        assert!(!om.drifted_masked(&[500, 600], 0b11, 2.0, 0));
     }
 }

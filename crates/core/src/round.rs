@@ -1,0 +1,628 @@
+//! The round driver: the one loop every runtime applies a batch with.
+//!
+//! Algorithm 2 treats an update stream one op at a time — an insertion
+//! enters the graph and is then evaluated, a deletion is evaluated and then
+//! leaves — so a batch is a sequence of per-op *rounds*:
+//!
+//! 1. **stage**: the op's pre-evaluation half mutates the graph ([`stage`])
+//!    and the runtime names the round's target cells ([`route`]);
+//! 2. **run**: every target cell evaluates the round against the now
+//!    read-only graph — on the driver thread, or stolen off an atomic cursor
+//!    by a scoped pool when the round has several targets and the caller
+//!    granted workers;
+//! 3. **finalize**: the op's post-evaluation half ([`finalize`]: a deleted
+//!    edge leaves the graph only after every cell evaluated it).
+//!
+//! A *cell* is one engine: a query of a [`crate::Fleet`], a
+//! `(shard, query)` slice of a [`crate::ShardedEngine`]. What differs
+//! between runtimes is supplied through [`Rounds`]; the loop, the pool and
+//! the merge exist here and nowhere else. [`crate::TurboFlux::apply_op`] is
+//! the same protocol for one engine that owns its graph and calls
+//! [`stage`] / [`finalize`] directly.
+//!
+//! # Determinism
+//!
+//! A query's cells are contiguous. With one cell in the whole batch
+//! its emissions stream straight to the sink. Otherwise they are buffered
+//! per cell — in op order, because a cell runs its rounds in order — and
+//! drained query by query after the last round, so the sink sees
+//! `(query, op, emission)` order for any worker count. A query spread over
+//! several cells merges their buffers on the emissions' [`Key`]s.
+
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex, RwLock};
+
+use tfx_graph::{shard_of, DynamicGraph, LabelId, LabelSet, ShardedGraph, UpdateOp, VertexId};
+use tfx_query::{MatchRecord, Positiveness};
+
+use crate::engine::TurboFlux;
+
+/// One op's evaluation plan, derived by [`stage`] and executed by every
+/// target cell. Rounds only read the graph.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Round {
+    /// No-op (duplicate edge, missing edge, known vertex).
+    Skip,
+    /// Vertices with id ≥ `from` are new: register start candidates.
+    Register { from: VertexId },
+    /// The edge was inserted; vertices with id ≥ `grew` were created for it.
+    Insert { grew: Option<VertexId>, src: VertexId, label: LabelId, dst: VertexId },
+    /// The edge is about to be deleted; it is still present in the graph.
+    Delete { src: VertexId, label: LabelId, dst: VertexId },
+}
+
+impl Round {
+    /// The first vertex id the op created, if it created any.
+    pub(crate) fn new_vertices(&self) -> Option<VertexId> {
+        match *self {
+            Round::Register { from } => Some(from),
+            Round::Insert { grew, .. } => grew,
+            _ => None,
+        }
+    }
+
+    /// The edge an `Insert` / `Delete` round evaluates.
+    pub(crate) fn edge(&self) -> Option<(VertexId, LabelId, VertexId)> {
+        match *self {
+            Round::Insert { src, label, dst, .. } | Round::Delete { src, label, dst } => {
+                Some((src, label, dst))
+            }
+            _ => None,
+        }
+    }
+}
+
+/// The mutations [`stage`] and [`finalize`] apply, over either graph type.
+pub(crate) trait StageGraph {
+    fn vertex_count(&self) -> usize;
+    fn ensure_vertex(&mut self, v: VertexId, labels: LabelSet) -> bool;
+    fn insert_edge(&mut self, src: VertexId, label: LabelId, dst: VertexId) -> bool;
+    fn has_edge(&self, src: VertexId, label: LabelId, dst: VertexId) -> bool;
+    fn delete_edge(&mut self, src: VertexId, label: LabelId, dst: VertexId);
+    /// Whether `src` and `dst` live in different partitions.
+    fn crosses(&self, src: VertexId, dst: VertexId) -> bool;
+}
+
+impl StageGraph for DynamicGraph {
+    fn vertex_count(&self) -> usize {
+        self.vertex_count()
+    }
+    fn ensure_vertex(&mut self, v: VertexId, labels: LabelSet) -> bool {
+        self.ensure_vertex(v, labels)
+    }
+    fn insert_edge(&mut self, src: VertexId, label: LabelId, dst: VertexId) -> bool {
+        self.insert_edge(src, label, dst)
+    }
+    fn has_edge(&self, src: VertexId, label: LabelId, dst: VertexId) -> bool {
+        self.has_edge(src, label, dst)
+    }
+    fn delete_edge(&mut self, src: VertexId, label: LabelId, dst: VertexId) {
+        self.delete_edge(src, label, dst);
+    }
+    fn crosses(&self, _src: VertexId, _dst: VertexId) -> bool {
+        false
+    }
+}
+
+impl StageGraph for ShardedGraph {
+    fn vertex_count(&self) -> usize {
+        self.vertex_count()
+    }
+    fn ensure_vertex(&mut self, v: VertexId, labels: LabelSet) -> bool {
+        self.ensure_vertex(v, labels)
+    }
+    fn insert_edge(&mut self, src: VertexId, label: LabelId, dst: VertexId) -> bool {
+        self.insert_edge(src, label, dst).0
+    }
+    fn has_edge(&self, src: VertexId, label: LabelId, dst: VertexId) -> bool {
+        self.has_edge(src, label, dst)
+    }
+    fn delete_edge(&mut self, src: VertexId, label: LabelId, dst: VertexId) {
+        self.delete_edge(src, label, dst);
+    }
+    fn crosses(&self, src: VertexId, dst: VertexId) -> bool {
+        let shards = self.shard_count() as u32;
+        shard_of(src, shards) != shard_of(dst, shards)
+    }
+}
+
+/// Applies the half of `op` that must precede evaluation and plans the
+/// round. Also returns whether the round's edge crosses partitions.
+pub(crate) fn stage<G: StageGraph>(graph: &mut G, op: &UpdateOp) -> (Round, bool) {
+    let from = VertexId(graph.vertex_count() as u32);
+    match *op {
+        UpdateOp::AddVertex { id, ref labels } => {
+            if graph.ensure_vertex(id, labels.clone()) {
+                (Round::Register { from }, false)
+            } else {
+                (Round::Skip, false)
+            }
+        }
+        UpdateOp::InsertEdge { src, label, dst } => {
+            // Streams normally announce vertices via `AddVertex`; tolerate
+            // label-less stragglers by creating empty-labeled endpoints.
+            let hi = src.0.max(dst.0);
+            let grew = (hi >= from.0 && graph.ensure_vertex(VertexId(hi), LabelSet::empty()))
+                .then_some(from);
+            if graph.insert_edge(src, label, dst) {
+                (Round::Insert { grew, src, label, dst }, graph.crosses(src, dst))
+            } else {
+                // A duplicate's endpoints existed with it: nothing grew.
+                debug_assert!(grew.is_none());
+                (Round::Skip, false)
+            }
+        }
+        UpdateOp::DeleteEdge { src, label, dst } => {
+            if graph.has_edge(src, label, dst) {
+                (Round::Delete { src, label, dst }, graph.crosses(src, dst))
+            } else {
+                (Round::Skip, false)
+            }
+        }
+    }
+}
+
+/// Applies the half of an op that must *follow* evaluation: deletions are
+/// evaluated against the still-intact graph and DCG.
+pub(crate) fn finalize<G: StageGraph>(graph: &mut G, round: &Round) {
+    if let Round::Delete { src, label, dst } = *round {
+        graph.delete_edge(src, label, dst);
+    }
+}
+
+/// One cell to run in a round. `eval == false` restricts it to registering
+/// the round's new vertices (the cell has no interest in the edge itself).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Target {
+    pub cell: usize,
+    pub eval: bool,
+}
+
+/// The routing rule, into the cleared `out` in ascending cell order: a
+/// round targets the cells `interested` in its edge (ascending; cells whose
+/// query has an edge the op can match) and, when the op created vertices,
+/// every cell — start-candidate registration is root-*vertex*-label work,
+/// not edge-label work. A cell left out provably has nothing to do.
+pub(crate) fn route(
+    round: &Round,
+    ncells: usize,
+    interested: impl Iterator<Item = usize>,
+    out: &mut Vec<Target>,
+) {
+    out.clear();
+    if round.new_vertices().is_some() {
+        let mut interested = interested.peekable();
+        out.extend(
+            (0..ncells).map(|cell| Target { cell, eval: interested.next_if_eq(&cell).is_some() }),
+        );
+    } else if round.edge().is_some() {
+        out.extend(interested.map(|cell| Target { cell, eval: true }));
+    }
+}
+
+/// Where an emission sorts among those of its `(query, op)` when the query
+/// is spread over several cells: the op's invocation index, then the
+/// match's binding chain. Single-cell queries leave it at the default —
+/// their emission order already is the output order.
+#[derive(Default)]
+pub(crate) struct Key {
+    pub inv: u32,
+    pub chain: Vec<VertexId>,
+}
+
+/// A cell's output channel for one round.
+pub(crate) type Emit<'a> = dyn FnMut(Key, Positiveness, &MatchRecord) + 'a;
+
+/// Every cell, for the driver-side hooks: between rounds no worker holds
+/// one, so access is exclusive and lock-free.
+pub(crate) struct Cells<'s, 'c, C>(&'s mut [Mutex<Slot<'c, C>>]);
+
+impl<C> Cells<'_, '_, C> {
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub(crate) fn get(&mut self, cell: usize) -> &mut C {
+        self.0[cell].get_mut().expect("a cell panicked mid-round").cell
+    }
+}
+
+/// What a runtime supplies to [`drive`]. `stage` and `finalize` run on the
+/// driver thread with everything exclusive; `run` is called from whichever
+/// thread claimed the target, concurrently for distinct cells.
+pub(crate) trait Rounds: Send + Sync {
+    type Cell: Send;
+
+    /// How many cells evaluate each query (≥ 1): cell `c` belongs to query
+    /// `c / cells_per_query`.
+    fn cells_per_query(&self) -> usize;
+
+    /// Stages `op` (graph mutation via [`stage`] plus whatever the runtime
+    /// keeps in step with the graph) and fills `targets` (via [`route`]).
+    fn stage(
+        &mut self,
+        op: &UpdateOp,
+        cells: &mut Cells<'_, '_, Self::Cell>,
+        targets: &mut Vec<Target>,
+    ) -> Round;
+
+    /// Evaluates `round` on one target cell.
+    fn run(&self, cell: &mut Self::Cell, target: Target, round: &Round, emit: &mut Emit<'_>);
+
+    /// Finalizes the round (via [`finalize`]) once every target ran.
+    fn finalize(
+        &mut self,
+        round: &Round,
+        targets: &[Target],
+        cells: &mut Cells<'_, '_, Self::Cell>,
+    );
+}
+
+/// Nested parallelism cap for engine cells about to be driven with
+/// `workers`: cells evaluating concurrently share `threads` equally, so
+/// round-level × intra-update workers never exceed it. Intra-update output
+/// is byte-identical for any worker count, so the cap cannot perturb the
+/// emitted delta order.
+pub(crate) fn share_threads(engines: &mut [TurboFlux], threads: usize, workers: usize) {
+    let pool = workers.clamp(1, engines.len().max(1));
+    for engine in engines {
+        engine.set_worker_budget(threads / pool);
+    }
+}
+
+/// A buffered emission.
+struct Pending {
+    op: u32,
+    key: Key,
+    p: Positiveness,
+    rec: MatchRecord,
+}
+
+/// A cell and its emission buffer, behind a mutex so a pool round can hand
+/// disjoint `&mut`s to whichever worker claims them. Exactly one thread
+/// claims a cell per round, so the lock never contends.
+struct Slot<'c, C> {
+    cell: &'c mut C,
+    buf: Vec<Pending>,
+}
+
+/// Everything a round touches. The driver holds the write lock between
+/// rounds (for a whole inline batch); pool rounds read it.
+struct State<'a, R: Rounds> {
+    rt: &'a mut R,
+    slots: Vec<Mutex<Slot<'a, R::Cell>>>,
+    op: usize,
+    round: Round,
+    targets: Vec<Target>,
+}
+
+fn buffer(buf: &mut Vec<Pending>, op: usize) -> impl FnMut(Key, Positiveness, &MatchRecord) + '_ {
+    move |key, p, rec| buf.push(Pending { op: op as u32, key, p, rec: rec.clone() })
+}
+
+/// Claims and runs the published round's targets until none are left. The
+/// cursor only deals out distinct indices (`Relaxed`); the round it indexes
+/// into was published by the lock the caller read `st` through.
+fn steal<R: Rounds>(st: &State<'_, R>, cursor: &AtomicUsize) {
+    while let Some(&target) = st.targets.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+        let mut slot = st.slots[target.cell].lock().expect("a cell panicked mid-round");
+        let Slot { cell, buf } = &mut *slot;
+        st.rt.run(cell, target, &st.round, &mut buffer(buf, st.op));
+    }
+}
+
+/// Applies `ops` in order, one round each, and delivers every emission to
+/// `sink(query, op index, positiveness, record)` in `(query, op, emission)`
+/// order — byte-identical for any `workers`.
+///
+/// `workers <= 1` runs every round on the calling thread. More allows a
+/// scoped pool of up to that many threads (the caller included, never more
+/// than cells), woken only for rounds with at least two targets; the rest
+/// stay on the driver thread and cost no synchronization. Returns how many
+/// rounds woke the pool.
+pub(crate) fn drive<R: Rounds>(
+    rt: &mut R,
+    cells: &mut [R::Cell],
+    ops: &[UpdateOp],
+    workers: usize,
+    sink: &mut dyn FnMut(usize, usize, Positiveness, &MatchRecord),
+) -> usize {
+    if ops.is_empty() {
+        return 0;
+    }
+    let per_query = rt.cells_per_query();
+    let pool = workers.min(cells.len()).max(1);
+    // One cell in total: op order is output order, nothing to buffer.
+    let direct = cells.len() == 1;
+    let state = RwLock::new(State {
+        rt,
+        slots: cells.iter_mut().map(|cell| Mutex::new(Slot { cell, buf: Vec::new() })).collect(),
+        op: 0,
+        round: Round::Skip,
+        targets: Vec::new(),
+    });
+    let cursor = AtomicUsize::new(0);
+    let barrier = Barrier::new(pool);
+    let stop = AtomicBool::new(false);
+    let mut woken = 0;
+    std::thread::scope(|s| {
+        for _ in 1..pool {
+            s.spawn(|| loop {
+                barrier.wait(); // a round was published, or the batch is over
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                steal(&state.read().expect("a cell panicked mid-round"), &cursor);
+                barrier.wait(); // round complete; the read guard is gone
+            });
+        }
+        let mut guard = state.write().expect("a cell panicked mid-round");
+        for (op_index, op) in ops.iter().enumerate() {
+            let st = &mut *guard;
+            st.op = op_index;
+            st.round = st.rt.stage(op, &mut Cells(&mut st.slots), &mut st.targets);
+            if pool > 1 && st.targets.len() > 1 {
+                woken += 1;
+                cursor.store(0, Ordering::SeqCst);
+                drop(guard);
+                barrier.wait();
+                steal(&state.read().expect("a cell panicked mid-round"), &cursor);
+                barrier.wait();
+                guard = state.write().expect("a cell panicked mid-round");
+            } else {
+                for &target in &st.targets {
+                    let Slot { cell, buf } =
+                        st.slots[target.cell].get_mut().expect("a cell panicked mid-round");
+                    if direct {
+                        st.rt.run(cell, target, &st.round, &mut |_, p, rec| {
+                            sink(0, op_index, p, rec)
+                        });
+                    } else {
+                        st.rt.run(cell, target, &st.round, &mut buffer(buf, op_index));
+                    }
+                }
+            }
+            let st = &mut *guard;
+            st.rt.finalize(&st.round, &st.targets, &mut Cells(&mut st.slots));
+        }
+        drop(guard);
+        stop.store(true, Ordering::SeqCst);
+        barrier.wait();
+    });
+    let slots = state.into_inner().expect("a cell panicked mid-round").slots;
+    let mut bufs: Vec<_> =
+        slots.into_iter().map(|s| s.into_inner().expect("a cell panicked mid-round").buf).collect();
+    for (query, bufs) in bufs.chunks_mut(per_query).enumerate() {
+        let mut merged = std::mem::take(&mut bufs[0]);
+        debug_assert!(merged.windows(2).all(|w| w[0].op <= w[1].op));
+        if per_query > 1 {
+            // Several cells' buffers interleave. Stable, so emissions
+            // sharing a key keep their cell's order.
+            bufs[1..].iter_mut().for_each(|buf| merged.append(buf));
+            merged.sort_by(|a, b| {
+                (a.op, a.key.inv, &a.key.chain).cmp(&(b.op, b.key.inv, &b.key.chain))
+            });
+        }
+        for d in &merged {
+            sink(query, d.op as usize, d.p, &d.rec);
+        }
+    }
+    woken
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const L: LabelId = LabelId(7);
+
+    fn v(i: u32) -> VertexId {
+        VertexId(i)
+    }
+
+    fn ins(src: u32, dst: u32) -> UpdateOp {
+        UpdateOp::InsertEdge { src: v(src), label: L, dst: v(dst) }
+    }
+
+    fn del(src: u32, dst: u32) -> UpdateOp {
+        UpdateOp::DeleteEdge { src: v(src), label: L, dst: v(dst) }
+    }
+
+    /// Three labeled vertices and the edge 0 → 1.
+    fn graph() -> DynamicGraph {
+        let mut g = DynamicGraph::new();
+        for _ in 0..3 {
+            g.add_vertex(LabelSet::single(LabelId(0)));
+        }
+        g.insert_edge(v(0), L, v(1));
+        g
+    }
+
+    /// The staging contract, identical on both graph types (`crossed` aside).
+    fn stages_like_algorithm_2<G: StageGraph>(mut g: G) {
+        let edge = |src, dst| (v(src), L, v(dst));
+        // A new edge enters the graph at stage, and stays at finalize.
+        let (round, _) = stage(&mut g, &ins(1, 2));
+        assert_eq!(round, Round::Insert { grew: None, src: v(1), label: L, dst: v(2) });
+        assert_eq!((round.edge(), round.new_vertices()), (Some(edge(1, 2)), None));
+        finalize(&mut g, &round);
+        assert!(g.has_edge(v(1), L, v(2)));
+        // Duplicate insert: nothing to evaluate.
+        assert_eq!(stage(&mut g, &ins(0, 1)), (Round::Skip, false));
+        // A straggler endpoint is created label-less, gap ids included.
+        let (round, _) = stage(&mut g, &ins(0, 5));
+        assert_eq!(round, Round::Insert { grew: Some(v(3)), src: v(0), label: L, dst: v(5) });
+        assert_eq!(g.vertex_count(), 6);
+        // Its duplicate cannot create a vertex (the edge had both ends), so
+        // an insert never degrades to a `Register` round.
+        assert_eq!(stage(&mut g, &ins(0, 5)), (Round::Skip, false));
+        // A deletion is planned at stage and leaves only at finalize.
+        let (round, _) = stage(&mut g, &del(0, 1));
+        assert_eq!(round, Round::Delete { src: v(0), label: L, dst: v(1) });
+        assert!(g.has_edge(v(0), L, v(1)), "still present while cells evaluate it");
+        finalize(&mut g, &round);
+        assert!(!g.has_edge(v(0), L, v(1)));
+        // Missing delete, known vertex: skips. New vertex: register.
+        assert_eq!(stage(&mut g, &del(0, 1)), (Round::Skip, false));
+        let add = |id| UpdateOp::AddVertex { id: v(id), labels: LabelSet::empty() };
+        assert_eq!(stage(&mut g, &add(2)), (Round::Skip, false));
+        assert_eq!(stage(&mut g, &add(7)), (Round::Register { from: v(6) }, false));
+        assert_eq!(Round::Register { from: v(6) }.new_vertices(), Some(v(6)));
+    }
+
+    #[test]
+    fn stage_on_a_dynamic_graph() {
+        stages_like_algorithm_2(graph());
+        assert!(!stage(&mut graph(), &ins(1, 2)).1, "one partition: nothing crosses");
+    }
+
+    #[test]
+    fn stage_on_a_sharded_graph_flags_cross_shard_edges() {
+        for shards in [1, 2, 4] {
+            stages_like_algorithm_2(ShardedGraph::from_graph(&graph(), shards));
+        }
+        let mut g = ShardedGraph::from_graph(&graph(), 2);
+        let apart = (1..64).find(|&d| shard_of(v(d), 2) != shard_of(v(0), 2)).unwrap();
+        let together = (1..64).find(|&d| shard_of(v(d), 2) == shard_of(v(0), 2)).unwrap();
+        g.ensure_vertex(v(64), LabelSet::empty());
+        assert!(stage(&mut g, &ins(0, apart)).1);
+        assert!(stage(&mut g, &del(0, apart)).1);
+        assert!(!stage(&mut g, &ins(0, together)).1);
+        assert!(!stage(&mut g, &ins(0, apart)).1, "a duplicate delivers no mirror");
+    }
+
+    #[test]
+    fn route_targets_the_interested_and_whoever_must_register() {
+        let mut out = vec![Target { cell: 9, eval: true }];
+        let edge = Round::Delete { src: v(0), label: L, dst: v(1) };
+        route(&edge, 4, [1, 3].into_iter(), &mut out);
+        assert_eq!(out, [Target { cell: 1, eval: true }, Target { cell: 3, eval: true }]);
+        let grew = Round::Insert { grew: Some(v(2)), src: v(0), label: L, dst: v(2) };
+        route(&grew, 3, [1].into_iter(), &mut out);
+        assert_eq!(out.iter().map(|t| t.eval).collect::<Vec<_>>(), [false, true, false]);
+        route(&Round::Register { from: v(2) }, 2, [].into_iter(), &mut out);
+        assert_eq!(out, [Target { cell: 0, eval: false }, Target { cell: 1, eval: false }]);
+        route(&Round::Skip, 2, [].into_iter(), &mut out);
+        assert!(out.is_empty());
+    }
+
+    /// A runtime of `visits.len() / per_query`-query cells that only records:
+    /// op `i` targets the cells whose bit is set in `masks[i]`, and a cell
+    /// emits `(op, cell)` once per visit.
+    struct Toy {
+        masks: Vec<u32>,
+        per_query: usize,
+        op: usize,
+        staged: Vec<usize>,
+        finalized: Vec<usize>,
+    }
+
+    impl Rounds for Toy {
+        type Cell = Vec<usize>;
+
+        fn cells_per_query(&self) -> usize {
+            self.per_query
+        }
+
+        fn stage(
+            &mut self,
+            op: &UpdateOp,
+            cells: &mut Cells<'_, '_, Vec<usize>>,
+            targets: &mut Vec<Target>,
+        ) -> Round {
+            let UpdateOp::AddVertex { id, .. } = op else { panic!("toy ops are AddVertex") };
+            self.op = id.0 as usize;
+            self.staged.push(self.op);
+            let mask = self.masks[self.op];
+            let round = Round::Delete { src: v(0), label: L, dst: v(0) };
+            route(&round, cells.len(), (0..cells.len()).filter(|c| mask >> c & 1 == 1), targets);
+            round
+        }
+
+        fn run(&self, cell: &mut Vec<usize>, target: Target, _: &Round, emit: &mut Emit<'_>) {
+            cell.push(self.op);
+            // Keyed so that a query's cells interleave in descending order.
+            let key = Key { inv: u32::MAX - target.cell as u32, chain: Vec::new() };
+            let rec = MatchRecord::new(vec![v(self.op as u32), v(target.cell as u32)]);
+            emit(key, Positiveness::Positive, &rec);
+        }
+
+        fn finalize(
+            &mut self,
+            _: &Round,
+            targets: &[Target],
+            cells: &mut Cells<'_, '_, Vec<usize>>,
+        ) {
+            assert!(targets.iter().all(|t| cells.get(t.cell).last() == Some(&self.op)));
+            self.finalized.push(self.op);
+        }
+    }
+
+    /// Drives the toy; returns per-cell visits, the emitted
+    /// `(query, op, cell)` sequence and the pool wake-ups.
+    #[allow(clippy::type_complexity)]
+    fn toy_run(
+        masks: &[u32],
+        ncells: usize,
+        per_query: usize,
+        workers: usize,
+    ) -> (Vec<Vec<usize>>, Vec<(usize, usize, u32)>, usize) {
+        let mut toy =
+            Toy { masks: masks.to_vec(), per_query, op: 0, staged: vec![], finalized: vec![] };
+        let ops: Vec<UpdateOp> = (0..masks.len() as u32)
+            .map(|i| UpdateOp::AddVertex { id: v(i), labels: LabelSet::empty() })
+            .collect();
+        let mut cells = vec![Vec::new(); ncells];
+        let mut out = Vec::new();
+        let woken = drive(&mut toy, &mut cells, &ops, workers, &mut |q, op, _, rec| {
+            assert_eq!(rec.as_slice()[0], v(op as u32), "emission tagged with its op");
+            out.push((q, op, rec.as_slice()[1].0));
+        });
+        let all: Vec<usize> = (0..masks.len()).collect();
+        assert_eq!((&toy.staged, &toy.finalized), (&all, &all), "every op staged and finalized");
+        (cells, out, woken)
+    }
+
+    #[test]
+    fn pooled_rounds_visit_like_inline_and_wake_only_for_several_targets() {
+        // Empty, single-target and multi-target rounds, mixed.
+        let masks: [u32; 9] =
+            [0b0000, 0b0100, 0b1111, 0b0000, 0b0011, 0b1000, 0b1010, 0b0001, 0b0111];
+        let several = masks.iter().filter(|m| m.count_ones() > 1).count();
+        for per_query in [1, 2] {
+            let (cells, out, woken) = toy_run(&masks, 4, per_query, 0);
+            assert_eq!(woken, 0, "inline never wakes a pool");
+            for (c, visits) in cells.iter().enumerate() {
+                let want: Vec<usize> =
+                    (0..masks.len()).filter(|&i| masks[i] >> c & 1 == 1).collect();
+                assert_eq!(visits, &want, "cell {c} runs exactly its rounds, in op order");
+            }
+            // (query, op) ascending; a query's cells descending (the toy's key).
+            let queries = 4 / per_query;
+            let mut want = Vec::new();
+            for q in 0..queries {
+                for (op, mask) in masks.iter().enumerate() {
+                    let of_q = (0..4u32).rev().filter(|c| *c as usize / per_query == q);
+                    want.extend(of_q.filter(|c| mask >> c & 1 == 1).map(|c| (q, op, c)));
+                }
+            }
+            assert_eq!(out, want);
+            for workers in [1, 2, 4, 9] {
+                let (pcells, pout, pwoken) = toy_run(&masks, 4, per_query, workers);
+                assert_eq!((&pcells, &pout), (&cells, &out), "{workers} workers");
+                assert_eq!(pwoken, if workers > 1 { several } else { 0 });
+            }
+        }
+        let (_, _, woken) = toy_run(&[0, 1, 2, 4, 8, 0, 1], 4, 1, 4);
+        assert_eq!(woken, 0, "no multi-target round, no wake-up");
+    }
+
+    #[test]
+    fn a_sole_cell_streams_in_op_order() {
+        let (cells, out, woken) = toy_run(&[1, 0, 1, 1], 1, 1, 4);
+        assert_eq!(cells, [vec![0, 2, 3]]);
+        assert_eq!(out, [(0, 0, 0), (0, 2, 0), (0, 3, 0)]);
+        assert_eq!(woken, 0);
+        assert_eq!(toy_run(&[], 3, 1, 4).2, 0, "an empty batch spawns nothing");
+    }
+}

@@ -23,39 +23,36 @@
 //!
 //! # Per-op protocol
 //!
-//! Each update op is staged once by the driver (routing the edge to
-//! owner(src), delivering the mirror to owner(dst)'s inbox when the edge
-//! crosses shards), then a *seed plan* — the ordered list of matching
-//! query-edge invocations, computed once per (op, query) against the
-//! shared routing view — is delivered to every shard's inbox. Long-lived
-//! `std::thread::scope` workers drain their inboxes to fixpoint (the plan
-//! is closed under one delivery round, so the fixpoint is bounded per
-//! op), running each invocation against their partition slice with the
-//! exact per-invocation routines the unsharded loops use
-//! ([`TurboFlux::insert_tree_invocation`] and friends).
+//! A batch runs on the round driver ([`crate::round`]) with one cell per
+//! `(shard, query)` slice. Staging an op routes the edge to owner(src) and
+//! mirrors it to owner(dst) when it crosses shards, then computes a *seed
+//! plan* per query — the ordered list of matching query-edge invocations,
+//! against the shared routing view — and targets the cells of every query
+//! whose plan is non-empty. A cell runs each planned invocation against its
+//! partition slice with the exact per-invocation routines the unsharded
+//! loops use ([`TurboFlux::insert_tree_invocation`] and friends).
 //!
 //! # Determinism
 //!
-//! Every emission is tagged `(query, op_index, invocation, climb-chain)`
-//! where the climb-chain is the match's binding sequence from the
-//! invocation's start query vertex up to the tree root. Within one
-//! invocation a shard enumerates its chains in lexicographic order (DCG
-//! runs are sorted, the climb is a DFS over sorted parent lists), chains
-//! partition across shards by root owner, and a stable merge sorts the
-//! per-shard buffers into the exact global DFS order — so output is
-//! **byte-identical to the unsharded engine for any shard count**.
+//! With several shards every emission carries the merge [`Key`]
+//! `(invocation, climb-chain)`, where the climb-chain is the match's
+//! binding sequence from the invocation's start query vertex up to the
+//! tree root. Within one invocation a shard enumerates its chains in
+//! lexicographic order (DCG runs are sorted, the climb is a DFS over
+//! sorted parent lists), chains partition across shards by root owner, and
+//! the driver's stable per-query merge sorts the per-cell buffers into the
+//! exact global DFS order — so output is **byte-identical to the unsharded
+//! engine for any shard count**. One shard needs no keys and no sort.
 //! Matching-order adjustment is pinned off in sharded mode (per-slice DCG
 //! statistics would drift apart); the equivalence target is the unsharded
 //! engine with the same static order.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, RwLock};
-
-use tfx_graph::{DynamicGraph, GraphView, LabelId, LabelSet, ShardedGraph, UpdateOp, VertexId};
+use tfx_graph::{DynamicGraph, GraphView, LabelId, ShardedGraph, UpdateOp, VertexId};
 use tfx_query::{EdgeId, MatchRecord, Positiveness, QVertexId, QueryGraph};
 
 use crate::config::TurboFluxConfig;
 use crate::engine::TurboFlux;
+use crate::round::{self, Cells, Emit, Key, Round, Rounds, Target};
 use crate::shared_subtree::FleetCtx;
 
 /// Counters describing the sharded runtime's routing and handoff traffic,
@@ -86,26 +83,6 @@ struct Seed {
     inv: u32,
 }
 
-/// Per-op evaluation plan, staged once by the driver (see
-/// [`crate::fleet`] — same discipline, minus the shared index).
-#[derive(Clone, Copy, Debug)]
-enum Round {
-    Skip,
-    Register { from: VertexId },
-    Insert { from: VertexId, src: VertexId, label: LabelId, dst: VertexId },
-    Delete { src: VertexId, label: LabelId, dst: VertexId },
-}
-
-/// A buffered, merge-tagged match emission.
-struct Pending {
-    query: u32,
-    op_index: u32,
-    inv: u32,
-    chain: Vec<VertexId>,
-    p: Positiveness,
-    rec: MatchRecord,
-}
-
 impl TurboFlux {
     /// The ordered invocation plan for the data edge `(src, label, dst)`:
     /// exactly the tree-then-non-tree sequence
@@ -128,12 +105,8 @@ impl TurboFlux {
                 out.push(Seed { e, tree: self.tree.is_tree_edge(e), inv: 0 });
             }
         }
-        out.sort_unstable_by(|a, b| match (a.tree, b.tree) {
-            (true, false) => std::cmp::Ordering::Less,
-            (false, true) => std::cmp::Ordering::Greater,
-            (true, true) => self.edge_order_key(a.e).cmp(&self.edge_order_key(b.e)),
-            (false, false) => a.e.0.cmp(&b.e.0),
-        });
+        // Tree edges by order key, then (ranking above them) non-tree by id.
+        out.sort_unstable_by_key(|s| self.edge_order_key(s.e));
         for (i, s) in out.iter_mut().enumerate() {
             s.inv = i as u32;
         }
@@ -150,8 +123,8 @@ impl TurboFlux {
         }
     }
 
-    /// Runs one planned invocation against this engine's slice, tagging
-    /// every emission with its merge key.
+    /// Runs one planned invocation against this engine's slice. `keyed`
+    /// (the query has other cells) tags every emission with its merge key.
     #[allow(clippy::too_many_arguments)]
     fn run_seed<G: GraphView>(
         &mut self,
@@ -161,57 +134,25 @@ impl TurboFlux {
         src: VertexId,
         label: LabelId,
         dst: VertexId,
-        query: u32,
-        op_index: u32,
-        buf: &mut Vec<Pending>,
+        keyed: bool,
+        emit: &mut Emit<'_>,
     ) {
         // The climb path `start_u → root` as query vertices, precomputed so
         // the tagging sink only captures a plain vector, not the engine.
-        let path = {
-            let mut path = Vec::new();
-            let mut u = self.seed_start(seed, src, dst);
-            loop {
-                path.push(u);
-                match self.tree.parent(u) {
-                    Some(p) => u = p,
-                    None => break,
-                }
-            }
-            path
-        };
+        let start = keyed.then(|| self.seed_start(seed, src, dst));
+        let path: Vec<_> = std::iter::successors(start, |&u| self.tree.parent(u)).collect();
         // The chain — the match's bindings along the climb path — is
         // the merge key discriminator: within one invocation a shard
         // emits chains in ascending lexicographic order, and distinct
         // shards never produce the same chain (its last element is the
         // root binding, owned by exactly one shard).
         let mut sink = |p: Positiveness, rec: &MatchRecord| {
-            buf.push(Pending {
-                query,
-                op_index,
-                inv: seed.inv,
-                chain: path.iter().map(|&u| rec.get(u)).collect(),
-                p,
-                rec: rec.clone(),
-            });
+            let chain = path.iter().map(|&u| rec.get(u)).collect();
+            emit(Key { inv: seed.inv, chain }, p, rec);
         };
-        self.run_seed_with(g, seed, insert, src, label, dst, &mut sink);
-    }
-
-    /// Runs one planned invocation, streaming emissions straight to
-    /// `sink` (the single-slice fast path needs no merge tagging).
-    #[allow(clippy::too_many_arguments)]
-    fn run_seed_with<G: GraphView>(
-        &mut self,
-        g: &G,
-        seed: &Seed,
-        insert: bool,
-        src: VertexId,
-        label: LabelId,
-        dst: VertexId,
-        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
-    ) {
         let mut scratch = std::mem::take(&mut self.scratch);
         let fl = FleetCtx::NONE;
+        let sink = &mut sink;
         match (insert, seed.tree) {
             (true, true) => {
                 self.insert_tree_invocation(g, fl, seed.e, src, label, dst, &mut scratch, sink)
@@ -230,114 +171,92 @@ impl TurboFlux {
     }
 }
 
-/// Stages the graph-mutating half of `op` that must precede evaluation:
-/// routes the edge to owner(src)'s slice and delivers the mirror to
-/// owner(dst)'s when the edge crosses shards. Returns the round plus
-/// whether a mirror was delivered.
-fn stage(graph: &mut ShardedGraph, op: &UpdateOp) -> (Round, bool) {
-    match *op {
-        UpdateOp::AddVertex { id, ref labels } => {
-            let from = VertexId(graph.vertex_count() as u32);
-            if graph.ensure_vertex(id, labels.clone()) {
-                (Round::Register { from }, false)
-            } else {
-                (Round::Skip, false)
+/// Everything the slices share, and the sharded runtime's round hooks.
+struct Shared {
+    graph: ShardedGraph,
+    /// The staged op's seed plan per query (empty outside edge rounds).
+    seeds: Vec<Vec<Seed>>,
+    stats: ShardStats,
+}
+
+impl Rounds for Shared {
+    type Cell = TurboFlux;
+
+    fn cells_per_query(&self) -> usize {
+        self.graph.shard_count()
+    }
+
+    fn stage(
+        &mut self,
+        op: &UpdateOp,
+        engines: &mut Cells<'_, '_, TurboFlux>,
+        targets: &mut Vec<Target>,
+    ) -> Round {
+        let (round, crossed) = round::stage(&mut self.graph, op);
+        let Shared { graph, seeds, stats } = self;
+        let shards = graph.shard_count();
+        // Query structure and vertex labels are replicated, so shard 0's
+        // engine plans for every slice of its query.
+        match round.edge() {
+            Some((src, label, dst)) => {
+                for (query, qseeds) in seeds.iter_mut().enumerate() {
+                    engines.get(query * shards).plan_seeds_into(
+                        &graph.view(),
+                        src,
+                        label,
+                        dst,
+                        qseeds,
+                    );
+                }
+                stats.count_op(shards, crossed, seeds);
             }
+            None => seeds.iter_mut().for_each(Vec::clear),
         }
-        UpdateOp::InsertEdge { src, label, dst } => {
-            let from = VertexId(graph.vertex_count() as u32);
-            // Tolerate label-less straggler endpoints, exactly like the
-            // standalone `TurboFlux::apply_op` and the fleet driver.
-            let hi = src.0.max(dst.0);
-            if hi >= from.0 {
-                graph.ensure_vertex(VertexId(hi), LabelSet::empty());
-            }
-            let (inserted, crossed) = graph.insert_edge(src, label, dst);
-            if inserted {
-                (Round::Insert { from, src, label, dst }, crossed)
-            } else if graph.vertex_count() as u32 > from.0 {
-                (Round::Register { from }, false)
-            } else {
-                (Round::Skip, false)
-            }
+        let interested = (0..engines.len()).filter(|cell| !seeds[cell / shards].is_empty());
+        round::route(&round, engines.len(), interested, targets);
+        round
+    }
+
+    fn run(&self, engine: &mut TurboFlux, target: Target, round: &Round, emit: &mut Emit<'_>) {
+        let view = self.graph.view();
+        if let Some(from) = round.new_vertices() {
+            engine.register_new_vertices(&view, from);
         }
-        UpdateOp::DeleteEdge { src, label, dst } => {
-            if graph.has_edge(src, label, dst) {
-                let crossed = tfx_graph::shard_of(src, graph.shard_count() as u32)
-                    != tfx_graph::shard_of(dst, graph.shard_count() as u32);
-                (Round::Delete { src, label, dst }, crossed)
-            } else {
-                (Round::Skip, false)
-            }
+        let Some((src, label, dst)) = round.edge() else { return };
+        let insert = matches!(round, Round::Insert { .. });
+        let shards = self.graph.shard_count();
+        for seed in &self.seeds[target.cell / shards] {
+            engine.run_seed(&view, seed, insert, src, label, dst, shards > 1, emit);
         }
+    }
+
+    fn finalize(&mut self, round: &Round, _: &[Target], _: &mut Cells<'_, '_, TurboFlux>) {
+        round::finalize(&mut self.graph, round);
     }
 }
 
-/// Applies the graph-mutating half that must *follow* evaluation (deletes
-/// are evaluated against the still-intact graph and DCG).
-fn finalize(graph: &mut ShardedGraph, round: &Round) {
-    if let Round::Delete { src, label, dst } = *round {
-        graph.delete_edge(src, label, dst);
-    }
-}
-
-/// Runs one round on one `(shard, query)` engine slice, buffering tagged
-/// matches: register new root candidates it owns, then drain the seed
-/// inbox in plan order.
-#[allow(clippy::too_many_arguments)]
-fn run_round<G: GraphView>(
-    engine: &mut TurboFlux,
-    g: &G,
-    query: u32,
-    op_index: usize,
-    round: &Round,
-    seeds: &[Seed],
-    buf: &mut Vec<Pending>,
-) {
-    match *round {
-        Round::Skip => {}
-        Round::Register { from } => engine.register_new_vertices(g, from),
-        Round::Insert { from, src, label, dst } => {
-            engine.register_new_vertices(g, from);
-            for seed in seeds {
-                engine.run_seed(g, seed, true, src, label, dst, query, op_index as u32, buf);
-            }
-        }
-        Round::Delete { src, label, dst } => {
-            for seed in seeds {
-                engine.run_seed(g, seed, false, src, label, dst, query, op_index as u32, buf);
-            }
-        }
-    }
-}
-
-/// Stable-sorts the concatenated per-shard buffers into global emission
-/// order and drains them. Key: `(query, op, invocation, chain)`; ties
-/// (consecutive emissions of one chain arrival) keep their per-shard
-/// order, which the stable sort preserves.
-fn merge_and_emit(
-    mut pendings: Vec<Pending>,
-    sink: &mut dyn FnMut(usize, usize, Positiveness, &MatchRecord),
-) {
-    pendings.sort_by(|a, b| {
-        (a.query, a.op_index, a.inv, &a.chain).cmp(&(b.query, b.op_index, b.inv, &b.chain))
-    });
-    for p in &pendings {
-        sink(p.query as usize, p.op_index as usize, p.p, &p.rec);
+impl ShardStats {
+    /// Accumulates one applied edge op's routing/handoff traffic.
+    fn count_op(&mut self, shards: usize, crossed: bool, seeds: &[Vec<Seed>]) {
+        self.ops_routed += 1;
+        self.cross_shard_edges += u64::from(crossed);
+        let seed_count: u64 = seeds.iter().map(|s| s.len() as u64).sum();
+        // Mirror delivery (if any) plus seed plans delivered to every shard
+        // other than owner(src).
+        self.handoffs += u64::from(crossed) + seed_count * (shards as u64 - 1);
+        // The fullest inbox this op: all seeds, plus the mirror for its shard.
+        self.inbox_high_water = self.inbox_high_water.max(seed_count + u64::from(crossed));
     }
 }
 
 /// The sharded execution runtime: one engine slice per `(shard, query)`,
-/// a hash-partitioned graph, and a batch driver whose output is
-/// byte-identical to the unsharded engine for any shard count.
+/// a hash-partitioned graph, and batches whose output is byte-identical to
+/// the unsharded engine for any shard count.
 pub struct ShardedEngine {
-    graph: ShardedGraph,
-    /// `engines[shard][query]`.
-    engines: Vec<Vec<TurboFlux>>,
-    nqueries: usize,
-    shards: usize,
+    shared: Shared,
+    /// Query-major: slice `(shard, query)` is cell `query * shards + shard`.
+    engines: Vec<TurboFlux>,
     threads: usize,
-    stats: ShardStats,
 }
 
 impl ShardedEngine {
@@ -362,22 +281,21 @@ impl ShardedEngine {
             threads
         };
         let cfg = TurboFluxConfig { adjust_matching_order: false, ..cfg };
-        let nqueries = queries.len();
-        let mut engines: Vec<Vec<TurboFlux>> = (0..shards).map(|_| Vec::new()).collect();
+        let seeds = queries.iter().map(|_| Vec::new()).collect();
+        let mut engines = Vec::with_capacity(queries.len() * shards);
         for q in queries {
+            // Registration over the full graph pins the matching order
+            // every slice must share (slice-local DCG statistics would
+            // derive divergent orders); with one shard it is the slice.
+            let full = TurboFlux::register(q.clone(), &g0, cfg);
             if shards == 1 {
-                engines[0].push(TurboFlux::register(q, &g0, cfg));
+                engines.push(full);
                 continue;
             }
-            // Reference registration over the full graph pins the matching
-            // order every slice must share (slice-local DCG statistics
-            // would derive divergent orders).
-            let reference = TurboFlux::register(q.clone(), &g0, cfg);
-            for (s, shard_engines) in engines.iter_mut().enumerate() {
-                let mut e =
-                    TurboFlux::register_partitioned(q.clone(), &g0, cfg, s as u32, shards as u32);
-                e.mo.clone_from(&reference.mo);
-                shard_engines.push(e);
+            for s in 0..shards as u32 {
+                let mut e = TurboFlux::register_partitioned(q.clone(), &g0, cfg, s, shards as u32);
+                e.mo.clone_from(&full.mo);
+                engines.push(e);
             }
         }
         let graph = if shards == 1 {
@@ -385,287 +303,81 @@ impl ShardedEngine {
         } else {
             ShardedGraph::from_graph(&g0, shards)
         };
-        ShardedEngine { graph, engines, nqueries, shards, threads, stats: ShardStats::default() }
+        ShardedEngine {
+            shared: Shared { graph, seeds, stats: ShardStats::default() },
+            engines,
+            threads,
+        }
     }
 
     /// Number of partition slices.
     pub fn shards(&self) -> usize {
-        self.shards
+        self.shared.graph.shard_count()
     }
 
     /// Number of registered queries.
     pub fn queries(&self) -> usize {
-        self.nqueries
+        self.shared.seeds.len()
     }
 
     /// Routing / handoff counters accumulated since construction.
     pub fn stats(&self) -> ShardStats {
-        self.stats
+        self.shared.stats
     }
 
     /// The partitioned graph (primarily for tests and diagnostics).
     pub fn graph(&self) -> &ShardedGraph {
-        &self.graph
+        &self.shared.graph
     }
 
     /// Reports all matches of the initial graph for `query`, in the exact
     /// order the unsharded engine reports them (root candidates ascend;
     /// each root candidate is enumerated by its owning shard).
     pub fn report_initial(&mut self, query: usize, sink: &mut dyn FnMut(&MatchRecord)) {
-        let view = self.graph.view();
-        let mut pendings = Vec::new();
-        for shard_engines in &mut self.engines {
-            let engine = &mut shard_engines[query];
+        let view = self.shared.graph.view();
+        let shards = self.shards();
+        let mut found = Vec::new();
+        for engine in &mut self.engines[query * shards..][..shards] {
             let root = engine.query_tree().root();
-            engine.initial_matches_in(&view, &mut |rec| {
-                pendings.push(Pending {
-                    query: query as u32,
-                    op_index: 0,
-                    inv: 0,
-                    chain: vec![rec.get(root)],
-                    p: Positiveness::Positive,
-                    rec: rec.clone(),
-                });
-            });
+            engine.initial_matches_in(&view, &mut |rec| found.push((rec.get(root), rec.clone())));
         }
-        merge_and_emit(pendings, &mut |_, _, _, rec| sink(rec));
+        // Stable: one root candidate's matches keep their shard's order.
+        found.sort_by_key(|&(root_binding, _)| root_binding);
+        found.iter().for_each(|(_, rec)| sink(rec));
     }
 
-    /// Applies a batch of updates, evaluating every `(shard, query)` slice
-    /// — in parallel on long-lived scoped workers when threads and slices
-    /// allow — and delivers matches in deterministic
-    /// `(query, op_index, emission)` order, byte-identical to the
-    /// unsharded engine (and to this runtime at any other shard count).
+    /// Applies a batch of updates, evaluating every targeted
+    /// `(shard, query)` slice — on up to the configured threads in rounds
+    /// that target several — and delivers matches in deterministic
+    /// `(query, op_index, emission)` order, byte-identical to the unsharded
+    /// engine (and to this runtime at any other shard count). One slice in
+    /// total streams them as they are found, untagged and unsorted, which
+    /// keeps the one-shard runtime within noise of the unsharded engine.
     pub fn apply_batch(
         &mut self,
         ops: &[UpdateOp],
         sink: &mut dyn FnMut(usize, usize, Positiveness, &MatchRecord),
     ) {
-        let nslots = self.shards * self.nqueries;
-        let workers = self.threads.min(nslots);
-        if workers <= 1 || ops.is_empty() {
-            return self.apply_batch_sequential(ops, sink);
-        }
-        let budget = (self.threads / workers).max(1);
-        for engine in self.engines.iter_mut().flatten() {
-            engine.set_worker_budget(budget);
-        }
-        let ShardedEngine { graph, engines, nqueries, shards, stats, .. } = &mut *self;
-        let (nqueries, shards) = (*nqueries, *shards);
-        let mut bufs: Vec<Vec<Pending>> = std::iter::repeat_with(Vec::new).take(nslots).collect();
-        let mut pendings = Vec::new();
-        {
-            // One mutex per (shard, query) slice: exactly one worker claims
-            // each per round, locks never contend — they exist to hand out
-            // disjoint `&mut`s safely (same protocol as `Fleet`).
-            let slots: Vec<Mutex<(&mut TurboFlux, &mut Vec<Pending>)>> = engines
-                .iter_mut()
-                .flatten()
-                .zip(bufs.iter_mut())
-                .map(|(e, b)| Mutex::new((e, b)))
-                .collect();
-            // Workers read the partitioned graph during rounds; the driver
-            // writes it strictly between rounds (barrier protocol).
-            let state = RwLock::new(std::mem::take(graph));
-            let seeds: RwLock<Vec<Vec<Seed>>> =
-                RwLock::new(std::iter::repeat_with(Vec::new).take(nqueries).collect());
-            let cursor = AtomicUsize::new(0);
-            let barrier = Barrier::new(workers + 1);
-            let round: RwLock<(usize, Round)> = RwLock::new((0, Round::Skip));
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| {
-                        for _ in 0..ops.len() {
-                            barrier.wait(); // round published
-                            {
-                                let st = state.read().unwrap();
-                                let view = st.view();
-                                let (op_index, rd) = *round.read().unwrap();
-                                let sd = seeds.read().unwrap();
-                                loop {
-                                    let t = cursor.fetch_add(1, Ordering::Relaxed);
-                                    if t >= nslots {
-                                        break;
-                                    }
-                                    let query = t % nqueries;
-                                    let mut slot = slots[t].lock().unwrap();
-                                    let (engine, buf) = &mut *slot;
-                                    run_round(
-                                        engine,
-                                        &view,
-                                        query as u32,
-                                        op_index,
-                                        &rd,
-                                        &sd[query],
-                                        buf,
-                                    );
-                                }
-                            } // read guards dropped before the barrier
-                            barrier.wait(); // round complete
-                        }
-                    });
-                }
-                for (op_index, op) in ops.iter().enumerate() {
-                    {
-                        let mut st = state.write().unwrap();
-                        let (rd, crossed) = stage(&mut st, op);
-                        let mut sd = seeds.write().unwrap();
-                        plan_op_seeds(&st, &slots, nqueries, &rd, &mut sd);
-                        count_op(stats, shards, &rd, crossed, &sd);
-                        *round.write().unwrap() = (op_index, rd);
-                    }
-                    cursor.store(0, Ordering::SeqCst);
-                    barrier.wait(); // start the round
-                    barrier.wait(); // every slice evaluated
-                    let rd = round.read().unwrap().1;
-                    finalize(&mut state.write().unwrap(), &rd);
-                }
-            });
-            *graph = state.into_inner().unwrap();
-            for buf in &mut bufs {
-                pendings.append(buf);
-            }
-        }
-        merge_and_emit(pendings, sink);
+        self.drive(ops, self.threads, sink);
     }
 
-    /// Single-threaded reference implementation of
-    /// [`ShardedEngine::apply_batch`]: same staging, same seed plans, same
-    /// tagging, same merge — the determinism oracle.
+    /// [`ShardedEngine::apply_batch`] on the calling thread only — the
+    /// determinism oracle of the threaded rounds.
     pub fn apply_batch_sequential(
         &mut self,
         ops: &[UpdateOp],
         sink: &mut dyn FnMut(usize, usize, Positiveness, &MatchRecord),
     ) {
-        for engine in self.engines.iter_mut().flatten() {
-            engine.set_worker_budget(self.threads);
-        }
-        let ShardedEngine { graph, engines, nqueries, shards, stats, .. } = &mut *self;
-        let (nqueries, shards) = (*nqueries, *shards);
-        // One slice, one query: sequential emission order is already the
-        // required `(query, op, emission)` order, so stream straight to the
-        // sink — no merge tags, no buffering, no sort. This keeps the
-        // shards=1 runtime within noise of the unsharded engine.
-        if shards == 1 && nqueries == 1 {
-            let engine = &mut engines[0][0];
-            let mut seeds = Vec::new();
-            for (op_index, op) in ops.iter().enumerate() {
-                let (rd, crossed) = stage(graph, op);
-                seeds.clear();
-                if let Round::Insert { src, label, dst, .. } | Round::Delete { src, label, dst } =
-                    rd
-                {
-                    engine.plan_seeds_into(&graph.view(), src, label, dst, &mut seeds);
-                }
-                count_op(stats, shards, &rd, crossed, std::slice::from_ref(&seeds));
-                let view = graph.view();
-                match rd {
-                    Round::Skip => {}
-                    Round::Register { from } => engine.register_new_vertices(&view, from),
-                    Round::Insert { from, src, label, dst } => {
-                        engine.register_new_vertices(&view, from);
-                        for seed in &seeds {
-                            engine.run_seed_with(
-                                &view,
-                                seed,
-                                true,
-                                src,
-                                label,
-                                dst,
-                                &mut |p, r| sink(0, op_index, p, r),
-                            );
-                        }
-                    }
-                    Round::Delete { src, label, dst } => {
-                        for seed in &seeds {
-                            engine.run_seed_with(
-                                &view,
-                                seed,
-                                false,
-                                src,
-                                label,
-                                dst,
-                                &mut |p, r| sink(0, op_index, p, r),
-                            );
-                        }
-                    }
-                }
-                finalize(graph, &rd);
-            }
-            return;
-        }
-        let mut pendings = Vec::new();
-        let mut seeds: Vec<Vec<Seed>> = std::iter::repeat_with(Vec::new).take(nqueries).collect();
-        for (op_index, op) in ops.iter().enumerate() {
-            let (rd, crossed) = stage(graph, op);
-            for (query, qseeds) in seeds.iter_mut().enumerate() {
-                qseeds.clear();
-                if let Round::Insert { src, label, dst, .. } | Round::Delete { src, label, dst } =
-                    rd
-                {
-                    engines[0][query].plan_seeds_into(&graph.view(), src, label, dst, qseeds);
-                }
-            }
-            count_op(stats, shards, &rd, crossed, &seeds);
-            let view = graph.view();
-            for shard_engines in engines.iter_mut() {
-                for (query, engine) in shard_engines.iter_mut().enumerate() {
-                    run_round(
-                        engine,
-                        &view,
-                        query as u32,
-                        op_index,
-                        &rd,
-                        &seeds[query],
-                        &mut pendings,
-                    );
-                }
-            }
-            finalize(graph, &rd);
-        }
-        merge_and_emit(pendings, sink);
+        self.drive(ops, 0, sink);
     }
-}
 
-/// Computes the per-query seed plans for an edge round (cleared
-/// otherwise). Runs in the driver, between rounds, borrowing one engine
-/// per query from its (uncontended) slot.
-fn plan_op_seeds(
-    graph: &ShardedGraph,
-    slots: &[Mutex<(&mut TurboFlux, &mut Vec<Pending>)>],
-    nqueries: usize,
-    round: &Round,
-    seeds: &mut [Vec<Seed>],
-) {
-    for (query, qseeds) in seeds.iter_mut().enumerate().take(nqueries) {
-        qseeds.clear();
-        if let Round::Insert { src, label, dst, .. } | Round::Delete { src, label, dst } = *round {
-            let slot = slots[query].lock().unwrap();
-            slot.0.plan_seeds_into(&graph.view(), src, label, dst, qseeds);
-        }
+    fn drive(
+        &mut self,
+        ops: &[UpdateOp],
+        workers: usize,
+        sink: &mut dyn FnMut(usize, usize, Positiveness, &MatchRecord),
+    ) {
+        round::share_threads(&mut self.engines, self.threads, workers);
+        round::drive(&mut self.shared, &mut self.engines, ops, workers, sink);
     }
-}
-
-/// Accumulates the op's routing/handoff traffic into `stats`.
-fn count_op(
-    stats: &mut ShardStats,
-    shards: usize,
-    round: &Round,
-    crossed: bool,
-    seeds: &[Vec<Seed>],
-) {
-    if !matches!(round, Round::Insert { .. } | Round::Delete { .. }) {
-        return;
-    }
-    stats.ops_routed += 1;
-    if crossed {
-        stats.cross_shard_edges += 1;
-    }
-    let seed_count: u64 = seeds.iter().map(|s| s.len() as u64).sum();
-    // Mirror delivery (if any) plus seed plans delivered to every shard
-    // other than owner(src).
-    stats.handoffs += u64::from(crossed) + seed_count * (shards as u64 - 1);
-    // The fullest inbox this op: all seeds, plus the mirror for its shard.
-    let high = seed_count + u64::from(crossed);
-    stats.inbox_high_water = stats.inbox_high_water.max(high);
 }

@@ -18,9 +18,7 @@
 //!   4×4 all-pairs SIMD compare (SSE2 `_mm_cmpeq_epi32` against three
 //!   shuffles of the other block, always available on `x86_64`) that
 //!   advances whichever block exhausts first, falling back to a branchless
-//!   scalar merge on other targets and for the tails. With the nightly-only
-//!   `portable_simd` feature the same block kernel is expressed via
-//!   `core::simd` instead of explicit intrinsics.
+//!   scalar merge on other targets and for the tails.
 //!
 //! The size-ratio cutoff ([`GALLOP_RATIO`]) picks between them. All kernels
 //! produce byte-identical output (the sorted intersection) — a randomized
@@ -119,28 +117,20 @@ pub fn intersect_gallop_into(small: &[VertexId], large: &[VertexId], out: &mut V
 }
 
 /// Linear (block-compare) intersection for comparable-size runs. Appends
-/// matches to `out`. Dispatches to the SIMD block kernel where one exists;
-/// the portable fallback is a branchless scalar merge.
+/// matches to `out`: the SSE2 block kernel on `x86_64`, a branchless scalar
+/// merge elsewhere.
 pub fn intersect_linear_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
-    #[cfg(all(feature = "portable_simd", not(miri)))]
-    {
-        portable::intersect_blocks(a, b, out);
-        return;
-    }
-    #[cfg(all(target_arch = "x86_64", not(feature = "portable_simd")))]
-    {
-        // SSE2 is part of the x86_64 baseline: no runtime detection needed.
-        unsafe { sse2::intersect_blocks(a, b, out) };
-        return;
-    }
-    #[allow(unreachable_code)]
-    {
-        scalar_merge_from(a, b, 0, 0, out);
-    }
+    // SSE2 is part of the x86_64 baseline: no runtime detection needed.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        sse2::intersect_blocks(a, b, out)
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    scalar_merge_from(a, b, 0, 0, out);
 }
 
 /// Branchless scalar merge from offsets `(i, j)` onward — the shared tail
-/// loop of the block kernels and the portable whole-input fallback.
+/// loop of the block kernel and the whole-input fallback off `x86_64`.
 fn scalar_merge_from(
     a: &[VertexId],
     b: &[VertexId],
@@ -164,7 +154,7 @@ fn scalar_merge_from(
     }
 }
 
-#[cfg(all(target_arch = "x86_64", not(feature = "portable_simd")))]
+#[cfg(target_arch = "x86_64")]
 mod sse2 {
     use super::{as_u32s, scalar_merge_from};
     use crate::ids::VertexId;
@@ -205,39 +195,6 @@ mod sse2 {
             let (amax, bmax) = (au[i + 3], bu[j + 3]);
             // Runs are duplicate-free, so nothing in the advanced block can
             // match again in the other's later blocks.
-            i += if amax <= bmax { 4 } else { 0 };
-            j += if bmax <= amax { 4 } else { 0 };
-        }
-        scalar_merge_from(a, b, i, j, out);
-    }
-}
-
-#[cfg(feature = "portable_simd")]
-mod portable {
-    //! `core::simd` rendition of the block kernel (nightly-only feature;
-    //! the stable build uses the SSE2 shims / scalar merge instead).
-    use super::{as_u32s, scalar_merge_from};
-    use crate::ids::VertexId;
-    use core::simd::{cmp::SimdPartialEq, u32x4, Simd};
-
-    pub(super) fn intersect_blocks(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
-        let (au, bu) = (as_u32s(a), as_u32s(b));
-        let (mut i, mut j) = (0usize, 0usize);
-        let (na, nb) = (au.len() & !3, bu.len() & !3);
-        while i < na && j < nb {
-            let va: u32x4 = Simd::from_slice(&au[i..i + 4]);
-            let vb: u32x4 = Simd::from_slice(&bu[j..j + 4]);
-            let hit = va.simd_eq(vb)
-                | va.simd_eq(vb.rotate_elements_left::<1>())
-                | va.simd_eq(vb.rotate_elements_left::<2>())
-                | va.simd_eq(vb.rotate_elements_left::<3>());
-            let mut mask = hit.to_bitmask();
-            while mask != 0 {
-                let k = mask.trailing_zeros() as usize;
-                out.push(VertexId(au[i + k]));
-                mask &= mask - 1;
-            }
-            let (amax, bmax) = (au[i + 3], bu[j + 3]);
             i += if amax <= bmax { 4 } else { 0 };
             j += if bmax <= amax { 4 } else { 0 };
         }

@@ -19,8 +19,6 @@
 //! * [`stats::GraphStats`] — cardinality statistics used to pick the starting
 //!   query vertex and the query spanning tree, sourced from the index.
 
-#![cfg_attr(feature = "portable_simd", feature(portable_simd))]
-
 pub mod adjacency;
 pub mod dynamic_graph;
 pub mod ids;

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, release build, tests, bench compile.
+# Local CI gate: formatting, lints, release build, e2e smoke, tests, bench compile.
 # Run from the repo root. Fails fast on the first broken step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,6 +12,16 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "=== cargo build --release ==="
 cargo build --offline --release
+
+echo "=== e2e --smoke ==="
+# The end-to-end benchmark is a package of its own (empty [workspace]), so
+# the workspace-wide test and clippy steps never compile it: this is where a
+# drift in the API it builds against (Fleet, ShardedEngine, BatchTarget, the
+# tfx stream command line) surfaces before the benchmark pipeline. All six
+# workloads at ~1% size with every check on; the cross-check against the CLI
+# needs the target/release/tfx built just above. About 25 s cold.
+cargo run --release --offline --quiet \
+  --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- --smoke
 
 echo "=== cargo test (workspace) ==="
 cargo test --offline --workspace -q

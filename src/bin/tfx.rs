@@ -411,23 +411,6 @@ fn parse_stream_args(args: &[String]) -> Result<StreamOptions, ExitCode> {
     }
 }
 
-/// The evaluation target: one engine, a fleet, or a sharded runtime.
-enum Target {
-    Single(Box<TurboFlux>),
-    Fleet(Box<Fleet>),
-    Sharded(Box<ShardedEngine>),
-}
-
-impl Target {
-    fn as_batch_target(&mut self) -> &mut dyn BatchTarget {
-        match self {
-            Target::Single(e) => &mut **e,
-            Target::Fleet(f) => &mut **f,
-            Target::Sharded(s) => &mut **s,
-        }
-    }
-}
-
 fn stream_main(args: &[String]) -> ExitCode {
     let opts = match parse_stream_args(args) {
         Ok(o) => o,
@@ -482,7 +465,7 @@ fn stream_main(args: &[String]) -> ExitCode {
         TurboFluxConfig { shards: opts.shards, ..TurboFluxConfig::with_semantics(opts.semantics) };
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
-    let mut target = if opts.shards > 1 {
+    let mut target: Box<dyn BatchTarget> = if opts.shards > 1 {
         // Sharded runtime: graph partitioned across shards, every query
         // evaluated on every shard's slice. Worker threads default to one
         // per shard unless --fleet caps them.
@@ -493,7 +476,7 @@ fn stream_main(args: &[String]) -> ExitCode {
             engine.report_initial(q, &mut |_| n += 1);
             let _ = writeln!(out, "{{\"type\":\"init\",\"engine\":{q},\"matches\":{n}}}");
         }
-        Target::Sharded(Box::new(engine))
+        Box::new(engine)
     } else if opts.fleet_threads.is_some() || queries.len() > 1 {
         let threads = opts.fleet_threads.unwrap_or(1);
         let mut fleet = Fleet::with_threads(g0, threads);
@@ -505,14 +488,14 @@ fn stream_main(args: &[String]) -> ExitCode {
             fleet.report_initial(id, &mut |_| n += 1);
             let _ = writeln!(out, "{{\"type\":\"init\",\"engine\":{id},\"matches\":{n}}}");
         }
-        Target::Fleet(Box::new(fleet))
+        Box::new(fleet)
     } else {
         let q = queries.into_iter().next().expect("at least one query");
         let mut engine = TurboFlux::new(q, g0, cfg);
         let mut n = 0u64;
         engine.initial_matches(&mut |_| n += 1);
         let _ = writeln!(out, "{{\"type\":\"init\",\"engine\":0,\"matches\":{n}}}");
-        Target::Single(Box::new(engine))
+        Box::new(engine)
     };
 
     let mut driver = StreamDriver::new(
@@ -527,19 +510,19 @@ fn stream_main(args: &[String]) -> ExitCode {
     // Run: the source is either the synthetic stream or the text file.
     let run = |driver: &mut StreamDriver,
                source: &mut dyn StreamSource,
-               target: &mut Target,
+               target: &mut dyn BatchTarget,
                out: &mut dyn Write,
                quiet: bool| {
         if quiet {
             let mut sink = CountingSink::default();
-            driver.run(source, target.as_batch_target(), &mut sink)
+            driver.run(source, target, &mut sink)
         } else {
             let mut sink = JsonlSink::new(out);
-            driver.run(source, target.as_batch_target(), &mut sink)
+            driver.run(source, target, &mut sink)
         }
     };
     let result = if let Some(mut source) = synthetic_source.take() {
-        run(&mut driver, &mut source, &mut target, &mut out, opts.quiet)
+        run(&mut driver, &mut source, &mut *target, &mut out, opts.quiet)
     } else {
         let path = opts.file.as_deref().expect("file or synthetic");
         let reader = match open_reader(path) {
@@ -547,7 +530,7 @@ fn stream_main(args: &[String]) -> ExitCode {
             Err(code) => return code,
         };
         let mut source = FileSource::new(reader, &mut interner, opts.mode);
-        let result = run(&mut driver, &mut source, &mut target, &mut out, opts.quiet);
+        let result = run(&mut driver, &mut source, &mut *target, &mut out, opts.quiet);
         for d in source.diagnostics() {
             eprintln!("warning: {d}");
         }
@@ -563,7 +546,7 @@ fn stream_main(args: &[String]) -> ExitCode {
     };
     // Multi-query fleets report their routing / shared-index / shared-subtree
     // counters.
-    if let Some(s) = target.as_batch_target().fleet_stats() {
+    if let Some(s) = target.fleet_stats() {
         let _ = writeln!(
             out,
             "{{\"type\":\"fleet_stats\",\"ops_routed\":{},\"ops_skipped\":{},\"shared_hits\":{},\"shared_misses\":{},\"subtrees_shared\":{},\"subtree_hits\":{},\"suffix_evals\":{}}}",
@@ -577,7 +560,7 @@ fn stream_main(args: &[String]) -> ExitCode {
         );
     }
     // Sharded targets report their partition-routing counters.
-    if let Some(s) = target.as_batch_target().shard_stats() {
+    if let Some(s) = target.shard_stats() {
         let _ = writeln!(
             out,
             "{{\"type\":\"shard_stats\",\"ops_routed\":{},\"cross_shard_edges\":{},\"handoffs\":{},\"inbox_high_water\":{}}}",

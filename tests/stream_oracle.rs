@@ -6,8 +6,9 @@
 //! expiry deletes out) and batching only changes *when* ops reach the
 //! target, never *what* — so for any scenario, window spec, batch policy,
 //! semantics, and target (single engine, fleet sequential, fleet
-//! parallel), the recorded `(global_op, engine, sign, embedding)` stream
-//! must match the replay exactly, in order.
+//! parallel, sharded at 1/2/4 shards on 1/4 threads), the recorded
+//! `(global_op, engine, sign, embedding)` stream must match the replay
+//! exactly, in order.
 
 use std::collections::HashSet;
 use turboflux::datagen::Pcg32;
@@ -156,9 +157,13 @@ fn windowed_run(
 
 /// Replays `ops` one per batch on a fresh fleet — the ground truth.
 fn replay(scenario: &Scenario, semantics: MatchSemantics, ops: &[UpdateOp]) -> Vec<Delta> {
+    replay_with(scenario, TurboFluxConfig::with_semantics(semantics), ops)
+}
+
+fn replay_with(scenario: &Scenario, cfg: TurboFluxConfig, ops: &[UpdateOp]) -> Vec<Delta> {
     let mut fleet = Fleet::with_threads(scenario.g0.clone(), 1);
     for q in &scenario.queries {
-        fleet.register(q.clone(), TurboFluxConfig::with_semantics(semantics));
+        fleet.register(q.clone(), cfg);
     }
     let mut deltas = Vec::new();
     for (i, op) in ops.iter().enumerate() {
@@ -212,6 +217,34 @@ fn check_seed(seed: u64, semantics: MatchSemantics) {
         by_engine(fleet_want),
         "fleet diverged from replay (seed {seed}, {spec:?}, {policy:?})"
     );
+
+    // Targets 3–8: the sharded runtime over all queries, shards × threads.
+    // It pins the matching order static, so its ground truth is the
+    // static-order replay; within a batch it orders (query, op, emission)
+    // like the fleet.
+    let static_cfg = TurboFluxConfig {
+        adjust_matching_order: false,
+        ..TurboFluxConfig::with_semantics(semantics)
+    };
+    let sharded_want = by_engine(replay_with(&scenario, static_cfg, &ops));
+    for shards in [1, 2, 4] {
+        for threads in [1, 4] {
+            let mut sharded = ShardedEngine::new(
+                scenario.queries.clone(),
+                scenario.g0.clone(),
+                TurboFluxConfig { shards, ..static_cfg },
+                threads,
+            );
+            let (sharded_ops, sharded_got) = windowed_run(&scenario, spec, policy, &mut sharded);
+            assert_eq!(ops, sharded_ops, "window output must not depend on the target");
+            assert_eq!(
+                by_engine(sharded_got),
+                sharded_want,
+                "{shards} shards on {threads} threads diverged from replay \
+                 (seed {seed}, {spec:?}, {policy:?})"
+            );
+        }
+    }
 
     // Batching invariance: a different policy over the same window spec
     // yields the identical delta stream.
