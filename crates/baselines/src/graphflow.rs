@@ -85,7 +85,7 @@ impl Graphflow {
     /// afterwards, so the intersection only prunes — it cannot change the
     /// reported match set.
     fn candidates(&self, u: QVertexId, m: &[Option<VertexId>]) -> Vec<VertexId> {
-        // (zero-copy promoted run | materialized sorted+deduped list)
+        // (zero-copy label group | materialized sorted+deduped list)
         enum Src<'g> {
             Borrowed(&'g [VertexId]),
             Owned(Vec<VertexId>),
@@ -106,14 +106,7 @@ impl Graphflow {
                 } else {
                     self.g.in_neighbors_labeled(mw, l)
                 };
-                match run.as_id_slice() {
-                    Some(ids) => sources.push(Src::Borrowed(ids)),
-                    None => {
-                        let mut buf = Vec::with_capacity(run.len());
-                        run.extend_into(&mut buf);
-                        sources.push(Src::Owned(buf));
-                    }
-                }
+                sources.push(Src::Borrowed(run.as_id_slice()));
             }
             None => {
                 // Wildcard: neighbors repeat across label groups.

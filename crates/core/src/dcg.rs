@@ -34,9 +34,11 @@ use tfx_query::QVertexId;
 use crate::dcg_store::{OpenMap, RunIndex, RunPool};
 
 /// State of a stored DCG edge. NULL is represented by absence.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash, PartialOrd, Ord)]
 pub enum EdgeState {
     /// Path condition holds, some subtree of the candidate is unmatched.
+    /// (The default only fills arena slots that hold no edge yet.)
+    #[default]
     Implicit,
     /// Path condition holds and every subtree is matched.
     Explicit,
@@ -402,7 +404,7 @@ impl Dcg {
         // carved pool.
         self.root.validate();
         self.expl_out_bits.validate();
-        let mut referenced = vec![false; self.pool.slot_count()];
+        let mut referenced = vec![false; self.pool.id_count()];
         for adj in self.out.iter().chain(self.inc.iter()) {
             adj.validate(&mut referenced);
         }

@@ -15,7 +15,8 @@
 //!   up to [`INLINE_CAP`] edges stored directly in the table slot (the
 //!   common low-fanout case costs zero extra allocations), or a `u32`
 //!   handle into the pool;
-//! * [`RunPool`] — a slot arena carved out of one big `Vec`. Slots come in
+//! * [`RunPool`] — the pooled runs, in the [`SlotArena`] the data graph's
+//!   adjacency also lives in (`tfx_graph::arena`): one big `Vec` carved in
 //!   power-of-two size classes with a per-class LIFO free list; a run that
 //!   outgrows its slot is copied to the next class and its old slot is
 //!   recycled. Once pooled, a run stays pooled until it empties (demoting
@@ -28,6 +29,7 @@
 //! enumeration order is canonical (independent of insertion/removal
 //! history), which the equivalence oracles rely on.
 
+use tfx_graph::arena::{class_cap, SlotArena};
 use tfx_graph::VertexId;
 
 use crate::dcg::EdgeState;
@@ -36,9 +38,6 @@ use crate::dcg::EdgeState;
 /// promoted to the pool. Two covers the typical DCG fanout away from hubs.
 pub const INLINE_CAP: usize = 2;
 
-/// Smallest pooled-slot capacity (size class 0). Classes double from here.
-const MIN_CLASS_CAP: u32 = 4;
-
 const NIL_EDGE: (VertexId, EdgeState) = (VertexId(0), EdgeState::Implicit);
 
 /// Explicit-edge count of a (short, inline) run; pooled runs keep this on
@@ -46,11 +45,6 @@ const NIL_EDGE: (VertexId, EdgeState) = (VertexId(0), EdgeState::Implicit);
 #[inline]
 fn count_expl(run: &[(VertexId, EdgeState)]) -> u32 {
     run.iter().filter(|&&(_, st)| st == EdgeState::Explicit).count() as u32
-}
-
-#[inline]
-fn class_cap(class: u8) -> u32 {
-    MIN_CLASS_CAP << class
 }
 
 // ---------------------------------------------------------------------------
@@ -234,32 +228,31 @@ impl<V: Copy> OpenMap<V> {
 
 #[derive(Clone, Copy, Debug)]
 struct SlotMeta {
-    /// First entry in `RunPool::data`. Slots never move once carved.
+    /// The run's slot in `RunPool::arena`; moves when the run changes class.
     off: u32,
     /// Live entries (≤ `class_cap(class)`).
     len: u32,
     /// Explicit-state entries among the live ones (the per-run counter
     /// behind O(1) `out_expl_count` / `in_expl_count`).
     expl: u32,
-    /// Size class: capacity is `MIN_CLASS_CAP << class`.
+    /// Size class of the arena slot.
     class: u8,
-    /// False while the slot sits on a free list.
+    /// False while the id sits on `RunPool::free_ids`.
     live: bool,
 }
 
-/// Slot arena for edge runs that outgrow the inline layout.
+/// The edge runs that outgrow the inline layout.
 ///
-/// All runs live in one contiguous `data` vec. A slot is carved from the
-/// end exactly once and identified by a `u32` index into `meta`; freed
-/// slots go on a per-size-class LIFO free list and are recycled before any
-/// new carving, so after warm-up the pool never allocates.
+/// The entries live in a [`SlotArena`]; a run is identified by a `u32` id
+/// into `meta`, which carries its arena handle and explicit-edge counter.
+/// Ids and arena slots are both recycled before anything new is made, so
+/// after warm-up the pool never allocates.
 #[derive(Default)]
 pub struct RunPool {
-    data: Vec<(VertexId, EdgeState)>,
+    arena: SlotArena<(VertexId, EdgeState)>,
     meta: Vec<SlotMeta>,
-    /// Per size class: indices of free slots.
-    free: Vec<Vec<u32>>,
-    free_slots: usize,
+    /// Ids of released runs.
+    free_ids: Vec<u32>,
 }
 
 impl RunPool {
@@ -268,22 +261,13 @@ impl RunPool {
     }
 
     fn alloc(&mut self, class: u8) -> u32 {
-        while self.free.len() <= class as usize {
-            self.free.push(Vec::new());
-        }
-        if let Some(slot) = self.free[class as usize].pop() {
-            self.free_slots -= 1;
-            let m = &mut self.meta[slot as usize];
-            debug_assert!(!m.live && m.class == class);
-            m.live = true;
-            m.len = 0;
-            m.expl = 0;
+        let m = SlotMeta { off: self.arena.alloc(class), len: 0, expl: 0, class, live: true };
+        if let Some(slot) = self.free_ids.pop() {
+            debug_assert!(!self.meta[slot as usize].live);
+            self.meta[slot as usize] = m;
             slot
         } else {
-            let cap = class_cap(class);
-            let off = u32::try_from(self.data.len()).expect("DCG run pool exceeds u32 offsets");
-            self.data.resize(self.data.len() + cap as usize, NIL_EDGE);
-            self.meta.push(SlotMeta { off, len: 0, expl: 0, class, live: true });
+            self.meta.push(m);
             (self.meta.len() - 1) as u32
         }
     }
@@ -292,14 +276,14 @@ impl RunPool {
         let m = &mut self.meta[slot as usize];
         debug_assert!(m.live);
         m.live = false;
-        self.free[m.class as usize].push(slot);
-        self.free_slots += 1;
+        self.arena.release(m.off, m.class);
+        self.free_ids.push(slot);
     }
 
     #[inline]
     pub fn slice(&self, slot: u32) -> &[(VertexId, EdgeState)] {
         let m = &self.meta[slot as usize];
-        &self.data[m.off as usize..(m.off + m.len) as usize]
+        self.arena.run(m.off, m.len)
     }
 
     #[inline]
@@ -319,56 +303,31 @@ impl RunPool {
 
     /// Seeds a freshly allocated slot with an already-sorted run.
     fn write_initial(&mut self, slot: u32, entries: &[(VertexId, EdgeState)]) {
-        let m = self.meta[slot as usize];
+        let m = &mut self.meta[slot as usize];
         debug_assert!(m.len == 0 && entries.len() <= class_cap(m.class) as usize);
+        m.len = entries.len() as u32;
+        m.expl = count_expl(entries);
         let base = m.off as usize;
-        self.data[base..base + entries.len()].copy_from_slice(entries);
-        let mm = &mut self.meta[slot as usize];
-        mm.len = entries.len() as u32;
-        mm.expl = entries.iter().filter(|&&(_, s)| s == EdgeState::Explicit).count() as u32;
+        self.arena.data_mut()[base..base + entries.len()].copy_from_slice(entries);
     }
 
-    /// Inserts or updates `(v, st)` in the sorted run. Returns the previous
-    /// state and the (possibly moved, if the run changed size class) slot.
-    fn set(&mut self, slot: u32, v: VertexId, st: EdgeState) -> (Option<EdgeState>, u32) {
-        let m = self.meta[slot as usize];
-        let base = m.off as usize;
-        let run = &mut self.data[base..base + m.len as usize];
-        match run.binary_search_by_key(&v, |&(w, _)| w) {
+    /// Inserts or updates `(v, st)` in the sorted run, moving it up a size
+    /// class when its slot is full. Returns the previous state.
+    fn set(&mut self, slot: u32, v: VertexId, st: EdgeState) -> Option<EdgeState> {
+        let m = &mut self.meta[slot as usize];
+        match self.arena.run(m.off, m.len).binary_search_by_key(&v, |&(w, _)| w) {
             Ok(i) => {
-                let old = run[i].1;
-                run[i].1 = st;
-                let mm = &mut self.meta[slot as usize];
-                if old == EdgeState::Explicit && st != EdgeState::Explicit {
-                    mm.expl -= 1;
-                } else if old != EdgeState::Explicit && st == EdgeState::Explicit {
-                    mm.expl += 1;
-                }
-                (Some(old), slot)
-            }
-            Err(i) if m.len < class_cap(m.class) => {
-                self.data.copy_within(base + i..base + m.len as usize, base + i + 1);
-                self.data[base + i] = (v, st);
-                let mm = &mut self.meta[slot as usize];
-                mm.len += 1;
-                if st == EdgeState::Explicit {
-                    mm.expl += 1;
-                }
-                (None, slot)
+                let entry = &mut self.arena.data_mut()[m.off as usize + i];
+                let old = std::mem::replace(&mut entry.1, st);
+                m.expl -= u32::from(old == EdgeState::Explicit);
+                m.expl += u32::from(st == EdgeState::Explicit);
+                Some(old)
             }
             Err(i) => {
-                // Full: copy into a slot of the next class, splicing the new
-                // entry in at its sorted position, and recycle the old slot.
-                let new = self.alloc(m.class + 1);
-                let dst = self.meta[new as usize].off as usize;
-                self.data.copy_within(base..base + i, dst);
-                self.data[dst + i] = (v, st);
-                self.data.copy_within(base + i..base + m.len as usize, dst + i + 1);
-                let nm = &mut self.meta[new as usize];
-                nm.len = m.len + 1;
-                nm.expl = m.expl + u32::from(st == EdgeState::Explicit);
-                self.release(slot);
-                (None, new)
+                (m.off, m.class) = self.arena.insert_at(m.off, m.len, m.class, i, (v, st));
+                m.len += 1;
+                m.expl += u32::from(st == EdgeState::Explicit);
+                None
             }
         }
     }
@@ -376,84 +335,72 @@ impl RunPool {
     /// Removes `v` from the sorted run (the caller releases the slot when
     /// the run empties).
     fn remove(&mut self, slot: u32, v: VertexId) -> Option<EdgeState> {
-        let m = self.meta[slot as usize];
-        let base = m.off as usize;
-        let run = &self.data[base..base + m.len as usize];
+        let m = &mut self.meta[slot as usize];
+        let run = self.arena.run(m.off, m.len);
         let i = run.binary_search_by_key(&v, |&(w, _)| w).ok()?;
-        let old = self.data[base + i].1;
-        self.data.copy_within(base + i + 1..base + m.len as usize, base + i);
-        let mm = &mut self.meta[slot as usize];
-        mm.len -= 1;
-        if old == EdgeState::Explicit {
-            mm.expl -= 1;
-        }
+        let old = run[i].1;
+        self.arena.remove_at(m.off, m.len, i);
+        m.len -= 1;
+        m.expl -= u32::from(old == EdgeState::Explicit);
         Some(old)
     }
 
-    /// Reserved bytes: the carved pool, slot metadata, and free-list stacks.
+    /// Reserved bytes: the arena, run metadata, and the free-id stack.
     pub fn resident_bytes(&self) -> usize {
-        self.data.capacity() * std::mem::size_of::<(VertexId, EdgeState)>()
+        self.arena.resident_bytes()
             + self.meta.capacity() * std::mem::size_of::<SlotMeta>()
-            + self.free.capacity() * std::mem::size_of::<Vec<u32>>()
-            + self.free.iter().map(|f| f.capacity() * 4).sum::<usize>()
-    }
-
-    #[inline]
-    pub fn live_slots(&self) -> usize {
-        self.meta.len() - self.free_slots
+            + self.free_ids.capacity() * 4
     }
 
     #[inline]
     pub fn free_slot_count(&self) -> usize {
-        self.free_slots
+        self.arena.free_slots()
     }
 
-    /// Total slots ever carved (live + free).
-    #[inline]
+    /// Total arena slots ever carved (live + free).
+    #[cfg(test)]
     pub fn slot_count(&self) -> usize {
+        self.arena.live_slots() + self.arena.free_slots()
+    }
+
+    /// Run ids ever issued (live or released): the length `validate`'s
+    /// `referenced` marks must have.
+    #[inline]
+    pub fn id_count(&self) -> usize {
         self.meta.len()
     }
 
     /// Total carved entries (live or free) — the pool's footprint in edges.
     #[inline]
     pub fn carved_entries(&self) -> usize {
-        self.data.len()
+        self.arena.carved_entries()
     }
 
-    /// Arena invariants, given `referenced[slot]` marks from the run
-    /// indexes: every live slot referenced exactly once (no aliasing, no
-    /// leaks), every free slot on exactly one free list, and the slot
-    /// extents tile the carved pool.
+    /// Pool invariants, given `referenced[id]` marks from the run indexes:
+    /// every live run referenced exactly once (no aliasing, no leaks),
+    /// every released id on the free stack exactly once, and the live runs'
+    /// slots plus the arena's free lists tile the carved pool.
     pub fn validate(&self, referenced: &[bool]) {
         assert_eq!(referenced.len(), self.meta.len());
-        let mut off = 0u32;
         for (s, m) in self.meta.iter().enumerate() {
-            assert_eq!(m.off, off, "slot {s} not contiguous");
-            off += class_cap(m.class);
-            assert!(m.len <= class_cap(m.class), "slot {s} overflows its class");
-            assert_eq!(m.live, referenced[s], "slot {s} leaked or aliased");
+            assert!(m.len <= class_cap(m.class), "run {s} overflows its class");
+            assert_eq!(m.live, referenced[s], "run {s} leaked or aliased");
             if !m.live {
                 continue;
             }
             let run = self.slice(s as u32);
-            assert!(run.windows(2).all(|w| w[0].0 < w[1].0), "slot {s} run unsorted");
-            let expl = run.iter().filter(|&&(_, st)| st == EdgeState::Explicit).count();
-            assert_eq!(expl as u32, m.expl, "slot {s} expl counter drifted");
-            assert!(!run.is_empty(), "slot {s} holds an empty run");
+            assert!(run.windows(2).all(|w| w[0].0 < w[1].0), "run {s} unsorted");
+            assert_eq!(count_expl(run), m.expl, "run {s} expl counter drifted");
+            assert!(!run.is_empty(), "run {s} is empty");
         }
-        assert_eq!(off as usize, self.data.len(), "carved extents do not tile the pool");
-        let mut free_seen = vec![false; self.meta.len()];
-        for (class, stack) in self.free.iter().enumerate() {
-            for &s in stack {
-                let m = &self.meta[s as usize];
-                assert!(!m.live && m.class as usize == class, "free list misfiled slot {s}");
-                assert!(!free_seen[s as usize], "slot {s} on a free list twice");
-                free_seen[s as usize] = true;
-            }
+        let mut released = vec![false; self.meta.len()];
+        for &s in &self.free_ids {
+            assert!(!self.meta[s as usize].live, "live run {s} on the free stack");
+            assert!(!std::mem::replace(&mut released[s as usize], true), "id {s} freed twice");
         }
-        let free_total = free_seen.iter().filter(|&&b| b).count();
-        assert_eq!(free_total, self.free_slots, "free-slot count drifted");
-        assert_eq!(free_total + self.live_slots(), self.meta.len());
+        let live = self.meta.iter().filter(|m| m.live);
+        assert_eq!(live.clone().count() + self.free_ids.len(), self.meta.len());
+        self.arena.validate(live.map(|m| (m.off, m.class)));
     }
 }
 
@@ -572,11 +519,7 @@ impl RunIndex {
                     (None, pool.expl_of(slot))
                 }
             }
-            RunRef::Pooled { slot } => {
-                let (old, moved) = pool.set(*slot, v, st);
-                *slot = moved;
-                (old, pool.expl_of(moved))
-            }
+            RunRef::Pooled { slot } => (pool.set(*slot, v, st), pool.expl_of(*slot)),
             RunRef::Warm { class } => {
                 let slot = pool.alloc(*class);
                 pool.write_initial(slot, &[(v, st)]);
@@ -812,7 +755,7 @@ mod tests {
                 }
             }
             if step % 2048 == 0 {
-                let mut referenced = vec![false; pool.meta.len()];
+                let mut referenced = vec![false; pool.id_count()];
                 idx.validate(&mut referenced);
                 pool.validate(&referenced);
             }
@@ -826,7 +769,7 @@ mod tests {
             assert_eq!(idx.expl_count(&pool, v(k)), want_expl);
             assert_eq!(idx.run_len(&pool, v(k)), run.len());
         }
-        let mut referenced = vec![false; pool.meta.len()];
+        let mut referenced = vec![false; pool.id_count()];
         idx.validate(&mut referenced);
         pool.validate(&referenced);
     }
@@ -847,11 +790,11 @@ mod tests {
         };
         cycle(&mut pool, &mut idx);
         let carved = pool.carved_entries();
-        let slots = pool.meta.len();
+        let slots = pool.slot_count();
         assert!(carved > 0 && pool.free_slot_count() == slots, "all slots back on free lists");
         cycle(&mut pool, &mut idx);
         assert_eq!(pool.carved_entries(), carved, "steady-state churn carved new storage");
-        assert_eq!(pool.meta.len(), slots);
+        assert_eq!(pool.slot_count(), slots);
         assert_eq!(idx.run_len(&pool, v(0)), 0);
     }
 
@@ -873,7 +816,7 @@ mod tests {
         }
         // One more edge promotes exactly one run.
         idx.set(&mut pool, v(7), v(5), EdgeState::Implicit);
-        assert_eq!(pool.carved_entries(), MIN_CLASS_CAP as usize);
+        assert_eq!(pool.carved_entries(), class_cap(0) as usize);
         assert_eq!(idx.run_len(&pool, v(7)), 3);
     }
 }

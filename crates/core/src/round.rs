@@ -464,6 +464,12 @@ mod tests {
         assert!(!g.has_edge(v(0), L, v(1)));
         // Missing delete, known vertex: skips. New vertex: register.
         assert_eq!(stage(&mut g, &del(0, 1)), (Round::Skip, false));
+        // A delete naming vertices no line ever created is a missing edge
+        // too: it skips, panics nowhere and creates nothing.
+        for (src, dst) in [(0, 90), (90, 0), (90, 91)] {
+            assert_eq!(stage(&mut g, &del(src, dst)), (Round::Skip, false));
+        }
+        assert_eq!(g.vertex_count(), 6);
         let add = |id| UpdateOp::AddVertex { id: v(id), labels: LabelSet::empty() };
         assert_eq!(stage(&mut g, &add(2)), (Round::Skip, false));
         assert_eq!(stage(&mut g, &add(7)), (Round::Register { from: v(6) }, false));

@@ -284,19 +284,7 @@ impl TurboFlux {
             };
             let tmp_base = scratch.isect_tmp.len();
             let SearchScratch { isect, isect_tmp, .. } = scratch;
-            if let Some(ids) = run.as_id_slice() {
-                intersect_into(&isect[base..], ids, isect_tmp);
-            } else {
-                // Small inline run: merge through its iterator directly —
-                // materializing first would cost the same pass.
-                let mut it = run.peekable();
-                for &x in &isect[base..] {
-                    while it.next_if(|&y| y < x).is_some() {}
-                    if it.next_if_eq(&x).is_some() {
-                        isect_tmp.push(x);
-                    }
-                }
-            }
+            intersect_into(&isect[base..], run.as_id_slice(), isect_tmp);
             scratch.isect.truncate(base);
             let (lo, hi) = (tmp_base, scratch.isect_tmp.len());
             scratch.isect.extend_from_slice(&scratch.isect_tmp[lo..hi]);

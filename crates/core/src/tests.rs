@@ -380,6 +380,36 @@ fn delete_of_absent_edge_is_a_no_op() {
     assert_dcg_matches_reference(&engine);
 }
 
+/// A `DeleteEdge` line naming vertices that were never created used to be
+/// absorbed by the graph's edge hash set; with the edge set being the sorted
+/// adjacency runs it must still be a no-op round on every runtime.
+#[test]
+fn delete_naming_unknown_vertices_is_a_no_op_on_every_runtime() {
+    use crate::{Fleet, ShardedEngine};
+    let (g, q) = fig4();
+    let n = g.vertex_count();
+    let ops: Vec<UpdateOp> = [(0, 900), (900, 0), (900, 901)]
+        .map(|(s, d)| UpdateOp::DeleteEdge { src: v(s), label: l(9), dst: v(d) })
+        .into();
+
+    let mut engine = TurboFlux::new(q.clone(), g.clone(), TurboFluxConfig::default());
+    for op in &ops {
+        engine.apply_op(op, &mut |_, _| panic!("a missing edge has no matches to retract"));
+    }
+    assert_eq!(engine.graph().vertex_count(), n);
+    assert_dcg_matches_reference(&engine);
+
+    let mut fleet = Fleet::with_threads(g.clone(), 1);
+    fleet.register(q.clone(), TurboFluxConfig::default());
+    fleet.apply_batch(&ops, &mut |_| panic!("a missing edge has no matches to retract"));
+    assert_eq!(fleet.graph().vertex_count(), n);
+
+    let cfg = TurboFluxConfig { shards: 2, ..Default::default() };
+    let mut sharded = ShardedEngine::new(vec![q], g, cfg, 1);
+    sharded.apply_batch(&ops, &mut |_, _, _, _| panic!("a missing edge has no matches to retract"));
+    assert_eq!(sharded.graph().vertex_count(), n);
+}
+
 #[test]
 fn new_vertex_becomes_start_candidate() {
     let (g, q) = fig4();

@@ -124,7 +124,7 @@ pub fn collect_child_candidates<G: GraphView>(
         }
         let child_labels = q.labels(child_q);
         if child_labels.is_empty() {
-            run.extend_into(buf);
+            buf.extend_from_slice(run.as_id_slice());
         } else {
             for cv in run {
                 if child_labels.is_subset_of(g.labels(cv)) {

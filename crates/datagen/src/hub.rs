@@ -177,7 +177,7 @@ pub fn probe_query(d: &Dataset) -> QueryGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfx_graph::{GraphStats, PROMOTE_DEGREE};
+    use tfx_graph::{GraphStats, FLAT_MAX};
     use tfx_query::choose_start_vertex;
 
     #[test]
@@ -194,14 +194,14 @@ mod tests {
     }
 
     #[test]
-    fn hubs_are_promoted_and_probe_groups_stay_small() {
+    fn hubs_are_directories_and_probe_groups_stay_small() {
         let cfg = HubConfig::default();
         let d = generate(&cfg);
         let probe = d.interner.get("probe").unwrap();
         for h in 0..cfg.hubs {
             let hub = VertexId((cfg.sources + h) as u32);
-            assert!(d.g0.out_degree(hub) > PROMOTE_DEGREE, "hub fan-out is the skew");
-            assert!(d.g0.out_is_promoted(hub));
+            assert!(d.g0.out_degree(hub) > FLAT_MAX, "hub fan-out is the skew");
+            assert!(d.g0.out_is_directory(hub));
             let group = d.g0.out_neighbors_labeled(hub, probe);
             assert_eq!(group.len(), cfg.probe_edges_per_hub);
             assert!(group.len() * 8 < d.g0.out_degree(hub), "probe group is the rare one");

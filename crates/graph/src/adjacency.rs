@@ -1,97 +1,54 @@
-//! Label-partitioned per-vertex adjacency lists.
+//! Label-partitioned per-vertex adjacency runs in one graph-owned arena.
 //!
 //! Every edge-transition in the matching engines asks one of two questions
 //! about a data vertex `v`: "which neighbors are reachable over an edge with
 //! label `l`?" (concrete query-edge label — the overwhelmingly common case)
-//! or "which neighbors at all?" (wildcard query edge). A flat neighbor list
-//! answers the first question in O(deg(v)), which dominates DCG construction
-//! on high-degree hubs in skewed graphs. This module keeps each adjacency
-//! list partitioned by edge label so the first question is answered with a
-//! run lookup plus a contiguous slice walk.
+//! or "which neighbors at all?" (wildcard query edge). Each direction of
+//! each vertex is an [`Adjacency`] handle — `{off, len, class}` plus a group
+//! count — into the graph's single [`SlotArena`] of 4-byte words; nothing
+//! here owns heap memory, so an edge op touches one handle and one or two
+//! slots per direction and nothing else.
 //!
-//! Two representations, chosen per vertex by an **adaptive policy**:
+//! Two layouts, both enumerating in `(label, neighbor)` order:
 //!
-//! * **Small** — a single inline `Vec<(LabelId, VertexId)>` kept sorted by
-//!   `(label, neighbor)`. Label groups are contiguous runs; short lists
-//!   locate them with a predictable linear scan, longer ones with
-//!   `partition_point` (see [`LINEAR_RUN_CUTOFF`] — on a handful of entries
-//!   the branchy halving of a binary search *loses* to walking forward,
-//!   which is why the first, degree-only promotion rule made uniform
-//!   workloads slower under the index than under a flat scan). One
-//!   allocation, best cache behavior, and the common case: most vertices in
-//!   real streams stay small.
-//! * **Promoted** — the list is split into a per-label table of neighbor
-//!   vectors (each sorted). Lookup binary-searches the label table and
-//!   returns the group slice directly; insert/remove shift only within one
-//!   group instead of the whole list.
+//! * **Flat** — one slot split in halves: the entries' labels, then their
+//!   neighbor ids, both in entry order. A label group is the sub-run of ids
+//!   under the equal labels, found by a branch-free counting pass over at
+//!   most [`FLAT_MAX`] label words.
+//! * **Directory** — one slot of `[label, off, len, class]` records sorted
+//!   by label, each naming a slot with that label's sorted neighbor ids. An
+//!   insert or delete shifts one label group, not the whole degree, which
+//!   keeps a hub's update cost flat in its fan-out.
 //!
-//! **Promotion policy.** Raw degree is the wrong trigger: a vertex with one
-//! or two balanced label runs gains nothing from the group table (its runs
-//! are already contiguous and trivially located) but pays the pointer chase
-//! and per-group allocations forever. Promotion is therefore driven by two
-//! cheap per-vertex counters maintained on insert/delete:
-//!
-//! * `distinct` — the number of distinct labels currently present;
-//! * `max_run` — a high-water mark of the longest run observed (monotone
-//!   within one `Small` lifetime; deletions do not lower it, which only
-//!   delays promotion and never causes it).
-//!
-//! The rules, checked after each insert (see [`Adjacency::should_promote`]):
-//!
-//! * `distinct ≤ 1`: never promote — a single run *is* the flat list.
-//! * `distinct ≥ `[`DIVERSE_LABELS`]: promote past [`PROMOTE_DEGREE`], the
-//!   classic hub shape (many groups, each found in O(log)).
-//! * `distinct == 2`: promote past [`PROMOTE_DEGREE_SKEWED`], or earlier —
-//!   past `PROMOTE_DEGREE + `[`PROMOTE_HYSTERESIS`] — when one run holds
-//!   ≥ 7/8 of the entries (the hub-with-rare-probe-label shape, where the
-//!   minority run is what lookups want and majority-run inserts keep
-//!   shifting it).
-//!
-//! Promotion remains one-way (no demotion on shrink): oscillating around
-//! any threshold must not cause repacking churn, so the hysteresis band is
-//! one-sided — crossing up commits, crossing back down never undoes. For
-//! the same reason a group emptied by deletions is kept as a tombstone with
-//! its capacity: steady-state delete/re-insert cycles stay allocation-free.
-//!
-//! Both representations iterate in `(label, neighbor)` order, so promotion
-//! never changes observable enumeration order (pinned by a randomized
-//! property test below). The engines' outputs are therefore independent of
-//! the representation *and* of the access path — which is what lets
-//! [`AdjacencyMode::FlatScan`] serve as a faithful ablation baseline: same
-//! storage, same order, but every lookup walks the whole list and filters,
-//! exactly like the pre-index code.
+//! **One rule** picks the layout: a run is flat up to `FLAT_MAX` entries, a
+//! directory past it, and folds back to flat once it has shrunk to half of
+//! that, so churn at the boundary repacks nothing. Every label group of
+//! either layout is a contiguous `&[VertexId]` the intersection kernels
+//! read in place, and layout never changes enumeration order (pinned by
+//! the randomized tests below and `tests/adjacency_oracle.rs`) — which is
+//! what lets [`AdjacencyMode::FlatScan`] serve as a faithful ablation
+//! baseline: same storage, same order, but every lookup walks the whole run
+//! and filters, like the pre-index code.
 
+use crate::arena::{class_cap, class_for, SlotArena};
 use crate::ids::{LabelId, VertexId};
+use crate::intersect::contains_sorted;
 
-/// Degree past which a *label-diverse* vertex (≥ [`DIVERSE_LABELS`]
-/// distinct labels) switches from the inline sorted representation to the
-/// per-label group table. Below it, `memmove`-style inserts into one small
-/// vector beat pointer chasing; 24 entries keeps `Small` within a couple of
-/// cache lines.
-pub const PROMOTE_DEGREE: usize = 24;
+// One arena word. Labels, slot offsets and lengths are stored in the same
+// 4-byte words as neighbor ids so that every id run can be borrowed as a
+// `&[VertexId]` without `unsafe`.
+use crate::ids::VertexId as Word;
 
-/// Distinct-label count at which a vertex counts as label-diverse and
-/// promotes by the plain [`PROMOTE_DEGREE`] rule. With fewer labels the
-/// group table mostly replicates the flat list, so promotion is deferred
-/// (`2` labels) or disabled (`≤ 1`).
-pub const DIVERSE_LABELS: u32 = 3;
+/// The arena all adjacency runs of one graph live in.
+pub(crate) type Arena = SlotArena<Word>;
 
-/// Degree past which even a two-label vertex promotes regardless of skew:
-/// by this size per-group shifting beats whole-list `memmove`s no matter
-/// how the runs are balanced.
-pub const PROMOTE_DEGREE_SKEWED: usize = 96;
+/// Entries up to which a run stays flat. At 32 a flat run is at most four
+/// cache lines and its label half two; DESIGN.md "Adjacency layout" has the
+/// measurement that set it.
+pub const FLAT_MAX: usize = 32;
 
-/// Width of the one-sided hysteresis band above [`PROMOTE_DEGREE`] for the
-/// skew-triggered two-label rule: a vertex must exceed
-/// `PROMOTE_DEGREE + PROMOTE_HYSTERESIS` before skew can promote it, so
-/// churn at the classic boundary never changes layout decisions.
-pub const PROMOTE_HYSTERESIS: usize = 8;
-
-/// Entry count at or below which `Small` locates label runs by linear scan
-/// instead of `partition_point`: the forward scan is branch-predictable and
-/// early-exits on the sorted labels, beating binary search on short lists
-/// (the fix for the `adjacency_lookup/uniform` regression).
-pub const LINEAR_RUN_CUTOFF: usize = 32;
+/// Words per directory record: `[label, off, len, class]`.
+const REC: usize = 4;
 
 /// How scan sites access the adjacency index.
 ///
@@ -100,7 +57,7 @@ pub const LINEAR_RUN_CUTOFF: usize = 32;
 /// ablation switch for benchmarking.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum AdjacencyMode {
-    /// Label-qualified lookups: locate the label run, walk only it.
+    /// Label-qualified lookups: locate the label group, walk only it.
     #[default]
     Indexed,
     /// Pre-index behavior: walk the entire neighbor list and filter by
@@ -108,397 +65,407 @@ pub enum AdjacencyMode {
     FlatScan,
 }
 
-/// One label's neighbor group in the promoted representation.
-#[derive(Clone, Debug)]
-pub(crate) struct LabelGroup {
-    label: LabelId,
-    /// Sorted, duplicate-free (the graph's edge set already dedups triples).
-    /// May be empty: emptied groups are kept as tombstones so re-inserting
-    /// the same label never allocates.
-    neighbors: Vec<VertexId>,
+/// A single vertex's adjacency in one direction: a handle into the arena.
+/// An empty run (`len == 0`) owns no slot.
+#[derive(Clone, Copy, Default, Debug)]
+pub(crate) struct Adjacency {
+    off: u32,
+    /// Total `(label, neighbor)` entries.
+    len: u32,
+    /// Directory records; 0 for a flat run.
+    groups: u32,
+    class: u8,
 }
 
-/// A single vertex's adjacency in one direction.
-#[derive(Clone, Debug)]
-pub(crate) enum Adjacency {
-    /// Inline list sorted by `(label, neighbor)`, with the promotion-policy
-    /// counters (see the module docs).
-    Small {
-        entries: Vec<(LabelId, VertexId)>,
-        /// Distinct labels currently present.
-        distinct: u32,
-        /// High-water mark of the longest run observed (monotone).
-        max_run: u32,
-    },
-    /// Per-label group table sorted by label; `len` caches the total degree.
-    Promoted { len: usize, groups: Vec<LabelGroup> },
-}
-
-impl Default for Adjacency {
-    fn default() -> Self {
-        Adjacency::Small { entries: Vec::new(), distinct: 0, max_run: 0 }
-    }
-}
-
-/// `[lo, hi)` bounds of `label`'s run in a `(label, neighbor)`-sorted list:
-/// linear scan under [`LINEAR_RUN_CUTOFF`], `partition_point` above.
+/// `[lo, hi)` of `label`'s entries among the sorted `labels` of a flat run.
+/// No early exit: over at most [`FLAT_MAX`] words the counting loop
+/// vectorizes and beats both a branchy scan and a binary search.
 #[inline]
-fn run_bounds(entries: &[(LabelId, VertexId)], label: LabelId) -> (usize, usize) {
-    if entries.len() <= LINEAR_RUN_CUTOFF {
-        let mut lo = 0;
-        while lo < entries.len() && entries[lo].0 < label {
-            lo += 1;
-        }
-        let mut hi = lo;
-        while hi < entries.len() && entries[hi].0 == label {
-            hi += 1;
-        }
-        (lo, hi)
-    } else {
-        let lo = entries.partition_point(|&(l, _)| l < label);
-        let hi = lo + entries[lo..].partition_point(|&(l, _)| l == label);
-        (lo, hi)
+fn run_bounds(labels: &[Word], label: LabelId) -> (usize, usize) {
+    let (mut lo, mut eq) = (0, 0);
+    for l in labels {
+        lo += usize::from(l.0 < label.0);
+        eq += usize::from(l.0 == label.0);
     }
+    (lo, lo + eq)
+}
+
+/// Index of `label`'s record in a directory, or where it would go.
+#[inline]
+fn find_group(dir: &[Word], label: LabelId) -> Result<usize, usize> {
+    let (mut lo, mut hi) = (0, dir.len() / REC);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if dir[mid * REC].0 < label.0 {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    if dir.get(lo * REC).is_some_and(|l| l.0 == label.0) {
+        Ok(lo)
+    } else {
+        Err(lo)
+    }
+}
+
+/// The id run a directory record names.
+#[inline]
+fn group_ids<'a>(data: &'a [Word], rec: &[Word]) -> &'a [VertexId] {
+    &data[rec[1].index()..rec[1].index() + rec[2].index()]
 }
 
 impl Adjacency {
     /// Total number of `(label, neighbor)` entries.
+    #[inline]
     pub(crate) fn len(&self) -> usize {
-        match self {
-            Adjacency::Small { entries, .. } => entries.len(),
-            Adjacency::Promoted { len, .. } => *len,
+        self.len as usize
+    }
+
+    /// True while the run is a label directory of id runs.
+    #[inline]
+    pub(crate) fn is_directory(&self) -> bool {
+        self.groups > 0
+    }
+
+    /// Entries a flat run's slot holds (half its words); 0 without a slot.
+    #[inline]
+    fn flat_cap(&self) -> usize {
+        usize::from(self.len > 0) * class_cap(self.class) as usize / 2
+    }
+
+    /// A flat run's `(labels, ids)` halves.
+    #[inline]
+    fn flat<'a>(&self, a: &'a Arena) -> (&'a [Word], &'a [VertexId]) {
+        let (off, n, cap) = (self.off as usize, self.len(), self.flat_cap());
+        (&a.data()[off..off + n], &a.data()[off + cap..off + cap + n])
+    }
+
+    /// A directory's records.
+    #[inline]
+    fn dir<'a>(&self, a: &'a Arena) -> &'a [Word] {
+        a.run(self.off, self.groups * REC as u32)
+    }
+
+    /// Lays the sorted, duplicate-free `entries` out as a fresh run.
+    pub(crate) fn build(a: &mut Arena, entries: &[(LabelId, VertexId)]) -> Adjacency {
+        if entries.len() <= FLAT_MAX {
+            Self::build_flat(a, entries)
+        } else {
+            Self::build_dir(a, entries)
         }
     }
 
-    /// True once this list has switched to the per-label group table.
-    pub(crate) fn is_promoted(&self) -> bool {
-        matches!(self, Adjacency::Promoted { .. })
+    fn build_flat(a: &mut Arena, entries: &[(LabelId, VertexId)]) -> Adjacency {
+        if entries.is_empty() {
+            return Adjacency::default();
+        }
+        let class = class_for(2 * entries.len());
+        let off = a.alloc(class);
+        let (base, cap) = (off as usize, class_cap(class) as usize / 2);
+        for (i, &(label, v)) in entries.iter().enumerate() {
+            a.data_mut()[base + i] = Word(label.0);
+            a.data_mut()[base + cap + i] = v;
+        }
+        Adjacency { off, len: entries.len() as u32, groups: 0, class }
     }
 
-    /// The adaptive promotion rule over the maintained counters (module
-    /// docs).
-    fn should_promote(len: usize, distinct: u32, max_run: u32) -> bool {
-        match distinct {
-            0 | 1 => false,
-            2 => {
-                len > PROMOTE_DEGREE_SKEWED
-                    || (len > PROMOTE_DEGREE + PROMOTE_HYSTERESIS
-                        && max_run as usize * 8 >= len * 7)
+    fn build_dir(a: &mut Arena, entries: &[(LabelId, VertexId)]) -> Adjacency {
+        let groups = entries.chunk_by(|x, y| x.0 == y.0).count();
+        let class = class_for(REC * groups);
+        let off = a.alloc(class);
+        for (g, run) in entries.chunk_by(|x, y| x.0 == y.0).enumerate() {
+            let gclass = class_for(run.len());
+            let goff = a.alloc(gclass);
+            for (i, &(_, v)) in run.iter().enumerate() {
+                a.data_mut()[goff as usize + i] = v;
             }
-            _ => len > PROMOTE_DEGREE,
+            let rec = [run[0].0 .0, goff, run.len() as u32, gclass as u32].map(Word);
+            a.data_mut()[off as usize + g * REC..][..REC].copy_from_slice(&rec);
         }
+        Adjacency { off, len: entries.len() as u32, groups: groups as u32, class }
     }
 
-    /// Inserts `(label, v)`. The caller (the graph's edge set) guarantees the
-    /// pair is not already present.
-    pub(crate) fn insert(&mut self, label: LabelId, v: VertexId) {
-        match self {
-            Adjacency::Small { entries, distinct, max_run } => {
-                let pos = entries
-                    .binary_search(&(label, v))
-                    .expect_err("duplicate adjacency entry (edge set out of sync)");
-                let new_label = (pos == 0 || entries[pos - 1].0 != label)
-                    && (pos == entries.len() || entries[pos].0 != label);
-                entries.insert(pos, (label, v));
-                *distinct += u32::from(new_label);
-                let (lo, hi) = run_bounds(entries, label);
-                *max_run = (*max_run).max((hi - lo) as u32);
-                if Self::should_promote(entries.len(), *distinct, *max_run) {
-                    self.promote();
+    /// Every slot this run owns, as `(off, class)`.
+    pub(crate) fn slots<'a>(&self, a: &'a Arena) -> impl Iterator<Item = (u32, u8)> + 'a {
+        let own = (self.len > 0).then_some((self.off, self.class));
+        let groups = self.dir(a).chunks_exact(REC).map(|rec| (rec[1].0, rec[3].0 as u8));
+        own.into_iter().chain(groups)
+    }
+
+    /// Re-lays the run in the other layout (at most [`FLAT_MAX`] entries
+    /// either way), recycling its slots.
+    fn relay(&mut self, a: &mut Arena) {
+        let mut buf = [(LabelId(0), VertexId(0)); FLAT_MAX];
+        let n = self.len();
+        for (slot, (v, l)) in buf.iter_mut().zip(self.iter(a)) {
+            *slot = (l, v);
+        }
+        let mut owned = [(0, 0); FLAT_MAX + 1];
+        let slots = self.slots(a).zip(&mut owned).map(|(s, o)| *o = s).count();
+        owned[..slots].iter().for_each(|&(off, class)| a.release(off, class));
+        *self = if self.is_directory() {
+            Self::build_flat(a, &buf[..n])
+        } else {
+            Self::build_dir(a, &buf[..n])
+        };
+    }
+
+    /// Inserts `(label, v)`; returns `false` if it is already present.
+    pub(crate) fn insert(&mut self, a: &mut Arena, label: LabelId, v: VertexId) -> bool {
+        if self.is_directory() {
+            return self.insert_dir(a, label, v);
+        }
+        let (labels, ids) = self.flat(a);
+        let (lo, hi) = run_bounds(labels, label);
+        let Err(p) = ids[lo..hi].binary_search(&v) else { return false };
+        if self.len() == FLAT_MAX {
+            self.relay(a);
+            return self.insert_dir(a, label, v);
+        }
+        // Splice into both halves; a full (or absent) slot moves up a class.
+        let (pos, n) = (lo + p, self.len());
+        let (src, src_cap, src_class) = (self.off as usize, self.flat_cap(), self.class);
+        if n == src_cap {
+            self.class = if n == 0 { 0 } else { src_class + 1 };
+            self.off = a.alloc(self.class);
+        }
+        self.len += 1;
+        let (dst, dst_cap) = (self.off as usize, self.flat_cap());
+        let data = a.data_mut();
+        for (s, t, w) in [(src, dst, Word(label.0)), (src + src_cap, dst + dst_cap, v)] {
+            if s != t {
+                data.copy_within(s..s + pos, t);
+            }
+            data.copy_within(s + pos..s + n, t + pos + 1);
+            data[t + pos] = w;
+        }
+        if n == src_cap && n > 0 {
+            a.release(src as u32, src_class);
+        }
+        true
+    }
+
+    fn insert_dir(&mut self, a: &mut Arena, label: LabelId, v: VertexId) -> bool {
+        let at = self.off as usize;
+        match find_group(self.dir(a), label) {
+            Ok(g) => {
+                let rec = &a.data()[at + g * REC..][..REC];
+                let (goff, glen, gclass) = (rec[1].0, rec[2].0, rec[3].0 as u8);
+                let Err(pos) = a.run(goff, glen).binary_search(&v) else { return false };
+                let (goff, gclass) = a.insert_at(goff, glen, gclass, pos, v);
+                let rec = [label.0, goff, glen + 1, gclass as u32].map(Word);
+                a.data_mut()[at + g * REC..][..REC].copy_from_slice(&rec);
+            }
+            Err(g) => {
+                let goff = a.alloc(0);
+                a.data_mut()[goff as usize] = v;
+                for (i, w) in [label.0, goff, 1, 0].into_iter().enumerate() {
+                    let (len, pos) = ((self.groups as usize * REC + i) as u32, g * REC + i);
+                    (self.off, self.class) = a.insert_at(self.off, len, self.class, pos, Word(w));
                 }
-            }
-            Adjacency::Promoted { len, groups } => {
-                match groups.binary_search_by_key(&label, |g| g.label) {
-                    Ok(i) => {
-                        let neighbors = &mut groups[i].neighbors;
-                        let pos = neighbors
-                            .binary_search(&v)
-                            .expect_err("duplicate adjacency entry (edge set out of sync)");
-                        neighbors.insert(pos, v);
-                    }
-                    Err(i) => groups.insert(i, LabelGroup { label, neighbors: vec![v] }),
-                }
-                *len += 1;
+                self.groups += 1;
             }
         }
+        self.len += 1;
+        true
     }
 
-    /// Removes `(label, v)`; returns `false` if absent. O(log + |group|) in
-    /// the promoted representation — the group is located by binary search
-    /// and only its entries shift.
-    pub(crate) fn remove(&mut self, label: LabelId, v: VertexId) -> bool {
-        match self {
-            Adjacency::Small { entries, distinct, .. } => {
-                match entries.binary_search(&(label, v)) {
-                    Ok(pos) => {
-                        entries.remove(pos);
-                        let gone = (pos == 0 || entries[pos - 1].0 != label)
-                            && (pos == entries.len() || entries[pos].0 != label);
-                        *distinct -= u32::from(gone);
-                        // `max_run` stays at its high-water mark: lowering it
-                        // could only *allow* a promotion that shrinking just
-                        // argued against, and recomputing it per delete is
-                        // exactly the churn the counters exist to avoid.
-                        true
-                    }
-                    Err(_) => false,
-                }
+    /// Removes `(label, v)`; returns `false` if absent. A directory shifts
+    /// only the ids of `label`'s group.
+    pub(crate) fn remove(&mut self, a: &mut Arena, label: LabelId, v: VertexId) -> bool {
+        if !self.is_directory() {
+            let (labels, ids) = self.flat(a);
+            let (lo, hi) = run_bounds(labels, label);
+            let Ok(p) = ids[lo..hi].binary_search(&v) else { return false };
+            let (pos, n, cap) = (lo + p, self.len(), self.flat_cap());
+            for half in [self.off as usize, self.off as usize + cap] {
+                a.data_mut().copy_within(half + pos + 1..half + n, half + pos);
             }
-            Adjacency::Promoted { len, groups } => {
-                let Ok(i) = groups.binary_search_by_key(&label, |g| g.label) else {
-                    return false;
-                };
-                let neighbors = &mut groups[i].neighbors;
-                match neighbors.binary_search(&v) {
-                    Ok(pos) => {
-                        // Emptied groups stay as tombstones (see module docs).
-                        neighbors.remove(pos);
-                        *len -= 1;
-                        true
-                    }
-                    Err(_) => false,
-                }
+            self.len -= 1;
+            if self.len == 0 {
+                a.release(self.off, self.class);
+                *self = Adjacency::default();
             }
+            return true;
         }
-    }
-
-    fn promote(&mut self) {
-        let Adjacency::Small { entries, .. } = self else { return };
-        let entries = std::mem::take(entries);
-        let len = entries.len();
-        let mut groups: Vec<LabelGroup> = Vec::new();
-        for (label, v) in entries {
-            match groups.last_mut() {
-                Some(g) if g.label == label => g.neighbors.push(v),
-                _ => groups.push(LabelGroup { label, neighbors: vec![v] }),
+        let Ok(g) = find_group(self.dir(a), label) else { return false };
+        let at = self.off as usize + g * REC;
+        let rec = &a.data()[at..at + REC];
+        let (goff, glen, gclass) = (rec[1].0, rec[2].0, rec[3].0 as u8);
+        let Ok(pos) = a.run(goff, glen).binary_search(&v) else { return false };
+        a.remove_at(goff, glen, pos);
+        a.data_mut()[at + 2] = Word(glen - 1);
+        self.len -= 1;
+        if glen == 1 {
+            a.release(goff, gclass);
+            for i in 0..REC {
+                a.remove_at(self.off, (self.groups as usize * REC - i) as u32, g * REC);
             }
+            self.groups -= 1;
         }
-        *self = Adjacency::Promoted { len, groups };
+        if self.len() * 2 <= FLAT_MAX {
+            self.relay(a);
+        }
+        true
     }
 
     /// The neighbors reachable over an edge labeled exactly `label`, as a
-    /// sorted duplicate-free sequence. O(1) per item after a run lookup
-    /// that is linear on short lists and logarithmic past
-    /// [`LINEAR_RUN_CUTOFF`].
-    pub(crate) fn labeled(&self, label: LabelId) -> LabeledNeighbors<'_> {
-        match self {
-            Adjacency::Small { entries, .. } => {
-                let (lo, hi) = run_bounds(entries, label);
-                LabeledNeighbors(LabeledRepr::Pairs(&entries[lo..hi]))
-            }
-            Adjacency::Promoted { groups, .. } => {
-                match groups.binary_search_by_key(&label, |g| g.label) {
-                    Ok(i) => LabeledNeighbors(LabeledRepr::Ids(&groups[i].neighbors)),
-                    Err(_) => LabeledNeighbors(LabeledRepr::Ids(&[])),
-                }
-            }
+    /// sorted duplicate-free run.
+    #[inline]
+    pub(crate) fn labeled<'a>(&self, a: &'a Arena, label: LabelId) -> LabeledNeighbors<'a> {
+        if self.is_directory() {
+            let dir = self.dir(a);
+            let ids = find_group(dir, label).map(|g| group_ids(a.data(), &dir[g * REC..]));
+            return LabeledNeighbors(ids.unwrap_or(&[]));
         }
+        let (labels, ids) = self.flat(a);
+        let (lo, hi) = run_bounds(labels, label);
+        LabeledNeighbors(&ids[lo..hi])
     }
 
-    /// True iff at least one edge with `label` leaves over this list.
-    pub(crate) fn has_label(&self, label: LabelId) -> bool {
-        !self.labeled(label).is_empty()
+    /// Every label group as `(label, sorted ids)`, in label order.
+    #[inline]
+    fn groups<'a>(&self, a: &'a Arena) -> Groups<'a> {
+        let (labels, ids) = if self.is_directory() { (&[][..], &[][..]) } else { self.flat(a) };
+        Groups { data: a.data(), labels, ids, recs: self.dir(a) }
     }
 
     /// All `(neighbor, edge label)` pairs in `(label, neighbor)` order.
-    pub(crate) fn iter(&self) -> Neighbors<'_> {
-        match self {
-            Adjacency::Small { entries, .. } => Neighbors(NeighborsRepr::Small(entries.iter())),
-            Adjacency::Promoted { groups, .. } => Neighbors(NeighborsRepr::Promoted {
-                groups: groups.iter(),
-                label: LabelId(0),
-                current: [].iter(),
-            }),
-        }
+    #[inline]
+    pub(crate) fn iter<'a>(&self, a: &'a Arena) -> Neighbors<'a> {
+        Neighbors { groups: self.groups(a), label: LabelId(0), ids: [].iter() }
     }
 
     /// Neighbors matching an optional query-edge label, via the access path
     /// selected by `mode`. Yields in `(label, neighbor)` order either way.
-    ///
-    /// `Indexed` is itself adaptive: on an inline list at or below
-    /// [`LINEAR_RUN_CUTOFF`] a filtering scan is cheaper than locating the
-    /// run first (the lookup walks the same few entries and then pays the
-    /// run-slice setup on top — measurably slower on uniform low-degree
-    /// graphs), so the index path only engages for promoted tables and
-    /// long inline lists, where skipping foreign-label entries wins.
-    pub(crate) fn matching(
+    #[inline]
+    pub(crate) fn matching<'a>(
         &self,
+        a: &'a Arena,
         qlabel: Option<LabelId>,
         mode: AdjacencyMode,
-    ) -> MatchingNeighbors<'_> {
-        match self {
-            // One match on the representation: the dominant short-inline
-            // case decides with a single length compare and builds the
-            // same slice iterator FlatScan does.
-            Adjacency::Small { entries, .. } => {
-                if entries.len() > LINEAR_RUN_CUTOFF && mode == AdjacencyMode::Indexed {
-                    if let Some(label) = qlabel {
-                        let (lo, hi) = run_bounds(entries, label);
-                        return MatchingNeighbors(MatchingRepr::Labeled(LabeledNeighbors(
-                            LabeledRepr::Pairs(&entries[lo..hi]),
-                        )));
-                    }
-                }
-                MatchingNeighbors(MatchingRepr::Scan {
-                    iter: Neighbors(NeighborsRepr::Small(entries.iter())),
-                    qlabel,
-                })
-            }
-            Adjacency::Promoted { .. } => match (qlabel, mode) {
-                (Some(label), AdjacencyMode::Indexed) => {
-                    MatchingNeighbors(MatchingRepr::Labeled(self.labeled(label)))
-                }
-                (qlabel, _) => MatchingNeighbors(MatchingRepr::Scan { iter: self.iter(), qlabel }),
-            },
-        }
+    ) -> MatchingNeighbors<'a> {
+        MatchingNeighbors(match (qlabel, mode) {
+            (Some(label), AdjacencyMode::Indexed) => MatchingRepr::Labeled(self.labeled(a, label)),
+            _ => MatchingRepr::Scan { groups: self.groups(a), qlabel, keep: false, ids: [].iter() },
+        })
     }
 
     /// True iff some entry points at `v` (any label).
-    pub(crate) fn any_to(&self, v: VertexId) -> bool {
-        match self {
-            Adjacency::Small { entries, .. } => entries.iter().any(|&(_, w)| w == v),
-            Adjacency::Promoted { groups, .. } => {
-                groups.iter().any(|g| crate::intersect::contains_sorted(&g.neighbors, v))
-            }
-        }
+    pub(crate) fn any_to(&self, a: &Arena, v: VertexId) -> bool {
+        self.groups(a).any(|(_, ids)| contains_sorted(ids, v))
     }
 
     /// Number of parallel edges (distinct labels) pointing at `v`.
-    pub(crate) fn count_to(&self, v: VertexId) -> usize {
-        match self {
-            Adjacency::Small { entries, .. } => entries.iter().filter(|&&(_, w)| w == v).count(),
-            Adjacency::Promoted { groups, .. } => {
-                groups.iter().filter(|g| crate::intersect::contains_sorted(&g.neighbors, v)).count()
-            }
-        }
+    pub(crate) fn count_to(&self, a: &Arena, v: VertexId) -> usize {
+        self.groups(a).filter(|(_, ids)| contains_sorted(ids, v)).count()
     }
 
-    /// Distinct labels present (tombstoned groups excluded), with group
-    /// sizes, in label order.
-    pub(crate) fn label_runs(&self) -> LabelRuns<'_> {
-        match self {
-            Adjacency::Small { entries, .. } => LabelRuns(LabelRunsRepr::Small(entries)),
-            Adjacency::Promoted { groups, .. } => LabelRuns(LabelRunsRepr::Promoted(groups.iter())),
-        }
+    /// Distinct labels present with their group sizes, in label order.
+    pub(crate) fn label_runs<'a>(
+        &self,
+        a: &'a Arena,
+    ) -> impl Iterator<Item = (LabelId, usize)> + 'a {
+        self.groups(a).map(|(label, ids)| (label, ids.len()))
+    }
+}
+
+/// The label groups of one run: a flat run splits its two halves at every
+/// label change, a directory walks its records.
+#[derive(Clone)]
+struct Groups<'a> {
+    data: &'a [Word],
+    /// What is left of a flat run's halves; empty for a directory.
+    labels: &'a [Word],
+    ids: &'a [VertexId],
+    /// What is left of a directory's records; empty for a flat run.
+    recs: &'a [Word],
+}
+
+impl<'a> Iterator for Groups<'a> {
+    type Item = (LabelId, &'a [VertexId]);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let Some(&label) = self.labels.first() else {
+            let (rec, rest) = self.recs.split_at_checked(REC)?;
+            self.recs = rest;
+            return Some((LabelId(rec[0].0), group_ids(self.data, rec)));
+        };
+        let run = self.labels.iter().take_while(|&&l| l == label).count();
+        let (ids, rest) = self.ids.split_at(run);
+        (self.labels, self.ids) = (&self.labels[run..], rest);
+        Some((LabelId(label.0), ids))
     }
 }
 
 /// Iterator over one label group's neighbors (sorted, duplicate-free).
 #[derive(Clone, Copy)]
-pub struct LabeledNeighbors<'a>(LabeledRepr<'a>);
-
-#[derive(Clone, Copy)]
-enum LabeledRepr<'a> {
-    /// Slice of the inline `(label, neighbor)` list (one label run).
-    Pairs(&'a [(LabelId, VertexId)]),
-    /// Slice of a promoted group's neighbor vector.
-    Ids(&'a [VertexId]),
-}
+pub struct LabeledNeighbors<'a>(&'a [VertexId]);
 
 impl<'a> LabeledNeighbors<'a> {
     /// Number of neighbors in the group — the label-qualified degree.
     pub fn len(&self) -> usize {
-        match self.0 {
-            LabeledRepr::Pairs(s) => s.len(),
-            LabeledRepr::Ids(s) => s.len(),
-        }
+        self.0.len()
     }
 
     /// True iff the group is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.is_empty()
     }
 
     /// True iff `v` is in the group: linear under the probe cutoff, binary
     /// search above it (see [`crate::intersect::contains_sorted`]).
     pub fn contains(&self, v: VertexId) -> bool {
-        match self.0 {
-            LabeledRepr::Pairs(s) => {
-                if s.len() <= crate::intersect::LINEAR_PROBE_CUTOFF {
-                    s.iter().any(|&(_, w)| w == v)
-                } else {
-                    s.binary_search_by_key(&v, |&(_, w)| w).is_ok()
-                }
-            }
-            LabeledRepr::Ids(s) => crate::intersect::contains_sorted(s, v),
-        }
+        contains_sorted(self.0, v)
     }
 
-    /// The run as a contiguous id slice when the representation stores one
-    /// (promoted groups), `None` for the inline pair runs. Intersection
-    /// call sites use this to feed big runs to the kernels zero-copy and
-    /// only materialize the small inline runs.
-    pub fn as_id_slice(&self) -> Option<&'a [VertexId]> {
-        match self.0 {
-            LabeledRepr::Ids(s) => Some(s),
-            LabeledRepr::Pairs(_) => None,
-        }
-    }
-
-    /// Appends the run's ids (already sorted, duplicate-free) to `out`.
-    pub fn extend_into(&self, out: &mut Vec<VertexId>) {
-        match self.0 {
-            LabeledRepr::Pairs(s) => out.extend(s.iter().map(|&(_, w)| w)),
-            LabeledRepr::Ids(s) => out.extend_from_slice(s),
-        }
+    /// The group as a contiguous id slice, borrowed from the graph's arena:
+    /// what the intersection kernels read zero-copy.
+    pub fn as_id_slice(&self) -> &'a [VertexId] {
+        self.0
     }
 }
 
 impl Iterator for LabeledNeighbors<'_> {
     type Item = VertexId;
 
+    #[inline]
     fn next(&mut self) -> Option<VertexId> {
-        match &mut self.0 {
-            LabeledRepr::Pairs(s) => {
-                let (&(_, v), rest) = s.split_first()?;
-                *s = rest;
-                Some(v)
-            }
-            LabeledRepr::Ids(s) => {
-                let (&v, rest) = s.split_first()?;
-                *s = rest;
-                Some(v)
-            }
-        }
+        let (&v, rest) = self.0.split_first()?;
+        self.0 = rest;
+        Some(v)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.len();
-        (n, Some(n))
+        (self.0.len(), Some(self.0.len()))
     }
 }
 
 impl ExactSizeIterator for LabeledNeighbors<'_> {}
 
-/// Iterator over all `(neighbor, edge label)` pairs of one adjacency list,
-/// in `(label, neighbor)` order regardless of representation.
+/// Iterator over all `(neighbor, edge label)` pairs of one adjacency run,
+/// in `(label, neighbor)` order regardless of layout.
 #[derive(Clone)]
-pub struct Neighbors<'a>(NeighborsRepr<'a>);
-
-#[derive(Clone)]
-enum NeighborsRepr<'a> {
-    Small(std::slice::Iter<'a, (LabelId, VertexId)>),
-    Promoted {
-        groups: std::slice::Iter<'a, LabelGroup>,
-        label: LabelId,
-        current: std::slice::Iter<'a, VertexId>,
-    },
+pub struct Neighbors<'a> {
+    groups: Groups<'a>,
+    /// The group being walked.
+    label: LabelId,
+    ids: std::slice::Iter<'a, VertexId>,
 }
 
 impl Iterator for Neighbors<'_> {
     type Item = (VertexId, LabelId);
 
+    #[inline]
     fn next(&mut self) -> Option<(VertexId, LabelId)> {
-        match &mut self.0 {
-            NeighborsRepr::Small(iter) => iter.next().map(|&(l, v)| (v, l)),
-            NeighborsRepr::Promoted { groups, label, current } => loop {
-                if let Some(&v) = current.next() {
-                    return Some((v, *label));
-                }
-                let g = groups.next()?;
-                *label = g.label;
-                *current = g.neighbors.iter();
-            },
+        loop {
+            if let Some(&v) = self.ids.next() {
+                return Some((v, self.label));
+            }
+            let (label, ids) = self.groups.next()?;
+            (self.label, self.ids) = (label, ids.iter());
         }
     }
 }
@@ -509,62 +476,32 @@ pub struct MatchingNeighbors<'a>(MatchingRepr<'a>);
 
 enum MatchingRepr<'a> {
     Labeled(LabeledNeighbors<'a>),
-    Scan { iter: Neighbors<'a>, qlabel: Option<LabelId> },
-}
-
-impl<'a> MatchingNeighbors<'a> {
-    /// The labeled run backing this iterator when the access path resolved
-    /// to one (concrete label, [`AdjacencyMode::Indexed`]); `None` for the
-    /// filtering scan paths.
-    pub fn as_run(&self) -> Option<LabeledNeighbors<'a>> {
-        match &self.0 {
-            MatchingRepr::Labeled(run) => Some(*run),
-            MatchingRepr::Scan { .. } => None,
-        }
-    }
+    /// Walks every group; `keep` says whether the one being walked matches.
+    Scan {
+        groups: Groups<'a>,
+        qlabel: Option<LabelId>,
+        keep: bool,
+        ids: std::slice::Iter<'a, VertexId>,
+    },
 }
 
 impl Iterator for MatchingNeighbors<'_> {
     type Item = VertexId;
 
+    #[inline]
     fn next(&mut self) -> Option<VertexId> {
         match &mut self.0 {
             MatchingRepr::Labeled(iter) => iter.next(),
-            MatchingRepr::Scan { iter, qlabel } => {
-                iter.find(|&(_, l)| qlabel.is_none_or(|ql| ql == l)).map(|(v, _)| v)
-            }
-        }
-    }
-}
-
-/// Iterator over `(label, group size)` runs; tombstoned (empty) groups are
-/// skipped.
-pub struct LabelRuns<'a>(LabelRunsRepr<'a>);
-
-enum LabelRunsRepr<'a> {
-    Small(&'a [(LabelId, VertexId)]),
-    Promoted(std::slice::Iter<'a, LabelGroup>),
-}
-
-impl Iterator for LabelRuns<'_> {
-    type Item = (LabelId, usize);
-
-    fn next(&mut self) -> Option<(LabelId, usize)> {
-        match &mut self.0 {
-            LabelRunsRepr::Small(entries) => {
-                let (&(label, _), _) = entries.split_first()?;
-                let run = entries.partition_point(|&(l, _)| l == label);
-                *entries = &entries[run..];
-                Some((label, run))
-            }
-            LabelRunsRepr::Promoted(groups) => {
-                for g in groups.by_ref() {
-                    if !g.neighbors.is_empty() {
-                        return Some((g.label, g.neighbors.len()));
+            MatchingRepr::Scan { groups, qlabel, keep, ids } => loop {
+                match ids.next() {
+                    Some(&v) if *keep => return Some(v),
+                    Some(_) => {}
+                    None => {
+                        let (label, run) = groups.next()?;
+                        (*keep, *ids) = (qlabel.is_none_or(|ql| ql == label), run.iter());
                     }
                 }
-                None
-            }
+            },
         }
     }
 }
@@ -572,6 +509,7 @@ impl Iterator for LabelRuns<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn l(i: u32) -> LabelId {
         LabelId(i)
@@ -581,262 +519,172 @@ mod tests {
         VertexId(i)
     }
 
-    fn collect(a: &Adjacency) -> Vec<(VertexId, LabelId)> {
-        a.iter().collect()
-    }
-
-    #[test]
-    fn small_insert_keeps_label_runs_sorted() {
-        let mut a = Adjacency::default();
-        a.insert(l(2), v(5));
-        a.insert(l(1), v(9));
-        a.insert(l(2), v(3));
-        a.insert(l(1), v(1));
-        assert!(!a.is_promoted());
-        assert_eq!(collect(&a), vec![(v(1), l(1)), (v(9), l(1)), (v(3), l(2)), (v(5), l(2))]);
-        assert_eq!(a.labeled(l(2)).collect::<Vec<_>>(), vec![v(3), v(5)]);
-        assert_eq!(a.labeled(l(1)).len(), 2);
-        assert!(a.labeled(l(7)).is_empty());
-        assert!(a.has_label(l(1)));
-        assert!(!a.has_label(l(0)));
-        assert_eq!(a.label_runs().collect::<Vec<_>>(), vec![(l(1), 2), (l(2), 2)]);
-    }
-
-    #[test]
-    fn promotion_preserves_order_and_lookups() {
-        let mut a = Adjacency::default();
-        // Interleave labels so groups are non-trivial; cross the threshold.
-        for i in 0..(PROMOTE_DEGREE as u32 + 8) {
-            a.insert(l(i % 3), v(100 - i));
+    /// A run with `(label, neighbor)` entries inserted in the given order.
+    fn run_of(a: &mut Arena, entries: impl IntoIterator<Item = (u32, u32)>) -> Adjacency {
+        let mut r = Adjacency::default();
+        for (label, w) in entries {
+            assert!(r.insert(a, l(label), v(w)));
         }
-        assert!(a.is_promoted());
-        assert_eq!(a.len(), PROMOTE_DEGREE + 8);
-        let got = collect(&a);
+        r
+    }
+
+    #[test]
+    fn flat_insert_keeps_label_runs_sorted() {
+        let mut a = Arena::new();
+        let mut r = run_of(&mut a, [(2, 5), (1, 9), (2, 3), (1, 1)]);
+        assert!(!r.is_directory());
+        assert!(!r.insert(&mut a, l(2), v(3)), "duplicate");
+        let want = vec![(v(1), l(1)), (v(9), l(1)), (v(3), l(2)), (v(5), l(2))];
+        assert_eq!(r.iter(&a).collect::<Vec<_>>(), want);
+        assert_eq!(r.labeled(&a, l(2)).as_id_slice(), &[v(3), v(5)]);
+        assert_eq!(r.labeled(&a, l(1)).len(), 2);
+        assert!(r.labeled(&a, l(7)).is_empty() && r.labeled(&a, l(0)).is_empty());
+        assert!(r.labeled(&a, l(1)).contains(v(9)) && !r.labeled(&a, l(1)).contains(v(3)));
+        assert_eq!(r.label_runs(&a).collect::<Vec<_>>(), vec![(l(1), 2), (l(2), 2)]);
+        assert!(!r.remove(&mut a, l(1), v(5)), "absent neighbor");
+        assert!(!r.remove(&mut a, l(9), v(1)), "absent label");
+    }
+
+    #[test]
+    fn the_layout_follows_the_one_rule_in_both_directions() {
+        let mut a = Arena::new();
+        let mut r = run_of(&mut a, (0..FLAT_MAX as u32).map(|i| (i % 3, 100 - i)));
+        assert!(!r.is_directory(), "flat up to FLAT_MAX");
+        assert!(r.insert(&mut a, l(1), v(500)));
+        assert!(r.is_directory(), "a directory past it");
+        let got: Vec<_> = r.iter(&a).collect();
         let mut want = got.clone();
         want.sort_by_key(|&(w, lab)| (lab, w));
-        assert_eq!(got, want, "promoted iteration stays (label, neighbor)-sorted");
+        assert_eq!(got, want, "directory iteration stays (label, neighbor)-sorted");
+        assert_eq!(got.len(), FLAT_MAX + 1);
         for lab in 0..3 {
-            let group: Vec<_> = a.labeled(l(lab)).collect();
-            let flat: Vec<_> =
-                got.iter().filter(|&&(_, la)| la == l(lab)).map(|&(w, _)| w).collect();
-            assert_eq!(group, flat);
-            assert!(group.windows(2).all(|w| w[0] < w[1]), "group sorted");
+            let flat: Vec<_> = got.iter().filter(|e| e.1 == l(lab)).map(|e| e.0).collect();
+            assert_eq!(r.labeled(&a, l(lab)).as_id_slice(), &flat[..]);
         }
+        // Shrinking keeps the directory down to half of FLAT_MAX, then folds.
+        for &(w, lab) in &got[..FLAT_MAX / 2] {
+            assert!(r.is_directory());
+            assert!(r.remove(&mut a, lab, w));
+        }
+        assert_eq!(r.len(), FLAT_MAX / 2 + 1);
+        assert!(r.is_directory(), "no repacking inside the band");
+        assert!(r.remove(&mut a, got[FLAT_MAX / 2].1, got[FLAT_MAX / 2].0));
+        assert!(!r.is_directory(), "folds back at half");
+        assert_eq!(r.iter(&a).collect::<Vec<_>>(), got[FLAT_MAX / 2 + 1..]);
+        a.validate(r.slots(&a));
+        // Size alone decides: a single-label hub is a directory of one id run.
+        let hub = run_of(&mut a, (0..4 * FLAT_MAX as u32).map(|i| (5, i)));
+        assert_eq!(hub.label_runs(&a).collect::<Vec<_>>(), vec![(l(5), 4 * FLAT_MAX)]);
+        assert_eq!(hub.slots(&a).count(), 2, "one directory slot, one id slot");
     }
 
     #[test]
-    fn single_label_vertex_never_promotes() {
-        let mut a = Adjacency::default();
-        for i in 0..(PROMOTE_DEGREE_SKEWED as u32 * 4) {
-            a.insert(l(5), v(i));
+    fn directory_remove_is_per_group_and_emptied_groups_vanish() {
+        let mut a = Arena::new();
+        let mut r = run_of(&mut a, (0..3 * FLAT_MAX as u32).map(|i| (i % 3, i)));
+        assert!(r.is_directory());
+        for w in r.labeled(&a, l(1)).collect::<Vec<_>>() {
+            assert!(r.remove(&mut a, l(1), w));
         }
-        assert!(!a.is_promoted(), "one run IS the flat list — promotion gains nothing");
-        assert_eq!(a.labeled(l(5)).len(), PROMOTE_DEGREE_SKEWED * 4);
-        assert!(a.labeled(l(5)).as_id_slice().is_none());
+        assert!(r.labeled(&a, l(1)).is_empty());
+        let n = FLAT_MAX;
+        assert_eq!(r.label_runs(&a).collect::<Vec<_>>(), vec![(l(0), n), (l(2), n)]);
+        assert_eq!(r.slots(&a).count(), 3, "the emptied group's slot went back");
+        let free = a.free_slots();
+        assert!(r.insert(&mut a, l(1), v(999)));
+        assert_eq!(a.free_slots(), free - 1, "and is reused, not carved");
+        assert_eq!(r.labeled(&a, l(1)).as_id_slice(), &[v(999)]);
+        assert!(!r.remove(&mut a, l(1), v(0)), "absent neighbor");
+        assert!(!r.remove(&mut a, l(9), v(0)), "absent label");
+        a.validate(r.slots(&a));
     }
 
     #[test]
-    fn balanced_two_label_vertex_promotes_only_at_hard_cap() {
-        let mut a = Adjacency::default();
-        for i in 0..PROMOTE_DEGREE_SKEWED as u32 {
-            a.insert(l(i % 2), v(i));
-        }
-        assert!(!a.is_promoted(), "balanced two-run list stays flat past PROMOTE_DEGREE");
-        a.insert(l(0), v(1000));
-        assert!(a.is_promoted(), "hard cap still bounds the flat memmove cost");
-    }
-
-    #[test]
-    fn skewed_two_label_vertex_promotes_early() {
-        let mut a = Adjacency::default();
-        // One rare entry + a dominating run: the hub-with-probe-label shape.
-        a.insert(l(9), v(0));
-        let mut i = 0;
-        while !a.is_promoted() {
-            a.insert(l(1), v(1 + i));
-            i += 1;
-            assert!((a.len()) <= PROMOTE_DEGREE_SKEWED, "skew rule must fire before the cap");
-        }
-        assert!(
-            a.len() > PROMOTE_DEGREE + PROMOTE_HYSTERESIS,
-            "skew promotion respects the hysteresis band (len {})",
-            a.len()
-        );
-        assert_eq!(a.labeled(l(9)).collect::<Vec<_>>(), vec![v(0)]);
-        assert!(a.labeled(l(1)).as_id_slice().is_some(), "promoted groups expose id slices");
-    }
-
-    #[test]
-    fn diversity_counter_tracks_inserts_and_removes() {
-        let mut a = Adjacency::default();
-        for lab in 0..DIVERSE_LABELS {
-            a.insert(l(lab), v(1));
-            a.insert(l(lab), v(2));
-        }
-        // Draining one label's run entirely must lower the diversity count
-        // (observable through label_runs, which skips absent labels).
-        a.remove(l(0), v(1));
-        a.remove(l(0), v(2));
-        assert_eq!(a.label_runs().count(), DIVERSE_LABELS as usize - 1);
-        // Re-inserting brings it back; degree-triggered promotion then uses
-        // the restored diversity.
-        a.insert(l(0), v(3));
-        assert_eq!(a.label_runs().count(), DIVERSE_LABELS as usize);
-        for i in 0..PROMOTE_DEGREE as u32 {
-            a.insert(l(1), v(100 + i));
-        }
-        assert!(a.is_promoted(), "diverse vertex promotes past PROMOTE_DEGREE");
-    }
-
-    #[test]
-    fn promoted_remove_is_per_group_and_tombstones() {
-        let mut a = Adjacency::default();
-        for i in 0..(PROMOTE_DEGREE as u32 + 3) {
-            a.insert(l(i % 3), v(i));
-        }
-        assert!(a.is_promoted());
-        // Drain label 1 entirely.
-        let ones: Vec<_> = a.labeled(l(1)).collect();
-        for w in &ones {
-            assert!(a.remove(l(1), *w));
-        }
-        assert!(!a.has_label(l(1)));
-        assert!(a.labeled(l(1)).is_empty());
-        let runs: Vec<_> = a.label_runs().collect();
-        assert_eq!(runs, vec![(l(0), 9), (l(2), 9)]);
-        // Tombstoned group is reused without reallocating.
-        a.insert(l(1), v(999));
-        assert_eq!(a.labeled(l(1)).collect::<Vec<_>>(), vec![v(999)]);
-        assert!(!a.remove(l(1), v(0)), "absent neighbor");
-        assert!(!a.remove(l(9), v(0)), "absent label");
-    }
-
-    #[test]
-    fn matching_modes_agree() {
-        let mut a = Adjacency::default();
-        for i in 0..(PROMOTE_DEGREE as u32 + 5) {
-            a.insert(l(i % 4), v(i * 7 % 31));
-        }
-        for qlabel in [None, Some(l(0)), Some(l(3)), Some(l(9))] {
-            let indexed: Vec<_> = a.matching(qlabel, AdjacencyMode::Indexed).collect();
-            let scanned: Vec<_> = a.matching(qlabel, AdjacencyMode::FlatScan).collect();
-            assert_eq!(indexed, scanned, "qlabel {qlabel:?}");
-        }
-    }
-
-    #[test]
-    fn any_and_count_to() {
-        let mut a = Adjacency::default();
-        a.insert(l(0), v(4));
-        a.insert(l(1), v(4));
-        a.insert(l(2), v(6));
-        assert!(a.any_to(v(4)));
-        assert!(!a.any_to(v(5)));
-        assert_eq!(a.count_to(v(4)), 2);
-        for i in 0..PROMOTE_DEGREE as u32 {
-            a.insert(l(3), v(50 + i));
-        }
-        assert!(a.is_promoted());
-        assert!(a.any_to(v(6)));
-        assert_eq!(a.count_to(v(4)), 2);
-        assert_eq!(a.count_to(v(7)), 0);
-    }
-
-    #[test]
-    fn labeled_contains_both_reprs() {
-        let mut a = Adjacency::default();
-        a.insert(l(1), v(2));
-        a.insert(l(1), v(8));
-        assert!(a.labeled(l(1)).contains(v(8)));
-        assert!(!a.labeled(l(1)).contains(v(3)));
-        a.insert(l(2), v(4));
-        for i in 0..PROMOTE_DEGREE as u32 {
-            a.insert(l(0), v(100 + i));
-        }
-        assert!(a.is_promoted());
-        assert!(a.labeled(l(1)).contains(v(2)));
-        assert!(!a.labeled(l(0)).contains(v(2)));
-        assert!(a.labeled(l(0)).contains(v(100 + PROMOTE_DEGREE as u32 - 1)));
-    }
-
-    #[test]
-    fn extend_into_matches_iteration_both_reprs() {
-        let mut a = Adjacency::default();
-        for i in 0..6u32 {
-            a.insert(l(i % 2), v(10 + i));
-        }
-        let run = a.labeled(l(0));
-        let mut out = vec![v(1)];
-        run.extend_into(&mut out);
-        assert_eq!(out[1..], run.collect::<Vec<_>>()[..]);
-        for i in 0..PROMOTE_DEGREE as u32 {
-            a.insert(l(2), v(100 + i));
-        }
-        assert!(a.is_promoted());
-        let run = a.labeled(l(2));
-        let mut out = Vec::new();
-        run.extend_into(&mut out);
-        assert_eq!(out, run.collect::<Vec<_>>());
-        assert_eq!(run.as_id_slice().unwrap(), &out[..]);
-    }
-
-    /// Promotion property (tentpole invariant): under any interleaving of
-    /// inserts and deletes, enumeration order over every accessor equals
-    /// the sorted flat reference — i.e. layout changes never perturb
-    /// observable order. Deterministic xorshift so failures replay.
-    #[test]
-    fn random_churn_never_perturbs_enumeration_order() {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut rand = move |n: u64| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % n
-        };
-        let mut a = Adjacency::default();
-        let mut reference: Vec<(LabelId, VertexId)> = Vec::new();
-        let mut promoted_seen = false;
-        for step in 0..6000 {
-            // Sweep label diversity over time so the policy's three regimes
-            // (never / skew-gated / diverse) all get exercised.
-            let nlabels = 1 + (step / 1500) as u32;
-            let label = l(rand(nlabels as u64) as u32);
-            let vid = v(rand(64) as u32);
-            if reference.is_empty() || rand(10) < 6 {
-                if !reference.contains(&(label, vid)) {
-                    a.insert(label, vid);
-                    reference.push((label, vid));
-                    reference.sort_unstable();
-                }
-            } else {
-                let i = rand(reference.len() as u64) as usize;
-                let (dl, dv) = reference.remove(i);
-                assert!(a.remove(dl, dv));
+    fn matching_modes_and_target_probes_agree_across_layouts() {
+        let mut a = Arena::new();
+        for n in [5, FLAT_MAX as u32 + 5] {
+            let r = run_of(&mut a, (0..n).map(|i| (i % 4, i * 7 % 31)));
+            assert_eq!(r.is_directory(), n as usize > FLAT_MAX);
+            for qlabel in [None, Some(l(0)), Some(l(3)), Some(l(9))] {
+                let indexed: Vec<_> = r.matching(&a, qlabel, AdjacencyMode::Indexed).collect();
+                let scanned: Vec<_> = r.matching(&a, qlabel, AdjacencyMode::FlatScan).collect();
+                assert_eq!(indexed, scanned, "qlabel {qlabel:?}");
             }
-            promoted_seen |= a.is_promoted();
-            if step % 64 == 0 || step == 5999 {
-                let got: Vec<(LabelId, VertexId)> = a.iter().map(|(w, lab)| (lab, w)).collect();
-                assert_eq!(got, reference, "iteration order diverged at step {step}");
-                for lab in 0..nlabels {
-                    let grp: Vec<_> = a.labeled(l(lab)).collect();
-                    let want: Vec<_> = reference
-                        .iter()
-                        .filter(|&&(gl, _)| gl == l(lab))
-                        .map(|&(_, w)| w)
-                        .collect();
-                    assert_eq!(grp, want, "label {lab} run diverged at step {step}");
+            for w in 0..32 {
+                let want = r.iter(&a).filter(|e| e.0 == v(w)).count();
+                assert_eq!(r.count_to(&a, v(w)), want);
+                assert_eq!(r.any_to(&a, v(w)), want > 0);
+            }
+        }
+    }
+
+    /// The tentpole invariant: under any interleaving of inserts and
+    /// deletes — sweeping the degree through every size class and across
+    /// the flat↔directory boundary in both directions, down to a full
+    /// drain — every accessor equals a `BTreeSet` reference and the arena
+    /// stays exactly tiled; replaying the identical churn runs on recycled
+    /// slots alone. Deterministic xorshift so failures replay.
+    #[test]
+    fn random_churn_matches_a_btreeset_across_every_boundary() {
+        let mut a = Arena::new();
+        let mut r = Adjacency::default();
+        let mut reference: BTreeSet<(LabelId, VertexId)> = BTreeSet::new();
+        let (mut unfolds, mut folds, mut classes) = (0, 0, BTreeSet::new());
+        let mut carved = [0; 2];
+        for carved in &mut carved {
+            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            let mut rand = move |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            for step in 0..20_000 {
+                // Grow to ~12·FLAT_MAX and shrink back, twice, the second
+                // time over five labels instead of one.
+                let growing = (step / 5_000) % 2 == 0;
+                let nlabels = 1 + (step / 10_000) as u64 * 4;
+                let entry = (l(rand(nlabels) as u32), v(rand(16 * FLAT_MAX as u64) as u32));
+                let was_dir = r.is_directory();
+                if rand(10) < if growing { 8 } else { 2 } {
+                    assert_eq!(r.insert(&mut a, entry.0, entry.1), reference.insert(entry));
+                } else {
+                    let victim = reference.range(entry..).next().copied().unwrap_or(entry);
+                    assert_eq!(r.remove(&mut a, victim.0, victim.1), reference.remove(&victim));
                 }
-                let runs: Vec<_> = a.label_runs().collect();
+                unfolds += usize::from(!was_dir && r.is_directory());
+                folds += usize::from(was_dir && !r.is_directory());
+                classes.extend(r.slots(&a).map(|(_, class)| class));
+                if step % 97 != 0 {
+                    continue;
+                }
+                a.validate(r.slots(&a));
+                assert_eq!(r.len(), reference.len());
+                let got: Vec<_> = r.iter(&a).map(|(w, lab)| (lab, w)).collect();
+                assert!(got.iter().eq(reference.iter()), "iteration diverged at step {step}");
                 let mut want_runs: Vec<(LabelId, usize)> = Vec::new();
-                for &(gl, _) in reference.iter() {
+                for &(gl, _) in &reference {
                     match want_runs.last_mut() {
                         Some((rl, n)) if *rl == gl => *n += 1,
                         _ => want_runs.push((gl, 1)),
                     }
                 }
-                assert_eq!(runs, want_runs, "label_runs diverged at step {step}");
+                assert_eq!(r.label_runs(&a).collect::<Vec<_>>(), want_runs, "step {step}");
+                for &(lab, n) in &want_runs {
+                    let want = reference.range((lab, v(0))..=(lab, v(u32::MAX))).map(|e| e.1);
+                    assert!(r.labeled(&a, lab).eq(want), "label {lab:?} at step {step}");
+                    assert_eq!(r.labeled(&a, lab).len(), n);
+                }
             }
+            for (lab, w) in std::mem::take(&mut reference) {
+                assert!(r.remove(&mut a, lab, w));
+            }
+            assert_eq!((r.len(), a.live_slots()), (0, 0), "a drained run owns nothing");
+            a.validate([]);
+            *carved = a.carved_entries();
         }
-        assert!(promoted_seen, "churn never promoted — the property test is vacuous");
+        assert!(unfolds >= 4 && folds >= 4, "{unfolds} unfolds, {folds} folds");
+        assert!(classes.len() >= 6, "size classes seen: {classes:?}");
+        assert_eq!(carved[0], carved[1], "the replay carved new storage");
     }
 }

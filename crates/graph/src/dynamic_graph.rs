@@ -8,20 +8,21 @@
 //!   vertex pair with *different* labels are allowed.
 //! * Adjacency is kept in both directions so the engines can traverse
 //!   upward (toward start vertices) as well as downward. Each direction is a
-//!   label-partitioned index (see [`crate::adjacency`]): neighbors are
-//!   grouped by edge label, so label-qualified lookups touch only one group
-//!   instead of the whole list, and enumeration order is always
-//!   `(label, neighbor)` — deterministic and representation-independent.
+//!   label-partitioned run (see [`crate::adjacency`]) in the graph's one
+//!   slot arena: neighbors are grouped by edge label, so label-qualified
+//!   lookups touch only one group instead of the whole list, and
+//!   enumeration order is always `(label, neighbor)` — deterministic and
+//!   layout-independent. The two runs are the only copies of an edge: the
+//!   edge set *is* the sorted out-runs.
 //! * Vertices are never physically removed — the paper's update streams only
 //!   insert/delete edges — but new vertices can appear at any point.
 
 use crate::adjacency::{
-    Adjacency, AdjacencyMode, LabelRuns, LabeledNeighbors, MatchingNeighbors, Neighbors,
+    Adjacency, AdjacencyMode, Arena, LabeledNeighbors, MatchingNeighbors, Neighbors, FLAT_MAX,
 };
 use crate::ids::{LabelId, VertexId};
 use crate::labels::LabelSet;
 use crate::stream::UpdateOp;
-use rustc_hash::FxHashSet;
 
 /// A fully-qualified edge: source, edge label, destination.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -41,21 +42,108 @@ impl EdgeRef {
     }
 }
 
+/// Index of a vertex's out-run in its handle pair; `IN` is the in-run.
+const OUT: usize = 0;
+const IN: usize = 1;
+
+/// Counts one more carrier of `label` in a per-label counter table.
+fn bump(counts: &mut Vec<usize>, label: LabelId) {
+    if label.index() >= counts.len() {
+        counts.resize(label.index() + 1, 0);
+    }
+    counts[label.index()] += 1;
+}
+
+/// How the arena behind a [`DynamicGraph`] is occupied.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct StorageStats {
+    /// Arena slots holding a run or a directory.
+    pub live_slots: usize,
+    /// Arena slots waiting on a free list.
+    pub free_slots: usize,
+    /// 4-byte arena words carved so far (live or free).
+    pub carved_entries: usize,
+    /// Non-empty vertex directions stored as one flat run.
+    pub flat_runs: usize,
+    /// Vertex directions stored as a label directory of id runs.
+    pub directory_runs: usize,
+}
+
 /// An in-memory dynamic labeled multigraph.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct DynamicGraph {
     vertex_labels: Vec<LabelSet>,
-    out: Vec<Adjacency>,
-    inc: Vec<Adjacency>,
-    edges: FxHashSet<EdgeRef>,
+    /// Per vertex: the `[OUT, IN]` handles into `arena`.
+    runs: Vec<[Adjacency; 2]>,
+    arena: Arena,
+    edge_count: usize,
     edge_label_counts: Vec<usize>,
     vertex_label_counts: Vec<usize>,
+}
+
+impl Clone for DynamicGraph {
+    /// Re-lays every run compactly in vertex order: the copy has no free
+    /// slots and no slack classes, whatever churn fragmented the original.
+    fn clone(&self) -> Self {
+        let mut arena = Arena::with_capacity(self.arena.carved_entries());
+        let mut buf = Vec::new();
+        let mut relay = |run: &Adjacency| {
+            buf.clear();
+            buf.extend(run.iter(&self.arena).map(|(v, l)| (l, v)));
+            Adjacency::build(&mut arena, &buf)
+        };
+        let runs = self.runs.iter().map(|[out, inc]| [relay(out), relay(inc)]).collect();
+        DynamicGraph {
+            vertex_labels: self.vertex_labels.clone(),
+            runs,
+            arena,
+            edge_count: self.edge_count,
+            edge_label_counts: self.edge_label_counts.clone(),
+            vertex_label_counts: self.vertex_label_counts.clone(),
+        }
+    }
 }
 
 impl DynamicGraph {
     /// An empty graph.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A graph over vertices `0..vertex_labels.len()` holding `edges`
+    /// (any order, duplicates dropped): one sort per direction, then every
+    /// run laid out in vertex order at its final size — what N incremental
+    /// inserts reach only through N shifts and a fragmented arena.
+    ///
+    /// Panics if an edge names a vertex that does not exist.
+    pub fn from_edges(vertex_labels: Vec<LabelSet>, mut edges: Vec<EdgeRef>) -> Self {
+        let mut g = DynamicGraph::new();
+        for labels in vertex_labels {
+            g.add_vertex(labels);
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        let mut by_dst = edges.clone();
+        by_dst.sort_unstable_by_key(|e| (e.dst, e.label, e.src));
+        g.edge_count = edges.len();
+        g.arena = Arena::with_capacity(4 * edges.len() + 4 * g.runs.len());
+        type End = fn(&EdgeRef) -> VertexId;
+        let (src, dst): (End, End) = (|e| e.src, |e| e.dst);
+        let (mut outs, mut incs, mut buf) = (&edges[..], &by_dst[..], Vec::new());
+        for (v, pair) in g.runs.iter_mut().enumerate() {
+            for (dir, rest, near, far) in [(OUT, &mut outs, src, dst), (IN, &mut incs, dst, src)] {
+                let (run, tail) = rest.split_at(rest.partition_point(|e| near(e).index() == v));
+                *rest = tail;
+                buf.clear();
+                buf.extend(run.iter().map(|e| (e.label, far(e))));
+                pair[dir] = Adjacency::build(&mut g.arena, &buf);
+            }
+        }
+        assert!(outs.is_empty() && incs.is_empty(), "from_edges: an edge names a missing vertex");
+        for e in &edges {
+            bump(&mut g.edge_label_counts, e.label);
+        }
+        g
     }
 
     /// Number of vertices ever created (ids are dense `0..n`).
@@ -67,21 +155,17 @@ impl DynamicGraph {
     /// Number of live edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.edge_count
     }
 
     /// Creates a fresh vertex with the given label set and returns its id.
     pub fn add_vertex(&mut self, labels: LabelSet) -> VertexId {
         let id = VertexId(self.vertex_labels.len() as u32);
         for l in labels.iter() {
-            if l.index() >= self.vertex_label_counts.len() {
-                self.vertex_label_counts.resize(l.index() + 1, 0);
-            }
-            self.vertex_label_counts[l.index()] += 1;
+            bump(&mut self.vertex_label_counts, l);
         }
         self.vertex_labels.push(labels);
-        self.out.push(Adjacency::default());
-        self.inc.push(Adjacency::default());
+        self.runs.push(Default::default());
         id
     }
 
@@ -122,40 +206,50 @@ impl DynamicGraph {
             self.contains_vertex(src) && self.contains_vertex(dst),
             "insert_edge: endpoint does not exist ({src}, {dst})"
         );
-        let e = EdgeRef::new(src, label, dst);
-        if !self.edges.insert(e) {
+        if !self.runs[src.index()][OUT].insert(&mut self.arena, label, dst) {
             return false;
         }
-        self.out[src.index()].insert(label, dst);
-        self.inc[dst.index()].insert(label, src);
-        if label.index() >= self.edge_label_counts.len() {
-            self.edge_label_counts.resize(label.index() + 1, 0);
-        }
-        self.edge_label_counts[label.index()] += 1;
+        let mirrored = self.runs[dst.index()][IN].insert(&mut self.arena, label, src);
+        debug_assert!(mirrored, "out- and in-runs out of sync");
+        bump(&mut self.edge_label_counts, label);
+        self.edge_count += 1;
         true
     }
 
-    /// Deletes an edge. Returns `false` if the triple was not present.
-    ///
-    /// O(log + |label group|) per direction: the label group is located by
-    /// binary search and only its entries shift (the old flat representation
-    /// scanned the whole O(deg) neighbor list twice).
+    /// Deletes an edge. Returns `false` if the triple was not present,
+    /// which includes endpoints that were never created. Per direction the
+    /// label group is located by search and only its entries shift.
     pub fn delete_edge(&mut self, src: VertexId, label: LabelId, dst: VertexId) -> bool {
-        let e = EdgeRef::new(src, label, dst);
-        if !self.edges.remove(&e) {
+        if !self.contains_vertex(src) || !self.contains_vertex(dst) {
             return false;
         }
-        let removed_out = self.out[src.index()].remove(label, dst);
-        let removed_in = self.inc[dst.index()].remove(label, src);
-        assert!(removed_out && removed_in, "edge set and adjacency out of sync");
+        if !self.runs[src.index()][OUT].remove(&mut self.arena, label, dst) {
+            return false;
+        }
+        let mirrored = self.runs[dst.index()][IN].remove(&mut self.arena, label, src);
+        debug_assert!(mirrored, "out- and in-runs out of sync");
         self.edge_label_counts[label.index()] -= 1;
+        self.edge_count -= 1;
         true
     }
 
-    /// True iff the exact `(src, label, dst)` triple is a live edge.
+    /// The handle of `v`'s run in direction `dir`; the empty run for an id
+    /// that was never created.
+    #[inline]
+    fn run(&self, v: VertexId, dir: usize) -> Adjacency {
+        self.runs.get(v.index()).map_or_else(Adjacency::default, |pair| pair[dir])
+    }
+
+    /// True iff the exact `(src, label, dst)` triple is a live edge: a
+    /// search in the shorter of `src`'s out-run and `dst`'s in-run.
     #[inline]
     pub fn has_edge(&self, src: VertexId, label: LabelId, dst: VertexId) -> bool {
-        self.edges.contains(&EdgeRef::new(src, label, dst))
+        let (out, inc) = (self.run(src, OUT), self.run(dst, IN));
+        if out.len() <= inc.len() {
+            out.labeled(&self.arena, label).contains(dst)
+        } else {
+            inc.labeled(&self.arena, label).contains(src)
+        }
     }
 
     /// True iff some live edge `src → dst` matches the (optional) query edge
@@ -163,13 +257,13 @@ impl DynamicGraph {
     pub fn has_edge_matching(&self, src: VertexId, dst: VertexId, qlabel: Option<LabelId>) -> bool {
         match qlabel {
             Some(l) => self.has_edge(src, l, dst),
-            None => self.out[src.index()].any_to(dst),
+            None => self.run(src, OUT).any_to(&self.arena, dst),
         }
     }
 
-    /// Number of parallel `src → dst` edges matching the query label.
-    /// O(1) for a concrete label (at most one edge per triple); for a
-    /// wildcard, one O(log |group|) probe per distinct out-label of `src`.
+    /// Number of parallel `src → dst` edges matching the query label: one
+    /// probe for a concrete label (at most one edge per triple); for a
+    /// wildcard, one probe per distinct out-label of `src`.
     pub fn count_edges_matching(
         &self,
         src: VertexId,
@@ -178,7 +272,7 @@ impl DynamicGraph {
     ) -> usize {
         match qlabel {
             Some(l) => usize::from(self.has_edge(src, l, dst)),
-            None => self.out[src.index()].count_to(dst),
+            None => self.run(src, OUT).count_to(&self.arena, dst),
         }
     }
 
@@ -186,27 +280,27 @@ impl DynamicGraph {
     /// `(label, neighbor)` order.
     #[inline]
     pub fn out_neighbors(&self, v: VertexId) -> Neighbors<'_> {
-        self.out[v.index()].iter()
+        self.runs[v.index()][OUT].iter(&self.arena)
     }
 
     /// In-neighbors of `v` as `(neighbor, edge label)` pairs, in
     /// `(label, neighbor)` order.
     #[inline]
     pub fn in_neighbors(&self, v: VertexId) -> Neighbors<'_> {
-        self.inc[v.index()].iter()
+        self.runs[v.index()][IN].iter(&self.arena)
     }
 
     /// Out-neighbors of `v` over edges labeled exactly `label`: a sorted,
-    /// duplicate-free group located in O(log).
+    /// duplicate-free group.
     #[inline]
     pub fn out_neighbors_labeled(&self, v: VertexId, label: LabelId) -> LabeledNeighbors<'_> {
-        self.out[v.index()].labeled(label)
+        self.runs[v.index()][OUT].labeled(&self.arena, label)
     }
 
     /// In-neighbors of `v` over edges labeled exactly `label`.
     #[inline]
     pub fn in_neighbors_labeled(&self, v: VertexId, label: LabelId) -> LabeledNeighbors<'_> {
-        self.inc[v.index()].labeled(label)
+        self.runs[v.index()][IN].labeled(&self.arena, label)
     }
 
     /// Out-neighbors of `v` matching an optional query-edge label, through
@@ -220,7 +314,7 @@ impl DynamicGraph {
         qlabel: Option<LabelId>,
         mode: AdjacencyMode,
     ) -> MatchingNeighbors<'_> {
-        self.out[v.index()].matching(qlabel, mode)
+        self.runs[v.index()][OUT].matching(&self.arena, qlabel, mode)
     }
 
     /// In-neighbors of `v` matching an optional query-edge label (see
@@ -232,66 +326,66 @@ impl DynamicGraph {
         qlabel: Option<LabelId>,
         mode: AdjacencyMode,
     ) -> MatchingNeighbors<'_> {
-        self.inc[v.index()].matching(qlabel, mode)
+        self.runs[v.index()][IN].matching(&self.arena, qlabel, mode)
     }
 
-    /// True iff `v` has at least one outgoing edge labeled `label`. O(log).
+    /// True iff `v` has at least one outgoing edge labeled `label`.
     #[inline]
     pub fn has_out_label(&self, v: VertexId, label: LabelId) -> bool {
-        self.out[v.index()].has_label(label)
+        !self.out_neighbors_labeled(v, label).is_empty()
     }
 
-    /// True iff `v` has at least one incoming edge labeled `label`. O(log).
+    /// True iff `v` has at least one incoming edge labeled `label`.
     #[inline]
     pub fn has_in_label(&self, v: VertexId, label: LabelId) -> bool {
-        self.inc[v.index()].has_label(label)
+        !self.in_neighbors_labeled(v, label).is_empty()
     }
 
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: VertexId) -> usize {
-        self.out[v.index()].len()
+        self.runs[v.index()][OUT].len()
     }
 
     /// In-degree of `v`.
     #[inline]
     pub fn in_degree(&self, v: VertexId) -> usize {
-        self.inc[v.index()].len()
+        self.runs[v.index()][IN].len()
     }
 
-    /// Number of outgoing edges of `v` labeled `label`. O(log).
+    /// Number of outgoing edges of `v` labeled `label`.
     #[inline]
     pub fn out_degree_labeled(&self, v: VertexId, label: LabelId) -> usize {
-        self.out[v.index()].labeled(label).len()
+        self.out_neighbors_labeled(v, label).len()
     }
 
-    /// Number of incoming edges of `v` labeled `label`. O(log).
+    /// Number of incoming edges of `v` labeled `label`.
     #[inline]
     pub fn in_degree_labeled(&self, v: VertexId, label: LabelId) -> usize {
-        self.inc[v.index()].labeled(label).len()
+        self.in_neighbors_labeled(v, label).len()
     }
 
     /// Distinct out-edge labels of `v` with their group sizes, label order.
     #[inline]
-    pub fn out_label_runs(&self, v: VertexId) -> LabelRuns<'_> {
-        self.out[v.index()].label_runs()
+    pub fn out_label_runs(&self, v: VertexId) -> impl Iterator<Item = (LabelId, usize)> + '_ {
+        self.runs[v.index()][OUT].label_runs(&self.arena)
     }
 
     /// Distinct in-edge labels of `v` with their group sizes, label order.
     #[inline]
-    pub fn in_label_runs(&self, v: VertexId) -> LabelRuns<'_> {
-        self.inc[v.index()].label_runs()
+    pub fn in_label_runs(&self, v: VertexId) -> impl Iterator<Item = (LabelId, usize)> + '_ {
+        self.runs[v.index()][IN].label_runs(&self.arena)
     }
 
-    /// True iff `v`'s out-adjacency has promoted to the per-label table
-    /// (diagnostics / tests).
-    pub fn out_is_promoted(&self, v: VertexId) -> bool {
-        self.out[v.index()].is_promoted()
+    /// True iff `v`'s out-adjacency is a label directory rather than one
+    /// flat run (diagnostics / tests).
+    pub fn out_is_directory(&self, v: VertexId) -> bool {
+        self.runs[v.index()][OUT].is_directory()
     }
 
-    /// True iff `v`'s in-adjacency has promoted to the per-label table.
-    pub fn in_is_promoted(&self, v: VertexId) -> bool {
-        self.inc[v.index()].is_promoted()
+    /// True iff `v`'s in-adjacency is a label directory.
+    pub fn in_is_directory(&self, v: VertexId) -> bool {
+        self.runs[v.index()][IN].is_directory()
     }
 
     /// Total degree (in + out) of `v`.
@@ -305,9 +399,11 @@ impl DynamicGraph {
         (0..self.vertex_labels.len() as u32).map(VertexId)
     }
 
-    /// Iterates over all live edges (arbitrary order).
+    /// Iterates over all live edges in `(src, label, dst)` order.
     pub fn edges(&self) -> impl Iterator<Item = EdgeRef> + '_ {
-        self.edges.iter().copied()
+        self.vertices().flat_map(move |src| {
+            self.out_neighbors(src).map(move |(dst, label)| EdgeRef { src, label, dst })
+        })
     }
 
     /// Number of live edges carrying `label`.
@@ -329,6 +425,52 @@ impl DynamicGraph {
             UpdateOp::DeleteEdge { src, label, dst } => self.delete_edge(*src, *label, *dst),
         }
     }
+
+    /// Heap bytes the graph holds, exactly: every vector is charged at its
+    /// capacity, so the figure is what the process reserves, and a fixpoint
+    /// under self-inverting churn once every free list has been warmed.
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.vertex_labels.capacity() * size_of::<LabelSet>()
+            + self.vertex_labels.iter().map(LabelSet::heap_bytes).sum::<usize>()
+            + self.runs.capacity() * size_of::<[Adjacency; 2]>()
+            + self.arena.resident_bytes()
+            + (self.edge_label_counts.capacity() + self.vertex_label_counts.capacity())
+                * size_of::<usize>()
+    }
+
+    /// Arena occupancy and how many runs use which layout.
+    pub fn storage_stats(&self) -> StorageStats {
+        let runs = || self.runs.iter().flatten();
+        StorageStats {
+            live_slots: self.arena.live_slots(),
+            free_slots: self.arena.free_slots(),
+            carved_entries: self.arena.carved_entries(),
+            flat_runs: runs().filter(|r| r.len() > 0 && !r.is_directory()).count(),
+            directory_runs: runs().filter(|r| r.is_directory()).count(),
+        }
+    }
+
+    /// Asserts the storage invariants (test support): the runs' slots and
+    /// the free lists tile the arena exactly, every run enumerates sorted at
+    /// its recorded length in the layout its size calls for, and the in-runs
+    /// mirror the out-runs' `edge_count` edges.
+    pub fn validate(&self) {
+        self.arena.validate(self.runs.iter().flatten().flat_map(|r| r.slots(&self.arena)));
+        for (v, run) in self.runs.iter().flatten().enumerate() {
+            let got: Vec<_> = run.iter(&self.arena).map(|(w, l)| (l, w)).collect();
+            assert!(got.windows(2).all(|w| w[0] < w[1]), "a run of v{} is unsorted", v / 2);
+            assert_eq!(got.len(), run.len(), "a run of v{}: length drifted", v / 2);
+            assert!(run.is_directory() || run.len() <= FLAT_MAX, "v{}: oversized flat run", v / 2);
+            assert!(!run.is_directory() || run.len() * 2 > FLAT_MAX, "v{}: unfolded", v / 2);
+        }
+        for e in self.edges() {
+            let mirror = self.run(e.dst, IN).labeled(&self.arena, e.label);
+            assert!(mirror.contains(e.src), "{e:?} has no in-run entry");
+        }
+        let degrees = |dir: usize| self.runs.iter().map(|pair| pair[dir].len()).sum::<usize>();
+        assert_eq!([degrees(OUT), degrees(IN)], [self.edge_count; 2], "edge counter drifted");
+    }
 }
 
 impl std::fmt::Debug for DynamicGraph {
@@ -345,7 +487,6 @@ impl std::fmt::Debug for DynamicGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adjacency::PROMOTE_DEGREE;
 
     fn l(i: u32) -> LabelId {
         LabelId(i)
@@ -400,20 +541,21 @@ mod tests {
     }
 
     #[test]
-    fn delete_parallel_labeled_edge_on_promoted_vertex() {
-        // A hub with enough fan-out to promote, plus several parallel edges
-        // (distinct labels) to the same neighbor. Deleting one must leave the
-        // others intact and touch only its own label group.
-        let mut g = labeled_graph(2 + PROMOTE_DEGREE);
+    fn delete_parallel_labeled_edge_on_directory_vertex() {
+        // A hub with enough fan-out to become a directory, plus several
+        // parallel edges (distinct labels) to the same neighbor. Deleting
+        // one must leave the others intact and touch only its own group.
+        let fan = FLAT_MAX + 8;
+        let mut g = labeled_graph(2 + fan);
         let hub = VertexId(0);
         let peer = VertexId(1);
-        for i in 0..PROMOTE_DEGREE as u32 {
+        for i in 0..fan as u32 {
             g.insert_edge(hub, l(50), VertexId(2 + i));
         }
         for lab in [10, 11, 12] {
             g.insert_edge(hub, l(lab), peer);
         }
-        assert!(g.out_is_promoted(hub));
+        assert!(g.out_is_directory(hub) && !g.in_is_directory(peer));
         assert_eq!(g.count_edges_matching(hub, peer, None), 3);
 
         assert!(g.delete_edge(hub, l(11), peer));
@@ -422,13 +564,29 @@ mod tests {
         assert!(g.has_edge(hub, l(12), peer));
         assert!(!g.has_edge(hub, l(11), peer));
         assert_eq!(g.count_edges_matching(hub, peer, None), 2);
-        assert_eq!(g.out_degree(hub), PROMOTE_DEGREE + 2);
-        assert_eq!(g.out_degree_labeled(hub, l(50)), PROMOTE_DEGREE, "other group untouched");
+        assert_eq!(g.out_degree(hub), fan + 2);
+        assert_eq!(g.out_degree_labeled(hub, l(50)), fan, "other group untouched");
         assert!(g.in_neighbors_labeled(peer, l(11)).is_empty());
         assert_eq!(g.in_neighbors_labeled(peer, l(10)).collect::<Vec<_>>(), vec![hub]);
-        // The emptied group tombstones and is reusable.
         assert!(g.insert_edge(hub, l(11), peer));
         assert_eq!(g.count_edges_matching(hub, peer, None), 3);
+        g.validate();
+    }
+
+    #[test]
+    fn unknown_endpoints_are_absent_edges_not_panics() {
+        let mut g = labeled_graph(2);
+        g.insert_edge(VertexId(0), l(1), VertexId(1));
+        for (s, d) in [(0, 7), (7, 0), (7, 9)] {
+            let (s, d) = (VertexId(s), VertexId(d));
+            assert!(!g.has_edge(s, l(1), d));
+            assert!(!g.has_edge_matching(s, d, None));
+            assert_eq!(g.count_edges_matching(s, d, None), 0);
+            assert_eq!(g.count_edges_matching(s, d, Some(l(1))), 0);
+            assert!(!g.delete_edge(s, l(1), d));
+            assert!(!g.apply(&UpdateOp::DeleteEdge { src: s, label: l(1), dst: d }));
+        }
+        assert_eq!((g.vertex_count(), g.edge_count()), (2, 1));
     }
 
     #[test]
@@ -469,20 +627,14 @@ mod tests {
     }
 
     #[test]
-    fn edges_iterator_sees_all_live_edges() {
+    fn edges_iterate_in_src_label_dst_order() {
         let mut g = labeled_graph(4);
-        g.insert_edge(VertexId(0), l(0), VertexId(1));
-        g.insert_edge(VertexId(1), l(0), VertexId(2));
-        g.insert_edge(VertexId(2), l(0), VertexId(3));
+        for (s, lab, d) in [(2, 0, 3), (0, 1, 1), (1, 0, 2), (0, 0, 3), (0, 0, 1), (2, 0, 0)] {
+            g.insert_edge(VertexId(s), l(lab), VertexId(d));
+        }
         g.delete_edge(VertexId(1), l(0), VertexId(2));
-        let mut es: Vec<_> = g.edges().collect();
-        es.sort();
-        assert_eq!(
-            es,
-            vec![
-                EdgeRef::new(VertexId(0), l(0), VertexId(1)),
-                EdgeRef::new(VertexId(2), l(0), VertexId(3)),
-            ]
-        );
+        let e = |s, lab, d| EdgeRef::new(VertexId(s), l(lab), VertexId(d));
+        let want = vec![e(0, 0, 1), e(0, 0, 3), e(0, 1, 1), e(2, 0, 0), e(2, 0, 3)];
+        assert_eq!(g.edges().collect::<Vec<_>>(), want);
     }
 }

@@ -102,6 +102,12 @@ impl LabelSet {
     pub fn as_slice(&self) -> &[LabelId] {
         &self.labels
     }
+
+    /// Heap bytes reserved behind the set.
+    #[inline]
+    pub fn heap_bytes(&self) -> usize {
+        self.labels.capacity() * std::mem::size_of::<LabelId>()
+    }
 }
 
 impl std::fmt::Debug for LabelSet {

@@ -10,8 +10,9 @@
 //!   paper's `L(u) ⊆ L'(m(u))` semantics,
 //! * [`DynamicGraph`] — an in-memory directed multigraph with per-vertex
 //!   label sets, labeled edges, and label-partitioned adjacency in both
-//!   directions ([`adjacency`]): O(log) insert/delete within a label group
-//!   and O(log + |group|) label-qualified neighbor enumeration,
+//!   directions ([`adjacency`]) carved out of one slot [`arena`]: O(log)
+//!   insert/delete within a label group and O(log + |group|)
+//!   label-qualified neighbor enumeration,
 //! * [`UpdateOp`] / [`UpdateStream`] — the graph update stream,
 //! * [`intersect`] — galloping / SIMD-block intersection kernels over
 //!   sorted `u32`-packed id runs, the primitive behind candidate
@@ -20,6 +21,7 @@
 //!   query vertex and the query spanning tree, sourced from the index.
 
 pub mod adjacency;
+pub mod arena;
 pub mod dynamic_graph;
 pub mod ids;
 pub mod intersect;
@@ -29,11 +31,8 @@ pub mod stats;
 pub mod stream;
 pub mod view;
 
-pub use adjacency::{
-    AdjacencyMode, LabeledNeighbors, MatchingNeighbors, Neighbors, DIVERSE_LABELS, PROMOTE_DEGREE,
-    PROMOTE_DEGREE_SKEWED, PROMOTE_HYSTERESIS,
-};
-pub use dynamic_graph::{DynamicGraph, EdgeRef};
+pub use adjacency::{AdjacencyMode, LabeledNeighbors, MatchingNeighbors, Neighbors, FLAT_MAX};
+pub use dynamic_graph::{DynamicGraph, EdgeRef, StorageStats};
 pub use ids::{LabelId, VertexId};
 pub use intersect::{contains_sorted, intersect_into, GALLOP_RATIO};
 pub use labels::{LabelInterner, LabelSet};

@@ -62,18 +62,21 @@ impl ShardedGraph {
         if shards == 1 {
             return ShardedGraph::from_single(g0.clone());
         }
-        let mut sg = ShardedGraph {
-            slices: (0..shards).map(|_| DynamicGraph::new()).collect(),
-            shards: shards as u32,
-            cross_shard_edges: 0,
-        };
-        for v in g0.vertices() {
-            sg.ensure_vertex(v, g0.labels(v).clone());
-        }
+        // One pass deals every edge to its one or two slices; `g0.edges()`
+        // is sorted, so each slice is then laid out in vertex order at once.
+        let mut edges = vec![Vec::new(); shards];
+        let mut cross_shard_edges = 0;
         for e in g0.edges() {
-            sg.insert_edge(e.src, e.label, e.dst);
+            let (s_src, s_dst) = (shard_of(e.src, shards as u32), shard_of(e.dst, shards as u32));
+            edges[s_src as usize].push(e);
+            if s_src != s_dst {
+                edges[s_dst as usize].push(e);
+                cross_shard_edges += 1;
+            }
         }
-        sg
+        let labels: Vec<LabelSet> = g0.vertices().map(|v| g0.labels(v).clone()).collect();
+        let slices = edges.into_iter().map(|e| DynamicGraph::from_edges(labels.clone(), e));
+        ShardedGraph { slices: slices.collect(), shards: shards as u32, cross_shard_edges }
     }
 
     /// Wraps an owned graph as the one slice of a single-shard partition:
@@ -241,6 +244,33 @@ mod tests {
             assert!(seen.iter().all(|&c| c > 256 / (s as usize) / 4));
         }
         assert_eq!(shard_of(VertexId(17), 1), 0);
+    }
+
+    #[test]
+    fn from_graph_deals_the_edges_incremental_routing_would() {
+        let mut g = DynamicGraph::new();
+        for i in 0..40u32 {
+            g.add_vertex(LabelSet::single(LabelId(i % 3)));
+        }
+        for i in 0..400u32 {
+            g.insert_edge(VertexId(i % 40), LabelId(i % 5), VertexId((i * 7 + i / 40) % 40));
+        }
+        for shards in [2usize, 3, 8] {
+            let bulk = ShardedGraph::from_graph(&g, shards);
+            let mut routed = ShardedGraph::from_graph(&DynamicGraph::new(), shards);
+            for v in g.vertices() {
+                routed.ensure_vertex(v, g.labels(v).clone());
+            }
+            for e in g.edges() {
+                routed.insert_edge(e.src, e.label, e.dst);
+            }
+            assert_eq!(bulk.cross_shard_edges(), routed.cross_shard_edges());
+            for s in 0..shards {
+                bulk.slice(s).validate();
+                assert!(bulk.slice(s).edges().eq(routed.slice(s).edges()), "slice {s}/{shards}");
+                assert_eq!(bulk.slice(s).vertex_count(), g.vertex_count());
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Backtracking enumeration of homomorphisms / isomorphisms.
 
 use rustc_hash::FxHashSet;
-use tfx_graph::{intersect_into, AdjacencyMode, DynamicGraph, LabeledNeighbors, VertexId};
+use tfx_graph::{intersect_into, AdjacencyMode, DynamicGraph, VertexId};
 use tfx_query::{MatchRecord, MatchSemantics, QVertexId, QueryGraph};
 
 use crate::candidates::NeighborhoodFilter;
@@ -44,8 +44,8 @@ struct Search<'a> {
     found: u64,
 }
 
-/// A candidate source list: either a zero-copy borrow of a promoted
-/// adjacency run or a materialized (sorted, duplicate-free) buffer.
+/// A candidate source list: either a zero-copy borrow of a label group or
+/// a materialized (sorted, duplicate-free) buffer.
 enum SrcList<'g> {
     Borrowed(&'g [VertexId]),
     Owned(Vec<VertexId>),
@@ -56,17 +56,6 @@ impl SrcList<'_> {
         match self {
             SrcList::Borrowed(s) => s,
             SrcList::Owned(v) => v,
-        }
-    }
-}
-
-fn push_run<'g>(sources: &mut Vec<SrcList<'g>>, run: LabeledNeighbors<'g>) {
-    match run.as_id_slice() {
-        Some(ids) => sources.push(SrcList::Borrowed(ids)),
-        None => {
-            let mut buf = Vec::with_capacity(run.len());
-            run.extend_into(&mut buf);
-            sources.push(SrcList::Owned(buf));
         }
     }
 }
@@ -173,7 +162,8 @@ impl<'a> Search<'a> {
             let Some(mw) = self.mapping[w.index()] else { continue };
             // edge w -> u: candidates live among out-neighbors of m(w)
             match self.q.edge(e).label {
-                Some(l) => push_run(&mut sources, self.g.out_neighbors_labeled(mw, l)),
+                Some(l) => sources
+                    .push(SrcList::Borrowed(self.g.out_neighbors_labeled(mw, l).as_id_slice())),
                 None => {
                     let mut buf: Vec<VertexId> =
                         self.g.out_neighbors_matching(mw, None, AdjacencyMode::Indexed).collect();
@@ -190,7 +180,8 @@ impl<'a> Search<'a> {
             let Some(mw) = self.mapping[w.index()] else { continue };
             // edge u -> w: candidates live among in-neighbors of m(w)
             match self.q.edge(e).label {
-                Some(l) => push_run(&mut sources, self.g.in_neighbors_labeled(mw, l)),
+                Some(l) => sources
+                    .push(SrcList::Borrowed(self.g.in_neighbors_labeled(mw, l).as_id_slice())),
                 None => {
                     let mut buf: Vec<VertexId> =
                         self.g.in_neighbors_matching(mw, None, AdjacencyMode::Indexed).collect();

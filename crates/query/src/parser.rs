@@ -18,7 +18,7 @@
 //! * `#` starts a comment; blank lines are ignored.
 
 use crate::qgraph::{QVertexId, QueryGraph};
-use tfx_graph::{DynamicGraph, LabelInterner, LabelSet, VertexId};
+use tfx_graph::{DynamicGraph, EdgeRef, LabelInterner, LabelSet, VertexId};
 
 /// A parse failure, with a 1-based line number.
 #[derive(Debug, PartialEq, Eq)]
@@ -125,15 +125,15 @@ pub fn parse_data_graph(
     interner: &mut LabelInterner,
 ) -> Result<DynamicGraph, ParseError> {
     let raw = parse_raw(text, interner)?;
-    let mut g = DynamicGraph::new();
-    for (_, labels) in raw.vertices {
-        g.add_vertex(labels);
-    }
-    for (s, d, l) in raw.edges {
+    let edges = raw.edges.into_iter().map(|(s, d, l)| {
         let label = l.unwrap_or_else(|| interner.intern("_"));
-        g.insert_edge(VertexId(s), label, VertexId(d));
-    }
-    Ok(g)
+        EdgeRef::new(VertexId(s), label, VertexId(d))
+    });
+    let edges = edges.collect();
+    Ok(DynamicGraph::from_edges(
+        raw.vertices.into_iter().map(|(_, labels)| labels).collect(),
+        edges,
+    ))
 }
 
 #[cfg(test)]

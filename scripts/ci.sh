@@ -35,6 +35,14 @@ echo "=== adjacency_scan (quick) ==="
 TFX_BENCH_WARMUP_MS=20 TFX_BENCH_MEASURE_MS=50 \
   cargo bench --offline -p tfx-bench --bench adjacency_scan
 
+echo "=== graph_mutation (quick) ==="
+# DynamicGraph::insert_edge / delete_edge alone under release: the netflow
+# sliding window crosses every arena size class and the flat<->directory
+# boundary, and the hub pairs (out-degree 256 / 8192 / 65536 over 8 labels)
+# are the guard that an update shifts one label group, not the whole degree.
+TFX_BENCH_WARMUP_MS=20 TFX_BENCH_MEASURE_MS=50 \
+  cargo bench --offline -p tfx-bench --bench micro -- graph_mutation
+
 echo "=== dcg_ops (quick) ==="
 # Exercises arena promote/grow/demote and the climb/enumerate slices on
 # both run shapes under the release profile.

@@ -4,19 +4,20 @@
 //!
 //! * **Structural**: a deterministic Pcg32 stream of interleaved edge
 //!   inserts and deletes — on few vertices with many labels, so degrees
-//!   repeatedly cross the `PROMOTE_DEGREE` small↔promoted boundary — is
-//!   applied to both a [`DynamicGraph`] and a trivially-correct flat
-//!   reference model. Every accessor (full / labeled / mode-filtered
-//!   neighbor iteration, degrees, label membership, edge predicates) must
-//!   agree with the reference at every step, and the two
-//!   [`AdjacencyMode`]s must agree with each other.
+//!   repeatedly cross the `FLAT_MAX` flat↔directory boundary in both
+//!   directions and every arena size class below it — is applied to both a
+//!   [`DynamicGraph`] and a trivially-correct flat reference model. Every
+//!   accessor (full / labeled / mode-filtered neighbor iteration, degrees,
+//!   label membership, edge predicates) must agree with the reference at
+//!   every step, the two [`AdjacencyMode`]s must agree with each other, the
+//!   arena must stay exactly tiled, and a `clone()` must read the same.
 //! * **Behavioral**: the engine ablation flag
 //!   (`TurboFluxConfig::label_indexed_adjacency`) only switches the access
 //!   path over the same storage, so engines with the flag on and off must
 //!   emit byte-identical delta sequences on random query/stream scenarios.
 
 use turboflux::datagen::Pcg32;
-use turboflux::graph::{AdjacencyMode, PROMOTE_DEGREE};
+use turboflux::graph::{AdjacencyMode, FLAT_MAX};
 use turboflux::prelude::*;
 
 /// Flat reference adjacency: per-vertex `(label, neighbor)` lists kept in
@@ -107,41 +108,45 @@ fn partitioned_adjacency_matches_flat_reference() {
     }
     let mut r = Reference::with_vertices(nv);
     let mut live: Vec<(VertexId, LabelId, VertexId)> = Vec::new();
-    let mut crossed_up = 0usize;
-    let mut deleted_from_promoted = 0usize;
+    let (mut unfolded, mut folded, mut drained) = (0usize, 0usize, 0usize);
+    let mut deleted_from_directory = 0usize;
 
     for step in 0..4000 {
-        // Phased bias so degrees sweep up through the promotion boundary,
-        // back down, and up again (promotion is sticky; deletions after
-        // promotion exercise tombstoned groups).
+        // Phased bias so degrees sweep up through the directory boundary,
+        // back down below the fold point (some runs to empty), and up again.
         let insert_bias = match step / 1000 {
             0 | 2 => 8,
-            _ => 3,
+            _ => 2,
         };
         if live.is_empty() || rng.below(10) < insert_bias {
             let src = VertexId(rng.below(nv) as u32);
             let dst = VertexId(rng.below(nv) as u32);
             let l = labels[rng.below(labels.len())];
-            let before = g.out_degree(src);
+            let was_directory = g.out_is_directory(src);
             if g.insert_edge(src, l, dst) {
                 r.insert(src, l, dst);
                 live.push((src, l, dst));
-                if before == PROMOTE_DEGREE {
-                    crossed_up += 1;
-                }
+                unfolded += usize::from(!was_directory && g.out_is_directory(src));
+                assert_eq!(g.out_is_directory(src), was_directory || g.out_degree(src) > FLAT_MAX);
             }
         } else {
             let (src, l, dst) = live.swap_remove(rng.below(live.len()));
-            if g.out_is_promoted(src) {
-                deleted_from_promoted += 1;
-            }
+            let was_directory = g.out_is_directory(src);
+            deleted_from_directory += usize::from(was_directory);
             assert!(g.delete_edge(src, l, dst));
             r.remove(src, l, dst);
+            folded += usize::from(was_directory && !g.out_is_directory(src));
+            drained += usize::from(g.out_degree(src) == 0);
         }
         if step % 50 == 0 || step + 1 == 4000 {
+            g.validate();
+            let copy = g.clone();
+            copy.validate();
             for v in 0..nv {
                 check_vertex(&g, &r, VertexId(v as u32), &labels);
+                check_vertex(&copy, &r, VertexId(v as u32), &labels);
             }
+            assert!(copy.edges().eq(g.edges()));
             for &(src, l, dst) in &live {
                 assert!(g.has_edge(src, l, dst));
                 assert!(g.has_edge_matching(src, dst, Some(l)));
@@ -151,10 +156,11 @@ fn partitioned_adjacency_matches_flat_reference() {
             }
         }
     }
-    assert!(crossed_up >= 5, "only {crossed_up} promotions exercised");
+    assert!(unfolded >= 8 && folded >= 4, "only {unfolded} unfolds and {folded} folds exercised");
+    assert!(drained >= 1, "no run was drained to empty");
     assert!(
-        deleted_from_promoted >= 100,
-        "only {deleted_from_promoted} deletions hit promoted vertices"
+        deleted_from_directory >= 100,
+        "only {deleted_from_directory} deletions hit directory vertices"
     );
 }
 
