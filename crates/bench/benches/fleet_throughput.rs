@@ -1,6 +1,6 @@
 //! Fleet benchmarks: multi-query registration × streaming batches.
 //!
-//! Three families:
+//! Two families:
 //!
 //! * `fleet_throughput/q{N}` — N random queries × batch size, parallel
 //!   `apply_batch` vs the single-threaded `apply_batch_sequential`
@@ -10,19 +10,20 @@
 //!   On a single-core host the parallel path cannot win (the per-op
 //!   barrier rounds just add overhead); `scripts/bench_snapshot.sh`
 //!   records the host's core count next to the numbers.
-//! * `fleet_shared/overlap_q{N}` — N copies of one deep path query over a
-//!   two-level star graph with wide mid-level adjacency: every insert
-//!   forces each engine to collect grandchild candidates, so the shared
-//!   candidate-prefix index (`shared`) replaces N O(degree) adjacency
-//!   scans per op with one index lookup each. `naive` is the
-//!   `fleet_shared_index = false` ablation. Sweeps q ∈ {1, 4, 16, 64}.
 //! * `fleet_routing/disjoint` — N queries with pairwise-disjoint edge
 //!   labels while the stream only touches one label: the routing table
 //!   dispatches each op to a single engine, so throughput should stay
 //!   near-flat in N instead of degrading linearly.
+//!
+//! Before timing, `fleet_throughput` asserts that an 8-query, 1-thread
+//! fleet is no slower than 1.5× eight standalone engines replaying the
+//! same stream one after another: a fleet shares the graph and skips
+//! uninterested engines, so anything it layers on top must not cost more
+//! than running the queries apart.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 use tfx_core::{Fleet, TurboFlux, TurboFluxConfig};
 use tfx_datagen::{lsbench, queries, LsBenchConfig, Pcg32};
 use tfx_graph::{DynamicGraph, LabelId, LabelSet, UpdateOp, VertexId};
@@ -37,7 +38,7 @@ const STREAM_OPS: usize = 1024;
 /// out deterministically by replaying the stream on a standalone engine.
 const MAX_DELTAS_PER_QUERY: u64 = 50_000;
 
-fn setup() -> (tfx_graph::DynamicGraph, Vec<QueryGraph>, Vec<UpdateOp>) {
+fn setup() -> (DynamicGraph, Vec<QueryGraph>, Vec<UpdateOp>) {
     let d = lsbench::generate(&LsBenchConfig { users: 150, seed: 7, stream_frac: 0.15 });
     let ops: Vec<UpdateOp> = d.stream.ops().iter().take(STREAM_OPS).cloned().collect();
     let mut rng = Pcg32::new(21);
@@ -59,8 +60,48 @@ fn setup() -> (tfx_graph::DynamicGraph, Vec<QueryGraph>, Vec<UpdateOp>) {
     (d.g0, queries, ops)
 }
 
+/// Regression guard in the style of `shard_scaling`'s `shards1` check: the
+/// multi-query runtime must track its parts. Min-of-7 damps scheduler
+/// noise; replay only is timed, registration is not. The fleet replays in
+/// the stream driver's default 256-op batches (measured 1.27–1.30× of the
+/// engines run apart — the batch buffer clones each delta's record; with
+/// PR 9's always-bound subtree instances it was 2.25× — see DESIGN.md).
+fn assert_fleet_tracks_standalone(g0: &DynamicGraph, queries: &[QueryGraph], ops: &[UpdateOp]) {
+    let min_of = |f: &dyn Fn() -> (Duration, u64)| (0..7).map(|_| f()).min().expect("seven runs");
+    let (apart, want) = min_of(&|| {
+        let mut engines: Vec<TurboFlux> = queries
+            .iter()
+            .map(|q| TurboFlux::new(q.clone(), g0.clone(), TurboFluxConfig::default()))
+            .collect();
+        let mut n = 0u64;
+        let t = Instant::now();
+        for engine in &mut engines {
+            for op in ops {
+                engine.apply(op, &mut |_, _| n += 1);
+            }
+        }
+        (t.elapsed(), black_box(n))
+    });
+    let (together, got) = min_of(&|| {
+        let mut fleet = Fleet::with_threads(g0.clone(), 1);
+        for q in queries {
+            fleet.register(q.clone(), TurboFluxConfig::default());
+        }
+        let t = Instant::now();
+        let n: u64 = ops.chunks(256).map(|batch| replay(&mut fleet, batch)).sum();
+        (t.elapsed(), black_box(n))
+    });
+    assert_eq!(got, want, "fleet and standalone engines disagree on delta count");
+    assert!(
+        together <= apart.mul_f64(1.5),
+        "{}-query fleet regressed: {together:?} vs {apart:?} for the engines run apart",
+        queries.len()
+    );
+}
+
 fn fleet_throughput(c: &mut Criterion) {
     let (g0, queries, ops) = setup();
+    assert_fleet_tracks_standalone(&g0, &queries[..8], &ops);
     for &nq in &[1usize, 4, 16] {
         let mut group = c.benchmark_group(format!("fleet_throughput/q{nq}"));
         group.sample_size(10);
@@ -97,260 +138,13 @@ fn fleet_throughput(c: &mut Criterion) {
     }
 }
 
-/// Vertex labels of the star workload: root / mid / target / junk.
-const L_ROOT: LabelId = LabelId(0);
-const L_MID: LabelId = LabelId(1);
-const L_TARGET: LabelId = LabelId(2);
-const L_JUNK: LabelId = LabelId(3);
-/// The single edge label every star edge carries, so label filtering alone
-/// cannot prune the mid-level adjacency scan.
-const L_EDGE: LabelId = LabelId(10);
-
-const STAR_MIDS: usize = 8;
-const STAR_TARGETS: usize = 4;
-const STAR_JUNK: usize = 4096;
-const STAR_OPS: usize = 256;
-
-/// Two-level star: one root-labeled vertex, `STAR_MIDS` mids each with
-/// `STAR_TARGETS + STAR_JUNK` out-edges (only the target-labeled few are
-/// query-relevant), and a churn stream that deletes/re-inserts root→mid
-/// edges. The path query root→mid→target makes every insert rebuild a
-/// mid's DCG subtree, which collects target candidates from the wide
-/// adjacency — the cost the shared index amortizes across engines.
-fn star_setup() -> (DynamicGraph, QueryGraph, Vec<UpdateOp>) {
-    let mut g = DynamicGraph::new();
-    let root = g.add_vertex(LabelSet::single(L_ROOT));
-    let mids: Vec<VertexId> =
-        (0..STAR_MIDS).map(|_| g.add_vertex(LabelSet::single(L_MID))).collect();
-    let targets: Vec<VertexId> =
-        (0..STAR_TARGETS).map(|_| g.add_vertex(LabelSet::single(L_TARGET))).collect();
-    let junk: Vec<VertexId> =
-        (0..STAR_JUNK).map(|_| g.add_vertex(LabelSet::single(L_JUNK))).collect();
-    for &m in &mids {
-        for &t in &targets {
-            g.insert_edge(m, L_EDGE, t);
-        }
-        for &j in &junk {
-            g.insert_edge(m, L_EDGE, j);
-        }
-    }
-    // A few root→mid edges up front keep the root-side query edge the rarest
-    // (so the start-vertex heuristic roots the tree at the star's root).
-    let churn = &mids[..STAR_MIDS / 2];
-    for &m in churn {
-        g.insert_edge(root, L_EDGE, m);
-    }
-
-    let mut q = QueryGraph::new();
-    let a = q.add_vertex(LabelSet::single(L_ROOT));
-    let b = q.add_vertex(LabelSet::single(L_MID));
-    let c = q.add_vertex(LabelSet::single(L_TARGET));
-    q.add_edge(a, b, Some(L_EDGE));
-    q.add_edge(b, c, Some(L_EDGE));
-
-    // Delete/insert pairs restore graph and DCG state every full replay, so
-    // a fleet can be registered once and measured in steady state.
-    let mut ops = Vec::with_capacity(STAR_OPS);
-    for i in 0..STAR_OPS / 2 {
-        let m = churn[i % churn.len()];
-        ops.push(UpdateOp::DeleteEdge { src: root, label: L_EDGE, dst: m });
-        ops.push(UpdateOp::InsertEdge { src: root, label: L_EDGE, dst: m });
-    }
-    (g, q, ops)
-}
-
-fn star_fleet(
-    g0: &DynamicGraph,
-    q: &QueryGraph,
-    nq: usize,
-    shared: bool,
-) -> (Fleet, TurboFluxConfig) {
-    // Subtree sharing pinned off: this group isolates the phase-1 per-edge
-    // candidate index, and with the default phase-2 path on, the star
-    // query's whole mid-branch would be served by a shared instance and
-    // never consult the index. `fleet_shared/prefix_q*` measures phase 2.
-    let cfg = TurboFluxConfig {
-        fleet_shared_index: shared,
-        fleet_shared_subtrees: false,
-        ..TurboFluxConfig::default()
-    };
-    let mut fleet = Fleet::with_threads(g0.clone(), 1);
-    for _ in 0..nq {
-        fleet.register(q.clone(), cfg);
-    }
-    (fleet, cfg)
-}
-
 fn replay(fleet: &mut Fleet, ops: &[UpdateOp]) -> u64 {
     let mut n = 0u64;
     fleet.apply_batch_sequential(ops, &mut |_| n += 1);
     n
 }
 
-/// Shared candidate-prefix index vs per-engine candidate scans, on the
-/// overlapping-labels star workload.
-fn fleet_shared_overlap(c: &mut Criterion) {
-    let (g0, q, ops) = star_setup();
-
-    // Sanity: the workload must actually exercise the shared path (hits)
-    // and both modes must emit the same delta sequence length.
-    {
-        let (mut on, _) = star_fleet(&g0, &q, 2, true);
-        let (mut off, _) = star_fleet(&g0, &q, 2, false);
-        let n_on = replay(&mut on, &ops);
-        let n_off = replay(&mut off, &ops);
-        assert_eq!(n_on, n_off, "shared/naive fleets disagree on delta count");
-        assert!(n_on > 0, "star workload produced no deltas");
-        let stats = on.stats();
-        assert!(stats.shared_hits > 0, "star workload never hit the shared index");
-        assert_eq!(off.stats().shared_hits, 0, "ablation consulted the index");
-    }
-
-    for &nq in &[1usize, 4, 16, 64] {
-        let mut group = c.benchmark_group(format!("fleet_shared/overlap_q{nq}"));
-        group.sample_size(10);
-        group.throughput(Throughput::Elements(ops.len() as u64));
-        for (id, shared) in [("shared", true), ("naive", false)] {
-            let (mut fleet, _) = star_fleet(&g0, &q, nq, shared);
-            group.bench_function(id, |b| b.iter(|| black_box(replay(&mut fleet, &ops))));
-        }
-        group.finish();
-    }
-}
-
-/// Extra labels of the prefix-sharing workload: the deep level below the
-/// targets and the per-query private suffix vertices.
-const L_DEEP: LabelId = LabelId(4);
-const L_SUF: LabelId = LabelId(5);
-
-const PREFIX_MIDS: usize = 8;
-const PREFIX_TARGETS: usize = 2048;
-const PREFIX_DEEPS: usize = 2;
-const PREFIX_QMAX: usize = 64;
-const PREFIX_OPS: usize = 256;
-
-/// Prefix-sharing workload: every query is the 3-edge chain
-/// root→mid→target→deep (the shared DCG subtree) plus one private suffix
-/// edge root→suffix with a query-unique edge label. The target level is
-/// candidate-wide (2048 targets per mid), so each root→mid (re)insert
-/// rebuilds a 2048-entry DCG region per engine — per-edge candidate
-/// sharing (phase 1) amortizes the *scans* but still pays the per-engine
-/// DCG writes; subtree sharing (phase 2) maintains the region once.
-fn prefix_setup() -> (DynamicGraph, Vec<QueryGraph>, Vec<UpdateOp>) {
-    let mut g = DynamicGraph::new();
-    let root = g.add_vertex(LabelSet::single(L_ROOT));
-    let mids: Vec<VertexId> =
-        (0..PREFIX_MIDS).map(|_| g.add_vertex(LabelSet::single(L_MID))).collect();
-    let targets: Vec<VertexId> =
-        (0..PREFIX_TARGETS).map(|_| g.add_vertex(LabelSet::single(L_TARGET))).collect();
-    let deeps: Vec<VertexId> =
-        (0..PREFIX_DEEPS).map(|_| g.add_vertex(LabelSet::single(L_DEEP))).collect();
-    for &m in &mids {
-        for &t in &targets {
-            g.insert_edge(m, L_EDGE, t);
-        }
-    }
-    // Only the first two targets reach the deep level, so the candidate
-    // region is wide (2048 DCG entries per mid) while complete matches — a
-    // per-engine cost no sharing scheme can amortize — stay few.
-    for &t in &targets[..2] {
-        for &d in &deeps {
-            g.insert_edge(t, L_EDGE, d);
-        }
-    }
-    // One private suffix vertex per query, each reachable over a
-    // query-unique edge label.
-    for i in 0..PREFIX_QMAX {
-        let s = g.add_vertex(LabelSet::single(L_SUF));
-        g.insert_edge(root, LabelId(100 + i as u32), s);
-    }
-    let churn = &mids[..PREFIX_MIDS / 2];
-    for &m in churn {
-        g.insert_edge(root, L_EDGE, m);
-    }
-
-    let queries = (0..PREFIX_QMAX)
-        .map(|i| {
-            let mut q = QueryGraph::new();
-            let a = q.add_vertex(LabelSet::single(L_ROOT));
-            let b = q.add_vertex(LabelSet::single(L_MID));
-            let c = q.add_vertex(LabelSet::single(L_TARGET));
-            let d = q.add_vertex(LabelSet::single(L_DEEP));
-            let e = q.add_vertex(LabelSet::single(L_SUF));
-            q.add_edge(a, b, Some(L_EDGE));
-            q.add_edge(b, c, Some(L_EDGE));
-            q.add_edge(c, d, Some(L_EDGE));
-            q.add_edge(a, e, Some(LabelId(100 + i as u32)));
-            q
-        })
-        .collect();
-
-    let mut ops = Vec::with_capacity(PREFIX_OPS);
-    for i in 0..PREFIX_OPS / 2 {
-        let m = churn[i % churn.len()];
-        ops.push(UpdateOp::DeleteEdge { src: root, label: L_EDGE, dst: m });
-        ops.push(UpdateOp::InsertEdge { src: root, label: L_EDGE, dst: m });
-    }
-    (g, queries, ops)
-}
-
-fn prefix_fleet(
-    g0: &DynamicGraph,
-    queries: &[QueryGraph],
-    nq: usize,
-    subtrees: bool,
-    index: bool,
-) -> Fleet {
-    let cfg = TurboFluxConfig {
-        fleet_shared_subtrees: subtrees,
-        fleet_shared_index: index,
-        ..TurboFluxConfig::default()
-    };
-    let mut fleet = Fleet::with_threads(g0.clone(), 1);
-    for q in &queries[..nq] {
-        fleet.register(q.clone(), cfg);
-    }
-    fleet
-}
-
-/// Shared DCG subtree prefixes (phase 2) vs the per-edge candidate index
-/// (phase 1) vs no sharing, on the common-prefix workload.
-fn fleet_shared_prefix(c: &mut Criterion) {
-    let (g0, queries, ops) = prefix_setup();
-
-    // Sanity: the three modes must emit identical delta counts, the
-    // phase-2 fleet must actually serve regions from shared instances, and
-    // each ablation must leave its layer untouched.
-    {
-        let mut shared = prefix_fleet(&g0, &queries, 2, true, true);
-        let mut phase1 = prefix_fleet(&g0, &queries, 2, false, true);
-        let mut naive = prefix_fleet(&g0, &queries, 2, false, false);
-        let n_shared = replay(&mut shared, &ops);
-        assert!(n_shared > 0, "prefix workload produced no deltas");
-        assert_eq!(n_shared, replay(&mut phase1, &ops), "phase1 fleet delta count diverged");
-        assert_eq!(n_shared, replay(&mut naive, &ops), "naive fleet delta count diverged");
-        let st = shared.stats();
-        assert!(st.subtrees_shared >= 1, "prefix queries did not fold into a shared subtree");
-        assert!(st.subtree_hits > 0, "shared subtree never served a DCG region");
-        assert!(st.suffix_evals > 0, "no suffix evaluations ran");
-        assert_eq!(phase1.stats().subtree_hits, 0, "subtree ablation still skipped regions");
-        assert!(phase1.stats().shared_hits > 0, "phase-1 fleet never hit the candidate index");
-        assert_eq!(naive.stats().shared_hits, 0, "naive fleet consulted the candidate index");
-    }
-
-    for &nq in &[4usize, 16, 64] {
-        let mut group = c.benchmark_group(format!("fleet_shared/prefix_q{nq}"));
-        group.sample_size(10);
-        group.throughput(Throughput::Elements(ops.len() as u64));
-        for (id, subtrees, index) in
-            [("shared", true, true), ("phase1", false, true), ("naive", false, false)]
-        {
-            let mut fleet = prefix_fleet(&g0, &queries, nq, subtrees, index);
-            group.bench_function(id, |b| b.iter(|| black_box(replay(&mut fleet, &ops))));
-        }
-        group.finish();
-    }
-}
+const ROUTING_OPS: usize = 256;
 
 /// Label-disjoint fleets: engine i matches only edge label `100 + i`, the
 /// stream only carries label 100. With op routing, every op reaches exactly
@@ -361,8 +155,8 @@ fn fleet_routing_disjoint(c: &mut Criterion) {
     for i in 0..nv {
         g0.add_vertex(LabelSet::single(LabelId(i as u32 % 2)));
     }
-    let mut ops = Vec::with_capacity(STAR_OPS);
-    for i in 0..STAR_OPS / 2 {
+    let mut ops = Vec::with_capacity(ROUTING_OPS);
+    for i in 0..ROUTING_OPS / 2 {
         let src = VertexId((2 * i % nv) as u32);
         let dst = VertexId(((2 * i + 1) % nv) as u32);
         ops.push(UpdateOp::InsertEdge { src, label: LabelId(100), dst });
@@ -399,11 +193,5 @@ fn fleet_routing_disjoint(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    fleet_throughput,
-    fleet_shared_overlap,
-    fleet_shared_prefix,
-    fleet_routing_disjoint
-);
+criterion_group!(benches, fleet_throughput, fleet_routing_disjoint);
 criterion_main!(benches);

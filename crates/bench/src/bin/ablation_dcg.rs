@@ -41,15 +41,11 @@ fn main() {
     eprintln!("{} selective tree queries of size {}", queries.len(), Params::DEFAULT_TREE_SIZE);
     let bare = bare_update_time(&d.g0, &d.stream);
 
-    let variants: [(&str, TurboFluxConfig); 3] = [
+    let variants: [(&str, TurboFluxConfig); 2] = [
         ("adjust-order (default)", TurboFluxConfig::default()),
         (
             "static order",
             TurboFluxConfig { adjust_matching_order: false, ..TurboFluxConfig::default() },
-        ),
-        (
-            "lax drift (8x)",
-            TurboFluxConfig { order_drift_factor: 8.0, ..TurboFluxConfig::default() },
         ),
     ];
 

@@ -271,12 +271,6 @@ impl Dcg {
         std::mem::take(&mut self.dirty_expl)
     }
 
-    /// Every data vertex holding a stored artificial start edge, with its
-    /// stored state, in arbitrary order.
-    pub fn root_entries(&self) -> impl Iterator<Item = (VertexId, EdgeState)> + '_ {
-        self.root.iter().map(|(v, &st)| (VertexId(v), st))
-    }
-
     /// Number of explicit outgoing edges of `pv` labeled `u`.
     pub fn out_expl_count(&self, pv: VertexId, u: QVertexId) -> usize {
         debug_assert_ne!(u, self.root_qv);

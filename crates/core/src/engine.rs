@@ -36,9 +36,7 @@ use crate::order::OrderMaintenance;
 use crate::parallel::ScratchPool;
 use crate::round::{self, Round};
 use crate::scratch::SearchScratch;
-use crate::shared_index::SigKey;
-use crate::shared_subtree::{BoundBranch, FleetCtx};
-use crate::tree_nav::{collect_child_candidates, collect_shared_child_candidates};
+use crate::tree_nav::collect_child_candidates;
 
 /// How many search steps between wall-clock deadline checks (power of two:
 /// the shared step counter is masked, not reset, so concurrent search
@@ -68,44 +66,6 @@ pub struct TurboFlux {
     pub(crate) qedge_by_label: FxHashMap<LabelId, Vec<EdgeId>>,
     /// Query edges with no label constraint (match any data label).
     pub(crate) qedge_wildcard: Vec<EdgeId>,
-    /// Per query vertex: the fleet-shared candidate signature bound to its
-    /// tree edge, if the owning [`crate::fleet::Fleet`] shares it (root and
-    /// wildcard-labeled edges are never shareable). Empty-slotted (`None`)
-    /// for standalone engines and flag-off fleet engines.
-    pub(crate) shared_sigs: Vec<Option<u32>>,
-    /// Candidate collections served from the shared index.
-    pub(crate) shared_hits: u64,
-    /// Candidate collections that fell back to a private scan while a
-    /// shared index was available (unshareable tree edge).
-    pub(crate) shared_misses: u64,
-    /// Per query vertex: the fleet-shared subtree instance and instance
-    /// vertex this engine reads the vertex's DCG state from, when the
-    /// vertex lies in a branch bound by [`TurboFlux::bind_branch`].
-    /// All-`None` for standalone engines and flag-off fleet engines.
-    pub(crate) branch_nodes: Vec<Option<(u32, QVertexId)>>,
-    /// The bound branches (complete root-child subtrees served by shared
-    /// instances).
-    pub(crate) branches: Vec<BoundBranch>,
-    /// Bit `c` set iff root child `c` is the root of a bound branch.
-    pub(crate) shared_root_mask: u64,
-    /// Derived explicit start-edge count for engines with bound branches
-    /// (their own root map stores presence only; explicitness is derived
-    /// from child state at read time). Refreshed by the order-maintenance
-    /// path whenever a root child's explicit count was dirtied.
-    pub(crate) root_expl_cache: u64,
-    /// Effective per-vertex explicit counts (own counts with bound-branch
-    /// vertices and the root patched in), reused by drift detection.
-    pub(crate) counts_buf: Vec<u64>,
-    /// DCG build/clear regions skipped because a shared instance already
-    /// maintains them.
-    pub(crate) subtree_hits: u64,
-    /// Evaluations this engine ran against its private suffix while bound
-    /// branches were served by shared instances.
-    pub(crate) suffix_evals: u64,
-    /// Maintenance-only engines (shared subtree instances) keep the DCG
-    /// but never enumerate matches: `search_from_root` returns without
-    /// searching, so climbs apply their transitions at zero search cost.
-    pub(crate) maintenance_only: bool,
     /// Drift detection for `AdjustMatchingOrder`.
     pub(crate) order_maint: OrderMaintenance,
     /// Reusable buffers for the per-update hot path (embedding, candidate
@@ -184,43 +144,10 @@ impl TurboFlux {
         cfg: TurboFluxConfig,
         partition: Option<(u32, u32)>,
     ) -> Self {
-        let mut engine = Self::analyze(q, g0, cfg, partition, None);
-        engine.finish_registration(g0, FleetCtx::NONE);
-        engine
-    }
-
-    /// [`TurboFlux::register`] for a shared subtree instance
-    /// ([`crate::shared_subtree`]): the start vertex is forced to `root`
-    /// (the synthetic prefix root, so the execution tree reproduces the
-    /// sharing engines' branch exactly) and enumeration is disabled — the
-    /// instance exists purely to maintain DCG state.
-    pub(crate) fn register_rooted(
-        q: QueryGraph,
-        g0: &DynamicGraph,
-        cfg: TurboFluxConfig,
-        root: QVertexId,
-    ) -> Self {
-        let mut engine = Self::analyze(q, g0, cfg, None, Some(root));
-        engine.maintenance_only = true;
-        engine.finish_registration(g0, FleetCtx::NONE);
-        engine
-    }
-
-    /// Query analysis and engine construction without the initial DCG
-    /// build: everything a [`crate::fleet::Fleet`] needs to decide branch
-    /// sharing (the execution tree) before any DCG state exists. Callers
-    /// must follow up with [`TurboFlux::finish_registration`].
-    pub(crate) fn analyze(
-        q: QueryGraph,
-        g0: &DynamicGraph,
-        cfg: TurboFluxConfig,
-        partition: Option<(u32, u32)>,
-        forced_root: Option<QVertexId>,
-    ) -> Self {
         assert!(q.edge_count() > 0, "query must have at least one edge");
         assert!(q.is_connected(), "query must be connected");
         let stats = GraphStats::new(g0);
-        let us = forced_root.unwrap_or_else(|| choose_start_vertex(&q, &stats));
+        let us = choose_start_vertex(&q, &stats);
         let tree = QueryTree::build(&q, us, &stats);
         let nq = q.vertex_count();
 
@@ -249,24 +176,13 @@ impl TurboFlux {
         }
 
         let track_bound = cfg.semantics == MatchSemantics::Isomorphism;
-        TurboFlux {
+        let mut engine = TurboFlux {
             dcg: Dcg::new(nq, us),
             mo: Vec::new(),
             child_mask,
             non_tree_incident,
             qedge_by_label,
             qedge_wildcard,
-            shared_sigs: vec![None; nq],
-            shared_hits: 0,
-            shared_misses: 0,
-            branch_nodes: vec![None; nq],
-            branches: Vec::new(),
-            shared_root_mask: 0,
-            root_expl_cache: 0,
-            counts_buf: Vec::new(),
-            subtree_hits: 0,
-            suffix_evals: 0,
-            maintenance_only: false,
             order_maint: OrderMaintenance::default(),
             scratch: SearchScratch::for_query(nq, track_bound),
             pool: ScratchPool::default(),
@@ -280,44 +196,18 @@ impl TurboFlux {
             q,
             tree,
             cfg,
-        }
-    }
-
-    /// Binds the complete root-child branch rooted at `branch_root` to
-    /// shared instance `inst`; `mapping` is the engine-vertex →
-    /// instance-vertex binding from
-    /// [`crate::shared_subtree::canonical_branch`]. Must run after
-    /// [`TurboFlux::analyze`] and before [`TurboFlux::finish_registration`]
-    /// (the initial build skips bound regions).
-    pub(crate) fn bind_branch(
-        &mut self,
-        branch_root: QVertexId,
-        inst: u32,
-        mapping: &[(QVertexId, QVertexId)],
-    ) {
-        for &(u, iu) in mapping {
-            debug_assert!(self.branch_nodes[u.index()].is_none(), "vertex bound twice");
-            self.branch_nodes[u.index()] = Some((inst, iu));
-        }
-        let inst_root_u = mapping[0].1;
-        self.branches.push(BoundBranch { inst, inst_root_u });
-        self.shared_root_mask |= 1 << branch_root.0;
-    }
-
-    /// Builds the initial DCG (a hypothetical start-edge insertion for
-    /// every matching data vertex — Algorithm 2, lines 4–5, restricted to
-    /// unbound regions when branches are shared) and derives the matching
-    /// order. Completes a [`TurboFlux::analyze`] into a usable engine.
-    pub(crate) fn finish_registration(&mut self, g0: &DynamicGraph, fleet: FleetCtx<'_>) {
-        let us = self.tree.root();
-        let mut scratch = std::mem::take(&mut self.scratch);
+        };
+        // Initial DCG: a hypothetical start-edge insertion for every
+        // matching data vertex (Algorithm 2, lines 4–5).
+        let mut scratch = std::mem::take(&mut engine.scratch);
         for v in g0.vertices() {
-            if self.owns_root(v) && self.q.labels(us).is_subset_of(g0.labels(v)) {
-                self.build_dcg(g0, fleet, None, us, v, &mut scratch);
+            if engine.owns_root(v) && engine.q.labels(us).is_subset_of(g0.labels(v)) {
+                engine.build_dcg(g0, None, us, v, &mut scratch);
             }
         }
-        self.scratch = scratch;
-        self.recompute_matching_order(fleet);
+        engine.scratch = scratch;
+        engine.recompute_matching_order();
+        engine
     }
 
     /// The data graph as maintained by the engine. Empty for engines
@@ -407,132 +297,6 @@ impl TurboFlux {
         self.dcg.expl_out_bits(v) & mask == mask
     }
 
-    /// Whether any branch of this engine's execution tree is served by a
-    /// fleet-shared subtree instance.
-    #[inline]
-    pub(crate) fn has_shared_branches(&self) -> bool {
-        !self.branches.is_empty()
-    }
-
-    /// The shared instance serving query vertex `u`, if any.
-    #[inline]
-    fn branch_of(&self, u: QVertexId) -> Option<(u32, QVertexId)> {
-        self.branch_nodes[u.index()]
-    }
-
-    /// [`TurboFlux::match_all_children`] over the effective DCG: bound
-    /// branch vertices read the instance's bitmap; the root combines its
-    /// private children's own bits with each bound branch's instance bit.
-    pub(crate) fn st_match_all_children(
-        &self,
-        fleet: FleetCtx<'_>,
-        v: VertexId,
-        u: QVertexId,
-    ) -> bool {
-        if let Some((inst, iu)) = self.branch_of(u) {
-            return fleet.subtrees().eng(inst).match_all_children(v, iu);
-        }
-        if u == self.tree.root() && self.has_shared_branches() {
-            let own_mask = self.child_mask[u.index()] & !self.shared_root_mask;
-            if self.dcg.expl_out_bits(v) & own_mask != own_mask {
-                return false;
-            }
-            let sub = fleet.subtrees();
-            return self
-                .branches
-                .iter()
-                .all(|b| sub.eng(b.inst).dcg.expl_out_bits(v) & (1 << b.inst_root_u.0) != 0);
-        }
-        self.match_all_children(v, u)
-    }
-
-    /// State of the artificial start edge over the effective DCG. Engines
-    /// with bound branches store root presence only and derive
-    /// explicitness (`MatchAllChildren` over the combined bitmap) at read
-    /// time — their own map cannot see instance-side transitions.
-    pub(crate) fn st_root_state(&self, fleet: FleetCtx<'_>, v: VertexId) -> Option<EdgeState> {
-        let st = self.dcg.root_state(v)?;
-        if !self.has_shared_branches() {
-            return Some(st);
-        }
-        Some(if self.st_match_all_children(fleet, v, self.tree.root()) {
-            EdgeState::Explicit
-        } else {
-            EdgeState::Implicit
-        })
-    }
-
-    /// [`Dcg::state`] over the effective DCG.
-    #[inline]
-    pub(crate) fn st_state(
-        &self,
-        fleet: FleetCtx<'_>,
-        pv: VertexId,
-        u: QVertexId,
-        cv: VertexId,
-    ) -> Option<EdgeState> {
-        match self.branch_of(u) {
-            Some((inst, iu)) => fleet.subtrees().eng(inst).dcg.state(pv, iu, cv),
-            None => self.dcg.state(pv, u, cv),
-        }
-    }
-
-    /// [`Dcg::in_count_total`] over the effective DCG.
-    #[inline]
-    pub(crate) fn st_in_count_total(
-        &self,
-        fleet: FleetCtx<'_>,
-        v: VertexId,
-        u: QVertexId,
-    ) -> usize {
-        match self.branch_of(u) {
-            Some((inst, iu)) => fleet.subtrees().eng(inst).dcg.in_count_total(v, iu),
-            None => self.dcg.in_count_total(v, u),
-        }
-    }
-
-    /// [`Dcg::out_expl_count`] over the effective DCG.
-    #[inline]
-    pub(crate) fn st_out_expl_count(
-        &self,
-        fleet: FleetCtx<'_>,
-        pv: VertexId,
-        u: QVertexId,
-    ) -> usize {
-        match self.branch_of(u) {
-            Some((inst, iu)) => fleet.subtrees().eng(inst).dcg.out_expl_count(pv, iu),
-            None => self.dcg.out_expl_count(pv, u),
-        }
-    }
-
-    /// [`Dcg::out_edge_slice`] over the effective DCG.
-    #[inline]
-    pub(crate) fn st_out_edge_slice<'a>(
-        &'a self,
-        fleet: FleetCtx<'a>,
-        pv: VertexId,
-        u: QVertexId,
-    ) -> &'a [(VertexId, EdgeState)] {
-        match self.branch_of(u) {
-            Some((inst, iu)) => fleet.subtrees().eng(inst).dcg.out_edge_slice(pv, iu),
-            None => self.dcg.out_edge_slice(pv, u),
-        }
-    }
-
-    /// [`Dcg::in_edge_slice`] over the effective DCG.
-    #[inline]
-    pub(crate) fn st_in_edge_slice<'a>(
-        &'a self,
-        fleet: FleetCtx<'a>,
-        v: VertexId,
-        u: QVertexId,
-    ) -> &'a [(VertexId, EdgeState)] {
-        match self.branch_of(u) {
-            Some((inst, iu)) => fleet.subtrees().eng(inst).dcg.in_edge_slice(v, iu),
-            None => self.dcg.in_edge_slice(v, u),
-        }
-    }
-
     /// Whether this engine registers root candidates for data vertex `v`
     /// (always, unless partitioned — then only for owned vertices).
     #[inline]
@@ -543,33 +307,11 @@ impl TurboFlux {
         }
     }
 
-    /// The shared-candidate signature of `u`'s tree edge, if that edge is
-    /// shareable across queries: the edge label (`None` routes to the
-    /// wildcard bucket) plus `u`'s label set and the edge's orientation pin
-    /// down the exact candidate filter (the parent-side label check stays
-    /// per-query at read time). Only root vertices (no tree edge) are not
-    /// shareable.
-    pub(crate) fn shared_sig_key(&self, u: QVertexId) -> Option<SigKey> {
-        let e = self.tree.parent_edge(u)?;
-        Some(SigKey {
-            label: self.q.edge(e).label,
-            child_labels: self.q.labels(u).clone(),
-            out: self.tree.child_is_target(u),
-        })
-    }
-
     /// `BuildDCG` (Algorithm 3): depth-first construction of the DCG below
     /// the edge `(parent, u, cv)`, applying Transitions 1 and 2.
-    ///
-    /// With a fleet candidate index set, child candidates of tree edges
-    /// bound to a shared signature are read from the fleet index instead
-    /// of scanned privately — identical candidates in identical order.
-    /// Children whose subtree is bound to a shared instance are never
-    /// built privately at all: their state lives in the instance.
     pub(crate) fn build_dcg<G: GraphView>(
         &mut self,
         g: &G,
-        fleet: FleetCtx<'_>,
         parent: Option<VertexId>,
         u: QVertexId,
         cv: VertexId,
@@ -584,54 +326,27 @@ impl TurboFlux {
             let mode = self.cfg.adjacency_mode();
             for ci in 0..self.tree.children(u).len() {
                 let uc = self.tree.children(u)[ci];
-                if self.branch_nodes[uc.index()].is_some() {
-                    self.subtree_hits += 1;
-                    continue;
-                }
-                let start = match (fleet.idx, self.shared_sigs[uc.index()]) {
-                    (Some(idx), Some(sig)) => {
-                        self.shared_hits += 1;
-                        collect_shared_child_candidates(
-                            g,
-                            &self.q,
-                            &self.tree,
-                            idx,
-                            sig,
-                            uc,
-                            cv,
-                            &mut scratch.kids,
-                        )
-                    }
-                    _ => {
-                        if fleet.idx.is_some() {
-                            self.shared_misses += 1;
-                        }
-                        collect_child_candidates(
-                            g,
-                            &self.q,
-                            &self.tree,
-                            uc,
-                            cv,
-                            mode,
-                            &mut scratch.kids,
-                        )
-                    }
-                };
+                let start = collect_child_candidates(
+                    g,
+                    &self.q,
+                    &self.tree,
+                    uc,
+                    cv,
+                    mode,
+                    &mut scratch.kids,
+                );
                 let end = scratch.kids.len();
                 let mut i = start;
                 while i < end {
                     let w = scratch.kids[i];
                     i += 1;
-                    self.build_dcg(g, fleet, Some(cv), uc, w, scratch);
+                    self.build_dcg(g, Some(cv), uc, w, scratch);
                 }
                 scratch.kids.truncate(start);
             }
         }
-        // Case 1/2 of Transition 2. Engines with bound branches keep their
-        // root map presence-only (explicitness is derived at read time via
-        // `st_root_state`), so the root upgrade is skipped for them.
-        if (u != self.tree.root() || !self.has_shared_branches()) && self.match_all_children(cv, u)
-        {
+        // Case 1/2 of Transition 2.
+        if self.match_all_children(cv, u) {
             self.dcg.transit(parent, u, cv, Some(EdgeState::Explicit));
         }
     }
@@ -681,26 +396,14 @@ impl TurboFlux {
     /// the candidates are partitioned across worker threads ([`crate::parallel`]);
     /// emission order is the candidate (= vertex id) order either way.
     pub fn initial_matches_in<G: GraphView>(&mut self, g: &G, sink: &mut dyn FnMut(&MatchRecord)) {
-        self.initial_matches_ctx(g, FleetCtx::NONE, sink);
-    }
-
-    /// [`TurboFlux::initial_matches_in`] with fleet-shared state (a
-    /// [`crate::fleet::Fleet`] passes its candidate index and subtree
-    /// store; everyone else goes through the plain wrapper).
-    pub(crate) fn initial_matches_ctx<G: GraphView>(
-        &mut self,
-        g: &G,
-        fleet: FleetCtx<'_>,
-        sink: &mut dyn FnMut(&MatchRecord),
-    ) {
         let us = self.tree.root();
-        let ctx = crate::search::SearchCtx::initial(fleet);
+        let ctx = crate::search::SearchCtx::initial();
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.kids.clear();
         scratch.kids.extend(
             (0..g.vertex_count() as u32)
                 .map(VertexId)
-                .filter(|&vs| self.st_root_state(fleet, vs) == Some(EdgeState::Explicit)),
+                .filter(|&vs| self.dcg.root_state(vs) == Some(EdgeState::Explicit)),
         );
         let workers = self.intra_workers();
         if workers > 1 && scratch.kids.len() >= self.cfg.parallel_min_frontier {

@@ -5,42 +5,29 @@
 //! independent [`TurboFlux`] engines (one DCG per query) and evaluates
 //! update batches with [`Fleet::apply_batch`].
 //!
-//! # Multi-query optimization
+//! # Op routing
 //!
-//! Engines are independent, but their *work* overlaps, and the fleet
-//! exploits that in two layers:
-//!
-//! * **Op routing.** The per-engine `qedge_by_label` buckets are lifted
-//!   into one fleet-wide `label → interested engines` table (rebuilt on
-//!   [`Fleet::register`] / [`Fleet::deregister`]; engines with wildcard
-//!   query edges are interested in every label). Each edge op is
-//!   dispatched only to engines with a query edge that can match its label
-//!   — an op whose label no query mentions costs O(1), not O(N engines).
-//!   Skipping is exact: a non-interested engine would find zero matching
-//!   query edges, change nothing, and emit nothing, so routing cannot
-//!   change output. Vertex additions still visit every engine
-//!   ([`crate::round::route`]).
-//! * **Shared candidate index.** Distinct queries whose execution trees
-//!   contain equal-signature edges (same edge label, child label set, and
-//!   orientation) re-filter identical adjacency runs. The fleet maintains
-//!   one [`SharedCandidateIndex`] — updated once per op, exactly in step
-//!   with the graph — and engines read candidate runs from it during DCG
-//!   builds instead of re-scanning (see [`crate::shared_index`]). The
-//!   [`crate::TurboFluxConfig::fleet_shared_index`] flag is the per-engine
-//!   ablation switch.
-//!
-//! [`Fleet::stats`] reports routing and sharing counters.
+//! Engines are independent — one plain [`TurboFlux`] per query, the same
+//! cell a [`crate::shard::ShardedEngine`] runs — and share only the graph
+//! and the dispatch: the per-engine `qedge_by_label` buckets are lifted
+//! into one fleet-wide `label → interested engines` table (rebuilt on
+//! [`Fleet::register`] / [`Fleet::deregister`]; engines with wildcard
+//! query edges are interested in every label). Each edge op is dispatched
+//! only to engines with a query edge that can match its label — an op
+//! whose label no query mentions costs O(1), not O(N engines). Skipping is
+//! exact: a non-interested engine would find zero matching query edges,
+//! change nothing, and emit nothing, so routing cannot change output.
+//! Vertex additions still visit every engine ([`crate::round::route`]).
+//! [`Fleet::stats`] reports the routing counters.
 //!
 //! # Execution
 //!
 //! A batch runs on the round driver ([`crate::round`]) with one cell per
-//! engine: the fleet contributes only its [`Rounds`] hooks — keeping the
-//! shared index and the shared subtree instances in step with the graph
-//! around `stage` / `finalize`, the routing table as the target list, and
-//! the post-finalize matching-order check of shared-branch engines. The
-//! loop, the worker pool and the `(engine, op_index, emission)` output
-//! order — independent of thread count, routing and candidate sourcing —
-//! are the driver's.
+//! engine: the fleet contributes only its [`Rounds`] hooks — the shared
+//! graph around `stage` / `finalize` and the routing table as the target
+//! list. The loop, the worker pool and the `(engine, op_index, emission)`
+//! output order — independent of thread count and routing — are the
+//! driver's.
 
 use rustc_hash::FxHashMap;
 use tfx_graph::{DynamicGraph, LabelId, UpdateOp};
@@ -49,8 +36,6 @@ use tfx_query::{MatchRecord, Positiveness, QueryGraph};
 use crate::config::TurboFluxConfig;
 use crate::engine::TurboFlux;
 use crate::round::{self, Cells, Emit, Key, Round, Rounds, Target};
-use crate::shared_index::SharedCandidateIndex;
-use crate::shared_subtree::{canonical_branch, FleetCtx, SharedSubtrees};
 
 /// A match delta reported by [`Fleet::apply_batch`].
 #[derive(Clone, Copy, Debug)]
@@ -65,8 +50,7 @@ pub struct FleetDelta<'a> {
     pub record: &'a MatchRecord,
 }
 
-/// Multi-query-optimization counters, cumulative over a [`Fleet`]'s
-/// lifetime (deregistered engines' contributions are retained).
+/// Routing counters, cumulative over a [`Fleet`]'s lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FleetStats {
     /// Engine-evaluations of edge ops that were dispatched (the engine had
@@ -74,37 +58,23 @@ pub struct FleetStats {
     pub ops_routed: u64,
     /// Engine-evaluations of edge ops that were skipped by routing.
     pub ops_skipped: u64,
-    /// DCG candidate collections served from the shared index.
+    /// Always 0: the five cross-query sharing counters are kept only so the
+    /// frozen `e2e` benchmark compiles, and leave with its five `fleet.*`
+    /// per-layer rows in the next `benchmark` PR.
     pub shared_hits: u64,
-    /// DCG candidate collections that fell back to a private adjacency
-    /// scan while the shared index was in use (unshareable tree edge).
+    /// Always 0, see [`FleetStats::shared_hits`].
     pub shared_misses: u64,
-    /// Live shared subtree instances currently serving ≥ 2 engines (a
-    /// gauge, not a cumulative counter).
+    /// Always 0, see [`FleetStats::shared_hits`].
     pub subtrees_shared: u64,
-    /// DCG build/clear regions engines skipped because a shared subtree
-    /// instance already maintains them.
+    /// Always 0, see [`FleetStats::shared_hits`].
     pub subtree_hits: u64,
-    /// Edge evaluations engines ran against their private suffix while
-    /// bound branches were served by shared instances.
+    /// Always 0, see [`FleetStats::shared_hits`].
     pub suffix_evals: u64,
-}
-
-impl FleetStats {
-    /// Adds `engine`'s own sharing counters.
-    fn absorb(&mut self, engine: &TurboFlux) {
-        self.shared_hits += engine.shared_hits;
-        self.shared_misses += engine.shared_misses;
-        self.subtree_hits += engine.subtree_hits;
-        self.suffix_evals += engine.suffix_evals;
-    }
 }
 
 /// Everything the engines share, and the fleet's round hooks over it.
 struct Shared {
     graph: DynamicGraph,
-    index: SharedCandidateIndex,
-    subtrees: SharedSubtrees,
     /// Edge label → engine positions with a query edge that label can
     /// match, wildcard engines included (ascending). Rebuilt on
     /// register/deregister.
@@ -123,11 +93,6 @@ impl Rounds for Shared {
         1
     }
 
-    /// Keeps the shared index and the subtree instances exactly in step
-    /// with the graph. Insertion maintenance of the instances runs here —
-    /// before any engine evaluates — so suffix climbs read post-op shared
-    /// state (a superset of the naive mid-op state; the order filter
-    /// discards the difference).
     fn stage(
         &mut self,
         op: &UpdateOp,
@@ -135,13 +100,6 @@ impl Rounds for Shared {
         targets: &mut Vec<Target>,
     ) -> Round {
         let (round, _) = round::stage(&mut self.graph, op);
-        if let Some(from) = round.new_vertices() {
-            self.subtrees.register_new_vertices(&self.graph, from);
-        }
-        if let Round::Insert { src, label, dst, .. } = round {
-            self.index.insert_edge(&self.graph, src, label, dst);
-            self.subtrees.maintain_insert(&self.graph, src, label, dst);
-        }
         let interested = round
             .edge()
             .map_or(&[][..], |(_, label, _)| self.routing.get(&label).unwrap_or(&self.wildcard));
@@ -161,47 +119,20 @@ impl Rounds for Shared {
         if !target.eval {
             return;
         }
-        let fleet = FleetCtx {
-            idx: engine.cfg.fleet_shared_index.then_some(&self.index),
-            sub: Some(&self.subtrees),
-        };
         let mut sink = |p, r: &MatchRecord| emit(Key::default(), p, r);
         match *round {
             Round::Insert { src, label, dst, .. } => {
-                engine.eval_inserted_edge_in(g, fleet, src, label, dst, &mut sink)
+                engine.eval_inserted_edge(g, src, label, dst, &mut sink)
             }
             Round::Delete { src, label, dst } => {
-                engine.eval_deleting_edge_in(g, fleet, src, label, dst, &mut sink)
+                engine.eval_deleting_edge(g, src, label, dst, &mut sink)
             }
             Round::Skip | Round::Register { .. } => {}
         }
     }
 
-    /// Deletion maintenance of the subtree instances runs here — after
-    /// every engine evaluated — so suffix climbs read frozen pre-op shared
-    /// state (a superset of the naive mid-op state, discarded the same
-    /// way). Then the matching-order check of shared-branch engines: their
-    /// in-eval adjust is suppressed (effective counts fold in instance
-    /// state, which for deletions settles only now), so it runs here, once
-    /// per routed engine per edge op.
-    fn finalize(
-        &mut self,
-        round: &Round,
-        targets: &[Target],
-        engines: &mut Cells<'_, '_, TurboFlux>,
-    ) {
-        if let Round::Delete { src, label, dst } = *round {
-            self.subtrees.maintain_delete(&self.graph, src, label, dst);
-            self.index.delete_edge(src, label, dst);
-        }
+    fn finalize(&mut self, round: &Round) {
         round::finalize(&mut self.graph, round);
-        // Only edge rounds have evaluating targets.
-        for t in targets.iter().filter(|t| t.eval) {
-            let engine = engines.get(t.cell);
-            if engine.has_shared_branches() {
-                engine.maybe_adjust_order_in(FleetCtx { idx: None, sub: Some(&self.subtrees) });
-            }
-        }
     }
 }
 
@@ -214,9 +145,6 @@ pub struct Fleet {
     /// is id order and [`FleetDelta`]s stay sorted by `(engine, op_index)`.
     ids: Vec<usize>,
     next_id: usize,
-    /// Sharing counters drained from deregistered engines (live engines
-    /// keep their own; [`Fleet::stats`] sums both).
-    drained: FleetStats,
     threads: usize,
 }
 
@@ -233,8 +161,6 @@ impl Fleet {
         Fleet {
             shared: Shared {
                 graph: g0,
-                index: SharedCandidateIndex::new(),
-                subtrees: SharedSubtrees::new(),
                 routing: FxHashMap::default(),
                 wildcard: Vec::new(),
                 ops_routed: 0,
@@ -243,61 +169,21 @@ impl Fleet {
             engines: Vec::new(),
             ids: Vec::new(),
             next_id: 0,
-            drained: FleetStats::default(),
             threads: threads.max(1),
         }
     }
 
-    /// Registers a query against the current graph state, building its DCG,
-    /// entering it into the op-routing table, and binding its shareable
-    /// tree edges to the shared candidate index (unless
-    /// [`TurboFluxConfig::fleet_shared_index`] is off). Returns the
-    /// engine's stable id, used in [`FleetDelta::engine`] and
-    /// [`Fleet::deregister`]; ids are never reused.
+    /// Registers a query against the current graph state, building its DCG
+    /// and entering it into the op-routing table. Returns the engine's
+    /// stable id, used in [`FleetDelta::engine`] and [`Fleet::deregister`];
+    /// ids are never reused.
     ///
     /// Fleet engines are capped to the fleet's thread budget for
     /// intra-update parallelism; [`Fleet::apply_batch`] tightens the cap
     /// further while several engines evaluate concurrently.
     pub fn register(&mut self, q: QueryGraph, cfg: TurboFluxConfig) -> usize {
-        let Shared { graph, index, subtrees, .. } = &mut self.shared;
-        let graph = &*graph;
-        let mut engine = TurboFlux::analyze(q, graph, cfg, None, None);
+        let mut engine = TurboFlux::register(q, &self.shared.graph, cfg);
         engine.set_worker_budget(self.threads);
-        if cfg.fleet_shared_subtrees {
-            // Bind every complete root-child subtree with at least one
-            // grandchild to a (refcounted, possibly pre-existing) shared
-            // instance; the initial build below then skips those regions.
-            let root = engine.query_tree().root();
-            let branch_roots: Vec<_> = engine
-                .query_tree()
-                .children(root)
-                .iter()
-                .copied()
-                .filter(|&c| !engine.query_tree().children(c).is_empty())
-                .collect();
-            for c in branch_roots {
-                let (key, mapping) = canonical_branch(engine.query(), engine.query_tree(), c);
-                let inst = subtrees.acquire(graph, key);
-                engine.bind_branch(c, inst, &mapping);
-            }
-        }
-        if cfg.fleet_shared_index {
-            let nq = engine.query().vertex_count();
-            for ui in 0..nq as u32 {
-                let u = tfx_query::QVertexId(ui);
-                // Vertices inside bound branches are never built privately,
-                // so a per-edge signature would be dead weight.
-                if engine.branch_nodes[u.index()].is_some() {
-                    continue;
-                }
-                if let Some(key) = engine.shared_sig_key(u) {
-                    engine.shared_sigs[u.index()] = Some(index.acquire(graph, key));
-                }
-            }
-        }
-        let fleet =
-            FleetCtx { idx: cfg.fleet_shared_index.then_some(&*index), sub: Some(&*subtrees) };
-        engine.finish_registration(graph, fleet);
         self.engines.push(engine);
         let id = self.next_id;
         self.next_id += 1;
@@ -306,23 +192,15 @@ impl Fleet {
         id
     }
 
-    /// Removes the engine registered as `id`, releasing its shared-index
-    /// signatures and rebuilding the routing table. Its counters fold into
-    /// [`Fleet::stats`]. Returns `false` if `id` is unknown (already
-    /// deregistered or never issued).
+    /// Removes the engine registered as `id` and rebuilds the routing
+    /// table. Returns `false` if `id` is unknown (already deregistered or
+    /// never issued).
     pub fn deregister(&mut self, id: usize) -> bool {
         let Ok(pos) = self.ids.binary_search(&id) else {
             return false;
         };
         self.ids.remove(pos);
-        let engine = self.engines.remove(pos);
-        for sig in engine.shared_sigs.iter().flatten() {
-            self.shared.index.release(*sig);
-        }
-        for b in &engine.branches {
-            self.shared.subtrees.release(b.inst);
-        }
-        self.drained.absorb(&engine);
+        self.engines.remove(pos);
         self.rebuild_routing();
         true
     }
@@ -357,11 +235,6 @@ impl Fleet {
         &self.shared.graph
     }
 
-    /// The fleet-shared candidate index.
-    pub fn shared_index(&self) -> &SharedCandidateIndex {
-        &self.shared.index
-    }
-
     /// Engine position for a stable registration id.
     fn pos_of(&self, id: usize) -> usize {
         self.ids.binary_search(&id).expect("unknown or deregistered engine id")
@@ -387,29 +260,19 @@ impl Fleet {
         self.threads
     }
 
-    /// The fleet-shared subtree store.
-    pub fn shared_subtrees(&self) -> &SharedSubtrees {
-        &self.shared.subtrees
-    }
-
-    /// Cumulative routing and sharing counters (`subtrees_shared` is a
-    /// live gauge: instances currently serving ≥ 2 engines).
+    /// Cumulative routing counters.
     pub fn stats(&self) -> FleetStats {
-        let mut stats = FleetStats {
+        FleetStats {
             ops_routed: self.shared.ops_routed,
             ops_skipped: self.shared.ops_skipped,
-            subtrees_shared: self.shared.subtrees.shared_instance_count() as u64,
-            ..self.drained
-        };
-        self.engines.iter().for_each(|engine| stats.absorb(engine));
-        stats
+            ..FleetStats::default()
+        }
     }
 
     /// Reports all matches of engine `id` against the current graph state.
     pub fn report_initial(&mut self, id: usize, sink: &mut dyn FnMut(&MatchRecord)) {
         let pos = self.pos_of(id);
-        let fleet = FleetCtx { idx: None, sub: Some(&self.shared.subtrees) };
-        self.engines[pos].initial_matches_ctx(&self.shared.graph, fleet, sink);
+        self.engines[pos].initial_matches_in(&self.shared.graph, sink);
     }
 
     /// Applies a batch of updates to the shared graph, evaluating every
@@ -627,7 +490,6 @@ mod tests {
         let id1 = fleet.register(queries[0].clone(), TurboFluxConfig::default());
         let id2 = fleet.register(queries[1].clone(), TurboFluxConfig::default());
         assert_eq!((id1, id2), (0, 1));
-        assert!(fleet.shared_index().signature_count() > 0);
 
         assert!(fleet.deregister(id1));
         assert!(!fleet.deregister(id1), "double deregister is rejected");
@@ -648,10 +510,8 @@ mod tests {
         fleet.report_initial(id3, &mut |_| n += 1);
         assert_eq!(n, 2, "fresh engine sees the post-batch graph (2-7->1, 3-7->1)");
 
-        // Deregistering everything releases every shared signature.
         assert!(fleet.deregister(id2));
         assert!(fleet.deregister(id3));
-        assert_eq!(fleet.shared_index().signature_count(), 0);
         assert_eq!(fleet.engine_count(), 0);
 
         // An empty fleet still advances the graph.
@@ -659,70 +519,5 @@ mod tests {
             &[UpdateOp::DeleteEdge { src: VertexId(2), label: l(7), dst: VertexId(1) }],
             &mut |_| panic!("no engines"),
         );
-    }
-
-    #[test]
-    fn shared_index_counters_are_nonvacuous_and_ablatable() {
-        // Shared-index hits need depth: a path A-7->B-8->C rooted at A
-        // collects C-candidates whenever a 7-edge builds a B below the
-        // root. g0 makes the 7-edge the most selective (so the tree roots
-        // at u0) and pre-seeds 8-edges for the candidate runs.
-        let v = VertexId;
-        let mut g0 = DynamicGraph::new();
-        g0.add_vertex(LabelSet::single(l(0))); // v0: A
-        g0.add_vertex(LabelSet::single(l(1))); // v1: B
-        g0.add_vertex(LabelSet::single(l(2))); // v2: C
-        g0.add_vertex(LabelSet::single(l(1))); // v3: B
-        g0.add_vertex(LabelSet::single(l(2))); // v4: C
-        g0.insert_edge(v(1), l(8), v(2));
-        g0.insert_edge(v(3), l(8), v(4));
-        g0.insert_edge(v(3), l(8), v(2));
-        g0.insert_edge(v(0), l(7), v(1));
-
-        let mut q = QueryGraph::new();
-        let a = q.add_vertex(LabelSet::single(l(0)));
-        let b = q.add_vertex(LabelSet::single(l(1)));
-        let c = q.add_vertex(LabelSet::single(l(2)));
-        q.add_edge(a, b, Some(l(7)));
-        q.add_edge(b, c, Some(l(8)));
-
-        // Subtree sharing off for both fleets: the B->C branch would
-        // otherwise be served by a shared instance and never touch the
-        // per-edge index this test exercises.
-        let mut on = Fleet::with_threads(g0.clone(), 1);
-        let mut off = Fleet::with_threads(g0, 1);
-        for _ in 0..2 {
-            on.register(
-                q.clone(),
-                TurboFluxConfig { fleet_shared_subtrees: false, ..TurboFluxConfig::default() },
-            );
-            off.register(
-                q.clone(),
-                TurboFluxConfig {
-                    fleet_shared_index: false,
-                    fleet_shared_subtrees: false,
-                    ..TurboFluxConfig::default()
-                },
-            );
-        }
-        assert!(on.shared_index().signature_count() > 0);
-        assert_eq!(
-            on.shared_index().signature_count(),
-            2,
-            "identical queries share their (7,B)/(8,C) signatures"
-        );
-        assert_eq!(off.shared_index().signature_count(), 0);
-        let batch = vec![
-            UpdateOp::InsertEdge { src: v(0), label: l(7), dst: v(3) },
-            UpdateOp::DeleteEdge { src: v(0), label: l(7), dst: v(3) },
-            UpdateOp::InsertEdge { src: v(0), label: l(7), dst: v(3) },
-        ];
-        let got_on = collect_batch(&mut on, &batch, false);
-        let got_off = collect_batch(&mut off, &batch, false);
-        assert_eq!(got_on, got_off, "ablation must not change output");
-        assert!(!got_on.is_empty());
-        assert!(on.stats().shared_hits > 0, "shared runs actually served");
-        assert_eq!(off.stats().shared_hits, 0);
-        assert_eq!(off.stats().shared_misses, 0, "flag-off engines never consult the index");
     }
 }

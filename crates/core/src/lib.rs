@@ -45,8 +45,6 @@ mod round;
 mod scratch;
 mod search;
 pub mod shard;
-pub mod shared_index;
-pub mod shared_subtree;
 pub mod spec;
 pub mod tree_nav;
 
@@ -57,8 +55,6 @@ pub use fleet::{Fleet, FleetDelta, FleetStats};
 pub use order::OrderMaintenance;
 pub use search::INTERSECT_MIN_FRONTIER;
 pub use shard::{ShardStats, ShardedEngine};
-pub use shared_index::{SharedCandidateIndex, SigKey};
-pub use shared_subtree::{SharedSubtrees, SubtreeKey};
 pub use spec::{reference_dcg, DcgImage};
 
 #[cfg(test)]

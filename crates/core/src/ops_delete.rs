@@ -7,14 +7,13 @@
 //! climbed edge only after its recursion returns, and `ClearDCG` runs after
 //! the negatives of its triggering edge were reported.
 
-use tfx_graph::{DynamicGraph, GraphView, LabelId, VertexId};
+use tfx_graph::{GraphView, LabelId, VertexId};
 use tfx_query::{EdgeId, MatchRecord, Positiveness, QVertexId};
 
 use crate::dcg::EdgeState;
 use crate::engine::TurboFlux;
 use crate::scratch::SearchScratch;
 use crate::search::SearchCtx;
-use crate::shared_subtree::FleetCtx;
 
 impl TurboFlux {
     /// Evaluates one edge deletion. The edge must still be present in `g`;
@@ -25,66 +24,29 @@ impl TurboFlux {
     /// Tree-edge invocations run in ascending edge order; combined with the
     /// "minimal triggering edge wins" rule every vanished solution is
     /// reported exactly once, before the DCG region it needs is cleared.
-    pub fn eval_deleting_edge(
-        &mut self,
-        g: &DynamicGraph,
-        src: VertexId,
-        label: LabelId,
-        dst: VertexId,
-        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
-    ) {
-        self.eval_deleting_edge_in(g, FleetCtx::NONE, src, label, dst, sink);
-    }
-
-    /// [`TurboFlux::eval_deleting_edge`] with a fleet context routing
-    /// shared-region reads through subtree instances; a
-    /// [`crate::fleet::Fleet`] passes its stores here, everyone else goes
-    /// through the plain wrapper.
-    pub(crate) fn eval_deleting_edge_in<G: GraphView>(
+    pub fn eval_deleting_edge<G: GraphView>(
         &mut self,
         g: &G,
-        fleet: FleetCtx<'_>,
         src: VertexId,
         label: LabelId,
         dst: VertexId,
         sink: &mut dyn FnMut(Positiveness, &MatchRecord),
     ) {
-        if self.has_shared_branches() {
-            self.suffix_evals += 1;
-        }
         let mut scratch = std::mem::take(&mut self.scratch);
-        self.delete_eval_with(g, fleet, src, label, dst, &mut scratch, sink);
-        self.scratch = scratch;
-        // See `eval_inserted_edge_in`: the fleet driver adjusts the order
-        // for shared-branch engines at op finalize.
-        if !self.has_shared_branches() {
-            self.maybe_adjust_order();
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn delete_eval_with<G: GraphView>(
-        &mut self,
-        g: &G,
-        fleet: FleetCtx<'_>,
-        src: VertexId,
-        label: LabelId,
-        dst: VertexId,
-        scratch: &mut SearchScratch,
-        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
-    ) {
-        self.matching_query_edges(g, src, label, dst, scratch);
+        self.matching_query_edges(g, src, label, dst, &mut scratch);
         scratch.assert_unbound();
 
         for i in 0..scratch.tree_edges.len() {
             let e = scratch.tree_edges[i];
-            self.delete_tree_invocation(g, fleet, e, src, label, dst, scratch, sink);
+            self.delete_tree_invocation(g, e, src, label, dst, &mut scratch, sink);
         }
 
         for i in 0..scratch.non_tree.len() {
             let e = scratch.non_tree[i];
-            self.delete_non_tree_invocation(g, fleet, e, src, label, dst, scratch, sink);
+            self.delete_non_tree_invocation(g, e, src, label, dst, &mut scratch, sink);
         }
+        self.scratch = scratch;
+        self.maybe_adjust_order();
     }
 
     /// One tree-edge invocation of `DeleteEdgeAndEval` (factored out for
@@ -95,7 +57,6 @@ impl TurboFlux {
     pub(crate) fn delete_tree_invocation<G: GraphView>(
         &mut self,
         g: &G,
-        fleet: FleetCtx<'_>,
         e: EdgeId,
         src: VertexId,
         label: LabelId,
@@ -112,26 +73,19 @@ impl TurboFlux {
         let up = self.tree.parent(uc).expect("tree edge child has a parent");
         // Case 2 of Transition 0 — or an earlier tree-edge invocation
         // of this same update already cascade-cleared the edge.
-        if self.st_in_count_total(fleet, pv, up) == 0 || self.st_state(fleet, pv, uc, cv).is_none()
-        {
+        if self.dcg.in_count_total(pv, up) == 0 || self.dcg.state(pv, uc, cv).is_none() {
             return;
         }
-        if self.st_state(fleet, pv, uc, cv) == Some(EdgeState::Explicit)
-            && self.st_match_all_children(fleet, pv, up)
+        if self.dcg.state(pv, uc, cv) == Some(EdgeState::Explicit)
+            && self.match_all_children(pv, up)
         {
-            let ctx = SearchCtx::update(fleet, e, src, label, dst, Positiveness::Negative);
+            let ctx = SearchCtx::update(e, src, label, dst, Positiveness::Negative);
             scratch.bind(uc, cv);
             self.clear_upwards(g, up, pv, Some(uc), &ctx, true, scratch, sink);
             scratch.unbind(uc);
         }
-        if self.branch_nodes[uc.index()].is_some() {
-            // The shared instance clears its own region when the driver
-            // runs `maintain_delete` after all routed engines evaluated.
-            self.subtree_hits += 1;
-        } else {
-            // Transitions 3/5 downward.
-            self.clear_dcg(Some(pv), uc, cv, scratch);
-        }
+        // Transitions 3/5 downward.
+        self.clear_dcg(Some(pv), uc, cv, scratch);
     }
 
     /// One non-tree invocation of `DeleteEdgeAndEval`.
@@ -139,7 +93,6 @@ impl TurboFlux {
     pub(crate) fn delete_non_tree_invocation<G: GraphView>(
         &mut self,
         g: &G,
-        fleet: FleetCtx<'_>,
         e: EdgeId,
         src: VertexId,
         label: LabelId,
@@ -151,14 +104,14 @@ impl TurboFlux {
             return;
         }
         let qe = *self.q.edge(e);
-        if self.st_in_count_total(fleet, src, qe.src) == 0
-            || self.st_in_count_total(fleet, dst, qe.dst) == 0
-            || !self.st_match_all_children(fleet, src, qe.src)
-            || !self.st_match_all_children(fleet, dst, qe.dst)
+        if self.dcg.in_count_total(src, qe.src) == 0
+            || self.dcg.in_count_total(dst, qe.dst) == 0
+            || !self.match_all_children(src, qe.src)
+            || !self.match_all_children(dst, qe.dst)
         {
             return;
         }
-        let ctx = SearchCtx::update(fleet, e, src, label, dst, Positiveness::Negative);
+        let ctx = SearchCtx::update(e, src, label, dst, Positiveness::Negative);
         let looped = qe.src == qe.dst;
         if !looped {
             scratch.bind(qe.dst, dst);
@@ -181,7 +134,7 @@ impl TurboFlux {
         u: QVertexId,
         v: VertexId,
         expiring_child: Option<QVertexId>,
-        ctx: &SearchCtx<'_>,
+        ctx: &SearchCtx,
         ft: bool,
         scratch: &mut SearchScratch,
         sink: &mut dyn FnMut(Positiveness, &MatchRecord),
@@ -195,15 +148,13 @@ impl TurboFlux {
         // Precondition for Transition 4: after this deletion `v` has no
         // explicit outgoing edge labeled `expiring_child` left.
         let precondition =
-            ft && expiring_child.is_some_and(|uc| self.st_out_expl_count(ctx.fleet, v, uc) == 1);
+            ft && expiring_child.is_some_and(|uc| self.dcg.out_expl_count(v, uc) == 1);
         let prev = scratch.rebind(u, Some(v));
         let us = self.tree.root();
         if u == us {
-            if self.st_root_state(ctx.fleet, v) == Some(EdgeState::Explicit) {
+            if self.dcg.root_state(v) == Some(EdgeState::Explicit) {
                 self.search_from_root(g, ctx, scratch, sink);
-                // With shared branches the root state is derived from the
-                // instance, so there is no own-map state to downgrade.
-                if precondition && !self.has_shared_branches() {
+                if precondition {
                     self.dcg.transit(None, u, v, Some(EdgeState::Implicit));
                 }
             }
@@ -211,7 +162,7 @@ impl TurboFlux {
             let up = self.tree.parent(u).expect("non-root");
             // Snapshot the in-list: the downgrades below mutate it.
             let start = scratch.climb.len();
-            scratch.climb.extend_from_slice(self.st_in_edge_slice(ctx.fleet, v, u));
+            scratch.climb.extend_from_slice(self.dcg.in_edge_slice(v, u));
             let end = scratch.climb.len();
             let mut i = start;
             while i < end {
@@ -220,12 +171,10 @@ impl TurboFlux {
                 if st != EdgeState::Explicit {
                     continue;
                 }
-                if self.st_match_all_children(ctx.fleet, vp, up) {
+                if self.match_all_children(vp, up) {
                     self.clear_upwards(g, up, vp, Some(u), ctx, precondition, scratch, sink);
                 }
-                // Shared-region edges are downgraded by the instance's own
-                // maintenance pass, not by the suffix climb.
-                if precondition && self.branch_nodes[u.index()].is_none() {
+                if precondition {
                     self.dcg.transit(Some(vp), u, v, Some(EdgeState::Implicit));
                 }
             }

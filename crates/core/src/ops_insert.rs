@@ -1,13 +1,12 @@
 //! `InsertEdgeAndEval` and `BuildUpwardsAndEval` (Algorithms 5 and 6).
 
-use tfx_graph::{DynamicGraph, GraphView, LabelId, VertexId};
+use tfx_graph::{GraphView, LabelId, VertexId};
 use tfx_query::{EdgeId, MatchRecord, Positiveness, QVertexId};
 
 use crate::dcg::EdgeState;
 use crate::engine::TurboFlux;
 use crate::scratch::SearchScratch;
 use crate::search::SearchCtx;
-use crate::shared_subtree::FleetCtx;
 
 impl TurboFlux {
     /// Evaluates one edge insertion already applied to `g` by the caller
@@ -18,69 +17,29 @@ impl TurboFlux {
     /// is fully maintained before non-tree invocations enumerate it; paired
     /// with the "maximal triggering edge wins" rule this reports every new
     /// solution exactly once.
-    pub fn eval_inserted_edge(
-        &mut self,
-        g: &DynamicGraph,
-        src: VertexId,
-        label: LabelId,
-        dst: VertexId,
-        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
-    ) {
-        self.eval_inserted_edge_in(g, FleetCtx::NONE, src, label, dst, sink);
-    }
-
-    /// [`TurboFlux::eval_inserted_edge`] with a fleet context sourcing the
-    /// DCG builds from the shared candidate index and the shared-region
-    /// reads from subtree instances (see [`crate::shared_index`] and
-    /// [`crate::shared_subtree`]); a [`crate::fleet::Fleet`] passes its
-    /// stores here, everyone else goes through the plain wrapper.
-    pub(crate) fn eval_inserted_edge_in<G: GraphView>(
+    pub fn eval_inserted_edge<G: GraphView>(
         &mut self,
         g: &G,
-        fleet: FleetCtx<'_>,
         src: VertexId,
         label: LabelId,
         dst: VertexId,
         sink: &mut dyn FnMut(Positiveness, &MatchRecord),
     ) {
-        if self.has_shared_branches() {
-            self.suffix_evals += 1;
-        }
         let mut scratch = std::mem::take(&mut self.scratch);
-        self.insert_eval_with(g, fleet, src, label, dst, &mut scratch, sink);
-        self.scratch = scratch;
-        // Engines with shared branches fold instance counts into the order
-        // heuristic, which needs the post-op dirty bits the fleet driver
-        // harvests after every routed engine ran; the driver calls
-        // `maybe_adjust_order_in` at op finalize instead.
-        if !self.has_shared_branches() {
-            self.maybe_adjust_order();
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn insert_eval_with<G: GraphView>(
-        &mut self,
-        g: &G,
-        fleet: FleetCtx<'_>,
-        src: VertexId,
-        label: LabelId,
-        dst: VertexId,
-        scratch: &mut SearchScratch,
-        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
-    ) {
-        self.matching_query_edges(g, src, label, dst, scratch);
+        self.matching_query_edges(g, src, label, dst, &mut scratch);
         scratch.assert_unbound();
 
         for i in 0..scratch.tree_edges.len() {
             let e = scratch.tree_edges[i];
-            self.insert_tree_invocation(g, fleet, e, src, label, dst, scratch, sink);
+            self.insert_tree_invocation(g, e, src, label, dst, &mut scratch, sink);
         }
 
         for i in 0..scratch.non_tree.len() {
             let e = scratch.non_tree[i];
-            self.insert_non_tree_invocation(g, fleet, e, src, label, dst, scratch, sink);
+            self.insert_non_tree_invocation(g, e, src, label, dst, &mut scratch, sink);
         }
+        self.scratch = scratch;
+        self.maybe_adjust_order();
     }
 
     /// One tree-edge invocation of `InsertEdgeAndEval`: maintain the DCG
@@ -92,7 +51,6 @@ impl TurboFlux {
     pub(crate) fn insert_tree_invocation<G: GraphView>(
         &mut self,
         g: &G,
-        fleet: FleetCtx<'_>,
         e: EdgeId,
         src: VertexId,
         label: LabelId,
@@ -109,24 +67,19 @@ impl TurboFlux {
         let (uc, pv, cv) = self.orient_tree_edge(e, src, dst);
         let up = self.tree.parent(uc).expect("tree edge child has a parent");
         // Case 2 of Transition 0: no path from a start vertex to pv.
-        if self.st_in_count_total(fleet, pv, up) == 0 {
+        if self.dcg.in_count_total(pv, up) == 0 {
             return;
         }
-        if self.branch_nodes[uc.index()].is_some() {
-            // The whole subtree under `uc` lives in a shared instance the
-            // fleet driver already maintained for this op; nothing to
-            // build, and the reads below go through the instance.
-            self.subtree_hits += 1;
-        } else if self.dcg.state(pv, uc, cv).is_none() {
-            // An earlier tree-edge invocation of this same update may have
-            // already built this DCG edge (the inserted edge can match
-            // several tree edges whose builds overlap).
-            self.build_dcg(g, fleet, Some(pv), uc, cv, scratch);
+        // An earlier tree-edge invocation of this same update may have
+        // already built this DCG edge (the inserted edge can match several
+        // tree edges whose builds overlap).
+        if self.dcg.state(pv, uc, cv).is_none() {
+            self.build_dcg(g, Some(pv), uc, cv, scratch);
         }
-        if self.st_state(fleet, pv, uc, cv) == Some(EdgeState::Explicit)
-            && self.st_match_all_children(fleet, pv, up)
+        if self.dcg.state(pv, uc, cv) == Some(EdgeState::Explicit)
+            && self.match_all_children(pv, up)
         {
-            let ctx = SearchCtx::update(fleet, e, src, label, dst, Positiveness::Positive);
+            let ctx = SearchCtx::update(e, src, label, dst, Positiveness::Positive);
             scratch.bind(uc, cv);
             self.build_upwards(g, up, pv, &ctx, true, scratch, sink);
             scratch.unbind(uc);
@@ -139,7 +92,6 @@ impl TurboFlux {
     pub(crate) fn insert_non_tree_invocation<G: GraphView>(
         &mut self,
         g: &G,
-        fleet: FleetCtx<'_>,
         e: EdgeId,
         src: VertexId,
         label: LabelId,
@@ -153,14 +105,14 @@ impl TurboFlux {
         let qe = *self.q.edge(e);
         // m(qe.src) = src, m(qe.dst) = dst; both endpoints need the
         // path condition and fully matched subtrees.
-        if self.st_in_count_total(fleet, src, qe.src) == 0
-            || self.st_in_count_total(fleet, dst, qe.dst) == 0
-            || !self.st_match_all_children(fleet, src, qe.src)
-            || !self.st_match_all_children(fleet, dst, qe.dst)
+        if self.dcg.in_count_total(src, qe.src) == 0
+            || self.dcg.in_count_total(dst, qe.dst) == 0
+            || !self.match_all_children(src, qe.src)
+            || !self.match_all_children(dst, qe.dst)
         {
             return;
         }
-        let ctx = SearchCtx::update(fleet, e, src, label, dst, Positiveness::Positive);
+        let ctx = SearchCtx::update(e, src, label, dst, Positiveness::Positive);
         let looped = qe.src == qe.dst;
         if !looped {
             scratch.bind(qe.dst, dst);
@@ -185,12 +137,12 @@ impl TurboFlux {
         g: &G,
         u: QVertexId,
         v: VertexId,
-        ctx: &SearchCtx<'_>,
+        ctx: &SearchCtx,
         ft: bool,
         scratch: &mut SearchScratch,
         sink: &mut dyn FnMut(Positiveness, &MatchRecord),
     ) {
-        debug_assert!(self.st_match_all_children(ctx.fleet, v, u));
+        debug_assert!(self.match_all_children(v, u));
         // A non-tree invocation pre-binds the other endpoint of the
         // triggering edge; if the climb reaches that query vertex with a
         // different data vertex the two constraints contradict and no
@@ -205,18 +157,10 @@ impl TurboFlux {
         let prev = scratch.rebind(u, Some(v));
         let us = self.tree.root();
         if u == us {
-            // The single incoming edge is the artificial start edge. For
-            // engines with shared branches the caller established
-            // `st_match_all_children(root)`, so the derived root state is
-            // already Explicit — the Implicit+ft arm is unreachable and the
-            // own-map transit must be suppressed (the own root map only
-            // tracks presence).
-            match self.st_root_state(ctx.fleet, v) {
+            // The single incoming edge is the artificial start edge.
+            match self.dcg.root_state(v) {
                 Some(EdgeState::Implicit) if ft => {
-                    debug_assert!(!self.has_shared_branches());
-                    if !self.has_shared_branches() {
-                        self.dcg.transit(None, u, v, Some(EdgeState::Explicit));
-                    }
+                    self.dcg.transit(None, u, v, Some(EdgeState::Explicit));
                     self.search_from_root(g, ctx, scratch, sink);
                 }
                 Some(EdgeState::Explicit) => {
@@ -229,7 +173,7 @@ impl TurboFlux {
             // Snapshot the in-list into the segmented stack: transitions
             // during the climb mutate the list being iterated.
             let start = scratch.climb.len();
-            scratch.climb.extend_from_slice(self.st_in_edge_slice(ctx.fleet, v, u));
+            scratch.climb.extend_from_slice(self.dcg.in_edge_slice(v, u));
             let end = scratch.climb.len();
             let mut i = start;
             while i < end {
@@ -239,16 +183,9 @@ impl TurboFlux {
                     if !ft {
                         continue; // without transitions only explicit paths matter
                     }
-                    // A shared-region vertex is maintained by its instance;
-                    // after the driver's maintenance pass an explicit path
-                    // here is already explicit in the instance, so this arm
-                    // can't fire for shared `u`.
-                    debug_assert!(self.branch_nodes[u.index()].is_none());
-                    if self.branch_nodes[u.index()].is_none() {
-                        self.dcg.transit(Some(vp), u, v, Some(EdgeState::Explicit));
-                    }
+                    self.dcg.transit(Some(vp), u, v, Some(EdgeState::Explicit));
                 }
-                if self.st_match_all_children(ctx.fleet, vp, up) {
+                if self.match_all_children(vp, up) {
                     self.build_upwards(g, up, vp, ctx, ft, scratch, sink);
                 }
             }

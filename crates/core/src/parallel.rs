@@ -144,19 +144,13 @@ impl TurboFlux {
     pub(crate) fn search_from_root<G: GraphView>(
         &self,
         g: &G,
-        ctx: &SearchCtx<'_>,
+        ctx: &SearchCtx,
         scratch: &mut SearchScratch,
         sink: &mut dyn FnMut(Positiveness, &MatchRecord),
     ) {
-        // Shared subtree instances only maintain DCG state for the engines
-        // bound to them; they never enumerate (their sink is a no-op), and
-        // all transitions happen before the searches they skip.
-        if self.maintenance_only {
-            return;
-        }
         let workers = self.intra_workers();
         if workers > 1 {
-            if let Some((depth, u, vp)) = self.parallel_split_point(ctx.fleet, scratch) {
+            if let Some((depth, u, vp)) = self.parallel_split_point(scratch) {
                 return self.search_split(g, ctx, depth, u, vp, scratch, workers, sink);
             }
         }
@@ -169,13 +163,12 @@ impl TurboFlux {
     /// unbound root, or a narrow frontier).
     fn parallel_split_point(
         &self,
-        fleet: crate::shared_subtree::FleetCtx<'_>,
         scratch: &SearchScratch,
     ) -> Option<(usize, QVertexId, VertexId)> {
         let depth = (0..self.mo.len()).find(|&d| scratch.m[self.mo[d].index()].is_none())?;
         let u = self.mo[depth];
         let vp = scratch.m[self.tree.parent(u)?.index()]?;
-        (self.st_out_expl_count(fleet, vp, u) >= self.cfg.parallel_min_frontier.max(2))
+        (self.dcg.out_expl_count(vp, u) >= self.cfg.parallel_min_frontier.max(2))
             .then_some((depth, u, vp))
     }
 
@@ -186,7 +179,7 @@ impl TurboFlux {
     fn search_split<G: GraphView>(
         &self,
         g: &G,
-        ctx: &SearchCtx<'_>,
+        ctx: &SearchCtx,
         depth: usize,
         u: QVertexId,
         vp: VertexId,
@@ -201,7 +194,7 @@ impl TurboFlux {
             let w = self.mo[d];
             let v = scratch.m[w.index()].expect("prefix below the split depth is bound");
             let ok = if w == self.tree.root() {
-                self.st_root_state(ctx.fleet, v) == Some(EdgeState::Explicit)
+                self.dcg.root_state(v) == Some(EdgeState::Explicit)
             } else {
                 let wp = scratch.m[self.tree.parent(w).expect("non-root").index()]
                     .expect("parent precedes child in matching order");
@@ -211,7 +204,7 @@ impl TurboFlux {
                 return;
             }
         }
-        let frontier = self.st_out_edge_slice(ctx.fleet, vp, u);
+        let frontier = self.dcg.out_edge_slice(vp, u);
         self.fan_out(g, scratch, workers, frontier.len(), sink, &|ws, buf, lo, hi| {
             for &(v, st) in &frontier[lo..hi] {
                 if st == EdgeState::Explicit {
@@ -227,7 +220,7 @@ impl TurboFlux {
     pub(crate) fn search_chunked_roots<G: GraphView>(
         &self,
         g: &G,
-        ctx: &SearchCtx<'_>,
+        ctx: &SearchCtx,
         candidates: &[VertexId],
         scratch: &mut SearchScratch,
         workers: usize,

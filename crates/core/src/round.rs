@@ -250,12 +250,7 @@ pub(crate) trait Rounds: Send + Sync {
     fn run(&self, cell: &mut Self::Cell, target: Target, round: &Round, emit: &mut Emit<'_>);
 
     /// Finalizes the round (via [`finalize`]) once every target ran.
-    fn finalize(
-        &mut self,
-        round: &Round,
-        targets: &[Target],
-        cells: &mut Cells<'_, '_, Self::Cell>,
-    );
+    fn finalize(&mut self, round: &Round);
 }
 
 /// Nested parallelism cap for engine cells about to be driven with
@@ -383,7 +378,7 @@ pub(crate) fn drive<R: Rounds>(
                 }
             }
             let st = &mut *guard;
-            st.rt.finalize(&st.round, &st.targets, &mut Cells(&mut st.slots));
+            st.rt.finalize(&st.round);
         }
         drop(guard);
         stop.store(true, Ordering::SeqCst);
@@ -519,6 +514,8 @@ mod tests {
         masks: Vec<u32>,
         per_query: usize,
         op: usize,
+        /// Targets of the staged round still to run.
+        pending: AtomicUsize,
         staged: Vec<usize>,
         finalized: Vec<usize>,
     }
@@ -542,6 +539,7 @@ mod tests {
             let mask = self.masks[self.op];
             let round = Round::Delete { src: v(0), label: L, dst: v(0) };
             route(&round, cells.len(), (0..cells.len()).filter(|c| mask >> c & 1 == 1), targets);
+            self.pending = AtomicUsize::new(targets.len());
             round
         }
 
@@ -551,15 +549,11 @@ mod tests {
             let key = Key { inv: u32::MAX - target.cell as u32, chain: Vec::new() };
             let rec = MatchRecord::new(vec![v(self.op as u32), v(target.cell as u32)]);
             emit(key, Positiveness::Positive, &rec);
+            self.pending.fetch_sub(1, Ordering::SeqCst);
         }
 
-        fn finalize(
-            &mut self,
-            _: &Round,
-            targets: &[Target],
-            cells: &mut Cells<'_, '_, Vec<usize>>,
-        ) {
-            assert!(targets.iter().all(|t| cells.get(t.cell).last() == Some(&self.op)));
+        fn finalize(&mut self, _: &Round) {
+            assert_eq!(*self.pending.get_mut(), 0, "finalize waits for every target");
             self.finalized.push(self.op);
         }
     }
@@ -573,8 +567,14 @@ mod tests {
         per_query: usize,
         workers: usize,
     ) -> (Vec<Vec<usize>>, Vec<(usize, usize, u32)>, usize) {
-        let mut toy =
-            Toy { masks: masks.to_vec(), per_query, op: 0, staged: vec![], finalized: vec![] };
+        let mut toy = Toy {
+            masks: masks.to_vec(),
+            per_query,
+            op: 0,
+            pending: AtomicUsize::new(0),
+            staged: vec![],
+            finalized: vec![],
+        };
         let ops: Vec<UpdateOp> = (0..masks.len() as u32)
             .map(|i| UpdateOp::AddVertex { id: v(i), labels: LabelSet::empty() })
             .collect();

@@ -28,7 +28,6 @@ use tfx_query::{EdgeId, MatchRecord, MatchSemantics, Positiveness, QVertexId};
 use crate::dcg::EdgeState;
 use crate::engine::TurboFlux;
 use crate::scratch::SearchScratch;
-use crate::shared_subtree::FleetCtx;
 use crate::tree_nav::data_pair;
 
 /// Minimum explicit-frontier size before enumeration intersects the
@@ -40,34 +39,30 @@ pub const INTERSECT_MIN_FRONTIER: usize = 8;
 
 /// Per-invocation search context.
 #[derive(Clone, Copy)]
-pub(crate) struct SearchCtx<'a> {
+pub(crate) struct SearchCtx {
     /// The triggering query edge `e_q`, `None` for initial-graph reporting.
     pub eq: Option<EdgeId>,
     /// The updated data edge.
     pub updated: Option<(VertexId, LabelId, VertexId)>,
     /// Positive for insertion, negative for deletion.
     pub p: Positiveness,
-    /// Fleet-shared read state (the phase-1 candidate index and phase-2
-    /// subtree instances); [`FleetCtx::NONE`] outside fleets.
-    pub fleet: FleetCtx<'a>,
 }
 
-impl<'a> SearchCtx<'a> {
+impl SearchCtx {
     /// Context for reporting the initial graph's matches.
-    pub fn initial(fleet: FleetCtx<'a>) -> Self {
-        SearchCtx { eq: None, updated: None, p: Positiveness::Positive, fleet }
+    pub fn initial() -> Self {
+        SearchCtx { eq: None, updated: None, p: Positiveness::Positive }
     }
 
     /// Context for an update-triggered invocation.
     pub fn update(
-        fleet: FleetCtx<'a>,
         eq: EdgeId,
         src: VertexId,
         label: LabelId,
         dst: VertexId,
         p: Positiveness,
     ) -> Self {
-        SearchCtx { eq: Some(eq), updated: Some((src, label, dst)), p, fleet }
+        SearchCtx { eq: Some(eq), updated: Some((src, label, dst)), p }
     }
 }
 
@@ -80,7 +75,7 @@ impl TurboFlux {
     pub(crate) fn violates_order<G: GraphView>(
         &self,
         g: &G,
-        ctx: &SearchCtx<'_>,
+        ctx: &SearchCtx,
         e: EdgeId,
         src: VertexId,
         dst: VertexId,
@@ -115,7 +110,7 @@ impl TurboFlux {
     pub(crate) fn is_joinable<G: GraphView>(
         &self,
         g: &G,
-        ctx: &SearchCtx<'_>,
+        ctx: &SearchCtx,
         u: QVertexId,
         v: VertexId,
         scratch: &SearchScratch,
@@ -154,12 +149,12 @@ impl TurboFlux {
     pub(crate) fn tree_binding_ok<G: GraphView>(
         &self,
         g: &G,
-        ctx: &SearchCtx<'_>,
+        ctx: &SearchCtx,
         u: QVertexId,
         vp: VertexId,
         v: VertexId,
     ) -> bool {
-        if self.st_state(ctx.fleet, vp, u, v) != Some(EdgeState::Explicit) {
+        if self.dcg.state(vp, u, v) != Some(EdgeState::Explicit) {
             return false;
         }
         let e = self.tree.parent_edge(u).expect("non-root");
@@ -174,7 +169,7 @@ impl TurboFlux {
         &self,
         g: &G,
         depth: usize,
-        ctx: &SearchCtx<'_>,
+        ctx: &SearchCtx,
         scratch: &mut SearchScratch,
         sink: &mut dyn FnMut(Positiveness, &MatchRecord),
     ) {
@@ -192,7 +187,7 @@ impl TurboFlux {
             // Pre-bound vertex (upward traversal / non-tree invocation):
             // re-validate instead of enumerating.
             let ok = if u == us {
-                self.st_root_state(ctx.fleet, v) == Some(EdgeState::Explicit)
+                self.dcg.root_state(v) == Some(EdgeState::Explicit)
             } else {
                 let vp = scratch.m[self.tree.parent(u).expect("non-root").index()]
                     .expect("parent precedes child in matching order");
@@ -205,14 +200,14 @@ impl TurboFlux {
             debug_assert_ne!(u, us, "the starting vertex is always pre-bound");
             let vp = scratch.m[self.tree.parent(u).expect("non-root").index()]
                 .expect("parent precedes child in matching order");
-            let slice = self.st_out_edge_slice(ctx.fleet, vp, u);
+            let slice = self.dcg.out_edge_slice(vp, u);
             if slice.len() >= INTERSECT_MIN_FRONTIER && self.has_bound_non_tree_run(u, scratch) {
                 self.search_intersected(g, ctx, depth, u, vp, scratch, sink);
                 return;
             }
             // The slice borrow only needs `&self`; enumeration never
             // mutates the DCG, so no candidate buffer is required.
-            for &(v, st) in self.st_out_edge_slice(ctx.fleet, vp, u) {
+            for &(v, st) in self.dcg.out_edge_slice(vp, u) {
                 if st == EdgeState::Explicit {
                     self.expand_candidate(g, ctx, depth, u, vp, v, scratch, sink);
                 }
@@ -248,7 +243,7 @@ impl TurboFlux {
     fn search_intersected<G: GraphView>(
         &self,
         g: &G,
-        ctx: &SearchCtx<'_>,
+        ctx: &SearchCtx,
         depth: usize,
         u: QVertexId,
         vp: VertexId,
@@ -256,7 +251,7 @@ impl TurboFlux {
         sink: &mut dyn FnMut(Positiveness, &MatchRecord),
     ) {
         let base = scratch.isect.len();
-        for &(v, st) in self.st_out_edge_slice(ctx.fleet, vp, u) {
+        for &(v, st) in self.dcg.out_edge_slice(vp, u) {
             if st == EdgeState::Explicit {
                 scratch.isect.push(v);
             }
@@ -312,7 +307,7 @@ impl TurboFlux {
     pub(crate) fn expand_candidate<G: GraphView>(
         &self,
         g: &G,
-        ctx: &SearchCtx<'_>,
+        ctx: &SearchCtx,
         depth: usize,
         u: QVertexId,
         vp: VertexId,

@@ -53,7 +53,6 @@ use tfx_query::{EdgeId, MatchRecord, Positiveness, QVertexId, QueryGraph};
 use crate::config::TurboFluxConfig;
 use crate::engine::TurboFlux;
 use crate::round::{self, Cells, Emit, Key, Round, Rounds, Target};
-use crate::shared_subtree::FleetCtx;
 
 /// Counters describing the sharded runtime's routing and handoff traffic,
 /// mirroring the shape of [`crate::FleetStats`].
@@ -151,20 +150,19 @@ impl TurboFlux {
             emit(Key { inv: seed.inv, chain }, p, rec);
         };
         let mut scratch = std::mem::take(&mut self.scratch);
-        let fl = FleetCtx::NONE;
         let sink = &mut sink;
         match (insert, seed.tree) {
             (true, true) => {
-                self.insert_tree_invocation(g, fl, seed.e, src, label, dst, &mut scratch, sink)
+                self.insert_tree_invocation(g, seed.e, src, label, dst, &mut scratch, sink)
             }
             (true, false) => {
-                self.insert_non_tree_invocation(g, fl, seed.e, src, label, dst, &mut scratch, sink)
+                self.insert_non_tree_invocation(g, seed.e, src, label, dst, &mut scratch, sink)
             }
             (false, true) => {
-                self.delete_tree_invocation(g, fl, seed.e, src, label, dst, &mut scratch, sink)
+                self.delete_tree_invocation(g, seed.e, src, label, dst, &mut scratch, sink)
             }
             (false, false) => {
-                self.delete_non_tree_invocation(g, fl, seed.e, src, label, dst, &mut scratch, sink)
+                self.delete_non_tree_invocation(g, seed.e, src, label, dst, &mut scratch, sink)
             }
         }
         self.scratch = scratch;
@@ -230,7 +228,7 @@ impl Rounds for Shared {
         }
     }
 
-    fn finalize(&mut self, round: &Round, _: &[Target], _: &mut Cells<'_, '_, TurboFlux>) {
+    fn finalize(&mut self, round: &Round) {
         round::finalize(&mut self.graph, round);
     }
 }

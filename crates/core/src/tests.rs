@@ -520,15 +520,16 @@ fn order_adjustment_never_changes_results() {
 
     let mut g = DynamicGraph::new();
     let a = g.add_vertex(LabelSet::single(l(0)));
-    for i in 0..40 {
+    // 100 B and 100 C neighbors: both explicit counts grow from 0 past the
+    // drift floor (64), so the order is recomputed mid-stream.
+    for i in 0..200 {
         g.add_vertex(LabelSet::single(l(1 + i % 2)));
     }
     let ops: Vec<UpdateOp> =
-        (1..=40u32).map(|i| UpdateOp::InsertEdge { src: a, label: l(9), dst: v(i) }).collect();
+        (1..=200u32).map(|i| UpdateOp::InsertEdge { src: a, label: l(9), dst: v(i) }).collect();
 
-    let adj = TurboFluxConfig { order_drift_floor: 1, ..TurboFluxConfig::default() };
     let fixed = TurboFluxConfig { adjust_matching_order: false, ..TurboFluxConfig::default() };
-    let mut with_adjust = TurboFlux::new(q.clone(), g.clone(), adj);
+    let mut with_adjust = TurboFlux::new(q.clone(), g.clone(), TurboFluxConfig::default());
     let mut without = TurboFlux::new(q, g, fixed);
     let initial_order = without.matching_order().to_vec();
     let (mut n1, mut n2) = (0u64, 0u64);
@@ -538,6 +539,10 @@ fn order_adjustment_never_changes_results() {
     }
     assert_eq!(n1, n2, "order maintenance must not change results");
     assert_eq!(without.matching_order(), &initial_order[..], "static order stays put");
+    assert!(
+        with_adjust.order_maint.snapshot().iter().any(|&c| c > 64),
+        "the stream must cross the drift floor and trigger a recomputation"
+    );
     assert_dcg_matches_reference(&with_adjust);
     assert_dcg_matches_reference(&without);
 }

@@ -16,8 +16,6 @@
 use tfx_graph::{AdjacencyMode, GraphView, VertexId};
 use tfx_query::{QVertexId, QueryGraph, QueryTree};
 
-use crate::shared_index::SharedCandidateIndex;
-
 /// The directed data pair `(src, dst)` backing DCG edge `(pv, u, cv)`.
 #[inline]
 pub fn data_pair(
@@ -145,48 +143,6 @@ pub fn collect_child_candidates<G: GraphView>(
         }
     }
     buf.truncate(write);
-    start
-}
-
-/// [`collect_child_candidates`] sourced from a fleet-shared candidate
-/// index instead of a private adjacency scan: appends signature `sig`'s
-/// pre-filtered run for `pv` to `buf` after the per-query parent-label
-/// check, returning the segment's start index.
-///
-/// The shared run bakes in exactly the child-side filter of the private
-/// scan (same edge label, same child label set, same orientation) in the
-/// same ascending vertex-id order, so the appended segment is byte-for-byte
-/// what [`collect_child_candidates`] would have produced — asserted in
-/// debug builds.
-#[allow(clippy::too_many_arguments)]
-pub fn collect_shared_child_candidates<G: GraphView>(
-    g: &G,
-    q: &QueryGraph,
-    tree: &QueryTree,
-    shared: &SharedCandidateIndex,
-    sig: u32,
-    u: QVertexId,
-    pv: VertexId,
-    buf: &mut Vec<VertexId>,
-) -> usize {
-    let start = buf.len();
-    let e = tree.parent_edge(u).expect("non-root vertex has a parent edge");
-    let qe = q.edge(e);
-    let parent_q = if tree.child_is_target(u) { qe.src } else { qe.dst };
-    if !q.labels(parent_q).is_subset_of(g.labels(pv)) {
-        return start;
-    }
-    buf.extend_from_slice(shared.run(sig, pv));
-    #[cfg(debug_assertions)]
-    {
-        let mut check = Vec::new();
-        collect_child_candidates(g, q, tree, u, pv, AdjacencyMode::Indexed, &mut check);
-        debug_assert_eq!(
-            &buf[start..],
-            &check[..],
-            "shared run must equal the private candidate scan"
-        );
-    }
     start
 }
 

@@ -42,12 +42,14 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
 }
 
 struct RawGraph {
-    vertices: Vec<(u32, LabelSet)>,
+    /// Label sets by vertex id (ids are validated dense `0..n`).
+    vertices: Vec<LabelSet>,
     edges: Vec<(u32, u32, Option<tfx_graph::LabelId>)>,
 }
 
 fn parse_raw(text: &str, interner: &mut LabelInterner) -> Result<RawGraph, ParseError> {
-    let mut vertices: Vec<(u32, LabelSet)> = Vec::new();
+    // `(id, declaring line, labels)`.
+    let mut vertices: Vec<(u32, usize, LabelSet)> = Vec::new();
     let mut edges = Vec::new();
     for (i, raw_line) in text.lines().enumerate() {
         let lineno = i + 1;
@@ -64,10 +66,7 @@ fn parse_raw(text: &str, interner: &mut LabelInterner) -> Result<RawGraph, Parse
                     .parse()
                     .map_err(|_| err(lineno, "v id must be an integer"))?;
                 let labels: LabelSet = parts.map(|s| interner.intern(s)).collect();
-                if vertices.iter().any(|&(v, _)| v == id) {
-                    return Err(err(lineno, format!("vertex {id} declared twice")));
-                }
-                vertices.push((id, labels));
+                vertices.push((id, lineno, labels));
             }
             Some("e") => {
                 let src: u32 = parts
@@ -90,8 +89,12 @@ fn parse_raw(text: &str, interner: &mut LabelInterner) -> Result<RawGraph, Parse
             None => unreachable!(),
         }
     }
-    vertices.sort_by_key(|&(id, _)| id);
-    for (expect, &(id, _)) in vertices.iter().enumerate() {
+    // Stable, so of two declarations of one id the later line sorts second.
+    vertices.sort_by_key(|&(id, ..)| id);
+    if let Some(dup) = vertices.windows(2).find(|w| w[0].0 == w[1].0) {
+        return Err(err(dup[1].1, format!("vertex {} declared twice", dup[1].0)));
+    }
+    for (expect, &(id, ..)) in vertices.iter().enumerate() {
         if id as usize != expect {
             return Err(err(0, format!("vertex ids must be dense 0..n, missing {expect}")));
         }
@@ -102,14 +105,14 @@ fn parse_raw(text: &str, interner: &mut LabelInterner) -> Result<RawGraph, Parse
             return Err(err(0, format!("edge ({s},{d}) references undeclared vertex")));
         }
     }
-    Ok(RawGraph { vertices, edges })
+    Ok(RawGraph { vertices: vertices.into_iter().map(|(.., labels)| labels).collect(), edges })
 }
 
 /// Parses a [`QueryGraph`], interning labels into `interner`.
 pub fn parse_query(text: &str, interner: &mut LabelInterner) -> Result<QueryGraph, ParseError> {
     let raw = parse_raw(text, interner)?;
     let mut q = QueryGraph::new();
-    for (_, labels) in raw.vertices {
+    for labels in raw.vertices {
         q.add_vertex(labels);
     }
     for (s, d, l) in raw.edges {
@@ -130,10 +133,7 @@ pub fn parse_data_graph(
         EdgeRef::new(VertexId(s), label, VertexId(d))
     });
     let edges = edges.collect();
-    Ok(DynamicGraph::from_edges(
-        raw.vertices.into_iter().map(|(_, labels)| labels).collect(),
-        edges,
-    ))
+    Ok(DynamicGraph::from_edges(raw.vertices, edges))
 }
 
 #[cfg(test)]
@@ -176,6 +176,16 @@ mod tests {
         let mut it = LabelInterner::new();
         let e = parse_query("v 0 A\nv 0 B\n", &mut it).unwrap_err();
         assert_eq!(e.line, 2);
+    }
+
+    #[test]
+    fn duplicate_vertex_reports_the_second_declaration() {
+        // The two declarations of vertex 1 are not adjacent in the file and
+        // sit among out-of-order ids; the error names the later line.
+        let mut it = LabelInterner::new();
+        let e = parse_query("v 2 C\nv 1 B\n# gap\nv 0 A\nv 3 D\nv 1 E\ne 0 1 x\n", &mut it)
+            .unwrap_err();
+        assert_eq!(e, err(6, "vertex 1 declared twice"));
     }
 
     #[test]

@@ -27,11 +27,8 @@ export TFX_BENCH_WARMUP_MS="${TFX_BENCH_WARMUP_MS:-100}"
 export TFX_BENCH_MEASURE_MS="${TFX_BENCH_MEASURE_MS:-300}"
 export TFX_BENCH_JSON="$tmp"
 
-# fleet_throughput also covers the fleet_shared/overlap_q* ablation
-# (shared candidate-prefix index vs per-engine scans), the
-# fleet_shared/prefix_q* shared-DCG-subtree sweep (phase 2 vs phase 1 vs
-# naive on a common-prefix fleet), and the fleet_routing/disjoint
-# label-routing sweep.
+# fleet_throughput also covers the fleet_routing/disjoint label-routing
+# sweep (and asserts the fleet-vs-engines-apart guard before timing).
 cargo bench --offline -p tfx-bench --bench fleet_throughput
 cargo bench --offline -p tfx-bench --bench micro
 cargo bench --offline -p tfx-bench --bench adjacency_scan

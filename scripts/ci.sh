@@ -61,17 +61,11 @@ echo "=== window_churn (quick) ==="
 TFX_BENCH_WARMUP_MS=20 TFX_BENCH_MEASURE_MS=50 \
   cargo bench --offline -p tfx-bench --bench window_churn
 
-echo "=== fleet shared-index / subtrees / routing (quick) ==="
-# Every invocation of the fleet bench runs ALL the sanity blocks (overlap
-# index hits, prefix subtree hits + three-way delta agreement, disjoint
-# routing skips) before its filtered timing groups, so the self-checks run
-# regardless of filter. Three filtered invocations keep the timing cheap:
-# an unfiltered run would also pay for the slow random-query
-# fleet_throughput groups and the large prefix_q{16,64} ablation series.
-TFX_BENCH_WARMUP_MS=20 TFX_BENCH_MEASURE_MS=50 \
-  cargo bench --offline -p tfx-bench --bench fleet_throughput -- fleet_shared/overlap
-TFX_BENCH_WARMUP_MS=20 TFX_BENCH_MEASURE_MS=50 \
-  cargo bench --offline -p tfx-bench --bench fleet_throughput -- fleet_shared/prefix_q4
+echo "=== fleet guard + routing (quick) ==="
+# Every invocation of the fleet bench runs its pre-timing asserts: an
+# 8-query, 1-thread fleet within 1.5x (min of 7) of the eight engines run
+# apart with the same delta count, and the disjoint-routing skips. The
+# fleet_routing filter skips the slow random-query fleet_throughput groups.
 TFX_BENCH_WARMUP_MS=20 TFX_BENCH_MEASURE_MS=50 \
   cargo bench --offline -p tfx-bench --bench fleet_throughput -- fleet_routing
 

@@ -544,19 +544,12 @@ fn stream_main(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Multi-query fleets report their routing / shared-index / shared-subtree
-    // counters.
+    // Multi-query fleets report their routing counters.
     if let Some(s) = target.fleet_stats() {
         let _ = writeln!(
             out,
-            "{{\"type\":\"fleet_stats\",\"ops_routed\":{},\"ops_skipped\":{},\"shared_hits\":{},\"shared_misses\":{},\"subtrees_shared\":{},\"subtree_hits\":{},\"suffix_evals\":{}}}",
-            s.ops_routed,
-            s.ops_skipped,
-            s.shared_hits,
-            s.shared_misses,
-            s.subtrees_shared,
-            s.subtree_hits,
-            s.suffix_evals
+            "{{\"type\":\"fleet_stats\",\"ops_routed\":{},\"ops_skipped\":{}}}",
+            s.ops_routed, s.ops_skipped
         );
     }
     // Sharded targets report their partition-routing counters.

@@ -1,9 +1,22 @@
-//! Randomized equivalence oracle for the multi-query fleet: for arbitrary
-//! scenarios (K queries, one shared stream of inserts / deletes / vertex
-//! additions), the parallel batched evaluation, the sequential batched
-//! evaluation, and K standalone engines applying the ops one by one must
-//! produce exactly the same delta sequence — same matches, same order —
-//! under both homomorphism and isomorphism semantics.
+//! The randomized byte-equality oracle for the multi-query [`Fleet`].
+//!
+//! A scenario registers K queries over an initial graph, applies a first op
+//! batch, optionally deregisters one engine and registers a fresh query
+//! mid-stream, and applies a second batch. The emitted delta sequence —
+//! under 1 and 4 threads, parallel and sequential, homomorphism and
+//! isomorphism — must be byte-identical to naive per-engine replay:
+//! standalone [`TurboFlux`] engines applying the same ops one at a time, the
+//! deregistered engine silent in batch 2 and the late engine starting from
+//! the registration-time graph state.
+//!
+//! Three scenario generators feed the one comparator:
+//! * [`plain_scenario`] — small random queries, one batch, no churn;
+//! * [`routed_scenario`] — deeper random queries with register →
+//!   deregister → register churn, ops drawn from a label palette wider than
+//!   any query's so routing provably skips engines (`ops_skipped > 0`);
+//! * [`twin_scenario`] — two identical 4-chain queries (plus random ones)
+//!   over a chain-aligned graph and stream; one twin is deregistered and the
+//!   same query re-registered, so equal engines at different ages coexist.
 
 use std::collections::HashSet;
 use turboflux::datagen::Pcg32;
@@ -11,17 +24,44 @@ use turboflux::prelude::*;
 use turboflux::FleetDelta;
 
 type Delta = (usize, usize, Positiveness, MatchRecord);
+type Edge = (VertexId, LabelId, VertexId);
 
-fn random_query(rng: &mut Pcg32, nq: u32) -> QueryGraph {
+struct Scenario {
+    g0: DynamicGraph,
+    queries: Vec<QueryGraph>,
+    /// `(victim, late query)`: the engine deregistered between the batches
+    /// and the query registered against the post-batch-1 graph.
+    churn: Option<(usize, QueryGraph)>,
+    ops1: Vec<UpdateOp>,
+    ops2: Vec<UpdateOp>,
+}
+
+/// A random tree-shaped query with `vlabel(i)` on vertex `i`, edge labels
+/// `10..10 + edge_labels` and one wildcard edge in `wildcard_in`. With
+/// `chains`, half the vertices hang off their predecessor (deep queries).
+fn random_query(
+    rng: &mut Pcg32,
+    nq: u32,
+    mut vlabel: impl FnMut(&mut Pcg32, u32) -> u32,
+    chains: bool,
+    edge_labels: usize,
+    wildcard_in: usize,
+) -> QueryGraph {
     let mut q = QueryGraph::new();
     for i in 0..nq {
-        q.add_vertex(LabelSet::single(LabelId(i % 2)));
+        let l = vlabel(rng, i);
+        q.add_vertex(LabelSet::single(LabelId(l)));
     }
     let mut seen = HashSet::new();
     for child in 1..nq {
-        let parent = rng.below(child as usize) as u32;
-        let label = if rng.below(3) == 0 { None } else { Some(LabelId(10 + rng.below(2) as u32)) };
-        let (s, d) = if rng.below(2) == 0 { (parent, child) } else { (child, parent) };
+        let parent =
+            if chains && rng.below(2) == 0 { child - 1 } else { rng.below(child as usize) as u32 };
+        let label = if rng.below(wildcard_in) == 0 {
+            None
+        } else {
+            Some(LabelId(10 + rng.below(edge_labels) as u32))
+        };
+        let (s, d) = if rng.below(3) == 0 { (child, parent) } else { (parent, child) };
         if seen.insert((s, d, label)) {
             q.add_edge(QVertexId(s), QVertexId(d), label);
         }
@@ -29,131 +69,352 @@ fn random_query(rng: &mut Pcg32, nq: u32) -> QueryGraph {
     q
 }
 
-struct Scenario {
-    g0: DynamicGraph,
-    queries: Vec<QueryGraph>,
-    ops: Vec<UpdateOp>,
-}
-
-fn random_scenario(rng: &mut Pcg32) -> Scenario {
-    let nv = 3 + rng.below(4) as u32;
-    let mut g = DynamicGraph::new();
-    for i in 0..nv {
-        g.add_vertex(LabelSet::single(LabelId(i % 2)));
-    }
-    for _ in 0..rng.below(6) {
-        let a = VertexId(rng.below(nv as usize) as u32);
-        let b = VertexId(rng.below(nv as usize) as u32);
-        g.insert_edge(a, LabelId(10 + rng.below(2) as u32), b);
-    }
-
-    let nqueries = 2 + rng.below(3); // 2..=4 engines
-    let queries: Vec<QueryGraph> = (0..nqueries)
-        .map(|_| {
-            let nq = 2 + rng.below(3) as u32;
-            random_query(rng, nq)
-        })
-        .collect();
-
-    // A mixed op sequence over a growing vertex set. `live` mirrors the
-    // graph so deletes mostly hit real edges (misses are exercised too).
+/// A mixed op sequence over a growing vertex set (vertex labels `i % 2`,
+/// edge labels `10..10 + edge_labels`). `live` mirrors the graph so deletes
+/// mostly hit real edges; duplicate inserts are allowed (exercises skips).
+fn random_ops(
+    rng: &mut Pcg32,
+    n: usize,
+    edge_labels: usize,
+    vertices: &mut u32,
+    live: &mut Vec<Edge>,
+) -> Vec<UpdateOp> {
     let mut ops = Vec::new();
-    let mut live: Vec<(VertexId, LabelId, VertexId)> =
-        g.edges().map(|e| (e.src, e.label, e.dst)).collect();
-    let mut vertices = nv;
-    for _ in 0..(6 + rng.below(10)) {
+    for _ in 0..n {
         match rng.below(10) {
             0 => {
-                // Explicit vertex addition.
                 ops.push(UpdateOp::AddVertex {
-                    id: VertexId(vertices),
+                    id: VertexId(*vertices),
                     labels: LabelSet::single(LabelId(rng.below(2) as u32)),
                 });
-                vertices += 1;
-            }
-            1 => {
-                // Insert touching a brand-new (implicitly created) vertex.
-                let a = VertexId(rng.below(vertices as usize) as u32);
-                let b = VertexId(vertices);
-                vertices += 1;
-                let l = LabelId(10 + rng.below(2) as u32);
-                ops.push(UpdateOp::InsertEdge { src: a, label: l, dst: b });
-                live.push((a, l, b));
+                *vertices += 1;
             }
             2..=4 if !live.is_empty() => {
                 let (a, l, b) = live.swap_remove(rng.below(live.len()));
                 ops.push(UpdateOp::DeleteEdge { src: a, label: l, dst: b });
             }
-            _ => {
-                let a = VertexId(rng.below(vertices as usize) as u32);
-                let b = VertexId(rng.below(vertices as usize) as u32);
-                let l = LabelId(10 + rng.below(2) as u32);
+            kind => {
+                // `1`: the edge touches a brand-new, implicitly created vertex.
+                let a = VertexId(rng.below(*vertices as usize) as u32);
+                let b = if kind == 1 {
+                    *vertices += 1;
+                    VertexId(*vertices - 1)
+                } else {
+                    VertexId(rng.below(*vertices as usize) as u32)
+                };
+                let l = LabelId(10 + rng.below(edge_labels) as u32);
                 ops.push(UpdateOp::InsertEdge { src: a, label: l, dst: b });
-                live.push((a, l, b)); // duplicates allowed: exercises skips
+                live.push((a, l, b));
             }
         }
     }
-    Scenario { g0: g, queries, ops }
+    ops
 }
 
-fn standalone_deltas(s: &Scenario, cfg: &TurboFluxConfig) -> Vec<Delta> {
-    let mut out = Vec::new();
-    for (id, q) in s.queries.iter().enumerate() {
-        let mut engine = TurboFlux::new(q.clone(), s.g0.clone(), *cfg);
-        for (op_index, op) in s.ops.iter().enumerate() {
-            engine.apply_op(op, &mut |p, r| out.push((id, op_index, p, r.clone())));
+/// A random graph on `nv` vertices labeled `i % 2` with up to `ne` edges.
+fn random_graph(rng: &mut Pcg32, nv: u32, ne: usize, edge_labels: usize) -> DynamicGraph {
+    let mut g = DynamicGraph::new();
+    for i in 0..nv {
+        g.add_vertex(LabelSet::single(LabelId(i % 2)));
+    }
+    for _ in 0..ne {
+        let a = VertexId(rng.below(nv as usize) as u32);
+        let b = VertexId(rng.below(nv as usize) as u32);
+        g.insert_edge(a, LabelId(10 + rng.below(edge_labels) as u32), b);
+    }
+    g
+}
+
+fn live_edges(g: &DynamicGraph) -> Vec<Edge> {
+    g.edges().map(|e| (e.src, e.label, e.dst)).collect()
+}
+
+/// 2–4 small queries and one batch over a two-label palette, no churn.
+fn plain_scenario(rng: &mut Pcg32) -> Scenario {
+    let mut vertices = 3 + rng.below(4) as u32;
+    let ne = rng.below(6);
+    let g0 = random_graph(rng, vertices, ne, 2);
+    let queries = (0..2 + rng.below(3))
+        .map(|_| {
+            let nq = 2 + rng.below(3) as u32;
+            random_query(rng, nq, |_, i| i % 2, false, 2, 3)
+        })
+        .collect();
+    let mut live = live_edges(&g0);
+    let n = 6 + rng.below(10);
+    let ops1 = random_ops(rng, n, 2, &mut vertices, &mut live);
+    Scenario { g0, queries, churn: None, ops1, ops2: Vec::new() }
+}
+
+/// 2–4 deeper queries with churn. Ops use edge labels 10..=14 while queries
+/// only mention 10..=12: labels 13/14 interest no engine (except wildcards),
+/// so routing must skip.
+fn routed_scenario(rng: &mut Pcg32) -> Scenario {
+    let mut vertices = 4 + rng.below(4) as u32;
+    let ne = 3 + rng.below(6);
+    let g0 = random_graph(rng, vertices, ne, 3);
+    let nqueries = 2 + rng.below(3);
+    let queries = (0..nqueries)
+        .map(|_| {
+            let nq = 2 + rng.below(4) as u32;
+            random_query(rng, nq, |_, i| i % 2, true, 3, 8)
+        })
+        .collect();
+    let late_nq = 2 + rng.below(3) as u32;
+    let late = random_query(rng, late_nq, |_, i| i % 2, true, 3, 8);
+    let victim = rng.below(nqueries);
+    let mut live = live_edges(&g0);
+    let n1 = 5 + rng.below(8);
+    let ops1 = random_ops(rng, n1, 5, &mut vertices, &mut live);
+    let n2 = 5 + rng.below(8);
+    let ops2 = random_ops(rng, n2, 5, &mut vertices, &mut live);
+    Scenario { g0, queries, churn: Some((victim, late)), ops1, ops2 }
+}
+
+/// The 4-vertex chain `L0 -10-> L1 -11-> L2 -12-> L3`.
+fn chain_query() -> QueryGraph {
+    let mut q = QueryGraph::new();
+    for i in 0..4 {
+        q.add_vertex(LabelSet::single(LabelId(i)));
+    }
+    for k in 0..3 {
+        q.add_edge(QVertexId(k), QVertexId(k + 1), Some(LabelId(10 + k)));
+    }
+    q
+}
+
+/// An edge compatible with the chain query: `Lk -(10+k)-> Lk+1` for a
+/// random layer `k`, both endpoints drawn among vertices of the right label
+/// (a fully random edge when a layer is unpopulated).
+fn chain_aligned_edge(rng: &mut Pcg32, vlabels: &[u32]) -> Edge {
+    let k = rng.below(3) as u32;
+    let layer = |l: u32| -> Vec<u32> {
+        (0..vlabels.len() as u32).filter(|&v| vlabels[v as usize] == l).collect()
+    };
+    let (srcs, dsts) = (layer(k), layer(k + 1));
+    if srcs.is_empty() || dsts.is_empty() {
+        let a = VertexId(rng.below(vlabels.len()) as u32);
+        let b = VertexId(rng.below(vlabels.len()) as u32);
+        return (a, LabelId(10 + rng.below(4) as u32), b);
+    }
+    (VertexId(srcs[rng.below(srcs.len())]), LabelId(10 + k), VertexId(dsts[rng.below(dsts.len())]))
+}
+
+/// Chain-biased ops over four vertex labels and edge labels 10..=13.
+fn chain_ops(
+    rng: &mut Pcg32,
+    n: usize,
+    vlabels: &mut Vec<u32>,
+    live: &mut Vec<Edge>,
+) -> Vec<UpdateOp> {
+    let mut ops = Vec::new();
+    for _ in 0..n {
+        match rng.below(10) {
+            0 => {
+                let l = rng.below(4) as u32;
+                ops.push(UpdateOp::AddVertex {
+                    id: VertexId(vlabels.len() as u32),
+                    labels: LabelSet::single(LabelId(l)),
+                });
+                vlabels.push(l);
+            }
+            1..=3 if !live.is_empty() => {
+                let (a, l, b) = live.swap_remove(rng.below(live.len()));
+                ops.push(UpdateOp::DeleteEdge { src: a, label: l, dst: b });
+            }
+            kind => {
+                let (a, l, b) = if (4..=5).contains(&kind) {
+                    let a = VertexId(rng.below(vlabels.len()) as u32);
+                    let b = VertexId(rng.below(vlabels.len()) as u32);
+                    (a, LabelId(10 + rng.below(4) as u32), b)
+                } else {
+                    chain_aligned_edge(rng, vlabels)
+                };
+                ops.push(UpdateOp::InsertEdge { src: a, label: l, dst: b });
+                live.push((a, l, b));
+            }
         }
     }
-    out
+    ops
 }
 
-fn fleet_deltas(s: &Scenario, cfg: &TurboFluxConfig, threads: usize, parallel: bool) -> Vec<Delta> {
+/// Engines 0 and 1 run the identical chain query (they derive the identical
+/// tree), the rest are random; one twin is deregistered between the batches
+/// and another chain copy registered in its place.
+fn twin_scenario(rng: &mut Pcg32) -> Scenario {
+    let nv = 8 + rng.below(4) as u32;
+    let mut g0 = DynamicGraph::new();
+    let mut vlabels = Vec::new();
+    for i in 0..nv {
+        g0.add_vertex(LabelSet::single(LabelId(i % 4)));
+        vlabels.push(i % 4);
+    }
+    // One guaranteed full chain embedding plus chain-biased noise.
+    for k in 0..3u32 {
+        g0.insert_edge(VertexId(k), LabelId(10 + k), VertexId(k + 1));
+    }
+    for _ in 0..4 + rng.below(8) {
+        let (a, l, b) = chain_aligned_edge(rng, &vlabels);
+        g0.insert_edge(a, l, b);
+    }
+    let mut queries = vec![chain_query(), chain_query()];
+    for _ in 0..1 + rng.below(2) {
+        let nq = 3 + rng.below(3) as u32;
+        queries.push(random_query(rng, nq, |rng, _| rng.below(4) as u32, true, 3, 8));
+    }
+    let victim = rng.below(2); // always one of the twins
+    let mut live = live_edges(&g0);
+    let n1 = 8 + rng.below(8);
+    let ops1 = chain_ops(rng, n1, &mut vlabels, &mut live);
+    let n2 = 8 + rng.below(8);
+    let ops2 = chain_ops(rng, n2, &mut vlabels, &mut live);
+    Scenario { g0, queries, churn: Some((victim, chain_query())), ops1, ops2 }
+}
+
+/// Naive per-engine replay: one standalone engine per query applying ops
+/// one at a time; the victim stops after batch 1, the late engine starts
+/// from the post-batch-1 graph under the next stable id. Returns the two
+/// per-batch delta sequences, each in `(engine id, op_index)` order.
+fn naive_deltas(s: &Scenario, cfg: TurboFluxConfig) -> (Vec<Delta>, Vec<Delta>) {
+    let (mut batch1, mut batch2) = (Vec::new(), Vec::new());
+    let mut g_mid = None;
+    for (id, q) in s.queries.iter().enumerate() {
+        let mut engine = TurboFlux::new(q.clone(), s.g0.clone(), cfg);
+        for (op_index, op) in s.ops1.iter().enumerate() {
+            engine.apply_op(op, &mut |p, r| batch1.push((id, op_index, p, r.clone())));
+        }
+        g_mid.get_or_insert_with(|| engine.graph().clone());
+        if s.churn.as_ref().is_some_and(|&(victim, _)| victim == id) {
+            continue;
+        }
+        for (op_index, op) in s.ops2.iter().enumerate() {
+            engine.apply_op(op, &mut |p, r| batch2.push((id, op_index, p, r.clone())));
+        }
+    }
+    if let Some((_, late)) = &s.churn {
+        let late_id = s.queries.len();
+        let g_mid = g_mid.expect("at least one query");
+        let mut engine = TurboFlux::new(late.clone(), g_mid, cfg);
+        for (op_index, op) in s.ops2.iter().enumerate() {
+            engine.apply_op(op, &mut |p, r| batch2.push((late_id, op_index, p, r.clone())));
+        }
+    }
+    (batch1, batch2)
+}
+
+/// Runs the scenario on one fleet; returns the two batches' delta sequences
+/// and the fleet's final stats.
+fn fleet_deltas(
+    s: &Scenario,
+    cfg: TurboFluxConfig,
+    threads: usize,
+    parallel: bool,
+) -> (Vec<Delta>, Vec<Delta>, FleetStats) {
     let mut fleet = Fleet::with_threads(s.g0.clone(), threads);
-    for q in &s.queries {
-        fleet.register(q.clone(), *cfg);
-    }
-    let mut out = Vec::new();
-    let mut sink = |d: FleetDelta<'_>| {
-        out.push((d.engine, d.op_index, d.positiveness, d.record.clone()));
+    let ids: Vec<usize> = s.queries.iter().map(|q| fleet.register(q.clone(), cfg)).collect();
+    let collect = |fleet: &mut Fleet, ops: &[UpdateOp]| {
+        let mut out: Vec<Delta> = Vec::new();
+        let mut sink = |d: FleetDelta<'_>| {
+            out.push((d.engine, d.op_index, d.positiveness, d.record.clone()));
+        };
+        if parallel {
+            fleet.apply_batch(ops, &mut sink);
+        } else {
+            fleet.apply_batch_sequential(ops, &mut sink);
+        }
+        out
     };
-    if parallel {
-        fleet.apply_batch(&s.ops, &mut sink);
-    } else {
-        fleet.apply_batch_sequential(&s.ops, &mut sink);
+    let batch1 = collect(&mut fleet, &s.ops1);
+    if let Some((victim, late)) = &s.churn {
+        assert!(fleet.deregister(ids[*victim]));
+        let late_id = fleet.register(late.clone(), cfg);
+        assert_eq!(late_id, s.queries.len(), "stable ids continue past deregistration");
     }
-    out
+    let batch2 = collect(&mut fleet, &s.ops2);
+    (batch1, batch2, fleet.stats())
 }
 
-fn run(seed: u64, semantics: MatchSemantics) {
+/// The one comparator: a `threads`-thread fleet, batched in parallel and
+/// sequentially, against naive replay. Returns `(deltas, ops_skipped)` for
+/// the callers' non-vacuity checks.
+fn assert_fleet_matches_naive(
+    s: &Scenario,
+    threads: usize,
+    semantics: MatchSemantics,
+) -> (usize, u64) {
+    let cfg = TurboFluxConfig::with_semantics(semantics);
+    let (want1, want2) = naive_deltas(s, cfg);
+    let mut skipped = 0;
+    for parallel in [false, true] {
+        let what = if parallel { "parallel" } else { "sequential" };
+        let (b1, b2, stats) = fleet_deltas(s, cfg, threads, parallel);
+        assert_eq!(b1, want1, "{what} {threads}-thread fleet != naive replay (batch 1)");
+        assert_eq!(b2, want2, "{what} {threads}-thread fleet != naive replay (batch 2)");
+        skipped += stats.ops_skipped;
+    }
+    (want1.len() + want2.len(), skipped)
+}
+
+/// Draws `rounds` scenarios and checks each under 1 and 4 threads; returns
+/// the total `ops_skipped`.
+fn run(
+    generate: fn(&mut Pcg32) -> Scenario,
+    seed: u64,
+    semantics: MatchSemantics,
+    rounds: usize,
+    min_exercised: usize,
+    min_nonempty: usize,
+) -> u64 {
     let mut rng = Pcg32::new(seed);
-    let cfg = TurboFluxConfig { semantics, ..TurboFluxConfig::default() };
-    let mut exercised = 0;
-    let mut nonempty = 0;
-    for _ in 0..60 {
-        let s = random_scenario(&mut rng);
-        if s.queries.iter().any(|q| q.edge_count() == 0 || !q.is_connected()) {
+    let (mut exercised, mut nonempty, mut skipped) = (0, 0, 0);
+    for _ in 0..rounds {
+        let s = generate(&mut rng);
+        let valid = |q: &QueryGraph| q.edge_count() > 0 && q.is_connected();
+        if !s.queries.iter().chain(s.churn.iter().map(|(_, late)| late)).all(valid) {
             continue;
         }
         exercised += 1;
-        let want = standalone_deltas(&s, &cfg);
-        let seq = fleet_deltas(&s, &cfg, 1, false);
-        let par = fleet_deltas(&s, &cfg, 4, true);
-        assert_eq!(seq, want, "sequential fleet != standalone engines");
-        assert_eq!(par, want, "parallel fleet != standalone engines");
-        if !want.is_empty() {
-            nonempty += 1;
+        let mut deltas = 0;
+        for threads in [1, 4] {
+            let (n, sk) = assert_fleet_matches_naive(&s, threads, semantics);
+            deltas = n;
+            skipped += sk;
         }
+        nonempty += usize::from(deltas > 0);
     }
-    assert!(exercised >= 20, "only {exercised} scenarios exercised");
-    assert!(nonempty >= 5, "only {nonempty} scenarios produced matches");
+    assert!(exercised >= min_exercised, "only {exercised} scenarios exercised");
+    assert!(nonempty >= min_nonempty, "only {nonempty} scenarios produced matches");
+    skipped
 }
 
 #[test]
-fn fleet_matches_standalone_homomorphism() {
-    run(0xF1EE7, MatchSemantics::Homomorphism);
+fn plain_fleet_matches_naive_replay_homomorphism() {
+    run(plain_scenario, 0xF1EE7, MatchSemantics::Homomorphism, 60, 20, 5);
 }
 
 #[test]
-fn fleet_matches_standalone_isomorphism() {
-    run(0x150_F1EE7, MatchSemantics::Isomorphism);
+fn plain_fleet_matches_naive_replay_isomorphism() {
+    run(plain_scenario, 0x150_F1EE7, MatchSemantics::Isomorphism, 60, 20, 5);
+}
+
+#[test]
+fn routed_fleet_matches_naive_replay_homomorphism() {
+    let skipped = run(routed_scenario, 0x0007_F10C5, MatchSemantics::Homomorphism, 40, 15, 5);
+    assert!(skipped > 0, "routing never skipped an engine (vacuous)");
+}
+
+#[test]
+fn routed_fleet_matches_naive_replay_isomorphism() {
+    let skipped = run(routed_scenario, 0x0150_F10C5, MatchSemantics::Isomorphism, 40, 15, 5);
+    assert!(skipped > 0, "routing never skipped an engine (vacuous)");
+}
+
+#[test]
+fn twin_fleet_matches_naive_replay_homomorphism() {
+    run(twin_scenario, 0x51_B7EE5, MatchSemantics::Homomorphism, 25, 10, 3);
+}
+
+#[test]
+fn twin_fleet_matches_naive_replay_isomorphism() {
+    run(twin_scenario, 0x150_5B75, MatchSemantics::Isomorphism, 25, 10, 3);
 }
