@@ -1,27 +1,17 @@
 //! Fleet benchmarks: multi-query registration × streaming batches.
 //!
-//! Two families:
-//!
-//! * `fleet_throughput/q{N}` — N random queries × batch size, parallel
-//!   `apply_batch` vs the single-threaded `apply_batch_sequential`
-//!   baseline, on the LSBench-like insert stream. Parallelism is across
-//!   engines, so one query cannot speed up and sixteen should approach the
-//!   core count; batch size (1 / 64 / 1024) amortizes thread-scope setup.
-//!   On a single-core host the parallel path cannot win (the per-op
-//!   barrier rounds just add overhead); `scripts/bench_snapshot.sh`
-//!   records the host's core count next to the numbers.
 //! * `fleet_routing/disjoint` — N queries with pairwise-disjoint edge
 //!   labels while the stream only touches one label: the routing table
 //!   dispatches each op to a single engine, so throughput should stay
 //!   near-flat in N instead of degrading linearly.
-//!
-//! Before timing, `fleet_throughput` asserts that an 8-query, 1-thread
-//! fleet is no slower than 1.5× eight standalone engines replaying the
-//! same stream one after another: a fleet shares the graph and skips
-//! uninterested engines, so anything it layers on top must not cost more
-//! than running the queries apart.
+//! * Before timing, the guard asserts that an 8-query fleet is no slower
+//!   than 1.5× eight standalone engines replaying the same LSBench-like
+//!   insert stream one after another: a fleet shares the graph and skips
+//!   uninterested engines, so anything it layers on top must not cost more
+//!   than running the queries apart. Fleet throughput itself is an `e2e`
+//!   number (`lsbench_fleet8`), not a series here.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 use tfx_core::{Fleet, TurboFlux, TurboFluxConfig};
@@ -43,7 +33,7 @@ fn setup() -> (DynamicGraph, Vec<QueryGraph>, Vec<UpdateOp>) {
     let ops: Vec<UpdateOp> = d.stream.ops().iter().take(STREAM_OPS).cloned().collect();
     let mut rng = Pcg32::new(21);
     let mut queries: Vec<QueryGraph> = Vec::new();
-    while queries.len() < 16 {
+    while queries.len() < 8 {
         let q = queries::random_tree_query(&d.schema, 5, &mut rng);
         let mut probe = TurboFlux::new(q.clone(), d.g0.clone(), TurboFluxConfig::default());
         let mut n = 0u64;
@@ -83,7 +73,7 @@ fn assert_fleet_tracks_standalone(g0: &DynamicGraph, queries: &[QueryGraph], ops
         (t.elapsed(), black_box(n))
     });
     let (together, got) = min_of(&|| {
-        let mut fleet = Fleet::with_threads(g0.clone(), 1);
+        let mut fleet = Fleet::new(g0.clone());
         for q in queries {
             fleet.register(q.clone(), TurboFluxConfig::default());
         }
@@ -99,48 +89,14 @@ fn assert_fleet_tracks_standalone(g0: &DynamicGraph, queries: &[QueryGraph], ops
     );
 }
 
-fn fleet_throughput(c: &mut Criterion) {
+fn fleet_guard(_: &mut Criterion) {
     let (g0, queries, ops) = setup();
-    assert_fleet_tracks_standalone(&g0, &queries[..8], &ops);
-    for &nq in &[1usize, 4, 16] {
-        let mut group = c.benchmark_group(format!("fleet_throughput/q{nq}"));
-        group.sample_size(10);
-        group.throughput(Throughput::Elements(ops.len() as u64));
-        for &batch in &[1usize, 64, 1024] {
-            group.bench_with_input(BenchmarkId::new("fleet", batch), &batch, |b, &batch| {
-                b.iter(|| {
-                    let mut fleet = Fleet::new(g0.clone());
-                    for q in &queries[..nq] {
-                        fleet.register(q.clone(), TurboFluxConfig::default());
-                    }
-                    let mut n = 0u64;
-                    for chunk in ops.chunks(batch) {
-                        fleet.apply_batch(chunk, &mut |_| n += 1);
-                    }
-                    black_box(n)
-                });
-            });
-            group.bench_with_input(BenchmarkId::new("sequential", batch), &batch, |b, &batch| {
-                b.iter(|| {
-                    let mut fleet = Fleet::with_threads(g0.clone(), 1);
-                    for q in &queries[..nq] {
-                        fleet.register(q.clone(), TurboFluxConfig::default());
-                    }
-                    let mut n = 0u64;
-                    for chunk in ops.chunks(batch) {
-                        fleet.apply_batch_sequential(chunk, &mut |_| n += 1);
-                    }
-                    black_box(n)
-                });
-            });
-        }
-        group.finish();
-    }
+    assert_fleet_tracks_standalone(&g0, &queries, &ops);
 }
 
 fn replay(fleet: &mut Fleet, ops: &[UpdateOp]) -> u64 {
     let mut n = 0u64;
-    fleet.apply_batch_sequential(ops, &mut |_| n += 1);
+    fleet.apply_batch(ops, &mut |_| n += 1);
     n
 }
 
@@ -172,7 +128,7 @@ fn fleet_routing_disjoint(c: &mut Criterion) {
 
     // Sanity: with ≥2 disjoint engines the routing table must skip.
     {
-        let mut fleet = Fleet::with_threads(g0.clone(), 1);
+        let mut fleet = Fleet::new(g0.clone());
         for i in 0..2 {
             fleet.register(query_for(i), TurboFluxConfig::default());
         }
@@ -184,7 +140,7 @@ fn fleet_routing_disjoint(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(ops.len() as u64));
     for &nq in &[1usize, 4, 16, 64] {
-        let mut fleet = Fleet::with_threads(g0.clone(), 1);
+        let mut fleet = Fleet::new(g0.clone());
         for i in 0..nq {
             fleet.register(query_for(i), TurboFluxConfig::default());
         }
@@ -193,5 +149,5 @@ fn fleet_routing_disjoint(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, fleet_throughput, fleet_routing_disjoint);
+criterion_group!(benches, fleet_guard, fleet_routing_disjoint);
 criterion_main!(benches);

@@ -2,7 +2,7 @@
 //! {1, 2, 4, 8} against the unsharded engine, on three stream shapes:
 //!
 //! * `shard_scaling/uniform` — unskewed endpoints; partitions stay
-//!   balanced, so this is the best case for shard parallelism.
+//!   balanced.
 //! * `shard_scaling/hub` — hub-dominated endpoints; most root candidates
 //!   hash to a few shards, the worst case for partition balance.
 //! * `shard_scaling/netflow_windowed` — the full ingestion pipeline
@@ -11,11 +11,10 @@
 //!
 //! The `unsharded` baseline is the plain engine with the same pinned
 //! (static) matching order the sharded runtime uses, so the comparison
-//! isolates partitioning cost/benefit from plan differences. Shard
-//! parallelism is across partition slices; on a single-core host the
-//! barrier rounds can only add overhead (shards=1 stays sequential and
-//! must track the baseline closely) — `scripts/bench_snapshot.sh` refuses
-//! to snapshot this group on 1 core and records the core count otherwise.
+//! isolates partitioning cost from plan differences. Every slice runs on
+//! the calling thread, so the series read as what partitioning costs
+//! (routing, mirrored edges, keyed merge) as the shard count grows;
+//! shards=1 must track the baseline closely.
 //!
 //! Before timing, every group self-checks that all shard counts emit
 //! exactly as many deltas as the unsharded baseline.
@@ -76,7 +75,7 @@ fn unsharded_deltas(g0: &DynamicGraph, q: &QueryGraph, ops: &[UpdateOp]) -> u64 
 }
 
 fn sharded_deltas(g0: &DynamicGraph, q: &QueryGraph, ops: &[UpdateOp], shards: usize) -> u64 {
-    let mut engine = ShardedEngine::new(vec![q.clone()], g0.clone(), cfg(shards), shards);
+    let mut engine = ShardedEngine::new(vec![q.clone()], g0.clone(), cfg(shards), 1);
     let mut n = 0u64;
     for chunk in ops.chunks(BATCH) {
         engine.apply_batch(chunk, &mut |_, _, _, _| n += 1);
@@ -98,7 +97,7 @@ fn bench_shape(c: &mut Criterion, name: &str, d: &Dataset, query_seed: u64) {
     // Regression guard: the single-shard fast path must track the unsharded
     // engine. Min-of-N damps scheduler noise; the 1.5× bound is generous
     // (measured parity ±5% on both uniform and hub — see DESIGN.md's
-    // sharded-execution notes and `examples/shard_probe.rs`).
+    // sharded-execution notes).
     let min_of = |f: &dyn Fn() -> u64| {
         (0..7)
             .map(|_| {
@@ -156,7 +155,7 @@ fn shard_scaling_netflow_windowed(c: &mut Criterion) {
             let mut engine = TurboFlux::new(q.clone(), dataset.g0, cfg(1));
             driver.run(&mut source, &mut engine, &mut sink)
         } else {
-            let mut engine = ShardedEngine::new(vec![q.clone()], dataset.g0, cfg(shards), shards);
+            let mut engine = ShardedEngine::new(vec![q.clone()], dataset.g0, cfg(shards), 1);
             let engine: &mut dyn BatchTarget = &mut engine;
             driver.run(&mut source, engine, &mut sink)
         };

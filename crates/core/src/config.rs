@@ -18,22 +18,15 @@ pub struct TurboFluxConfig {
     /// deltas are identical either way, so this exists purely as an
     /// ablation switch for benchmarking the index.
     pub label_indexed_adjacency: bool,
-    /// Worker threads for intra-update parallel match enumeration: a single
-    /// update whose explicit DCG frontier (or initial root-candidate set)
-    /// is at least [`Self::parallel_min_frontier`] wide is split into
-    /// chunks evaluated on scoped worker threads, with deltas merged in
-    /// chunk order so output stays byte-identical to sequential
-    /// evaluation. `0` means one worker per available core; `1` disables
-    /// parallelism. A [`crate::fleet::Fleet`] additionally caps this so
-    /// fleet-level × update-level workers never exceed its thread budget.
+    /// Inert: nothing reads it, every engine evaluates on the calling thread
+    /// (DESIGN.md, "Parallel execution: tried, measured, removed"). Kept only
+    /// so the frozen `e2e` benchmark compiles; leaves with its
+    /// `core.default_workers_events_per_s` / `core.intra_parallel_speedup_x`
+    /// rows in the next `benchmark` PR.
     pub parallel_workers: usize,
-    /// Minimum frontier width before an update fans out; narrower
-    /// frontiers run sequentially so small updates never pay thread-spawn
-    /// cost (and stay allocation-free).
-    pub parallel_min_frontier: usize,
     /// Shard count for the sharded execution runtime
     /// ([`crate::shard::ShardedEngine`]): data-graph vertices are
-    /// hash-partitioned across this many worker shards, each maintaining a
+    /// hash-partitioned across this many shards, each maintaining a
     /// partition-local graph and DCG slice. `1` (the default) keeps the
     /// classic single-slice engine. Only consulted by the sharded runtime —
     /// standalone engines and fleets ignore it.
@@ -46,8 +39,7 @@ impl Default for TurboFluxConfig {
             semantics: MatchSemantics::Homomorphism,
             adjust_matching_order: true,
             label_indexed_adjacency: true,
-            parallel_workers: 0,
-            parallel_min_frontier: 64,
+            parallel_workers: 1,
             shards: 1,
         }
     }
@@ -77,21 +69,22 @@ mod tests {
     #[test]
     fn defaults() {
         let c = TurboFluxConfig::default();
-        // Destructured without `..`: a seventh field does not compile until
+        // Destructured without `..`: a sixth field does not compile until
         // someone writes down which two callers need different values.
         let TurboFluxConfig {
             semantics,
             adjust_matching_order,
             label_indexed_adjacency,
             parallel_workers,
-            parallel_min_frontier,
             shards,
         } = c;
         assert_eq!(semantics, MatchSemantics::Homomorphism);
         assert!(adjust_matching_order);
         assert!(label_indexed_adjacency);
-        assert_eq!(parallel_workers, 0, "auto-sized by default");
-        assert!(parallel_min_frontier > 1, "small updates stay sequential");
+        assert_eq!(
+            parallel_workers, 1,
+            "inert; the value the frozen benchmark's one-thread runs set"
+        );
         assert_eq!(shards, 1, "unsharded by default");
         assert_eq!(c.adjacency_mode(), AdjacencyMode::Indexed);
         let flat = TurboFluxConfig { label_indexed_adjacency: false, ..c };

@@ -21,7 +21,7 @@
 //!   (many engines over one partitioned graph); standalone mode is the same
 //!   round on the engine's own graph.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::cell::Cell;
 
 use rustc_hash::FxHashMap;
 use tfx_graph::{shard_of, DynamicGraph, GraphStats, GraphView, LabelId, UpdateOp, VertexId};
@@ -33,14 +33,11 @@ use tfx_query::{
 use crate::config::TurboFluxConfig;
 use crate::dcg::{Dcg, EdgeState};
 use crate::order::OrderMaintenance;
-use crate::parallel::ScratchPool;
 use crate::round::{self, Round};
 use crate::scratch::SearchScratch;
 use crate::tree_nav::collect_child_candidates;
 
-/// How many search steps between wall-clock deadline checks (power of two:
-/// the shared step counter is masked, not reset, so concurrent search
-/// workers can bump it without coordination).
+/// How many search steps between wall-clock deadline checks.
 const DEADLINE_CHECK_INTERVAL: u32 = 4096;
 
 /// A continuous subgraph matching engine maintaining a data-centric graph.
@@ -71,25 +68,14 @@ pub struct TurboFlux {
     /// Reusable buffers for the per-update hot path (embedding, candidate
     /// stacks, edge snapshots); steady-state updates allocate nothing.
     pub(crate) scratch: SearchScratch,
-    /// Per-worker scratches and delta buffers for intra-update parallel
-    /// enumeration, checked out under `&self` from scoped worker threads.
-    pub(crate) pool: ScratchPool,
-    /// `available_parallelism()` resolved once at registration (the `0 =
-    /// auto` meaning of [`TurboFluxConfig::parallel_workers`]).
-    pub(crate) auto_workers: usize,
-    /// External cap on intra-update workers, set by a
-    /// [`crate::fleet::Fleet`] so nested parallelism cannot oversubscribe
-    /// its thread budget.
-    pub(crate) worker_budget: usize,
     /// Optional wall-clock deadline (benchmark timeouts); checked
     /// periodically inside the search.
     pub(crate) deadline: Option<std::time::Instant>,
-    /// Search steps since the deadline was set, bumped from every search
-    /// worker; a wall-clock probe runs every `DEADLINE_CHECK_INTERVAL`
-    /// steps.
-    pub(crate) deadline_tick: AtomicU32,
+    /// Search steps until the next wall-clock probe. A `Cell` because the
+    /// search only holds `&self`; the engine stays `Send`.
+    pub(crate) deadline_tick: Cell<u32>,
     /// Latched once the deadline passed; the engine stops enumerating.
-    pub(crate) deadline_hit: AtomicBool,
+    pub(crate) deadline_hit: Cell<bool>,
     /// `(shard, shards)` when this engine is one slice of a
     /// [`crate::shard::ShardedEngine`]: root candidates are registered only
     /// for data vertices this shard owns, so the engine maintains exactly
@@ -185,12 +171,9 @@ impl TurboFlux {
             qedge_wildcard,
             order_maint: OrderMaintenance::default(),
             scratch: SearchScratch::for_query(nq, track_bound),
-            pool: ScratchPool::default(),
-            auto_workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            worker_budget: usize::MAX,
             deadline: None,
-            deadline_tick: AtomicU32::new(0),
-            deadline_hit: AtomicBool::new(false),
+            deadline_tick: Cell::new(0),
+            deadline_hit: Cell::new(false),
             partition,
             g: DynamicGraph::default(),
             q,
@@ -242,49 +225,28 @@ impl TurboFlux {
     /// benchmark harness to bound single explosive updates.
     pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
         self.deadline = deadline;
-        // 0 makes the very next probe's `fetch_add` return a masked zero,
-        // i.e. the clock is consulted immediately after (re)arming.
-        self.deadline_tick.store(0, Ordering::Relaxed);
-        self.deadline_hit.store(false, Ordering::Relaxed);
+        // 0: the clock is consulted on the very next probe after (re)arming.
+        self.deadline_tick.set(0);
+        self.deadline_hit.set(false);
     }
 
-    /// Caps intra-update parallelism regardless of the configured
-    /// [`TurboFluxConfig::parallel_workers`]. A [`crate::fleet::Fleet`]
-    /// sets this before fanning a batch out over its own workers so the
-    /// two parallelism layers multiply to at most its thread budget.
-    pub fn set_worker_budget(&mut self, workers: usize) {
-        self.worker_budget = workers.max(1);
-    }
-
-    /// Effective intra-update worker count: the config knob (0 = one per
-    /// available core) clamped by the external budget.
-    #[inline]
-    pub(crate) fn intra_workers(&self) -> usize {
-        let configured = match self.cfg.parallel_workers {
-            0 => self.auto_workers,
-            n => n,
-        };
-        configured.min(self.worker_budget).max(1)
-    }
-
-    /// Cheap periodic deadline probe (called from the search hot loop,
-    /// possibly from several worker threads at once — the step counter is
-    /// a shared atomic and the hit flag a monotonic latch, so probes never
-    /// need coordination; the cadence just degrades to approximately every
-    /// `DEADLINE_CHECK_INTERVAL` steps per worker group).
+    /// Cheap periodic deadline probe (called from the search hot loop).
     #[inline]
     pub(crate) fn deadline_exceeded(&self) -> bool {
-        if self.deadline_hit.load(Ordering::Relaxed) {
+        if self.deadline_hit.get() {
             return true;
         }
         let Some(deadline) = self.deadline else {
             return false;
         };
-        if self.deadline_tick.fetch_add(1, Ordering::Relaxed) & (DEADLINE_CHECK_INTERVAL - 1) != 0 {
+        let tick = self.deadline_tick.get();
+        if tick > 0 {
+            self.deadline_tick.set(tick - 1);
             return false;
         }
+        self.deadline_tick.set(DEADLINE_CHECK_INTERVAL - 1);
         if std::time::Instant::now() >= deadline {
-            self.deadline_hit.store(true, Ordering::Relaxed);
+            self.deadline_hit.set(true);
             return true;
         }
         false
@@ -392,9 +354,7 @@ impl TurboFlux {
 
     /// Reports all matches of the initial data graph against a borrowed
     /// graph (externally driven mode; `g` must be the graph the DCG was
-    /// built from). When the explicit root-candidate set is wide enough
-    /// the candidates are partitioned across worker threads ([`crate::parallel`]);
-    /// emission order is the candidate (= vertex id) order either way.
+    /// built from). Emission order is the root-candidate (= vertex id) order.
     pub fn initial_matches_in<G: GraphView>(&mut self, g: &G, sink: &mut dyn FnMut(&MatchRecord)) {
         let us = self.tree.root();
         let ctx = crate::search::SearchCtx::initial();
@@ -405,18 +365,11 @@ impl TurboFlux {
                 .map(VertexId)
                 .filter(|&vs| self.dcg.root_state(vs) == Some(EdgeState::Explicit)),
         );
-        let workers = self.intra_workers();
-        if workers > 1 && scratch.kids.len() >= self.cfg.parallel_min_frontier {
-            let kids = std::mem::take(&mut scratch.kids);
-            self.search_chunked_roots(g, &ctx, &kids, &mut scratch, workers, &mut |_p, r| sink(r));
-            scratch.kids = kids;
-        } else {
-            for i in 0..scratch.kids.len() {
-                let vs = scratch.kids[i];
-                scratch.bind(us, vs);
-                self.subgraph_search(g, 0, &ctx, &mut scratch, &mut |_p, r| sink(r));
-                scratch.unbind(us);
-            }
+        for i in 0..scratch.kids.len() {
+            let vs = scratch.kids[i];
+            scratch.bind(us, vs);
+            self.subgraph_search(g, 0, &ctx, &mut scratch, &mut |_p, r| sink(r));
+            scratch.unbind(us);
         }
         scratch.kids.clear();
         self.scratch = scratch;
@@ -548,7 +501,7 @@ impl ContinuousMatcher for TurboFlux {
     }
 
     fn timed_out(&self) -> bool {
-        self.deadline_hit.load(Ordering::Relaxed)
+        self.deadline_hit.get()
     }
 
     fn name(&self) -> &'static str {

@@ -25,9 +25,8 @@
 //! A batch runs on the round driver ([`crate::round`]) with one cell per
 //! engine: the fleet contributes only its [`Rounds`] hooks — the shared
 //! graph around `stage` / `finalize` and the routing table as the target
-//! list. The loop, the worker pool and the `(engine, op_index, emission)`
-//! output order — independent of thread count and routing — are the
-//! driver's.
+//! list. The loop and the `(engine, op_index, emission)` output order —
+//! independent of routing — are the driver's.
 
 use rustc_hash::FxHashMap;
 use tfx_graph::{DynamicGraph, LabelId, UpdateOp};
@@ -35,7 +34,7 @@ use tfx_query::{MatchRecord, Positiveness, QueryGraph};
 
 use crate::config::TurboFluxConfig;
 use crate::engine::TurboFlux;
-use crate::round::{self, Cells, Emit, Key, Round, Rounds, Target};
+use crate::round::{self, Emit, Key, Round, Rounds, Target};
 
 /// A match delta reported by [`Fleet::apply_batch`].
 #[derive(Clone, Copy, Debug)]
@@ -93,12 +92,7 @@ impl Rounds for Shared {
         1
     }
 
-    fn stage(
-        &mut self,
-        op: &UpdateOp,
-        engines: &mut Cells<'_, '_, TurboFlux>,
-        targets: &mut Vec<Target>,
-    ) -> Round {
+    fn stage(&mut self, op: &UpdateOp, engines: &[TurboFlux], targets: &mut Vec<Target>) -> Round {
         let (round, _) = round::stage(&mut self.graph, op);
         let interested = round
             .edge()
@@ -145,19 +139,11 @@ pub struct Fleet {
     /// is id order and [`FleetDelta`]s stay sorted by `(engine, op_index)`.
     ids: Vec<usize>,
     next_id: usize,
-    threads: usize,
 }
 
 impl Fleet {
-    /// A fleet over `g0` using all available parallelism.
+    /// A fleet over `g0` with no query registered yet.
     pub fn new(g0: DynamicGraph) -> Self {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self::with_threads(g0, threads)
-    }
-
-    /// A fleet over `g0` evaluating batches on up to `threads` worker
-    /// threads (clamped to ≥ 1; `1` evaluates inline without spawning).
-    pub fn with_threads(g0: DynamicGraph, threads: usize) -> Self {
         Fleet {
             shared: Shared {
                 graph: g0,
@@ -169,22 +155,24 @@ impl Fleet {
             engines: Vec::new(),
             ids: Vec::new(),
             next_id: 0,
-            threads: threads.max(1),
         }
+    }
+
+    /// Inert: `threads` is ignored, every fleet evaluates on the calling
+    /// thread (DESIGN.md, "Parallel execution: tried, measured, removed").
+    /// Kept only so the frozen `e2e` benchmark compiles; leaves with its
+    /// `fleet.threads2_events_per_s` / `fleet.parallel_speedup_x` rows in the
+    /// next `benchmark` PR.
+    pub fn with_threads(g0: DynamicGraph, _threads: usize) -> Self {
+        Self::new(g0)
     }
 
     /// Registers a query against the current graph state, building its DCG
     /// and entering it into the op-routing table. Returns the engine's
     /// stable id, used in [`FleetDelta::engine`] and [`Fleet::deregister`];
     /// ids are never reused.
-    ///
-    /// Fleet engines are capped to the fleet's thread budget for
-    /// intra-update parallelism; [`Fleet::apply_batch`] tightens the cap
-    /// further while several engines evaluate concurrently.
     pub fn register(&mut self, q: QueryGraph, cfg: TurboFluxConfig) -> usize {
-        let mut engine = TurboFlux::register(q, &self.shared.graph, cfg);
-        engine.set_worker_budget(self.threads);
-        self.engines.push(engine);
+        self.engines.push(TurboFlux::register(q, &self.shared.graph, cfg));
         let id = self.next_id;
         self.next_id += 1;
         self.ids.push(id);
@@ -255,11 +243,6 @@ impl Fleet {
         &self.ids
     }
 
-    /// Configured worker-thread cap.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Cumulative routing counters.
     pub fn stats(&self) -> FleetStats {
         FleetStats {
@@ -276,38 +259,14 @@ impl Fleet {
     }
 
     /// Applies a batch of updates to the shared graph, evaluating every
-    /// routed engine — on up to [`Fleet::threads`] threads in rounds that
-    /// route to several engines. Matches are delivered in deterministic
-    /// `(engine, op_index, emission)` order, identical to
-    /// [`Fleet::apply_batch_sequential`] regardless of thread count. A
-    /// one-engine fleet streams them as they are found; otherwise they are
-    /// buffered per batch.
+    /// routed engine. Matches are delivered in deterministic
+    /// `(engine, op_index, emission)` order. A one-engine fleet streams them
+    /// as they are found; otherwise they are buffered per batch.
     pub fn apply_batch(&mut self, ops: &[UpdateOp], sink: &mut dyn FnMut(FleetDelta<'_>)) {
-        self.drive(ops, self.threads, sink);
-    }
-
-    /// [`Fleet::apply_batch`] on the calling thread only: the determinism
-    /// oracle and the benchmark baseline of the threaded rounds.
-    pub fn apply_batch_sequential(
-        &mut self,
-        ops: &[UpdateOp],
-        sink: &mut dyn FnMut(FleetDelta<'_>),
-    ) {
-        self.drive(ops, 0, sink);
-    }
-
-    fn drive(&mut self, ops: &[UpdateOp], workers: usize, sink: &mut dyn FnMut(FleetDelta<'_>)) {
-        round::share_threads(&mut self.engines, self.threads, workers);
         let ids = &self.ids;
-        round::drive(
-            &mut self.shared,
-            &mut self.engines,
-            ops,
-            workers,
-            &mut |pos, op_index, p, r| {
-                sink(FleetDelta { engine: ids[pos], op_index, positiveness: p, record: r })
-            },
-        );
+        round::drive(&mut self.shared, &mut self.engines, ops, &mut |pos, op_index, p, r| {
+            sink(FleetDelta { engine: ids[pos], op_index, positiveness: p, record: r })
+        });
     }
 }
 
@@ -360,35 +319,24 @@ mod tests {
     fn collect_batch(
         fleet: &mut Fleet,
         ops: &[UpdateOp],
-        parallel: bool,
     ) -> Vec<(usize, usize, Positiveness, MatchRecord)> {
         let mut out = Vec::new();
-        let mut sink = |d: FleetDelta<'_>| {
+        fleet.apply_batch(ops, &mut |d| {
             out.push((d.engine, d.op_index, d.positiveness, d.record.clone()));
-        };
-        if parallel {
-            fleet.apply_batch(ops, &mut sink);
-        } else {
-            fleet.apply_batch_sequential(ops, &mut sink);
-        }
+        });
         out
     }
 
     #[test]
-    fn parallel_equals_sequential_equals_standalone() {
+    fn fleet_equals_standalone() {
         let (g0, queries) = setup();
 
-        let mut par = Fleet::with_threads(g0.clone(), 4);
-        let mut seq = Fleet::with_threads(g0.clone(), 1);
+        let mut fleet = Fleet::new(g0.clone());
         for q in &queries {
-            par.register(q.clone(), TurboFluxConfig::default());
-            seq.register(q.clone(), TurboFluxConfig::default());
+            fleet.register(q.clone(), TurboFluxConfig::default());
         }
-        let got_par = collect_batch(&mut par, &ops(), true);
-        let got_seq = collect_batch(&mut seq, &ops(), false);
-        assert_eq!(got_par, got_seq);
-        assert!(!got_par.is_empty());
-        assert_eq!(par.graph().edge_count(), seq.graph().edge_count());
+        let got = collect_batch(&mut fleet, &ops());
+        assert!(!got.is_empty());
 
         // Standalone engines applying the ops one by one are the oracle.
         let mut want = Vec::new();
@@ -398,17 +346,17 @@ mod tests {
                 engine.apply_op(op, &mut |p, r| want.push((id, op_index, p, r.clone())));
             }
         }
-        assert_eq!(got_par, want);
+        assert_eq!(got, want);
     }
 
     #[test]
     fn deltas_are_ordered_and_graph_advances() {
         let (g0, queries) = setup();
-        let mut fleet = Fleet::with_threads(g0, 4);
+        let mut fleet = Fleet::new(g0);
         for q in queries {
             fleet.register(q, TurboFluxConfig::default());
         }
-        let got = collect_batch(&mut fleet, &ops(), true);
+        let got = collect_batch(&mut fleet, &ops());
         assert!(
             got.windows(2).all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)),
             "deltas must be sorted by (engine, op_index)"
@@ -432,7 +380,7 @@ mod tests {
     #[test]
     fn empty_batches_and_empty_fleets_are_fine() {
         let (g0, queries) = setup();
-        let mut fleet = Fleet::with_threads(g0, 8);
+        let mut fleet = Fleet::new(g0);
         assert_eq!(fleet.engine_count(), 0);
         // No engines: the graph still advances.
         fleet.apply_batch(&ops()[..3], &mut |_| panic!("no engines, no deltas"));
@@ -445,7 +393,7 @@ mod tests {
     #[test]
     fn routing_skips_uninterested_engines() {
         let (g0, queries) = setup();
-        let mut fleet = Fleet::with_threads(g0, 1);
+        let mut fleet = Fleet::new(g0);
         for q in &queries {
             fleet.register(q.clone(), TurboFluxConfig::default());
         }
@@ -470,7 +418,7 @@ mod tests {
         let a = q.add_vertex(LabelSet::single(l(0)));
         let b = q.add_vertex(LabelSet::single(l(1)));
         q.add_edge(a, b, None); // any edge label
-        let mut fleet = Fleet::with_threads(g0, 1);
+        let mut fleet = Fleet::new(g0);
         fleet.register(q, TurboFluxConfig::default());
         let mut n = 0;
         fleet.apply_batch(
@@ -486,7 +434,7 @@ mod tests {
     #[test]
     fn register_deregister_register_churn() {
         let (g0, queries) = setup();
-        let mut fleet = Fleet::with_threads(g0.clone(), 2);
+        let mut fleet = Fleet::new(g0.clone());
         let id1 = fleet.register(queries[0].clone(), TurboFluxConfig::default());
         let id2 = fleet.register(queries[1].clone(), TurboFluxConfig::default());
         assert_eq!((id1, id2), (0, 1));
@@ -498,7 +446,7 @@ mod tests {
 
         // The survivor keeps matching under its stable id.
         let batch = ops();
-        let got = collect_batch(&mut fleet, &batch, true);
+        let got = collect_batch(&mut fleet, &batch);
         assert!(got.iter().all(|d| d.0 == id2), "only engine 1 is left");
         assert!(!got.is_empty());
 

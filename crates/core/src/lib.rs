@@ -40,7 +40,6 @@ pub mod fleet;
 mod ops_delete;
 mod ops_insert;
 pub mod order;
-mod parallel;
 mod round;
 mod scratch;
 mod search;

@@ -153,7 +153,7 @@ impl TurboFlux {
         let us = self.tree.root();
         if u == us {
             if self.dcg.root_state(v) == Some(EdgeState::Explicit) {
-                self.search_from_root(g, ctx, scratch, sink);
+                self.subgraph_search(g, 0, ctx, scratch, sink);
                 if precondition {
                     self.dcg.transit(None, u, v, Some(EdgeState::Implicit));
                 }

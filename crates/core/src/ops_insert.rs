@@ -161,10 +161,10 @@ impl TurboFlux {
             match self.dcg.root_state(v) {
                 Some(EdgeState::Implicit) if ft => {
                     self.dcg.transit(None, u, v, Some(EdgeState::Explicit));
-                    self.search_from_root(g, ctx, scratch, sink);
+                    self.subgraph_search(g, 0, ctx, scratch, sink);
                 }
                 Some(EdgeState::Explicit) => {
-                    self.search_from_root(g, ctx, scratch, sink);
+                    self.subgraph_search(g, 0, ctx, scratch, sink);
                 }
                 _ => {}
             }

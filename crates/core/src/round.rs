@@ -6,17 +6,15 @@
 //!
 //! 1. **stage**: the op's pre-evaluation half mutates the graph ([`stage`])
 //!    and the runtime names the round's target cells ([`route`]);
-//! 2. **run**: every target cell evaluates the round against the now
-//!    read-only graph — on the driver thread, or stolen off an atomic cursor
-//!    by a scoped pool when the round has several targets and the caller
-//!    granted workers;
+//! 2. **run**: every target cell, in ascending cell order, evaluates the
+//!    round against the now read-only graph;
 //! 3. **finalize**: the op's post-evaluation half ([`finalize`]: a deleted
 //!    edge leaves the graph only after every cell evaluated it).
 //!
 //! A *cell* is one engine: a query of a [`crate::Fleet`], a
 //! `(shard, query)` slice of a [`crate::ShardedEngine`]. What differs
-//! between runtimes is supplied through [`Rounds`]; the loop, the pool and
-//! the merge exist here and nowhere else. [`crate::TurboFlux::apply_op`] is
+//! between runtimes is supplied through [`Rounds`]; the loop and the merge
+//! exist here and nowhere else. [`crate::TurboFlux::apply_op`] is
 //! the same protocol for one engine that owns its graph and calls
 //! [`stage`] / [`finalize`] directly.
 //!
@@ -26,16 +24,15 @@
 //! its emissions stream straight to the sink. Otherwise they are buffered
 //! per cell — in op order, because a cell runs its rounds in order — and
 //! drained query by query after the last round, so the sink sees
-//! `(query, op, emission)` order for any worker count. A query spread over
-//! several cells merges their buffers on the emissions' [`Key`]s.
-
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, RwLock};
+//! `(query, op, emission)` order. A query spread over several cells merges
+//! their buffers on the emissions' [`Key`]s.
+//!
+//! Everything runs on the calling thread (DESIGN.md, "Parallel execution:
+//! tried, measured, removed"), so a panic in a hook unwinds through
+//! [`drive`] to the caller.
 
 use tfx_graph::{shard_of, DynamicGraph, LabelId, LabelSet, ShardedGraph, UpdateOp, VertexId};
 use tfx_query::{MatchRecord, Positiveness};
-
-use crate::engine::TurboFlux;
 
 /// One op's evaluation plan, derived by [`stage`] and executed by every
 /// target cell. Rounds only read the graph.
@@ -213,25 +210,9 @@ pub(crate) struct Key {
 /// A cell's output channel for one round.
 pub(crate) type Emit<'a> = dyn FnMut(Key, Positiveness, &MatchRecord) + 'a;
 
-/// Every cell, for the driver-side hooks: between rounds no worker holds
-/// one, so access is exclusive and lock-free.
-pub(crate) struct Cells<'s, 'c, C>(&'s mut [Mutex<Slot<'c, C>>]);
-
-impl<C> Cells<'_, '_, C> {
-    pub(crate) fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    pub(crate) fn get(&mut self, cell: usize) -> &mut C {
-        self.0[cell].get_mut().expect("a cell panicked mid-round").cell
-    }
-}
-
-/// What a runtime supplies to [`drive`]. `stage` and `finalize` run on the
-/// driver thread with everything exclusive; `run` is called from whichever
-/// thread claimed the target, concurrently for distinct cells.
-pub(crate) trait Rounds: Send + Sync {
-    type Cell: Send;
+/// What a runtime supplies to [`drive`].
+pub(crate) trait Rounds {
+    type Cell;
 
     /// How many cells evaluate each query (≥ 1): cell `c` belongs to query
     /// `c / cells_per_query`.
@@ -239,30 +220,13 @@ pub(crate) trait Rounds: Send + Sync {
 
     /// Stages `op` (graph mutation via [`stage`] plus whatever the runtime
     /// keeps in step with the graph) and fills `targets` (via [`route`]).
-    fn stage(
-        &mut self,
-        op: &UpdateOp,
-        cells: &mut Cells<'_, '_, Self::Cell>,
-        targets: &mut Vec<Target>,
-    ) -> Round;
+    fn stage(&mut self, op: &UpdateOp, cells: &[Self::Cell], targets: &mut Vec<Target>) -> Round;
 
     /// Evaluates `round` on one target cell.
     fn run(&self, cell: &mut Self::Cell, target: Target, round: &Round, emit: &mut Emit<'_>);
 
     /// Finalizes the round (via [`finalize`]) once every target ran.
     fn finalize(&mut self, round: &Round);
-}
-
-/// Nested parallelism cap for engine cells about to be driven with
-/// `workers`: cells evaluating concurrently share `threads` equally, so
-/// round-level × intra-update workers never exceed it. Intra-update output
-/// is byte-identical for any worker count, so the cap cannot perturb the
-/// emitted delta order.
-pub(crate) fn share_threads(engines: &mut [TurboFlux], threads: usize, workers: usize) {
-    let pool = workers.clamp(1, engines.len().max(1));
-    for engine in engines {
-        engine.set_worker_budget(threads / pool);
-    }
 }
 
 /// A buffered emission.
@@ -273,120 +237,35 @@ struct Pending {
     rec: MatchRecord,
 }
 
-/// A cell and its emission buffer, behind a mutex so a pool round can hand
-/// disjoint `&mut`s to whichever worker claims them. Exactly one thread
-/// claims a cell per round, so the lock never contends.
-struct Slot<'c, C> {
-    cell: &'c mut C,
-    buf: Vec<Pending>,
-}
-
-/// Everything a round touches. The driver holds the write lock between
-/// rounds (for a whole inline batch); pool rounds read it.
-struct State<'a, R: Rounds> {
-    rt: &'a mut R,
-    slots: Vec<Mutex<Slot<'a, R::Cell>>>,
-    op: usize,
-    round: Round,
-    targets: Vec<Target>,
-}
-
-fn buffer(buf: &mut Vec<Pending>, op: usize) -> impl FnMut(Key, Positiveness, &MatchRecord) + '_ {
-    move |key, p, rec| buf.push(Pending { op: op as u32, key, p, rec: rec.clone() })
-}
-
-/// Claims and runs the published round's targets until none are left. The
-/// cursor only deals out distinct indices (`Relaxed`); the round it indexes
-/// into was published by the lock the caller read `st` through.
-fn steal<R: Rounds>(st: &State<'_, R>, cursor: &AtomicUsize) {
-    while let Some(&target) = st.targets.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-        let mut slot = st.slots[target.cell].lock().expect("a cell panicked mid-round");
-        let Slot { cell, buf } = &mut *slot;
-        st.rt.run(cell, target, &st.round, &mut buffer(buf, st.op));
-    }
-}
-
 /// Applies `ops` in order, one round each, and delivers every emission to
 /// `sink(query, op index, positiveness, record)` in `(query, op, emission)`
-/// order — byte-identical for any `workers`.
-///
-/// `workers <= 1` runs every round on the calling thread. More allows a
-/// scoped pool of up to that many threads (the caller included, never more
-/// than cells), woken only for rounds with at least two targets; the rest
-/// stay on the driver thread and cost no synchronization. Returns how many
-/// rounds woke the pool.
+/// order.
 pub(crate) fn drive<R: Rounds>(
     rt: &mut R,
     cells: &mut [R::Cell],
     ops: &[UpdateOp],
-    workers: usize,
     sink: &mut dyn FnMut(usize, usize, Positiveness, &MatchRecord),
-) -> usize {
-    if ops.is_empty() {
-        return 0;
-    }
+) {
     let per_query = rt.cells_per_query();
-    let pool = workers.min(cells.len()).max(1);
     // One cell in total: op order is output order, nothing to buffer.
     let direct = cells.len() == 1;
-    let state = RwLock::new(State {
-        rt,
-        slots: cells.iter_mut().map(|cell| Mutex::new(Slot { cell, buf: Vec::new() })).collect(),
-        op: 0,
-        round: Round::Skip,
-        targets: Vec::new(),
-    });
-    let cursor = AtomicUsize::new(0);
-    let barrier = Barrier::new(pool);
-    let stop = AtomicBool::new(false);
-    let mut woken = 0;
-    std::thread::scope(|s| {
-        for _ in 1..pool {
-            s.spawn(|| loop {
-                barrier.wait(); // a round was published, or the batch is over
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                steal(&state.read().expect("a cell panicked mid-round"), &cursor);
-                barrier.wait(); // round complete; the read guard is gone
-            });
-        }
-        let mut guard = state.write().expect("a cell panicked mid-round");
-        for (op_index, op) in ops.iter().enumerate() {
-            let st = &mut *guard;
-            st.op = op_index;
-            st.round = st.rt.stage(op, &mut Cells(&mut st.slots), &mut st.targets);
-            if pool > 1 && st.targets.len() > 1 {
-                woken += 1;
-                cursor.store(0, Ordering::SeqCst);
-                drop(guard);
-                barrier.wait();
-                steal(&state.read().expect("a cell panicked mid-round"), &cursor);
-                barrier.wait();
-                guard = state.write().expect("a cell panicked mid-round");
+    let mut bufs: Vec<Vec<Pending>> = cells.iter().map(|_| Vec::new()).collect();
+    let mut targets = Vec::new();
+    for (op_index, op) in ops.iter().enumerate() {
+        let round = rt.stage(op, cells, &mut targets);
+        for &target in &targets {
+            let cell = &mut cells[target.cell];
+            if direct {
+                rt.run(cell, target, &round, &mut |_, p, rec| sink(0, op_index, p, rec));
             } else {
-                for &target in &st.targets {
-                    let Slot { cell, buf } =
-                        st.slots[target.cell].get_mut().expect("a cell panicked mid-round");
-                    if direct {
-                        st.rt.run(cell, target, &st.round, &mut |_, p, rec| {
-                            sink(0, op_index, p, rec)
-                        });
-                    } else {
-                        st.rt.run(cell, target, &st.round, &mut buffer(buf, op_index));
-                    }
-                }
+                let buf = &mut bufs[target.cell];
+                rt.run(cell, target, &round, &mut |key, p, rec| {
+                    buf.push(Pending { op: op_index as u32, key, p, rec: rec.clone() })
+                });
             }
-            let st = &mut *guard;
-            st.rt.finalize(&st.round);
         }
-        drop(guard);
-        stop.store(true, Ordering::SeqCst);
-        barrier.wait();
-    });
-    let slots = state.into_inner().expect("a cell panicked mid-round").slots;
-    let mut bufs: Vec<_> =
-        slots.into_iter().map(|s| s.into_inner().expect("a cell panicked mid-round").buf).collect();
+        rt.finalize(&round);
+    }
     for (query, bufs) in bufs.chunks_mut(per_query).enumerate() {
         let mut merged = std::mem::take(&mut bufs[0]);
         debug_assert!(merged.windows(2).all(|w| w[0].op <= w[1].op));
@@ -402,12 +281,13 @@ pub(crate) fn drive<R: Rounds>(
             sink(query, d.op as usize, d.p, &d.rec);
         }
     }
-    woken
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     const L: LabelId = LabelId(7);
 
@@ -507,17 +387,37 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    /// A runtime of `visits.len() / per_query`-query cells that only records:
+    /// A runtime of `ncells / per_query`-query cells that only records:
     /// op `i` targets the cells whose bit is set in `masks[i]`, and a cell
     /// emits `(op, cell)` once per visit.
     struct Toy {
         masks: Vec<u32>,
         per_query: usize,
+        /// The op whose `run` panics, if any.
+        panic_on: Option<usize>,
         op: usize,
         /// Targets of the staged round still to run.
-        pending: AtomicUsize,
+        pending: Cell<usize>,
         staged: Vec<usize>,
         finalized: Vec<usize>,
+    }
+
+    impl Toy {
+        fn new(masks: &[u32], per_query: usize, panic_on: Option<usize>) -> (Toy, Vec<UpdateOp>) {
+            let ops = (0..masks.len() as u32)
+                .map(|i| UpdateOp::AddVertex { id: v(i), labels: LabelSet::empty() })
+                .collect();
+            let toy = Toy {
+                masks: masks.to_vec(),
+                per_query,
+                panic_on,
+                op: 0,
+                pending: Cell::new(0),
+                staged: vec![],
+                finalized: vec![],
+            };
+            (toy, ops)
+        }
     }
 
     impl Rounds for Toy {
@@ -530,7 +430,7 @@ mod tests {
         fn stage(
             &mut self,
             op: &UpdateOp,
-            cells: &mut Cells<'_, '_, Vec<usize>>,
+            cells: &[Vec<usize>],
             targets: &mut Vec<Target>,
         ) -> Round {
             let UpdateOp::AddVertex { id, .. } = op else { panic!("toy ops are AddVertex") };
@@ -539,65 +439,53 @@ mod tests {
             let mask = self.masks[self.op];
             let round = Round::Delete { src: v(0), label: L, dst: v(0) };
             route(&round, cells.len(), (0..cells.len()).filter(|c| mask >> c & 1 == 1), targets);
-            self.pending = AtomicUsize::new(targets.len());
+            self.pending.set(targets.len());
             round
         }
 
         fn run(&self, cell: &mut Vec<usize>, target: Target, _: &Round, emit: &mut Emit<'_>) {
+            assert_ne!(Some(self.op), self.panic_on, "the toy's cell panics on this op");
             cell.push(self.op);
             // Keyed so that a query's cells interleave in descending order.
             let key = Key { inv: u32::MAX - target.cell as u32, chain: Vec::new() };
             let rec = MatchRecord::new(vec![v(self.op as u32), v(target.cell as u32)]);
             emit(key, Positiveness::Positive, &rec);
-            self.pending.fetch_sub(1, Ordering::SeqCst);
+            self.pending.set(self.pending.get() - 1);
         }
 
         fn finalize(&mut self, _: &Round) {
-            assert_eq!(*self.pending.get_mut(), 0, "finalize waits for every target");
+            assert_eq!(self.pending.get(), 0, "finalize waits for every target");
             self.finalized.push(self.op);
         }
     }
 
-    /// Drives the toy; returns per-cell visits, the emitted
-    /// `(query, op, cell)` sequence and the pool wake-ups.
+    /// Drives the toy; returns per-cell visits and the emitted
+    /// `(query, op, cell)` sequence.
     #[allow(clippy::type_complexity)]
     fn toy_run(
         masks: &[u32],
         ncells: usize,
         per_query: usize,
-        workers: usize,
-    ) -> (Vec<Vec<usize>>, Vec<(usize, usize, u32)>, usize) {
-        let mut toy = Toy {
-            masks: masks.to_vec(),
-            per_query,
-            op: 0,
-            pending: AtomicUsize::new(0),
-            staged: vec![],
-            finalized: vec![],
-        };
-        let ops: Vec<UpdateOp> = (0..masks.len() as u32)
-            .map(|i| UpdateOp::AddVertex { id: v(i), labels: LabelSet::empty() })
-            .collect();
+    ) -> (Vec<Vec<usize>>, Vec<(usize, usize, u32)>) {
+        let (mut toy, ops) = Toy::new(masks, per_query, None);
         let mut cells = vec![Vec::new(); ncells];
         let mut out = Vec::new();
-        let woken = drive(&mut toy, &mut cells, &ops, workers, &mut |q, op, _, rec| {
+        drive(&mut toy, &mut cells, &ops, &mut |q, op, _, rec| {
             assert_eq!(rec.as_slice()[0], v(op as u32), "emission tagged with its op");
             out.push((q, op, rec.as_slice()[1].0));
         });
         let all: Vec<usize> = (0..masks.len()).collect();
         assert_eq!((&toy.staged, &toy.finalized), (&all, &all), "every op staged and finalized");
-        (cells, out, woken)
+        (cells, out)
     }
 
     #[test]
-    fn pooled_rounds_visit_like_inline_and_wake_only_for_several_targets() {
+    fn rounds_visit_their_targets_in_op_order_and_merge_on_the_key() {
         // Empty, single-target and multi-target rounds, mixed.
         let masks: [u32; 9] =
             [0b0000, 0b0100, 0b1111, 0b0000, 0b0011, 0b1000, 0b1010, 0b0001, 0b0111];
-        let several = masks.iter().filter(|m| m.count_ones() > 1).count();
         for per_query in [1, 2] {
-            let (cells, out, woken) = toy_run(&masks, 4, per_query, 0);
-            assert_eq!(woken, 0, "inline never wakes a pool");
+            let (cells, out) = toy_run(&masks, 4, per_query);
             for (c, visits) in cells.iter().enumerate() {
                 let want: Vec<usize> =
                     (0..masks.len()).filter(|&i| masks[i] >> c & 1 == 1).collect();
@@ -613,22 +501,30 @@ mod tests {
                 }
             }
             assert_eq!(out, want);
-            for workers in [1, 2, 4, 9] {
-                let (pcells, pout, pwoken) = toy_run(&masks, 4, per_query, workers);
-                assert_eq!((&pcells, &pout), (&cells, &out), "{workers} workers");
-                assert_eq!(pwoken, if workers > 1 { several } else { 0 });
-            }
         }
-        let (_, _, woken) = toy_run(&[0, 1, 2, 4, 8, 0, 1], 4, 1, 4);
-        assert_eq!(woken, 0, "no multi-target round, no wake-up");
     }
 
     #[test]
     fn a_sole_cell_streams_in_op_order() {
-        let (cells, out, woken) = toy_run(&[1, 0, 1, 1], 1, 1, 4);
+        let (cells, out) = toy_run(&[1, 0, 1, 1], 1, 1);
         assert_eq!(cells, [vec![0, 2, 3]]);
         assert_eq!(out, [(0, 0, 0), (0, 2, 0), (0, 3, 0)]);
-        assert_eq!(woken, 0);
-        assert_eq!(toy_run(&[], 3, 1, 4).2, 0, "an empty batch spawns nothing");
+        assert!(toy_run(&[], 3, 1).1.is_empty(), "an empty batch emits nothing");
+    }
+
+    /// A hook's panic reaches `drive`'s caller — nothing swallows it or is
+    /// left waiting for the cell — with every earlier op fully applied.
+    #[test]
+    fn a_panicking_cell_unwinds_out_of_drive() {
+        const K: usize = 3;
+        let (mut toy, ops) = Toy::new(&[0b01, 0b11, 0b10, 0b11, 0b01], 1, Some(K));
+        let mut cells = vec![Vec::new(); 2];
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            drive(&mut toy, &mut cells, &ops, &mut |_, _, _, _| {});
+        }));
+        assert!(unwound.is_err(), "the cell's panic reaches drive's caller");
+        assert_eq!(toy.staged, [0, 1, 2, K], "op K was staged, nothing after it");
+        assert_eq!(toy.finalized, [0, 1, 2], "every op before K ran to its finalize");
+        assert_eq!(cells, [vec![0, 1], vec![1, 2]], "and visited exactly its targets");
     }
 }

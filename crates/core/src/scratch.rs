@@ -7,8 +7,6 @@
 //! data edge. Allocating them per update dominated the cost of small
 //! updates, so they live in one [`SearchScratch`] owned by the engine and
 //! threaded through `search.rs`, `ops_insert.rs` and `ops_delete.rs`.
-//! Intra-update parallel enumeration (`parallel.rs`) checks additional
-//! scratches out of a pool, one per worker thread.
 //!
 //! The recursive walks use **segmented stacks**: a recursion level records
 //! `buf.len()` on entry, appends its snapshot, iterates it by index (inner
@@ -114,21 +112,6 @@ impl SearchScratch {
         }
     }
 
-    /// Copies the partial embedding (and its multiplicities) from `src`,
-    /// discarding previous bindings. Allocation-free once capacities are
-    /// warm; used to seed per-worker scratches from the driver's scratch.
-    pub(crate) fn copy_bindings_from(&mut self, src: &SearchScratch) {
-        self.m.clear();
-        self.m.extend_from_slice(&src.m);
-        self.track_bound = src.track_bound;
-        self.bound.clear();
-        if self.track_bound {
-            for v in self.m.iter().flatten() {
-                *self.bound.entry(*v).or_insert(0) += 1;
-            }
-        }
-    }
-
     /// Debug invariant: no live bindings (update evaluation fully unwound).
     pub(crate) fn assert_unbound(&self) {
         debug_assert!(self.m.iter().all(Option::is_none));
@@ -188,18 +171,5 @@ mod tests {
         assert!(!s.bound_elsewhere(u(0), v(9)));
         assert!(s.bound.is_empty(), "no map maintenance when tracking is off");
         s.unbind(u(0));
-    }
-
-    #[test]
-    fn copy_bindings_rebuilds_multiplicities() {
-        let mut a = SearchScratch::for_query(4, true);
-        a.bind(u(1), v(3));
-        a.bind(u(2), v(3));
-        let mut b = SearchScratch::for_query(4, true);
-        b.bind(u(0), v(8)); // stale binding must be discarded
-        b.copy_bindings_from(&a);
-        assert_eq!(b.m, a.m);
-        assert!(b.bound_elsewhere(u(1), v(3)));
-        assert!(!b.bound_elsewhere(u(0), v(8)));
     }
 }

@@ -107,7 +107,7 @@ impl TurboFlux {
     /// including the order rule above. The injectivity test is an O(1)
     /// lookup in the scratch's bound-vertex multiplicity map (maintained at
     /// bind/unbind) rather than a scan over the embedding.
-    pub(crate) fn is_joinable<G: GraphView>(
+    fn is_joinable<G: GraphView>(
         &self,
         g: &G,
         ctx: &SearchCtx,
@@ -146,7 +146,7 @@ impl TurboFlux {
 
     /// Validates the tree edge binding `u → v` (given `m(P(u)) = vp`):
     /// explicit DCG state plus the duplicate-prevention order rule.
-    pub(crate) fn tree_binding_ok<G: GraphView>(
+    fn tree_binding_ok<G: GraphView>(
         &self,
         g: &G,
         ctx: &SearchCtx,
@@ -300,11 +300,10 @@ impl TurboFlux {
     /// Expands one explicit frontier candidate `v` for the unbound query
     /// vertex `u = mo[depth]` (whose tree parent is bound to `vp`): checks
     /// the duplicate-prevention order rule and `IsJoinable`, then binds and
-    /// recurses. Shared between the sequential enumeration above and the
-    /// parallel chunk workers (`parallel.rs`), which is what guarantees the
-    /// two paths accept and order candidates identically.
+    /// recurses. Shared between the plain and the intersected enumeration
+    /// above, so both accept and order candidates identically.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn expand_candidate<G: GraphView>(
+    fn expand_candidate<G: GraphView>(
         &self,
         g: &G,
         ctx: &SearchCtx,

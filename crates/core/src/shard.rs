@@ -4,7 +4,7 @@
 //! # Architecture
 //!
 //! Data-graph vertices are hash-partitioned by [`tfx_graph::shard_of`]
-//! across [`crate::TurboFluxConfig::shards`] worker shards. Partition
+//! across [`crate::TurboFluxConfig::shards`] shards. Partition
 //! ownership governs two things at once:
 //!
 //! * **Graph storage** ([`ShardedGraph`]): an edge lives in owner(src)'s
@@ -52,7 +52,7 @@ use tfx_query::{EdgeId, MatchRecord, Positiveness, QVertexId, QueryGraph};
 
 use crate::config::TurboFluxConfig;
 use crate::engine::TurboFlux;
-use crate::round::{self, Cells, Emit, Key, Round, Rounds, Target};
+use crate::round::{self, Emit, Key, Round, Rounds, Target};
 
 /// Counters describing the sharded runtime's routing and handoff traffic,
 /// mirroring the shape of [`crate::FleetStats`].
@@ -184,12 +184,7 @@ impl Rounds for Shared {
         self.graph.shard_count()
     }
 
-    fn stage(
-        &mut self,
-        op: &UpdateOp,
-        engines: &mut Cells<'_, '_, TurboFlux>,
-        targets: &mut Vec<Target>,
-    ) -> Round {
+    fn stage(&mut self, op: &UpdateOp, engines: &[TurboFlux], targets: &mut Vec<Target>) -> Round {
         let (round, crossed) = round::stage(&mut self.graph, op);
         let Shared { graph, seeds, stats } = self;
         let shards = graph.shard_count();
@@ -198,13 +193,7 @@ impl Rounds for Shared {
         match round.edge() {
             Some((src, label, dst)) => {
                 for (query, qseeds) in seeds.iter_mut().enumerate() {
-                    engines.get(query * shards).plan_seeds_into(
-                        &graph.view(),
-                        src,
-                        label,
-                        dst,
-                        qseeds,
-                    );
+                    engines[query * shards].plan_seeds_into(&graph.view(), src, label, dst, qseeds);
                 }
                 stats.count_op(shards, crossed, seeds);
             }
@@ -254,7 +243,6 @@ pub struct ShardedEngine {
     shared: Shared,
     /// Query-major: slice `(shard, query)` is cell `query * shards + shard`.
     engines: Vec<TurboFlux>,
-    threads: usize,
 }
 
 impl ShardedEngine {
@@ -265,19 +253,18 @@ impl ShardedEngine {
     /// `AdjustMatchingOrder` is pinned off (per-slice DCG statistics
     /// diverge, and the order must stay in lockstep across shards).
     ///
-    /// `threads = 0` sizes the worker pool to the available cores.
+    /// `_threads` is inert: every slice evaluates on the calling thread
+    /// (DESIGN.md, "Parallel execution: tried, measured, removed"). Kept only
+    /// so the frozen `e2e` benchmark compiles; leaves with its
+    /// `shard.threads2_events_per_s` / `shard.parallel_speedup_x` rows in the
+    /// next `benchmark` PR.
     pub fn new(
         queries: Vec<QueryGraph>,
         g0: DynamicGraph,
         cfg: TurboFluxConfig,
-        threads: usize,
+        _threads: usize,
     ) -> Self {
         let shards = cfg.shards.max(1);
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            threads
-        };
         let cfg = TurboFluxConfig { adjust_matching_order: false, ..cfg };
         let seeds = queries.iter().map(|_| Vec::new()).collect();
         let mut engines = Vec::with_capacity(queries.len() * shards);
@@ -301,11 +288,7 @@ impl ShardedEngine {
         } else {
             ShardedGraph::from_graph(&g0, shards)
         };
-        ShardedEngine {
-            shared: Shared { graph, seeds, stats: ShardStats::default() },
-            engines,
-            threads,
-        }
+        ShardedEngine { shared: Shared { graph, seeds, stats: ShardStats::default() }, engines }
     }
 
     /// Number of partition slices.
@@ -345,8 +328,7 @@ impl ShardedEngine {
     }
 
     /// Applies a batch of updates, evaluating every targeted
-    /// `(shard, query)` slice — on up to the configured threads in rounds
-    /// that target several — and delivers matches in deterministic
+    /// `(shard, query)` slice, and delivers matches in deterministic
     /// `(query, op_index, emission)` order, byte-identical to the unsharded
     /// engine (and to this runtime at any other shard count). One slice in
     /// total streams them as they are found, untagged and unsorted, which
@@ -356,26 +338,6 @@ impl ShardedEngine {
         ops: &[UpdateOp],
         sink: &mut dyn FnMut(usize, usize, Positiveness, &MatchRecord),
     ) {
-        self.drive(ops, self.threads, sink);
-    }
-
-    /// [`ShardedEngine::apply_batch`] on the calling thread only — the
-    /// determinism oracle of the threaded rounds.
-    pub fn apply_batch_sequential(
-        &mut self,
-        ops: &[UpdateOp],
-        sink: &mut dyn FnMut(usize, usize, Positiveness, &MatchRecord),
-    ) {
-        self.drive(ops, 0, sink);
-    }
-
-    fn drive(
-        &mut self,
-        ops: &[UpdateOp],
-        workers: usize,
-        sink: &mut dyn FnMut(usize, usize, Positiveness, &MatchRecord),
-    ) {
-        round::share_threads(&mut self.engines, self.threads, workers);
-        round::drive(&mut self.shared, &mut self.engines, ops, workers, sink);
+        round::drive(&mut self.shared, &mut self.engines, ops, sink);
     }
 }

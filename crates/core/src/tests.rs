@@ -7,6 +7,7 @@ use crate::dcg::EdgeState;
 use crate::engine::TurboFlux;
 use crate::spec::reference_dcg;
 use rustc_hash::FxHashSet;
+use tfx_baselines::NaiveRecompute;
 use tfx_graph::{DynamicGraph, LabelId, LabelSet, UpdateOp, VertexId};
 use tfx_query::{ContinuousMatcher, MatchRecord, MatchSemantics, Positiveness, QueryGraph};
 
@@ -399,7 +400,7 @@ fn delete_naming_unknown_vertices_is_a_no_op_on_every_runtime() {
     assert_eq!(engine.graph().vertex_count(), n);
     assert_dcg_matches_reference(&engine);
 
-    let mut fleet = Fleet::with_threads(g.clone(), 1);
+    let mut fleet = Fleet::new(g.clone());
     fleet.register(q.clone(), TurboFluxConfig::default());
     fleet.apply_batch(&ops, &mut |_| panic!("a missing edge has no matches to retract"));
     assert_eq!(fleet.graph().vertex_count(), n);
@@ -569,54 +570,60 @@ fn deadline_stops_enumeration_but_keeps_dcg_consistent() {
     assert_eq!(n, 2, "negatives reported once the deadline is lifted");
 }
 
-/// Intra-update parallel enumeration must emit the exact delta sequence of
-/// the sequential path — same records, same order, for every update of a
-/// randomized stream (the dedicated integration oracle lives in
-/// `tests/parallel_eval_equivalence.rs`; this is the in-crate smoke check).
+/// Star-of-stars: source `a:A`, hub `h:H`, 40 M-vertices below the hub each
+/// carrying 8 L-children; query `A -f-> H -m-> M -l-> L`. The one feed edge
+/// `a -f-> h` creates 40 × 8 matches in a single update and its deletion
+/// retracts them — the widest single-op delta set any test produces.
 #[test]
-fn parallel_evaluation_is_byte_identical_to_sequential() {
-    let mut rng = Rng::new(0x9A11E1);
-    for _ in 0..15 {
-        let case = random_case(&mut rng, true);
-        for semantics in [MatchSemantics::Homomorphism, MatchSemantics::Isomorphism] {
-            let par_cfg = TurboFluxConfig {
-                parallel_workers: 4,
-                parallel_min_frontier: 1, // fan out even tiny frontiers
-                ..TurboFluxConfig::with_semantics(semantics)
-            };
-            let seq_cfg = TurboFluxConfig {
-                parallel_workers: 1,
-                ..TurboFluxConfig::with_semantics(semantics)
-            };
-            let mut par = TurboFlux::new(case.q.clone(), case.g0.clone(), par_cfg);
-            let mut seq = TurboFlux::new(case.q.clone(), case.g0.clone(), seq_cfg);
-            let run = |engine: &mut TurboFlux| {
-                let mut out: Vec<(Positiveness, MatchRecord)> = Vec::new();
-                engine.initial_matches(&mut |m| out.push((Positiveness::Positive, m.clone())));
-                for op in &case.ops {
-                    engine.apply(op, &mut |p, m| out.push((p, m.clone())));
-                }
-                out
-            };
-            assert_eq!(run(&mut par), run(&mut seq), "parallel deltas diverge ({semantics:?})");
+fn star_of_stars_feed_edge_matches_and_unmatches_exactly() {
+    const MIDS: usize = 40;
+    const LEAVES: usize = 8;
+    let (f, m, lv) = (l(10), l(11), l(12));
+    let mut g0 = DynamicGraph::new();
+    let a = g0.add_vertex(LabelSet::single(l(0)));
+    let h = g0.add_vertex(LabelSet::single(l(1)));
+    for _ in 0..MIDS {
+        let mid = g0.add_vertex(LabelSet::single(l(2)));
+        g0.insert_edge(h, m, mid);
+        for _ in 0..LEAVES {
+            let leaf = g0.add_vertex(LabelSet::single(l(3)));
+            g0.insert_edge(mid, lv, leaf);
+        }
+    }
+    let mut q = QueryGraph::new();
+    let us: Vec<_> = (0..4).map(|i| q.add_vertex(LabelSet::single(l(i)))).collect();
+    for (i, label) in [f, m, lv].into_iter().enumerate() {
+        q.add_edge(us[i], us[i + 1], Some(label));
+    }
+    let feed = UpdateOp::InsertEdge { src: a, label: f, dst: h };
+    let unfeed = UpdateOp::DeleteEdge { src: a, label: f, dst: h };
+
+    for semantics in [MatchSemantics::Homomorphism, MatchSemantics::Isomorphism] {
+        let cfg = TurboFluxConfig::with_semantics(semantics);
+        let mut engine = TurboFlux::new(q.clone(), g0.clone(), cfg);
+        let mut naive = NaiveRecompute::new(q.clone(), g0.clone(), semantics);
+        for (op, sign) in [(&feed, Positiveness::Positive), (&unfeed, Positiveness::Negative)] {
+            let mut got = Vec::new();
+            engine.apply(op, &mut |p, r| got.push((p, r.clone())));
+            let mut want = FxHashSet::default();
+            naive.apply(op, &mut |p, r| assert!(want.insert((p, r.clone()))));
+            assert_eq!(got.len(), MIDS * LEAVES, "{semantics:?} {op:?}");
+            assert!(got.iter().all(|(p, _)| *p == sign));
+            assert_eq!(got.into_iter().collect::<FxHashSet<_>>(), want, "{semantics:?} {op:?}");
+            assert_dcg_matches_reference(&engine);
         }
     }
 }
 
-/// The fleet-facing worker budget clamps the configured intra-update
-/// parallelism (and auto mode resolves to at least one worker).
+/// Engines hold `Cell`s (the deadline counters) and so are not `Sync`; they
+/// stay `Send`, which is what handing a cell to another thread between
+/// batches would need.
 #[test]
-fn worker_budget_clamps_intra_workers() {
-    let (g, q) = fig4();
-    let cfg = TurboFluxConfig { parallel_workers: 8, ..TurboFluxConfig::default() };
-    let mut engine = TurboFlux::new(q, g, cfg);
-    assert_eq!(engine.intra_workers(), 8);
-    engine.set_worker_budget(3);
-    assert_eq!(engine.intra_workers(), 3);
-    engine.set_worker_budget(0); // clamped to ≥ 1
-    assert_eq!(engine.intra_workers(), 1);
-    engine.set_worker_budget(usize::MAX);
-    assert_eq!(engine.intra_workers(), 8);
+fn runtimes_stay_send() {
+    fn is_send<T: Send>() {}
+    is_send::<TurboFlux>();
+    is_send::<crate::Fleet>();
+    is_send::<crate::ShardedEngine>();
 }
 
 /// The label-bucketed query-edge index must agree with a full scan over

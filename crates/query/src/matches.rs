@@ -56,13 +56,6 @@ impl MatchRecord {
         );
     }
 
-    /// Refills this record from a complete mapping slice without
-    /// reallocating.
-    pub fn fill_from_slice(&mut self, mapping: &[VertexId]) {
-        self.mapping.clear();
-        self.mapping.extend_from_slice(mapping);
-    }
-
     /// `m(u)`.
     #[inline]
     pub fn get(&self, u: QVertexId) -> VertexId {

@@ -248,7 +248,6 @@ fn stream_usage(code: u8) -> ExitCode {
                   [--drain]                  expire the whole window at end of stream
                   [--iso]                    isomorphism semantics (default homomorphism)
                   [--lenient]                skip malformed stream lines (default strict)
-                  [--fleet <threads>]        evaluate queries on a fleet with N threads
                   [--shards <N>]             partition the data graph across N shards
                   [--seed <S>]               synthetic generator seed (default 2018)
                   [--ticks-per-event <T>]    synthetic clock rate (default 1)
@@ -270,7 +269,6 @@ struct StreamOptions {
     drain: bool,
     semantics: MatchSemantics,
     mode: ErrorMode,
-    fleet_threads: Option<usize>,
     shards: usize,
     seed: u64,
     ticks_per_event: u64,
@@ -289,7 +287,6 @@ fn parse_stream_args(args: &[String]) -> Result<StreamOptions, ExitCode> {
         drain: false,
         semantics: MatchSemantics::Homomorphism,
         mode: ErrorMode::Strict,
-        fleet_threads: None,
         shards: 1,
         seed: 2018,
         ticks_per_event: 1,
@@ -346,16 +343,6 @@ fn parse_stream_args(args: &[String]) -> Result<StreamOptions, ExitCode> {
             "--drain" => o.drain = true,
             "--iso" => o.semantics = MatchSemantics::Isomorphism,
             "--lenient" => o.mode = ErrorMode::Lenient,
-            "--fleet" => {
-                let v = value(&mut args, "--fleet")?;
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => o.fleet_threads = Some(n),
-                    _ => {
-                        eprintln!("error: --fleet needs a thread count >= 1");
-                        return Err(stream_usage(2));
-                    }
-                }
-            }
             "--shards" => {
                 let v = value(&mut args, "--shards")?;
                 match v.parse::<usize>() {
@@ -467,19 +454,16 @@ fn stream_main(args: &[String]) -> ExitCode {
     let mut out = std::io::BufWriter::new(stdout.lock());
     let mut target: Box<dyn BatchTarget> = if opts.shards > 1 {
         // Sharded runtime: graph partitioned across shards, every query
-        // evaluated on every shard's slice. Worker threads default to one
-        // per shard unless --fleet caps them.
-        let threads = opts.fleet_threads.unwrap_or(opts.shards);
-        let mut engine = ShardedEngine::new(queries, g0, cfg, threads);
+        // evaluated on every shard's slice.
+        let mut engine = ShardedEngine::new(queries, g0, cfg, 1);
         for q in 0..engine.queries() {
             let mut n = 0u64;
             engine.report_initial(q, &mut |_| n += 1);
             let _ = writeln!(out, "{{\"type\":\"init\",\"engine\":{q},\"matches\":{n}}}");
         }
         Box::new(engine)
-    } else if opts.fleet_threads.is_some() || queries.len() > 1 {
-        let threads = opts.fleet_threads.unwrap_or(1);
-        let mut fleet = Fleet::with_threads(g0, threads);
+    } else if queries.len() > 1 {
+        let mut fleet = Fleet::new(g0);
         for q in queries {
             fleet.register(q, cfg);
         }

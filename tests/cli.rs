@@ -48,6 +48,15 @@ fn cli_rejects_unknown_flags_and_bad_streams() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
 
+    // `tfx stream` took `--fleet <threads>` while fleets had a worker pool.
+    let out = Command::new(tfx_bin())
+        .args(["stream", "--query", &testdata("netflow_query.txt"), "--synthetic", "netflow"])
+        .args(["--fleet", "2"])
+        .output()
+        .expect("run tfx stream");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown stream flag `--fleet`"));
+
     let dir = std::env::temp_dir().join(format!("tfx-cli2-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let graph = write(&dir, "g.txt", "v 0 A\nv 1 B\ne 0 1 r\n");
@@ -111,8 +120,6 @@ fn cli_stream_subcommand_synthetic_fleet() {
                 "netflow",
                 "--window",
                 "count:1000",
-                "--fleet",
-                "2",
                 "--quiet",
             ])
             .output()

@@ -3,8 +3,8 @@
 //! A scenario registers K queries over an initial graph, applies a first op
 //! batch, optionally deregisters one engine and registers a fresh query
 //! mid-stream, and applies a second batch. The emitted delta sequence —
-//! under 1 and 4 threads, parallel and sequential, homomorphism and
-//! isomorphism — must be byte-identical to naive per-engine replay:
+//! under homomorphism and isomorphism — must be byte-identical to naive
+//! per-engine replay:
 //! standalone [`TurboFlux`] engines applying the same ops one at a time, the
 //! deregistered engine silent in batch 2 and the late engine starting from
 //! the registration-time graph state.
@@ -304,24 +304,14 @@ fn naive_deltas(s: &Scenario, cfg: TurboFluxConfig) -> (Vec<Delta>, Vec<Delta>) 
 
 /// Runs the scenario on one fleet; returns the two batches' delta sequences
 /// and the fleet's final stats.
-fn fleet_deltas(
-    s: &Scenario,
-    cfg: TurboFluxConfig,
-    threads: usize,
-    parallel: bool,
-) -> (Vec<Delta>, Vec<Delta>, FleetStats) {
-    let mut fleet = Fleet::with_threads(s.g0.clone(), threads);
+fn fleet_deltas(s: &Scenario, cfg: TurboFluxConfig) -> (Vec<Delta>, Vec<Delta>, FleetStats) {
+    let mut fleet = Fleet::new(s.g0.clone());
     let ids: Vec<usize> = s.queries.iter().map(|q| fleet.register(q.clone(), cfg)).collect();
     let collect = |fleet: &mut Fleet, ops: &[UpdateOp]| {
         let mut out: Vec<Delta> = Vec::new();
-        let mut sink = |d: FleetDelta<'_>| {
+        fleet.apply_batch(ops, &mut |d: FleetDelta<'_>| {
             out.push((d.engine, d.op_index, d.positiveness, d.record.clone()));
-        };
-        if parallel {
-            fleet.apply_batch(ops, &mut sink);
-        } else {
-            fleet.apply_batch_sequential(ops, &mut sink);
-        }
+        });
         out
     };
     let batch1 = collect(&mut fleet, &s.ops1);
@@ -334,29 +324,19 @@ fn fleet_deltas(
     (batch1, batch2, fleet.stats())
 }
 
-/// The one comparator: a `threads`-thread fleet, batched in parallel and
-/// sequentially, against naive replay. Returns `(deltas, ops_skipped)` for
-/// the callers' non-vacuity checks.
-fn assert_fleet_matches_naive(
-    s: &Scenario,
-    threads: usize,
-    semantics: MatchSemantics,
-) -> (usize, u64) {
+/// The one comparator: the fleet against naive replay. Returns
+/// `(deltas, ops_skipped)` for the callers' non-vacuity checks.
+fn assert_fleet_matches_naive(s: &Scenario, semantics: MatchSemantics) -> (usize, u64) {
     let cfg = TurboFluxConfig::with_semantics(semantics);
     let (want1, want2) = naive_deltas(s, cfg);
-    let mut skipped = 0;
-    for parallel in [false, true] {
-        let what = if parallel { "parallel" } else { "sequential" };
-        let (b1, b2, stats) = fleet_deltas(s, cfg, threads, parallel);
-        assert_eq!(b1, want1, "{what} {threads}-thread fleet != naive replay (batch 1)");
-        assert_eq!(b2, want2, "{what} {threads}-thread fleet != naive replay (batch 2)");
-        skipped += stats.ops_skipped;
-    }
-    (want1.len() + want2.len(), skipped)
+    let (b1, b2, stats) = fleet_deltas(s, cfg);
+    assert_eq!(b1, want1, "fleet != naive replay (batch 1)");
+    assert_eq!(b2, want2, "fleet != naive replay (batch 2)");
+    (want1.len() + want2.len(), stats.ops_skipped)
 }
 
-/// Draws `rounds` scenarios and checks each under 1 and 4 threads; returns
-/// the total `ops_skipped`.
+/// Draws `rounds` scenarios and checks each; returns the total
+/// `ops_skipped`.
 fn run(
     generate: fn(&mut Pcg32) -> Scenario,
     seed: u64,
@@ -374,12 +354,8 @@ fn run(
             continue;
         }
         exercised += 1;
-        let mut deltas = 0;
-        for threads in [1, 4] {
-            let (n, sk) = assert_fleet_matches_naive(&s, threads, semantics);
-            deltas = n;
-            skipped += sk;
-        }
+        let (deltas, sk) = assert_fleet_matches_naive(&s, semantics);
+        skipped += sk;
         nonempty += usize::from(deltas > 0);
     }
     assert!(exercised >= min_exercised, "only {exercised} scenarios exercised");

@@ -2,7 +2,7 @@
 //! for arbitrary scenarios (K queries over one stream of inserts /
 //! deletes / vertex additions in uniform, hub, and explosive shapes,
 //! always drained back to an empty edge set), the sharded engine at
-//! shards ∈ {1, 2, 4, 8} — parallel and sequential batch paths alike —
+//! shards ∈ {1, 2, 4, 8} — the stream as one batch or split in two —
 //! must produce exactly the same delta sequence as the unsharded
 //! standalone engines and as a fleet over the same queries, under both
 //! homomorphism and isomorphism semantics. Matching-order adjustment is
@@ -151,7 +151,7 @@ fn standalone(s: &Scenario, cfg: &TurboFluxConfig) -> (Vec<Vec<MatchRecord>>, Ve
 }
 
 fn fleet_deltas(s: &Scenario, cfg: &TurboFluxConfig) -> Vec<Delta> {
-    let mut fleet = Fleet::with_threads(s.g0.clone(), 2);
+    let mut fleet = Fleet::new(s.g0.clone());
     for q in &s.queries {
         fleet.register(q.clone(), *cfg);
     }
@@ -167,11 +167,10 @@ fn sharded(
     s: &Scenario,
     cfg: &TurboFluxConfig,
     shards: usize,
-    threads: usize,
-    parallel: bool,
+    split: bool,
 ) -> (Vec<Vec<MatchRecord>>, Vec<Delta>, ShardStats) {
     let cfg = TurboFluxConfig { shards, ..*cfg };
-    let mut engine = ShardedEngine::new(s.queries.clone(), s.g0.clone(), cfg, threads);
+    let mut engine = ShardedEngine::new(s.queries.clone(), s.g0.clone(), cfg, 1);
     let mut initial = Vec::new();
     for q in 0..s.queries.len() {
         let mut init = Vec::new();
@@ -179,20 +178,16 @@ fn sharded(
         initial.push(init);
     }
     let mut out: Vec<Delta> = Vec::new();
-    if parallel {
-        engine.apply_batch(&s.ops, &mut |q, op, p, r| out.push((q, op, p, r.clone())));
-    } else {
-        // Split the stream into two sequential batches so mid-stream
+    if split {
+        // Split the stream into two batches so mid-stream
         // construction state (not just end-to-end totals) is exercised;
         // op indices are batch-relative (the `Fleet` convention), so the
         // second batch is offset back to stream positions.
         let mid = s.ops.len() / 2;
-        engine.apply_batch_sequential(&s.ops[..mid], &mut |q, op, p, r| {
-            out.push((q, op, p, r.clone()))
-        });
-        engine.apply_batch_sequential(&s.ops[mid..], &mut |q, op, p, r| {
-            out.push((q, mid + op, p, r.clone()))
-        });
+        engine.apply_batch(&s.ops[..mid], &mut |q, op, p, r| out.push((q, op, p, r.clone())));
+        engine.apply_batch(&s.ops[mid..], &mut |q, op, p, r| out.push((q, mid + op, p, r.clone())));
+    } else {
+        engine.apply_batch(&s.ops, &mut |q, op, p, r| out.push((q, op, p, r.clone())));
     }
     (initial, out, engine.stats())
 }
@@ -217,18 +212,18 @@ fn run(seed: u64, semantics: MatchSemantics) {
         let (want_init, want) = standalone(&s, &cfg);
         assert_eq!(fleet_deltas(&s, &cfg), want, "fleet != standalone ({shape:?})");
         for shards in [1usize, 2, 4, 8] {
-            let parallel = shards % 2 == 0; // alternate both batch paths
-            let (init, got, stats) = sharded(&s, &cfg, shards, 4, parallel);
+            let split = shards % 2 == 1; // alternate one batch and two
+            let (init, got, stats) = sharded(&s, &cfg, shards, split);
             assert_eq!(init, want_init, "initial matches diverge at shards={shards} ({shape:?})");
             // Output is (query, op) ordered *per batch*; re-key the
-            // whole-stream reference for the two-batch sequential run.
-            let want_here = if parallel {
-                want.clone()
-            } else {
+            // whole-stream reference for the two-batch run.
+            let want_here = if split {
                 let mid = s.ops.len() / 2;
                 let mut w = want.clone();
                 w.sort_by_key(|&(q, op, _, _)| (op >= mid, q));
                 w
+            } else {
+                want.clone()
             };
             assert_eq!(got, want_here, "deltas diverge at shards={shards} ({shape:?})");
             if shards > 1 {

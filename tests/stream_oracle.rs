@@ -5,9 +5,8 @@
 //! The window is a pure op-sequence transformer (inserts in, inserts plus
 //! expiry deletes out) and batching only changes *when* ops reach the
 //! target, never *what* — so for any scenario, window spec, batch policy,
-//! semantics, and target (single engine, fleet sequential, fleet
-//! parallel, sharded at 1/2/4 shards on 1/4 threads), the recorded
-//! `(global_op, engine, sign, embedding)` stream must match the replay
+//! semantics, and target (single engine, fleet, sharded at 1/2/4 shards),
+//! the recorded `(global_op, engine, sign, embedding)` stream must match the replay
 //! exactly, in order.
 
 use std::collections::HashSet;
@@ -161,7 +160,7 @@ fn replay(scenario: &Scenario, semantics: MatchSemantics, ops: &[UpdateOp]) -> V
 }
 
 fn replay_with(scenario: &Scenario, cfg: TurboFluxConfig, ops: &[UpdateOp]) -> Vec<Delta> {
-    let mut fleet = Fleet::with_threads(scenario.g0.clone(), 1);
+    let mut fleet = Fleet::new(scenario.g0.clone());
     for q in &scenario.queries {
         fleet.register(q.clone(), cfg);
     }
@@ -186,7 +185,7 @@ fn check_seed(seed: u64, semantics: MatchSemantics) {
     let spec = random_window(&mut rng);
     let policy = random_policy(&mut rng);
 
-    // Target 1: single sequential engine (first query only).
+    // Target 1: single engine (first query only).
     let mut engine = TurboFlux::new(
         scenario.queries[0].clone(),
         scenario.g0.clone(),
@@ -201,8 +200,8 @@ fn check_seed(seed: u64, semantics: MatchSemantics) {
     let want = replay(&single, semantics, &ops);
     assert_eq!(got, want, "single engine diverged from replay (seed {seed}, {spec:?}, {policy:?})");
 
-    // Target 2: parallel fleet over all queries.
-    let mut fleet = Fleet::with_threads(scenario.g0.clone(), 4);
+    // Target 2: fleet over all queries.
+    let mut fleet = Fleet::new(scenario.g0.clone());
     for q in &scenario.queries {
         fleet.register(q.clone(), TurboFluxConfig::with_semantics(semantics));
     }
@@ -218,7 +217,7 @@ fn check_seed(seed: u64, semantics: MatchSemantics) {
         "fleet diverged from replay (seed {seed}, {spec:?}, {policy:?})"
     );
 
-    // Targets 3–8: the sharded runtime over all queries, shards × threads.
+    // Targets 3–5: the sharded runtime over all queries.
     // It pins the matching order static, so its ground truth is the
     // static-order replay; within a batch it orders (query, op, emission)
     // like the fleet.
@@ -228,22 +227,19 @@ fn check_seed(seed: u64, semantics: MatchSemantics) {
     };
     let sharded_want = by_engine(replay_with(&scenario, static_cfg, &ops));
     for shards in [1, 2, 4] {
-        for threads in [1, 4] {
-            let mut sharded = ShardedEngine::new(
-                scenario.queries.clone(),
-                scenario.g0.clone(),
-                TurboFluxConfig { shards, ..static_cfg },
-                threads,
-            );
-            let (sharded_ops, sharded_got) = windowed_run(&scenario, spec, policy, &mut sharded);
-            assert_eq!(ops, sharded_ops, "window output must not depend on the target");
-            assert_eq!(
-                by_engine(sharded_got),
-                sharded_want,
-                "{shards} shards on {threads} threads diverged from replay \
-                 (seed {seed}, {spec:?}, {policy:?})"
-            );
-        }
+        let mut sharded = ShardedEngine::new(
+            scenario.queries.clone(),
+            scenario.g0.clone(),
+            TurboFluxConfig { shards, ..static_cfg },
+            1,
+        );
+        let (sharded_ops, sharded_got) = windowed_run(&scenario, spec, policy, &mut sharded);
+        assert_eq!(ops, sharded_ops, "window output must not depend on the target");
+        assert_eq!(
+            by_engine(sharded_got),
+            sharded_want,
+            "{shards} shards diverged from replay (seed {seed}, {spec:?}, {policy:?})"
+        );
     }
 
     // Batching invariance: a different policy over the same window spec
@@ -270,31 +266,6 @@ fn windowed_runs_match_replay_homomorphism() {
 fn windowed_runs_match_replay_isomorphism() {
     for seed in 100..140 {
         check_seed(seed, MatchSemantics::Isomorphism);
-    }
-}
-
-/// The fleet path with one worker must agree with the parallel path under
-/// windowing too (the fleet tests pin this for raw batches; this pins it
-/// end-to-end through the driver).
-#[test]
-fn fleet_thread_counts_agree_under_windowing() {
-    for seed in 200..215 {
-        let mut rng = Pcg32::new(seed);
-        let scenario = random_scenario(&mut rng);
-        let spec = random_window(&mut rng);
-        let policy = random_policy(&mut rng);
-        let mut runs = Vec::new();
-        for threads in [1, 4] {
-            let mut fleet = Fleet::with_threads(scenario.g0.clone(), threads);
-            for q in &scenario.queries {
-                fleet.register(
-                    q.clone(),
-                    TurboFluxConfig::with_semantics(MatchSemantics::Homomorphism),
-                );
-            }
-            runs.push(windowed_run(&scenario, spec, policy, &mut fleet));
-        }
-        assert_eq!(runs[0], runs[1], "thread count changed windowed deltas (seed {seed})");
     }
 }
 
