@@ -1,19 +1,19 @@
-//! Label-partitioned adjacency index vs flat scan.
+//! The label-partitioned adjacency index.
 //!
 //! Two layers:
 //!
 //! * `adjacency_lookup` — the raw accessor: enumerate a hub's rare `probe`
 //!   group (and a uniform lsbench vertex's neighbors) through
-//!   [`AdjacencyMode::Indexed`] vs [`AdjacencyMode::FlatScan`]. Same
-//!   storage, two access paths, identical output order.
+//!   [`AdjacencyMode::Indexed`] vs [`AdjacencyMode::FlatScan`], the
+//!   reference path the spec oracle reads. Same storage, two access paths,
+//!   identical output order.
 //! * `hub_eval` — the engine-level hot path on the skewed hub workload:
 //!   every stream insert gives a hub its first incoming `feed` edge, so
 //!   `BuildDCG`'s check-and-avoid rule re-enumerates the hub's children on
-//!   each update. With the index that walks the 4-edge `probe` group; the
-//!   flat-scan ablation (`label_indexed_adjacency: false`) walks all ~8k
-//!   bulk edges per update. The stream is self-inverting (insert+delete
-//!   pairs), so graph, DCG, and engine return to their initial state every
-//!   pass and nothing is cloned inside the measurement loop.
+//!   each update, walking the 4-edge `probe` group next to ~8k bulk edges.
+//!   The stream is self-inverting (insert+delete pairs), so graph, DCG, and
+//!   engine return to their initial state every pass and nothing is cloned
+//!   inside the measurement loop.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -74,33 +74,29 @@ fn hub_eval(c: &mut Criterion) {
     let mut group = c.benchmark_group("hub_eval");
     group.throughput(Throughput::Elements(ops.len() as u64));
     group.sample_size(10);
-    for indexed in [true, false] {
-        let cfg = TurboFluxConfig { label_indexed_adjacency: indexed, ..Default::default() };
-        let name = if indexed { "indexed" } else { "flat_scan" };
-        // Externally driven mode: one graph, one engine, reused across
-        // iterations — the insert/delete pairs restore both exactly.
-        let mut g = d.g0.clone();
-        let mut e = TurboFlux::register(q.clone(), &g, cfg);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut n = 0u64;
-                for op in &ops {
-                    match *op {
-                        UpdateOp::InsertEdge { src, label, dst } => {
-                            g.insert_edge(src, label, dst);
-                            e.eval_inserted_edge(&g, src, label, dst, &mut |_, _| n += 1);
-                        }
-                        UpdateOp::DeleteEdge { src, label, dst } => {
-                            e.eval_deleting_edge(&g, src, label, dst, &mut |_, _| n += 1);
-                            g.delete_edge(src, label, dst);
-                        }
-                        UpdateOp::AddVertex { .. } => unreachable!("hub stream is edges only"),
+    // Externally driven mode: one graph, one engine, reused across
+    // iterations — the insert/delete pairs restore both exactly.
+    let mut g = d.g0.clone();
+    let mut e = TurboFlux::register(q, &g, TurboFluxConfig::default());
+    group.bench_function("indexed", |b| {
+        b.iter(|| {
+            let mut n = 0u64;
+            for op in &ops {
+                match *op {
+                    UpdateOp::InsertEdge { src, label, dst } => {
+                        g.insert_edge(src, label, dst);
+                        e.eval_inserted_edge(&g, src, label, dst, &mut |_, _| n += 1);
                     }
+                    UpdateOp::DeleteEdge { src, label, dst } => {
+                        e.eval_deleting_edge(&g, src, label, dst, &mut |_, _| n += 1);
+                        g.delete_edge(src, label, dst);
+                    }
+                    UpdateOp::AddVertex { .. } => unreachable!("hub stream is edges only"),
                 }
-                black_box(n)
-            });
+            }
+            black_box(n)
         });
-    }
+    });
     group.finish();
 }
 

@@ -12,9 +12,10 @@
 //! The `unsharded` baseline is the plain engine with the same pinned
 //! (static) matching order the sharded runtime uses, so the comparison
 //! isolates partitioning cost from plan differences. Every slice runs on
-//! the calling thread, so the series read as what partitioning costs
-//! (routing, mirrored edges, keyed merge) as the shard count grows;
-//! shards=1 must track the baseline closely.
+//! the calling thread over one shared graph, so the series read as what
+//! partitioning costs (one registration and one DCG slice per shard, seed
+//! planning, keyed merge) as the shard count grows; shards=1 must track the
+//! baseline closely.
 //!
 //! Before timing, every group self-checks that all shard counts emit
 //! exactly as many deltas as the unsharded baseline.

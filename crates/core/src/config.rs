@@ -1,6 +1,5 @@
 //! Engine configuration.
 
-use tfx_graph::AdjacencyMode;
 use tfx_query::MatchSemantics;
 
 /// Tunable options for a [`crate::TurboFlux`] engine instance.
@@ -12,12 +11,6 @@ pub struct TurboFluxConfig {
     /// when per-query-vertex explicit-edge counts drift. Disable for the
     /// static-order ablation.
     pub adjust_matching_order: bool,
-    /// Use the label-partitioned adjacency index for candidate enumeration
-    /// (O(log + |label group|) per lookup). Disabling falls back to the
-    /// flat full-list scan over the same storage — candidates, order, and
-    /// deltas are identical either way, so this exists purely as an
-    /// ablation switch for benchmarking the index.
-    pub label_indexed_adjacency: bool,
     /// Inert: nothing reads it, every engine evaluates on the calling thread
     /// (DESIGN.md, "Parallel execution: tried, measured, removed"). Kept only
     /// so the frozen `e2e` benchmark compiles; leaves with its
@@ -26,8 +19,8 @@ pub struct TurboFluxConfig {
     pub parallel_workers: usize,
     /// Shard count for the sharded execution runtime
     /// ([`crate::shard::ShardedEngine`]): data-graph vertices are
-    /// hash-partitioned across this many shards, each maintaining a
-    /// partition-local graph and DCG slice. `1` (the default) keeps the
+    /// hash-partitioned across this many shards, each maintaining the DCG
+    /// slice below the root candidates it owns. `1` (the default) keeps the
     /// classic single-slice engine. Only consulted by the sharded runtime —
     /// standalone engines and fleets ignore it.
     pub shards: usize,
@@ -38,7 +31,6 @@ impl Default for TurboFluxConfig {
         TurboFluxConfig {
             semantics: MatchSemantics::Homomorphism,
             adjust_matching_order: true,
-            label_indexed_adjacency: true,
             parallel_workers: 1,
             shards: 1,
         }
@@ -50,16 +42,6 @@ impl TurboFluxConfig {
     pub fn with_semantics(semantics: MatchSemantics) -> Self {
         TurboFluxConfig { semantics, ..Self::default() }
     }
-
-    /// The adjacency access path selected by
-    /// [`Self::label_indexed_adjacency`].
-    pub fn adjacency_mode(&self) -> AdjacencyMode {
-        if self.label_indexed_adjacency {
-            AdjacencyMode::Indexed
-        } else {
-            AdjacencyMode::FlatScan
-        }
-    }
 }
 
 #[cfg(test)]
@@ -69,26 +51,16 @@ mod tests {
     #[test]
     fn defaults() {
         let c = TurboFluxConfig::default();
-        // Destructured without `..`: a sixth field does not compile until
+        // Destructured without `..`: a fifth field does not compile until
         // someone writes down which two callers need different values.
-        let TurboFluxConfig {
-            semantics,
-            adjust_matching_order,
-            label_indexed_adjacency,
-            parallel_workers,
-            shards,
-        } = c;
+        let TurboFluxConfig { semantics, adjust_matching_order, parallel_workers, shards } = c;
         assert_eq!(semantics, MatchSemantics::Homomorphism);
         assert!(adjust_matching_order);
-        assert!(label_indexed_adjacency);
         assert_eq!(
             parallel_workers, 1,
             "inert; the value the frozen benchmark's one-thread runs set"
         );
         assert_eq!(shards, 1, "unsharded by default");
-        assert_eq!(c.adjacency_mode(), AdjacencyMode::Indexed);
-        let flat = TurboFluxConfig { label_indexed_adjacency: false, ..c };
-        assert_eq!(flat.adjacency_mode(), AdjacencyMode::FlatScan);
         assert_eq!(
             TurboFluxConfig::with_semantics(MatchSemantics::Isomorphism).semantics,
             MatchSemantics::Isomorphism

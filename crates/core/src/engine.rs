@@ -18,13 +18,13 @@
 //!   mutates it itself, and passes it in read-only for evaluation. This is
 //!   what the round driver does with the cells of a [`crate::fleet::Fleet`]
 //!   (many engines over one graph) and a [`crate::shard::ShardedEngine`]
-//!   (many engines over one partitioned graph); standalone mode is the same
-//!   round on the engine's own graph.
+//!   (per query, one engine per share of the root candidates, all over one
+//!   graph); standalone mode is the same round on the engine's own graph.
 
 use std::cell::Cell;
 
 use rustc_hash::FxHashMap;
-use tfx_graph::{shard_of, DynamicGraph, GraphStats, GraphView, LabelId, UpdateOp, VertexId};
+use tfx_graph::{shard_of, AdjacencyMode, DynamicGraph, GraphStats, LabelId, UpdateOp, VertexId};
 use tfx_query::{
     choose_start_vertex, ContinuousMatcher, EdgeId, MatchRecord, MatchSemantics, Positiveness,
     QVertexId, QueryGraph, QueryTree,
@@ -132,6 +132,9 @@ impl TurboFlux {
     ) -> Self {
         assert!(q.edge_count() > 0, "query must have at least one edge");
         assert!(q.is_connected(), "query must be connected");
+        // Before any per-vertex bit mask is built: `1 << c.0` below wraps
+        // past bit 63 in release builds.
+        assert!(q.vertex_count() <= 64, "queries are limited to 64 vertices");
         let stats = GraphStats::new(g0);
         let us = choose_start_vertex(&q, &stats);
         let tree = QueryTree::build(&q, us, &stats);
@@ -271,9 +274,9 @@ impl TurboFlux {
 
     /// `BuildDCG` (Algorithm 3): depth-first construction of the DCG below
     /// the edge `(parent, u, cv)`, applying Transitions 1 and 2.
-    pub(crate) fn build_dcg<G: GraphView>(
+    pub(crate) fn build_dcg(
         &mut self,
-        g: &G,
+        g: &DynamicGraph,
         parent: Option<VertexId>,
         u: QVertexId,
         cv: VertexId,
@@ -285,7 +288,6 @@ impl TurboFlux {
         // Check-and-avoid: recurse only if this is the first incoming edge
         // of cv labeled u — otherwise the subtrees are already built.
         if self.dcg.in_count_total(cv, u) == 1 {
-            let mode = self.cfg.adjacency_mode();
             for ci in 0..self.tree.children(u).len() {
                 let uc = self.tree.children(u)[ci];
                 let start = collect_child_candidates(
@@ -294,7 +296,7 @@ impl TurboFlux {
                     &self.tree,
                     uc,
                     cv,
-                    mode,
+                    AdjacencyMode::Indexed,
                     &mut scratch.kids,
                 );
                 let end = scratch.kids.len();
@@ -355,7 +357,7 @@ impl TurboFlux {
     /// Reports all matches of the initial data graph against a borrowed
     /// graph (externally driven mode; `g` must be the graph the DCG was
     /// built from). Emission order is the root-candidate (= vertex id) order.
-    pub fn initial_matches_in<G: GraphView>(&mut self, g: &G, sink: &mut dyn FnMut(&MatchRecord)) {
+    pub fn initial_matches_in(&mut self, g: &DynamicGraph, sink: &mut dyn FnMut(&MatchRecord)) {
         let us = self.tree.root();
         let ctx = crate::search::SearchCtx::initial();
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -381,7 +383,7 @@ impl TurboFlux {
     /// [`TurboFlux::register`] the caller drives the `eval_*` methods
     /// directly.
     pub fn apply_op(&mut self, op: &UpdateOp, sink: &mut dyn FnMut(Positiveness, &MatchRecord)) {
-        let (round, _) = round::stage(&mut self.g, op);
+        let round = round::stage(&mut self.g, op);
         if round == Round::Skip {
             return;
         }
@@ -405,7 +407,7 @@ impl TurboFlux {
     /// created vertex matching `u_s` gets an implicit start edge — it
     /// cannot be explicit, since the root of a non-trivial query has
     /// children and a new vertex has no edges.
-    pub fn register_new_vertices<G: GraphView>(&mut self, g: &G, from: VertexId) {
+    pub fn register_new_vertices(&mut self, g: &DynamicGraph, from: VertexId) {
         let us = self.tree.root();
         for i in from.0..g.vertex_count() as u32 {
             let v = VertexId(i);
@@ -439,9 +441,9 @@ impl TurboFlux {
     /// (tree edges by ascending order key, then non-tree edges by ascending
     /// id). Only the label bucket built at registration (plus the
     /// label-wildcard edges) is inspected, not all of `E(q)`.
-    pub(crate) fn matching_query_edges<G: GraphView>(
+    pub(crate) fn matching_query_edges(
         &self,
-        g: &G,
+        g: &DynamicGraph,
         src: VertexId,
         label: LabelId,
         dst: VertexId,

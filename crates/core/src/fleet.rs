@@ -93,7 +93,7 @@ impl Rounds for Shared {
     }
 
     fn stage(&mut self, op: &UpdateOp, engines: &[TurboFlux], targets: &mut Vec<Target>) -> Round {
-        let (round, _) = round::stage(&mut self.graph, op);
+        let round = round::stage(&mut self.graph, op);
         let interested = round
             .edge()
             .map_or(&[][..], |(_, label, _)| self.routing.get(&label).unwrap_or(&self.wildcard));

@@ -7,7 +7,7 @@
 //! climbed edge only after its recursion returns, and `ClearDCG` runs after
 //! the negatives of its triggering edge were reported.
 
-use tfx_graph::{GraphView, LabelId, VertexId};
+use tfx_graph::{DynamicGraph, LabelId, VertexId};
 use tfx_query::{EdgeId, MatchRecord, Positiveness, QVertexId};
 
 use crate::dcg::EdgeState;
@@ -24,9 +24,9 @@ impl TurboFlux {
     /// Tree-edge invocations run in ascending edge order; combined with the
     /// "minimal triggering edge wins" rule every vanished solution is
     /// reported exactly once, before the DCG region it needs is cleared.
-    pub fn eval_deleting_edge<G: GraphView>(
+    pub fn eval_deleting_edge(
         &mut self,
-        g: &G,
+        g: &DynamicGraph,
         src: VertexId,
         label: LabelId,
         dst: VertexId,
@@ -54,9 +54,9 @@ impl TurboFlux {
     /// [`TurboFlux::insert_tree_invocation`]). Reports the negatives that
     /// need the still-intact DCG region, then cascade-clears it.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn delete_tree_invocation<G: GraphView>(
+    pub(crate) fn delete_tree_invocation(
         &mut self,
-        g: &G,
+        g: &DynamicGraph,
         e: EdgeId,
         src: VertexId,
         label: LabelId,
@@ -90,9 +90,9 @@ impl TurboFlux {
 
     /// One non-tree invocation of `DeleteEdgeAndEval`.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn delete_non_tree_invocation<G: GraphView>(
+    pub(crate) fn delete_non_tree_invocation(
         &mut self,
-        g: &G,
+        g: &DynamicGraph,
         e: EdgeId,
         src: VertexId,
         label: LabelId,
@@ -128,9 +128,9 @@ impl TurboFlux {
     /// when `v` is about to lose its last explicit outgoing edge labeled
     /// `expiring_child`.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn clear_upwards<G: GraphView>(
+    pub(crate) fn clear_upwards(
         &mut self,
-        g: &G,
+        g: &DynamicGraph,
         u: QVertexId,
         v: VertexId,
         expiring_child: Option<QVertexId>,

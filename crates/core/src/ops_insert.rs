@@ -1,6 +1,6 @@
 //! `InsertEdgeAndEval` and `BuildUpwardsAndEval` (Algorithms 5 and 6).
 
-use tfx_graph::{GraphView, LabelId, VertexId};
+use tfx_graph::{DynamicGraph, LabelId, VertexId};
 use tfx_query::{EdgeId, MatchRecord, Positiveness, QVertexId};
 
 use crate::dcg::EdgeState;
@@ -17,9 +17,9 @@ impl TurboFlux {
     /// is fully maintained before non-tree invocations enumerate it; paired
     /// with the "maximal triggering edge wins" rule this reports every new
     /// solution exactly once.
-    pub fn eval_inserted_edge<G: GraphView>(
+    pub fn eval_inserted_edge(
         &mut self,
-        g: &G,
+        g: &DynamicGraph,
         src: VertexId,
         label: LabelId,
         dst: VertexId,
@@ -48,9 +48,9 @@ impl TurboFlux {
     /// individual invocations from its per-shard inbox in the same order
     /// the unsharded loop runs them.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn insert_tree_invocation<G: GraphView>(
+    pub(crate) fn insert_tree_invocation(
         &mut self,
-        g: &G,
+        g: &DynamicGraph,
         e: EdgeId,
         src: VertexId,
         label: LabelId,
@@ -89,9 +89,9 @@ impl TurboFlux {
     /// One non-tree invocation of `InsertEdgeAndEval` (see
     /// [`TurboFlux::insert_tree_invocation`] for why this is factored out).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn insert_non_tree_invocation<G: GraphView>(
+    pub(crate) fn insert_non_tree_invocation(
         &mut self,
-        g: &G,
+        g: &DynamicGraph,
         e: EdgeId,
         src: VertexId,
         label: LabelId,
@@ -132,9 +132,9 @@ impl TurboFlux {
     /// Precondition (established by every caller): all children of `u` have
     /// explicit outgoing edges from `v`.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn build_upwards<G: GraphView>(
+    pub(crate) fn build_upwards(
         &mut self,
-        g: &G,
+        g: &DynamicGraph,
         u: QVertexId,
         v: VertexId,
         ctx: &SearchCtx,

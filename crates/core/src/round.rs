@@ -31,7 +31,7 @@
 //! tried, measured, removed"), so a panic in a hook unwinds through
 //! [`drive`] to the caller.
 
-use tfx_graph::{shard_of, DynamicGraph, LabelId, LabelSet, ShardedGraph, UpdateOp, VertexId};
+use tfx_graph::{DynamicGraph, LabelId, LabelSet, UpdateOp, VertexId};
 use tfx_query::{MatchRecord, Positiveness};
 
 /// One op's evaluation plan, derived by [`stage`] and executed by every
@@ -69,70 +69,16 @@ impl Round {
     }
 }
 
-/// The mutations [`stage`] and [`finalize`] apply, over either graph type.
-pub(crate) trait StageGraph {
-    fn vertex_count(&self) -> usize;
-    fn ensure_vertex(&mut self, v: VertexId, labels: LabelSet) -> bool;
-    fn insert_edge(&mut self, src: VertexId, label: LabelId, dst: VertexId) -> bool;
-    fn has_edge(&self, src: VertexId, label: LabelId, dst: VertexId) -> bool;
-    fn delete_edge(&mut self, src: VertexId, label: LabelId, dst: VertexId);
-    /// Whether `src` and `dst` live in different partitions.
-    fn crosses(&self, src: VertexId, dst: VertexId) -> bool;
-}
-
-impl StageGraph for DynamicGraph {
-    fn vertex_count(&self) -> usize {
-        self.vertex_count()
-    }
-    fn ensure_vertex(&mut self, v: VertexId, labels: LabelSet) -> bool {
-        self.ensure_vertex(v, labels)
-    }
-    fn insert_edge(&mut self, src: VertexId, label: LabelId, dst: VertexId) -> bool {
-        self.insert_edge(src, label, dst)
-    }
-    fn has_edge(&self, src: VertexId, label: LabelId, dst: VertexId) -> bool {
-        self.has_edge(src, label, dst)
-    }
-    fn delete_edge(&mut self, src: VertexId, label: LabelId, dst: VertexId) {
-        self.delete_edge(src, label, dst);
-    }
-    fn crosses(&self, _src: VertexId, _dst: VertexId) -> bool {
-        false
-    }
-}
-
-impl StageGraph for ShardedGraph {
-    fn vertex_count(&self) -> usize {
-        self.vertex_count()
-    }
-    fn ensure_vertex(&mut self, v: VertexId, labels: LabelSet) -> bool {
-        self.ensure_vertex(v, labels)
-    }
-    fn insert_edge(&mut self, src: VertexId, label: LabelId, dst: VertexId) -> bool {
-        self.insert_edge(src, label, dst).0
-    }
-    fn has_edge(&self, src: VertexId, label: LabelId, dst: VertexId) -> bool {
-        self.has_edge(src, label, dst)
-    }
-    fn delete_edge(&mut self, src: VertexId, label: LabelId, dst: VertexId) {
-        self.delete_edge(src, label, dst);
-    }
-    fn crosses(&self, src: VertexId, dst: VertexId) -> bool {
-        let shards = self.shard_count() as u32;
-        shard_of(src, shards) != shard_of(dst, shards)
-    }
-}
-
 /// Applies the half of `op` that must precede evaluation and plans the
-/// round. Also returns whether the round's edge crosses partitions.
-pub(crate) fn stage<G: StageGraph>(graph: &mut G, op: &UpdateOp) -> (Round, bool) {
+/// round.
+pub(crate) fn stage(graph: &mut DynamicGraph, op: &UpdateOp) -> Round {
     let from = VertexId(graph.vertex_count() as u32);
     match *op {
         UpdateOp::AddVertex { id, ref labels } => {
             if graph.ensure_vertex(id, labels.clone()) {
-                (Round::Register { from }, false)
+                Round::Register { from }
             } else {
-                (Round::Skip, false)
+                Round::Skip
             }
         }
         UpdateOp::InsertEdge { src, label, dst } => {
@@ -142,18 +88,18 @@ pub(crate) fn stage<G: StageGraph>(graph: &mut G, op: &UpdateOp) -> (Round, bool
             let grew = (hi >= from.0 && graph.ensure_vertex(VertexId(hi), LabelSet::empty()))
                 .then_some(from);
             if graph.insert_edge(src, label, dst) {
-                (Round::Insert { grew, src, label, dst }, graph.crosses(src, dst))
+                Round::Insert { grew, src, label, dst }
             } else {
                 // A duplicate's endpoints existed with it: nothing grew.
                 debug_assert!(grew.is_none());
-                (Round::Skip, false)
+                Round::Skip
             }
         }
         UpdateOp::DeleteEdge { src, label, dst } => {
             if graph.has_edge(src, label, dst) {
-                (Round::Delete { src, label, dst }, graph.crosses(src, dst))
+                Round::Delete { src, label, dst }
             } else {
-                (Round::Skip, false)
+                Round::Skip
             }
         }
     }
@@ -161,7 +107,7 @@ pub(crate) fn stage<G: StageGraph>(graph: &mut G, op: &UpdateOp) -> (Round, bool
 
 /// Applies the half of an op that must *follow* evaluation: deletions are
 /// evaluated against the still-intact graph and DCG.
-pub(crate) fn finalize<G: StageGraph>(graph: &mut G, round: &Round) {
+pub(crate) fn finalize(graph: &mut DynamicGraph, round: &Round) {
     if let Round::Delete { src, label, dst } = *round {
         graph.delete_edge(src, label, dst);
     }
@@ -313,63 +259,43 @@ mod tests {
         g
     }
 
-    /// The staging contract, identical on both graph types (`crossed` aside).
-    fn stages_like_algorithm_2<G: StageGraph>(mut g: G) {
+    #[test]
+    fn stages_like_algorithm_2() {
+        let mut g = graph();
         let edge = |src, dst| (v(src), L, v(dst));
         // A new edge enters the graph at stage, and stays at finalize.
-        let (round, _) = stage(&mut g, &ins(1, 2));
+        let round = stage(&mut g, &ins(1, 2));
         assert_eq!(round, Round::Insert { grew: None, src: v(1), label: L, dst: v(2) });
         assert_eq!((round.edge(), round.new_vertices()), (Some(edge(1, 2)), None));
         finalize(&mut g, &round);
         assert!(g.has_edge(v(1), L, v(2)));
         // Duplicate insert: nothing to evaluate.
-        assert_eq!(stage(&mut g, &ins(0, 1)), (Round::Skip, false));
+        assert_eq!(stage(&mut g, &ins(0, 1)), Round::Skip);
         // A straggler endpoint is created label-less, gap ids included.
-        let (round, _) = stage(&mut g, &ins(0, 5));
+        let round = stage(&mut g, &ins(0, 5));
         assert_eq!(round, Round::Insert { grew: Some(v(3)), src: v(0), label: L, dst: v(5) });
         assert_eq!(g.vertex_count(), 6);
         // Its duplicate cannot create a vertex (the edge had both ends), so
         // an insert never degrades to a `Register` round.
-        assert_eq!(stage(&mut g, &ins(0, 5)), (Round::Skip, false));
+        assert_eq!(stage(&mut g, &ins(0, 5)), Round::Skip);
         // A deletion is planned at stage and leaves only at finalize.
-        let (round, _) = stage(&mut g, &del(0, 1));
+        let round = stage(&mut g, &del(0, 1));
         assert_eq!(round, Round::Delete { src: v(0), label: L, dst: v(1) });
         assert!(g.has_edge(v(0), L, v(1)), "still present while cells evaluate it");
         finalize(&mut g, &round);
         assert!(!g.has_edge(v(0), L, v(1)));
         // Missing delete, known vertex: skips. New vertex: register.
-        assert_eq!(stage(&mut g, &del(0, 1)), (Round::Skip, false));
+        assert_eq!(stage(&mut g, &del(0, 1)), Round::Skip);
         // A delete naming vertices no line ever created is a missing edge
         // too: it skips, panics nowhere and creates nothing.
         for (src, dst) in [(0, 90), (90, 0), (90, 91)] {
-            assert_eq!(stage(&mut g, &del(src, dst)), (Round::Skip, false));
+            assert_eq!(stage(&mut g, &del(src, dst)), Round::Skip);
         }
         assert_eq!(g.vertex_count(), 6);
         let add = |id| UpdateOp::AddVertex { id: v(id), labels: LabelSet::empty() };
-        assert_eq!(stage(&mut g, &add(2)), (Round::Skip, false));
-        assert_eq!(stage(&mut g, &add(7)), (Round::Register { from: v(6) }, false));
+        assert_eq!(stage(&mut g, &add(2)), Round::Skip);
+        assert_eq!(stage(&mut g, &add(7)), Round::Register { from: v(6) });
         assert_eq!(Round::Register { from: v(6) }.new_vertices(), Some(v(6)));
-    }
-
-    #[test]
-    fn stage_on_a_dynamic_graph() {
-        stages_like_algorithm_2(graph());
-        assert!(!stage(&mut graph(), &ins(1, 2)).1, "one partition: nothing crosses");
-    }
-
-    #[test]
-    fn stage_on_a_sharded_graph_flags_cross_shard_edges() {
-        for shards in [1, 2, 4] {
-            stages_like_algorithm_2(ShardedGraph::from_graph(&graph(), shards));
-        }
-        let mut g = ShardedGraph::from_graph(&graph(), 2);
-        let apart = (1..64).find(|&d| shard_of(v(d), 2) != shard_of(v(0), 2)).unwrap();
-        let together = (1..64).find(|&d| shard_of(v(d), 2) == shard_of(v(0), 2)).unwrap();
-        g.ensure_vertex(v(64), LabelSet::empty());
-        assert!(stage(&mut g, &ins(0, apart)).1);
-        assert!(stage(&mut g, &del(0, apart)).1);
-        assert!(!stage(&mut g, &ins(0, together)).1);
-        assert!(!stage(&mut g, &ins(0, apart)).1, "a duplicate delivers no mirror");
     }
 
     #[test]

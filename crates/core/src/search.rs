@@ -22,7 +22,7 @@
 //! which is required for correctness when the updated edge matches several
 //! tree edges.
 
-use tfx_graph::{intersect_into, GraphView, LabelId, VertexId};
+use tfx_graph::{intersect_into, DynamicGraph, LabelId, VertexId};
 use tfx_query::{EdgeId, MatchRecord, MatchSemantics, Positiveness, QVertexId};
 
 use crate::dcg::EdgeState;
@@ -72,9 +72,9 @@ impl TurboFlux {
     /// updated data edge, `e` actually *uses* it (label match, no surviving
     /// parallel support), and `e` outranks / underranks the triggering edge
     /// `e_q` for an insertion / deletion respectively.
-    pub(crate) fn violates_order<G: GraphView>(
+    pub(crate) fn violates_order(
         &self,
-        g: &G,
+        g: &DynamicGraph,
         ctx: &SearchCtx,
         e: EdgeId,
         src: VertexId,
@@ -107,9 +107,9 @@ impl TurboFlux {
     /// including the order rule above. The injectivity test is an O(1)
     /// lookup in the scratch's bound-vertex multiplicity map (maintained at
     /// bind/unbind) rather than a scan over the embedding.
-    fn is_joinable<G: GraphView>(
+    fn is_joinable(
         &self,
-        g: &G,
+        g: &DynamicGraph,
         ctx: &SearchCtx,
         u: QVertexId,
         v: VertexId,
@@ -146,9 +146,9 @@ impl TurboFlux {
 
     /// Validates the tree edge binding `u → v` (given `m(P(u)) = vp`):
     /// explicit DCG state plus the duplicate-prevention order rule.
-    fn tree_binding_ok<G: GraphView>(
+    fn tree_binding_ok(
         &self,
-        g: &G,
+        g: &DynamicGraph,
         ctx: &SearchCtx,
         u: QVertexId,
         vp: VertexId,
@@ -165,9 +165,9 @@ impl TurboFlux {
     /// `SubgraphSearch` (Algorithm 7). `scratch.m` must have the starting
     /// query vertex bound; `scratch.rec` is reused across reports. Reports
     /// `(ctx.p, record)` for every complete solution.
-    pub(crate) fn subgraph_search<G: GraphView>(
+    pub(crate) fn subgraph_search(
         &self,
-        g: &G,
+        g: &DynamicGraph,
         depth: usize,
         ctx: &SearchCtx,
         scratch: &mut SearchScratch,
@@ -240,9 +240,9 @@ impl TurboFlux {
     /// duplicate-free, so survivors keep the enumeration order of the plain
     /// loop.
     #[allow(clippy::too_many_arguments)]
-    fn search_intersected<G: GraphView>(
+    fn search_intersected(
         &self,
-        g: &G,
+        g: &DynamicGraph,
         ctx: &SearchCtx,
         depth: usize,
         u: QVertexId,
@@ -303,9 +303,9 @@ impl TurboFlux {
     /// recurses. Shared between the plain and the intersected enumeration
     /// above, so both accept and order candidates identically.
     #[allow(clippy::too_many_arguments)]
-    fn expand_candidate<G: GraphView>(
+    fn expand_candidate(
         &self,
-        g: &G,
+        g: &DynamicGraph,
         ctx: &SearchCtx,
         depth: usize,
         u: QVertexId,

@@ -1,36 +1,29 @@
-//! Sharded execution runtime: hash-partitioned graph slices, per-shard
-//! DCG slices, and a deterministic cross-shard delta merge.
+//! Sharded execution runtime: one shared data graph, per-shard DCG
+//! slices, and a deterministic cross-shard delta merge.
 //!
 //! # Architecture
 //!
 //! Data-graph vertices are hash-partitioned by [`tfx_graph::shard_of`]
-//! across [`crate::TurboFluxConfig::shards`] shards. Partition
-//! ownership governs two things at once:
-//!
-//! * **Graph storage** ([`ShardedGraph`]): an edge lives in owner(src)'s
-//!   slice and is mirrored into owner(dst)'s slice when the endpoints hash
-//!   apart — so each slice can answer every adjacency question about its
-//!   own vertices, and the [`tfx_graph::ShardView`] routing view is
-//!   read-for-read equivalent to the unsharded graph.
-//! * **Root-candidate ownership**: shard `s` registers start candidates
-//!   only for the data vertices it owns
-//!   ([`TurboFlux::register_partitioned`]). Since every DCG edge hangs off
-//!   exactly one root candidate's downward closure, the per-shard DCG
-//!   slices partition the global DCG's *emissions* — each complete match
-//!   is enumerated by exactly one shard, the owner of its root binding —
-//!   while interior DCG state below shared subtrees is replicated only
-//!   where closures overlap.
+//! across [`crate::TurboFluxConfig::shards`] shards. The partition governs
+//! **root-candidate ownership**, not storage: there is one
+//! [`DynamicGraph`], every slice reads all of it, and shard `s` registers
+//! start candidates only for the data vertices it owns
+//! ([`TurboFlux::register_partitioned`]). Since every DCG edge hangs off
+//! exactly one root candidate's downward closure, the per-shard DCG slices
+//! partition the global DCG's *emissions* — each complete match is
+//! enumerated by exactly one shard, the owner of its root binding — while
+//! interior DCG state below shared subtrees is replicated only where
+//! closures overlap.
 //!
 //! # Per-op protocol
 //!
 //! A batch runs on the round driver ([`crate::round`]) with one cell per
-//! `(shard, query)` slice. Staging an op routes the edge to owner(src) and
-//! mirrors it to owner(dst) when it crosses shards, then computes a *seed
-//! plan* per query — the ordered list of matching query-edge invocations,
-//! against the shared routing view — and targets the cells of every query
-//! whose plan is non-empty. A cell runs each planned invocation against its
-//! partition slice with the exact per-invocation routines the unsharded
-//! loops use ([`TurboFlux::insert_tree_invocation`] and friends).
+//! `(shard, query)` slice. Staging an op mutates the graph, then computes a
+//! *seed plan* per query — the ordered list of matching query-edge
+//! invocations — and targets the cells of every query whose plan is
+//! non-empty. A cell runs each planned invocation against the shared graph
+//! and its own DCG slice with the exact per-invocation routines the
+//! unsharded loops use ([`TurboFlux::insert_tree_invocation`] and friends).
 //!
 //! # Determinism
 //!
@@ -47,28 +40,30 @@
 //! statistics would drift apart); the equivalence target is the unsharded
 //! engine with the same static order.
 
-use tfx_graph::{DynamicGraph, GraphView, LabelId, ShardedGraph, UpdateOp, VertexId};
+use tfx_graph::{shard_of, DynamicGraph, LabelId, UpdateOp, VertexId};
 use tfx_query::{EdgeId, MatchRecord, Positiveness, QVertexId, QueryGraph};
 
 use crate::config::TurboFluxConfig;
 use crate::engine::TurboFlux;
 use crate::round::{self, Emit, Key, Round, Rounds, Target};
 
-/// Counters describing the sharded runtime's routing and handoff traffic,
-/// mirroring the shape of [`crate::FleetStats`].
+/// Counters describing the sharded runtime's routing traffic, mirroring the
+/// shape of [`crate::FleetStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Edge ops routed to their primary (owner-of-src) shard.
+    /// Applied edge ops (inserts and deletes that changed the graph).
     pub ops_routed: u64,
-    /// Applied edge ops whose endpoints hash to different shards (each one
-    /// maintains a mirror copy in the dst-owner's slice).
+    /// Applied edge ops whose endpoints hash to different shards.
     pub cross_shard_edges: u64,
-    /// Inbox deliveries to non-primary shards: mirror deliveries for
-    /// cross-shard edges plus seed-plan deliveries to every shard other
-    /// than owner(src).
+    /// Deliveries nothing performs any more — there is one graph and no
+    /// per-shard inbox: one per cross-shard edge op plus one per planned
+    /// invocation and shard other than owner(src). Kept, with its
+    /// arithmetic, only for the frozen `e2e` row `shard.handoffs`.
     pub handoffs: u64,
-    /// Largest per-shard inbox observed for a single op (mirrors + seeds
-    /// drained to fixpoint before the op finalizes).
+    /// The largest such per-op delivery count (all of an op's planned
+    /// invocations, plus one when it crosses shards). Like
+    /// [`Self::handoffs`] it describes no work done and stays only for the
+    /// frozen `e2e` row `shard.inbox_high_water`.
     pub inbox_high_water: u64,
 }
 
@@ -87,11 +82,11 @@ impl TurboFlux {
     /// exactly the tree-then-non-tree sequence
     /// [`TurboFlux::matching_query_edges`] produces, with explicit
     /// invocation indices. Computed once per (op, query) by the sharded
-    /// driver and delivered to every shard's inbox; identical on every
-    /// shard because query structure and vertex labels are replicated.
-    fn plan_seeds_into<G: GraphView>(
+    /// driver for all of the query's slices: they share the query structure
+    /// and the graph.
+    fn plan_seeds_into(
         &self,
-        g: &G,
+        g: &DynamicGraph,
         src: VertexId,
         label: LabelId,
         dst: VertexId,
@@ -122,12 +117,12 @@ impl TurboFlux {
         }
     }
 
-    /// Runs one planned invocation against this engine's slice. `keyed`
+    /// Runs one planned invocation against this engine's DCG slice. `keyed`
     /// (the query has other cells) tags every emission with its merge key.
     #[allow(clippy::too_many_arguments)]
-    fn run_seed<G: GraphView>(
+    fn run_seed(
         &mut self,
-        g: &G,
+        g: &DynamicGraph,
         seed: &Seed,
         insert: bool,
         src: VertexId,
@@ -171,7 +166,8 @@ impl TurboFlux {
 
 /// Everything the slices share, and the sharded runtime's round hooks.
 struct Shared {
-    graph: ShardedGraph,
+    graph: DynamicGraph,
+    shards: usize,
     /// The staged op's seed plan per query (empty outside edge rounds).
     seeds: Vec<Vec<Seed>>,
     stats: ShardStats,
@@ -181,20 +177,20 @@ impl Rounds for Shared {
     type Cell = TurboFlux;
 
     fn cells_per_query(&self) -> usize {
-        self.graph.shard_count()
+        self.shards
     }
 
     fn stage(&mut self, op: &UpdateOp, engines: &[TurboFlux], targets: &mut Vec<Target>) -> Round {
-        let (round, crossed) = round::stage(&mut self.graph, op);
-        let Shared { graph, seeds, stats } = self;
-        let shards = graph.shard_count();
-        // Query structure and vertex labels are replicated, so shard 0's
-        // engine plans for every slice of its query.
+        let round = round::stage(&mut self.graph, op);
+        let &mut Shared { ref graph, shards, ref mut seeds, ref mut stats } = self;
+        // A query's slices share its structure and the graph, so shard 0's
+        // engine plans for all of them.
         match round.edge() {
             Some((src, label, dst)) => {
                 for (query, qseeds) in seeds.iter_mut().enumerate() {
-                    engines[query * shards].plan_seeds_into(&graph.view(), src, label, dst, qseeds);
+                    engines[query * shards].plan_seeds_into(graph, src, label, dst, qseeds);
                 }
+                let crossed = shard_of(src, shards as u32) != shard_of(dst, shards as u32);
                 stats.count_op(shards, crossed, seeds);
             }
             None => seeds.iter_mut().for_each(Vec::clear),
@@ -205,15 +201,13 @@ impl Rounds for Shared {
     }
 
     fn run(&self, engine: &mut TurboFlux, target: Target, round: &Round, emit: &mut Emit<'_>) {
-        let view = self.graph.view();
         if let Some(from) = round.new_vertices() {
-            engine.register_new_vertices(&view, from);
+            engine.register_new_vertices(&self.graph, from);
         }
         let Some((src, label, dst)) = round.edge() else { return };
         let insert = matches!(round, Round::Insert { .. });
-        let shards = self.graph.shard_count();
-        for seed in &self.seeds[target.cell / shards] {
-            engine.run_seed(&view, seed, insert, src, label, dst, shards > 1, emit);
+        for seed in &self.seeds[target.cell / self.shards] {
+            engine.run_seed(&self.graph, seed, insert, src, label, dst, self.shards > 1, emit);
         }
     }
 
@@ -223,22 +217,22 @@ impl Rounds for Shared {
 }
 
 impl ShardStats {
-    /// Accumulates one applied edge op's routing/handoff traffic.
+    /// Accumulates one applied edge op.
     fn count_op(&mut self, shards: usize, crossed: bool, seeds: &[Vec<Seed>]) {
         self.ops_routed += 1;
         self.cross_shard_edges += u64::from(crossed);
         let seed_count: u64 = seeds.iter().map(|s| s.len() as u64).sum();
-        // Mirror delivery (if any) plus seed plans delivered to every shard
-        // other than owner(src).
+        // One for a crossing op, plus every planned invocation once per
+        // shard other than owner(src).
         self.handoffs += u64::from(crossed) + seed_count * (shards as u64 - 1);
-        // The fullest inbox this op: all seeds, plus the mirror for its shard.
+        // All of the op's planned invocations, plus one if it crosses.
         self.inbox_high_water = self.inbox_high_water.max(seed_count + u64::from(crossed));
     }
 }
 
-/// The sharded execution runtime: one engine slice per `(shard, query)`,
-/// a hash-partitioned graph, and batches whose output is byte-identical to
-/// the unsharded engine for any shard count.
+/// The sharded execution runtime: one engine slice per `(shard, query)`
+/// over one shared graph, and batches whose output is byte-identical to the
+/// unsharded engine for any shard count.
 pub struct ShardedEngine {
     shared: Shared,
     /// Query-major: slice `(shard, query)` is cell `query * shards + shard`.
@@ -246,10 +240,10 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Builds `cfg.shards` partition slices over `g0`, registering every
-    /// query once per shard with partition-filtered root candidates.
-    /// Query analysis (start vertex, spanning tree, matching order) runs
-    /// against the full `g0`, so all shards execute the identical plan;
+    /// Takes ownership of `g0` (never cloned or dealt out) and registers
+    /// every query once per shard with partition-filtered root candidates.
+    /// Query analysis (start vertex, spanning tree, matching order) is the
+    /// same on every shard, so all shards execute the identical plan;
     /// `AdjustMatchingOrder` is pinned off (per-slice DCG statistics
     /// diverge, and the order must stay in lockstep across shards).
     ///
@@ -269,9 +263,9 @@ impl ShardedEngine {
         let seeds = queries.iter().map(|_| Vec::new()).collect();
         let mut engines = Vec::with_capacity(queries.len() * shards);
         for q in queries {
-            // Registration over the full graph pins the matching order
-            // every slice must share (slice-local DCG statistics would
-            // derive divergent orders); with one shard it is the slice.
+            // An unpartitioned registration pins the matching order every
+            // slice must share (slice-local DCG statistics would derive
+            // divergent orders); with one shard it is the slice.
             let full = TurboFlux::register(q.clone(), &g0, cfg);
             if shards == 1 {
                 engines.push(full);
@@ -283,17 +277,13 @@ impl ShardedEngine {
                 engines.push(e);
             }
         }
-        let graph = if shards == 1 {
-            ShardedGraph::from_single(g0)
-        } else {
-            ShardedGraph::from_graph(&g0, shards)
-        };
-        ShardedEngine { shared: Shared { graph, seeds, stats: ShardStats::default() }, engines }
+        let shared = Shared { graph: g0, shards, seeds, stats: ShardStats::default() };
+        ShardedEngine { shared, engines }
     }
 
     /// Number of partition slices.
     pub fn shards(&self) -> usize {
-        self.shared.graph.shard_count()
+        self.shared.shards
     }
 
     /// Number of registered queries.
@@ -301,13 +291,13 @@ impl ShardedEngine {
         self.shared.seeds.len()
     }
 
-    /// Routing / handoff counters accumulated since construction.
+    /// Routing counters accumulated since construction.
     pub fn stats(&self) -> ShardStats {
         self.shared.stats
     }
 
-    /// The partitioned graph (primarily for tests and diagnostics).
-    pub fn graph(&self) -> &ShardedGraph {
+    /// The data graph every slice reads.
+    pub fn graph(&self) -> &DynamicGraph {
         &self.shared.graph
     }
 
@@ -315,12 +305,11 @@ impl ShardedEngine {
     /// order the unsharded engine reports them (root candidates ascend;
     /// each root candidate is enumerated by its owning shard).
     pub fn report_initial(&mut self, query: usize, sink: &mut dyn FnMut(&MatchRecord)) {
-        let view = self.shared.graph.view();
-        let shards = self.shards();
+        let Shared { ref graph, shards, .. } = self.shared;
         let mut found = Vec::new();
         for engine in &mut self.engines[query * shards..][..shards] {
             let root = engine.query_tree().root();
-            engine.initial_matches_in(&view, &mut |rec| found.push((rec.get(root), rec.clone())));
+            engine.initial_matches_in(graph, &mut |rec| found.push((rec.get(root), rec.clone())));
         }
         // Stable: one root candidate's matches keep their shard's order.
         found.sort_by_key(|&(root_binding, _)| root_binding);
@@ -339,5 +328,48 @@ impl ShardedEngine {
         sink: &mut dyn FnMut(usize, usize, Positiveness, &MatchRecord),
     ) {
         round::drive(&mut self.shared, &mut self.engines, ops, sink);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tfx_graph::LabelSet;
+
+    /// The counters follow *applied* edge ops: one that crosses shards counts
+    /// one `cross_shard_edges` whether it inserts or deletes, a same-shard one
+    /// counts none, and a skipped op (duplicate insert, missing delete) counts
+    /// nothing at all.
+    #[test]
+    fn stats_count_applied_edge_ops_and_which_of_them_cross_shards() {
+        const L: LabelId = LabelId(7);
+        let v = VertexId;
+        let mut g0 = DynamicGraph::new();
+        for _ in 0..64 {
+            g0.add_vertex(LabelSet::empty());
+        }
+        let mut q = QueryGraph::new();
+        let (a, b) = (q.add_vertex(LabelSet::empty()), q.add_vertex(LabelSet::empty()));
+        q.add_edge(a, b, Some(L));
+        let cfg = TurboFluxConfig { shards: 2, ..Default::default() };
+        let mut engine = ShardedEngine::new(vec![q], g0, cfg, 1);
+
+        let apart = (1..64).find(|&d| shard_of(v(d), 2) != shard_of(v(0), 2)).unwrap();
+        let together = (1..64).find(|&d| shard_of(v(d), 2) == shard_of(v(0), 2)).unwrap();
+        let ins = |dst| UpdateOp::InsertEdge { src: v(0), label: L, dst: v(dst) };
+        let del = |dst| UpdateOp::DeleteEdge { src: v(0), label: L, dst: v(dst) };
+        let mut counts = |op: UpdateOp| {
+            engine.apply_batch(&[op], &mut |_, _, _, _| {});
+            (engine.stats().ops_routed, engine.stats().cross_shard_edges)
+        };
+        assert_eq!(counts(ins(apart)), (1, 1));
+        assert_eq!(counts(ins(apart)), (1, 1), "a duplicate insert is skipped");
+        assert_eq!(counts(ins(together)), (2, 1), "applied, but within one shard");
+        assert_eq!(counts(del(apart)), (3, 2));
+        assert_eq!(counts(del(apart)), (3, 2), "a missing delete is skipped");
+        // Each applied op planned one invocation, for two shards.
+        let want =
+            ShardStats { ops_routed: 3, cross_shard_edges: 2, handoffs: 5, inbox_high_water: 2 };
+        assert_eq!(engine.stats(), want);
     }
 }

@@ -411,6 +411,21 @@ fn delete_naming_unknown_vertices_is_a_no_op_on_every_runtime() {
     assert_eq!(sharded.graph().vertex_count(), n);
 }
 
+/// 64 query vertices register; the 65th is refused before any per-vertex
+/// bit mask is built, so debug and release builds fail the same way.
+#[test]
+#[should_panic(expected = "queries are limited to 64 vertices")]
+fn a_65_vertex_query_is_refused_at_registration() {
+    for n in [64, 65] {
+        let mut q = QueryGraph::new();
+        let us: Vec<_> = (0..n).map(|_| q.add_vertex(LabelSet::single(l(0)))).collect();
+        us.windows(2).for_each(|w| {
+            q.add_edge(w[0], w[1], Some(l(9)));
+        });
+        TurboFlux::new(q, DynamicGraph::new(), TurboFluxConfig::default());
+    }
+}
+
 #[test]
 fn new_vertex_becomes_start_candidate() {
     let (g, q) = fig4();

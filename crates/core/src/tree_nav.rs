@@ -10,10 +10,11 @@
 //! adjacency index: with a concrete query-edge label and
 //! [`AdjacencyMode::Indexed`] only that label's neighbor group is walked
 //! (O(log + |group|) instead of O(deg)). [`AdjacencyMode::FlatScan`] forces
-//! the pre-index full-list filter as an ablation baseline; both modes yield
-//! the same candidates in the same `(label, neighbor)` order.
+//! the pre-index full-list filter — the path `crate::spec` reads through;
+//! the engine passes `Indexed` — and both modes yield the same candidates
+//! in the same `(label, neighbor)` order.
 
-use tfx_graph::{AdjacencyMode, GraphView, VertexId};
+use tfx_graph::{AdjacencyMode, DynamicGraph, VertexId};
 use tfx_query::{QVertexId, QueryGraph, QueryTree};
 
 /// The directed data pair `(src, dst)` backing DCG edge `(pv, u, cv)`.
@@ -33,8 +34,8 @@ pub fn data_pair(
 
 /// True iff some live data edge backs the DCG edge `(pv, u, cv)` (labels of
 /// both endpoints and of the edge itself all match).
-pub fn tree_edge_supported<G: GraphView>(
-    g: &G,
+pub fn tree_edge_supported(
+    g: &DynamicGraph,
     q: &QueryGraph,
     tree: &QueryTree,
     u: QVertexId,
@@ -55,8 +56,8 @@ pub fn tree_edge_supported<G: GraphView>(
 /// Calls `f` with every data vertex `cv` such that the DCG edge
 /// `(pv, u, cv)` is backed by a live data edge. May report a `cv` more than
 /// once if parallel data edges match (callers tolerate or dedup).
-pub fn for_each_child_candidate<G: GraphView>(
-    g: &G,
+pub fn for_each_child_candidate(
+    g: &DynamicGraph,
     q: &QueryGraph,
     tree: &QueryTree,
     u: QVertexId,
@@ -96,8 +97,8 @@ pub fn for_each_child_candidate<G: GraphView>(
 /// `buf` is a segmented scratch stack: callers iterate `buf[start..]` by
 /// index and truncate back to `start` when done, so recursive use never
 /// allocates once the stack's high-water capacity is reached.
-pub fn collect_child_candidates<G: GraphView>(
-    g: &G,
+pub fn collect_child_candidates(
+    g: &DynamicGraph,
     q: &QueryGraph,
     tree: &QueryTree,
     u: QVertexId,
@@ -149,8 +150,8 @@ pub fn collect_child_candidates<G: GraphView>(
 /// Calls `f` with every data vertex `pv` such that the DCG edge
 /// `(pv, u, cv)` is backed by a live data edge (the upward analogue of
 /// [`for_each_child_candidate`]).
-pub fn for_each_parent_candidate<G: GraphView>(
-    g: &G,
+pub fn for_each_parent_candidate(
+    g: &DynamicGraph,
     q: &QueryGraph,
     tree: &QueryTree,
     u: QVertexId,
@@ -186,7 +187,7 @@ pub fn for_each_parent_candidate<G: GraphView>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfx_graph::{DynamicGraph, GraphStats, LabelId, LabelSet};
+    use tfx_graph::{GraphStats, LabelId, LabelSet};
 
     fn l(i: u32) -> LabelId {
         LabelId(i)

@@ -26,8 +26,8 @@
 //! either layout is a contiguous `&[VertexId]` the intersection kernels
 //! read in place, and layout never changes enumeration order (pinned by
 //! the randomized tests below and `tests/adjacency_oracle.rs`) — which is
-//! what lets [`AdjacencyMode::FlatScan`] serve as a faithful ablation
-//! baseline: same storage, same order, but every lookup walks the whole run
+//! what lets [`AdjacencyMode::FlatScan`] serve as a faithful reference
+//! path: same storage, same order, but every lookup walks the whole run
 //! and filters, like the pre-index code.
 
 use crate::arena::{class_cap, class_for, SlotArena};
@@ -53,15 +53,16 @@ const REC: usize = 4;
 /// How scan sites access the adjacency index.
 ///
 /// Storage is always label-partitioned; this only selects the *access path*,
-/// so both modes produce byte-identical results and the flag is a pure
-/// ablation switch for benchmarking.
+/// so both modes produce byte-identical results. The engine always reads
+/// through [`Self::Indexed`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum AdjacencyMode {
     /// Label-qualified lookups: locate the label group, walk only it.
     #[default]
     Indexed,
     /// Pre-index behavior: walk the entire neighbor list and filter by
-    /// label. Kept for head-to-head benchmarks.
+    /// label. The spec oracle's reference path, and the other side of the
+    /// accessor-level benchmarks.
     FlatScan,
 }
 

@@ -305,8 +305,8 @@ impl DynamicGraph {
 
     /// Out-neighbors of `v` matching an optional query-edge label, through
     /// the access path selected by `mode`. Both modes yield the same ids in
-    /// the same order; [`AdjacencyMode::FlatScan`] exists as an ablation
-    /// baseline that walks the whole list.
+    /// the same order; [`AdjacencyMode::FlatScan`] is the reference path
+    /// that walks the whole list.
     #[inline]
     pub fn out_neighbors_matching(
         &self,

@@ -29,14 +29,12 @@ pub mod labels;
 pub mod sharded;
 pub mod stats;
 pub mod stream;
-pub mod view;
 
 pub use adjacency::{AdjacencyMode, LabeledNeighbors, MatchingNeighbors, Neighbors, FLAT_MAX};
 pub use dynamic_graph::{DynamicGraph, EdgeRef, StorageStats};
 pub use ids::{LabelId, VertexId};
 pub use intersect::{contains_sorted, intersect_into, GALLOP_RATIO};
 pub use labels::{LabelInterner, LabelSet};
-pub use sharded::{shard_of, ShardView, ShardedGraph};
+pub use sharded::shard_of;
 pub use stats::GraphStats;
 pub use stream::{UpdateOp, UpdateStream};
-pub use view::GraphView;

@@ -1,6 +1,6 @@
 //! The query (pattern) graph.
 
-use tfx_graph::{GraphView, LabelId, LabelSet, VertexId};
+use tfx_graph::{DynamicGraph, LabelId, LabelSet, VertexId};
 
 /// Identifier of a query vertex (`u` in the paper). Dense `0..|V(q)|`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -194,9 +194,9 @@ impl QueryGraph {
     /// edge `e = (u, u')`? Checks the edge label and both endpoint label
     /// sets; a self-loop query edge only matches a data self-loop (both
     /// endpoints are images of the same query vertex).
-    pub fn edge_matches<G: GraphView>(
+    pub fn edge_matches(
         &self,
-        g: &G,
+        g: &DynamicGraph,
         e: EdgeId,
         src: VertexId,
         label: LabelId,
@@ -274,7 +274,6 @@ mod tests {
 
     #[test]
     fn edge_matches_checks_labels() {
-        use tfx_graph::DynamicGraph;
         let q = fig1_query();
         let mut g = DynamicGraph::new();
         let a = g.add_vertex(LabelSet::single(l(0)));

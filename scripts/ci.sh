@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, release build, e2e smoke, tests, bench compile.
+# Local CI gate: formatting, lints, release build, e2e smoke + goldens, tests, bench compile.
 # Run from the repo root. Fails fast on the first broken step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -33,6 +33,18 @@ echo "=== e2e --smoke ==="
 cargo run --release --offline --quiet \
   --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- --smoke
 
+echo "=== e2e goldens ==="
+# The smoke run checks everything but the delta digests, which exist only at
+# full size: one short full-size measurement per workload compares its digest
+# with goldens.txt and exits non-zero on a mismatch — the check for a change
+# to the round driver, the fleet or the sharded runtime. About 21 s for all six.
+for w in netflow_window netflow_shards2 netflow_enum lsbench_maint lsbench_fleet8 \
+  ingest_selective; do
+  cargo run --release --offline --quiet \
+    --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
+    --workload "$w" --seed 2018 --seconds 3 --trace 0 > /dev/null
+done
+
 echo "=== cargo test (workspace) ==="
 cargo test --offline --workspace -q
 
@@ -40,8 +52,8 @@ echo "=== cargo bench --no-run ==="
 cargo bench --offline --no-run -p tfx-bench
 
 echo "=== adjacency_scan (quick) ==="
-# One short sample per benchmark: catches index/ablation path breakage
-# (panics, mode disagreements) without paying for a full measurement run.
+# One short sample per benchmark: catches index/reference path breakage
+# (panics) without paying for a full measurement run.
 TFX_BENCH_WARMUP_MS=20 TFX_BENCH_MEASURE_MS=50 \
   cargo bench --offline -p tfx-bench --bench adjacency_scan
 

@@ -137,6 +137,10 @@ fn load_query(path: &str, interner: &mut LabelInterner) -> Result<QueryGraph, Ex
         eprintln!("error: the query must be connected and have at least one edge ({path})");
         return Err(ExitCode::FAILURE);
     }
+    if q.vertex_count() > 64 {
+        eprintln!("error: queries are limited to 64 vertices, {path} has {}", q.vertex_count());
+        return Err(ExitCode::FAILURE);
+    }
     Ok(q)
 }
 
@@ -248,7 +252,7 @@ fn stream_usage(code: u8) -> ExitCode {
                   [--drain]                  expire the whole window at end of stream
                   [--iso]                    isomorphism semantics (default homomorphism)
                   [--lenient]                skip malformed stream lines (default strict)
-                  [--shards <N>]             partition the data graph across N shards
+                  [--shards <N>]             split each query's root candidates over N shards
                   [--seed <S>]               synthetic generator seed (default 2018)
                   [--ticks-per-event <T>]    synthetic clock rate (default 1)
                   [--quiet]                  suppress JSONL deltas, keep counts
@@ -453,8 +457,8 @@ fn stream_main(args: &[String]) -> ExitCode {
     let stdout = std::io::stdout();
     let mut out = std::io::BufWriter::new(stdout.lock());
     let mut target: Box<dyn BatchTarget> = if opts.shards > 1 {
-        // Sharded runtime: graph partitioned across shards, every query
-        // evaluated on every shard's slice.
+        // Sharded runtime: one graph, every query evaluated once per shard
+        // over the root candidates that shard owns.
         let mut engine = ShardedEngine::new(queries, g0, cfg, 1);
         for q in 0..engine.queries() {
             let mut n = 0u64;

@@ -72,6 +72,29 @@ fn cli_rejects_unknown_flags_and_bad_streams() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A query past the engine's 64-vertex limit is a user error like an empty
+/// or disconnected one: `error:` and exit 1, not a panic, in every mode.
+#[test]
+fn cli_rejects_a_query_over_64_vertices() {
+    let dir = std::env::temp_dir().join(format!("tfx-cli5-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let graph = write(&dir, "g.txt", "v 0 A\nv 1 A\ne 0 1 r\n");
+    let mut path65: String = (0..65).map(|i| format!("v {i} A\n")).collect();
+    path65.extend((0..64).map(|i| format!("e {i} {} r\n", i + 1)));
+    let query = write(&dir, "q65.txt", &path65);
+    let (graph, query) = (graph.to_str().unwrap(), query.to_str().unwrap());
+    let stream = ["stream", "--query", query, "--graph", graph, "--file", "/dev/null"];
+    let sharded = [&stream[..], &["--shards", "2"]].concat();
+    for args in [&[graph, query][..], &stream, &sharded] {
+        let out = Command::new(tfx_bin()).args(args).output().expect("run tfx");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("error:") && stderr.contains("64 vertices"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 fn testdata(name: &str) -> String {
     format!("{}/testdata/{name}", env!("CARGO_MANIFEST_DIR"))
 }

@@ -5,9 +5,11 @@
 //! shards ∈ {1, 2, 4, 8} — the stream as one batch or split in two —
 //! must produce exactly the same delta sequence as the unsharded
 //! standalone engines and as a fleet over the same queries, under both
-//! homomorphism and isomorphism semantics. Matching-order adjustment is
-//! pinned off everywhere: that is the static plan the sharded runtime
-//! locks in (see `ShardedEngine::new`).
+//! homomorphism and isomorphism semantics, and must hold exactly the
+//! standalone engine's data graph — one copy of each edge, at any shard
+//! count — half-way through the stream and at its end. Matching-order
+//! adjustment is pinned off everywhere: that is the static plan the
+//! sharded runtime locks in (see `ShardedEngine::new`).
 
 use std::collections::HashSet;
 use turboflux::datagen::Pcg32;
@@ -192,6 +194,22 @@ fn sharded(
     (initial, out, engine.stats())
 }
 
+/// "One copy of each edge": after `n` ops the runtime holds exactly the
+/// standalone engine's graph, whatever the shard count. Returns how many
+/// edges that is.
+fn assert_one_graph(s: &Scenario, cfg: &TurboFluxConfig, shards: usize, n: usize) -> usize {
+    let mut plain = TurboFlux::new(s.queries[0].clone(), s.g0.clone(), *cfg);
+    s.ops[..n].iter().for_each(|op| plain.apply_op(op, &mut |_, _| {}));
+    let cfg = TurboFluxConfig { shards, ..*cfg };
+    let mut engine = ShardedEngine::new(s.queries.clone(), s.g0.clone(), cfg, 1);
+    engine.apply_batch(&s.ops[..n], &mut |_, _, _, _| {});
+    let (got, want) = (engine.graph(), plain.graph());
+    got.validate();
+    assert_eq!(got.vertex_count(), want.vertex_count(), "shards={shards}, {n} ops");
+    assert!(got.edges().eq(want.edges()), "graphs diverge at shards={shards} after {n} ops");
+    want.edge_count()
+}
+
 fn run(seed: u64, semantics: MatchSemantics) {
     let mut rng = Pcg32::new(seed);
     // The sharded runtime pins the matching order static; the honest
@@ -201,6 +219,7 @@ fn run(seed: u64, semantics: MatchSemantics) {
     let mut exercised = 0;
     let mut nonempty = 0;
     let mut agg = ShardStats::default();
+    let mut edges_compared = 0;
     let shapes = [StreamShape::Uniform, StreamShape::Hub, StreamShape::Explosive];
     for round in 0..36 {
         let shape = shapes[round % shapes.len()];
@@ -226,6 +245,10 @@ fn run(seed: u64, semantics: MatchSemantics) {
                 want.clone()
             };
             assert_eq!(got, want_here, "deltas diverge at shards={shards} ({shape:?})");
+            // Half-way (edges live) and at the scenario's drained end.
+            for n in [s.ops.len() / 2, s.ops.len()] {
+                edges_compared += assert_one_graph(&s, &cfg, shards, n);
+            }
             if shards > 1 {
                 agg.ops_routed += stats.ops_routed;
                 agg.cross_shard_edges += stats.cross_shard_edges;
@@ -239,12 +262,13 @@ fn run(seed: u64, semantics: MatchSemantics) {
     }
     assert!(exercised >= 20, "only {exercised} scenarios exercised");
     assert!(nonempty >= 5, "only {nonempty} scenarios produced matches");
-    // Non-vacuity: the sharded runs actually routed ops, mirrored
-    // cross-shard edges, and delivered handoffs.
+    assert!(edges_compared > 0, "every compared graph was empty");
+    // Non-vacuity: the sharded runs actually applied edge ops, some of them
+    // across shards, and planned invocations for them.
     assert!(agg.ops_routed > 0, "no ops routed: {agg:?}");
     assert!(agg.cross_shard_edges > 0, "no cross-shard edges: {agg:?}");
     assert!(agg.handoffs > 0, "no handoffs: {agg:?}");
-    assert!(agg.inbox_high_water > 0, "inboxes stayed empty: {agg:?}");
+    assert!(agg.inbox_high_water > 0, "no op planned an invocation: {agg:?}");
 }
 
 #[test]
