@@ -10,18 +10,24 @@
 //!   one contiguous slot (the pre-arena layout paid a linear scan over a
 //!   per-run `Vec` here).
 //!
-//! Four phases mirror the engine's hot paths: `insert_delete` (BuildDCG /
+//! Three phases mirror the engine's hot paths: `insert_delete` (BuildDCG /
 //! ClearDCG churn — the full cycle is self-inverting so nothing is cloned
 //! inside the measurement loop and pool slots recycle through the free
 //! lists), `transit` (Transitions 0–5 state flips on standing edges),
 //! and `climb_enumerate` (the `build_upwards` in-edge walk plus the
-//! `SubgraphSearch` explicit-out enumeration).
+//! `SubgraphSearch` walk over an out-run's explicit entries).
+//!
+//! `deep_edge_enum` is engine-level: an update matching the deepest tree
+//! edge of a path query, where every match is one climb chain and the
+//! search under it enumerates nothing — what a match costs there is the
+//! climb plus the re-validation of the climbed bindings, the part of the
+//! enumeration path `e2e` cannot isolate.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
-use tfx_core::{Dcg, EdgeState};
-use tfx_graph::VertexId;
-use tfx_query::QVertexId;
+use tfx_core::{Dcg, EdgeState, TurboFlux, TurboFluxConfig};
+use tfx_graph::{DynamicGraph, LabelId, LabelSet, UpdateOp, VertexId};
+use tfx_query::{QVertexId, QueryGraph};
 
 const NQ: usize = 8;
 
@@ -125,10 +131,11 @@ fn dcg_climb_enumerate(c: &mut Criterion) {
                     }
                 }
                 for &(pv, u) in &outs {
-                    dcg.for_each_expl_out(pv, u, &mut |w| {
-                        n = n.wrapping_add(w.0 as u64);
-                        true
-                    });
+                    for &(w, st) in dcg.out_edge_slice(pv, u) {
+                        if st == EdgeState::Explicit {
+                            n = n.wrapping_add(w.0 as u64);
+                        }
+                    }
                 }
                 black_box(n)
             });
@@ -137,5 +144,54 @@ fn dcg_climb_enumerate(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, dcg_insert_delete, dcg_transit, dcg_climb_enumerate);
+/// 256 chains `A_i -a-> B_i -b-> x` under the path query
+/// `A -a-> B -b-> C -c-> D`; the measured pair inserts and deletes
+/// `x -c-> y`, which matches the deepest tree edge: 256 positive, then 256
+/// negative matches, each found by its own climb to a root, with every
+/// query vertex bound before `SubgraphSearch` starts. A standing
+/// `x -c-> y0` keeps every climbed edge explicit throughout, so the pair
+/// flips no DCG state above the edge it adds and removes.
+fn deep_edge_enum(c: &mut Criterion) {
+    const CHAINS: u32 = 256;
+    let l = |i| LabelSet::single(LabelId(i));
+    let (a, b, c_label) = (LabelId(10), LabelId(11), LabelId(12));
+    let mut g = DynamicGraph::new();
+    let (x, y, y0) = (g.add_vertex(l(2)), g.add_vertex(l(3)), g.add_vertex(l(3)));
+    g.insert_edge(x, c_label, y0);
+    for _ in 0..CHAINS {
+        let (top, mid) = (g.add_vertex(l(0)), g.add_vertex(l(1)));
+        g.insert_edge(top, a, mid);
+        g.insert_edge(mid, b, x);
+        // Standing `c` edges nothing reaches, and one `B` more than `A`s:
+        // `a` is the most selective edge and its `A` end the start vertex.
+        let (far_c, far_d) = (g.add_vertex(l(2)), g.add_vertex(l(3)));
+        g.insert_edge(far_c, c_label, far_d);
+    }
+    g.add_vertex(l(1));
+    let mut q = QueryGraph::new();
+    let us: Vec<_> = (0..4).map(|i| q.add_vertex(l(i))).collect();
+    for (i, label) in [a, b, c_label].into_iter().enumerate() {
+        q.add_edge(us[i], us[i + 1], Some(label));
+    }
+    let mut engine = TurboFlux::new(q, g, TurboFluxConfig::default());
+    assert_eq!(engine.query_tree().root(), us[0], "the updated edge is three levels down");
+    let pair = [
+        UpdateOp::InsertEdge { src: x, label: c_label, dst: y },
+        UpdateOp::DeleteEdge { src: x, label: c_label, dst: y },
+    ];
+    let run = |engine: &mut TurboFlux| {
+        let mut n = 0u64;
+        for op in &pair {
+            engine.apply_op(op, &mut |_, _| n += 1);
+        }
+        n
+    };
+    assert_eq!(run(&mut engine), 2 * CHAINS as u64, "one match per chain and sign");
+    let mut group = c.benchmark_group("deep_edge_enum");
+    group.throughput(Throughput::Elements(2 * CHAINS as u64));
+    group.bench_function("path4", |bench| bench.iter(|| black_box(run(&mut engine))));
+    group.finish();
+}
+
+criterion_group!(benches, dcg_insert_delete, dcg_transit, dcg_climb_enumerate, deep_edge_enum);
 criterion_main!(benches);

@@ -217,7 +217,7 @@ impl Dcg {
         if u == self.root_qv {
             usize::from(self.root.contains(v.0))
         } else {
-            self.inc[u.index()].run_len(&self.pool, v)
+            self.inc[u.index()].run_len(v)
         }
     }
 
@@ -227,22 +227,7 @@ impl Dcg {
         if u == self.root_qv {
             usize::from(self.root_state(v) == Some(EdgeState::Explicit))
         } else {
-            self.inc[u.index()].expl_count(&self.pool, v)
-        }
-    }
-
-    /// Calls `f` for each *explicit* outgoing edge target of `pv` labeled
-    /// `u` (the hot loop of `SubgraphSearch`).
-    pub fn for_each_expl_out(
-        &self,
-        pv: VertexId,
-        u: QVertexId,
-        f: &mut dyn FnMut(VertexId) -> bool,
-    ) {
-        for &(v, st) in self.out_edge_slice(pv, u) {
-            if st == EdgeState::Explicit && !f(v) {
-                return;
-            }
+            self.inc[u.index()].expl_count(v)
         }
     }
 
@@ -274,7 +259,7 @@ impl Dcg {
     /// Number of explicit outgoing edges of `pv` labeled `u`.
     pub fn out_expl_count(&self, pv: VertexId, u: QVertexId) -> usize {
         debug_assert_ne!(u, self.root_qv);
-        self.out[u.index()].expl_count(&self.pool, pv)
+        self.out[u.index()].expl_count(pv)
     }
 
     /// The explicit-out bitmap of `v` (bit `u` set iff ≥1 explicit out edge
@@ -368,7 +353,7 @@ impl Dcg {
             adj.for_each_run(&self.pool, |pv, run| {
                 stored += run.len() as u64;
                 let e = run.iter().filter(|&&(_, s)| s == EdgeState::Explicit).count();
-                assert_eq!(e, adj.expl_count(&self.pool, pv), "expl cache wrong at ({pv}, u{u})");
+                assert_eq!(e, adj.expl_count(pv), "expl cache wrong at ({pv}, u{u})");
                 expl[u] += e as u64;
                 let bit_set = self.expl_out_bits(pv) & (1 << u) != 0;
                 assert_eq!(bit_set, e > 0, "bitmap wrong at ({pv}, u{u})");
@@ -398,11 +383,11 @@ impl Dcg {
         // carved pool.
         self.root.validate();
         self.expl_out_bits.validate();
-        let mut referenced = vec![false; self.pool.id_count()];
+        let mut held = Vec::new();
         for adj in self.out.iter().chain(self.inc.iter()) {
-            adj.validate(&mut referenced);
+            adj.validate(&self.pool, &mut held);
         }
-        self.pool.validate(&referenced);
+        self.pool.validate(&held);
     }
 }
 
@@ -477,12 +462,16 @@ mod tests {
         assert!(ins.contains(&(v(0), EdgeState::Explicit)));
         assert!(ins.contains(&(v(1), EdgeState::Implicit)));
         assert_eq!(d.out_edge_slice(v(0), u(2)), &[(v(5), EdgeState::Explicit)]);
-        let mut seen = Vec::new();
-        d.for_each_expl_out(v(0), u(2), &mut |w| {
-            seen.push(w);
-            true
-        });
-        assert_eq!(seen, vec![v(5)]);
+        assert_eq!(d.out_edge_slice(v(1), u(2)), &[(v(5), EdgeState::Implicit)]);
+        // A pooled run reads back whole and sorted, states included.
+        for i in (0..5).rev() {
+            let st = if i % 2 == 0 { EdgeState::Explicit } else { EdgeState::Implicit };
+            d.transit(Some(v(0)), u(1), v(10 + i), Some(st));
+        }
+        let run = d.out_edge_slice(v(0), u(1));
+        assert_eq!(run.iter().map(|&(w, _)| w.0).collect::<Vec<_>>(), [10, 11, 12, 13, 14]);
+        assert_eq!(run.iter().filter(|e| e.1 == EdgeState::Explicit).count(), 3);
+        assert_eq!(d.out_expl_count(v(0), u(1)), 3);
     }
 
     #[test]
@@ -653,19 +642,5 @@ mod tests {
         }
         d.check_consistency();
         assert_eq!(d.resident_bytes(), warm_bytes, "identical churn replay grew storage");
-    }
-
-    #[test]
-    fn early_exit_in_expl_iteration() {
-        let mut d = Dcg::new(2, u(0));
-        for i in 0..5 {
-            d.transit(Some(v(0)), u(1), v(10 + i), Some(EdgeState::Explicit));
-        }
-        let mut n = 0;
-        d.for_each_expl_out(v(0), u(1), &mut |_| {
-            n += 1;
-            n < 2
-        });
-        assert_eq!(n, 2);
     }
 }

@@ -13,8 +13,8 @@
 //!   rehashes under self-inverting churn);
 //! * [`RunRef`] — the per-(vertex, u) map value: either an *inline* run of
 //!   up to [`INLINE_CAP`] edges stored directly in the table slot (the
-//!   common low-fanout case costs zero extra allocations), or a `u32`
-//!   handle into the pool;
+//!   common low-fanout case costs zero extra allocations), or the
+//!   `{off, len, expl, class}` handle of a pooled run;
 //! * [`RunPool`] — the pooled runs, in the [`SlotArena`] the data graph's
 //!   adjacency also lives in (`tfx_graph::arena`): one big `Vec` carved in
 //!   power-of-two size classes with a per-class LIFO free list; a run that
@@ -41,7 +41,7 @@ pub const INLINE_CAP: usize = 2;
 const NIL_EDGE: (VertexId, EdgeState) = (VertexId(0), EdgeState::Implicit);
 
 /// Explicit-edge count of a (short, inline) run; pooled runs keep this on
-/// their slot metadata instead.
+/// their handle instead.
 #[inline]
 fn count_expl(run: &[(VertexId, EdgeState)]) -> u32 {
     run.iter().filter(|&&(_, st)| st == EdgeState::Explicit).count() as u32
@@ -226,33 +226,16 @@ impl<V: Copy> OpenMap<V> {
 // RunPool
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Copy, Debug)]
-struct SlotMeta {
-    /// The run's slot in `RunPool::arena`; moves when the run changes class.
-    off: u32,
-    /// Live entries (≤ `class_cap(class)`).
-    len: u32,
-    /// Explicit-state entries among the live ones (the per-run counter
-    /// behind O(1) `out_expl_count` / `in_expl_count`).
-    expl: u32,
-    /// Size class of the arena slot.
-    class: u8,
-    /// False while the id sits on `RunPool::free_ids`.
-    live: bool,
-}
-
-/// The edge runs that outgrow the inline layout.
+/// The edge runs that outgrow the inline layout, in a [`SlotArena`].
 ///
-/// The entries live in a [`SlotArena`]; a run is identified by a `u32` id
-/// into `meta`, which carries its arena handle and explicit-edge counter.
-/// Ids and arena slots are both recycled before anything new is made, so
-/// after warm-up the pool never allocates.
+/// The pool keeps no per-run record: a run's `{off, len, expl, class}`
+/// handle lives in the index bucket that owns it ([`RunRef::Pooled`]), as
+/// the data graph's vertex table holds its adjacency handles, so a pooled
+/// lookup is two dependent loads (bucket, arena). Slots are recycled before
+/// anything new is carved, so after warm-up the pool never allocates.
 #[derive(Default)]
 pub struct RunPool {
     arena: SlotArena<(VertexId, EdgeState)>,
-    meta: Vec<SlotMeta>,
-    /// Ids of released runs.
-    free_ids: Vec<u32>,
 }
 
 impl RunPool {
@@ -260,96 +243,17 @@ impl RunPool {
         Self::default()
     }
 
-    fn alloc(&mut self, class: u8) -> u32 {
-        let m = SlotMeta { off: self.arena.alloc(class), len: 0, expl: 0, class, live: true };
-        if let Some(slot) = self.free_ids.pop() {
-            debug_assert!(!self.meta[slot as usize].live);
-            self.meta[slot as usize] = m;
-            slot
-        } else {
-            self.meta.push(m);
-            (self.meta.len() - 1) as u32
-        }
+    /// A slot of `class` seeded with the already-sorted `entries`.
+    fn alloc(&mut self, class: u8, entries: &[(VertexId, EdgeState)]) -> RunRef {
+        debug_assert!(entries.len() <= class_cap(class) as usize);
+        let off = self.arena.alloc(class);
+        self.arena.data_mut()[off as usize..][..entries.len()].copy_from_slice(entries);
+        RunRef::Pooled { off, len: entries.len() as u32, expl: count_expl(entries), class }
     }
 
-    fn release(&mut self, slot: u32) {
-        let m = &mut self.meta[slot as usize];
-        debug_assert!(m.live);
-        m.live = false;
-        self.arena.release(m.off, m.class);
-        self.free_ids.push(slot);
-    }
-
-    #[inline]
-    pub fn slice(&self, slot: u32) -> &[(VertexId, EdgeState)] {
-        let m = &self.meta[slot as usize];
-        self.arena.run(m.off, m.len)
-    }
-
-    #[inline]
-    fn len_of(&self, slot: u32) -> u32 {
-        self.meta[slot as usize].len
-    }
-
-    #[inline]
-    fn expl_of(&self, slot: u32) -> u32 {
-        self.meta[slot as usize].expl
-    }
-
-    #[inline]
-    fn class_of(&self, slot: u32) -> u8 {
-        self.meta[slot as usize].class
-    }
-
-    /// Seeds a freshly allocated slot with an already-sorted run.
-    fn write_initial(&mut self, slot: u32, entries: &[(VertexId, EdgeState)]) {
-        let m = &mut self.meta[slot as usize];
-        debug_assert!(m.len == 0 && entries.len() <= class_cap(m.class) as usize);
-        m.len = entries.len() as u32;
-        m.expl = count_expl(entries);
-        let base = m.off as usize;
-        self.arena.data_mut()[base..base + entries.len()].copy_from_slice(entries);
-    }
-
-    /// Inserts or updates `(v, st)` in the sorted run, moving it up a size
-    /// class when its slot is full. Returns the previous state.
-    fn set(&mut self, slot: u32, v: VertexId, st: EdgeState) -> Option<EdgeState> {
-        let m = &mut self.meta[slot as usize];
-        match self.arena.run(m.off, m.len).binary_search_by_key(&v, |&(w, _)| w) {
-            Ok(i) => {
-                let entry = &mut self.arena.data_mut()[m.off as usize + i];
-                let old = std::mem::replace(&mut entry.1, st);
-                m.expl -= u32::from(old == EdgeState::Explicit);
-                m.expl += u32::from(st == EdgeState::Explicit);
-                Some(old)
-            }
-            Err(i) => {
-                (m.off, m.class) = self.arena.insert_at(m.off, m.len, m.class, i, (v, st));
-                m.len += 1;
-                m.expl += u32::from(st == EdgeState::Explicit);
-                None
-            }
-        }
-    }
-
-    /// Removes `v` from the sorted run (the caller releases the slot when
-    /// the run empties).
-    fn remove(&mut self, slot: u32, v: VertexId) -> Option<EdgeState> {
-        let m = &mut self.meta[slot as usize];
-        let run = self.arena.run(m.off, m.len);
-        let i = run.binary_search_by_key(&v, |&(w, _)| w).ok()?;
-        let old = run[i].1;
-        self.arena.remove_at(m.off, m.len, i);
-        m.len -= 1;
-        m.expl -= u32::from(old == EdgeState::Explicit);
-        Some(old)
-    }
-
-    /// Reserved bytes: the arena, run metadata, and the free-id stack.
+    /// Reserved bytes of the arena.
     pub fn resident_bytes(&self) -> usize {
         self.arena.resident_bytes()
-            + self.meta.capacity() * std::mem::size_of::<SlotMeta>()
-            + self.free_ids.capacity() * 4
     }
 
     #[inline]
@@ -363,44 +267,17 @@ impl RunPool {
         self.arena.live_slots() + self.arena.free_slots()
     }
 
-    /// Run ids ever issued (live or released): the length `validate`'s
-    /// `referenced` marks must have.
-    #[inline]
-    pub fn id_count(&self) -> usize {
-        self.meta.len()
-    }
-
     /// Total carved entries (live or free) — the pool's footprint in edges.
     #[inline]
     pub fn carved_entries(&self) -> usize {
         self.arena.carved_entries()
     }
 
-    /// Pool invariants, given `referenced[id]` marks from the run indexes:
-    /// every live run referenced exactly once (no aliasing, no leaks),
-    /// every released id on the free stack exactly once, and the live runs'
-    /// slots plus the arena's free lists tile the carved pool.
-    pub fn validate(&self, referenced: &[bool]) {
-        assert_eq!(referenced.len(), self.meta.len());
-        for (s, m) in self.meta.iter().enumerate() {
-            assert!(m.len <= class_cap(m.class), "run {s} overflows its class");
-            assert_eq!(m.live, referenced[s], "run {s} leaked or aliased");
-            if !m.live {
-                continue;
-            }
-            let run = self.slice(s as u32);
-            assert!(run.windows(2).all(|w| w[0].0 < w[1].0), "run {s} unsorted");
-            assert_eq!(count_expl(run), m.expl, "run {s} expl counter drifted");
-            assert!(!run.is_empty(), "run {s} is empty");
-        }
-        let mut released = vec![false; self.meta.len()];
-        for &s in &self.free_ids {
-            assert!(!self.meta[s as usize].live, "live run {s} on the free stack");
-            assert!(!std::mem::replace(&mut released[s as usize], true), "id {s} freed twice");
-        }
-        let live = self.meta.iter().filter(|m| m.live);
-        assert_eq!(live.clone().count() + self.free_ids.len(), self.meta.len());
-        self.arena.validate(live.map(|m| (m.off, m.class)));
+    /// Pool invariants, given the `(off, class)` of every pooled run the
+    /// indexes hold ([`RunIndex::validate`]): those slots plus the arena's
+    /// free lists tile the carved pool — none leaked, none aliased.
+    pub fn validate(&self, held: &[(u32, u8)]) {
+        self.arena.validate(held.iter().copied());
     }
 }
 
@@ -417,9 +294,22 @@ impl RunPool {
 /// which made class-by-class regrowth the dominant cost there).
 #[derive(Clone, Copy, Debug)]
 pub enum RunRef {
-    Inline { len: u8, edges: [(VertexId, EdgeState); INLINE_CAP] },
-    Pooled { slot: u32 },
-    Warm { class: u8 },
+    Inline {
+        len: u8,
+        edges: [(VertexId, EdgeState); INLINE_CAP],
+    },
+    /// The run's arena slot (`off`, of size class `class`), its live entries
+    /// and how many of them are explicit (the per-run counter behind O(1)
+    /// `out_expl_count` / `in_expl_count`).
+    Pooled {
+        off: u32,
+        len: u32,
+        expl: u32,
+        class: u8,
+    },
+    Warm {
+        class: u8,
+    },
 }
 
 /// One direction of one query vertex's DCG adjacency: an [`OpenMap`] from
@@ -443,7 +333,7 @@ impl RunIndex {
             None => &[],
             Some(i) => match self.map.val(i) {
                 RunRef::Inline { len, edges } => &edges[..*len as usize],
-                RunRef::Pooled { slot } => pool.slice(*slot),
+                RunRef::Pooled { off, len, .. } => pool.arena.run(*off, *len),
                 RunRef::Warm { .. } => &[],
             },
         }
@@ -457,24 +347,24 @@ impl RunIndex {
     }
 
     #[inline]
-    pub fn run_len(&self, pool: &RunPool, key: VertexId) -> usize {
+    pub fn run_len(&self, key: VertexId) -> usize {
         match self.map.find(key.0) {
             None => 0,
             Some(i) => match self.map.val(i) {
                 RunRef::Inline { len, .. } => *len as usize,
-                RunRef::Pooled { slot } => pool.len_of(*slot) as usize,
+                RunRef::Pooled { len, .. } => *len as usize,
                 RunRef::Warm { .. } => 0,
             },
         }
     }
 
     #[inline]
-    pub fn expl_count(&self, pool: &RunPool, key: VertexId) -> usize {
+    pub fn expl_count(&self, key: VertexId) -> usize {
         match self.map.find(key.0) {
             None => 0,
             Some(i) => match self.map.val(i) {
                 RunRef::Inline { len, edges } => count_expl(&edges[..*len as usize]) as usize,
-                RunRef::Pooled { slot } => pool.expl_of(*slot) as usize,
+                RunRef::Pooled { expl, .. } => *expl as usize,
                 RunRef::Warm { .. } => 0,
             },
         }
@@ -483,7 +373,7 @@ impl RunIndex {
     /// Sets the state of edge `v` in `key`'s run (inserting the run and/or
     /// the edge as needed), returning the previous state and the run's
     /// explicit-edge count after the write — the counter is already on the
-    /// slot metadata, so callers maintaining derived explicit-edge indexes
+    /// run's handle, so callers maintaining derived explicit-edge indexes
     /// avoid a second table probe. Promotes inline runs to the pool when
     /// they outgrow [`INLINE_CAP`].
     pub fn set(
@@ -513,17 +403,30 @@ impl RunIndex {
                     spill[..pos].copy_from_slice(&edges[..pos]);
                     spill[pos] = (v, st);
                     spill[pos + 1..].copy_from_slice(&edges[pos..]);
-                    let slot = pool.alloc(0);
-                    pool.write_initial(slot, &spill);
-                    *self.map.val_mut(i) = RunRef::Pooled { slot };
-                    (None, pool.expl_of(slot))
+                    *self.map.val_mut(i) = pool.alloc(0, &spill);
+                    (None, count_expl(&spill))
                 }
             }
-            RunRef::Pooled { slot } => (pool.set(*slot, v, st), pool.expl_of(*slot)),
+            RunRef::Pooled { off, len, expl, class } => {
+                // Binary-search the sorted run; a full slot moves up a class.
+                let old = match pool.arena.run(*off, *len).binary_search_by_key(&v, |&(w, _)| w) {
+                    Ok(pos) => {
+                        let entry = &mut pool.arena.data_mut()[*off as usize + pos];
+                        let old = std::mem::replace(&mut entry.1, st);
+                        *expl -= u32::from(old == EdgeState::Explicit);
+                        Some(old)
+                    }
+                    Err(pos) => {
+                        (*off, *class) = pool.arena.insert_at(*off, *len, *class, pos, (v, st));
+                        *len += 1;
+                        None
+                    }
+                };
+                *expl += u32::from(st == EdgeState::Explicit);
+                (old, *expl)
+            }
             RunRef::Warm { class } => {
-                let slot = pool.alloc(*class);
-                pool.write_initial(slot, &[(v, st)]);
-                *self.map.val_mut(i) = RunRef::Pooled { slot };
+                *self.map.val_mut(i) = pool.alloc(*class, &[(v, st)]);
                 (None, u32::from(st == EdgeState::Explicit))
             }
         }
@@ -559,16 +462,22 @@ impl RunIndex {
                 }
                 (Some(old), expl)
             }
-            RunRef::Pooled { slot } => {
-                let s = *slot;
-                let Some(old) = pool.remove(s, v) else { return (None, pool.expl_of(s)) };
-                let expl = pool.expl_of(s);
-                if pool.len_of(s) == 0 {
-                    let class = pool.class_of(s);
-                    pool.release(s);
+            RunRef::Pooled { off, len, expl, class } => {
+                let run = pool.arena.run(*off, *len);
+                let Ok(pos) = run.binary_search_by_key(&v, |&(w, _)| w) else {
+                    return (None, *expl);
+                };
+                let old = run[pos].1;
+                pool.arena.remove_at(*off, *len, pos);
+                *len -= 1;
+                *expl -= u32::from(old == EdgeState::Explicit);
+                let left = *expl;
+                if *len == 0 {
+                    let class = *class;
+                    pool.arena.release(*off, class);
                     *self.map.val_mut(i) = RunRef::Warm { class };
                 }
-                (Some(old), expl)
+                (Some(old), left)
             }
             RunRef::Warm { .. } => (None, 0),
         }
@@ -585,7 +494,7 @@ impl RunIndex {
         for (k, rr) in self.map.iter() {
             match rr {
                 RunRef::Inline { len, edges } => f(VertexId(k), &edges[..*len as usize]),
-                RunRef::Pooled { slot } => f(VertexId(k), pool.slice(*slot)),
+                RunRef::Pooled { off, len, .. } => f(VertexId(k), pool.arena.run(*off, *len)),
                 RunRef::Warm { .. } => {}
             }
         }
@@ -612,24 +521,27 @@ impl RunIndex {
     }
 
     /// Index-side arena invariants: probe reachability, the inline/pooled
-    /// representation boundary, and slot-reference marks for
-    /// [`RunPool::validate`].
-    pub fn validate(&self, referenced: &mut [bool]) {
+    /// representation boundary, every run sorted with a true explicit
+    /// counter, and the `(off, class)` of every pooled run appended to
+    /// `held` for [`RunPool::validate`].
+    pub fn validate(&self, pool: &RunPool, held: &mut Vec<(u32, u8)>) {
         self.map.validate();
         for (k, rr) in self.map.iter() {
-            match rr {
+            match *rr {
                 RunRef::Inline { len, edges } => {
-                    let n = *len as usize;
+                    let n = len as usize;
                     assert!((1..=INLINE_CAP).contains(&n), "empty inline run for key {k}");
                     assert!(
                         edges[..n].windows(2).all(|w| w[0].0 < w[1].0),
                         "inline run unsorted for key {k}"
                     );
                 }
-                RunRef::Pooled { slot } => {
-                    let s = *slot as usize;
-                    assert!(!referenced[s], "slot {s} aliased by key {k}");
-                    referenced[s] = true;
+                RunRef::Pooled { off, len, expl, class } => {
+                    assert!((1..=class_cap(class)).contains(&len), "run of key {k} misfits");
+                    let run = pool.arena.run(off, len);
+                    assert!(run.windows(2).all(|w| w[0].0 < w[1].0), "run of key {k} unsorted");
+                    assert_eq!(count_expl(run), expl, "expl counter of key {k} drifted");
+                    held.push((off, class));
                 }
                 RunRef::Warm { .. } => {}
             }
@@ -755,9 +667,9 @@ mod tests {
                 }
             }
             if step % 2048 == 0 {
-                let mut referenced = vec![false; pool.id_count()];
-                idx.validate(&mut referenced);
-                pool.validate(&referenced);
+                let mut held = Vec::new();
+                idx.validate(&pool, &mut held);
+                pool.validate(&held);
             }
         }
         for (&k, run) in &shadow {
@@ -766,12 +678,20 @@ mod tests {
             let want: Vec<(u32, EdgeState)> = run.iter().map(|(&w, &st)| (w, st)).collect();
             assert_eq!(got, want, "run for key {k} diverged");
             let want_expl = run.values().filter(|&&st| st == EdgeState::Explicit).count();
-            assert_eq!(idx.expl_count(&pool, v(k)), want_expl);
-            assert_eq!(idx.run_len(&pool, v(k)), run.len());
+            assert_eq!(idx.expl_count(v(k)), want_expl);
+            assert_eq!(idx.run_len(v(k)), run.len());
         }
-        let mut referenced = vec![false; pool.id_count()];
-        idx.validate(&mut referenced);
-        pool.validate(&referenced);
+        let mut held = Vec::new();
+        idx.validate(&pool, &mut held);
+        pool.validate(&held);
+    }
+
+    /// The pooled handle rides in the bytes the inline pair already takes:
+    /// moving it into the bucket did not grow the index tables.
+    #[test]
+    fn a_pooled_handle_fits_the_inline_bucket() {
+        assert!(std::mem::size_of::<RunRef>() <= 20);
+        assert_eq!(std::mem::size_of::<Option<(u32, RunRef)>>(), 24);
     }
 
     #[test]
@@ -795,7 +715,7 @@ mod tests {
         cycle(&mut pool, &mut idx);
         assert_eq!(pool.carved_entries(), carved, "steady-state churn carved new storage");
         assert_eq!(pool.slot_count(), slots);
-        assert_eq!(idx.run_len(&pool, v(0)), 0);
+        assert_eq!(idx.run_len(v(0)), 0);
     }
 
     #[test]
@@ -812,11 +732,11 @@ mod tests {
                 idx.slice(&pool, v(k)),
                 &[(v(0), EdgeState::Explicit), (v(1), EdgeState::Implicit)]
             );
-            assert_eq!(idx.expl_count(&pool, v(k)), 1);
+            assert_eq!(idx.expl_count(v(k)), 1);
         }
         // One more edge promotes exactly one run.
         idx.set(&mut pool, v(7), v(5), EdgeState::Implicit);
         assert_eq!(pool.carved_entries(), class_cap(0) as usize);
-        assert_eq!(idx.run_len(&pool, v(7)), 3);
+        assert_eq!(idx.run_len(v(7)), 3);
     }
 }

@@ -38,7 +38,7 @@ use crate::scratch::SearchScratch;
 use crate::tree_nav::collect_child_candidates;
 
 /// How many search steps between wall-clock deadline checks.
-const DEADLINE_CHECK_INTERVAL: u32 = 4096;
+pub(crate) const DEADLINE_CHECK_INTERVAL: u32 = 4096;
 
 /// A continuous subgraph matching engine maintaining a data-centric graph.
 pub struct TurboFlux {
@@ -260,6 +260,14 @@ impl TurboFlux {
     pub(crate) fn match_all_children(&self, v: VertexId, u: QVertexId) -> bool {
         let mask = self.child_mask[u.index()];
         self.dcg.expl_out_bits(v) & mask == mask
+    }
+
+    /// `MatchAllChildren(v, u)` for a `v` known to have an explicit
+    /// out-edge labeled `via`, a child of `u`: when `via` is `u`'s only
+    /// child that edge is the answer, and the bitmap probe is skipped.
+    #[inline]
+    pub(crate) fn match_all_children_via(&self, v: VertexId, u: QVertexId, via: QVertexId) -> bool {
+        self.child_mask[u.index()] == 1 << via.0 || self.match_all_children(v, u)
     }
 
     /// Whether this engine registers root candidates for data vertex `v`

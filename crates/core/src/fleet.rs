@@ -34,7 +34,7 @@ use tfx_query::{MatchRecord, Positiveness, QueryGraph};
 
 use crate::config::TurboFluxConfig;
 use crate::engine::TurboFlux;
-use crate::round::{self, Emit, Key, Round, Rounds, Target};
+use crate::round::{self, DeltaBufs, Emit, Key, Round, Rounds, Target};
 
 /// A match delta reported by [`Fleet::apply_batch`].
 #[derive(Clone, Copy, Debug)]
@@ -134,6 +134,8 @@ impl Rounds for Shared {
 pub struct Fleet {
     shared: Shared,
     engines: Vec<TurboFlux>,
+    /// The round driver's delta buffers, kept warm across batches.
+    bufs: DeltaBufs,
     /// Stable registration id per engine position; strictly ascending
     /// ([`Fleet::deregister`] removes, never renumbers), so position order
     /// is id order and [`FleetDelta`]s stay sorted by `(engine, op_index)`.
@@ -153,6 +155,7 @@ impl Fleet {
                 ops_skipped: 0,
             },
             engines: Vec::new(),
+            bufs: DeltaBufs::default(),
             ids: Vec::new(),
             next_id: 0,
         }
@@ -263,8 +266,8 @@ impl Fleet {
     /// `(engine, op_index, emission)` order. A one-engine fleet streams them
     /// as they are found; otherwise they are buffered per batch.
     pub fn apply_batch(&mut self, ops: &[UpdateOp], sink: &mut dyn FnMut(FleetDelta<'_>)) {
-        let ids = &self.ids;
-        round::drive(&mut self.shared, &mut self.engines, ops, &mut |pos, op_index, p, r| {
+        let Fleet { shared, engines, bufs, ids, .. } = self;
+        round::drive(shared, engines, bufs, ops, &mut |pos, op_index, p, r| {
             sink(FleetDelta { engine: ids[pos], op_index, positiveness: p, record: r })
         });
     }

@@ -77,11 +77,13 @@ impl TurboFlux {
             return;
         }
         if self.dcg.state(pv, uc, cv) == Some(EdgeState::Explicit)
-            && self.match_all_children(pv, up)
+            && self.match_all_children_via(pv, up, uc)
         {
             let ctx = SearchCtx::update(e, src, label, dst, Positiveness::Negative);
             scratch.bind(uc, cv);
+            scratch.trust(uc); // the state test just above
             self.clear_upwards(g, up, pv, Some(uc), &ctx, true, scratch, sink);
+            scratch.trusted = 0;
             scratch.unbind(uc);
         }
         // Transitions 3/5 downward.
@@ -150,9 +152,11 @@ impl TurboFlux {
         let precondition =
             ft && expiring_child.is_some_and(|uc| self.dcg.out_expl_count(v, uc) == 1);
         let prev = scratch.rebind(u, Some(v));
+        let trusted = scratch.trusted;
         let us = self.tree.root();
         if u == us {
             if self.dcg.root_state(v) == Some(EdgeState::Explicit) {
+                scratch.trust(u);
                 self.subgraph_search(g, 0, ctx, scratch, sink);
                 if precondition {
                     self.dcg.transit(None, u, v, Some(EdgeState::Implicit));
@@ -160,6 +164,9 @@ impl TurboFlux {
             }
         } else {
             let up = self.tree.parent(u).expect("non-root");
+            // Only explicit edges into `v` are climbed, and each is
+            // downgraded only after the recursion over it returned.
+            scratch.trust(u);
             // Snapshot the in-list: the downgrades below mutate it.
             let start = scratch.climb.len();
             scratch.climb.extend_from_slice(self.dcg.in_edge_slice(v, u));
@@ -171,7 +178,7 @@ impl TurboFlux {
                 if st != EdgeState::Explicit {
                     continue;
                 }
-                if self.match_all_children(vp, up) {
+                if self.match_all_children_via(vp, up, u) {
                     self.clear_upwards(g, up, vp, Some(u), ctx, precondition, scratch, sink);
                 }
                 if precondition {
@@ -180,6 +187,7 @@ impl TurboFlux {
             }
             scratch.climb.truncate(start);
         }
+        scratch.trusted = trusted;
         scratch.rebind(u, prev);
     }
 }

@@ -77,11 +77,13 @@ impl TurboFlux {
             self.build_dcg(g, Some(pv), uc, cv, scratch);
         }
         if self.dcg.state(pv, uc, cv) == Some(EdgeState::Explicit)
-            && self.match_all_children(pv, up)
+            && self.match_all_children_via(pv, up, uc)
         {
             let ctx = SearchCtx::update(e, src, label, dst, Positiveness::Positive);
             scratch.bind(uc, cv);
+            scratch.trust(uc); // the state test just above
             self.build_upwards(g, up, pv, &ctx, true, scratch, sink);
+            scratch.trusted = 0;
             scratch.unbind(uc);
         }
     }
@@ -155,21 +157,27 @@ impl TurboFlux {
             }
         }
         let prev = scratch.rebind(u, Some(v));
+        let trusted = scratch.trusted;
         let us = self.tree.root();
         if u == us {
             // The single incoming edge is the artificial start edge.
-            match self.dcg.root_state(v) {
+            let explicit = match self.dcg.root_state(v) {
                 Some(EdgeState::Implicit) if ft => {
                     self.dcg.transit(None, u, v, Some(EdgeState::Explicit));
-                    self.subgraph_search(g, 0, ctx, scratch, sink);
+                    true
                 }
-                Some(EdgeState::Explicit) => {
-                    self.subgraph_search(g, 0, ctx, scratch, sink);
-                }
-                _ => {}
+                st => st == Some(EdgeState::Explicit),
+            };
+            if explicit {
+                scratch.trust(u);
+                self.subgraph_search(g, 0, ctx, scratch, sink);
             }
         } else {
             let up = self.tree.parent(u).expect("non-root");
+            // Every recursion below climbs an edge into `v` that is explicit
+            // — the snapshot says so, or Transition 2 just made it so — and
+            // stays explicit while the searches under it run.
+            scratch.trust(u);
             // Snapshot the in-list into the segmented stack: transitions
             // during the climb mutate the list being iterated.
             let start = scratch.climb.len();
@@ -185,12 +193,13 @@ impl TurboFlux {
                     }
                     self.dcg.transit(Some(vp), u, v, Some(EdgeState::Explicit));
                 }
-                if self.match_all_children(vp, up) {
+                if self.match_all_children_via(vp, up, u) {
                     self.build_upwards(g, up, vp, ctx, ft, scratch, sink);
                 }
             }
             scratch.climb.truncate(start);
         }
+        scratch.trusted = trusted;
         scratch.rebind(u, prev);
     }
 }

@@ -22,10 +22,11 @@
 //!
 //! A query's cells are contiguous. With one cell in the whole batch
 //! its emissions stream straight to the sink. Otherwise they are buffered
-//! per cell — in op order, because a cell runs its rounds in order — and
-//! drained query by query after the last round, so the sink sees
+//! per cell — in op order, because a cell runs its rounds in order; flat,
+//! an entry of fixed size plus the delta's vertex ids in one run per cell —
+//! and drained query by query after the last round, so the sink sees
 //! `(query, op, emission)` order. A query spread over several cells merges
-//! their buffers on the emissions' [`Key`]s.
+//! their buffers by sorting entry indices on the emissions' [`Key`]s.
 //!
 //! Everything runs on the calling thread (DESIGN.md, "Parallel execution:
 //! tried, measured, removed"), so a panic in a hook unwinds through
@@ -145,16 +146,17 @@ pub(crate) fn route(
 
 /// Where an emission sorts among those of its `(query, op)` when the query
 /// is spread over several cells: the op's invocation index, then the
-/// match's binding chain. Single-cell queries leave it at the default —
-/// their emission order already is the output order.
-#[derive(Default)]
-pub(crate) struct Key {
+/// match's binding chain (borrowed for the call; [`drive`] copies what it
+/// buffers). Single-cell queries leave it at the default — their emission
+/// order already is the output order.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Key<'a> {
     pub inv: u32,
-    pub chain: Vec<VertexId>,
+    pub chain: &'a [VertexId],
 }
 
 /// A cell's output channel for one round.
-pub(crate) type Emit<'a> = dyn FnMut(Key, Positiveness, &MatchRecord) + 'a;
+pub(crate) type Emit<'a> = dyn FnMut(Key<'_>, Positiveness, &MatchRecord) + 'a;
 
 /// What a runtime supplies to [`drive`].
 pub(crate) trait Rounds {
@@ -175,12 +177,41 @@ pub(crate) trait Rounds {
     fn finalize(&mut self, round: &Round);
 }
 
-/// A buffered emission.
+/// A buffered emission: its chain, then its record, are
+/// `words[at..][..chain_len + rec_len]` of its cell's buffer.
 struct Pending {
     op: u32,
-    key: Key,
+    inv: u32,
     p: Positiveness,
+    at: u32,
+    chain_len: u8,
+    rec_len: u8,
+}
+
+/// One cell's buffered emissions, in emission order: fixed-size entries
+/// over one flat run of vertex ids — no allocation per delta.
+#[derive(Default)]
+struct CellBuf {
+    pend: Vec<Pending>,
+    words: Vec<VertexId>,
+}
+
+impl CellBuf {
+    fn chain(&self, d: &Pending) -> &[VertexId] {
+        &self.words[d.at as usize..][..d.chain_len as usize]
+    }
+}
+
+/// The buffers [`drive`] works in. A runtime keeps one for its lifetime, so
+/// a batch allocates only where it outgrows every batch before it.
+#[derive(Default)]
+pub(crate) struct DeltaBufs {
+    cells: Vec<CellBuf>,
+    /// `(cell, entry)` of one query's emissions, for the keyed merge.
+    order: Vec<(u32, u32)>,
+    /// The record every buffered emission is delivered through.
     rec: MatchRecord,
+    targets: Vec<Target>,
 }
 
 /// Applies `ops` in order, one round each, and delivers every emission to
@@ -189,42 +220,63 @@ struct Pending {
 pub(crate) fn drive<R: Rounds>(
     rt: &mut R,
     cells: &mut [R::Cell],
+    bufs: &mut DeltaBufs,
     ops: &[UpdateOp],
     sink: &mut dyn FnMut(usize, usize, Positiveness, &MatchRecord),
 ) {
     let per_query = rt.cells_per_query();
     // One cell in total: op order is output order, nothing to buffer.
     let direct = cells.len() == 1;
-    let mut bufs: Vec<Vec<Pending>> = cells.iter().map(|_| Vec::new()).collect();
-    let mut targets = Vec::new();
+    let DeltaBufs { cells: bufs, order, rec, targets } = bufs;
+    bufs.resize_with(cells.len(), CellBuf::default);
+    // Cleared here, not after delivery: a batch that unwound leaves nothing
+    // for the next one to deliver.
+    for buf in bufs.iter_mut() {
+        buf.pend.clear();
+        buf.words.clear();
+    }
     for (op_index, op) in ops.iter().enumerate() {
-        let round = rt.stage(op, cells, &mut targets);
-        for &target in &targets {
+        let round = rt.stage(op, cells, targets);
+        for &target in targets.iter() {
             let cell = &mut cells[target.cell];
             if direct {
                 rt.run(cell, target, &round, &mut |_, p, rec| sink(0, op_index, p, rec));
             } else {
-                let buf = &mut bufs[target.cell];
+                let CellBuf { pend, words } = &mut bufs[target.cell];
                 rt.run(cell, target, &round, &mut |key, p, rec| {
-                    buf.push(Pending { op: op_index as u32, key, p, rec: rec.clone() })
+                    let at = u32::try_from(words.len()).expect("a batch's deltas fit u32 words");
+                    let len = |n| u8::try_from(n).expect("a query has at most 64 vertices");
+                    let (chain_len, rec_len) = (len(key.chain.len()), len(rec.len()));
+                    words.extend_from_slice(key.chain);
+                    words.extend_from_slice(rec.as_slice());
+                    let op = op_index as u32;
+                    pend.push(Pending { op, inv: key.inv, p, at, chain_len, rec_len });
                 });
             }
         }
         rt.finalize(&round);
     }
-    for (query, bufs) in bufs.chunks_mut(per_query).enumerate() {
-        let mut merged = std::mem::take(&mut bufs[0]);
-        debug_assert!(merged.windows(2).all(|w| w[0].op <= w[1].op));
+    for (query, bufs) in bufs.chunks(per_query).enumerate() {
+        debug_assert!(bufs.iter().all(|b| b.pend.windows(2).all(|w| w[0].op <= w[1].op)));
+        order.clear();
+        for (c, buf) in bufs.iter().enumerate() {
+            order.extend((0..buf.pend.len() as u32).map(|i| (c as u32, i)));
+        }
         if per_query > 1 {
-            // Several cells' buffers interleave. Stable, so emissions
-            // sharing a key keep their cell's order.
-            bufs[1..].iter_mut().for_each(|buf| merged.append(buf));
-            merged.sort_by(|a, b| {
-                (a.op, a.key.inv, &a.key.chain).cmp(&(b.op, b.key.inv, &b.key.chain))
+            // Several cells' buffers interleave. Only indices move; stable,
+            // so emissions sharing a key keep their cell's order.
+            order.sort_by(|&(ca, ia), &(cb, ib)| {
+                let (a, b) = (&bufs[ca as usize], &bufs[cb as usize]);
+                let (da, db) = (&a.pend[ia as usize], &b.pend[ib as usize]);
+                (da.op, da.inv, a.chain(da)).cmp(&(db.op, db.inv, b.chain(db)))
             });
         }
-        for d in &merged {
-            sink(query, d.op as usize, d.p, &d.rec);
+        for &(c, i) in order.iter() {
+            let buf = &bufs[c as usize];
+            let d = &buf.pend[i as usize];
+            let at = d.at as usize + d.chain_len as usize;
+            rec.fill_from_slice(&buf.words[at..][..d.rec_len as usize]);
+            sink(query, d.op as usize, d.p, rec);
         }
     }
 }
@@ -315,10 +367,12 @@ mod tests {
 
     /// A runtime of `ncells / per_query`-query cells that only records:
     /// op `i` targets the cells whose bit is set in `masks[i]`, and a cell
-    /// emits `(op, cell)` once per visit.
+    /// emits `(op, cell)` once per visit — or, with `chains` set, once per
+    /// chain of `chains[cell]`, all under one invocation index.
     struct Toy {
         masks: Vec<u32>,
         per_query: usize,
+        chains: Vec<Vec<Vec<VertexId>>>,
         /// The op whose `run` panics, if any.
         panic_on: Option<usize>,
         op: usize,
@@ -336,6 +390,7 @@ mod tests {
             let toy = Toy {
                 masks: masks.to_vec(),
                 per_query,
+                chains: vec![],
                 panic_on,
                 op: 0,
                 pending: Cell::new(0),
@@ -372,10 +427,18 @@ mod tests {
         fn run(&self, cell: &mut Vec<usize>, target: Target, _: &Round, emit: &mut Emit<'_>) {
             assert_ne!(Some(self.op), self.panic_on, "the toy's cell panics on this op");
             cell.push(self.op);
-            // Keyed so that a query's cells interleave in descending order.
-            let key = Key { inv: u32::MAX - target.cell as u32, chain: Vec::new() };
-            let rec = MatchRecord::new(vec![v(self.op as u32), v(target.cell as u32)]);
-            emit(key, Positiveness::Positive, &rec);
+            let (op, at) = (v(self.op as u32), v(target.cell as u32));
+            if self.chains.is_empty() {
+                // Keyed so that a query's cells interleave in descending order.
+                let key = Key { inv: u32::MAX - target.cell as u32, chain: &[] };
+                emit(key, Positiveness::Positive, &MatchRecord::new(vec![op, at]));
+            }
+            // Query `q`'s records are `3 + q` long: `(op, cell, k)`, padded.
+            let pad = vec![v(99); target.cell / self.per_query];
+            for (k, chain) in self.chains.get(target.cell).into_iter().flatten().enumerate() {
+                let rec = MatchRecord::new([&[op, at, v(k as u32)], &pad[..]].concat());
+                emit(Key { inv: 0, chain }, Positiveness::Positive, &rec);
+            }
             self.pending.set(self.pending.get() - 1);
         }
 
@@ -396,7 +459,7 @@ mod tests {
         let (mut toy, ops) = Toy::new(masks, per_query, None);
         let mut cells = vec![Vec::new(); ncells];
         let mut out = Vec::new();
-        drive(&mut toy, &mut cells, &ops, &mut |q, op, _, rec| {
+        drive(&mut toy, &mut cells, &mut DeltaBufs::default(), &ops, &mut |q, op, _, rec| {
             assert_eq!(rec.as_slice()[0], v(op as u32), "emission tagged with its op");
             out.push((q, op, rec.as_slice()[1].0));
         });
@@ -430,6 +493,46 @@ mod tests {
         }
     }
 
+    /// The cells of one query emit under the same `(op, inv)` and are told
+    /// apart by their chains alone — lexicographic, a prefix first, equal
+    /// chains in cell order — while a second query with longer records
+    /// shares the batch; and a warm `DeltaBufs` carries nothing over.
+    #[test]
+    fn cells_sharing_an_invocation_merge_on_their_chains() {
+        let c = |ids: &[u32]| ids.iter().map(|&i| v(i)).collect::<Vec<_>>();
+        // Per cell ascending, as a cell emits them.
+        let chains = vec![
+            vec![c(&[1, 5]), c(&[3])],
+            vec![c(&[1]), c(&[1, 5, 0]), c(&[2, 9]), c(&[3])],
+            vec![c(&[7])],
+            vec![c(&[4]), c(&[7])],
+        ];
+        // `(cell, k)` in merged order, per query, when all its cells run.
+        let merged =
+            [vec![(1, 0), (0, 0), (1, 1), (1, 2), (0, 1), (1, 3)], vec![(3, 0), (2, 0), (3, 1)]];
+        let masks = [0b1111, 0b0110, 0b1111];
+        let mut want = Vec::new();
+        for (q, merged) in merged.iter().enumerate() {
+            for (op, mask) in masks.iter().enumerate() {
+                let ran = merged.iter().filter(|(cell, _)| mask >> cell & 1 == 1);
+                want.extend(ran.map(|&(cell, k)| {
+                    let rec = [&[op as u32, cell, k], &[99][..q]].concat();
+                    (q, op, rec)
+                }));
+            }
+        }
+        let mut bufs = DeltaBufs::default();
+        for _ in 0..2 {
+            let (mut toy, ops) = Toy::new(&masks, 2, None);
+            toy.chains = chains.clone();
+            let mut out = Vec::new();
+            drive(&mut toy, &mut vec![Vec::new(); 4], &mut bufs, &ops, &mut |q, op, _, rec| {
+                out.push((q, op, rec.as_slice().iter().map(|x| x.0).collect::<Vec<_>>()));
+            });
+            assert_eq!(out, want);
+        }
+    }
+
     #[test]
     fn a_sole_cell_streams_in_op_order() {
         let (cells, out) = toy_run(&[1, 0, 1, 1], 1, 1);
@@ -446,7 +549,7 @@ mod tests {
         let (mut toy, ops) = Toy::new(&[0b01, 0b11, 0b10, 0b11, 0b01], 1, Some(K));
         let mut cells = vec![Vec::new(); 2];
         let unwound = catch_unwind(AssertUnwindSafe(|| {
-            drive(&mut toy, &mut cells, &ops, &mut |_, _, _, _| {});
+            drive(&mut toy, &mut cells, &mut DeltaBufs::default(), &ops, &mut |_, _, _, _| {});
         }));
         assert!(unwound.is_err(), "the cell's panic reaches drive's caller");
         assert_eq!(toy.staged, [0, 1, 2, K], "op K was staged, nothing after it");

@@ -33,8 +33,18 @@ pub(crate) struct SearchScratch {
     /// Written through [`SearchScratch::bind`] / [`SearchScratch::rebind`]
     /// so the bound-vertex multiplicities below stay in sync.
     pub(crate) m: Vec<Option<VertexId>>,
-    /// Match record reused across reports.
+    /// The record every report goes through: `rec[u]` mirrors `m[u]`
+    /// wherever `m[u]` is bound (written by [`SearchScratch::rebind`]; a
+    /// last-level candidate is written by the search without binding). A
+    /// slot of an unbound vertex is stale, and never read: a report needs
+    /// every vertex bound.
     pub(crate) rec: MatchRecord,
+    /// Bit `u`: the DCG edge into the current binding of `u` — from the
+    /// current binding of its tree parent; the start edge for the root — is
+    /// known explicit, so the search need not probe it again. Set by the
+    /// code that just read (or made) the edge explicit, restored on unwind
+    /// (DESIGN.md, "Enumeration path").
+    pub(crate) trusted: u64,
     /// Segmented stack of child candidates (`BuildDCG` / `ClearDCG`).
     pub(crate) kids: Vec<VertexId>,
     /// Segmented stack of DCG in-edge snapshots (upward climbs).
@@ -62,13 +72,17 @@ impl SearchScratch {
     /// Scratch sized for a query with `nq` vertices. `track_bound` enables
     /// the bound-vertex multiplicity map (isomorphism injectivity checks).
     pub(crate) fn for_query(nq: usize, track_bound: bool) -> Self {
-        SearchScratch { m: vec![None; nq], track_bound, ..Default::default() }
+        let rec = MatchRecord::new(vec![VertexId(0); nq]);
+        SearchScratch { m: vec![None; nq], rec, track_bound, ..Default::default() }
     }
 
     /// Sets `m(u) = v`, replacing (and returning) any previous binding.
     /// The multiplicity map follows when tracking is on.
     pub(crate) fn rebind(&mut self, u: QVertexId, v: Option<VertexId>) -> Option<VertexId> {
         let prev = std::mem::replace(&mut self.m[u.index()], v);
+        if let Some(w) = v {
+            self.rec.set(u, w);
+        }
         if self.track_bound && prev != v {
             if let Some(w) = prev {
                 let n = self.bound.get_mut(&w).expect("bound count for a mapped vertex");
@@ -82,6 +96,19 @@ impl SearchScratch {
             }
         }
         prev
+    }
+
+    /// Records that the DCG edge into the current binding of `u` was just
+    /// seen (or made) explicit; the caller restores `trusted` on unwind.
+    #[inline]
+    pub(crate) fn trust(&mut self, u: QVertexId) {
+        self.trusted |= 1 << u.0;
+    }
+
+    /// Whether the climb proved the DCG edge into the binding of `u`.
+    #[inline]
+    pub(crate) fn trusts(&self, u: QVertexId) -> bool {
+        self.trusted >> u.0 & 1 == 1
     }
 
     /// Binds `m(u) = v`; `u` must be unbound.
@@ -112,9 +139,11 @@ impl SearchScratch {
         }
     }
 
-    /// Debug invariant: no live bindings (update evaluation fully unwound).
+    /// Debug invariant: no live bindings and no trust left over (update
+    /// evaluation fully unwound).
     pub(crate) fn assert_unbound(&self) {
         debug_assert!(self.m.iter().all(Option::is_none));
+        debug_assert_eq!(self.trusted, 0);
         debug_assert!(self.bound.is_empty());
     }
 }

@@ -4,7 +4,12 @@
 //! in matching order, verifying non-tree query edges against the data graph
 //! as query vertices are bound. Vertices pre-bound by the upward traversal
 //! (or by a non-tree-edge invocation) are re-validated instead of
-//! enumerated.
+//! enumerated — unless the climb already proved them: it reached the binding
+//! over an explicit DCG edge and says so in `SearchScratch::trusted`, and
+//! nothing downgrades that edge while the search under it runs (DESIGN.md,
+//! "Enumeration path"). Unbound vertices are enumerated by one frontier loop
+//! that computes once per `(depth, parent binding)` whatever is the same for
+//! every candidate, and reports straight from the loop at the last level.
 //!
 //! The data graph is passed in explicitly (instead of read from the engine)
 //! so the same search serves standalone engines and fleet engines sharing
@@ -145,7 +150,8 @@ impl TurboFlux {
     }
 
     /// Validates the tree edge binding `u → v` (given `m(P(u)) = vp`):
-    /// explicit DCG state plus the duplicate-prevention order rule.
+    /// explicit DCG state — probed unless the climb already `proved` it —
+    /// plus the duplicate-prevention order rule.
     fn tree_binding_ok(
         &self,
         g: &DynamicGraph,
@@ -153,8 +159,9 @@ impl TurboFlux {
         u: QVertexId,
         vp: VertexId,
         v: VertexId,
+        proved: bool,
     ) -> bool {
-        if self.dcg.state(vp, u, v) != Some(EdgeState::Explicit) {
+        if !proved && self.dcg.state(vp, u, v) != Some(EdgeState::Explicit) {
             return false;
         }
         let e = self.tree.parent_edge(u).expect("non-root");
@@ -163,8 +170,9 @@ impl TurboFlux {
     }
 
     /// `SubgraphSearch` (Algorithm 7). `scratch.m` must have the starting
-    /// query vertex bound; `scratch.rec` is reused across reports. Reports
-    /// `(ctx.p, record)` for every complete solution.
+    /// query vertex bound; every report goes through `scratch.rec`, which
+    /// mirrors the bindings. Reports `(ctx.p, record)` for every complete
+    /// solution.
     pub(crate) fn subgraph_search(
         &self,
         g: &DynamicGraph,
@@ -177,41 +185,92 @@ impl TurboFlux {
             return;
         }
         if depth == self.mo.len() {
-            scratch.rec.fill_from_partial(&scratch.m);
             sink(ctx.p, &scratch.rec);
             return;
         }
         let u = self.mo[depth];
         let us = self.tree.root();
+        // Whether `IsJoinable` can reject any binding of `u` at all.
+        let joins = self.cfg.semantics == MatchSemantics::Isomorphism
+            || !self.non_tree_incident[u.index()].is_empty();
         if let Some(v) = scratch.m[u.index()] {
             // Pre-bound vertex (upward traversal / non-tree invocation):
-            // re-validate instead of enumerating.
+            // re-validate instead of enumerating. The edge into a binding
+            // the climb made is explicit for the whole search (`trusted`);
+            // the endpoint a non-tree invocation pre-binds is not.
+            let proved = scratch.trusts(u);
             let ok = if u == us {
-                self.dcg.root_state(v) == Some(EdgeState::Explicit)
+                proved || self.dcg.root_state(v) == Some(EdgeState::Explicit)
             } else {
                 let vp = scratch.m[self.tree.parent(u).expect("non-root").index()]
                     .expect("parent precedes child in matching order");
-                self.tree_binding_ok(g, ctx, u, vp, v)
+                self.tree_binding_ok(g, ctx, u, vp, v, proved)
             };
-            if ok && self.is_joinable(g, ctx, u, v, scratch) {
+            if ok && (!joins || self.is_joinable(g, ctx, u, v, scratch)) {
                 self.subgraph_search(g, depth + 1, ctx, scratch, sink);
             }
-        } else {
-            debug_assert_ne!(u, us, "the starting vertex is always pre-bound");
-            let vp = scratch.m[self.tree.parent(u).expect("non-root").index()]
-                .expect("parent precedes child in matching order");
-            let slice = self.dcg.out_edge_slice(vp, u);
-            if slice.len() >= INTERSECT_MIN_FRONTIER && self.has_bound_non_tree_run(u, scratch) {
-                self.search_intersected(g, ctx, depth, u, vp, scratch, sink);
-                return;
+            return;
+        }
+        debug_assert_ne!(u, us, "the starting vertex is always pre-bound");
+        let vp = scratch.m[self.tree.parent(u).expect("non-root").index()]
+            .expect("parent precedes child in matching order");
+        // The slice borrow only needs `&self`; enumeration never mutates
+        // the DCG, so the plain frontier needs no candidate buffer.
+        let slice = self.dcg.out_edge_slice(vp, u);
+        // What is fixed for the whole frontier of `(depth, vp)`. The order
+        // rule can only reject the candidate that maps the tree edge `e`
+        // onto the updated data edge: its far endpoint, and only when `vp`
+        // is its near endpoint and `e` is not the triggering edge itself.
+        let e = self.tree.parent_edge(u).expect("non-root");
+        let down = self.tree.child_is_target(u);
+        let suspect = match (ctx.updated, ctx.eq) {
+            (Some((usrc, _, udst)), Some(eq)) if e != eq => {
+                let (near, far) = if down { (usrc, udst) } else { (udst, usrc) };
+                (near == vp).then_some(far)
             }
-            // The slice borrow only needs `&self`; enumeration never
-            // mutates the DCG, so no candidate buffer is required.
-            for &(v, st) in self.dcg.out_edge_slice(vp, u) {
-                if st == EdgeState::Explicit {
-                    self.expand_candidate(g, ctx, depth, u, vp, v, scratch, sink);
+            _ => None,
+        };
+        let last = depth + 1 == self.mo.len();
+        // A wide frontier under bound non-tree neighbors is intersected
+        // with their adjacency runs first; the survivors sit in
+        // `scratch.isect[base..]`. Deeper levels append past that segment
+        // and truncate back, so it is read by index.
+        let isect = (slice.len() >= INTERSECT_MIN_FRONTIER
+            && self.has_bound_non_tree_run(u, scratch))
+        .then(|| self.intersect_frontier(g, u, slice, scratch));
+        let n = isect.map_or(slice.len(), |base| scratch.isect.len() - base);
+        #[allow(clippy::needless_range_loop)] // two sources, one inside `scratch`
+        for i in 0..n {
+            let v = match isect {
+                Some(base) => scratch.isect[base + i],
+                None if slice[i].1 == EdgeState::Explicit => slice[i].0,
+                None => continue,
+            };
+            if suspect == Some(v) {
+                let (src, dst) = if down { (vp, v) } else { (v, vp) };
+                if self.violates_order(g, ctx, e, src, dst) {
+                    continue;
                 }
             }
+            if joins && !self.is_joinable(g, ctx, u, v, scratch) {
+                continue;
+            }
+            if last {
+                // A complete solution: the probe `subgraph_search` would
+                // make on entry, then the report — no bind, no recursion.
+                if self.deadline_exceeded() {
+                    break;
+                }
+                scratch.rec.set(u, v);
+                sink(ctx.p, &scratch.rec);
+            } else {
+                scratch.bind(u, v);
+                self.subgraph_search(g, depth + 1, ctx, scratch, sink);
+                scratch.unbind(u);
+            }
+        }
+        if let Some(base) = isect {
+            scratch.isect.truncate(base);
         }
     }
 
@@ -227,35 +286,28 @@ impl TurboFlux {
         })
     }
 
-    /// Enumeration with the intersection prefilter: copies the explicit DCG
-    /// frontier of `(vp, u)` into scratch, intersects it with the adjacency
-    /// run of every bound non-tree neighbor (via the `tfx-graph` kernels),
-    /// and expands only the survivors.
+    /// The intersection prefilter: copies the explicit entries of `frontier`
+    /// (the DCG run of `(m(P(u)), u)`) onto `scratch.isect` and intersects
+    /// them with the adjacency run of every bound non-tree neighbor (via the
+    /// `tfx-graph` kernels). Returns where the survivors start.
     ///
     /// Behavior-preserving: a candidate `v` missing from the run of a bound
     /// neighbor `m(w)` fails exactly the `has_edge_matching` probe that
     /// `IsJoinable` would apply to the same non-tree edge, so the prefilter
-    /// only removes candidates `expand_candidate` would reject. Both the
+    /// only removes candidates the frontier loop would reject. Both the
     /// frontier (DCG runs are sorted) and the adjacency runs are sorted and
     /// duplicate-free, so survivors keep the enumeration order of the plain
-    /// loop.
-    #[allow(clippy::too_many_arguments)]
-    fn search_intersected(
+    /// frontier.
+    fn intersect_frontier(
         &self,
         g: &DynamicGraph,
-        ctx: &SearchCtx,
-        depth: usize,
         u: QVertexId,
-        vp: VertexId,
+        frontier: &[(VertexId, EdgeState)],
         scratch: &mut SearchScratch,
-        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
-    ) {
+    ) -> usize {
         let base = scratch.isect.len();
-        for &(v, st) in self.dcg.out_edge_slice(vp, u) {
-            if st == EdgeState::Explicit {
-                scratch.isect.push(v);
-            }
-        }
+        let explicit = frontier.iter().filter(|&&(_, st)| st == EdgeState::Explicit);
+        scratch.isect.extend(explicit.map(|&(v, _)| v));
         for &e in &self.non_tree_incident[u.index()] {
             if scratch.isect.len() == base {
                 break; // already empty; folding more runs cannot revive it
@@ -285,47 +337,6 @@ impl TurboFlux {
             scratch.isect.extend_from_slice(&scratch.isect_tmp[lo..hi]);
             scratch.isect_tmp.truncate(tmp_base);
         }
-        // Iterate the segment by index: deeper recursion levels append past
-        // `end` and truncate back, leaving `[base, end)` untouched.
-        let end = scratch.isect.len();
-        let mut i = base;
-        while i < end {
-            let v = scratch.isect[i];
-            self.expand_candidate(g, ctx, depth, u, vp, v, scratch, sink);
-            i += 1;
-        }
-        scratch.isect.truncate(base);
-    }
-
-    /// Expands one explicit frontier candidate `v` for the unbound query
-    /// vertex `u = mo[depth]` (whose tree parent is bound to `vp`): checks
-    /// the duplicate-prevention order rule and `IsJoinable`, then binds and
-    /// recurses. Shared between the plain and the intersected enumeration
-    /// above, so both accept and order candidates identically.
-    #[allow(clippy::too_many_arguments)]
-    fn expand_candidate(
-        &self,
-        g: &DynamicGraph,
-        ctx: &SearchCtx,
-        depth: usize,
-        u: QVertexId,
-        vp: VertexId,
-        v: VertexId,
-        scratch: &mut SearchScratch,
-        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
-    ) {
-        // Explicit state is known; only the duplicate-prevention order
-        // rule remains to check for the tree binding.
-        let e = self.tree.parent_edge(u).expect("non-root");
-        let (src, dst) = data_pair(&self.tree, u, vp, v);
-        if self.violates_order(g, ctx, e, src, dst) {
-            return;
-        }
-        if !self.is_joinable(g, ctx, u, v, scratch) {
-            return;
-        }
-        scratch.bind(u, v);
-        self.subgraph_search(g, depth + 1, ctx, scratch, sink);
-        scratch.unbind(u);
+        base
     }
 }

@@ -45,7 +45,7 @@ use tfx_query::{EdgeId, MatchRecord, Positiveness, QVertexId, QueryGraph};
 
 use crate::config::TurboFluxConfig;
 use crate::engine::TurboFlux;
-use crate::round::{self, Emit, Key, Round, Rounds, Target};
+use crate::round::{self, DeltaBufs, Emit, Key, Round, Rounds, Target};
 
 /// Counters describing the sharded runtime's routing traffic, mirroring the
 /// shape of [`crate::FleetStats`].
@@ -132,17 +132,27 @@ impl TurboFlux {
         emit: &mut Emit<'_>,
     ) {
         // The climb path `start_u → root` as query vertices, precomputed so
-        // the tagging sink only captures a plain vector, not the engine.
+        // the tagging sink captures two plain arrays, not the engine.
+        const MAX_QUERY_VERTICES: usize = 64; // asserted at registration
+        let mut path = [QVertexId(0); MAX_QUERY_VERTICES];
+        let mut depth = 0;
         let start = keyed.then(|| self.seed_start(seed, src, dst));
-        let path: Vec<_> = std::iter::successors(start, |&u| self.tree.parent(u)).collect();
+        for u in std::iter::successors(start, |&u| self.tree.parent(u)) {
+            path[depth] = u;
+            depth += 1;
+        }
         // The chain — the match's bindings along the climb path — is
         // the merge key discriminator: within one invocation a shard
         // emits chains in ascending lexicographic order, and distinct
         // shards never produce the same chain (its last element is the
-        // root binding, owned by exactly one shard).
+        // root binding, owned by exactly one shard). One buffer, refilled
+        // per emission; the driver copies what it keeps.
+        let mut chain = [VertexId(0); MAX_QUERY_VERTICES];
         let mut sink = |p: Positiveness, rec: &MatchRecord| {
-            let chain = path.iter().map(|&u| rec.get(u)).collect();
-            emit(Key { inv: seed.inv, chain }, p, rec);
+            for (slot, &u) in chain.iter_mut().zip(&path[..depth]) {
+                *slot = rec.get(u);
+            }
+            emit(Key { inv: seed.inv, chain: &chain[..depth] }, p, rec);
         };
         let mut scratch = std::mem::take(&mut self.scratch);
         let sink = &mut sink;
@@ -237,6 +247,8 @@ pub struct ShardedEngine {
     shared: Shared,
     /// Query-major: slice `(shard, query)` is cell `query * shards + shard`.
     engines: Vec<TurboFlux>,
+    /// The round driver's delta buffers, kept warm across batches.
+    bufs: DeltaBufs,
 }
 
 impl ShardedEngine {
@@ -278,7 +290,7 @@ impl ShardedEngine {
             }
         }
         let shared = Shared { graph: g0, shards, seeds, stats: ShardStats::default() };
-        ShardedEngine { shared, engines }
+        ShardedEngine { shared, engines, bufs: DeltaBufs::default() }
     }
 
     /// Number of partition slices.
@@ -306,14 +318,25 @@ impl ShardedEngine {
     /// each root candidate is enumerated by its owning shard).
     pub fn report_initial(&mut self, query: usize, sink: &mut dyn FnMut(&MatchRecord)) {
         let Shared { ref graph, shards, .. } = self.shared;
-        let mut found = Vec::new();
-        for engine in &mut self.engines[query * shards..][..shards] {
-            let root = engine.query_tree().root();
-            engine.initial_matches_in(graph, &mut |rec| found.push((rec.get(root), rec.clone())));
+        let engines = &mut self.engines[query * shards..][..shards];
+        let (nq, root) =
+            (engines[0].query().vertex_count(), engines[0].query_tree().root().index());
+        // Match `i` is `words[i * nq..][..nq]`: one flat buffer, no record
+        // per match.
+        let mut words = Vec::new();
+        for engine in engines {
+            engine.initial_matches_in(graph, &mut |rec| words.extend_from_slice(rec.as_slice()));
         }
-        // Stable: one root candidate's matches keep their shard's order.
-        found.sort_by_key(|&(root_binding, _)| root_binding);
-        found.iter().for_each(|(_, rec)| sink(rec));
+        // Only indices move. Stable: one root candidate's matches keep
+        // their shard's order.
+        let found = u32::try_from(words.len() / nq).expect("initial matches fit u32 indices");
+        let mut order: Vec<u32> = (0..found).collect();
+        order.sort_by_key(|&i| words[i as usize * nq + root]);
+        let mut rec = MatchRecord::default();
+        for i in order {
+            rec.fill_from_slice(&words[i as usize * nq..][..nq]);
+            sink(&rec);
+        }
     }
 
     /// Applies a batch of updates, evaluating every targeted
@@ -327,7 +350,7 @@ impl ShardedEngine {
         ops: &[UpdateOp],
         sink: &mut dyn FnMut(usize, usize, Positiveness, &MatchRecord),
     ) {
-        round::drive(&mut self.shared, &mut self.engines, ops, sink);
+        round::drive(&mut self.shared, &mut self.engines, &mut self.bufs, ops, sink);
     }
 }
 

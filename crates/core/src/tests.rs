@@ -583,6 +583,139 @@ fn deadline_stops_enumeration_but_keeps_dcg_consistent() {
     let mut n = 0;
     engine.apply(&UpdateOp::DeleteEdge { src: v(0), label: l(9), dst: v(1) }, &mut |_, _| n += 1);
     assert_eq!(n, 2, "negatives reported once the deadline is lifted");
+
+    // Matches emitted straight from the last-level frontier loop — no
+    // recursion, so no entry probe of `subgraph_search` between them — must
+    // still meet the deadline: a hub of 3 × the probe interval leaves, under
+    // a one-edge query (its initial matches) and as the tail of a 2-hop
+    // path (an update at its head). The sink holds the first match until
+    // the deadline has passed; the loop's own probe then latches within one
+    // interval.
+    let interval = crate::engine::DEADLINE_CHECK_INTERVAL as usize;
+    let leaves = 3 * interval;
+    let (r, t) = (l(10), l(11));
+    let mut g = DynamicGraph::new();
+    let a = g.add_vertex(LabelSet::single(l(0)));
+    let hub = g.add_vertex(LabelSet::single(l(1)));
+    for _ in 0..leaves {
+        let leaf = g.add_vertex(LabelSet::single(l(2)));
+        g.insert_edge(hub, t, leaf);
+    }
+    let mut one_edge = QueryGraph::new();
+    let us: Vec<_> = (1..3).map(|i| one_edge.add_vertex(LabelSet::single(l(i)))).collect();
+    one_edge.add_edge(us[0], us[1], Some(t));
+    let mut path = QueryGraph::new();
+    let us: Vec<_> = (0..3).map(|i| path.add_vertex(LabelSet::single(l(i)))).collect();
+    path.add_edge(us[0], us[1], Some(r));
+    path.add_edge(us[1], us[2], Some(t));
+    let head = UpdateOp::InsertEdge { src: a, label: r, dst: hub };
+    let unhead = UpdateOp::DeleteEdge { src: a, label: r, dst: hub };
+
+    for q in [one_edge, path] {
+        let initial = q.edge_count() == 1;
+        let mut engine = TurboFlux::new(q, g.clone(), TurboFluxConfig::default());
+        let tail = *engine.matching_order().last().unwrap();
+        assert_eq!(engine.query().labels(tail), &LabelSet::single(l(2)), "the hub is walked last");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(250);
+        engine.set_deadline(Some(deadline));
+        let mut n = 0;
+        let mut hold = || {
+            n += 1;
+            while std::time::Instant::now() < deadline {
+                std::hint::spin_loop();
+            }
+        };
+        if initial {
+            engine.initial_matches(&mut |_| hold());
+        } else {
+            engine.apply(&head, &mut |_, _| hold());
+        }
+        assert!(engine.timed_out(), "the last-level loop probes the deadline");
+        assert!((1..=interval).contains(&n), "{n} matches got out before the latch");
+        assert_dcg_matches_reference(&engine);
+        engine.set_deadline(None);
+        let mut n = 0;
+        if initial {
+            engine.initial_matches(&mut |_| n += 1);
+        } else {
+            engine.apply(&unhead, &mut |_, _| n += 1);
+        }
+        assert_eq!(n, leaves, "everything is reported once the deadline is lifted");
+    }
+}
+
+/// Trust must not leak to the endpoint a non-tree invocation pre-binds.
+///
+/// Triangle with a tail: `u0:A -a-> u1:B -b-> u2:C`, closed by `u0 -c-> u2`,
+/// tail `u2 -t-> u3:D`; the data makes `c` the non-tree edge. `s -a-> {p1,
+/// p2}`, `p1 -b-> d -t-> x`, `p2 -b-> d2 -t-> x2`: both `(s, u1, p·)` are
+/// explicit, `d` has one explicit parent (`p1`), and the DCG edge
+/// `(p2, u2, d)` is absent. Inserting `s -c-> d` runs a non-tree invocation
+/// that pre-binds `u2 = d` — its preconditions hold through `p1` — climbs
+/// from `u0 = s`, and the search then reaches `u2` under both bindings of
+/// `u1`. Only the probe of `(m(u1), u2, d)` stands between `u1 = p2` and a
+/// match over a data edge that does not exist: the climb proved nothing
+/// about `u2`'s binding. Kills both seeded mutations — setting the trust
+/// bit when `insert_non_tree_invocation` / `delete_non_tree_invocation`
+/// pre-bind `qe.dst`, and starting every climb with `trusted = !0`. Run by
+/// hand, each also fails the two randomized cyclic oracles above and
+/// `oracle_e2e::lsbench_cyclic_query_with_deletions`, and neither fails
+/// `stream_oracle`, `fleet_equivalence` or `shard_equivalence`, whose
+/// scenarios never pre-bind over an absent edge (DESIGN.md, "Enumeration
+/// path").
+///
+/// The pre-bound edge cannot be *implicit* instead of absent: every DCG
+/// edge into one `(u, v)` has the same state (it says whether `v`'s subtrees
+/// are matched), and the invocation's own `match_all_children(d, u2)` test
+/// makes that state explicit.
+#[test]
+fn trust_does_not_leak_to_the_non_tree_pre_binding() {
+    let (a, b, c, t) = (l(10), l(11), l(12), l(13));
+    let mut g = DynamicGraph::new();
+    let s = g.add_vertex(LabelSet::single(l(0)));
+    let [p1, p2] = [0; 2].map(|_| g.add_vertex(LabelSet::single(l(1))));
+    let [d, d2, d3, d4] = [0; 4].map(|_| g.add_vertex(LabelSet::single(l(2))));
+    let [x, x2] = [0; 2].map(|_| g.add_vertex(LabelSet::single(l(3))));
+    for (src, label, dst) in
+        [(s, a, p1), (s, a, p2), (p1, b, d), (p2, b, d2), (d, t, x), (d2, t, x2)]
+    {
+        g.insert_edge(src, label, dst);
+    }
+    // Three `c` edges, none of them `s -c-> d`: `c` is the costliest query
+    // edge, so the spanning tree leaves it out.
+    for dst in [d2, d3, d4] {
+        g.insert_edge(s, c, dst);
+    }
+    let mut q = QueryGraph::new();
+    let us: Vec<_> = (0..4).map(|i| q.add_vertex(LabelSet::single(l(i)))).collect();
+    q.add_edge(us[0], us[1], Some(a));
+    q.add_edge(us[1], us[2], Some(b));
+    let closing = q.add_edge(us[0], us[2], Some(c));
+    q.add_edge(us[2], us[3], Some(t));
+
+    for semantics in [MatchSemantics::Homomorphism, MatchSemantics::Isomorphism] {
+        let cfg = TurboFluxConfig::with_semantics(semantics);
+        let mut engine = TurboFlux::new(q.clone(), g.clone(), cfg);
+        assert_eq!(engine.query_tree().root(), us[0]);
+        assert_eq!(engine.query_tree().non_tree_edges(), [closing]);
+        assert_eq!(engine.query_tree().parent(us[2]), Some(us[1]));
+        for pv in [p1, p2] {
+            assert_eq!(engine.dcg().state(s, us[1], pv), Some(EdgeState::Explicit));
+        }
+        assert_eq!(engine.dcg().state(p1, us[2], d), Some(EdgeState::Explicit));
+        assert_eq!(engine.dcg().state(p2, us[2], d), None);
+
+        let want = MatchRecord::new(vec![s, p1, d, x]);
+        for (op, sign) in [
+            (UpdateOp::InsertEdge { src: s, label: c, dst: d }, Positiveness::Positive),
+            (UpdateOp::DeleteEdge { src: s, label: c, dst: d }, Positiveness::Negative),
+        ] {
+            let mut got = Vec::new();
+            engine.apply(&op, &mut |p, m| got.push((p, m.clone())));
+            assert_eq!(got, [(sign, want.clone())], "{semantics:?} {op:?}: nothing through p2");
+            assert_dcg_matches_reference(&engine);
+        }
+    }
 }
 
 /// Star-of-stars: source `a:A`, hub `h:H`, 40 M-vertices below the hub each

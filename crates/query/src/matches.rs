@@ -41,19 +41,27 @@ impl MatchRecord {
     /// Builds a record from a partial-mapping slice (used by engines that
     /// track `Option<VertexId>` internally). Panics if any entry is `None`.
     pub fn from_partial(partial: &[Option<VertexId>]) -> Self {
-        let mut rec = MatchRecord::default();
-        rec.fill_from_partial(partial);
-        rec
+        MatchRecord::new(
+            partial
+                .iter()
+                .map(|m| m.expect("complete solution must map every query vertex"))
+                .collect(),
+        )
     }
 
-    /// Refills this record from a partial mapping without reallocating —
-    /// engines report millions of matches through one scratch record.
-    /// Panics if any entry is `None`.
-    pub fn fill_from_partial(&mut self, partial: &[Option<VertexId>]) {
+    /// Sets `m(u) = v` in place — an engine keeps one record in step with
+    /// its bindings and reports millions of matches through it.
+    #[inline]
+    pub fn set(&mut self, u: QVertexId, v: VertexId) {
+        self.mapping[u.index()] = v;
+    }
+
+    /// Refills this record from a complete mapping without reallocating
+    /// (a buffered delta is delivered through one reused record).
+    #[inline]
+    pub fn fill_from_slice(&mut self, mapping: &[VertexId]) {
         self.mapping.clear();
-        self.mapping.extend(
-            partial.iter().map(|m| m.expect("complete solution must map every query vertex")),
-        );
+        self.mapping.extend_from_slice(mapping);
     }
 
     /// `m(u)`.
@@ -156,8 +164,13 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert!(!r.is_empty());
         assert!(!r.is_injective());
-        let inj = MatchRecord::new(vec![VertexId(3), VertexId(1)]);
+        let mut inj = MatchRecord::new(vec![VertexId(3), VertexId(1)]);
         assert!(inj.is_injective());
+        // In-place writes: one slot, then the whole mapping (any length).
+        inj.set(QVertexId(1), VertexId(3));
+        assert_eq!(inj.as_slice(), &[VertexId(3), VertexId(3)]);
+        inj.fill_from_slice(r.as_slice());
+        assert_eq!(inj, r);
     }
 
     #[test]

@@ -67,7 +67,9 @@ TFX_BENCH_WARMUP_MS=20 TFX_BENCH_MEASURE_MS=50 \
 
 echo "=== dcg_ops (quick) ==="
 # Exercises arena promote/grow/demote and the climb/enumerate slices on
-# both run shapes under the release profile.
+# both run shapes under the release profile, and `deep_edge_enum`: an
+# engine-level insert/delete pair matching the deepest edge of a path query
+# (one climb chain per match), which asserts its match count before timing.
 TFX_BENCH_WARMUP_MS=20 TFX_BENCH_MEASURE_MS=50 \
   cargo bench --offline -p tfx-bench --bench dcg_ops
 

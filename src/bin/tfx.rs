@@ -104,6 +104,40 @@ fn parse_args(args: &[String]) -> Result<Options, ExitCode> {
     })
 }
 
+/// Standard output with a latch: the first write error is kept and ends the
+/// output, so a full disk or a closed pipe is reported (`error: writing
+/// output`, exit 1) instead of panicking in `println!` or being dropped.
+struct Out<W: Write> {
+    w: W,
+    err: Option<std::io::Error>,
+}
+
+impl<W: Write> Out<W> {
+    fn new(w: W) -> Self {
+        Out { w, err: None }
+    }
+
+    /// Writes `line` (which brings its own newline) unless a write failed
+    /// before.
+    fn line(&mut self, line: std::fmt::Arguments<'_>) {
+        if self.err.is_none() {
+            self.err = self.w.write_fmt(line).err();
+        }
+    }
+
+    /// Flushes; `Err` with the exit code if this or any earlier write failed.
+    fn finish(mut self) -> Result<(), ExitCode> {
+        let flushed = self.w.flush();
+        match self.err.or(flushed.err()) {
+            None => Ok(()),
+            Some(e) => {
+                eprintln!("error: writing output: {e}");
+                Err(ExitCode::FAILURE)
+            }
+        }
+    }
+}
+
 /// Opens a path (or stdin for `-`) as a buffered reader.
 fn open_reader(path: &str) -> Result<Box<dyn BufRead>, ExitCode> {
     if path == "-" {
@@ -187,17 +221,22 @@ fn run_main(args: &[String]) -> ExitCode {
     let mut engine = TurboFlux::new(q, g0, TurboFluxConfig::with_semantics(opts.semantics));
 
     let quiet = opts.quiet;
+    // Line-buffered, as `println!` is: a match is printed as it appears.
+    let mut out = Out::new(std::io::stdout().lock());
     let mut initial = 0u64;
     engine.initial_matches(&mut |m| {
         initial += 1;
         if !quiet {
-            println!("= {m:?}");
+            out.line(format_args!("= {m:?}\n"));
         }
     });
     eprintln!("{initial} initial matches; DCG {} edges", engine.dcg().stored_edge_count());
 
     let Some(stream_path) = opts.stream_path else {
-        return ExitCode::SUCCESS;
+        return match out.finish() {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(code) => code,
+        };
     };
     let reader = match open_reader(&stream_path) {
         Ok(r) => r,
@@ -207,7 +246,8 @@ fn run_main(args: &[String]) -> ExitCode {
     let (mut pos, mut neg, mut ops) = (0u64, 0u64, 0u64);
     let started = std::time::Instant::now();
     let mut source = FileSource::new(reader, &mut interner, ErrorMode::Strict);
-    loop {
+    // Nobody is left to read what a failed output would be told.
+    while out.err.is_none() {
         let ev = match source.next_event() {
             Ok(None) => break,
             Ok(Some(ev)) => ev,
@@ -224,9 +264,12 @@ fn run_main(args: &[String]) -> ExitCode {
             }
             if !quiet {
                 let sign = if p == Positiveness::Positive { '+' } else { '-' };
-                println!("{sign} {m:?}");
+                out.line(format_args!("{sign} {m:?}\n"));
             }
         });
+    }
+    if let Err(code) = out.finish() {
+        return code;
     }
     eprintln!(
         "processed {ops} ops in {:.2?}: {pos} positive, {neg} negative matches; DCG {} edges ({} bytes)",
@@ -454,8 +497,7 @@ fn stream_main(args: &[String]) -> ExitCode {
     // Build the target and report initial match counts per engine.
     let cfg =
         TurboFluxConfig { shards: opts.shards, ..TurboFluxConfig::with_semantics(opts.semantics) };
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
+    let mut out = Out::new(std::io::BufWriter::new(std::io::stdout().lock()));
     let mut target: Box<dyn BatchTarget> = if opts.shards > 1 {
         // Sharded runtime: one graph, every query evaluated once per shard
         // over the root candidates that shard owns.
@@ -463,7 +505,7 @@ fn stream_main(args: &[String]) -> ExitCode {
         for q in 0..engine.queries() {
             let mut n = 0u64;
             engine.report_initial(q, &mut |_| n += 1);
-            let _ = writeln!(out, "{{\"type\":\"init\",\"engine\":{q},\"matches\":{n}}}");
+            out.line(format_args!("{{\"type\":\"init\",\"engine\":{q},\"matches\":{n}}}\n"));
         }
         Box::new(engine)
     } else if queries.len() > 1 {
@@ -474,7 +516,7 @@ fn stream_main(args: &[String]) -> ExitCode {
         for id in fleet.engine_ids().to_vec() {
             let mut n = 0u64;
             fleet.report_initial(id, &mut |_| n += 1);
-            let _ = writeln!(out, "{{\"type\":\"init\",\"engine\":{id},\"matches\":{n}}}");
+            out.line(format_args!("{{\"type\":\"init\",\"engine\":{id},\"matches\":{n}}}\n"));
         }
         Box::new(fleet)
     } else {
@@ -482,7 +524,7 @@ fn stream_main(args: &[String]) -> ExitCode {
         let mut engine = TurboFlux::new(q, g0, cfg);
         let mut n = 0u64;
         engine.initial_matches(&mut |_| n += 1);
-        let _ = writeln!(out, "{{\"type\":\"init\",\"engine\":0,\"matches\":{n}}}");
+        out.line(format_args!("{{\"type\":\"init\",\"engine\":0,\"matches\":{n}}}\n"));
         Box::new(engine)
     };
 
@@ -496,21 +538,22 @@ fn stream_main(args: &[String]) -> ExitCode {
     );
 
     // Run: the source is either the synthetic stream or the text file.
-    let run = |driver: &mut StreamDriver,
-               source: &mut dyn StreamSource,
-               target: &mut dyn BatchTarget,
-               out: &mut dyn Write,
-               quiet: bool| {
+    let mut run = |driver: &mut StreamDriver,
+                   source: &mut dyn StreamSource,
+                   target: &mut dyn BatchTarget,
+                   quiet: bool| {
         if quiet {
             let mut sink = CountingSink::default();
             driver.run(source, target, &mut sink)
         } else {
-            let mut sink = JsonlSink::new(out);
-            driver.run(source, target, &mut sink)
+            let mut sink = JsonlSink::new(&mut out.w);
+            let result = driver.run(source, target, &mut sink);
+            out.err = out.err.take().or(sink.take_error());
+            result
         }
     };
     let result = if let Some(mut source) = synthetic_source.take() {
-        run(&mut driver, &mut source, &mut *target, &mut out, opts.quiet)
+        run(&mut driver, &mut source, &mut *target, opts.quiet)
     } else {
         let path = opts.file.as_deref().expect("file or synthetic");
         let reader = match open_reader(path) {
@@ -518,7 +561,7 @@ fn stream_main(args: &[String]) -> ExitCode {
             Err(code) => return code,
         };
         let mut source = FileSource::new(reader, &mut interner, opts.mode);
-        let result = run(&mut driver, &mut source, &mut *target, &mut out, opts.quiet);
+        let result = run(&mut driver, &mut source, &mut *target, opts.quiet);
         for d in source.diagnostics() {
             eprintln!("warning: {d}");
         }
@@ -527,28 +570,30 @@ fn stream_main(args: &[String]) -> ExitCode {
     let summary = match result {
         Ok(s) => s,
         Err(e) => {
-            let _ = out.flush();
+            // What was written before the bad line still goes out; the
+            // stream error is the one reported.
+            let _ = out.w.flush();
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
     // Multi-query fleets report their routing counters.
     if let Some(s) = target.fleet_stats() {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"fleet_stats\",\"ops_routed\":{},\"ops_skipped\":{}}}",
+        out.line(format_args!(
+            "{{\"type\":\"fleet_stats\",\"ops_routed\":{},\"ops_skipped\":{}}}\n",
             s.ops_routed, s.ops_skipped
-        );
+        ));
     }
     // Sharded targets report their partition-routing counters.
     if let Some(s) = target.shard_stats() {
-        let _ = writeln!(
-            out,
-            "{{\"type\":\"shard_stats\",\"ops_routed\":{},\"cross_shard_edges\":{},\"handoffs\":{},\"inbox_high_water\":{}}}",
+        out.line(format_args!(
+            "{{\"type\":\"shard_stats\",\"ops_routed\":{},\"cross_shard_edges\":{},\"handoffs\":{},\"inbox_high_water\":{}}}\n",
             s.ops_routed, s.cross_shard_edges, s.handoffs, s.inbox_high_water
-        );
+        ));
     }
-    let _ = out.flush();
+    if let Err(code) = out.finish() {
+        return code;
+    }
     eprintln!(
         "processed {} events -> {} ops in {} batches ({} expiry deletes) in {:.2?}: {} positive, {} negative; window live {}",
         summary.events,

@@ -152,4 +152,75 @@ fn main() {
 
     assert_eq!(during, 0, "steady-state insert/delete cycles must not allocate");
     println!("test steady_state_updates_do_not_allocate ... ok");
+
+    warm_multi_cell_batches_allocate_per_batch_not_per_delta();
+    println!("test warm_multi_cell_batches_allocate_per_batch_not_per_delta ... ok");
+}
+
+/// The buffered emission of a multi-cell batch (`round::drive`: a fleet of
+/// two queries, one query over two shards) holds its deltas in flat buffers
+/// that stay warm across batches. Eight `B` hubs of 40 `C` leaves under the
+/// path query `A -r-> B -s-> C`; one batch feeds and unfeeds every hub from
+/// one `A` source: 8 × 40 × 2 = 640 deltas per query. What a warm batch may
+/// still allocate is per batch (the stable sort's merge buffer), not per
+/// delta: far below the 64 allowed here, where every delta used to cost a
+/// record clone (and, under shards, a chain vector).
+fn warm_multi_cell_batches_allocate_per_batch_not_per_delta() {
+    const HUBS: u32 = 8;
+    const LEAVES: u32 = 40;
+    let (r, s) = (LabelId(10), LabelId(11));
+    let mut g = DynamicGraph::new();
+    let a = g.add_vertex(LabelSet::single(LabelId(0)));
+    let hubs: Vec<VertexId> =
+        (0..HUBS).map(|_| g.add_vertex(LabelSet::single(LabelId(1)))).collect();
+    for &hub in &hubs {
+        for _ in 0..LEAVES {
+            let leaf = g.add_vertex(LabelSet::single(LabelId(2)));
+            g.insert_edge(hub, s, leaf);
+        }
+    }
+    let mut q = QueryGraph::new();
+    let us: Vec<_> = (0..3).map(|i| q.add_vertex(LabelSet::single(LabelId(i)))).collect();
+    q.add_edge(us[0], us[1], Some(r));
+    q.add_edge(us[1], us[2], Some(s));
+    let feed = hubs.iter().map(|&dst| UpdateOp::InsertEdge { src: a, label: r, dst });
+    let unfeed = hubs.iter().map(|&dst| UpdateOp::DeleteEdge { src: a, label: r, dst });
+    let batch: Vec<UpdateOp> = feed.chain(unfeed).collect();
+    let per_query = (HUBS * LEAVES * 2) as usize;
+
+    // Armed for the fourth batch only; returns (deltas, allocations) of it.
+    let measure = |apply: &mut dyn FnMut(&[UpdateOp], &mut usize)| {
+        let mut deltas = 0;
+        for _ in 0..3 {
+            apply(&batch, &mut deltas);
+        }
+        deltas = 0;
+        ARMED.store(true, Ordering::SeqCst);
+        let before = ALLOCS.load(Ordering::SeqCst);
+        apply(&batch, &mut deltas);
+        let during = ALLOCS.load(Ordering::SeqCst) - before;
+        ARMED.store(false, Ordering::SeqCst);
+        (deltas, during)
+    };
+
+    let mut fleet = Fleet::new(g.clone());
+    for _ in 0..2 {
+        fleet.register(q.clone(), TurboFluxConfig::default());
+    }
+    let (deltas, allocs) = measure(&mut |ops, n| fleet.apply_batch(ops, &mut |_| *n += 1));
+    assert_eq!(deltas, 2 * per_query);
+    assert!(allocs < 64, "a warm two-query fleet batch allocated {allocs} times");
+
+    // The hubs are the root candidates: both shards must own some, or the
+    // keyed merge has nothing to interleave.
+    let plain = TurboFlux::new(q.clone(), g.clone(), TurboFluxConfig::default());
+    assert_eq!(plain.query_tree().root(), us[1]);
+    let cfg = TurboFluxConfig { shards: 2, ..Default::default() };
+    let mut sharded = ShardedEngine::new(vec![q], g, cfg, 1);
+    let owners: Vec<u32> = hubs.iter().map(|&h| turboflux::graph::shard_of(h, 2)).collect();
+    assert!(owners.contains(&0) && owners.contains(&1), "hub owners: {owners:?}");
+    let (deltas, allocs) =
+        measure(&mut |ops, n| sharded.apply_batch(ops, &mut |_, _, _, _| *n += 1));
+    assert_eq!(deltas, per_query);
+    assert!(allocs < 64, "a warm two-shard batch allocated {allocs} times");
 }

@@ -227,3 +227,25 @@ fn cli_isomorphism_flag_changes_semantics() {
     assert!(String::from_utf8_lossy(&iso.stderr).contains("0 positive"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A writer that cannot take the output is an error, not a silent success
+/// (stream mode dropped every line and exited 0) and not a panic (run mode
+/// died in `println!`): `error: writing output`, exit 1, in every mode.
+#[cfg(target_os = "linux")]
+#[test]
+fn cli_reports_a_full_output_device() {
+    let (graph, query) = (testdata("demo_graph.txt"), testdata("demo_query.txt"));
+    let (disjoint, ops) = (testdata("demo_query_disjoint.txt"), testdata("demo_stream.txt"));
+    let stream = ["stream", "--query", &query, "--graph", &graph, "--file", &ops];
+    let windowed = [&stream[..], &["--window", "count:3"]].concat();
+    let fleet = [&stream[..], &["--query", &disjoint]].concat();
+    let sharded = [&stream[..], &["--shards", "2"]].concat();
+    for args in [&[&graph, &query, "--stream", &ops][..], &windowed, &fleet, &sharded] {
+        let full = std::fs::OpenOptions::new().write(true).open("/dev/full").expect("/dev/full");
+        let out = Command::new(tfx_bin()).args(args).stdout(full).output().expect("run tfx");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("error: writing output:"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
