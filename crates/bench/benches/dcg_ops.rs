@@ -1,4 +1,5 @@
-//! DCG maintenance micro-benchmarks over the arena storage layout.
+//! DCG maintenance and the two engine-level cases `e2e` has no workload
+//! for, over the arena storage layout.
 //!
 //! Two workload shapes stress the two run representations:
 //!
@@ -22,10 +23,19 @@
 //! search under it enumerates nothing — what a match costs there is the
 //! climb plus the re-validation of the climbed bindings, the part of the
 //! enumeration path `e2e` cannot isolate.
+//!
+//! `hub_eval` is engine-level too, on the skewed hub workload (`e2e` has no
+//! hub stream yet): every stream insert gives a hub its first incoming
+//! `feed` edge, so `BuildDCG`'s check-and-avoid rule re-enumerates the hub's
+//! children on each update, walking the 4-edge `probe` label group next to
+//! ~8k bulk edges. The stream is self-inverting (insert+delete pairs), so
+//! graph, DCG and engine return to their initial state every pass and
+//! nothing is cloned inside the measurement loop.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use tfx_core::{Dcg, EdgeState, TurboFlux, TurboFluxConfig};
+use tfx_datagen::{hub, HubConfig};
 use tfx_graph::{DynamicGraph, LabelId, LabelSet, UpdateOp, VertexId};
 use tfx_query::{QVertexId, QueryGraph};
 
@@ -193,5 +203,46 @@ fn deep_edge_enum(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, dcg_insert_delete, dcg_transit, dcg_climb_enumerate, deep_edge_enum);
+fn hub_eval(c: &mut Criterion) {
+    let d = hub::generate(&HubConfig::with_spokes_per_hub(8192));
+    let q = hub::probe_query(&d);
+    let ops: Vec<UpdateOp> = d.stream.ops().to_vec();
+
+    let mut group = c.benchmark_group("hub_eval");
+    group.throughput(Throughput::Elements(ops.len() as u64));
+    group.sample_size(10);
+    // Externally driven mode: one graph, one engine, reused across
+    // iterations — the insert/delete pairs restore both exactly.
+    let mut g = d.g0.clone();
+    let mut e = TurboFlux::register(q, &g, TurboFluxConfig::default());
+    group.bench_function("indexed", |b| {
+        b.iter(|| {
+            let mut n = 0u64;
+            for op in &ops {
+                match *op {
+                    UpdateOp::InsertEdge { src, label, dst } => {
+                        g.insert_edge(src, label, dst);
+                        e.eval_inserted_edge(&g, src, label, dst, &mut |_, _| n += 1);
+                    }
+                    UpdateOp::DeleteEdge { src, label, dst } => {
+                        e.eval_deleting_edge(&g, src, label, dst, &mut |_, _| n += 1);
+                        g.delete_edge(src, label, dst);
+                    }
+                    UpdateOp::AddVertex { .. } => unreachable!("hub stream is edges only"),
+                }
+            }
+            black_box(n)
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    dcg_insert_delete,
+    dcg_transit,
+    dcg_climb_enumerate,
+    deep_edge_enum,
+    hub_eval
+);
 criterion_main!(benches);

@@ -12,6 +12,8 @@ use tfx_datagen::Dataset;
 use tfx_graph::{DynamicGraph, UpdateStream};
 use tfx_query::{ContinuousMatcher, MatchSemantics, Positiveness, QueryGraph};
 
+use crate::params::Params;
+
 /// Which engine to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EngineKind {
@@ -35,6 +37,16 @@ impl EngineKind {
             EngineKind::IncIsoMat => "IncIsoMat",
         }
     }
+
+    /// Two-letter tag for compound headers (`timeouts (TF/SJ/GF)`).
+    pub fn tag(self) -> &'static str {
+        match self {
+            EngineKind::TurboFlux => "TF",
+            EngineKind::SjTree => "SJ",
+            EngineKind::Graphflow => "GF",
+            EngineKind::IncIsoMat => "II",
+        }
+    }
 }
 
 /// Per-run configuration.
@@ -54,6 +66,12 @@ impl RunConfig {
     /// Standard configuration from experiment parameters.
     pub fn new(semantics: MatchSemantics, timeout: Duration, work_budget: u64) -> Self {
         RunConfig { semantics, timeout, work_budget, sample_every: 64 }
+    }
+
+    /// The configuration every experiment runs under: the parameters'
+    /// timeout and work budget.
+    pub fn for_params(p: &Params, semantics: MatchSemantics) -> Self {
+        Self::new(semantics, p.timeout, p.work_budget)
     }
 }
 

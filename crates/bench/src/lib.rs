@@ -1,10 +1,19 @@
 //! `tfx-bench` — the experiment harness reproducing every table and figure
 //! of the paper's evaluation (§5 + Appendices B and C).
 //!
-//! Each figure has a dedicated binary (`fig03_tradeoff` …
-//! `fig17_selectivity`, see DESIGN.md's per-experiment index) that prints
-//! the same rows/series the paper plots, plus a JSON dump for downstream
-//! tooling. Criterion micro-benchmarks live under `benches/`.
+//! The paper's evaluation is one harness call — `cost(M(Δg, q))` and the
+//! intermediate-result size per (engine, query set, stream), [`harness`] —
+//! swept over the parameters of Table 1 ([`params`]). The `figures` binary
+//! is the table of those sweeps, one experiment id per figure
+//! (`fig03_tradeoff` … `fig17_selectivity`, `ablation_dcg`,
+//! `appb5_sjtree_nec`; DESIGN.md's per-experiment index): it prints the rows
+//! and series the paper plots ([`report`]), over the datasets and query sets
+//! of [`workloads`] and the drivers they share in [`suite`].
+//!
+//! Performance over time is not measured here but by the `e2e` streaming
+//! benchmark, a package of its own under `src/bin/e2e/`; `benches/` keeps
+//! three Criterion targets for what `e2e` cannot isolate (`graph_mutation`,
+//! `intersect_kernels`, `dcg_ops`).
 //!
 //! Scales are laptop-sized by default and adjustable through environment
 //! variables (see [`params`]); the *shapes* of the results — who wins, by

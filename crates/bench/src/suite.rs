@@ -1,11 +1,19 @@
-//! Query-set level experiment drivers shared by the figure binaries.
+//! Query-set level experiment drivers: what the experiments of the
+//! `figures` binary share, written once — the engine line-ups, the
+//! "query sets → one summary row per size" loop (Figures 6, 7, 10, 15, 16),
+//! the rate sweep (Figures 8, 11) and the tables they print.
 
 use std::time::Duration;
+use tfx_datagen::Dataset;
 use tfx_graph::{DynamicGraph, UpdateStream};
 use tfx_query::QueryGraph;
 
 use crate::harness::{bare_update_time, run_query_on_engine, EngineKind, QueryRun, RunConfig};
 use crate::report::{fmt_bytes, fmt_duration, mean_duration, Table};
+
+/// TurboFlux and the two competitors that finish on most workloads.
+pub const TF_SJ_GF: [EngineKind; 3] =
+    [EngineKind::TurboFlux, EngineKind::SjTree, EngineKind::Graphflow];
 
 /// Aggregate of one engine over one query set.
 #[derive(Debug, Clone)]
@@ -66,7 +74,86 @@ pub fn compare_engines(
         .collect()
 }
 
-/// Standard per-size cost table (Figures 6a, 7a, 10, 13, 14): one row per
+/// Runs every engine over every `(size, queries)` set of `sets` on the
+/// dataset's own stream: the sizes and, per size, one summary per engine —
+/// what [`cost_table`], [`storage_table`] and [`scatter_tables`] print.
+/// `what` names the query shape on the progress line.
+pub fn compare_sets(
+    engines: &[EngineKind],
+    sets: &[(usize, Vec<QueryGraph>)],
+    d: &Dataset,
+    cfg: &RunConfig,
+    what: &str,
+) -> (Vec<usize>, Vec<Vec<EngineSummary>>) {
+    sets.iter()
+        .map(|(size, qs)| {
+            eprintln!("size {size}: {} selective {what}", qs.len());
+            (*size, compare_engines(engines, qs, &d.g0, &d.stream, cfg))
+        })
+        .unzip()
+}
+
+/// An engine's mean cost over a query set, `-` when every query timed out.
+pub fn cost_cell(s: &EngineSummary) -> String {
+    if s.completed == 0 {
+        "-".into()
+    } else {
+        fmt_duration(s.mean_cost)
+    }
+}
+
+/// One cost cell per engine, then their timeout counts as `a/b/c`.
+pub fn cost_cells(sums: &[EngineSummary]) -> Vec<String> {
+    let timeouts: Vec<String> = sums.iter().map(|s| s.timeouts.to_string()).collect();
+    sums.iter().map(cost_cell).chain([timeouts.join("/")]).collect()
+}
+
+/// A table whose first headers are `keys` and whose rest [`cost_cells`]
+/// fills: the engines' names, then `timeouts (TF/SJ/GF)`.
+pub fn sweep_cost_table(title: &str, keys: &[&str], engines: &[EngineKind]) -> Table {
+    let tags: Vec<&str> = engines.iter().map(|e| e.tag()).collect();
+    let timeouts = format!("timeouts ({})", tags.join("/"));
+    let names = engines.iter().map(|e| e.name());
+    let headers: Vec<&str> = keys.iter().copied().chain(names).chain([&*timeouts]).collect();
+    Table::new(title, &headers)
+}
+
+/// The two tables of a rate sweep (Figures 8 and 11): per `(rate,
+/// summaries)` row, every engine's mean cost with the timeout counts, and
+/// the intermediate-result sizes — against SJ-Tree where it is in the
+/// line-up (it cannot delete, so the deletion sweep has TurboFlux alone).
+/// `engines[0]` is TurboFlux.
+pub fn rate_sweep(
+    fig: &str,
+    what: &str,
+    key: &str,
+    engines: &[EngineKind],
+    rows: impl Iterator<Item = (u32, Vec<EngineSummary>)>,
+) -> [Table; 2] {
+    let sj = engines.iter().position(|&e| e == EngineKind::SjTree);
+    let cost_title = format!("{fig}a: varying {what} — avg cost(M(Δg,q))");
+    let mut cost = sweep_cost_table(&cost_title, &[key], engines);
+    let storage_headers: &[&str] = if sj.is_some() {
+        &[key, "TurboFlux", "SJ-Tree", "ratio"]
+    } else {
+        &[key, "TurboFlux bytes"]
+    };
+    let mut storage =
+        Table::new(format!("{fig}b: varying {what} — avg intermediate results"), storage_headers);
+    for (rate, sums) in rows {
+        cost.row([rate.to_string()].into_iter().chain(cost_cells(&sums)).collect());
+        let tf = sums[0].mean_bytes;
+        let mut row = vec![rate.to_string(), fmt_bytes(tf)];
+        if let Some(sj) = sj.map(|i| sums[i].mean_bytes) {
+            row.push(fmt_bytes(sj));
+            row.push(if tf > 0 { format!("{:.1}x", sj as f64 / tf as f64) } else { "-".into() });
+        }
+        storage.row(row);
+    }
+    [cost, storage]
+}
+
+/// Standard per-size cost table (Figures 6a, 7a, 10, 15, 16): one row per
 /// query size, one column per engine plus timeout counts.
 pub fn cost_table(
     title: &str,
@@ -84,7 +171,7 @@ pub fn cost_table(
     for (i, &size) in sizes.iter().enumerate() {
         let mut row = vec![size.to_string()];
         for s in &summaries_per_size[i] {
-            row.push(if s.completed == 0 { "-".into() } else { fmt_duration(s.mean_cost) });
+            row.push(cost_cell(s));
             row.push(s.timeouts.to_string());
         }
         t.row(row);
@@ -146,6 +233,19 @@ pub fn scatter_table(title: &str, tf: &EngineSummary, other: &EngineSummary) -> 
     t
 }
 
+/// Figures 6c/d and 7c/d: per size, TurboFlux against SJ-Tree (`{fig}c`)
+/// and against Graphflow (`{fig}d`); `summaries` in [`TF_SJ_GF`] order.
+pub fn scatter_tables(fig: &str, sizes: &[usize], summaries: &[Vec<EngineSummary>]) -> Vec<Table> {
+    let mut tables = Vec::new();
+    for (size, sums) in sizes.iter().zip(summaries) {
+        for (sub, other) in [("c", &sums[1]), ("d", &sums[2])] {
+            let title = format!("{fig}{sub}: TurboFlux vs {} (size {size})", other.engine.name());
+            tables.push(scatter_table(&title, &sums[0], other));
+        }
+    }
+    tables
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,5 +279,11 @@ mod tests {
         assert!(s.render().contains("ratio"));
         let sc = scatter_table("scatter", &per_size[0][0], &per_size[0][1]);
         assert_eq!(sc.rows.len(), 3);
+        let engines = [EngineKind::TurboFlux, EngineKind::SjTree];
+        let [cost, storage] =
+            rate_sweep("Fig X", "rate", "rate %", &engines, [(2, per_size[0].clone())].into_iter());
+        assert_eq!(cost.headers, ["rate %", "TurboFlux", "SJ-Tree", "timeouts (TF/SJ)"]);
+        assert_eq!(cost.rows[0][3], "0/0");
+        assert_eq!(storage.headers.last().unwrap(), "ratio");
     }
 }

@@ -1,7 +1,10 @@
-//! Canonical datasets and query sets shared by the figure binaries
-//! (§5.1's workload description, scaled).
+//! Canonical datasets and query sets shared by the experiments of the
+//! `figures` binary (§5.1's workload description, scaled).
 
-use tfx_datagen::{lsbench, netflow, queries, Dataset, LsBenchConfig, NetflowConfig, Pcg32};
+use tfx_datagen::{
+    lsbench, netflow, queries, Dataset, LsBenchConfig, NetflowConfig, Pcg32, Schema,
+};
+use tfx_graph::UpdateStream;
 use tfx_query::QueryGraph;
 
 use crate::harness::filter_selective_queries;
@@ -24,6 +27,44 @@ pub fn netflow_dataset(p: &Params) -> Dataset {
         flows: p.flows,
         seed: p.seed,
         stream_frac: 0.1,
+    })
+}
+
+/// `stream` followed by deletions of `rate` × its insertions, randomly
+/// chosen (Figures 11 and 12b).
+pub fn with_deletions(d: &Dataset, stream: UpdateStream, rate: f64, seed: u64) -> UpdateStream {
+    let mut scoped = Dataset {
+        g0: d.g0.clone(),
+        stream,
+        interner: d.interner.clone(),
+        schema: d.schema.clone(),
+        vertex_types: d.vertex_types.clone(),
+    };
+    scoped.append_deletions(rate, seed);
+    scoped.stream
+}
+
+/// The queries of `qs` with at least one positive match over the stream.
+fn selective(qs: Vec<QueryGraph>, dataset: &Dataset, p: &Params) -> Vec<QueryGraph> {
+    filter_selective_queries(qs, dataset, p.timeout).into_iter().map(|(q, _)| q).collect()
+}
+
+/// The default query set (bold in Table 1): the selective tree queries of
+/// size 6 over `dataset`.
+pub fn default_tree_queries(dataset: &Dataset, p: &Params) -> Vec<QueryGraph> {
+    let (size, queries) = tree_query_sets(dataset, p, &[Params::DEFAULT_TREE_SIZE]).remove(0);
+    eprintln!("{} selective tree queries of size {size}", queries.len());
+    queries
+}
+
+/// `n` cyclic queries of `size` edges, unfiltered: cycles of length 3/4/5
+/// in turn (§5.1), each grown to the target size.
+pub fn cyclic_query_set(schema: &Schema, n: usize, seed: u64, size: usize) -> Vec<QueryGraph> {
+    let mut made = 0usize;
+    queries::query_set(n, &queries::QueryGenConfig { seed }, |rng| {
+        let cycle = [3, 4, 5][made % 3];
+        made += 1;
+        queries::random_cyclic_query(schema, cycle, size, rng)
     })
 }
 
@@ -54,11 +95,7 @@ pub fn tree_query_sets(
                     }
                 })
                 .collect();
-            let kept = filter_selective_queries(qs, dataset, p.timeout)
-                .into_iter()
-                .map(|(q, _)| q)
-                .collect();
-            (size, kept)
+            (size, selective(qs, dataset, p))
         })
         .collect()
 }
@@ -73,21 +110,9 @@ pub fn graph_query_sets(
     sizes
         .iter()
         .map(|&size| {
-            let mut made = 0usize;
-            let qs = queries::query_set(
-                p.queries_per_set,
-                &queries::QueryGenConfig { seed: p.seed ^ 0xC1C1 ^ (size as u64) << 8 },
-                |rng| {
-                    let cycle = [3, 4, 5][made % 3];
-                    made += 1;
-                    queries::random_cyclic_query(&dataset.schema, cycle, size, rng)
-                },
-            );
-            let kept = filter_selective_queries(qs, dataset, p.timeout)
-                .into_iter()
-                .map(|(q, _)| q)
-                .collect();
-            (size, kept)
+            let seed = p.seed ^ 0xC1C1 ^ (size as u64) << 8;
+            let qs = cyclic_query_set(&dataset.schema, p.queries_per_set, seed, size);
+            (size, selective(qs, dataset, p))
         })
         .collect()
 }
@@ -102,11 +127,7 @@ pub fn path_query_sets(dataset: &Dataset, p: &Params) -> Vec<(usize, Vec<QueryGr
                 &queries::QueryGenConfig { seed: p.seed ^ 0x9A7 ^ (size as u64) << 4 },
                 |rng| Some(queries::random_path_query(&dataset.schema, size, rng)),
             );
-            let kept = filter_selective_queries(qs, dataset, p.timeout)
-                .into_iter()
-                .map(|(q, _)| q)
-                .collect();
-            (size, kept)
+            (size, selective(qs, dataset, p))
         })
         .collect()
 }
@@ -122,11 +143,7 @@ pub fn btree_query_sets(dataset: &Dataset, p: &Params) -> Vec<(usize, Vec<QueryG
                 &queries::QueryGenConfig { seed: p.seed ^ 0xB7EE ^ (size as u64) << 4 },
                 |rng| Some(queries::random_binary_tree_query(&dataset.schema, size, rng)),
             );
-            let kept = filter_selective_queries(qs, dataset, p.timeout)
-                .into_iter()
-                .map(|(q, _)| q)
-                .collect();
-            (size, kept)
+            (size, selective(qs, dataset, p))
         })
         .collect()
 }

@@ -221,16 +221,6 @@ impl Dcg {
         }
     }
 
-    /// Number of *explicit* incoming edges of `v` labeled `u` (start edge
-    /// included when `u = u_s`).
-    pub fn in_expl_count(&self, v: VertexId, u: QVertexId) -> usize {
-        if u == self.root_qv {
-            usize::from(self.root_state(v) == Some(EdgeState::Explicit))
-        } else {
-            self.inc[u.index()].expl_count(v)
-        }
-    }
-
     /// The stored outgoing edges of `pv` labeled `u` as a borrowed slice
     /// (allocation-free enumeration for the search hot loop; filter on the
     /// state yourself).
@@ -315,12 +305,6 @@ impl Dcg {
     #[inline]
     pub fn expl_counts(&self) -> &[u64] {
         &self.expl_count
-    }
-
-    /// Number of query vertices.
-    #[inline]
-    pub fn query_vertex_count(&self) -> usize {
-        self.nq
     }
 
     /// A canonical snapshot of every stored edge, for oracle comparison.
@@ -410,12 +394,10 @@ mod tests {
         assert_eq!(d.transit(None, u(0), v(1), Some(EdgeState::Implicit)), None);
         assert_eq!(d.root_state(v(1)), Some(EdgeState::Implicit));
         assert_eq!(d.in_count_total(v(1), u(0)), 1);
-        assert_eq!(d.in_expl_count(v(1), u(0)), 0);
         assert_eq!(
             d.transit(None, u(0), v(1), Some(EdgeState::Explicit)),
             Some(EdgeState::Implicit)
         );
-        assert_eq!(d.in_expl_count(v(1), u(0)), 1);
         assert_eq!(d.expl_counts(), &[1, 0, 0]);
         assert_eq!(d.transit(None, u(0), v(1), None), Some(EdgeState::Explicit));
         assert_eq!(d.stored_edge_count(), 0);
@@ -436,7 +418,6 @@ mod tests {
         d.transit(Some(v(0)), u(1), v(1), Some(EdgeState::Explicit));
         assert_eq!(d.out_expl_count(v(0), u(1)), 1);
         assert_eq!(d.expl_out_bits(v(0)), 1 << 1);
-        assert_eq!(d.in_expl_count(v(1), u(1)), 1);
         assert_eq!(d.stored_edge_count(), 2);
         d.check_consistency();
 

@@ -300,7 +300,7 @@ pub enum RunRef {
     },
     /// The run's arena slot (`off`, of size class `class`), its live entries
     /// and how many of them are explicit (the per-run counter behind O(1)
-    /// `out_expl_count` / `in_expl_count`).
+    /// `out_expl_count`).
     Pooled {
         off: u32,
         len: u32,

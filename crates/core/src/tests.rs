@@ -658,11 +658,11 @@ fn deadline_stops_enumeration_but_keeps_dcg_consistent() {
 /// about `u2`'s binding. Kills both seeded mutations — setting the trust
 /// bit when `insert_non_tree_invocation` / `delete_non_tree_invocation`
 /// pre-bind `qe.dst`, and starting every climb with `trusted = !0`. Run by
-/// hand, each also fails the two randomized cyclic oracles above and
-/// `oracle_e2e::lsbench_cyclic_query_with_deletions`, and neither fails
-/// `stream_oracle`, `fleet_equivalence` or `shard_equivalence`, whose
-/// scenarios never pre-bind over an absent edge (DESIGN.md, "Enumeration
-/// path").
+/// hand, each also fails the two randomized cyclic oracles above,
+/// `oracle_e2e::lsbench_cyclic_query_with_deletions` and, through the same
+/// shape as a directed scenario, `tests/shard_equivalence.rs`; neither fails
+/// `stream_oracle` or `fleet_equivalence`, whose scenarios never pre-bind
+/// over an absent edge (DESIGN.md, "Enumeration path").
 ///
 /// The pre-bound edge cannot be *implicit* instead of absent: every DCG
 /// edge into one `(u, v)` has the same state (it says whether `v`'s subtrees

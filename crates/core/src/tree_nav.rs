@@ -32,27 +32,6 @@ pub fn data_pair(
     }
 }
 
-/// True iff some live data edge backs the DCG edge `(pv, u, cv)` (labels of
-/// both endpoints and of the edge itself all match).
-pub fn tree_edge_supported(
-    g: &DynamicGraph,
-    q: &QueryGraph,
-    tree: &QueryTree,
-    u: QVertexId,
-    pv: VertexId,
-    cv: VertexId,
-) -> bool {
-    let e = tree.parent_edge(u).expect("non-root vertex has a parent edge");
-    let qe = q.edge(e);
-    let (src, dst) = data_pair(tree, u, pv, cv);
-    if !q.labels(qe.src).is_subset_of(g.labels(src))
-        || !q.labels(qe.dst).is_subset_of(g.labels(dst))
-    {
-        return false;
-    }
-    g.has_edge_matching(src, dst, qe.label)
-}
-
 /// Calls `f` with every data vertex `cv` such that the DCG edge
 /// `(pv, u, cv)` is backed by a live data edge. May report a `cv` more than
 /// once if parallel data edges match (callers tolerate or dedup).
@@ -147,43 +126,6 @@ pub fn collect_child_candidates(
     start
 }
 
-/// Calls `f` with every data vertex `pv` such that the DCG edge
-/// `(pv, u, cv)` is backed by a live data edge (the upward analogue of
-/// [`for_each_child_candidate`]).
-pub fn for_each_parent_candidate(
-    g: &DynamicGraph,
-    q: &QueryGraph,
-    tree: &QueryTree,
-    u: QVertexId,
-    cv: VertexId,
-    mode: AdjacencyMode,
-    f: &mut dyn FnMut(VertexId),
-) {
-    let e = tree.parent_edge(u).expect("non-root vertex has a parent edge");
-    let qe = q.edge(e);
-    if tree.child_is_target(u) {
-        if !q.labels(qe.dst).is_subset_of(g.labels(cv)) {
-            return;
-        }
-        let parent_labels = q.labels(qe.src);
-        for pv in g.in_neighbors_matching(cv, qe.label, mode) {
-            if parent_labels.is_subset_of(g.labels(pv)) {
-                f(pv);
-            }
-        }
-    } else {
-        if !q.labels(qe.src).is_subset_of(g.labels(cv)) {
-            return;
-        }
-        let parent_labels = q.labels(qe.dst);
-        for pv in g.out_neighbors_matching(cv, qe.label, mode) {
-            if parent_labels.is_subset_of(g.labels(pv)) {
-                f(pv);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,8 +160,6 @@ mod tests {
         let (g, q, tree) = setup();
         let u1 = QVertexId(1);
         assert!(tree.child_is_target(u1));
-        assert!(tree_edge_supported(&g, &q, &tree, u1, VertexId(0), VertexId(1)));
-        assert!(!tree_edge_supported(&g, &q, &tree, u1, VertexId(1), VertexId(0)));
         assert_eq!(data_pair(&tree, u1, VertexId(0), VertexId(1)), (VertexId(0), VertexId(1)));
         for mode in [AdjacencyMode::Indexed, AdjacencyMode::FlatScan] {
             let mut kids = Vec::new();
@@ -234,17 +174,11 @@ mod tests {
         let u2 = QVertexId(2);
         assert!(!tree.child_is_target(u2), "query edge is u2 -> u0");
         // DCG edge (a, u2, c): parent side is a (matches u0), child c.
-        assert!(tree_edge_supported(&g, &q, &tree, u2, VertexId(0), VertexId(2)));
         assert_eq!(data_pair(&tree, u2, VertexId(0), VertexId(2)), (VertexId(2), VertexId(0)));
         for mode in [AdjacencyMode::Indexed, AdjacencyMode::FlatScan] {
             let mut kids = Vec::new();
             for_each_child_candidate(&g, &q, &tree, u2, VertexId(0), mode, &mut |v| kids.push(v));
             assert_eq!(kids, vec![VertexId(2)], "{mode:?}");
-            let mut parents = Vec::new();
-            for_each_parent_candidate(&g, &q, &tree, u2, VertexId(2), mode, &mut |v| {
-                parents.push(v)
-            });
-            assert_eq!(parents, vec![VertexId(0)], "{mode:?}");
         }
     }
 

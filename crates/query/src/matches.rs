@@ -86,14 +86,6 @@ impl MatchRecord {
     pub fn is_empty(&self) -> bool {
         self.mapping.is_empty()
     }
-
-    /// True iff the mapping is injective (needed when filtering
-    /// homomorphisms down to isomorphisms).
-    pub fn is_injective(&self) -> bool {
-        let mut seen: Vec<VertexId> = self.mapping.to_vec();
-        seen.sort_unstable();
-        seen.windows(2).all(|w| w[0] != w[1])
-    }
 }
 
 impl std::fmt::Debug for MatchRecord {
@@ -135,23 +127,6 @@ pub trait ContinuousMatcher {
     fn name(&self) -> &'static str;
 }
 
-/// Convenience: applies `op` and collects the reported matches.
-pub fn apply_collect(
-    engine: &mut dyn ContinuousMatcher,
-    op: &UpdateOp,
-) -> Vec<(Positiveness, MatchRecord)> {
-    let mut out = Vec::new();
-    engine.apply(op, &mut |p, m| out.push((p, m.clone())));
-    out
-}
-
-/// Convenience: collects the initial matches.
-pub fn initial_collect(engine: &mut dyn ContinuousMatcher) -> Vec<MatchRecord> {
-    let mut out = Vec::new();
-    engine.initial_matches(&mut |m| out.push(m.clone()));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,9 +138,7 @@ mod tests {
         assert_eq!(r.get(QVertexId(1)), VertexId(1));
         assert_eq!(r.len(), 3);
         assert!(!r.is_empty());
-        assert!(!r.is_injective());
         let mut inj = MatchRecord::new(vec![VertexId(3), VertexId(1)]);
-        assert!(inj.is_injective());
         // In-place writes: one slot, then the whole mapping (any length).
         inj.set(QVertexId(1), VertexId(3));
         assert_eq!(inj.as_slice(), &[VertexId(3), VertexId(3)]);

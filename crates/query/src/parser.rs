@@ -44,7 +44,8 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
 struct RawGraph {
     /// Label sets by vertex id (ids are validated dense `0..n`).
     vertices: Vec<LabelSet>,
-    edges: Vec<(u32, u32, Option<tfx_graph::LabelId>)>,
+    /// `(src, dst, label, declaring line)`.
+    edges: Vec<(u32, u32, Option<tfx_graph::LabelId>, usize)>,
 }
 
 fn parse_raw(text: &str, interner: &mut LabelInterner) -> Result<RawGraph, ParseError> {
@@ -83,7 +84,7 @@ fn parse_raw(text: &str, interner: &mut LabelInterner) -> Result<RawGraph, Parse
                 if parts.next().is_some() {
                     return Err(err(lineno, "trailing tokens after edge"));
                 }
-                edges.push((src, dst, label));
+                edges.push((src, dst, label, lineno));
             }
             Some(other) => return Err(err(lineno, format!("unknown directive `{other}`"))),
             None => unreachable!(),
@@ -99,7 +100,7 @@ fn parse_raw(text: &str, interner: &mut LabelInterner) -> Result<RawGraph, Parse
             return Err(err(0, format!("vertex ids must be dense 0..n, missing {expect}")));
         }
     }
-    for &(s, d, _) in &edges {
+    for &(s, d, ..) in &edges {
         let n = vertices.len() as u32;
         if s >= n || d >= n {
             return Err(err(0, format!("edge ({s},{d}) references undeclared vertex")));
@@ -115,7 +116,13 @@ pub fn parse_query(text: &str, interner: &mut LabelInterner) -> Result<QueryGrap
     for labels in raw.vertices {
         q.add_vertex(labels);
     }
-    for (s, d, l) in raw.edges {
+    // `QueryGraph::add_edge` asserts on a repeated `(src, dst, label)`; a
+    // query file must not be able to reach that (queries are tiny: a scan).
+    for (i, &(s, d, l, line)) in raw.edges.iter().enumerate() {
+        if raw.edges[..i].iter().any(|&(s0, d0, l0, _)| (s0, d0, l0) == (s, d, l)) {
+            let label = l.map_or("*", |l| interner.name(l).unwrap_or("?"));
+            return Err(err(line, format!("edge ({s}, {d}, {label}) declared twice")));
+        }
         q.add_edge(QVertexId(s), QVertexId(d), l);
     }
     Ok(q)
@@ -128,7 +135,7 @@ pub fn parse_data_graph(
     interner: &mut LabelInterner,
 ) -> Result<DynamicGraph, ParseError> {
     let raw = parse_raw(text, interner)?;
-    let edges = raw.edges.into_iter().map(|(s, d, l)| {
+    let edges = raw.edges.into_iter().map(|(s, d, l, _)| {
         let label = l.unwrap_or_else(|| interner.intern("_"));
         EdgeRef::new(VertexId(s), label, VertexId(d))
     });
@@ -186,6 +193,20 @@ mod tests {
         let e = parse_query("v 2 C\nv 1 B\n# gap\nv 0 A\nv 3 D\nv 1 E\ne 0 1 x\n", &mut it)
             .unwrap_err();
         assert_eq!(e, err(6, "vertex 1 declared twice"));
+    }
+
+    #[test]
+    fn duplicate_edge_reports_the_second_declaration() {
+        let mut it = LabelInterner::new();
+        let head = "v 0 A\nv 1 B\n";
+        let e = parse_query(&format!("{head}e 0 1 knows\n# gap\ne 0 1 knows\n"), &mut it);
+        assert_eq!(e.unwrap_err(), err(5, "edge (0, 1, knows) declared twice"));
+        let e = parse_query(&format!("{head}e 0 1\ne 1 0 x\ne 0 1\n"), &mut it);
+        assert_eq!(e.unwrap_err(), err(5, "edge (0, 1, *) declared twice"));
+        // Parallel edges that differ in label or direction are a query.
+        for ok in ["e 0 1 a\ne 0 1 b\n", "e 0 1\ne 1 0\n", "e 0 1\ne 0 1 a\n"] {
+            assert_eq!(parse_query(&format!("{head}{ok}"), &mut it).unwrap().edge_count(), 2);
+        }
     }
 
     #[test]

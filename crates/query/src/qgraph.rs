@@ -155,18 +155,6 @@ impl QueryGraph {
         (0..self.labels.len() as u32).map(QVertexId)
     }
 
-    /// Undirected incident edges of `u` (both directions), without
-    /// duplicates for self-loops.
-    pub fn incident_edges(&self, u: QVertexId) -> Vec<EdgeId> {
-        let mut out: Vec<EdgeId> = self.out_adj[u.index()].iter().map(|&(_, e)| e).collect();
-        for &(_, e) in &self.in_adj[u.index()] {
-            if self.edge(e).src != u {
-                out.push(e);
-            }
-        }
-        out
-    }
-
     /// True iff the query graph is weakly connected (required by every
     /// engine; disconnected patterns would need a Cartesian product).
     pub fn is_connected(&self) -> bool {
@@ -246,13 +234,6 @@ mod tests {
         assert_eq!(q.out_adj(QVertexId(0)).len(), 3);
         assert_eq!(q.in_adj(QVertexId(4)).len(), 1);
         assert!(q.is_connected());
-    }
-
-    #[test]
-    fn incident_edges_undirected() {
-        let q = fig1_query();
-        let inc = q.incident_edges(QVertexId(3));
-        assert_eq!(inc.len(), 2); // (u0,u3) in, (u3,u4) out
     }
 
     #[test]

@@ -126,11 +126,6 @@ impl<'i, R: BufRead> FileSource<'i, R> {
         &self.diagnostics
     }
 
-    /// Number of input lines consumed so far.
-    pub fn lines_read(&self) -> usize {
-        self.lineno
-    }
-
     /// Records (lenient) or returns (strict) a per-line failure.
     fn fail(&mut self, line: usize, message: String) -> Result<(), SourceError> {
         let err = SourceError { line, message };
@@ -167,7 +162,8 @@ impl<'i, R: BufRead> FileSource<'i, R> {
         }
         // Monotonicity: implicit lines tick forward; explicit regressions
         // are an error (strict) or clamped to the current clock (lenient).
-        let implicit = self.clock.map_or(0, |c| c + 1);
+        // After `@18446744073709551615` the clock stays pinned there.
+        let implicit = self.clock.map_or(0, |c| c.saturating_add(1));
         let ts = match ts {
             None => implicit,
             Some(t) => {
@@ -342,6 +338,27 @@ mod tests {
         let got = got.unwrap();
         assert_eq!(got.iter().map(|e| e.ts).collect::<Vec<_>>(), vec![10, 10], "clamped");
         assert_eq!(diags.len(), 1);
+    }
+
+    #[test]
+    fn implicit_clock_pins_at_the_last_timestamp() {
+        // `c + 1` overflowed here: a panic in debug builds, a wrap to 0 in
+        // release builds, after which a time window never expired again.
+        let text = "@18446744073709551615 + 0 1 a\n+ 1 0 a\n+ 0 2 a\n@7 + 2 0 a\n";
+        let (got, diags) = parse_all(text, ErrorMode::Lenient);
+        let got = got.unwrap();
+        assert_eq!(got.iter().map(|e| e.ts).collect::<Vec<_>>(), vec![u64::MAX; 4]);
+        assert_eq!(diags.len(), 1, "an explicit timestamp below the pin is a regression");
+        assert_eq!(diags[0].line, 4);
+
+        // The window still sees a non-decreasing clock: an edge's interval
+        // `[MAX, MAX + 10)` saturates to empty, so each insert expires at
+        // the next event instead of living forever.
+        let mut window = crate::SlidingWindow::new(crate::WindowSpec::Time { width: 10 });
+        let mut ops = Vec::new();
+        got.iter().for_each(|ev| window.push(ev, &mut ops));
+        let deletes = ops.iter().filter(|op| matches!(op, UpdateOp::DeleteEdge { .. })).count();
+        assert_eq!((deletes, window.expired_count(), window.live_len()), (3, 3, 1));
     }
 
     #[test]

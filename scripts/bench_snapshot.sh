@@ -1,39 +1,37 @@
 #!/usr/bin/env bash
-# Records a benchmark snapshot as BENCH_<date>.json in the repo root:
-# one JSON line per benchmark (from the criterion harness's TFX_BENCH_JSON
-# hook) plus a leading host-info line, so numbers from different machines
-# are never compared blind.
+# Records one point of the perf trajectory: builds, runs the end-to-end
+# benchmark (all six workloads, three untraced and one traced measurement
+# each, about 9 minutes) into results/e2e/pr<N>.json, and prints
+# `e2e compare` against the newest earlier snapshot — which refuses to judge
+# across a moved host (`host.calib_ms`, "unresolved") and makes this script
+# exit non-zero on any "worse".
 #
-# Tunables (defaults keep a full run under a few minutes):
-#   TFX_BENCH_WARMUP_MS   warmup per benchmark        (default 100)
-#   TFX_BENCH_MEASURE_MS  measurement per benchmark   (default 300)
+# usage: scripts/bench_snapshot.sh [N]
+#   N  the PR the snapshot belongs to (default: one past the newest snapshot)
+#
+# Commit the file: scripts/ci.sh compares the two newest committed snapshots.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="BENCH_$(date +%F).json"
-tmp="$(mktemp)"
-trap 'rm -f "$tmp"' EXIT
+dir=results/e2e
+e2e=(cargo run --release --offline --quiet
+  --manifest-path crates/bench/src/bin/e2e/Cargo.toml --)
+# The PR numbers that have a snapshot, ascending.
+numbers() {
+  find "$dir" -name 'pr*.json' 2> /dev/null \
+    | sed -n 's|.*/pr\([0-9][0-9]*\)\.json$|\1|p' | sort -n
+}
 
-cores=$(nproc 2>/dev/null || echo 1)
-printf '{"host":{"date":"%s","cores":%s,"kernel":"%s","rustc":"%s","shard_counts":[1,2,4,8]}}\n' \
-  "$(date -u +%FT%TZ)" "$cores" "$(uname -r)" \
-  "$(rustc --version | tr -d '"')" > "$tmp"
+newest=$(numbers | tail -n1)
+n="${1:-$((${newest:-0} + 1))}"
+prev=$(numbers | awk -v n="$n" '$1 < n' | tail -n1)
 
-export TFX_BENCH_WARMUP_MS="${TFX_BENCH_WARMUP_MS:-100}"
-export TFX_BENCH_MEASURE_MS="${TFX_BENCH_MEASURE_MS:-300}"
-export TFX_BENCH_JSON="$tmp"
+# The benchmark cross-checks its in-process run against target/release/tfx.
+cargo build --offline --release
+"${e2e[@]}" --out "$dir/pr$n.json"
 
-# fleet_throughput is the fleet_routing/disjoint label-routing sweep (and
-# asserts the fleet-vs-engines-apart guard before timing).
-cargo bench --offline -p tfx-bench --bench fleet_throughput
-cargo bench --offline -p tfx-bench --bench micro
-cargo bench --offline -p tfx-bench --bench adjacency_scan
-cargo bench --offline -p tfx-bench --bench dcg_ops
-cargo bench --offline -p tfx-bench --bench window_churn
-cargo bench --offline -p tfx-bench --bench motif
-
-cargo bench --offline -p tfx-bench --bench shard_scaling
-
-mv "$tmp" "$out"
-trap - EXIT
-echo "wrote $out ($(wc -l < "$out") lines)"
+if [ -n "$prev" ]; then
+  "${e2e[@]}" compare "$dir/pr$prev.json" "$dir/pr$n.json"
+else
+  echo "no earlier snapshot under $dir: nothing to compare pr$n.json with"
+fi

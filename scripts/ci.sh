@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, release build, e2e smoke + goldens, tests, bench compile.
+# Local CI gate: formatting, lints, release build, e2e smoke + goldens, tests, bench compile,
+# the three kept Criterion targets (quick), the e2e snapshot comparison, CLI smokes.
 # Run from the repo root. Fails fast on the first broken step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -20,8 +21,17 @@ if grep -rnE "std::thread|std::sync" crates/core/src crates/stream/src src; then
   exit 1
 fi
 
-echo "=== cargo build --release ==="
-cargo build --offline --release
+echo "=== cargo build --release (workspace) ==="
+cargo build --offline --release --workspace
+
+echo "=== figures --list ==="
+# Every experiment of EXPERIMENTS.md is a row of one table in the `figures`
+# binary: a row that falls out of it fails here, not in a months-later rerun.
+figures=$(target/release/figures --list | wc -l)
+if [ "$figures" != "15" ]; then
+  echo "ci: figures --list names $figures experiments, expected 15" >&2
+  exit 1
+fi
 
 echo "=== e2e --smoke ==="
 # The end-to-end benchmark is a package of its own (empty [workspace]), so
@@ -51,54 +61,30 @@ cargo test --offline --workspace -q
 echo "=== cargo bench --no-run ==="
 cargo bench --offline --no-run -p tfx-bench
 
-echo "=== adjacency_scan (quick) ==="
-# One short sample per benchmark: catches index/reference path breakage
-# (panics) without paying for a full measurement run.
-TFX_BENCH_WARMUP_MS=20 TFX_BENCH_MEASURE_MS=50 \
-  cargo bench --offline -p tfx-bench --bench adjacency_scan
+# The three Criterion targets kept for what e2e cannot isolate (what each
+# holds is in its module doc). One short sample per benchmark: catches a panic
+# under the release profile, and `deep_edge_enum`'s match count asserted
+# before timing, without paying for a measurement.
+for bench in graph_mutation intersect_kernels dcg_ops; do
+  echo "=== $bench (quick) ==="
+  TFX_BENCH_WARMUP_MS=20 TFX_BENCH_MEASURE_MS=50 \
+    cargo bench --offline -p tfx-bench --bench "$bench"
+done
 
-echo "=== graph_mutation (quick) ==="
-# DynamicGraph::insert_edge / delete_edge alone under release: the netflow
-# sliding window crosses every arena size class and the flat<->directory
-# boundary, and the hub pairs (out-degree 256 / 8192 / 65536 over 8 labels)
-# are the guard that an update shifts one label group, not the whole degree.
-TFX_BENCH_WARMUP_MS=20 TFX_BENCH_MEASURE_MS=50 \
-  cargo bench --offline -p tfx-bench --bench micro -- graph_mutation
-
-echo "=== dcg_ops (quick) ==="
-# Exercises arena promote/grow/demote and the climb/enumerate slices on
-# both run shapes under the release profile, and `deep_edge_enum`: an
-# engine-level insert/delete pair matching the deepest edge of a path query
-# (one climb chain per match), which asserts its match count before timing.
-TFX_BENCH_WARMUP_MS=20 TFX_BENCH_MEASURE_MS=50 \
-  cargo bench --offline -p tfx-bench --bench dcg_ops
-
-echo "=== window_churn (quick) ==="
-# Exercises the sliding-window eviction path, the batching driver, and the
-# stream-file parser under the release profile.
-TFX_BENCH_WARMUP_MS=20 TFX_BENCH_MEASURE_MS=50 \
-  cargo bench --offline -p tfx-bench --bench window_churn
-
-echo "=== fleet guard + routing (quick) ==="
-# Every invocation of the fleet bench runs its pre-timing asserts: an
-# 8-query fleet within 1.5x (min of 7) of the eight engines run apart with
-# the same delta count, and the disjoint-routing skips.
-TFX_BENCH_WARMUP_MS=20 TFX_BENCH_MEASURE_MS=50 \
-  cargo bench --offline -p tfx-bench --bench fleet_throughput
-
-echo "=== shard_scaling guard (quick) ==="
-# Runs the pre-timing sanity asserts: delta agreement at shards {1,2,4,8}
-# and the shards=1 fast-path regression guard (min-of-7 within 1.5x of the
-# unsharded engine on uniform and hub — see DESIGN.md). The shards1 filter
-# skips the multi-shard timing series.
-TFX_BENCH_WARMUP_MS=20 TFX_BENCH_MEASURE_MS=50 \
-  cargo bench --offline -p tfx-bench --bench shard_scaling -- shards1
-
-echo "=== motif (quick) ==="
-# Asserts PivotScan and Intersect count the same motifs before timing, and
-# exercises the merge/gallop/SIMD intersection kernels under release.
-TFX_BENCH_WARMUP_MS=20 TFX_BENCH_MEASURE_MS=50 \
-  cargo bench --offline -p tfx-bench --bench motif
+echo "=== e2e compare (the two newest committed snapshots) ==="
+# The perf gate: results/e2e/pr<N>.json is one all-six-workloads e2e result
+# per PR (scripts/bench_snapshot.sh). A comparison of two files, not a timing
+# made here: it leaves a pair "unresolved" when the host moved between the
+# two (`host.calib_ms`) or a side's own spread exceeds the bound, and exits
+# non-zero on any "worse".
+mapfile -t snaps < <(git ls-files 'results/e2e/pr*.json' | sort -V | tail -n2)
+if [ "${#snaps[@]}" -lt 2 ]; then
+  echo "ci: fewer than two snapshots committed under results/e2e - comparison skipped"
+else
+  cargo run --release --offline --quiet \
+    --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
+    compare "${snaps[0]}" "${snaps[1]}"
+fi
 
 echo "=== tfx stream smoke ==="
 # The CLI subcommand end to end against the checked-in testdata: a count-3

@@ -1,7 +1,7 @@
 //! Vendored minimal stand-in for the `criterion` crate so benches build and
 //! run without network access. It implements the subset of the API this
 //! workspace uses — `criterion_group!` / `criterion_main!`, benchmark
-//! groups, `Bencher::iter`, `BenchmarkId`, `Throughput` — with a simple
+//! groups, `Bencher::iter`, `Throughput` — with a simple
 //! warmup-then-sample measurement loop instead of criterion's statistical
 //! machinery.
 //!
@@ -10,45 +10,17 @@
 //! * `TFX_BENCH_WARMUP_MS` — warmup per benchmark (default 200).
 //! * `TFX_BENCH_MEASURE_MS` — total measurement budget per benchmark
 //!   (default 500).
-//! * `TFX_BENCH_JSON` — when set to a path, one JSON line per benchmark is
-//!   appended to that file (used by `scripts/bench_snapshot.sh`).
 
 use std::fmt::Display;
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
 
-/// Throughput annotation: per-iteration element or byte counts.
+/// Throughput annotation: per-iteration element counts.
 #[derive(Clone, Copy, Debug)]
 pub enum Throughput {
     /// Elements processed per iteration.
     Elements(u64),
-    /// Bytes processed per iteration.
-    Bytes(u64),
-}
-
-/// A benchmark identifier, optionally `function_name/parameter`.
-pub struct BenchmarkId {
-    id: String,
-}
-
-impl BenchmarkId {
-    /// `name/parameter`.
-    pub fn new(name: impl Into<String>, parameter: impl Display) -> Self {
-        BenchmarkId { id: format!("{}/{}", name.into(), parameter) }
-    }
-
-    /// Just the parameter (the group name provides context).
-    pub fn from_parameter(parameter: impl Display) -> Self {
-        BenchmarkId { id: parameter.to_string() }
-    }
-}
-
-impl Display for BenchmarkId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.id)
-    }
 }
 
 /// Timing loop handle passed to benchmark closures.
@@ -127,15 +99,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Runs one parameterized benchmark.
-    pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        self.run(&id.to_string(), &mut |b| f(b, input));
-        self
-    }
-
     /// Ends the group (no-op; kept for API compatibility).
     pub fn finish(&mut self) {}
 
@@ -178,28 +141,10 @@ impl BenchmarkGroup<'_> {
 
         let mut line =
             format!("{full:<48} time: [{} {} {}]", fmt_ns(min), fmt_ns(mean), fmt_ns(max));
-        let mut elems_per_sec = None;
         if let Some(Throughput::Elements(n)) = self.throughput {
-            let eps = n as f64 * 1e9 / mean;
-            elems_per_sec = Some(eps);
-            line.push_str(&format!("  thrpt: {:.3} Melem/s", eps / 1e6));
+            line.push_str(&format!("  thrpt: {:.3} Melem/s", n as f64 * 1e3 / mean));
         }
         println!("{line}");
-
-        if let Ok(path) = std::env::var("TFX_BENCH_JSON") {
-            let elements = match self.throughput {
-                Some(Throughput::Elements(n)) => n.to_string(),
-                _ => "null".into(),
-            };
-            let eps = elems_per_sec.map_or("null".into(), |e| format!("{e:.1}"));
-            let json = format!(
-                "{{\"id\":\"{full}\",\"mean_ns\":{mean:.1},\"min_ns\":{min:.1},\"max_ns\":{max:.1},\"iters_per_sample\":{iters},\"elements\":{elements},\"elems_per_sec\":{eps}}}\n",
-            );
-            if let Ok(mut file) = std::fs::OpenOptions::new().create(true).append(true).open(&path)
-            {
-                let _ = file.write_all(json.as_bytes());
-            }
-        }
     }
 }
 
@@ -247,12 +192,6 @@ mod tests {
         b.iter(|| n += 1);
         assert_eq!(n, 5);
         assert!(b.elapsed > Duration::ZERO);
-    }
-
-    #[test]
-    fn benchmark_id_formats() {
-        assert_eq!(BenchmarkId::new("f", 3).to_string(), "f/3");
-        assert_eq!(BenchmarkId::from_parameter(7).to_string(), "7");
     }
 
     #[test]

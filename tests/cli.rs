@@ -95,6 +95,26 @@ fn cli_rejects_a_query_over_64_vertices() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A query file that repeats an edge line is a parse error naming the second
+/// declaration (`QueryGraph::add_edge` asserts on it), in run and stream mode.
+#[test]
+fn cli_rejects_a_repeated_query_edge() {
+    let dir = std::env::temp_dir().join(format!("tfx-cli6-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let query = write(&dir, "qdup.txt", "v 0 Person\nv 1 Person\ne 0 1 knows\ne 0 1 knows\n");
+    let (graph, query) = (testdata("demo_graph.txt"), query.to_str().unwrap().to_owned());
+    let stream = ["stream", "--query", &query, "--graph", &graph, "--file", "/dev/null"];
+    for args in [&[graph.as_str(), query.as_str()][..], &stream] {
+        let out = Command::new(tfx_bin()).args(args).output().expect("run tfx");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        let want = "line 4: edge (0, 1, knows) declared twice";
+        assert!(stderr.contains("error:") && stderr.contains(want), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 fn testdata(name: &str) -> String {
     format!("{}/testdata/{name}", env!("CARGO_MANIFEST_DIR"))
 }

@@ -1,17 +1,26 @@
 //! Randomized byte-equality oracle for the sharded execution runtime:
-//! for arbitrary scenarios (K queries over one stream of inserts /
-//! deletes / vertex additions in uniform, hub, and explosive shapes,
-//! always drained back to an empty edge set), the sharded engine at
-//! shards ∈ {1, 2, 4, 8} — the stream as one batch or split in two —
-//! must produce exactly the same delta sequence as the unsharded
+//! for arbitrary scenarios (K queries — one in three of them cyclic — over
+//! one stream of inserts / deletes / vertex additions in uniform, hub, and
+//! explosive shapes, always drained back to an empty edge set), the sharded
+//! engine at shards ∈ {1, 2, 4, 8} — the stream as one batch or split in
+//! two — must produce exactly the same delta sequence as the unsharded
 //! standalone engines and as a fleet over the same queries, under both
 //! homomorphism and isomorphism semantics, and must hold exactly the
 //! standalone engine's data graph — one copy of each edge, at any shard
-//! count — half-way through the stream and at its end. Matching-order
-//! adjustment is pinned off everywhere: that is the static plan the
-//! sharded runtime locks in (see `ShardedEngine::new`).
+//! count — half-way through the stream and at its end. The standalone
+//! engines themselves are held, per query and op, against
+//! `NaiveRecompute`: the three runtimes share one search, so a fault in it
+//! moves all three alike and only an independent matcher sees it.
+//! Matching-order adjustment is pinned off everywhere: that is the static
+//! plan the sharded runtime locks in (see `ShardedEngine::new`).
+//!
+//! One directed scenario goes through the same comparator first
+//! ([`closing_edge_scenario`]): the shape the random generator reaches too
+//! rarely to rely on — a non-tree invocation whose pre-bound endpoint has
+//! no DCG edge from one of the parent bindings the search arrives with.
 
 use std::collections::HashSet;
+use turboflux::baselines::NaiveRecompute;
 use turboflux::datagen::Pcg32;
 use turboflux::prelude::*;
 
@@ -39,6 +48,18 @@ fn random_query(rng: &mut Pcg32, nq: u32) -> QueryGraph {
         let (s, d) = if rng.below(2) == 0 { (parent, child) } else { (child, parent) };
         if seen.insert((s, d, label)) {
             q.add_edge(QVertexId(s), QVertexId(d), label);
+        }
+    }
+    // One query in three closes one or two more edges between the vertices
+    // it has: a cyclic query, so non-tree invocations run as well.
+    if rng.below(3) == 0 {
+        for _ in 0..1 + rng.below(2) {
+            let (s, d) = (rng.below(nq as usize) as u32, rng.below(nq as usize) as u32);
+            let label =
+                if rng.below(3) == 0 { None } else { Some(LabelId(10 + rng.below(2) as u32)) };
+            if s != d && seen.insert((s, d, label)) {
+                q.add_edge(QVertexId(s), QVertexId(d), label);
+            }
         }
     }
     q
@@ -135,6 +156,61 @@ fn random_scenario(rng: &mut Pcg32, shape: StreamShape) -> Scenario {
     Scenario { g0: g, queries, ops }
 }
 
+/// A triangle with a tail, `u0 -a-> u1 -b-> u2 -t-> u3` closed by
+/// `u0 -c-> u2`, over two sources whose `u1` candidates are all explicit but
+/// do not all reach the `u2` vertex `d`: `d` has three explicit parents
+/// (`p1`, `p3` under `s`; `p4` under `s2`) and `p2`, a child of both
+/// sources, has none of its edges into `d`. Everything but the closing
+/// edges is in `g0`, so `c` is the costliest query edge and stays out of the
+/// spanning tree; the two closing edges `s -c-> d`, `s2 -c-> d` arrive
+/// last and leave first, each a non-tree invocation that pre-binds `u2 = d`
+/// and must report through `p1`, `p3` (`p4`) and not through `p2`.
+fn closing_edge_scenario() -> Scenario {
+    let l = |i: u32| LabelSet::single(LabelId(i));
+    let (a, b, c, t) = (LabelId(10), LabelId(11), LabelId(12), LabelId(13));
+    let mut g = DynamicGraph::new();
+    let [s, s2] = [0; 2].map(|_| g.add_vertex(l(0)));
+    let [p1, p2, p3, p4] = [0; 4].map(|_| g.add_vertex(l(1)));
+    let [d, d2, d3, d4] = [0; 4].map(|_| g.add_vertex(l(2)));
+    let [x, x2] = [0; 2].map(|_| g.add_vertex(l(3)));
+    let by_label = [
+        (a, vec![(s, p1), (s, p2), (s, p3), (s2, p4), (s2, p2)]),
+        (b, vec![(p1, d), (p3, d), (p4, d), (p2, d2), (p4, d2)]),
+        (t, vec![(d, x), (d2, x2), (d3, x), (d4, x), (d3, x2)]),
+        (c, vec![(s, d2), (s, d3), (s, d4), (s2, d2), (s2, d3), (s2, d4)]),
+    ];
+    let standing: Vec<_> = by_label
+        .iter()
+        .flat_map(|(label, pairs)| pairs.iter().map(|&(src, dst)| (src, *label, dst)))
+        .collect();
+    for &(src, label, dst) in &standing {
+        g.insert_edge(src, label, dst);
+    }
+    let mut q = QueryGraph::new();
+    let us: Vec<_> = (0..4).map(|i| q.add_vertex(l(i))).collect();
+    q.add_edge(us[0], us[1], Some(a));
+    q.add_edge(us[1], us[2], Some(b));
+    let closing = q.add_edge(us[0], us[2], Some(c));
+    q.add_edge(us[2], us[3], Some(t));
+    // The plan the scenario is built for; a change to root or tree choice
+    // that moves it must move the scenario too.
+    let probe = TurboFlux::new(q.clone(), g.clone(), TurboFluxConfig::default());
+    assert_eq!(probe.query_tree().root(), us[0]);
+    assert_eq!(probe.query_tree().non_tree_edges(), [closing]);
+    assert_eq!(probe.query_tree().parent(us[2]), Some(us[1]));
+
+    let closers = [(s, c, d), (s2, c, d)];
+    let insert = |&(src, label, dst): &(_, _, _)| UpdateOp::InsertEdge { src, label, dst };
+    let delete = |&(src, label, dst): &(_, _, _)| UpdateOp::DeleteEdge { src, label, dst };
+    let ops = closers
+        .iter()
+        .map(insert)
+        .chain(closers.iter().map(delete))
+        .chain(standing.iter().rev().map(delete))
+        .collect();
+    Scenario { g0: g, queries: vec![q], ops }
+}
+
 /// Unsharded reference: K standalone engines (static matching order)
 /// applying ops one at a time. Also returns each query's initial matches.
 fn standalone(s: &Scenario, cfg: &TurboFluxConfig) -> (Vec<Vec<MatchRecord>>, Vec<Delta>) {
@@ -150,6 +226,40 @@ fn standalone(s: &Scenario, cfg: &TurboFluxConfig) -> (Vec<Vec<MatchRecord>>, Ve
         }
     }
     (initial, out)
+}
+
+/// Holds the standalone reference against full recomputation: the same
+/// initial matches, and per query and op the same set of signed matches.
+fn assert_naive_agrees(
+    s: &Scenario,
+    cfg: &TurboFluxConfig,
+    init: &[Vec<MatchRecord>],
+    got: &[Delta],
+) {
+    for (id, q) in s.queries.iter().enumerate() {
+        let mut naive = NaiveRecompute::new(q.clone(), s.g0.clone(), cfg.semantics);
+        let mut want_init = HashSet::new();
+        naive.initial_matches(&mut |r| assert!(want_init.insert(r.clone())));
+        assert_eq!(init[id].len(), want_init.len(), "query {id}: initial match count");
+        assert_eq!(init[id].iter().cloned().collect::<HashSet<_>>(), want_init, "query {id}");
+        for (op_index, op) in s.ops.iter().enumerate() {
+            // The runtimes create an endpoint nobody announced, label-less
+            // (`round::stage`); the bare graph under the recompute does not.
+            if let UpdateOp::InsertEdge { src, dst, .. } = *op {
+                let straggler = UpdateOp::AddVertex { id: src.max(dst), labels: LabelSet::empty() };
+                naive.apply(&straggler, &mut |_, _| {});
+            }
+            let mut want = HashSet::new();
+            naive.apply(op, &mut |p, r| assert!(want.insert((p, r.clone()))));
+            let here: Vec<_> = got
+                .iter()
+                .filter(|d| (d.0, d.1) == (id, op_index))
+                .map(|d| (d.2, d.3.clone()))
+                .collect();
+            assert_eq!(here.len(), want.len(), "query {id}, op {op_index} {op:?}: delta count");
+            assert_eq!(here.into_iter().collect::<HashSet<_>>(), want, "query {id}, op {op_index}");
+        }
+    }
 }
 
 fn fleet_deltas(s: &Scenario, cfg: &TurboFluxConfig) -> Vec<Delta> {
@@ -220,15 +330,27 @@ fn run(seed: u64, semantics: MatchSemantics) {
     let mut nonempty = 0;
     let mut agg = ShardStats::default();
     let mut edges_compared = 0;
+    let mut cyclic = 0;
     let shapes = [StreamShape::Uniform, StreamShape::Hub, StreamShape::Explosive];
-    for round in 0..36 {
+    let directed = std::iter::once((None, closing_edge_scenario()));
+    let random = (0..36).map(|round| {
         let shape = shapes[round % shapes.len()];
-        let s = random_scenario(&mut rng, shape);
+        (Some(shape), random_scenario(&mut rng, shape))
+    });
+    for (shape, s) in directed.chain(random) {
         if s.queries.iter().any(|q| q.edge_count() == 0 || !q.is_connected()) {
             continue;
         }
         exercised += 1;
+        cyclic += s.queries.iter().filter(|q| q.edge_count() >= q.vertex_count()).count();
         let (want_init, want) = standalone(&s, &cfg);
+        assert_naive_agrees(&s, &cfg, &want_init, &want);
+        if shape.is_none() {
+            // The four closing ops: `p1`, `p3` under `s` and `p4` under `s2`,
+            // once per sign.
+            let closing = want.iter().filter(|d| d.1 < 4).count();
+            assert_eq!(closing, 6, "closing-edge scenario: {want:?}");
+        }
         assert_eq!(fleet_deltas(&s, &cfg), want, "fleet != standalone ({shape:?})");
         for shards in [1usize, 2, 4, 8] {
             let split = shards % 2 == 1; // alternate one batch and two
@@ -262,6 +384,7 @@ fn run(seed: u64, semantics: MatchSemantics) {
     }
     assert!(exercised >= 20, "only {exercised} scenarios exercised");
     assert!(nonempty >= 5, "only {nonempty} scenarios produced matches");
+    assert!(cyclic >= 5, "only {cyclic} cyclic queries exercised");
     assert!(edges_compared > 0, "every compared graph was empty");
     // Non-vacuity: the sharded runs actually applied edge ops, some of them
     // across shards, and planned invocations for them.
