@@ -188,6 +188,46 @@ impl Dcg {
         }
     }
 
+    /// Sizes the tables of the empty DCG for what registration is about to
+    /// lay (`crate::bulk`): per non-root query vertex the number of out-runs
+    /// and in-runs labeled with it, and the number of start edges.
+    pub(crate) fn reserve(&mut self, out_runs: &[usize], in_runs: &[usize], roots: usize) {
+        debug_assert_eq!(self.stored_edges, 0, "reserve on a DCG that holds edges");
+        self.out = out_runs.iter().map(|&n| RunIndex::with_capacity(n)).collect();
+        self.inc = in_runs.iter().map(|&n| RunIndex::with_capacity(n)).collect();
+        self.root = OpenMap::with_capacity(roots);
+    }
+
+    /// Lays the whole out-run of `(pv, u)` — every stored edge `(pv, u, ·)`
+    /// with its state, ascending by id — in one write, and accounts for it
+    /// as the same edges passed through [`Dcg::transit`] one by one would
+    /// have. The mirror entries are the caller's to lay
+    /// ([`Dcg::lay_in_run`]). Returns whether the run holds an explicit edge.
+    pub(crate) fn lay_out_run(
+        &mut self,
+        pv: VertexId,
+        u: QVertexId,
+        run: &[(VertexId, EdgeState)],
+    ) -> bool {
+        debug_assert_ne!(u, self.root_qv);
+        let expl = self.out[u.index()].lay(&mut self.pool, pv, run) as u64;
+        self.stored_edges += run.len() as u64;
+        if expl > 0 {
+            self.expl_count[u.index()] += expl;
+            self.dirty_expl |= 1 << u.0;
+            let (bi, _) = self.expl_out_bits.ensure(pv.0, 0);
+            *self.expl_out_bits.val_mut(bi) |= 1 << u.0;
+        }
+        expl > 0
+    }
+
+    /// Lays the whole in-run of `(v, u)`: the mirror of every out-run entry
+    /// `(·, u, v)`, counted there.
+    pub(crate) fn lay_in_run(&mut self, v: VertexId, u: QVertexId, run: &[(VertexId, EdgeState)]) {
+        debug_assert_ne!(u, self.root_qv);
+        self.inc[u.index()].lay(&mut self.pool, v, run);
+    }
+
     fn fix_counters(
         &mut self,
         u: QVertexId,

@@ -29,7 +29,7 @@
 //! enumeration order is canonical (independent of insertion/removal
 //! history), which the equivalence oracles rely on.
 
-use tfx_graph::arena::{class_cap, SlotArena};
+use tfx_graph::arena::{class_cap, class_for, SlotArena};
 use tfx_graph::VertexId;
 
 use crate::dcg::EdgeState;
@@ -75,6 +75,16 @@ impl<V: Copy> Default for OpenMap<V> {
 impl<V: Copy> OpenMap<V> {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A table that takes `keys` entries without rehashing, at the capacity
+    /// `keys` single inserts into an empty table end on.
+    pub fn with_capacity(keys: usize) -> Self {
+        let mut cap = if keys == 0 { 0 } else { 8 };
+        while keys * 8 > cap * 7 {
+            cap *= 2;
+        }
+        OpenMap { slots: vec![None; cap], live: 0 }
     }
 
     #[inline]
@@ -324,6 +334,28 @@ pub struct RunIndex {
 impl RunIndex {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An index whose table takes `keys` runs without rehashing.
+    pub fn with_capacity(keys: usize) -> Self {
+        RunIndex { map: OpenMap::with_capacity(keys) }
+    }
+
+    /// Lays the finished `run` (sorted by id, duplicate-free, non-empty) of
+    /// a `key` that has none yet, at its final size: inline, or one slot of
+    /// the class that fits it. Returns its explicit-edge count.
+    pub fn lay(&mut self, pool: &mut RunPool, key: VertexId, run: &[(VertexId, EdgeState)]) -> u32 {
+        debug_assert!(run.windows(2).all(|w| w[0].0 < w[1].0) && !run.is_empty());
+        let laid = if run.len() <= INLINE_CAP {
+            let mut edges = [NIL_EDGE; INLINE_CAP];
+            edges[..run.len()].copy_from_slice(run);
+            RunRef::Inline { len: run.len() as u8, edges }
+        } else {
+            pool.alloc(class_for(run.len()), run)
+        };
+        let (_, fresh) = self.map.ensure(key.0, laid);
+        assert!(fresh, "lay over an existing run");
+        count_expl(run)
     }
 
     /// The run for `key` as a sorted borrowed slice (empty if absent).

@@ -1,7 +1,7 @@
 //! The TurboFlux engine (§4, Algorithm 2).
 //!
 //! Construction transforms the query into a tree rooted at the starting
-//! query vertex, builds the initial DCG with `BuildDCG`, and derives a
+//! query vertex, builds the initial DCG (`crate::bulk`), and derives a
 //! matching order from DCG statistics. Each update operation then runs
 //! `InsertEdgeAndEval` / `DeleteEdgeAndEval`, which maintain the DCG
 //! incrementally and stream positive / negative matches into the caller's
@@ -26,8 +26,8 @@ use std::cell::Cell;
 use rustc_hash::FxHashMap;
 use tfx_graph::{shard_of, AdjacencyMode, DynamicGraph, GraphStats, LabelId, UpdateOp, VertexId};
 use tfx_query::{
-    choose_start_vertex, ContinuousMatcher, EdgeId, MatchRecord, MatchSemantics, Positiveness,
-    QVertexId, QueryGraph, QueryTree,
+    choose_start_vertex_from, matching_edge_counts, ContinuousMatcher, EdgeId, MatchRecord,
+    MatchSemantics, Positiveness, QVertexId, QueryGraph, QueryTree,
 };
 
 use crate::config::TurboFluxConfig;
@@ -130,14 +130,30 @@ impl TurboFlux {
         cfg: TurboFluxConfig,
         partition: Option<(u32, u32)>,
     ) -> Self {
+        let mut engine = Self::plan(q, g0, cfg, partition);
+        engine.build_initial_dcg(g0);
+        engine.recompute_matching_order();
+        engine
+    }
+
+    /// Query analysis (Algorithm 2, lines 1–3): start vertex, query tree and
+    /// the per-query lookup tables, around a DCG that is still empty.
+    pub(crate) fn plan(
+        q: QueryGraph,
+        g0: &DynamicGraph,
+        cfg: TurboFluxConfig,
+        partition: Option<(u32, u32)>,
+    ) -> Self {
         assert!(q.edge_count() > 0, "query must have at least one edge");
         assert!(q.is_connected(), "query must be connected");
         // Before any per-vertex bit mask is built: `1 << c.0` below wraps
         // past bit 63 in release builds.
         assert!(q.vertex_count() <= 64, "queries are limited to 64 vertices");
         let stats = GraphStats::new(g0);
-        let us = choose_start_vertex(&q, &stats);
-        let tree = QueryTree::build(&q, us, &stats);
+        // One pass of the statistics for both planners.
+        let counts = matching_edge_counts(&q, &stats);
+        let us = choose_start_vertex_from(&q, &stats, &counts);
+        let tree = QueryTree::build_from(&q, us, &counts);
         let nq = q.vertex_count();
 
         let mut child_mask = vec![0u64; nq];
@@ -165,7 +181,7 @@ impl TurboFlux {
         }
 
         let track_bound = cfg.semantics == MatchSemantics::Isomorphism;
-        let mut engine = TurboFlux {
+        TurboFlux {
             dcg: Dcg::new(nq, us),
             mo: Vec::new(),
             child_mask,
@@ -182,18 +198,7 @@ impl TurboFlux {
             q,
             tree,
             cfg,
-        };
-        // Initial DCG: a hypothetical start-edge insertion for every
-        // matching data vertex (Algorithm 2, lines 4–5).
-        let mut scratch = std::mem::take(&mut engine.scratch);
-        for v in g0.vertices() {
-            if engine.owns_root(v) && engine.q.labels(us).is_subset_of(g0.labels(v)) {
-                engine.build_dcg(g0, None, us, v, &mut scratch);
-            }
         }
-        engine.scratch = scratch;
-        engine.recompute_matching_order();
-        engine
     }
 
     /// The data graph as maintained by the engine. Empty for engines
@@ -281,7 +286,8 @@ impl TurboFlux {
     }
 
     /// `BuildDCG` (Algorithm 3): depth-first construction of the DCG below
-    /// the edge `(parent, u, cv)`, applying Transitions 1 and 2.
+    /// the edge `(parent, u, cv)`, applying Transitions 1 and 2. Update time
+    /// only (`ops_insert`); the initial DCG is `crate::bulk`'s.
     pub(crate) fn build_dcg(
         &mut self,
         g: &DynamicGraph,

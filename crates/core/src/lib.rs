@@ -32,6 +32,7 @@
 //! assert_eq!(positives, 1);
 //! ```
 
+mod bulk;
 pub mod config;
 pub mod dcg;
 mod dcg_store;

@@ -179,10 +179,20 @@ struct RandomCase {
     ops: Vec<UpdateOp>,
 }
 
-/// Random small dynamic graph + random connected query (optionally cyclic).
+/// Random small dynamic graph + random connected query (optionally cyclic)
+/// and 40 ops.
 fn random_case(rng: &mut Rng, cyclic: bool) -> RandomCase {
+    random_case_with_ops(rng, cyclic, 40)
+}
+
+/// One case in three is *rich*: two edge labels with parallel data edges
+/// under both, data vertices carrying two labels, a wildcard label on the
+/// first spanning query edge (a tree edge unless a cycle displaces it) and
+/// the first two spanning edges pointing opposite ways.
+fn random_case_with_ops(rng: &mut Rng, cyclic: bool, n_ops: usize) -> RandomCase {
+    let rich = rng.below(3) == 0;
     let n_vlabels = 2 + rng.below(2); // 2..=3
-    let n_elabels = 1 + rng.below(2); // 1..=2
+    let n_elabels = if rich { 2 } else { 1 + rng.below(2) }; // 1..=2
     let n_vertices = 5 + rng.below(5); // 5..=9
 
     let mut g0 = DynamicGraph::new();
@@ -190,6 +200,8 @@ fn random_case(rng: &mut Rng, cyclic: bool) -> RandomCase {
         // ~20% unlabeled vertices exercise wildcard matching.
         let labels = if rng.below(5) == 0 {
             LabelSet::empty()
+        } else if rich && rng.below(3) == 0 {
+            [0, 1].map(|_| l(rng.below(n_vlabels) as u32)).into_iter().collect()
         } else {
             LabelSet::single(l(rng.below(n_vlabels) as u32))
         };
@@ -200,6 +212,10 @@ fn random_case(rng: &mut Rng, cyclic: bool) -> RandomCase {
         let s = v(rng.below(n_vertices) as u32);
         let d = v(rng.below(n_vertices) as u32);
         g0.insert_edge(s, l(10 + rng.below(n_elabels) as u32), d);
+        if rich && rng.below(3) == 0 {
+            g0.insert_edge(s, l(10), d);
+            g0.insert_edge(s, l(11), d);
+        }
     }
 
     // Random connected query: spanning construction over 3..=5 vertices.
@@ -215,9 +231,13 @@ fn random_case(rng: &mut Rng, cyclic: bool) -> RandomCase {
     }
     for i in 1..nq as u32 {
         let other = rng.below(i as usize) as u32;
-        let (s, d) = if rng.below(2) == 0 { (other, i) } else { (i, other) };
-        let label =
-            if rng.below(5) == 0 { None } else { Some(l(10 + rng.below(n_elabels) as u32)) };
+        let forward = if rich && i <= 2 { i == 1 } else { rng.below(2) == 0 };
+        let (s, d) = if forward { (other, i) } else { (i, other) };
+        let label = if rng.below(5) == 0 || (rich && i == 1) {
+            None
+        } else {
+            Some(l(10 + rng.below(n_elabels) as u32))
+        };
         q.add_edge(tfx_query::QVertexId(s), tfx_query::QVertexId(d), label);
     }
     if cyclic {
@@ -239,7 +259,7 @@ fn random_case(rng: &mut Rng, cyclic: bool) -> RandomCase {
     let mut live: Vec<(VertexId, LabelId, VertexId)> =
         g0.edges().map(|e| (e.src, e.label, e.dst)).collect();
     let mut vcount = n_vertices as u32;
-    for _ in 0..40 {
+    for _ in 0..n_ops {
         let roll = rng.below(10);
         if roll == 0 {
             let labels = LabelSet::single(l(rng.below(n_vlabels) as u32));
@@ -336,6 +356,160 @@ fn randomized_cyclic_queries_match_oracle_isomorphism() {
     for _ in 0..40 {
         let case = random_case(&mut rng, true);
         run_oracle_case(&case, MatchSemantics::Isomorphism, false);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Registration: the bulk builder against the replay it replaced.
+// ---------------------------------------------------------------------------
+
+/// Registration as Algorithm 2 (lines 4–5) writes it and as `register_inner`
+/// did it before `crate::bulk`: a hypothetical start-edge insertion per root
+/// candidate through `BuildDCG`. The bulk builder's oracle.
+fn register_by_replay(
+    q: &QueryGraph,
+    g0: &DynamicGraph,
+    cfg: TurboFluxConfig,
+    partition: Option<(u32, u32)>,
+) -> TurboFlux {
+    let mut engine = TurboFlux::plan(q.clone(), g0, cfg, partition);
+    let us = engine.tree.root();
+    let mut scratch = std::mem::take(&mut engine.scratch);
+    for v in g0.vertices() {
+        if engine.owns_root(v) && engine.q.labels(us).is_subset_of(g0.labels(v)) {
+            engine.build_dcg(g0, None, us, v, &mut scratch);
+        }
+    }
+    engine.scratch = scratch;
+    engine.recompute_matching_order();
+    engine
+}
+
+fn assert_same_dcg(bulk: &TurboFlux, replay: &TurboFlux, ctx: &str) {
+    bulk.dcg().check_consistency();
+    replay.dcg().check_consistency();
+    assert_eq!(bulk.dcg().snapshot(), replay.dcg().snapshot(), "{ctx}: stored edges");
+    assert_eq!(bulk.dcg().expl_counts(), replay.dcg().expl_counts(), "{ctx}: explicit counts");
+    assert_eq!(bulk.dcg().stored_edge_count(), replay.dcg().stored_edge_count(), "{ctx}");
+    for v in bulk.graph().vertices() {
+        assert_eq!(bulk.dcg().expl_out_bits(v), replay.dcg().expl_out_bits(v), "{ctx}: bits {v}");
+    }
+    assert_eq!(bulk.matching_order(), replay.matching_order(), "{ctx}: matching order");
+}
+
+/// The bulk-built DCG equals the replayed one and the declarative reference
+/// — stored edges, states, counters, explicit-out bitmaps, matching order,
+/// initial matches — for both semantics, unpartitioned and as every slice
+/// of 2 and 4 shards, and still does after 200 ops churned both arenas (the
+/// one laid compactly, the one grown edge by edge). Fails under each of
+/// three mutations of `crate::bulk` seeded by hand (DESIGN.md,
+/// "Registration: two sweeps, each run laid once"): in-runs not filtered by
+/// `reached[parent]`, entry states read from `expl[u]` instead of
+/// `expl[uc]`, the wildcard dedup dropped.
+#[test]
+fn bulk_registration_equals_replayed_insertions_and_the_reference() {
+    let mut rng = Rng::new(0xB01C);
+    // What the generator must have put in front of the builder by the end.
+    let (mut wildcard_tree_edges, mut multi_label_vertices) = (0, 0);
+    let mut orientations = [0; 2];
+    for case_no in 0..30 {
+        let case = random_case_with_ops(&mut rng, case_no % 2 == 1, 200);
+        multi_label_vertices +=
+            case.g0.vertices().filter(|&v| case.g0.labels(v).as_slice().len() > 1).count();
+        for semantics in [MatchSemantics::Homomorphism, MatchSemantics::Isomorphism] {
+            for shards in [1u32, 2, 4] {
+                let mut slices = Vec::new();
+                for shard in 0..shards {
+                    let ctx = format!("case {case_no} {semantics:?} slice {shard}/{shards}");
+                    let partition = (shards > 1).then_some((shard, shards));
+                    // `ShardedEngine` pins the order of its slices.
+                    let cfg = TurboFluxConfig {
+                        adjust_matching_order: shards == 1,
+                        ..TurboFluxConfig::with_semantics(semantics)
+                    };
+                    let mut bulk = match partition {
+                        None => TurboFlux::register(case.q.clone(), &case.g0, cfg),
+                        Some((shard, shards)) => TurboFlux::register_partitioned(
+                            case.q.clone(),
+                            &case.g0,
+                            cfg,
+                            shard,
+                            shards,
+                        ),
+                    };
+                    let mut replay = register_by_replay(&case.q, &case.g0, cfg, partition);
+                    bulk.g = case.g0.clone();
+                    replay.g = case.g0.clone();
+                    assert_same_dcg(&bulk, &replay, &ctx);
+                    if partition.is_none() {
+                        assert_dcg_matches_reference(&bulk);
+                    }
+                    let tree = bulk.query_tree();
+                    for u in case.q.vertices().filter(|&u| u != tree.root()) {
+                        let e = case.q.edge(tree.parent_edge(u).unwrap());
+                        wildcard_tree_edges += usize::from(e.label.is_none());
+                        orientations[usize::from(tree.child_is_target(u))] += 1;
+                    }
+
+                    let initial = |engine: &mut TurboFlux| {
+                        let mut got = Vec::new();
+                        engine.report_initial(&mut |m| got.push(m.clone()));
+                        got
+                    };
+                    assert_eq!(initial(&mut bulk), initial(&mut replay), "{ctx}: initial matches");
+
+                    for (step, op) in case.ops.iter().enumerate() {
+                        let deltas = |engine: &mut TurboFlux| {
+                            let mut got = Vec::new();
+                            engine.apply_op(op, &mut |p, m| got.push((p, m.clone())));
+                            got
+                        };
+                        assert_eq!(deltas(&mut bulk), deltas(&mut replay), "{ctx}: step {step}");
+                        if step % 40 == 39 {
+                            assert_same_dcg(&bulk, &replay, &format!("{ctx} after op {step}"));
+                        }
+                    }
+                    slices.push(bulk);
+                }
+                // The slices partition the roots and replicate what their
+                // closures share: together they are the whole DCG.
+                let mut union = crate::spec::DcgImage::new();
+                slices.iter().for_each(|s| union.extend(s.dcg().snapshot()));
+                let g = slices[0].graph();
+                let want = reference_dcg(g, &case.q, slices[0].query_tree());
+                assert_eq!(
+                    union, want,
+                    "case {case_no} {semantics:?}: {shards} slices after churn"
+                );
+            }
+        }
+    }
+    assert!(wildcard_tree_edges > 0, "no wildcard tree edge was generated");
+    assert!(multi_label_vertices > 0, "no multi-label data vertex was generated");
+    assert!(orientations.iter().all(|&n| n > 0), "tree edges of one orientation only");
+}
+
+/// `TurboFlux::plan` takes the per-query-edge statistics once and plans the
+/// start vertex and the tree from the one slice; the plan is the one the two
+/// planners reach when each sweeps the graph for itself.
+#[test]
+fn registration_plans_from_one_pass_of_edge_counts() {
+    use tfx_graph::GraphStats;
+    use tfx_query::{choose_start_vertex, QueryTree};
+    let mut rng = Rng::new(0x57A7);
+    for _ in 0..40 {
+        let case = random_case(&mut rng, true);
+        let engine = TurboFlux::register(case.q.clone(), &case.g0, TurboFluxConfig::default());
+        let stats = GraphStats::new(&case.g0);
+        let us = choose_start_vertex(&case.q, &stats);
+        let tree = QueryTree::build(&case.q, us, &stats);
+        let got = engine.query_tree();
+        assert_eq!(got.root(), us);
+        assert_eq!(got.bfs_order(), tree.bfs_order());
+        assert_eq!(got.non_tree_edges(), tree.non_tree_edges());
+        for u in case.q.vertices() {
+            assert_eq!(got.parent_edge(u), tree.parent_edge(u));
+        }
     }
 }
 

@@ -26,6 +26,18 @@ pub fn class_for(len: usize) -> u8 {
     slots.next_power_of_two().trailing_zeros() as u8
 }
 
+/// The capacity an arena that needs `entries` grows to: the next multiple of
+/// an eighth of the power of two above, so at most a quarter over. `Vec`'s
+/// own `max(2 × capacity, entries)` leaves whatever the carving history
+/// makes of it — one run laid whole that is larger than everything carved
+/// before, or the first slot past an exactly sized `with_capacity`, sets an
+/// odd capacity that every later doubling inherits — anywhere up to twice
+/// the need, and the arenas are most of the heap.
+fn grown_capacity(entries: usize) -> usize {
+    let step = (entries.next_power_of_two() / 8).max(1);
+    entries.div_ceil(step) * step
+}
+
 /// The arena. `T::default()` fills freshly carved slots.
 #[derive(Clone, Default)]
 pub struct SlotArena<T> {
@@ -55,7 +67,11 @@ impl<T: Copy + Default> SlotArena<T> {
             return off;
         }
         let off = u32::try_from(self.data.len()).expect("slot arena exceeds u32 offsets");
-        self.data.resize(self.data.len() + class_cap(class) as usize, T::default());
+        let end = self.data.len() + class_cap(class) as usize;
+        if end > self.data.capacity() {
+            self.data.reserve_exact(grown_capacity(end) - self.data.len());
+        }
+        self.data.resize(end, T::default());
         self.slots += 1;
         off
     }
@@ -200,6 +216,24 @@ mod tests {
         assert_eq!(a.carved_entries(), carved, "steady-state churn carved new storage");
         assert_eq!(a.resident_bytes(), bytes);
         a.validate([]);
+    }
+
+    #[test]
+    fn capacity_stays_within_a_quarter_of_the_need() {
+        assert_eq!([1, 8, 9, 1000, 1024, 1025].map(grown_capacity), [1, 8, 10, 1024, 1024, 1280]);
+        // A first carving larger than the whole arena, and the first carving
+        // past an exactly sized arena: `Vec` alone reserves 1028 and 200.
+        let mut a: SlotArena<u32> = SlotArena::new();
+        a.alloc(0);
+        a.alloc(class_for(1000));
+        assert_eq!(a.resident_bytes(), 1280 * 4);
+        let mut b: SlotArena<u32> = SlotArena::with_capacity(100);
+        (0..26).for_each(|_| _ = b.alloc(0));
+        assert_eq!(b.resident_bytes(), 112 * 4);
+        for need in 1..100_000 {
+            let cap = grown_capacity(need);
+            assert!(need <= cap && cap * 4 <= need * 5 + 4, "{need} -> {cap}");
+        }
     }
 
     #[test]

@@ -20,5 +20,5 @@ pub mod tree;
 pub use diameter::diameter;
 pub use matches::{ContinuousMatcher, MatchRecord, MatchSemantics, Positiveness};
 pub use qgraph::{EdgeId, QEdge, QVertexId, QueryGraph};
-pub use start::choose_start_vertex;
+pub use start::{choose_start_vertex, choose_start_vertex_from, matching_edge_counts};
 pub use tree::QueryTree;

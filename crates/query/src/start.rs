@@ -8,12 +8,34 @@
 use crate::qgraph::{QVertexId, QueryGraph};
 use tfx_graph::GraphStats;
 
+/// The number of data edges matching each query edge, in edge-id order: the
+/// one statistic both [`choose_start_vertex`] and [`crate::QueryTree::build`]
+/// plan from. A count with both endpoints label-constrained is a sweep over
+/// every data vertex, so a registration takes the counts once and hands the
+/// slice to [`choose_start_vertex_from`] and [`crate::QueryTree::build_from`].
+pub fn matching_edge_counts(q: &QueryGraph, stats: &GraphStats<'_>) -> Vec<usize> {
+    q.edges()
+        .iter()
+        .map(|e| stats.matching_edge_count(q.labels(e.src), e.label, q.labels(e.dst)))
+        .collect()
+}
+
 /// Picks the starting query vertex `u_s` for `q` against the statistics of
 /// the initial data graph.
 ///
 /// Panics if the query has no edges.
 pub fn choose_start_vertex(q: &QueryGraph, stats: &GraphStats<'_>) -> QVertexId {
+    choose_start_vertex_from(q, stats, &matching_edge_counts(q, stats))
+}
+
+/// [`choose_start_vertex`] over already taken [`matching_edge_counts`].
+pub fn choose_start_vertex_from(
+    q: &QueryGraph,
+    stats: &GraphStats<'_>,
+    counts: &[usize],
+) -> QVertexId {
     assert!(q.edge_count() > 0, "query must have at least one edge");
+    assert_eq!(counts.len(), q.edge_count(), "one count per query edge");
 
     // Edge with the smallest number of matching data edges (ties: lowest id,
     // for determinism). A zero count sorts last, not first: in a continuous
@@ -21,13 +43,9 @@ pub fn choose_start_vertex(q: &QueryGraph, stats: &GraphStats<'_>) -> QVertexId 
     // information, and rooting the DCG there would leave it empty until the
     // first such edge streams in, forcing full rebuilds (the paper's running
     // example accordingly roots at `u0`, not at the empty `(u3, u4)`).
-    let (best_edge, _) = q
-        .edges()
+    let (best_edge, _) = counts
         .iter()
-        .map(|e| match stats.matching_edge_count(q.labels(e.src), e.label, q.labels(e.dst)) {
-            0 => usize::MAX,
-            n => n,
-        })
+        .map(|&n| if n == 0 { usize::MAX } else { n })
         .enumerate()
         .min_by_key(|&(i, c)| (c, i))
         .expect("non-empty edge list");

@@ -13,6 +13,7 @@
 //! is the *target* ([`QueryTree::child_is_target`]) of its parent edge.
 
 use crate::qgraph::{EdgeId, QVertexId, QueryGraph};
+use crate::start::matching_edge_counts;
 use tfx_graph::GraphStats;
 
 /// A rooted spanning tree of a [`QueryGraph`] plus the non-tree edges.
@@ -35,7 +36,14 @@ impl QueryTree {
     ///
     /// Panics if `q` is not connected or is empty.
     pub fn build(q: &QueryGraph, root: QVertexId, stats: &GraphStats<'_>) -> QueryTree {
+        Self::build_from(q, root, &matching_edge_counts(q, stats))
+    }
+
+    /// [`QueryTree::build`] over already taken [`matching_edge_counts`]:
+    /// `cost[e]` is the estimated data-edge match count of query edge `e`.
+    pub fn build_from(q: &QueryGraph, root: QVertexId, cost: &[usize]) -> QueryTree {
         assert!(q.vertex_count() > 0, "empty query");
+        assert_eq!(cost.len(), q.edge_count(), "one cost per query edge");
         assert!(q.is_connected(), "query graph must be connected");
         let n = q.vertex_count();
         let mut parent = vec![None; n];
@@ -47,13 +55,6 @@ impl QueryTree {
         let mut bfs_order = vec![root];
         let mut depth = vec![0u32; n];
         in_tree[root.index()] = true;
-
-        // Estimated data-edge match count per query edge, computed once.
-        let cost: Vec<usize> = q
-            .edges()
-            .iter()
-            .map(|e| stats.matching_edge_count(q.labels(e.src), e.label, q.labels(e.dst)))
-            .collect();
 
         while bfs_order.len() < n {
             // Frontier edges: exactly one endpoint in the tree. Pick the

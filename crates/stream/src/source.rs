@@ -24,7 +24,9 @@
 //! malformed line ([`SourceError`] carries its 1-based line number);
 //! `Lenient` skips malformed lines and records the same diagnostics in
 //! [`FileSource::diagnostics`], clamping regressing timestamps forward so
-//! the output stays monotonic.
+//! the output stays monotonic. A `v` or `+` line that names a vertex id more
+//! than [`MAX_VERTEX_GAP`] past the highest one known is malformed in this
+//! sense: the graph would create every id below it.
 
 use std::io::BufRead;
 
@@ -89,6 +91,16 @@ impl StreamSource for VecSource {
     }
 }
 
+/// How far past the highest known vertex id a `v` or `+` line may reach.
+///
+/// Vertex ids are dense: creating id `N` makes the graph fill every slot
+/// below it (`DynamicGraph::ensure_vertex`), so without a bound one stream
+/// line — `+ 0 300000000 knows` — allocates gigabytes. Real streams number
+/// their vertices as they meet them; a million ids of headroom lets a file
+/// be cut, shuffled or sampled and still refuses the line that is a typo or
+/// an attack. A `-` line never creates a vertex and is not checked.
+pub const MAX_VERTEX_GAP: u32 = 1 << 20;
+
 /// Parses the timestamped text stream format from any [`BufRead`].
 ///
 /// Labels are interned through the caller's [`LabelInterner`] so stream
@@ -100,6 +112,10 @@ pub struct FileSource<'i, R: BufRead> {
     lineno: usize,
     /// Time of the last emitted event; `None` before the first one.
     clock: Option<u64>,
+    /// Vertex ids `0..known` exist: the initial graph's
+    /// ([`FileSource::with_vertex_count`]) and every id up to the highest an
+    /// emitted `v` or `+` event named.
+    known: u32,
     diagnostics: Vec<SourceError>,
     buf: String,
     done: bool,
@@ -114,10 +130,18 @@ impl<'i, R: BufRead> FileSource<'i, R> {
             mode,
             lineno: 0,
             clock: None,
+            known: 0,
             diagnostics: Vec::new(),
             buf: String::new(),
             done: false,
         }
+    }
+
+    /// Tells the source that the graph the stream applies to already holds
+    /// vertices `0..n`, the base [`MAX_VERTEX_GAP`] is measured from.
+    pub fn with_vertex_count(mut self, n: usize) -> Self {
+        self.known = u32::try_from(n).unwrap_or(u32::MAX);
+        self
     }
 
     /// Diagnostics recorded so far (lenient mode only; strict mode returns
@@ -215,6 +239,22 @@ impl<'i, R: BufRead> FileSource<'i, R> {
             })(),
             other => Err(format!("unknown op `{other}` (expected v, + or -)")),
         };
+        // The highest id the op would make the graph create.
+        let parsed = parsed.and_then(|op| {
+            let top = match op {
+                UpdateOp::AddVertex { id, .. } => id.0,
+                UpdateOp::InsertEdge { src, dst, .. } => src.0.max(dst.0),
+                UpdateOp::DeleteEdge { .. } => return Ok(op),
+            };
+            if u64::from(top) >= u64::from(self.known) + u64::from(MAX_VERTEX_GAP) {
+                let highest = self.known.checked_sub(1).map_or("none".to_owned(), |v| v.to_string());
+                return Err(format!(
+                    "vertex id {top} is more than {MAX_VERTEX_GAP} past the highest known id ({highest})"
+                ));
+            }
+            self.known = self.known.max(top.saturating_add(1));
+            Ok(op)
+        });
         match parsed {
             Ok(op) => {
                 self.clock = Some(ts);
@@ -244,12 +284,14 @@ impl<R: BufRead> StreamSource for FileSource<'_, R> {
                 return Ok(None);
             }
             self.lineno += 1;
-            let lineno = self.lineno;
-            let line = self.buf.split('#').next().unwrap_or("").trim().to_owned();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(ev) = self.parse_line(&line, lineno)? {
+            // The line buffer leaves `self` while `parse_line` borrows from
+            // it, and comes back with its capacity: no copy per line.
+            let buf = std::mem::take(&mut self.buf);
+            let line = buf.split('#').next().unwrap_or("").trim();
+            let parsed =
+                if line.is_empty() { Ok(None) } else { self.parse_line(line, self.lineno) };
+            self.buf = buf;
+            if let Some(ev) = parsed? {
                 return Ok(Some(ev));
             }
         }
@@ -359,6 +401,52 @@ mod tests {
         got.iter().for_each(|ev| window.push(ev, &mut ops));
         let deletes = ops.iter().filter(|op| matches!(op, UpdateOp::DeleteEdge { .. })).count();
         assert_eq!((deletes, window.expired_count(), window.live_len()), (3, 3, 1));
+    }
+
+    #[test]
+    fn a_vertex_id_far_past_the_known_ones_is_refused() {
+        const GAP: u32 = MAX_VERTEX_GAP;
+        let strict = |text: &str, known: usize| {
+            let mut it = LabelInterner::new();
+            let mut src = FileSource::new(text.as_bytes(), &mut it, ErrorMode::Strict)
+                .with_vertex_count(known);
+            collect_events(&mut src)
+        };
+        // Exactly the gap past the highest known id (2) passes, one more
+        // does not; with no vertex known the first id may be GAP - 1.
+        assert_eq!(strict(&format!("+ 0 {} a\n", 2 + GAP), 3).unwrap().len(), 1);
+        assert_eq!(strict(&format!("v {} A\n", GAP - 1), 0).unwrap().len(), 1);
+        for (text, known) in [
+            (format!("+ 0 1 a\n+ {} 0 a\n", 3 + GAP), 3),
+            (format!("+ 0 1 a\nv {} A B\n", 3 + GAP), 3),
+            (format!("# nothing known yet\n+ 0 {GAP} a\n"), 0),
+        ] {
+            let err = strict(&text, known).unwrap_err();
+            assert_eq!(err.line, 2, "{text}");
+            assert!(err.message.contains("past the highest known id"), "{err}");
+        }
+        let err = strict("+ 0 300000000 knows\n", 3).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 1: vertex id 300000000 is more than 1048576 past the highest known id (2)"
+        );
+        assert!(strict("v 4294967295\n", 0).unwrap_err().message.ends_with("(none)"));
+
+        // Accepted ids move the base: in steps of the gap a stream reaches
+        // any id, and ids below the highest arrive in any order.
+        let text = format!("v {}\n+ {} 5 a\n+ 7 3 a\nv 0 A\n", GAP - 1, 2 * GAP - 1);
+        assert_eq!(strict(&text, 0).unwrap().len(), 4);
+        // A delete creates nothing, whatever it names, and moves nothing.
+        let text = format!("- 0 4000000000 a\n+ 0 {GAP} a\n");
+        assert_eq!(strict(&text, 0).unwrap_err().line, 2);
+
+        // Lenient: the line is skipped with a diagnostic, the next one is
+        // measured from the same base, the clock does not tick.
+        let text = format!("+ 0 1 a\n+ 0 {} a\nv 300000000\n+ 1 {} a\n", 2 + GAP, 1 + GAP);
+        let (got, diags) = parse_all(&text, ErrorMode::Lenient);
+        let got = got.unwrap();
+        assert_eq!(got.iter().map(|e| e.ts).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(diags.iter().map(|d| d.line).collect::<Vec<_>>(), vec![2, 3]);
     }
 
     #[test]

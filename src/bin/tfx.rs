@@ -218,6 +218,7 @@ fn run_main(args: &[String]) -> ExitCode {
         q.edge_count(),
         opts.semantics,
     );
+    let g0_vertices = g0.vertex_count();
     let mut engine = TurboFlux::new(q, g0, TurboFluxConfig::with_semantics(opts.semantics));
 
     let quiet = opts.quiet;
@@ -245,7 +246,8 @@ fn run_main(args: &[String]) -> ExitCode {
 
     let (mut pos, mut neg, mut ops) = (0u64, 0u64, 0u64);
     let started = std::time::Instant::now();
-    let mut source = FileSource::new(reader, &mut interner, ErrorMode::Strict);
+    let mut source =
+        FileSource::new(reader, &mut interner, ErrorMode::Strict).with_vertex_count(g0_vertices);
     // Nobody is left to read what a failed output would be told.
     while out.err.is_none() {
         let ev = match source.next_event() {
@@ -494,6 +496,9 @@ fn stream_main(args: &[String]) -> ExitCode {
         opts.window,
     );
 
+    // The text source measures its vertex-id bound from g0's ids.
+    let g0_vertices = g0.vertex_count();
+
     // Build the target and report initial match counts per engine.
     let cfg =
         TurboFluxConfig { shards: opts.shards, ..TurboFluxConfig::with_semantics(opts.semantics) };
@@ -560,7 +565,8 @@ fn stream_main(args: &[String]) -> ExitCode {
             Ok(r) => r,
             Err(code) => return code,
         };
-        let mut source = FileSource::new(reader, &mut interner, opts.mode);
+        let mut source =
+            FileSource::new(reader, &mut interner, opts.mode).with_vertex_count(g0_vertices);
         let result = run(&mut driver, &mut source, &mut *target, opts.quiet);
         for d in source.diagnostics() {
             eprintln!("warning: {d}");

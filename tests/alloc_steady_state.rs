@@ -155,6 +155,39 @@ fn main() {
 
     warm_multi_cell_batches_allocate_per_batch_not_per_delta();
     println!("test warm_multi_cell_batches_allocate_per_batch_not_per_delta ... ok");
+
+    text_source_lines_of_known_labels_do_not_allocate();
+    println!("test text_source_lines_of_known_labels_do_not_allocate ... ok");
+}
+
+/// `FileSource` reads every line into the one buffer it owns and parses it
+/// there: once the first line has sized the buffer and interned its label, a
+/// line of known labels — timestamped or not, commented or not — costs the
+/// allocator nothing. It used to cost a `String` per line.
+fn text_source_lines_of_known_labels_do_not_allocate() {
+    use turboflux::stream::{ErrorMode, FileSource};
+    const LINES: u32 = 512;
+    let mut text = String::from("@0 + 1000000 999999 knows   # the longest line comes first\n");
+    for i in 1..LINES {
+        let stamp = if i % 2 == 0 { format!("@{i} ") } else { String::new() };
+        let sign = if i % 3 == 0 { '-' } else { '+' };
+        let comment = if i % 5 == 0 { " # noted\n\n" } else { "\n" };
+        text += &format!("{stamp}{sign} {} {} knows{comment}", i % 40, (i * 7) % 40);
+    }
+    let mut interner = LabelInterner::new();
+    let mut source = FileSource::new(text.as_bytes(), &mut interner, ErrorMode::Strict);
+    assert!(source.next_event().expect("well-formed").is_some());
+
+    ARMED.store(true, Ordering::SeqCst);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    let mut events = 1;
+    while let Some(ev) = source.next_event().expect("well-formed") {
+        events += u32::from(!matches!(ev.op, UpdateOp::AddVertex { .. }));
+    }
+    let during = ALLOCS.load(Ordering::SeqCst) - before;
+    ARMED.store(false, Ordering::SeqCst);
+    assert_eq!(events, LINES);
+    assert_eq!(during, 0, "{LINES} text lines of one known label allocated {during} times");
 }
 
 /// The buffered emission of a multi-cell batch (`round::drive`: a fleet of

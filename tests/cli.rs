@@ -115,6 +115,40 @@ fn cli_rejects_a_repeated_query_edge() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One stream line naming a vertex id far past every known one made the
+/// graph fill every slot below it (`+ 0 300000000 knows`: a 3 GB allocation
+/// and SIGABRT). The text source refuses the line where it has a line
+/// number: `error:` and exit 1 in strict mode, a warning and a skipped line
+/// under `--lenient`, for `+` and `v` lines, in run and stream mode.
+#[test]
+fn cli_refuses_a_vertex_id_far_past_the_known_ones() {
+    let dir = std::env::temp_dir().join(format!("tfx-cli7-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let (graph, query) = (testdata("demo_graph.txt"), testdata("demo_query.txt"));
+    let want = "line 2: vertex id 300000000 is more than 1048576 past the highest known id (2)";
+    for (name, line) in [("edge.txt", "+ 0 300000000 knows"), ("vertex.txt", "v 300000000 Person")]
+    {
+        let ops = write(&dir, name, &format!("+ 0 1 knows\n{line}\n+ 1 2 worksAt\n"));
+        let ops = ops.to_str().unwrap();
+        let stream = ["stream", "--query", &query, "--graph", &graph, "--file", ops];
+        let sharded = [&stream[..], &["--shards", "2"]].concat();
+        for args in [&[&graph, &query, "--stream", ops][..], &stream, &sharded] {
+            let out = Command::new(tfx_bin()).args(args).output().expect("run tfx");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(stderr.contains(&format!("error: {want}")), "{args:?}: {stderr}");
+            assert!(!stderr.contains("panicked") && !stderr.contains("allocation"), "{stderr}");
+        }
+        let lenient = [&stream[..], &["--lenient"]].concat();
+        let out = Command::new(tfx_bin()).args(&lenient).output().expect("run tfx stream");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{line}: {stderr}");
+        assert!(stderr.contains(&format!("warning: {want}")), "{line}: {stderr}");
+        assert!(stderr.contains("processed 2 events"), "{line}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 fn testdata(name: &str) -> String {
     format!("{}/testdata/{name}", env!("CARGO_MANIFEST_DIR"))
 }

@@ -9,14 +9,17 @@
 //! deregistered engine silent in batch 2 and the late engine starting from
 //! the registration-time graph state.
 //!
-//! Three scenario generators feed the one comparator:
+//! Four scenario generators feed the one comparator:
 //! * [`plain_scenario`] — small random queries, one batch, no churn;
 //! * [`routed_scenario`] — deeper random queries with register →
 //!   deregister → register churn, ops drawn from a label palette wider than
 //!   any query's so routing provably skips engines (`ops_skipped > 0`);
 //! * [`twin_scenario`] — two identical 4-chain queries (plus random ones)
 //!   over a chain-aligned graph and stream; one twin is deregistered and the
-//!   same query re-registered, so equal engines at different ages coexist.
+//!   same query re-registered, so equal engines at different ages coexist;
+//! * [`churned_scenario`] — batch 1 grows a hub past the flat adjacency
+//!   layout and creates vertices, so the late query's initial DCG is built
+//!   from a graph unlike the compact clone naive replay registers on.
 
 use std::collections::HashSet;
 use turboflux::datagen::Pcg32;
@@ -271,6 +274,42 @@ fn twin_scenario(rng: &mut Pcg32) -> Scenario {
     Scenario { g0, queries, churn: Some((victim, chain_query())), ops1, ops2 }
 }
 
+/// Batch 1 hangs 80 spokes over three labels on one hub, two out of three
+/// outgoing and every third ending on a vertex the edge itself creates, then
+/// deletes and adds at random: by the time the late query registers through
+/// `Fleet::register` the hub's out-run is a label directory, the size classes
+/// it grew through sit on the arena's free lists and a third of the vertices
+/// exist only because the stream named them — while naive replay registers
+/// the same query on a clone, which is laid out compactly.
+fn churned_scenario(rng: &mut Pcg32) -> Scenario {
+    let mut vertices = 6 + rng.below(3) as u32;
+    let g0 = random_graph(rng, vertices, 6, 3);
+    let query = |rng: &mut Pcg32| {
+        let nq = 2 + rng.below(3) as u32;
+        random_query(rng, nq, |_, i| i % 2, true, 3, 4)
+    };
+    let queries = vec![query(rng), query(rng)];
+    let late = query(rng);
+    let mut live = live_edges(&g0);
+    let hub = VertexId(rng.below(vertices as usize) as u32);
+    let mut ops1 = Vec::new();
+    for i in 0..80u32 {
+        let far = if i % 3 == 0 {
+            vertices += 1;
+            VertexId(vertices - 1)
+        } else {
+            VertexId(rng.below(vertices as usize) as u32)
+        };
+        let (a, b) = if i % 3 == 2 { (far, hub) } else { (hub, far) };
+        let l = LabelId(10 + rng.below(3) as u32);
+        ops1.push(UpdateOp::InsertEdge { src: a, label: l, dst: b });
+        live.push((a, l, b));
+    }
+    ops1.extend(random_ops(rng, 20, 3, &mut vertices, &mut live));
+    let ops2 = random_ops(rng, 15, 3, &mut vertices, &mut live);
+    Scenario { g0, queries, churn: Some((0, late)), ops1, ops2 }
+}
+
 /// Naive per-engine replay: one standalone engine per query applying ops
 /// one at a time; the victim stops after batch 1, the late engine starts
 /// from the post-batch-1 graph under the next stable id. Returns the two
@@ -393,4 +432,18 @@ fn twin_fleet_matches_naive_replay_homomorphism() {
 #[test]
 fn twin_fleet_matches_naive_replay_isomorphism() {
     run(twin_scenario, 0x150_5B75, MatchSemantics::Isomorphism, 25, 10, 3);
+}
+
+#[test]
+fn late_registration_on_a_churned_graph_matches_naive_replay() {
+    run(churned_scenario, 0x00C4_0221, MatchSemantics::Homomorphism, 12, 8, 4);
+    run(churned_scenario, 0x0015_0C40, MatchSemantics::Isomorphism, 12, 8, 4);
+    // What the late registration reads, on the fleet's own graph.
+    let s = churned_scenario(&mut Pcg32::new(0x00C4_0221));
+    let mut fleet = Fleet::new(s.g0.clone());
+    fleet.apply_batch(&s.ops1, &mut |_| {});
+    let stats = fleet.graph().storage_stats();
+    assert!(stats.directory_runs > 0, "no run outgrew the flat layout");
+    assert!(stats.free_slots > 0, "nothing churned the arena");
+    assert!(fleet.graph().vertex_count() > s.g0.vertex_count() + 20, "no vertex was created");
 }
