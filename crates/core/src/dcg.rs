@@ -188,6 +188,29 @@ impl Dcg {
         }
     }
 
+    /// The batch lookahead's hint ([`crate::round::lookahead`]) for an
+    /// evaluation that will map data vertex `v` onto query vertex `u`, whose
+    /// tree children are `children`: the path-condition probe reads `v`'s
+    /// in-run labeled `u` (its start edge when `u` is the root),
+    /// `MatchAllChildren` its explicit-out bitmap, and every state test,
+    /// transition and climb below it one of its out-runs labeled with a
+    /// child. Stage 1 hints the home buckets, stage 2 the pooled runs the
+    /// (then cached) buckets name; stage 0 has nothing to do — a bucket's
+    /// address needs no handle. `&self`, allocation-free, any `v`.
+    pub fn prefetch(&self, v: VertexId, u: QVertexId, children: &[QVertexId], stage: u8) {
+        if u != self.root_qv {
+            self.inc[u.index()].prefetch(&self.pool, v, stage);
+        } else if stage == 1 {
+            self.root.prefetch(v.0);
+        }
+        if stage == 1 {
+            self.expl_out_bits.prefetch(v.0);
+        }
+        for c in children {
+            self.out[c.index()].prefetch(&self.pool, v, stage);
+        }
+    }
+
     /// Sizes the tables of the empty DCG for what registration is about to
     /// lay (`crate::bulk`): per non-root query vertex the number of out-runs
     /// and in-runs labeled with it, and the number of start edges.

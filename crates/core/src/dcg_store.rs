@@ -30,7 +30,7 @@
 //! history), which the equivalence oracles rely on.
 
 use tfx_graph::arena::{class_cap, class_for, SlotArena};
-use tfx_graph::VertexId;
+use tfx_graph::{prefetch_at, VertexId};
 
 use crate::dcg::EdgeState;
 
@@ -108,6 +108,16 @@ impl<V: Copy> OpenMap<V> {
                 Some((k, _)) if *k == key => return Some(i),
                 _ => i = (i + 1) & mask,
             }
+        }
+    }
+
+    /// Hints `key`'s home bucket — where [`Self::find`] starts, and with
+    /// Fibonacci hashing under a 7/8 load almost always ends — ahead of a
+    /// probe (the batch lookahead, [`crate::round::lookahead`]).
+    #[inline]
+    pub fn prefetch(&self, key: u32) {
+        if !self.slots.is_empty() {
+            prefetch_at(&self.slots, self.bucket_of(key));
         }
     }
 
@@ -368,6 +378,26 @@ impl RunIndex {
                 RunRef::Pooled { off, len, .. } => pool.arena.run(*off, *len),
                 RunRef::Warm { .. } => &[],
             },
+        }
+    }
+
+    /// The batch lookahead's hint for a coming probe or update of `key`'s
+    /// run: stage 1 its home bucket; stage 2 — the bucket is cached by then —
+    /// the first and middle line of the run, if it is a pooled one.
+    #[inline]
+    pub fn prefetch(&self, pool: &RunPool, key: VertexId, stage: u8) {
+        match stage {
+            1 => self.map.prefetch(key.0),
+            2 => {
+                if let Some(&RunRef::Pooled { off, len, .. }) =
+                    self.map.find(key.0).map(|i| self.map.val(i))
+                {
+                    let data = pool.arena.data();
+                    prefetch_at(data, off as usize);
+                    prefetch_at(data, off as usize + len as usize / 2);
+                }
+            }
+            _ => {}
         }
     }
 

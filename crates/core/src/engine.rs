@@ -23,7 +23,6 @@
 
 use std::cell::Cell;
 
-use rustc_hash::FxHashMap;
 use tfx_graph::{shard_of, AdjacencyMode, DynamicGraph, GraphStats, LabelId, UpdateOp, VertexId};
 use tfx_query::{
     choose_start_vertex_from, matching_edge_counts, ContinuousMatcher, EdgeId, MatchRecord,
@@ -55,12 +54,13 @@ pub struct TurboFlux {
     pub(crate) child_mask: Vec<u64>,
     /// Non-tree query edges incident to each query vertex.
     pub(crate) non_tree_incident: Vec<Vec<EdgeId>>,
-    /// Query edges bucketed by their concrete edge label, so
+    /// Query edges bucketed by their concrete edge label (indexed by
+    /// `label.index()`; a label past the table is in no bucket), so
     /// `matching_query_edges` only inspects edges whose label can match
     /// the updated data edge instead of scanning all of `E(q)`. Endpoint
     /// label-set containment is a per-update predicate (data vertices
     /// carry label *sets*), so it stays a per-candidate check.
-    pub(crate) qedge_by_label: FxHashMap<LabelId, Vec<EdgeId>>,
+    pub(crate) qedge_by_label: Vec<Vec<EdgeId>>,
     /// Query edges with no label constraint (match any data label).
     pub(crate) qedge_wildcard: Vec<EdgeId>,
     /// Drift detection for `AdjustMatchingOrder`.
@@ -170,12 +170,17 @@ impl TurboFlux {
                 non_tree_incident[qe.dst.index()].push(e);
             }
         }
-        let mut qedge_by_label: FxHashMap<LabelId, Vec<EdgeId>> = FxHashMap::default();
+        let mut qedge_by_label: Vec<Vec<EdgeId>> = Vec::new();
         let mut qedge_wildcard = Vec::new();
         for i in 0..q.edge_count() as u32 {
             let e = EdgeId(i);
             match q.edge(e).label {
-                Some(l) => qedge_by_label.entry(l).or_default().push(e),
+                Some(l) => {
+                    if qedge_by_label.len() <= l.index() {
+                        qedge_by_label.resize_with(l.index() + 1, Vec::new);
+                    }
+                    qedge_by_label[l.index()].push(e);
+                }
                 None => qedge_wildcard.push(e),
             }
         }
@@ -391,29 +396,69 @@ impl TurboFlux {
         self.scratch = scratch;
     }
 
-    /// Applies one update operation to the engine-owned graph, reporting
-    /// positive / negative matches (Algorithm 2, lines 12–20): one round of
-    /// [`crate::round`] on a single engine. Standalone mode only — with
-    /// [`TurboFlux::register`] the caller drives the `eval_*` methods
+    /// Applies `ops` in order to the engine-owned graph, reporting every
+    /// match as `sink(op index, positiveness, record)` (Algorithm 2, lines
+    /// 12–20): one round of [`crate::round`] per op on a single engine —
+    /// stage, evaluate, finalize — with the batch lookahead
+    /// ([`round::lookahead`]) pulling the graph runs and DCG buckets of the
+    /// ops a few rounds ahead into cache meanwhile. Batching changes when an
+    /// op's memory is fetched, never what it emits. Standalone mode only —
+    /// with [`TurboFlux::register`] the caller drives the `eval_*` methods
     /// directly.
-    pub fn apply_op(&mut self, op: &UpdateOp, sink: &mut dyn FnMut(Positiveness, &MatchRecord)) {
-        let round = round::stage(&mut self.g, op);
-        if round == Round::Skip {
-            return;
-        }
-        let g = std::mem::take(&mut self.g);
-        if let Some(from) = round.new_vertices() {
-            self.register_new_vertices(&g, from);
-        }
-        match round {
-            Round::Insert { src, label, dst, .. } => {
-                self.eval_inserted_edge(&g, src, label, dst, sink)
+    pub fn apply_batch(
+        &mut self,
+        ops: &[UpdateOp],
+        sink: &mut dyn FnMut(usize, Positiveness, &MatchRecord),
+    ) {
+        // Evaluation borrows the engine mutably and the graph shared: the
+        // graph steps out of the engine for the batch.
+        let mut g = std::mem::take(&mut self.g);
+        for (i, op) in ops.iter().enumerate() {
+            round::lookahead(ops, i, |src, label, dst, stage| {
+                g.prefetch_edge(src, label, dst, stage);
+                self.prefetch_dcg(src, label, dst, stage);
+            });
+            let round = round::stage(&mut g, op);
+            if let Some(from) = round.new_vertices() {
+                self.register_new_vertices(&g, from);
             }
-            Round::Delete { src, label, dst } => self.eval_deleting_edge(&g, src, label, dst, sink),
-            Round::Skip | Round::Register { .. } => {}
+            let mut sink = |p, r: &MatchRecord| sink(i, p, r);
+            match round {
+                Round::Insert { src, label, dst, .. } => {
+                    self.eval_inserted_edge(&g, src, label, dst, &mut sink)
+                }
+                Round::Delete { src, label, dst } => {
+                    self.eval_deleting_edge(&g, src, label, dst, &mut sink)
+                }
+                Round::Skip | Round::Register { .. } => {}
+            }
+            round::finalize(&mut g, &round);
         }
         self.g = g;
-        round::finalize(&mut self.g, &round);
+    }
+
+    /// Hints the DCG buckets and runs a coming evaluation of the data edge
+    /// `(src, label, dst)` will probe: for every query edge the label can
+    /// match, what mapping `src` onto its source and `dst` onto its target
+    /// reads ([`Dcg::prefetch`]). The DCG half of the batch lookahead, for a
+    /// caller that drives the `eval_*` methods itself and holds ops ahead of
+    /// the one it evaluates; `stage` as in
+    /// [`DynamicGraph::prefetch_edge`], which is the graph half. Changes
+    /// nothing observable and never allocates.
+    pub fn prefetch_dcg(&self, src: VertexId, label: LabelId, dst: VertexId, stage: u8) {
+        if stage == 0 {
+            return;
+        }
+        for e in self.qedges_for(label) {
+            let qe = self.q.edge(e);
+            self.dcg.prefetch(src, qe.src, self.tree.children(qe.src), stage);
+            self.dcg.prefetch(dst, qe.dst, self.tree.children(qe.dst), stage);
+        }
+    }
+
+    /// [`Self::apply_batch`] of the one op.
+    pub fn apply_op(&mut self, op: &UpdateOp, sink: &mut dyn FnMut(Positiveness, &MatchRecord)) {
+        self.apply_batch(std::slice::from_ref(op), &mut |_, p, r| sink(p, r));
     }
 
     /// Registers start candidates for every data vertex with id ≥ `from`
@@ -450,6 +495,14 @@ impl TurboFlux {
         }
     }
 
+    /// The query edges a data edge labeled `label` can match: its bucket,
+    /// then the label-wildcard edges.
+    #[inline]
+    pub(crate) fn qedges_for(&self, label: LabelId) -> impl Iterator<Item = EdgeId> + '_ {
+        let bucket = self.qedge_by_label.get(label.index()).map_or(&[][..], Vec::as_slice);
+        bucket.iter().chain(&self.qedge_wildcard).copied()
+    }
+
     /// Fills `scratch.tree_edges` / `scratch.non_tree` with the query edges
     /// matching the data edge `(src, label, dst)`, in processing order
     /// (tree edges by ascending order key, then non-tree edges by ascending
@@ -465,8 +518,7 @@ impl TurboFlux {
     ) {
         scratch.tree_edges.clear();
         scratch.non_tree.clear();
-        let bucket = self.qedge_by_label.get(&label).map_or(&[][..], Vec::as_slice);
-        for &e in bucket.iter().chain(&self.qedge_wildcard) {
+        for e in self.qedges_for(label) {
             if self.q.edge_matches(g, e, src, label, dst) {
                 if self.tree.is_tree_edge(e) {
                     scratch.tree_edges.push(e);

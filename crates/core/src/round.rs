@@ -114,6 +114,40 @@ pub(crate) fn finalize(graph: &mut DynamicGraph, round: &Round) {
     }
 }
 
+/// Rounds between one hint stage of the batch lookahead and the next: long
+/// enough for a line to arrive from memory, short enough that it is still
+/// cached when its round runs. Not a knob — 1, 2, 3, 4, 6 and 8 measured
+/// alike (DESIGN.md, "Batch lookahead").
+const LOOKAHEAD: usize = 2;
+
+/// The batch lookahead: before the round of `ops[i]`, hands `hint` the edge
+/// ops that run `4·LOOKAHEAD`, `2·LOOKAHEAD` and `LOOKAHEAD` rounds later,
+/// at stages 0, 1 and 2 — a three-stage software pipeline over the batch in
+/// which every stage reads only what the stage before it pulled into cache
+/// ([`DynamicGraph::prefetch_edge`], [`crate::TurboFlux::prefetch_dcg`]), so
+/// a hint never takes the miss it is there to hide. An op waits on memory
+/// for most of its round (the first touch of a vertex's handles, of an
+/// adjacency slot, of a DCG bucket), every one of those addresses follows
+/// from `(src, label, dst)` and state that exists before the round, and the
+/// rest of the batch is already in hand. A hint reads a snapshot that the
+/// rounds in between may outdate (a vertex not created yet, a run that
+/// moved): a wasted hint, never a wrong result — hints change nothing.
+#[inline]
+pub(crate) fn lookahead(
+    ops: &[UpdateOp],
+    i: usize,
+    mut hint: impl FnMut(VertexId, LabelId, VertexId, u8),
+) {
+    for (stage, rounds) in [(0, 4 * LOOKAHEAD), (1, 2 * LOOKAHEAD), (2, LOOKAHEAD)] {
+        if let Some(
+            &UpdateOp::InsertEdge { src, label, dst } | &UpdateOp::DeleteEdge { src, label, dst },
+        ) = ops.get(i + rounds)
+        {
+            hint(src, label, dst, stage);
+        }
+    }
+}
+
 /// One cell to run in a round. `eval == false` restricts it to registering
 /// the round's new vertices (the cell has no interest in the edge itself).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -165,6 +199,13 @@ pub(crate) trait Rounds {
     /// How many cells evaluate each query (≥ 1): cell `c` belongs to query
     /// `c / cells_per_query`.
     fn cells_per_query(&self) -> usize;
+
+    /// The runtime's part of the batch lookahead ([`lookahead`]): hints, at
+    /// `stage`, what a coming round of the edge `(src, label, dst)` will
+    /// touch. Both runtimes hint the graph they share and leave their cells'
+    /// DCGs alone — hinting those too measured slower on both (DESIGN.md,
+    /// "Batch lookahead"), so the hook is not handed the cells.
+    fn hint(&self, src: VertexId, label: LabelId, dst: VertexId, stage: u8);
 
     /// Stages `op` (graph mutation via [`stage`] plus whatever the runtime
     /// keeps in step with the graph) and fills `targets` (via [`route`]).
@@ -236,6 +277,7 @@ pub(crate) fn drive<R: Rounds>(
         buf.words.clear();
     }
     for (op_index, op) in ops.iter().enumerate() {
+        lookahead(ops, op_index, |src, label, dst, stage| rt.hint(src, label, dst, stage));
         let round = rt.stage(op, cells, targets);
         for &target in targets.iter() {
             let cell = &mut cells[target.cell];
@@ -350,6 +392,35 @@ mod tests {
         assert_eq!(Round::Register { from: v(6) }.new_vertices(), Some(v(6)));
     }
 
+    /// Before round `i` the lookahead hints the edge ops 4·d, 2·d and d
+    /// rounds ahead at stages 0, 1 and 2 — so every edge op far enough into
+    /// the batch passes through all three, in stage order, before its round
+    /// — skips vertex ops, and stops at the end of the batch.
+    #[test]
+    fn lookahead_hints_each_edge_op_once_per_stage_ahead_of_its_round() {
+        let mut ops: Vec<UpdateOp> = (0..40).map(|i| ins(i, i + 1)).collect();
+        ops[13] = UpdateOp::AddVertex { id: v(99), labels: LabelSet::empty() };
+        ops[20] = del(20, 21);
+        let mut seen = vec![Vec::new(); ops.len()];
+        for i in 0..ops.len() {
+            lookahead(&ops, i, |src, label, dst, stage| {
+                assert_eq!((label, dst.0), (L, src.0 + 1));
+                seen[src.index()].push((stage, i));
+            });
+        }
+        for (at, hints) in seen.iter().enumerate() {
+            let d = LOOKAHEAD;
+            let want: Vec<(u8, usize)> = [(0, 4 * d), (1, 2 * d), (2, d)]
+                .into_iter()
+                .filter(|&(_, ahead)| at >= ahead && at != 13)
+                .map(|(stage, ahead)| (stage, at - ahead))
+                .collect();
+            assert_eq!(hints, &want, "op {at}");
+        }
+        lookahead(&[], 0, |_, _, _, _| panic!("an empty batch hints nothing"));
+        lookahead(&ops[..LOOKAHEAD], 0, |_, _, _, _| panic!("nor does one shorter than d"));
+    }
+
     #[test]
     fn route_targets_the_interested_and_whoever_must_register() {
         let mut out = vec![Target { cell: 9, eval: true }];
@@ -406,6 +477,10 @@ mod tests {
 
         fn cells_per_query(&self) -> usize {
             self.per_query
+        }
+
+        fn hint(&self, _: VertexId, _: LabelId, _: VertexId, _: u8) {
+            panic!("toy ops are AddVertex: nothing to hint");
         }
 
         fn stage(

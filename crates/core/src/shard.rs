@@ -93,8 +93,7 @@ impl TurboFlux {
         out: &mut Vec<Seed>,
     ) {
         out.clear();
-        let bucket = self.qedge_by_label.get(&label).map_or(&[][..], Vec::as_slice);
-        for &e in bucket.iter().chain(&self.qedge_wildcard) {
+        for e in self.qedges_for(label) {
             if self.q.edge_matches(g, e, src, label, dst) {
                 out.push(Seed { e, tree: self.tree.is_tree_edge(e), inv: 0 });
             }
@@ -188,6 +187,12 @@ impl Rounds for Shared {
 
     fn cells_per_query(&self) -> usize {
         self.shards
+    }
+
+    /// The shared graph only: hinting every slice's DCG buckets as well read
+    /// ×1.03 on `netflow_shards2` where this reads ×1.07.
+    fn hint(&self, src: VertexId, label: LabelId, dst: VertexId, stage: u8) {
+        self.graph.prefetch_edge(src, label, dst, stage);
     }
 
     fn stage(&mut self, op: &UpdateOp, engines: &[TurboFlux], targets: &mut Vec<Target>) -> Round {

@@ -32,7 +32,7 @@
 
 use crate::arena::{class_cap, class_for, SlotArena};
 use crate::ids::{LabelId, VertexId};
-use crate::intersect::contains_sorted;
+use crate::intersect::{contains_sorted, prefetch_at};
 
 // One arena word. Labels, slot offsets and lengths are stored in the same
 // 4-byte words as neighbor ids so that every id run can be borrowed as a
@@ -323,6 +323,41 @@ impl Adjacency {
         let (labels, ids) = self.flat(a);
         let (lo, hi) = run_bounds(labels, label);
         LabeledNeighbors(&ids[lo..hi])
+    }
+
+    /// The batch lookahead's hint (`tfx_core::round::lookahead`) for a coming
+    /// probe, insert or delete of a `(label, ·)` entry, given that the stage
+    /// before pulled in what this one reads. Stage 1 reads the handle and
+    /// hints the slot it names: a flat run's label half and id half (first
+    /// and last entry — a half is at most [`FLAT_MAX`] words at any
+    /// alignment), a directory's first and middle record. Stage 2 searches
+    /// the directory, cached by then, and hints the first and middle line of
+    /// `label`'s id run; a flat run has nothing left to hint.
+    #[inline]
+    pub(crate) fn prefetch(&self, a: &Arena, label: LabelId, stage: u8) {
+        let (data, off) = (a.data(), self.off as usize);
+        match (stage, self.is_directory()) {
+            (1, false) if self.len > 0 => {
+                let last = self.len() - 1;
+                for half in [off, off + self.flat_cap()] {
+                    prefetch_at(data, half);
+                    prefetch_at(data, half + last);
+                }
+            }
+            (1, true) => {
+                prefetch_at(data, off);
+                prefetch_at(data, off + self.groups as usize / 2 * REC);
+            }
+            (2, true) => {
+                let dir = self.dir(a);
+                if let Ok(g) = find_group(dir, label) {
+                    let (goff, glen) = (dir[g * REC + 1].index(), dir[g * REC + 2].index());
+                    prefetch_at(data, goff);
+                    prefetch_at(data, goff + glen / 2);
+                }
+            }
+            _ => {}
+        }
     }
 
     /// Every label group as `(label, sorted ids)`, in label order.

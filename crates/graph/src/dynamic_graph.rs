@@ -21,6 +21,7 @@ use crate::adjacency::{
     Adjacency, AdjacencyMode, Arena, LabeledNeighbors, MatchingNeighbors, Neighbors, FLAT_MAX,
 };
 use crate::ids::{LabelId, VertexId};
+use crate::intersect::prefetch_at;
 use crate::labels::LabelSet;
 use crate::stream::UpdateOp;
 
@@ -249,6 +250,28 @@ impl DynamicGraph {
             out.labeled(&self.arena, label).contains(dst)
         } else {
             inc.labeled(&self.arena, label).contains(src)
+        }
+    }
+
+    /// Hints what a coming insert, delete or evaluation of the edge
+    /// `(src, label, dst)` will touch, for a caller that holds the op some
+    /// rounds before it applies it (`tfx_core`'s batch lookahead). Three
+    /// stages, each reading only what the one before it pulled into cache, so
+    /// that no hint waits on memory itself: **0** the handle pairs and label
+    /// sets of `src` and `dst`; **1** the slots the out-handle of `src` and
+    /// the in-handle of `dst` name; **2** inside a label directory, `label`'s
+    /// id run. Changes nothing the caller can observe, never allocates, and
+    /// accepts any id — an endpoint the graph does not hold yet (an earlier
+    /// op of the same batch creates it) hints nothing.
+    #[inline]
+    pub fn prefetch_edge(&self, src: VertexId, label: LabelId, dst: VertexId, stage: u8) {
+        for (v, dir) in [(src, OUT), (dst, IN)] {
+            if stage == 0 {
+                prefetch_at(&self.runs, v.index());
+                prefetch_at(&self.vertex_labels, v.index());
+            } else if let Some(pair) = self.runs.get(v.index()) {
+                pair[dir].prefetch(&self.arena, label, stage);
+            }
         }
     }
 
@@ -587,6 +610,34 @@ mod tests {
             assert!(!g.apply(&UpdateOp::DeleteEdge { src: s, label: l(1), dst: d }));
         }
         assert_eq!((g.vertex_count(), g.edge_count()), (2, 1));
+    }
+
+    /// A hint takes any id at any stage, over every layout — an empty graph,
+    /// empty runs, flat runs, a hub's directory, a label the directory lacks —
+    /// and leaves the graph as it found it.
+    #[test]
+    fn prefetch_edge_accepts_anything_and_changes_nothing() {
+        let hint_all = |g: &DynamicGraph| {
+            for (s, d) in [(0, 1), (1, 0), (0, 0), (0, 900), (900, 0), (900, 901)] {
+                for stage in 0..4 {
+                    for label in [l(1), l(2), l(77)] {
+                        g.prefetch_edge(VertexId(s), label, VertexId(d), stage);
+                    }
+                }
+            }
+        };
+        hint_all(&DynamicGraph::new());
+        let mut g = labeled_graph(2 * FLAT_MAX + 2);
+        hint_all(&g);
+        for i in 1..=2 * FLAT_MAX as u32 {
+            g.insert_edge(VertexId(0), l(1 + i % 2), VertexId(i));
+            g.insert_edge(VertexId(i), l(1), VertexId(1));
+        }
+        assert!(g.out_is_directory(VertexId(0)) && g.in_is_directory(VertexId(1)));
+        let before: Vec<EdgeRef> = g.edges().collect();
+        hint_all(&g);
+        assert!(g.edges().eq(before));
+        g.validate();
     }
 
     #[test]

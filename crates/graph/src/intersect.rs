@@ -202,6 +202,34 @@ mod sse2 {
     }
 }
 
+/// Hints the cache line holding `*r` into every cache level, for a caller
+/// that knows which lines a later step will touch (the batch lookahead of
+/// `tfx_core::round`). It has no architectural effect — nothing is read, no
+/// fault is raised, program state is unchanged — so the only cost of a hint
+/// whose target moved before its use is the hint itself. A no-op off
+/// `x86_64`.
+#[inline(always)]
+pub fn prefetch<T>(r: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: PREFETCHT0 never dereferences its operand (and `r` is a valid
+    // reference anyway); SSE is part of the x86_64 baseline.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(r).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = r;
+}
+
+/// [`prefetch`] of `table[i]`; an index past the table (a vertex a later op
+/// creates, a slot the arena has not carved) hints nothing.
+#[inline(always)]
+pub fn prefetch_at<T>(table: &[T], i: usize) {
+    if let Some(r) = table.get(i) {
+        prefetch(r);
+    }
+}
+
 /// Naive two-pointer sorted-merge reference — the differential-testing
 /// ground truth for every kernel above (and the "pre-kernel path" a
 /// per-element binary search approximates).
@@ -309,6 +337,23 @@ mod tests {
         assert!(contains_sorted(&long, VertexId(99)));
         assert!(!contains_sorted(&long, VertexId(100)));
         assert!(!contains_sorted(&[], VertexId(0)));
+    }
+
+    /// The hint methods of the graph and the DCG take indices: the last
+    /// element is hinted, one past it and anything in an empty (or
+    /// zero-sized-element) table is not looked at.
+    #[test]
+    fn prefetch_stays_inside_the_table() {
+        // Exactly sized, so one past the end is not this allocation's.
+        let table: Box<[u64]> = (0..8).collect();
+        prefetch(&table[7]);
+        for i in [0, 7, 8, 9, usize::MAX] {
+            prefetch_at(&table, i);
+        }
+        prefetch_at::<u64>(&[], 0);
+        prefetch_at(&[(); 3], 2);
+        prefetch_at(&[(); 3], 3);
+        assert_eq!(*table, [0, 1, 2, 3, 4, 5, 6, 7], "a hint changes nothing");
     }
 
     #[test]

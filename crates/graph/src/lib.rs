@@ -33,7 +33,7 @@ pub mod stream;
 pub use adjacency::{AdjacencyMode, LabeledNeighbors, MatchingNeighbors, Neighbors, FLAT_MAX};
 pub use dynamic_graph::{DynamicGraph, EdgeRef, StorageStats};
 pub use ids::{LabelId, VertexId};
-pub use intersect::{contains_sorted, intersect_into, GALLOP_RATIO};
+pub use intersect::{contains_sorted, intersect_into, prefetch, prefetch_at, GALLOP_RATIO};
 pub use labels::{LabelInterner, LabelSet};
 pub use sharded::shard_of;
 pub use stats::GraphStats;

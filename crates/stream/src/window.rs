@@ -31,6 +31,16 @@
 //!
 //! Only stream inserts are windowed: the initial graph `g0` is standing
 //! state, exactly like a `CREATE`-loaded warehouse before a `WSCAN` starts.
+//!
+//! # What the window keeps
+//!
+//! An entry is retained only while something can ask for it back: a time or
+//! count bound (expiry), or an end-of-stream [`SlidingWindow::drain`]. An
+//! [`WindowSpec::Unbounded`] window that will never be drained — which
+//! [`crate::StreamDriver::new`] knows from its `BatchPolicy::drain_at_end` —
+//! is *forward-only*: it passes every op through and records nothing, so
+//! its memory does not grow with the stream and [`SlidingWindow::live_len`]
+//! reads 0.
 
 use std::collections::VecDeque;
 
@@ -43,7 +53,8 @@ use crate::event::StreamEvent;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum WindowSpec {
     /// No expiry; the window only forwards ops (and still de-duplicates
-    /// nothing — it is a pass-through).
+    /// nothing — it is a pass-through). Its inserts are retained for an
+    /// end-of-stream drain, unless the driver knows there will be none.
     Unbounded,
     /// Edges live for `width` ticks: valid over `[ts, ts + width)`.
     Time {
@@ -101,6 +112,8 @@ pub struct SlidingWindow {
     live_total: usize,
     /// Expiry deletes emitted so far.
     expired: u64,
+    /// False for a forward-only window: inserts are forwarded, not recorded.
+    retain: bool,
 }
 
 impl SlidingWindow {
@@ -119,10 +132,21 @@ impl SlidingWindow {
             cancelled: FxHashMap::default(),
             live_total: 0,
             expired: 0,
+            retain: true,
         }
     }
 
-    /// Number of live stream inserts currently inside the window.
+    /// Tells an unbounded window that nobody will [`Self::drain`] it: with no
+    /// bound either, no entry can ever be asked back, and it stops recording
+    /// them. A bounded window needs its entries and is left as it is.
+    pub(crate) fn forward_only(&mut self) {
+        debug_assert!(self.entries.is_empty(), "decided before the first event");
+        self.retain = self.spec != WindowSpec::Unbounded;
+    }
+
+    /// Number of live stream inserts currently inside the window: 0 for a
+    /// forward-only window (an unbounded one under a driver that does not
+    /// drain at end of stream), which records none.
     pub fn live_len(&self) -> usize {
         self.live_total
     }
@@ -143,6 +167,9 @@ impl SlidingWindow {
             UpdateOp::AddVertex { .. } => out.push(ev.op.clone()),
             UpdateOp::InsertEdge { src, label, dst } => {
                 out.push(ev.op.clone());
+                if !self.retain {
+                    return;
+                }
                 let key = (src, label, dst);
                 self.entries.push_back(Entry { ts: ev.ts, key });
                 *self.live.entry(key).or_insert(0) += 1;
@@ -373,6 +400,60 @@ mod tests {
         let evs = [ins(0, 0, 1), del(100, 0, 1), ins(200, 1, 2)];
         let out = run(WindowSpec::Unbounded, &evs);
         assert_eq!(out, vec![ins_op(0, 1), del_op(0, 1), ins_op(1, 2)]);
+    }
+
+    /// Forward-only emits what a retaining unbounded window emits — inserts,
+    /// duplicates, explicit deletes (of streamed and of never-seen edges) and
+    /// vertex events alike — and holds nothing; a bounded window ignores the
+    /// request.
+    #[test]
+    fn a_forward_only_window_forwards_the_same_ops_and_keeps_none() {
+        let vertex =
+            StreamEvent::new(3, UpdateOp::AddVertex { id: VertexId(7), labels: LabelSet::empty() });
+        let evs = [
+            ins(0, 0, 1),
+            ins(1, 0, 1),
+            del(2, 0, 1),
+            vertex,
+            del(4, 5, 6),
+            ins(5, 0, 1),
+            ins(6, 1, 2),
+        ];
+        let mut w = SlidingWindow::new(WindowSpec::Unbounded);
+        w.forward_only();
+        let mut out = Vec::new();
+        for ev in &evs {
+            w.push(ev, &mut out);
+        }
+        assert_eq!(out, run(WindowSpec::Unbounded, &evs));
+        assert_eq!(out, evs.iter().map(|ev| ev.op.clone()).collect::<Vec<_>>());
+        assert_eq!((w.live_len(), w.entries.len(), w.live.len(), w.cancelled.len()), (0, 0, 0, 0));
+        assert_eq!(w.expired_count(), 0);
+
+        let mut bounded = SlidingWindow::new(WindowSpec::Count { capacity: 1 });
+        bounded.forward_only();
+        out.clear();
+        for ev in [ins(0, 0, 1), ins(1, 1, 2)] {
+            bounded.push(&ev, &mut out);
+        }
+        assert_eq!(out, vec![ins_op(0, 1), ins_op(1, 2), del_op(0, 1)], "still evicts");
+        assert_eq!(bounded.live_len(), 1);
+    }
+
+    /// Without the driver's say-so an unbounded window retains, so that a
+    /// drain retracts every streamed edge still standing.
+    #[test]
+    fn an_unbounded_window_drains_what_it_forwarded() {
+        let mut w = SlidingWindow::new(WindowSpec::Unbounded);
+        let mut out = Vec::new();
+        for ev in [ins(0, 0, 1), ins(1, 1, 2), del(2, 0, 1), ins(3, 2, 3)] {
+            w.push(&ev, &mut out);
+        }
+        assert_eq!(w.live_len(), 2);
+        out.clear();
+        w.drain(&mut out);
+        assert_eq!(out, vec![del_op(1, 2), del_op(2, 3)]);
+        assert_eq!(w.live_len(), 0);
     }
 
     #[test]

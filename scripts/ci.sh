@@ -21,6 +21,14 @@ if grep -rnE "std::thread|std::sync" crates/core/src crates/stream/src src; then
   exit 1
 fi
 
+echo "=== no unsafe in the engine, the stream layer or the CLI ==="
+# `unsafe` lives in tfx-graph alone: the SIMD intersection kernels and the one
+# `prefetch` wrapper the batch lookahead hints through.
+if grep -rnw "unsafe" crates/core/src crates/stream/src src; then
+  echo "ci: unsafe code outside tfx-graph" >&2
+  exit 1
+fi
+
 echo "=== cargo build --release (workspace) ==="
 cargo build --offline --release --workspace
 
@@ -98,6 +106,28 @@ if [ "$deltas" != "4" ]; then
   echo "tfx stream smoke: expected 4 deltas, got $deltas" >&2
   exit 1
 fi
+
+echo "=== tfx unbounded-window smoke ==="
+# `--window none` without `--drain` is forward-only: the window holds no
+# entry (`window live 0`), and the deltas are those of a window that cannot
+# expire anything — a count window wider than the stream.
+tmp_none="$(mktemp -d)"
+for w in none count:1000; do
+  target/release/tfx stream \
+    --query testdata/demo_query.txt --graph testdata/demo_graph.txt \
+    --file testdata/demo_stream.txt --window "$w" \
+    > "$tmp_none/$w.out" 2> "$tmp_none/$w.err"
+  grep '"type":"delta"' "$tmp_none/$w.out" > "$tmp_none/$w.deltas"
+done
+if ! grep -q "window live 0$" "$tmp_none/none.err"; then
+  echo "tfx unbounded-window smoke: expected 'window live 0', got: $(tail -n1 "$tmp_none/none.err")" >&2
+  exit 1
+fi
+if ! [ -s "$tmp_none/none.deltas" ] || ! cmp -s "$tmp_none/none.deltas" "$tmp_none/count:1000.deltas"; then
+  echo "tfx unbounded-window smoke: --window none deltas differ from a never-full count window's" >&2
+  exit 1
+fi
+rm -rf "$tmp_none"
 
 echo "=== tfx sharded smoke ==="
 # The sharded runtime's determinism contract, end to end through the CLI:

@@ -291,20 +291,136 @@ fn drain_restores_zero_sum() {
             })
             .cloned()
             .collect();
-        let mut engine = TurboFlux::new(
-            scenario.queries[0].clone(),
-            scenario.g0.clone(),
-            TurboFluxConfig::default(),
-        );
-        let mut source = VecSource::new(events);
-        let mut driver = StreamDriver::new(
-            SlidingWindow::new(WindowSpec::Count { capacity: 3 }),
-            BatchPolicy { drain_at_end: true, ..BatchPolicy::default() },
-        );
-        let mut sink = CountingSink::default();
-        let summary = driver.run(&mut source, &mut engine, &mut sink).unwrap();
-        assert_eq!(sink.positive, sink.negative, "drain must cancel every match (seed {seed})");
-        assert_eq!(driver.window().live_len(), 0);
-        assert_eq!(summary.positive, sink.positive);
+        // An unbounded window under a draining policy retains what it
+        // forwards (it is forward-only only when nothing drains it).
+        for spec in [WindowSpec::Count { capacity: 3 }, WindowSpec::Unbounded] {
+            let mut engine = TurboFlux::new(
+                scenario.queries[0].clone(),
+                scenario.g0.clone(),
+                TurboFluxConfig::default(),
+            );
+            let mut source = VecSource::new(events.clone());
+            let mut driver = StreamDriver::new(
+                SlidingWindow::new(spec),
+                BatchPolicy { drain_at_end: true, ..BatchPolicy::default() },
+            );
+            let mut sink = CountingSink::default();
+            let summary = driver.run(&mut source, &mut engine, &mut sink).unwrap();
+            assert_eq!(sink.positive, sink.negative, "drain must cancel every match (seed {seed})");
+            assert_eq!(driver.window().live_len(), 0);
+            assert_eq!(summary.positive, sink.positive);
+            assert_eq!(engine.graph().edge_count(), scenario.g0.edge_count(), "{spec:?}");
+        }
+    }
+}
+
+/// A stream built to put every hazard of the batch lookahead (`round::drive`
+/// and `TurboFlux::apply_batch` hint the ops 2, 4 and 8 rounds ahead) inside
+/// one batch, within that distance of each other: an `AddVertex` and the
+/// insert that uses it; straggler inserts that grow the vertex table, one by
+/// a gap; deletes naming ids no line ever created; a duplicate insert; a
+/// label no query names; and a hub grown edge by edge from an empty graph —
+/// so the graph arena, the hub's flat run (it unfolds into a directory and
+/// folds back) and the DCG pool all move between an op's hints and its round
+/// — then torn down again.
+fn lookahead_hazards() -> Scenario {
+    let (a, b) = (LabelId(0), LabelId(1));
+    let (r, s) = (LabelId(10), LabelId(11));
+    let v = VertexId;
+    let mut g0 = DynamicGraph::new();
+    for label in [a, b, a, b] {
+        g0.add_vertex(LabelSet::single(label));
+    }
+    let path = |second: Option<LabelId>| {
+        let mut q = QueryGraph::new();
+        let us: Vec<_> = [a, b, a].iter().map(|&l| q.add_vertex(LabelSet::single(l))).collect();
+        q.add_edge(us[0], us[1], Some(r));
+        q.add_edge(us[1], us[2], second);
+        q
+    };
+    let add = |id, label| UpdateOp::AddVertex { id: v(id), labels: LabelSet::single(label) };
+    let ins = |src, label, dst| UpdateOp::InsertEdge { src: v(src), label, dst: v(dst) };
+    let del = |src, label, dst| UpdateOp::DeleteEdge { src: v(src), label, dst: v(dst) };
+    let mut ops = vec![
+        add(4, a),
+        ins(4, r, 1),     // the vertex of the line before
+        ins(1, s, 2),     // completes 4 -r-> 1 -s-> 2
+        ins(0, r, 9),     // straggler: creates 5..=9 label-less
+        ins(7, s, 0),     // uses a vertex of the gap
+        del(500, r, 501), // ids past the table, three ways
+        del(0, r, 999),
+        del(999, s, 0),
+        ins(4, r, 1),           // duplicate
+        ins(0, LabelId(77), 1), // a label no query names (past every table)
+    ];
+    // The hub 0 -r-> B_k, each B_k announced right before its edge and given
+    // a second hop onto an A vertex: matches appear as the hub grows through
+    // every size class, past FLAT_MAX and into a directory.
+    const HUB: u32 = 48;
+    for k in 0..HUB {
+        ops.extend([add(10 + k, b), ins(0, r, 10 + k)]);
+        if k % 3 == 0 {
+            ops.push(ins(10 + k, s, 2 + (k % 2) * 2));
+        }
+    }
+    ops.push(ins(1, r, 10 + HUB + 3)); // a second straggler, past the hub's leaves
+                                       // Tear the hub down to below half of FLAT_MAX: the directory folds back.
+    ops.extend((0..HUB - 8).map(|k| del(0, r, 10 + k)));
+    ops.extend([del(4, r, 1), del(4, r, 1)]); // the second one is missing
+    assert!(ops.len() <= 256, "one default batch holds the scenario: {}", ops.len());
+
+    // The hazards the scenario is for do occur.
+    let mut g = g0.clone();
+    let (mut unfolded, mut folded, mut grew) = (false, false, 0);
+    for op in &ops {
+        let (was_dir, before) = (g.out_is_directory(v(0)), g.vertex_count());
+        if let UpdateOp::InsertEdge { src, dst, .. } = *op {
+            g.ensure_vertex(v(src.0.max(dst.0)), LabelSet::empty());
+        }
+        g.apply(op);
+        unfolded |= !was_dir && g.out_is_directory(v(0));
+        folded |= was_dir && !g.out_is_directory(v(0));
+        grew += usize::from(g.vertex_count() > before + 1);
+    }
+    assert!(unfolded && folded && grew >= 2, "{unfolded} {folded} {grew}");
+
+    let events = ops.into_iter().enumerate().map(|(i, op)| StreamEvent::new(i as u64, op));
+    Scenario { g0, queries: vec![path(Some(s)), path(None)], events: events.collect() }
+}
+
+/// Every runtime, at batch sizes below, around and above the lookahead
+/// distances, emits on [`lookahead_hazards`] exactly what a fresh fleet fed
+/// one op per batch — where no op is ever hinted — emits.
+#[test]
+fn batches_with_hazards_inside_the_lookahead_match_the_one_op_replay() {
+    let scenario = lookahead_hazards();
+    let ops: Vec<UpdateOp> = scenario.events.iter().map(|ev| ev.op.clone()).collect();
+    let cfg = TurboFluxConfig { adjust_matching_order: false, ..TurboFluxConfig::default() };
+    let want = by_engine(replay_with(&scenario, cfg, &ops));
+    assert!(want.iter().any(|d| d.2 == Positiveness::Positive && d.1 == 0));
+    assert!(want.iter().any(|d| d.2 == Positiveness::Negative && d.1 == 1));
+    let first_query: Vec<Delta> = want.iter().filter(|d| d.1 == 0).cloned().collect();
+
+    for max_ops in [1, 3, 256] {
+        let policy = BatchPolicy::by_ops(max_ops);
+        let run = |target: &mut dyn turboflux::stream::BatchTarget| {
+            let (seen, got) = windowed_run(&scenario, WindowSpec::Unbounded, policy, target);
+            assert_eq!(seen, ops);
+            by_engine(got)
+        };
+        let mut engine = TurboFlux::new(scenario.queries[0].clone(), scenario.g0.clone(), cfg);
+        assert_eq!(run(&mut engine), first_query, "TurboFlux, batches of {max_ops}");
+        engine.dcg().check_consistency();
+
+        let mut fleet = Fleet::new(scenario.g0.clone());
+        for q in &scenario.queries {
+            fleet.register(q.clone(), cfg);
+        }
+        assert_eq!(run(&mut fleet), want, "Fleet, batches of {max_ops}");
+
+        let sharded_cfg = TurboFluxConfig { shards: 2, ..cfg };
+        let mut sharded =
+            ShardedEngine::new(scenario.queries.clone(), scenario.g0.clone(), sharded_cfg, 1);
+        assert_eq!(run(&mut sharded), want, "2 shards, batches of {max_ops}");
     }
 }
