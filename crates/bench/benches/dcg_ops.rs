@@ -14,9 +14,12 @@
 //! Three phases mirror the engine's hot paths: `insert_delete` (BuildDCG /
 //! ClearDCG churn — the full cycle is self-inverting so nothing is cloned
 //! inside the measurement loop and pool slots recycle through the free
-//! lists), `transit` (Transitions 0–5 state flips on standing edges),
+//! lists), `transit` (Transitions 0–5 state flips on standing edges —
+//! a flip moves the entry across the run's explicit | implicit split, so
+//! this group also carries `run64` / `run1024`, one run flipped entry by
+//! entry in the order that makes every move span the whole run),
 //! and `climb_enumerate` (the `build_upwards` in-edge walk plus the
-//! `SubgraphSearch` walk over an out-run's explicit entries).
+//! `SubgraphSearch` walk over an out-run's explicit slice).
 //!
 //! `deep_edge_enum` is engine-level: an update matching the deepest tree
 //! edge of a path query, where every match is one climb chain and the
@@ -90,10 +93,21 @@ fn dcg_insert_delete(c: &mut Criterion) {
     group.finish();
 }
 
-/// Transitions 0–5 on standing edges: implicit → explicit → implicit.
+/// One parent with one run of `n` children, listed in descending id order:
+/// flipped I → E in that order every entry leaves the far end of the
+/// implicit partition for the front of the explicit one, and flipped back
+/// in reverse every entry leaves the front for the far end — each flip
+/// rotates the whole run, where a stored state word was one write in place.
+fn one_run(n: u32) -> Vec<Edge> {
+    (0..n).rev().map(|j| (VertexId(0), QVertexId(1), VertexId(64 + j))).collect()
+}
+
+/// Transitions 0–5 on standing edges: implicit → explicit, then back in
+/// reverse order.
 fn dcg_transit(c: &mut Criterion) {
     let mut group = c.benchmark_group("dcg_transit_states");
-    for (name, edges) in shapes() {
+    let runs = [("run64", one_run(64)), ("run1024", one_run(1024))];
+    for (name, edges) in shapes().into_iter().chain(runs) {
         group.throughput(Throughput::Elements(2 * edges.len() as u64));
         let mut dcg = Dcg::new(NQ, QVertexId(0));
         for &(pv, u, cv) in &edges {
@@ -104,7 +118,7 @@ fn dcg_transit(c: &mut Criterion) {
                 for &(pv, u, cv) in &edges {
                     dcg.transit(Some(pv), u, cv, Some(EdgeState::Explicit));
                 }
-                for &(pv, u, cv) in &edges {
+                for &(pv, u, cv) in edges.iter().rev() {
                     dcg.transit(Some(pv), u, cv, Some(EdgeState::Implicit));
                 }
                 black_box(dcg.take_dirty_expl())
@@ -136,15 +150,15 @@ fn dcg_climb_enumerate(c: &mut Criterion) {
             b.iter(|| {
                 let mut n = 0u64;
                 for &(cv, u) in &ins {
-                    for &(pv, st) in dcg.in_edge_slice(cv, u) {
-                        n = n.wrapping_add(pv.0 as u64 + (st == EdgeState::Explicit) as u64);
+                    let (explicit, implicit) = dcg.in_edges(cv, u);
+                    n = n.wrapping_add(explicit.len() as u64);
+                    for pv in explicit.iter().chain(implicit) {
+                        n = n.wrapping_add(pv.0 as u64);
                     }
                 }
                 for &(pv, u) in &outs {
-                    for &(w, st) in dcg.out_edge_slice(pv, u) {
-                        if st == EdgeState::Explicit {
-                            n = n.wrapping_add(w.0 as u64);
-                        }
+                    for w in dcg.out_explicit(pv, u) {
+                        n = n.wrapping_add(w.0 as u64);
                     }
                 }
                 black_box(n)

@@ -18,10 +18,12 @@
 //! child candidate of `pv`, and a state that is a function of `(u, cv)`
 //! alone — it says whether `cv`'s subtrees are matched, whoever the parent
 //! is — read from `expl[u]`. So the bottom-up sweep knows each run whole the
-//! moment it reaches it: the out-run of `(v, uc)` is `v`'s candidate run
-//! with states from `expl[uc]`, the in-run of `(w, u)` is the data graph's
-//! reverse label group of `w` restricted to `reached[P(u)]`, all of it in
-//! `w`'s state. Each is written once at its final size
+//! moment it reaches it, already split the way the store keeps it
+//! (`[explicit | implicit]`, `crate::dcg_store`): the out-run of `(v, uc)` is
+//! `v`'s candidate run filtered twice against `expl[uc]`, members first; the
+//! in-run of `(w, u)` is the data graph's reverse label group of `w`
+//! restricted to `reached[P(u)]`, all of it on `w`'s side of the split. Each
+//! is written once at its final size
 //! ([`crate::dcg::Dcg::lay_out_run`] / [`crate::dcg::Dcg::lay_in_run`]) into
 //! tables sized by the counts the first sweep took: one table insert per
 //! run where the replay paid four hash probes and two sorted inserts per
@@ -58,14 +60,6 @@ fn ones(bits: &[u64]) -> impl Iterator<Item = VertexId> + '_ {
             })
         })
     })
-}
-
-fn state(expl: &[u64], v: VertexId) -> EdgeState {
-    if has(expl, v) {
-        EdgeState::Explicit
-    } else {
-        EdgeState::Implicit
-    }
 }
 
 impl TurboFlux {
@@ -106,15 +100,21 @@ impl TurboFlux {
         // Bottom-up: the subtree condition. `expl[uc]` is final before any
         // run labeled `uc` is laid, `expl[u]` before any mirror run of `u`.
         let mut expl = vec![vec![0u64; words]; nq];
-        let mut run: Vec<(VertexId, EdgeState)> = Vec::new();
+        let mut run: Vec<VertexId> = Vec::new();
         for &u in tree.bfs_order().iter().rev() {
             for v in ones(&reached[u.index()]) {
                 let mut all = true;
                 for &uc in tree.children(u) {
                     collect_child_candidates(g, q, tree, uc, v, AdjacencyMode::Indexed, &mut kids);
+                    let matched = &expl[uc.index()];
                     run.clear();
-                    run.extend(kids.drain(..).map(|cv| (cv, state(&expl[uc.index()], cv))));
-                    all &= !run.is_empty() && self.dcg.lay_out_run(v, uc, &run);
+                    run.extend(kids.iter().copied().filter(|&cv| has(matched, cv)));
+                    let n_expl = run.len();
+                    run.extend(kids.drain(..).filter(|&cv| !has(matched, cv)));
+                    if !run.is_empty() {
+                        self.dcg.lay_out_run(v, uc, &run, n_expl);
+                    }
+                    all &= n_expl > 0;
                 }
                 if all {
                     set(&mut expl[u.index()], v);
@@ -122,7 +122,9 @@ impl TurboFlux {
             }
             let Some(parent) = tree.parent(u) else {
                 for v in ones(&reached[u.index()]) {
-                    self.dcg.transit(None, u, v, Some(state(&expl[u.index()], v)));
+                    let matched = has(&expl[u.index()], v);
+                    let st = if matched { EdgeState::Explicit } else { EdgeState::Implicit };
+                    self.dcg.transit(None, u, v, Some(st));
                 }
                 continue;
             };
@@ -133,16 +135,16 @@ impl TurboFlux {
                 } else {
                     g.out_neighbors_matching(cv, qe.label, AdjacencyMode::Indexed)
                 };
-                let st = state(&expl[u.index()], cv);
                 run.clear();
-                run.extend(back.filter(|&pv| has(&reached[parent.index()], pv)).map(|pv| (pv, st)));
+                run.extend(back.filter(|&pv| has(&reached[parent.index()], pv)));
                 if qe.label.is_none() {
                     // A wildcard walks every label group: `(label, id)`
                     // order, a parent once per parallel edge.
                     run.sort_unstable();
                     run.dedup();
                 }
-                self.dcg.lay_in_run(cv, u, &run);
+                let n_expl = if has(&expl[u.index()], cv) { run.len() } else { 0 };
+                self.dcg.lay_in_run(cv, u, &run, n_expl);
             }
         }
         self.scratch.kids = kids;

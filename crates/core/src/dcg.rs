@@ -13,8 +13,8 @@
 //!
 //! The artificial start edges `(v_s*, u_s, v_s)` are stored as a per-vertex
 //! root state. Storage is adjacency keyed per query vertex in *both*
-//! directions, so the engine can walk downward (`out_edge_slice`) during
-//! `BuildDCG`/`SubgraphSearch` and upward (`in_edge_slice`) during
+//! directions, so the engine can walk downward (`out_explicit`) during
+//! `SubgraphSearch` and upward (`in_edges`) during
 //! `BuildUpwardsAndEval` without touching the data graph. Per-vertex
 //! explicit-out bitmaps make the paper's `MatchAllChildren` test O(1).
 //!
@@ -23,22 +23,22 @@
 //!
 //! Storage is the slot arena of [`crate::dcg_store`]: per query vertex and
 //! direction an open-addressed index from the near-side data vertex to a
-//! sorted edge run, runs of ≤ 2 edges inline in the index slot and larger
-//! runs in a shared size-classed pool with free-list reuse. See DESIGN.md
-//! "DCG storage layout".
+//! run of far-end ids laid out `[explicit, ascending | implicit, ascending]`
+//! — an edge's state is which side of the split it sits on, so the explicit
+//! edges are a borrowed slice — runs of ≤ 4 edges inline in the index slot
+//! and larger runs in a shared size-classed pool with free-list reuse. See
+//! DESIGN.md "DCG storage layout".
 
 use std::collections::BTreeMap;
 use tfx_graph::VertexId;
 use tfx_query::QVertexId;
 
-use crate::dcg_store::{OpenMap, RunIndex, RunPool};
+use crate::dcg_store::{OpenMap, Pool, RunIndex};
 
 /// State of a stored DCG edge. NULL is represented by absence.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash, PartialOrd, Ord)]
 pub enum EdgeState {
     /// Path condition holds, some subtree of the candidate is unmatched.
-    /// (The default only fills arena slots that hold no edge yet.)
-    #[default]
     Implicit,
     /// Path condition holds and every subtree is matched.
     Explicit,
@@ -47,7 +47,7 @@ pub enum EdgeState {
 /// Storage-shape counters for the DCG arena (see [`Dcg::storage_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DcgStorageStats {
-    /// Runs stored inline in their index slot (≤ 2 edges, no pool storage).
+    /// Runs stored inline in their index slot (≤ 4 edges, no pool storage).
     pub inline_runs: usize,
     /// Runs stored in a pool slot.
     pub pooled_runs: usize,
@@ -59,6 +59,11 @@ pub struct DcgStorageStats {
     pub carved_entries: usize,
     /// Exact reserved bytes, as [`Dcg::resident_bytes`].
     pub resident_bytes: usize,
+    /// Stored edges (start edges included) in the explicit state — the
+    /// partial solutions `SubgraphSearch` walks.
+    pub explicit_edges: u64,
+    /// Stored edges still waiting for a subtree to match.
+    pub implicit_edges: u64,
 }
 
 /// The stored DCG for one registered query.
@@ -71,7 +76,7 @@ pub struct Dcg {
     /// Same edges keyed by the child-side data vertex.
     inc: Vec<RunIndex>,
     /// Slot arena shared by every run of every index above.
-    pool: RunPool,
+    pool: Pool,
     /// Artificial start edges `(v_s*, u_s, v)`.
     root: OpenMap<EdgeState>,
     /// Bit `u` set iff the vertex has ≥1 explicit outgoing edge labeled
@@ -99,7 +104,7 @@ impl Dcg {
             root_qv,
             out: (0..nq).map(|_| RunIndex::new()).collect(),
             inc: (0..nq).map(|_| RunIndex::new()).collect(),
-            pool: RunPool::new(),
+            pool: Pool::new(),
             root: OpenMap::new(),
             expl_out_bits: OpenMap::new(),
             expl_count: vec![0; nq],
@@ -221,34 +226,34 @@ impl Dcg {
         self.root = OpenMap::with_capacity(roots);
     }
 
-    /// Lays the whole out-run of `(pv, u)` — every stored edge `(pv, u, ·)`
-    /// with its state, ascending by id — in one write, and accounts for it
-    /// as the same edges passed through [`Dcg::transit`] one by one would
-    /// have. The mirror entries are the caller's to lay
-    /// ([`Dcg::lay_in_run`]). Returns whether the run holds an explicit edge.
+    /// Lays the whole out-run of `(pv, u)` — every stored edge `(pv, u, ·)`,
+    /// the `expl` explicit far ends first, each partition ascending — in one
+    /// write, and accounts for it as the same edges passed through
+    /// [`Dcg::transit`] one by one would have. The mirror entries are the
+    /// caller's to lay ([`Dcg::lay_in_run`]).
     pub(crate) fn lay_out_run(
         &mut self,
         pv: VertexId,
         u: QVertexId,
-        run: &[(VertexId, EdgeState)],
-    ) -> bool {
+        ids: &[VertexId],
+        expl: usize,
+    ) {
         debug_assert_ne!(u, self.root_qv);
-        let expl = self.out[u.index()].lay(&mut self.pool, pv, run) as u64;
-        self.stored_edges += run.len() as u64;
+        self.out[u.index()].lay(&mut self.pool, pv, ids, expl);
+        self.stored_edges += ids.len() as u64;
         if expl > 0 {
-            self.expl_count[u.index()] += expl;
+            self.expl_count[u.index()] += expl as u64;
             self.dirty_expl |= 1 << u.0;
             let (bi, _) = self.expl_out_bits.ensure(pv.0, 0);
             *self.expl_out_bits.val_mut(bi) |= 1 << u.0;
         }
-        expl > 0
     }
 
     /// Lays the whole in-run of `(v, u)`: the mirror of every out-run entry
     /// `(·, u, v)`, counted there.
-    pub(crate) fn lay_in_run(&mut self, v: VertexId, u: QVertexId, run: &[(VertexId, EdgeState)]) {
+    pub(crate) fn lay_in_run(&mut self, v: VertexId, u: QVertexId, ids: &[VertexId], expl: usize) {
         debug_assert_ne!(u, self.root_qv);
-        self.inc[u.index()].lay(&mut self.pool, v, run);
+        self.inc[u.index()].lay(&mut self.pool, v, ids, expl);
     }
 
     fn fix_counters(
@@ -284,22 +289,35 @@ impl Dcg {
         }
     }
 
-    /// The stored outgoing edges of `pv` labeled `u` as a borrowed slice
-    /// (allocation-free enumeration for the search hot loop; filter on the
-    /// state yourself).
-    #[inline]
-    pub fn out_edge_slice(&self, pv: VertexId, u: QVertexId) -> &[(VertexId, EdgeState)] {
+    /// The far ends of the *explicit* outgoing edges of `pv` labeled `u`,
+    /// ascending: the search frontier, a borrowed slice like a data-graph
+    /// label group. Kept out of line: with the bucket decode inlined into
+    /// `subgraph_search`, `setup.initial_report_s` on `netflow_enum` reads
+    /// 0.041 s against 0.034 (4.9 M matches; DESIGN.md, "What PR 23
+    /// measured"), and the call is per frontier, not per candidate.
+    #[inline(never)]
+    pub fn out_explicit(&self, pv: VertexId, u: QVertexId) -> &[VertexId] {
         debug_assert_ne!(u, self.root_qv);
-        self.out[u.index()].slice(&self.pool, pv)
+        self.out[u.index()].explicit(&self.pool, pv)
     }
 
-    /// The stored incoming edges of `v` labeled `u` as a borrowed slice
-    /// (allocation-free upward climbs; callers snapshot into scratch before
-    /// mutating the DCG).
+    /// The far ends of the stored outgoing edges of `pv` labeled `u`:
+    /// `(explicit, implicit)`, each ascending.
     #[inline]
-    pub fn in_edge_slice(&self, v: VertexId, u: QVertexId) -> &[(VertexId, EdgeState)] {
+    pub fn out_edges(&self, pv: VertexId, u: QVertexId) -> (&[VertexId], &[VertexId]) {
         debug_assert_ne!(u, self.root_qv);
-        self.inc[u.index()].slice(&self.pool, v)
+        let (run, expl) = self.out[u.index()].run(&self.pool, pv);
+        run.split_at(expl)
+    }
+
+    /// The near ends of the stored incoming edges of `v` labeled `u`:
+    /// `(explicit, implicit)`, each ascending. An upward climb mutates the
+    /// run it walks, so it snapshots first (`SearchScratch::snapshot_climb`).
+    #[inline]
+    pub fn in_edges(&self, v: VertexId, u: QVertexId) -> (&[VertexId], &[VertexId]) {
+        debug_assert_ne!(u, self.root_qv);
+        let (run, expl) = self.inc[u.index()].run(&self.pool, v);
+        run.split_at(expl)
     }
 
     /// Returns and clears the dirty bitmask: bit `u` is set iff the
@@ -349,10 +367,13 @@ impl Dcg {
     /// Storage-shape counters: how many runs are inline vs pooled, and how
     /// much pool storage is live vs free-listed.
     pub fn storage_stats(&self) -> DcgStorageStats {
+        let explicit_edges = self.expl_count.iter().sum();
         let mut stats = DcgStorageStats {
-            free_slots: self.pool.free_slot_count(),
+            free_slots: self.pool.free_slots(),
             carved_entries: self.pool.carved_entries(),
             resident_bytes: self.resident_bytes(),
+            explicit_edges,
+            implicit_edges: self.stored_edges - explicit_edges,
             ..Default::default()
         };
         for adj in self.out.iter().chain(self.inc.iter()) {
@@ -378,9 +399,10 @@ impl Dcg {
             snap.insert((None, self.root_qv.0, VertexId(v)), st);
         }
         for (u, adj) in self.out.iter().enumerate() {
-            adj.for_each_run(&self.pool, |pv, run| {
-                for &(cv, st) in run {
-                    snap.insert((Some(pv), u as u32, cv), st);
+            adj.for_each_run(&self.pool, |pv, explicit, implicit| {
+                for (ids, st) in [(explicit, EdgeState::Explicit), (implicit, EdgeState::Implicit)]
+                {
+                    snap.extend(ids.iter().map(|&cv| ((Some(pv), u as u32, cv), st)));
                 }
             });
         }
@@ -388,35 +410,36 @@ impl Dcg {
     }
 
     /// Debug-only consistency check: counters, bitmaps, and the arena
-    /// invariants (sorted runs, inline/pooled representation boundary,
-    /// per-run explicit counters, mirror slots, no slot aliasing or
-    /// free-list leaks) all agree with the stored adjacency.
+    /// invariants (each partition of a run sorted, the two disjoint, `expl ≤
+    /// len`, inline/pooled representation boundary, mirror slots, no slot
+    /// aliasing or free-list leaks) all agree with the stored adjacency.
     pub fn check_consistency(&self) {
         let mut stored = self.root.len() as u64;
         let mut expl = vec![0u64; self.nq];
         expl[self.root_qv.index()] =
             self.root.iter().filter(|&(_, &s)| s == EdgeState::Explicit).count() as u64;
         for (u, adj) in self.out.iter().enumerate() {
-            adj.for_each_run(&self.pool, |pv, run| {
-                stored += run.len() as u64;
-                let e = run.iter().filter(|&&(_, s)| s == EdgeState::Explicit).count();
-                assert_eq!(e, adj.expl_count(pv), "expl cache wrong at ({pv}, u{u})");
-                expl[u] += e as u64;
+            adj.for_each_run(&self.pool, |pv, explicit, implicit| {
+                stored += (explicit.len() + implicit.len()) as u64;
+                expl[u] += explicit.len() as u64;
                 let bit_set = self.expl_out_bits(pv) & (1 << u) != 0;
-                assert_eq!(bit_set, e > 0, "bitmap wrong at ({pv}, u{u})");
+                assert_eq!(bit_set, !explicit.is_empty(), "bitmap wrong at ({pv}, u{u})");
                 // mirror entries exist
-                for &(cv, st) in run {
-                    assert_eq!(
-                        self.inc[u].get(&self.pool, cv, pv),
-                        Some(st),
-                        "missing mirror for ({pv}, u{u}, {cv})"
-                    );
+                for (ids, st) in [(explicit, EdgeState::Explicit), (implicit, EdgeState::Implicit)]
+                {
+                    for &cv in ids {
+                        assert_eq!(
+                            self.inc[u].get(&self.pool, cv, pv),
+                            Some(st),
+                            "missing mirror for ({pv}, u{u}, {cv})"
+                        );
+                    }
                 }
             });
         }
         let mut inc_total = 0u64;
         for adj in &self.inc {
-            adj.for_each_run(&self.pool, |_, run| inc_total += run.len() as u64);
+            adj.for_each_run(&self.pool, |_, e, i| inc_total += (e.len() + i.len()) as u64);
         }
         assert_eq!(inc_total + self.root.len() as u64, stored, "in/out totals differ");
         assert_eq!(stored, self.stored_edges, "stored_edges counter wrong");
@@ -434,7 +457,7 @@ impl Dcg {
         for adj in self.out.iter().chain(self.inc.iter()) {
             adj.validate(&self.pool, &mut held);
         }
-        self.pool.validate(&held);
+        self.pool.validate(held);
     }
 }
 
@@ -501,21 +524,31 @@ mod tests {
         let mut d = Dcg::new(4, u(0));
         d.transit(Some(v(0)), u(2), v(5), Some(EdgeState::Explicit));
         d.transit(Some(v(1)), u(2), v(5), Some(EdgeState::Implicit));
-        let ins = d.in_edge_slice(v(5), u(2));
-        assert_eq!(ins.len(), 2);
-        assert!(ins.contains(&(v(0), EdgeState::Explicit)));
-        assert!(ins.contains(&(v(1), EdgeState::Implicit)));
-        assert_eq!(d.out_edge_slice(v(0), u(2)), &[(v(5), EdgeState::Explicit)]);
-        assert_eq!(d.out_edge_slice(v(1), u(2)), &[(v(5), EdgeState::Implicit)]);
-        // A pooled run reads back whole and sorted, states included.
-        for i in (0..5).rev() {
+        assert_eq!(d.in_edges(v(5), u(2)), (&[v(0)][..], &[v(1)][..]));
+        assert_eq!(d.out_edges(v(0), u(2)), (&[v(5)][..], &[][..]));
+        assert_eq!(d.out_edges(v(1), u(2)), (&[][..], &[v(5)][..]));
+        assert_eq!(d.out_explicit(v(0), u(2)), [v(5)]);
+        assert!(d.out_explicit(v(1), u(2)).is_empty());
+        assert_eq!(d.in_edges(v(9), u(2)), (&[][..], &[][..]));
+        assert!(d.out_explicit(v(9), u(2)).is_empty());
+        // A pooled run reads back split: explicit far ends, then implicit
+        // ones, each ascending.
+        for i in (0..7).rev() {
             let st = if i % 2 == 0 { EdgeState::Explicit } else { EdgeState::Implicit };
             d.transit(Some(v(0)), u(1), v(10 + i), Some(st));
         }
-        let run = d.out_edge_slice(v(0), u(1));
-        assert_eq!(run.iter().map(|&(w, _)| w.0).collect::<Vec<_>>(), [10, 11, 12, 13, 14]);
-        assert_eq!(run.iter().filter(|e| e.1 == EdgeState::Explicit).count(), 3);
-        assert_eq!(d.out_expl_count(v(0), u(1)), 3);
+        let ids = |xs: &[u32]| xs.iter().map(|&x| v(x)).collect::<Vec<_>>();
+        assert_eq!(d.out_edges(v(0), u(1)), (&ids(&[10, 12, 14, 16])[..], &ids(&[11, 13, 15])[..]));
+        assert_eq!(d.out_explicit(v(0), u(1)), ids(&[10, 12, 14, 16]));
+        assert_eq!(d.out_expl_count(v(0), u(1)), 4);
+        // A restated edge crosses the split to its sorted place, both ways.
+        d.transit(Some(v(0)), u(1), v(13), Some(EdgeState::Explicit));
+        d.transit(Some(v(0)), u(1), v(12), Some(EdgeState::Implicit));
+        assert_eq!(d.out_edges(v(0), u(1)), (&ids(&[10, 13, 14, 16])[..], &ids(&[11, 12, 15])[..]));
+        assert_eq!(d.state(v(0), u(1), v(12)), Some(EdgeState::Implicit));
+        assert_eq!(d.state(v(0), u(1), v(13)), Some(EdgeState::Explicit));
+        assert_eq!(d.state(v(0), u(1), v(17)), None);
+        d.check_consistency();
     }
 
     #[test]
@@ -558,20 +591,6 @@ mod tests {
         assert_eq!(d.resident_bytes(), warm, "warm cycle trough is stable");
         assert_eq!(d.stored_edge_count(), 0);
         d.check_consistency();
-    }
-
-    #[test]
-    fn edge_slices_mirror_each_direction() {
-        let mut d = Dcg::new(4, u(0));
-        d.transit(Some(v(0)), u(2), v(5), Some(EdgeState::Explicit));
-        d.transit(Some(v(1)), u(2), v(5), Some(EdgeState::Implicit));
-        let ins: Vec<_> = d.in_edge_slice(v(5), u(2)).to_vec();
-        for &(pv, st) in &ins {
-            assert!(d.out_edge_slice(pv, u(2)).contains(&(v(5), st)));
-        }
-        assert_eq!(ins.len(), 2);
-        assert!(d.in_edge_slice(v(9), u(2)).is_empty());
-        assert!(d.out_edge_slice(v(9), u(2)).is_empty());
     }
 
     #[test]
@@ -659,7 +678,7 @@ mod tests {
         let stats = d.storage_stats();
         assert_eq!(
             stats.pooled_runs + stats.free_slots,
-            d.pool.slot_count(),
+            d.pool.live_slots() + d.pool.free_slots(),
             "pool slot leaked: some slot is neither referenced nor free"
         );
         assert!(stats.inline_runs > 0 && stats.pooled_runs > 0, "soak missed a representation");
@@ -672,7 +691,11 @@ mod tests {
         assert!(d.snapshot().is_empty());
         let drained = d.storage_stats();
         assert_eq!(drained.pooled_runs, 0);
-        assert_eq!(drained.free_slots, d.pool.slot_count(), "drained DCG leaked pool slots");
+        assert_eq!(
+            drained.free_slots,
+            d.pool.live_slots() + d.pool.free_slots(),
+            "drained DCG leaked pool slots"
+        );
         assert_eq!(drained.carved_entries, stats.carved_entries, "drain carved new storage");
         d.check_consistency();
 

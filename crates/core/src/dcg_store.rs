@@ -1,50 +1,87 @@
 //! Arena storage for the DCG's adjacency runs.
 //!
 //! The DCG keeps, per non-root query vertex `u`, two directed adjacency
-//! indexes (parent→children and child→parents). Prior to this module each
-//! index was a `HashMap<VertexId, Vec<(VertexId, EdgeState)>>`: one heap
-//! allocation per (vertex, u) pair, pointer-chasing on every probe, and no
-//! reuse across insert/delete churn. The arena replaces that with three
-//! flat structures:
+//! indexes (parent→children and child→parents). Each is three flat
+//! structures:
 //!
 //! * [`OpenMap`] — an open-addressed, linear-probing hash table from
 //!   `u32` keys to small `Copy` values (Fibonacci hashing, backward-shift
 //!   deletion, so there are no tombstones and a warmed table never
 //!   rehashes under self-inverting churn);
 //! * [`RunRef`] — the per-(vertex, u) map value: either an *inline* run of
-//!   up to [`INLINE_CAP`] edges stored directly in the table slot (the
+//!   up to [`INLINE_CAP`] far ends stored directly in the table slot (the
 //!   common low-fanout case costs zero extra allocations), or the
 //!   `{off, len, expl, class}` handle of a pooled run;
-//! * [`RunPool`] — the pooled runs, in the [`SlotArena`] the data graph's
-//!   adjacency also lives in (`tfx_graph::arena`): one big `Vec` carved in
-//!   power-of-two size classes with a per-class LIFO free list; a run that
-//!   outgrows its slot is copied to the next class and its old slot is
+//! * the [`Pool`] — a [`SlotArena`] of `VertexId`s, the structure the data
+//!   graph's adjacency lives in (`tfx_graph::arena`): one big `Vec` carved
+//!   in power-of-two size classes with a per-class LIFO free list; a run
+//!   that outgrows its slot is copied to the next class and its old slot is
 //!   recycled. Once pooled, a run stays pooled until it empties (demoting
 //!   at the inline boundary would make runs hovering around it pay an
 //!   alloc + copy + release on every churn cycle). Freed storage is
 //!   reused, never returned, so steady-state churn allocates nothing and
 //!   reserved bytes are an exact, replay-deterministic measure.
 //!
-//! Runs are kept sorted by far-end vertex id: lookups binary-search, and
-//! enumeration order is canonical (independent of insertion/removal
-//! history), which the equivalence oracles rely on.
+//! **A run is ids; state is position.** Every run is laid out as
+//! `[explicit far ends, ascending | implicit far ends, ascending]`, split at
+//! the `expl` count its handle carries. Nothing is stored per entry beside
+//! the id: the explicit edges — the partial solutions `SubgraphSearch` walks
+//! — are the borrowed slice `&run[..expl]`, an edge changes state by moving
+//! across the split ([`flip`]), and a lookup binary-searches one partition,
+//! then the other. Each partition being sorted keeps enumeration order
+//! canonical (independent of insertion/removal history), which the
+//! equivalence oracles rely on; the one reader that walks *all* edges of a
+//! run and emits as it goes, the climb that applies Transition 2, merges the
+//! two back into id order (`SearchScratch::snapshot_climb`).
 
 use tfx_graph::arena::{class_cap, class_for, SlotArena};
-use tfx_graph::{prefetch_at, VertexId};
+use tfx_graph::{contains_sorted, prefetch_at, VertexId};
 
 use crate::dcg::EdgeState;
 
 /// Maximum number of edges stored inline in a table slot before a run is
-/// promoted to the pool. Two covers the typical DCG fanout away from hubs.
-pub const INLINE_CAP: usize = 2;
+/// promoted to the pool: what fits the 20 bytes a pooled handle's bucket
+/// takes anyway.
+pub const INLINE_CAP: usize = 4;
 
-const NIL_EDGE: (VertexId, EdgeState) = (VertexId(0), EdgeState::Implicit);
+/// The pooled runs of every index of one DCG. It keeps no per-run record: a
+/// run's `{off, len, expl, class}` handle lives in the index bucket that owns
+/// it ([`RunRef::Pooled`]), as the data graph's vertex table holds its
+/// adjacency handles, so a pooled lookup is two dependent loads (bucket,
+/// arena).
+pub type Pool = SlotArena<VertexId>;
 
-/// Explicit-edge count of a (short, inline) run; pooled runs keep this on
-/// their handle instead.
-#[inline]
-fn count_expl(run: &[(VertexId, EdgeState)]) -> u32 {
-    run.iter().filter(|&&(_, st)| st == EdgeState::Explicit).count() as u32
+/// Where `v` is in the split run `run[..expl] | run[expl..]` — its index and
+/// state, if present — and the index an entry for `v` in state `to` belongs
+/// at, in the run's current layout.
+fn place(
+    run: &[VertexId],
+    expl: usize,
+    v: VertexId,
+    to: EdgeState,
+) -> (Option<(usize, EdgeState)>, usize) {
+    let in_expl = run[..expl].binary_search(&v);
+    let in_impl = run[expl..].binary_search(&v).map(|i| expl + i).map_err(|i| expl + i);
+    let at = match (in_expl, in_impl) {
+        (Ok(i), _) => Some((i, EdgeState::Explicit)),
+        (_, Ok(i)) => Some((i, EdgeState::Implicit)),
+        _ => None,
+    };
+    let (Ok(slot) | Err(slot)) = if to == EdgeState::Explicit { in_expl } else { in_impl };
+    (at, slot)
+}
+
+/// Moves `run[from]` across the split into state `to`, to the sorted
+/// position `slot` that [`place`] found for it there: one rotate over the
+/// entries between the two positions, both partitions still ascending. The
+/// caller moves the split (`expl` ± 1).
+fn flip(run: &mut [VertexId], from: usize, slot: usize, to: EdgeState) {
+    match to {
+        // `slot ≤ expl ≤ from`: the entries in between step right.
+        EdgeState::Explicit => run[slot..=from].rotate_right(1),
+        // `from < expl ≤ slot`, and `slot` counted the entry itself.
+        EdgeState::Implicit => run[from..slot].rotate_left(1),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -243,84 +280,26 @@ impl<V: Copy> OpenMap<V> {
 }
 
 // ---------------------------------------------------------------------------
-// RunPool
-// ---------------------------------------------------------------------------
-
-/// The edge runs that outgrow the inline layout, in a [`SlotArena`].
-///
-/// The pool keeps no per-run record: a run's `{off, len, expl, class}`
-/// handle lives in the index bucket that owns it ([`RunRef::Pooled`]), as
-/// the data graph's vertex table holds its adjacency handles, so a pooled
-/// lookup is two dependent loads (bucket, arena). Slots are recycled before
-/// anything new is carved, so after warm-up the pool never allocates.
-#[derive(Default)]
-pub struct RunPool {
-    arena: SlotArena<(VertexId, EdgeState)>,
-}
-
-impl RunPool {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A slot of `class` seeded with the already-sorted `entries`.
-    fn alloc(&mut self, class: u8, entries: &[(VertexId, EdgeState)]) -> RunRef {
-        debug_assert!(entries.len() <= class_cap(class) as usize);
-        let off = self.arena.alloc(class);
-        self.arena.data_mut()[off as usize..][..entries.len()].copy_from_slice(entries);
-        RunRef::Pooled { off, len: entries.len() as u32, expl: count_expl(entries), class }
-    }
-
-    /// Reserved bytes of the arena.
-    pub fn resident_bytes(&self) -> usize {
-        self.arena.resident_bytes()
-    }
-
-    #[inline]
-    pub fn free_slot_count(&self) -> usize {
-        self.arena.free_slots()
-    }
-
-    /// Total arena slots ever carved (live + free).
-    #[cfg(test)]
-    pub fn slot_count(&self) -> usize {
-        self.arena.live_slots() + self.arena.free_slots()
-    }
-
-    /// Total carved entries (live or free) — the pool's footprint in edges.
-    #[inline]
-    pub fn carved_entries(&self) -> usize {
-        self.arena.carved_entries()
-    }
-
-    /// Pool invariants, given the `(off, class)` of every pooled run the
-    /// indexes hold ([`RunIndex::validate`]): those slots plus the arena's
-    /// free lists tile the carved pool — none leaked, none aliased.
-    pub fn validate(&self, held: &[(u32, u8)]) {
-        self.arena.validate(held.iter().copied());
-    }
-}
-
-// ---------------------------------------------------------------------------
 // RunIndex
 // ---------------------------------------------------------------------------
 
 /// Per-(vertex, u) run handle: small runs live inline in the table slot,
-/// larger ones in the pool. `Warm` marks a pooled run that emptied out —
-/// its slot went back to the free lists, but the entry remembers the
-/// high-water size class so a rebuild allocates that class directly
-/// instead of copying through every class on the way up (hub runs are
-/// torn down and rebuilt wholesale by the engine's check-and-avoid rule,
-/// which made class-by-class regrowth the dominant cost there).
+/// larger ones in the pool; either way `[..expl]` of the run is its explicit
+/// partition. `Warm` marks a pooled run that emptied out — its slot went
+/// back to the free lists, but the entry remembers the high-water size class
+/// so a rebuild allocates that class directly instead of copying through
+/// every class on the way up (hub runs are torn down and rebuilt wholesale
+/// by the engine's check-and-avoid rule, which made class-by-class regrowth
+/// the dominant cost there).
 #[derive(Clone, Copy, Debug)]
 pub enum RunRef {
     Inline {
         len: u8,
-        edges: [(VertexId, EdgeState); INLINE_CAP],
+        expl: u8,
+        ids: [VertexId; INLINE_CAP],
     },
     /// The run's arena slot (`off`, of size class `class`), its live entries
-    /// and how many of them are explicit (the per-run counter behind O(1)
-    /// `out_expl_count`).
+    /// and how many of them — the leading ones — are explicit.
     Pooled {
         off: u32,
         len: u32,
@@ -332,10 +311,24 @@ pub enum RunRef {
     },
 }
 
+impl RunRef {
+    /// The run (empty for a warm entry) and its split point.
+    #[inline]
+    fn run<'a>(&'a self, pool: &'a Pool) -> (&'a [VertexId], usize) {
+        match self {
+            RunRef::Inline { len, expl, ids } => (&ids[..*len as usize], *expl as usize),
+            RunRef::Pooled { off, len, expl, .. } => (pool.run(*off, *len), *expl as usize),
+            RunRef::Warm { .. } => (&[], 0),
+        }
+    }
+}
+
+const EMPTY_RUN: RunRef = RunRef::Inline { len: 0, expl: 0, ids: [VertexId(0); INLINE_CAP] };
+
 /// One direction of one query vertex's DCG adjacency: an [`OpenMap`] from
-/// the near-side data vertex to its (sorted) edge run. All mutating calls
-/// thread the shared [`RunPool`] explicitly so the `Dcg` can keep one pool
-/// across all `2·|V(q)|` indexes.
+/// the near-side data vertex to its split run. All mutating calls thread the
+/// shared [`Pool`] explicitly so the `Dcg` can keep one pool across all
+/// `2·|V(q)|` indexes.
 #[derive(Default)]
 pub struct RunIndex {
     map: OpenMap<RunRef>,
@@ -351,145 +344,166 @@ impl RunIndex {
         RunIndex { map: OpenMap::with_capacity(keys) }
     }
 
-    /// Lays the finished `run` (sorted by id, duplicate-free, non-empty) of
-    /// a `key` that has none yet, at its final size: inline, or one slot of
-    /// the class that fits it. Returns its explicit-edge count.
-    pub fn lay(&mut self, pool: &mut RunPool, key: VertexId, run: &[(VertexId, EdgeState)]) -> u32 {
-        debug_assert!(run.windows(2).all(|w| w[0].0 < w[1].0) && !run.is_empty());
-        let laid = if run.len() <= INLINE_CAP {
-            let mut edges = [NIL_EDGE; INLINE_CAP];
-            edges[..run.len()].copy_from_slice(run);
-            RunRef::Inline { len: run.len() as u8, edges }
+    /// Lays the finished run `ids` (already split: `ids[..expl]` explicit,
+    /// the rest implicit, each ascending; disjoint, non-empty) of a `key`
+    /// that has none yet, at its final size: inline, or one slot of the
+    /// class that fits it.
+    pub fn lay(&mut self, pool: &mut Pool, key: VertexId, ids: &[VertexId], expl: usize) {
+        debug_assert!(!ids.is_empty() && expl <= ids.len());
+        let laid = if ids.len() <= INLINE_CAP {
+            let mut inline = [VertexId(0); INLINE_CAP];
+            inline[..ids.len()].copy_from_slice(ids);
+            RunRef::Inline { len: ids.len() as u8, expl: expl as u8, ids: inline }
         } else {
-            pool.alloc(class_for(run.len()), run)
+            let class = class_for(ids.len());
+            let off = pool.alloc(class);
+            pool.data_mut()[off as usize..][..ids.len()].copy_from_slice(ids);
+            RunRef::Pooled { off, len: ids.len() as u32, expl: expl as u32, class }
         };
         let (_, fresh) = self.map.ensure(key.0, laid);
         assert!(fresh, "lay over an existing run");
-        count_expl(run)
     }
 
-    /// The run for `key` as a sorted borrowed slice (empty if absent).
+    /// The run for `key` (empty if absent) and its split point: the first
+    /// `expl` ids are the explicit far ends, the rest the implicit ones, each
+    /// partition ascending.
     #[inline]
-    pub fn slice<'a>(&'a self, pool: &'a RunPool, key: VertexId) -> &'a [(VertexId, EdgeState)] {
-        match self.map.find(key.0) {
-            None => &[],
-            Some(i) => match self.map.val(i) {
-                RunRef::Inline { len, edges } => &edges[..*len as usize],
-                RunRef::Pooled { off, len, .. } => pool.arena.run(*off, *len),
-                RunRef::Warm { .. } => &[],
-            },
-        }
+    pub fn run<'a>(&'a self, pool: &'a Pool, key: VertexId) -> (&'a [VertexId], usize) {
+        self.map.find(key.0).map_or((&[], 0), |i| self.map.val(i).run(pool))
+    }
+
+    /// The explicit far ends of `key`'s run, ascending.
+    #[inline]
+    pub fn explicit<'a>(&'a self, pool: &'a Pool, key: VertexId) -> &'a [VertexId] {
+        let (run, expl) = self.run(pool, key);
+        &run[..expl]
     }
 
     /// The batch lookahead's hint for a coming probe or update of `key`'s
     /// run: stage 1 its home bucket; stage 2 — the bucket is cached by then —
     /// the first and middle line of the run, if it is a pooled one.
     #[inline]
-    pub fn prefetch(&self, pool: &RunPool, key: VertexId, stage: u8) {
+    pub fn prefetch(&self, pool: &Pool, key: VertexId, stage: u8) {
         match stage {
             1 => self.map.prefetch(key.0),
             2 => {
                 if let Some(&RunRef::Pooled { off, len, .. }) =
                     self.map.find(key.0).map(|i| self.map.val(i))
                 {
-                    let data = pool.arena.data();
-                    prefetch_at(data, off as usize);
-                    prefetch_at(data, off as usize + len as usize / 2);
+                    prefetch_at(pool.data(), off as usize);
+                    prefetch_at(pool.data(), off as usize + len as usize / 2);
                 }
             }
             _ => {}
         }
     }
 
+    /// State of edge `v` in `key`'s run: the explicit partition is searched
+    /// first, then the implicit one.
     #[inline]
-    pub fn get(&self, pool: &RunPool, key: VertexId, v: VertexId) -> Option<EdgeState> {
-        let run = self.slice(pool, key);
-        let i = run.binary_search_by_key(&v, |&(w, _)| w).ok()?;
-        Some(run[i].1)
+    pub fn get(&self, pool: &Pool, key: VertexId, v: VertexId) -> Option<EdgeState> {
+        let (run, expl) = self.run(pool, key);
+        if contains_sorted(&run[..expl], v) {
+            Some(EdgeState::Explicit)
+        } else if contains_sorted(&run[expl..], v) {
+            Some(EdgeState::Implicit)
+        } else {
+            None
+        }
     }
 
     #[inline]
     pub fn run_len(&self, key: VertexId) -> usize {
-        match self.map.find(key.0) {
-            None => 0,
-            Some(i) => match self.map.val(i) {
-                RunRef::Inline { len, .. } => *len as usize,
-                RunRef::Pooled { len, .. } => *len as usize,
-                RunRef::Warm { .. } => 0,
-            },
+        match self.map.find(key.0).map(|i| self.map.val(i)) {
+            Some(RunRef::Inline { len, .. }) => *len as usize,
+            Some(RunRef::Pooled { len, .. }) => *len as usize,
+            Some(RunRef::Warm { .. }) | None => 0,
         }
     }
 
     #[inline]
     pub fn expl_count(&self, key: VertexId) -> usize {
-        match self.map.find(key.0) {
-            None => 0,
-            Some(i) => match self.map.val(i) {
-                RunRef::Inline { len, edges } => count_expl(&edges[..*len as usize]) as usize,
-                RunRef::Pooled { expl, .. } => *expl as usize,
-                RunRef::Warm { .. } => 0,
-            },
+        match self.map.find(key.0).map(|i| self.map.val(i)) {
+            Some(RunRef::Inline { expl, .. }) => *expl as usize,
+            Some(RunRef::Pooled { expl, .. }) => *expl as usize,
+            Some(RunRef::Warm { .. }) | None => 0,
         }
     }
 
     /// Sets the state of edge `v` in `key`'s run (inserting the run and/or
     /// the edge as needed), returning the previous state and the run's
-    /// explicit-edge count after the write — the counter is already on the
-    /// run's handle, so callers maintaining derived explicit-edge indexes
-    /// avoid a second table probe. Promotes inline runs to the pool when
-    /// they outgrow [`INLINE_CAP`].
+    /// explicit-edge count after the write — it is on the run's handle, so
+    /// callers maintaining derived explicit-edge indexes avoid a second
+    /// table probe. A new edge goes to its partition's sorted position, a
+    /// restated one moves across the split ([`flip`]). Promotes inline runs
+    /// to the pool when they outgrow [`INLINE_CAP`].
     pub fn set(
         &mut self,
-        pool: &mut RunPool,
+        pool: &mut Pool,
         key: VertexId,
         v: VertexId,
         st: EdgeState,
     ) -> (Option<EdgeState>, u32) {
-        let (i, fresh) = self.map.ensure(key.0, RunRef::Inline { len: 0, edges: [NIL_EDGE; 2] });
+        let (i, _) = self.map.ensure(key.0, EMPTY_RUN);
+        let is_expl = st == EdgeState::Explicit;
         match self.map.val_mut(i) {
-            RunRef::Inline { len, edges } => {
+            RunRef::Inline { len, expl, ids } => {
                 let n = *len as usize;
-                debug_assert!(fresh == (n == 0));
-                let pos = edges[..n].partition_point(|&(w, _)| w < v);
-                if pos < n && edges[pos].0 == v {
-                    let old = std::mem::replace(&mut edges[pos].1, st);
-                    (Some(old), count_expl(&edges[..n]))
+                let (at, slot) = place(&ids[..n], *expl as usize, v, st);
+                if let Some((from, old)) = at {
+                    if old != st {
+                        flip(&mut ids[..n], from, slot, st);
+                        *expl = if is_expl { *expl + 1 } else { *expl - 1 };
+                    }
+                    (Some(old), *expl as u32)
                 } else if n < INLINE_CAP {
-                    edges.copy_within(pos..n, pos + 1);
-                    edges[pos] = (v, st);
+                    ids.copy_within(slot..n, slot + 1);
+                    ids[slot] = v;
                     *len += 1;
-                    (None, count_expl(&edges[..n + 1]))
+                    *expl += u8::from(is_expl);
+                    (None, *expl as u32)
                 } else {
                     // Promote: the run becomes INLINE_CAP + 1 entries.
-                    let mut spill = [NIL_EDGE; INLINE_CAP + 1];
-                    spill[..pos].copy_from_slice(&edges[..pos]);
-                    spill[pos] = (v, st);
-                    spill[pos + 1..].copy_from_slice(&edges[pos..]);
-                    *self.map.val_mut(i) = pool.alloc(0, &spill);
-                    (None, count_expl(&spill))
+                    let class = class_for(INLINE_CAP + 1);
+                    let (ids, expl) = (*ids, *expl as u32 + u32::from(is_expl));
+                    let off = pool.alloc(class);
+                    let dst = &mut pool.data_mut()[off as usize..][..INLINE_CAP + 1];
+                    dst[..slot].copy_from_slice(&ids[..slot]);
+                    dst[slot] = v;
+                    dst[slot + 1..].copy_from_slice(&ids[slot..]);
+                    let len = INLINE_CAP as u32 + 1;
+                    *self.map.val_mut(i) = RunRef::Pooled { off, len, expl, class };
+                    (None, expl)
                 }
             }
             RunRef::Pooled { off, len, expl, class } => {
-                // Binary-search the sorted run; a full slot moves up a class.
-                let old = match pool.arena.run(*off, *len).binary_search_by_key(&v, |&(w, _)| w) {
-                    Ok(pos) => {
-                        let entry = &mut pool.arena.data_mut()[*off as usize + pos];
-                        let old = std::mem::replace(&mut entry.1, st);
-                        *expl -= u32::from(old == EdgeState::Explicit);
+                // A full slot moves up a class.
+                let (at, slot) = place(pool.run(*off, *len), *expl as usize, v, st);
+                let old = match at {
+                    Some((from, old)) => {
+                        if old != st {
+                            let run = &mut pool.data_mut()[*off as usize..][..*len as usize];
+                            flip(run, from, slot, st);
+                            *expl = if is_expl { *expl + 1 } else { *expl - 1 };
+                        }
                         Some(old)
                     }
-                    Err(pos) => {
-                        (*off, *class) = pool.arena.insert_at(*off, *len, *class, pos, (v, st));
+                    None => {
+                        (*off, *class) = pool.insert_at(*off, *len, *class, slot, v);
                         *len += 1;
+                        *expl += u32::from(is_expl);
                         None
                     }
                 };
-                *expl += u32::from(st == EdgeState::Explicit);
                 (old, *expl)
             }
             RunRef::Warm { class } => {
-                *self.map.val_mut(i) = pool.alloc(*class, &[(v, st)]);
-                (None, u32::from(st == EdgeState::Explicit))
+                let class = *class;
+                let off = pool.alloc(class);
+                pool.data_mut()[off as usize] = v;
+                let expl = u32::from(is_expl);
+                *self.map.val_mut(i) = RunRef::Pooled { off, len: 1, expl, class };
+                (None, expl)
             }
         }
     }
@@ -504,39 +518,41 @@ impl RunIndex {
     /// slot but leaves a [`RunRef::Warm`] entry behind as a rebuild hint.
     pub fn remove(
         &mut self,
-        pool: &mut RunPool,
+        pool: &mut Pool,
         key: VertexId,
         v: VertexId,
     ) -> (Option<EdgeState>, u32) {
         let Some(i) = self.map.find(key.0) else { return (None, 0) };
         match self.map.val_mut(i) {
-            RunRef::Inline { len, edges } => {
+            RunRef::Inline { len, expl, ids } => {
                 let n = *len as usize;
-                let Some(pos) = edges[..n].iter().position(|&(w, _)| w == v) else {
-                    return (None, count_expl(&edges[..n]));
+                let (Some((pos, old)), _) =
+                    place(&ids[..n], *expl as usize, v, EdgeState::Explicit)
+                else {
+                    return (None, *expl as u32);
                 };
-                let old = edges[pos].1;
-                edges.copy_within(pos + 1..n, pos);
+                ids.copy_within(pos + 1..n, pos);
                 *len -= 1;
-                let expl = count_expl(&edges[..n - 1]);
+                *expl -= u8::from(old == EdgeState::Explicit);
+                let left = *expl as u32;
                 if *len == 0 {
                     self.map.remove_at(i);
                 }
-                (Some(old), expl)
+                (Some(old), left)
             }
             RunRef::Pooled { off, len, expl, class } => {
-                let run = pool.arena.run(*off, *len);
-                let Ok(pos) = run.binary_search_by_key(&v, |&(w, _)| w) else {
+                let run = pool.run(*off, *len);
+                let (Some((pos, old)), _) = place(run, *expl as usize, v, EdgeState::Explicit)
+                else {
                     return (None, *expl);
                 };
-                let old = run[pos].1;
-                pool.arena.remove_at(*off, *len, pos);
+                pool.remove_at(*off, *len, pos);
                 *len -= 1;
                 *expl -= u32::from(old == EdgeState::Explicit);
                 let left = *expl;
                 if *len == 0 {
                     let class = *class;
-                    pool.arena.release(*off, class);
+                    pool.release(*off, class);
                     *self.map.val_mut(i) = RunRef::Warm { class };
                 }
                 (Some(old), left)
@@ -545,19 +561,19 @@ impl RunIndex {
         }
     }
 
-    /// Calls `f` with every (key, sorted run) pair. Map iteration order is
-    /// table order — callers must be order-independent (snapshots collect
-    /// into a `BTreeMap`, consistency checks assert per-entry facts).
+    /// Calls `f` with every `(key, explicit ids, implicit ids)`. Map
+    /// iteration order is table order — callers must be order-independent
+    /// (snapshots collect into a `BTreeMap`, consistency checks assert
+    /// per-entry facts).
     pub fn for_each_run<'a>(
         &'a self,
-        pool: &'a RunPool,
-        mut f: impl FnMut(VertexId, &[(VertexId, EdgeState)]),
+        pool: &'a Pool,
+        mut f: impl FnMut(VertexId, &[VertexId], &[VertexId]),
     ) {
         for (k, rr) in self.map.iter() {
-            match rr {
-                RunRef::Inline { len, edges } => f(VertexId(k), &edges[..*len as usize]),
-                RunRef::Pooled { off, len, .. } => f(VertexId(k), pool.arena.run(*off, *len)),
-                RunRef::Warm { .. } => {}
+            let (run, expl) = rr.run(pool);
+            if !run.is_empty() {
+                f(VertexId(k), &run[..expl], &run[expl..]);
             }
         }
     }
@@ -583,31 +599,29 @@ impl RunIndex {
     }
 
     /// Index-side arena invariants: probe reachability, the inline/pooled
-    /// representation boundary, every run sorted with a true explicit
-    /// counter, and the `(off, class)` of every pooled run appended to
-    /// `held` for [`RunPool::validate`].
-    pub fn validate(&self, pool: &RunPool, held: &mut Vec<(u32, u8)>) {
+    /// representation boundary, every run split at `expl ≤ len` into two
+    /// ascending partitions that share no id, and the `(off, class)` of
+    /// every pooled run appended to `held` for [`SlotArena::validate`].
+    pub fn validate(&self, pool: &Pool, held: &mut Vec<(u32, u8)>) {
         self.map.validate();
         for (k, rr) in self.map.iter() {
             match *rr {
-                RunRef::Inline { len, edges } => {
-                    let n = len as usize;
-                    assert!((1..=INLINE_CAP).contains(&n), "empty inline run for key {k}");
-                    assert!(
-                        edges[..n].windows(2).all(|w| w[0].0 < w[1].0),
-                        "inline run unsorted for key {k}"
-                    );
+                RunRef::Inline { len, .. } => {
+                    assert!((1..=INLINE_CAP).contains(&(len as usize)), "inline run {k} misfits");
                 }
-                RunRef::Pooled { off, len, expl, class } => {
+                RunRef::Pooled { off, len, class, .. } => {
                     assert!((1..=class_cap(class)).contains(&len), "run of key {k} misfits");
-                    let run = pool.arena.run(off, len);
-                    assert!(run.windows(2).all(|w| w[0].0 < w[1].0), "run of key {k} unsorted");
-                    assert_eq!(count_expl(run), expl, "expl counter of key {k} drifted");
                     held.push((off, class));
                 }
                 RunRef::Warm { .. } => {}
             }
         }
+        self.for_each_run(pool, |k, explicit, implicit| {
+            let ascending = |ids: &[VertexId]| ids.windows(2).all(|w| w[0] < w[1]);
+            assert!(ascending(explicit) && ascending(implicit), "partition unsorted for key {k}");
+            let shared = implicit.iter().any(|v| explicit.binary_search(v).is_ok());
+            assert!(!shared, "partitions of key {k} share an id");
+        });
     }
 }
 
@@ -694,8 +708,8 @@ mod tests {
         assert_eq!(m.len(), 0);
     }
 
-    fn expl(i: usize) -> EdgeState {
-        if i.is_multiple_of(3) {
+    fn state(explicit: bool) -> EdgeState {
+        if explicit {
             EdgeState::Explicit
         } else {
             EdgeState::Implicit
@@ -705,51 +719,62 @@ mod tests {
     #[test]
     fn run_index_promotes_demotes_and_matches_model() {
         let mut rng = Rng::new(0xD1CE);
-        let mut pool = RunPool::new();
+        let mut pool = Pool::new();
         let mut idx = RunIndex::new();
         let mut shadow: BTreeMap<u32, BTreeMap<u32, EdgeState>> = BTreeMap::new();
+        let mut flips = [0usize; 3]; // E → I, I → E, same state
         for step in 0..30_000 {
             let key = v(rng.below(8) as u32);
-            let far = v(rng.below(40) as u32);
-            let st = expl(step);
-            if rng.below(2) == 0 {
+            let entry = shadow.entry(key.0).or_default();
+            let roll = rng.below(3);
+            // A third of the steps restate a stored edge, a third write any
+            // far end (an insert, mostly), a third remove.
+            let far = match roll {
+                0 if !entry.is_empty() => v(*entry.keys().nth(rng.below(entry.len())).unwrap()),
+                _ => v(rng.below(40) as u32),
+            };
+            let expl = if roll < 2 {
+                let st = state(rng.below(2) == 0);
                 let (old, expl) = idx.set(&mut pool, key, far, st);
-                let entry = shadow.entry(key.0).or_default();
                 assert_eq!(old, entry.insert(far.0, st));
-                let want = entry.values().filter(|&&s| s == EdgeState::Explicit).count();
-                assert_eq!(expl as usize, want, "post-set explicit count diverged");
+                if let Some(old) = old {
+                    flips[if old == st { 2 } else { usize::from(st == EdgeState::Explicit) }] += 1;
+                }
+                expl
             } else {
                 let (old, expl) = idx.remove(&mut pool, key, far);
-                let entry = shadow.entry(key.0).or_default();
                 assert_eq!(old, entry.remove(&far.0));
-                let want = entry.values().filter(|&&s| s == EdgeState::Explicit).count();
-                assert_eq!(expl as usize, want, "post-remove explicit count diverged");
-                if entry.is_empty() {
-                    shadow.remove(&key.0);
-                }
-            }
+                expl
+            };
+            // The touched run against the model: each partition as a slice,
+            // their union in id order, the counters on the handle.
+            let of = |st| entry.iter().filter(move |e| *e.1 == st).map(|e| v(*e.0));
+            let want_expl: Vec<VertexId> = of(EdgeState::Explicit).collect();
+            let want_impl: Vec<VertexId> = of(EdgeState::Implicit).collect();
+            assert_eq!(expl as usize, want_expl.len(), "explicit count after step {step}");
+            assert_eq!(idx.explicit(&pool, key), want_expl, "explicit slice after step {step}");
+            let (run, split) = idx.run(&pool, key);
+            assert_eq!(run[split..], want_impl, "implicit slice after step {step}");
+            let mut by_id = run.to_vec();
+            by_id.sort_unstable();
+            assert!(by_id.iter().map(|w| w.0).eq(entry.keys().copied()), "ids after step {step}");
+            assert_eq!(idx.get(&pool, key, far), entry.get(&far.0).copied());
+            assert_eq!(idx.expl_count(key), want_expl.len());
+            assert_eq!(idx.run_len(key), entry.len());
             if step % 2048 == 0 {
                 let mut held = Vec::new();
                 idx.validate(&pool, &mut held);
-                pool.validate(&held);
+                pool.validate(held);
             }
         }
-        for (&k, run) in &shadow {
-            let got: Vec<(u32, EdgeState)> =
-                idx.slice(&pool, v(k)).iter().map(|&(w, st)| (w.0, st)).collect();
-            let want: Vec<(u32, EdgeState)> = run.iter().map(|(&w, &st)| (w, st)).collect();
-            assert_eq!(got, want, "run for key {k} diverged");
-            let want_expl = run.values().filter(|&&st| st == EdgeState::Explicit).count();
-            assert_eq!(idx.expl_count(v(k)), want_expl);
-            assert_eq!(idx.run_len(v(k)), run.len());
-        }
+        assert!(flips.iter().all(|&n| n > 2_000), "restates drawn: {flips:?}");
         let mut held = Vec::new();
         idx.validate(&pool, &mut held);
-        pool.validate(&held);
+        pool.validate(held);
     }
 
-    /// The pooled handle rides in the bytes the inline pair already takes:
-    /// moving it into the bucket did not grow the index tables.
+    /// The pooled handle rides in the bytes the four inline ids already
+    /// take: moving it into the bucket did not grow the index tables.
     #[test]
     fn a_pooled_handle_fits_the_inline_bucket() {
         assert!(std::mem::size_of::<RunRef>() <= 20);
@@ -758,13 +783,13 @@ mod tests {
 
     #[test]
     fn pool_slots_are_recycled_not_carved() {
-        let mut pool = RunPool::new();
+        let mut pool = Pool::new();
         let mut idx = RunIndex::new();
         // Push one run through promote → grow → full teardown, twice; the
         // second pass must reuse the first pass's slots.
-        let cycle = |pool: &mut RunPool, idx: &mut RunIndex| {
+        let cycle = |pool: &mut Pool, idx: &mut RunIndex| {
             for i in 0..20 {
-                idx.set(pool, v(0), v(i), EdgeState::Implicit);
+                idx.set(pool, v(0), v(i), state(i % 3 == 0));
             }
             for i in 0..20 {
                 idx.remove(pool, v(0), v(i));
@@ -772,33 +797,38 @@ mod tests {
         };
         cycle(&mut pool, &mut idx);
         let carved = pool.carved_entries();
-        let slots = pool.slot_count();
-        assert!(carved > 0 && pool.free_slot_count() == slots, "all slots back on free lists");
+        let slots = pool.live_slots() + pool.free_slots();
+        assert!(carved > 0 && pool.free_slots() == slots, "all slots back on free lists");
         cycle(&mut pool, &mut idx);
         assert_eq!(pool.carved_entries(), carved, "steady-state churn carved new storage");
-        assert_eq!(pool.slot_count(), slots);
+        assert_eq!(pool.live_slots() + pool.free_slots(), slots);
         assert_eq!(idx.run_len(v(0)), 0);
     }
 
     #[test]
     fn inline_runs_use_no_pool_storage() {
-        let mut pool = RunPool::new();
+        let mut pool = Pool::new();
         let mut idx = RunIndex::new();
         for k in 0..100 {
-            idx.set(&mut pool, v(k), v(1), EdgeState::Implicit);
-            idx.set(&mut pool, v(k), v(0), EdgeState::Explicit);
+            for (far, explicit) in [(3, false), (0, true), (2, true), (1, false)] {
+                idx.set(&mut pool, v(k), v(far), state(explicit));
+            }
         }
         assert_eq!(pool.carved_entries(), 0, "low-fanout runs must stay inline");
         for k in 0..100 {
-            assert_eq!(
-                idx.slice(&pool, v(k)),
-                &[(v(0), EdgeState::Explicit), (v(1), EdgeState::Implicit)]
-            );
-            assert_eq!(idx.expl_count(v(k)), 1);
+            // Explicit far ends first, each partition ascending.
+            assert_eq!(idx.run(&pool, v(k)), (&[v(0), v(2), v(1), v(3)][..], 2));
+            assert_eq!(idx.explicit(&pool, v(k)), [v(0), v(2)]);
+            assert_eq!(idx.expl_count(v(k)), 2);
         }
-        // One more edge promotes exactly one run.
-        idx.set(&mut pool, v(7), v(5), EdgeState::Implicit);
-        assert_eq!(pool.carved_entries(), class_cap(0) as usize);
-        assert_eq!(idx.run_len(v(7)), 3);
+        // One more edge promotes exactly one run, past class 0: a slot of
+        // four would be full on arrival.
+        idx.set(&mut pool, v(7), v(5), EdgeState::Explicit);
+        assert_eq!(pool.carved_entries(), class_cap(1) as usize);
+        assert_eq!(idx.run(&pool, v(7)), (&[v(0), v(2), v(5), v(1), v(3)][..], 3));
+        // A laid run reads back as it was split.
+        idx.lay(&mut pool, v(200), &[v(4), v(9), v(1)], 2);
+        assert_eq!(idx.explicit(&pool, v(200)), [v(4), v(9)]);
+        assert_eq!(idx.get(&pool, v(200), v(1)), Some(EdgeState::Implicit));
     }
 }

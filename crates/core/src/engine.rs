@@ -265,11 +265,12 @@ impl TurboFlux {
         false
     }
 
-    /// `MatchAllChildren` (Algorithm 4), O(1) via the explicit-out bitmap.
+    /// `MatchAllChildren` (Algorithm 4), O(1) via the explicit-out bitmap —
+    /// which a leaf `u` need not even read.
     #[inline]
     pub(crate) fn match_all_children(&self, v: VertexId, u: QVertexId) -> bool {
         let mask = self.child_mask[u.index()];
-        self.dcg.expl_out_bits(v) & mask == mask
+        mask == 0 || self.dcg.expl_out_bits(v) & mask == mask
     }
 
     /// `MatchAllChildren(v, u)` for a `v` known to have an explicit
@@ -291,8 +292,9 @@ impl TurboFlux {
     }
 
     /// `BuildDCG` (Algorithm 3): depth-first construction of the DCG below
-    /// the edge `(parent, u, cv)`, applying Transitions 1 and 2. Update time
-    /// only (`ops_insert`); the initial DCG is `crate::bulk`'s.
+    /// the edge `(parent, u, cv)`, applying Transitions 1 and 2; returns the
+    /// state it left that edge in. Update time only (`ops_insert`); the
+    /// initial DCG is `crate::bulk`'s.
     pub(crate) fn build_dcg(
         &mut self,
         g: &DynamicGraph,
@@ -300,10 +302,16 @@ impl TurboFlux {
         u: QVertexId,
         cv: VertexId,
         scratch: &mut SearchScratch,
-    ) {
-        // Case 1/2 of Transition 1.
-        let prev = self.dcg.transit(parent, u, cv, Some(EdgeState::Implicit));
+    ) -> EdgeState {
+        // Case 1/2 of Transition 1 — and of Transition 2 in the same write
+        // when `u` is childless: there is no subtree to wait for.
+        let leaf = self.child_mask[u.index()] == 0;
+        let first = if leaf { EdgeState::Explicit } else { EdgeState::Implicit };
+        let prev = self.dcg.transit(parent, u, cv, Some(first));
         debug_assert!(prev.is_none(), "build_dcg must start from a NULL edge");
+        if leaf {
+            return EdgeState::Explicit;
+        }
         // Check-and-avoid: recurse only if this is the first incoming edge
         // of cv labeled u — otherwise the subtrees are already built.
         if self.dcg.in_count_total(cv, u) == 1 {
@@ -329,9 +337,11 @@ impl TurboFlux {
             }
         }
         // Case 1/2 of Transition 2.
-        if self.match_all_children(cv, u) {
-            self.dcg.transit(parent, u, cv, Some(EdgeState::Explicit));
+        if !self.match_all_children(cv, u) {
+            return EdgeState::Implicit;
         }
+        self.dcg.transit(parent, u, cv, Some(EdgeState::Explicit));
+        EdgeState::Explicit
     }
 
     /// `ClearDCG` (Algorithm 10): removes the edge `(parent, u, cv)` and
@@ -352,7 +362,8 @@ impl TurboFlux {
                 // Snapshot the out-list into the segmented stack: the
                 // recursion removes from the list being iterated.
                 let start = scratch.kids.len();
-                scratch.kids.extend(self.dcg.out_edge_slice(cv, uc).iter().map(|&(w, _)| w));
+                let (explicit, implicit) = self.dcg.out_edges(cv, uc);
+                scratch.kids.extend(explicit.iter().chain(implicit));
                 let end = scratch.kids.len();
                 let mut i = start;
                 while i < end {

@@ -73,12 +73,11 @@ impl TurboFlux {
         let up = self.tree.parent(uc).expect("tree edge child has a parent");
         // Case 2 of Transition 0 — or an earlier tree-edge invocation
         // of this same update already cascade-cleared the edge.
-        if self.dcg.in_count_total(pv, up) == 0 || self.dcg.state(pv, uc, cv).is_none() {
+        if self.dcg.in_count_total(pv, up) == 0 {
             return;
         }
-        if self.dcg.state(pv, uc, cv) == Some(EdgeState::Explicit)
-            && self.match_all_children_via(pv, up, uc)
-        {
+        let Some(state) = self.dcg.state(pv, uc, cv) else { return };
+        if state == EdgeState::Explicit && self.match_all_children_via(pv, up, uc) {
             let ctx = SearchCtx::update(e, src, label, dst, Positiveness::Negative);
             scratch.bind(uc, cv);
             scratch.trust(uc); // the state test just above
@@ -167,17 +166,15 @@ impl TurboFlux {
             // Only explicit edges into `v` are climbed, and each is
             // downgraded only after the recursion over it returned.
             scratch.trust(u);
-            // Snapshot the in-list: the downgrades below mutate it.
+            // Snapshot the explicit in-edges: the downgrades below mutate
+            // the run.
             let start = scratch.climb.len();
-            scratch.climb.extend_from_slice(self.dcg.in_edge_slice(v, u));
+            scratch.snapshot_climb(self.dcg.in_edges(v, u).0, &[]);
             let end = scratch.climb.len();
             let mut i = start;
             while i < end {
-                let (vp, st) = scratch.climb[i];
+                let (vp, _) = scratch.climb[i];
                 i += 1;
-                if st != EdgeState::Explicit {
-                    continue;
-                }
                 if self.match_all_children_via(vp, up, u) {
                     self.clear_upwards(g, up, vp, Some(u), ctx, precondition, scratch, sink);
                 }

@@ -73,12 +73,11 @@ impl TurboFlux {
         // An earlier tree-edge invocation of this same update may have
         // already built this DCG edge (the inserted edge can match several
         // tree edges whose builds overlap).
-        if self.dcg.state(pv, uc, cv).is_none() {
-            self.build_dcg(g, Some(pv), uc, cv, scratch);
-        }
-        if self.dcg.state(pv, uc, cv) == Some(EdgeState::Explicit)
-            && self.match_all_children_via(pv, up, uc)
-        {
+        let state = match self.dcg.state(pv, uc, cv) {
+            Some(st) => st,
+            None => self.build_dcg(g, Some(pv), uc, cv, scratch),
+        };
+        if state == EdgeState::Explicit && self.match_all_children_via(pv, up, uc) {
             let ctx = SearchCtx::update(e, src, label, dst, Positiveness::Positive);
             scratch.bind(uc, cv);
             scratch.trust(uc); // the state test just above
@@ -179,18 +178,17 @@ impl TurboFlux {
             // stays explicit while the searches under it run.
             scratch.trust(u);
             // Snapshot the in-list into the segmented stack: transitions
-            // during the climb mutate the list being iterated.
+            // during the climb mutate the list being iterated. Without
+            // transitions only explicit paths matter.
             let start = scratch.climb.len();
-            scratch.climb.extend_from_slice(self.dcg.in_edge_slice(v, u));
+            let (explicit, implicit) = self.dcg.in_edges(v, u);
+            scratch.snapshot_climb(explicit, if ft { implicit } else { &[] });
             let end = scratch.climb.len();
             let mut i = start;
             while i < end {
                 let (vp, st) = scratch.climb[i];
                 i += 1;
                 if st == EdgeState::Implicit {
-                    if !ft {
-                        continue; // without transitions only explicit paths matter
-                    }
                     self.dcg.transit(Some(vp), u, v, Some(EdgeState::Explicit));
                 }
                 if self.match_all_children_via(vp, up, u) {

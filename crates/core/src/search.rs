@@ -38,7 +38,7 @@ use crate::tree_nav::data_pair;
 /// Minimum explicit-frontier size before enumeration intersects the
 /// frontier with bound non-tree neighbors' adjacency runs instead of
 /// probing per candidate inside `IsJoinable`. Below this, the kernel setup
-/// (copying the frontier into scratch) costs more than the probes it saves.
+/// costs more than the probes it saves.
 /// Public so tests sizing a frontier to cross it reference the real value.
 pub const INTERSECT_MIN_FRONTIER: usize = 8;
 
@@ -214,9 +214,9 @@ impl TurboFlux {
         debug_assert_ne!(u, us, "the starting vertex is always pre-bound");
         let vp = scratch.m[self.tree.parent(u).expect("non-root").index()]
             .expect("parent precedes child in matching order");
-        // The slice borrow only needs `&self`; enumeration never mutates
-        // the DCG, so the plain frontier needs no candidate buffer.
-        let slice = self.dcg.out_edge_slice(vp, u);
+        // The frontier is the explicit partition of the run, borrowed: the
+        // slice only needs `&self` and enumeration never mutates the DCG.
+        let slice = self.dcg.out_explicit(vp, u);
         // What is fixed for the whole frontier of `(depth, vp)`. The order
         // rule can only reject the candidate that maps the tree edge `e`
         // onto the updated data edge: its far endpoint, and only when `vp`
@@ -243,8 +243,7 @@ impl TurboFlux {
         for i in 0..n {
             let v = match isect {
                 Some(base) => scratch.isect[base + i],
-                None if slice[i].1 == EdgeState::Explicit => slice[i].0,
-                None => continue,
+                None => slice[i],
             };
             if suspect == Some(v) {
                 let (src, dst) = if down { (vp, v) } else { (v, vp) };
@@ -286,10 +285,11 @@ impl TurboFlux {
         })
     }
 
-    /// The intersection prefilter: copies the explicit entries of `frontier`
-    /// (the DCG run of `(m(P(u)), u)`) onto `scratch.isect` and intersects
-    /// them with the adjacency run of every bound non-tree neighbor (via the
-    /// `tfx-graph` kernels). Returns where the survivors start.
+    /// The intersection prefilter: intersects `frontier` (the explicit far
+    /// ends of the DCG run of `(m(P(u)), u)`) with the adjacency run of every
+    /// bound non-tree neighbor (via the `tfx-graph` kernels) — the first fold
+    /// reads the borrowed slice, later ones the survivors — onto
+    /// `scratch.isect`. Returns where the survivors start.
     ///
     /// Behavior-preserving: a candidate `v` missing from the run of a bound
     /// neighbor `m(w)` fails exactly the `has_edge_matching` probe that
@@ -302,16 +302,12 @@ impl TurboFlux {
         &self,
         g: &DynamicGraph,
         u: QVertexId,
-        frontier: &[(VertexId, EdgeState)],
+        frontier: &[VertexId],
         scratch: &mut SearchScratch,
     ) -> usize {
         let base = scratch.isect.len();
-        let explicit = frontier.iter().filter(|&&(_, st)| st == EdgeState::Explicit);
-        scratch.isect.extend(explicit.map(|&(v, _)| v));
+        let mut first = true;
         for &e in &self.non_tree_incident[u.index()] {
-            if scratch.isect.len() == base {
-                break; // already empty; folding more runs cannot revive it
-            }
             let qe = self.q.edge(e);
             let Some(label) = qe.label else { continue };
             // Query edge u → w maps to data edge v → m(w), so candidates
@@ -329,14 +325,22 @@ impl TurboFlux {
             } else {
                 continue; // self-loop: left to IsJoinable
             };
-            let tmp_base = scratch.isect_tmp.len();
-            let SearchScratch { isect, isect_tmp, .. } = scratch;
-            intersect_into(&isect[base..], run.as_id_slice(), isect_tmp);
-            scratch.isect.truncate(base);
-            let (lo, hi) = (tmp_base, scratch.isect_tmp.len());
-            scratch.isect.extend_from_slice(&scratch.isect_tmp[lo..hi]);
-            scratch.isect_tmp.truncate(tmp_base);
+            if std::mem::take(&mut first) {
+                intersect_into(frontier, run.as_id_slice(), &mut scratch.isect);
+            } else {
+                let tmp_base = scratch.isect_tmp.len();
+                let SearchScratch { isect, isect_tmp, .. } = scratch;
+                intersect_into(&isect[base..], run.as_id_slice(), isect_tmp);
+                scratch.isect.truncate(base);
+                let (lo, hi) = (tmp_base, scratch.isect_tmp.len());
+                scratch.isect.extend_from_slice(&scratch.isect_tmp[lo..hi]);
+                scratch.isect_tmp.truncate(tmp_base);
+            }
+            if scratch.isect.len() == base {
+                break; // empty; folding more runs cannot revive it
+            }
         }
+        debug_assert!(!first, "the caller checked `has_bound_non_tree_run`");
         base
     }
 }

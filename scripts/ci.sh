@@ -29,6 +29,15 @@ if grep -rnw "unsafe" crates/core/src crates/stream/src src; then
   exit 1
 fi
 
+echo "=== a DCG run is ids, not (id, state) pairs ==="
+# An edge's state is which side of its run's split it sits on (DESIGN.md,
+# "DCG storage layout"); a state word stored beside each id doubles the pool.
+if grep -n "(VertexId, EdgeState)" crates/core/src/dcg_store.rs ||
+  grep -rnE "SlotArena<[^>]*EdgeState" crates/core/src; then
+  echo "ci: a per-entry EdgeState is back in the DCG store" >&2
+  exit 1
+fi
+
 echo "=== cargo build --release (workspace) ==="
 cargo build --offline --release --workspace
 

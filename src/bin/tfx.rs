@@ -231,7 +231,7 @@ fn run_main(args: &[String]) -> ExitCode {
             out.line(format_args!("= {m:?}\n"));
         }
     });
-    eprintln!("{initial} initial matches; DCG {} edges", engine.dcg().stored_edge_count());
+    eprintln!("{initial} initial matches; DCG {}", dcg_shape(engine.dcg()));
 
     let Some(stream_path) = opts.stream_path else {
         return match out.finish() {
@@ -274,12 +274,25 @@ fn run_main(args: &[String]) -> ExitCode {
         return code;
     }
     eprintln!(
-        "processed {ops} ops in {:.2?}: {pos} positive, {neg} negative matches; DCG {} edges ({} bytes)",
+        "processed {ops} ops in {:.2?}: {pos} positive, {neg} negative matches; DCG {}, {} bytes",
         started.elapsed(),
-        engine.dcg().stored_edge_count(),
+        dcg_shape(engine.dcg()),
         engine.intermediate_result_bytes(),
     );
     ExitCode::SUCCESS
+}
+
+/// How big and how explicit the DCG is, and where its runs live.
+fn dcg_shape(dcg: &turboflux::core::Dcg) -> String {
+    let s = dcg.storage_stats();
+    format!(
+        "{} edges ({} explicit, {} implicit; {} runs inline, {} pooled)",
+        dcg.stored_edge_count(),
+        s.explicit_edges,
+        s.implicit_edges,
+        s.inline_runs,
+        s.pooled_runs,
+    )
 }
 
 // ---------------------------------------------------------------------------

@@ -93,8 +93,8 @@ fn main() {
     let mut engine = TurboFlux::new(q, g, TurboFluxConfig::default());
 
     // One cycle: close the triangle edge (positive matches), add another
-    // tree-matching edge, then fan v0's u1-run past the DCG's inline
-    // capacity (the run promotes into a pool slot and demotes back when
+    // tree-matching edge, then fan v0's u1-run to six edges, past the DCG's
+    // inline capacity of four (the run promotes into a pool slot and demotes back when
     // the edges go away — slot reuse must come from the free list, not the
     // allocator), toggle a tree edge into the hub v1 so u2 is enumerated
     // over the wide frontier (intersection prefilter), then delete
@@ -105,8 +105,12 @@ fn main() {
         UpdateOp::InsertEdge { src: VertexId(0), label: LabelId(10), dst: VertexId(3) },
         UpdateOp::InsertEdge { src: VertexId(0), label: LabelId(10), dst: VertexId(5) },
         UpdateOp::InsertEdge { src: VertexId(0), label: LabelId(10), dst: VertexId(7) },
+        UpdateOp::InsertEdge { src: VertexId(0), label: LabelId(10), dst: VertexId(9) },
+        UpdateOp::InsertEdge { src: VertexId(0), label: LabelId(10), dst: VertexId(11) },
         UpdateOp::InsertEdge { src: VertexId(4), label: LabelId(10), dst: VertexId(1) },
         UpdateOp::DeleteEdge { src: VertexId(4), label: LabelId(10), dst: VertexId(1) },
+        UpdateOp::DeleteEdge { src: VertexId(0), label: LabelId(10), dst: VertexId(11) },
+        UpdateOp::DeleteEdge { src: VertexId(0), label: LabelId(10), dst: VertexId(9) },
         UpdateOp::DeleteEdge { src: VertexId(0), label: LabelId(10), dst: VertexId(7) },
         UpdateOp::DeleteEdge { src: VertexId(0), label: LabelId(10), dst: VertexId(5) },
         UpdateOp::DeleteEdge { src: VertexId(0), label: LabelId(10), dst: VertexId(3) },

@@ -39,6 +39,9 @@ fn cli_streams_matches_end_to_end() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("0 initial matches"), "stderr: {stderr}");
     assert!(stderr.contains("1 positive, 1 negative"), "stderr: {stderr}");
+    // How explicit the DCG is, and where its runs live.
+    let shape = "DCG 2 edges (0 explicit, 2 implicit; 2 runs inline, 0 pooled)";
+    assert_eq!(stderr.matches(shape).count(), 2, "at registration and at the end: {stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
