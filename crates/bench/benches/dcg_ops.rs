@@ -15,11 +15,11 @@
 //! ClearDCG churn — the full cycle is self-inverting so nothing is cloned
 //! inside the measurement loop and pool slots recycle through the free
 //! lists), `transit` (Transitions 0–5 state flips on standing edges —
-//! a flip moves the entry across the run's explicit | implicit split, so
-//! this group also carries `run64` / `run1024`, one run flipped entry by
-//! entry in the order that makes every move span the whole run),
-//! and `climb_enumerate` (the `build_upwards` in-edge walk plus the
-//! `SubgraphSearch` walk over an out-run's explicit slice).
+//! a flip moves the entry across its out-run's explicit | implicit split
+//! and writes nothing on the in side, so this group also carries `run64` /
+//! `run1024`, one run flipped entry by entry in the order that makes every
+//! move span the whole run), and `climb_enumerate` (the climb's in-run walk
+//! plus the `SubgraphSearch` walk over an out-run's explicit slice).
 //!
 //! `deep_edge_enum` is engine-level: an update matching the deepest tree
 //! edge of a path query, where every match is one climb chain and the
@@ -128,7 +128,7 @@ fn dcg_transit(c: &mut Criterion) {
     group.finish();
 }
 
-/// The `build_upwards` climb (in-edge walks from every child) plus the
+/// The upward climb (in-run walks from every child) plus the
 /// `SubgraphSearch` explicit-out enumeration from every parent.
 fn dcg_climb_enumerate(c: &mut Criterion) {
     let mut group = c.benchmark_group("dcg_climb_enumerate");
@@ -150,9 +150,7 @@ fn dcg_climb_enumerate(c: &mut Criterion) {
             b.iter(|| {
                 let mut n = 0u64;
                 for &(cv, u) in &ins {
-                    let (explicit, implicit) = dcg.in_edges(cv, u);
-                    n = n.wrapping_add(explicit.len() as u64);
-                    for pv in explicit.iter().chain(implicit) {
+                    for pv in dcg.in_edges(cv, u) {
                         n = n.wrapping_add(pv.0 as u64);
                     }
                 }

@@ -18,11 +18,11 @@
 //! child candidate of `pv`, and a state that is a function of `(u, cv)`
 //! alone — it says whether `cv`'s subtrees are matched, whoever the parent
 //! is — read from `expl[u]`. So the bottom-up sweep knows each run whole the
-//! moment it reaches it, already split the way the store keeps it
-//! (`[explicit | implicit]`, `crate::dcg_store`): the out-run of `(v, uc)` is
-//! `v`'s candidate run filtered twice against `expl[uc]`, members first; the
-//! in-run of `(w, u)` is the data graph's reverse label group of `w`
-//! restricted to `reached[P(u)]`, all of it on `w`'s side of the split. Each
+//! moment it reaches it, laid out the way the store keeps it
+//! (`crate::dcg_store`): the out-run of `(v, uc)` is `v`'s candidate run
+//! filtered twice against `expl[uc]`, members first (`[explicit |
+//! implicit]`); the in-run of `(w, u)`, which carries no state, is the data
+//! graph's reverse label group of `w` restricted to `reached[P(u)]`. Each
 //! is written once at its final size
 //! ([`crate::dcg::Dcg::lay_out_run`] / [`crate::dcg::Dcg::lay_in_run`]) into
 //! tables sized by the counts the first sweep took: one table insert per
@@ -98,7 +98,7 @@ impl TurboFlux {
         self.dcg.reserve(&out_runs, &in_runs, roots);
 
         // Bottom-up: the subtree condition. `expl[uc]` is final before any
-        // run labeled `uc` is laid, `expl[u]` before any mirror run of `u`.
+        // run labeled `uc` is laid.
         let mut expl = vec![vec![0u64; words]; nq];
         let mut run: Vec<VertexId> = Vec::new();
         for &u in tree.bfs_order().iter().rev() {
@@ -143,8 +143,7 @@ impl TurboFlux {
                     run.sort_unstable();
                     run.dedup();
                 }
-                let n_expl = if has(&expl[u.index()], cv) { run.len() } else { 0 };
-                self.dcg.lay_in_run(cv, u, &run, n_expl);
+                self.dcg.lay_in_run(cv, u, &run);
             }
         }
         self.scratch.kids = kids;

@@ -14,20 +14,25 @@
 //! The artificial start edges `(v_s*, u_s, v_s)` are stored as a per-vertex
 //! root state. Storage is adjacency keyed per query vertex in *both*
 //! directions, so the engine can walk downward (`out_explicit`) during
-//! `SubgraphSearch` and upward (`in_edges`) during
-//! `BuildUpwardsAndEval` without touching the data graph. Per-vertex
-//! explicit-out bitmaps make the paper's `MatchAllChildren` test O(1).
+//! `SubgraphSearch` and upward (`in_edges`) during the climb
+//! (`BuildUpwardsAndEval` / `ClearUpwardsAndEval`) without touching the data
+//! graph. Per-vertex explicit-out bitmaps make the paper's
+//! `MatchAllChildren` test O(1).
 //!
 //! Deviation from the paper (documented in DESIGN.md): implicit edges are
 //! stored rather than derived from a bitmap plus data-graph scans.
 //!
 //! Storage is the slot arena of [`crate::dcg_store`]: per query vertex and
 //! direction an open-addressed index from the near-side data vertex to a
-//! run of far-end ids laid out `[explicit, ascending | implicit, ascending]`
-//! — an edge's state is which side of the split it sits on, so the explicit
-//! edges are a borrowed slice — runs of ≤ 4 edges inline in the index slot
-//! and larger runs in a shared size-classed pool with free-list reuse. See
-//! DESIGN.md "DCG storage layout".
+//! run of far-end ids, runs of ≤ 4 edges inline in the index slot and larger
+//! runs in a shared size-classed pool with free-list reuse. **An edge's
+//! state is stored once, on the out side**: an out-run is laid out
+//! `[explicit, ascending | implicit, ascending]` — the state is which side
+//! of the split an id sits on, so the explicit edges are a borrowed slice —
+//! while an in-run is the plain ascending list of stored parents, written
+//! only when an edge appears or disappears. A climb needs no state there: by
+//! Definitions 4 / 5 it is a function of `(u, v)` alone, the same for every
+//! edge of one in-run. See DESIGN.md "DCG storage layout".
 
 use std::collections::BTreeMap;
 use tfx_graph::VertexId;
@@ -73,7 +78,9 @@ pub struct Dcg {
     /// Per child query vertex: edges labeled with it, keyed by the
     /// tree-parent-side data vertex.
     out: Vec<RunIndex>,
-    /// Same edges keyed by the child-side data vertex.
+    /// Same edges keyed by the child-side data vertex: who the stored
+    /// parents are, not what state their edges are in (every handle's `expl`
+    /// stays 0).
     inc: Vec<RunIndex>,
     /// Slot arena shared by every run of every index above.
     pool: Pool,
@@ -133,7 +140,9 @@ impl Dcg {
 
     /// Sets (inserting if absent) or clears (when `new` is `None`) the state
     /// of a DCG edge. `parent` is `None` exactly for the artificial start
-    /// edge of `v`. Returns the previous state.
+    /// edge of `v`. Returns the previous state. The in side is written only
+    /// when the edge appears or disappears; an I ↔ E flip moves one id across
+    /// one out-run's split.
     pub fn transit(
         &mut self,
         parent: Option<VertexId>,
@@ -153,18 +162,21 @@ impl Dcg {
             }
             Some(pv) => {
                 debug_assert_ne!(u, self.root_qv);
+                let inc = &mut self.inc[u.index()];
                 let (old, expl_after) = match new {
                     Some(st) => {
-                        let (o, e) = self.out[u.index()].set(&mut self.pool, pv, v, st);
-                        let (o2, _) = self.inc[u.index()].set(&mut self.pool, v, pv, st);
-                        debug_assert_eq!(o, o2, "out/in adjacency diverged");
-                        (o, e)
+                        let (old, expl) = self.out[u.index()].set(&mut self.pool, pv, v, st);
+                        if old.is_none() {
+                            let (mirror, _) = inc.set(&mut self.pool, v, pv, EdgeState::Implicit);
+                            debug_assert!(mirror.is_none(), "out/in adjacency diverged");
+                        }
+                        (old, expl)
                     }
                     None => {
-                        let (o, e) = self.out[u.index()].remove(&mut self.pool, pv, v);
-                        let (o2, _) = self.inc[u.index()].remove(&mut self.pool, v, pv);
-                        debug_assert_eq!(o, o2, "out/in adjacency diverged");
-                        (o, e)
+                        let (old, expl) = self.out[u.index()].remove(&mut self.pool, pv, v);
+                        let (mirror, _) = inc.remove(&mut self.pool, v, pv);
+                        debug_assert_eq!(old.is_some(), mirror.is_some(), "out/in diverged");
+                        (old, expl)
                     }
                 };
                 self.fix_counters(u, old, new, 1);
@@ -249,11 +261,11 @@ impl Dcg {
         }
     }
 
-    /// Lays the whole in-run of `(v, u)`: the mirror of every out-run entry
-    /// `(·, u, v)`, counted there.
-    pub(crate) fn lay_in_run(&mut self, v: VertexId, u: QVertexId, ids: &[VertexId], expl: usize) {
+    /// Lays the whole in-run of `(v, u)`: the near end of every out-run
+    /// entry `(·, u, v)`, ascending; the edges are counted there.
+    pub(crate) fn lay_in_run(&mut self, v: VertexId, u: QVertexId, ids: &[VertexId]) {
         debug_assert_ne!(u, self.root_qv);
-        self.inc[u.index()].lay(&mut self.pool, v, ids, expl);
+        self.inc[u.index()].lay(&mut self.pool, v, ids, 0);
     }
 
     fn fix_counters(
@@ -310,14 +322,13 @@ impl Dcg {
         run.split_at(expl)
     }
 
-    /// The near ends of the stored incoming edges of `v` labeled `u`:
-    /// `(explicit, implicit)`, each ascending. An upward climb mutates the
-    /// run it walks, so it snapshots first (`SearchScratch::snapshot_climb`).
+    /// The near ends of the stored incoming edges of `v` labeled `u`,
+    /// ascending. Their states are on the out side ([`Dcg::state`]) — and all
+    /// the same wherever the engine keeps Definitions 4 / 5.
     #[inline]
-    pub fn in_edges(&self, v: VertexId, u: QVertexId) -> (&[VertexId], &[VertexId]) {
+    pub fn in_edges(&self, v: VertexId, u: QVertexId) -> &[VertexId] {
         debug_assert_ne!(u, self.root_qv);
-        let (run, expl) = self.inc[u.index()].run(&self.pool, v);
-        run.split_at(expl)
+        self.inc[u.index()].run(&self.pool, v).0
     }
 
     /// Returns and clears the dirty bitmask: bit `u` is set iff the
@@ -411,8 +422,9 @@ impl Dcg {
 
     /// Debug-only consistency check: counters, bitmaps, and the arena
     /// invariants (each partition of a run sorted, the two disjoint, `expl ≤
-    /// len`, inline/pooled representation boundary, mirror slots, no slot
-    /// aliasing or free-list leaks) all agree with the stored adjacency.
+    /// len`, `expl == 0` on the in side, inline/pooled representation
+    /// boundary, mirror slots, no slot aliasing or free-list leaks) all agree
+    /// with the stored adjacency.
     pub fn check_consistency(&self) {
         let mut stored = self.root.len() as u64;
         let mut expl = vec![0u64; self.nq];
@@ -424,22 +436,18 @@ impl Dcg {
                 expl[u] += explicit.len() as u64;
                 let bit_set = self.expl_out_bits(pv) & (1 << u) != 0;
                 assert_eq!(bit_set, !explicit.is_empty(), "bitmap wrong at ({pv}, u{u})");
-                // mirror entries exist
-                for (ids, st) in [(explicit, EdgeState::Explicit), (implicit, EdgeState::Implicit)]
-                {
-                    for &cv in ids {
-                        assert_eq!(
-                            self.inc[u].get(&self.pool, cv, pv),
-                            Some(st),
-                            "missing mirror for ({pv}, u{u}, {cv})"
-                        );
-                    }
+                for &cv in explicit.iter().chain(implicit) {
+                    let mirrored = self.in_edges(cv, QVertexId(u as u32)).binary_search(&pv);
+                    assert!(mirrored.is_ok(), "missing mirror for ({pv}, u{u}, {cv})");
                 }
             });
         }
         let mut inc_total = 0u64;
         for adj in &self.inc {
-            adj.for_each_run(&self.pool, |_, e, i| inc_total += (e.len() + i.len()) as u64);
+            adj.for_each_run(&self.pool, |v, explicit, ids| {
+                assert!(explicit.is_empty(), "a state is back on the in side, at v{v}");
+                inc_total += ids.len() as u64;
+            });
         }
         assert_eq!(inc_total + self.root.len() as u64, stored, "in/out totals differ");
         assert_eq!(stored, self.stored_edges, "stored_edges counter wrong");
@@ -524,12 +532,12 @@ mod tests {
         let mut d = Dcg::new(4, u(0));
         d.transit(Some(v(0)), u(2), v(5), Some(EdgeState::Explicit));
         d.transit(Some(v(1)), u(2), v(5), Some(EdgeState::Implicit));
-        assert_eq!(d.in_edges(v(5), u(2)), (&[v(0)][..], &[v(1)][..]));
+        assert_eq!(d.in_edges(v(5), u(2)), [v(0), v(1)]);
         assert_eq!(d.out_edges(v(0), u(2)), (&[v(5)][..], &[][..]));
         assert_eq!(d.out_edges(v(1), u(2)), (&[][..], &[v(5)][..]));
         assert_eq!(d.out_explicit(v(0), u(2)), [v(5)]);
         assert!(d.out_explicit(v(1), u(2)).is_empty());
-        assert_eq!(d.in_edges(v(9), u(2)), (&[][..], &[][..]));
+        assert!(d.in_edges(v(9), u(2)).is_empty());
         assert!(d.out_explicit(v(9), u(2)).is_empty());
         // A pooled run reads back split: explicit far ends, then implicit
         // ones, each ascending.
@@ -549,6 +557,32 @@ mod tests {
         assert_eq!(d.state(v(0), u(1), v(13)), Some(EdgeState::Explicit));
         assert_eq!(d.state(v(0), u(1), v(17)), None);
         d.check_consistency();
+    }
+
+    /// A state is stored once: flipping a standing edge either way writes
+    /// nothing on the in side — not the run's bytes (inline and pooled), not
+    /// its handle, not a reserved byte.
+    #[test]
+    fn a_flip_leaves_the_in_side_untouched() {
+        let mut d = Dcg::new(2, u(0));
+        for pv in [3, 1, 7, 5, 9, 2] {
+            d.transit(Some(v(pv)), u(1), v(20), Some(EdgeState::Implicit));
+        }
+        d.transit(Some(v(5)), u(1), v(21), Some(EdgeState::Explicit));
+        let in_runs =
+            |d: &Dcg| (d.in_edges(v(20), u(1)).to_vec(), d.in_edges(v(21), u(1)).to_vec());
+        let (before, bytes) = (in_runs(&d), d.resident_bytes());
+        assert_eq!(before.0, [1, 2, 3, 5, 7, 9].map(v));
+        for st in [EdgeState::Explicit, EdgeState::Implicit, EdgeState::Explicit] {
+            for (pv, cv) in [(7, 20), (5, 21), (1, 20)] {
+                assert!(d.transit(Some(v(pv)), u(1), v(cv), Some(st)).is_some());
+                assert_eq!(d.state(v(pv), u(1), v(cv)), Some(st));
+                assert_eq!((in_runs(&d), d.resident_bytes()), (before.clone(), bytes));
+                assert_eq!(d.inc[1].expl_count(v(cv)), 0);
+                d.check_consistency();
+            }
+        }
+        assert_eq!(d.expl_counts(), &[0, 3]);
     }
 
     #[test]

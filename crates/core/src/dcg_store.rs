@@ -30,9 +30,10 @@
 //! across the split ([`flip`]), and a lookup binary-searches one partition,
 //! then the other. Each partition being sorted keeps enumeration order
 //! canonical (independent of insertion/removal history), which the
-//! equivalence oracles rely on; the one reader that walks *all* edges of a
-//! run and emits as it goes, the climb that applies Transition 2, merges the
-//! two back into id order (`SearchScratch::snapshot_climb`).
+//! equivalence oracles rely on. The DCG's *in* indexes are the same type with
+//! every run's split at 0 — one ascending list of parents, no state: the one
+//! reader that walks all edges of a run and emits as it goes, the upward
+//! climb, walks those (`Dcg::check_consistency` asserts the 0).
 
 use tfx_graph::arena::{class_cap, class_for, SlotArena};
 use tfx_graph::{contains_sorted, prefetch_at, VertexId};

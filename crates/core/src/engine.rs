@@ -293,7 +293,7 @@ impl TurboFlux {
 
     /// `BuildDCG` (Algorithm 3): depth-first construction of the DCG below
     /// the edge `(parent, u, cv)`, applying Transitions 1 and 2; returns the
-    /// state it left that edge in. Update time only (`ops_insert`); the
+    /// state it left that edge in. Update time only (`crate::ops`); the
     /// initial DCG is `crate::bulk`'s.
     pub(crate) fn build_dcg(
         &mut self,
@@ -430,22 +430,33 @@ impl TurboFlux {
                 self.prefetch_dcg(src, label, dst, stage);
             });
             let round = round::stage(&mut g, op);
-            if let Some(from) = round.new_vertices() {
-                self.register_new_vertices(&g, from);
-            }
-            let mut sink = |p, r: &MatchRecord| sink(i, p, r);
-            match round {
-                Round::Insert { src, label, dst, .. } => {
-                    self.eval_inserted_edge(&g, src, label, dst, &mut sink)
-                }
-                Round::Delete { src, label, dst } => {
-                    self.eval_deleting_edge(&g, src, label, dst, &mut sink)
-                }
-                Round::Skip | Round::Register { .. } => {}
-            }
+            self.eval_round(&g, &round, true, &mut |p, r| sink(i, p, r));
             round::finalize(&mut g, &round);
         }
         self.g = g;
+    }
+
+    /// This engine's part of one round over the staged graph `g`: register
+    /// the vertices the op created, then — unless the round only reached the
+    /// engine for that (`!eval`, [`round::route`]) — evaluate its edge.
+    pub(crate) fn eval_round(
+        &mut self,
+        g: &DynamicGraph,
+        round: &Round,
+        eval: bool,
+        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
+    ) {
+        if let Some(from) = round.new_vertices() {
+            self.register_new_vertices(g, from);
+        }
+        match *round {
+            _ if !eval => {}
+            Round::Insert { src, label, dst, .. } => {
+                self.eval_inserted_edge(g, src, label, dst, sink)
+            }
+            Round::Delete { src, label, dst } => self.eval_deleting_edge(g, src, label, dst, sink),
+            Round::Skip | Round::Register { .. } => {}
+        }
     }
 
     /// Hints the DCG buckets and runs a coming evaluation of the data edge
@@ -514,35 +525,27 @@ impl TurboFlux {
         bucket.iter().chain(&self.qedge_wildcard).copied()
     }
 
-    /// Fills `scratch.tree_edges` / `scratch.non_tree` with the query edges
-    /// matching the data edge `(src, label, dst)`, in processing order
-    /// (tree edges by ascending order key, then non-tree edges by ascending
-    /// id). Only the label bucket built at registration (plus the
-    /// label-wildcard edges) is inspected, not all of `E(q)`.
+    /// The invocation plan of the data edge `(src, label, dst)`: the query
+    /// edges matching it, into the cleared `plan` in processing order — by
+    /// [`Self::edge_order_key`], i.e. tree edges shallow first, then non-tree
+    /// edges by ascending id; an entry's position is its invocation index.
+    /// Only the label bucket built at registration (plus the label-wildcard
+    /// edges) is inspected, not all of `E(q)`. It depends on the query's
+    /// structure and the graph alone, so the slices of a sharded query share
+    /// one.
     pub(crate) fn matching_query_edges(
         &self,
         g: &DynamicGraph,
         src: VertexId,
         label: LabelId,
         dst: VertexId,
-        scratch: &mut SearchScratch,
+        plan: &mut Vec<EdgeId>,
     ) {
-        scratch.tree_edges.clear();
-        scratch.non_tree.clear();
-        for e in self.qedges_for(label) {
-            if self.q.edge_matches(g, e, src, label, dst) {
-                if self.tree.is_tree_edge(e) {
-                    scratch.tree_edges.push(e);
-                } else {
-                    scratch.non_tree.push(e);
-                }
-            }
-        }
+        plan.clear();
+        plan.extend(self.qedges_for(label).filter(|&e| self.q.edge_matches(g, e, src, label, dst)));
         // Order keys are unique per edge, so the unstable (allocation-free)
-        // sorts are deterministic. The non-tree sort restores ascending id
-        // order across the bucket/wildcard interleave.
-        scratch.tree_edges.sort_unstable_by_key(|&e| self.edge_order_key(e));
-        scratch.non_tree.sort_unstable_by_key(|&e| e.0);
+        // sort is deterministic.
+        plan.sort_unstable_by_key(|&e| self.edge_order_key(e));
     }
 
     /// For a matching *tree* edge, the (tree-parent-side, child-side) data

@@ -112,23 +112,8 @@ impl Rounds for Shared {
     }
 
     fn run(&self, engine: &mut TurboFlux, target: Target, round: &Round, emit: &mut Emit<'_>) {
-        let g = &self.graph;
-        if let Some(from) = round.new_vertices() {
-            engine.register_new_vertices(g, from);
-        }
-        if !target.eval {
-            return;
-        }
         let mut sink = |p, r: &MatchRecord| emit(Key::default(), p, r);
-        match *round {
-            Round::Insert { src, label, dst, .. } => {
-                engine.eval_inserted_edge(g, src, label, dst, &mut sink)
-            }
-            Round::Delete { src, label, dst } => {
-                engine.eval_deleting_edge(g, src, label, dst, &mut sink)
-            }
-            Round::Skip | Round::Register { .. } => {}
-        }
+        engine.eval_round(&self.graph, round, target.eval, &mut sink);
     }
 
     fn finalize(&mut self, round: &Round) {

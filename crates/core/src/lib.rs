@@ -38,8 +38,7 @@ pub mod dcg;
 mod dcg_store;
 pub mod engine;
 pub mod fleet;
-mod ops_delete;
-mod ops_insert;
+mod ops;
 pub mod order;
 mod round;
 mod scratch;

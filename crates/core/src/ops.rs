@@ -1,0 +1,285 @@
+//! `InsertEdgeAndEval` / `DeleteEdgeAndEval` and the upward climb they share
+//! (`BuildUpwardsAndEval` / `ClearUpwardsAndEval`; Algorithms 5, 6, 8, 9).
+//!
+//! The two algorithms are one walk read in two directions. An insertion is
+//! evaluated *after* the edge entered the data graph: the DCG is built below
+//! it, each climbed edge is promoted (Transition 2, I → E) before the
+//! recursion over it, and the positives are enumerated over the DCG as it
+//! stands then. A deletion is evaluated *before* the edge leaves: the
+//! negatives are enumerated over the still-intact DCG, each climbed edge is
+//! demoted (Transition 4, E → I) only after its recursion returned, and
+//! `ClearDCG` (Transitions 3/5) runs after the negatives of its triggering
+//! edge were reported. What is promoted on the way in is what is demoted on
+//! the way out — the edges into a vertex whose matched-ness the update
+//! changes — so one climb asks that question once and the sign of the update
+//! says on which side of the recursion the write goes.
+
+use tfx_graph::{DynamicGraph, LabelId, VertexId};
+use tfx_query::{EdgeId, MatchRecord, Positiveness, QVertexId};
+
+use crate::dcg::EdgeState;
+use crate::engine::TurboFlux;
+use crate::scratch::SearchScratch;
+use crate::search::SearchCtx;
+
+impl TurboFlux {
+    /// Evaluates one edge insertion already applied to `g` by the caller
+    /// (externally driven mode; [`TurboFlux::apply_op`] goes through here
+    /// too, against the engine-owned graph).
+    ///
+    /// Tree-edge invocations run first in ascending edge order so the DCG
+    /// is fully maintained before non-tree invocations enumerate it; paired
+    /// with the "maximal triggering edge wins" rule this reports every new
+    /// solution exactly once.
+    pub fn eval_inserted_edge(
+        &mut self,
+        g: &DynamicGraph,
+        src: VertexId,
+        label: LabelId,
+        dst: VertexId,
+        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
+    ) {
+        self.eval_edge(g, src, label, dst, Positiveness::Positive, sink);
+    }
+
+    /// Evaluates one edge deletion. The edge must still be present in `g`;
+    /// the caller removes it from the graph *after* this returns
+    /// (externally driven mode; [`TurboFlux::apply_op`] goes through here
+    /// too, against the engine-owned graph).
+    ///
+    /// Invocations run in the insertion's order; combined with the "minimal
+    /// triggering edge wins" rule every vanished solution is reported exactly
+    /// once, before the DCG region it needs is cleared.
+    pub fn eval_deleting_edge(
+        &mut self,
+        g: &DynamicGraph,
+        src: VertexId,
+        label: LabelId,
+        dst: VertexId,
+        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
+    ) {
+        self.eval_edge(g, src, label, dst, Positiveness::Negative, sink);
+    }
+
+    fn eval_edge(
+        &mut self,
+        g: &DynamicGraph,
+        src: VertexId,
+        label: LabelId,
+        dst: VertexId,
+        p: Positiveness,
+        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
+    ) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.matching_query_edges(g, src, label, dst, &mut scratch.plan);
+        scratch.assert_unbound();
+        for i in 0..scratch.plan.len() {
+            let e = scratch.plan[i];
+            self.invoke(g, e, src, label, dst, p, &mut scratch, sink);
+        }
+        self.scratch = scratch;
+        self.maybe_adjust_order();
+    }
+
+    /// One invocation of `InsertEdgeAndEval` (`p` positive) or
+    /// `DeleteEdgeAndEval` (negative) for the matching query edge `e` — an
+    /// entry of the plan [`TurboFlux::matching_query_edges`] lays out, which
+    /// the unsharded loop above and every slice of a
+    /// [`crate::shard::ShardedEngine`] walk in the same order.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn invoke(
+        &mut self,
+        g: &DynamicGraph,
+        e: EdgeId,
+        src: VertexId,
+        label: LabelId,
+        dst: VertexId,
+        p: Positiveness,
+        scratch: &mut SearchScratch,
+        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
+    ) {
+        // Parallel support beyond the updated edge: the vertex-mapping set
+        // does not change via this query edge (Transition 0 analogue for
+        // multigraphs), and a tree edge's DCG edge stays backed.
+        if g.count_edges_matching(src, dst, self.q.edge(e).label) > 1 {
+            return;
+        }
+        let ctx = SearchCtx::update(e, src, label, dst, p);
+        if self.tree.is_tree_edge(e) {
+            self.tree_invocation(g, e, src, dst, &ctx, scratch, sink);
+        } else {
+            self.non_tree_invocation(g, e, src, dst, &ctx, scratch, sink);
+        }
+    }
+
+    /// A tree-edge invocation: maintain the DCG under the matched tree edge
+    /// `e`, and climb/search when the paper's preconditions hold.
+    #[allow(clippy::too_many_arguments)]
+    fn tree_invocation(
+        &mut self,
+        g: &DynamicGraph,
+        e: EdgeId,
+        src: VertexId,
+        dst: VertexId,
+        ctx: &SearchCtx,
+        scratch: &mut SearchScratch,
+        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
+    ) {
+        let positive = ctx.p == Positiveness::Positive;
+        let (uc, pv, cv) = self.orient_tree_edge(e, src, dst);
+        let up = self.tree.parent(uc).expect("tree edge child has a parent");
+        // Case 2 of Transition 0: no path from a start vertex to pv — or an
+        // earlier invocation of this same deletion cascade-cleared it.
+        if self.dcg.in_count_total(pv, up) == 0 {
+            return;
+        }
+        // An earlier tree-edge invocation of this same update may have
+        // already built (cleared) this DCG edge: the updated edge can match
+        // several tree edges whose builds (clears) overlap.
+        let state = match self.dcg.state(pv, uc, cv) {
+            Some(st) => st,
+            None if positive => self.build_dcg(g, Some(pv), uc, cv, scratch),
+            None => return,
+        };
+        if state == EdgeState::Explicit && self.match_all_children_via(pv, up, uc) {
+            scratch.bind(uc, cv);
+            scratch.trust(uc); // the state test just above
+            self.climb(g, up, pv, Some(uc), ctx, scratch, sink);
+            scratch.trusted = 0;
+            scratch.unbind(uc);
+        }
+        if !positive {
+            // Transitions 3/5 downward, once the negatives that needed the
+            // region are out.
+            self.clear_dcg(Some(pv), uc, cv, scratch);
+        }
+    }
+
+    /// A non-tree invocation: `m(qe.src) = src`, `m(qe.dst) = dst`, both
+    /// endpoints need the path condition and fully matched subtrees. A
+    /// non-tree edge never changes intermediate results, so the climb from
+    /// `qe.src` only traverses.
+    #[allow(clippy::too_many_arguments)]
+    fn non_tree_invocation(
+        &mut self,
+        g: &DynamicGraph,
+        e: EdgeId,
+        src: VertexId,
+        dst: VertexId,
+        ctx: &SearchCtx,
+        scratch: &mut SearchScratch,
+        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
+    ) {
+        let qe = *self.q.edge(e);
+        if self.dcg.in_count_total(src, qe.src) == 0
+            || self.dcg.in_count_total(dst, qe.dst) == 0
+            || !self.match_all_children(src, qe.src)
+            || !self.match_all_children(dst, qe.dst)
+        {
+            return;
+        }
+        let looped = qe.src == qe.dst;
+        if !looped {
+            scratch.bind(qe.dst, dst);
+        }
+        self.climb(g, qe.src, src, None, ctx, scratch, sink);
+        if !looped {
+            scratch.unbind(qe.dst);
+        }
+    }
+
+    /// `BuildUpwardsAndEval` / `ClearUpwardsAndEval`: climbs from `m(u) = v`
+    /// toward the start vertices along the stored DCG edges into `v` and runs
+    /// `SubgraphSearch` at every start vertex reached.
+    ///
+    /// `via` is the child of `u` whose edge out of `v` this update flips —
+    /// made explicit before this call on a positive `ctx`, about to stop
+    /// being so after it on a negative one; `None` when nothing below `v`
+    /// changes state (a non-tree invocation, or a vertex further down kept
+    /// its matched-ness). If that edge is `v`'s only explicit one labeled
+    /// `via`, `v`'s own matched-ness changes with it, and so does the state
+    /// of every edge into `v`: Case 2 of Transition 2 (I → E) applied to each
+    /// before the recursion over it, Case 1 of Transition 4 (E → I) after.
+    ///
+    /// Precondition (established by every caller): all children of `u` have
+    /// explicit outgoing edges from `v`.
+    #[allow(clippy::too_many_arguments)]
+    fn climb(
+        &mut self,
+        g: &DynamicGraph,
+        u: QVertexId,
+        v: VertexId,
+        via: Option<QVertexId>,
+        ctx: &SearchCtx,
+        scratch: &mut SearchScratch,
+        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
+    ) {
+        debug_assert!(self.match_all_children(v, u));
+        // A non-tree invocation pre-binds the other endpoint of the
+        // triggering edge; if the climb reaches that query vertex with a
+        // different data vertex the two constraints contradict and no
+        // solution exists along this path. (No transition is skipped: a
+        // tree invocation binds nothing above where it starts.)
+        if scratch.m[u.index()].is_some_and(|w| w != v) {
+            debug_assert!(via.is_none());
+            return;
+        }
+        let flips = via.is_some_and(|uc| self.dcg.out_expl_count(v, uc) == 1);
+        let (promote, demote) = match ctx.p {
+            Positiveness::Positive => (flips, false),
+            Positiveness::Negative => (false, flips),
+        };
+        let prev = scratch.rebind(u, Some(v));
+        let trusted = scratch.trusted;
+        if u == self.tree.root() {
+            // The single incoming edge is the artificial start edge.
+            if promote {
+                self.dcg.transit(None, u, v, Some(EdgeState::Explicit));
+            }
+            if self.dcg.root_state(v) == Some(EdgeState::Explicit) {
+                scratch.trust(u);
+                self.subgraph_search(g, 0, ctx, scratch, sink);
+                if demote {
+                    self.dcg.transit(None, u, v, Some(EdgeState::Implicit));
+                }
+            }
+        } else {
+            let up = self.tree.parent(u).expect("non-root");
+            // The in-run carries no state and needs none: an edge into `v` is
+            // explicit iff `v`'s subtrees are matched (Definition 4), whoever
+            // its parent is. They are (the precondition), so every edge of
+            // the run is explicit — or, where `v` only just became matched,
+            // implicit and promoted below. It is copied to the segmented
+            // stack because the transitions write the pool it lives in.
+            let start = scratch.climb.len();
+            scratch.climb.extend_from_slice(self.dcg.in_edges(v, u));
+            let end = scratch.climb.len();
+            debug_assert!(
+                scratch.climb[start..].iter().all(|&vp| {
+                    let st = self.dcg.state(vp, u, v);
+                    st == self.dcg.state(scratch.climb[start], u, v)
+                        && (promote || st == Some(EdgeState::Explicit))
+                }),
+                "the edges into one (u, v) hold more than one state, or a stale one"
+            );
+            // So every recursion below climbs an explicit edge into `v`, and
+            // it stays explicit while the searches under it run.
+            scratch.trust(u);
+            for i in start..end {
+                let vp = scratch.climb[i];
+                if promote {
+                    self.dcg.transit(Some(vp), u, v, Some(EdgeState::Explicit));
+                }
+                if self.match_all_children_via(vp, up, u) {
+                    self.climb(g, up, vp, flips.then_some(u), ctx, scratch, sink);
+                }
+                if demote {
+                    self.dcg.transit(Some(vp), u, v, Some(EdgeState::Implicit));
+                }
+            }
+            scratch.climb.truncate(start);
+        }
+        scratch.trusted = trusted;
+        scratch.rebind(u, prev);
+    }
+}

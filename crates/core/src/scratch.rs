@@ -3,10 +3,10 @@
 //! Every update evaluation needs a handful of temporary collections: the
 //! partial embedding, a match record to report through, candidate snapshots
 //! for the recursive `BuildDCG` / `ClearDCG` walks, in-edge snapshots for
-//! the upward climbs, and the lists of query edges matching the updated
-//! data edge. Allocating them per update dominated the cost of small
-//! updates, so they live in one [`SearchScratch`] owned by the engine and
-//! threaded through `search.rs`, `ops_insert.rs` and `ops_delete.rs`.
+//! the upward climb, and the plan of query edges matching the updated data
+//! edge. Allocating them per update dominated the cost of small updates, so
+//! they live in one [`SearchScratch`] owned by the engine and threaded
+//! through `search.rs` and `ops.rs`.
 //!
 //! The recursive walks use **segmented stacks**: a recursion level records
 //! `buf.len()` on entry, appends its snapshot, iterates it by index (inner
@@ -23,8 +23,6 @@
 use rustc_hash::FxHashMap;
 use tfx_graph::VertexId;
 use tfx_query::{EdgeId, MatchRecord, QVertexId};
-
-use crate::dcg::EdgeState;
 
 /// Scratch space reused across updates; see the module docs.
 #[derive(Default, Debug)]
@@ -47,13 +45,12 @@ pub(crate) struct SearchScratch {
     pub(crate) trusted: u64,
     /// Segmented stack of child candidates (`BuildDCG` / `ClearDCG`).
     pub(crate) kids: Vec<VertexId>,
-    /// Segmented stack of DCG in-edge snapshots (upward climbs), written by
-    /// [`SearchScratch::snapshot_climb`].
-    pub(crate) climb: Vec<(VertexId, EdgeState)>,
-    /// Tree query edges matching the current updated data edge.
-    pub(crate) tree_edges: Vec<EdgeId>,
-    /// Non-tree query edges matching the current updated data edge.
-    pub(crate) non_tree: Vec<EdgeId>,
+    /// Segmented stack of DCG in-run copies (the upward climb): the stored
+    /// parents of each climbed vertex, ascending.
+    pub(crate) climb: Vec<VertexId>,
+    /// The query edges matching the current updated data edge, in invocation
+    /// order (`TurboFlux::matching_query_edges`).
+    pub(crate) plan: Vec<EdgeId>,
     /// Segmented stack of explicit-frontier ids for the non-tree-edge
     /// intersection prefilter (`search.rs`).
     pub(crate) isect: Vec<VertexId>,
@@ -97,26 +94,6 @@ impl SearchScratch {
             }
         }
         prev
-    }
-
-    /// Appends one in-run to the `climb` stack — a climb mutates the run it
-    /// walks: its `explicit` near ends and, for the climb that applies
-    /// Transition 2, its `implicit` ones (empty otherwise), as one two-way
-    /// merge in ascending id order. The store keeps the two partitions apart;
-    /// the climb emits matches as it goes, so walking "explicit, then
-    /// implicit" instead would be a different delta order — the order a run
-    /// had as one sorted list is part of every digest and oracle.
-    pub(crate) fn snapshot_climb(&mut self, explicit: &[VertexId], implicit: &[VertexId]) {
-        let (mut e, mut i) = (0, 0);
-        while e < explicit.len() || i < implicit.len() {
-            if i == implicit.len() || (e < explicit.len() && explicit[e] < implicit[i]) {
-                self.climb.push((explicit[e], EdgeState::Explicit));
-                e += 1;
-            } else {
-                self.climb.push((implicit[i], EdgeState::Implicit));
-                i += 1;
-            }
-        }
     }
 
     /// Records that the DCG edge into the current binding of `u` was just
@@ -196,27 +173,6 @@ mod tests {
         assert!(!s.bound_elsewhere(u(0), v(7)));
         s.unbind(u(0));
         s.assert_unbound();
-    }
-
-    /// The climb walks a mixed in-run in id order, not partition order. No
-    /// engine test can see this: every stored edge into one `(u, v)` has the
-    /// same state whenever a climb snapshots it (the state says whether `v`'s
-    /// subtrees are matched), so one partition is empty there. The store
-    /// does not know that, so the order is pinned here. Seeded mutation:
-    /// pushing `explicit ++ implicit` fails this test and no other.
-    #[test]
-    fn climb_snapshot_merges_the_partitions_by_id() {
-        let ids = |xs: &[u32]| xs.iter().map(|&x| v(x)).collect::<Vec<_>>();
-        let (e, i) = (EdgeState::Explicit, EdgeState::Implicit);
-        let mut s = SearchScratch::for_query(2, false);
-        s.snapshot_climb(&ids(&[3]), &[]); // an outer level's segment stays
-        s.snapshot_climb(&ids(&[2, 6, 9]), &ids(&[1, 4, 7, 12]));
-        let want = [(3, e), (1, i), (2, e), (4, i), (6, e), (7, i), (9, e), (12, i)];
-        assert_eq!(s.climb, want.map(|(pv, st)| (v(pv), st)));
-        s.climb.clear();
-        s.snapshot_climb(&[], &ids(&[5, 8]));
-        s.snapshot_climb(&[], &[]);
-        assert_eq!(s.climb, [(v(5), i), (v(8), i)]);
     }
 
     #[test]

@@ -18,12 +18,13 @@
 //! # Per-op protocol
 //!
 //! A batch runs on the round driver ([`crate::round`]) with one cell per
-//! `(shard, query)` slice. Staging an op mutates the graph, then computes a
-//! *seed plan* per query — the ordered list of matching query-edge
-//! invocations — and targets the cells of every query whose plan is
-//! non-empty. A cell runs each planned invocation against the shared graph
-//! and its own DCG slice with the exact per-invocation routines the
-//! unsharded loops use ([`TurboFlux::insert_tree_invocation`] and friends).
+//! `(shard, query)` slice. Staging an op mutates the graph, then lays out
+//! each query's invocation plan — the engine's own
+//! ([`TurboFlux::matching_query_edges`]), once for all of the query's slices
+//! — and targets the cells of every query whose plan is non-empty. A cell
+//! runs each planned invocation against the shared graph and its own DCG
+//! slice through the routine the unsharded loop calls
+//! ([`TurboFlux::invoke`]).
 //!
 //! # Determinism
 //!
@@ -67,63 +68,29 @@ pub struct ShardStats {
     pub inbox_high_water: u64,
 }
 
-/// One planned invocation of `InsertEdgeAndEval` / `DeleteEdgeAndEval`:
-/// the matching query edge, whether it is a tree edge, and its position in
-/// the unsharded processing order (tree edges first, then non-tree).
-#[derive(Clone, Copy, Debug)]
-struct Seed {
-    e: EdgeId,
-    tree: bool,
-    inv: u32,
-}
-
 impl TurboFlux {
-    /// The ordered invocation plan for the data edge `(src, label, dst)`:
-    /// exactly the tree-then-non-tree sequence
-    /// [`TurboFlux::matching_query_edges`] produces, with explicit
-    /// invocation indices. Computed once per (op, query) by the sharded
-    /// driver for all of the query's slices: they share the query structure
-    /// and the graph.
-    fn plan_seeds_into(
-        &self,
-        g: &DynamicGraph,
-        src: VertexId,
-        label: LabelId,
-        dst: VertexId,
-        out: &mut Vec<Seed>,
-    ) {
-        out.clear();
-        for e in self.qedges_for(label) {
-            if self.q.edge_matches(g, e, src, label, dst) {
-                out.push(Seed { e, tree: self.tree.is_tree_edge(e), inv: 0 });
-            }
-        }
-        // Tree edges by order key, then (ranking above them) non-tree by id.
-        out.sort_unstable_by_key(|s| self.edge_order_key(s.e));
-        for (i, s) in out.iter_mut().enumerate() {
-            s.inv = i as u32;
-        }
-    }
-
-    /// The query vertex a seed's upward climb starts from; the emission
-    /// chain is the match's bindings from here to the tree root.
-    fn seed_start(&self, seed: &Seed, src: VertexId, dst: VertexId) -> QVertexId {
-        if seed.tree {
-            let (uc, _, _) = self.orient_tree_edge(seed.e, src, dst);
+    /// The query vertex the upward climb of an invocation for `e` starts
+    /// from; the emission chain is the match's bindings from here to the
+    /// tree root.
+    fn seed_start(&self, e: EdgeId, src: VertexId, dst: VertexId) -> QVertexId {
+        if self.tree.is_tree_edge(e) {
+            let (uc, _, _) = self.orient_tree_edge(e, src, dst);
             self.tree.parent(uc).expect("tree edge child has a parent")
         } else {
-            self.q.edge(seed.e).src
+            self.q.edge(e).src
         }
     }
 
-    /// Runs one planned invocation against this engine's DCG slice. `keyed`
-    /// (the query has other cells) tags every emission with its merge key.
+    /// Runs the plan's invocation number `inv`, for query edge `e`, against
+    /// this engine's DCG slice. `keyed` (the query has other cells) tags every
+    /// emission with its merge key.
     #[allow(clippy::too_many_arguments)]
     fn run_seed(
         &mut self,
         g: &DynamicGraph,
-        seed: &Seed,
-        insert: bool,
+        inv: u32,
+        e: EdgeId,
+        p: Positiveness,
         src: VertexId,
         label: LabelId,
         dst: VertexId,
@@ -135,7 +102,7 @@ impl TurboFlux {
         const MAX_QUERY_VERTICES: usize = 64; // asserted at registration
         let mut path = [QVertexId(0); MAX_QUERY_VERTICES];
         let mut depth = 0;
-        let start = keyed.then(|| self.seed_start(seed, src, dst));
+        let start = keyed.then(|| self.seed_start(e, src, dst));
         for u in std::iter::successors(start, |&u| self.tree.parent(u)) {
             path[depth] = u;
             depth += 1;
@@ -151,24 +118,10 @@ impl TurboFlux {
             for (slot, &u) in chain.iter_mut().zip(&path[..depth]) {
                 *slot = rec.get(u);
             }
-            emit(Key { inv: seed.inv, chain: &chain[..depth] }, p, rec);
+            emit(Key { inv, chain: &chain[..depth] }, p, rec);
         };
         let mut scratch = std::mem::take(&mut self.scratch);
-        let sink = &mut sink;
-        match (insert, seed.tree) {
-            (true, true) => {
-                self.insert_tree_invocation(g, seed.e, src, label, dst, &mut scratch, sink)
-            }
-            (true, false) => {
-                self.insert_non_tree_invocation(g, seed.e, src, label, dst, &mut scratch, sink)
-            }
-            (false, true) => {
-                self.delete_tree_invocation(g, seed.e, src, label, dst, &mut scratch, sink)
-            }
-            (false, false) => {
-                self.delete_non_tree_invocation(g, seed.e, src, label, dst, &mut scratch, sink)
-            }
-        }
+        self.invoke(g, e, src, label, dst, p, &mut scratch, &mut sink);
         self.scratch = scratch;
     }
 }
@@ -177,8 +130,9 @@ impl TurboFlux {
 struct Shared {
     graph: DynamicGraph,
     shards: usize,
-    /// The staged op's seed plan per query (empty outside edge rounds).
-    seeds: Vec<Vec<Seed>>,
+    /// The staged op's invocation plan per query (empty outside edge
+    /// rounds).
+    seeds: Vec<Vec<EdgeId>>,
     stats: ShardStats,
 }
 
@@ -203,7 +157,7 @@ impl Rounds for Shared {
         match round.edge() {
             Some((src, label, dst)) => {
                 for (query, qseeds) in seeds.iter_mut().enumerate() {
-                    engines[query * shards].plan_seeds_into(graph, src, label, dst, qseeds);
+                    engines[query * shards].matching_query_edges(graph, src, label, dst, qseeds);
                 }
                 let crossed = shard_of(src, shards as u32) != shard_of(dst, shards as u32);
                 stats.count_op(shards, crossed, seeds);
@@ -220,9 +174,13 @@ impl Rounds for Shared {
             engine.register_new_vertices(&self.graph, from);
         }
         let Some((src, label, dst)) = round.edge() else { return };
-        let insert = matches!(round, Round::Insert { .. });
-        for seed in &self.seeds[target.cell / self.shards] {
-            engine.run_seed(&self.graph, seed, insert, src, label, dst, self.shards > 1, emit);
+        let p = match round {
+            Round::Insert { .. } => Positiveness::Positive,
+            _ => Positiveness::Negative,
+        };
+        for (inv, &e) in self.seeds[target.cell / self.shards].iter().enumerate() {
+            let keyed = self.shards > 1;
+            engine.run_seed(&self.graph, inv as u32, e, p, src, label, dst, keyed, emit);
         }
     }
 
@@ -233,7 +191,7 @@ impl Rounds for Shared {
 
 impl ShardStats {
     /// Accumulates one applied edge op.
-    fn count_op(&mut self, shards: usize, crossed: bool, seeds: &[Vec<Seed>]) {
+    fn count_op(&mut self, shards: usize, crossed: bool, seeds: &[Vec<EdgeId>]) {
         self.ops_routed += 1;
         self.cross_shard_edges += u64::from(crossed);
         let seed_count: u64 = seeds.iter().map(|s| s.len() as u64).sum();

@@ -830,8 +830,8 @@ fn deadline_stops_enumeration_but_keeps_dcg_consistent() {
 /// `u1`. Only the probe of `(m(u1), u2, d)` stands between `u1 = p2` and a
 /// match over a data edge that does not exist: the climb proved nothing
 /// about `u2`'s binding. Kills both seeded mutations — setting the trust
-/// bit when `insert_non_tree_invocation` / `delete_non_tree_invocation`
-/// pre-bind `qe.dst`, and starting every climb with `trusted = !0`. Run by
+/// bit when `non_tree_invocation` pre-binds `qe.dst`, and starting every
+/// climb with `trusted = !0`. Run by
 /// hand, each also fails the two randomized cyclic oracles above,
 /// `oracle_e2e::lsbench_cyclic_query_with_deletions` and, through the same
 /// shape as a directed scenario, `tests/shard_equivalence.rs`; neither fails
@@ -965,25 +965,22 @@ fn query_edge_index_matches_full_scan() {
                 engine.apply(op, &mut |_, _| {});
                 continue;
             };
-            let mut scratch =
-                crate::scratch::SearchScratch::for_query(engine.query().vertex_count(), false);
-            engine.matching_query_edges(&shadow, src, label, dst, &mut scratch);
-            // Reference: scan every query edge, in the same processing order.
-            let mut want_tree = Vec::new();
-            let mut want_non_tree = Vec::new();
-            for i in 0..engine.query().edge_count() {
-                let e = tfx_query::EdgeId(i as u32);
-                if engine.query().edge_matches(&shadow, e, src, label, dst) {
-                    if engine.query_tree().is_tree_edge(e) {
-                        want_tree.push(e);
-                    } else {
-                        want_non_tree.push(e);
-                    }
-                }
-            }
-            want_tree.sort_unstable_by_key(|&e| engine.edge_order_key(e));
-            assert_eq!(scratch.tree_edges, want_tree, "tree buckets diverge");
-            assert_eq!(scratch.non_tree, want_non_tree, "non-tree buckets diverge");
+            let mut plan = vec![tfx_query::EdgeId(99)];
+            engine.matching_query_edges(&shadow, src, label, dst, &mut plan);
+            // Reference: scan every query edge; the processing order is tree
+            // edges shallow first, then non-tree edges by id.
+            let all = (0..engine.query().edge_count() as u32).map(tfx_query::EdgeId);
+            let (mut want, non_tree): (Vec<_>, Vec<_>) = all
+                .filter(|&e| engine.query().edge_matches(&shadow, e, src, label, dst))
+                .partition(|&e| engine.query_tree().is_tree_edge(e));
+            want.sort_by_key(|&e| {
+                let qe = engine.query().edge(e);
+                let tree = engine.query_tree();
+                let uc = if tree.parent_edge(qe.dst) == Some(e) { qe.dst } else { qe.src };
+                (tree.depth(uc), e)
+            });
+            want.extend(non_tree);
+            assert_eq!(plan, want, "the plan diverges from the full scan");
             engine.apply(op, &mut |_, _| {});
         }
     }
@@ -1023,12 +1020,12 @@ impl Fingerprint {
 
 /// Two branches under `u1`: `u0:A -x-> u1:B`, `u1 -y-> u2:C`, `u1 -z-> u3:D`,
 /// and a second query that closes `u0 -w-> u2` over it (a non-tree edge, so
-/// the `ft = false` climbs run too). Six `A` hubs fan out to sixteen `B`s,
+/// the climbs that flip nothing run too). Six `A` hubs fan out to sixteen `B`s,
 /// every `B` has a `C` below it and about half of them a `D`: the out-run of
 /// `(a, u1)` interleaves explicit and implicit ids, the in-run of `(b, u1)`
 /// is five or so parents that a toggled `z` edge flips together — I → E up
-/// the `ft = true` climb on insertion, E → I down `clear_upwards` on
-/// deletion — and toggled `x` edges insert into and remove from the middle
+/// the climb on insertion, E → I down it on deletion — and toggled `x` edges
+/// insert into and remove from the middle
 /// of both partitions. The six benchmark workloads end their streams with
 /// 0–1 % implicit entries; here the minority state never holds under 15 % of
 /// the `u1` edges.

@@ -30,11 +30,21 @@ if grep -rnw "unsafe" crates/core/src crates/stream/src src; then
 fi
 
 echo "=== a DCG run is ids, not (id, state) pairs ==="
-# An edge's state is which side of its run's split it sits on (DESIGN.md,
-# "DCG storage layout"); a state word stored beside each id doubles the pool.
-if grep -n "(VertexId, EdgeState)" crates/core/src/dcg_store.rs ||
+# An edge's state is which side of its out-run's split it sits on, and is
+# stored nowhere else (DESIGN.md, "DCG storage layout"): a state word beside
+# an id doubles the pool, or the climb's stack.
+if grep -rn "(VertexId, EdgeState)" crates/core/src ||
   grep -rnE "SlotArena<[^>]*EdgeState" crates/core/src; then
-  echo "ci: a per-entry EdgeState is back in the DCG store" >&2
+  echo "ci: a per-entry EdgeState is back in the engine" >&2
+  exit 1
+fi
+
+echo "=== one climb, one invocation plan ==="
+# `ops.rs` holds the upward climb once and `matching_query_edges` the plan
+# once (DESIGN.md, "Enumeration path", "Round driver"); a twin of either
+# comes back by deleting this check and saying what it is for.
+if grep -rnE "fn (build_upwards|clear_upwards|plan_seeds_into)\b" crates/core/src; then
+  echo "ci: a second climb or a second invocation plan is back" >&2
   exit 1
 fi
 

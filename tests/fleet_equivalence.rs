@@ -21,7 +21,9 @@
 //!   layout and creates vertices, so the late query's initial DCG is built
 //!   from a graph unlike the compact clone naive replay registers on.
 
-use std::collections::HashSet;
+mod common;
+
+use common::random_query;
 use turboflux::datagen::Pcg32;
 use turboflux::prelude::*;
 use turboflux::FleetDelta;
@@ -37,39 +39,6 @@ struct Scenario {
     churn: Option<(usize, QueryGraph)>,
     ops1: Vec<UpdateOp>,
     ops2: Vec<UpdateOp>,
-}
-
-/// A random tree-shaped query with `vlabel(i)` on vertex `i`, edge labels
-/// `10..10 + edge_labels` and one wildcard edge in `wildcard_in`. With
-/// `chains`, half the vertices hang off their predecessor (deep queries).
-fn random_query(
-    rng: &mut Pcg32,
-    nq: u32,
-    mut vlabel: impl FnMut(&mut Pcg32, u32) -> u32,
-    chains: bool,
-    edge_labels: usize,
-    wildcard_in: usize,
-) -> QueryGraph {
-    let mut q = QueryGraph::new();
-    for i in 0..nq {
-        let l = vlabel(rng, i);
-        q.add_vertex(LabelSet::single(LabelId(l)));
-    }
-    let mut seen = HashSet::new();
-    for child in 1..nq {
-        let parent =
-            if chains && rng.below(2) == 0 { child - 1 } else { rng.below(child as usize) as u32 };
-        let label = if rng.below(wildcard_in) == 0 {
-            None
-        } else {
-            Some(LabelId(10 + rng.below(edge_labels) as u32))
-        };
-        let (s, d) = if rng.below(3) == 0 { (child, parent) } else { (parent, child) };
-        if seen.insert((s, d, label)) {
-            q.add_edge(QVertexId(s), QVertexId(d), label);
-        }
-    }
-    q
 }
 
 /// A mixed op sequence over a growing vertex set (vertex labels `i % 2`,

@@ -19,6 +19,9 @@
 //! rarely to rely on — a non-tree invocation whose pre-bound endpoint has
 //! no DCG edge from one of the parent bindings the search arrives with.
 
+mod common;
+
+use common::random_query;
 use std::collections::HashSet;
 use turboflux::baselines::NaiveRecompute;
 use turboflux::datagen::Pcg32;
@@ -34,35 +37,6 @@ enum StreamShape {
     Hub,
     /// A small source core fanning out to everyone (dense match growth).
     Explosive,
-}
-
-fn random_query(rng: &mut Pcg32, nq: u32) -> QueryGraph {
-    let mut q = QueryGraph::new();
-    for i in 0..nq {
-        q.add_vertex(LabelSet::single(LabelId(i % 2)));
-    }
-    let mut seen = HashSet::new();
-    for child in 1..nq {
-        let parent = rng.below(child as usize) as u32;
-        let label = if rng.below(3) == 0 { None } else { Some(LabelId(10 + rng.below(2) as u32)) };
-        let (s, d) = if rng.below(2) == 0 { (parent, child) } else { (child, parent) };
-        if seen.insert((s, d, label)) {
-            q.add_edge(QVertexId(s), QVertexId(d), label);
-        }
-    }
-    // One query in three closes one or two more edges between the vertices
-    // it has: a cyclic query, so non-tree invocations run as well.
-    if rng.below(3) == 0 {
-        for _ in 0..1 + rng.below(2) {
-            let (s, d) = (rng.below(nq as usize) as u32, rng.below(nq as usize) as u32);
-            let label =
-                if rng.below(3) == 0 { None } else { Some(LabelId(10 + rng.below(2) as u32)) };
-            if s != d && seen.insert((s, d, label)) {
-                q.add_edge(QVertexId(s), QVertexId(d), label);
-            }
-        }
-    }
-    q
 }
 
 struct Scenario {
@@ -107,7 +81,7 @@ fn random_scenario(rng: &mut Pcg32, shape: StreamShape) -> Scenario {
     let queries: Vec<QueryGraph> = (0..nqueries)
         .map(|_| {
             let nq = 2 + rng.below(3) as u32;
-            random_query(rng, nq)
+            random_query(rng, nq, |_, i| i % 2, false, 2, 3)
         })
         .collect();
 

@@ -9,6 +9,9 @@
 //! the recorded `(global_op, engine, sign, embedding)` stream must match the replay
 //! exactly, in order.
 
+mod common;
+
+use common::random_query;
 use std::collections::HashSet;
 use turboflux::datagen::Pcg32;
 use turboflux::prelude::*;
@@ -32,23 +35,6 @@ impl DeltaSink for RecordingSink {
     fn on_delta(&mut self, d: &DeltaRef<'_>) {
         self.deltas.push((d.global_op, d.engine, d.positiveness, d.record.clone()));
     }
-}
-
-fn random_query(rng: &mut Pcg32, nq: u32) -> QueryGraph {
-    let mut q = QueryGraph::new();
-    for i in 0..nq {
-        q.add_vertex(LabelSet::single(LabelId(i % 2)));
-    }
-    let mut seen = HashSet::new();
-    for child in 1..nq {
-        let parent = rng.below(child as usize) as u32;
-        let label = if rng.below(3) == 0 { None } else { Some(LabelId(10 + rng.below(2) as u32)) };
-        let (s, d) = if rng.below(2) == 0 { (parent, child) } else { (child, parent) };
-        if seen.insert((s, d, label)) {
-            q.add_edge(QVertexId(s), QVertexId(d), label);
-        }
-    }
-    q
 }
 
 struct Scenario {
@@ -76,7 +62,7 @@ fn random_scenario(rng: &mut Pcg32) -> Scenario {
     let queries: Vec<QueryGraph> = (0..nqueries)
         .map(|_| {
             let nq = 2 + rng.below(3) as u32;
-            random_query(rng, nq)
+            random_query(rng, nq, |_, i| i % 2, false, 2, 3)
         })
         .collect();
 
