@@ -363,7 +363,8 @@ impl Dcg {
     /// entries and metadata (free-list slack included). Reserved storage
     /// never shrinks, so this measures high-water memory — after a warm-up
     /// cycle a self-inverting update stream returns it to exactly the same
-    /// value (see `tests/properties.rs`), but a freshly built engine
+    /// value (`insert_then_delete_restores_everything` in
+    /// `tests/properties.rs`), but a freshly built engine
     /// reports less than one that has churned.
     pub fn resident_bytes(&self) -> usize {
         let mut bytes = self.root.resident_bytes()
@@ -472,6 +473,7 @@ impl Dcg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::Rng;
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -643,28 +645,6 @@ mod tests {
         d.transit(None, u(0), v(2), Some(EdgeState::Explicit));
         assert_eq!(d.take_dirty_expl(), (1 << 1) | 1);
         d.check_consistency();
-    }
-
-    /// Same xorshift as the engine's randomized tests.
-    struct Rng(u64);
-
-    impl Rng {
-        fn new(seed: u64) -> Self {
-            Rng(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1)
-        }
-
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.0 = x;
-            x
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
     }
 
     /// Randomized soak: interleaved insert/delete/restate churn with a

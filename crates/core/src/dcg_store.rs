@@ -629,32 +629,11 @@ impl RunIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::Rng;
     use std::collections::BTreeMap;
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
-    }
-
-    /// Same xorshift as the engine's randomized tests.
-    struct Rng(u64);
-
-    impl Rng {
-        fn new(seed: u64) -> Self {
-            Rng(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1)
-        }
-
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.0 = x;
-            x
-        }
-
-        fn below(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
     }
 
     #[test]

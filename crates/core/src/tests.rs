@@ -19,11 +19,12 @@ fn v(i: u32) -> VertexId {
     VertexId(i)
 }
 
-/// A tiny deterministic xorshift generator for the randomized tests.
-struct Rng(u64);
+/// A tiny deterministic xorshift generator for the crate's randomized tests
+/// (`dcg` and `dcg_store` import it too).
+pub(crate) struct Rng(u64);
 
 impl Rng {
-    fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Rng(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1)
     }
 
@@ -36,7 +37,7 @@ impl Rng {
         x
     }
 
-    fn below(&mut self, n: usize) -> usize {
+    pub(crate) fn below(&mut self, n: usize) -> usize {
         (self.next() % n as u64) as usize
     }
 }
@@ -833,10 +834,10 @@ fn deadline_stops_enumeration_but_keeps_dcg_consistent() {
 /// bit when `non_tree_invocation` pre-binds `qe.dst`, and starting every
 /// climb with `trusted = !0`. Run by
 /// hand, each also fails the two randomized cyclic oracles above,
-/// `oracle_e2e::lsbench_cyclic_query_with_deletions` and, through the same
-/// shape as a directed scenario, `tests/shard_equivalence.rs`; neither fails
-/// `stream_oracle` or `fleet_equivalence`, whose scenarios never pre-bind
-/// over an absent edge (DESIGN.md, "Enumeration path").
+/// `oracle_e2e::lsbench_cyclic_query_with_deletions` and the integration
+/// harness (`tests/common/mod.rs`): its `NaiveRecompute` check, on the same
+/// shape as a directed scenario and on its random draws (DESIGN.md,
+/// "Testing strategy").
 ///
 /// The pre-bound edge cannot be *implicit* instead of absent: every DCG
 /// edge into one `(u, v)` has the same state (it says whether `v`'s subtrees

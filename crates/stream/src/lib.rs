@@ -22,11 +22,12 @@
 //! 4. **Sinks** ([`DeltaSink`]) receive the match deltas: callback, JSONL
 //!    writer, counting, or null.
 //!
-//! The correctness contract, enforced by `tests/stream_oracle.rs` at the
-//! workspace root: a windowed run produces deltas *byte-identical* to
-//! replaying the window's emitted op sequence as explicit inserts/deletes
-//! on a fresh engine — under homomorphism and isomorphism, sequentially
-//! and on a fleet, for time- and count-based windows.
+//! The correctness contract, enforced by the integration harness at the
+//! workspace root (`tests/common/mod.rs`): the window emits what a model of
+//! its semantics written from scratch emits, and a windowed, batched run on
+//! any target produces deltas *byte-identical* to one standalone engine per
+//! query, which `NaiveRecompute` confirms op by op — under homomorphism and
+//! isomorphism, for time, count and unbounded windows and any batch policy.
 
 pub mod driver;
 pub mod event;

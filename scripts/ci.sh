@@ -48,6 +48,17 @@ if grep -rnE "fn (build_upwards|clear_upwards|plan_seeds_into)\b" crates/core/sr
   exit 1
 fi
 
+echo "=== one scenario generator ==="
+# The randomized oracles draw from the one generator and run the one
+# comparator in tests/common/ (DESIGN.md, "Testing strategy"); a second
+# generator comes back by deleting this check and saying what the harness
+# cannot draw.
+if grep -rnE "fn (random_scenario|random_ops|random_graph|random_window|random_policy)\b" \
+  --include='*.rs' --exclude-dir=common tests; then
+  echo "ci: a scenario generator is back outside tests/common/" >&2
+  exit 1
+fi
+
 echo "=== cargo build --release (workspace) ==="
 cargo build --offline --release --workspace
 

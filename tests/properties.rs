@@ -1,18 +1,14 @@
-//! Randomized property tests over the core data structures and the
-//! engine's key invariants (formerly proptest-based; rewritten as
-//! deterministic Pcg32-driven loops because the build environment cannot
-//! fetch external crates):
-//!
-//! * `LabelSet` behaves like a mathematical set (subset laws),
-//! * update streams replay cleanly and truncation is prefix-monotone,
-//! * applying a random insert burst and then deleting it in reverse
-//!   returns the DCG and the match set to their initial state,
-//! * engine reports are exactly the oracle's set difference for arbitrary
-//!   op sequences.
+//! Randomized property tests, as Pcg32 loops: `LabelSet` subset laws,
+//! update-stream truncation is a prefix, and an insert burst drawn from the
+//! harness's generator (`common`) deleted in reverse returns the DCG and the
+//! match set to their initial state and the warmed engine's resident bytes
+//! to a fixpoint.
 
+mod common;
+
+use common::{random_scenario, Edge, SHAPES};
 use std::collections::HashSet;
 use turboflux::datagen::Pcg32;
-use turboflux::matcher::match_set;
 use turboflux::prelude::*;
 
 fn random_label_set(rng: &mut Pcg32) -> LabelSet {
@@ -24,8 +20,7 @@ fn random_label_set(rng: &mut Pcg32) -> LabelSet {
 fn label_set_subset_laws() {
     let mut rng = Pcg32::new(0x5e7);
     for _ in 0..64 {
-        let sa = random_label_set(&mut rng);
-        let sb = random_label_set(&mut rng);
+        let (sa, sb) = (random_label_set(&mut rng), random_label_set(&mut rng));
         let union: LabelSet = sa.iter().chain(sb.iter()).collect();
         // a ⊆ a ∪ b, b ⊆ a ∪ b, a ⊆ a.
         assert!(sa.is_subset_of(&union));
@@ -45,15 +40,10 @@ fn label_set_subset_laws() {
 fn stream_truncation_is_a_prefix() {
     let mut rng = Pcg32::new(0x7ab);
     for _ in 0..64 {
-        let n = rng.below(20);
-        let keep = rng.below(20);
-        let ops: Vec<UpdateOp> = (0..n as u32)
-            .map(|i| UpdateOp::InsertEdge {
-                src: VertexId(i),
-                label: LabelId(0),
-                dst: VertexId(i + 1),
-            })
-            .collect();
+        let (n, keep) = (rng.below(20), rng.below(20));
+        let edge =
+            |i| UpdateOp::InsertEdge { src: VertexId(i), label: LabelId(0), dst: VertexId(i + 1) };
+        let ops: Vec<UpdateOp> = (0..n as u32).map(edge).collect();
         let s = UpdateStream::from_ops(ops.clone());
         let t = s.truncate_edge_ops(keep);
         assert_eq!(t.len(), keep.min(n));
@@ -61,144 +51,64 @@ fn stream_truncation_is_a_prefix() {
     }
 }
 
-/// A small random scenario: labeled graph + connected query + insert burst.
-struct Scenario {
-    g0: DynamicGraph,
-    q: QueryGraph,
-    burst: Vec<UpdateOp>,
-}
-
-fn random_scenario(rng: &mut Pcg32) -> Scenario {
-    let nv = 3 + rng.below(4) as u32; // 3..=6 data vertices
-    let nq = 2 + rng.below(3) as u32; // 2..=4 query vertices
-
-    let mut g = DynamicGraph::new();
-    for i in 0..nv {
-        g.add_vertex(LabelSet::single(LabelId(i % 2)));
-    }
-    for _ in 0..(2 + rng.below(8)) {
-        let a = VertexId(rng.below(nv as usize) as u32);
-        let b = VertexId(rng.below(nv as usize) as u32);
-        g.insert_edge(a, LabelId(10 + rng.below(2) as u32), b);
-    }
-
-    // A connected query: vertex i attaches to some j < i, random direction,
-    // random (possibly wildcard) edge label.
-    let mut q = QueryGraph::new();
-    for i in 0..nq {
-        q.add_vertex(LabelSet::single(LabelId(i % 2)));
-    }
-    let mut seen = HashSet::new();
-    for child in 1..nq {
-        let parent = rng.below(child as usize) as u32;
-        let label = if rng.below(3) == 0 { None } else { Some(LabelId(10 + rng.below(2) as u32)) };
-        let (s, d) = if rng.below(2) == 0 { (parent, child) } else { (child, parent) };
-        if seen.insert((s, d, label)) {
-            q.add_edge(QVertexId(s), QVertexId(d), label);
-        }
-    }
-
-    let mut burst = Vec::new();
-    let mut live: HashSet<(VertexId, LabelId, VertexId)> =
-        g.edges().map(|e| (e.src, e.label, e.dst)).collect();
-    for _ in 0..(1 + rng.below(5)) {
-        let a = VertexId(rng.below(nv as usize) as u32);
-        let b = VertexId(rng.below(nv as usize) as u32);
-        let l = LabelId(10 + rng.below(2) as u32);
-        if live.insert((a, l, b)) {
-            burst.push(UpdateOp::InsertEdge { src: a, label: l, dst: b });
-        }
-    }
-    Scenario { g0: g, q, burst }
-}
-
-/// Insert a burst of edges, then delete them in reverse: DCG snapshot,
-/// DCG counters, and match set must return exactly to the originals,
-/// and positives must equal negatives as sets.
+/// A burst of inserts — a harness scenario's, between `g0`'s vertices, of
+/// edges `g0` lacks, each once — deleted in reverse: DCG snapshot, counters
+/// and match set return to the originals, positives equal negatives as sets.
 #[test]
 fn insert_then_delete_restores_everything() {
     let mut rng = Pcg32::new(0xD0_0D);
     let mut exercised = 0;
-    for _ in 0..200 {
-        let s = random_scenario(&mut rng);
-        if s.q.edge_count() == 0 || !s.q.is_connected() || s.burst.is_empty() {
+    for round in 0..200 {
+        let s = random_scenario(&mut rng, SHAPES[round % SHAPES.len()]);
+        let n = s.g0.vertex_count();
+        let mut seen: HashSet<Edge> = s.g0.edges().map(|e| (e.src, e.label, e.dst)).collect();
+        let inserts = s.events.iter().filter_map(|ev| match ev.op {
+            UpdateOp::InsertEdge { src, label, dst } if src.index().max(dst.index()) < n => {
+                Some((src, label, dst))
+            }
+            _ => None,
+        });
+        let burst: Vec<Edge> = inserts.filter(|&e| seen.insert(e)).collect();
+        if burst.is_empty() {
             continue;
         }
         exercised += 1;
+        let ins = |&(src, label, dst): &Edge| UpdateOp::InsertEdge { src, label, dst };
+        let del = |&(src, label, dst): &Edge| UpdateOp::DeleteEdge { src, label, dst };
 
-        let mut engine = TurboFlux::new(s.q.clone(), s.g0.clone(), TurboFluxConfig::default());
+        let cfg = TurboFluxConfig::default();
+        let mut engine = TurboFlux::new(s.queries[0].clone(), s.g0.clone(), cfg);
         let snapshot0 = engine.dcg().snapshot();
 
-        let mut pos: HashSet<MatchRecord> = HashSet::new();
-        for op in &s.burst {
-            engine.apply(op, &mut |p, m| {
-                assert_eq!(p, Positiveness::Positive);
-                pos.insert(m.clone());
-            });
-        }
-        let mut neg: HashSet<MatchRecord> = HashSet::new();
-        for op in s.burst.iter().rev() {
-            let UpdateOp::InsertEdge { src, label, dst } = op else { unreachable!() };
-            let del = UpdateOp::DeleteEdge { src: *src, label: *label, dst: *dst };
-            engine.apply(&del, &mut |p, m| {
-                assert_eq!(p, Positiveness::Negative);
-                neg.insert(m.clone());
-            });
-        }
+        // The matches `ops` report, each under the sign `want`.
+        let mut signed = |ops: Vec<UpdateOp>, want| {
+            let mut seen: HashSet<MatchRecord> = HashSet::new();
+            for op in &ops {
+                engine.apply(op, &mut |p, m| {
+                    assert_eq!(p, want);
+                    seen.insert(m.clone());
+                });
+            }
+            seen
+        };
+        let pos = signed(burst.iter().map(ins).collect(), Positiveness::Positive);
+        assert_eq!(pos, signed(burst.iter().rev().map(del).collect(), Positiveness::Negative));
         engine.dcg().check_consistency();
         assert_eq!(engine.dcg().snapshot(), snapshot0);
-        assert_eq!(pos, neg);
 
-        // `resident_bytes` accounts reserved storage (capacities, arena
-        // slots), which only the *warmed* engine restores: run one more
-        // burst + teardown cycle to finish warming (the first teardown
-        // still sizes free-list stacks), record its peak and trough, then
-        // replay the identical cycle and require both to be exact
-        // fixpoints — any drift is a storage leak.
+        // `resident_bytes` counts reserved storage, which only a warmed engine
+        // restores: one more cycle finishes warming (the first teardown sizes
+        // free-list stacks); an identical one must repeat its peak and trough.
         let run_cycle = |engine: &mut TurboFlux| {
-            for op in &s.burst {
-                engine.apply(op, &mut |_, _| {});
-            }
+            burst.iter().for_each(|e| engine.apply(&ins(e), &mut |_, _| {}));
             let peak = engine.intermediate_result_bytes();
-            for op in s.burst.iter().rev() {
-                let UpdateOp::InsertEdge { src, label, dst } = op else { unreachable!() };
-                let del = UpdateOp::DeleteEdge { src: *src, label: *label, dst: *dst };
-                engine.apply(&del, &mut |_, _| {});
-            }
+            burst.iter().rev().for_each(|e| engine.apply(&del(e), &mut |_, _| {}));
             (peak, engine.intermediate_result_bytes())
         };
         let warm = run_cycle(&mut engine);
         assert_eq!(run_cycle(&mut engine), warm, "warm (peak, trough) bytes leak");
         engine.dcg().check_consistency();
         assert_eq!(engine.dcg().snapshot(), snapshot0);
-    }
-    assert!(exercised >= 48, "only {exercised} scenarios exercised");
-}
-
-/// Arbitrary op application equals the oracle's set difference.
-#[test]
-fn reports_equal_oracle_difference() {
-    let mut rng = Pcg32::new(0xFACE);
-    let mut exercised = 0;
-    for _ in 0..200 {
-        let s = random_scenario(&mut rng);
-        if s.q.edge_count() == 0 || !s.q.is_connected() {
-            continue;
-        }
-        exercised += 1;
-        let mut engine = TurboFlux::new(s.q.clone(), s.g0.clone(), TurboFluxConfig::default());
-        let mut shadow = s.g0;
-        for op in &s.burst {
-            let before = match_set(&shadow, &s.q, MatchSemantics::Homomorphism);
-            shadow.apply(op);
-            let after = match_set(&shadow, &s.q, MatchSemantics::Homomorphism);
-            let mut got: HashSet<MatchRecord> = HashSet::new();
-            engine.apply(op, &mut |_, m| {
-                got.insert(m.clone());
-            });
-            let want: HashSet<MatchRecord> = after.difference(&before).cloned().collect();
-            assert_eq!(got, want);
-        }
     }
     assert!(exercised >= 48, "only {exercised} scenarios exercised");
 }
