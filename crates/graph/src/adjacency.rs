@@ -362,7 +362,7 @@ impl Adjacency {
 
     /// Every label group as `(label, sorted ids)`, in label order.
     #[inline]
-    fn groups<'a>(&self, a: &'a Arena) -> Groups<'a> {
+    pub(crate) fn groups<'a>(&self, a: &'a Arena) -> Groups<'a> {
         let (labels, ids) = if self.is_directory() { (&[][..], &[][..]) } else { self.flat(a) };
         Groups { data: a.data(), labels, ids, recs: self.dir(a) }
     }
@@ -410,7 +410,7 @@ impl Adjacency {
 /// The label groups of one run: a flat run splits its two halves at every
 /// label change, a directory walks its records.
 #[derive(Clone)]
-struct Groups<'a> {
+pub(crate) struct Groups<'a> {
     data: &'a [Word],
     /// What is left of a flat run's halves; empty for a directory.
     labels: &'a [Word],

@@ -55,6 +55,21 @@ fn bump(counts: &mut Vec<usize>, label: LabelId) {
     counts[label.index()] += 1;
 }
 
+/// Bucket sizes to bucket starts (exclusive prefix sums), in place. A
+/// counting sort then places each entry at its bucket's start and moves the
+/// start on, which leaves each bucket's end there.
+fn sizes_to_starts(sizes: &mut [usize]) {
+    let mut total = 0;
+    for size in sizes {
+        (*size, total) = (total, total + *size);
+    }
+}
+
+/// The index ranges of consecutive buckets with the given ends.
+fn bucket_ranges(ends: &[usize]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    ends.iter().scan(0, |start, &end| Some(std::mem::replace(start, end)..end))
+}
+
 /// How the arena behind a [`DynamicGraph`] is occupied.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StorageStats {
@@ -112,37 +127,78 @@ impl DynamicGraph {
     }
 
     /// A graph over vertices `0..vertex_labels.len()` holding `edges`
-    /// (any order, duplicates dropped): one sort per direction, then every
-    /// run laid out in vertex order at its final size — what N incremental
-    /// inserts reach only through N shifts and a fragmented arena.
+    /// (any order, duplicates dropped), built by two counting sorts where a
+    /// comparison sort of the whole list would do: the edges are bucketed
+    /// by source on degree prefix sums, and each bucket is sorted and
+    /// deduplicated by `(label, dst)` and laid as its out-run; then the
+    /// out-runs, read back in source order, fill the in-buckets already
+    /// ascending by source, and each is sorted by label and laid as its
+    /// in-run. Every run is laid once at its final size — what N incremental
+    /// inserts reach only through N shifts and a fragmented arena — and one
+    /// `(label, vertex)` array of the edge count, reused by both sides, is
+    /// the only scratch.
     ///
     /// Panics if an edge names a vertex that does not exist.
-    pub fn from_edges(vertex_labels: Vec<LabelSet>, mut edges: Vec<EdgeRef>) -> Self {
+    pub fn from_edges(vertex_labels: Vec<LabelSet>, edges: Vec<EdgeRef>) -> Self {
         let mut g = DynamicGraph::new();
         for labels in vertex_labels {
             g.add_vertex(labels);
         }
-        edges.sort_unstable();
-        edges.dedup();
-        let mut by_dst = edges.clone();
-        by_dst.sort_unstable_by_key(|e| (e.dst, e.label, e.src));
-        g.edge_count = edges.len();
-        g.arena = Arena::with_capacity(4 * edges.len() + 4 * g.runs.len());
-        type End = fn(&EdgeRef) -> VertexId;
-        let (src, dst): (End, End) = (|e| e.src, |e| e.dst);
-        let (mut outs, mut incs, mut buf) = (&edges[..], &by_dst[..], Vec::new());
-        for (v, pair) in g.runs.iter_mut().enumerate() {
-            for (dir, rest, near, far) in [(OUT, &mut outs, src, dst), (IN, &mut incs, dst, src)] {
-                let (run, tail) = rest.split_at(rest.partition_point(|e| near(e).index() == v));
-                *rest = tail;
-                buf.clear();
-                buf.extend(run.iter().map(|e| (e.label, far(e))));
-                pair[dir] = Adjacency::build(&mut g.arena, &buf);
+        let n = g.runs.len();
+        let mut ends = vec![0; n];
+        for e in &edges {
+            let exists = e.src.index() < n && e.dst.index() < n;
+            assert!(exists, "from_edges: an edge names a missing vertex");
+            ends[e.src.index()] += 1;
+        }
+        sizes_to_starts(&mut ends);
+        let mut buf = vec![(LabelId(0), VertexId(0)); edges.len()];
+        for e in &edges {
+            let at = &mut ends[e.src.index()];
+            buf[*at] = (e.label, e.dst);
+            *at += 1;
+        }
+        drop(edges);
+        // Sort and deduplicate each out-bucket, closing the gaps up as it goes.
+        let (mut start, mut kept) = (0, 0);
+        for end in &mut ends {
+            buf[start..*end].sort_unstable();
+            for i in start..*end {
+                if i == start || buf[i] != buf[i - 1] {
+                    buf[kept] = buf[i];
+                    kept += 1;
+                }
+            }
+            (start, *end) = (*end, kept);
+        }
+        buf.truncate(kept);
+        g.edge_count = kept;
+        g.arena = Arena::with_capacity(4 * kept + 4 * n);
+        let mut in_ends = vec![0; n];
+        for (v, range) in bucket_ranges(&ends).enumerate() {
+            for &(label, w) in &buf[range.clone()] {
+                bump(&mut g.edge_label_counts, label);
+                in_ends[w.index()] += 1;
+            }
+            g.runs[v][OUT] = Adjacency::build(&mut g.arena, &buf[range]);
+        }
+        drop(ends);
+        // The in-buckets, filled from the out-runs in source order.
+        sizes_to_starts(&mut in_ends);
+        for (v, pair) in g.runs.iter().enumerate() {
+            for (label, ids) in pair[OUT].groups(&g.arena) {
+                for w in ids {
+                    let at = &mut in_ends[w.index()];
+                    buf[*at] = (label, VertexId(v as u32));
+                    *at += 1;
+                }
             }
         }
-        assert!(outs.is_empty() && incs.is_empty(), "from_edges: an edge names a missing vertex");
-        for e in &edges {
-            bump(&mut g.edge_label_counts, e.label);
+        for (v, range) in bucket_ranges(&in_ends).enumerate() {
+            // Sources are unique within a label: sorting by `(label, src)`
+            // is the stable sort by label.
+            buf[range.clone()].sort_unstable();
+            g.runs[v][IN] = Adjacency::build(&mut g.arena, &buf[range]);
         }
         g
     }

@@ -107,6 +107,87 @@ fn resident_bytes_is_a_fixpoint_under_self_inverting_churn() {
     assert_eq!(g.storage_stats().carved_entries, stats.carved_entries);
 }
 
+/// `x` below `n`, from a seeded xorshift, so a failing seed replays.
+fn below(state: &mut u64, n: u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state % n
+}
+
+/// The counting-sort bulk build lays out the graph incremental inserts
+/// build, over random edge lists with duplicates, self-loops, parallel
+/// labels, hubs past `FLAT_MAX` on both sides and isolated vertices, fed in
+/// shuffled order.
+#[test]
+fn from_edges_equals_incremental_inserts_on_random_graphs() {
+    let (mut directories, mut isolated, mut loops) = (0, 0, 0);
+    for seed in 1..=40u64 {
+        let rng = &mut seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let n = 1 + below(rng, 4 * FLAT_MAX as u64) as u32;
+        let labels = 1 + below(rng, 6) as u32;
+        let mut edges = Vec::new();
+        for _ in 0..below(rng, 6 * u64::from(n)) {
+            let (src, dst) = (below(rng, n.into()) as u32, below(rng, n.into()) as u32);
+            let dst = if below(rng, 12) == 0 { src } else { dst };
+            let label = below(rng, labels.into()) as u32;
+            edges.push(EdgeRef::new(VertexId(src), l(label), VertexId(dst)));
+            if below(rng, 4) == 0 {
+                edges.push(edges[below(rng, edges.len() as u64) as usize]);
+            }
+            if below(rng, 6) == 0 {
+                let parallel = (label + 1) % labels;
+                edges.push(EdgeRef::new(VertexId(src), l(parallel), VertexId(dst)));
+            }
+        }
+        if seed % 3 == 0 {
+            // An out-hub and an in-hub, over every label.
+            let hub = VertexId(below(rng, n.into()) as u32);
+            for i in 0..2 * FLAT_MAX as u32 + seed as u32 {
+                let (other, label) = (VertexId(i % n), l(i % labels));
+                edges.push(EdgeRef::new(hub, label, other));
+                edges.push(EdgeRef::new(other, label, hub));
+            }
+        }
+        for i in (1..edges.len()).rev() {
+            edges.swap(i, below(rng, i as u64 + 1) as usize);
+        }
+        let vertex_labels: Vec<LabelSet> =
+            (0..n).map(|_| (0..below(rng, 3)).map(|_| l(below(rng, 4) as u32)).collect()).collect();
+
+        let mut want = DynamicGraph::new();
+        for labels in &vertex_labels {
+            want.add_vertex(labels.clone());
+        }
+        for e in &edges {
+            want.insert_edge(e.src, e.label, e.dst);
+        }
+        let got = DynamicGraph::from_edges(vertex_labels, edges);
+        got.validate();
+        assert!(got.edges().eq(want.edges()), "seed {seed}: edges");
+        assert_eq!(got.edge_count(), want.edge_count(), "seed {seed}");
+        for v in want.vertices() {
+            assert_eq!(got.labels(v), want.labels(v));
+            assert!(got.in_neighbors(v).eq(want.in_neighbors(v)), "seed {seed}: in-run of {v}");
+            assert!(got.out_label_runs(v).eq(want.out_label_runs(v)), "seed {seed}: {v}");
+            assert!(got.in_label_runs(v).eq(want.in_label_runs(v)), "seed {seed}: {v}");
+            assert_eq!(got.out_is_directory(v), want.out_degree(v) > FLAT_MAX);
+            assert_eq!(got.in_is_directory(v), want.in_degree(v) > FLAT_MAX);
+            directories +=
+                usize::from(got.out_is_directory(v)) + usize::from(got.in_is_directory(v));
+            isolated += usize::from(got.degree(v) == 0);
+            loops += usize::from(got.has_edge_matching(v, v, None));
+        }
+        for label in 0..labels + 1 {
+            assert_eq!(got.edge_label_count(l(label)), want.edge_label_count(l(label)));
+        }
+        for label in 0..5 {
+            assert_eq!(got.vertex_label_count(l(label)), want.vertex_label_count(l(label)));
+        }
+    }
+    assert!(directories >= 20 && isolated >= 5 && loops >= 20, "{directories} {isolated} {loops}");
+}
+
 #[test]
 #[should_panic(expected = "missing vertex")]
 fn from_edges_rejects_an_edge_naming_a_missing_vertex() {

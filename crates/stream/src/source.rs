@@ -19,6 +19,10 @@
 //!   implicit lines can be mixed; the implicit counter continues from the
 //!   last explicit time.
 //! * `#` starts a comment; blank lines are ignored.
+//! * Tokens are separated by ASCII whitespace and read by the same byte-level
+//!   tokenizer as graph and query files (`tfx_query::parser::Tokens`). A
+//!   label must be UTF-8; no other byte is checked, so a comment may hold
+//!   anything, and a label that is not UTF-8 is a malformed line.
 //!
 //! Error handling is selected by [`ErrorMode`]: `Strict` stops at the first
 //! malformed line ([`SourceError`] carries its 1-based line number);
@@ -31,6 +35,7 @@
 use std::io::BufRead;
 
 use tfx_graph::{LabelInterner, LabelSet, UpdateOp, VertexId};
+use tfx_query::parser::{parse_u32, parse_u64, LabelCache, Tokens};
 
 use crate::event::StreamEvent;
 
@@ -117,7 +122,10 @@ pub struct FileSource<'i, R: BufRead> {
     /// emitted `v` or `+` event named.
     known: u32,
     diagnostics: Vec<SourceError>,
-    buf: String,
+    /// The line being parsed, as read: bytes, checked for UTF-8 only where
+    /// a label token misses `labels`.
+    buf: Vec<u8>,
+    labels: LabelCache,
     done: bool,
 }
 
@@ -132,7 +140,8 @@ impl<'i, R: BufRead> FileSource<'i, R> {
             clock: None,
             known: 0,
             diagnostics: Vec::new(),
-            buf: String::new(),
+            buf: Vec::new(),
+            labels: LabelCache::default(),
             done: false,
         }
     }
@@ -162,27 +171,27 @@ impl<'i, R: BufRead> FileSource<'i, R> {
         }
     }
 
-    /// Parses one non-empty, comment-stripped line into an event.
-    /// `Ok(None)` means the line was consumed by a lenient-mode skip.
+    /// Parses one line's tokens into an event. `Ok(None)` means the line was
+    /// blank, a comment, or consumed by a lenient-mode skip.
     fn parse_line(
         &mut self,
-        line: &str,
+        tokens: Tokens<'_>,
         lineno: usize,
     ) -> Result<Option<StreamEvent>, SourceError> {
-        let mut parts = line.split_whitespace().peekable();
+        let mut parts = tokens.peekable();
+        let Some(first) = parts.peek() else { return Ok(None) };
         // Optional explicit timestamp token.
         let mut ts = None;
-        if let Some(tok) = parts.peek() {
-            if let Some(raw) = tok.strip_prefix('@') {
-                match raw.parse::<u64>() {
-                    Ok(t) => ts = Some(t),
-                    Err(_) => {
-                        self.fail(lineno, format!("`@` needs an integer timestamp, got `@{raw}`"))?;
-                        return Ok(None);
-                    }
+        if let Some(raw) = first.strip_prefix(b"@") {
+            match parse_u64(raw) {
+                Some(t) => ts = Some(t),
+                None => {
+                    let raw = String::from_utf8_lossy(raw);
+                    self.fail(lineno, format!("`@` needs an integer timestamp, got `@{raw}`"))?;
+                    return Ok(None);
                 }
-                parts.next();
             }
+            parts.next();
         }
         // Monotonicity: implicit lines tick forward; explicit regressions
         // are an error (strict) or clamped to the current clock (lenient).
@@ -211,33 +220,35 @@ impl<'i, R: BufRead> FileSource<'i, R> {
             self.fail(lineno, "timestamp without an operation".to_owned())?;
             return Ok(None);
         };
-        let parse_vertex = |s: Option<&str>| -> Result<VertexId, String> {
-            s.ok_or_else(|| "missing vertex id".to_owned())?
-                .parse::<u32>()
-                .map(VertexId)
-                .map_err(|_| "vertex ids are integers".to_owned())
+        let parse_vertex = |s: Option<&[u8]>| -> Result<VertexId, String> {
+            let s = s.ok_or_else(|| "missing vertex id".to_owned())?;
+            parse_u32(s).map(VertexId).ok_or_else(|| "vertex ids are integers".to_owned())
         };
+        let (interner, cache) = (&mut *self.interner, &mut self.labels);
+        let mut label =
+            |s: &[u8]| cache.intern(interner, s).map_err(|_| "labels must be UTF-8".to_owned());
         let parsed: Result<UpdateOp, String> = match op {
-            "v" => parse_vertex(parts.next()).map(|id| {
-                let labels: LabelSet = parts.by_ref().map(|s| self.interner.intern(s)).collect();
-                UpdateOp::AddVertex { id, labels }
+            b"v" => parse_vertex(parts.next()).and_then(|id| {
+                let labels = parts.by_ref().map(label).collect::<Result<Vec<_>, _>>()?;
+                Ok(UpdateOp::AddVertex { id, labels: LabelSet::from_labels(labels) })
             }),
-            "+" | "-" => (|| {
+            b"+" | b"-" => (|| {
                 let src = parse_vertex(parts.next())?;
                 let dst = parse_vertex(parts.next())?;
-                let label = self
-                    .interner
-                    .intern(parts.next().ok_or_else(|| "edge ops need a label".to_owned())?);
+                let label = label(parts.next().ok_or_else(|| "edge ops need a label".to_owned())?)?;
                 if parts.next().is_some() {
                     return Err("trailing tokens".to_owned());
                 }
-                Ok(if op == "+" {
+                Ok(if op == b"+" {
                     UpdateOp::InsertEdge { src, label, dst }
                 } else {
                     UpdateOp::DeleteEdge { src, label, dst }
                 })
             })(),
-            other => Err(format!("unknown op `{other}` (expected v, + or -)")),
+            other => {
+                let other = String::from_utf8_lossy(other);
+                Err(format!("unknown op `{other}` (expected v, + or -)"))
+            }
         };
         // The highest id the op would make the graph create.
         let parsed = parsed.and_then(|op| {
@@ -277,7 +288,7 @@ impl<R: BufRead> StreamSource for FileSource<'_, R> {
             self.buf.clear();
             let n = self
                 .reader
-                .read_line(&mut self.buf)
+                .read_until(b'\n', &mut self.buf)
                 .map_err(|e| SourceError { line: self.lineno + 1, message: e.to_string() })?;
             if n == 0 {
                 self.done = true;
@@ -287,9 +298,7 @@ impl<R: BufRead> StreamSource for FileSource<'_, R> {
             // The line buffer leaves `self` while `parse_line` borrows from
             // it, and comes back with its capacity: no copy per line.
             let buf = std::mem::take(&mut self.buf);
-            let line = buf.split('#').next().unwrap_or("").trim();
-            let parsed =
-                if line.is_empty() { Ok(None) } else { self.parse_line(line, self.lineno) };
+            let parsed = self.parse_line(Tokens::new(&buf), self.lineno);
             self.buf = buf;
             if let Some(ev) = parsed? {
                 return Ok(Some(ev));
@@ -366,6 +375,29 @@ mod tests {
         assert!(diags[1].message.contains("vertex ids are integers"));
         assert!(diags[2].message.contains("integer timestamp"));
         assert!(diags[3].message.contains("edge ops need a label"));
+    }
+
+    /// A stream is bytes: one non-UTF-8 byte used to end even a lenient run
+    /// ("stream did not contain valid UTF-8"), also inside a comment.
+    #[test]
+    fn non_utf8_bytes_are_ignored_in_comments_and_malformed_in_labels() {
+        let text: &[u8] = b"+ 0 1 a\n+ 0 2 a # caf\xe9\n+ 1 2 caf\xe9\n\xff 1 2 a\n+ 2 3 a\n";
+        let run = |mode| {
+            let mut it = LabelInterner::new();
+            let mut src = FileSource::new(text, &mut it, mode);
+            (collect_events(&mut src), src.diagnostics().to_vec(), it.len())
+        };
+        let (got, diags, labels) = run(ErrorMode::Lenient);
+        let got = got.unwrap();
+        assert_eq!(got.iter().map(|e| e.ts).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert!(matches!(got[2].op, UpdateOp::InsertEdge { src: VertexId(2), .. }));
+        assert_eq!(diags.iter().map(|d| d.line).collect::<Vec<_>>(), vec![3, 4]);
+        assert_eq!(diags[0].message, "labels must be UTF-8");
+        assert!(diags[1].message.starts_with("unknown op `\u{fffd}`"), "{}", diags[1]);
+        assert_eq!(labels, 1, "a label that is not UTF-8 interns nothing");
+
+        let (got, _, _) = run(ErrorMode::Strict);
+        assert_eq!(got.unwrap_err().to_string(), "line 3: labels must be UTF-8");
     }
 
     #[test]

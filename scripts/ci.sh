@@ -48,6 +48,16 @@ if grep -rnE "fn (build_upwards|clear_upwards|plan_seeds_into)\b" crates/core/sr
   exit 1
 fi
 
+echo "=== one tokenizer ==="
+# Graph, query and stream files are read by the one byte-level tokenizer in
+# `parser.rs` (`Tokens`, `parse_u32` / `parse_u64`, `LabelCache`; DESIGN.md,
+# "Text ingest"); a `str` pipeline next to it comes back by deleting this
+# check and saying what the tokenizer cannot read.
+if grep -nE "split_whitespace|\.parse::<u" crates/query/src/parser.rs crates/stream/src/source.rs; then
+  echo "ci: a second tokenizer is back in the parser or the stream source" >&2
+  exit 1
+fi
+
 echo "=== one scenario generator ==="
 # The randomized oracles draw from the one generator and run the one
 # comparator in tests/common/ (DESIGN.md, "Testing strategy"); a second

@@ -5,12 +5,21 @@
 //! end in `Ok` or `Err`, never a panic. An accepted stream never names a
 //! vertex more than `MAX_VERTEX_GAP` past the highest one known, and runs
 //! through a windowed driver into an engine, as `tfx stream` would run it; an
-//! accepted query that `tfx` would register is registered.
+//! accepted query that `tfx` would register is registered. Inputs are also
+//! respelled as a hand-edited file might be: CRLF line ends, tabs, `+`-signed
+//! and zero-padded ids, NUL bytes, non-UTF-8 bytes in comments and labels.
+//!
+//! The parsers read bytes through one tokenizer (`parser::Tokens`). A
+//! `str`-based reference kept here, [`reference_raw`], is what they did
+//! before; on every ASCII input both must give the same graph, query and
+//! interned labels, or the same error on the same line.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use turboflux::datagen::Pcg32;
+use turboflux::graph::EdgeRef;
 use turboflux::prelude::*;
 use turboflux::query::parser::{parse_data_graph, parse_query};
+use turboflux::query::QEdge;
 use turboflux::stream::source::{collect_events, MAX_VERTEX_GAP};
 use turboflux::stream::{ErrorMode, FileSource, VecSource};
 
@@ -69,7 +78,43 @@ fn hostile(rng: &mut Pcg32, corpus: &[Vec<String>]) -> Vec<u8> {
     if rng.below(6) == 0 {
         bytes.truncate(rng.below(bytes.len() + 1));
     }
+    if rng.below(3) == 0 {
+        bytes = respell(rng, &bytes);
+    }
     bytes
+}
+
+/// What [`respell`] puts before an id, and at the end of a line.
+const ID_PREFIXES: [&[u8]; 2] = [b"+", b"0000000000"];
+const LINE_ENDS: [&[u8]; 5] = [b"\x00", b" \x00", b" # caf\xe9", b" caf\xe9", b"\t#\xff"];
+
+/// `bytes` spelled as a hand-edited file might spell it: some line ends
+/// CRLF, some spaces a tab, `\x0B` or `\x0C`, some ids `+`-signed or
+/// zero-padded past ten digits, and now and then a NUL byte, or a comment
+/// or a label that is not UTF-8.
+fn respell(rng: &mut Pcg32, bytes: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(2 * bytes.len());
+    let mut token_start = true;
+    for &b in bytes {
+        match b {
+            b'\n' if rng.below(3) == 0 => out.extend_from_slice(b"\r\n"),
+            b' ' => out.push(*rng.pick(b"   \t\x0b\x0c")),
+            b'0'..=b'9' if token_start && rng.below(4) == 0 => {
+                let prefix = *rng.pick(&ID_PREFIXES);
+                out.extend_from_slice(prefix);
+                out.push(b);
+            }
+            _ => out.push(b),
+        }
+        token_start = b.is_ascii_whitespace();
+    }
+    let line_end =
+        |out: &[u8], at: usize| at + out[at..].iter().take_while(|&&b| b != b'\n').count();
+    for _ in 0..rng.below(3) {
+        let at = line_end(&out, rng.below(out.len() + 1));
+        out.splice(at..at, rng.pick(&LINE_ENDS).iter().copied());
+    }
+    out
 }
 
 /// The demo graph and query, interned into one label space.
@@ -167,4 +212,150 @@ fn hostile_bytes_end_in_ok_or_err() {
     // Inputs that got past the parser into an engine: strict streams,
     // lenient streams, queries registered.
     assert!(deep.iter().all(|&n| n > 2_000), "too few inputs reached an engine: {deep:?}");
+}
+
+/// Label sets by id and `(src, dst, label, line)` edges, or `(line, message)`.
+type Raw = (Vec<LabelSet>, Vec<(u32, u32, Option<LabelId>, usize)>);
+
+/// The parsers' common pass as it was before the byte tokenizer: `lines`,
+/// `split('#')`, `split_whitespace` and `str::parse`, then the whole-file
+/// checks in their order.
+fn reference_raw(text: &str, it: &mut LabelInterner) -> Result<Raw, (usize, String)> {
+    let (mut vertices, mut edges) = (Vec::new(), Vec::new());
+    for (i, raw) in text.lines().enumerate() {
+        let line = i + 1;
+        let mut parts = raw.split('#').next().unwrap_or("").split_whitespace();
+        let id = |s: Option<&str>, missing: &str, bad: &str| match s {
+            None => Err((line, missing.to_owned())),
+            Some(s) => s.parse::<u32>().map_err(|_| (line, bad.to_owned())),
+        };
+        match parts.next() {
+            None => {}
+            Some("v") => {
+                let id = id(parts.next(), "v needs an id", "v id must be an integer")?;
+                vertices.push((id, line, parts.map(|s| it.intern(s)).collect::<LabelSet>()));
+            }
+            Some("e") => {
+                let s = id(parts.next(), "e needs a source id", "e source must be an integer")?;
+                let bad = "e destination must be an integer";
+                let d = id(parts.next(), "e needs a destination id", bad)?;
+                let label = parts.next().map(|s| it.intern(s));
+                if parts.next().is_some() {
+                    return Err((line, "trailing tokens after edge".to_owned()));
+                }
+                edges.push((s, d, label, line));
+            }
+            Some(other) => return Err((line, format!("unknown directive `{other}`"))),
+        }
+    }
+    vertices.sort_by_key(|v| v.0);
+    if let Some(w) = vertices.windows(2).find(|w| w[0].0 == w[1].0) {
+        return Err((w[1].1, format!("vertex {} declared twice", w[1].0)));
+    }
+    if let Some(i) = (0..vertices.len()).find(|&i| vertices[i].0 as usize != i) {
+        return Err((0, format!("vertex ids must be dense 0..n, missing {i}")));
+    }
+    let n = vertices.len() as u32;
+    if let Some(&(s, d, ..)) = edges.iter().find(|e| e.0 >= n || e.1 >= n) {
+        return Err((0, format!("edge ({s},{d}) references undeclared vertex")));
+    }
+    Ok((vertices.into_iter().map(|v| v.2).collect(), edges))
+}
+
+/// Every interned label, in id order.
+fn names(it: &LabelInterner) -> Vec<String> {
+    (0..it.len() as u32).map(|i| it.name(LabelId(i)).unwrap_or("?").to_owned()).collect()
+}
+
+/// Parses `text` as a data graph and as a query, and with [`reference_raw`]
+/// as the parsers did before; both must agree on the outcome, the error's
+/// line and message, and every label interned on the way. True if `text`
+/// is a graph.
+fn parity(text: &str) -> bool {
+    let (mut new, mut old) = (LabelInterner::new(), LabelInterner::new());
+    let got = parse_data_graph(text, &mut new).map_err(|e| (e.line, e.message)).map(|g| {
+        let labels = g.vertices().map(|v| g.labels(v).clone()).collect::<Vec<_>>();
+        (labels, g.edges().collect::<Vec<_>>())
+    });
+    let want = reference_raw(text, &mut old).map(|(labels, edges)| {
+        let mut edges: Vec<EdgeRef> = (edges.iter())
+            .map(|&(s, d, l, _)| {
+                EdgeRef::new(VertexId(s), l.unwrap_or_else(|| old.intern("_")), VertexId(d))
+            })
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        (labels, edges)
+    });
+    assert_eq!(got, want, "parse_data_graph on {text:?}");
+    assert_eq!(names(&new), names(&old), "labels interned by parse_data_graph on {text:?}");
+    let graph = got.is_ok();
+
+    let (mut new, mut old) = (LabelInterner::new(), LabelInterner::new());
+    let got = parse_query(text, &mut new).map_err(|e| (e.line, e.message)).map(|q| {
+        let labels = q.vertices().map(|u| q.labels(u).clone()).collect::<Vec<_>>();
+        (labels, q.edges().to_vec())
+    });
+    let want = reference_raw(text, &mut old).and_then(|(labels, edges)| {
+        for (i, &(s, d, l, line)) in edges.iter().enumerate() {
+            if edges[..i].iter().any(|e| (e.0, e.1, e.2) == (s, d, l)) {
+                let label = l.map_or("*", |l| old.name(l).unwrap_or("?"));
+                return Err((line, format!("edge ({s}, {d}, {label}) declared twice")));
+            }
+        }
+        let edge = |&(s, d, label, _): &(u32, u32, _, _)| QEdge {
+            src: QVertexId(s),
+            dst: QVertexId(d),
+            label,
+        };
+        Ok((labels, edges.iter().map(edge).collect::<Vec<_>>()))
+    });
+    assert_eq!(got, want, "parse_query on {text:?}");
+    assert_eq!(names(&new), names(&old), "labels interned by parse_query on {text:?}");
+    graph
+}
+
+#[test]
+fn the_byte_tokenizer_parses_as_the_str_pipeline_did() {
+    const SPELLINGS: [&str; 24] = [
+        "v 0 A\r\nv 1 B\r\ne 0 1 x\r\n",
+        "v\t0\tA\nv 1\x0bB\x0cC\ne\t0 1\tx\t# tab\n",
+        "v +0 A\nv 1 B\ne +0 +1 x\n",
+        "v 00000000000 A\nv 00000000001 B\ne 0 00000000001 x\n",
+        "v 0\nv 4294967296\n",
+        "v 0\nv 4294967295\n",
+        "v 0 A\x00B\nv 1\ne 0 1 \x00\n",
+        "v 0\x1fA\n",
+        "v 0 A\re 0 0 x\n",
+        "v 0 A\ne 0 0 x y\n",
+        "v 0\nv 0\n",
+        "v 1\n",
+        "v 0\ne 0 1\n",
+        "v 0\n+ 0 0 x\n",
+        "e\n",
+        "v 0\ne 0\n",
+        "v 0\ne x 0\n",
+        "v\n",
+        "v -1\n",
+        "v +\n",
+        "v 0 #\ne 0 0#x\n",
+        "# only\n\n \t\r\n",
+        "",
+        "v 1 B\nv 0 A\ne 1 0\ne 0 1 _\ne 1 0\n",
+    ];
+    let graphs = SPELLINGS.iter().filter(|text| parity(text)).count();
+    assert_eq!(graphs, 10, "accepted spellings");
+
+    let corpus = corpus();
+    let mut rng = Pcg32::new(0x7E57);
+    let (mut ascii, mut graphs) = (0, 0);
+    for _ in 0..20_000 {
+        let input = hostile(&mut rng, &corpus);
+        let Ok(text) = std::str::from_utf8(&input) else { continue };
+        if text.is_ascii() {
+            ascii += 1;
+            graphs += usize::from(parity(text));
+        }
+    }
+    assert!(ascii > 10_000 && graphs > 2_000, "{ascii} ASCII inputs, {graphs} graphs");
 }
