@@ -8,7 +8,7 @@
 //!
 //! * **top-down**, in BFS order of the query tree, the *path condition*:
 //!   `reached[u]` is the set of data vertices with a stored edge labeled `u`
-//!   coming in — the owned, label-matching vertices for `u_s`, and for a
+//!   coming in — the label-matching vertices for `u_s`, and for a
 //!   child `uc` of `u` every child candidate of a vertex in `reached[u]`;
 //! * **bottom-up**, in reverse order, the *subtree condition*: `v ∈
 //!   reached[u]` enters `expl[u]` iff every child `uc` of `u` has a
@@ -27,8 +27,7 @@
 //! ([`crate::dcg::Dcg::lay_out_run`] / [`crate::dcg::Dcg::lay_in_run`]) into
 //! tables sized by the counts the first sweep took: one table insert per
 //! run where the replay paid four hash probes and two sorted inserts per
-//! edge. A partition slice ([`TurboFlux::owns_root`]) falls out of the
-//! filtered root set.
+//! edge.
 //!
 //! `BuildDCG` ([`TurboFlux::build_dcg`]) stays what the paper defines it as,
 //! the update-time Algorithm 3; replayed per root candidate it is this
@@ -76,7 +75,7 @@ impl TurboFlux {
         // Top-down: the path condition, and how many runs each table gets.
         let mut reached = vec![vec![0u64; words]; nq];
         for v in g.vertices() {
-            if self.owns_root(v) && q.labels(us).is_subset_of(g.labels(v)) {
+            if q.labels(us).is_subset_of(g.labels(v)) {
                 set(&mut reached[us.index()], v);
             }
         }

@@ -17,12 +17,10 @@ pub struct TurboFluxConfig {
     /// `core.default_workers_events_per_s` / `core.intra_parallel_speedup_x`
     /// rows in the next `benchmark` PR.
     pub parallel_workers: usize,
-    /// Shard count for the sharded execution runtime
-    /// ([`crate::shard::ShardedEngine`]): data-graph vertices are
-    /// hash-partitioned across this many shards, each maintaining the DCG
-    /// slice below the root candidates it owns. `1` (the default) keeps the
-    /// classic single-slice engine. Only consulted by the sharded runtime —
-    /// standalone engines and fleets ignore it.
+    /// Inert: nothing reads it, the partitioned runtime is gone (DESIGN.md,
+    /// "Sharded execution: tried, measured, removed"). Kept only so the
+    /// frozen `e2e` benchmark compiles; leaves with its `netflow_shards2`
+    /// workload in the next `benchmark` PR.
     pub shards: usize,
 }
 
@@ -60,7 +58,7 @@ mod tests {
             parallel_workers, 1,
             "inert; the value the frozen benchmark's one-thread runs set"
         );
-        assert_eq!(shards, 1, "unsharded by default");
+        assert_eq!(shards, 1, "inert; the value every caller but the frozen benchmark leaves");
         assert_eq!(
             TurboFluxConfig::with_semantics(MatchSemantics::Isomorphism).semantics,
             MatchSemantics::Isomorphism

@@ -17,13 +17,12 @@
 //!   / [`TurboFlux::register_new_vertices`]): the caller owns the graph,
 //!   mutates it itself, and passes it in read-only for evaluation. This is
 //!   what the round driver does with the cells of a [`crate::fleet::Fleet`]
-//!   (many engines over one graph) and a [`crate::shard::ShardedEngine`]
-//!   (per query, one engine per share of the root candidates, all over one
-//!   graph); standalone mode is the same round on the engine's own graph.
+//!   (many engines over one graph); standalone mode is the same round on
+//!   the engine's own graph.
 
 use std::cell::Cell;
 
-use tfx_graph::{shard_of, AdjacencyMode, DynamicGraph, GraphStats, LabelId, UpdateOp, VertexId};
+use tfx_graph::{AdjacencyMode, DynamicGraph, GraphStats, LabelId, UpdateOp, VertexId};
 use tfx_query::{
     choose_start_vertex_from, matching_edge_counts, ContinuousMatcher, EdgeId, MatchRecord,
     MatchSemantics, Positiveness, QVertexId, QueryGraph, QueryTree,
@@ -76,12 +75,6 @@ pub struct TurboFlux {
     pub(crate) deadline_tick: Cell<u32>,
     /// Latched once the deadline passed; the engine stops enumerating.
     pub(crate) deadline_hit: Cell<bool>,
-    /// `(shard, shards)` when this engine is one slice of a
-    /// [`crate::shard::ShardedEngine`]: root candidates are registered only
-    /// for data vertices this shard owns, so the engine maintains exactly
-    /// the restriction of the global DCG to the downward closure of its
-    /// owned roots. `None` for unsharded engines (own everything).
-    pub(crate) partition: Option<(u32, u32)>,
 }
 
 impl TurboFlux {
@@ -105,32 +98,7 @@ impl TurboFlux {
     ///
     /// Panics if `q` is empty, disconnected, or has more than 64 vertices.
     pub fn register(q: QueryGraph, g0: &DynamicGraph, cfg: TurboFluxConfig) -> Self {
-        Self::register_inner(q, g0, cfg, None)
-    }
-
-    /// [`TurboFlux::register`] for one shard slice of a
-    /// [`crate::shard::ShardedEngine`]: query analysis (start vertex, tree,
-    /// matching order inputs) runs against the *full* initial graph — so
-    /// every shard derives the identical plan — but only root candidates
-    /// with `shard_of(v, shards) == shard` are registered, giving this
-    /// engine the partition-local DCG slice.
-    pub(crate) fn register_partitioned(
-        q: QueryGraph,
-        g0: &DynamicGraph,
-        cfg: TurboFluxConfig,
-        shard: u32,
-        shards: u32,
-    ) -> Self {
-        Self::register_inner(q, g0, cfg, Some((shard, shards)))
-    }
-
-    fn register_inner(
-        q: QueryGraph,
-        g0: &DynamicGraph,
-        cfg: TurboFluxConfig,
-        partition: Option<(u32, u32)>,
-    ) -> Self {
-        let mut engine = Self::plan(q, g0, cfg, partition);
+        let mut engine = Self::plan(q, g0, cfg);
         engine.build_initial_dcg(g0);
         engine.recompute_matching_order();
         engine
@@ -138,12 +106,7 @@ impl TurboFlux {
 
     /// Query analysis (Algorithm 2, lines 1–3): start vertex, query tree and
     /// the per-query lookup tables, around a DCG that is still empty.
-    pub(crate) fn plan(
-        q: QueryGraph,
-        g0: &DynamicGraph,
-        cfg: TurboFluxConfig,
-        partition: Option<(u32, u32)>,
-    ) -> Self {
+    pub(crate) fn plan(q: QueryGraph, g0: &DynamicGraph, cfg: TurboFluxConfig) -> Self {
         assert!(q.edge_count() > 0, "query must have at least one edge");
         assert!(q.is_connected(), "query must be connected");
         // Before any per-vertex bit mask is built: `1 << c.0` below wraps
@@ -198,7 +161,6 @@ impl TurboFlux {
             deadline: None,
             deadline_tick: Cell::new(0),
             deadline_hit: Cell::new(false),
-            partition,
             g: DynamicGraph::default(),
             q,
             tree,
@@ -279,16 +241,6 @@ impl TurboFlux {
     #[inline]
     pub(crate) fn match_all_children_via(&self, v: VertexId, u: QVertexId, via: QVertexId) -> bool {
         self.child_mask[u.index()] == 1 << via.0 || self.match_all_children(v, u)
-    }
-
-    /// Whether this engine registers root candidates for data vertex `v`
-    /// (always, unless partitioned — then only for owned vertices).
-    #[inline]
-    pub(crate) fn owns_root(&self, v: VertexId) -> bool {
-        match self.partition {
-            None => true,
-            Some((shard, shards)) => shard_of(v, shards) == shard,
-        }
     }
 
     /// `BuildDCG` (Algorithm 3): depth-first construction of the DCG below
@@ -492,10 +444,7 @@ impl TurboFlux {
         let us = self.tree.root();
         for i in from.0..g.vertex_count() as u32 {
             let v = VertexId(i);
-            if self.owns_root(v)
-                && self.q.labels(us).is_subset_of(g.labels(v))
-                && self.dcg.root_state(v).is_none()
-            {
+            if self.q.labels(us).is_subset_of(g.labels(v)) && self.dcg.root_state(v).is_none() {
                 self.dcg.transit(None, us, v, Some(EdgeState::Implicit));
             }
         }
@@ -530,9 +479,7 @@ impl TurboFlux {
     /// [`Self::edge_order_key`], i.e. tree edges shallow first, then non-tree
     /// edges by ascending id; an entry's position is its invocation index.
     /// Only the label bucket built at registration (plus the label-wildcard
-    /// edges) is inspected, not all of `E(q)`. It depends on the query's
-    /// structure and the graph alone, so the slices of a sharded query share
-    /// one.
+    /// edges) is inspected, not all of `E(q)`.
     pub(crate) fn matching_query_edges(
         &self,
         g: &DynamicGraph,

@@ -43,17 +43,15 @@ pub mod order;
 mod round;
 mod scratch;
 mod search;
-pub mod shard;
 pub mod spec;
 pub mod tree_nav;
 
 pub use config::TurboFluxConfig;
 pub use dcg::{Dcg, EdgeState};
 pub use engine::TurboFlux;
-pub use fleet::{Fleet, FleetDelta, FleetStats};
+pub use fleet::{Fleet, FleetDelta, FleetStats, ShardStats, ShardedEngine};
 pub use order::OrderMaintenance;
 pub use search::INTERSECT_MIN_FRONTIER;
-pub use shard::{ShardStats, ShardedEngine};
 pub use spec::{reference_dcg, DcgImage};
 
 #[cfg(test)]

@@ -83,11 +83,10 @@ impl TurboFlux {
 
     /// One invocation of `InsertEdgeAndEval` (`p` positive) or
     /// `DeleteEdgeAndEval` (negative) for the matching query edge `e` — an
-    /// entry of the plan [`TurboFlux::matching_query_edges`] lays out, which
-    /// the unsharded loop above and every slice of a
-    /// [`crate::shard::ShardedEngine`] walk in the same order.
+    /// entry of the plan [`TurboFlux::matching_query_edges`] lays out, in the
+    /// order the loop above walks it.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn invoke(
+    fn invoke(
         &mut self,
         g: &DynamicGraph,
         e: EdgeId,

@@ -1,4 +1,4 @@
-//! The round driver: the one loop every runtime applies a batch with.
+//! The round driver: the one loop a batch is applied with.
 //!
 //! Algorithm 2 treats an update stream one op at a time — an insertion
 //! enters the graph and is then evaluated, a deletion is evaluated and then
@@ -11,22 +11,20 @@
 //! 3. **finalize**: the op's post-evaluation half ([`finalize`]: a deleted
 //!    edge leaves the graph only after every cell evaluated it).
 //!
-//! A *cell* is one engine: a query of a [`crate::Fleet`], a
-//! `(shard, query)` slice of a [`crate::ShardedEngine`]. What differs
-//! between runtimes is supplied through [`Rounds`]; the loop and the merge
-//! exist here and nowhere else. [`crate::TurboFlux::apply_op`] is
-//! the same protocol for one engine that owns its graph and calls
-//! [`stage`] / [`finalize`] directly.
+//! A *cell* is one engine: one query of a [`crate::Fleet`], the one
+//! implementor of [`Rounds`] outside this module's tests. The loop exists
+//! here and nowhere else. [`crate::TurboFlux::apply_op`] is the same
+//! protocol for one engine that owns its graph and calls [`stage`] /
+//! [`finalize`] directly.
 //!
 //! # Determinism
 //!
-//! A query's cells are contiguous. With one cell in the whole batch
-//! its emissions stream straight to the sink. Otherwise they are buffered
-//! per cell — in op order, because a cell runs its rounds in order; flat,
-//! an entry of fixed size plus the delta's vertex ids in one run per cell —
-//! and drained query by query after the last round, so the sink sees
-//! `(query, op, emission)` order. A query spread over several cells merges
-//! their buffers by sorting entry indices on the emissions' [`Key`]s.
+//! With one cell in the whole batch its emissions stream straight to the
+//! sink. Otherwise they are buffered per cell — in op order, because a cell
+//! runs its rounds in order; flat, an entry of fixed size plus the record's
+//! vertex ids in one run per cell — and drained cell by cell after the last
+//! round, so the sink sees `(cell, op, emission)` order and nothing is
+//! sorted.
 //!
 //! Everything runs on the calling thread (DESIGN.md, "Parallel execution:
 //! tried, measured, removed"), so a panic in a hook unwinds through
@@ -178,38 +176,24 @@ pub(crate) fn route(
     }
 }
 
-/// Where an emission sorts among those of its `(query, op)` when the query
-/// is spread over several cells: the op's invocation index, then the
-/// match's binding chain (borrowed for the call; [`drive`] copies what it
-/// buffers). Single-cell queries leave it at the default — their emission
-/// order already is the output order.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct Key<'a> {
-    pub inv: u32,
-    pub chain: &'a [VertexId],
-}
-
 /// A cell's output channel for one round.
-pub(crate) type Emit<'a> = dyn FnMut(Key<'_>, Positiveness, &MatchRecord) + 'a;
+pub(crate) type Emit<'a> = dyn FnMut(Positiveness, &MatchRecord) + 'a;
 
 /// What a runtime supplies to [`drive`].
 pub(crate) trait Rounds {
     type Cell;
 
-    /// How many cells evaluate each query (≥ 1): cell `c` belongs to query
-    /// `c / cells_per_query`.
-    fn cells_per_query(&self) -> usize;
-
     /// The runtime's part of the batch lookahead ([`lookahead`]): hints, at
     /// `stage`, what a coming round of the edge `(src, label, dst)` will
-    /// touch. Both runtimes hint the graph they share and leave their cells'
-    /// DCGs alone — hinting those too measured slower on both (DESIGN.md,
-    /// "Batch lookahead"), so the hook is not handed the cells.
+    /// touch. The fleet hints the graph its engines share and leaves their
+    /// DCGs alone — hinting those too measured slower (DESIGN.md, "Batch
+    /// lookahead"), so the hook is not handed the cells.
     fn hint(&self, src: VertexId, label: LabelId, dst: VertexId, stage: u8);
 
     /// Stages `op` (graph mutation via [`stage`] plus whatever the runtime
-    /// keeps in step with the graph) and fills `targets` (via [`route`]).
-    fn stage(&mut self, op: &UpdateOp, cells: &[Self::Cell], targets: &mut Vec<Target>) -> Round;
+    /// keeps in step with the graph) and fills `targets` (via [`route`])
+    /// from the `ncells` cells.
+    fn stage(&mut self, op: &UpdateOp, ncells: usize, targets: &mut Vec<Target>) -> Round;
 
     /// Evaluates `round` on one target cell.
     fn run(&self, cell: &mut Self::Cell, target: Target, round: &Round, emit: &mut Emit<'_>);
@@ -218,15 +202,12 @@ pub(crate) trait Rounds {
     fn finalize(&mut self, round: &Round);
 }
 
-/// A buffered emission: its chain, then its record, are
-/// `words[at..][..chain_len + rec_len]` of its cell's buffer.
+/// A buffered emission: its record is the next `len` words of its cell's
+/// buffer.
 struct Pending {
     op: u32,
-    inv: u32,
     p: Positiveness,
-    at: u32,
-    chain_len: u8,
-    rec_len: u8,
+    len: u8,
 }
 
 /// One cell's buffered emissions, in emission order: fixed-size entries
@@ -237,26 +218,18 @@ struct CellBuf {
     words: Vec<VertexId>,
 }
 
-impl CellBuf {
-    fn chain(&self, d: &Pending) -> &[VertexId] {
-        &self.words[d.at as usize..][..d.chain_len as usize]
-    }
-}
-
 /// The buffers [`drive`] works in. A runtime keeps one for its lifetime, so
 /// a batch allocates only where it outgrows every batch before it.
 #[derive(Default)]
 pub(crate) struct DeltaBufs {
     cells: Vec<CellBuf>,
-    /// `(cell, entry)` of one query's emissions, for the keyed merge.
-    order: Vec<(u32, u32)>,
     /// The record every buffered emission is delivered through.
     rec: MatchRecord,
     targets: Vec<Target>,
 }
 
 /// Applies `ops` in order, one round each, and delivers every emission to
-/// `sink(query, op index, positiveness, record)` in `(query, op, emission)`
+/// `sink(cell, op index, positiveness, record)` in `(cell, op, emission)`
 /// order.
 pub(crate) fn drive<R: Rounds>(
     rt: &mut R,
@@ -265,10 +238,9 @@ pub(crate) fn drive<R: Rounds>(
     ops: &[UpdateOp],
     sink: &mut dyn FnMut(usize, usize, Positiveness, &MatchRecord),
 ) {
-    let per_query = rt.cells_per_query();
     // One cell in total: op order is output order, nothing to buffer.
     let direct = cells.len() == 1;
-    let DeltaBufs { cells: bufs, order, rec, targets } = bufs;
+    let DeltaBufs { cells: bufs, rec, targets } = bufs;
     bufs.resize_with(cells.len(), CellBuf::default);
     // Cleared here, not after delivery: a batch that unwound leaves nothing
     // for the next one to deliver.
@@ -278,47 +250,29 @@ pub(crate) fn drive<R: Rounds>(
     }
     for (op_index, op) in ops.iter().enumerate() {
         lookahead(ops, op_index, |src, label, dst, stage| rt.hint(src, label, dst, stage));
-        let round = rt.stage(op, cells, targets);
+        let round = rt.stage(op, cells.len(), targets);
         for &target in targets.iter() {
             let cell = &mut cells[target.cell];
             if direct {
-                rt.run(cell, target, &round, &mut |_, p, rec| sink(0, op_index, p, rec));
+                rt.run(cell, target, &round, &mut |p, rec| sink(0, op_index, p, rec));
             } else {
                 let CellBuf { pend, words } = &mut bufs[target.cell];
-                rt.run(cell, target, &round, &mut |key, p, rec| {
-                    let at = u32::try_from(words.len()).expect("a batch's deltas fit u32 words");
-                    let len = |n| u8::try_from(n).expect("a query has at most 64 vertices");
-                    let (chain_len, rec_len) = (len(key.chain.len()), len(rec.len()));
-                    words.extend_from_slice(key.chain);
+                rt.run(cell, target, &round, &mut |p, rec| {
+                    let len = u8::try_from(rec.len()).expect("a query has at most 64 vertices");
                     words.extend_from_slice(rec.as_slice());
-                    let op = op_index as u32;
-                    pend.push(Pending { op, inv: key.inv, p, at, chain_len, rec_len });
+                    pend.push(Pending { op: op_index as u32, p, len });
                 });
             }
         }
         rt.finalize(&round);
     }
-    for (query, bufs) in bufs.chunks(per_query).enumerate() {
-        debug_assert!(bufs.iter().all(|b| b.pend.windows(2).all(|w| w[0].op <= w[1].op)));
-        order.clear();
-        for (c, buf) in bufs.iter().enumerate() {
-            order.extend((0..buf.pend.len() as u32).map(|i| (c as u32, i)));
-        }
-        if per_query > 1 {
-            // Several cells' buffers interleave. Only indices move; stable,
-            // so emissions sharing a key keep their cell's order.
-            order.sort_by(|&(ca, ia), &(cb, ib)| {
-                let (a, b) = (&bufs[ca as usize], &bufs[cb as usize]);
-                let (da, db) = (&a.pend[ia as usize], &b.pend[ib as usize]);
-                (da.op, da.inv, a.chain(da)).cmp(&(db.op, db.inv, b.chain(db)))
-            });
-        }
-        for &(c, i) in order.iter() {
-            let buf = &bufs[c as usize];
-            let d = &buf.pend[i as usize];
-            let at = d.at as usize + d.chain_len as usize;
-            rec.fill_from_slice(&buf.words[at..][..d.rec_len as usize]);
-            sink(query, d.op as usize, d.p, rec);
+    for (cell, buf) in bufs.iter().enumerate() {
+        let mut words = &buf.words[..];
+        for d in &buf.pend {
+            let (record, rest) = words.split_at(d.len as usize);
+            rec.fill_from_slice(record);
+            sink(cell, d.op as usize, d.p, rec);
+            words = rest;
         }
     }
 }
@@ -436,14 +390,11 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    /// A runtime of `ncells / per_query`-query cells that only records:
-    /// op `i` targets the cells whose bit is set in `masks[i]`, and a cell
-    /// emits `(op, cell)` once per visit — or, with `chains` set, once per
-    /// chain of `chains[cell]`, all under one invocation index.
+    /// A runtime that only records: op `i` targets the cells whose bit is
+    /// set in `masks[i]`, and on every visit cell `c` emits the records
+    /// `(op, c, k)` for `k` in `0..2`, padded to `3 + c` ids.
     struct Toy {
         masks: Vec<u32>,
-        per_query: usize,
-        chains: Vec<Vec<Vec<VertexId>>>,
         /// The op whose `run` panics, if any.
         panic_on: Option<usize>,
         op: usize,
@@ -454,14 +405,12 @@ mod tests {
     }
 
     impl Toy {
-        fn new(masks: &[u32], per_query: usize, panic_on: Option<usize>) -> (Toy, Vec<UpdateOp>) {
+        fn new(masks: &[u32], panic_on: Option<usize>) -> (Toy, Vec<UpdateOp>) {
             let ops = (0..masks.len() as u32)
                 .map(|i| UpdateOp::AddVertex { id: v(i), labels: LabelSet::empty() })
                 .collect();
             let toy = Toy {
                 masks: masks.to_vec(),
-                per_query,
-                chains: vec![],
                 panic_on,
                 op: 0,
                 pending: Cell::new(0),
@@ -475,26 +424,17 @@ mod tests {
     impl Rounds for Toy {
         type Cell = Vec<usize>;
 
-        fn cells_per_query(&self) -> usize {
-            self.per_query
-        }
-
         fn hint(&self, _: VertexId, _: LabelId, _: VertexId, _: u8) {
             panic!("toy ops are AddVertex: nothing to hint");
         }
 
-        fn stage(
-            &mut self,
-            op: &UpdateOp,
-            cells: &[Vec<usize>],
-            targets: &mut Vec<Target>,
-        ) -> Round {
+        fn stage(&mut self, op: &UpdateOp, ncells: usize, targets: &mut Vec<Target>) -> Round {
             let UpdateOp::AddVertex { id, .. } = op else { panic!("toy ops are AddVertex") };
             self.op = id.0 as usize;
             self.staged.push(self.op);
             let mask = self.masks[self.op];
             let round = Round::Delete { src: v(0), label: L, dst: v(0) };
-            route(&round, cells.len(), (0..cells.len()).filter(|c| mask >> c & 1 == 1), targets);
+            route(&round, ncells, (0..ncells).filter(|c| mask >> c & 1 == 1), targets);
             self.pending.set(targets.len());
             round
         }
@@ -503,16 +443,10 @@ mod tests {
             assert_ne!(Some(self.op), self.panic_on, "the toy's cell panics on this op");
             cell.push(self.op);
             let (op, at) = (v(self.op as u32), v(target.cell as u32));
-            if self.chains.is_empty() {
-                // Keyed so that a query's cells interleave in descending order.
-                let key = Key { inv: u32::MAX - target.cell as u32, chain: &[] };
-                emit(key, Positiveness::Positive, &MatchRecord::new(vec![op, at]));
-            }
-            // Query `q`'s records are `3 + q` long: `(op, cell, k)`, padded.
-            let pad = vec![v(99); target.cell / self.per_query];
-            for (k, chain) in self.chains.get(target.cell).into_iter().flatten().enumerate() {
-                let rec = MatchRecord::new([&[op, at, v(k as u32)], &pad[..]].concat());
-                emit(Key { inv: 0, chain }, Positiveness::Positive, &rec);
+            let pad = vec![v(99); target.cell];
+            for k in 0..2 {
+                let rec = MatchRecord::new([&[op, at, v(k)], &pad[..]].concat());
+                emit(Positiveness::Positive, &rec);
             }
             self.pending.set(self.pending.get() - 1);
         }
@@ -523,97 +457,61 @@ mod tests {
         }
     }
 
-    /// Drives the toy; returns per-cell visits and the emitted
-    /// `(query, op, cell)` sequence.
+    /// Drives the toy over `ncells` cells through `bufs`; returns per-cell
+    /// visits and the emitted `(cell, op, k)` sequence.
     #[allow(clippy::type_complexity)]
     fn toy_run(
         masks: &[u32],
         ncells: usize,
-        per_query: usize,
+        bufs: &mut DeltaBufs,
     ) -> (Vec<Vec<usize>>, Vec<(usize, usize, u32)>) {
-        let (mut toy, ops) = Toy::new(masks, per_query, None);
+        let (mut toy, ops) = Toy::new(masks, None);
         let mut cells = vec![Vec::new(); ncells];
         let mut out = Vec::new();
-        drive(&mut toy, &mut cells, &mut DeltaBufs::default(), &ops, &mut |q, op, _, rec| {
-            assert_eq!(rec.as_slice()[0], v(op as u32), "emission tagged with its op");
-            out.push((q, op, rec.as_slice()[1].0));
+        drive(&mut toy, &mut cells, bufs, &ops, &mut |c, op, _, rec| {
+            let rec = rec.as_slice();
+            assert_eq!((rec[0], rec[1]), (v(op as u32), v(c as u32)), "tagged with op and cell");
+            assert_eq!(rec.len(), 3 + c, "cell {c}'s record length");
+            out.push((c, op, rec[2].0));
         });
         let all: Vec<usize> = (0..masks.len()).collect();
         assert_eq!((&toy.staged, &toy.finalized), (&all, &all), "every op staged and finalized");
         (cells, out)
     }
 
+    /// Cells of different record lengths share a batch, and a warm
+    /// `DeltaBufs` carries nothing over from the batch before.
     #[test]
-    fn rounds_visit_their_targets_in_op_order_and_merge_on_the_key() {
+    fn rounds_visit_their_targets_in_op_order_and_deliver_cell_by_cell() {
         // Empty, single-target and multi-target rounds, mixed.
         let masks: [u32; 9] =
             [0b0000, 0b0100, 0b1111, 0b0000, 0b0011, 0b1000, 0b1010, 0b0001, 0b0111];
-        for per_query in [1, 2] {
-            let (cells, out) = toy_run(&masks, 4, per_query);
+        let mut bufs = DeltaBufs::default();
+        for _ in 0..2 {
+            let (cells, out) = toy_run(&masks, 4, &mut bufs);
             for (c, visits) in cells.iter().enumerate() {
                 let want: Vec<usize> =
                     (0..masks.len()).filter(|&i| masks[i] >> c & 1 == 1).collect();
                 assert_eq!(visits, &want, "cell {c} runs exactly its rounds, in op order");
             }
-            // (query, op) ascending; a query's cells descending (the toy's key).
-            let queries = 4 / per_query;
+            // (cell, op, emission) ascending.
             let mut want = Vec::new();
-            for q in 0..queries {
-                for (op, mask) in masks.iter().enumerate() {
-                    let of_q = (0..4u32).rev().filter(|c| *c as usize / per_query == q);
-                    want.extend(of_q.filter(|c| mask >> c & 1 == 1).map(|c| (q, op, c)));
+            for c in 0..4 {
+                for op in (0..masks.len()).filter(|&op| masks[op] >> c & 1 == 1) {
+                    want.extend((0..2).map(|k| (c, op, k)));
                 }
             }
             assert_eq!(out, want);
         }
     }
 
-    /// The cells of one query emit under the same `(op, inv)` and are told
-    /// apart by their chains alone — lexicographic, a prefix first, equal
-    /// chains in cell order — while a second query with longer records
-    /// shares the batch; and a warm `DeltaBufs` carries nothing over.
-    #[test]
-    fn cells_sharing_an_invocation_merge_on_their_chains() {
-        let c = |ids: &[u32]| ids.iter().map(|&i| v(i)).collect::<Vec<_>>();
-        // Per cell ascending, as a cell emits them.
-        let chains = vec![
-            vec![c(&[1, 5]), c(&[3])],
-            vec![c(&[1]), c(&[1, 5, 0]), c(&[2, 9]), c(&[3])],
-            vec![c(&[7])],
-            vec![c(&[4]), c(&[7])],
-        ];
-        // `(cell, k)` in merged order, per query, when all its cells run.
-        let merged =
-            [vec![(1, 0), (0, 0), (1, 1), (1, 2), (0, 1), (1, 3)], vec![(3, 0), (2, 0), (3, 1)]];
-        let masks = [0b1111, 0b0110, 0b1111];
-        let mut want = Vec::new();
-        for (q, merged) in merged.iter().enumerate() {
-            for (op, mask) in masks.iter().enumerate() {
-                let ran = merged.iter().filter(|(cell, _)| mask >> cell & 1 == 1);
-                want.extend(ran.map(|&(cell, k)| {
-                    let rec = [&[op as u32, cell, k], &[99][..q]].concat();
-                    (q, op, rec)
-                }));
-            }
-        }
-        let mut bufs = DeltaBufs::default();
-        for _ in 0..2 {
-            let (mut toy, ops) = Toy::new(&masks, 2, None);
-            toy.chains = chains.clone();
-            let mut out = Vec::new();
-            drive(&mut toy, &mut vec![Vec::new(); 4], &mut bufs, &ops, &mut |q, op, _, rec| {
-                out.push((q, op, rec.as_slice().iter().map(|x| x.0).collect::<Vec<_>>()));
-            });
-            assert_eq!(out, want);
-        }
-    }
-
     #[test]
     fn a_sole_cell_streams_in_op_order() {
-        let (cells, out) = toy_run(&[1, 0, 1, 1], 1, 1);
+        let (cells, out) = toy_run(&[1, 0, 1, 1], 1, &mut DeltaBufs::default());
         assert_eq!(cells, [vec![0, 2, 3]]);
-        assert_eq!(out, [(0, 0, 0), (0, 2, 0), (0, 3, 0)]);
-        assert!(toy_run(&[], 3, 1).1.is_empty(), "an empty batch emits nothing");
+        assert_eq!(out, [(0, 0, 0), (0, 0, 1), (0, 2, 0), (0, 2, 1), (0, 3, 0), (0, 3, 1)]);
+        let empty = toy_run(&[], 3, &mut DeltaBufs::default()).1;
+        assert!(empty.is_empty(), "an empty batch emits nothing");
     }
 
     /// A hook's panic reaches `drive`'s caller — nothing swallows it or is
@@ -621,7 +519,7 @@ mod tests {
     #[test]
     fn a_panicking_cell_unwinds_out_of_drive() {
         const K: usize = 3;
-        let (mut toy, ops) = Toy::new(&[0b01, 0b11, 0b10, 0b11, 0b01], 1, Some(K));
+        let (mut toy, ops) = Toy::new(&[0b01, 0b11, 0b10, 0b11, 0b01], Some(K));
         let mut cells = vec![Vec::new(); 2];
         let unwound = catch_unwind(AssertUnwindSafe(|| {
             drive(&mut toy, &mut cells, &mut DeltaBufs::default(), &ops, &mut |_, _, _, _| {});

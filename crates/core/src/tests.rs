@@ -367,17 +367,12 @@ fn randomized_cyclic_queries_match_oracle_isomorphism() {
 /// Registration as Algorithm 2 (lines 4–5) writes it and as `register_inner`
 /// did it before `crate::bulk`: a hypothetical start-edge insertion per root
 /// candidate through `BuildDCG`. The bulk builder's oracle.
-fn register_by_replay(
-    q: &QueryGraph,
-    g0: &DynamicGraph,
-    cfg: TurboFluxConfig,
-    partition: Option<(u32, u32)>,
-) -> TurboFlux {
-    let mut engine = TurboFlux::plan(q.clone(), g0, cfg, partition);
+fn register_by_replay(q: &QueryGraph, g0: &DynamicGraph, cfg: TurboFluxConfig) -> TurboFlux {
+    let mut engine = TurboFlux::plan(q.clone(), g0, cfg);
     let us = engine.tree.root();
     let mut scratch = std::mem::take(&mut engine.scratch);
     for v in g0.vertices() {
-        if engine.owns_root(v) && engine.q.labels(us).is_subset_of(g0.labels(v)) {
+        if engine.q.labels(us).is_subset_of(g0.labels(v)) {
             engine.build_dcg(g0, None, us, v, &mut scratch);
         }
     }
@@ -400,13 +395,12 @@ fn assert_same_dcg(bulk: &TurboFlux, replay: &TurboFlux, ctx: &str) {
 
 /// The bulk-built DCG equals the replayed one and the declarative reference
 /// — stored edges, states, counters, explicit-out bitmaps, matching order,
-/// initial matches — for both semantics, unpartitioned and as every slice
-/// of 2 and 4 shards, and still does after 200 ops churned both arenas (the
-/// one laid compactly, the one grown edge by edge). Fails under each of
-/// three mutations of `crate::bulk` seeded by hand (DESIGN.md,
-/// "Registration: two sweeps, each run laid once"): in-runs not filtered by
-/// `reached[parent]`, entry states read from `expl[u]` instead of
-/// `expl[uc]`, the wildcard dedup dropped.
+/// initial matches — for both semantics, and still does after 200 ops
+/// churned both arenas (the one laid compactly, the one grown edge by
+/// edge). Fails under each of three mutations of `crate::bulk` seeded by
+/// hand (DESIGN.md, "Registration: two sweeps, each run laid once"):
+/// in-runs not filtered by `reached[parent]`, entry states read from
+/// `expl[u]` instead of `expl[uc]`, the wildcard dedup dropped.
 #[test]
 fn bulk_registration_equals_replayed_insertions_and_the_reference() {
     let mut rng = Rng::new(0xB01C);
@@ -418,71 +412,40 @@ fn bulk_registration_equals_replayed_insertions_and_the_reference() {
         multi_label_vertices +=
             case.g0.vertices().filter(|&v| case.g0.labels(v).as_slice().len() > 1).count();
         for semantics in [MatchSemantics::Homomorphism, MatchSemantics::Isomorphism] {
-            for shards in [1u32, 2, 4] {
-                let mut slices = Vec::new();
-                for shard in 0..shards {
-                    let ctx = format!("case {case_no} {semantics:?} slice {shard}/{shards}");
-                    let partition = (shards > 1).then_some((shard, shards));
-                    // `ShardedEngine` pins the order of its slices.
-                    let cfg = TurboFluxConfig {
-                        adjust_matching_order: shards == 1,
-                        ..TurboFluxConfig::with_semantics(semantics)
-                    };
-                    let mut bulk = match partition {
-                        None => TurboFlux::register(case.q.clone(), &case.g0, cfg),
-                        Some((shard, shards)) => TurboFlux::register_partitioned(
-                            case.q.clone(),
-                            &case.g0,
-                            cfg,
-                            shard,
-                            shards,
-                        ),
-                    };
-                    let mut replay = register_by_replay(&case.q, &case.g0, cfg, partition);
-                    bulk.g = case.g0.clone();
-                    replay.g = case.g0.clone();
-                    assert_same_dcg(&bulk, &replay, &ctx);
-                    if partition.is_none() {
-                        assert_dcg_matches_reference(&bulk);
-                    }
-                    let tree = bulk.query_tree();
-                    for u in case.q.vertices().filter(|&u| u != tree.root()) {
-                        let e = case.q.edge(tree.parent_edge(u).unwrap());
-                        wildcard_tree_edges += usize::from(e.label.is_none());
-                        orientations[usize::from(tree.child_is_target(u))] += 1;
-                    }
-
-                    let initial = |engine: &mut TurboFlux| {
-                        let mut got = Vec::new();
-                        engine.report_initial(&mut |m| got.push(m.clone()));
-                        got
-                    };
-                    assert_eq!(initial(&mut bulk), initial(&mut replay), "{ctx}: initial matches");
-
-                    for (step, op) in case.ops.iter().enumerate() {
-                        let deltas = |engine: &mut TurboFlux| {
-                            let mut got = Vec::new();
-                            engine.apply_op(op, &mut |p, m| got.push((p, m.clone())));
-                            got
-                        };
-                        assert_eq!(deltas(&mut bulk), deltas(&mut replay), "{ctx}: step {step}");
-                        if step % 40 == 39 {
-                            assert_same_dcg(&bulk, &replay, &format!("{ctx} after op {step}"));
-                        }
-                    }
-                    slices.push(bulk);
-                }
-                // The slices partition the roots and replicate what their
-                // closures share: together they are the whole DCG.
-                let mut union = crate::spec::DcgImage::new();
-                slices.iter().for_each(|s| union.extend(s.dcg().snapshot()));
-                let g = slices[0].graph();
-                let want = reference_dcg(g, &case.q, slices[0].query_tree());
-                assert_eq!(
-                    union, want,
-                    "case {case_no} {semantics:?}: {shards} slices after churn"
-                );
+            let ctx = format!("case {case_no} {semantics:?}");
+            let cfg = TurboFluxConfig::with_semantics(semantics);
+            let mut bulk = TurboFlux::register(case.q.clone(), &case.g0, cfg);
+            let mut replay = register_by_replay(&case.q, &case.g0, cfg);
+            bulk.g = case.g0.clone();
+            replay.g = case.g0.clone();
+            assert_same_dcg(&bulk, &replay, &ctx);
+            assert_dcg_matches_reference(&bulk);
+            let tree = bulk.query_tree();
+            for u in case.q.vertices().filter(|&u| u != tree.root()) {
+                let e = case.q.edge(tree.parent_edge(u).unwrap());
+                wildcard_tree_edges += usize::from(e.label.is_none());
+                orientations[usize::from(tree.child_is_target(u))] += 1;
             }
+
+            let initial = |engine: &mut TurboFlux| {
+                let mut got = Vec::new();
+                engine.report_initial(&mut |m| got.push(m.clone()));
+                got
+            };
+            assert_eq!(initial(&mut bulk), initial(&mut replay), "{ctx}: initial matches");
+
+            for (step, op) in case.ops.iter().enumerate() {
+                let deltas = |engine: &mut TurboFlux| {
+                    let mut got = Vec::new();
+                    engine.apply_op(op, &mut |p, m| got.push((p, m.clone())));
+                    got
+                };
+                assert_eq!(deltas(&mut bulk), deltas(&mut replay), "{ctx}: step {step}");
+                if step % 40 == 39 {
+                    assert_same_dcg(&bulk, &replay, &format!("{ctx} after op {step}"));
+                }
+            }
+            assert_dcg_matches_reference(&bulk);
         }
     }
     assert!(wildcard_tree_edges > 0, "no wildcard tree edge was generated");
@@ -561,7 +524,7 @@ fn delete_of_absent_edge_is_a_no_op() {
 /// adjacency runs it must still be a no-op round on every runtime.
 #[test]
 fn delete_naming_unknown_vertices_is_a_no_op_on_every_runtime() {
-    use crate::{Fleet, ShardedEngine};
+    use crate::Fleet;
     let (g, q) = fig4();
     let n = g.vertex_count();
     let ops: Vec<UpdateOp> = [(0, 900), (900, 0), (900, 901)]
@@ -575,15 +538,10 @@ fn delete_naming_unknown_vertices_is_a_no_op_on_every_runtime() {
     assert_eq!(engine.graph().vertex_count(), n);
     assert_dcg_matches_reference(&engine);
 
-    let mut fleet = Fleet::new(g.clone());
-    fleet.register(q.clone(), TurboFluxConfig::default());
+    let mut fleet = Fleet::new(g);
+    fleet.register(q, TurboFluxConfig::default());
     fleet.apply_batch(&ops, &mut |_| panic!("a missing edge has no matches to retract"));
     assert_eq!(fleet.graph().vertex_count(), n);
-
-    let cfg = TurboFluxConfig { shards: 2, ..Default::default() };
-    let mut sharded = ShardedEngine::new(vec![q], g, cfg, 1);
-    sharded.apply_batch(&ops, &mut |_, _, _, _| panic!("a missing edge has no matches to retract"));
-    assert_eq!(sharded.graph().vertex_count(), n);
 }
 
 /// 64 query vertices register; the 65th is refused before any per-vertex
@@ -946,7 +904,6 @@ fn runtimes_stay_send() {
     fn is_send<T: Send>() {}
     is_send::<TurboFlux>();
     is_send::<crate::Fleet>();
-    is_send::<crate::ShardedEngine>();
 }
 
 /// The label-bucketed query-edge index must agree with a full scan over

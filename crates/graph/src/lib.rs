@@ -26,7 +26,6 @@ pub mod dynamic_graph;
 pub mod ids;
 pub mod intersect;
 pub mod labels;
-pub mod sharded;
 pub mod stats;
 pub mod stream;
 
@@ -35,6 +34,5 @@ pub use dynamic_graph::{DynamicGraph, EdgeRef, StorageStats};
 pub use ids::{LabelId, VertexId};
 pub use intersect::{contains_sorted, intersect_into, prefetch, prefetch_at, GALLOP_RATIO};
 pub use labels::{LabelInterner, LabelSet};
-pub use sharded::shard_of;
 pub use stats::GraphStats;
 pub use stream::{UpdateOp, UpdateStream};

@@ -63,7 +63,9 @@ impl SyntheticKind {
 /// event advances the clock by `ticks_per_event` (0 keeps the whole stream
 /// at one instant). This mirrors trace replay at a fixed event rate — a
 /// time window of width `w` then holds the last `w / ticks_per_event`
-/// events, and a count window is rate-independent.
+/// events, and a count window is rate-independent. A clock that would pass
+/// `u64::MAX` stays there: a caller that needs the clock exact checks that
+/// `(events - 1) · ticks_per_event` fits in a `u64`.
 pub struct SyntheticSource {
     ops: std::vec::IntoIter<tfx_graph::UpdateOp>,
     ticks_per_event: u64,
@@ -89,6 +91,11 @@ impl SyntheticSource {
         let stream = std::mem::take(&mut dataset.stream);
         (dataset, SyntheticSource::from_stream(stream, ticks_per_event))
     }
+
+    /// How many events the source has yet to hand out.
+    pub fn events_left(&self) -> usize {
+        self.ops.len()
+    }
 }
 
 impl StreamSource for SyntheticSource {
@@ -97,7 +104,7 @@ impl StreamSource for SyntheticSource {
             return Ok(None);
         };
         if self.started {
-            self.next_ts += self.ticks_per_event;
+            self.next_ts = self.next_ts.saturating_add(self.ticks_per_event);
         }
         self.started = true;
         Ok(Some(StreamEvent { ts: self.next_ts, op }))
@@ -108,6 +115,7 @@ impl StreamSource for SyntheticSource {
 mod tests {
     use super::*;
     use crate::source::collect_events;
+    use tfx_graph::{LabelSet, UpdateOp, VertexId};
 
     #[test]
     fn replays_the_generated_stream_with_even_ticks() {
@@ -122,6 +130,27 @@ mod tests {
         // Determinism: same seed, same events.
         let (_, mut src2) = SyntheticSource::demo(SyntheticKind::Uniform, 7, 3);
         assert_eq!(collect_events(&mut src2).unwrap(), events);
+    }
+
+    /// A rate past what a `u64` clock holds pins the clock at `u64::MAX`:
+    /// the timestamps never decrease. The clock used to wrap (release) or
+    /// panic on the add (debug).
+    #[test]
+    fn a_clock_past_u64_max_stays_there() {
+        let ops =
+            (0..4).map(|i| UpdateOp::AddVertex { id: VertexId(i), labels: LabelSet::empty() });
+        let stream = UpdateStream::from_ops(ops.collect());
+        for (rate, want) in [
+            (1 << 63, [0, 1 << 63, u64::MAX, u64::MAX]),
+            (u64::MAX, [0, u64::MAX, u64::MAX, u64::MAX]),
+            (u64::MAX / 3, [0, u64::MAX / 3, 2 * (u64::MAX / 3), u64::MAX]),
+        ] {
+            let mut src = SyntheticSource::from_stream(stream.clone(), rate);
+            assert_eq!(src.events_left(), 4);
+            let ts: Vec<u64> = collect_events(&mut src).unwrap().iter().map(|e| e.ts).collect();
+            assert_eq!(ts, want, "{rate} ticks per event");
+            assert_eq!(src.events_left(), 0);
+        }
     }
 
     #[test]

@@ -58,6 +58,18 @@ if grep -nE "split_whitespace|\.parse::<u" crates/query/src/parser.rs crates/str
   exit 1
 fi
 
+echo "=== one query, one engine ==="
+# The partitioned runtime and the keyed merge it needed are gone (DESIGN.md,
+# "Sharded execution: tried, measured, removed"); what is left of it is the
+# inert `ShardedEngine` fleet shim the frozen e2e benchmark compiles against.
+# A partitioned query comes back by deleting this check and saying which e2e
+# workload it wins.
+if grep -rnE "register_partitioned|owns_root|shard_of|cells_per_query|run_seed|seed_start|struct Key" \
+  --include='*.rs' --exclude-dir=e2e crates/*/src src tests; then
+  echo "ci: a piece of the partitioned runtime is back" >&2
+  exit 1
+fi
+
 echo "=== one scenario generator ==="
 # The randomized oracles draw from the one generator and run the one
 # comparator in tests/common/ (DESIGN.md, "Testing strategy"); a second
@@ -95,7 +107,7 @@ echo "=== e2e goldens ==="
 # The smoke run checks everything but the delta digests, which exist only at
 # full size: one short full-size measurement per workload compares its digest
 # with goldens.txt and exits non-zero on a mismatch — the check for a change
-# to the round driver, the fleet or the sharded runtime. About 21 s for all six.
+# to the engine, the round driver or the fleet. About 21 s for all six.
 for w in netflow_window netflow_shards2 netflow_enum lsbench_maint lsbench_fleet8 \
   ingest_selective; do
   cargo run --release --offline --quiet \
@@ -168,37 +180,6 @@ if ! [ -s "$tmp_none/none.deltas" ] || ! cmp -s "$tmp_none/none.deltas" "$tmp_no
   exit 1
 fi
 rm -rf "$tmp_none"
-
-echo "=== tfx sharded smoke ==="
-# The sharded runtime's determinism contract, end to end through the CLI:
-# for the demo trio, --shards 2 must emit byte-identical init/delta lines
-# to --shards 1 (the unsharded target), and must report a shard_stats
-# line with live cross-shard traffic.
-tmp_shard="$(mktemp -d)"
-trap 'rm -rf "$tmp_shard"' EXIT
-for case in \
-  "demo_query --graph testdata/demo_graph.txt --file testdata/demo_stream.txt" \
-  "demo_query_disjoint --graph testdata/demo_graph.txt --file testdata/demo_stream.txt" \
-  "netflow_query --synthetic netflow --window count:1000"; do
-  name="${case%% *}"
-  args="${case#* }"
-  for s in 1 2; do
-    # shellcheck disable=SC2086
-    target/release/tfx stream --query "testdata/${name}.txt" $args --shards "$s" \
-      | grep -E '"type":"(init|delta)"' > "$tmp_shard/${name}_${s}.txt"
-  done
-  if ! cmp -s "$tmp_shard/${name}_1.txt" "$tmp_shard/${name}_2.txt"; then
-    echo "tfx sharded smoke: ${name}: --shards 2 deltas differ from --shards 1" >&2
-    exit 1
-  fi
-done
-crossed=$(target/release/tfx stream \
-  --query testdata/netflow_query.txt --synthetic netflow --window count:1000 --shards 2 \
-  | grep -o '"cross_shard_edges":[0-9]*' | head -n1 | cut -d: -f2)
-if [ -z "$crossed" ] || [ "$crossed" -eq 0 ]; then
-  echo "tfx sharded smoke: expected cross_shard_edges > 0, got '${crossed:-no shard_stats line}'" >&2
-  exit 1
-fi
 
 echo "=== tfx fleet smoke ==="
 # Two-query fleet where the second query's edge label (`follows`) never

@@ -310,7 +310,6 @@ fn stream_usage(code: u8) -> ExitCode {
                   [--drain]                  expire the whole window at end of stream
                   [--iso]                    isomorphism semantics (default homomorphism)
                   [--lenient]                skip malformed stream lines (default strict)
-                  [--shards <N>]             split each query's root candidates over N shards
                   [--seed <S>]               synthetic generator seed (default 2018)
                   [--ticks-per-event <T>]    synthetic clock rate (default 1)
                   [--quiet]                  suppress JSONL deltas, keep counts
@@ -331,7 +330,6 @@ struct StreamOptions {
     drain: bool,
     semantics: MatchSemantics,
     mode: ErrorMode,
-    shards: usize,
     seed: u64,
     ticks_per_event: u64,
     quiet: bool,
@@ -349,7 +347,6 @@ fn parse_stream_args(args: &[String]) -> Result<StreamOptions, ExitCode> {
         drain: false,
         semantics: MatchSemantics::Homomorphism,
         mode: ErrorMode::Strict,
-        shards: 1,
         seed: 2018,
         ticks_per_event: 1,
         quiet: false,
@@ -405,16 +402,6 @@ fn parse_stream_args(args: &[String]) -> Result<StreamOptions, ExitCode> {
             "--drain" => o.drain = true,
             "--iso" => o.semantics = MatchSemantics::Isomorphism,
             "--lenient" => o.mode = ErrorMode::Lenient,
-            "--shards" => {
-                let v = value(&mut args, "--shards")?;
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => o.shards = n,
-                    _ => {
-                        eprintln!("error: --shards needs a shard count >= 1");
-                        return Err(stream_usage(2));
-                    }
-                }
-            }
             "--seed" => {
                 let v = value(&mut args, "--seed")?;
                 match v.parse::<u64>() {
@@ -474,13 +461,22 @@ fn stream_main(args: &[String]) -> ExitCode {
         let (dataset, source) = SyntheticSource::demo(kind, opts.seed, opts.ticks_per_event);
         interner = dataset.interner;
         g0 = dataset.g0;
-        synthetic_source = Some(source);
         if opts.graph_path.is_some() {
             eprintln!(
                 "error: --graph only applies to --file sources (synthetic brings its own g0)"
             );
             return ExitCode::from(2);
         }
+        // Every event gets its own tick: the last one's must fit the clock.
+        let events = source.events_left();
+        if (events.saturating_sub(1) as u64).checked_mul(opts.ticks_per_event).is_none() {
+            eprintln!(
+                "error: --ticks-per-event {} puts the last of {events} events past the u64 clock",
+                opts.ticks_per_event
+            );
+            return ExitCode::from(2);
+        }
+        synthetic_source = Some(source);
     } else {
         interner = LabelInterner::new();
         g0 = match &opts.graph_path {
@@ -513,20 +509,9 @@ fn stream_main(args: &[String]) -> ExitCode {
     let g0_vertices = g0.vertex_count();
 
     // Build the target and report initial match counts per engine.
-    let cfg =
-        TurboFluxConfig { shards: opts.shards, ..TurboFluxConfig::with_semantics(opts.semantics) };
+    let cfg = TurboFluxConfig::with_semantics(opts.semantics);
     let mut out = Out::new(std::io::BufWriter::new(std::io::stdout().lock()));
-    let mut target: Box<dyn BatchTarget> = if opts.shards > 1 {
-        // Sharded runtime: one graph, every query evaluated once per shard
-        // over the root candidates that shard owns.
-        let mut engine = ShardedEngine::new(queries, g0, cfg, 1);
-        for q in 0..engine.queries() {
-            let mut n = 0u64;
-            engine.report_initial(q, &mut |_| n += 1);
-            out.line(format_args!("{{\"type\":\"init\",\"engine\":{q},\"matches\":{n}}}\n"));
-        }
-        Box::new(engine)
-    } else if queries.len() > 1 {
+    let mut target: Box<dyn BatchTarget> = if queries.len() > 1 {
         let mut fleet = Fleet::new(g0);
         for q in queries {
             fleet.register(q, cfg);
@@ -601,13 +586,6 @@ fn stream_main(args: &[String]) -> ExitCode {
         out.line(format_args!(
             "{{\"type\":\"fleet_stats\",\"ops_routed\":{},\"ops_skipped\":{}}}\n",
             s.ops_routed, s.ops_skipped
-        ));
-    }
-    // Sharded targets report their partition-routing counters.
-    if let Some(s) = target.shard_stats() {
-        out.line(format_args!(
-            "{{\"type\":\"shard_stats\",\"ops_routed\":{},\"cross_shard_edges\":{},\"handoffs\":{},\"inbox_high_water\":{}}}\n",
-            s.ops_routed, s.cross_shard_edges, s.handoffs, s.inbox_high_water
         ));
     }
     if let Err(code) = out.finish() {

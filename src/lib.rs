@@ -59,15 +59,11 @@ pub use tfx_query as query;
 pub use tfx_stream as stream;
 
 pub use tfx_core::fleet;
-pub use tfx_core::{
-    Fleet, FleetDelta, FleetStats, ShardStats, ShardedEngine, TurboFlux, TurboFluxConfig,
-};
+pub use tfx_core::{Fleet, FleetDelta, FleetStats, TurboFlux, TurboFluxConfig};
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use tfx_core::{
-        Fleet, FleetDelta, FleetStats, ShardStats, ShardedEngine, TurboFlux, TurboFluxConfig,
-    };
+    pub use tfx_core::{Fleet, FleetDelta, FleetStats, TurboFlux, TurboFluxConfig};
     pub use tfx_graph::{
         DynamicGraph, LabelId, LabelInterner, LabelSet, UpdateOp, UpdateStream, VertexId,
     };

@@ -87,8 +87,7 @@ fn cli_rejects_a_query_over_64_vertices() {
     let query = write(&dir, "q65.txt", &path65);
     let (graph, query) = (graph.to_str().unwrap(), query.to_str().unwrap());
     let stream = ["stream", "--query", query, "--graph", graph, "--file", "/dev/null"];
-    let sharded = [&stream[..], &["--shards", "2"]].concat();
-    for args in [&[graph, query][..], &stream, &sharded] {
+    for args in [&[graph, query][..], &stream] {
         let out = Command::new(tfx_bin()).args(args).output().expect("run tfx");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
@@ -134,8 +133,7 @@ fn cli_refuses_a_vertex_id_far_past_the_known_ones() {
         let ops = write(&dir, name, &format!("+ 0 1 knows\n{line}\n+ 1 2 worksAt\n"));
         let ops = ops.to_str().unwrap();
         let stream = ["stream", "--query", &query, "--graph", &graph, "--file", ops];
-        let sharded = [&stream[..], &["--shards", "2"]].concat();
-        for args in [&[&graph, &query, "--stream", ops][..], &stream, &sharded] {
+        for args in [&[&graph, &query, "--stream", ops][..], &stream] {
             let out = Command::new(tfx_bin()).args(args).output().expect("run tfx");
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
@@ -296,8 +294,7 @@ fn cli_reports_a_full_output_device() {
     let stream = ["stream", "--query", &query, "--graph", &graph, "--file", &ops];
     let windowed = [&stream[..], &["--window", "count:3"]].concat();
     let fleet = [&stream[..], &["--query", &disjoint]].concat();
-    let sharded = [&stream[..], &["--shards", "2"]].concat();
-    for args in [&[&graph, &query, "--stream", &ops][..], &windowed, &fleet, &sharded] {
+    for args in [&[&graph, &query, "--stream", &ops][..], &windowed, &fleet] {
         let full = std::fs::OpenOptions::new().write(true).open("/dev/full").expect("/dev/full");
         let out = Command::new(tfx_bin()).args(args).stdout(full).output().expect("run tfx");
         let stderr = String::from_utf8_lossy(&out.stderr);

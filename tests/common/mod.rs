@@ -3,13 +3,13 @@
 //! one of six [`Shape`]s; [`closing_edge_scenario`] and [`lookahead_hazards`]
 //! build what the draws reach too rarely. [`assert_equivalent`] runs a
 //! scenario under one semantics × window × batch policy through
-//! `StreamDriver` on every runtime — [`TurboFlux`] per query, [`Fleet`],
-//! [`ShardedEngine`] at {1, 2, 4, 8} shards — and holds the window's output
-//! to [`reference_window`], the standalone engines' signed match sets per
-//! query and op to `NaiveRecompute` and their DCG at every batch boundary to
-//! `spec::reference_dcg`, their batched deltas to their one-op run's and
-//! every runtime's to theirs byte for byte, and every runtime's graph to the
-//! ops replayed on `g0` (the sharded one's at every batch boundary).
+//! `StreamDriver` on both runtimes — [`TurboFlux`] per query, under the
+//! adjusting and the static matching order, and [`Fleet`] — and holds the
+//! window's output to [`reference_window`], the standalone engines' signed
+//! match sets per query and op to `NaiveRecompute` and their DCG at every
+//! batch boundary to `spec::reference_dcg`, their batched deltas to their
+//! one-op run's and the fleet's to theirs byte for byte, and every runtime's
+//! graph to the ops replayed on `g0` (the fleet's at every batch boundary).
 
 #![allow(dead_code)] // each test binary uses part of the harness
 
@@ -604,10 +604,6 @@ pub struct Outcome {
     /// The standalone engines' deltas, query by query, each in op order.
     pub deltas: Vec<Delta>,
     pub ops_skipped: u64,
-    /// The sharded runtime's `ops_routed`, `cross_shard_edges`, `handoffs`,
-    /// `inbox_high_water` and the edges of its graph compared at batch
-    /// boundaries, summed over the shard counts.
-    pub shards: [u64; 5],
     /// Whether the fleet churned and, if so, whether on a churned layout.
     pub late: Option<bool>,
 }
@@ -629,18 +625,17 @@ pub fn assert_equivalent(
         assert_eq!(rec.ops, ops, "{ctx}: the window's output");
         rec
     };
-    // A runtime's graph against the replay `want`; the edges compared.
+    // A runtime's graph against the replay `want`.
     let same_graph = |g: &DynamicGraph, want: &DynamicGraph| {
         g.validate();
         assert_eq!(g.vertex_count(), want.vertex_count(), "{ctx}: one graph, vertices");
         assert!(g.edges().eq(want.edges()), "{ctx}: one graph, edges");
-        want.edge_count()
     };
     let one_graph = |g: &DynamicGraph| same_graph(g, &g_end);
     // Every query on a standalone engine of its own, each held against its
-    // recompute: initial matches, deltas tagged with their query, batches.
+    // recompute: deltas tagged with their query, batches.
     let alone = |cfg: TurboFluxConfig, policy| {
-        let (mut initial, mut deltas, mut batches) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut deltas, mut batches) = (Vec::new(), Vec::new());
         for (id, q) in s.queries.iter().enumerate() {
             let mut engine = TurboFlux::new(q.clone(), s.g0.clone(), cfg);
             let mut init = Vec::new();
@@ -652,22 +647,19 @@ pub fn assert_equivalent(
             let ctx = format!("{ctx}, query {id} alone under {cfg:?}");
             naive[id].assert_agrees(&init, &rec.deltas, 0, &ctx);
             deltas.extend(rec.deltas.into_iter().map(|(op, _, p, r)| (op, id, p, r)));
-            initial.push(init);
             batches = rec.batches;
         }
-        (initial, deltas, batches)
+        (deltas, batches)
     };
 
     let adjusting = TurboFluxConfig::with_semantics(semantics);
-    // The plan the sharded runtime locks in (see `ShardedEngine::new`).
-    let fixed = TurboFluxConfig { adjust_matching_order: false, ..adjusting };
     // One op per batch, where nothing is ever hinted ahead: batching changes
-    // no standalone engine's deltas, and the sharded runtime's batches are
-    // held against an unbatched run.
+    // no standalone engine's deltas.
     let unbatched = BatchPolicy { max_ops: 1, ..policy };
-    let (_, want, batches) = alone(adjusting, policy);
-    assert_eq!(want, alone(adjusting, unbatched).1, "{ctx}: batching changed the deltas");
-    let (want_init, want_fixed, _) = alone(fixed, unbatched);
+    let (want, batches) = alone(adjusting, policy);
+    assert_eq!(want, alone(adjusting, unbatched).0, "{ctx}: batching changed the deltas");
+    // The matching order's other setting, held against the recompute alone.
+    alone(TurboFluxConfig { adjust_matching_order: false, ..adjusting }, policy);
     // A multi-engine runtime delivers batch by batch, engine by engine.
     let batch_of: Vec<usize> = batches.iter().enumerate().flat_map(|(b, &n)| vec![b; n]).collect();
     let delivered = |mut deltas: Vec<Delta>| {
@@ -679,18 +671,26 @@ pub fn assert_equivalent(
     s.queries.iter().for_each(|q| {
         fleet.register(q.clone(), adjusting);
     });
-    // Ops applied before the churn, and whether the late query met a churned
+    // The graph at every batch boundary against `g0` replayed so far; ops
+    // applied before the churn, and whether the late query met a churned
     // layout: a label directory, free arena slots, 20 vertices created.
-    let mut churned = None;
-    let mut rt = Hooked::new(fleet, |fleet: &mut Fleet, applied| match &s.churn {
-        Some(c) if churned.is_none() && applied >= c.at => {
-            assert!(fleet.deregister(c.victim));
-            let (st, n) = (fleet.graph().storage_stats(), fleet.graph().vertex_count());
-            assert_eq!(fleet.register(c.late.clone(), adjusting), s.queries.len(), "a fresh id");
-            let grown = n > s.g0.vertex_count() + 20;
-            churned = Some((applied, st.directory_runs > 0 && st.free_slots > 0 && grown));
+    let (mut replayed, mut churned) = ((0, s.g0.clone()), None);
+    let mut rt = Hooked::new(fleet, |fleet: &mut Fleet, applied| {
+        let (at, g) = &mut replayed;
+        ops[*at..applied].iter().for_each(|op| apply_staged(g, op));
+        *at = applied;
+        same_graph(fleet.graph(), g);
+        match &s.churn {
+            Some(c) if churned.is_none() && applied >= c.at => {
+                assert!(fleet.deregister(c.victim));
+                let (st, n) = (fleet.graph().storage_stats(), fleet.graph().vertex_count());
+                let id = fleet.register(c.late.clone(), adjusting);
+                assert_eq!(id, s.queries.len(), "a fresh id");
+                let grown = n > s.g0.vertex_count() + 20;
+                churned = Some((applied, st.directory_runs > 0 && st.free_slots > 0 && grown));
+            }
+            _ => {}
         }
-        _ => {}
     });
     let rec = run(&mut rt, policy);
     let fleet = rt.rt;
@@ -715,33 +715,8 @@ pub fn assert_equivalent(
         want_fleet.extend(late);
     }
     assert_eq!(rec.deltas, delivered(want_fleet), "{ctx}: Fleet != the standalone engines");
-
-    let (want_fixed, mut counts) = (delivered(want_fixed), [0; 5]);
-    for shards in [1, 2, 4, 8] {
-        let cfg = TurboFluxConfig { shards, ..fixed };
-        let mut sharded = ShardedEngine::new(s.queries.clone(), s.g0.clone(), cfg, 1);
-        for (id, want) in want_init.iter().enumerate() {
-            let mut init = Vec::new();
-            sharded.report_initial(id, &mut |r| init.push(r.clone()));
-            assert_eq!(&init, want, "{ctx}: {shards} shards, query {id}: initial matches");
-        }
-        // The graph at every batch boundary against `g0` replayed so far.
-        let (mut replayed, mut edges) = ((0, s.g0.clone()), 0);
-        let mut rt = Hooked::new(sharded, |sharded: &mut ShardedEngine, applied: usize| {
-            let (at, g) = &mut replayed;
-            ops[*at..applied].iter().for_each(|op| apply_staged(g, op));
-            *at = applied;
-            edges += same_graph(sharded.graph(), g) as u64;
-        });
-        let rec = run(&mut rt, policy);
-        assert_eq!(rec.deltas, want_fixed, "{ctx}: {shards} shards != the standalone engines");
-        (rt.hook)(&mut rt.rt, rt.applied);
-        let st = rt.rt.stats();
-        let here = [st.ops_routed, st.cross_shard_edges, st.handoffs, st.inbox_high_water, edges];
-        counts.iter_mut().zip(here).for_each(|(n, k)| *n += k);
-    }
     let (ops_skipped, late) = (fleet.stats().ops_skipped, churned.map(|c| c.1));
-    Outcome { deltas: want, ops_skipped, shards: counts, late }
+    Outcome { deltas: want, ops_skipped, late }
 }
 
 /// What a test's scenarios exercised, for its non-vacuity checks.
@@ -750,7 +725,6 @@ pub struct Tally {
     pub with_deltas: usize,
     pub cyclic: usize,
     pub ops_skipped: u64,
-    pub shards: [u64; 5],
     pub late: usize,
     pub late_on_churned: usize,
 }
@@ -761,20 +735,16 @@ impl Tally {
         let queries = s.queries.iter().chain(s.churn.iter().map(|c| &c.late));
         self.cyclic += queries.filter(|q| q.edge_count() >= q.vertex_count()).count();
         self.ops_skipped += o.ops_skipped;
-        self.shards.iter_mut().zip(o.shards).for_each(|(n, k)| *n += k);
         self.late += usize::from(o.late.is_some());
         self.late_on_churned += usize::from(o.late == Some(true));
     }
 
     /// The floor every randomized test holds: `with_deltas` scenarios
-    /// produced matches, five queries were cyclic, the sharded runtime routed
-    /// ops, some across shards, planned invocations and was compared on a
-    /// non-empty graph ([`Outcome::shards`]), routing skipped an engine and a
-    /// fleet registered a late query.
+    /// produced matches, five queries were cyclic, routing skipped an engine
+    /// and a fleet registered a late query.
     pub fn assert_exercised(&self, with_deltas: usize) {
         assert!(self.with_deltas >= with_deltas, "too few scenarios with deltas: {self:?}");
         assert!(self.cyclic >= 5, "too few cyclic queries: {self:?}");
-        assert!(self.shards.iter().all(|&n| n > 0), "a shard counter stayed zero: {self:?}");
         assert!(self.ops_skipped > 0, "routing never skipped an engine: {self:?}");
         assert!(self.late > 0, "no late registration: {self:?}");
     }

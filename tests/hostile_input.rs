@@ -13,6 +13,9 @@
 //! `str`-based reference kept here, [`reference_raw`], is what they did
 //! before; on every ASCII input both must give the same graph, query and
 //! interned labels, or the same error on the same line.
+//!
+//! The `tfx` binary itself is run under hostile `tfx stream` flags:
+//! [`hostile_tfx_stream_flags_end_in_a_run_or_an_error`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use turboflux::datagen::Pcg32;
@@ -212,6 +215,81 @@ fn hostile_bytes_end_in_ok_or_err() {
     // Inputs that got past the parser into an engine: strict streams,
     // lenient streams, queries registered.
     assert!(deep.iter().all(|&n| n > 2_000), "too few inputs reached an engine: {deep:?}");
+}
+
+/// `tfx stream` under hostile flags: every flag that takes a value, with the
+/// value missing, empty, `0`, `-1`, `u64::MAX`, `2^64` or junk (and a time
+/// and a count window of each), and `--shards`, a flag it no longer has. A
+/// value the flag takes runs the stream to its end; every other one is
+/// refused with exit 1 or 2 and an `error:` line (exit 2 and a message of
+/// its own for `--shards` and an overflowing clock rate). Nothing panics,
+/// and no run takes more than seconds. `--ticks-per-event
+/// 18446744073709551615` used to wrap the synthetic clock (release) or
+/// panic on the add (debug).
+#[test]
+fn hostile_tfx_stream_flags_end_in_a_run_or_an_error() {
+    use std::process::Command;
+    use std::time::{Duration, Instant};
+    let data = |f: &str| format!("{}/testdata/{f}", env!("CARGO_MANIFEST_DIR"));
+    let [netflow, query, graph, ops] =
+        ["netflow_query.txt", "demo_query.txt", "demo_graph.txt", "demo_stream.txt"].map(data);
+    let synthetic = ["--query", &netflow, "--synthetic", "netflow", "--window", "count:1000"];
+    let file = ["--query", &query, "--graph", &graph, "--file", &ops];
+    let max = u64::MAX.to_string();
+    let values = ["", "0", "-1", &max, "18446744073709551616", "junk"];
+    let flags = "--query --graph --file --synthetic --window --batch-ops --batch-ticks --seed";
+    let flags = flags.split(' ').chain(["--ticks-per-event"]);
+
+    let mut cases: Vec<(&[&str], Vec<String>)> = Vec::new();
+    for flag in flags {
+        let base = if matches!(flag, "--graph" | "--file") { &file[..] } else { &synthetic[..] };
+        cases.push((base, vec![flag.into()]));
+        cases.extend(values.iter().map(|&v| (base, vec![flag.into(), v.into()])));
+    }
+    for v in values {
+        let windows = [format!("time:{v}"), format!("count:{v}")];
+        cases.extend(windows.map(|w| (&synthetic[..], vec!["--window".into(), w])));
+    }
+    cases.push((&synthetic, vec!["--shards".into(), "2".into()]));
+    let m = max.as_str();
+    // The values a flag takes.
+    let takes = |extra: &[&str]| match *extra {
+        ["--batch-ops" | "--batch-ticks" | "--seed", v] => v == m || extra == ["--seed", "0"],
+        ["--ticks-per-event", v] => v == "0",
+        ["--window", w] => w == format!("time:{m}") || w == format!("count:{m}"),
+        _ => false,
+    };
+
+    let mut ran = 0;
+    for (base, extra) in &cases {
+        let extra: Vec<&str> = extra.iter().map(String::as_str).collect();
+        let t0 = Instant::now();
+        let out = Command::new(env!("CARGO_BIN_EXE_tfx"))
+            .arg("stream")
+            .args(*base)
+            .arg("--quiet")
+            .args(&extra)
+            .output()
+            .expect("run tfx");
+        let (took, stderr) = (t0.elapsed(), String::from_utf8_lossy(&out.stderr));
+        assert!(!stderr.contains("panicked"), "{extra:?}: {stderr}");
+        assert!(took < Duration::from_secs(30), "{extra:?} took {took:?}");
+        if takes(&extra) {
+            assert_eq!(out.status.code(), Some(0), "{extra:?}: {stderr}");
+            assert!(stderr.contains("processed 4000 events"), "{extra:?}: {stderr}");
+            ran += 1;
+            continue;
+        }
+        // The two refusals this test was written for, by name.
+        let (codes, want): (&[i32], &str) = match extra[..] {
+            ["--shards", _] => (&[2], "unknown stream flag `--shards`"),
+            ["--ticks-per-event", v] if v == m => (&[2], "error: --ticks-per-event"),
+            _ => (&[1, 2], "error:"),
+        };
+        assert!(out.status.code().is_some_and(|c| codes.contains(&c)), "{extra:?}: {stderr}");
+        assert!(stderr.contains(want), "{extra:?}: {stderr}");
+    }
+    assert_eq!(ran, 7, "every accepted value ran");
 }
 
 /// Label sets by id and `(src, dst, label, line)` edges, or `(line, message)`.

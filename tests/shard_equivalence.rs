@@ -1,10 +1,11 @@
-//! The sharded runtime's scenarios on the one harness (`common`): uniform,
-//! hub and explosive streams, one query in three cyclic, every scenario on
-//! every runtime — `ShardedEngine` at {1, 2, 4, 8} shards among them —
-//! under a random window and batch policy (`common::assert_equivalent`).
-//! The directed closing-edge scenario goes first: the shape the draws reach
-//! too rarely to rely on, a non-tree invocation whose pre-bound endpoint has
-//! no DCG edge from one of the parent bindings the search arrives with.
+//! Uniform, hub and explosive streams on the one harness (`common`), one
+//! query in three cyclic, every scenario on every runtime under a random
+//! window and batch policy (`common::assert_equivalent`); the file and test
+//! names are those of the partitioned runtime they were written for (DESIGN.md,
+//! "Sharded execution: tried, measured, removed"). The directed closing-edge
+//! scenario goes first: the shape the draws reach too rarely to rely on, a
+//! non-tree invocation whose pre-bound endpoint has no DCG edge from one of
+//! the parent bindings the search arrives with.
 
 mod common;
 
