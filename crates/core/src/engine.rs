@@ -82,10 +82,19 @@ impl TurboFlux {
     /// initial DCG (Algorithm 2, lines 1–6). The engine owns `g0` and
     /// maintains it through [`TurboFlux::apply_op`].
     ///
+    /// The query is fixed from here on, so the engine keeps only what it can
+    /// see: `g0` projected onto the edge labels `q` names (all of them if `q`
+    /// has a wildcard edge), and ops on the other labels never reach its
+    /// graph ([`round::stage`]). The plan's statistics read only those labels
+    /// and the vertex labels, so they come out the same on either graph.
+    ///
     /// Panics if `q` is empty, disconnected, or has more than 64 vertices.
     pub fn new(q: QueryGraph, g0: DynamicGraph, cfg: TurboFluxConfig) -> Self {
-        let mut engine = Self::register(q, &g0, cfg);
-        engine.g = g0;
+        let mut engine = Self::plan(q, &g0, cfg);
+        let g = g0.project(|label| engine.sees(label));
+        engine.build_initial_dcg(&g);
+        engine.recompute_matching_order();
+        engine.g = g;
         engine
     }
 
@@ -168,8 +177,11 @@ impl TurboFlux {
         }
     }
 
-    /// The data graph as maintained by the engine. Empty for engines
-    /// created with [`TurboFlux::register`] (the caller owns the graph).
+    /// The data graph as maintained by the engine: the stream's graph
+    /// projected onto the query's edge labels — every vertex, and the edges
+    /// whose label some query edge can match ([`DynamicGraph::project`]).
+    /// Empty for engines created with [`TurboFlux::register`] (the caller
+    /// owns the graph).
     pub fn graph(&self) -> &DynamicGraph {
         &self.g
     }
@@ -378,10 +390,12 @@ impl TurboFlux {
         let mut g = std::mem::take(&mut self.g);
         for (i, op) in ops.iter().enumerate() {
             round::lookahead(ops, i, |src, label, dst, stage| {
-                g.prefetch_edge(src, label, dst, stage);
-                self.prefetch_dcg(src, label, dst, stage);
+                if self.sees(label) {
+                    g.prefetch_edge(src, label, dst, stage);
+                    self.prefetch_dcg(src, label, dst, stage);
+                }
             });
-            let round = round::stage(&mut g, op);
+            let round = round::stage(&mut g, op, |label| self.sees(label));
             self.eval_round(&g, &round, true, &mut |p, r| sink(i, p, r));
             round::finalize(&mut g, &round);
         }
@@ -472,6 +486,13 @@ impl TurboFlux {
     pub(crate) fn qedges_for(&self, label: LabelId) -> impl Iterator<Item = EdgeId> + '_ {
         let bucket = self.qedge_by_label.get(label.index()).map_or(&[][..], Vec::as_slice);
         bucket.iter().chain(&self.qedge_wildcard).copied()
+    }
+
+    /// True iff some query edge can match a data edge labeled `label`: the
+    /// labels of the edges a standalone engine stores.
+    #[inline]
+    pub(crate) fn sees(&self, label: LabelId) -> bool {
+        self.qedges_for(label).next().is_some()
     }
 
     /// The invocation plan of the data edge `(src, label, dst)`: the query

@@ -97,7 +97,7 @@ impl Rounds for Shared {
     }
 
     fn stage(&mut self, op: &UpdateOp, engines: usize, targets: &mut Vec<Target>) -> Round {
-        let round = round::stage(&mut self.graph, op);
+        let round = round::stage(&mut self.graph, op, |_| true);
         let interested = round.edge().map_or(&[][..], |(_, label, _)| {
             self.routing.get(label.index()).unwrap_or(&self.wildcard)
         });

@@ -69,8 +69,15 @@ impl Round {
 }
 
 /// Applies the half of `op` that must precede evaluation and plans the
-/// round.
-pub(crate) fn stage(graph: &mut DynamicGraph, op: &UpdateOp) -> Round {
+/// round. `graph` stores only the edges whose label `sees` accepts (a
+/// standalone engine's projection, [`crate::TurboFlux::new`]); an edge op on
+/// any other label leaves it alone, except that an insert still creates its
+/// endpoints — the vertices exist for every query, whatever their edges.
+pub(crate) fn stage(
+    graph: &mut DynamicGraph,
+    op: &UpdateOp,
+    sees: impl Fn(LabelId) -> bool,
+) -> Round {
     let from = VertexId(graph.vertex_count() as u32);
     match *op {
         UpdateOp::AddVertex { id, ref labels } => {
@@ -86,7 +93,9 @@ pub(crate) fn stage(graph: &mut DynamicGraph, op: &UpdateOp) -> Round {
             let hi = src.0.max(dst.0);
             let grew = (hi >= from.0 && graph.ensure_vertex(VertexId(hi), LabelSet::empty()))
                 .then_some(from);
-            if graph.insert_edge(src, label, dst) {
+            if !sees(label) {
+                grew.map_or(Round::Skip, |from| Round::Register { from })
+            } else if graph.insert_edge(src, label, dst) {
                 Round::Insert { grew, src, label, dst }
             } else {
                 // A duplicate's endpoints existed with it: nothing grew.
@@ -95,7 +104,7 @@ pub(crate) fn stage(graph: &mut DynamicGraph, op: &UpdateOp) -> Round {
             }
         }
         UpdateOp::DeleteEdge { src, label, dst } => {
-            if graph.has_edge(src, label, dst) {
+            if sees(label) && graph.has_edge(src, label, dst) {
                 Round::Delete { src, label, dst }
             } else {
                 Round::Skip
@@ -307,43 +316,62 @@ mod tests {
         g
     }
 
+    /// The `sees` of a graph that stores every label (a `Fleet`'s).
+    fn all(_: LabelId) -> bool {
+        true
+    }
+
     #[test]
     fn stages_like_algorithm_2() {
         let mut g = graph();
         let edge = |src, dst| (v(src), L, v(dst));
         // A new edge enters the graph at stage, and stays at finalize.
-        let round = stage(&mut g, &ins(1, 2));
+        let round = stage(&mut g, &ins(1, 2), all);
         assert_eq!(round, Round::Insert { grew: None, src: v(1), label: L, dst: v(2) });
         assert_eq!((round.edge(), round.new_vertices()), (Some(edge(1, 2)), None));
         finalize(&mut g, &round);
         assert!(g.has_edge(v(1), L, v(2)));
         // Duplicate insert: nothing to evaluate.
-        assert_eq!(stage(&mut g, &ins(0, 1)), Round::Skip);
+        assert_eq!(stage(&mut g, &ins(0, 1), all), Round::Skip);
         // A straggler endpoint is created label-less, gap ids included.
-        let round = stage(&mut g, &ins(0, 5));
+        let round = stage(&mut g, &ins(0, 5), all);
         assert_eq!(round, Round::Insert { grew: Some(v(3)), src: v(0), label: L, dst: v(5) });
         assert_eq!(g.vertex_count(), 6);
         // Its duplicate cannot create a vertex (the edge had both ends), so
         // an insert never degrades to a `Register` round.
-        assert_eq!(stage(&mut g, &ins(0, 5)), Round::Skip);
+        assert_eq!(stage(&mut g, &ins(0, 5), all), Round::Skip);
         // A deletion is planned at stage and leaves only at finalize.
-        let round = stage(&mut g, &del(0, 1));
+        let round = stage(&mut g, &del(0, 1), all);
         assert_eq!(round, Round::Delete { src: v(0), label: L, dst: v(1) });
         assert!(g.has_edge(v(0), L, v(1)), "still present while cells evaluate it");
         finalize(&mut g, &round);
         assert!(!g.has_edge(v(0), L, v(1)));
         // Missing delete, known vertex: skips. New vertex: register.
-        assert_eq!(stage(&mut g, &del(0, 1)), Round::Skip);
+        assert_eq!(stage(&mut g, &del(0, 1), all), Round::Skip);
         // A delete naming vertices no line ever created is a missing edge
         // too: it skips, panics nowhere and creates nothing.
         for (src, dst) in [(0, 90), (90, 0), (90, 91)] {
-            assert_eq!(stage(&mut g, &del(src, dst)), Round::Skip);
+            assert_eq!(stage(&mut g, &del(src, dst), all), Round::Skip);
         }
         assert_eq!(g.vertex_count(), 6);
         let add = |id| UpdateOp::AddVertex { id: v(id), labels: LabelSet::empty() };
-        assert_eq!(stage(&mut g, &add(2)), Round::Skip);
-        assert_eq!(stage(&mut g, &add(7)), Round::Register { from: v(6) });
+        assert_eq!(stage(&mut g, &add(2), all), Round::Skip);
+        assert_eq!(stage(&mut g, &add(7), all), Round::Register { from: v(6) });
         assert_eq!(Round::Register { from: v(6) }.new_vertices(), Some(v(6)));
+    }
+
+    /// An edge op on a label the graph does not store leaves the graph's
+    /// edges alone: an insert only creates its endpoints, a delete skips.
+    #[test]
+    fn ops_on_unseen_labels_only_grow_vertices() {
+        let mut g = graph();
+        let sees = |label: LabelId| label != L;
+        assert_eq!(stage(&mut g, &ins(1, 2), sees), Round::Skip, "both ends exist");
+        assert_eq!(stage(&mut g, &ins(2, 4), sees), Round::Register { from: v(3) });
+        assert_eq!(stage(&mut g, &ins(4, 2), sees), Round::Skip, "a repeat creates nothing");
+        assert_eq!(stage(&mut g, &del(0, 1), sees), Round::Skip, "even though it is stored");
+        assert_eq!((g.vertex_count(), g.edge_count()), (5, 1));
+        assert!(g.has_edge(v(0), L, v(1)) && !g.has_edge(v(1), L, v(2)));
     }
 
     /// Before round `i` the lookahead hints the edge ops 4·d, 2·d and d

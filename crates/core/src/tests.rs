@@ -696,6 +696,44 @@ fn order_adjustment_never_changes_results() {
     assert_dcg_matches_reference(&without);
 }
 
+/// An edge on a label no query edge names never enters the engine's graph,
+/// from `g0` or the stream, but an insert of one that creates vertices still
+/// makes them start candidates: the vertices exist for the query whatever
+/// their edges.
+#[test]
+fn an_unseen_insert_that_creates_a_root_candidate_registers_it() {
+    let mut g = DynamicGraph::new();
+    let a = g.add_vertex(LabelSet::empty());
+    let b = g.add_vertex(LabelSet::empty());
+    g.insert_edge(a, l(9), b);
+    g.insert_edge(b, l(5), a);
+    let mut q = QueryGraph::new();
+    let [u0, u1] = [0; 2].map(|_| q.add_vertex(LabelSet::empty()));
+    q.add_edge(u0, u1, Some(l(9)));
+    let mut engine = TurboFlux::new(q, g, TurboFluxConfig::default());
+    assert_eq!(engine.query_tree().root(), u0, "a label-less root: stragglers match it");
+    assert_eq!(engine.graph().edge_count(), 1, "g0's l5 edge is not stored");
+    let mut deltas = Vec::new();
+    let mut apply = |engine: &mut TurboFlux, op| {
+        deltas.clear();
+        engine.apply(&op, &mut |p, r| deltas.push((p, r.clone())));
+        assert_dcg_matches_reference(engine);
+        deltas.len()
+    };
+    // Creates v2 and v3, label-less, and stores nothing.
+    assert_eq!(apply(&mut engine, UpdateOp::InsertEdge { src: b, label: l(5), dst: v(3) }), 0);
+    assert_eq!((engine.graph().vertex_count(), engine.graph().edge_count()), (4, 1));
+    for w in [v(2), v(3)] {
+        assert_eq!(engine.dcg().root_state(w), Some(EdgeState::Implicit), "{w} registered");
+    }
+    // The new candidate completes a match once a seen edge reaches it.
+    assert_eq!(apply(&mut engine, UpdateOp::InsertEdge { src: v(3), label: l(9), dst: b }), 1);
+    assert_eq!(engine.dcg().root_state(v(3)), Some(EdgeState::Explicit));
+    // Deleting the unseen g0 edge touches nothing.
+    assert_eq!(apply(&mut engine, UpdateOp::DeleteEdge { src: b, label: l(5), dst: a }), 0);
+    assert_eq!(engine.graph().edge_count(), 2);
+}
+
 /// The TurboFlux deadline latches and stops enumeration without corrupting
 /// the DCG.
 #[test]

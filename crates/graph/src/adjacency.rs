@@ -187,6 +187,38 @@ impl Adjacency {
         Adjacency { off, len: entries.len() as u32, groups: groups as u32, class }
     }
 
+    /// Lays sorted, duplicate-free, non-empty label groups out as a fresh
+    /// run: what [`Self::build`] lays out for their entries, one id slice
+    /// copied at a time.
+    pub(crate) fn build_groups(a: &mut Arena, groups: &[(LabelId, &[VertexId])]) -> Adjacency {
+        let n = groups.iter().map(|(_, ids)| ids.len()).sum::<usize>();
+        if n == 0 {
+            return Adjacency::default();
+        }
+        if n <= FLAT_MAX {
+            let class = class_for(2 * n);
+            let off = a.alloc(class);
+            let (mut at, cap) = (off as usize, class_cap(class) as usize / 2);
+            let data = a.data_mut();
+            for &(label, ids) in groups {
+                data[at..at + ids.len()].fill(Word(label.0));
+                data[at + cap..at + cap + ids.len()].copy_from_slice(ids);
+                at += ids.len();
+            }
+            return Adjacency { off, len: n as u32, groups: 0, class };
+        }
+        let class = class_for(REC * groups.len());
+        let off = a.alloc(class);
+        for (g, &(label, ids)) in groups.iter().enumerate() {
+            let gclass = class_for(ids.len());
+            let goff = a.alloc(gclass);
+            a.data_mut()[goff as usize..goff as usize + ids.len()].copy_from_slice(ids);
+            let rec = [label.0, goff, ids.len() as u32, gclass as u32].map(Word);
+            a.data_mut()[off as usize + g * REC..][..REC].copy_from_slice(&rec);
+        }
+        Adjacency { off, len: n as u32, groups: groups.len() as u32, class }
+    }
+
     /// Every slot this run owns, as `(off, class)`.
     pub(crate) fn slots<'a>(&self, a: &'a Arena) -> impl Iterator<Item = (u32, u8)> + 'a {
         let own = (self.len > 0).then_some((self.off, self.class));

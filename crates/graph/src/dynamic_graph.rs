@@ -70,6 +70,25 @@ fn bucket_ranges(ends: &[usize]) -> impl Iterator<Item = std::ops::Range<usize>>
     ends.iter().scan(0, |start, &end| Some(std::mem::replace(start, end)..end))
 }
 
+/// Re-lays every run of `runs`, whose entries live in `from`, compactly and
+/// in vertex order from its label groups `keep` accepts, into the fresh
+/// arena it returns, sized for `words` entries.
+fn relay(
+    runs: &mut [[Adjacency; 2]],
+    from: &Arena,
+    words: usize,
+    keep: impl Fn(LabelId) -> bool,
+) -> Arena {
+    let mut arena = Arena::with_capacity(words);
+    let mut kept = Vec::new();
+    for run in runs.iter_mut().flatten() {
+        kept.clear();
+        kept.extend(run.groups(from).filter(|&(label, ids)| !ids.is_empty() && keep(label)));
+        *run = Adjacency::build_groups(&mut arena, &kept);
+    }
+    arena
+}
+
 /// How the arena behind a [`DynamicGraph`] is occupied.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StorageStats {
@@ -101,14 +120,8 @@ impl Clone for DynamicGraph {
     /// Re-lays every run compactly in vertex order: the copy has no free
     /// slots and no slack classes, whatever churn fragmented the original.
     fn clone(&self) -> Self {
-        let mut arena = Arena::with_capacity(self.arena.carved_entries());
-        let mut buf = Vec::new();
-        let mut relay = |run: &Adjacency| {
-            buf.clear();
-            buf.extend(run.iter(&self.arena).map(|(v, l)| (l, v)));
-            Adjacency::build(&mut arena, &buf)
-        };
-        let runs = self.runs.iter().map(|[out, inc]| [relay(out), relay(inc)]).collect();
+        let mut runs = self.runs.clone();
+        let arena = relay(&mut runs, &self.arena, self.arena.carved_entries(), |_| true);
         DynamicGraph {
             vertex_labels: self.vertex_labels.clone(),
             runs,
@@ -201,6 +214,25 @@ impl DynamicGraph {
             g.runs[v][IN] = Adjacency::build(&mut g.arena, &buf[range]);
         }
         g
+    }
+
+    /// The graph restricted to the edges whose label `keep` accepts, on the
+    /// same vertices: what an engine whose query names only those labels can
+    /// ever read. The vertex label table, its counts and the run table stay
+    /// where they are. Each run is re-laid from its kept label groups —
+    /// already sorted and duplicate-free, so nothing is sorted or
+    /// deduplicated — into a fresh arena sized like [`Self::from_edges`]'s
+    /// for the kept count. `keep` is asked once per label some edge carries.
+    pub fn project(mut self, keep: impl Fn(LabelId) -> bool) -> Self {
+        for (label, count) in self.edge_label_counts.iter_mut().enumerate() {
+            if *count > 0 && !keep(LabelId(label as u32)) {
+                *count = 0;
+            }
+        }
+        self.edge_count = self.edge_label_counts.iter().sum();
+        let (words, counts) = (4 * self.edge_count + 4 * self.runs.len(), &self.edge_label_counts);
+        self.arena = relay(&mut self.runs, &self.arena, words, |label| counts[label.index()] > 0);
+        self
     }
 
     /// Number of vertices ever created (ids are dense `0..n`).

@@ -1,6 +1,7 @@
 //! Storage-level properties of [`DynamicGraph`]'s slot arena, through the
 //! public API only: the bulk constructor and `clone()` lay out the graph
-//! incremental inserts build (compactly), and `resident_bytes` /
+//! incremental inserts build (compactly), `project` lays out what the bulk
+//! build of the kept edges does, and `resident_bytes` /
 //! `storage_stats` are exact fixpoints under self-inverting churn.
 
 use tfx_graph::{DynamicGraph, EdgeRef, LabelId, LabelSet, VertexId, FLAT_MAX};
@@ -64,6 +65,61 @@ fn from_edges_and_clone_equal_incremental_inserts_and_are_compact() {
         assert_eq!(stats.flat_runs, 2 * n as usize - 1);
         assert!(copy.resident_bytes() <= g.resident_bytes());
     }
+}
+
+/// `project` keeps exactly what the bulk build of the kept edges lays out,
+/// from a churned graph with directory runs and free slots: the same edges,
+/// per-label counts and vertex labels, compactly. Keep-all is the graph
+/// itself; keep-none keeps every vertex and no edge.
+#[test]
+fn project_equals_from_edges_of_the_kept_edges() {
+    let n = 3 * FLAT_MAX as u32;
+    let edges = mixed_edges(n, 5 * FLAT_MAX as u32, 4);
+    let mut g = labeled_graph(n as usize);
+    for e in &edges {
+        g.insert_edge(e.src, e.label, e.dst);
+    }
+    for e in &edges[edges.len() / 3..] {
+        g.delete_edge(e.src, e.label, e.dst);
+    }
+    for e in edges.iter().rev().step_by(2) {
+        g.insert_edge(e.src, e.label, e.dst);
+    }
+    let stats = g.storage_stats();
+    assert!(stats.free_slots > 0 && stats.directory_runs > 0, "{stats:?}");
+    let labels: Vec<_> = g.vertices().map(|v| g.labels(v).clone()).collect();
+    type Keep = fn(LabelId) -> bool;
+    let keeps: [(&str, Keep); 4] = [
+        ("all", |_| true),
+        ("none", |_| false),
+        ("odd", |lab| lab.0 % 2 == 1),
+        ("hub only", |lab| lab == l(3)),
+    ];
+    for (name, keep) in keeps {
+        let got = g.clone().project(keep);
+        let kept: Vec<_> = g.edges().filter(|e| keep(e.label)).collect();
+        let want = DynamicGraph::from_edges(labels.clone(), kept);
+        got.validate();
+        assert!(got.edges().eq(want.edges()), "{name}: edges");
+        assert_eq!(got.edge_count(), want.edge_count(), "{name}");
+        assert_eq!(got.vertex_count(), g.vertex_count(), "{name}: every vertex stays");
+        for v in g.vertices() {
+            assert_eq!(got.labels(v), g.labels(v), "{name}: labels of {v}");
+            assert!(got.in_neighbors(v).eq(want.in_neighbors(v)), "{name}: in-run of {v}");
+            assert_eq!(got.out_is_directory(v), want.out_is_directory(v), "{name}: {v}");
+        }
+        for lab in 0..5 {
+            assert_eq!(got.edge_label_count(l(lab)), want.edge_label_count(l(lab)), "{name}");
+            assert_eq!(got.vertex_label_count(l(lab)), g.vertex_label_count(l(lab)), "{name}");
+        }
+        assert_eq!(got.storage_stats().free_slots, 0, "{name}: laid out compactly");
+    }
+    let all = g.clone().project(|_| true);
+    assert!(all.edges().eq(g.edges()) && all.edge_count() == g.edge_count());
+    assert!(g.clone().project(|lab| lab.0 % 2 == 1).storage_stats().directory_runs > 0);
+    let none = g.clone().project(|_| false);
+    assert_eq!((none.vertex_count(), none.edge_count()), (n as usize, 0));
+    assert_eq!(none.edges().count() + none.storage_stats().live_slots, 0);
 }
 
 /// `resident_bytes` is capacity-charged, so once a churn cycle has

@@ -194,4 +194,23 @@ if [ -z "$skipped" ] || [ "$skipped" -eq 0 ]; then
   exit 1
 fi
 
+echo "=== tfx projection smoke ==="
+# A query that names `knows` only: alone, `TurboFlux` stores g0 and the
+# stream projected onto `knows` (DESIGN.md, "Label projection"); as engine 0
+# of a two-query fleet it runs over the full graph. Its deltas must be the
+# same bytes either way, and not none.
+tmp_proj="$(mktemp -d)"
+target/release/tfx stream --query testdata/demo_query_knows.txt \
+  --graph testdata/demo_graph.txt --file testdata/demo_stream.txt --window count:3 --drain \
+  2> /dev/null | grep '"type":"delta"' > "$tmp_proj/alone"
+target/release/tfx stream --query testdata/demo_query_knows.txt --query testdata/demo_query.txt \
+  --graph testdata/demo_graph.txt --file testdata/demo_stream.txt --window count:3 --drain \
+  2> /dev/null | grep '"type":"delta".*"engine":0,' > "$tmp_proj/fleet"
+if ! grep -q '"sign":"-"' "$tmp_proj/alone" || ! cmp -s "$tmp_proj/alone" "$tmp_proj/fleet"; then
+  echo "tfx projection smoke: the projected engine's deltas differ from the fleet's" >&2
+  diff "$tmp_proj/alone" "$tmp_proj/fleet" >&2 || true
+  exit 1
+fi
+rm -rf "$tmp_proj"
+
 echo "ci: all green"

@@ -169,6 +169,9 @@ fn main() {
     assert_eq!(during, 0, "steady-state insert/delete cycles must not allocate");
     println!("test steady_state_updates_do_not_allocate ... ok");
 
+    unseen_label_batches_do_not_allocate(&mut engine);
+    println!("test unseen_label_batches_do_not_allocate ... ok");
+
     warm_multi_cell_batches_allocate_per_batch_not_per_delta();
     println!("test warm_multi_cell_batches_allocate_per_batch_not_per_delta ... ok");
 
@@ -177,6 +180,37 @@ fn main() {
 
     g0_parse_peak_stays_within_half_the_graph_again();
     println!("test g0_parse_peak_stays_within_half_the_graph_again ... ok");
+}
+
+/// Ops on a label the query never names stay out of a standalone engine's
+/// graph and DCG: a warm batch of them — inserts between existing vertices,
+/// their deletes, and deletes of edges never stored — allocates nothing,
+/// emits nothing and stores nothing.
+fn unseen_label_batches_do_not_allocate(engine: &mut TurboFlux) {
+    let label = LabelId(12);
+    let pairs = (0..20u32).map(|i| (VertexId(i), VertexId((i * 7 + 3) % 20)));
+    let insert = |(src, dst)| UpdateOp::InsertEdge { src, label, dst };
+    let delete = |(src, dst)| UpdateOp::DeleteEdge { src, label, dst };
+    let batch: Vec<UpdateOp> = pairs
+        .clone()
+        .map(insert)
+        .chain(pairs.clone().map(delete))
+        .chain(pairs.map(delete))
+        .collect();
+    let (stored, dcg) = (engine.graph().edge_count(), engine.dcg().snapshot());
+    let mut deltas = 0;
+    engine.apply_batch(&batch, &mut |_, _, _| deltas += 1);
+
+    ARMED.store(true, Ordering::SeqCst);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for _ in 0..16 {
+        engine.apply_batch(&batch, &mut |_, _, _| deltas += 1);
+    }
+    let during = ALLOCS.load(Ordering::SeqCst) - before;
+    ARMED.store(false, Ordering::SeqCst);
+    assert_eq!(during, 0, "warm batches of unseen-label ops allocated {during} times");
+    assert_eq!((deltas, engine.graph().edge_count()), (0, stored));
+    assert_eq!(engine.dcg().snapshot(), dcg);
 }
 
 /// Loading a g0 from text holds little beside the graph it returns: the

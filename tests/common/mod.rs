@@ -9,7 +9,8 @@
 //! match sets per query and op to `NaiveRecompute` and their DCG at every
 //! batch boundary to `spec::reference_dcg`, their batched deltas to their
 //! one-op run's and the fleet's to theirs byte for byte, and every runtime's
-//! graph to the ops replayed on `g0` (the fleet's at every batch boundary).
+//! graph to the ops replayed on `g0` (the fleet's at every batch boundary) —
+//! a standalone engine's to the replay's projection onto its query's labels.
 
 #![allow(dead_code)] // each test binary uses part of the harness
 
@@ -72,8 +73,9 @@ pub fn random_query(
     q
 }
 
-/// How a scenario's graph, queries and stream are drawn. Every stream also
-/// draws an edge label no query names, so a fleet's routing skips.
+/// How a scenario's graph, queries and stream are drawn. Every graph and
+/// stream also draws an edge label no query names, so a fleet's routing
+/// skips and a standalone engine leaves edges out of its graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Shape {
     /// Endpoints uniform over the vertex set.
@@ -490,6 +492,37 @@ fn apply_staged(g: &mut DynamicGraph, op: &UpdateOp) {
     g.apply(op);
 }
 
+/// True iff some edge of `q` can match a data edge labeled `label`: the
+/// labels a standalone engine over `q` stores.
+pub fn sees(q: &QueryGraph, label: LabelId) -> bool {
+    q.edges().iter().any(|e| e.label.is_none_or(|l| l == label))
+}
+
+/// Per query, the ops of `ops` on a label it cannot see that a graph of
+/// every label would act on: `[deletes of g0 edges, inserts that create an
+/// endpoint]`. Its standalone engine keeps both out of its graph.
+fn unseen_ops(s: &Scenario, ops: &[UpdateOp]) -> [usize; 2] {
+    let mut unseen = [0; 2];
+    for q in &s.queries {
+        let mut g = s.g0.clone();
+        for op in ops {
+            match *op {
+                UpdateOp::DeleteEdge { src, label, dst }
+                    if !sees(q, label) && s.g0.has_edge(src, label, dst) =>
+                {
+                    unseen[0] += usize::from(g.has_edge(src, label, dst));
+                }
+                UpdateOp::InsertEdge { src, label, dst } if !sees(q, label) => {
+                    unseen[1] += usize::from(!g.contains_vertex(src.max(dst)));
+                }
+                _ => {}
+            }
+            apply_staged(&mut g, op);
+        }
+    }
+    unseen
+}
+
 /// `g0` after `ops`.
 pub fn replay_graph(g0: &DynamicGraph, ops: &[UpdateOp]) -> DynamicGraph {
     let mut g = g0.clone();
@@ -604,6 +637,8 @@ pub struct Outcome {
     /// The standalone engines' deltas, query by query, each in op order.
     pub deltas: Vec<Delta>,
     pub ops_skipped: u64,
+    /// [`unseen_ops`] of the window's output.
+    pub unseen: [usize; 2],
     /// Whether the fleet churned and, if so, whether on a churned layout.
     pub late: Option<bool>,
 }
@@ -631,7 +666,6 @@ pub fn assert_equivalent(
         assert_eq!(g.vertex_count(), want.vertex_count(), "{ctx}: one graph, vertices");
         assert!(g.edges().eq(want.edges()), "{ctx}: one graph, edges");
     };
-    let one_graph = |g: &DynamicGraph| same_graph(g, &g_end);
     // Every query on a standalone engine of its own, each held against its
     // recompute: deltas tagged with their query, batches.
     let alone = |cfg: TurboFluxConfig, policy| {
@@ -643,7 +677,7 @@ pub fn assert_equivalent(
             let mut rt = Hooked::new(engine, assert_dcg);
             let rec = run(&mut rt, policy);
             assert_dcg(&mut rt.rt, 0);
-            one_graph(rt.rt.graph());
+            same_graph(rt.rt.graph(), &g_end.clone().project(|label| sees(q, label)));
             let ctx = format!("{ctx}, query {id} alone under {cfg:?}");
             naive[id].assert_agrees(&init, &rec.deltas, 0, &ctx);
             deltas.extend(rec.deltas.into_iter().map(|(op, _, p, r)| (op, id, p, r)));
@@ -694,7 +728,7 @@ pub fn assert_equivalent(
     });
     let rec = run(&mut rt, policy);
     let fleet = rt.rt;
-    one_graph(fleet.graph());
+    same_graph(fleet.graph(), &g_end);
     assert_eq!(rec.batches, batches, "{ctx}: the driver's batches");
     let mut want_fleet = want.clone();
     if let (Some(c), Some((k, _))) = (&s.churn, churned) {
@@ -716,7 +750,7 @@ pub fn assert_equivalent(
     }
     assert_eq!(rec.deltas, delivered(want_fleet), "{ctx}: Fleet != the standalone engines");
     let (ops_skipped, late) = (fleet.stats().ops_skipped, churned.map(|c| c.1));
-    Outcome { deltas: want, ops_skipped, late }
+    Outcome { deltas: want, ops_skipped, unseen: unseen_ops(s, &ops), late }
 }
 
 /// What a test's scenarios exercised, for its non-vacuity checks.
@@ -725,6 +759,7 @@ pub struct Tally {
     pub with_deltas: usize,
     pub cyclic: usize,
     pub ops_skipped: u64,
+    pub unseen: [usize; 2],
     pub late: usize,
     pub late_on_churned: usize,
 }
@@ -735,17 +770,22 @@ impl Tally {
         let queries = s.queries.iter().chain(s.churn.iter().map(|c| &c.late));
         self.cyclic += queries.filter(|q| q.edge_count() >= q.vertex_count()).count();
         self.ops_skipped += o.ops_skipped;
+        (0..2).for_each(|i| self.unseen[i] += o.unseen[i]);
         self.late += usize::from(o.late.is_some());
         self.late_on_churned += usize::from(o.late == Some(true));
     }
 
     /// The floor every randomized test holds: `with_deltas` scenarios
-    /// produced matches, five queries were cyclic, routing skipped an engine
-    /// and a fleet registered a late query.
+    /// produced matches, five queries were cyclic, routing skipped an engine,
+    /// a standalone engine left a g0 edge's delete and an endpoint-creating
+    /// insert on a label it cannot see out of its graph, and a fleet
+    /// registered a late query.
     pub fn assert_exercised(&self, with_deltas: usize) {
         assert!(self.with_deltas >= with_deltas, "too few scenarios with deltas: {self:?}");
         assert!(self.cyclic >= 5, "too few cyclic queries: {self:?}");
         assert!(self.ops_skipped > 0, "routing never skipped an engine: {self:?}");
+        assert!(self.unseen[0] > 0, "no unseen g0 edge was deleted: {self:?}");
+        assert!(self.unseen[1] > 0, "no unseen insert created a vertex: {self:?}");
         assert!(self.late > 0, "no late registration: {self:?}");
     }
 }
