@@ -29,11 +29,11 @@ use tfx_query::{
 };
 
 use crate::config::TurboFluxConfig;
-use crate::dcg::{Dcg, EdgeState};
+use crate::dcg::{Dcg, DcgView, EdgeState};
 use crate::order::OrderMaintenance;
 use crate::round::{self, Round};
 use crate::scratch::SearchScratch;
-use crate::tree_nav::collect_child_candidates;
+use crate::tree_nav::{collect_child_candidates, data_pair};
 
 /// How many search steps between wall-clock deadline checks.
 pub(crate) const DEADLINE_CHECK_INTERVAL: u32 = 4096;
@@ -159,7 +159,7 @@ impl TurboFlux {
 
         let track_bound = cfg.semantics == MatchSemantics::Isomorphism;
         TurboFlux {
-            dcg: Dcg::new(nq, us),
+            dcg: Dcg::new(&q, &tree),
             mo: Vec::new(),
             child_mask,
             non_tree_incident,
@@ -196,9 +196,11 @@ impl TurboFlux {
         &self.tree
     }
 
-    /// The maintained DCG.
-    pub fn dcg(&self) -> &Dcg {
-        &self.dcg
+    /// The maintained DCG, read against the engine's graph: empty for
+    /// engines created with [`TurboFlux::register`], whose DCG derives from
+    /// the caller's graph ([`crate::Fleet::dcg`]).
+    pub fn dcg(&self) -> DcgView<'_> {
+        DcgView::new(&self.dcg, &self.g)
     }
 
     /// The current matching order.
@@ -239,17 +241,17 @@ impl TurboFlux {
         false
     }
 
-    /// `MatchAllChildren` (Algorithm 4), O(1) via the explicit-out bitmap —
-    /// which a leaf `u` need not even read.
+    /// `MatchAllChildren` (Algorithm 4): one bit test per child of `u` —
+    /// which a leaf `u` need not even make.
     #[inline]
     pub(crate) fn match_all_children(&self, v: VertexId, u: QVertexId) -> bool {
         let mask = self.child_mask[u.index()];
-        mask == 0 || self.dcg.expl_out_bits(v) & mask == mask
+        mask == 0 || self.dcg.matches_all(v, mask)
     }
 
     /// `MatchAllChildren(v, u)` for a `v` known to have an explicit
     /// out-edge labeled `via`, a child of `u`: when `via` is `u`'s only
-    /// child that edge is the answer, and the bitmap probe is skipped.
+    /// child that edge is the answer, and the bit tests are skipped.
     #[inline]
     pub(crate) fn match_all_children_via(&self, v: VertexId, u: QVertexId, via: QVertexId) -> bool {
         self.child_mask[u.index()] == 1 << via.0 || self.match_all_children(v, u)
@@ -268,12 +270,13 @@ impl TurboFlux {
         scratch: &mut SearchScratch,
     ) -> EdgeState {
         // Case 1/2 of Transition 1 — and of Transition 2 in the same write
-        // when `u` is childless: there is no subtree to wait for.
-        let leaf = self.child_mask[u.index()] == 0;
-        let first = if leaf { EdgeState::Explicit } else { EdgeState::Implicit };
-        let prev = self.dcg.transit(parent, u, cv, Some(first));
-        debug_assert!(prev.is_none(), "build_dcg must start from a NULL edge");
-        if leaf {
+        // when there is no subtree to wait for: `u` is childless, or `cv`'s
+        // subtrees were matched under another parent.
+        let first = self.dcg.add(parent, u, cv);
+        if let Some(pv) = parent {
+            scratch.note(u, data_pair(&self.tree, u, pv, cv), true);
+        }
+        if first == EdgeState::Explicit {
             return EdgeState::Explicit;
         }
         // Check-and-avoid: recurse only if this is the first incoming edge
@@ -304,7 +307,8 @@ impl TurboFlux {
         if !self.match_all_children(cv, u) {
             return EdgeState::Implicit;
         }
-        self.dcg.transit(parent, u, cv, Some(EdgeState::Explicit));
+        debug_assert_eq!(self.dcg.in_count_total(cv, u), 1, "(u, cv) matched behind a parent");
+        self.dcg.promote(parent, u, cv);
         EdgeState::Explicit
     }
 
@@ -313,31 +317,66 @@ impl TurboFlux {
     /// incoming edge labeled `u`.
     pub(crate) fn clear_dcg(
         &mut self,
+        g: &DynamicGraph,
         parent: Option<VertexId>,
         u: QVertexId,
         cv: VertexId,
         scratch: &mut SearchScratch,
     ) {
-        let old = self.dcg.transit(parent, u, cv, None);
-        debug_assert!(old.is_some(), "clear_dcg on a NULL edge");
+        self.dcg.remove(parent, u, cv);
+        if let Some(pv) = parent {
+            scratch.note(u, data_pair(&self.tree, u, pv, cv), false);
+        }
         if self.dcg.in_count_total(cv, u) == 0 {
             for ci in 0..self.tree.children(u).len() {
                 let uc = self.tree.children(u)[ci];
-                // Snapshot the out-list into the segmented stack: the
-                // recursion removes from the list being iterated.
+                // Snapshot the stored out-edges into the segmented stack:
+                // the recursion clears the bits they are read under.
                 let start = scratch.kids.len();
-                let (explicit, implicit) = self.dcg.out_edges(cv, uc);
-                scratch.kids.extend(explicit.iter().chain(implicit));
+                let image = scratch.uncounted_image(uc);
+                self.stored_far_ends(g, cv, uc, true, image, &mut scratch.kids);
                 let end = scratch.kids.len();
                 let mut i = start;
                 while i < end {
                     let w = scratch.kids[i];
                     i += 1;
-                    self.clear_dcg(Some(cv), uc, w, scratch);
+                    self.clear_dcg(g, Some(cv), uc, w, scratch);
                 }
                 scratch.kids.truncate(start);
             }
         }
+    }
+
+    /// Appends to `buf`, ascending, the far ends of the stored DCG edges at
+    /// `v` under the tree edge into `u`: its children `(v, u, ·)` with
+    /// `to_child`, else its parents `(·, u, v)`. They are `v`'s graph group
+    /// under the far side's `reached` bits ([`Dcg::collect`]), less `image`,
+    /// the updated edge's data pair while the counts do not hold it
+    /// ([`SearchScratch::uncounted_image`]).
+    pub(crate) fn stored_far_ends(
+        &self,
+        g: &DynamicGraph,
+        v: VertexId,
+        u: QVertexId,
+        to_child: bool,
+        image: Option<(VertexId, VertexId)>,
+        buf: &mut Vec<VertexId>,
+    ) {
+        let far = if to_child { u } else { self.tree.parent(u).expect("non-root") };
+        // The image's far end, if its near end is `v`.
+        let skip = image.and_then(|(src, dst)| {
+            let (near, far) =
+                if self.tree.child_is_target(u) == to_child { (src, dst) } else { (dst, src) };
+            (near == v).then_some(far)
+        });
+        self.dcg.collect(
+            g,
+            v,
+            u,
+            to_child,
+            |w| self.dcg.is_reached(far, w) && Some(w) != skip,
+            buf,
+        );
     }
 
     /// Reports all matches of the initial data graph (Algorithm 2, lines
@@ -357,9 +396,7 @@ impl TurboFlux {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.kids.clear();
         scratch.kids.extend(
-            (0..g.vertex_count() as u32)
-                .map(VertexId)
-                .filter(|&vs| self.dcg.root_state(vs) == Some(EdgeState::Explicit)),
+            (0..g.vertex_count() as u32).map(VertexId).filter(|&vs| self.dcg.is_explicit(us, vs)),
         );
         for i in 0..scratch.kids.len() {
             let vs = scratch.kids[i];
@@ -392,7 +429,7 @@ impl TurboFlux {
             round::lookahead(ops, i, |src, label, dst, stage| {
                 if self.sees(label) {
                     g.prefetch_edge(src, label, dst, stage);
-                    self.prefetch_dcg(src, label, dst, stage);
+                    self.prefetch_dcg(&g, src, label, dst, stage);
                 }
             });
             let round = round::stage(&mut g, op, |label| self.sees(label));
@@ -425,22 +462,26 @@ impl TurboFlux {
         }
     }
 
-    /// Hints the DCG buckets and runs a coming evaluation of the data edge
-    /// `(src, label, dst)` will probe: for every query edge the label can
-    /// match, what mapping `src` onto its source and `dst` onto its target
-    /// reads ([`Dcg::prefetch`]). The DCG half of the batch lookahead, for a
-    /// caller that drives the `eval_*` methods itself and holds ops ahead of
-    /// the one it evaluates; `stage` as in
+    /// Hints the DCG buckets and graph groups a coming evaluation of the
+    /// data edge `(src, label, dst)` over `g` will read: for every query edge
+    /// the label can match, what mapping `src` onto its source and `dst` onto
+    /// its target reads ([`Dcg::prefetch`]). The DCG half of the batch
+    /// lookahead, for a caller that drives the `eval_*` methods itself and
+    /// holds ops ahead of the one it evaluates; `stage` as in
     /// [`DynamicGraph::prefetch_edge`], which is the graph half. Changes
     /// nothing observable and never allocates.
-    pub fn prefetch_dcg(&self, src: VertexId, label: LabelId, dst: VertexId, stage: u8) {
-        if stage == 0 {
-            return;
-        }
+    pub fn prefetch_dcg(
+        &self,
+        g: &DynamicGraph,
+        src: VertexId,
+        label: LabelId,
+        dst: VertexId,
+        stage: u8,
+    ) {
         for e in self.qedges_for(label) {
             let qe = self.q.edge(e);
-            self.dcg.prefetch(src, qe.src, self.tree.children(qe.src), stage);
-            self.dcg.prefetch(dst, qe.dst, self.tree.children(qe.dst), stage);
+            self.dcg.prefetch(g, src, qe.src, self.tree.children(qe.src), stage);
+            self.dcg.prefetch(g, dst, qe.dst, self.tree.children(qe.dst), stage);
         }
     }
 
@@ -451,15 +492,14 @@ impl TurboFlux {
 
     /// Registers start candidates for every data vertex with id ≥ `from`
     /// (externally driven mode: the caller grew the graph). A freshly
-    /// created vertex matching `u_s` gets an implicit start edge — it
-    /// cannot be explicit, since the root of a non-trivial query has
-    /// children and a new vertex has no edges.
+    /// created vertex matching `u_s` gets a start edge, implicit unless the
+    /// root has no tree children — a new vertex has no edges.
     pub fn register_new_vertices(&mut self, g: &DynamicGraph, from: VertexId) {
         let us = self.tree.root();
         for i in from.0..g.vertex_count() as u32 {
             let v = VertexId(i);
-            if self.q.labels(us).is_subset_of(g.labels(v)) && self.dcg.root_state(v).is_none() {
-                self.dcg.transit(None, us, v, Some(EdgeState::Implicit));
+            if self.q.labels(us).is_subset_of(g.labels(v)) && !self.dcg.is_reached(us, v) {
+                self.dcg.add(None, us, v);
             }
         }
     }

@@ -34,6 +34,7 @@ use tfx_graph::{DynamicGraph, LabelId, UpdateOp, VertexId};
 use tfx_query::{MatchRecord, Positiveness, QueryGraph};
 
 use crate::config::TurboFluxConfig;
+use crate::dcg::DcgView;
 use crate::engine::TurboFlux;
 use crate::round::{self, DeltaBufs, Emit, Round, Rounds, Target};
 
@@ -220,6 +221,12 @@ impl Fleet {
         &self.engines[self.pos_of(id)]
     }
 
+    /// The DCG of the engine registered as `id`, read against the shared
+    /// graph it derives from.
+    pub fn dcg(&self, id: usize) -> DcgView<'_> {
+        DcgView::new(&self.engine(id).dcg, &self.shared.graph)
+    }
+
     /// Number of registered engines.
     pub fn engine_count(&self) -> usize {
         self.engines.len()
@@ -316,6 +323,7 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::reference_dcg;
     use tfx_graph::{LabelSet, VertexId};
 
     fn l(i: u32) -> LabelId {
@@ -417,6 +425,28 @@ mod tests {
         let mut got = Vec::new();
         shim.apply_batch(&ops(), &mut |q, op, p, r| got.push((q, op, p, r.clone())));
         assert_eq!(got, want);
+    }
+
+    /// A fleet engine's DCG derives from the graph the fleet shares, as a
+    /// standalone engine's does from its own: after every batch it is the
+    /// declarative reference over the shared graph.
+    #[test]
+    fn fleet_dcgs_derive_from_the_shared_graph() {
+        let (g0, queries) = setup();
+        let mut fleet = Fleet::new(g0);
+        for q in &queries {
+            fleet.register(q.clone(), TurboFluxConfig::default());
+        }
+        for op in ops() {
+            fleet.apply_batch(std::slice::from_ref(&op), &mut |_| {});
+            for &id in fleet.engine_ids() {
+                let (engine, dcg) = (fleet.engine(id), fleet.dcg(id));
+                dcg.check_consistency();
+                let want = reference_dcg(fleet.graph(), engine.query(), engine.query_tree());
+                assert_eq!(dcg.snapshot(), want, "engine {id} after {op:?}");
+            }
+        }
+        assert!(fleet.dcg(1).stored_edge_count() > 0);
     }
 
     #[test]

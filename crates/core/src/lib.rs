@@ -47,7 +47,7 @@ pub mod spec;
 pub mod tree_nav;
 
 pub use config::TurboFluxConfig;
-pub use dcg::{Dcg, EdgeState};
+pub use dcg::{Dcg, DcgStorageStats, DcgView, EdgeState};
 pub use engine::TurboFlux;
 pub use fleet::{Fleet, FleetDelta, FleetStats, ShardStats, ShardedEngine};
 pub use order::OrderMaintenance;

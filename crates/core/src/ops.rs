@@ -13,6 +13,15 @@
 //! the way out — the edges into a vertex whose matched-ness the update
 //! changes — so one climb asks that question once and the sign of the update
 //! says on which side of the recursion the write goes.
+//!
+//! The DCG's edges are derived from the graph ([`crate::dcg`]), which holds
+//! the updated edge from stage to finalize — before the plan's invocations
+//! have built its images, and after they have cleared them. Whether the
+//! counts hold an image is recorded per operation in
+//! `SearchScratch::uncounted`, and every walk over stored edges skips the
+//! images they do not hold; the search needs no such test, because the
+//! order rule (`violates_order`) already rejects the updated edge under any
+//! tree edge the trigger does not outrank.
 
 use tfx_graph::{DynamicGraph, LabelId, VertexId};
 use tfx_query::{EdgeId, MatchRecord, Positiveness, QVertexId};
@@ -73,10 +82,21 @@ impl TurboFlux {
         let mut scratch = std::mem::take(&mut self.scratch);
         self.matching_query_edges(g, src, label, dst, &mut scratch.plan);
         scratch.assert_unbound();
+        // The update's images under the tree edges it matches without a
+        // parallel edge backing the same pair: none is counted before an
+        // insertion builds it, each is until a deletion clears it.
+        let under = scratch.plan.iter().filter(|&&e| {
+            self.tree.is_tree_edge(e) && g.count_edges_matching(src, dst, self.q.edge(e).label) == 1
+        });
+        let under = under.fold(0, |m, &e| m | 1 << self.orient_tree_edge(e, src, dst).0 .0);
+        scratch.image = (src, dst);
+        scratch.image_under = under;
+        scratch.uncounted = if p == Positiveness::Positive { under } else { 0 };
         for i in 0..scratch.plan.len() {
             let e = scratch.plan[i];
             self.invoke(g, e, src, label, dst, p, &mut scratch, sink);
         }
+        (scratch.image_under, scratch.uncounted) = (0, 0);
         self.scratch = scratch;
         self.maybe_adjust_order();
     }
@@ -99,14 +119,15 @@ impl TurboFlux {
     ) {
         // Parallel support beyond the updated edge: the vertex-mapping set
         // does not change via this query edge (Transition 0 analogue for
-        // multigraphs), and a tree edge's DCG edge stays backed.
-        if g.count_edges_matching(src, dst, self.q.edge(e).label) > 1 {
-            return;
-        }
+        // multigraphs), and a tree edge's DCG edge stays backed — it is an
+        // image of the update only without one (`image_under`).
         let ctx = SearchCtx::update(e, src, label, dst, p);
         if self.tree.is_tree_edge(e) {
-            self.tree_invocation(g, e, src, dst, &ctx, scratch, sink);
-        } else {
+            let uc = self.orient_tree_edge(e, src, dst).0;
+            if scratch.image_under >> uc.0 & 1 == 1 {
+                self.tree_invocation(g, e, src, dst, &ctx, scratch, sink);
+            }
+        } else if g.count_edges_matching(src, dst, self.q.edge(e).label) == 1 {
             self.non_tree_invocation(g, e, src, dst, &ctx, scratch, sink);
         }
     }
@@ -134,11 +155,15 @@ impl TurboFlux {
         }
         // An earlier tree-edge invocation of this same update may have
         // already built (cleared) this DCG edge: the updated edge can match
-        // several tree edges whose builds (clears) overlap.
-        let state = match self.dcg.state(pv, uc, cv) {
-            Some(st) => st,
-            None if positive => self.build_dcg(g, Some(pv), uc, cv, scratch),
-            None => return,
+        // several tree edges whose builds (clears) overlap. The graph shows
+        // the edge either way; the per-operation record says whether the
+        // counts hold it.
+        let state = if scratch.uncounted >> uc.0 & 1 == 0 {
+            EdgeState::of(self.dcg.is_explicit(uc, cv))
+        } else if positive {
+            self.build_dcg(g, Some(pv), uc, cv, scratch)
+        } else {
+            return;
         };
         if state == EdgeState::Explicit && self.match_all_children_via(pv, up, uc) {
             scratch.bind(uc, cv);
@@ -150,7 +175,7 @@ impl TurboFlux {
         if !positive {
             // Transitions 3/5 downward, once the negatives that needed the
             // region are out.
-            self.clear_dcg(Some(pv), uc, cv, scratch);
+            self.clear_dcg(g, Some(pv), uc, cv, scratch);
         }
     }
 
@@ -224,8 +249,10 @@ impl TurboFlux {
             return;
         }
         let flips = via.is_some_and(|uc| self.dcg.out_expl_count(v, uc) == 1);
+        // An earlier invocation of the same insertion may have built `v`'s
+        // subtree whole, its edges explicit already: nothing to promote.
         let (promote, demote) = match ctx.p {
-            Positiveness::Positive => (flips, false),
+            Positiveness::Positive => (flips && !self.dcg.is_explicit(u, v), false),
             Positiveness::Negative => (false, flips),
         };
         let prev = scratch.rebind(u, Some(v));
@@ -233,47 +260,40 @@ impl TurboFlux {
         if u == self.tree.root() {
             // The single incoming edge is the artificial start edge.
             if promote {
-                self.dcg.transit(None, u, v, Some(EdgeState::Explicit));
+                self.dcg.promote(None, u, v);
             }
-            if self.dcg.root_state(v) == Some(EdgeState::Explicit) {
+            if self.dcg.is_explicit(u, v) {
                 scratch.trust(u);
                 self.subgraph_search(g, 0, ctx, scratch, sink);
                 if demote {
-                    self.dcg.transit(None, u, v, Some(EdgeState::Implicit));
+                    self.dcg.demote(None, u, v);
                 }
             }
         } else {
             let up = self.tree.parent(u).expect("non-root");
-            // The in-run carries no state and needs none: an edge into `v` is
-            // explicit iff `v`'s subtrees are matched (Definition 4), whoever
-            // its parent is. They are (the precondition), so every edge of
-            // the run is explicit — or, where `v` only just became matched,
-            // implicit and promoted below. It is copied to the segmented
-            // stack because the transitions write the pool it lives in.
+            // The edges into `v` carry one state: explicit iff `v`'s subtrees
+            // are matched (Definition 4), whoever the parent is. They are
+            // (the precondition), so every edge is explicit — or, where `v`
+            // only just became matched, implicit and promoted below. Their
+            // parents are gathered on the segmented stack, ascending.
+            debug_assert!(promote || self.dcg.is_explicit(u, v), "a stale state into (u, v)");
             let start = scratch.climb.len();
-            scratch.climb.extend_from_slice(self.dcg.in_edges(v, u));
+            let image = scratch.uncounted_image(u);
+            self.stored_far_ends(g, v, u, false, image, &mut scratch.climb);
             let end = scratch.climb.len();
-            debug_assert!(
-                scratch.climb[start..].iter().all(|&vp| {
-                    let st = self.dcg.state(vp, u, v);
-                    st == self.dcg.state(scratch.climb[start], u, v)
-                        && (promote || st == Some(EdgeState::Explicit))
-                }),
-                "the edges into one (u, v) hold more than one state, or a stale one"
-            );
             // So every recursion below climbs an explicit edge into `v`, and
             // it stays explicit while the searches under it run.
             scratch.trust(u);
             for i in start..end {
                 let vp = scratch.climb[i];
                 if promote {
-                    self.dcg.transit(Some(vp), u, v, Some(EdgeState::Explicit));
+                    self.dcg.promote(Some(vp), u, v);
                 }
                 if self.match_all_children_via(vp, up, u) {
                     self.climb(g, up, vp, flips.then_some(u), ctx, scratch, sink);
                 }
                 if demote {
-                    self.dcg.transit(Some(vp), u, v, Some(EdgeState::Implicit));
+                    self.dcg.demote(Some(vp), u, v);
                 }
             }
             scratch.climb.truncate(start);

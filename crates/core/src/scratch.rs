@@ -3,10 +3,11 @@
 //! Every update evaluation needs a handful of temporary collections: the
 //! partial embedding, a match record to report through, candidate snapshots
 //! for the recursive `BuildDCG` / `ClearDCG` walks, in-edge snapshots for
-//! the upward climb, and the plan of query edges matching the updated data
-//! edge. Allocating them per update dominated the cost of small updates, so
-//! they live in one [`SearchScratch`] owned by the engine and threaded
-//! through `search.rs` and `ops.rs`.
+//! the upward climb, the plan of query edges matching the updated data edge,
+//! and which of that edge's images the DCG's counts hold. Allocating them
+//! per update dominated the cost of small updates, so they live in one
+//! [`SearchScratch`] owned by the engine and threaded through `search.rs`
+//! and `ops.rs`.
 //!
 //! The recursive walks use **segmented stacks**: a recursion level records
 //! `buf.len()` on entry, appends its snapshot, iterates it by index (inner
@@ -45,9 +46,20 @@ pub(crate) struct SearchScratch {
     pub(crate) trusted: u64,
     /// Segmented stack of child candidates (`BuildDCG` / `ClearDCG`).
     pub(crate) kids: Vec<VertexId>,
-    /// Segmented stack of DCG in-run copies (the upward climb): the stored
-    /// parents of each climbed vertex, ascending.
+    /// Segmented stack of the upward climb: the stored parents of each
+    /// climbed vertex, ascending.
     pub(crate) climb: Vec<VertexId>,
+    /// The data pair `(src, dst)` of the edge the current operation
+    /// evaluates.
+    pub(crate) image: (VertexId, VertexId),
+    /// Bit `u`: that edge is the image of the tree edge into `u` — it
+    /// matches it, and no parallel edge backs the same pair. The DCG derives
+    /// such an edge from the graph from stage to finalize.
+    pub(crate) image_under: u64,
+    /// Bit `u`: the image under the tree edge into `u` is not in the DCG's
+    /// counts — not built yet on an insertion, cleared already on a
+    /// deletion — though the graph shows it.
+    pub(crate) uncounted: u64,
     /// The query edges matching the current updated data edge, in invocation
     /// order (`TurboFlux::matching_query_edges`).
     pub(crate) plan: Vec<EdgeId>,
@@ -137,11 +149,33 @@ impl SearchScratch {
         }
     }
 
-    /// Debug invariant: no live bindings and no trust left over (update
-    /// evaluation fully unwound).
+    /// The updated edge's data pair, if as the image of the tree edge into
+    /// `u` it is not in the DCG's counts: a derived edge the walks over
+    /// stored edges must skip.
+    #[inline]
+    pub(crate) fn uncounted_image(&self, u: QVertexId) -> Option<(VertexId, VertexId)> {
+        (self.uncounted >> u.0 & 1 == 1).then_some(self.image)
+    }
+
+    /// Records that the DCG edge of `u` over the data pair `pair` entered
+    /// (`counted`) or left the counts, should it be an image of the update.
+    #[inline]
+    pub(crate) fn note(&mut self, u: QVertexId, pair: (VertexId, VertexId), counted: bool) {
+        if self.image_under >> u.0 & 1 == 1 && pair == self.image {
+            if counted {
+                self.uncounted &= !(1 << u.0);
+            } else {
+                self.uncounted |= 1 << u.0;
+            }
+        }
+    }
+
+    /// Debug invariant: no live bindings, no trust and no update images left
+    /// over (update evaluation fully unwound).
     pub(crate) fn assert_unbound(&self) {
         debug_assert!(self.m.iter().all(Option::is_none));
         debug_assert_eq!(self.trusted, 0);
+        debug_assert_eq!(self.image_under | self.uncounted, 0);
         debug_assert!(self.bound.is_empty());
     }
 }

@@ -1,15 +1,17 @@
 //! `SubgraphSearch` and `IsJoinable` (Algorithm 7).
 //!
 //! The search enumerates complete solutions by walking *explicit* DCG edges
-//! in matching order, verifying non-tree query edges against the data graph
-//! as query vertices are bound. Vertices pre-bound by the upward traversal
-//! (or by a non-tree-edge invocation) are re-validated instead of
-//! enumerated — unless the climb already proved them: it reached the binding
-//! over an explicit DCG edge and says so in `SearchScratch::trusted`, and
-//! nothing downgrades that edge while the search under it runs (DESIGN.md,
-//! "Enumeration path"). Unbound vertices are enumerated by one frontier loop
-//! that computes once per `(depth, parent binding)` whatever is the same for
-//! every candidate, and reports straight from the loop at the last level.
+//! in matching order — a parent's label group in the data graph, under the
+//! DCG's `expl` bits ([`crate::dcg`]) — verifying non-tree query edges
+//! against the data graph as query vertices are bound. Vertices pre-bound by
+//! the upward traversal (or by a non-tree-edge invocation) are re-validated
+//! instead of enumerated — unless the climb already proved them: it reached
+//! the binding over an explicit DCG edge and says so in
+//! `SearchScratch::trusted`, and nothing downgrades that edge while the
+//! search under it runs (DESIGN.md, "Enumeration path"). Unbound vertices are
+//! enumerated by one frontier loop that computes once per `(depth, parent
+//! binding)` whatever is the same for every candidate, and reports straight
+//! from the loop at the last level.
 //!
 //! The data graph is passed in explicitly (instead of read from the engine)
 //! so the same search serves standalone engines and fleet engines sharing
@@ -35,10 +37,10 @@ use crate::engine::TurboFlux;
 use crate::scratch::SearchScratch;
 use crate::tree_nav::data_pair;
 
-/// Minimum explicit-frontier size before enumeration intersects the
-/// frontier with bound non-tree neighbors' adjacency runs instead of
-/// probing per candidate inside `IsJoinable`. Below this, the kernel setup
-/// costs more than the probes it saves.
+/// Minimum frontier size (the label group the explicit candidates are read
+/// from) before enumeration intersects it with bound non-tree neighbors'
+/// adjacency runs instead of probing per candidate inside `IsJoinable`.
+/// Below this, the kernel setup costs more than the probes it saves.
 /// Public so tests sizing a frontier to cross it reference the real value.
 pub const INTERSECT_MIN_FRONTIER: usize = 8;
 
@@ -151,7 +153,9 @@ impl TurboFlux {
 
     /// Validates the tree edge binding `u → v` (given `m(P(u)) = vp`):
     /// explicit DCG state — probed unless the climb already `proved` it —
-    /// plus the duplicate-prevention order rule.
+    /// plus the duplicate-prevention order rule. Should the probed edge be
+    /// the update's image while the counts do not hold it, the order rule
+    /// rejects it.
     fn tree_binding_ok(
         &self,
         g: &DynamicGraph,
@@ -161,7 +165,7 @@ impl TurboFlux {
         v: VertexId,
         proved: bool,
     ) -> bool {
-        if !proved && self.dcg.state(vp, u, v) != Some(EdgeState::Explicit) {
+        if !proved && self.dcg.state(g, vp, u, v) != Some(EdgeState::Explicit) {
             return false;
         }
         let e = self.tree.parent_edge(u).expect("non-root");
@@ -200,7 +204,7 @@ impl TurboFlux {
             // the endpoint a non-tree invocation pre-binds is not.
             let proved = scratch.trusts(u);
             let ok = if u == us {
-                proved || self.dcg.root_state(v) == Some(EdgeState::Explicit)
+                proved || self.dcg.is_explicit(us, v)
             } else {
                 let vp = scratch.m[self.tree.parent(u).expect("non-root").index()]
                     .expect("parent precedes child in matching order");
@@ -214,9 +218,15 @@ impl TurboFlux {
         debug_assert_ne!(u, us, "the starting vertex is always pre-bound");
         let vp = scratch.m[self.tree.parent(u).expect("non-root").index()]
             .expect("parent precedes child in matching order");
-        // The frontier is the explicit partition of the run, borrowed: the
-        // slice only needs `&self` and enumeration never mutates the DCG.
-        let slice = self.dcg.out_explicit(vp, u);
+        // The frontier is `vp`'s label group under `u`'s tree edge, borrowed
+        // from the graph; a candidate is on it iff its edges labeled `u` are
+        // explicit, one bit test each. A wildcard tree edge's group is
+        // gathered from every label group into `scratch.isect` instead.
+        let run = self.dcg.run(g, vp, u, true);
+        let base = scratch.isect.len();
+        if run.is_none() {
+            self.dcg.collect(g, vp, u, true, |w| self.dcg.is_explicit(u, w), &mut scratch.isect);
+        }
         // What is fixed for the whole frontier of `(depth, vp)`. The order
         // rule can only reject the candidate that maps the tree edge `e`
         // onto the updated data edge: its far endpoint, and only when `vp`
@@ -233,18 +243,39 @@ impl TurboFlux {
         let last = depth + 1 == self.mo.len();
         // A wide frontier under bound non-tree neighbors is intersected
         // with their adjacency runs first; the survivors sit in
-        // `scratch.isect[base..]`. Deeper levels append past that segment
-        // and truncate back, so it is read by index.
-        let isect = (slice.len() >= INTERSECT_MIN_FRONTIER
-            && self.has_bound_non_tree_run(u, scratch))
-        .then(|| self.intersect_frontier(g, u, slice, scratch));
-        let n = isect.map_or(slice.len(), |base| scratch.isect.len() - base);
+        // `scratch.isect[base..]`, as a gathered frontier does. Deeper levels
+        // append past that segment and truncate back, so it is read by index.
+        let width = run.map_or(scratch.isect.len() - base, <[VertexId]>::len);
+        let fold = width >= INTERSECT_MIN_FRONTIER && self.has_bound_non_tree_run(u, scratch);
+        if fold {
+            self.intersect_frontier(g, u, run, base, scratch);
+        }
+        let isect = fold || run.is_none();
+        let slice = run.unwrap_or_default();
+        let expl = self.dcg.explicit_set(u);
+        let n = if isect { scratch.isect.len() - base } else { slice.len() };
+        // Where the next level enumerates under each candidate — a child of
+        // `u` not bound yet — its label group is a cold read: a handle, then
+        // the slot it names. Hinted two candidates ahead, in two stages.
+        let next = self
+            .mo
+            .get(depth + 1)
+            .copied()
+            .filter(|&w| self.tree.parent(w) == Some(u) && scratch.m[w.index()].is_none());
         #[allow(clippy::needless_range_loop)] // two sources, one inside `scratch`
         for i in 0..n {
-            let v = match isect {
-                Some(base) => scratch.isect[base + i],
-                None => slice[i],
-            };
+            let at = |i: usize| if isect { scratch.isect.get(base + i) } else { slice.get(i) };
+            if let Some(w) = next {
+                for (ahead, stage) in [(2, 0), (1, 1)] {
+                    if let Some(&c) = at(i + ahead) {
+                        self.dcg.prefetch_run(g, c, w, stage);
+                    }
+                }
+            }
+            let v = if isect { scratch.isect[base + i] } else { slice[i] };
+            if !expl.has(v) {
+                continue;
+            }
             if suspect == Some(v) {
                 let (src, dst) = if down { (vp, v) } else { (v, vp) };
                 if self.violates_order(g, ctx, e, src, dst) {
@@ -268,9 +299,7 @@ impl TurboFlux {
                 scratch.unbind(u);
             }
         }
-        if let Some(base) = isect {
-            scratch.isect.truncate(base);
-        }
+        scratch.isect.truncate(base);
     }
 
     /// True iff some non-tree query edge incident to `u` has a concrete
@@ -285,28 +314,26 @@ impl TurboFlux {
         })
     }
 
-    /// The intersection prefilter: intersects `frontier` (the explicit far
-    /// ends of the DCG run of `(m(P(u)), u)`) with the adjacency run of every
-    /// bound non-tree neighbor (via the `tfx-graph` kernels) — the first fold
-    /// reads the borrowed slice, later ones the survivors — onto
-    /// `scratch.isect`. Returns where the survivors start.
+    /// The intersection prefilter: intersects the frontier of
+    /// `(m(P(u)), u)` — the borrowed label group `frontier`, or, when that is
+    /// `None`, the gathered one at `scratch.isect[base..]` — with the
+    /// adjacency run of every bound non-tree neighbor (via the `tfx-graph`
+    /// kernels), leaving the survivors at `scratch.isect[base..]`.
     ///
     /// Behavior-preserving: a candidate `v` missing from the run of a bound
     /// neighbor `m(w)` fails exactly the `has_edge_matching` probe that
     /// `IsJoinable` would apply to the same non-tree edge, so the prefilter
     /// only removes candidates the frontier loop would reject. Both the
-    /// frontier (DCG runs are sorted) and the adjacency runs are sorted and
-    /// duplicate-free, so survivors keep the enumeration order of the plain
-    /// frontier.
+    /// frontier and the adjacency runs are sorted and duplicate-free, so
+    /// survivors keep the enumeration order of the plain frontier.
     fn intersect_frontier(
         &self,
         g: &DynamicGraph,
         u: QVertexId,
-        frontier: &[VertexId],
+        mut frontier: Option<&[VertexId]>,
+        base: usize,
         scratch: &mut SearchScratch,
-    ) -> usize {
-        let base = scratch.isect.len();
-        let mut first = true;
+    ) {
         for &e in &self.non_tree_incident[u.index()] {
             let qe = self.q.edge(e);
             let Some(label) = qe.label else { continue };
@@ -325,7 +352,7 @@ impl TurboFlux {
             } else {
                 continue; // self-loop: left to IsJoinable
             };
-            if std::mem::take(&mut first) {
+            if let Some(frontier) = frontier.take() {
                 intersect_into(frontier, run.as_id_slice(), &mut scratch.isect);
             } else {
                 let tmp_base = scratch.isect_tmp.len();
@@ -340,7 +367,6 @@ impl TurboFlux {
                 break; // empty; folding more runs cannot revive it
             }
         }
-        debug_assert!(!first, "the caller checked `has_bound_non_tree_run`");
-        base
+        debug_assert!(frontier.is_none(), "the caller checked `has_bound_non_tree_run`");
     }
 }

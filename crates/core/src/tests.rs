@@ -397,10 +397,11 @@ fn assert_same_dcg(bulk: &TurboFlux, replay: &TurboFlux, ctx: &str) {
 /// — stored edges, states, counters, explicit-out bitmaps, matching order,
 /// initial matches — for both semantics, and still does after 200 ops
 /// churned both arenas (the one laid compactly, the one grown edge by
-/// edge). Fails under each of three mutations of `crate::bulk` seeded by
-/// hand (DESIGN.md, "Registration: two sweeps, each run laid once"):
-/// in-runs not filtered by `reached[parent]`, entry states read from
-/// `expl[u]` instead of `expl[uc]`, the wildcard dedup dropped.
+/// edge). Fails under each of three mutations of the registration seeded by
+/// hand (DESIGN.md, "Registration: two sweeps"): stored parents counted
+/// without the `reached[parent]` filter, explicit children counted against
+/// `expl[u]` instead of `expl[uc]`, the wildcard dedup of `Dcg::collect`
+/// dropped.
 #[test]
 fn bulk_registration_equals_replayed_insertions_and_the_reference() {
     let mut rng = Rng::new(0xB01C);
@@ -1162,4 +1163,106 @@ fn mixed_state_runs_keep_emission_order() {
         assert!(deltas > 2_000, "{deltas} deltas");
         assert_eq!(fp.0, PINNED, "{semantics:?}: emission order moved ({deltas} deltas)");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Derived edges: the updated edge is in the graph before its images are
+// counted (insertion) and after they are uncounted (deletion).
+// ---------------------------------------------------------------------------
+
+/// Every edge of `edges` inserted into `g0`, then deleted, in both orders
+/// each — four streams — under both semantics. After every op the DCG equals
+/// the reference and the deltas equal `NaiveRecompute`'s, each reported once.
+/// Returns how many deltas the streams produced.
+fn assert_insert_delete_orders(
+    g0: &DynamicGraph,
+    q: &QueryGraph,
+    edges: &[(u32, u32, u32)],
+) -> usize {
+    let op = |insert: bool, &(s, lb, d): &(u32, u32, u32)| {
+        let (src, label, dst) = (v(s), l(lb), v(d));
+        if insert {
+            UpdateOp::InsertEdge { src, label, dst }
+        } else {
+            UpdateOp::DeleteEdge { src, label, dst }
+        }
+    };
+    let rev: Vec<_> = edges.iter().rev().copied().collect();
+    let mut deltas = 0;
+    for (ins, del) in [(edges, edges), (edges, &rev[..]), (&rev[..], edges), (&rev[..], &rev[..])] {
+        let ops: Vec<UpdateOp> =
+            ins.iter().map(|e| op(true, e)).chain(del.iter().map(|e| op(false, e))).collect();
+        for semantics in [MatchSemantics::Homomorphism, MatchSemantics::Isomorphism] {
+            let cfg = TurboFluxConfig::with_semantics(semantics);
+            let mut engine = TurboFlux::new(q.clone(), g0.clone(), cfg);
+            let mut naive = NaiveRecompute::new(q.clone(), g0.clone(), semantics);
+            for (step, op) in ops.iter().enumerate() {
+                let mut got = FxHashSet::default();
+                engine.apply(op, &mut |p, m| {
+                    assert!(got.insert((p, m.clone())), "{semantics:?} step {step}: twice {m:?}");
+                });
+                let mut want = FxHashSet::default();
+                naive.apply(op, &mut |p, m| assert!(want.insert((p, m.clone()))));
+                assert_eq!(got, want, "{semantics:?} step {step} ({op:?})");
+                assert_dcg_matches_reference(&engine);
+                deltas += got.len();
+            }
+        }
+    }
+    deltas
+}
+
+/// The path `u0:A -l-> u1 -l-> u2` (`u1`, `u2` unlabeled) over `A` vertices:
+/// a data edge matches both tree edges, so the update has an image under
+/// each, one below the other. A self-loop on `e`, which has no other edge: building
+/// `(e, u1, e)` builds `(e, u2, e)` in the same cascade, before the second
+/// tree edge's invocation, which must not build it again. A self-loop on
+/// `c`, which the standing `d -l-> c` keeps reached under `u1`: deleting
+/// it clears `(c, u1, c)` first, and the second invocation then climbs from
+/// `(u1, c)`, whose parents in the graph still include `c` itself — an edge
+/// the counts no longer hold, whose demotion they must not see. The 2-cycle
+/// `a ⇄ b` and `b -l-> c` put each edge under the other's climbs. Each of
+/// three seeded mutations, run by hand, fails here: the walks over stored
+/// edges keeping the uncounted image (`stored_far_ends` ignoring `image`),
+/// `tree_invocation` reading "already built" from the counts alone
+/// (`in_count_total(cv, uc) > 0`), and `build_dcg` not recording a built
+/// image (`note` skipped). Each also fails the randomized oracles above;
+/// this test pins the shapes down by name.
+#[test]
+fn same_label_tree_edges_over_a_data_cycle_and_self_loops() {
+    let mut g0 = DynamicGraph::new();
+    let [a, b, c, d, e] = [0; 5].map(|_| g0.add_vertex(LabelSet::single(l(0))));
+    // Vertices only the unlabeled query vertices match make `u0` the
+    // selective end, so the tree is rooted there.
+    (0..3).for_each(|_| _ = g0.add_vertex(LabelSet::single(l(1))));
+    let mut q = QueryGraph::new();
+    let us =
+        [LabelSet::single(l(0)), LabelSet::empty(), LabelSet::empty()].map(|ls| q.add_vertex(ls));
+    q.add_edge(us[0], us[1], Some(l(9)));
+    q.add_edge(us[1], us[2], Some(l(9)));
+    g0.insert_edge(d, l(9), c);
+    let tree = TurboFlux::new(q.clone(), g0.clone(), TurboFluxConfig::default()).tree;
+    assert_eq!((tree.root(), tree.parent(us[2])), (us[0], Some(us[1])), "one edge below the other");
+    let edges = [(a.0, 9, b.0), (b.0, 9, a.0), (c.0, 9, c.0), (e.0, 9, e.0), (b.0, 9, c.0)];
+    assert!(assert_insert_delete_orders(&g0, &q, &edges) >= 60);
+}
+
+/// A wildcard tree edge over a vertex pair joined by two labels, with a
+/// labeled edge below it: the second parallel edge neither builds nor
+/// clears anything (it has a twin), the first and last do, and the
+/// frontier of the wildcard is gathered over both label groups once. Fails
+/// under either seeded mutation, run by hand: `Dcg::collect` not
+/// deduplicating a wildcard group, and the images counted without the
+/// parallel-support test (`count_edges_matching(..) == 1` dropped).
+#[test]
+fn a_wildcard_tree_edge_over_a_pair_joined_by_two_labels() {
+    let mut g0 = DynamicGraph::new();
+    let [a, b, c] = [0, 1, 2].map(|i| g0.add_vertex(LabelSet::single(l(i))));
+    let mut q = QueryGraph::new();
+    let us: Vec<_> = (0..3).map(|i| q.add_vertex(LabelSet::single(l(i)))).collect();
+    q.add_edge(us[0], us[1], None);
+    q.add_edge(us[1], us[2], Some(l(9)));
+    g0.insert_edge(b, l(9), c);
+    let edges = [(a.0, 7, b.0), (a.0, 8, b.0), (b.0, 7, b.0), (a.0, 9, b.0)];
+    assert!(assert_insert_delete_orders(&g0, &q, &edges) >= 16);
 }

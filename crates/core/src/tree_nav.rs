@@ -114,7 +114,13 @@ pub fn collect_child_candidates(
     }
     for_each_child_candidate(g, q, tree, u, pv, mode, &mut |w| buf.push(w));
     buf[start..].sort_unstable();
-    // Dedup the tail segment in place (Vec::dedup would scan the prefix).
+    dedup_tail(buf, start);
+    start
+}
+
+/// Drops repeats from the sorted segment `buf[start..]` in place
+/// (`Vec::dedup` would scan the prefix too).
+pub(crate) fn dedup_tail(buf: &mut Vec<VertexId>, start: usize) {
     let mut write = start;
     for read in start..buf.len() {
         if write == start || buf[write - 1] != buf[read] {
@@ -123,7 +129,6 @@ pub fn collect_child_candidates(
         }
     }
     buf.truncate(write);
-    start
 }
 
 #[cfg(test)]

@@ -228,7 +228,7 @@ impl Adjacency {
 
     /// Re-lays the run in the other layout (at most [`FLAT_MAX`] entries
     /// either way), recycling its slots.
-    fn relay(&mut self, a: &mut Arena) {
+    pub(crate) fn relay(&mut self, a: &mut Arena) {
         let mut buf = [(LabelId(0), VertexId(0)); FLAT_MAX];
         let n = self.len();
         for (slot, (v, l)) in buf.iter_mut().zip(self.iter(a)) {
@@ -242,6 +242,96 @@ impl Adjacency {
         } else {
             Self::build_dir(a, &buf[..n])
         };
+    }
+
+    /// Drops the label groups `keep` rejects, in place and in the slots the
+    /// run has: a flat run closes the gaps in its two halves, a directory
+    /// drops the records of the rejected groups and releases their slots.
+    /// Layouts and classes stay; a run left empty releases everything.
+    pub(crate) fn retain(&mut self, a: &mut Arena, keep: impl Fn(LabelId) -> bool) {
+        let off = self.off as usize;
+        if !self.is_directory() {
+            let (n, cap, data) = (self.len(), self.flat_cap(), a.data_mut());
+            let mut kept = 0;
+            for i in 0..n {
+                if keep(LabelId(data[off + i].0)) {
+                    // Nothing moves until an entry has been dropped.
+                    if kept != i {
+                        data[off + kept] = data[off + i];
+                        data[off + cap + kept] = data[off + cap + i];
+                    }
+                    kept += 1;
+                }
+            }
+            self.len = kept as u32;
+            if kept == 0 && n > 0 {
+                a.release(self.off, self.class);
+                *self = Adjacency::default();
+            }
+            return;
+        }
+        let (mut kept, mut len) = (0, 0);
+        for g in 0..self.groups as usize {
+            let mut rec = [Word(0); REC];
+            rec.copy_from_slice(&a.data()[off + g * REC..][..REC]);
+            if keep(LabelId(rec[0].0)) {
+                a.data_mut()[off + kept * REC..][..REC].copy_from_slice(&rec);
+                (kept, len) = (kept + 1, len + rec[2].0);
+            } else {
+                a.release(rec[1].0, rec[3].0 as u8);
+            }
+        }
+        (self.groups, self.len) = (kept as u32, len);
+        if len == 0 {
+            a.release(self.off, self.class);
+            *self = Adjacency::default();
+        }
+    }
+
+    /// True for a directory of at most [`FLAT_MAX`] entries, which the one
+    /// rule lays flat: what [`Self::retain`] can leave behind.
+    pub(crate) fn folds(&self) -> bool {
+        self.is_directory() && self.len() <= FLAT_MAX
+    }
+
+    /// Moves the slot of this run at `from` — its own, or one of its
+    /// directory's groups — down to `to ≤ from`, at the class its entries
+    /// need; returns the words it takes there. The caller moves every slot of
+    /// the arena this way in offset order, so the slots not moved yet lie
+    /// past `from`, where the move cannot reach.
+    pub(crate) fn move_slot(&mut self, a: &mut Arena, from: u32, to: u32) -> u32 {
+        debug_assert!(to <= from);
+        let (src, dst) = (from as usize, to as usize);
+        let class = if from != self.off {
+            // One of the directory's groups: its record follows it.
+            let dir = self.off as usize;
+            let g = (0..self.groups as usize).find(|g| a.data()[dir + g * REC + 1].0 == from);
+            let at = dir + g.expect("a slot of this run") * REC;
+            let n = a.data()[at + 2].index();
+            let class = class_for(n);
+            let data = a.data_mut();
+            data.copy_within(src..src + n, dst);
+            (data[at + 1], data[at + 3]) = (Word(to), Word(class as u32));
+            return class_cap(class);
+        } else if self.is_directory() {
+            let words = self.groups as usize * REC;
+            a.data_mut().copy_within(src..src + words, dst);
+            class_for(words)
+        } else {
+            // The labels land below where the ids start, so the halves move
+            // one after the other.
+            let (n, from_cap) = (self.len(), self.flat_cap());
+            let class = class_for(2 * n);
+            let data = a.data_mut();
+            data.copy_within(src..src + n, dst);
+            data.copy_within(
+                src + from_cap..src + from_cap + n,
+                dst + class_cap(class) as usize / 2,
+            );
+            class
+        };
+        (self.off, self.class) = (to, class);
+        class_cap(class)
     }
 
     /// Inserts `(label, v)`; returns `false` if it is already present.

@@ -7,8 +7,8 @@
 //! carving and never returned, so steady-state churn allocates nothing and
 //! reserved bytes are an exact, replay-deterministic measure. The arena
 //! knows nothing about what a run means: the data graph's adjacency
-//! ([`crate::adjacency`]) and the DCG's edge runs (`tfx_core::dcg_store`)
-//! keep their own `{off, len, class}` handles and their own sort order.
+//! ([`crate::adjacency`]) keeps its own `{off, len, class}` handles and its
+//! own sort order.
 
 /// Capacity of size class 0, in entries. Classes double from here.
 pub const MIN_CLASS_CAP: u32 = 4;
@@ -127,6 +127,21 @@ impl<T: Copy + Default> SlotArena<T> {
     pub fn remove_at(&mut self, off: u32, len: u32, pos: usize) {
         let base = off as usize;
         self.data.copy_within(base + pos + 1..base + len as usize, base + pos);
+    }
+
+    /// The close of an in-place compaction by the owner, which has moved its
+    /// `live` slots into the first `end` entries: forgets every entry past
+    /// `end` and every free slot. The capacity stays, for what the owner lays
+    /// next, until [`Self::shrink_to_fit`].
+    pub fn compacted(&mut self, end: usize, live: usize) {
+        self.data.truncate(end);
+        self.free = Vec::new();
+        (self.slots, self.free_slots) = (live, 0);
+    }
+
+    /// Gives back the capacity past the carved entries.
+    pub fn shrink_to_fit(&mut self) {
+        self.data.shrink_to_fit();
     }
 
     /// Reserved bytes: the carved pool and the free-list stacks.

@@ -71,20 +71,15 @@ fn bucket_ranges(ends: &[usize]) -> impl Iterator<Item = std::ops::Range<usize>>
 }
 
 /// Re-lays every run of `runs`, whose entries live in `from`, compactly and
-/// in vertex order from its label groups `keep` accepts, into the fresh
-/// arena it returns, sized for `words` entries.
-fn relay(
-    runs: &mut [[Adjacency; 2]],
-    from: &Arena,
-    words: usize,
-    keep: impl Fn(LabelId) -> bool,
-) -> Arena {
+/// in vertex order into the fresh arena it returns, sized for `words`
+/// entries.
+fn relay(runs: &mut [[Adjacency; 2]], from: &Arena, words: usize) -> Arena {
     let mut arena = Arena::with_capacity(words);
-    let mut kept = Vec::new();
+    let mut groups = Vec::new();
     for run in runs.iter_mut().flatten() {
-        kept.clear();
-        kept.extend(run.groups(from).filter(|&(label, ids)| !ids.is_empty() && keep(label)));
-        *run = Adjacency::build_groups(&mut arena, &kept);
+        groups.clear();
+        groups.extend(run.groups(from).filter(|(_, ids)| !ids.is_empty()));
+        *run = Adjacency::build_groups(&mut arena, &groups);
     }
     arena
 }
@@ -121,7 +116,7 @@ impl Clone for DynamicGraph {
     /// slots and no slack classes, whatever churn fragmented the original.
     fn clone(&self) -> Self {
         let mut runs = self.runs.clone();
-        let arena = relay(&mut runs, &self.arena, self.arena.carved_entries(), |_| true);
+        let arena = relay(&mut runs, &self.arena, self.arena.carved_entries());
         DynamicGraph {
             vertex_labels: self.vertex_labels.clone(),
             runs,
@@ -218,11 +213,19 @@ impl DynamicGraph {
 
     /// The graph restricted to the edges whose label `keep` accepts, on the
     /// same vertices: what an engine whose query names only those labels can
-    /// ever read. The vertex label table, its counts and the run table stay
-    /// where they are. Each run is re-laid from its kept label groups —
-    /// already sorted and duplicate-free, so nothing is sorted or
-    /// deduplicated — into a fresh arena sized like [`Self::from_edges`]'s
-    /// for the kept count. `keep` is asked once per label some edge carries.
+    /// ever read. `keep` is asked once per label some edge carries.
+    ///
+    /// Compacts in place, in the arena it is given: the vertex label table,
+    /// its counts and the run table stay where they are, and every run drops
+    /// its rejected label groups inside its own slots. Then every live slot,
+    /// in arena-offset order, slides down to a write cursor at the class its
+    /// entries need — the cursor never passes a slot not moved yet — and the
+    /// arena is truncated there. A directory left with at most [`FLAT_MAX`]
+    /// entries is then laid flat, in a slot its fold freed or past the
+    /// cursor, and the slots slide once more.
+    /// Beside the graph this holds one `(offset, run)` pair per live slot.
+    /// The layout is the one [`Self::from_edges`] gives the kept edges, in
+    /// another slot order.
     pub fn project(mut self, keep: impl Fn(LabelId) -> bool) -> Self {
         for (label, count) in self.edge_label_counts.iter_mut().enumerate() {
             if *count > 0 && !keep(LabelId(label as u32)) {
@@ -230,9 +233,42 @@ impl DynamicGraph {
             }
         }
         self.edge_count = self.edge_label_counts.iter().sum();
-        let (words, counts) = (4 * self.edge_count + 4 * self.runs.len(), &self.edge_label_counts);
-        self.arena = relay(&mut self.runs, &self.arena, words, |label| counts[label.index()] > 0);
+        let counts = &self.edge_label_counts;
+        let kept = |label: LabelId| counts.get(label.index()).is_some_and(|&n| n > 0);
+        for adj in self.runs.iter_mut().flatten() {
+            adj.retain(&mut self.arena, kept);
+        }
+        let mut order = Vec::new();
+        self.slide(&mut order);
+        let mut folded = false;
+        for adj in self.runs.iter_mut().flatten().filter(|adj| adj.folds()) {
+            adj.relay(&mut self.arena);
+            folded = true;
+        }
+        if folded {
+            self.slide(&mut order);
+        }
+        drop(order);
+        self.arena.shrink_to_fit();
         self
+    }
+
+    /// Moves every live slot, in arena-offset order, down to a write cursor
+    /// at the class its entries need, and truncates the arena there. `order`
+    /// is the scratch: one `(offset, run)` pair per live slot.
+    fn slide(&mut self, order: &mut Vec<(u32, u32)>) {
+        order.clear();
+        order.reserve_exact(self.arena.live_slots());
+        for (run, adj) in self.runs.iter().flatten().enumerate() {
+            order.extend(adj.slots(&self.arena).map(|(off, _)| (off, run as u32)));
+        }
+        order.sort_unstable();
+        let mut end = 0;
+        for &(off, run) in order.iter() {
+            let adj = &mut self.runs[run as usize / 2][run as usize % 2];
+            end += adj.move_slot(&mut self.arena, off, end);
+        }
+        self.arena.compacted(end as usize, order.len());
     }
 
     /// Number of vertices ever created (ids are dense `0..n`).
@@ -353,13 +389,21 @@ impl DynamicGraph {
     /// op of the same batch creates it) hints nothing.
     #[inline]
     pub fn prefetch_edge(&self, src: VertexId, label: LabelId, dst: VertexId, stage: u8) {
-        for (v, dir) in [(src, OUT), (dst, IN)] {
-            if stage == 0 {
-                prefetch_at(&self.runs, v.index());
-                prefetch_at(&self.vertex_labels, v.index());
-            } else if let Some(pair) = self.runs.get(v.index()) {
-                pair[dir].prefetch(&self.arena, label, stage);
-            }
+        self.prefetch_group(src, label, true, stage);
+        self.prefetch_group(dst, label, false, stage);
+    }
+
+    /// [`Self::prefetch_edge`]'s stages for one label group of `v`,
+    /// out-going (`out`) or in-coming: **0** `v`'s handle pair and label
+    /// set, **1** the slot the handle names, **2** inside a directory,
+    /// `label`'s id run.
+    #[inline]
+    pub fn prefetch_group(&self, v: VertexId, label: LabelId, out: bool, stage: u8) {
+        if stage == 0 {
+            prefetch_at(&self.runs, v.index());
+            prefetch_at(&self.vertex_labels, v.index());
+        } else if let Some(pair) = self.runs.get(v.index()) {
+            pair[if out { OUT } else { IN }].prefetch(&self.arena, label, stage);
         }
     }
 

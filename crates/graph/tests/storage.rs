@@ -67,24 +67,29 @@ fn from_edges_and_clone_equal_incremental_inserts_and_are_compact() {
     }
 }
 
-/// `project` keeps exactly what the bulk build of the kept edges lays out,
-/// from a churned graph with directory runs and free slots: the same edges,
-/// per-label counts and vertex labels, compactly. Keep-all is the graph
-/// itself; keep-none keeps every vertex and no edge.
+/// `project` keeps exactly what the bulk build of the kept edges lays out:
+/// the same edges, per-label counts and vertex labels, compactly — from a
+/// compact copy, and from a churned graph with directory runs and free
+/// slots, whose arena it compacts in place. Keep-all is the graph itself;
+/// keep-none keeps every vertex and no edge.
 #[test]
 fn project_equals_from_edges_of_the_kept_edges() {
     let n = 3 * FLAT_MAX as u32;
     let edges = mixed_edges(n, 5 * FLAT_MAX as u32, 4);
-    let mut g = labeled_graph(n as usize);
-    for e in &edges {
-        g.insert_edge(e.src, e.label, e.dst);
-    }
-    for e in &edges[edges.len() / 3..] {
-        g.delete_edge(e.src, e.label, e.dst);
-    }
-    for e in edges.iter().rev().step_by(2) {
-        g.insert_edge(e.src, e.label, e.dst);
-    }
+    let churned = || {
+        let mut g = labeled_graph(n as usize);
+        for e in &edges {
+            g.insert_edge(e.src, e.label, e.dst);
+        }
+        for e in &edges[edges.len() / 3..] {
+            g.delete_edge(e.src, e.label, e.dst);
+        }
+        for e in edges.iter().rev().step_by(2) {
+            g.insert_edge(e.src, e.label, e.dst);
+        }
+        g
+    };
+    let g = churned();
     let stats = g.storage_stats();
     assert!(stats.free_slots > 0 && stats.directory_runs > 0, "{stats:?}");
     let labels: Vec<_> = g.vertices().map(|v| g.labels(v).clone()).collect();
@@ -95,24 +100,32 @@ fn project_equals_from_edges_of_the_kept_edges() {
         ("odd", |lab| lab.0 % 2 == 1),
         ("hub only", |lab| lab == l(3)),
     ];
-    for (name, keep) in keeps {
-        let got = g.clone().project(keep);
+    for (keep_name, keep) in keeps {
         let kept: Vec<_> = g.edges().filter(|e| keep(e.label)).collect();
         let want = DynamicGraph::from_edges(labels.clone(), kept);
-        got.validate();
-        assert!(got.edges().eq(want.edges()), "{name}: edges");
-        assert_eq!(got.edge_count(), want.edge_count(), "{name}");
-        assert_eq!(got.vertex_count(), g.vertex_count(), "{name}: every vertex stays");
-        for v in g.vertices() {
-            assert_eq!(got.labels(v), g.labels(v), "{name}: labels of {v}");
-            assert!(got.in_neighbors(v).eq(want.in_neighbors(v)), "{name}: in-run of {v}");
-            assert_eq!(got.out_is_directory(v), want.out_is_directory(v), "{name}: {v}");
+        for (input, got) in
+            [("copy", g.clone().project(keep)), ("churned", churned().project(keep))]
+        {
+            let name = format!("{keep_name}, {input}");
+            got.validate();
+            assert!(got.edges().eq(want.edges()), "{name}: edges");
+            assert_eq!(got.edge_count(), want.edge_count(), "{name}");
+            assert_eq!(got.vertex_count(), g.vertex_count(), "{name}: every vertex stays");
+            for v in g.vertices() {
+                assert_eq!(got.labels(v), g.labels(v), "{name}: labels of {v}");
+                assert!(got.in_neighbors(v).eq(want.in_neighbors(v)), "{name}: in-run of {v}");
+                assert_eq!(got.out_is_directory(v), want.out_is_directory(v), "{name}: {v}");
+            }
+            for lab in 0..5 {
+                assert_eq!(got.edge_label_count(l(lab)), want.edge_label_count(l(lab)), "{name}");
+                assert_eq!(got.vertex_label_count(l(lab)), g.vertex_label_count(l(lab)), "{name}");
+            }
+            assert_eq!(got.storage_stats().free_slots, 0, "{name}: laid out compactly");
+            assert!(
+                got.resident_bytes() <= want.resident_bytes(),
+                "{name}: no larger than the bulk build"
+            );
         }
-        for lab in 0..5 {
-            assert_eq!(got.edge_label_count(l(lab)), want.edge_label_count(l(lab)), "{name}");
-            assert_eq!(got.vertex_label_count(l(lab)), g.vertex_label_count(l(lab)), "{name}");
-        }
-        assert_eq!(got.storage_stats().free_slots, 0, "{name}: laid out compactly");
     }
     let all = g.clone().project(|_| true);
     assert!(all.edges().eq(g.edges()) && all.edge_count() == g.edge_count());

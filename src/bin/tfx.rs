@@ -231,7 +231,7 @@ fn run_main(args: &[String]) -> ExitCode {
             out.line(format_args!("= {m:?}\n"));
         }
     });
-    eprintln!("{initial} initial matches; DCG {}", dcg_shape(engine.dcg()));
+    eprintln!("{initial} initial matches; DCG {}", dcg_shape(&engine.dcg()));
 
     let Some(stream_path) = opts.stream_path else {
         return match out.finish() {
@@ -274,24 +274,26 @@ fn run_main(args: &[String]) -> ExitCode {
         return code;
     }
     eprintln!(
-        "processed {ops} ops in {:.2?}: {pos} positive, {neg} negative matches; DCG {}, {} bytes",
+        "processed {ops} ops in {:.2?}: {pos} positive, {neg} negative matches; DCG {}",
         started.elapsed(),
-        dcg_shape(engine.dcg()),
-        engine.intermediate_result_bytes(),
+        dcg_shape(&engine.dcg()),
     );
     ExitCode::SUCCESS
 }
 
-/// How big and how explicit the DCG is, and where its runs live.
+/// How big and how explicit the DCG is: its edges, the data vertices each
+/// query vertex reaches and how many of them are matched, and its bytes.
 fn dcg_shape(dcg: &turboflux::core::Dcg) -> String {
     let s = dcg.storage_stats();
+    let per_vertex: Vec<String> =
+        s.reached.iter().zip(&s.explicit).map(|(r, e)| format!("{r}/{e}")).collect();
     format!(
-        "{} edges ({} explicit, {} implicit; {} runs inline, {} pooled)",
-        dcg.stored_edge_count(),
+        "{} edges ({} explicit, {} implicit; reached/explicit per query vertex {}), {} bytes",
+        s.stored_edges,
         s.explicit_edges,
-        s.implicit_edges,
-        s.inline_runs,
-        s.pooled_runs,
+        s.stored_edges - s.explicit_edges,
+        per_vertex.join(" "),
+        s.resident_bytes,
     )
 }
 

@@ -103,12 +103,12 @@ fn main() {
     let mut engine = TurboFlux::new(q, g, TurboFluxConfig::default());
 
     // One cycle: close the triangle edge (positive matches), add another
-    // tree-matching edge, then fan v0's u1-run to six edges, past the DCG's
-    // inline capacity of four (the run promotes into a pool slot and demotes back when
-    // the edges go away — slot reuse must come from the free list, not the
-    // allocator), toggle a tree edge into the hub v1 so u2 is enumerated
-    // over the wide frontier (intersection prefilter), then delete
-    // everything (negative matches).
+    // tree-matching edge, then fan v0's u1 group to six edges, to vertices
+    // registration never reached (their counts enter the DCG's tables and
+    // leave again — reuse must come from the tables' own slots, not the
+    // allocator), toggle
+    // a tree edge into the hub v1 so u2 is enumerated over the wide frontier
+    // (intersection prefilter), then delete everything (negative matches).
     let cycle = [
         UpdateOp::InsertEdge { src: VertexId(0), label: LabelId(11), dst: VertexId(2) },
         UpdateOp::InsertEdge { src: VertexId(2), label: LabelId(10), dst: VertexId(5) },
@@ -155,10 +155,14 @@ fn main() {
     // Warm-up: reach every code path's high-water scratch capacity.
     run_cycles(&mut engine, 8, &mut matches);
     assert!(matches > 0, "warm-up must produce matches, or the test is vacuous");
-    assert!(
-        engine.dcg().storage_stats().carved_entries > 0,
-        "the cycle must push a DCG run through the pool, or slot reuse goes untested"
-    );
+    // The cycle's inserts put vertices the DCG never reached into its count
+    // tables; its deletes take them out again.
+    let reached = |engine: &TurboFlux| engine.dcg().storage_stats().reached.iter().sum::<usize>();
+    let warm = reached(&engine);
+    engine.apply_batch(&cycle[..7], &mut |_, _, _| matches += 1);
+    assert!(reached(&engine) > warm, "the cycle must add counts, or table reuse goes untested");
+    engine.apply_batch(&cycle[7..], &mut |_, _, _| matches += 1);
+    assert_eq!(reached(&engine), warm);
 
     ARMED.store(true, Ordering::SeqCst);
     let before = ALLOCS.load(Ordering::SeqCst);
@@ -180,6 +184,9 @@ fn main() {
 
     g0_parse_peak_stays_within_half_the_graph_again();
     println!("test g0_parse_peak_stays_within_half_the_graph_again ... ok");
+
+    project_peaks_at_the_graph_and_one_pair_per_slot();
+    println!("test project_peaks_at_the_graph_and_one_pair_per_slot ... ok");
 }
 
 /// Ops on a label the query never names stay out of a standalone engine's
@@ -247,6 +254,52 @@ fn g0_parse_peak_stays_within_half_the_graph_again() {
         g.edge_count(),
         peak as f64 / resident as f64
     );
+}
+
+/// `DynamicGraph::project` compacts the arena it is given: beside the input
+/// graph it holds one 8-byte `(offset, run)` pair per live slot — at most
+/// two per vertex, plus one per label group of a hub's directory — and the
+/// directories it folds flat are laid in the room the compaction freed.
+/// Re-laying into a fresh arena held the input and the whole kept graph at
+/// once. A churned netflow g0 (free slots, slack classes, directories) onto
+/// the `tcp` edges, which folds most directories, then onto none.
+fn project_peaks_at_the_graph_and_one_pair_per_slot() {
+    use turboflux::datagen::netflow::{generate, NetflowConfig};
+    let d = generate(&NetflowConfig { hosts: 2_000, flows: 60_000, seed: 2018, stream_frac: 0.5 });
+    let tcp = d.interner.get("tcp").expect("netflow names tcp");
+    let churned = || {
+        let mut g = d.g0.clone();
+        for op in d.stream.ops() {
+            g.apply(op);
+        }
+        let edges: Vec<_> = g.edges().step_by(3).collect();
+        for e in &edges {
+            g.delete_edge(e.src, e.label, e.dst);
+        }
+        g
+    };
+    let keeps: [&dyn Fn(LabelId) -> bool; 2] = [&|label| label == tcp, &|_| false];
+    for keep in keeps {
+        let g = churned();
+        let (st, n, m) = (g.storage_stats(), g.vertex_count(), g.edge_count());
+        assert!(st.free_slots > 0 && st.directory_runs > 0, "{st:?}");
+        let kept: Vec<_> = g.edges().filter(|e| keep(e.label)).collect();
+        let before = LIVE.load(Ordering::SeqCst);
+        PEAK.store(before, Ordering::SeqCst);
+        let got = g.project(keep);
+        let peak = PEAK.load(Ordering::SeqCst) - before;
+        let pairs = 8 * st.live_slots;
+        assert!(
+            peak <= pairs,
+            "projecting a {m}-edge graph of {n} vertices held {peak} B beside it ({pairs} B of pairs)",
+        );
+        assert!(got.edges().eq(kept.iter().copied()));
+        assert!(
+            got.storage_stats().directory_runs < st.directory_runs / 2,
+            "most directories fold flat"
+        );
+        got.validate();
+    }
 }
 
 /// `FileSource` reads every line into the one buffer it owns and parses it

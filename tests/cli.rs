@@ -39,9 +39,12 @@ fn cli_streams_matches_end_to_end() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("0 initial matches"), "stderr: {stderr}");
     assert!(stderr.contains("1 positive, 1 negative"), "stderr: {stderr}");
-    // How explicit the DCG is, and where its runs live.
-    let shape = "DCG 2 edges (0 explicit, 2 implicit; 2 runs inline, 0 pooled)";
+    // How big and how explicit the DCG is, per query vertex; its bytes follow,
+    // grown at the end by the counts the stream added and took back out.
+    let shape =
+        "DCG 2 edges (0 explicit, 2 implicit; reached/explicit per query vertex 1/0 0/0 1/0)";
     assert_eq!(stderr.matches(shape).count(), 2, "at registration and at the end: {stderr}");
+    assert_eq!(stderr.matches(" bytes\n").count(), 2, "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
