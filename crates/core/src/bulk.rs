@@ -1,4 +1,4 @@
-//! Registration: the initial DCG in two sweeps and one count per `(u, v)`.
+//! Registration: the initial DCG in two sweeps.
 //!
 //! Algorithm 2 (lines 4–5) builds the initial DCG by replaying a start-edge
 //! insertion per root candidate through `BuildDCG`. The result is a fixpoint
@@ -14,12 +14,11 @@
 //!   reached[u]` enters `expl[u]` iff every child `uc` of `u` has a
 //!   candidate of `v` in `expl[uc]`.
 //!
-//! The two sets are the DCG's bits ([`crate::dcg`]); what is left are its
-//! counts. The explicit children of `(uc, v)` are `v`'s label group under
-//! `expl[uc]` — the bottom-up sweep counts them as it decides `v` — and the
-//! stored parents of `(u, w)` are `w`'s reverse label group under
-//! `reached[P(u)]`. One table insert per `(u, v)` with a nonzero count, into
-//! tables sized by the first sweep where they can be; nothing per edge.
+//! The two sets and `kids` are the DCG ([`crate::dcg`]). The bottom-up sweep
+//! reads the stored edges out of each `(uc, v)` as it decides `v` — `v`'s
+//! label group under `reached[uc]` — and keeps three things of them: their
+//! number and the explicit ones' (the DCG's two totals), and whether there is
+//! an explicit one (`v`'s `kids[uc]` bit). Nothing is written per edge.
 //!
 //! `BuildDCG` ([`TurboFlux::build_dcg`]) stays what the paper defines it as,
 //! the update-time Algorithm 3; replayed per root candidate it is this
@@ -33,17 +32,17 @@ use crate::tree_nav::collect_child_candidates;
 
 impl TurboFlux {
     /// Builds the DCG of `g` into the engine's empty one. Its bits are the
-    /// sweeps' two sets per query vertex; the only transient is the
-    /// candidate buffer.
+    /// sweeps' sets per query vertex; the only transient is the candidate
+    /// buffer.
     pub(crate) fn build_initial_dcg(&mut self, g: &DynamicGraph) {
         let TurboFlux { q, tree, dcg, scratch, .. } = self;
-        let nq = q.vertex_count();
+        let (nq, n) = (q.vertex_count(), g.vertex_count());
         let us = tree.root();
-        let mut kids = std::mem::take(&mut scratch.kids);
-        kids.clear();
+        let mut buf = std::mem::take(&mut scratch.kids);
+        buf.clear();
 
         // Top-down: the path condition.
-        let mut reached = vec![Bits::new(g.vertex_count()); nq];
+        let mut reached = vec![Bits::new(n); nq];
         for v in g.vertices() {
             if q.labels(us).is_subset_of(g.labels(v)) {
                 reached[us.index()].set(v);
@@ -53,44 +52,43 @@ impl TurboFlux {
             let from = std::mem::take(&mut reached[u.index()]);
             for &uc in tree.children(u) {
                 for pv in from.ones() {
-                    collect_child_candidates(g, q, tree, uc, pv, AdjacencyMode::Indexed, &mut kids);
-                    kids.drain(..).for_each(|cv| reached[uc.index()].set(cv));
+                    collect_child_candidates(g, q, tree, uc, pv, AdjacencyMode::Indexed, &mut buf);
+                    buf.drain(..).for_each(|cv| reached[uc.index()].set(cv));
                 }
             }
             reached[u.index()] = from;
         }
 
-        // Bottom-up: the subtree condition, and the explicit children of
+        // Bottom-up: the subtree condition, over the stored edges out of
         // every `(uc, v)` it reads. `expl[uc]` is final before any `v` is
         // decided against it.
-        let mut expl = vec![Bits::new(g.vertex_count()); nq];
+        let mut expl = vec![Bits::new(n); nq];
+        let mut kids = vec![Bits::new(n); nq];
+        let mut stored = reached[us.index()].count() as u64;
+        let mut expl_count = vec![0; nq];
         for &u in tree.bfs_order().iter().rev() {
             for v in reached[u.index()].ones() {
                 let mut all = true;
                 for &uc in tree.children(u) {
-                    let matched = &expl[uc.index()];
-                    dcg.collect(g, v, uc, true, |cv| matched.has(cv), &mut kids);
-                    dcg.count_out(uc, v, kids.len());
-                    all &= !kids.is_empty();
-                    kids.clear();
+                    let kid_reached = &reached[uc.index()];
+                    dcg.collect(g, v, uc, true, |cv| kid_reached.has(cv), &mut buf);
+                    let matched = buf.iter().filter(|&&cv| expl[uc.index()].has(cv)).count();
+                    stored += buf.len() as u64;
+                    expl_count[uc.index()] += matched as u64;
+                    if matched > 0 {
+                        kids[uc.index()].set(v);
+                    } else {
+                        all = false;
+                    }
+                    buf.clear();
                 }
                 if all {
                     expl[u.index()].set(v);
                 }
             }
         }
-
-        // The stored parents of every reached `(u, w)`.
-        for &u in &tree.bfs_order()[1..] {
-            let parents = &reached[tree.parent(u).expect("non-root").index()];
-            dcg.reserve_in(u, reached[u.index()].count());
-            for w in reached[u.index()].ones() {
-                dcg.collect(g, w, u, false, |pv| parents.has(pv), &mut kids);
-                dcg.count_in(u, w, kids.len());
-                kids.clear();
-            }
-        }
-        dcg.install(reached, expl);
-        scratch.kids = kids;
+        expl_count[us.index()] = expl[us.index()].count() as u64;
+        dcg.install([reached, expl, kids], stored, expl_count);
+        scratch.kids = buf;
     }
 }

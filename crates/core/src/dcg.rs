@@ -13,36 +13,36 @@
 //!
 //! The artificial start edges `(v_s*, u_s, v_s)` are the root's.
 //!
-//! **The DCG is the data graph plus bits and counters per `(u, v)`**, as the
-//! paper builds it: an edge `(pv, u, cv)` is stored iff `pv` has a stored
-//! edge labeled `P(u)` coming in and a data edge matching `u`'s tree edge
-//! joins `pv` and `cv` — so its far ends are `pv`'s label group in the graph
-//! — and its state is a function of `(u, cv)` alone: whether `cv`'s subtrees
-//! are matched, whoever the parent is. Per query vertex `u` the store keeps
-//! three dense bitsets over the data vertices — `reached[u]` (a stored edge
-//! labeled `u` comes in), `expl[u]` (those edges are explicit) and `kids[u]`
-//! (an explicit edge labeled `u` goes out) — and two sparse counts, present
-//! only where nonzero: the stored parents of `(u, v)`, which decide NULL ↔
-//! stored and `BuildDCG`'s check-and-avoid, and the explicit children of
-//! `(u, pv)`, which decide `MatchAllChildren` and Transition 4's "last
-//! explicit out-edge". Nothing is stored per edge:
+//! **The DCG is the data graph plus three bitsets per query vertex and
+//! nothing else**, as the paper builds it: an edge `(pv, u, cv)` is stored iff
+//! `pv` has a stored edge labeled `P(u)` coming in and a data edge matching
+//! `u`'s tree edge joins `pv` and `cv` — so its far ends are `pv`'s label
+//! group in the graph — and its state is a function of `(u, cv)` alone:
+//! whether `cv`'s subtrees are matched, whoever the parent is. Per query
+//! vertex `u` the store keeps three dense bitsets over the data vertices:
+//! `reached[u]` (a stored edge labeled `u` comes in), `expl[u]` (those edges
+//! are explicit) and `kids[u]` (an explicit edge labeled `u` goes out). Beside
+//! them are two totals, the explicit edges per `u` (order maintenance) and the
+//! stored edges. Nothing is stored per edge, and nothing is counted per
+//! vertex:
 //!
 //! * the search frontier of `(pv, u)` is `pv`'s label group filtered by
 //!   `expl[u]` (`Dcg::run`), one bit test per candidate;
 //! * the stored parents of `(u, v)`, which the climb walks, are `v`'s reverse
-//!   label group filtered by `reached[P(u)]` (`Dcg::collect`).
+//!   label group filtered by `reached[P(u)]` (`Dcg::stored_far_ends`);
+//! * whether an edge that leaves was `v`'s last parent, or its parent's last
+//!   explicit child, is the same group read with early exit
+//!   (`Dcg::has_other`).
 //!
 //! A derived edge is visible the moment its data edge is in the graph, and
-//! until it leaves: the counts are what says whether the updated edge's own
-//! images are accounted for mid-operation (`crate::ops`). See DESIGN.md "DCG
-//! storage layout".
+//! until it leaves: every scan skips the updated edge while the bits do not
+//! account for it (`crate::ops`). See DESIGN.md "DCG storage layout".
 
 use std::ops::Deref;
 
 use tfx_graph::{AdjacencyMode, DynamicGraph, LabelId, VertexId};
 use tfx_query::{QVertexId, QueryGraph, QueryTree};
 
-use crate::dcg_store::OpenMap;
 use crate::spec::DcgImage;
 use crate::tree_nav::dedup_tail;
 
@@ -65,7 +65,8 @@ impl EdgeState {
     }
 }
 
-/// A set of data vertices, one bit each, grown on demand.
+/// A set of data vertices, one bit each, as long as its highest member
+/// needs: grown on demand, trimmed after registration.
 #[derive(Clone, Default, Debug)]
 pub(crate) struct Bits(Vec<u64>);
 
@@ -84,9 +85,25 @@ impl Bits {
     pub(crate) fn set(&mut self, v: VertexId) {
         let i = v.index() / 64;
         if i >= self.0.len() {
-            self.0.resize(i + 1, 0);
+            self.grow(i + 1);
         }
         self.0[i] |= 1 << (v.0 % 64);
+    }
+
+    /// Lengthens the set to `words`, reserving an eighth more: growth stays
+    /// geometric, and a grown set reserves at most 9/8 of what its highest
+    /// member needs, where doubling could reserve twice that.
+    #[cold]
+    fn grow(&mut self, words: usize) {
+        self.0.reserve_exact((words + words / 8).saturating_sub(self.0.len()));
+        self.0.resize(words, 0);
+    }
+
+    /// Drops the words past the highest member, and their reservation.
+    fn trim(&mut self) {
+        let len = self.0.iter().rposition(|&w| w != 0).map_or(0, |i| i + 1);
+        self.0.truncate(len);
+        self.0.shrink_to_fit();
     }
 
     #[inline]
@@ -147,28 +164,25 @@ pub struct DcgStorageStats {
     pub resident_bytes: usize,
 }
 
-/// The DCG of one registered query: bits and counts beside the data graph.
+/// The DCG of one registered query: three bitsets per query vertex beside
+/// the data graph.
 pub struct Dcg {
     root_qv: QVertexId,
     /// Per query vertex, its tree edge (a placeholder for the root).
     edges: Vec<TreeEdge>,
-    /// Bit `u` set iff `u` has no tree children: an edge labeled `u` is
-    /// explicit the moment it is stored.
-    leaves: u64,
+    /// Per query vertex `u`: bit `c` set iff `c` is a tree child of `u`. A
+    /// leaf's edges are explicit the moment they are stored.
+    children: Vec<u64>,
     /// Per query vertex `u`: the data vertices with a stored edge labeled `u`
     /// coming in.
     reached: Vec<Bits>,
     /// Per query vertex `u`: the members of `reached[u]` whose edges labeled
     /// `u` are explicit (their subtrees are matched).
     expl: Vec<Bits>,
-    /// Per query vertex `u`: the data vertices with an explicit edge labeled
-    /// `u` going out — the keys of `expl_kids[u]`, `MatchAllChildren` in one
-    /// bit test per child.
+    /// Per non-root query vertex `u`: the members of `reached[P(u)]` with an
+    /// explicit edge labeled `u` going out — `MatchAllChildren` in one bit
+    /// test per child.
     kids: Vec<Bits>,
-    /// Per non-root `u`: stored edges `(·, u, v)` per `v`, where nonzero.
-    parents: Vec<OpenMap<u32>>,
-    /// Per non-root `u`: explicit edges `(pv, u, ·)` per `pv`, where nonzero.
-    expl_kids: Vec<OpenMap<u32>>,
     /// Global explicit-edge count per query vertex (drives matching-order
     /// maintenance).
     expl_count: Vec<u64>,
@@ -187,7 +201,7 @@ impl Dcg {
     pub fn new(q: &QueryGraph, tree: &QueryTree) -> Self {
         let nq = q.vertex_count();
         assert!(nq <= 64, "queries are limited to 64 vertices");
-        let edges = q
+        let edges: Vec<TreeEdge> = q
             .vertices()
             .map(|u| match tree.parent_edge(u) {
                 Some(e) => TreeEdge {
@@ -198,16 +212,15 @@ impl Dcg {
                 None => TreeEdge { parent: u, label: None, down: true },
             })
             .collect();
-        let leaves = q.vertices().filter(|&u| tree.children(u).is_empty());
+        let children =
+            q.vertices().map(|u| tree.children(u).iter().fold(0, |m, c| m | 1 << c.0)).collect();
         Dcg {
             root_qv: tree.root(),
             edges,
-            leaves: leaves.fold(0, |m, u| m | 1 << u.0),
+            children,
             reached: vec![Bits::default(); nq],
             expl: vec![Bits::default(); nq],
             kids: vec![Bits::default(); nq],
-            parents: (0..nq).map(|_| OpenMap::new()).collect(),
-            expl_kids: (0..nq).map(|_| OpenMap::new()).collect(),
             expl_count: vec![0; nq],
             dirty_expl: 0,
             stored_edges: 0,
@@ -235,28 +248,11 @@ impl Dcg {
         &self.expl[u.index()]
     }
 
-    /// True iff some stored edge labeled `u` comes into `v`.
+    /// True iff some stored edge labeled `u` comes into `v` (the start edge,
+    /// for the root).
     #[inline]
     pub fn is_reached(&self, u: QVertexId, v: VertexId) -> bool {
         self.reached[u.index()].has(v)
-    }
-
-    /// Number of stored (implicit or explicit) incoming edges of `v` labeled
-    /// `u`, counting the artificial start edge when `u = u_s`.
-    #[inline]
-    pub fn in_count_total(&self, v: VertexId, u: QVertexId) -> usize {
-        if u == self.root_qv {
-            usize::from(self.reached[u.index()].has(v))
-        } else {
-            self.parents[u.index()].get(v.0).unwrap_or(0) as usize
-        }
-    }
-
-    /// Number of explicit outgoing edges of `pv` labeled `u`.
-    #[inline]
-    pub fn out_expl_count(&self, pv: VertexId, u: QVertexId) -> usize {
-        debug_assert_ne!(u, self.root_qv);
-        self.expl_kids[u.index()].get(pv.0).unwrap_or(0) as usize
     }
 
     /// True iff `v` has an explicit outgoing edge labeled with every query
@@ -283,31 +279,24 @@ impl Dcg {
     /// exactly for the start edge of `v`. Returns the state the edge is
     /// stored in: explicit iff `v`'s edges labeled `u` already are, or `u` is
     /// a leaf and there is no subtree to wait for (Transitions 1 and 2 in one
-    /// write).
+    /// write). The first edge into `(u, v)` is the one that finds `v`
+    /// outside `reached[u]`.
     pub(crate) fn add(&mut self, parent: Option<VertexId>, u: QVertexId, v: VertexId) -> EdgeState {
         let ui = u.index();
-        let first = match parent {
-            None => {
-                debug_assert_eq!(u, self.root_qv, "only the start edge has no parent");
-                debug_assert!(!self.reached[ui].has(v), "a second start edge");
-                true
-            }
-            Some(_) => {
-                let (i, fresh) = self.parents[ui].ensure(v.0, 0);
-                *self.parents[ui].val_mut(i) += 1;
-                fresh
-            }
-        };
+        debug_assert!(
+            parent.is_some() || u == self.root_qv && !self.reached[ui].has(v),
+            "a start edge is the root's, and its vertex's only one"
+        );
         self.stored_edges += 1;
-        if first {
+        if !self.reached[ui].has(v) {
             self.reached[ui].set(v);
-            if self.leaves >> u.0 & 1 == 1 {
+            if self.children[ui] == 0 {
                 self.expl[ui].set(v);
             }
         }
         let explicit = self.expl[ui].has(v);
         if explicit {
-            self.count_explicit(parent, u, true);
+            self.count_up(parent, u);
         }
         EdgeState::of(explicit)
     }
@@ -319,73 +308,144 @@ impl Dcg {
     pub(crate) fn promote(&mut self, parent: Option<VertexId>, u: QVertexId, v: VertexId) {
         debug_assert!(self.reached[u.index()].has(v), "promotion of a NULL edge");
         self.expl[u.index()].set(v);
-        self.count_explicit(parent, u, true);
+        self.count_up(parent, u);
     }
 
     /// E → I for the stored edge `(parent, u, v)`: [`Dcg::promote`] undone.
-    pub(crate) fn demote(&mut self, parent: Option<VertexId>, u: QVertexId, v: VertexId) {
-        self.expl[u.index()].unset(v);
-        self.count_explicit(parent, u, false);
-    }
-
-    /// Stored → NULL, for the edge `(parent, u, v)`; returns the state it
-    /// had. The last edge labeled `u` to leave `v` takes `v` out of
-    /// `reached[u]`.
-    pub(crate) fn remove(
+    /// `image` is the updated edge's data pair while the bits do not account
+    /// for it as an edge labeled `u` (`SearchScratch::uncounted_image`).
+    pub(crate) fn demote(
         &mut self,
+        g: &DynamicGraph,
         parent: Option<VertexId>,
         u: QVertexId,
         v: VertexId,
-    ) -> EdgeState {
+        image: Option<(VertexId, VertexId)>,
+    ) {
+        self.expl[u.index()].unset(v);
+        self.count_down(g, parent, u, v, image);
+    }
+
+    /// Stored → NULL, for the edge `(parent, u, v)`; `image` as for
+    /// [`Dcg::demote`]. Returns whether it was the last edge labeled `u`
+    /// into `v` — no other parent in `v`'s group is reached — which takes
+    /// `v` out of `reached[u]` and clears its `kids` bits: its out-edges
+    /// leave in `ClearDCG`'s cascade next, and nothing reads those bits
+    /// meanwhile.
+    pub(crate) fn remove(
+        &mut self,
+        g: &DynamicGraph,
+        parent: Option<VertexId>,
+        u: QVertexId,
+        v: VertexId,
+        image: Option<(VertexId, VertexId)>,
+    ) -> bool {
         let ui = u.index();
-        let st = EdgeState::of(self.expl[ui].has(v));
-        if st == EdgeState::Explicit {
-            self.count_explicit(parent, u, false);
+        if self.expl[ui].has(v) {
+            self.count_down(g, parent, u, v, image);
         }
         self.stored_edges -= 1;
-        let last = parent.is_none() || {
-            let i = self.parents[ui].find(v.0).expect("removal of a NULL edge");
-            let n = self.parents[ui].val_mut(i);
-            *n -= 1;
-            let last = *n == 0;
-            if last {
-                self.parents[ui].remove_at(i);
-            }
-            last
-        };
+        let last = parent.is_none_or(|pv| {
+            let parents = &self.reached[self.edges[ui].parent.index()];
+            !self.has_other(g, v, u, false, pv, image, parents)
+        });
         if last {
             self.reached[ui].unset(v);
             self.expl[ui].unset(v);
+            let mut mask = self.children[ui];
+            while mask != 0 {
+                self.kids[mask.trailing_zeros() as usize].unset(v);
+                mask &= mask - 1;
+            }
         }
-        st
+        last
     }
 
-    /// One explicit edge labeled `u` more (`up`) or fewer, out of `parent`.
-    fn count_explicit(&mut self, parent: Option<VertexId>, u: QVertexId, up: bool) {
-        let ui = u.index();
-        if up {
-            self.expl_count[ui] += 1;
-        } else {
-            self.expl_count[ui] -= 1;
+    /// One explicit edge labeled `u` more, out of `parent`.
+    fn count_up(&mut self, parent: Option<VertexId>, u: QVertexId) {
+        self.expl_count[u.index()] += 1;
+        self.dirty_expl |= 1 << u.0;
+        if let Some(pv) = parent {
+            self.kids[u.index()].set(pv);
         }
+    }
+
+    /// One explicit edge `(parent, u, v)` fewer: `parent` keeps its
+    /// `kids[u]` bit iff its group holds another explicit child. A parent
+    /// that left `reached` lost its bits with it (`ClearDCG`'s cascade, see
+    /// [`Dcg::remove`]) and is not read.
+    fn count_down(
+        &mut self,
+        g: &DynamicGraph,
+        parent: Option<VertexId>,
+        u: QVertexId,
+        v: VertexId,
+        image: Option<(VertexId, VertexId)>,
+    ) {
+        let ui = u.index();
+        self.expl_count[ui] -= 1;
         self.dirty_expl |= 1 << u.0;
         let Some(pv) = parent else { return };
-        let map = &mut self.expl_kids[ui];
-        if up {
-            let (i, fresh) = map.ensure(pv.0, 0);
-            *map.val_mut(i) += 1;
-            if fresh {
-                self.kids[ui].set(pv);
-            }
-        } else {
-            let i = map.find(pv.0).expect("demotion of an edge never counted explicit");
-            let n = map.val_mut(i);
-            *n -= 1;
-            if *n == 0 {
-                map.remove_at(i);
-                self.kids[ui].unset(pv);
-            }
+        if self.reached[self.edges[ui].parent.index()].has(pv)
+            && !self.other_explicit_child(g, pv, u, v, image)
+        {
+            self.kids[ui].unset(pv);
         }
+    }
+
+    /// True iff `pv` has an explicit edge labeled `u` to a child other than
+    /// `cv` — and than the far end of `image`, the updated edge's data pair
+    /// while the bits do not account for it. The climb's "does this edge flip
+    /// `pv`" is its negation.
+    #[inline]
+    pub(crate) fn other_explicit_child(
+        &self,
+        g: &DynamicGraph,
+        pv: VertexId,
+        u: QVertexId,
+        cv: VertexId,
+        image: Option<(VertexId, VertexId)>,
+    ) -> bool {
+        self.has_other(g, pv, u, true, cv, image, &self.expl[u.index()])
+    }
+
+    /// True iff the group [`Dcg::run`] names for `v` has a member in `set`
+    /// other than `except` and than `image`'s far end. Reads with early
+    /// exit; a wildcard's repeats change nothing, so it walks every label
+    /// group as it comes.
+    #[allow(clippy::too_many_arguments)]
+    fn has_other(
+        &self,
+        g: &DynamicGraph,
+        v: VertexId,
+        u: QVertexId,
+        to_child: bool,
+        except: VertexId,
+        image: Option<(VertexId, VertexId)>,
+        set: &Bits,
+    ) -> bool {
+        let skip = self.image_far_end(v, u, to_child, image);
+        let other = |w: VertexId| w != except && Some(w) != skip && set.has(w);
+        match self.run(g, v, u, to_child) {
+            Some(run) => run.iter().any(|&w| other(w)),
+            None => self.every_group(g, v, u, to_child).any(other),
+        }
+    }
+
+    /// The far end of the data pair `image` under the tree edge into `u`, if
+    /// its near end is `v` — the parent side with `to_child`, else the
+    /// child side.
+    fn image_far_end(
+        &self,
+        v: VertexId,
+        u: QVertexId,
+        to_child: bool,
+        image: Option<(VertexId, VertexId)>,
+    ) -> Option<VertexId> {
+        let (src, dst) = image?;
+        let (near, far) =
+            if self.edges[u.index()].down == to_child { (src, dst) } else { (dst, src) };
+        (near == v).then_some(far)
     }
 
     /// The graph group `v` reads under the tree edge into `u`: `v`'s
@@ -411,6 +471,22 @@ impl Dcg {
         Some(group.as_id_slice())
     }
 
+    /// Every neighbor on the side of `v` [`Dcg::run`] names, over all labels
+    /// in `(label, id)` order: once per parallel edge.
+    fn every_group<'g>(
+        &self,
+        g: &'g DynamicGraph,
+        v: VertexId,
+        u: QVertexId,
+        to_child: bool,
+    ) -> impl Iterator<Item = VertexId> + 'g {
+        if self.edges[u.index()].down == to_child {
+            g.out_neighbors_matching(v, None, AdjacencyMode::Indexed)
+        } else {
+            g.in_neighbors_matching(v, None, AdjacencyMode::Indexed)
+        }
+    }
+
     /// Appends the members of the group [`Dcg::run`] names that `keep`
     /// accepts to `buf`, ascending and each once: a wildcard walks every
     /// label group, and meets a neighbor once per parallel edge.
@@ -428,14 +504,28 @@ impl Dcg {
             return;
         }
         let start = buf.len();
-        let all = if self.edges[u.index()].down == to_child {
-            g.out_neighbors_matching(v, None, AdjacencyMode::Indexed)
-        } else {
-            g.in_neighbors_matching(v, None, AdjacencyMode::Indexed)
-        };
-        buf.extend(all.filter(|&w| keep(w)));
+        buf.extend(self.every_group(g, v, u, to_child).filter(|&w| keep(w)));
         buf[start..].sort_unstable();
         dedup_tail(buf, start);
+    }
+
+    /// Appends to `buf`, ascending, the far ends of the stored DCG edges at
+    /// `v` under the tree edge into `u`: its children `(v, u, ·)` with
+    /// `to_child`, else its parents `(·, u, v)`. They are `v`'s graph group
+    /// under the far side's `reached` bits ([`Dcg::collect`]), less `image`'s
+    /// far end, the updated edge while the bits do not account for it.
+    pub(crate) fn stored_far_ends(
+        &self,
+        g: &DynamicGraph,
+        v: VertexId,
+        u: QVertexId,
+        to_child: bool,
+        image: Option<(VertexId, VertexId)>,
+        buf: &mut Vec<VertexId>,
+    ) {
+        let far = if to_child { u } else { self.edges[u.index()].parent };
+        let (far, skip) = (&self.reached[far.index()], self.image_far_end(v, u, to_child, image));
+        self.collect(g, v, u, to_child, |w| far.has(w) && Some(w) != skip, buf);
     }
 
     /// The state of the DCG edge `(pv, u, cv)` for non-root `u`, derived
@@ -462,12 +552,11 @@ impl Dcg {
     /// The batch lookahead's hint ([`crate::round::lookahead`]) for an
     /// evaluation that will map data vertex `v` onto query vertex `u`, whose
     /// tree children are `children`: the graph groups it reads — `v`'s
-    /// parents under `u`'s tree edge for the climb, `v`'s candidates under
-    /// each child's for the frontier and `BuildDCG` — as
-    /// [`DynamicGraph::prefetch_group`] stages them, and at stage 1 the count
-    /// buckets it probes: the stored parents of `(u, v)` and the explicit
-    /// children of `v` under each child. The bitsets are a bit per vertex
-    /// and stay cached. `&self`, allocation-free, any `v`.
+    /// parents under `u`'s tree edge for the climb and `ClearDCG`'s "last
+    /// parent", `v`'s candidates under each child's for the frontier,
+    /// `BuildDCG` and the "last explicit child" — as
+    /// [`DynamicGraph::prefetch_group`] stages them. The bitsets are a bit
+    /// per vertex and stay cached. `&self`, allocation-free, any `v`.
     pub fn prefetch(
         &self,
         g: &DynamicGraph,
@@ -487,23 +576,10 @@ impl Dcg {
         };
         if u != self.root_qv {
             group(u, false);
-            if stage == 1 {
-                self.parents[u.index()].prefetch(v.0);
-            }
         }
         for &c in children {
             group(c, true);
-            if stage == 1 {
-                self.expl_kids[c.index()].prefetch(v.0);
-            }
         }
-    }
-
-    /// Sizes the table of stored-parent counts labeled `u` for the `n`
-    /// vertices registration is about to count into it.
-    pub(crate) fn reserve_in(&mut self, u: QVertexId, n: usize) {
-        debug_assert_eq!(self.parents[u.index()].len(), 0, "reserve over counts");
-        self.parents[u.index()] = OpenMap::with_capacity(n);
     }
 
     /// Hints the group [`Dcg::run`] will read for `v`'s candidates under
@@ -516,34 +592,19 @@ impl Dcg {
         }
     }
 
-    /// Registration's write (`crate::bulk`): the stored parents of
-    /// `(u, v)`, `n > 0` of them, for a vertex the sweeps put in
-    /// `reached[u]` ([`Dcg::install`]).
-    pub(crate) fn count_in(&mut self, u: QVertexId, v: VertexId, n: usize) {
-        debug_assert!(n > 0 && u != self.root_qv);
-        self.parents[u.index()].insert(v.0, n as u32);
-        self.stored_edges += n as u64;
-    }
-
-    /// Registration's write: the explicit children of `(u, pv)`, if any.
-    pub(crate) fn count_out(&mut self, u: QVertexId, pv: VertexId, n: usize) {
-        if n > 0 {
-            self.expl_kids[u.index()].insert(pv.0, n as u32);
-            self.kids[u.index()].set(pv);
-            self.expl_count[u.index()] += n as u64;
-            self.dirty_expl |= 1 << u.0;
-        }
-    }
-
-    /// Registration's write: the sweeps' vertex sets, with the start edges
-    /// they imply, into a DCG that holds no start edge yet.
-    pub(crate) fn install(&mut self, reached: Vec<Bits>, expl: Vec<Bits>) {
-        let root = self.root_qv.index();
-        debug_assert_eq!(self.reached[root].count(), 0, "install over start edges");
-        self.stored_edges += reached[root].count() as u64;
-        self.expl_count[root] += expl[root].count() as u64;
-        self.dirty_expl |= 1 << root;
-        (self.reached, self.expl) = (reached, expl);
+    /// Registration's write (`crate::bulk`): the sweeps' three sets per query
+    /// vertex, each trimmed to its highest member, and the totals they imply,
+    /// start edges included, into a DCG that holds nothing yet.
+    pub(crate) fn install(
+        &mut self,
+        [mut reached, mut expl, mut kids]: [Vec<Bits>; 3],
+        stored_edges: u64,
+        expl_count: Vec<u64>,
+    ) {
+        debug_assert_eq!(self.stored_edges, 0, "install over stored edges");
+        reached.iter_mut().chain(&mut expl).chain(&mut kids).for_each(Bits::trim);
+        (self.reached, self.expl, self.kids) = (reached, expl, kids);
+        (self.stored_edges, self.expl_count) = (stored_edges, expl_count);
     }
 
     /// Returns and clears the dirty bitmask: bit `u` is set iff the
@@ -560,17 +621,15 @@ impl Dcg {
         self.stored_edges
     }
 
-    /// Exact resident bytes of the intermediate results: every bitset and
-    /// count table is charged its capacity. Reserved storage never shrinks,
-    /// so this measures high-water memory — after a warm-up cycle a
-    /// self-inverting update stream returns it to exactly the same value
+    /// Exact resident bytes of the intermediate results: every bitset is
+    /// charged its capacity. Reserved storage never shrinks, so this
+    /// measures high-water memory — after a warm-up cycle a self-inverting
+    /// update stream returns it to exactly the same value
     /// (`insert_then_delete_restores_everything` in `tests/properties.rs`),
     /// but a freshly built engine reports less than one that has churned.
     pub fn resident_bytes(&self) -> usize {
         let bits = self.reached.iter().chain(&self.expl).chain(&self.kids);
-        let maps = self.parents.iter().chain(&self.expl_kids);
-        bits.map(Bits::resident_bytes).sum::<usize>()
-            + maps.map(OpenMap::resident_bytes).sum::<usize>()
+        bits.map(Bits::resident_bytes).sum()
     }
 
     /// Shape counters: per query vertex how many data vertices are reached
@@ -607,10 +666,9 @@ impl Dcg {
             .collect();
         let mut far = Vec::new();
         for u in self.non_root() {
-            let reached = &self.reached[u.index()];
             for pv in self.reached[self.edges[u.index()].parent.index()].ones() {
                 far.clear();
-                self.collect(g, pv, u, true, |cv| reached.has(cv), &mut far);
+                self.stored_far_ends(g, pv, u, true, None, &mut far);
                 snap.extend(far.iter().map(|&cv| ((Some(pv), u.0, cv), self.st(u, cv))));
             }
         }
@@ -621,11 +679,12 @@ impl Dcg {
         EdgeState::of(self.expl[u.index()].has(v))
     }
 
-    /// Consistency of the counts with `g` and with Definitions 4 / 5 (test
-    /// support): the stored parents of every reached `(u, v)` and the
-    /// explicit children of every `(u, pv)` are what `g` derives, `expl ⊆
-    /// reached`, an explicit `(u, v)` is exactly one whose children all
-    /// match, and the totals and tables agree.
+    /// Consistency of the bits with `g` and with Definitions 4 / 5 (test
+    /// support): every reached non-root `(u, v)` has a stored parent in
+    /// `g`, a `kids[u]` bit is set exactly on the reached parents with an
+    /// explicit child in their group, `expl ⊆ reached`, an explicit `(u, v)`
+    /// is exactly one whose children all match, and the totals are what
+    /// `g` derives.
     pub fn check_consistency(&self, g: &DynamicGraph) {
         let root = self.root_qv;
         let mut stored = self.reached[root.index()].count() as u64;
@@ -633,34 +692,29 @@ impl Dcg {
         expl[root.index()] = self.expl[root.index()].count() as u64;
         let mut ids = Vec::new();
         for u in self.non_root() {
-            let (ui, p) = (u.index(), self.edges[u.index()].parent);
+            let (ui, p) = (u.index(), self.edges[u.index()].parent.index());
             for v in self.reached[ui].ones() {
                 ids.clear();
-                self.collect(g, v, u, false, |pv| self.reached[p.index()].has(pv), &mut ids);
-                assert_eq!(self.in_count_total(v, u), ids.len(), "stored parents of (u{ui}, {v})");
+                self.stored_far_ends(g, v, u, false, None, &mut ids);
+                assert!(!ids.is_empty(), "(u{ui}, {v}) reached without a stored parent");
                 stored += ids.len() as u64;
             }
-            assert_eq!(self.parents[ui].len(), self.reached[ui].count(), "u{ui}: counts vs bits");
-            for pv in self.reached[p.index()].ones() {
+            for pv in self.kids[ui].ones() {
+                assert!(self.reached[p].has(pv), "kid bit of ({pv}, u{ui}), an unreached parent");
+            }
+            for pv in self.reached[p].ones() {
                 ids.clear();
                 self.collect(g, pv, u, true, |cv| self.expl[ui].has(cv), &mut ids);
-                assert_eq!(self.out_expl_count(pv, u), ids.len(), "explicit kids of ({pv}, u{ui})");
                 assert_eq!(self.kids[ui].has(pv), !ids.is_empty(), "kid bit of ({pv}, u{ui})");
                 expl[ui] += ids.len() as u64;
             }
-            let counted = self.expl_kids[ui].iter().map(|(_, &n)| n as usize).sum::<usize>();
-            assert_eq!(counted as u64, expl[ui], "u{ui}: explicit kids of unreached parents");
-            self.parents[ui].validate();
-            self.expl_kids[ui].validate();
         }
         for u in (0..self.edges.len() as u32).map(QVertexId) {
-            let mask = self.non_root().filter(|c| self.edges[c.index()].parent == u);
-            let mask = mask.fold(0u64, |m, c| m | 1 << c.0);
             for v in self.expl[u.index()].ones() {
                 assert!(self.reached[u.index()].has(v), "(u{}, {v}) explicit, not reached", u.0);
             }
             for v in self.reached[u.index()].ones() {
-                let matched = self.matches_all(v, mask);
+                let matched = self.matches_all(v, self.children[u.index()]);
                 assert_eq!(self.is_explicit(u, v), matched, "Definition 4 at (u{}, {v})", u.0);
             }
         }
@@ -740,61 +794,81 @@ mod tests {
 
     #[test]
     fn start_edges_are_bits() {
-        let (_, q, tree) = path();
+        let (g, q, tree) = path();
         let mut d = Dcg::new(&q, &tree);
         assert_eq!(d.root_state(v(1)), None);
         assert_eq!(d.add(None, u(0), v(1)), EdgeState::Implicit, "the root has children");
         assert_eq!(d.root_state(v(1)), Some(EdgeState::Implicit));
-        assert_eq!(d.in_count_total(v(1), u(0)), 1);
+        assert!(d.is_reached(u(0), v(1)));
         d.promote(None, u(0), v(1));
         assert_eq!(d.root_state(v(1)), Some(EdgeState::Explicit));
         assert_eq!(d.expl_counts(), &[1, 0, 0]);
-        assert_eq!(d.remove(None, u(0), v(1)), EdgeState::Explicit);
+        assert!(d.remove(&g, None, u(0), v(1), None), "a start edge is its vertex's last");
         assert_eq!((d.root_state(v(1)), d.stored_edge_count(), d.expl_counts()[0]), (None, 0, 0));
     }
 
-    /// Counts move edge by edge; the bits move with the first edge into, or
-    /// out of, a `(u, v)`.
+    /// The bits move with the first edge into, or out of, a `(u, v)`, and a
+    /// parent's `kids` bit with its first and last explicit child: "last"
+    /// is read off the graph, which holds every edge the test stores.
     #[test]
-    fn counts_follow_adds_promotions_and_removals() {
-        let (_, q, tree) = path();
-        let mut d = Dcg::new(&q, &tree);
+    fn bits_follow_adds_promotions_and_removals() {
+        let (mut g, q, tree) = path();
         let (a0, a1, b0, c0) = (v(0), v(1), v(2), v(4));
-        // `u2` is a leaf: its edges are explicit on arrival.
-        assert_eq!(d.add(Some(b0), u(2), c0), EdgeState::Explicit);
-        assert_eq!((d.out_expl_count(b0, u(2)), d.expl_out_bits(b0)), (1, 1 << 2));
-        assert!(d.matches_all(b0, 1 << 2) && !d.matches_all(a0, 1 << 1));
+        for src in [a0, a1, c0] {
+            g.insert_edge(src, LabelId(9), b0);
+        }
+        let mut d = Dcg::new(&q, &tree);
+        for a in [a0, a1] {
+            d.add(None, u(0), a);
+        }
         // Two parents of `(u1, b0)`: implicit until the climb promotes them.
         for a in [a0, a1] {
             assert_eq!(d.add(Some(a), u(1), b0), EdgeState::Implicit);
         }
-        assert_eq!((d.in_count_total(b0, u(1)), d.stored_edge_count()), (2, 3));
-        d.promote(Some(a0), u(1), b0);
-        assert!(d.is_explicit(u(1), b0));
-        assert_eq!((d.out_expl_count(a0, u(1)), d.out_expl_count(a1, u(1))), (1, 0));
-        d.promote(Some(a1), u(1), b0);
-        assert_eq!(d.expl_counts(), &[0, 2, 1]);
-        // A third parent arrives explicit, as `BuildDCG` finds `b0` matched.
-        assert_eq!(d.add(Some(v(3)), u(1), b0), EdgeState::Explicit);
-        assert_eq!(d.remove(Some(v(3)), u(1), b0), EdgeState::Explicit);
-        d.demote(Some(a0), u(1), b0);
-        d.demote(Some(a1), u(1), b0);
-        assert!(!d.is_explicit(u(1), b0) && d.is_reached(u(1), b0));
-        assert_eq!(d.expl_out_bits(a0) | d.expl_out_bits(a1), 0);
-        // The last parent out takes `b0` out of `reached[u1]`.
-        assert_eq!(d.remove(Some(a0), u(1), b0), EdgeState::Implicit);
-        assert!(d.is_reached(u(1), b0));
-        assert_eq!(d.remove(Some(a1), u(1), b0), EdgeState::Implicit);
-        assert!(!d.is_reached(u(1), b0));
-        assert_eq!(d.remove(Some(b0), u(2), c0), EdgeState::Explicit);
-        assert_eq!((d.stored_edge_count(), d.expl_counts()), (0, &[0, 0, 0][..]));
-        assert_eq!(d.take_dirty_expl(), 0b110);
+        assert_eq!(d.stored_edge_count(), 4);
+        // `u2` is a leaf: its edges are explicit on arrival.
+        assert_eq!(d.add(Some(b0), u(2), c0), EdgeState::Explicit);
+        assert_eq!(d.expl_out_bits(b0), 1 << 2);
+        assert!(d.matches_all(b0, 1 << 2) && !d.matches_all(a0, 1 << 1));
+        for a in [a0, a1] {
+            d.promote(Some(a), u(1), b0);
+            d.promote(None, u(0), a);
+        }
+        assert_eq!(d.expl_counts(), &[2, 2, 1]);
+        d.check_consistency(&g);
+        assert_eq!(d.snapshot(&g), reference_dcg(&g, &q, &tree));
+        assert!(d.other_explicit_child(&g, b0, u(2), v(3), None));
+        assert!(!d.other_explicit_child(&g, b0, u(2), c0, None), "c0 is b0's only one");
+        assert!(
+            !d.other_explicit_child(&g, b0, u(2), v(3), Some((c0, b0))),
+            "the uncounted image is no child"
+        );
+
+        // Deleting `a0 -> b0`: the climb demotes `a0`'s start edge (`b0` was
+        // its one explicit child), then `ClearDCG` removes the edge, while the
+        // graph still holds it.
+        d.demote(&g, None, u(0), a0, None);
+        assert!(!d.remove(&g, Some(a0), u(1), b0, None), "a1 is still a parent");
+        g.delete_edge(a0, LabelId(9), b0);
+        assert_eq!((d.expl_out_bits(a0), d.is_explicit(u(1), b0)), (0, true));
+        d.check_consistency(&g);
+        // Deleting `a1 -> b0`: the last parent out takes `b0` out of
+        // `reached[u1]`, and its kid bit with it; the cascade's removal
+        // under it reads no group of `b0`'s.
+        d.demote(&g, None, u(0), a1, None);
+        assert!(d.remove(&g, Some(a1), u(1), b0, None));
+        assert_eq!((d.is_reached(u(1), b0), d.expl_out_bits(b0)), (false, 0));
+        assert!(d.remove(&g, Some(b0), u(2), c0, None));
+        g.delete_edge(a1, LabelId(9), b0);
+        d.check_consistency(&g);
+        assert_eq!((d.stored_edge_count(), d.expl_counts()), (2, &[0, 0, 0][..]));
+        assert_eq!(d.take_dirty_expl(), 0b111);
         assert_eq!(d.take_dirty_expl(), 0);
     }
 
     /// The edges are the graph's: the frontier is a label group read under
-    /// the bits, and the snapshot of counts kept by hand equals the
-    /// reference — for a tree edge against its query edge too.
+    /// the bits, and the snapshot equals the reference — for a tree edge
+    /// against its query edge too.
     #[test]
     fn the_edges_are_derived_from_the_graph() {
         let (mut g, q, tree) = path();
@@ -819,12 +893,16 @@ mod tests {
         assert_eq!(d.state(&g, a0, u(1), b1), Some(EdgeState::Implicit));
         assert_eq!(d.state(&g, b1, u(2), c0), None, "no data edge");
         let mut parents = Vec::new();
-        d.collect(&g, b0, u(1), false, |p| d.is_reached(u(0), p), &mut parents);
+        d.stored_far_ends(&g, b0, u(1), false, None, &mut parents);
         assert_eq!(parents, [a0]);
+        parents.clear();
+        d.stored_far_ends(&g, b0, u(1), false, Some((a0, b0)), &mut parents);
+        assert!(parents.is_empty(), "the uncounted image is no parent");
     }
 
     /// A wildcard tree edge reads every label group: `collect` hands its
-    /// members back ascending and once, whatever the parallel edges.
+    /// members back ascending and once, whatever the parallel edges, and
+    /// `has_other` sees through the repeats.
     #[test]
     fn a_wildcard_group_is_collected_sorted_and_once() {
         let mut g = DynamicGraph::new();
@@ -841,11 +919,17 @@ mod tests {
         let mut buf = vec![v(99)];
         d.collect(&g, v(0), q1, true, |w| w != v(1), &mut buf);
         assert_eq!(buf, [v(99), v(2), v(4)]);
+        let mut set = Bits::default();
+        set.set(v(2));
+        assert!(!d.has_other(&g, v(0), q1, true, v(2), None, &set), "v2 twice is v2 once");
+        set.set(v(4));
+        assert!(d.has_other(&g, v(0), q1, true, v(2), None, &set));
     }
 
     #[test]
     fn resident_bytes_grow_and_are_cycle_stable() {
-        let (_, q, tree) = path();
+        let (mut g, q, tree) = path();
+        (5..80).for_each(|_| _ = g.add_vertex(LabelSet::empty()));
         let mut d = Dcg::new(&q, &tree);
         assert_eq!(d.resident_bytes(), 0, "an empty DCG reserves nothing");
         let cycle = |d: &mut Dcg| {
@@ -856,10 +940,10 @@ mod tests {
             }
             let grown = d.resident_bytes();
             for i in 1..40 {
-                d.remove(Some(v(i)), u(2), v(i + 40));
-                d.remove(Some(v(0)), u(1), v(i));
+                d.remove(&g, Some(v(i)), u(2), v(i + 40), None);
+                d.remove(&g, Some(v(0)), u(1), v(i), None);
             }
-            d.remove(None, u(0), v(0));
+            d.remove(&g, None, u(0), v(0), None);
             grown
         };
         let grown = cycle(&mut d);

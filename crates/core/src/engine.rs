@@ -272,16 +272,17 @@ impl TurboFlux {
         // Case 1/2 of Transition 1 — and of Transition 2 in the same write
         // when there is no subtree to wait for: `u` is childless, or `cv`'s
         // subtrees were matched under another parent.
-        let first = self.dcg.add(parent, u, cv);
+        let first = !self.dcg.is_reached(u, cv);
+        let state = self.dcg.add(parent, u, cv);
         if let Some(pv) = parent {
             scratch.note(u, data_pair(&self.tree, u, pv, cv), true);
         }
-        if first == EdgeState::Explicit {
+        if state == EdgeState::Explicit {
             return EdgeState::Explicit;
         }
         // Check-and-avoid: recurse only if this is the first incoming edge
         // of cv labeled u — otherwise the subtrees are already built.
-        if self.dcg.in_count_total(cv, u) == 1 {
+        if first {
             for ci in 0..self.tree.children(u).len() {
                 let uc = self.tree.children(u)[ci];
                 let start = collect_child_candidates(
@@ -307,7 +308,7 @@ impl TurboFlux {
         if !self.match_all_children(cv, u) {
             return EdgeState::Implicit;
         }
-        debug_assert_eq!(self.dcg.in_count_total(cv, u), 1, "(u, cv) matched behind a parent");
+        debug_assert!(first, "(u, cv) matched behind a parent");
         self.dcg.promote(parent, u, cv);
         EdgeState::Explicit
     }
@@ -323,18 +324,18 @@ impl TurboFlux {
         cv: VertexId,
         scratch: &mut SearchScratch,
     ) {
-        self.dcg.remove(parent, u, cv);
+        let last = self.dcg.remove(g, parent, u, cv, scratch.uncounted_image(u));
         if let Some(pv) = parent {
             scratch.note(u, data_pair(&self.tree, u, pv, cv), false);
         }
-        if self.dcg.in_count_total(cv, u) == 0 {
+        if last {
             for ci in 0..self.tree.children(u).len() {
                 let uc = self.tree.children(u)[ci];
                 // Snapshot the stored out-edges into the segmented stack:
                 // the recursion clears the bits they are read under.
                 let start = scratch.kids.len();
                 let image = scratch.uncounted_image(uc);
-                self.stored_far_ends(g, cv, uc, true, image, &mut scratch.kids);
+                self.dcg.stored_far_ends(g, cv, uc, true, image, &mut scratch.kids);
                 let end = scratch.kids.len();
                 let mut i = start;
                 while i < end {
@@ -345,38 +346,6 @@ impl TurboFlux {
                 scratch.kids.truncate(start);
             }
         }
-    }
-
-    /// Appends to `buf`, ascending, the far ends of the stored DCG edges at
-    /// `v` under the tree edge into `u`: its children `(v, u, ·)` with
-    /// `to_child`, else its parents `(·, u, v)`. They are `v`'s graph group
-    /// under the far side's `reached` bits ([`Dcg::collect`]), less `image`,
-    /// the updated edge's data pair while the counts do not hold it
-    /// ([`SearchScratch::uncounted_image`]).
-    pub(crate) fn stored_far_ends(
-        &self,
-        g: &DynamicGraph,
-        v: VertexId,
-        u: QVertexId,
-        to_child: bool,
-        image: Option<(VertexId, VertexId)>,
-        buf: &mut Vec<VertexId>,
-    ) {
-        let far = if to_child { u } else { self.tree.parent(u).expect("non-root") };
-        // The image's far end, if its near end is `v`.
-        let skip = image.and_then(|(src, dst)| {
-            let (near, far) =
-                if self.tree.child_is_target(u) == to_child { (src, dst) } else { (dst, src) };
-            (near == v).then_some(far)
-        });
-        self.dcg.collect(
-            g,
-            v,
-            u,
-            to_child,
-            |w| self.dcg.is_reached(far, w) && Some(w) != skip,
-            buf,
-        );
     }
 
     /// Reports all matches of the initial data graph (Algorithm 2, lines
@@ -412,8 +381,8 @@ impl TurboFlux {
     /// match as `sink(op index, positiveness, record)` (Algorithm 2, lines
     /// 12–20): one round of [`crate::round`] per op on a single engine —
     /// stage, evaluate, finalize — with the batch lookahead
-    /// ([`round::lookahead`]) pulling the graph runs and DCG buckets of the
-    /// ops a few rounds ahead into cache meanwhile. Batching changes when an
+    /// ([`round::lookahead`]) pulling the graph groups of the ops a few
+    /// rounds ahead into cache meanwhile. Batching changes when an
     /// op's memory is fetched, never what it emits. Standalone mode only —
     /// with [`TurboFlux::register`] the caller drives the `eval_*` methods
     /// directly.
@@ -462,8 +431,8 @@ impl TurboFlux {
         }
     }
 
-    /// Hints the DCG buckets and graph groups a coming evaluation of the
-    /// data edge `(src, label, dst)` over `g` will read: for every query edge
+    /// Hints the graph groups that a coming evaluation of the data edge
+    /// `(src, label, dst)` over `g` will read for its DCG: for every query edge
     /// the label can match, what mapping `src` onto its source and `dst` onto
     /// its target reads ([`Dcg::prefetch`]). The DCG half of the batch
     /// lookahead, for a caller that drives the `eval_*` methods itself and

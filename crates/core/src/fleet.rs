@@ -90,9 +90,10 @@ struct Shared {
 impl Rounds for Shared {
     type Cell = TurboFlux;
 
-    /// The shared graph only: hinting the routed engines' DCG buckets as
-    /// well read ×0.99 of no lookahead at all on `lsbench_fleet8`, this ×1.03
-    /// — most ops reach no engine, or one whose probe ends at a cached bucket.
+    /// The shared graph only: hinting the routed engines' DCG count buckets
+    /// as well read ×0.99 of no lookahead at all on `lsbench_fleet8` when the
+    /// DCG had them, this ×1.03 — most ops reach no engine, or one whose probe
+    /// ended at a cached bucket.
     fn hint(&self, src: VertexId, label: LabelId, dst: VertexId, stage: u8) {
         self.graph.prefetch_edge(src, label, dst, stage);
     }

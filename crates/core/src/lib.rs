@@ -35,7 +35,6 @@
 mod bulk;
 pub mod config;
 pub mod dcg;
-mod dcg_store;
 pub mod engine;
 pub mod fleet;
 mod ops;

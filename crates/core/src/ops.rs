@@ -17,9 +17,9 @@
 //! The DCG's edges are derived from the graph ([`crate::dcg`]), which holds
 //! the updated edge from stage to finalize — before the plan's invocations
 //! have built its images, and after they have cleared them. Whether the
-//! counts hold an image is recorded per operation in
-//! `SearchScratch::uncounted`, and every walk over stored edges skips the
-//! images they do not hold; the search needs no such test, because the
+//! bits account for an image is recorded per operation in
+//! `SearchScratch::uncounted`, and every walk and scan over stored edges
+//! skips the images they do not; the search needs no such test, because the
 //! order rule (`violates_order`) already rejects the updated edge under any
 //! tree edge the trigger does not outrank.
 
@@ -150,14 +150,14 @@ impl TurboFlux {
         let up = self.tree.parent(uc).expect("tree edge child has a parent");
         // Case 2 of Transition 0: no path from a start vertex to pv — or an
         // earlier invocation of this same deletion cascade-cleared it.
-        if self.dcg.in_count_total(pv, up) == 0 {
+        if !self.dcg.is_reached(up, pv) {
             return;
         }
         // An earlier tree-edge invocation of this same update may have
         // already built (cleared) this DCG edge: the updated edge can match
         // several tree edges whose builds (clears) overlap. The graph shows
         // the edge either way; the per-operation record says whether the
-        // counts hold it.
+        // bits account for it.
         let state = if scratch.uncounted >> uc.0 & 1 == 0 {
             EdgeState::of(self.dcg.is_explicit(uc, cv))
         } else if positive {
@@ -195,8 +195,8 @@ impl TurboFlux {
         sink: &mut dyn FnMut(Positiveness, &MatchRecord),
     ) {
         let qe = *self.q.edge(e);
-        if self.dcg.in_count_total(src, qe.src) == 0
-            || self.dcg.in_count_total(dst, qe.dst) == 0
+        if !self.dcg.is_reached(qe.src, src)
+            || !self.dcg.is_reached(qe.dst, dst)
             || !self.match_all_children(src, qe.src)
             || !self.match_all_children(dst, qe.dst)
         {
@@ -248,7 +248,10 @@ impl TurboFlux {
             debug_assert!(via.is_none());
             return;
         }
-        let flips = via.is_some_and(|uc| self.dcg.out_expl_count(v, uc) == 1);
+        let flips = via.is_some_and(|uc| {
+            let cv = scratch.m[uc.index()].expect("the climbed edge's child is bound");
+            !self.dcg.other_explicit_child(g, v, uc, cv, scratch.uncounted_image(uc))
+        });
         // An earlier invocation of the same insertion may have built `v`'s
         // subtree whole, its edges explicit already: nothing to promote.
         let (promote, demote) = match ctx.p {
@@ -266,7 +269,7 @@ impl TurboFlux {
                 scratch.trust(u);
                 self.subgraph_search(g, 0, ctx, scratch, sink);
                 if demote {
-                    self.dcg.demote(None, u, v);
+                    self.dcg.demote(g, None, u, v, None);
                 }
             }
         } else {
@@ -279,7 +282,7 @@ impl TurboFlux {
             debug_assert!(promote || self.dcg.is_explicit(u, v), "a stale state into (u, v)");
             let start = scratch.climb.len();
             let image = scratch.uncounted_image(u);
-            self.stored_far_ends(g, v, u, false, image, &mut scratch.climb);
+            self.dcg.stored_far_ends(g, v, u, false, image, &mut scratch.climb);
             let end = scratch.climb.len();
             // So every recursion below climbs an explicit edge into `v`, and
             // it stays explicit while the searches under it run.
@@ -293,7 +296,7 @@ impl TurboFlux {
                     self.climb(g, up, vp, flips.then_some(u), ctx, scratch, sink);
                 }
                 if demote {
-                    self.dcg.demote(Some(vp), u, v);
+                    self.dcg.demote(g, Some(vp), u, v, image);
                 }
             }
             scratch.climb.truncate(start);

@@ -4,7 +4,7 @@
 //! partial embedding, a match record to report through, candidate snapshots
 //! for the recursive `BuildDCG` / `ClearDCG` walks, in-edge snapshots for
 //! the upward climb, the plan of query edges matching the updated data edge,
-//! and which of that edge's images the DCG's counts hold. Allocating them
+//! and which of that edge's images the DCG's bits account for. Allocating them
 //! per update dominated the cost of small updates, so they live in one
 //! [`SearchScratch`] owned by the engine and threaded through `search.rs`
 //! and `ops.rs`.
@@ -56,8 +56,8 @@ pub(crate) struct SearchScratch {
     /// matches it, and no parallel edge backs the same pair. The DCG derives
     /// such an edge from the graph from stage to finalize.
     pub(crate) image_under: u64,
-    /// Bit `u`: the image under the tree edge into `u` is not in the DCG's
-    /// counts — not built yet on an insertion, cleared already on a
+    /// Bit `u`: the DCG's bits do not account for the image under the tree
+    /// edge into `u` — not built yet on an insertion, cleared already on a
     /// deletion — though the graph shows it.
     pub(crate) uncounted: u64,
     /// The query edges matching the current updated data edge, in invocation
@@ -150,15 +150,15 @@ impl SearchScratch {
     }
 
     /// The updated edge's data pair, if as the image of the tree edge into
-    /// `u` it is not in the DCG's counts: a derived edge the walks over
-    /// stored edges must skip.
+    /// `u` the DCG's bits do not account for it: a derived edge the walks and
+    /// scans over stored edges must skip.
     #[inline]
     pub(crate) fn uncounted_image(&self, u: QVertexId) -> Option<(VertexId, VertexId)> {
         (self.uncounted >> u.0 & 1 == 1).then_some(self.image)
     }
 
-    /// Records that the DCG edge of `u` over the data pair `pair` entered
-    /// (`counted`) or left the counts, should it be an image of the update.
+    /// Records that the DCG edge of `u` over the data pair `pair` was built
+    /// (`counted`) or cleared, should it be an image of the update.
     #[inline]
     pub(crate) fn note(&mut self, u: QVertexId, pair: (VertexId, VertexId), counted: bool) {
         if self.image_under >> u.0 & 1 == 1 && pair == self.image {

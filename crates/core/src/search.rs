@@ -154,7 +154,7 @@ impl TurboFlux {
     /// Validates the tree edge binding `u → v` (given `m(P(u)) = vp`):
     /// explicit DCG state — probed unless the climb already `proved` it —
     /// plus the duplicate-prevention order rule. Should the probed edge be
-    /// the update's image while the counts do not hold it, the order rule
+    /// the update's image while the bits do not account for it, the order rule
     /// rejects it.
     fn tree_binding_ok(
         &self,

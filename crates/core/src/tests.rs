@@ -19,12 +19,11 @@ fn v(i: u32) -> VertexId {
     VertexId(i)
 }
 
-/// A tiny deterministic xorshift generator for the crate's randomized tests
-/// (`dcg` and `dcg_store` import it too).
-pub(crate) struct Rng(u64);
+/// A tiny deterministic xorshift generator for the randomized tests below.
+struct Rng(u64);
 
 impl Rng {
-    pub(crate) fn new(seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         Rng(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1)
     }
 
@@ -37,7 +36,7 @@ impl Rng {
         x
     }
 
-    pub(crate) fn below(&mut self, n: usize) -> usize {
+    fn below(&mut self, n: usize) -> usize {
         (self.next() % n as u64) as usize
     }
 }
@@ -572,27 +571,28 @@ fn new_vertex_becomes_start_candidate() {
     assert_dcg_matches_reference(&engine);
 }
 
+/// The intermediate results are three bitsets per query vertex over the
+/// data vertices — `reached`, `expl` and, below the root, `kids` — each as
+/// long as its highest member needs: never more than a bit per vertex, and
+/// a fixpoint of a warm insert / delete cycle, matches and all.
 #[test]
-fn intermediate_bytes_grow_and_shrink() {
+fn intermediate_bytes_are_bits_over_the_vertices() {
     let (g, q) = fig4();
+    let words = g.vertex_count().div_ceil(64);
     let mut engine = TurboFlux::new(q, g, TurboFluxConfig::default());
-    let b0 = engine.intermediate_result_bytes();
-    assert!(b0 > 0);
+    let bound = (3 * engine.query().vertex_count() - 1) * words * 8;
+    assert!((1..=bound).contains(&engine.intermediate_result_bytes()));
     let ins = UpdateOp::InsertEdge { src: v(0), label: l(9), dst: v(1) };
     let del = UpdateOp::DeleteEdge { src: v(0), label: l(9), dst: v(1) };
     engine.apply(&ins, &mut |_, _| {});
-    let grown = engine.intermediate_result_bytes();
-    assert!(grown > b0, "insertion must grow the intermediate results");
     engine.apply(&del, &mut |_, _| {});
     let warm = engine.intermediate_result_bytes();
-    // `resident_bytes` is capacity-accounted (reserved memory), so the
-    // fixpoint of a self-inverting cycle is the warmed state, not the
-    // freshly built engine: replaying the cycle must restore both the
-    // peak and the trough exactly (anything else is a storage leak).
-    engine.apply(&ins, &mut |_, _| {});
-    assert_eq!(engine.intermediate_result_bytes(), grown, "warm cycle peak is stable");
-    engine.apply(&del, &mut |_, _| {});
-    assert_eq!(engine.intermediate_result_bytes(), warm, "warm cycle trough is stable");
+    assert!(warm <= bound);
+    for op in [&ins, &del, &ins, &del] {
+        let mut n = 0;
+        engine.apply(op, &mut |_, _| n += 1);
+        assert_eq!((n, engine.intermediate_result_bytes()), (2, warm), "{op:?}");
+    }
 }
 
 #[test]
@@ -1111,10 +1111,10 @@ fn mixed_state_case() -> (DynamicGraph, [QueryGraph; 2], Vec<UpdateOp>) {
 /// in the order the engine emits them, with the DCG equal to the declarative
 /// reference after every op.
 ///
-/// Seeded mutations, run by hand (CHANGES.md, PR 23). `flip` in
-/// `dcg_store.rs` rotating the wrong way fails here on the first restated
+/// Seeded mutations, run by hand (CHANGES.md). `flip` in the run
+/// store of the time rotating the wrong way failed here on the first restated
 /// edge of a wide run (`check_consistency`: "partition unsorted"), as it
-/// fails ten other tests of this crate. The `ft = true` climb reading
+/// failed ten other tests of this crate. The `ft = true` climb reading
 /// `explicit ++ implicit` instead of the by-id merge *passes* here and
 /// everywhere an engine drives the DCG: every stored edge into one `(u, v)`
 /// has the same state whenever a climb snapshots its in-run — the state says
@@ -1220,12 +1220,12 @@ fn assert_insert_delete_orders(
 /// `c`, which the standing `d -l-> c` keeps reached under `u1`: deleting
 /// it clears `(c, u1, c)` first, and the second invocation then climbs from
 /// `(u1, c)`, whose parents in the graph still include `c` itself — an edge
-/// the counts no longer hold, whose demotion they must not see. The 2-cycle
+/// the bits no longer account for, whose demotion they must not see. The 2-cycle
 /// `a ⇄ b` and `b -l-> c` put each edge under the other's climbs. Each of
 /// three seeded mutations, run by hand, fails here: the walks over stored
 /// edges keeping the uncounted image (`stored_far_ends` ignoring `image`),
-/// `tree_invocation` reading "already built" from the counts alone
-/// (`in_count_total(cv, uc) > 0`), and `build_dcg` not recording a built
+/// `tree_invocation` reading "already built" from the bits alone
+/// (`is_reached(uc, cv)`), and `build_dcg` not recording a built
 /// image (`note` skipped). Each also fails the randomized oracles above;
 /// this test pins the shapes down by name.
 #[test]
@@ -1265,4 +1265,153 @@ fn a_wildcard_tree_edge_over_a_pair_joined_by_two_labels() {
     g0.insert_edge(b, l(9), c);
     let edges = [(a.0, 7, b.0), (a.0, 8, b.0), (b.0, 7, b.0), (a.0, 9, b.0)];
     assert!(assert_insert_delete_orders(&g0, &q, &edges) >= 16);
+}
+
+// ---------------------------------------------------------------------------
+// Derived "last parent" / "last explicit child": a group read under the bits.
+// ---------------------------------------------------------------------------
+
+/// `q`'s tree must be rooted at `u0`, with `parents[i]` the tree parent of
+/// `u{i + 1}`.
+fn assert_path_tree(g0: &DynamicGraph, q: &QueryGraph, parents: &[u32]) {
+    let tree = TurboFlux::new(q.clone(), g0.clone(), TurboFluxConfig::default()).tree;
+    assert_eq!(tree.root(), tfx_query::QVertexId(0));
+    for (i, &p) in parents.iter().enumerate() {
+        let u = tfx_query::QVertexId(i as u32 + 1);
+        assert_eq!(tree.parent(u), Some(tfx_query::QVertexId(p)), "parent of {u:?}");
+    }
+}
+
+/// The path `u0:A -l-> u1 -l-> u2 -m-> u3:D` (`u1`, `u2` unlabeled). `pa:A`
+/// has a self-loop, so it is reached under `u1` and `u2` but explicit under
+/// neither; `ca` is explicit under `u1` through `a2 -l-> ca`. Inserting
+/// `pa -l-> ca` makes `ca` `pa`'s only explicit child under `u1` (the climb
+/// flips `pa`'s start edge) and builds `(pa, u2, ca)`, whose climb promotes
+/// `(pa, u1, pa)`. Deleting it clears `(pa, u1, ca)` first, and the second
+/// invocation climbs back over `(pa, u1, pa)` while the graph still shows
+/// `pa -l-> ca` and `ca` is still explicit: the "does `pa` flip" scan and the
+/// demotion's "does `pa` keep its kid bit" scan must both skip that image,
+/// or `pa`'s start edge stays explicit and its kid bit set. Each of the two
+/// skips dropped, run by hand, fails here.
+#[test]
+fn an_image_that_is_its_parents_only_explicit_child_and_its_deletion() {
+    let (l9, m) = (9, 8);
+    let mut g0 = DynamicGraph::new();
+    let [pa, a2] = [0; 2].map(|_| g0.add_vertex(LabelSet::single(l(0))));
+    let [ca, y] = [0; 2].map(|_| g0.add_vertex(LabelSet::single(l(1))));
+    let [z, z2] = [0; 2].map(|_| g0.add_vertex(LabelSet::single(l(3))));
+    for (s, lb, d) in [(pa, l9, pa), (a2, l9, ca), (ca, l9, y), (y, m, z2), (ca, m, z)] {
+        g0.insert_edge(s, l(lb), d);
+    }
+    // `D`s no `A` reaches keep `u3` the unselective end.
+    for _ in 0..3 {
+        let b = g0.add_vertex(LabelSet::single(l(1)));
+        let d = g0.add_vertex(LabelSet::single(l(3)));
+        g0.insert_edge(b, l(m), d);
+    }
+    let mut q = QueryGraph::new();
+    let us = [LabelSet::single(l(0)), LabelSet::empty(), LabelSet::empty(), LabelSet::single(l(3))]
+        .map(|ls| q.add_vertex(ls));
+    q.add_edge(us[0], us[1], Some(l(l9)));
+    q.add_edge(us[1], us[2], Some(l(l9)));
+    q.add_edge(us[2], us[3], Some(l(m)));
+    assert_path_tree(&g0, &q, &[0, 1, 2]);
+
+    let mut engine = TurboFlux::new(q.clone(), g0.clone(), TurboFluxConfig::default());
+    let toggle = [
+        UpdateOp::InsertEdge { src: pa, label: l(l9), dst: ca },
+        UpdateOp::DeleteEdge { src: pa, label: l(l9), dst: ca },
+    ];
+    for (op, explicit) in toggle.iter().zip([true, false]) {
+        engine.apply(op, &mut |_, _| {});
+        assert_dcg_matches_reference(&engine);
+        assert_eq!(engine.dcg().root_state(pa), Some(EdgeState::of(explicit)), "{op:?}");
+        let kids = if explicit { 0b110 } else { 0 };
+        assert_eq!(engine.dcg().expl_out_bits(pa), kids, "{op:?}");
+        assert!(engine.dcg().is_explicit(us[1], ca), "{op:?}: through a2");
+    }
+    assert!(assert_insert_delete_orders(&g0, &q, &[(pa.0, l9, ca.0)]) >= 24);
+}
+
+/// `u0:A -x-> u1:B -y-> u2:C -z-> u3:D` over `a -x-> b1 -y-> c` and
+/// `a2 -x-> b2 -y-> c -z-> d`. Deleting `a -x-> b1` takes `b1` out of
+/// `reached[u1]`, and `ClearDCG` cascades into `(b1, u2, c)`: `c` keeps its
+/// other parent `b2`, stays reached and explicit, and `b1` — no longer
+/// reached, its explicit child still explicit — ends with its kid bit clear,
+/// cleared when it left `reached` rather than by a scan of its group.
+#[test]
+fn a_cascade_leaves_an_unreached_parent_without_kids_and_its_child_explicit() {
+    let (x, y, z) = (10, 11, 12);
+    let mut g0 = DynamicGraph::new();
+    let [a, a2] = [0; 2].map(|_| g0.add_vertex(LabelSet::single(l(0))));
+    let [b1, b2] = [0; 2].map(|_| g0.add_vertex(LabelSet::single(l(1))));
+    let c = g0.add_vertex(LabelSet::single(l(2)));
+    let d = g0.add_vertex(LabelSet::single(l(3)));
+    for (s, lb, t) in [(a2, x, b2), (b1, y, c), (b2, y, c), (c, z, d)] {
+        g0.insert_edge(s, l(lb), t);
+    }
+    // `B -y-> C -z-> D` chains no `A` reaches keep the `A`s the start.
+    for _ in 0..3 {
+        let [b, c, d] = [1, 2, 3].map(|i| g0.add_vertex(LabelSet::single(l(i))));
+        g0.insert_edge(b, l(y), c);
+        g0.insert_edge(c, l(z), d);
+    }
+    let mut q = QueryGraph::new();
+    let us: Vec<_> = (0..4).map(|i| q.add_vertex(LabelSet::single(l(i)))).collect();
+    for (i, lb) in [x, y, z].into_iter().enumerate() {
+        q.add_edge(us[i], us[i + 1], Some(l(lb)));
+    }
+    assert_path_tree(&g0, &q, &[0, 1, 2]);
+
+    let mut engine = TurboFlux::new(q.clone(), g0.clone(), TurboFluxConfig::default());
+    engine.apply(&UpdateOp::InsertEdge { src: a, label: l(x), dst: b1 }, &mut |_, _| {});
+    assert_eq!(engine.dcg().expl_out_bits(b1), 1 << 2);
+    engine.apply(&UpdateOp::DeleteEdge { src: a, label: l(x), dst: b1 }, &mut |_, _| {});
+    assert_dcg_matches_reference(&engine);
+    assert!(!engine.dcg().is_reached(us[1], b1));
+    assert_eq!(engine.dcg().expl_out_bits(b1), 0, "the unreached parent has no kid bit");
+    assert!(engine.dcg().is_explicit(us[2], c), "c stays explicit through b2");
+    assert!(assert_insert_delete_orders(&g0, &q, &[(a.0, x, b1.0)]) >= 16);
+}
+
+/// A wildcard tree edge `u0:A -*-> u1:B` over `a`, joined to `b` by two
+/// labels and to `b2` by one, under `u1 -l-> u2:C`. Whether `a` flips when
+/// `b`'s or `b2`'s subtree is matched or unmatched is a question about its
+/// distinct neighbours: `b` met twice in `a`'s groups is one explicit child,
+/// and `b` and `b2` are two. A flip test that counted group members up to
+/// two, without the dedup, would see two explicit children where there is
+/// one and leave `a`'s start edge implicit.
+#[test]
+fn flips_under_a_wildcard_count_distinct_neighbours() {
+    let mut g0 = DynamicGraph::new();
+    let a = g0.add_vertex(LabelSet::single(l(0)));
+    let [b, b2] = [0; 2].map(|_| g0.add_vertex(LabelSet::single(l(1))));
+    let c = g0.add_vertex(LabelSet::single(l(2)));
+    for (lb, t) in [(7, b), (8, b), (7, b2)] {
+        g0.insert_edge(a, l(lb), t);
+    }
+    for _ in 0..3 {
+        let b = g0.add_vertex(LabelSet::single(l(1)));
+        let c = g0.add_vertex(LabelSet::single(l(2)));
+        g0.insert_edge(b, l(9), c);
+    }
+    let mut q = QueryGraph::new();
+    let us: Vec<_> = (0..3).map(|i| q.add_vertex(LabelSet::single(l(i)))).collect();
+    q.add_edge(us[0], us[1], None);
+    q.add_edge(us[1], us[2], Some(l(9)));
+    assert_path_tree(&g0, &q, &[0, 1]);
+
+    let mut engine = TurboFlux::new(q.clone(), g0.clone(), TurboFluxConfig::default());
+    let mut apply = |op: UpdateOp| {
+        engine.apply(&op, &mut |_, _| {});
+        assert_dcg_matches_reference(&engine);
+        engine.dcg().root_state(a)
+    };
+    let (imp, exp) = (Some(EdgeState::Implicit), Some(EdgeState::Explicit));
+    assert_eq!(apply(UpdateOp::InsertEdge { src: b, label: l(9), dst: c }), exp, "b once");
+    assert_eq!(apply(UpdateOp::InsertEdge { src: b2, label: l(9), dst: c }), exp);
+    assert_eq!(apply(UpdateOp::DeleteEdge { src: b, label: l(9), dst: c }), exp, "b2 is left");
+    assert_eq!(apply(UpdateOp::DeleteEdge { src: b2, label: l(9), dst: c }), imp);
+    let edges = [(b.0, 9, c.0), (b2.0, 9, c.0)];
+    assert!(assert_insert_delete_orders(&g0, &q, &edges) >= 32);
 }

@@ -171,6 +171,14 @@ impl SlidingWindow {
                     return;
                 }
                 let key = (src, label, dst);
+                if let WindowSpec::Count { capacity } = self.spec {
+                    // A full window holds one entry more for a moment — the
+                    // insert goes in before the oldest goes out — which is
+                    // one slot, not the doubling `push_back` would reserve.
+                    if self.entries.len() == capacity && self.entries.capacity() == capacity {
+                        self.entries.reserve_exact(1);
+                    }
+                }
                 self.entries.push_back(Entry { ts: ev.ts, key });
                 *self.live.entry(key).or_insert(0) += 1;
                 self.live_total += 1;
@@ -326,6 +334,47 @@ mod tests {
         }
         assert_eq!(w.live_len(), 2);
         assert_eq!(w.expired_count(), 1);
+    }
+
+    /// A count window of a power-of-two capacity `C` holds `C + 1` entries
+    /// for a moment on every push once full; its deque grows by that one
+    /// slot, not to `2C`. Duplicates and cancellations behave as before: a
+    /// cancelled entry is passed over silently and a duplicate's delete
+    /// waits for its last instance.
+    #[test]
+    fn a_full_power_of_two_count_window_grows_by_one_slot() {
+        const C: u32 = 16;
+        let deletes = |out: &[UpdateOp]| -> Vec<u32> {
+            out.iter()
+                .filter_map(|op| match *op {
+                    UpdateOp::DeleteEdge { src, .. } => Some(src.0),
+                    _ => None,
+                })
+                .collect()
+        };
+        let mut w = SlidingWindow::new(WindowSpec::Count { capacity: C as usize });
+        let mut out = Vec::new();
+        for i in 0..3 * C {
+            w.push(&ins(i.into(), i, i + 1), &mut out);
+        }
+        assert!(w.entries.capacity() <= C as usize + 1, "{} slots", w.entries.capacity());
+        assert_eq!(deletes(&out), (0..2 * C).collect::<Vec<_>>());
+        assert_eq!(w.live_len(), C as usize);
+
+        // The window holds `2C..3C`: cancel the oldest, duplicate the newest.
+        out.clear();
+        let (oldest, newest) = (2 * C, 3 * C - 1);
+        w.push(&del(3 * C as u64, oldest, oldest + 1), &mut out);
+        w.push(&ins(3 * C as u64, newest, newest + 1), &mut out);
+        assert_eq!(out, vec![del_op(oldest, oldest + 1), ins_op(newest, newest + 1)]);
+        // `C` fresh inserts push out every entry: the cancelled one without a
+        // delete, the duplicate's first instance too, its second with one.
+        out.clear();
+        for i in 0..C {
+            w.push(&ins((4 * C + i).into(), 4 * C + i, 0), &mut out);
+        }
+        assert_eq!(deletes(&out), (oldest + 1..=newest).collect::<Vec<_>>());
+        assert_eq!(w.live_len(), C as usize);
     }
 
     #[test]

@@ -30,14 +30,27 @@ if grep -rnw "unsafe" crates/core/src crates/stream/src src; then
 fi
 
 echo "=== the DCG stores no runs ==="
-# The DCG is the data graph plus bits and counts per (u, v) (DESIGN.md, "DCG
-# storage layout"): a frontier is a label group under a bitset, a climb's
+# The DCG is the data graph plus bits per (u, v) (DESIGN.md, "DCG storage
+# layout"): a frontier is a label group under a bitset, a climb's
 # parents a reverse label group under another. Stored runs held 8.39 of
 # netflow_enum's 13.6 MB peak heap. A run store comes back by deleting this
 # check and saying which e2e workload it wins, on events_per_s, without
 # giving back the peak_heap_mb it cost.
 if grep -rnwE "RunIndex|RunRef|lay_out_run|lay_in_run" crates/core/src; then
   echo "ci: a stored DCG run is back in the engine" >&2
+  exit 1
+fi
+
+echo "=== the DCG counts nothing per vertex ==="
+# The DCG is three bitsets per query vertex (DESIGN.md, "DCG storage layout"):
+# "last parent" and "last explicit child" are a scan of a group the engine
+# reads anyway, with early exit (1.1-1.3 members a check). The sparse count
+# tables were 3.01 of lsbench_fleet8's 13.80 MB peak heap. A count table
+# comes back by deleting this check and saying which e2e workload it wins, on
+# events_per_s or a latency beyond the bound, without giving back the
+# peak_heap_mb it costs.
+if grep -rnwE "OpenMap|dcg_store|expl_kids|count_in|reserve_in" crates/core/src; then
+  echo "ci: a per-vertex DCG count table is back in the engine" >&2
   exit 1
 fi
 

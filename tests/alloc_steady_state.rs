@@ -104,9 +104,8 @@ fn main() {
 
     // One cycle: close the triangle edge (positive matches), add another
     // tree-matching edge, then fan v0's u1 group to six edges, to vertices
-    // registration never reached (their counts enter the DCG's tables and
-    // leave again — reuse must come from the tables' own slots, not the
-    // allocator), toggle
+    // registration never reached (they enter the DCG's bits and leave again —
+    // the bits must already cover them, not grow), toggle
     // a tree edge into the hub v1 so u2 is enumerated over the wide frontier
     // (intersection prefilter), then delete everything (negative matches).
     let cycle = [
@@ -155,12 +154,12 @@ fn main() {
     // Warm-up: reach every code path's high-water scratch capacity.
     run_cycles(&mut engine, 8, &mut matches);
     assert!(matches > 0, "warm-up must produce matches, or the test is vacuous");
-    // The cycle's inserts put vertices the DCG never reached into its count
-    // tables; its deletes take them out again.
+    // The cycle's inserts put vertices the DCG never reached into its
+    // bits; its deletes take them out again.
     let reached = |engine: &TurboFlux| engine.dcg().storage_stats().reached.iter().sum::<usize>();
     let warm = reached(&engine);
     engine.apply_batch(&cycle[..7], &mut |_, _, _| matches += 1);
-    assert!(reached(&engine) > warm, "the cycle must add counts, or table reuse goes untested");
+    assert!(reached(&engine) > warm, "the cycle must reach vertices, or bit reuse goes untested");
     engine.apply_batch(&cycle[7..], &mut |_, _, _| matches += 1);
     assert_eq!(reached(&engine), warm);
 
@@ -187,6 +186,63 @@ fn main() {
 
     project_peaks_at_the_graph_and_one_pair_per_slot();
     println!("test project_peaks_at_the_graph_and_one_pair_per_slot ... ok");
+
+    dcg_memory_is_bits_only();
+    println!("test dcg_memory_is_bits_only ... ok");
+}
+
+/// The DCG is three bitsets per query vertex and nothing else: after a
+/// netflow stream and the deletion of a third of its edges, its reservation
+/// is at most twice three bits per query vertex per data vertex, however
+/// many edges it stores, and a warm batch that re-inserts and deletes the
+/// churned edges again reserves nothing, in the DCG or anywhere.
+fn dcg_memory_is_bits_only() {
+    use turboflux::datagen::netflow::{generate, NetflowConfig};
+    let d = generate(&NetflowConfig { hosts: 500, flows: 8_000, seed: 2018, stream_frac: 0.5 });
+    let [tcp, udp] = ["tcp", "udp"].map(|name| d.interner.get(name).expect("netflow names it"));
+    let mut q = QueryGraph::new();
+    let us = [0; 3].map(|_| q.add_vertex(LabelSet::empty()));
+    q.add_edge(us[0], us[1], Some(tcp));
+    q.add_edge(us[1], us[2], Some(udp));
+    let mut engine = TurboFlux::new(q, d.g0.clone(), TurboFluxConfig::default());
+    let mut deltas = 0usize;
+    engine.apply_batch(d.stream.ops(), &mut |_, _, _| deltas += 1);
+    let churn: Vec<UpdateOp> = d
+        .stream
+        .ops()
+        .iter()
+        .step_by(3)
+        .filter_map(|op| match *op {
+            UpdateOp::InsertEdge { src, label, dst } => {
+                Some(UpdateOp::DeleteEdge { src, label, dst })
+            }
+            _ => None,
+        })
+        .collect();
+    engine.apply_batch(&churn, &mut |_, _, _| deltas += 1);
+
+    let (n, nq) = (engine.graph().vertex_count(), engine.query().vertex_count());
+    let stored = engine.dcg().stored_edge_count();
+    let bytes = engine.dcg().resident_bytes();
+    let bound = 2 * 3 * nq * n.div_ceil(64) * 8;
+    assert!(deltas > 0 && stored > n as u64, "{deltas} deltas, {stored} stored edges");
+    assert!(bytes <= bound, "{bytes} B of DCG for {stored} stored edges, over {bound} B of bits");
+
+    let reinsert = churn.iter().map(|op| match *op {
+        UpdateOp::DeleteEdge { src, label, dst } => UpdateOp::InsertEdge { src, label, dst },
+        _ => unreachable!("the churn deletes"),
+    });
+    let batch: Vec<UpdateOp> = reinsert.chain(churn.iter().cloned()).collect();
+    for _ in 0..2 {
+        engine.apply_batch(&batch, &mut |_, _, _| deltas += 1);
+    }
+    ARMED.store(true, Ordering::SeqCst);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    engine.apply_batch(&batch, &mut |_, _, _| deltas += 1);
+    let during = ALLOCS.load(Ordering::SeqCst) - before;
+    ARMED.store(false, Ordering::SeqCst);
+    assert_eq!(during, 0, "a warm batch of {} ops allocated {during} times", batch.len());
+    assert_eq!(engine.dcg().resident_bytes(), bytes);
 }
 
 /// Ops on a label the query never names stay out of a standalone engine's

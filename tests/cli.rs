@@ -39,8 +39,8 @@ fn cli_streams_matches_end_to_end() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("0 initial matches"), "stderr: {stderr}");
     assert!(stderr.contains("1 positive, 1 negative"), "stderr: {stderr}");
-    // How big and how explicit the DCG is, per query vertex; its bytes follow,
-    // grown at the end by the counts the stream added and took back out.
+    // How big and how explicit the DCG is, per query vertex; its bytes, the
+    // bitsets' reservation, follow.
     let shape =
         "DCG 2 edges (0 explicit, 2 implicit; reached/explicit per query vertex 1/0 0/0 1/0)";
     assert_eq!(stderr.matches(shape).count(), 2, "at registration and at the end: {stderr}");
