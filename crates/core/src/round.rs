@@ -81,7 +81,7 @@ pub(crate) fn stage(
     let from = VertexId(graph.vertex_count() as u32);
     match *op {
         UpdateOp::AddVertex { id, ref labels } => {
-            if graph.ensure_vertex(id, labels.clone()) {
+            if graph.ensure_vertex(id, labels) {
                 Round::Register { from }
             } else {
                 Round::Skip

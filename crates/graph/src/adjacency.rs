@@ -9,8 +9,11 @@
 //! here owns heap memory, so an edge op touches one handle and one or two
 //! slots per direction and nothing else.
 //!
-//! Two layouts, both enumerating in `(label, neighbor)` order:
+//! Three layouts, all enumerating in `(label, neighbor)` order:
 //!
+//! * **Inline** — exactly one entry, kept in the handle itself: the
+//!   neighbor in `off`, the label in `groups`. It owns no slot; it is a flat
+//!   run of one entry whose two halves are the handle's own two words.
 //! * **Flat** — one slot split in halves: the entries' labels, then their
 //!   neighbor ids, both in entry order. A label group is the sub-run of ids
 //!   under the equal labels, found by a branch-free counting pass over at
@@ -20,15 +23,16 @@
 //!   insert or delete shifts one label group, not the whole degree, which
 //!   keeps a hub's update cost flat in its fan-out.
 //!
-//! **One rule** picks the layout: a run is flat up to `FLAT_MAX` entries, a
-//! directory past it, and folds back to flat once it has shrunk to half of
-//! that, so churn at the boundary repacks nothing. Every label group of
-//! either layout is a contiguous `&[VertexId]` the intersection kernels
-//! read in place, and layout never changes enumeration order (pinned by
-//! the randomized tests below and `tests/adjacency_oracle.rs`) — which is
-//! what lets [`AdjacencyMode::FlatScan`] serve as a faithful reference
-//! path: same storage, same order, but every lookup walks the whole run
-//! and filters, like the pre-index code.
+//! **One rule** picks the layout: a run of one entry is inline, a longer one
+//! flat up to `FLAT_MAX` entries, a directory past it, and folds back to
+//! flat once it has shrunk to half of that, so churn at the boundary repacks
+//! nothing. Every label group of every layout is a contiguous `&[VertexId]`
+//! the intersection kernels read in place, and layout never changes
+//! enumeration order (pinned by the randomized tests below,
+//! `tests/adjacency_oracle.rs` and `crates/graph/tests/storage.rs`) — which
+//! is what lets [`AdjacencyMode::FlatScan`] serve as a faithful reference
+//! path: same storage, same order, but every lookup walks the whole run and
+//! filters, like the pre-index code.
 
 use crate::arena::{class_cap, class_for, SlotArena};
 use crate::ids::{LabelId, VertexId};
@@ -67,16 +71,20 @@ pub enum AdjacencyMode {
 }
 
 /// A single vertex's adjacency in one direction: a handle into the arena.
-/// An empty run (`len == 0`) owns no slot.
-#[derive(Clone, Copy, Default, Debug)]
+/// An empty run (`len == 0`) owns no slot, and neither does an inline one
+/// (`len == 1`), whose entry is the handle's `(groups, off)`.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct Adjacency {
-    off: u32,
+    /// The slot's offset; an inline run's neighbor.
+    off: Word,
     /// Total `(label, neighbor)` entries.
     len: u32,
-    /// Directory records; 0 for a flat run.
-    groups: u32,
+    /// Directory records, 0 for a flat run; an inline run's label.
+    groups: Word,
     class: u8,
 }
+
+const _: () = assert!(std::mem::size_of::<Adjacency>() == 16, "a handle is 16 bytes");
 
 /// `[lo, hi)` of `label`'s entries among the sorted `labels` of a flat run.
 /// No early exit: over at most [`FLAT_MAX`] words the counting loop
@@ -117,35 +125,68 @@ fn group_ids<'a>(data: &'a [Word], rec: &[Word]) -> &'a [VertexId] {
 }
 
 impl Adjacency {
+    /// The run with no entries.
+    pub(crate) const EMPTY: Adjacency =
+        Adjacency { off: Word(0), len: 0, groups: Word(0), class: 0 };
+
+    /// The one-entry run `(label, v)`, kept in the handle.
+    #[inline]
+    fn inline(label: LabelId, v: VertexId) -> Adjacency {
+        Adjacency { off: v, len: 1, groups: Word(label.0), class: 0 }
+    }
+
     /// Total number of `(label, neighbor)` entries.
     #[inline]
     pub(crate) fn len(&self) -> usize {
         self.len as usize
     }
 
+    /// True while the run's one entry is kept in the handle.
+    #[inline]
+    pub(crate) fn is_inline(&self) -> bool {
+        self.len == 1
+    }
+
     /// True while the run is a label directory of id runs.
     #[inline]
     pub(crate) fn is_directory(&self) -> bool {
-        self.groups > 0
+        self.len > 1 && self.groups.0 > 0
     }
 
     /// Entries a flat run's slot holds (half its words); 0 without a slot.
     #[inline]
     fn flat_cap(&self) -> usize {
-        usize::from(self.len > 0) * class_cap(self.class) as usize / 2
+        usize::from(self.len > 1) * class_cap(self.class) as usize / 2
     }
 
-    /// A flat run's `(labels, ids)` halves.
+    /// A flat run's `(labels, ids)` halves; an inline run's are its handle's
+    /// two words.
     #[inline]
-    fn flat<'a>(&self, a: &'a Arena) -> (&'a [Word], &'a [VertexId]) {
-        let (off, n, cap) = (self.off as usize, self.len(), self.flat_cap());
+    fn flat<'a>(&'a self, a: &'a Arena) -> (&'a [Word], &'a [VertexId]) {
+        if self.is_inline() {
+            return (std::slice::from_ref(&self.groups), std::slice::from_ref(&self.off));
+        }
+        let (off, n, cap) = (self.off.index(), self.len(), self.flat_cap());
         (&a.data()[off..off + n], &a.data()[off + cap..off + cap + n])
     }
 
     /// A directory's records.
     #[inline]
     fn dir<'a>(&self, a: &'a Arena) -> &'a [Word] {
-        a.run(self.off, self.groups * REC as u32)
+        a.run(self.off.0, self.groups.0 * REC as u32)
+    }
+
+    /// The arena words [`Self::build`] carves for `entries`.
+    pub(crate) fn words(entries: &[(LabelId, VertexId)]) -> usize {
+        match entries.len() {
+            0 | 1 => 0,
+            n if n <= FLAT_MAX => class_cap(class_for(2 * n)) as usize,
+            _ => {
+                let groups = entries.chunk_by(|x, y| x.0 == y.0);
+                let ids = groups.clone().map(|run| class_cap(class_for(run.len())) as usize);
+                ids.sum::<usize>() + class_cap(class_for(REC * groups.count())) as usize
+            }
+        }
     }
 
     /// Lays the sorted, duplicate-free `entries` out as a fresh run.
@@ -158,8 +199,10 @@ impl Adjacency {
     }
 
     fn build_flat(a: &mut Arena, entries: &[(LabelId, VertexId)]) -> Adjacency {
-        if entries.is_empty() {
-            return Adjacency::default();
+        match *entries {
+            [] => return Adjacency::EMPTY,
+            [(label, v)] => return Self::inline(label, v),
+            _ => {}
         }
         let class = class_for(2 * entries.len());
         let off = a.alloc(class);
@@ -168,7 +211,7 @@ impl Adjacency {
             a.data_mut()[base + i] = Word(label.0);
             a.data_mut()[base + cap + i] = v;
         }
-        Adjacency { off, len: entries.len() as u32, groups: 0, class }
+        Adjacency { off: Word(off), len: entries.len() as u32, groups: Word(0), class }
     }
 
     fn build_dir(a: &mut Arena, entries: &[(LabelId, VertexId)]) -> Adjacency {
@@ -184,7 +227,7 @@ impl Adjacency {
             let rec = [run[0].0 .0, goff, run.len() as u32, gclass as u32].map(Word);
             a.data_mut()[off as usize + g * REC..][..REC].copy_from_slice(&rec);
         }
-        Adjacency { off, len: entries.len() as u32, groups: groups as u32, class }
+        Adjacency { off: Word(off), len: entries.len() as u32, groups: Word(groups as u32), class }
     }
 
     /// Lays sorted, duplicate-free, non-empty label groups out as a fresh
@@ -192,8 +235,10 @@ impl Adjacency {
     /// copied at a time.
     pub(crate) fn build_groups(a: &mut Arena, groups: &[(LabelId, &[VertexId])]) -> Adjacency {
         let n = groups.iter().map(|(_, ids)| ids.len()).sum::<usize>();
-        if n == 0 {
-            return Adjacency::default();
+        match (n, groups.first()) {
+            (0, _) => return Adjacency::EMPTY,
+            (1, Some(&(label, ids))) => return Self::inline(label, ids[0]),
+            _ => {}
         }
         if n <= FLAT_MAX {
             let class = class_for(2 * n);
@@ -205,7 +250,7 @@ impl Adjacency {
                 data[at + cap..at + cap + ids.len()].copy_from_slice(ids);
                 at += ids.len();
             }
-            return Adjacency { off, len: n as u32, groups: 0, class };
+            return Adjacency { off: Word(off), len: n as u32, groups: Word(0), class };
         }
         let class = class_for(REC * groups.len());
         let off = a.alloc(class);
@@ -216,14 +261,14 @@ impl Adjacency {
             let rec = [label.0, goff, ids.len() as u32, gclass as u32].map(Word);
             a.data_mut()[off as usize + g * REC..][..REC].copy_from_slice(&rec);
         }
-        Adjacency { off, len: n as u32, groups: groups.len() as u32, class }
+        Adjacency { off: Word(off), len: n as u32, groups: Word(groups.len() as u32), class }
     }
 
     /// Every slot this run owns, as `(off, class)`.
     pub(crate) fn slots<'a>(&self, a: &'a Arena) -> impl Iterator<Item = (u32, u8)> + 'a {
-        let own = (self.len > 0).then_some((self.off, self.class));
-        let groups = self.dir(a).chunks_exact(REC).map(|rec| (rec[1].0, rec[3].0 as u8));
-        own.into_iter().chain(groups)
+        let own = (self.len > 1).then_some((self.off.0, self.class));
+        let recs = if self.is_directory() { self.dir(a) } else { &[] };
+        own.into_iter().chain(recs.chunks_exact(REC).map(|rec| (rec[1].0, rec[3].0 as u8)))
     }
 
     /// Re-lays the run in the other layout (at most [`FLAT_MAX`] entries
@@ -247,31 +292,39 @@ impl Adjacency {
     /// Drops the label groups `keep` rejects, in place and in the slots the
     /// run has: a flat run closes the gaps in its two halves, a directory
     /// drops the records of the rejected groups and releases their slots.
-    /// Layouts and classes stay; a run left empty releases everything.
+    /// Layouts and classes stay, except that a run left with one entry moves
+    /// it into the handle and a run left empty releases everything.
     pub(crate) fn retain(&mut self, a: &mut Arena, keep: impl Fn(LabelId) -> bool) {
-        let off = self.off as usize;
-        if !self.is_directory() {
-            let (n, cap, data) = (self.len(), self.flat_cap(), a.data_mut());
-            let mut kept = 0;
-            for i in 0..n {
-                if keep(LabelId(data[off + i].0)) {
-                    // Nothing moves until an entry has been dropped.
-                    if kept != i {
-                        data[off + kept] = data[off + i];
-                        data[off + cap + kept] = data[off + cap + i];
-                    }
-                    kept += 1;
+        let off = self.off.index();
+        match self.len {
+            0 => return,
+            1 => {
+                if !keep(LabelId(self.groups.0)) {
+                    *self = Adjacency::EMPTY;
                 }
+                return;
             }
-            self.len = kept as u32;
-            if kept == 0 && n > 0 {
-                a.release(self.off, self.class);
-                *self = Adjacency::default();
+            _ if !self.is_directory() => {
+                let (n, cap, data) = (self.len(), self.flat_cap(), a.data_mut());
+                let mut kept = 0;
+                for i in 0..n {
+                    if keep(LabelId(data[off + i].0)) {
+                        // Nothing moves until an entry has been dropped.
+                        if kept != i {
+                            data[off + kept] = data[off + i];
+                            data[off + cap + kept] = data[off + cap + i];
+                        }
+                        kept += 1;
+                    }
+                }
+                let last = (LabelId(data[off].0), data[off + cap]);
+                self.settle(a, kept as u32, last);
+                return;
             }
-            return;
+            _ => {}
         }
         let (mut kept, mut len) = (0, 0);
-        for g in 0..self.groups as usize {
+        for g in 0..self.groups.index() {
             let mut rec = [Word(0); REC];
             rec.copy_from_slice(&a.data()[off + g * REC..][..REC]);
             if keep(LabelId(rec[0].0)) {
@@ -281,10 +334,23 @@ impl Adjacency {
                 a.release(rec[1].0, rec[3].0 as u8);
             }
         }
-        (self.groups, self.len) = (kept as u32, len);
-        if len == 0 {
-            a.release(self.off, self.class);
-            *self = Adjacency::default();
+        self.groups = Word(kept as u32);
+        let rec: [Word; REC] = a.data()[off..off + REC].try_into().expect("a record");
+        let last = (LabelId(rec[0].0), a.data()[rec[1].index()]);
+        if len == 1 {
+            a.release(rec[1].0, rec[3].0 as u8);
+        }
+        self.settle(a, len, last);
+    }
+
+    /// Sets a run [`Self::retain`] shrank to its new length `len`: one left
+    /// (`last`) moves into the handle, none leaves it empty, and either gives
+    /// the run's own slot back.
+    fn settle(&mut self, a: &mut Arena, len: u32, last: (LabelId, VertexId)) {
+        self.len = len;
+        if len <= 1 {
+            a.release(self.off.0, self.class);
+            *self = if len == 1 { Self::inline(last.0, last.1) } else { Adjacency::EMPTY };
         }
     }
 
@@ -302,10 +368,10 @@ impl Adjacency {
     pub(crate) fn move_slot(&mut self, a: &mut Arena, from: u32, to: u32) -> u32 {
         debug_assert!(to <= from);
         let (src, dst) = (from as usize, to as usize);
-        let class = if from != self.off {
+        let class = if from != self.off.0 {
             // One of the directory's groups: its record follows it.
-            let dir = self.off as usize;
-            let g = (0..self.groups as usize).find(|g| a.data()[dir + g * REC + 1].0 == from);
+            let dir = self.off.index();
+            let g = (0..self.groups.index()).find(|g| a.data()[dir + g * REC + 1].0 == from);
             let at = dir + g.expect("a slot of this run") * REC;
             let n = a.data()[at + 2].index();
             let class = class_for(n);
@@ -314,7 +380,7 @@ impl Adjacency {
             (data[at + 1], data[at + 3]) = (Word(to), Word(class as u32));
             return class_cap(class);
         } else if self.is_directory() {
-            let words = self.groups as usize * REC;
+            let words = self.groups.index() * REC;
             a.data_mut().copy_within(src..src + words, dst);
             class_for(words)
         } else {
@@ -330,7 +396,7 @@ impl Adjacency {
             );
             class
         };
-        (self.off, self.class) = (to, class);
+        (self.off, self.class) = (Word(to), class);
         class_cap(class)
     }
 
@@ -339,6 +405,21 @@ impl Adjacency {
         if self.is_directory() {
             return self.insert_dir(a, label, v);
         }
+        match self.len {
+            0 => {
+                *self = Self::inline(label, v);
+                return true;
+            }
+            1 => {
+                let (old, new) = ((LabelId(self.groups.0), self.off), (label, v));
+                if old == new {
+                    return false;
+                }
+                *self = Self::build_flat(a, &[old.min(new), old.max(new)]);
+                return true;
+            }
+            _ => {}
+        }
         let (labels, ids) = self.flat(a);
         let (lo, hi) = run_bounds(labels, label);
         let Err(p) = ids[lo..hi].binary_search(&v) else { return false };
@@ -346,15 +427,15 @@ impl Adjacency {
             self.relay(a);
             return self.insert_dir(a, label, v);
         }
-        // Splice into both halves; a full (or absent) slot moves up a class.
+        // Splice into both halves; a full slot moves up a class.
         let (pos, n) = (lo + p, self.len());
-        let (src, src_cap, src_class) = (self.off as usize, self.flat_cap(), self.class);
+        let (src, src_cap, src_class) = (self.off.index(), self.flat_cap(), self.class);
         if n == src_cap {
-            self.class = if n == 0 { 0 } else { src_class + 1 };
-            self.off = a.alloc(self.class);
+            self.class = src_class + 1;
+            self.off = Word(a.alloc(self.class));
         }
         self.len += 1;
-        let (dst, dst_cap) = (self.off as usize, self.flat_cap());
+        let (dst, dst_cap) = (self.off.index(), self.flat_cap());
         let data = a.data_mut();
         for (s, t, w) in [(src, dst, Word(label.0)), (src + src_cap, dst + dst_cap, v)] {
             if s != t {
@@ -363,14 +444,14 @@ impl Adjacency {
             data.copy_within(s + pos..s + n, t + pos + 1);
             data[t + pos] = w;
         }
-        if n == src_cap && n > 0 {
+        if n == src_cap {
             a.release(src as u32, src_class);
         }
         true
     }
 
     fn insert_dir(&mut self, a: &mut Arena, label: LabelId, v: VertexId) -> bool {
-        let at = self.off as usize;
+        let at = self.off.index();
         match find_group(self.dir(a), label) {
             Ok(g) => {
                 let rec = &a.data()[at + g * REC..][..REC];
@@ -384,10 +465,11 @@ impl Adjacency {
                 let goff = a.alloc(0);
                 a.data_mut()[goff as usize] = v;
                 for (i, w) in [label.0, goff, 1, 0].into_iter().enumerate() {
-                    let (len, pos) = ((self.groups as usize * REC + i) as u32, g * REC + i);
-                    (self.off, self.class) = a.insert_at(self.off, len, self.class, pos, Word(w));
+                    let (len, pos) = ((self.groups.index() * REC + i) as u32, g * REC + i);
+                    let (off, class) = a.insert_at(self.off.0, len, self.class, pos, Word(w));
+                    (self.off, self.class) = (Word(off), class);
                 }
-                self.groups += 1;
+                self.groups.0 += 1;
             }
         }
         self.len += 1;
@@ -401,19 +483,26 @@ impl Adjacency {
             let (labels, ids) = self.flat(a);
             let (lo, hi) = run_bounds(labels, label);
             let Ok(p) = ids[lo..hi].binary_search(&v) else { return false };
+            if self.is_inline() {
+                *self = Adjacency::EMPTY;
+                return true;
+            }
             let (pos, n, cap) = (lo + p, self.len(), self.flat_cap());
-            for half in [self.off as usize, self.off as usize + cap] {
+            let off = self.off.index();
+            for half in [off, off + cap] {
                 a.data_mut().copy_within(half + pos + 1..half + n, half + pos);
             }
             self.len -= 1;
-            if self.len == 0 {
-                a.release(self.off, self.class);
-                *self = Adjacency::default();
+            if self.is_inline() {
+                // The one entry left moves into the handle.
+                let last = (LabelId(a.data()[off].0), a.data()[off + cap]);
+                a.release(self.off.0, self.class);
+                *self = Self::inline(last.0, last.1);
             }
             return true;
         }
         let Ok(g) = find_group(self.dir(a), label) else { return false };
-        let at = self.off as usize + g * REC;
+        let at = self.off.index() + g * REC;
         let rec = &a.data()[at..at + REC];
         let (goff, glen, gclass) = (rec[1].0, rec[2].0, rec[3].0 as u8);
         let Ok(pos) = a.run(goff, glen).binary_search(&v) else { return false };
@@ -423,9 +512,9 @@ impl Adjacency {
         if glen == 1 {
             a.release(goff, gclass);
             for i in 0..REC {
-                a.remove_at(self.off, (self.groups as usize * REC - i) as u32, g * REC);
+                a.remove_at(self.off.0, (self.groups.index() * REC - i) as u32, g * REC);
             }
-            self.groups -= 1;
+            self.groups.0 -= 1;
         }
         if self.len() * 2 <= FLAT_MAX {
             self.relay(a);
@@ -436,7 +525,7 @@ impl Adjacency {
     /// The neighbors reachable over an edge labeled exactly `label`, as a
     /// sorted duplicate-free run.
     #[inline]
-    pub(crate) fn labeled<'a>(&self, a: &'a Arena, label: LabelId) -> LabeledNeighbors<'a> {
+    pub(crate) fn labeled<'a>(&'a self, a: &'a Arena, label: LabelId) -> LabeledNeighbors<'a> {
         if self.is_directory() {
             let dir = self.dir(a);
             let ids = find_group(dir, label).map(|g| group_ids(a.data(), &dir[g * REC..]));
@@ -454,12 +543,13 @@ impl Adjacency {
     /// and last entry — a half is at most [`FLAT_MAX`] words at any
     /// alignment), a directory's first and middle record. Stage 2 searches
     /// the directory, cached by then, and hints the first and middle line of
-    /// `label`'s id run; a flat run has nothing left to hint.
+    /// `label`'s id run; a flat run has nothing left to hint, and an inline
+    /// one nothing past its handle.
     #[inline]
     pub(crate) fn prefetch(&self, a: &Arena, label: LabelId, stage: u8) {
-        let (data, off) = (a.data(), self.off as usize);
+        let (data, off) = (a.data(), self.off.index());
         match (stage, self.is_directory()) {
-            (1, false) if self.len > 0 => {
+            (1, false) if self.len > 1 => {
                 let last = self.len() - 1;
                 for half in [off, off + self.flat_cap()] {
                     prefetch_at(data, half);
@@ -468,7 +558,7 @@ impl Adjacency {
             }
             (1, true) => {
                 prefetch_at(data, off);
-                prefetch_at(data, off + self.groups as usize / 2 * REC);
+                prefetch_at(data, off + self.groups.index() / 2 * REC);
             }
             (2, true) => {
                 let dir = self.dir(a);
@@ -484,14 +574,17 @@ impl Adjacency {
 
     /// Every label group as `(label, sorted ids)`, in label order.
     #[inline]
-    pub(crate) fn groups<'a>(&self, a: &'a Arena) -> Groups<'a> {
-        let (labels, ids) = if self.is_directory() { (&[][..], &[][..]) } else { self.flat(a) };
-        Groups { data: a.data(), labels, ids, recs: self.dir(a) }
+    pub(crate) fn groups<'a>(&'a self, a: &'a Arena) -> Groups<'a> {
+        if self.is_directory() {
+            return Groups { data: a.data(), labels: &[], ids: &[], recs: self.dir(a) };
+        }
+        let (labels, ids) = self.flat(a);
+        Groups { data: a.data(), labels, ids, recs: &[] }
     }
 
     /// All `(neighbor, edge label)` pairs in `(label, neighbor)` order.
     #[inline]
-    pub(crate) fn iter<'a>(&self, a: &'a Arena) -> Neighbors<'a> {
+    pub(crate) fn iter<'a>(&'a self, a: &'a Arena) -> Neighbors<'a> {
         Neighbors { groups: self.groups(a), label: LabelId(0), ids: [].iter() }
     }
 
@@ -499,7 +592,7 @@ impl Adjacency {
     /// selected by `mode`. Yields in `(label, neighbor)` order either way.
     #[inline]
     pub(crate) fn matching<'a>(
-        &self,
+        &'a self,
         a: &'a Arena,
         qlabel: Option<LabelId>,
         mode: AdjacencyMode,
@@ -522,7 +615,7 @@ impl Adjacency {
 
     /// Distinct labels present with their group sizes, in label order.
     pub(crate) fn label_runs<'a>(
-        &self,
+        &'a self,
         a: &'a Arena,
     ) -> impl Iterator<Item = (LabelId, usize)> + 'a {
         self.groups(a).map(|(label, ids)| (label, ids.len()))
@@ -679,7 +772,7 @@ mod tests {
 
     /// A run with `(label, neighbor)` entries inserted in the given order.
     fn run_of(a: &mut Arena, entries: impl IntoIterator<Item = (u32, u32)>) -> Adjacency {
-        let mut r = Adjacency::default();
+        let mut r = Adjacency::EMPTY;
         for (label, w) in entries {
             assert!(r.insert(a, l(label), v(w)));
         }
@@ -785,7 +878,7 @@ mod tests {
     #[test]
     fn random_churn_matches_a_btreeset_across_every_boundary() {
         let mut a = Arena::new();
-        let mut r = Adjacency::default();
+        let mut r = Adjacency::EMPTY;
         let mut reference: BTreeSet<(LabelId, VertexId)> = BTreeSet::new();
         let (mut unfolds, mut folds, mut classes) = (0, 0, BTreeSet::new());
         let mut carved = [0; 2];

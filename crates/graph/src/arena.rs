@@ -59,6 +59,12 @@ impl<T: Copy + Default> SlotArena<T> {
         SlotArena { data: Vec::with_capacity(entries), ..Self::default() }
     }
 
+    /// Room for `entries` more carved entries before the next regrowth,
+    /// reserved exactly.
+    pub fn reserve_exact(&mut self, entries: usize) {
+        self.data.reserve_exact(entries);
+    }
+
     /// A slot of `class`: the most recently freed one, else a new carving.
     /// Its contents are unspecified.
     pub fn alloc(&mut self, class: u8) -> u32 {

@@ -22,8 +22,9 @@ use crate::adjacency::{
 };
 use crate::ids::{LabelId, VertexId};
 use crate::intersect::prefetch_at;
-use crate::labels::LabelSet;
+use crate::labels::{LabelSet, SetId, SetTable};
 use crate::stream::UpdateOp;
+use std::borrow::Borrow;
 
 /// A fully-qualified edge: source, edge label, destination.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -46,6 +47,15 @@ impl EdgeRef {
 /// Index of a vertex's out-run in its handle pair; `IN` is the in-run.
 const OUT: usize = 0;
 const IN: usize = 1;
+
+/// The run of a vertex id that was never created.
+static NO_RUN: Adjacency = Adjacency::EMPTY;
+
+/// What a vertex costs the graph: its two handles and its set id.
+const _: () = assert!(
+    std::mem::size_of::<[Adjacency; 2]>() + std::mem::size_of::<SetId>() == 36,
+    "a vertex is two handles and a set id"
+);
 
 /// Counts one more carrier of `label` in a per-label counter table.
 fn bump(counts: &mut Vec<usize>, label: LabelId) {
@@ -71,17 +81,22 @@ fn bucket_ranges(ends: &[usize]) -> impl Iterator<Item = std::ops::Range<usize>>
 }
 
 /// Re-lays every run of `runs`, whose entries live in `from`, compactly and
-/// in vertex order into the fresh arena it returns, sized for `words`
-/// entries.
-fn relay(runs: &mut [[Adjacency; 2]], from: &Arena, words: usize) -> Arena {
+/// in vertex order into a fresh arena sized for `words` entries, and returns
+/// the new handles and that arena.
+fn relay(runs: &[[Adjacency; 2]], from: &Arena, words: usize) -> (Vec<[Adjacency; 2]>, Arena) {
     let mut arena = Arena::with_capacity(words);
     let mut groups = Vec::new();
-    for run in runs.iter_mut().flatten() {
-        groups.clear();
-        groups.extend(run.groups(from).filter(|(_, ids)| !ids.is_empty()));
-        *run = Adjacency::build_groups(&mut arena, &groups);
+    let mut laid = Vec::with_capacity(runs.len());
+    for pair in runs {
+        let mut copy = [Adjacency::EMPTY; 2];
+        for (run, new) in pair.iter().zip(&mut copy) {
+            groups.clear();
+            groups.extend(run.groups(from).filter(|(_, ids)| !ids.is_empty()));
+            *new = Adjacency::build_groups(&mut arena, &groups);
+        }
+        laid.push(copy);
     }
-    arena
+    (laid, arena)
 }
 
 /// How the arena behind a [`DynamicGraph`] is occupied.
@@ -93,16 +108,23 @@ pub struct StorageStats {
     pub free_slots: usize,
     /// 4-byte arena words carved so far (live or free).
     pub carved_entries: usize,
-    /// Non-empty vertex directions stored as one flat run.
+    /// Vertex directions of one entry, kept in the handle.
+    pub inline_runs: usize,
+    /// Vertex directions of two or more entries stored as one flat run.
     pub flat_runs: usize,
     /// Vertex directions stored as a label directory of id runs.
     pub directory_runs: usize,
+    /// Distinct vertex label sets.
+    pub label_sets: usize,
 }
 
 /// An in-memory dynamic labeled multigraph.
 #[derive(Default)]
 pub struct DynamicGraph {
-    vertex_labels: Vec<LabelSet>,
+    /// Per vertex: the id of its label set in `sets`.
+    vertex_sets: Vec<SetId>,
+    /// Each distinct vertex label set, once.
+    sets: SetTable,
     /// Per vertex: the `[OUT, IN]` handles into `arena`.
     runs: Vec<[Adjacency; 2]>,
     arena: Arena,
@@ -115,10 +137,10 @@ impl Clone for DynamicGraph {
     /// Re-lays every run compactly in vertex order: the copy has no free
     /// slots and no slack classes, whatever churn fragmented the original.
     fn clone(&self) -> Self {
-        let mut runs = self.runs.clone();
-        let arena = relay(&mut runs, &self.arena, self.arena.carved_entries());
+        let (runs, arena) = relay(&self.runs, &self.arena, self.arena.carved_entries());
         DynamicGraph {
-            vertex_labels: self.vertex_labels.clone(),
+            vertex_sets: self.vertex_sets.clone(),
+            sets: self.sets.clone(),
             runs,
             arena,
             edge_count: self.edge_count,
@@ -142,16 +164,20 @@ impl DynamicGraph {
     /// out-runs, read back in source order, fill the in-buckets already
     /// ascending by source, and each is sorted by label and laid as its
     /// in-run. Every run is laid once at its final size — what N incremental
-    /// inserts reach only through N shifts and a fragmented arena — and one
+    /// inserts reach only through N shifts and a fragmented arena — into an
+    /// arena reserved for exactly the words each side's runs take, and one
     /// `(label, vertex)` array of the edge count, reused by both sides, is
     /// the only scratch.
     ///
     /// Panics if an edge names a vertex that does not exist.
     pub fn from_edges(vertex_labels: Vec<LabelSet>, edges: Vec<EdgeRef>) -> Self {
         let mut g = DynamicGraph::new();
-        for labels in vertex_labels {
+        g.vertex_sets.reserve_exact(vertex_labels.len());
+        g.runs.reserve_exact(vertex_labels.len());
+        for labels in &vertex_labels {
             g.add_vertex(labels);
         }
+        drop(vertex_labels);
         let n = g.runs.len();
         let mut ends = vec![0; n];
         for e in &edges {
@@ -181,7 +207,8 @@ impl DynamicGraph {
         }
         buf.truncate(kept);
         g.edge_count = kept;
-        g.arena = Arena::with_capacity(4 * kept + 4 * n);
+        let words = bucket_ranges(&ends).map(|range| Adjacency::words(&buf[range])).sum();
+        g.arena = Arena::with_capacity(words);
         let mut in_ends = vec![0; n];
         for (v, range) in bucket_ranges(&ends).enumerate() {
             for &(label, w) in &buf[range.clone()] {
@@ -202,10 +229,15 @@ impl DynamicGraph {
                 }
             }
         }
-        for (v, range) in bucket_ranges(&in_ends).enumerate() {
+        let mut words = 0;
+        for range in bucket_ranges(&in_ends) {
             // Sources are unique within a label: sorting by `(label, src)`
             // is the stable sort by label.
             buf[range.clone()].sort_unstable();
+            words += Adjacency::words(&buf[range]);
+        }
+        g.arena.reserve_exact(words);
+        for (v, range) in bucket_ranges(&in_ends).enumerate() {
             g.runs[v][IN] = Adjacency::build(&mut g.arena, &buf[range]);
         }
         g
@@ -215,9 +247,10 @@ impl DynamicGraph {
     /// same vertices: what an engine whose query names only those labels can
     /// ever read. `keep` is asked once per label some edge carries.
     ///
-    /// Compacts in place, in the arena it is given: the vertex label table,
-    /// its counts and the run table stay where they are, and every run drops
-    /// its rejected label groups inside its own slots. Then every live slot,
+    /// Compacts in place, in the arena it is given: the vertex label sets,
+    /// their counts and the run table stay where they are, and every run
+    /// drops its rejected label groups inside its own slots (one left moves
+    /// into its handle). Then every live slot,
     /// in arena-offset order, slides down to a write cursor at the class its
     /// entries need — the cursor never passes a slot not moved yet — and the
     /// arena is truncated there. A directory left with at most [`FLAT_MAX`]
@@ -250,6 +283,12 @@ impl DynamicGraph {
         }
         drop(order);
         self.arena.shrink_to_fit();
+        self.vertex_sets.shrink_to_fit();
+        self.runs.shrink_to_fit();
+        while self.edge_label_counts.last() == Some(&0) {
+            self.edge_label_counts.pop();
+        }
+        self.edge_label_counts.shrink_to_fit();
         self
     }
 
@@ -274,7 +313,7 @@ impl DynamicGraph {
     /// Number of vertices ever created (ids are dense `0..n`).
     #[inline]
     pub fn vertex_count(&self) -> usize {
-        self.vertex_labels.len()
+        self.vertex_sets.len()
     }
 
     /// Number of live edges.
@@ -284,27 +323,33 @@ impl DynamicGraph {
     }
 
     /// Creates a fresh vertex with the given label set and returns its id.
-    pub fn add_vertex(&mut self, labels: LabelSet) -> VertexId {
-        let id = VertexId(self.vertex_labels.len() as u32);
+    /// The set is stored once per distinct set, so `labels` is copied only
+    /// the first time it is seen.
+    pub fn add_vertex(&mut self, labels: impl Borrow<LabelSet>) -> VertexId {
+        let labels = labels.borrow();
+        let id = VertexId(self.vertex_sets.len() as u32);
         for l in labels.iter() {
             bump(&mut self.vertex_label_counts, l);
         }
-        self.vertex_labels.push(labels);
-        self.runs.push(Default::default());
+        self.vertex_sets.push(self.sets.intern(labels));
+        self.runs.push([Adjacency::EMPTY; 2]);
         id
     }
 
     /// Ensures vertex `v` exists; newly created vertices in the gap get empty
-    /// label sets, and `v` itself gets `labels` if it is new.
+    /// label sets, and `v` itself gets `labels` if it is new. An existing
+    /// `v` costs a bounds check and nothing else.
     ///
     /// Used when replaying streams whose vertex ids were assigned by a
     /// generator.
-    pub fn ensure_vertex(&mut self, v: VertexId, labels: LabelSet) -> bool {
-        if v.index() < self.vertex_labels.len() {
+    pub fn ensure_vertex(&mut self, v: VertexId, labels: impl Borrow<LabelSet>) -> bool {
+        if v.index() < self.vertex_sets.len() {
             return false;
         }
-        while self.vertex_labels.len() < v.index() {
-            self.add_vertex(LabelSet::empty());
+        if self.vertex_sets.len() < v.index() {
+            let empty = self.sets.intern(&LabelSet::empty());
+            self.vertex_sets.resize(v.index(), empty);
+            self.runs.resize(v.index(), [Adjacency::EMPTY; 2]);
         }
         self.add_vertex(labels);
         true
@@ -313,13 +358,13 @@ impl DynamicGraph {
     /// The label set of vertex `v`.
     #[inline]
     pub fn labels(&self, v: VertexId) -> &LabelSet {
-        &self.vertex_labels[v.index()]
+        self.sets.get(self.vertex_sets[v.index()])
     }
 
     /// True iff vertex id `v` has been created.
     #[inline]
     pub fn contains_vertex(&self, v: VertexId) -> bool {
-        v.index() < self.vertex_labels.len()
+        v.index() < self.vertex_sets.len()
     }
 
     /// Inserts an edge. Returns `false` (and changes nothing) if the exact
@@ -361,8 +406,8 @@ impl DynamicGraph {
     /// The handle of `v`'s run in direction `dir`; the empty run for an id
     /// that was never created.
     #[inline]
-    fn run(&self, v: VertexId, dir: usize) -> Adjacency {
-        self.runs.get(v.index()).map_or_else(Adjacency::default, |pair| pair[dir])
+    fn run(&self, v: VertexId, dir: usize) -> &Adjacency {
+        self.runs.get(v.index()).map_or(&NO_RUN, |pair| &pair[dir])
     }
 
     /// True iff the exact `(src, label, dst)` triple is a live edge: a
@@ -381,8 +426,8 @@ impl DynamicGraph {
     /// `(src, label, dst)` will touch, for a caller that holds the op some
     /// rounds before it applies it (`tfx_core`'s batch lookahead). Three
     /// stages, each reading only what the one before it pulled into cache, so
-    /// that no hint waits on memory itself: **0** the handle pairs and label
-    /// sets of `src` and `dst`; **1** the slots the out-handle of `src` and
+    /// that no hint waits on memory itself: **0** the handle pairs and set
+    /// ids of `src` and `dst`; **1** the slots the out-handle of `src` and
     /// the in-handle of `dst` name; **2** inside a label directory, `label`'s
     /// id run. Changes nothing the caller can observe, never allocates, and
     /// accepts any id — an endpoint the graph does not hold yet (an earlier
@@ -394,14 +439,14 @@ impl DynamicGraph {
     }
 
     /// [`Self::prefetch_edge`]'s stages for one label group of `v`,
-    /// out-going (`out`) or in-coming: **0** `v`'s handle pair and label
-    /// set, **1** the slot the handle names, **2** inside a directory,
-    /// `label`'s id run.
+    /// out-going (`out`) or in-coming: **0** `v`'s handle pair and set id,
+    /// **1** the slot the handle names (nothing for an inline run), **2**
+    /// inside a directory, `label`'s id run.
     #[inline]
     pub fn prefetch_group(&self, v: VertexId, label: LabelId, out: bool, stage: u8) {
         if stage == 0 {
             prefetch_at(&self.runs, v.index());
-            prefetch_at(&self.vertex_labels, v.index());
+            prefetch_at(&self.vertex_sets, v.index());
         } else if let Some(pair) = self.runs.get(v.index()) {
             pair[if out { OUT } else { IN }].prefetch(&self.arena, label, stage);
         }
@@ -551,7 +596,7 @@ impl DynamicGraph {
 
     /// Iterates over all vertex ids.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        (0..self.vertex_labels.len() as u32).map(VertexId)
+        (0..self.vertex_sets.len() as u32).map(VertexId)
     }
 
     /// Iterates over all live edges in `(src, label, dst)` order.
@@ -575,41 +620,48 @@ impl DynamicGraph {
     /// Applies an update operation. Returns `true` if the graph changed.
     pub fn apply(&mut self, op: &UpdateOp) -> bool {
         match op {
-            UpdateOp::AddVertex { id, labels } => self.ensure_vertex(*id, labels.clone()),
+            UpdateOp::AddVertex { id, labels } => self.ensure_vertex(*id, labels),
             UpdateOp::InsertEdge { src, label, dst } => self.insert_edge(*src, *label, *dst),
             UpdateOp::DeleteEdge { src, label, dst } => self.delete_edge(*src, *label, *dst),
         }
     }
 
     /// Heap bytes the graph holds, exactly: every vector is charged at its
-    /// capacity, so the figure is what the process reserves, and a fixpoint
-    /// under self-inverting churn once every free list has been warmed.
+    /// capacity — the set ids, the distinct sets and their index, the handle
+    /// pairs, the arena, the counters — so the figure is what the process
+    /// reserves, and a fixpoint under self-inverting churn once every free
+    /// list has been warmed.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.vertex_labels.capacity() * size_of::<LabelSet>()
-            + self.vertex_labels.iter().map(LabelSet::heap_bytes).sum::<usize>()
+        self.vertex_sets.capacity() * size_of::<SetId>()
+            + self.sets.resident_bytes()
             + self.runs.capacity() * size_of::<[Adjacency; 2]>()
             + self.arena.resident_bytes()
             + (self.edge_label_counts.capacity() + self.vertex_label_counts.capacity())
                 * size_of::<usize>()
     }
 
-    /// Arena occupancy and how many runs use which layout.
+    /// Arena occupancy, how many runs use which layout, and how many
+    /// distinct label sets the vertices share.
     pub fn storage_stats(&self) -> StorageStats {
         let runs = || self.runs.iter().flatten();
         StorageStats {
             live_slots: self.arena.live_slots(),
             free_slots: self.arena.free_slots(),
             carved_entries: self.arena.carved_entries(),
-            flat_runs: runs().filter(|r| r.len() > 0 && !r.is_directory()).count(),
+            inline_runs: runs().filter(|r| r.is_inline()).count(),
+            flat_runs: runs().filter(|r| r.len() > 1 && !r.is_directory()).count(),
             directory_runs: runs().filter(|r| r.is_directory()).count(),
+            label_sets: self.sets.len(),
         }
     }
 
     /// Asserts the storage invariants (test support): the runs' slots and
     /// the free lists tile the arena exactly, every run enumerates sorted at
-    /// its recorded length in the layout its size calls for, and the in-runs
-    /// mirror the out-runs' `edge_count` edges.
+    /// its recorded length in the layout its size calls for, every set id
+    /// names a stored set, and the in-runs mirror the out-runs' `edge_count`
+    /// edges. A run of one entry is inline by its encoding and owns no slot,
+    /// so one that kept its slot fails the tiling as a leak.
     pub fn validate(&self) {
         self.arena.validate(self.runs.iter().flatten().flat_map(|r| r.slots(&self.arena)));
         for (v, run) in self.runs.iter().flatten().enumerate() {
@@ -619,6 +671,8 @@ impl DynamicGraph {
             assert!(run.is_directory() || run.len() <= FLAT_MAX, "v{}: oversized flat run", v / 2);
             assert!(!run.is_directory() || run.len() * 2 > FLAT_MAX, "v{}: unfolded", v / 2);
         }
+        let sets = self.sets.len();
+        assert!(self.vertex_sets.iter().all(|&id| (id as usize) < sets), "a set id dangles");
         for e in self.edges() {
             let mirror = self.run(e.dst, IN).labeled(&self.arena, e.label);
             assert!(mirror.contains(e.src), "{e:?} has no in-run entry");

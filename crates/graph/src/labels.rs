@@ -3,8 +3,11 @@
 //! The paper's label function `L` maps a vertex to a *set* of labels, and a
 //! query vertex `u` matches a data vertex `v` iff `L(u) ⊆ L(v)` (Def. 1).
 //! Most vertices in the paper's datasets carry zero or one label, so
-//! [`LabelSet`] is optimized for tiny cardinalities: a sorted inline `Vec`
-//! with O(|a|+|b|) subset tests.
+//! [`LabelSet`] is optimized for tiny cardinalities: a sorted `Vec` on the
+//! heap (none for the empty set) with O(|a|+|b|) subset tests. A graph
+//! stores each distinct set once, in a [`SetTable`], and gives every vertex
+//! a 4-byte id into it: a dataset has a handful of distinct sets, and a
+//! `Vec` per vertex cost 24 bytes of handle plus a heap cell.
 
 use crate::ids::LabelId;
 use rustc_hash::FxHashMap;
@@ -122,6 +125,83 @@ impl FromIterator<LabelId> for LabelSet {
     }
 }
 
+/// The id of a label set in a [`SetTable`].
+pub(crate) type SetId = u32;
+
+/// Marks a free bucket of [`SetTable::index`].
+const FREE: SetId = SetId::MAX;
+
+/// Every distinct label set of a graph's vertices, each stored once, under a
+/// dense id in first-seen order. `index` is an open-addressing hash table of
+/// set ids (linear probing, a power of two of buckets, at most half of them
+/// taken), so interning costs a hash and a probe or two, and the table's
+/// bytes are exactly its length. The sets come from input text, so the hash
+/// is the standard library's randomly keyed one: crafted sets cannot pile
+/// into one probe chain. Ids do not depend on it.
+#[derive(Clone, Default)]
+pub(crate) struct SetTable {
+    sets: Vec<LabelSet>,
+    index: Vec<SetId>,
+    hasher: std::hash::RandomState,
+}
+
+impl SetTable {
+    /// `labels`' id, or the free bucket its id goes in.
+    fn find(&self, labels: &LabelSet) -> Result<SetId, usize> {
+        if self.index.is_empty() {
+            return Err(0);
+        }
+        let mask = self.index.len() - 1;
+        let mut bucket = std::hash::BuildHasher::hash_one(&self.hasher, labels) as usize & mask;
+        loop {
+            match self.index[bucket] {
+                FREE => return Err(bucket),
+                id if self.sets[id as usize] == *labels => return Ok(id),
+                _ => bucket = (bucket + 1) & mask,
+            }
+        }
+    }
+
+    /// The id of `labels`, which is copied only if it is new.
+    pub(crate) fn intern(&mut self, labels: &LabelSet) -> SetId {
+        let bucket = match self.find(labels) {
+            Ok(id) => return id,
+            Err(bucket) => bucket,
+        };
+        let id = SetId::try_from(self.sets.len()).expect("label sets exceed u32 ids");
+        self.sets.push(labels.clone());
+        if 2 * self.sets.len() > self.index.len() {
+            self.index = vec![FREE; (2 * self.sets.len()).next_power_of_two().max(8)];
+            for (id, set) in self.sets.iter().enumerate() {
+                let Err(bucket) = self.find(set) else { unreachable!("sets are distinct") };
+                self.index[bucket] = id as SetId;
+            }
+        } else {
+            self.index[bucket] = id;
+        }
+        id
+    }
+
+    /// The set with id `id`.
+    #[inline]
+    pub(crate) fn get(&self, id: SetId) -> &LabelSet {
+        &self.sets[id as usize]
+    }
+
+    /// Number of distinct sets.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.sets.len()
+    }
+
+    /// Reserved bytes: the set table, the sets' labels and the index.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.sets.capacity() * std::mem::size_of::<LabelSet>()
+            + self.sets.iter().map(LabelSet::heap_bytes).sum::<usize>()
+            + self.index.capacity() * std::mem::size_of::<SetId>()
+    }
+}
+
 /// Bidirectional mapping between label strings and [`LabelId`]s.
 ///
 /// Datasets and queries are authored with human-readable labels
@@ -217,6 +297,22 @@ mod tests {
         let s = LabelSet::single(LabelId(9));
         assert!(s.contains(LabelId(9)));
         assert!(!s.contains(LabelId(8)));
+    }
+
+    #[test]
+    fn set_table_stores_each_distinct_set_once() {
+        let mut t = SetTable::default();
+        let sets: Vec<LabelSet> = (0..200).map(|i| set(&[i % 7, i % 5 + 7])).collect();
+        let ids: Vec<SetId> = sets.iter().map(|s| t.intern(s)).collect();
+        assert_eq!(t.len(), 35, "7 × 5 distinct pairs");
+        for (s, &id) in sets.iter().zip(&ids) {
+            assert_eq!(t.get(id), s);
+            assert_eq!(t.intern(s), id, "a known set keeps its id");
+        }
+        assert_eq!(t.intern(&LabelSet::empty()), 35);
+        assert_eq!(t.len(), 36);
+        let bytes = 36 * std::mem::size_of::<LabelSet>() + 35 * 2 * 4 + 128 * 4;
+        assert!(t.resident_bytes() >= bytes && t.clone().resident_bytes() == bytes);
     }
 
     #[test]

@@ -62,7 +62,8 @@ fn from_edges_and_clone_equal_incremental_inserts_and_are_compact() {
         assert_eq!(stats.free_slots, 0, "a copy is laid out compactly");
         assert!(stats.carved_entries < orig.carved_entries);
         assert_eq!(stats.directory_runs, 1);
-        assert_eq!(stats.flat_runs, 2 * n as usize - 1);
+        // Every out-run but the hub's is its one ring edge, kept inline.
+        assert_eq!((stats.inline_runs, stats.flat_runs), (n as usize - 1, n as usize));
         assert!(copy.resident_bytes() <= g.resident_bytes());
     }
 }
@@ -262,4 +263,149 @@ fn from_edges_equals_incremental_inserts_on_random_graphs() {
 fn from_edges_rejects_an_edge_naming_a_missing_vertex() {
     let edge = EdgeRef::new(VertexId(0), l(0), VertexId(2));
     DynamicGraph::from_edges(vec![LabelSet::empty(); 2], vec![edge]);
+}
+
+/// The three layouts under random churn, against a `BTreeSet` of edges: most
+/// vertices wander between 0, 1 and 2 entries per direction (empty ↔ inline
+/// ↔ flat), and two hubs climb past `FLAT_MAX` and fall back under half of it
+/// (flat ↔ directory). Vertices arrive with label sets drawn from a small
+/// pool, so most repeat a set and some bring a new one. Every few steps the
+/// graph, its clone, the bulk build of the model and a projection onto one
+/// label are checked against the model, layout counts included, and every
+/// pair of vertices is hinted at every stage.
+#[test]
+fn inline_flat_and_directory_runs_follow_a_btreeset_through_every_transition() {
+    use std::collections::BTreeSet;
+    const LABELS: u32 = 3;
+    let rng = &mut 0x2545_F491_4F6C_DD1Du64;
+    let (mut g, mut sets) = (DynamicGraph::new(), Vec::<LabelSet>::new());
+    let mut model: BTreeSet<(VertexId, LabelId, VertexId)> = BTreeSet::new();
+    let mut seen = [0usize; 4];
+    let check =
+        |g: &DynamicGraph, model: &BTreeSet<_>, sets: &[LabelSet], seen: &mut [usize; 4]| {
+            g.validate();
+            assert!(g.edges().map(|e| (e.src, e.label, e.dst)).eq(model.iter().copied()));
+            let (mut inline, mut flat, mut dirs) = (0, 0, 0);
+            for v in g.vertices() {
+                assert_eq!(g.labels(v), &sets[v.index()]);
+                let ins: BTreeSet<_> =
+                    model.iter().filter(|e| e.2 == v).map(|e| (e.1, e.0)).collect();
+                assert!(g.in_neighbors(v).map(|(w, lab)| (lab, w)).eq(ins.iter().copied()), "{v}");
+                for (degree, dir) in
+                    [(g.out_degree(v), g.out_is_directory(v)), (ins.len(), g.in_is_directory(v))]
+                {
+                    inline += usize::from(degree == 1);
+                    flat += usize::from(degree > 1 && !dir);
+                    dirs += usize::from(dir);
+                    seen[degree.min(3)] += 1;
+                }
+                for lab in 0..LABELS {
+                    let want = model.iter().filter(|e| e.0 == v && e.1 == l(lab)).map(|e| e.2);
+                    assert!(g.out_neighbors_labeled(v, l(lab)).eq(want), "{v} over {lab}");
+                }
+            }
+            let st = g.storage_stats();
+            assert_eq!((st.inline_runs, st.flat_runs, st.directory_runs), (inline, flat, dirs));
+            let distinct: std::collections::HashSet<_> = sets.iter().collect();
+            assert_eq!(st.label_sets, distinct.len());
+            for lab in 0..6 {
+                let want = sets.iter().filter(|s| s.contains(l(lab))).count();
+                assert_eq!(g.vertex_label_count(l(lab)), want, "label {lab}");
+            }
+            for s in g.vertices() {
+                for d in g.vertices() {
+                    (0..3).for_each(|stage| g.prefetch_edge(s, l(s.0 % LABELS), d, stage));
+                }
+            }
+        };
+    let (mut unfolds, mut folds) = (0, 0);
+    for step in 0..6_000u32 {
+        if g.vertex_count() < 40 && below(rng, 8) == 0 {
+            // A set of the pool {}, {3}, {4}, {3, 4}, or now and then a new one.
+            let fresh = below(rng, 10) == 0;
+            let set: LabelSet = if fresh {
+                [l(5), l(6 + g.vertex_count() as u32)].into_iter().collect()
+            } else {
+                (0..below(rng, 3)).map(|i| l(3 + i as u32)).collect()
+            };
+            let v = VertexId(g.vertex_count() as u32 + below(rng, 2) as u32);
+            assert!(g.ensure_vertex(v, &set));
+            while sets.len() < v.index() {
+                sets.push(LabelSet::empty());
+            }
+            sets.push(set);
+            continue;
+        }
+        let n = g.vertex_count() as u64;
+        if n == 0 {
+            continue;
+        }
+        // Hubs v0 (out) and v1 (in) take a third of the ops; the growing
+        // phases insert three times in four, the shrinking ones once.
+        let hubs = (VertexId(0), VertexId(1.min(n as u32 - 1)));
+        let (mut src, mut dst) = (VertexId(below(rng, n) as u32), VertexId(below(rng, n) as u32));
+        match below(rng, 6) {
+            0 => src = hubs.0,
+            1 => dst = hubs.1,
+            _ => {}
+        }
+        let e = (src, l(below(rng, LABELS.into()) as u32), dst);
+        let was = (g.out_is_directory(hubs.0), g.in_is_directory(hubs.1));
+        let growing = (step / 1_500) % 2 == 0;
+        if below(rng, 4) < if growing { 3 } else { 1 } {
+            assert_eq!(g.insert_edge(e.0, e.1, e.2), model.insert(e));
+        } else {
+            let victim = model.range(e..).next().copied().unwrap_or(e);
+            assert_eq!(g.delete_edge(victim.0, victim.1, victim.2), model.remove(&victim));
+        }
+        let now = (g.out_is_directory(hubs.0), g.in_is_directory(hubs.1));
+        unfolds += usize::from(!was.0 && now.0) + usize::from(!was.1 && now.1);
+        folds += usize::from(was.0 && !now.0) + usize::from(was.1 && !now.1);
+        if step % 250 != 0 {
+            continue;
+        }
+        check(&g, &model, &sets, &mut seen);
+        check(&g.clone(), &model, &sets, &mut seen);
+        let edges = model.iter().map(|&(s, lab, d)| EdgeRef::new(s, lab, d)).collect();
+        check(&DynamicGraph::from_edges(sets.clone(), edges), &model, &sets, &mut seen);
+        let keep = l(step % LABELS);
+        let kept: BTreeSet<_> = model.iter().filter(|e| e.1 == keep).copied().collect();
+        check(&g.clone().project(|lab| lab == keep), &kept, &sets, &mut seen);
+    }
+    assert!(unfolds >= 2 && folds >= 2, "{unfolds} unfolds, {folds} folds");
+    assert!(seen.iter().all(|&n| n > 100), "directions by degree 0 / 1 / 2 / more: {seen:?}");
+}
+
+/// `project` can leave a run of every layout with one entry, which it keeps
+/// in the handle: a directory with one edge of the kept label among many of
+/// another, a flat run with one, and a run that was inline already.
+#[test]
+fn project_moves_a_lone_kept_entry_into_the_handle() {
+    let (keep, drop) = (l(1), l(2));
+    let hub = (0..=FLAT_MAX as u32).map(|i| EdgeRef::new(VertexId(0), drop, VertexId(1 + i)));
+    let edges: Vec<_> = hub
+        .chain([
+            EdgeRef::new(VertexId(0), keep, VertexId(5)),
+            EdgeRef::new(VertexId(2), keep, VertexId(3)),
+            EdgeRef::new(VertexId(2), drop, VertexId(4)),
+            EdgeRef::new(VertexId(7), keep, VertexId(9)),
+        ])
+        .collect();
+    let labels = vec![LabelSet::single(l(0)); 2 + FLAT_MAX];
+    for g in [DynamicGraph::from_edges(labels.clone(), edges.clone()), labeled_graph(2 + FLAT_MAX)]
+    {
+        let mut g = g;
+        for e in &edges {
+            g.insert_edge(e.src, e.label, e.dst);
+        }
+        assert!(g.out_is_directory(VertexId(0)));
+        let got = g.project(|lab| lab == keep);
+        got.validate();
+        assert!(!got.out_is_directory(VertexId(0)));
+        let kept =
+            [(0, 5), (2, 3), (7, 9)].map(|(s, d)| EdgeRef::new(VertexId(s), keep, VertexId(d)));
+        assert!(got.edges().eq(kept));
+        let st = got.storage_stats();
+        assert_eq!((st.inline_runs, st.flat_runs, st.directory_runs, st.live_slots), (6, 0, 0, 0));
+    }
 }

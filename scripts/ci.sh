@@ -96,6 +96,17 @@ if grep -rnE "fn (random_scenario|random_ops|random_graph|random_window|random_p
   exit 1
 fi
 
+echo "=== one label set per distinct set ==="
+# A vertex costs the graph its two 16-byte handles and a 4-byte set id
+# (DESIGN.md, "Graph storage & adjacency index"): each distinct label set is
+# stored once, in `labels::SetTable`. A `Vec<LabelSet>` per vertex was 3.07
+# of lsbench_maint's 13.94 MB peak heap. It comes back by deleting this check
+# and saying which e2e workload it wins.
+if grep -nE "^\s*(pub(\([a-z]+\))? )?[a-z_]+: Vec<LabelSet>" crates/graph/src/dynamic_graph.rs; then
+  echo "ci: a per-vertex label set table is back in DynamicGraph" >&2
+  exit 1
+fi
+
 echo "=== cargo build --release (workspace) ==="
 cargo build --offline --release --workspace
 

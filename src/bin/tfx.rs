@@ -274,9 +274,10 @@ fn run_main(args: &[String]) -> ExitCode {
         return code;
     }
     eprintln!(
-        "processed {ops} ops in {:.2?}: {pos} positive, {neg} negative matches; DCG {}",
+        "processed {ops} ops in {:.2?}: {pos} positive, {neg} negative matches; DCG {}; graph {}",
         started.elapsed(),
         dcg_shape(&engine.dcg()),
+        graph_shape(engine.graph()),
     );
     ExitCode::SUCCESS
 }
@@ -294,6 +295,22 @@ fn dcg_shape(dcg: &turboflux::core::Dcg) -> String {
         s.stored_edges - s.explicit_edges,
         per_vertex.join(" "),
         s.resident_bytes,
+    )
+}
+
+/// How big the data graph is and how its storage is laid out: vertices,
+/// edges, distinct vertex label sets, runs per layout, and its bytes.
+fn graph_shape(g: &DynamicGraph) -> String {
+    let s = g.storage_stats();
+    format!(
+        "{} vertices, {} edges, {} label sets; runs {} inline / {} flat / {} directory; {} bytes",
+        g.vertex_count(),
+        g.edge_count(),
+        s.label_sets,
+        s.inline_runs,
+        s.flat_runs,
+        s.directory_runs,
+        g.resident_bytes(),
     )
 }
 
@@ -593,8 +610,9 @@ fn stream_main(args: &[String]) -> ExitCode {
     if let Err(code) = out.finish() {
         return code;
     }
+    let graph = target.graph().map(|g| format!("graph {}; ", graph_shape(g))).unwrap_or_default();
     eprintln!(
-        "processed {} events -> {} ops in {} batches ({} expiry deletes) in {:.2?}: {} positive, {} negative; window live {}",
+        "processed {} events -> {} ops in {} batches ({} expiry deletes) in {:.2?}: {} positive, {} negative; {graph}window live {}",
         summary.events,
         summary.ops,
         summary.batches,

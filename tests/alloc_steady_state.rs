@@ -175,6 +175,9 @@ fn main() {
     unseen_label_batches_do_not_allocate(&mut engine);
     println!("test unseen_label_batches_do_not_allocate ... ok");
 
+    labeled_add_vertex_ops_on_existing_vertices_do_not_allocate(&mut engine);
+    println!("test labeled_add_vertex_ops_on_existing_vertices_do_not_allocate ... ok");
+
     warm_multi_cell_batches_allocate_per_batch_not_per_delta();
     println!("test warm_multi_cell_batches_allocate_per_batch_not_per_delta ... ok");
 
@@ -186,6 +189,9 @@ fn main() {
 
     project_peaks_at_the_graph_and_one_pair_per_slot();
     println!("test project_peaks_at_the_graph_and_one_pair_per_slot ... ok");
+
+    g0_clone_holds_exactly_its_resident_bytes();
+    println!("test g0_clone_holds_exactly_its_resident_bytes ... ok");
 
     dcg_memory_is_bits_only();
     println!("test dcg_memory_is_bits_only ... ok");
@@ -274,6 +280,54 @@ fn unseen_label_batches_do_not_allocate(engine: &mut TurboFlux) {
     assert_eq!(during, 0, "warm batches of unseen-label ops allocated {during} times");
     assert_eq!((deltas, engine.graph().edge_count()), (0, stored));
     assert_eq!(engine.dcg().snapshot(), dcg);
+}
+
+/// An `AddVertex` naming a vertex that exists is skipped, and skipping it
+/// costs nothing: the graph borrows the op's label set, where every such op
+/// used to clone it, and stores a set it has seen before as a 4-byte id. A
+/// warm batch of labeled ones, through the engine and through
+/// `DynamicGraph::apply`, allocates nothing and changes nothing.
+fn labeled_add_vertex_ops_on_existing_vertices_do_not_allocate(engine: &mut TurboFlux) {
+    let batch: Vec<UpdateOp> = (0..20u32)
+        .map(|i| UpdateOp::AddVertex {
+            id: VertexId(i),
+            labels: LabelSet::from_labels(vec![LabelId(i % 2), LabelId(7)]),
+        })
+        .collect();
+    let (n, dcg) = (engine.graph().vertex_count(), engine.dcg().snapshot());
+    let mut graph = engine.graph().clone();
+    let mut deltas = 0;
+    engine.apply_batch(&batch, &mut |_, _, _| deltas += 1);
+
+    ARMED.store(true, Ordering::SeqCst);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for _ in 0..16 {
+        engine.apply_batch(&batch, &mut |_, _, _| deltas += 1);
+        assert!(batch.iter().all(|op| !graph.apply(op)));
+    }
+    let during = ALLOCS.load(Ordering::SeqCst) - before;
+    ARMED.store(false, Ordering::SeqCst);
+    assert_eq!(during, 0, "warm batches of known-vertex AddVertex ops allocated {during} times");
+    assert_eq!((deltas, engine.graph().vertex_count()), (0, n));
+    assert_eq!(engine.dcg().snapshot(), dcg);
+    assert!(engine.graph().vertices().all(|v| engine.graph().labels(v) == graph.labels(v)));
+}
+
+/// `DynamicGraph::resident_bytes` is exact: a clone of an LSBench g0 — a
+/// handful of distinct label sets over thousands of vertices, most runs kept
+/// inline — holds exactly its `resident_bytes` of live heap, the set table
+/// and its index included.
+fn g0_clone_holds_exactly_its_resident_bytes() {
+    use turboflux::datagen::lsbench::{generate, LsBenchConfig};
+    let d = generate(&LsBenchConfig { users: 2_000, seed: 2018, stream_frac: 0.3 });
+    let before = LIVE.load(Ordering::SeqCst);
+    let copy = d.g0.clone();
+    let held = LIVE.load(Ordering::SeqCst) - before;
+    assert_eq!(held, copy.resident_bytes(), "a clone held {held} B");
+    let st = copy.storage_stats();
+    assert!(st.label_sets > 1 && st.label_sets * 100 < copy.vertex_count(), "{st:?}");
+    assert!(st.inline_runs > st.flat_runs + st.directory_runs, "{st:?}");
+    assert!(copy.resident_bytes() <= d.g0.resident_bytes());
 }
 
 /// Loading a g0 from text holds little beside the graph it returns: the

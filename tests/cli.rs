@@ -45,6 +45,10 @@ fn cli_streams_matches_end_to_end() {
         "DCG 2 edges (0 explicit, 2 implicit; reached/explicit per query vertex 1/0 0/0 1/0)";
     assert_eq!(stderr.matches(shape).count(), 2, "at registration and at the end: {stderr}");
     assert_eq!(stderr.matches(" bytes\n").count(), 2, "{stderr}");
+    // The closing line adds the graph's shape: one run per direction, each
+    // of one edge and so kept in its handle.
+    let graph = "; graph 3 vertices, 2 edges, 2 label sets; runs 4 inline / 0 flat / 0 directory; ";
+    assert!(stderr.lines().last().is_some_and(|l| l.contains(graph)), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -184,7 +188,14 @@ fn cli_stream_subcommand_windowed_file_run() {
         summary.contains("\"events\":6") && summary.contains("\"expiry_deletes\":1"),
         "{summary}"
     );
-    assert!(String::from_utf8_lossy(&out.stderr).contains("window live 3"));
+    // The closing line names the graph's shape before the window's: three
+    // live edges, v0's two out-edges in one flat run and every other
+    // direction that holds an edge inline, over the sets {Person} and
+    // {Company}.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let closing = stderr.lines().last().unwrap_or_default();
+    let graph = "; graph 4 vertices, 3 edges, 2 label sets; runs 4 inline / 1 flat / 0 directory; ";
+    assert!(closing.contains(graph) && closing.ends_with(" bytes; window live 3"), "{stderr}");
 }
 
 #[test]
