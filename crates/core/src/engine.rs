@@ -75,6 +75,8 @@ pub struct TurboFlux {
     pub(crate) deadline_tick: Cell<u32>,
     /// Latched once the deadline passed; the engine stops enumerating.
     pub(crate) deadline_hit: Cell<bool>,
+    /// Edge ops [`Self::apply_batch`] refused for a label out of range.
+    pub(crate) refused_ops: u64,
 }
 
 impl TurboFlux {
@@ -96,6 +98,13 @@ impl TurboFlux {
         engine.recompute_matching_order();
         engine.g = g;
         engine
+    }
+
+    /// Edge ops this engine's [`Self::apply_batch`] refused because their
+    /// label is not below [`tfx_graph::LabelId::LIMIT`]: no graph stores
+    /// such a label, so the op changed nothing and emitted nothing.
+    pub fn refused_ops(&self) -> u64 {
+        self.refused_ops
     }
 
     /// Registers `q` against a *borrowed* initial data graph and builds the
@@ -170,6 +179,7 @@ impl TurboFlux {
             deadline: None,
             deadline_tick: Cell::new(0),
             deadline_hit: Cell::new(false),
+            refused_ops: 0,
             g: DynamicGraph::default(),
             q,
             tree,
@@ -402,6 +412,7 @@ impl TurboFlux {
                 }
             });
             let round = round::stage(&mut g, op, |label| self.sees(label));
+            self.refused_ops += u64::from(round == Round::Refused);
             self.eval_round(&g, &round, true, &mut |p, r| sink(i, p, r));
             round::finalize(&mut g, &round);
         }
@@ -427,7 +438,7 @@ impl TurboFlux {
                 self.eval_inserted_edge(g, src, label, dst, sink)
             }
             Round::Delete { src, label, dst } => self.eval_deleting_edge(g, src, label, dst, sink),
-            Round::Skip | Round::Register { .. } => {}
+            Round::Skip | Round::Refused | Round::Register { .. } => {}
         }
     }
 

@@ -59,6 +59,9 @@ pub struct FleetStats {
     pub ops_routed: u64,
     /// Engine-evaluations of edge ops that were skipped by routing.
     pub ops_skipped: u64,
+    /// Edge ops refused for a label out of range ([`round::Round::Refused`]):
+    /// they reached neither the graph nor any engine.
+    pub ops_refused: u64,
     /// Always 0: the five cross-query sharing counters are kept only so the
     /// frozen `e2e` benchmark compiles, and leave with its five `fleet.*`
     /// per-layer rows in the next `benchmark` PR.
@@ -85,6 +88,7 @@ struct Shared {
     wildcard: Vec<usize>,
     ops_routed: u64,
     ops_skipped: u64,
+    ops_refused: u64,
 }
 
 impl Rounds for Shared {
@@ -108,6 +112,7 @@ impl Rounds for Shared {
             self.ops_routed += interested.len() as u64;
             self.ops_skipped += (engines - interested.len()) as u64;
         }
+        self.ops_refused += u64::from(round == Round::Refused);
         round
     }
 
@@ -143,6 +148,7 @@ impl Fleet {
                 wildcard: Vec::new(),
                 ops_routed: 0,
                 ops_skipped: 0,
+                ops_refused: 0,
             },
             engines: Vec::new(),
             bufs: DeltaBufs::default(),
@@ -243,6 +249,7 @@ impl Fleet {
         FleetStats {
             ops_routed: self.shared.ops_routed,
             ops_skipped: self.shared.ops_skipped,
+            ops_refused: self.shared.ops_refused,
             ..FleetStats::default()
         }
     }
@@ -510,6 +517,38 @@ mod tests {
         let stats = fleet.stats();
         assert_eq!(stats.ops_routed, 3);
         assert_eq!(stats.ops_skipped, 5);
+    }
+
+    /// A library op on a label past `LabelId::LIMIT` is refused and
+    /// counted, in a fleet and in a standalone engine alike, even by a
+    /// wildcard query: no edge, no vertex, no delta. (Stored, its label
+    /// would have grown the graph's per-label counter table to 2^32 entries.)
+    #[test]
+    fn out_of_range_labels_are_refused_and_counted() {
+        let (g0, _) = setup();
+        let mut q = QueryGraph::new();
+        let a = q.add_vertex(LabelSet::empty());
+        let b = q.add_vertex(LabelSet::empty());
+        q.add_edge(a, b, None);
+        let (src, dst) = (VertexId(0), VertexId(50));
+        let batch: Vec<UpdateOp> = [LabelId::LIMIT, u32::MAX]
+            .into_iter()
+            .flat_map(|label| {
+                let label = LabelId(label);
+                [UpdateOp::InsertEdge { src, label, dst }, UpdateOp::DeleteEdge { src, label, dst }]
+            })
+            .collect();
+        let (vertices, edges) = (g0.vertex_count(), g0.edge_count());
+        let mut engine = TurboFlux::new(q.clone(), g0.clone(), TurboFluxConfig::default());
+        engine.apply_batch(&batch, &mut |_, _, _| panic!("a refused op emitted"));
+        assert_eq!(engine.refused_ops(), 4);
+        assert_eq!((engine.graph().vertex_count(), engine.graph().edge_count()), (vertices, edges));
+        let mut fleet = Fleet::new(g0);
+        fleet.register(q, TurboFluxConfig::default());
+        fleet.apply_batch(&batch, &mut |_| panic!("a refused op emitted"));
+        let stats = fleet.stats();
+        assert_eq!((stats.ops_refused, stats.ops_routed, stats.ops_skipped), (4, 0, 0));
+        assert_eq!((fleet.graph().vertex_count(), fleet.graph().edge_count()), (vertices, edges));
     }
 
     #[test]

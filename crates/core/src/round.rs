@@ -39,6 +39,11 @@ use tfx_query::{MatchRecord, Positiveness};
 pub(crate) enum Round {
     /// No-op (duplicate edge, missing edge, known vertex).
     Skip,
+    /// An edge op whose label is not below [`LabelId::LIMIT`], which no
+    /// graph stores: a skip that touches nothing, not even the endpoints,
+    /// and that the runtime counts ([`crate::TurboFlux::refused_ops`],
+    /// [`crate::FleetStats::ops_refused`]).
+    Refused,
     /// Vertices with id ≥ `from` are new: register start candidates.
     Register { from: VertexId },
     /// The edge was inserted; vertices with id ≥ `grew` were created for it.
@@ -72,7 +77,10 @@ impl Round {
 /// round. `graph` stores only the edges whose label `sees` accepts (a
 /// standalone engine's projection, [`crate::TurboFlux::new`]); an edge op on
 /// any other label leaves it alone, except that an insert still creates its
-/// endpoints — the vertices exist for every query, whatever their edges.
+/// endpoints — the vertices exist for every query, whatever their edges. An
+/// edge op on a label out of range is [`Round::Refused`] before it reaches
+/// the graph: a parsed stream cannot carry one (the interner hands out no
+/// such id), a library caller's `UpdateOp` can.
 pub(crate) fn stage(
     graph: &mut DynamicGraph,
     op: &UpdateOp,
@@ -80,6 +88,11 @@ pub(crate) fn stage(
 ) -> Round {
     let from = VertexId(graph.vertex_count() as u32);
     match *op {
+        UpdateOp::InsertEdge { label, .. } | UpdateOp::DeleteEdge { label, .. }
+            if label.0 >= LabelId::LIMIT =>
+        {
+            Round::Refused
+        }
         UpdateOp::AddVertex { id, ref labels } => {
             if graph.ensure_vertex(id, labels) {
                 Round::Register { from }
@@ -358,6 +371,28 @@ mod tests {
         assert_eq!(stage(&mut g, &add(2), all), Round::Skip);
         assert_eq!(stage(&mut g, &add(7), all), Round::Register { from: v(6) });
         assert_eq!(Round::Register { from: v(6) }.new_vertices(), Some(v(6)));
+    }
+
+    /// An edge op on a label past [`LabelId::LIMIT`] is refused before the
+    /// graph sees it: no edge, no endpoints, no counter grown — where the
+    /// graph's per-label counter table used to grow to the label's index.
+    #[test]
+    fn out_of_range_labels_are_refused_and_touch_nothing() {
+        let mut g = graph();
+        let resident = g.resident_bytes();
+        for label in [LabelId::LIMIT, u32::MAX] {
+            let (src, dst, label) = (v(0), v(9), LabelId(label));
+            for op in
+                [UpdateOp::InsertEdge { src, label, dst }, UpdateOp::DeleteEdge { src, label, dst }]
+            {
+                assert_eq!(stage(&mut g, &op, all), Round::Refused);
+                assert_eq!(stage(&mut g, &op, |_| false), Round::Refused);
+            }
+        }
+        assert_eq!((g.vertex_count(), g.edge_count(), g.resident_bytes()), (3, 1, resident));
+        let mut out = vec![Target { cell: 0, eval: true }];
+        route(&Round::Refused, 2, [0, 1].into_iter(), &mut out);
+        assert!(out.is_empty(), "a refused op reaches no cell");
     }
 
     /// An edge op on a label the graph does not store leaves the graph's

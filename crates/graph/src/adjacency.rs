@@ -4,20 +4,24 @@
 //! about a data vertex `v`: "which neighbors are reachable over an edge with
 //! label `l`?" (concrete query-edge label — the overwhelmingly common case)
 //! or "which neighbors at all?" (wildcard query edge). Each direction of
-//! each vertex is an [`Adjacency`] handle — `{off, len, class}` plus a group
-//! count — into the graph's single [`SlotArena`] of 4-byte words; nothing
-//! here owns heap memory, so an edge op touches one handle and one or two
-//! slots per direction and nothing else.
+//! each vertex is an [`Adjacency`] handle — `{off, len, groups, class}` and
+//! a layout flag — into the graph's single [`SlotArena`] of 4-byte words;
+//! nothing here owns heap memory, so an edge op touches one handle and one
+//! or two slots per direction and nothing else.
 //!
 //! Three layouts, all enumerating in `(label, neighbor)` order:
 //!
 //! * **Inline** — exactly one entry, kept in the handle itself: the
-//!   neighbor in `off`, the label in `groups`. It owns no slot; it is a flat
-//!   run of one entry whose two halves are the handle's own two words.
-//! * **Flat** — one slot split in halves: the entries' labels, then their
-//!   neighbor ids, both in entry order. A label group is the sub-run of ids
-//!   under the equal labels, found by a branch-free counting pass over at
-//!   most [`FLAT_MAX`] label words.
+//!   neighbor in `off`, the label in `groups`. It owns no slot.
+//! * **Flat** — one slot `[h_0 … h_{L−1} | ids]`: one header word per label
+//!   group, packing the label and the group's length (`label << 8 | len`),
+//!   in label order, then the neighbor ids, grouped by label and sorted
+//!   within each group. The label is stored once per group, not once per
+//!   entry — a netflow flat run holds 4.6 distinct labels on average. A
+//!   lookup sums the lengths of the headers below its label in one
+//!   branch-free pass over the `L` headers; an insert or delete shifts the
+//!   ids after its position, and the headers after its group too when the
+//!   group appears or empties.
 //! * **Directory** — one slot of `[label, off, len, class]` records sorted
 //!   by label, each naming a slot with that label's sorted neighbor ids. An
 //!   insert or delete shifts one label group, not the whole degree, which
@@ -46,10 +50,17 @@ use crate::ids::VertexId as Word;
 /// The arena all adjacency runs of one graph live in.
 pub(crate) type Arena = SlotArena<Word>;
 
-/// Entries up to which a run stays flat. At 32 a flat run is at most four
-/// cache lines and its label half two; DESIGN.md "Adjacency layout" has the
-/// measurement that set it.
+/// Entries up to which a run stays flat. At 32 a flat slot is at most four
+/// cache lines (32 ids and their headers); DESIGN.md "The one threshold" has
+/// the measurements that set it.
 pub const FLAT_MAX: usize = 32;
+
+/// Bits of a flat run's header word that hold its group's length; the
+/// label takes the rest.
+const LEN_BITS: u32 = 8;
+
+const _: () = assert!(FLAT_MAX < 1 << LEN_BITS, "a group's length fits its header");
+const _: () = assert!((LabelId::LIMIT as u64) << LEN_BITS == 1 << 32, "a label fits a header");
 
 /// Words per directory record: `[label, off, len, class]`.
 const REC: usize = 4;
@@ -79,24 +90,49 @@ pub(crate) struct Adjacency {
     off: Word,
     /// Total `(label, neighbor)` entries.
     len: u32,
-    /// Directory records, 0 for a flat run; an inline run's label.
+    /// Label groups: a flat run's headers, a directory's records; an inline
+    /// run's label.
     groups: Word,
     class: u8,
+    /// True for a directory.
+    dir: bool,
 }
 
 const _: () = assert!(std::mem::size_of::<Adjacency>() == 16, "a handle is 16 bytes");
 
-/// `[lo, hi)` of `label`'s entries among the sorted `labels` of a flat run.
-/// No early exit: over at most [`FLAT_MAX`] words the counting loop
-/// vectorizes and beats both a branchy scan and a binary search.
+/// A flat run's header for a group of `n` entries under `label`.
 #[inline]
-fn run_bounds(labels: &[Word], label: LabelId) -> (usize, usize) {
-    let (mut lo, mut eq) = (0, 0);
-    for l in labels {
-        lo += usize::from(l.0 < label.0);
-        eq += usize::from(l.0 == label.0);
+fn header(label: LabelId, n: usize) -> Word {
+    Word(label.0 << LEN_BITS | n as u32)
+}
+
+/// The label a flat run's header names.
+#[inline]
+fn head_label(h: Word) -> LabelId {
+    LabelId(h.0 >> LEN_BITS)
+}
+
+/// The length a flat run's header names.
+#[inline]
+fn head_len(h: Word) -> usize {
+    (h.0 & ((1 << LEN_BITS) - 1)) as usize
+}
+
+/// Where `label`'s group sits in a flat run with headers `heads`, as
+/// `(header index, ids before it, its length)`; the length is 0 and the
+/// header index where it would go when the run has no such group. No early
+/// exit: over the few headers a run has the counting loop beats a branchy
+/// scan.
+#[inline]
+fn find_head(heads: &[Word], label: LabelId) -> (usize, usize, usize) {
+    let (mut g, mut at, mut n) = (0, 0, 0);
+    for &h in heads {
+        let (hl, hn) = (head_label(h), head_len(h));
+        g += usize::from(hl < label);
+        at += if hl < label { hn } else { 0 };
+        n += if hl == label { hn } else { 0 };
     }
-    (lo, lo + eq)
+    (g, at, n)
 }
 
 /// Index of `label`'s record in a directory, or where it would go.
@@ -127,12 +163,12 @@ fn group_ids<'a>(data: &'a [Word], rec: &[Word]) -> &'a [VertexId] {
 impl Adjacency {
     /// The run with no entries.
     pub(crate) const EMPTY: Adjacency =
-        Adjacency { off: Word(0), len: 0, groups: Word(0), class: 0 };
+        Adjacency { off: Word(0), len: 0, groups: Word(0), class: 0, dir: false };
 
     /// The one-entry run `(label, v)`, kept in the handle.
     #[inline]
     fn inline(label: LabelId, v: VertexId) -> Adjacency {
-        Adjacency { off: v, len: 1, groups: Word(label.0), class: 0 }
+        Adjacency { off: v, len: 1, groups: Word(label.0), class: 0, dir: false }
     }
 
     /// Total number of `(label, neighbor)` entries.
@@ -150,24 +186,25 @@ impl Adjacency {
     /// True while the run is a label directory of id runs.
     #[inline]
     pub(crate) fn is_directory(&self) -> bool {
-        self.len > 1 && self.groups.0 > 0
+        self.dir
     }
 
-    /// Entries a flat run's slot holds (half its words); 0 without a slot.
+    /// A flat run's `(headers, ids)`; both empty for an empty run.
     #[inline]
-    fn flat_cap(&self) -> usize {
-        usize::from(self.len > 1) * class_cap(self.class) as usize / 2
+    fn flat<'a>(&self, a: &'a Arena) -> (&'a [Word], &'a [VertexId]) {
+        let (off, heads) = (self.off.index(), self.groups.index());
+        a.data()[off..off + heads + self.len()].split_at(heads)
     }
 
-    /// A flat run's `(labels, ids)` halves; an inline run's are its handle's
-    /// two words.
+    /// An inline run's entry as a group: its id if `label` is its label.
     #[inline]
-    fn flat<'a>(&'a self, a: &'a Arena) -> (&'a [Word], &'a [VertexId]) {
-        if self.is_inline() {
-            return (std::slice::from_ref(&self.groups), std::slice::from_ref(&self.off));
+    fn inline_ids(&self, label: LabelId) -> &[VertexId] {
+        let ids = std::slice::from_ref(&self.off);
+        if self.groups.0 == label.0 {
+            ids
+        } else {
+            &ids[..0]
         }
-        let (off, n, cap) = (self.off.index(), self.len(), self.flat_cap());
-        (&a.data()[off..off + n], &a.data()[off + cap..off + cap + n])
     }
 
     /// A directory's records.
@@ -178,11 +215,11 @@ impl Adjacency {
 
     /// The arena words [`Self::build`] carves for `entries`.
     pub(crate) fn words(entries: &[(LabelId, VertexId)]) -> usize {
+        let groups = entries.chunk_by(|x, y| x.0 == y.0);
         match entries.len() {
             0 | 1 => 0,
-            n if n <= FLAT_MAX => class_cap(class_for(2 * n)) as usize,
+            n if n <= FLAT_MAX => class_cap(class_for(groups.count() + n)) as usize,
             _ => {
-                let groups = entries.chunk_by(|x, y| x.0 == y.0);
                 let ids = groups.clone().map(|run| class_cap(class_for(run.len())) as usize);
                 ids.sum::<usize>() + class_cap(class_for(REC * groups.count())) as usize
             }
@@ -204,14 +241,30 @@ impl Adjacency {
             [(label, v)] => return Self::inline(label, v),
             _ => {}
         }
-        let class = class_for(2 * entries.len());
+        let heads = entries.chunk_by(|x, y| x.0 == y.0).map(|run| header(run[0].0, run.len()));
+        Self::lay_flat(
+            a,
+            heads.clone().count(),
+            entries.len(),
+            heads.chain(entries.iter().map(|e| e.1)),
+        )
+    }
+
+    /// Lays a flat run of `heads` groups and `n` entries from its `words`:
+    /// the headers, then the ids.
+    fn lay_flat(
+        a: &mut Arena,
+        heads: usize,
+        n: usize,
+        words: impl Iterator<Item = Word>,
+    ) -> Adjacency {
+        let class = class_for(heads + n);
         let off = a.alloc(class);
-        let (base, cap) = (off as usize, class_cap(class) as usize / 2);
-        for (i, &(label, v)) in entries.iter().enumerate() {
-            a.data_mut()[base + i] = Word(label.0);
-            a.data_mut()[base + cap + i] = v;
+        for (slot, w) in a.data_mut()[off as usize..][..heads + n].iter_mut().zip(words) {
+            *slot = w;
         }
-        Adjacency { off: Word(off), len: entries.len() as u32, groups: Word(0), class }
+        let (len, groups) = (n as u32, Word(heads as u32));
+        Adjacency { off: Word(off), len, groups, class, dir: false }
     }
 
     fn build_dir(a: &mut Arena, entries: &[(LabelId, VertexId)]) -> Adjacency {
@@ -227,7 +280,8 @@ impl Adjacency {
             let rec = [run[0].0 .0, goff, run.len() as u32, gclass as u32].map(Word);
             a.data_mut()[off as usize + g * REC..][..REC].copy_from_slice(&rec);
         }
-        Adjacency { off: Word(off), len: entries.len() as u32, groups: Word(groups as u32), class }
+        let (len, groups) = (entries.len() as u32, Word(groups as u32));
+        Adjacency { off: Word(off), len, groups, class, dir: true }
     }
 
     /// Lays sorted, duplicate-free, non-empty label groups out as a fresh
@@ -241,16 +295,9 @@ impl Adjacency {
             _ => {}
         }
         if n <= FLAT_MAX {
-            let class = class_for(2 * n);
-            let off = a.alloc(class);
-            let (mut at, cap) = (off as usize, class_cap(class) as usize / 2);
-            let data = a.data_mut();
-            for &(label, ids) in groups {
-                data[at..at + ids.len()].fill(Word(label.0));
-                data[at + cap..at + cap + ids.len()].copy_from_slice(ids);
-                at += ids.len();
-            }
-            return Adjacency { off: Word(off), len: n as u32, groups: Word(0), class };
+            let heads = groups.iter().map(|&(label, ids)| header(label, ids.len()));
+            let ids = groups.iter().flat_map(|&(_, ids)| ids.iter().copied());
+            return Self::lay_flat(a, groups.len(), n, heads.chain(ids));
         }
         let class = class_for(REC * groups.len());
         let off = a.alloc(class);
@@ -261,14 +308,31 @@ impl Adjacency {
             let rec = [label.0, goff, ids.len() as u32, gclass as u32].map(Word);
             a.data_mut()[off as usize + g * REC..][..REC].copy_from_slice(&rec);
         }
-        Adjacency { off: Word(off), len: n as u32, groups: Word(groups.len() as u32), class }
+        let (len, recs) = (n as u32, Word(groups.len() as u32));
+        Adjacency { off: Word(off), len, groups: recs, class, dir: true }
     }
 
     /// Every slot this run owns, as `(off, class)`.
     pub(crate) fn slots<'a>(&self, a: &'a Arena) -> impl Iterator<Item = (u32, u8)> + 'a {
         let own = (self.len > 1).then_some((self.off.0, self.class));
-        let recs = if self.is_directory() { self.dir(a) } else { &[] };
+        let recs = if self.dir { self.dir(a) } else { &[] };
         own.into_iter().chain(recs.chunks_exact(REC).map(|rec| (rec[1].0, rec[3].0 as u8)))
+    }
+
+    /// Asserts what a flat run's headers promise (test support): labels
+    /// strictly ascending, no empty group, lengths summing to the run's, and
+    /// headers and ids within the slot.
+    pub(crate) fn check_headers(&self, a: &Arena) {
+        if self.dir || self.len < 2 {
+            return;
+        }
+        let (heads, _) = self.flat(a);
+        assert!(heads.windows(2).all(|h| head_label(h[0]) < head_label(h[1])), "headers unsorted");
+        assert!(heads.iter().all(|&h| head_len(h) > 0), "an empty group kept its header");
+        let total = heads.iter().map(|&h| head_len(h)).sum::<usize>();
+        assert_eq!(total, self.len(), "header lengths do not sum to the run's");
+        let words = heads.len() + self.len();
+        assert!(words <= class_cap(self.class) as usize, "a flat run overflows its slot");
     }
 
     /// Re-lays the run in the other layout (at most [`FLAT_MAX`] entries
@@ -282,18 +346,16 @@ impl Adjacency {
         let mut owned = [(0, 0); FLAT_MAX + 1];
         let slots = self.slots(a).zip(&mut owned).map(|(s, o)| *o = s).count();
         owned[..slots].iter().for_each(|&(off, class)| a.release(off, class));
-        *self = if self.is_directory() {
-            Self::build_flat(a, &buf[..n])
-        } else {
-            Self::build_dir(a, &buf[..n])
-        };
+        *self =
+            if self.dir { Self::build_flat(a, &buf[..n]) } else { Self::build_dir(a, &buf[..n]) };
     }
 
     /// Drops the label groups `keep` rejects, in place and in the slots the
-    /// run has: a flat run closes the gaps in its two halves, a directory
-    /// drops the records of the rejected groups and releases their slots.
-    /// Layouts and classes stay, except that a run left with one entry moves
-    /// it into the handle and a run left empty releases everything.
+    /// run has: a flat run closes the gaps among its headers and its ids, a
+    /// directory drops the records of the rejected groups and releases their
+    /// slots. Layouts and classes stay, except that a run left with one
+    /// entry moves it into the handle and a run left empty releases
+    /// everything.
     pub(crate) fn retain(&mut self, a: &mut Arena, keep: impl Fn(LabelId) -> bool) {
         let off = self.off.index();
         match self.len {
@@ -304,21 +366,26 @@ impl Adjacency {
                 }
                 return;
             }
-            _ if !self.is_directory() => {
-                let (n, cap, data) = (self.len(), self.flat_cap(), a.data_mut());
-                let mut kept = 0;
-                for i in 0..n {
-                    if keep(LabelId(data[off + i].0)) {
-                        // Nothing moves until an entry has been dropped.
-                        if kept != i {
-                            data[off + kept] = data[off + i];
-                            data[off + cap + kept] = data[off + cap + i];
-                        }
-                        kept += 1;
+            _ if !self.dir => {
+                // The kept ids land where dropped headers were, so the
+                // headers are read from a copy.
+                let mut heads = [Word(0); FLAT_MAX];
+                let heads = &mut heads[..self.groups.index()];
+                heads.copy_from_slice(&a.data()[off..off + heads.len()]);
+                let kept = heads.iter().filter(|&&h| keep(head_label(h))).count();
+                let data = a.data_mut();
+                let (mut g, mut from, mut to) = (0, off + heads.len(), off + kept);
+                for &h in heads.iter() {
+                    if keep(head_label(h)) {
+                        data[off + g] = h;
+                        data.copy_within(from..from + head_len(h), to);
+                        (g, to) = (g + 1, to + head_len(h));
                     }
+                    from += head_len(h);
                 }
-                let last = (LabelId(data[off].0), data[off + cap]);
-                self.settle(a, kept as u32, last);
+                self.groups = Word(kept as u32);
+                let last = (head_label(data[off]), data[off + kept]);
+                self.settle(a, (to - off - kept) as u32, last);
                 return;
             }
             _ => {}
@@ -357,7 +424,7 @@ impl Adjacency {
     /// True for a directory of at most [`FLAT_MAX`] entries, which the one
     /// rule lays flat: what [`Self::retain`] can leave behind.
     pub(crate) fn folds(&self) -> bool {
-        self.is_directory() && self.len() <= FLAT_MAX
+        self.dir && self.len() <= FLAT_MAX
     }
 
     /// Moves the slot of this run at `from` — its own, or one of its
@@ -368,7 +435,7 @@ impl Adjacency {
     pub(crate) fn move_slot(&mut self, a: &mut Arena, from: u32, to: u32) -> u32 {
         debug_assert!(to <= from);
         let (src, dst) = (from as usize, to as usize);
-        let class = if from != self.off.0 {
+        if from != self.off.0 {
             // One of the directory's groups: its record follows it.
             let dir = self.off.index();
             let g = (0..self.groups.index()).find(|g| a.data()[dir + g * REC + 1].0 == from);
@@ -379,30 +446,17 @@ impl Adjacency {
             data.copy_within(src..src + n, dst);
             (data[at + 1], data[at + 3]) = (Word(to), Word(class as u32));
             return class_cap(class);
-        } else if self.is_directory() {
-            let words = self.groups.index() * REC;
-            a.data_mut().copy_within(src..src + words, dst);
-            class_for(words)
-        } else {
-            // The labels land below where the ids start, so the halves move
-            // one after the other.
-            let (n, from_cap) = (self.len(), self.flat_cap());
-            let class = class_for(2 * n);
-            let data = a.data_mut();
-            data.copy_within(src..src + n, dst);
-            data.copy_within(
-                src + from_cap..src + from_cap + n,
-                dst + class_cap(class) as usize / 2,
-            );
-            class
-        };
-        (self.off, self.class) = (Word(to), class);
-        class_cap(class)
+        }
+        let groups = self.groups.index();
+        let words = if self.dir { groups * REC } else { groups + self.len() };
+        a.data_mut().copy_within(src..src + words, dst);
+        (self.off, self.class) = (Word(to), class_for(words));
+        class_cap(self.class)
     }
 
     /// Inserts `(label, v)`; returns `false` if it is already present.
     pub(crate) fn insert(&mut self, a: &mut Arena, label: LabelId, v: VertexId) -> bool {
-        if self.is_directory() {
+        if self.dir {
             return self.insert_dir(a, label, v);
         }
         match self.len {
@@ -420,31 +474,40 @@ impl Adjacency {
             }
             _ => {}
         }
-        let (labels, ids) = self.flat(a);
-        let (lo, hi) = run_bounds(labels, label);
-        let Err(p) = ids[lo..hi].binary_search(&v) else { return false };
+        let (heads, ids) = self.flat(a);
+        let (g, at, n) = find_head(heads, label);
+        let Err(p) = ids[at..at + n].binary_search(&v) else { return false };
         if self.len() == FLAT_MAX {
             self.relay(a);
             return self.insert_dir(a, label, v);
         }
-        // Splice into both halves; a full slot moves up a class.
-        let (pos, n) = (lo + p, self.len());
-        let (src, src_cap, src_class) = (self.off.index(), self.flat_cap(), self.class);
-        if n == src_cap {
-            self.class = src_class + 1;
+        // Word offsets within the slot: the insertion point among the ids
+        // and the end. A new group adds its header at `g`, which moves
+        // everything from there on up one more word.
+        let new = usize::from(n == 0);
+        let (ins, end) = (heads.len() + at + p, heads.len() + self.len());
+        let (src, src_class) = (self.off.index(), self.class);
+        let moves = end + 1 + new > class_cap(src_class) as usize;
+        if moves {
+            self.class = class_for(end + 1 + new);
             self.off = Word(a.alloc(self.class));
         }
-        self.len += 1;
-        let (dst, dst_cap) = (self.off.index(), self.flat_cap());
+        let dst = self.off.index();
         let data = a.data_mut();
-        for (s, t, w) in [(src, dst, Word(label.0)), (src + src_cap, dst + dst_cap, v)] {
-            if s != t {
-                data.copy_within(s..s + pos, t);
-            }
-            data.copy_within(s + pos..s + n, t + pos + 1);
-            data[t + pos] = w;
+        // Highest piece first: in place, a shift up must not overwrite what
+        // it has yet to read.
+        data.copy_within(src + ins..src + end, dst + ins + 1 + new);
+        if moves || new == 1 {
+            data.copy_within(src + g..src + ins, dst + g + new);
         }
-        if n == src_cap {
+        if moves {
+            data.copy_within(src..src + g, dst);
+        }
+        data[dst + ins + new] = v;
+        data[dst + g] = if new == 1 { header(label, 1) } else { Word(data[dst + g].0 + 1) };
+        self.groups.0 += new as u32;
+        self.len += 1;
+        if moves {
             a.release(src as u32, src_class);
         }
         true
@@ -479,23 +542,34 @@ impl Adjacency {
     /// Removes `(label, v)`; returns `false` if absent. A directory shifts
     /// only the ids of `label`'s group.
     pub(crate) fn remove(&mut self, a: &mut Arena, label: LabelId, v: VertexId) -> bool {
-        if !self.is_directory() {
-            let (labels, ids) = self.flat(a);
-            let (lo, hi) = run_bounds(labels, label);
-            let Ok(p) = ids[lo..hi].binary_search(&v) else { return false };
-            if self.is_inline() {
+        if self.is_inline() {
+            let found = self.inline_ids(label).first() == Some(&v);
+            if found {
                 *self = Adjacency::EMPTY;
-                return true;
             }
-            let (pos, n, cap) = (lo + p, self.len(), self.flat_cap());
+            return found;
+        }
+        if !self.dir {
+            let (heads, ids) = self.flat(a);
+            let (g, at, n) = find_head(heads, label);
+            let Ok(p) = ids[at..at + n].binary_search(&v) else { return false };
+            // An emptied group takes its header along: what lies between
+            // it and the entry moves down one word, what follows two.
+            let gone = usize::from(n == 1);
             let off = self.off.index();
-            for half in [off, off + cap] {
-                a.data_mut().copy_within(half + pos + 1..half + n, half + pos);
+            let (pos, end) = (off + heads.len() + at + p, off + heads.len() + self.len());
+            let data = a.data_mut();
+            if gone == 1 {
+                data.copy_within(off + g + 1..pos, off + g);
+            } else {
+                data[off + g].0 -= 1;
             }
+            data.copy_within(pos + 1..end, pos - gone);
+            self.groups.0 -= gone as u32;
             self.len -= 1;
             if self.is_inline() {
                 // The one entry left moves into the handle.
-                let last = (LabelId(a.data()[off].0), a.data()[off + cap]);
+                let last = (head_label(a.data()[off]), a.data()[off + 1]);
                 a.release(self.off.0, self.class);
                 *self = Self::inline(last.0, last.1);
             }
@@ -526,35 +600,42 @@ impl Adjacency {
     /// sorted duplicate-free run.
     #[inline]
     pub(crate) fn labeled<'a>(&'a self, a: &'a Arena, label: LabelId) -> LabeledNeighbors<'a> {
-        if self.is_directory() {
+        if self.dir {
             let dir = self.dir(a);
             let ids = find_group(dir, label).map(|g| group_ids(a.data(), &dir[g * REC..]));
             return LabeledNeighbors(ids.unwrap_or(&[]));
         }
-        let (labels, ids) = self.flat(a);
-        let (lo, hi) = run_bounds(labels, label);
-        LabeledNeighbors(&ids[lo..hi])
+        if self.is_inline() {
+            return LabeledNeighbors(self.inline_ids(label));
+        }
+        let (heads, ids) = self.flat(a);
+        let (_, at, n) = find_head(heads, label);
+        LabeledNeighbors(&ids[at..at + n])
     }
 
     /// The batch lookahead's hint (`tfx_core::round::lookahead`) for a coming
     /// probe, insert or delete of a `(label, ·)` entry, given that the stage
     /// before pulled in what this one reads. Stage 1 reads the handle and
-    /// hints the slot it names: a flat run's label half and id half (first
-    /// and last entry — a half is at most [`FLAT_MAX`] words at any
-    /// alignment), a directory's first and middle record. Stage 2 searches
-    /// the directory, cached by then, and hints the first and middle line of
-    /// `label`'s id run; a flat run has nothing left to hint, and an inline
-    /// one nothing past its handle.
+    /// hints the slot it names: a flat run's first and last word (headers
+    /// first, then ids — at most eight lines), a directory's first and middle
+    /// record. Stage 2 reads what stage 1 hinted: a flat run's headers, to
+    /// hint the first and last line of `label`'s ids (where they would go,
+    /// for a label the run lacks), or a directory's records, to hint the
+    /// first and middle line of `label`'s id run. An inline run has nothing
+    /// past its handle.
     #[inline]
     pub(crate) fn prefetch(&self, a: &Arena, label: LabelId, stage: u8) {
         let (data, off) = (a.data(), self.off.index());
-        match (stage, self.is_directory()) {
+        match (stage, self.dir) {
             (1, false) if self.len > 1 => {
-                let last = self.len() - 1;
-                for half in [off, off + self.flat_cap()] {
-                    prefetch_at(data, half);
-                    prefetch_at(data, half + last);
-                }
+                prefetch_at(data, off);
+                prefetch_at(data, off + self.groups.index() + self.len() - 1);
+            }
+            (2, false) if self.len > 1 => {
+                let (heads, _) = self.flat(a);
+                let (_, at, n) = find_head(heads, label);
+                prefetch_at(data, off + heads.len() + at);
+                prefetch_at(data, off + heads.len() + at + n.saturating_sub(1));
             }
             (1, true) => {
                 prefetch_at(data, off);
@@ -575,11 +656,16 @@ impl Adjacency {
     /// Every label group as `(label, sorted ids)`, in label order.
     #[inline]
     pub(crate) fn groups<'a>(&'a self, a: &'a Arena) -> Groups<'a> {
-        if self.is_directory() {
-            return Groups { data: a.data(), labels: &[], ids: &[], recs: self.dir(a) };
+        let data = a.data();
+        if self.dir {
+            return Groups { data, heads: &[], ids: &[], label: LabelId(0), recs: self.dir(a) };
         }
-        let (labels, ids) = self.flat(a);
-        Groups { data: a.data(), labels, ids, recs: &[] }
+        if self.is_inline() {
+            let (label, ids) = (LabelId(self.groups.0), std::slice::from_ref(&self.off));
+            return Groups { data, heads: &[], ids, label, recs: &[] };
+        }
+        let (heads, ids) = self.flat(a);
+        Groups { data, heads, ids, label: LabelId(0), recs: &[] }
     }
 
     /// All `(neighbor, edge label)` pairs in `(label, neighbor)` order.
@@ -622,15 +708,18 @@ impl Adjacency {
     }
 }
 
-/// The label groups of one run: a flat run splits its two halves at every
-/// label change, a directory walks its records.
+/// The label groups of one run: a flat run splits its ids at its headers'
+/// lengths, a directory walks its records, an inline run is one group.
 #[derive(Clone)]
 pub(crate) struct Groups<'a> {
     data: &'a [Word],
-    /// What is left of a flat run's halves; empty for a directory.
-    labels: &'a [Word],
+    /// What is left of a flat run's headers; empty otherwise.
+    heads: &'a [Word],
+    /// What is left of a flat run's ids; an inline run's one id.
     ids: &'a [VertexId],
-    /// What is left of a directory's records; empty for a flat run.
+    /// An inline run's label.
+    label: LabelId,
+    /// What is left of a directory's records; empty otherwise.
     recs: &'a [Word],
 }
 
@@ -639,15 +728,18 @@ impl<'a> Iterator for Groups<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        let Some(&label) = self.labels.first() else {
-            let (rec, rest) = self.recs.split_at_checked(REC)?;
+        if let Some((&h, heads)) = self.heads.split_first() {
+            let (ids, rest) = self.ids.split_at(head_len(h));
+            (self.heads, self.ids) = (heads, rest);
+            return Some((head_label(h), ids));
+        }
+        if let Some((rec, rest)) = self.recs.split_at_checked(REC) {
             self.recs = rest;
             return Some((LabelId(rec[0].0), group_ids(self.data, rec)));
-        };
-        let run = self.labels.iter().take_while(|&&l| l == label).count();
-        let (ids, rest) = self.ids.split_at(run);
-        (self.labels, self.ids) = (&self.labels[run..], rest);
-        Some((LabelId(label.0), ids))
+        }
+        // An inline run's entry, once; a flat run has no ids past its last
+        // header.
+        (!self.ids.is_empty()).then(|| (self.label, std::mem::take(&mut self.ids)))
     }
 }
 

@@ -1,5 +1,7 @@
-//! A slot arena: every run lives in one `Vec`, carved in power-of-two
-//! size classes with a per-class LIFO free list.
+//! A slot arena: every run lives in one `Vec`, carved in size classes two
+//! to a doubling (4, 6, 8, 12, 16, 24, … entries) with a per-class LIFO
+//! free list. Past class 0 a slot laid for a run is more than two thirds
+//! full, where a power-of-two class may be only just over half full.
 //!
 //! A slot is carved from the end of `data` exactly once and is identified
 //! by its offset; a run that outgrows its slot is copied to the next class
@@ -10,20 +12,24 @@
 //! ([`crate::adjacency`]) keeps its own `{off, len, class}` handles and its
 //! own sort order.
 
-/// Capacity of size class 0, in entries. Classes double from here.
+/// Capacity of size class 0, in entries. Every second class doubles it.
 pub const MIN_CLASS_CAP: u32 = 4;
 
-/// Capacity of a slot of `class`, in entries.
+/// Capacity of a slot of `class`, in entries: two classes per doubling,
+/// 4, 6, 8, 12, 16, 24, …
 #[inline]
 pub fn class_cap(class: u8) -> u32 {
-    MIN_CLASS_CAP << class
+    (MIN_CLASS_CAP + MIN_CLASS_CAP / 2 * u32::from(class & 1)) << (class >> 1)
 }
 
 /// Smallest class whose slots hold `len` entries.
 #[inline]
 pub fn class_for(len: usize) -> u8 {
     let slots = len.div_ceil(MIN_CLASS_CAP as usize).max(1);
-    slots.next_power_of_two().trailing_zeros() as u8
+    let doubling = slots.next_power_of_two().trailing_zeros() as u8;
+    // The half step below the doubling's class may do.
+    let half = doubling > 0 && len <= class_cap(2 * doubling - 1) as usize;
+    2 * doubling - u8::from(half)
 }
 
 /// The capacity an arena that needs `entries` grows to: the next multiple of
@@ -201,14 +207,18 @@ mod tests {
 
     #[test]
     fn classes_cover_their_lengths() {
-        assert_eq!(class_for(0), 0);
-        assert_eq!(class_for(4), 0);
-        assert_eq!(class_for(5), 1);
-        assert_eq!(class_for(8), 1);
-        assert_eq!(class_for(9), 2);
+        assert_eq!(
+            (0..10).map(class_cap).collect::<Vec<_>>(),
+            [4, 6, 8, 12, 16, 24, 32, 48, 64, 96]
+        );
+        assert_eq!(
+            [0, 4, 5, 6, 7, 8, 9, 12, 13, 33, 48, 49].map(class_for),
+            [0, 0, 1, 1, 2, 2, 3, 3, 4, 7, 7, 8]
+        );
         for len in 0..5000 {
             let c = class_for(len);
             assert!(class_cap(c) as usize >= len);
+            assert!(c == 0 || 3 * len > 2 * class_cap(c) as usize, "{len} fills class {c}");
             assert!(c == 0 || (class_cap(c - 1) as usize) < len);
         }
     }

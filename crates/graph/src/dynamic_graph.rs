@@ -75,9 +75,11 @@ fn sizes_to_starts(sizes: &mut [usize]) {
     }
 }
 
-/// The index ranges of consecutive buckets with the given ends.
-fn bucket_ranges(ends: &[usize]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
-    ends.iter().scan(0, |start, &end| Some(std::mem::replace(start, end)..end))
+/// The index ranges of consecutive buckets with the given ends, the first
+/// starting at `base`, each less `base`.
+fn bucket_ranges(base: usize, ends: &[usize]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    ends.iter()
+        .scan(base, move |start, &end| Some(std::mem::replace(start, end) - base..end - base))
 }
 
 /// Re-lays every run of `runs`, whose entries live in `from`, compactly and
@@ -166,10 +168,13 @@ impl DynamicGraph {
     /// in-run. Every run is laid once at its final size — what N incremental
     /// inserts reach only through N shifts and a fragmented arena — into an
     /// arena reserved for exactly the words each side's runs take, and one
-    /// `(label, vertex)` array of the edge count, reused by both sides, is
-    /// the only scratch.
+    /// `(label, vertex)` array of the edge count is the only scratch. The
+    /// in-side reuses it cut to half the edges (or the largest in-bucket):
+    /// it fills and lays the in-buckets one range of destinations at a time,
+    /// so the scratch the graph's full arena sits beside is half the edges.
     ///
-    /// Panics if an edge names a vertex that does not exist.
+    /// Panics if an edge names a vertex that does not exist or carries a
+    /// label not below [`LabelId::LIMIT`].
     pub fn from_edges(vertex_labels: Vec<LabelSet>, edges: Vec<EdgeRef>) -> Self {
         let mut g = DynamicGraph::new();
         g.vertex_sets.reserve_exact(vertex_labels.len());
@@ -183,6 +188,7 @@ impl DynamicGraph {
         for e in &edges {
             let exists = e.src.index() < n && e.dst.index() < n;
             assert!(exists, "from_edges: an edge names a missing vertex");
+            assert!(e.label.0 < LabelId::LIMIT, "from_edges: label {} is out of range", e.label);
             ends[e.src.index()] += 1;
         }
         sizes_to_starts(&mut ends);
@@ -207,10 +213,10 @@ impl DynamicGraph {
         }
         buf.truncate(kept);
         g.edge_count = kept;
-        let words = bucket_ranges(&ends).map(|range| Adjacency::words(&buf[range])).sum();
+        let words = bucket_ranges(0, &ends).map(|range| Adjacency::words(&buf[range])).sum();
         g.arena = Arena::with_capacity(words);
         let mut in_ends = vec![0; n];
-        for (v, range) in bucket_ranges(&ends).enumerate() {
+        for (v, range) in bucket_ranges(0, &ends).enumerate() {
             for &(label, w) in &buf[range.clone()] {
                 bump(&mut g.edge_label_counts, label);
                 in_ends[w.index()] += 1;
@@ -218,27 +224,41 @@ impl DynamicGraph {
             g.runs[v][OUT] = Adjacency::build(&mut g.arena, &buf[range]);
         }
         drop(ends);
-        // The in-buckets, filled from the out-runs in source order.
+        // The in-buckets, filled from the out-runs in source order, for the
+        // destinations `lo..hi` whose buckets fit the cut scratch.
         sizes_to_starts(&mut in_ends);
-        for (v, pair) in g.runs.iter().enumerate() {
-            for (label, ids) in pair[OUT].groups(&g.arena) {
-                for w in ids {
-                    let at = &mut in_ends[w.index()];
-                    buf[*at] = (label, VertexId(v as u32));
-                    *at += 1;
+        let start = |in_ends: &[usize], w: usize| in_ends.get(w).copied().unwrap_or(kept);
+        let widest = (0..n).map(|w| start(&in_ends, w + 1) - in_ends[w]).max().unwrap_or(0);
+        let part = widest.max(kept.div_ceil(2));
+        buf.truncate(part);
+        buf.shrink_to_fit();
+        let mut lo = 0;
+        while lo < n {
+            let base = in_ends[lo];
+            let fits = |&w: &usize| start(&in_ends, w) - base <= part;
+            let hi = (lo + 1..=n).take_while(fits).last().expect("a bucket fits the scratch");
+            for (v, pair) in g.runs.iter().enumerate() {
+                for (label, ids) in pair[OUT].groups(&g.arena) {
+                    let from = ids.partition_point(|w| w.index() < lo);
+                    for w in ids[from..].iter().take_while(|w| w.index() < hi) {
+                        let at = &mut in_ends[w.index()];
+                        buf[*at - base] = (label, VertexId(v as u32));
+                        *at += 1;
+                    }
                 }
             }
-        }
-        let mut words = 0;
-        for range in bucket_ranges(&in_ends) {
-            // Sources are unique within a label: sorting by `(label, src)`
-            // is the stable sort by label.
-            buf[range.clone()].sort_unstable();
-            words += Adjacency::words(&buf[range]);
-        }
-        g.arena.reserve_exact(words);
-        for (v, range) in bucket_ranges(&in_ends).enumerate() {
-            g.runs[v][IN] = Adjacency::build(&mut g.arena, &buf[range]);
+            let mut words = 0;
+            for range in bucket_ranges(base, &in_ends[lo..hi]) {
+                // Sources are unique within a label: sorting by `(label, src)`
+                // is the stable sort by label.
+                buf[range.clone()].sort_unstable();
+                words += Adjacency::words(&buf[range]);
+            }
+            g.arena.reserve_exact(words);
+            for (w, range) in (lo..hi).zip(bucket_ranges(base, &in_ends[lo..hi])) {
+                g.runs[w][IN] = Adjacency::build(&mut g.arena, &buf[range]);
+            }
+            lo = hi;
         }
         g
     }
@@ -370,12 +390,14 @@ impl DynamicGraph {
     /// Inserts an edge. Returns `false` (and changes nothing) if the exact
     /// `(src, label, dst)` triple is already present.
     ///
-    /// Panics if either endpoint does not exist.
+    /// Panics if either endpoint does not exist, or if `label` is not below
+    /// [`LabelId::LIMIT`].
     pub fn insert_edge(&mut self, src: VertexId, label: LabelId, dst: VertexId) -> bool {
         assert!(
             self.contains_vertex(src) && self.contains_vertex(dst),
             "insert_edge: endpoint does not exist ({src}, {dst})"
         );
+        assert!(label.0 < LabelId::LIMIT, "insert_edge: label {label} is out of range");
         if !self.runs[src.index()][OUT].insert(&mut self.arena, label, dst) {
             return false;
         }
@@ -658,13 +680,16 @@ impl DynamicGraph {
 
     /// Asserts the storage invariants (test support): the runs' slots and
     /// the free lists tile the arena exactly, every run enumerates sorted at
-    /// its recorded length in the layout its size calls for, every set id
+    /// its recorded length in the layout its size calls for, every flat
+    /// run's headers name its groups (labels ascending, none empty, lengths
+    /// summing to the run's), every set id
     /// names a stored set, and the in-runs mirror the out-runs' `edge_count`
     /// edges. A run of one entry is inline by its encoding and owns no slot,
     /// so one that kept its slot fails the tiling as a leak.
     pub fn validate(&self) {
         self.arena.validate(self.runs.iter().flatten().flat_map(|r| r.slots(&self.arena)));
         for (v, run) in self.runs.iter().flatten().enumerate() {
+            run.check_headers(&self.arena);
             let got: Vec<_> = run.iter(&self.arena).map(|(w, l)| (l, w)).collect();
             assert!(got.windows(2).all(|w| w[0] < w[1]), "a run of v{} is unsorted", v / 2);
             assert_eq!(got.len(), run.len(), "a run of v{}: length drifted", v / 2);

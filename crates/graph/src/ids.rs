@@ -29,6 +29,13 @@ impl VertexId {
 }
 
 impl LabelId {
+    /// Label ids run `0..LIMIT`. A flat adjacency run packs an edge label and
+    /// its group's length into one 4-byte word ([`crate::adjacency`]), which
+    /// leaves 24 bits for the label; [`crate::LabelInterner`] hands out no
+    /// more ids than that, and [`crate::DynamicGraph`] stores no edge label
+    /// at or past it.
+    pub const LIMIT: u32 = 1 << 24;
+
     /// The id as a `usize` index.
     #[inline]
     pub fn index(self) -> usize {

@@ -202,14 +202,36 @@ impl SetTable {
     }
 }
 
+/// What [`LabelInterner::try_intern`] refuses: a new name past the
+/// interner's limit of distinct labels.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LabelLimit(pub u32);
+
+impl std::fmt::Display for LabelLimit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "more than {} distinct labels", self.0)
+    }
+}
+
+impl std::error::Error for LabelLimit {}
+
 /// Bidirectional mapping between label strings and [`LabelId`]s.
 ///
 /// Datasets and queries are authored with human-readable labels
-/// (`"User"`, `"knows"`, `"tcp"`, ...); the engines only ever see ids.
-#[derive(Default, Clone)]
+/// (`"User"`, `"knows"`, `"tcp"`, ...); the engines only ever see ids, all
+/// below [`LabelId::LIMIT`].
+#[derive(Clone)]
 pub struct LabelInterner {
     by_name: FxHashMap<String, LabelId>,
     names: Vec<String>,
+    /// Distinct names it hands out ids to.
+    limit: u32,
+}
+
+impl Default for LabelInterner {
+    fn default() -> Self {
+        Self::with_limit(LabelId::LIMIT)
+    }
 }
 
 impl LabelInterner {
@@ -218,15 +240,34 @@ impl LabelInterner {
         Self::default()
     }
 
+    /// An empty interner that refuses names past the first `limit` distinct
+    /// ones (at most [`LabelId::LIMIT`]).
+    pub fn with_limit(limit: u32) -> Self {
+        let limit = limit.min(LabelId::LIMIT);
+        LabelInterner { by_name: FxHashMap::default(), names: Vec::new(), limit }
+    }
+
     /// Returns the id for `name`, interning it if new.
+    ///
+    /// Panics on a new name past the limit; [`Self::try_intern`] returns
+    /// the error instead.
     pub fn intern(&mut self, name: &str) -> LabelId {
+        self.try_intern(name).unwrap_or_else(|e| panic!("interning `{name}`: {e}"))
+    }
+
+    /// Returns the id for `name`, interning it if new, or [`LabelLimit`] if
+    /// it is new and the interner already holds its limit of names.
+    pub fn try_intern(&mut self, name: &str) -> Result<LabelId, LabelLimit> {
         if let Some(&id) = self.by_name.get(name) {
-            return id;
+            return Ok(id);
+        }
+        if self.names.len() >= self.limit as usize {
+            return Err(LabelLimit(self.limit));
         }
         let id = LabelId(self.names.len() as u32);
         self.names.push(name.to_owned());
         self.by_name.insert(name.to_owned(), id);
-        id
+        Ok(id)
     }
 
     /// Looks up an already interned label.
@@ -326,5 +367,18 @@ mod tests {
         assert_eq!(it.get("Nope"), None);
         assert_eq!(it.name(a), Some("User"));
         assert_eq!(it.len(), 2);
+    }
+
+    #[test]
+    fn interner_refuses_names_past_its_limit() {
+        assert_eq!(LabelInterner::new().limit, LabelId::LIMIT);
+        assert_eq!(LabelInterner::with_limit(u32::MAX).limit, LabelId::LIMIT);
+        let mut it = LabelInterner::with_limit(2);
+        assert_eq!(it.try_intern("a"), Ok(LabelId(0)));
+        assert_eq!(it.try_intern("b"), Ok(LabelId(1)));
+        assert_eq!(it.try_intern("c"), Err(LabelLimit(2)));
+        assert_eq!(it.try_intern("a"), Ok(LabelId(0)), "a known name is still found");
+        assert_eq!((it.len(), it.get("c")), (2, None));
+        assert_eq!(LabelLimit(2).to_string(), "more than 2 distinct labels");
     }
 }

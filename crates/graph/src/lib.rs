@@ -33,6 +33,6 @@ pub use adjacency::{AdjacencyMode, LabeledNeighbors, MatchingNeighbors, Neighbor
 pub use dynamic_graph::{DynamicGraph, EdgeRef, StorageStats};
 pub use ids::{LabelId, VertexId};
 pub use intersect::{contains_sorted, intersect_into, prefetch, prefetch_at, GALLOP_RATIO};
-pub use labels::{LabelInterner, LabelSet};
+pub use labels::{LabelInterner, LabelLimit, LabelSet};
 pub use stats::GraphStats;
 pub use stream::{UpdateOp, UpdateStream};

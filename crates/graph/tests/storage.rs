@@ -409,3 +409,178 @@ fn project_moves_a_lone_kept_entry_into_the_handle() {
         assert_eq!((st.inline_runs, st.flat_runs, st.directory_runs, st.live_slots), (6, 0, 0, 0));
     }
 }
+
+type Model = std::collections::BTreeSet<(LabelId, VertexId)>;
+
+/// `v`'s out-run equals `model` through every accessor, and `validate`
+/// (which checks a flat run's headers) holds.
+fn assert_out_run(g: &DynamicGraph, v: VertexId, model: &Model) {
+    g.validate();
+    assert!(g.out_neighbors(v).map(|(w, lab)| (lab, w)).eq(model.iter().copied()));
+    let mut runs: Vec<(LabelId, usize)> = Vec::new();
+    for &(lab, _) in model {
+        match runs.last_mut() {
+            Some((last, n)) if *last == lab => *n += 1,
+            _ => runs.push((lab, 1)),
+        }
+    }
+    assert!(g.out_label_runs(v).eq(runs.iter().copied()));
+    for &(lab, _) in &runs {
+        let want = model.range((lab, VertexId(0))..=(lab, VertexId(u32::MAX))).map(|e| e.1);
+        assert!(g.out_neighbors_labeled(v, lab).eq(want), "{v} over {lab:?}");
+    }
+    assert!(g.out_neighbors_labeled(v, l(LabelId::LIMIT - 1)).is_empty());
+}
+
+/// A hub's out-run under single edge ops, beside its model, counting the
+/// header transitions of its flat run and its layout changes.
+struct Hub {
+    g: DynamicGraph,
+    model: Model,
+    /// Label groups created (row 0) and emptied (row 1) in a flat run, at
+    /// the front, in the middle and at the back.
+    seen: [[usize; 3]; 2],
+    unfolds: usize,
+    folds: usize,
+}
+
+impl Hub {
+    const V: VertexId = VertexId(0);
+
+    fn op(&mut self, insert: bool, e: (LabelId, VertexId)) {
+        let was = self.g.out_is_directory(Self::V);
+        let had = self.model.range((e.0, VertexId(0))..=(e.0, VertexId(u32::MAX))).count();
+        let labels = |m: &Model| m.iter().map(|e| e.0).collect::<std::collections::BTreeSet<_>>();
+        let before = labels(&self.model);
+        if insert {
+            assert_eq!(self.g.insert_edge(Self::V, e.0, e.1), self.model.insert(e));
+        } else {
+            assert_eq!(self.g.delete_edge(Self::V, e.0, e.1), self.model.remove(&e));
+        }
+        let now = self.g.out_is_directory(Self::V);
+        // A group appears or empties in a run that is flat before and after.
+        let header = if insert { had == 0 } else { had == 1 && !self.model.contains(&e) };
+        let flat = !was && !now && self.model.len() >= 2 + usize::from(insert);
+        if header && flat {
+            let all = if insert { labels(&self.model) } else { before };
+            let at = match all.iter().position(|&x| x == e.0) {
+                Some(0) => 0,
+                Some(i) if i + 1 == all.len() => 2,
+                _ => 1,
+            };
+            self.seen[usize::from(!insert)][at] += 1;
+        }
+        self.unfolds += usize::from(!was && now);
+        self.folds += usize::from(was && !now);
+        assert_out_run(&self.g, Self::V, &self.model);
+    }
+
+    fn drain(&mut self) {
+        for victim in self.model.clone() {
+            self.op(false, victim);
+        }
+    }
+}
+
+/// The grouped flat layout — one `label·len` header per label group, then
+/// the ids — through every transition a header takes, on one hub whose
+/// out-run follows a `BTreeSet` model: a group created and emptied at the
+/// front, in the middle and at the back; a single group of `FLAT_MAX`
+/// entries and `FLAT_MAX` groups of one; flat → directory past `FLAT_MAX`
+/// and the fold back at half of it. At checkpoints `clone`, `from_edges` and
+/// `project` (dropping a middle group) each equal the incremental build,
+/// down to the words they carve.
+#[test]
+fn grouped_flat_runs_follow_a_btreeset_through_every_header_transition() {
+    const N: u32 = 3 * FLAT_MAX as u32;
+    let mut hub = Hub {
+        g: labeled_graph(N as usize),
+        model: Model::new(),
+        seen: [[0; 3]; 2],
+        unfolds: 0,
+        folds: 0,
+    };
+    let e = |lab: u32, w: u32| (l(lab), VertexId(w));
+    // Groups 2, 4, 6 of four each (4 and 6 appear at the back); then 5
+    // (middle), 1 (front) and 9 (back) appear with two entries and go
+    // again, and 4 empties entry by entry.
+    for lab in [2, 4, 6] {
+        (1..=4).for_each(|w| hub.op(true, e(lab, w * lab)));
+    }
+    for lab in [5, 1, 9] {
+        hub.op(true, e(lab, 7));
+        hub.op(true, e(lab, 3));
+        hub.op(false, e(lab, 7));
+        hub.op(false, e(lab, 3));
+    }
+    (1..=4).for_each(|w| hub.op(false, e(4, 4 * w)));
+    assert_eq!(hub.seen, [[1, 1, 3], [1, 2, 1]], "scripted header transitions");
+    hub.drain();
+    // One group of FLAT_MAX entries, flat; one more makes a directory,
+    // which folds back once half of FLAT_MAX is left.
+    (1..=FLAT_MAX as u32).for_each(|w| hub.op(true, e(3, w)));
+    assert!(!hub.g.out_is_directory(Hub::V));
+    assert!(hub.g.out_label_runs(Hub::V).eq([(l(3), FLAT_MAX)]));
+    hub.op(true, e(3, N - 1));
+    assert!(hub.g.out_is_directory(Hub::V));
+    for w in 1..=FLAT_MAX as u32 / 2 + 1 {
+        assert!(hub.g.out_is_directory(Hub::V), "no fold above half of FLAT_MAX");
+        hub.op(false, e(3, w));
+    }
+    assert!(!hub.g.out_is_directory(Hub::V) && hub.model.len() == FLAT_MAX / 2, "folds at half");
+    hub.drain();
+    // FLAT_MAX groups of one entry: the most headers a flat run holds.
+    (0..FLAT_MAX as u32).for_each(|lab| hub.op(true, e(lab, lab + 1)));
+    assert!(!hub.g.out_is_directory(Hub::V) && hub.g.out_label_runs(Hub::V).count() == FLAT_MAX);
+    hub.op(true, e(FLAT_MAX as u32, 1));
+    assert!(hub.g.out_is_directory(Hub::V));
+    hub.drain();
+    assert_eq!((hub.unfolds, hub.folds), (2, 2));
+    // Random churn over 12 labels, the degree sweeping 0 → past FLAT_MAX →
+    // 0 three times; a checkpoint compares the copies with the hub's graph.
+    let rng = &mut 0x5DEE_CE66_D1CE_4E5Bu64;
+    let labels: Vec<_> = (0..N).map(|i| LabelSet::single(l(i % 3))).collect();
+    for step in 0..9_000u32 {
+        let growing = (step / 1_500) % 2 == 0;
+        // Label 0 has two neighbors to choose from, so the front group
+        // comes and goes too.
+        let entry = match below(rng, 8) {
+            0 => e(0, 1 + below(rng, 2) as u32),
+            _ => e(1 + below(rng, 11) as u32, 1 + below(rng, N as u64 - 1) as u32),
+        };
+        if below(rng, 8) < if growing { 5 } else { 2 } {
+            hub.op(true, entry);
+        } else {
+            let victim = hub.model.range(entry..).next().copied().unwrap_or(entry);
+            hub.op(false, victim);
+        }
+        if step % 150 != 0 {
+            continue;
+        }
+        let (g, model) = (&hub.g, &hub.model);
+        let bulk = DynamicGraph::from_edges(labels.clone(), g.edges().collect());
+        let copy = g.clone();
+        for got in [&bulk, &copy] {
+            assert_out_run(got, Hub::V, model);
+        }
+        assert_eq!(copy.storage_stats(), bulk.storage_stats(), "step {step}");
+        let present: Vec<LabelId> = g.out_label_runs(Hub::V).map(|(lab, _)| lab).collect();
+        let Some(&drop) = present.get(present.len() / 2) else { continue };
+        let keep = |lab: LabelId| lab != drop;
+        let kept: Model = model.iter().filter(|e| keep(e.0)).copied().collect();
+        let want =
+            DynamicGraph::from_edges(labels.clone(), g.edges().filter(|e| keep(e.label)).collect());
+        let got = g.clone().project(keep);
+        assert_out_run(&got, Hub::V, &kept);
+        assert!(got.edges().eq(want.edges()));
+        let (gs, ws) = (got.storage_stats(), want.storage_stats());
+        assert_eq!(
+            gs.carved_entries, ws.carved_entries,
+            "step {step}: project lays what from_edges does"
+        );
+        let layouts = |s: tfx_graph::StorageStats| (s.inline_runs, s.flat_runs, s.directory_runs);
+        assert_eq!(layouts(gs), layouts(ws), "step {step}");
+    }
+    assert!(hub.unfolds >= 5 && hub.folds >= 5, "{} unfolds, {} folds", hub.unfolds, hub.folds);
+    assert!(hub.seen.iter().flatten().all(|&n| n >= 20), "header transitions: {:?}", hub.seen);
+}

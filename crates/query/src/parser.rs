@@ -24,7 +24,7 @@
 //! [`LabelCache`] turns a label token into a [`LabelId`].
 
 use crate::qgraph::{QVertexId, QueryGraph};
-use tfx_graph::{DynamicGraph, EdgeRef, LabelId, LabelInterner, LabelSet, VertexId};
+use tfx_graph::{DynamicGraph, EdgeRef, LabelId, LabelInterner, LabelLimit, LabelSet, VertexId};
 
 /// A parse failure, with a 1-based line number.
 #[derive(Debug, PartialEq, Eq)]
@@ -135,6 +135,24 @@ pub fn parse_u32(token: &[u8]) -> Option<u32> {
 /// Slots of a [`LabelCache`].
 const CACHE_SLOTS: usize = 32;
 
+/// Why a token names no label.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LabelError {
+    /// The token is not UTF-8.
+    NotUtf8,
+    /// The token is a new name and the interner holds its limit of names.
+    Limit(LabelLimit),
+}
+
+impl std::fmt::Display for LabelError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LabelError::NotUtf8 => f.write_str("labels must be UTF-8"),
+            LabelError::Limit(limit) => limit.fmt(f),
+        }
+    }
+}
+
 /// A token → [`LabelId`] memo in front of a [`LabelInterner`]. A text file
 /// names a handful of labels over and over: a hit compares the token with
 /// one stored copy where the interner would hash it, and only a miss checks
@@ -145,20 +163,22 @@ pub struct LabelCache([(Vec<u8>, LabelId); CACHE_SLOTS]);
 
 impl LabelCache {
     /// The id of the label `token` spells, interned into `interner` on a
-    /// miss; an error if it is not UTF-8.
+    /// miss; an error if it is not UTF-8 or a name past the interner's
+    /// limit.
     #[inline]
     pub fn intern(
         &mut self,
         interner: &mut LabelInterner,
         token: &[u8],
-    ) -> Result<LabelId, std::str::Utf8Error> {
+    ) -> Result<LabelId, LabelError> {
         let ends =
             token.first().zip(token.last()).map_or(0, |(&a, &z)| 5 * a as usize + z as usize);
         let slot = &mut self.0[(token.len() + ends) % CACHE_SLOTS];
         if slot.0 == token && !token.is_empty() {
             return Ok(slot.1);
         }
-        let id = interner.intern(std::str::from_utf8(token)?);
+        let name = std::str::from_utf8(token).map_err(|_| LabelError::NotUtf8)?;
+        let id = interner.try_intern(name).map_err(LabelError::Limit)?;
         slot.0.clear();
         slot.0.extend_from_slice(token);
         slot.1 = id;
@@ -201,9 +221,8 @@ fn parse_raw(
     while !rest.is_empty() {
         lineno += 1;
         let mut tokens = Tokens::new(rest);
-        let mut label = |token: &[u8]| {
-            cache.intern(interner, token).map_err(|_| err(lineno, "labels must be UTF-8"))
-        };
+        let mut label =
+            |token: &[u8]| cache.intern(interner, token).map_err(|e| err(lineno, e.to_string()));
         match tokens.next() {
             None => {}
             Some(b"v") => {
@@ -285,8 +304,11 @@ pub fn parse_data_graph(
     interner: &mut LabelInterner,
 ) -> Result<DynamicGraph, ParseError> {
     let RawGraph { vertices, mut edges, .. } = parse_raw(text, interner, false)?;
+    // The list was sized from the line count; what the `v` lines, comments
+    // and blank lines reserved goes back before the bulk build's scratch.
+    edges.shrink_to_fit();
     if edges.iter().any(|e| e.label == NO_LABEL) {
-        let any = interner.intern("_");
+        let any = interner.try_intern("_").map_err(|e| err(0, format!("label `_`: {e}")))?;
         edges.iter_mut().filter(|e| e.label == NO_LABEL).for_each(|e| e.label = any);
     }
     Ok(DynamicGraph::from_edges(vertices, edges))
@@ -417,6 +439,19 @@ mod tests {
         assert_eq!(it.len(), names.len());
         assert!(cache.intern(&mut it, b"caf\xe9").is_err());
         assert_eq!(it.len(), names.len(), "a non-UTF-8 token interns nothing");
+    }
+
+    #[test]
+    fn a_label_past_the_interner_limit_is_a_line_error() {
+        let mut it = LabelInterner::with_limit(2);
+        let e = parse_data_graph("v 0 A\nv 1 A\ne 0 1 x\ne 1 0 y\n", &mut it);
+        assert_eq!(e.unwrap_err(), err(4, "more than 2 distinct labels"));
+        let mut it = LabelInterner::with_limit(2);
+        let e = parse_data_graph("v 0 A\nv 1 A\ne 0 1 x\ne 1 0\n", &mut it);
+        assert_eq!(e.unwrap_err(), err(0, "label `_`: more than 2 distinct labels"));
+        let mut it = LabelInterner::with_limit(1);
+        let e = parse_query("v 0 A\nv 1 B\ne 0 1\n", &mut it);
+        assert_eq!(e.unwrap_err(), err(2, "more than 1 distinct labels"));
     }
 
     #[test]

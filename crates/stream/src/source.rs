@@ -225,8 +225,7 @@ impl<'i, R: BufRead> FileSource<'i, R> {
             parse_u32(s).map(VertexId).ok_or_else(|| "vertex ids are integers".to_owned())
         };
         let (interner, cache) = (&mut *self.interner, &mut self.labels);
-        let mut label =
-            |s: &[u8]| cache.intern(interner, s).map_err(|_| "labels must be UTF-8".to_owned());
+        let mut label = |s: &[u8]| cache.intern(interner, s).map_err(|e| e.to_string());
         let parsed: Result<UpdateOp, String> = match op {
             b"v" => parse_vertex(parts.next()).and_then(|id| {
                 let labels = parts.by_ref().map(label).collect::<Result<Vec<_>, _>>()?;
@@ -508,5 +507,23 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(it.get("knows"), Some(LabelId(0)));
+    }
+
+    /// A stream line naming a label past the interner's limit is a line
+    /// error: strict mode stops at it, lenient mode skips it with a
+    /// diagnostic and reads on.
+    #[test]
+    fn a_label_past_the_interner_limit_is_a_line_error() {
+        let text = "+ 0 1 a\n+ 1 2 b\nv 3 c\n- 0 1 a\n";
+        let mut it = LabelInterner::with_limit(1);
+        let mut src = FileSource::new(text.as_bytes(), &mut it, ErrorMode::Strict);
+        let err = collect_events(&mut src).unwrap_err();
+        assert_eq!((err.line, err.message.as_str()), (2, "more than 1 distinct labels"));
+        let mut it = LabelInterner::with_limit(1);
+        let mut src = FileSource::new(text.as_bytes(), &mut it, ErrorMode::Lenient);
+        let got = collect_events(&mut src).unwrap();
+        assert_eq!(src.diagnostics().iter().map(|d| d.line).collect::<Vec<_>>(), vec![2, 3]);
+        assert_eq!(got.len(), 2, "the `a` lines pass");
+        assert_eq!((it.len(), it.get("b")), (1, None));
     }
 }

@@ -107,6 +107,19 @@ if grep -nE "^\s*(pub(\([a-z]+\))? )?[a-z_]+: Vec<LabelSet>" crates/graph/src/dy
   exit 1
 fi
 
+echo "=== a flat run stores no label per entry ==="
+# A flat run is `[label·len headers | ids]` (DESIGN.md, "Graph storage &
+# adjacency index"): one header word per label group, not a label word
+# beside every id. The per-entry label half held 4.16 of netflow_window's
+# 17.10 MB g0 arena; the grouped layout took that workload's peak heap from
+# 20.52 to 15.97 MB. A label half comes back by deleting this check and
+# saying which e2e workload it wins.
+if grep -nE "fn (run_bounds|flat_cap)\b|class_for\(2 \* |class_cap\([a-z.]+\) as usize / 2" \
+  crates/graph/src/adjacency.rs; then
+  echo "ci: a per-entry label half is back in the flat adjacency run" >&2
+  exit 1
+fi
+
 echo "=== cargo build --release (workspace) ==="
 cargo build --offline --release --workspace
 
