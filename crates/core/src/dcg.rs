@@ -65,6 +65,19 @@ impl EdgeState {
     }
 }
 
+/// A borrowed [`Bits`], for a loop that tests many ids against one set: a
+/// slice the loop keeps in registers, not a vector it reads again after
+/// every store.
+#[derive(Clone, Copy)]
+pub(crate) struct BitsView<'a>(&'a [u64]);
+
+impl BitsView<'_> {
+    #[inline]
+    pub(crate) fn has(self, v: VertexId) -> bool {
+        self.0.get(v.index() / 64).is_some_and(|w| w >> (v.0 % 64) & 1 == 1)
+    }
+}
+
 /// A set of data vertices, one bit each, as long as its highest member
 /// needs: grown on demand, trimmed after registration.
 #[derive(Clone, Default, Debug)]
@@ -78,7 +91,12 @@ impl Bits {
 
     #[inline]
     pub(crate) fn has(&self, v: VertexId) -> bool {
-        self.0.get(v.index() / 64).is_some_and(|w| w >> (v.0 % 64) & 1 == 1)
+        self.view().has(v)
+    }
+
+    #[inline]
+    pub(crate) fn view(&self) -> BitsView<'_> {
+        BitsView(&self.0)
     }
 
     #[inline]
@@ -244,8 +262,8 @@ impl Dcg {
     /// The vertices whose edges labeled `u` are explicit: what the search
     /// tests its frontier against, one bit a candidate.
     #[inline]
-    pub(crate) fn explicit_set(&self, u: QVertexId) -> &Bits {
-        &self.expl[u.index()]
+    pub(crate) fn explicit_set(&self, u: QVertexId) -> BitsView<'_> {
+        self.expl[u.index()].view()
     }
 
     /// True iff some stored edge labeled `u` comes into `v` (the start edge,
@@ -549,46 +567,13 @@ impl Dcg {
         stored.then(|| EdgeState::of(self.expl[u.index()].has(cv)))
     }
 
-    /// The batch lookahead's hint ([`crate::round::lookahead`]) for an
-    /// evaluation that will map data vertex `v` onto query vertex `u`, whose
-    /// tree children are `children`: the graph groups it reads — `v`'s
-    /// parents under `u`'s tree edge for the climb and `ClearDCG`'s "last
-    /// parent", `v`'s candidates under each child's for the frontier,
-    /// `BuildDCG` and the "last explicit child" — as
-    /// [`DynamicGraph::prefetch_group`] stages them. The bitsets are a bit
-    /// per vertex and stay cached. `&self`, allocation-free, any `v`.
-    pub fn prefetch(
-        &self,
-        g: &DynamicGraph,
-        v: VertexId,
-        u: QVertexId,
-        children: &[QVertexId],
-        stage: u8,
-    ) {
-        if stage == 0 {
-            return; // `v`'s handle pair is `DynamicGraph::prefetch_edge`'s
-        }
-        let group = |u: QVertexId, to_child: bool| {
-            let e = self.edges[u.index()];
-            if let Some(label) = e.label {
-                g.prefetch_group(v, label, e.down == to_child, stage);
-            }
-        };
-        if u != self.root_qv {
-            group(u, false);
-        }
-        for &c in children {
-            group(c, true);
-        }
-    }
-
     /// Hints the group [`Dcg::run`] will read for `v`'s candidates under
     /// `u`: `v`'s handle pair at stage 0, the slot it names at stage 1.
     #[inline]
     pub(crate) fn prefetch_run(&self, g: &DynamicGraph, v: VertexId, u: QVertexId, stage: u8) {
         let e = self.edges[u.index()];
-        if let Some(label) = e.label {
-            g.prefetch_group(v, label, e.down, stage);
+        if e.label.is_some() {
+            g.prefetch_group(v, e.down, stage);
         }
     }
 

@@ -360,7 +360,10 @@ impl TurboFlux {
 
     /// Reports all matches of the initial data graph (Algorithm 2, lines
     /// 7–11), standalone mode.
-    pub fn report_initial(&mut self, sink: &mut dyn FnMut(&MatchRecord)) {
+    pub fn report_initial<S>(&mut self, sink: &mut S)
+    where
+        S: FnMut(&MatchRecord) + ?Sized,
+    {
         let g = std::mem::take(&mut self.g);
         self.initial_matches_in(&g, sink);
         self.g = g;
@@ -369,7 +372,10 @@ impl TurboFlux {
     /// Reports all matches of the initial data graph against a borrowed
     /// graph (externally driven mode; `g` must be the graph the DCG was
     /// built from). Emission order is the root-candidate (= vertex id) order.
-    pub fn initial_matches_in(&mut self, g: &DynamicGraph, sink: &mut dyn FnMut(&MatchRecord)) {
+    pub fn initial_matches_in<S>(&mut self, g: &DynamicGraph, sink: &mut S)
+    where
+        S: FnMut(&MatchRecord) + ?Sized,
+    {
         let us = self.tree.root();
         let ctx = crate::search::SearchCtx::initial();
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -396,19 +402,17 @@ impl TurboFlux {
     /// op's memory is fetched, never what it emits. Standalone mode only —
     /// with [`TurboFlux::register`] the caller drives the `eval_*` methods
     /// directly.
-    pub fn apply_batch(
-        &mut self,
-        ops: &[UpdateOp],
-        sink: &mut dyn FnMut(usize, Positiveness, &MatchRecord),
-    ) {
+    pub fn apply_batch<S>(&mut self, ops: &[UpdateOp], sink: &mut S)
+    where
+        S: FnMut(usize, Positiveness, &MatchRecord) + ?Sized,
+    {
         // Evaluation borrows the engine mutably and the graph shared: the
         // graph steps out of the engine for the batch.
         let mut g = std::mem::take(&mut self.g);
         for (i, op) in ops.iter().enumerate() {
             round::lookahead(ops, i, |src, label, dst, stage| {
                 if self.sees(label) {
-                    g.prefetch_edge(src, label, dst, stage);
-                    self.prefetch_dcg(&g, src, label, dst, stage);
+                    g.prefetch_edge(src, dst, stage);
                 }
             });
             let round = round::stage(&mut g, op, |label| self.sees(label));
@@ -422,13 +426,15 @@ impl TurboFlux {
     /// This engine's part of one round over the staged graph `g`: register
     /// the vertices the op created, then — unless the round only reached the
     /// engine for that (`!eval`, [`round::route`]) — evaluate its edge.
-    pub(crate) fn eval_round(
+    pub(crate) fn eval_round<S>(
         &mut self,
         g: &DynamicGraph,
         round: &Round,
         eval: bool,
-        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
-    ) {
+        sink: &mut S,
+    ) where
+        S: FnMut(Positiveness, &MatchRecord) + ?Sized,
+    {
         if let Some(from) = round.new_vertices() {
             self.register_new_vertices(g, from);
         }
@@ -442,31 +448,11 @@ impl TurboFlux {
         }
     }
 
-    /// Hints the graph groups that a coming evaluation of the data edge
-    /// `(src, label, dst)` over `g` will read for its DCG: for every query edge
-    /// the label can match, what mapping `src` onto its source and `dst` onto
-    /// its target reads ([`Dcg::prefetch`]). The DCG half of the batch
-    /// lookahead, for a caller that drives the `eval_*` methods itself and
-    /// holds ops ahead of the one it evaluates; `stage` as in
-    /// [`DynamicGraph::prefetch_edge`], which is the graph half. Changes
-    /// nothing observable and never allocates.
-    pub fn prefetch_dcg(
-        &self,
-        g: &DynamicGraph,
-        src: VertexId,
-        label: LabelId,
-        dst: VertexId,
-        stage: u8,
-    ) {
-        for e in self.qedges_for(label) {
-            let qe = self.q.edge(e);
-            self.dcg.prefetch(g, src, qe.src, self.tree.children(qe.src), stage);
-            self.dcg.prefetch(g, dst, qe.dst, self.tree.children(qe.dst), stage);
-        }
-    }
-
     /// [`Self::apply_batch`] of the one op.
-    pub fn apply_op(&mut self, op: &UpdateOp, sink: &mut dyn FnMut(Positiveness, &MatchRecord)) {
+    pub fn apply_op<S>(&mut self, op: &UpdateOp, sink: &mut S)
+    where
+        S: FnMut(Positiveness, &MatchRecord) + ?Sized,
+    {
         self.apply_batch(std::slice::from_ref(op), &mut |_, p, r| sink(p, r));
     }
 

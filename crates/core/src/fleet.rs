@@ -30,13 +30,13 @@
 //! [`ShardedEngine`] and [`ShardStats`] are inert names the frozen `e2e`
 //! benchmark still compiles against: a fleet, and four zeros.
 
-use tfx_graph::{DynamicGraph, LabelId, UpdateOp, VertexId};
+use tfx_graph::{DynamicGraph, UpdateOp, VertexId};
 use tfx_query::{MatchRecord, Positiveness, QueryGraph};
 
 use crate::config::TurboFluxConfig;
 use crate::dcg::DcgView;
 use crate::engine::TurboFlux;
-use crate::round::{self, DeltaBufs, Emit, Round, Rounds, Target};
+use crate::round::{self, DeltaBufs, Round, Rounds, Target};
 
 /// A match delta reported by [`Fleet::apply_batch`].
 #[derive(Clone, Copy, Debug)]
@@ -98,8 +98,8 @@ impl Rounds for Shared {
     /// as well read ×0.99 of no lookahead at all on `lsbench_fleet8` when the
     /// DCG had them, this ×1.03 — most ops reach no engine, or one whose probe
     /// ended at a cached bucket.
-    fn hint(&self, src: VertexId, label: LabelId, dst: VertexId, stage: u8) {
-        self.graph.prefetch_edge(src, label, dst, stage);
+    fn hint(&self, src: VertexId, dst: VertexId, stage: u8) {
+        self.graph.prefetch_edge(src, dst, stage);
     }
 
     fn stage(&mut self, op: &UpdateOp, engines: usize, targets: &mut Vec<Target>) -> Round {
@@ -116,7 +116,10 @@ impl Rounds for Shared {
         round
     }
 
-    fn run(&self, engine: &mut TurboFlux, target: Target, round: &Round, emit: &mut Emit<'_>) {
+    fn run<S>(&self, engine: &mut TurboFlux, target: Target, round: &Round, emit: &mut S)
+    where
+        S: FnMut(Positiveness, &MatchRecord) + ?Sized,
+    {
         engine.eval_round(&self.graph, round, target.eval, emit);
     }
 
@@ -255,6 +258,11 @@ impl Fleet {
     }
 
     /// Reports all matches of engine `id` against the current graph state.
+    ///
+    /// Takes a `dyn` sink, where [`TurboFlux::report_initial`] takes its
+    /// sink as a type parameter: a fleet reports a query's initial matches
+    /// once, off the stream path, and a generic sink here moved the frozen
+    /// `e2e` benchmark's host-probe code (DESIGN.md, "Enumeration path").
     pub fn report_initial(&mut self, id: usize, sink: &mut dyn FnMut(&MatchRecord)) {
         let pos = self.pos_of(id);
         self.engines[pos].initial_matches_in(&self.shared.graph, sink);
@@ -264,7 +272,10 @@ impl Fleet {
     /// routed engine. Matches are delivered in deterministic
     /// `(engine, op_index, emission)` order. A one-engine fleet streams them
     /// as they are found; otherwise they are buffered per batch.
-    pub fn apply_batch(&mut self, ops: &[UpdateOp], sink: &mut dyn FnMut(FleetDelta<'_>)) {
+    pub fn apply_batch<S>(&mut self, ops: &[UpdateOp], sink: &mut S)
+    where
+        S: FnMut(FleetDelta<'_>) + ?Sized,
+    {
         let Fleet { shared, engines, bufs, ids, .. } = self;
         round::drive(shared, engines, bufs, ops, &mut |pos, op_index, p, r| {
             sink(FleetDelta { engine: ids[pos], op_index, positiveness: p, record: r })
@@ -332,7 +343,7 @@ impl ShardedEngine {
 mod tests {
     use super::*;
     use crate::spec::reference_dcg;
-    use tfx_graph::{LabelSet, VertexId};
+    use tfx_graph::{LabelId, LabelSet, VertexId};
 
     fn l(i: u32) -> LabelId {
         LabelId(i)
@@ -548,6 +559,36 @@ mod tests {
         fleet.apply_batch(&batch, &mut |_| panic!("a refused op emitted"));
         let stats = fleet.stats();
         assert_eq!((stats.ops_refused, stats.ops_routed, stats.ops_skipped), (4, 0, 0));
+        assert_eq!((fleet.graph().vertex_count(), fleet.graph().edge_count()), (vertices, edges));
+    }
+
+    /// A library op naming a vertex `MAX_VERTEX_GAP` or more past the vertex
+    /// table is refused and counted, in a fleet and in a standalone engine
+    /// alike: no vertex table grown to the id, no edge, no delta.
+    #[test]
+    fn vertex_ids_far_past_the_table_are_refused_and_counted() {
+        let (g0, queries) = setup();
+        let (far, near) = (VertexId(3 + tfx_graph::MAX_VERTEX_GAP), VertexId(0));
+        let label = l(7);
+        let batch = [
+            UpdateOp::InsertEdge { src: near, label, dst: far },
+            UpdateOp::InsertEdge { src: far, label, dst: near },
+            UpdateOp::DeleteEdge { src: far, label, dst: near },
+            UpdateOp::AddVertex { id: far, labels: LabelSet::single(l(0)) },
+            UpdateOp::AddVertex { id: VertexId(u32::MAX), labels: LabelSet::empty() },
+        ];
+        let (vertices, edges) = (g0.vertex_count(), g0.edge_count());
+        let mut engine = TurboFlux::new(queries[0].clone(), g0.clone(), TurboFluxConfig::default());
+        engine.apply_batch(&batch, &mut |_, _, _| panic!("a refused op emitted"));
+        assert_eq!(engine.refused_ops(), 5);
+        assert_eq!((engine.graph().vertex_count(), engine.graph().edge_count()), (vertices, edges));
+        let mut fleet = Fleet::new(g0);
+        for q in queries {
+            fleet.register(q, TurboFluxConfig::default());
+        }
+        fleet.apply_batch(&batch, &mut |_| panic!("a refused op emitted"));
+        let stats = fleet.stats();
+        assert_eq!((stats.ops_refused, stats.ops_routed, stats.ops_skipped), (5, 0, 0));
         assert_eq!((fleet.graph().vertex_count(), fleet.graph().edge_count()), (vertices, edges));
     }
 

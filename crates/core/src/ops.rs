@@ -40,14 +40,16 @@ impl TurboFlux {
     /// is fully maintained before non-tree invocations enumerate it; paired
     /// with the "maximal triggering edge wins" rule this reports every new
     /// solution exactly once.
-    pub fn eval_inserted_edge(
+    pub fn eval_inserted_edge<S>(
         &mut self,
         g: &DynamicGraph,
         src: VertexId,
         label: LabelId,
         dst: VertexId,
-        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
-    ) {
+        sink: &mut S,
+    ) where
+        S: FnMut(Positiveness, &MatchRecord) + ?Sized,
+    {
         self.eval_edge(g, src, label, dst, Positiveness::Positive, sink);
     }
 
@@ -59,26 +61,30 @@ impl TurboFlux {
     /// Invocations run in the insertion's order; combined with the "minimal
     /// triggering edge wins" rule every vanished solution is reported exactly
     /// once, before the DCG region it needs is cleared.
-    pub fn eval_deleting_edge(
+    pub fn eval_deleting_edge<S>(
         &mut self,
         g: &DynamicGraph,
         src: VertexId,
         label: LabelId,
         dst: VertexId,
-        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
-    ) {
+        sink: &mut S,
+    ) where
+        S: FnMut(Positiveness, &MatchRecord) + ?Sized,
+    {
         self.eval_edge(g, src, label, dst, Positiveness::Negative, sink);
     }
 
-    fn eval_edge(
+    fn eval_edge<S>(
         &mut self,
         g: &DynamicGraph,
         src: VertexId,
         label: LabelId,
         dst: VertexId,
         p: Positiveness,
-        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
-    ) {
+        sink: &mut S,
+    ) where
+        S: FnMut(Positiveness, &MatchRecord) + ?Sized,
+    {
         let mut scratch = std::mem::take(&mut self.scratch);
         self.matching_query_edges(g, src, label, dst, &mut scratch.plan);
         scratch.assert_unbound();
@@ -106,7 +112,7 @@ impl TurboFlux {
     /// entry of the plan [`TurboFlux::matching_query_edges`] lays out, in the
     /// order the loop above walks it.
     #[allow(clippy::too_many_arguments)]
-    fn invoke(
+    fn invoke<S>(
         &mut self,
         g: &DynamicGraph,
         e: EdgeId,
@@ -115,8 +121,10 @@ impl TurboFlux {
         dst: VertexId,
         p: Positiveness,
         scratch: &mut SearchScratch,
-        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
-    ) {
+        sink: &mut S,
+    ) where
+        S: FnMut(Positiveness, &MatchRecord) + ?Sized,
+    {
         // Parallel support beyond the updated edge: the vertex-mapping set
         // does not change via this query edge (Transition 0 analogue for
         // multigraphs), and a tree edge's DCG edge stays backed — it is an
@@ -135,7 +143,7 @@ impl TurboFlux {
     /// A tree-edge invocation: maintain the DCG under the matched tree edge
     /// `e`, and climb/search when the paper's preconditions hold.
     #[allow(clippy::too_many_arguments)]
-    fn tree_invocation(
+    fn tree_invocation<S>(
         &mut self,
         g: &DynamicGraph,
         e: EdgeId,
@@ -143,8 +151,10 @@ impl TurboFlux {
         dst: VertexId,
         ctx: &SearchCtx,
         scratch: &mut SearchScratch,
-        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
-    ) {
+        sink: &mut S,
+    ) where
+        S: FnMut(Positiveness, &MatchRecord) + ?Sized,
+    {
         let positive = ctx.p == Positiveness::Positive;
         let (uc, pv, cv) = self.orient_tree_edge(e, src, dst);
         let up = self.tree.parent(uc).expect("tree edge child has a parent");
@@ -184,7 +194,7 @@ impl TurboFlux {
     /// non-tree edge never changes intermediate results, so the climb from
     /// `qe.src` only traverses.
     #[allow(clippy::too_many_arguments)]
-    fn non_tree_invocation(
+    fn non_tree_invocation<S>(
         &mut self,
         g: &DynamicGraph,
         e: EdgeId,
@@ -192,8 +202,10 @@ impl TurboFlux {
         dst: VertexId,
         ctx: &SearchCtx,
         scratch: &mut SearchScratch,
-        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
-    ) {
+        sink: &mut S,
+    ) where
+        S: FnMut(Positiveness, &MatchRecord) + ?Sized,
+    {
         let qe = *self.q.edge(e);
         if !self.dcg.is_reached(qe.src, src)
             || !self.dcg.is_reached(qe.dst, dst)
@@ -228,7 +240,7 @@ impl TurboFlux {
     /// Precondition (established by every caller): all children of `u` have
     /// explicit outgoing edges from `v`.
     #[allow(clippy::too_many_arguments)]
-    fn climb(
+    fn climb<S>(
         &mut self,
         g: &DynamicGraph,
         u: QVertexId,
@@ -236,8 +248,10 @@ impl TurboFlux {
         via: Option<QVertexId>,
         ctx: &SearchCtx,
         scratch: &mut SearchScratch,
-        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
-    ) {
+        sink: &mut S,
+    ) where
+        S: FnMut(Positiveness, &MatchRecord) + ?Sized,
+    {
         debug_assert!(self.match_all_children(v, u));
         // A non-tree invocation pre-binds the other endpoint of the
         // triggering edge; if the climb reaches that query vertex with a

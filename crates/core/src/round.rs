@@ -30,7 +30,7 @@
 //! tried, measured, removed"), so a panic in a hook unwinds through
 //! [`drive`] to the caller.
 
-use tfx_graph::{DynamicGraph, LabelId, LabelSet, UpdateOp, VertexId};
+use tfx_graph::{DynamicGraph, LabelId, LabelSet, UpdateOp, VertexId, MAX_VERTEX_GAP};
 use tfx_query::{MatchRecord, Positiveness};
 
 /// One op's evaluation plan, derived by [`stage`] and executed by every
@@ -40,8 +40,10 @@ pub(crate) enum Round {
     /// No-op (duplicate edge, missing edge, known vertex).
     Skip,
     /// An edge op whose label is not below [`LabelId::LIMIT`], which no
-    /// graph stores: a skip that touches nothing, not even the endpoints,
-    /// and that the runtime counts ([`crate::TurboFlux::refused_ops`],
+    /// graph stores, or an op naming a vertex [`MAX_VERTEX_GAP`] or more past
+    /// the vertex table, which would make the graph create every id below
+    /// it: a skip that touches nothing, not even the endpoints, and that the
+    /// runtime counts ([`crate::TurboFlux::refused_ops`],
     /// [`crate::FleetStats::ops_refused`]).
     Refused,
     /// Vertices with id ≥ `from` are new: register start candidates.
@@ -78,15 +80,26 @@ impl Round {
 /// standalone engine's projection, [`crate::TurboFlux::new`]); an edge op on
 /// any other label leaves it alone, except that an insert still creates its
 /// endpoints — the vertices exist for every query, whatever their edges. An
-/// edge op on a label out of range is [`Round::Refused`] before it reaches
-/// the graph: a parsed stream cannot carry one (the interner hands out no
-/// such id), a library caller's `UpdateOp` can.
+/// edge op on a label out of range, and any op naming a vertex
+/// [`MAX_VERTEX_GAP`] or more past the vertex table, is [`Round::Refused`]
+/// before it reaches the graph: a parsed stream cannot carry one (the
+/// interner hands out no such label, the text source refuses such an id), a
+/// library caller's `UpdateOp` can.
 pub(crate) fn stage(
     graph: &mut DynamicGraph,
     op: &UpdateOp,
     sees: impl Fn(LabelId) -> bool,
 ) -> Round {
     let from = VertexId(graph.vertex_count() as u32);
+    let top = match *op {
+        UpdateOp::AddVertex { id, .. } => id,
+        UpdateOp::InsertEdge { src, dst, .. } | UpdateOp::DeleteEdge { src, dst, .. } => {
+            src.max(dst)
+        }
+    };
+    if u64::from(top.0) >= u64::from(from.0) + u64::from(MAX_VERTEX_GAP) {
+        return Round::Refused;
+    }
     match *op {
         UpdateOp::InsertEdge { label, .. } | UpdateOp::DeleteEdge { label, .. }
             if label.0 >= LabelId::LIMIT =>
@@ -141,15 +154,15 @@ pub(crate) fn finalize(graph: &mut DynamicGraph, round: &Round) {
 const LOOKAHEAD: usize = 2;
 
 /// The batch lookahead: before the round of `ops[i]`, hands `hint` the edge
-/// ops that run `4·LOOKAHEAD`, `2·LOOKAHEAD` and `LOOKAHEAD` rounds later,
-/// at stages 0, 1 and 2 — a three-stage software pipeline over the batch in
-/// which every stage reads only what the stage before it pulled into cache
-/// ([`DynamicGraph::prefetch_edge`], [`crate::TurboFlux::prefetch_dcg`]), so
-/// a hint never takes the miss it is there to hide. An op waits on memory
-/// for most of its round (the first touch of a vertex's handles, of an
-/// adjacency slot, of a DCG bucket), every one of those addresses follows
-/// from `(src, label, dst)` and state that exists before the round, and the
-/// rest of the batch is already in hand. A hint reads a snapshot that the
+/// ops that run `2·LOOKAHEAD` and `LOOKAHEAD` rounds later, at stages 0 and
+/// 1 — a two-stage software pipeline over the batch in which the second
+/// stage reads only what the first pulled into cache
+/// ([`DynamicGraph::prefetch_edge`]), so a hint never takes the miss it is
+/// there to hide. An op waits on memory for most of its round (the first
+/// touch of a vertex's handles, of an adjacency slot), every one of those
+/// addresses follows from `(src, dst)` and state that exists before the
+/// round, and the rest of the batch is already in hand. The label only
+/// decides whether the runtime stores the edge at all. A hint reads a snapshot that the
 /// rounds in between may outdate (a vertex not created yet, a run that
 /// moved): a wasted hint, never a wrong result — hints change nothing.
 #[inline]
@@ -158,7 +171,7 @@ pub(crate) fn lookahead(
     i: usize,
     mut hint: impl FnMut(VertexId, LabelId, VertexId, u8),
 ) {
-    for (stage, rounds) in [(0, 4 * LOOKAHEAD), (1, 2 * LOOKAHEAD), (2, LOOKAHEAD)] {
+    for (stage, rounds) in [(0, 2 * LOOKAHEAD), (1, LOOKAHEAD)] {
         if let Some(
             &UpdateOp::InsertEdge { src, label, dst } | &UpdateOp::DeleteEdge { src, label, dst },
         ) = ops.get(i + rounds)
@@ -198,27 +211,26 @@ pub(crate) fn route(
     }
 }
 
-/// A cell's output channel for one round.
-pub(crate) type Emit<'a> = dyn FnMut(Positiveness, &MatchRecord) + 'a;
-
 /// What a runtime supplies to [`drive`].
 pub(crate) trait Rounds {
     type Cell;
 
     /// The runtime's part of the batch lookahead ([`lookahead`]): hints, at
-    /// `stage`, what a coming round of the edge `(src, label, dst)` will
-    /// touch. The fleet hints the graph its engines share and leaves their
-    /// DCGs alone — hinting those too measured slower (DESIGN.md, "Batch
-    /// lookahead"), so the hook is not handed the cells.
-    fn hint(&self, src: VertexId, label: LabelId, dst: VertexId, stage: u8);
+    /// `stage`, what a coming round of an edge `src → dst` will touch. The
+    /// fleet hints the graph its engines share and leaves their DCGs alone —
+    /// hinting those too measured slower (DESIGN.md, "Batch lookahead"), so
+    /// the hook is not handed the cells.
+    fn hint(&self, src: VertexId, dst: VertexId, stage: u8);
 
     /// Stages `op` (graph mutation via [`stage`] plus whatever the runtime
     /// keeps in step with the graph) and fills `targets` (via [`route`])
     /// from the `ncells` cells.
     fn stage(&mut self, op: &UpdateOp, ncells: usize, targets: &mut Vec<Target>) -> Round;
 
-    /// Evaluates `round` on one target cell.
-    fn run(&self, cell: &mut Self::Cell, target: Target, round: &Round, emit: &mut Emit<'_>);
+    /// Evaluates `round` on one target cell, reporting through `emit`.
+    fn run<S>(&self, cell: &mut Self::Cell, target: Target, round: &Round, emit: &mut S)
+    where
+        S: FnMut(Positiveness, &MatchRecord) + ?Sized;
 
     /// Finalizes the round (via [`finalize`]) once every target ran.
     fn finalize(&mut self, round: &Round);
@@ -253,13 +265,16 @@ pub(crate) struct DeltaBufs {
 /// Applies `ops` in order, one round each, and delivers every emission to
 /// `sink(cell, op index, positiveness, record)` in `(cell, op, emission)`
 /// order.
-pub(crate) fn drive<R: Rounds>(
+pub(crate) fn drive<R, S>(
     rt: &mut R,
     cells: &mut [R::Cell],
     bufs: &mut DeltaBufs,
     ops: &[UpdateOp],
-    sink: &mut dyn FnMut(usize, usize, Positiveness, &MatchRecord),
-) {
+    sink: &mut S,
+) where
+    R: Rounds,
+    S: FnMut(usize, usize, Positiveness, &MatchRecord) + ?Sized,
+{
     // One cell in total: op order is output order, nothing to buffer.
     let direct = cells.len() == 1;
     let DeltaBufs { cells: bufs, rec, targets } = bufs;
@@ -271,7 +286,7 @@ pub(crate) fn drive<R: Rounds>(
         buf.words.clear();
     }
     for (op_index, op) in ops.iter().enumerate() {
-        lookahead(ops, op_index, |src, label, dst, stage| rt.hint(src, label, dst, stage));
+        lookahead(ops, op_index, |src, _, dst, stage| rt.hint(src, dst, stage));
         let round = rt.stage(op, cells.len(), targets);
         for &target in targets.iter() {
             let cell = &mut cells[target.cell];
@@ -395,6 +410,27 @@ mod tests {
         assert!(out.is_empty(), "a refused op reaches no cell");
     }
 
+    /// An op naming a vertex `MAX_VERTEX_GAP` or more past the vertex table
+    /// is refused before the graph sees it — an insert, a vertex, even a
+    /// delete — and nothing grows; one id short of the gap is an op like any
+    /// other.
+    #[test]
+    fn vertex_ids_far_past_the_table_are_refused_and_touch_nothing() {
+        let mut g = graph();
+        let resident = g.resident_bytes();
+        let far = 3 + MAX_VERTEX_GAP;
+        let add = |id| UpdateOp::AddVertex { id: v(id), labels: LabelSet::empty() };
+        for op in [ins(0, far), ins(far, 1), del(far, 0), del(1, u32::MAX), add(far), add(u32::MAX)]
+        {
+            assert_eq!(stage(&mut g, &op, all), Round::Refused, "{op:?}");
+            assert_eq!(stage(&mut g, &op, |_| false), Round::Refused, "{op:?}");
+        }
+        assert_eq!((g.vertex_count(), g.edge_count(), g.resident_bytes()), (3, 1, resident));
+        let round = stage(&mut g, &ins(0, far - 1), all);
+        assert_eq!(round, Round::Insert { grew: Some(v(3)), src: v(0), label: L, dst: v(far - 1) });
+        assert_eq!(g.vertex_count(), far as usize);
+    }
+
     /// An edge op on a label the graph does not store leaves the graph's
     /// edges alone: an insert only creates its endpoints, a delete skips.
     #[test]
@@ -409,10 +445,10 @@ mod tests {
         assert!(g.has_edge(v(0), L, v(1)) && !g.has_edge(v(1), L, v(2)));
     }
 
-    /// Before round `i` the lookahead hints the edge ops 4·d, 2·d and d
-    /// rounds ahead at stages 0, 1 and 2 — so every edge op far enough into
-    /// the batch passes through all three, in stage order, before its round
-    /// — skips vertex ops, and stops at the end of the batch.
+    /// Before round `i` the lookahead hints the edge ops 2·d and d rounds
+    /// ahead at stages 0 and 1 — so every edge op far enough into the batch
+    /// passes through both, in stage order, before its round — skips vertex
+    /// ops, and stops at the end of the batch.
     #[test]
     fn lookahead_hints_each_edge_op_once_per_stage_ahead_of_its_round() {
         let mut ops: Vec<UpdateOp> = (0..40).map(|i| ins(i, i + 1)).collect();
@@ -427,7 +463,7 @@ mod tests {
         }
         for (at, hints) in seen.iter().enumerate() {
             let d = LOOKAHEAD;
-            let want: Vec<(u8, usize)> = [(0, 4 * d), (1, 2 * d), (2, d)]
+            let want: Vec<(u8, usize)> = [(0, 2 * d), (1, d)]
                 .into_iter()
                 .filter(|&(_, ahead)| at >= ahead && at != 13)
                 .map(|(stage, ahead)| (stage, at - ahead))
@@ -487,7 +523,7 @@ mod tests {
     impl Rounds for Toy {
         type Cell = Vec<usize>;
 
-        fn hint(&self, _: VertexId, _: LabelId, _: VertexId, _: u8) {
+        fn hint(&self, _: VertexId, _: VertexId, _: u8) {
             panic!("toy ops are AddVertex: nothing to hint");
         }
 
@@ -502,7 +538,10 @@ mod tests {
             round
         }
 
-        fn run(&self, cell: &mut Vec<usize>, target: Target, _: &Round, emit: &mut Emit<'_>) {
+        fn run<S>(&self, cell: &mut Vec<usize>, target: Target, _: &Round, emit: &mut S)
+        where
+            S: FnMut(Positiveness, &MatchRecord) + ?Sized,
+        {
             assert_ne!(Some(self.op), self.panic_on, "the toy's cell panics on this op");
             cell.push(self.op);
             let (op, at) = (v(self.op as u32), v(target.cell as u32));

@@ -88,6 +88,7 @@ impl SearchScratch {
 
     /// Sets `m(u) = v`, replacing (and returning) any previous binding.
     /// The multiplicity map follows when tracking is on.
+    #[inline]
     pub(crate) fn rebind(&mut self, u: QVertexId, v: Option<VertexId>) -> Option<VertexId> {
         let prev = std::mem::replace(&mut self.m[u.index()], v);
         if let Some(w) = v {

@@ -176,15 +176,20 @@ impl TurboFlux {
     /// `SubgraphSearch` (Algorithm 7). `scratch.m` must have the starting
     /// query vertex bound; every report goes through `scratch.rec`, which
     /// mirrors the bindings. Reports `(ctx.p, record)` for every complete
-    /// solution.
-    pub(crate) fn subgraph_search(
+    /// solution. The sink is a type parameter all the way from the public
+    /// entry points down, so a caller's closure is called directly — and
+    /// inlined — at the last level; a `&mut dyn` sink costs one indirect
+    /// call per match.
+    pub(crate) fn subgraph_search<S>(
         &self,
         g: &DynamicGraph,
         depth: usize,
         ctx: &SearchCtx,
         scratch: &mut SearchScratch,
-        sink: &mut dyn FnMut(Positiveness, &MatchRecord),
-    ) {
+        sink: &mut S,
+    ) where
+        S: FnMut(Positiveness, &MatchRecord) + ?Sized,
+    {
         if self.deadline_exceeded() {
             return;
         }
@@ -195,8 +200,8 @@ impl TurboFlux {
         let u = self.mo[depth];
         let us = self.tree.root();
         // Whether `IsJoinable` can reject any binding of `u` at all.
-        let joins = self.cfg.semantics == MatchSemantics::Isomorphism
-            || !self.non_tree_incident[u.index()].is_empty();
+        let non_tree = !self.non_tree_incident[u.index()].is_empty();
+        let joins = non_tree || self.cfg.semantics == MatchSemantics::Isomorphism;
         if let Some(v) = scratch.m[u.index()] {
             // Pre-bound vertex (upward traversal / non-tree invocation):
             // re-validate instead of enumerating. The edge into a binding
@@ -240,63 +245,79 @@ impl TurboFlux {
             }
             _ => None,
         };
-        let last = depth + 1 == self.mo.len();
         // A wide frontier under bound non-tree neighbors is intersected
         // with their adjacency runs first; the survivors sit in
-        // `scratch.isect[base..]`, as a gathered frontier does. Deeper levels
-        // append past that segment and truncate back, so it is read by index.
+        // `scratch.isect[base..]`, as a gathered frontier does.
         let width = run.map_or(scratch.isect.len() - base, <[VertexId]>::len);
-        let fold = width >= INTERSECT_MIN_FRONTIER && self.has_bound_non_tree_run(u, scratch);
+        let fold =
+            non_tree && width >= INTERSECT_MIN_FRONTIER && self.has_bound_non_tree_run(u, scratch);
         if fold {
             self.intersect_frontier(g, u, run, base, scratch);
         }
         let isect = fold || run.is_none();
-        let slice = run.unwrap_or_default();
+        let group = run.unwrap_or_default();
         let expl = self.dcg.explicit_set(u);
-        let n = if isect { scratch.isect.len() - base } else { slice.len() };
-        // Where the next level enumerates under each candidate — a child of
-        // `u` not bound yet — its label group is a cold read: a handle, then
-        // the slot it names. Hinted two candidates ahead, in two stages.
-        let next = self
-            .mo
-            .get(depth + 1)
-            .copied()
-            .filter(|&w| self.tree.parent(w) == Some(u) && scratch.m[w.index()].is_none());
-        #[allow(clippy::needless_range_loop)] // two sources, one inside `scratch`
-        for i in 0..n {
-            let at = |i: usize| if isect { scratch.isect.get(base + i) } else { slice.get(i) };
-            if let Some(w) = next {
-                for (ahead, stage) in [(2, 0), (1, 1)] {
-                    if let Some(&c) = at(i + ahead) {
-                        self.dcg.prefetch_run(g, c, w, stage);
-                    }
-                }
-            }
-            let v = if isect { scratch.isect[base + i] } else { slice[i] };
-            if !expl.has(v) {
-                continue;
-            }
-            if suspect == Some(v) {
-                let (src, dst) = if down { (vp, v) } else { (v, vp) };
-                if self.violates_order(g, ctx, e, src, dst) {
+        // The candidate tests every level makes: on the frontier, not the
+        // updated edge under a tree edge the trigger does not outrank, and
+        // `IsJoinable` where it can reject anything.
+        let passes = |v: VertexId, scratch: &SearchScratch| {
+            expl.has(v)
+                && (suspect != Some(v) || {
+                    let (src, dst) = if down { (vp, v) } else { (v, vp) };
+                    !self.violates_order(g, ctx, e, src, dst)
+                })
+                && (!joins || self.is_joinable(g, ctx, u, v, scratch))
+        };
+        if depth + 1 == self.mo.len() {
+            // The last level: a candidate that passes is a complete
+            // solution, reported straight from the loop — no bind, no
+            // recursion, and no deadline probe unless a deadline is armed
+            // (none can be armed during a search: `set_deadline` takes
+            // `&mut self`). Nothing deeper appends to `scratch.isect`, so
+            // the candidates are one slice for the whole loop, read beside
+            // the record taken out of the scratch.
+            let armed = self.deadline.is_some();
+            let mut rec = std::mem::take(&mut scratch.rec);
+            let cands = if isect { &scratch.isect[base..] } else { group };
+            for &v in cands {
+                if !passes(v, scratch) {
                     continue;
                 }
-            }
-            if joins && !self.is_joinable(g, ctx, u, v, scratch) {
-                continue;
-            }
-            if last {
-                // A complete solution: the probe `subgraph_search` would
-                // make on entry, then the report — no bind, no recursion.
-                if self.deadline_exceeded() {
+                if armed && self.deadline_exceeded() {
                     break;
                 }
-                scratch.rec.set(u, v);
-                sink(ctx.p, &scratch.rec);
-            } else {
-                scratch.bind(u, v);
-                self.subgraph_search(g, depth + 1, ctx, scratch, sink);
-                scratch.unbind(u);
+                rec.set(u, v);
+                sink(ctx.p, &rec);
+            }
+            scratch.rec = rec;
+        } else {
+            // Deeper levels append past this frontier's segment of
+            // `scratch.isect` and truncate back — the vector may move — so
+            // a gathered frontier is read by index. Where the next level
+            // enumerates under each candidate — a child of `u` not bound
+            // yet — its label group is a cold read: a handle, then the slot
+            // it names. Hinted two candidates ahead, in two stages.
+            let next = self
+                .mo
+                .get(depth + 1)
+                .copied()
+                .filter(|&w| self.tree.parent(w) == Some(u) && scratch.m[w.index()].is_none());
+            let n = if isect { scratch.isect.len() - base } else { group.len() };
+            for i in 0..n {
+                let at = |i: usize| if isect { scratch.isect.get(base + i) } else { group.get(i) };
+                if let Some(w) = next {
+                    for (ahead, stage) in [(2, 0), (1, 1)] {
+                        if let Some(&c) = at(i + ahead) {
+                            self.dcg.prefetch_run(g, c, w, stage);
+                        }
+                    }
+                }
+                let v = if isect { scratch.isect[base + i] } else { group[i] };
+                if passes(v, scratch) {
+                    scratch.bind(u, v);
+                    self.subgraph_search(g, depth + 1, ctx, scratch, sink);
+                    scratch.unbind(u);
+                }
             }
         }
         scratch.isect.truncate(base);

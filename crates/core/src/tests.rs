@@ -1415,3 +1415,63 @@ fn flips_under_a_wildcard_count_distinct_neighbours() {
     let edges = [(b.0, 9, c.0), (b2.0, 9, c.0)];
     assert!(assert_insert_delete_orders(&g0, &q, &edges) >= 32);
 }
+
+/// One run's output: the initial matches, then every stream delta as
+/// `(op index, sign, record)`, in emission order.
+type Emitted = (Vec<Vec<VertexId>>, Vec<(usize, Positiveness, Vec<VertexId>)>);
+
+/// The sink is a type parameter from the entry points down to the
+/// last-level loop, so each kind of caller gets its own copy of the search:
+/// a closure, a `&mut dyn FnMut`, and either one with a deadline armed (the
+/// loop then probes the clock per match). All three must emit the same
+/// records in the same order — the initial report and a 200-op stream, for
+/// tree and cyclic queries under both semantics.
+#[test]
+fn every_sink_kind_emits_the_same_records_in_the_same_order() {
+    let run = |case: &RandomCase, semantics: MatchSemantics, kind: u8| -> Emitted {
+        let cfg = TurboFluxConfig::with_semantics(semantics);
+        let mut engine = TurboFlux::new(case.q.clone(), case.g0.clone(), cfg);
+        let (mut initial, mut deltas) = (Vec::new(), Vec::new());
+        let mut on_initial = |r: &MatchRecord| initial.push(r.as_slice().to_vec());
+        let mut on_delta = |i, p, r: &MatchRecord| deltas.push((i, p, r.as_slice().to_vec()));
+        match kind {
+            0 => {
+                engine.report_initial(&mut on_initial);
+                engine.apply_batch(&case.ops, &mut on_delta);
+            }
+            1 => {
+                let initial: &mut dyn FnMut(&MatchRecord) = &mut on_initial;
+                engine.report_initial(initial);
+                let delta: &mut dyn FnMut(usize, Positiveness, &MatchRecord) = &mut on_delta;
+                engine.apply_batch(&case.ops, delta);
+            }
+            _ => {
+                let hour = std::time::Duration::from_secs(3600);
+                engine.set_deadline(Some(std::time::Instant::now() + hour));
+                engine.report_initial(&mut on_initial);
+                engine.apply_batch(&case.ops, &mut on_delta);
+                assert!(!engine.timed_out(), "a deadline an hour away cannot trip");
+            }
+        }
+        (initial, deltas)
+    };
+    let mut rng = Rng::new(0x51_4B5);
+    for cyclic in [false, true] {
+        for semantics in [MatchSemantics::Homomorphism, MatchSemantics::Isomorphism] {
+            let (mut initial, mut deltas) = (0, 0);
+            for case_no in 0..40 {
+                let case = random_case_with_ops(&mut rng, cyclic, 200);
+                let want = run(&case, semantics, 0);
+                for kind in [1, 2] {
+                    assert_eq!(
+                        run(&case, semantics, kind),
+                        want,
+                        "case {case_no}, sink kind {kind}"
+                    );
+                }
+                (initial, deltas) = (initial + want.0.len(), deltas + want.1.len());
+            }
+            assert!(initial > 0 && deltas > 0, "cyclic {cyclic}, {semantics:?}: nothing emitted");
+        }
+    }
+}

@@ -614,40 +614,22 @@ impl Adjacency {
     }
 
     /// The batch lookahead's hint (`tfx_core::round::lookahead`) for a coming
-    /// probe, insert or delete of a `(label, ·)` entry, given that the stage
-    /// before pulled in what this one reads. Stage 1 reads the handle and
-    /// hints the slot it names: a flat run's first and last word (headers
-    /// first, then ids — at most eight lines), a directory's first and middle
-    /// record. Stage 2 reads what stage 1 hinted: a flat run's headers, to
-    /// hint the first and last line of `label`'s ids (where they would go,
-    /// for a label the run lacks), or a directory's records, to hint the
-    /// first and middle line of `label`'s id run. An inline run has nothing
-    /// past its handle.
+    /// probe, insert or delete of an entry, given that the stage before
+    /// pulled the handle into cache: stage 1 reads the handle and hints the
+    /// slot it names — a flat run's first and last word (headers first, then
+    /// ids — at most eight lines), a directory's first and middle record. An
+    /// inline run has nothing past its handle; no other stage hints anything.
     #[inline]
-    pub(crate) fn prefetch(&self, a: &Arena, label: LabelId, stage: u8) {
+    pub(crate) fn prefetch(&self, a: &Arena, stage: u8) {
         let (data, off) = (a.data(), self.off.index());
         match (stage, self.dir) {
             (1, false) if self.len > 1 => {
                 prefetch_at(data, off);
                 prefetch_at(data, off + self.groups.index() + self.len() - 1);
             }
-            (2, false) if self.len > 1 => {
-                let (heads, _) = self.flat(a);
-                let (_, at, n) = find_head(heads, label);
-                prefetch_at(data, off + heads.len() + at);
-                prefetch_at(data, off + heads.len() + at + n.saturating_sub(1));
-            }
             (1, true) => {
                 prefetch_at(data, off);
                 prefetch_at(data, off + self.groups.index() / 2 * REC);
-            }
-            (2, true) => {
-                let dir = self.dir(a);
-                if let Ok(g) = find_group(dir, label) {
-                    let (goff, glen) = (dir[g * REC + 1].index(), dir[g * REC + 2].index());
-                    prefetch_at(data, goff);
-                    prefetch_at(data, goff + glen / 2);
-                }
             }
             _ => {}
         }

@@ -444,33 +444,32 @@ impl DynamicGraph {
         }
     }
 
-    /// Hints what a coming insert, delete or evaluation of the edge
-    /// `(src, label, dst)` will touch, for a caller that holds the op some
-    /// rounds before it applies it (`tfx_core`'s batch lookahead). Three
-    /// stages, each reading only what the one before it pulled into cache, so
+    /// Hints what a coming insert, delete or evaluation of an edge
+    /// `src → dst` will touch, whatever its label, for a caller that holds the op some
+    /// rounds before it applies it (`tfx_core`'s batch lookahead). Two
+    /// stages, the second reading only what the first pulled into cache, so
     /// that no hint waits on memory itself: **0** the handle pairs and set
     /// ids of `src` and `dst`; **1** the slots the out-handle of `src` and
-    /// the in-handle of `dst` name; **2** inside a label directory, `label`'s
-    /// id run. Changes nothing the caller can observe, never allocates, and
-    /// accepts any id — an endpoint the graph does not hold yet (an earlier
-    /// op of the same batch creates it) hints nothing.
+    /// the in-handle of `dst` name. Any other stage hints nothing. Changes
+    /// nothing the caller can observe, never allocates, and accepts any id —
+    /// an endpoint the graph does not hold yet (an earlier op of the same
+    /// batch creates it) hints nothing.
     #[inline]
-    pub fn prefetch_edge(&self, src: VertexId, label: LabelId, dst: VertexId, stage: u8) {
-        self.prefetch_group(src, label, true, stage);
-        self.prefetch_group(dst, label, false, stage);
+    pub fn prefetch_edge(&self, src: VertexId, dst: VertexId, stage: u8) {
+        self.prefetch_group(src, true, stage);
+        self.prefetch_group(dst, false, stage);
     }
 
-    /// [`Self::prefetch_edge`]'s stages for one label group of `v`,
-    /// out-going (`out`) or in-coming: **0** `v`'s handle pair and set id,
-    /// **1** the slot the handle names (nothing for an inline run), **2**
-    /// inside a directory, `label`'s id run.
+    /// [`Self::prefetch_edge`]'s stages for the groups of `v`, out-going
+    /// (`out`) or in-coming: **0** `v`'s handle pair and set id,
+    /// **1** the slot the handle names (nothing for an inline run).
     #[inline]
-    pub fn prefetch_group(&self, v: VertexId, label: LabelId, out: bool, stage: u8) {
+    pub fn prefetch_group(&self, v: VertexId, out: bool, stage: u8) {
         if stage == 0 {
             prefetch_at(&self.runs, v.index());
             prefetch_at(&self.vertex_sets, v.index());
         } else if let Some(pair) = self.runs.get(v.index()) {
-            pair[if out { OUT } else { IN }].prefetch(&self.arena, label, stage);
+            pair[if out { OUT } else { IN }].prefetch(&self.arena, stage);
         }
     }
 
@@ -824,16 +823,14 @@ mod tests {
     }
 
     /// A hint takes any id at any stage, over every layout — an empty graph,
-    /// empty runs, flat runs, a hub's directory, a label the directory lacks —
-    /// and leaves the graph as it found it.
+    /// empty runs, flat runs, a hub's directory — and leaves the graph as it
+    /// found it.
     #[test]
     fn prefetch_edge_accepts_anything_and_changes_nothing() {
         let hint_all = |g: &DynamicGraph| {
             for (s, d) in [(0, 1), (1, 0), (0, 0), (0, 900), (900, 0), (900, 901)] {
                 for stage in 0..4 {
-                    for label in [l(1), l(2), l(77)] {
-                        g.prefetch_edge(VertexId(s), label, VertexId(d), stage);
-                    }
+                    g.prefetch_edge(VertexId(s), VertexId(d), stage);
                 }
             }
         };

@@ -28,6 +28,17 @@ impl VertexId {
     }
 }
 
+/// How far past the vertex table an op or a stream line may name a vertex.
+///
+/// Vertex ids are dense: creating id `N` makes the graph fill every slot
+/// below it ([`crate::DynamicGraph::ensure_vertex`]), so without a bound one
+/// op — an insert of `0 → 300000000` — allocates gigabytes. Real streams
+/// number their vertices as they meet them; a million ids of headroom lets a
+/// file be cut, shuffled or sampled and still refuses the id that is a typo
+/// or an attack. The text source refuses such a line, `tfx_core`'s round
+/// driver such an op.
+pub const MAX_VERTEX_GAP: u32 = 1 << 20;
+
 impl LabelId {
     /// Label ids run `0..LIMIT`. A flat adjacency run packs an edge label and
     /// its group's length into one 4-byte word ([`crate::adjacency`]), which

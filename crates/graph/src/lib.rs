@@ -31,7 +31,7 @@ pub mod stream;
 
 pub use adjacency::{AdjacencyMode, LabeledNeighbors, MatchingNeighbors, Neighbors, FLAT_MAX};
 pub use dynamic_graph::{DynamicGraph, EdgeRef, StorageStats};
-pub use ids::{LabelId, VertexId};
+pub use ids::{LabelId, VertexId, MAX_VERTEX_GAP};
 pub use intersect::{contains_sorted, intersect_into, prefetch, prefetch_at, GALLOP_RATIO};
 pub use labels::{LabelInterner, LabelLimit, LabelSet};
 pub use stats::GraphStats;

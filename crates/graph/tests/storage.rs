@@ -314,7 +314,7 @@ fn inline_flat_and_directory_runs_follow_a_btreeset_through_every_transition() {
             }
             for s in g.vertices() {
                 for d in g.vertices() {
-                    (0..3).for_each(|stage| g.prefetch_edge(s, l(s.0 % LABELS), d, stage));
+                    (0..3).for_each(|stage| g.prefetch_edge(s, d, stage));
                 }
             }
         };

@@ -96,15 +96,9 @@ impl StreamSource for VecSource {
     }
 }
 
-/// How far past the highest known vertex id a `v` or `+` line may reach.
-///
-/// Vertex ids are dense: creating id `N` makes the graph fill every slot
-/// below it (`DynamicGraph::ensure_vertex`), so without a bound one stream
-/// line — `+ 0 300000000 knows` — allocates gigabytes. Real streams number
-/// their vertices as they meet them; a million ids of headroom lets a file
-/// be cut, shuffled or sampled and still refuses the line that is a typo or
-/// an attack. A `-` line never creates a vertex and is not checked.
-pub const MAX_VERTEX_GAP: u32 = 1 << 20;
+/// How far past the highest known vertex id a `v` or `+` line may reach. A
+/// `-` line never creates a vertex and is not checked.
+pub use tfx_graph::MAX_VERTEX_GAP;
 
 /// Parses the timestamped text stream format from any [`BufRead`].
 ///

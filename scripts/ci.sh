@@ -120,6 +120,20 @@ if grep -nE "fn (run_bounds|flat_cap)\b|class_for\(2 \* |class_cap\([a-z.]+\) as
   exit 1
 fi
 
+echo "=== one call per match ==="
+# The sink is a type parameter from the public entry points down to the
+# last-level frontier loop (DESIGN.md, "Enumeration path", piece 6): a
+# caller's closure is called, and inlined, once per match, where a `dyn`
+# sink in the search cost an indirect call per match and each wrapper one
+# more. The lookahead hints the graph only (DESIGN.md, "Batch lookahead"):
+# the DCG hint cost more than it hid. Either comes back by deleting this
+# check and saying which e2e workload it wins.
+if grep -nE "dyn FnMut" crates/core/src/search.rs crates/core/src/ops.rs \
+  || grep -rnE "fn prefetch_dcg\b" crates/core/src; then
+  echo "ci: a dyn sink is back in the search, or the DCG half of the lookahead" >&2
+  exit 1
+fi
+
 echo "=== cargo build --release (workspace) ==="
 cargo build --offline --release --workspace
 

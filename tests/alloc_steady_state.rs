@@ -142,7 +142,7 @@ fn main() {
     }
 
     // Four cycles to a batch, through `apply_batch`: every op but the last
-    // two of a batch is hinted by the lookahead (2, 4 and 8 rounds ahead)
+    // two of a batch is hinted by the lookahead (2 and 4 rounds ahead)
     // before it runs, and a hint may allocate as little as an update.
     let batch: Vec<UpdateOp> = (0..4).flat_map(|_| cycle.iter().cloned()).collect();
     let run_cycles = |engine: &mut TurboFlux, n: usize, matches: &mut usize| {
