@@ -24,11 +24,10 @@
 //! the update-time Algorithm 3; replayed per root candidate it is this
 //! module's oracle in `crate::tests`.
 
-use tfx_graph::{AdjacencyMode, DynamicGraph};
+use tfx_graph::DynamicGraph;
 
 use crate::dcg::Bits;
 use crate::engine::TurboFlux;
-use crate::tree_nav::collect_child_candidates;
 
 impl TurboFlux {
     /// Builds the DCG of `g` into the engine's empty one. Its bits are the
@@ -52,7 +51,7 @@ impl TurboFlux {
             let from = std::mem::take(&mut reached[u.index()]);
             for &uc in tree.children(u) {
                 for pv in from.ones() {
-                    collect_child_candidates(g, q, tree, uc, pv, AdjacencyMode::Indexed, &mut buf);
+                    dcg.candidates(g, pv, uc, q.labels(uc), &mut buf);
                     buf.drain(..).for_each(|cv| reached[uc.index()].set(cv));
                 }
             }

@@ -175,7 +175,7 @@ impl TurboFlux {
         } else {
             return;
         };
-        if state == EdgeState::Explicit && self.match_all_children_via(pv, up, uc) {
+        if state == EdgeState::Explicit && self.dcg.match_all_children_via(pv, up, uc) {
             scratch.bind(uc, cv);
             scratch.trust(uc); // the state test just above
             self.climb(g, up, pv, Some(uc), ctx, scratch, sink);
@@ -209,8 +209,8 @@ impl TurboFlux {
         let qe = *self.q.edge(e);
         if !self.dcg.is_reached(qe.src, src)
             || !self.dcg.is_reached(qe.dst, dst)
-            || !self.match_all_children(src, qe.src)
-            || !self.match_all_children(dst, qe.dst)
+            || !self.dcg.match_all_children(src, qe.src)
+            || !self.dcg.match_all_children(dst, qe.dst)
         {
             return;
         }
@@ -252,7 +252,7 @@ impl TurboFlux {
     ) where
         S: FnMut(Positiveness, &MatchRecord) + ?Sized,
     {
-        debug_assert!(self.match_all_children(v, u));
+        debug_assert!(self.dcg.match_all_children(v, u));
         // A non-tree invocation pre-binds the other endpoint of the
         // triggering edge; if the climb reaches that query vertex with a
         // different data vertex the two constraints contradict and no
@@ -306,7 +306,7 @@ impl TurboFlux {
                 if promote {
                     self.dcg.promote(Some(vp), u, v);
                 }
-                if self.match_all_children_via(vp, up, u) {
+                if self.dcg.match_all_children_via(vp, up, u) {
                     self.climb(g, up, vp, flips.then_some(u), ctx, scratch, sink);
                 }
                 if demote {

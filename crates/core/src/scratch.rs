@@ -16,12 +16,10 @@
 //! serves arbitrarily deep recursion without per-level allocation once its
 //! high-water capacity is reached.
 //!
-//! Under isomorphism semantics the scratch additionally maintains a
-//! multiplicity map of the data vertices currently bound in `m`, updated at
-//! every bind/unbind, so `IsJoinable`'s injectivity test is an O(1) lookup
-//! instead of an O(|q|) scan over the embedding.
+//! Under isomorphism semantics `IsJoinable`'s injectivity test is a scan of
+//! `m`, which holds at most 64 bindings (DESIGN.md, "Isomorphism
+//! injectivity in one scan").
 
-use rustc_hash::FxHashMap;
 use tfx_graph::VertexId;
 use tfx_query::{EdgeId, MatchRecord, QVertexId};
 
@@ -30,7 +28,7 @@ use tfx_query::{EdgeId, MatchRecord, QVertexId};
 pub(crate) struct SearchScratch {
     /// Partial embedding `m : V(q) → V(g)`, indexed by query vertex id.
     /// Written through [`SearchScratch::bind`] / [`SearchScratch::rebind`]
-    /// so the bound-vertex multiplicities below stay in sync.
+    /// so `rec` below stays in sync.
     pub(crate) m: Vec<Option<VertexId>>,
     /// The record every report goes through: `rec[u]` mirrors `m[u]`
     /// wherever `m[u]` is bound (written by [`SearchScratch::rebind`]; a
@@ -69,42 +67,21 @@ pub(crate) struct SearchScratch {
     /// Ping-pong buffer for folding successive run intersections into the
     /// top `isect` segment.
     pub(crate) isect_tmp: Vec<VertexId>,
-    /// How many entries of `m` currently map to each data vertex. Only
-    /// maintained when `track_bound` is set (isomorphism semantics);
-    /// inserts and removals balance, so the map stays at its high-water
-    /// capacity and steady-state updates never allocate.
-    bound: FxHashMap<VertexId, u32>,
-    /// Maintain `bound` at bind/unbind (isomorphism only).
-    track_bound: bool,
 }
 
 impl SearchScratch {
-    /// Scratch sized for a query with `nq` vertices. `track_bound` enables
-    /// the bound-vertex multiplicity map (isomorphism injectivity checks).
-    pub(crate) fn for_query(nq: usize, track_bound: bool) -> Self {
+    /// Scratch sized for a query with `nq` vertices.
+    pub(crate) fn for_query(nq: usize) -> Self {
         let rec = MatchRecord::new(vec![VertexId(0); nq]);
-        SearchScratch { m: vec![None; nq], rec, track_bound, ..Default::default() }
+        SearchScratch { m: vec![None; nq], rec, ..Default::default() }
     }
 
     /// Sets `m(u) = v`, replacing (and returning) any previous binding.
-    /// The multiplicity map follows when tracking is on.
     #[inline]
     pub(crate) fn rebind(&mut self, u: QVertexId, v: Option<VertexId>) -> Option<VertexId> {
         let prev = std::mem::replace(&mut self.m[u.index()], v);
         if let Some(w) = v {
             self.rec.set(u, w);
-        }
-        if self.track_bound && prev != v {
-            if let Some(w) = prev {
-                let n = self.bound.get_mut(&w).expect("bound count for a mapped vertex");
-                *n -= 1;
-                if *n == 0 {
-                    self.bound.remove(&w);
-                }
-            }
-            if let Some(w) = v {
-                *self.bound.entry(w).or_insert(0) += 1;
-            }
         }
         prev
     }
@@ -137,17 +114,11 @@ impl SearchScratch {
     }
 
     /// True iff `v` is the image of some query vertex *other than* `u` in
-    /// the current partial embedding — the isomorphism injectivity test.
-    /// O(1) via the multiplicity map when tracking is on, O(|q|) scan
-    /// otherwise (homomorphism engines never ask).
+    /// the current partial embedding — the isomorphism injectivity test, one
+    /// scan of `m` (homomorphism engines never ask).
     #[inline]
     pub(crate) fn bound_elsewhere(&self, u: QVertexId, v: VertexId) -> bool {
-        let own = u32::from(self.m[u.index()] == Some(v));
-        if self.track_bound {
-            self.bound.get(&v).copied().unwrap_or(0) > own
-        } else {
-            self.m.iter().filter(|&&mv| mv == Some(v)).count() as u32 > own
-        }
+        self.m.iter().enumerate().any(|(w, &mv)| mv == Some(v) && w != u.index())
     }
 
     /// The updated edge's data pair, if as the image of the tree edge into
@@ -177,7 +148,6 @@ impl SearchScratch {
         debug_assert!(self.m.iter().all(Option::is_none));
         debug_assert_eq!(self.trusted, 0);
         debug_assert_eq!(self.image_under | self.uncounted, 0);
-        debug_assert!(self.bound.is_empty());
     }
 }
 
@@ -195,13 +165,13 @@ mod tests {
 
     #[test]
     fn bind_unbind_tracks_multiplicity() {
-        let mut s = SearchScratch::for_query(4, true);
+        let mut s = SearchScratch::for_query(4);
         assert!(!s.bound_elsewhere(u(0), v(7)));
         s.bind(u(0), v(7));
         assert!(!s.bound_elsewhere(u(0), v(7)), "own binding is not 'elsewhere'");
         assert!(s.bound_elsewhere(u(1), v(7)));
         // A second query vertex mapping the same data vertex (legal under
-        // homomorphism) raises the count past the own-binding allowance.
+        // homomorphism): each binding is now the other's "elsewhere".
         s.bind(u(1), v(7));
         assert!(s.bound_elsewhere(u(0), v(7)));
         s.unbind(u(1));
@@ -212,26 +182,16 @@ mod tests {
 
     #[test]
     fn rebind_handles_equal_and_distinct_previous_bindings() {
-        let mut s = SearchScratch::for_query(3, true);
+        let mut s = SearchScratch::for_query(3);
         s.bind(u(2), v(5));
-        // Rebinding to the same vertex is a no-op for the counts.
+        // Rebinding to the same vertex changes nothing.
         assert_eq!(s.rebind(u(2), Some(v(5))), Some(v(5)));
         assert!(s.bound_elsewhere(u(0), v(5)));
-        // Rebinding to a different vertex moves the count.
+        // Rebinding to a different vertex moves the binding.
         assert_eq!(s.rebind(u(2), Some(v(6))), Some(v(5)));
         assert!(!s.bound_elsewhere(u(0), v(5)));
         assert!(s.bound_elsewhere(u(0), v(6)));
         assert_eq!(s.rebind(u(2), None), Some(v(6)));
         s.assert_unbound();
-    }
-
-    #[test]
-    fn untracked_scratch_falls_back_to_scan() {
-        let mut s = SearchScratch::for_query(3, false);
-        s.bind(u(0), v(9));
-        assert!(s.bound_elsewhere(u(1), v(9)));
-        assert!(!s.bound_elsewhere(u(0), v(9)));
-        assert!(s.bound.is_empty(), "no map maintenance when tracking is off");
-        s.unbind(u(0));
     }
 }

@@ -20,10 +20,9 @@
 use rustc_hash::FxHashSet;
 use std::collections::BTreeMap;
 use tfx_graph::{AdjacencyMode, DynamicGraph, VertexId};
-use tfx_query::{QueryGraph, QueryTree};
+use tfx_query::{QVertexId, QueryGraph, QueryTree};
 
 use crate::dcg::EdgeState;
-use crate::tree_nav::for_each_child_candidate;
 
 /// A canonical DCG image: `(parent, query vertex, child) → state`, with
 /// `None` as the artificial start vertex `v_s*`.
@@ -44,16 +43,15 @@ pub fn reference_dcg(g: &DynamicGraph, q: &QueryGraph, tree: &QueryTree) -> DcgI
     }
     let mut edges: Vec<(Option<VertexId>, u32, VertexId)> =
         cand[root.index()].iter().map(|&v| (None, root.0, v)).collect();
+    // Candidates are read apart from the engine's reader (`Dcg::run`), through
+    // the flat-scan access path, so checking the engine cross-validates the
+    // label-partitioned index against an independent enumeration.
     for &u in &tree.bfs_order()[1..] {
         let parent = tree.parent(u).expect("non-root");
         let parents: Vec<VertexId> = cand[parent.index()].iter().copied().collect();
         for pv in parents {
             let mut seen = FxHashSet::default();
-            // The oracle deliberately uses the flat-scan access path so that
-            // checking the engine (which defaults to the indexed path)
-            // cross-validates the label-partitioned index against an
-            // independent enumeration.
-            for_each_child_candidate(g, q, tree, u, pv, AdjacencyMode::FlatScan, &mut |cv| {
+            for_each_child_candidate(g, q, tree, u, pv, &mut |cv| {
                 if seen.insert(cv) {
                     edges.push((Some(pv), u.0, cv));
                     cand[u.index()].insert(cv);
@@ -69,7 +67,7 @@ pub fn reference_dcg(g: &DynamicGraph, q: &QueryGraph, tree: &QueryTree) -> DcgI
     let mut has_expl_out: FxHashSet<(VertexId, u32)> = FxHashSet::default();
     let mut by_depth: Vec<Vec<(Option<VertexId>, u32, VertexId)>> = Vec::new();
     for e in edges {
-        let d = tree.depth(tfx_query::QVertexId(e.1)) as usize;
+        let d = tree.depth(QVertexId(e.1)) as usize;
         if by_depth.len() <= d {
             by_depth.resize(d + 1, Vec::new());
         }
@@ -77,7 +75,7 @@ pub fn reference_dcg(g: &DynamicGraph, q: &QueryGraph, tree: &QueryTree) -> DcgI
     }
     for level in by_depth.iter().rev() {
         for &(pv, u, cv) in level {
-            let uq = tfx_query::QVertexId(u);
+            let uq = QVertexId(u);
             let all_children_explicit =
                 tree.children(uq).iter().all(|&uc| has_expl_out.contains(&(cv, uc.0)));
             let st = if all_children_explicit {
@@ -94,11 +92,37 @@ pub fn reference_dcg(g: &DynamicGraph, q: &QueryGraph, tree: &QueryTree) -> DcgI
     image
 }
 
+/// Calls `f` with every data vertex `cv` such that a live data edge matching
+/// the tree edge into `u` joins `pv` and `cv`, both endpoints' labels
+/// matching, in `(label, id)` order: once per parallel edge.
+fn for_each_child_candidate(
+    g: &DynamicGraph,
+    q: &QueryGraph,
+    tree: &QueryTree,
+    u: QVertexId,
+    pv: VertexId,
+    f: &mut dyn FnMut(VertexId),
+) {
+    let qe = q.edge(tree.parent_edge(u).expect("non-root vertex has a parent edge"));
+    let (parent, child, near) = if tree.child_is_target(u) {
+        (qe.src, qe.dst, g.out_neighbors_matching(pv, qe.label, AdjacencyMode::FlatScan))
+    } else {
+        (qe.dst, qe.src, g.in_neighbors_matching(pv, qe.label, AdjacencyMode::FlatScan))
+    };
+    if !q.labels(parent).is_subset_of(g.labels(pv)) {
+        return;
+    }
+    for cv in near {
+        if q.labels(child).is_subset_of(g.labels(cv)) {
+            f(cv);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use tfx_graph::{GraphStats, LabelId, LabelSet};
-    use tfx_query::QVertexId;
 
     fn l(i: u32) -> LabelId {
         LabelId(i)
