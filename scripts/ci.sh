@@ -134,6 +134,35 @@ if grep -nE "dyn FnMut" crates/core/src/search.rs crates/core/src/ops.rs \
   exit 1
 fi
 
+echo "=== one reader per tree edge ==="
+# `core::dcg` decides where the tree edge into `u` reads in the graph, which
+# way it points and which children `u` has (DESIGN.md, "DCG storage layout",
+# *One reader per tree edge*): BuildDCG, registration, MatchAllChildren and
+# the search all ask it, and only `core::spec` keeps a reader of its own, on
+# the flat-scan path. Isomorphism's injectivity test is one scan of the
+# embedding (DESIGN.md, "Isomorphism injectivity in one scan"), not a map
+# kept at every bind. A second reader, a copy of the child masks or the map
+# comes back by deleting this check and saying what it wins.
+if grep -rnE "mod tree_nav|collect_child_candidates|child_mask|FxHashMap" crates/core/src \
+  || grep -rl "AdjacencyMode" crates/core/src | grep -vE "/(dcg|spec)\.rs$"; then
+  echo "ci: a second tree-edge reader, child mask copy or injectivity map is back" >&2
+  exit 1
+fi
+
+echo "=== no new panic site ==="
+# Every non-test `unwrap()` / `expect(` / `panic!` / `assert*!` line of the
+# engine, the graph, the stream layer and the CLI is sorted in DESIGN.md,
+# "Testing strategy" (item 7), as input-reachable or invariant: none is
+# reachable from a `tfx stream` input. A new one is sorted into that table
+# and this ceiling moves with it; one an input reaches becomes an error.
+panics=$(find crates/core/src crates/graph/src crates/stream/src src/bin/tfx.rs -name '*.rs' \
+  ! -name tests.rs -exec awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next }
+    /unwrap\(\)|\.expect\(|panic!\(|assert(_eq|_ne)?!/ && !/debug_assert/' {} \; | wc -l)
+if [ "$panics" -gt 69 ]; then
+  echo "ci: $panics non-test panic sites, the sorted table has 69" >&2
+  exit 1
+fi
+
 echo "=== cargo build --release (workspace) ==="
 cargo build --offline --release --workspace
 
