@@ -160,6 +160,39 @@ fn group_ids<'a>(data: &'a [Word], rec: &[Word]) -> &'a [VertexId] {
     &data[rec[1].index()..rec[1].index() + rec[2].index()]
 }
 
+/// The arena words [`Adjacency::build`] carves for a run, counted one label
+/// group at a time by a caller that walks the run's entries anyway.
+#[derive(Default)]
+pub(crate) struct RunWords {
+    /// Entries so far.
+    n: usize,
+    /// Label groups so far.
+    groups: usize,
+    /// The groups' id slots, were the run a directory.
+    dir_ids: usize,
+}
+
+impl RunWords {
+    /// Counts one more label group, of `len` entries.
+    #[inline]
+    pub(crate) fn group(&mut self, len: usize) {
+        self.n += len;
+        self.groups += 1;
+        self.dir_ids += class_cap(class_for(len)) as usize;
+    }
+
+    /// The words the run takes: none inline, one slot flat, a directory
+    /// slot and a slot per group past [`FLAT_MAX`] entries.
+    #[inline]
+    pub(crate) fn words(&self) -> usize {
+        match self.n {
+            0 | 1 => 0,
+            n if n <= FLAT_MAX => class_cap(class_for(self.groups + n)) as usize,
+            _ => self.dir_ids + class_cap(class_for(REC * self.groups)) as usize,
+        }
+    }
+}
+
 impl Adjacency {
     /// The run with no entries.
     pub(crate) const EMPTY: Adjacency =
@@ -213,19 +246,6 @@ impl Adjacency {
         a.run(self.off.0, self.groups.0 * REC as u32)
     }
 
-    /// The arena words [`Self::build`] carves for `entries`.
-    pub(crate) fn words(entries: &[(LabelId, VertexId)]) -> usize {
-        let groups = entries.chunk_by(|x, y| x.0 == y.0);
-        match entries.len() {
-            0 | 1 => 0,
-            n if n <= FLAT_MAX => class_cap(class_for(groups.count() + n)) as usize,
-            _ => {
-                let ids = groups.clone().map(|run| class_cap(class_for(run.len())) as usize);
-                ids.sum::<usize>() + class_cap(class_for(REC * groups.count())) as usize
-            }
-        }
-    }
-
     /// Lays the sorted, duplicate-free `entries` out as a fresh run.
     pub(crate) fn build(a: &mut Arena, entries: &[(LabelId, VertexId)]) -> Adjacency {
         if entries.len() <= FLAT_MAX {
@@ -241,42 +261,37 @@ impl Adjacency {
             [(label, v)] => return Self::inline(label, v),
             _ => {}
         }
-        let heads = entries.chunk_by(|x, y| x.0 == y.0).map(|run| header(run[0].0, run.len()));
-        Self::lay_flat(
-            a,
-            heads.clone().count(),
-            entries.len(),
-            heads.chain(entries.iter().map(|e| e.1)),
-        )
+        // The slot's words, staged: a header per group, then the ids.
+        let mut words = [Word(0); 2 * FLAT_MAX];
+        let mut heads = 0;
+        for run in entries.chunk_by(|x, y| x.0 == y.0) {
+            words[heads] = header(run[0].0, run.len());
+            heads += 1;
+        }
+        let n = entries.len();
+        for (w, e) in words[heads..heads + n].iter_mut().zip(entries) {
+            *w = e.1;
+        }
+        Self::lay_flat(a, heads, n, &words[..heads + n])
     }
 
     /// Lays a flat run of `heads` groups and `n` entries from its `words`:
     /// the headers, then the ids.
-    fn lay_flat(
-        a: &mut Arena,
-        heads: usize,
-        n: usize,
-        words: impl Iterator<Item = Word>,
-    ) -> Adjacency {
+    fn lay_flat(a: &mut Arena, heads: usize, n: usize, words: &[Word]) -> Adjacency {
         let class = class_for(heads + n);
-        let off = a.alloc(class);
-        for (slot, w) in a.data_mut()[off as usize..][..heads + n].iter_mut().zip(words) {
-            *slot = w;
-        }
+        let off = a.alloc_from(class, words.iter().copied());
         let (len, groups) = (n as u32, Word(heads as u32));
         Adjacency { off: Word(off), len, groups, class, dir: false }
     }
 
     fn build_dir(a: &mut Arena, entries: &[(LabelId, VertexId)]) -> Adjacency {
-        let groups = entries.chunk_by(|x, y| x.0 == y.0).count();
+        // Counted without an early exit, so the compiler can widen it.
+        let groups = 1 + entries.windows(2).filter(|w| w[0].0 != w[1].0).count();
         let class = class_for(REC * groups);
         let off = a.alloc(class);
         for (g, run) in entries.chunk_by(|x, y| x.0 == y.0).enumerate() {
             let gclass = class_for(run.len());
-            let goff = a.alloc(gclass);
-            for (i, &(_, v)) in run.iter().enumerate() {
-                a.data_mut()[goff as usize + i] = v;
-            }
+            let goff = a.alloc_from(gclass, run.iter().map(|e| e.1));
             let rec = [run[0].0 .0, goff, run.len() as u32, gclass as u32].map(Word);
             a.data_mut()[off as usize + g * REC..][..REC].copy_from_slice(&rec);
         }
@@ -295,16 +310,21 @@ impl Adjacency {
             _ => {}
         }
         if n <= FLAT_MAX {
-            let heads = groups.iter().map(|&(label, ids)| header(label, ids.len()));
-            let ids = groups.iter().flat_map(|&(_, ids)| ids.iter().copied());
-            return Self::lay_flat(a, groups.len(), n, heads.chain(ids));
+            let mut words = [Word(0); 2 * FLAT_MAX];
+            let (heads, ids) = words.split_at_mut(groups.len());
+            let mut at = 0;
+            for (h, &(label, group)) in heads.iter_mut().zip(groups) {
+                *h = header(label, group.len());
+                ids[at..at + group.len()].copy_from_slice(group);
+                at += group.len();
+            }
+            return Self::lay_flat(a, groups.len(), n, &words[..groups.len() + n]);
         }
         let class = class_for(REC * groups.len());
         let off = a.alloc(class);
         for (g, &(label, ids)) in groups.iter().enumerate() {
             let gclass = class_for(ids.len());
-            let goff = a.alloc(gclass);
-            a.data_mut()[goff as usize..goff as usize + ids.len()].copy_from_slice(ids);
+            let goff = a.alloc_from(gclass, ids.iter().copied());
             let rec = [label.0, goff, ids.len() as u32, gclass as u32].map(Word);
             a.data_mut()[off as usize + g * REC..][..REC].copy_from_slice(&rec);
         }

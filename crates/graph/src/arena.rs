@@ -74,15 +74,29 @@ impl<T: Copy + Default> SlotArena<T> {
     /// A slot of `class`: the most recently freed one, else a new carving.
     /// Its contents are unspecified.
     pub fn alloc(&mut self, class: u8) -> u32 {
+        self.alloc_from(class, std::iter::empty())
+    }
+
+    /// A slot of `class` that starts with `words` (at most the class's
+    /// capacity; the rest unspecified): the most recently freed one, else a
+    /// new carving. A carving appends `words` and pads only what they leave
+    /// of the slot, so nothing is filled before it is written.
+    pub fn alloc_from(&mut self, class: u8, words: impl ExactSizeIterator<Item = T>) -> u32 {
+        let cap = class_cap(class) as usize;
+        debug_assert!(words.len() <= cap, "{} words overflow class {class}", words.len());
         if let Some(off) = self.free.get_mut(class as usize).and_then(Vec::pop) {
             self.free_slots -= 1;
+            for (slot, w) in self.data[off as usize..][..cap].iter_mut().zip(words) {
+                *slot = w;
+            }
             return off;
         }
         let off = u32::try_from(self.data.len()).expect("slot arena exceeds u32 offsets");
-        let end = self.data.len() + class_cap(class) as usize;
+        let end = self.data.len() + cap;
         if end > self.data.capacity() {
             self.data.reserve_exact(grown_capacity(end) - self.data.len());
         }
+        self.data.extend(words);
         self.data.resize(end, T::default());
         self.slots += 1;
         off

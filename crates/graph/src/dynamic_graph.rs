@@ -18,7 +18,8 @@
 //!   insert/delete edges — but new vertices can appear at any point.
 
 use crate::adjacency::{
-    Adjacency, AdjacencyMode, Arena, LabeledNeighbors, MatchingNeighbors, Neighbors, FLAT_MAX,
+    Adjacency, AdjacencyMode, Arena, LabeledNeighbors, MatchingNeighbors, Neighbors, RunWords,
+    FLAT_MAX,
 };
 use crate::ids::{LabelId, VertexId};
 use crate::intersect::prefetch_at;
@@ -80,6 +81,71 @@ fn sizes_to_starts(sizes: &mut [usize]) {
 fn bucket_ranges(base: usize, ends: &[usize]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
     ends.iter()
         .scan(base, move |start, &end| Some(std::mem::replace(start, end) - base..end - base))
+}
+
+/// [`DynamicGraph::from_edges`]' stable counting pass by label: the
+/// scratch it keeps across the in-buckets.
+struct ByLabel {
+    /// Per label: its entries in the bucket, then where the next goes.
+    /// Zero between buckets.
+    counts: Vec<u32>,
+    /// The labels the bucket names.
+    named: Vec<LabelId>,
+    /// A copy of the bucket being reordered.
+    spill: Vec<(LabelId, VertexId)>,
+}
+
+impl ByLabel {
+    /// Scratch for buckets whose labels are below `labels`.
+    fn new(labels: usize) -> Self {
+        ByLabel { counts: vec![0; labels], named: Vec::new(), spill: Vec::new() }
+    }
+
+    /// Reorders `bucket` by label, keeping the order of the entries under
+    /// each label, and returns its run's words. An in-bucket is filled in
+    /// source order, so this leaves it in `(label, src)` order. Costs
+    /// O(bucket) and a sort of the few labels it names — a bucket of one
+    /// label is left as it is — and touches the per-label table only at
+    /// those labels, however many the graph has.
+    fn sort(&mut self, bucket: &mut [(LabelId, VertexId)]) -> RunWords {
+        let mut run = RunWords::default();
+        for &(label, _) in bucket.iter() {
+            let count = &mut self.counts[label.index()];
+            if *count == 0 {
+                self.named.push(label);
+            }
+            *count += 1;
+        }
+        match self.named[..] {
+            [] => return run,
+            [label] => {
+                // One label: in order already.
+                run.group(bucket.len());
+                self.counts[label.index()] = 0;
+                self.named.clear();
+                return run;
+            }
+            _ => {}
+        }
+        self.named.sort_unstable();
+        let mut at = 0;
+        for label in &self.named {
+            let count = &mut self.counts[label.index()];
+            run.group(*count as usize);
+            (*count, at) = (at, at + *count);
+        }
+        self.spill.clear();
+        self.spill.extend_from_slice(bucket);
+        for &e in &self.spill {
+            let at = &mut self.counts[e.0.index()];
+            bucket[*at as usize] = e;
+            *at += 1;
+        }
+        for label in self.named.drain(..) {
+            self.counts[label.index()] = 0;
+        }
+        run
+    }
 }
 
 /// Re-lays every run of `runs`, whose entries live in `from`, compactly and
@@ -159,19 +225,24 @@ impl DynamicGraph {
     }
 
     /// A graph over vertices `0..vertex_labels.len()` holding `edges`
-    /// (any order, duplicates dropped), built by two counting sorts where a
-    /// comparison sort of the whole list would do: the edges are bucketed
-    /// by source on degree prefix sums, and each bucket is sorted and
-    /// deduplicated by `(label, dst)` and laid as its out-run; then the
-    /// out-runs, read back in source order, fill the in-buckets already
-    /// ascending by source, and each is sorted by label and laid as its
-    /// in-run. Every run is laid once at its final size — what N incremental
+    /// (any order, duplicates dropped), built by counting sorts where a
+    /// comparison sort of the whole list would do. The edges are bucketed
+    /// by source on degree prefix sums; each bucket is sorted and
+    /// deduplicated by `(label, dst)`, and the loop that does so also counts
+    /// the bucket's label groups, the arena words its run takes, the edges
+    /// per label and the in-degrees. Each out-bucket is then laid as its
+    /// out-run. The out-runs, read back in source order, fill the in-buckets
+    /// ascending by source, so a stable counting pass by label leaves each
+    /// in `(label, src)` order — no sort — and counts its words on the way;
+    /// each is then laid as its in-run.
+    /// Every run is laid once at its final size — what N incremental
     /// inserts reach only through N shifts and a fragmented arena — into an
     /// arena reserved for exactly the words each side's runs take, and one
     /// `(label, vertex)` array of the edge count is the only scratch. The
-    /// in-side reuses it cut to half the edges (or the largest in-bucket):
-    /// it fills and lays the in-buckets one range of destinations at a time,
-    /// so the scratch the graph's full arena sits beside is half the edges.
+    /// in-side reuses it cut to half the edges and half the largest
+    /// in-bucket: it fills and lays the in-buckets in two ranges of
+    /// destinations, so the scratch the graph's full arena sits beside is
+    /// about half the edges.
     ///
     /// Panics if an edge names a vertex that does not exist or carries a
     /// label not below [`LabelId::LIMIT`].
@@ -184,12 +255,13 @@ impl DynamicGraph {
         }
         drop(vertex_labels);
         let n = g.runs.len();
-        let mut ends = vec![0; n];
+        let (mut ends, mut labels) = (vec![0; n], 0);
         for e in &edges {
             let exists = e.src.index() < n && e.dst.index() < n;
             assert!(exists, "from_edges: an edge names a missing vertex");
             assert!(e.label.0 < LabelId::LIMIT, "from_edges: label {} is out of range", e.label);
             ends[e.src.index()] += 1;
+            labels = labels.max(e.label.index() + 1);
         }
         sizes_to_starts(&mut ends);
         let mut buf = vec![(LabelId(0), VertexId(0)); edges.len()];
@@ -199,28 +271,38 @@ impl DynamicGraph {
             *at += 1;
         }
         drop(edges);
-        // Sort and deduplicate each out-bucket, closing the gaps up as it goes.
-        let (mut start, mut kept) = (0, 0);
+        // Sort and deduplicate each out-bucket, closing the gaps up as it
+        // goes, and count what its run takes.
+        g.edge_label_counts = vec![0; labels];
+        let mut in_ends = vec![0; n];
+        let (mut start, mut kept, mut words) = (0, 0, 0);
         for end in &mut ends {
-            buf[start..*end].sort_unstable();
+            let key = |&(label, w): &(LabelId, VertexId)| u64::from(label.0) << 32 | u64::from(w.0);
+            buf[start..*end].sort_unstable_by_key(key);
+            let (first, mut group, mut run) = (kept, kept, RunWords::default());
             for i in start..*end {
-                if i == start || buf[i] != buf[i - 1] {
-                    buf[kept] = buf[i];
-                    kept += 1;
+                let e = buf[i];
+                if kept > first && buf[kept - 1] == e {
+                    continue;
                 }
+                if kept > first && buf[kept - 1].0 != e.0 {
+                    run.group(kept - group);
+                    group = kept;
+                }
+                buf[kept] = e;
+                kept += 1;
+                g.edge_label_counts[e.0.index()] += 1;
+                in_ends[e.1.index()] += 1;
             }
+            if kept > first {
+                run.group(kept - group);
+            }
+            words += run.words();
             (start, *end) = (*end, kept);
         }
-        buf.truncate(kept);
         g.edge_count = kept;
-        let words = bucket_ranges(0, &ends).map(|range| Adjacency::words(&buf[range])).sum();
         g.arena = Arena::with_capacity(words);
-        let mut in_ends = vec![0; n];
         for (v, range) in bucket_ranges(0, &ends).enumerate() {
-            for &(label, w) in &buf[range.clone()] {
-                bump(&mut g.edge_label_counts, label);
-                in_ends[w.index()] += 1;
-            }
             g.runs[v][OUT] = Adjacency::build(&mut g.arena, &buf[range]);
         }
         drop(ends);
@@ -229,9 +311,13 @@ impl DynamicGraph {
         sizes_to_starts(&mut in_ends);
         let start = |in_ends: &[usize], w: usize| in_ends.get(w).copied().unwrap_or(kept);
         let widest = (0..n).map(|w| start(&in_ends, w + 1) - in_ends[w]).max().unwrap_or(0);
-        let part = widest.max(kept.div_ceil(2));
+        // Half the edges and half the widest bucket: a range of buckets
+        // stops short of the part by less than the widest, so two ranges
+        // always take every bucket.
+        let part = widest.max((kept + widest).div_ceil(2));
         buf.truncate(part);
         buf.shrink_to_fit();
+        let mut by_label = ByLabel::new(labels);
         let mut lo = 0;
         while lo < n {
             let base = in_ends[lo];
@@ -239,7 +325,7 @@ impl DynamicGraph {
             let hi = (lo + 1..=n).take_while(fits).last().expect("a bucket fits the scratch");
             for (v, pair) in g.runs.iter().enumerate() {
                 for (label, ids) in pair[OUT].groups(&g.arena) {
-                    let from = ids.partition_point(|w| w.index() < lo);
+                    let from = if lo == 0 { 0 } else { ids.partition_point(|w| w.index() < lo) };
                     for w in ids[from..].iter().take_while(|w| w.index() < hi) {
                         let at = &mut in_ends[w.index()];
                         buf[*at - base] = (label, VertexId(v as u32));
@@ -249,10 +335,7 @@ impl DynamicGraph {
             }
             let mut words = 0;
             for range in bucket_ranges(base, &in_ends[lo..hi]) {
-                // Sources are unique within a label: sorting by `(label, src)`
-                // is the stable sort by label.
-                buf[range.clone()].sort_unstable();
-                words += Adjacency::words(&buf[range]);
+                words += by_label.sort(&mut buf[range]).words();
             }
             g.arena.reserve_exact(words);
             for (w, range) in (lo..hi).zip(bucket_ranges(base, &in_ends[lo..hi])) {
@@ -379,6 +462,16 @@ impl DynamicGraph {
     #[inline]
     pub fn labels(&self, v: VertexId) -> &LabelSet {
         self.sets.get(self.vertex_sets[v.index()])
+    }
+
+    /// A matcher for the vertices whose label set contains `labels`:
+    /// containment is decided once per distinct set, and a vertex is then
+    /// one lookup of its set id.
+    pub(crate) fn containing(&self, labels: &LabelSet) -> impl Fn(VertexId) -> bool + '_ {
+        let sets: Vec<bool> = (0..self.sets.len() as SetId)
+            .map(|id| labels.is_subset_of(self.sets.get(id)))
+            .collect();
+        move |v| sets[self.vertex_sets[v.index()] as usize]
     }
 
     /// True iff vertex id `v` has been created.

@@ -12,7 +12,11 @@
 //!   counters (O(1)),
 //! * label-only edge counts come from the per-label edge counters (O(1)),
 //! * endpoint-constrained edge counts walk only the matching side's label
-//!   group per vertex instead of filtering every edge in the graph.
+//!   group per vertex instead of filtering every edge in the graph,
+//! * whether a vertex's label set contains the query vertex's is decided
+//!   once per distinct set the graph stores, not once per vertex and
+//!   neighbour: every registration of a fleet asks again over the same
+//!   graph, and a graph has a handful of distinct sets.
 
 use crate::dynamic_graph::DynamicGraph;
 use crate::ids::LabelId;
@@ -40,7 +44,10 @@ impl<'g> GraphStats<'g> {
         match labels.as_slice() {
             [] => g.vertex_count(),
             [l] => g.vertex_label_count(*l),
-            _ => g.vertices().filter(|&v| labels.is_subset_of(g.labels(v))).count(),
+            _ => {
+                let matches = g.containing(labels);
+                g.vertices().filter(|&v| matches(v)).count()
+            }
         }
     }
 
@@ -53,6 +60,7 @@ impl<'g> GraphStats<'g> {
         dst_labels: &LabelSet,
     ) -> usize {
         let g = self.g();
+        let (src_ok, dst_ok) = (g.containing(src_labels), g.containing(dst_labels));
         match (qlabel, src_labels.is_empty(), dst_labels.is_empty()) {
             (Some(l), true, true) => g.edge_label_count(l),
             (None, true, true) => g.edge_count(),
@@ -60,7 +68,7 @@ impl<'g> GraphStats<'g> {
             // (or full out-degree) counts — no per-neighbor test needed.
             (ql, false, true) => g
                 .vertices()
-                .filter(|&v| src_labels.is_subset_of(g.labels(v)))
+                .filter(|&v| src_ok(v))
                 .map(|v| match ql {
                     Some(l) => g.out_degree_labeled(v, l),
                     None => g.out_degree(v),
@@ -69,7 +77,7 @@ impl<'g> GraphStats<'g> {
             // src unconstrained: mirror over in-adjacency.
             (ql, true, false) => g
                 .vertices()
-                .filter(|&v| dst_labels.is_subset_of(g.labels(v)))
+                .filter(|&v| dst_ok(v))
                 .map(|v| match ql {
                     Some(l) => g.in_degree_labeled(v, l),
                     None => g.in_degree(v),
@@ -79,21 +87,13 @@ impl<'g> GraphStats<'g> {
             // each neighbor's labels.
             (Some(l), false, false) => g
                 .vertices()
-                .filter(|&v| src_labels.is_subset_of(g.labels(v)))
-                .map(|v| {
-                    g.out_neighbors_labeled(v, l)
-                        .filter(|&w| dst_labels.is_subset_of(g.labels(w)))
-                        .count()
-                })
+                .filter(|&v| src_ok(v))
+                .map(|v| g.out_neighbors_labeled(v, l).filter(|&w| dst_ok(w)).count())
                 .sum(),
             (None, false, false) => g
                 .vertices()
-                .filter(|&v| src_labels.is_subset_of(g.labels(v)))
-                .map(|v| {
-                    g.out_neighbors(v)
-                        .filter(|&(w, _)| dst_labels.is_subset_of(g.labels(w)))
-                        .count()
-                })
+                .filter(|&v| src_ok(v))
+                .map(|v| g.out_neighbors(v).filter(|&(w, _)| dst_ok(w)).count())
                 .sum(),
         }
     }

@@ -258,6 +258,89 @@ fn from_edges_equals_incremental_inserts_on_random_graphs() {
     assert!(directories >= 20 && isolated >= 5 && loops >= 20, "{directories} {isolated} {loops}");
 }
 
+/// The arena words a run with label groups of `lens` entries takes, from
+/// the layout rule alone: none inline, one slot of headers and ids flat, a
+/// slot of 4-word records and one id slot per group as a directory.
+fn run_words(lens: &[usize]) -> usize {
+    use tfx_graph::arena::{class_cap, class_for};
+    let words = |len| class_cap(class_for(len)) as usize;
+    match lens.iter().sum::<usize>() {
+        0 | 1 => 0,
+        n if n <= FLAT_MAX => words(lens.len() + n),
+        _ => lens.iter().map(|&len| words(len)).sum::<usize>() + words(4 * lens.len()),
+    }
+}
+
+/// The bulk build over many labels: a shuffled, duplicated edge list over
+/// more than 300 labels (so an in-bucket holds many labels, which the
+/// counting pass orders without a sort), with an out-hub and an in-hub past
+/// `FLAT_MAX`, lays out the graph incremental inserts build, and reserves
+/// exactly the words its runs take: what it counts while it walks each
+/// bucket is what the layout rule charges.
+#[test]
+fn from_edges_over_many_labels_equals_inserts_and_reserves_exactly() {
+    for seed in 1..=6u64 {
+        let rng = &mut seed.wrapping_mul(0xD1B5_4A32_D192_ED03);
+        let (n, labels) = (40 + below(rng, 200) as u32, 301 + below(rng, 200) as u32);
+        let mut edges = Vec::new();
+        for _ in 0..8 * n {
+            let (src, dst) = (below(rng, n.into()) as u32, below(rng, n.into()) as u32);
+            edges.push(EdgeRef::new(
+                VertexId(src),
+                l(below(rng, labels.into()) as u32),
+                VertexId(dst),
+            ));
+        }
+        let hub = VertexId(below(rng, n.into()) as u32);
+        for i in 0..3 * FLAT_MAX as u32 {
+            let (other, label) = (VertexId(i % n), l(below(rng, labels.into()) as u32));
+            edges.push(EdgeRef::new(hub, label, other));
+            edges.push(EdgeRef::new(other, l(i % 7), hub));
+        }
+        let copies: Vec<EdgeRef> =
+            (0..edges.len() / 3).map(|_| edges[below(rng, 97) as usize]).collect();
+        edges.extend(copies);
+        for i in (1..edges.len()).rev() {
+            edges.swap(i, below(rng, i as u64 + 1) as usize);
+        }
+        let vertex_labels: Vec<LabelSet> =
+            (0..n).map(|_| (0..below(rng, 3)).map(|_| l(below(rng, 5) as u32)).collect()).collect();
+
+        let mut want = DynamicGraph::new();
+        for labels in &vertex_labels {
+            want.add_vertex(labels.clone());
+        }
+        for e in &edges {
+            want.insert_edge(e.src, e.label, e.dst);
+        }
+        let bare = DynamicGraph::from_edges(vertex_labels.clone(), Vec::new());
+        let got = DynamicGraph::from_edges(vertex_labels, edges);
+        got.validate();
+        assert!(got.edges().eq(want.edges()), "seed {seed}: edges");
+        assert!(got.out_is_directory(hub) && got.in_is_directory(hub), "seed {seed}: hubs");
+        let mut words = 0;
+        for v in want.vertices() {
+            assert!(got.out_label_runs(v).eq(want.out_label_runs(v)), "seed {seed}: out {v}");
+            assert!(got.in_label_runs(v).eq(want.in_label_runs(v)), "seed {seed}: in {v}");
+            assert!(got.in_neighbors(v).eq(want.in_neighbors(v)), "seed {seed}: in-run of {v}");
+            let lens = |runs: &mut dyn Iterator<Item = (LabelId, usize)>| -> Vec<usize> {
+                runs.map(|(_, len)| len).collect()
+            };
+            words += run_words(&lens(&mut got.out_label_runs(v)));
+            words += run_words(&lens(&mut got.in_label_runs(v)));
+        }
+        // The arena holds exactly those words, and its capacity is them: all
+        // the edges add to the bare vertices is the arena and a count per label.
+        let top = got.edges().map(|e| e.label.index() + 1).max().unwrap_or(0);
+        assert_eq!(got.storage_stats().carved_entries, words, "seed {seed}");
+        assert_eq!(
+            got.resident_bytes() - bare.resident_bytes(),
+            4 * words + 8 * top,
+            "seed {seed}"
+        );
+    }
+}
+
 #[test]
 #[should_panic(expected = "missing vertex")]
 fn from_edges_rejects_an_edge_naming_a_missing_vertex() {

@@ -18,10 +18,11 @@
 //! * `#` starts a comment; blank lines are ignored.
 //!
 //! Both formats here and the stream format (`tfx_stream::FileSource`) are
-//! read by one byte-level tokenizer: [`Tokens`] splits a line at ASCII
-//! whitespace up to its first `#`, [`parse_u32`] / [`parse_u64`] read ids
-//! and timestamps as `u32::from_str` / `u64::from_str` would, and a
-//! [`LabelCache`] turns a label token into a [`LabelId`].
+//! read by one line scanner: [`scan`] reads a line's `@ts` prefix,
+//! directive, ids and labels left to right in one pass over its bytes —
+//! tokens split at ASCII whitespace up to the first `#`, ids and timestamps
+//! summed eight digits a step as `u32::from_str` / `u64::from_str` would
+//! read them — and a [`LabelCache`] turns a label token into a [`LabelId`].
 
 use crate::qgraph::{QVertexId, QueryGraph};
 use tfx_graph::{DynamicGraph, EdgeRef, LabelId, LabelInterner, LabelLimit, LabelSet, VertexId};
@@ -70,9 +71,60 @@ const STOP: u8 = 2;
 /// The tokens of one line of text: its bytes up to the first `\n`, cut at
 /// the first `#` and split at the other ASCII whitespace (space, `\t`,
 /// `\x0B`, `\x0C`, `\r`). A token is never empty and is not checked for
-/// UTF-8.
+/// UTF-8. Also the cursor [`scan`] reads a line with.
 #[derive(Clone)]
 pub struct Tokens<'a>(&'a [u8]);
+
+/// The length of the token `text` starts with: its bytes up to the first
+/// that is not of class 0 in [`CLASS`], or the end.
+#[inline(always)]
+fn token_len(text: &[u8]) -> usize {
+    text.iter().take_while(|&&b| CLASS[usize::from(b)] == 0).count()
+}
+
+/// `10^k` for the digits one step of [`Tokens::int`] reads.
+const POW10: [u64; 9] = [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000];
+
+/// `0x01` in every byte of a word.
+const ONES: u64 = 0x0101_0101_0101_0101;
+
+/// The eight bytes of `text` from `at` as a little-endian word — the byte at
+/// `at` lowest — padded with zero bytes past the end.
+#[inline(always)]
+fn word_at(text: &[u8], at: usize) -> u64 {
+    let mut word = [0; 8];
+    match text.get(at..at + 8) {
+        Some(eight) => word.copy_from_slice(eight),
+        None => {
+            let rest = &text[at.min(text.len())..];
+            word[..rest.len()].copy_from_slice(rest);
+        }
+    }
+    u64::from_le_bytes(word)
+}
+
+/// How many bytes `word` ([`word_at`]) starts with that are ASCII digits,
+/// and the number they spell: a byte is a digit unless `b - '0'` borrows
+/// (below `'0'`) or `b + 0x46` reaches `0x80` (above `'9'`), and a borrow
+/// or carry only ever reaches the bytes after one that is no digit. The
+/// digits are then moved to the top of the word, so the bytes below read
+/// as leading zeros, and summed in pairs, fours and eights.
+#[inline(always)]
+fn leading_digits(word: u64) -> (usize, u64) {
+    let values = word.wrapping_sub(ONES * u64::from(b'0'));
+    let no_digit = (values | word.wrapping_add(ONES * 0x46)) & (ONES * 0x80);
+    let k = no_digit.trailing_zeros() as usize / 8;
+    if k == 0 {
+        return (0, 0);
+    }
+    let v = values << (8 * (8 - k));
+    let v = v * 10 + (v >> 8);
+    let pairs = 0x0000_00FF_0000_00FF;
+    let high = (v & pairs).wrapping_mul(100 + (1_000_000 << 32));
+    let low = ((v >> 16) & pairs).wrapping_mul(1 + (10_000 << 32));
+    let v = high.wrapping_add(low) >> 32;
+    (k, v)
+}
 
 impl<'a> Tokens<'a> {
     /// The tokens of the line `text` starts with.
@@ -80,11 +132,72 @@ impl<'a> Tokens<'a> {
         Tokens(text)
     }
 
-    /// The text after the line: past its `\n`, empty if it has none. Cheap
+    /// The text after the line, past its `\n`; `None` if it has none. Cheap
     /// once the tokens are drained, which leaves nothing but a comment
     /// before the `\n`.
-    pub fn next_line(&self) -> &'a [u8] {
-        self.0.iter().position(|&b| b == b'\n').map_or(&[], |i| &self.0[i + 1..])
+    fn next_line(&self) -> Option<&'a [u8]> {
+        self.0.iter().position(|&b| b == b'\n').map(|i| &self.0[i + 1..])
+    }
+
+    /// Moves past the blanks before the next token, and says whether the
+    /// line has one.
+    #[inline(always)]
+    fn at_token(&mut self) -> bool {
+        // Fields are most often one space apart.
+        if let [b' ', b, ..] = *self.0 {
+            if CLASS[usize::from(b)] == 0 {
+                self.0 = &self.0[1..];
+                return true;
+            }
+        }
+        while let Some((&b, rest)) = self.0.split_first() {
+            match CLASS[usize::from(b)] {
+                BLANK => self.0 = rest,
+                class => return class == 0,
+            }
+        }
+        false
+    }
+
+    /// The token at the cursor, maybe empty, read as `u64::from_str` reads
+    /// it — an optional `+`, then one or more ASCII digits, at most
+    /// `u64::MAX` — in the one walk that finds its end, eight bytes a step:
+    /// `Err` holds the token when it is not such a number.
+    #[inline(always)]
+    fn int(&mut self) -> Result<u64, &'a [u8]> {
+        let text = self.0;
+        let sign = usize::from(text.first() == Some(&b'+'));
+        let (mut k, mut n) = leading_digits(word_at(text, sign));
+        let (mut at, mut fits) = (sign + k, true);
+        while k == 8 {
+            let (more, digits) = leading_digits(word_at(text, at));
+            match n.checked_mul(POW10[more]).and_then(|n| n.checked_add(digits)) {
+                Some(m) => n = m,
+                None => fits = false,
+            }
+            (k, at) = (more, at + more);
+        }
+        // The digits must end the token.
+        let ends = text.get(at).is_none_or(|&b| CLASS[usize::from(b)] != 0);
+        if fits && at > sign && ends {
+            self.0 = &text[at..];
+            return Ok(n);
+        }
+        let (token, rest) = text.split_at(at + token_len(&text[at..]));
+        self.0 = rest;
+        Err(token)
+    }
+
+    /// The next token as a vertex id.
+    #[inline(always)]
+    fn id(&mut self) -> Id {
+        if !self.at_token() {
+            return Id::Missing;
+        }
+        match self.int().map(u32::try_from) {
+            Ok(Ok(id)) => Id::Valid(id),
+            _ => Id::Invalid,
+        }
     }
 }
 
@@ -93,15 +206,11 @@ impl<'a> Iterator for Tokens<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<&'a [u8]> {
-        let class = |b: &u8| CLASS[usize::from(*b)];
-        let start = self.0.iter().position(|b| class(b) != BLANK).unwrap_or(self.0.len());
-        self.0 = &self.0[start..];
-        let len = self.0.iter().position(|b| class(b) != 0).unwrap_or(self.0.len());
-        if len == 0 {
+        if !self.at_token() {
             // The end of the line, or a comment: stay there.
             return None;
         }
-        let (token, rest) = self.0.split_at(len);
+        let (token, rest) = self.0.split_at(token_len(self.0));
         self.0 = rest;
         Some(token)
     }
@@ -109,27 +218,79 @@ impl<'a> Iterator for Tokens<'a> {
 
 /// A decimal token as `u64::from_str` reads it — an optional `+`, then one
 /// or more ASCII digits — or `None`, which includes values past `u64::MAX`.
-#[inline]
 pub fn parse_u64(token: &[u8]) -> Option<u64> {
-    let digits = token.strip_prefix(b"+").unwrap_or(token);
-    if digits.is_empty() {
-        return None;
-    }
-    let mut n = 0u64;
-    for &b in digits {
-        let d = b.wrapping_sub(b'0');
-        if d > 9 {
-            return None;
-        }
-        n = n.checked_mul(10)?.checked_add(u64::from(d))?;
-    }
-    Some(n)
+    let mut cursor = Tokens(token);
+    cursor.int().ok().filter(|_| cursor.0.is_empty())
 }
 
 /// [`parse_u64`] for a `u32` id: `None` past `u32::MAX`.
-#[inline]
 pub fn parse_u32(token: &[u8]) -> Option<u32> {
     parse_u64(token).and_then(|n| u32::try_from(n).ok())
+}
+
+/// An id field of a [`Line`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Id {
+    /// The line ends before it.
+    Missing,
+    /// A token that is not a `u32` as `u32::from_str` reads one.
+    Invalid,
+    /// The id.
+    Valid(u32),
+}
+
+/// One line of a graph, query or stream file as [`scan`] reads it. Which
+/// forms a file may use, and what a field missing or malformed means, is
+/// the caller's to say.
+#[derive(Clone)]
+pub struct Line<'a> {
+    /// The first token, with its timestamp, when it starts with `@`: a
+    /// stream line's explicit time.
+    pub stamp: Option<(&'a [u8], Option<u64>)>,
+    /// The directive: the first token after the stamp (`v`, `e`, `+`, `-`
+    /// or anything else), `None` on a line with no other token.
+    pub op: Option<&'a [u8]>,
+    /// The ids the directive takes: one after `v`, two after `e`, `+` and
+    /// `-`, none after anything else (`Missing`).
+    pub ids: [Id; 2],
+    /// The tokens after the ids: a `v` line's labels.
+    pub labels: Tokens<'a>,
+    /// The first of them: an edge line's label.
+    pub label: Option<&'a [u8]>,
+    /// True if another token follows `label`.
+    pub trailing: bool,
+    /// The text after the line's `\n`; `None` if it has none.
+    pub next: Option<&'a [u8]>,
+}
+
+/// Reads the line `text` starts with: every form of graph, query and stream
+/// line — `v id labels…`, `e src dst [label]`, `[@ts] (+|-) src dst label`,
+/// comments and blank lines — in one pass over its bytes, left to right.
+/// Reads nothing past the line and interns nothing: it has no effects, so a
+/// caller may scan a line it cannot take yet and scan it again later.
+pub fn scan(text: &[u8]) -> Line<'_> {
+    let mut cursor = Tokens(text);
+    let mut op = cursor.next();
+    let stamp = op.filter(|t| t[0] == b'@').map(|t| (t, Tokens(&t[1..]).int().ok()));
+    if stamp.is_some() {
+        op = cursor.next();
+    }
+    let mut ids = [Id::Missing; 2];
+    let fields = match op {
+        Some(b"v") => 1,
+        Some(b"e" | b"+" | b"-") => 2,
+        _ => 0,
+    };
+    for id in &mut ids[..fields] {
+        *id = cursor.id();
+    }
+    let labels = cursor.clone();
+    let label = cursor.next();
+    let trailing = cursor.at_token();
+    if trailing {
+        cursor.by_ref().for_each(drop);
+    }
+    Line { stamp, op, ids, labels, label, trailing, next: cursor.next_line() }
 }
 
 /// Slots of a [`LabelCache`].
@@ -174,7 +335,10 @@ impl LabelCache {
         let ends =
             token.first().zip(token.last()).map_or(0, |(&a, &z)| 5 * a as usize + z as usize);
         let slot = &mut self.0[(token.len() + ends) % CACHE_SLOTS];
-        if slot.0 == token && !token.is_empty() {
+        // A byte loop, not `==`: a label is a few bytes, and `==` on bytes
+        // calls `memcmp`.
+        let same = slot.0.len() == token.len() && slot.0.iter().zip(token).all(|(a, b)| a == b);
+        if same && !token.is_empty() {
             return Ok(slot.1);
         }
         let name = std::str::from_utf8(token).map_err(|_| LabelError::NotUtf8)?;
@@ -196,6 +360,8 @@ struct RawGraph {
     edges: Vec<EdgeRef>,
     /// The declaring line of each edge, when asked for.
     lines: Vec<usize>,
+    /// True if some edge is unlabeled.
+    unlabeled: bool,
 }
 
 /// One pass over `text`: each line's errors in file order, then the
@@ -217,35 +383,41 @@ fn parse_raw(
     let mut vertices: Vec<(u32, usize, LabelSet)> = Vec::new();
     let mut lines = Vec::new();
     let mut cache = LabelCache::default();
+    // The highest id an edge names, and whether one is unlabeled: what the
+    // whole-file checks and `parse_data_graph` would walk the edges for.
+    let (mut top, mut unlabeled) = (None, false);
     let (mut rest, mut lineno) = (text, 0);
     while !rest.is_empty() {
         lineno += 1;
-        let mut tokens = Tokens::new(rest);
-        let mut label =
+        let line = scan(rest);
+        rest = line.next.unwrap_or_default();
+        let label =
             |token: &[u8]| cache.intern(interner, token).map_err(|e| err(lineno, e.to_string()));
-        match tokens.next() {
+        let id = |id: Id, missing: &str, invalid: &str| match id {
+            Id::Valid(id) => Ok(id),
+            Id::Missing => Err(err(lineno, missing)),
+            Id::Invalid => Err(err(lineno, invalid)),
+        };
+        // A stamp is no directive of these formats.
+        let directive = line.stamp.map(|(token, _)| token).or(line.op);
+        match directive {
             None => {}
             Some(b"v") => {
-                let id = tokens.next().ok_or_else(|| err(lineno, "v needs an id"))?;
-                let id = parse_u32(id).ok_or_else(|| err(lineno, "v id must be an integer"))?;
-                let mut labels = Vec::new();
-                for token in tokens.by_ref() {
-                    labels.push(label(token)?);
-                }
+                let id = id(line.ids[0], "v needs an id", "v id must be an integer")?;
+                let labels = line.labels.map(label).collect::<Result<Vec<_>, _>>()?;
                 vertices.push((id, lineno, LabelSet::from_labels(labels)));
             }
             Some(b"e") => {
-                let src = tokens.next().ok_or_else(|| err(lineno, "e needs a source id"))?;
-                let src =
-                    parse_u32(src).ok_or_else(|| err(lineno, "e source must be an integer"))?;
-                let dst = tokens.next().ok_or_else(|| err(lineno, "e needs a destination id"))?;
-                let dst = parse_u32(dst)
-                    .ok_or_else(|| err(lineno, "e destination must be an integer"))?;
-                let label = tokens.next().map(label).transpose()?;
-                if tokens.next().is_some() {
+                let src = id(line.ids[0], "e needs a source id", "e source must be an integer")?;
+                let bad_dst = "e destination must be an integer";
+                let dst = id(line.ids[1], "e needs a destination id", bad_dst)?;
+                let label = line.label.map(label).transpose()?;
+                if line.trailing {
                     return Err(err(lineno, "trailing tokens after edge"));
                 }
                 edges.push(EdgeRef::new(VertexId(src), label.unwrap_or(NO_LABEL), VertexId(dst)));
+                top = top.max(Some(src.max(dst)));
+                unlabeled |= label.is_none();
                 if keep_lines {
                     lines.push(lineno);
                 }
@@ -255,7 +427,6 @@ fn parse_raw(
                 return Err(err(lineno, format!("unknown directive `{other}`")));
             }
         }
-        rest = tokens.next_line();
     }
     // Stable, so of two declarations of one id the later line sorts second.
     vertices.sort_by_key(|&(id, ..)| id);
@@ -268,12 +439,13 @@ fn parse_raw(
         }
     }
     let n = vertices.len() as u32;
-    if let Some(e) = edges.iter().find(|e| e.src.0 >= n || e.dst.0 >= n) {
+    let dangling = |_| edges.iter().find(|e| e.src.0 >= n || e.dst.0 >= n);
+    if let Some(e) = top.filter(|&top| top >= n).and_then(dangling) {
         let (s, d) = (e.src.0, e.dst.0);
         return Err(err(0, format!("edge ({s},{d}) references undeclared vertex")));
     }
     let vertices = vertices.into_iter().map(|(.., labels)| labels).collect();
-    Ok(RawGraph { vertices, edges, lines })
+    Ok(RawGraph { vertices, edges, lines, unlabeled })
 }
 
 /// Parses a [`QueryGraph`], interning labels into `interner`.
@@ -303,11 +475,11 @@ pub fn parse_data_graph(
     text: &str,
     interner: &mut LabelInterner,
 ) -> Result<DynamicGraph, ParseError> {
-    let RawGraph { vertices, mut edges, .. } = parse_raw(text, interner, false)?;
+    let RawGraph { vertices, mut edges, unlabeled, .. } = parse_raw(text, interner, false)?;
     // The list was sized from the line count; what the `v` lines, comments
     // and blank lines reserved goes back before the bulk build's scratch.
     edges.shrink_to_fit();
-    if edges.iter().any(|e| e.label == NO_LABEL) {
+    if unlabeled {
         let any = interner.try_intern("_").map_err(|e| err(0, format!("label `_`: {e}")))?;
         edges.iter_mut().filter(|e| e.label == NO_LABEL).for_each(|e| e.label = any);
     }
@@ -423,6 +595,41 @@ mod tests {
         }
         for token in ["-0", "++1", "1 ", "1e3", "18446744073709551615", "18446744073709551616"] {
             assert_eq!(parse_u64(token.as_bytes()), u64::from_str(token).ok(), "{token:?}");
+        }
+    }
+
+    /// The scanner sums ids and timestamps eight bytes a step: at every
+    /// length up to 24 digits, signed or not, with every kind of byte after
+    /// the digits, near the end of the text or not, it reads what
+    /// `from_str` reads.
+    #[test]
+    fn the_scanner_reads_numbers_as_from_str_does_at_every_length() {
+        use std::str::FromStr;
+        let digits = "98765432109876543210987654321";
+        for len in 0..=24 {
+            for sign in ["", "+"] {
+                for tail in ["", " A", "#", "\n", "x", "\r\n", "5"] {
+                    let token = format!("{sign}{}", &digits[digits.len() - len..]);
+                    let want_u32 = u32::from_str(&format!("{token}{}", tail.trim_end())).ok();
+                    let want_u64 = u64::from_str(&format!("{token}{}", tail.trim_end())).ok();
+                    let full = format!("{token}{tail}");
+                    let id = match scan(format!("v {full}").as_bytes()).ids[0] {
+                        Id::Valid(id) => Some(id),
+                        Id::Missing => {
+                            assert!(full.trim_end().is_empty() || full.starts_with('#'));
+                            None
+                        }
+                        Id::Invalid => None,
+                    };
+                    let tail_ends = tail.is_empty() || !tail.starts_with(['x', '5']);
+                    let want = if tail_ends { u32::from_str(&token).ok() } else { want_u32 };
+                    assert_eq!(id, want, "v {full:?}");
+                    let stamp = scan(format!("@{full}").as_bytes()).stamp.and_then(|(_, ts)| ts);
+                    let want = if tail_ends { u64::from_str(&token).ok() } else { want_u64 };
+                    assert_eq!(stamp, want, "@{full:?}");
+                    assert_eq!(parse_u64(full.as_bytes()), u64::from_str(&full).ok(), "{full:?}");
+                }
+            }
         }
     }
 

@@ -111,17 +111,33 @@ pub struct JsonlSink<W: Write> {
     err: Option<std::io::Error>,
 }
 
-/// Appends `n` in decimal.
+/// `"00"` to `"99"`, two bytes each: the digits [`push_int`] writes a step.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+/// Appends `n` in decimal, two digits a step. A plain function, not
+/// `#[inline]`: its body stays in this crate, out of every crate that names
+/// a writer for [`JsonlSink`].
 fn push_int(line: &mut Vec<u8>, mut n: u64) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
-    loop {
+    while n >= 10 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n > 0 || at == digits.len() {
         at -= 1;
-        digits[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
+        digits[at] = b'0' + n as u8;
     }
     line.extend_from_slice(&digits[at..]);
 }
@@ -222,6 +238,16 @@ impl<W: Write> DeltaSink for JsonlSink<W> {
 mod tests {
     use super::*;
     use std::time::Duration;
+
+    #[test]
+    fn push_int_writes_what_format_does() {
+        let edges = [0, 9, 10, 99, 100, 101, 1_000, 65_536, u64::from(u32::MAX), u64::MAX];
+        for n in edges.into_iter().chain((0..2_000).map(|i| i * 7919)) {
+            let mut line = b"x".to_vec();
+            push_int(&mut line, n);
+            assert_eq!(line, format!("x{n}").into_bytes(), "{n}");
+        }
+    }
 
     fn delta<'a>(rec: &'a MatchRecord, p: Positiveness) -> DeltaRef<'a> {
         DeltaRef { batch: 1, engine: 0, op_index: 2, global_op: 7, positiveness: p, record: rec }

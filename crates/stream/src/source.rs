@@ -19,10 +19,11 @@
 //!   implicit lines can be mixed; the implicit counter continues from the
 //!   last explicit time.
 //! * `#` starts a comment; blank lines are ignored.
-//! * Tokens are separated by ASCII whitespace and read by the same byte-level
-//!   tokenizer as graph and query files (`tfx_query::parser::Tokens`). A
-//!   label must be UTF-8; no other byte is checked, so a comment may hold
-//!   anything, and a label that is not UTF-8 is a malformed line.
+//! * Fields are separated by ASCII whitespace and read by the same line
+//!   scanner as graph and query files (`tfx_query::parser::scan`), in place
+//!   in the reader's buffer. A label must be UTF-8; no other byte is
+//!   checked, so a comment may hold anything, and a label that is not UTF-8
+//!   is a malformed line.
 //!
 //! Error handling is selected by [`ErrorMode`]: `Strict` stops at the first
 //! malformed line ([`SourceError`] carries its 1-based line number);
@@ -35,7 +36,7 @@
 use std::io::BufRead;
 
 use tfx_graph::{LabelInterner, LabelSet, UpdateOp, VertexId};
-use tfx_query::parser::{parse_u32, parse_u64, LabelCache, Tokens};
+use tfx_query::parser::{scan, Id, LabelCache, Line};
 
 use crate::event::StreamEvent;
 
@@ -104,11 +105,29 @@ pub use tfx_graph::MAX_VERTEX_GAP;
 ///
 /// Labels are interned through the caller's [`LabelInterner`] so stream
 /// labels, graph labels and query labels share one id space.
+///
+/// A line is scanned where the reader buffered it; only a line that
+/// straddles the end of the reader's buffer (or ends the text without a
+/// `\n`) is copied, into a buffer of the source's own. The reading and the
+/// meaning of a line are the private `Lines`', which reads through `&mut dyn
+/// BufRead`: nothing that runs per line is generic, so it compiles once,
+/// here, and not into every crate that names a reader.
 pub struct FileSource<'i, R: BufRead> {
     reader: R,
+    lines: Lines<'i>,
+}
+
+/// What a [`FileSource`] keeps between lines, and the reading and the
+/// meaning of a line.
+struct Lines<'i> {
     interner: &'i mut LabelInterner,
     mode: ErrorMode,
     lineno: usize,
+    /// Bytes of the reader's buffer already read as lines; consumed when
+    /// the buffer is used up, so a line costs one call into the reader.
+    read: usize,
+    /// A line that straddles the end of the reader's buffer, read whole.
+    buf: Vec<u8>,
     /// Time of the last emitted event; `None` before the first one.
     clock: Option<u64>,
     /// Vertex ids `0..known` exist: the initial graph's
@@ -116,9 +135,6 @@ pub struct FileSource<'i, R: BufRead> {
     /// emitted `v` or `+` event named.
     known: u32,
     diagnostics: Vec<SourceError>,
-    /// The line being parsed, as read: bytes, checked for UTF-8 only where
-    /// a label token misses `labels`.
-    buf: Vec<u8>,
     labels: LabelCache,
     done: bool,
 }
@@ -126,33 +142,36 @@ pub struct FileSource<'i, R: BufRead> {
 impl<'i, R: BufRead> FileSource<'i, R> {
     /// A source reading from `reader`, interning labels into `interner`.
     pub fn new(reader: R, interner: &'i mut LabelInterner, mode: ErrorMode) -> Self {
-        FileSource {
-            reader,
+        let lines = Lines {
             interner,
             mode,
             lineno: 0,
+            read: 0,
+            buf: Vec::new(),
             clock: None,
             known: 0,
             diagnostics: Vec::new(),
-            buf: Vec::new(),
             labels: LabelCache::default(),
             done: false,
-        }
+        };
+        FileSource { reader, lines }
     }
 
     /// Tells the source that the graph the stream applies to already holds
     /// vertices `0..n`, the base [`MAX_VERTEX_GAP`] is measured from.
     pub fn with_vertex_count(mut self, n: usize) -> Self {
-        self.known = u32::try_from(n).unwrap_or(u32::MAX);
+        self.lines.known = u32::try_from(n).unwrap_or(u32::MAX);
         self
     }
 
     /// Diagnostics recorded so far (lenient mode only; strict mode returns
     /// its first error from [`StreamSource::next_event`] instead).
     pub fn diagnostics(&self) -> &[SourceError] {
-        &self.diagnostics
+        &self.lines.diagnostics
     }
+}
 
+impl Lines<'_> {
     /// Records (lenient) or returns (strict) a per-line failure.
     fn fail(&mut self, line: usize, message: String) -> Result<(), SourceError> {
         let err = SourceError { line, message };
@@ -165,28 +184,20 @@ impl<'i, R: BufRead> FileSource<'i, R> {
         }
     }
 
-    /// Parses one line's tokens into an event. `Ok(None)` means the line was
+    /// The event a scanned line spells. `Ok(None)` means the line was
     /// blank, a comment, or consumed by a lenient-mode skip.
-    fn parse_line(
-        &mut self,
-        tokens: Tokens<'_>,
-        lineno: usize,
-    ) -> Result<Option<StreamEvent>, SourceError> {
-        let mut parts = tokens.peekable();
-        let Some(first) = parts.peek() else { return Ok(None) };
+    fn parse(&mut self, line: Line<'_>, lineno: usize) -> Result<Option<StreamEvent>, SourceError> {
         // Optional explicit timestamp token.
-        let mut ts = None;
-        if let Some(raw) = first.strip_prefix(b"@") {
-            match parse_u64(raw) {
-                Some(t) => ts = Some(t),
-                None => {
-                    let raw = String::from_utf8_lossy(raw);
-                    self.fail(lineno, format!("`@` needs an integer timestamp, got `@{raw}`"))?;
-                    return Ok(None);
-                }
+        let ts = match line.stamp {
+            None if line.op.is_none() => return Ok(None),
+            None => None,
+            Some((_, Some(t))) => Some(t),
+            Some((token, None)) => {
+                let token = String::from_utf8_lossy(token);
+                self.fail(lineno, format!("`@` needs an integer timestamp, got `{token}`"))?;
+                return Ok(None);
             }
-            parts.next();
-        }
+        };
         // Monotonicity: implicit lines tick forward; explicit regressions
         // are an error (strict) or clamped to the current clock (lenient).
         // After `@18446744073709551615` the clock stays pinned there.
@@ -210,26 +221,26 @@ impl<'i, R: BufRead> FileSource<'i, R> {
             }
         };
 
-        let Some(op) = parts.next() else {
+        let Some(op) = line.op else {
             self.fail(lineno, "timestamp without an operation".to_owned())?;
             return Ok(None);
         };
-        let parse_vertex = |s: Option<&[u8]>| -> Result<VertexId, String> {
-            let s = s.ok_or_else(|| "missing vertex id".to_owned())?;
-            parse_u32(s).map(VertexId).ok_or_else(|| "vertex ids are integers".to_owned())
+        let vertex = |id: Id| match id {
+            Id::Valid(v) => Ok(VertexId(v)),
+            Id::Missing => Err("missing vertex id".to_owned()),
+            Id::Invalid => Err("vertex ids are integers".to_owned()),
         };
         let (interner, cache) = (&mut *self.interner, &mut self.labels);
         let mut label = |s: &[u8]| cache.intern(interner, s).map_err(|e| e.to_string());
         let parsed: Result<UpdateOp, String> = match op {
-            b"v" => parse_vertex(parts.next()).and_then(|id| {
-                let labels = parts.by_ref().map(label).collect::<Result<Vec<_>, _>>()?;
+            b"v" => vertex(line.ids[0]).and_then(|id| {
+                let labels = line.labels.map(label).collect::<Result<Vec<_>, _>>()?;
                 Ok(UpdateOp::AddVertex { id, labels: LabelSet::from_labels(labels) })
             }),
             b"+" | b"-" => (|| {
-                let src = parse_vertex(parts.next())?;
-                let dst = parse_vertex(parts.next())?;
-                let label = label(parts.next().ok_or_else(|| "edge ops need a label".to_owned())?)?;
-                if parts.next().is_some() {
+                let (src, dst) = (vertex(line.ids[0])?, vertex(line.ids[1])?);
+                let label = label(line.label.ok_or_else(|| "edge ops need a label".to_owned())?)?;
+                if line.trailing {
                     return Err("trailing tokens".to_owned());
                 }
                 Ok(if op == b"+" {
@@ -272,31 +283,49 @@ impl<'i, R: BufRead> FileSource<'i, R> {
     }
 }
 
-impl<R: BufRead> StreamSource for FileSource<'_, R> {
-    fn next_event(&mut self) -> Result<Option<StreamEvent>, SourceError> {
-        if self.done {
-            return Ok(None);
-        }
-        loop {
-            self.buf.clear();
-            let n = self
-                .reader
-                .read_until(b'\n', &mut self.buf)
-                .map_err(|e| SourceError { line: self.lineno + 1, message: e.to_string() })?;
-            if n == 0 {
-                self.done = true;
-                return Ok(None);
+impl Lines<'_> {
+    /// The next event `reader` holds, reading line by line.
+    fn next_event(&mut self, reader: &mut dyn BufRead) -> Result<Option<StreamEvent>, SourceError> {
+        while !self.done {
+            let lineno = self.lineno + 1;
+            let io = |e: std::io::Error| SourceError { line: lineno, message: e.to_string() };
+            let mut text = &reader.fill_buf().map_err(io)?[self.read..];
+            if text.is_empty() {
+                reader.consume(std::mem::take(&mut self.read));
+                text = reader.fill_buf().map_err(io)?;
+                if text.is_empty() {
+                    self.done = true;
+                    break;
+                }
             }
-            self.lineno += 1;
-            // The line buffer leaves `self` while `parse_line` borrows from
-            // it, and comes back with its capacity: no copy per line.
-            let buf = std::mem::take(&mut self.buf);
-            let parsed = self.parse_line(Tokens::new(&buf), self.lineno);
-            self.buf = buf;
+            let line = scan(text);
+            let parsed = if let Some(next) = line.next {
+                self.read += text.len() - next.len();
+                self.parse(line, lineno)
+            } else {
+                // The rest of the line is past the buffer: read it whole.
+                self.buf.clear();
+                self.buf.extend_from_slice(text);
+                let len = text.len();
+                reader.consume(std::mem::take(&mut self.read) + len);
+                reader.read_until(b'\n', &mut self.buf).map_err(io)?;
+                let buf = std::mem::take(&mut self.buf);
+                let parsed = self.parse(scan(&buf), lineno);
+                self.buf = buf;
+                parsed
+            };
+            self.lineno = lineno;
             if let Some(ev) = parsed? {
                 return Ok(Some(ev));
             }
         }
+        Ok(None)
+    }
+}
+
+impl<R: BufRead> StreamSource for FileSource<'_, R> {
+    fn next_event(&mut self) -> Result<Option<StreamEvent>, SourceError> {
+        self.lines.next_event(&mut self.reader)
     }
 }
 

@@ -64,11 +64,13 @@ if grep -rnE "fn (build_upwards|clear_upwards|plan_seeds_into)\b" crates/core/sr
 fi
 
 echo "=== one tokenizer ==="
-# Graph, query and stream files are read by the one byte-level tokenizer in
-# `parser.rs` (`Tokens`, `parse_u32` / `parse_u64`, `LabelCache`; DESIGN.md,
-# "Text ingest"); a `str` pipeline next to it comes back by deleting this
-# check and saying what the tokenizer cannot read.
-if grep -nE "split_whitespace|\.parse::<u" crates/query/src/parser.rs crates/stream/src/source.rs; then
+# Graph, query and stream files are read by the one line scanner in
+# `parser.rs` (`scan`, `LabelCache`; DESIGN.md, "Text ingest"), and it is the
+# stream source's only reader: no `Tokens` walk of its own. A `str` pipeline
+# or a second reader comes back by deleting this check and saying what the
+# scanner cannot read.
+if grep -nE "split_whitespace|\.parse::<u" crates/query/src/parser.rs crates/stream/src/source.rs \
+  || grep -rnw "Tokens" crates/stream/src; then
   echo "ci: a second tokenizer is back in the parser or the stream source" >&2
   exit 1
 fi
@@ -294,5 +296,39 @@ if ! grep -q '"sign":"-"' "$tmp_proj/alone" || ! cmp -s "$tmp_proj/alone" "$tmp_
   exit 1
 fi
 rm -rf "$tmp_proj"
+
+echo "=== text spellings ==="
+# The same g0 and stream, written plainly and as a hand-edited file might
+# spell them (CRLF line ends, tabs, comments, blank lines, `+`-signed ids),
+# must give `tfx stream` the same output to the byte, the clock fields
+# masked. The stream is 48 KB, so lines straddle the end of tfx's 8 KB read
+# buffer, where the source copies a line instead of scanning it in place.
+tmp_text="$(mktemp -d)"
+awk -v dir="$tmp_text" 'BEGIN {
+  s = 7; n = 60
+  for (v = 0; v < n; v++) print "v " v " " (v % 6 == 0 ? "Company" : "Person") > dir "/g.txt"
+  for (i = 0; i < 3300; i++) {
+    s = (s * 1103515245 + 12345) % 2147483648; a = int(s / 65536) % n
+    s = (s * 1103515245 + 12345) % 2147483648; b = int(s / 65536) % n
+    line = a " " b " " (b % 6 == 0 ? "worksAt" : "knows")
+    if (i < 300) print "e " line > dir "/g.txt"
+    else print ((i % 3 == 0) ? "@" (2 * i) " " : "") ((i % 5 == 4) ? "- " : "+ ") line > dir "/s.txt"
+  }
+}'
+for f in g s; do
+  sed -E 's/ ([0-9]+)/ +\1/g; s/ /\t/2; 0~2 s/$/ # note/; s/$/\r/' "$tmp_text/$f.txt" \
+    | awk '{ print } NR % 4 == 0 { printf "\r\n# a comment line\r\n  \t\r\n" }' > "$tmp_text/$f.respelled"
+done
+for spelling in txt respelled; do
+  target/release/tfx stream --query testdata/demo_query.txt --graph "$tmp_text/g.$spelling" \
+    --file "$tmp_text/s.$spelling" --window count:500 2> /dev/null \
+    | sed -E 's/"(latency_us|elapsed_us)":[0-9]+/"\1":0/' > "$tmp_text/$spelling.out"
+done
+if ! grep -q '"type":"delta"' "$tmp_text/txt.out" || ! cmp -s "$tmp_text/txt.out" "$tmp_text/respelled.out"; then
+  echo "text spellings: a respelled g0 and stream give other output" >&2
+  diff "$tmp_text/txt.out" "$tmp_text/respelled.out" | head >&2 || true
+  exit 1
+fi
+rm -rf "$tmp_text"
 
 echo "ci: all green"

@@ -9,14 +9,19 @@
 //! respelled as a hand-edited file might be: CRLF line ends, tabs, `+`-signed
 //! and zero-padded ids, NUL bytes, non-UTF-8 bytes in comments and labels.
 //!
-//! The parsers read bytes through one tokenizer (`parser::Tokens`). A
+//! The parsers read bytes through one line scanner (`parser::scan`). A
 //! `str`-based reference kept here, [`reference_raw`], is what they did
 //! before; on every ASCII input both must give the same graph, query and
-//! interned labels, or the same error on the same line.
+//! interned labels, or the same error on the same line. [`reference_stream`]
+//! is the stream format read token by token through `str::parse`: on every
+//! input `FileSource` must give its events, diagnostics and error, strict and
+//! lenient, from a slice and from a reader whose 7-byte buffer every line
+//! straddles.
 //!
 //! The `tfx` binary itself is run under hostile `tfx stream` flags:
 //! [`hostile_tfx_stream_flags_end_in_a_run_or_an_error`].
 
+use std::io::BufReader;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use turboflux::datagen::Pcg32;
 use turboflux::graph::EdgeRef;
@@ -24,7 +29,7 @@ use turboflux::prelude::*;
 use turboflux::query::parser::{parse_data_graph, parse_query};
 use turboflux::query::QEdge;
 use turboflux::stream::source::{collect_events, MAX_VERTEX_GAP};
-use turboflux::stream::{ErrorMode, FileSource, VecSource};
+use turboflux::stream::{ErrorMode, FileSource, SourceError, StreamEvent, VecSource};
 
 /// Every `testdata/*.txt` file, as lines.
 fn corpus() -> Vec<Vec<String>> {
@@ -393,6 +398,151 @@ fn parity(text: &str) -> bool {
     graph
 }
 
+/// A stream run's outcome: its events, or the error that stopped it; the
+/// diagnostics on the way; the labels it interned.
+type StreamRun = (Result<Vec<StreamEvent>, (usize, String)>, Vec<(usize, String)>, Vec<String>);
+
+/// The stream format read line by line, cut at `#`, split at the ASCII
+/// characters `char::is_whitespace` accepts, each id and timestamp through
+/// `str::parse` and each label through `str::from_utf8`: what `FileSource`
+/// did line for line before the scanner, with `known` vertices already in
+/// the graph and an interner of `limit` labels.
+fn reference_stream(text: &[u8], mode: ErrorMode, known: u32, limit: u32) -> StreamRun {
+    let mut it = LabelInterner::with_limit(limit);
+    let (mut events, mut diags) = (Vec::new(), Vec::new());
+    let (mut clock, mut known) = (None::<u64>, known);
+    let blank = |b: &u8| b.is_ascii() && char::from(*b).is_whitespace();
+    for (i, raw) in text.split(|&b| b == b'\n').enumerate() {
+        let line = i + 1;
+        let mut fail = |message: String| match mode {
+            ErrorMode::Strict => Err((line, message)),
+            ErrorMode::Lenient => {
+                diags.push((line, message));
+                Ok(())
+            }
+        };
+        let code = raw.split(|&b| b == b'#').next().unwrap_or_default();
+        let mut parts = code.split(blank).filter(|t| !t.is_empty()).peekable();
+        let Some(first) = parts.peek().copied() else { continue };
+        let int = |t: &[u8]| std::str::from_utf8(t).ok().and_then(|t| t.parse::<u64>().ok());
+        let mut ts = None;
+        if let Some(raw) = first.strip_prefix(b"@") {
+            match int(raw) {
+                Some(t) => ts = Some(t),
+                None => {
+                    let raw = String::from_utf8_lossy(raw);
+                    let msg = format!("`@` needs an integer timestamp, got `@{raw}`");
+                    if let Err(e) = fail(msg) {
+                        return (Err(e), diags, names(&it));
+                    }
+                    continue;
+                }
+            }
+            parts.next();
+        }
+        let ts = match (ts, clock) {
+            (None, _) => clock.map_or(0, |c| c.saturating_add(1)),
+            (Some(t), Some(c)) if t < c => {
+                let msg = format!("timestamp @{t} regresses (stream is at @{c}); clamped");
+                if let Err(e) = fail(msg) {
+                    return (Err(e), diags, names(&it));
+                }
+                c
+            }
+            (Some(t), _) => t,
+        };
+        let Some(op) = parts.next() else {
+            if let Err(e) = fail("timestamp without an operation".to_owned()) {
+                return (Err(e), diags, names(&it));
+            }
+            continue;
+        };
+        let vertex = |t: Option<&[u8]>| -> Result<VertexId, String> {
+            let t = t.ok_or("missing vertex id")?;
+            let id = int(t).and_then(|n| u32::try_from(n).ok());
+            id.map(VertexId).ok_or_else(|| "vertex ids are integers".to_owned())
+        };
+        let mut label = |t: &[u8]| -> Result<LabelId, String> {
+            let name = std::str::from_utf8(t).map_err(|_| "labels must be UTF-8".to_owned())?;
+            it.try_intern(name).map_err(|e| e.to_string())
+        };
+        let parsed = match op {
+            b"v" => vertex(parts.next()).and_then(|id| {
+                let labels = parts.by_ref().map(&mut label).collect::<Result<Vec<_>, _>>()?;
+                Ok(UpdateOp::AddVertex { id, labels: LabelSet::from_labels(labels) })
+            }),
+            b"+" | b"-" => (|| {
+                let (src, dst) = (vertex(parts.next())?, vertex(parts.next())?);
+                let label = label(parts.next().ok_or("edge ops need a label")?)?;
+                if parts.next().is_some() {
+                    return Err("trailing tokens".to_owned());
+                }
+                Ok(if op == b"+" {
+                    UpdateOp::InsertEdge { src, label, dst }
+                } else {
+                    UpdateOp::DeleteEdge { src, label, dst }
+                })
+            })(),
+            other => {
+                Err(format!("unknown op `{}` (expected v, + or -)", String::from_utf8_lossy(other)))
+            }
+        };
+        let parsed = parsed.and_then(|op| {
+            let top = match op {
+                UpdateOp::AddVertex { id, .. } => id.0,
+                UpdateOp::InsertEdge { src, dst, .. } => src.0.max(dst.0),
+                UpdateOp::DeleteEdge { .. } => return Ok(op),
+            };
+            if u64::from(top) >= u64::from(known) + u64::from(MAX_VERTEX_GAP) {
+                let highest = known.checked_sub(1).map_or("none".to_owned(), |v| v.to_string());
+                return Err(format!(
+                    "vertex id {top} is more than {MAX_VERTEX_GAP} past the highest known id ({highest})"
+                ));
+            }
+            known = known.max(top.saturating_add(1));
+            Ok(op)
+        });
+        match parsed {
+            Ok(op) => {
+                clock = Some(ts);
+                events.push(StreamEvent { ts, op });
+            }
+            Err(message) => {
+                if let Err(e) = fail(message) {
+                    return (Err(e), diags, names(&it));
+                }
+            }
+        }
+    }
+    (Ok(events), diags, names(&it))
+}
+
+/// Streams `text` through `FileSource` in both modes, from a slice and
+/// through a 7-byte `BufReader`, each against [`reference_stream`].
+fn stream_parity(text: &[u8], known: u32, limit: u32) {
+    for mode in [ErrorMode::Strict, ErrorMode::Lenient] {
+        let want = reference_stream(text, mode, known, limit);
+        let run = |reader: &mut dyn std::io::BufRead| {
+            let mut it = LabelInterner::with_limit(limit);
+            let mut source =
+                FileSource::new(reader, &mut it, mode).with_vertex_count(known as usize);
+            let got = collect_events(&mut source).map_err(|e: SourceError| (e.line, e.message));
+            let diags = source.diagnostics().iter().map(|d| (d.line, d.message.clone())).collect();
+            (got, diags, names(&it))
+        };
+        let mut slice = text;
+        assert_eq!(
+            run(&mut slice),
+            want,
+            "{mode:?} from a slice: {:?}",
+            String::from_utf8_lossy(text)
+        );
+        let mut straddling = BufReader::with_capacity(7, text);
+        let got = run(&mut straddling);
+        assert_eq!(got, want, "{mode:?} through 7 bytes: {:?}", String::from_utf8_lossy(text));
+    }
+}
+
 #[test]
 fn the_byte_tokenizer_parses_as_the_str_pipeline_did() {
     const SPELLINGS: [&str; 24] = [
@@ -423,12 +573,35 @@ fn the_byte_tokenizer_parses_as_the_str_pipeline_did() {
     ];
     let graphs = SPELLINGS.iter().filter(|text| parity(text)).count();
     assert_eq!(graphs, 10, "accepted spellings");
+    const GAP: u32 = MAX_VERTEX_GAP;
+    let gap = format!("+ 0 {} a\n+ 0 {} a\nv {} A\n", GAP + 3, GAP + 5, 2 * GAP + 6);
+    let streams: [&[u8]; 14] = [
+        b"+ 0 1 a\r\n- 0 1 a\r\nv 2 A B\r\n",
+        b"+\t0\t1\ta\n@3\t+ 1\x0b2\x0ca # tab\n\t\n",
+        b"+ +0 +1 a\nv +2 A\n@+5 - +0 +1 a\n@++6 + 0 1 a\n",
+        b"+ 0 4294967296 a\n+ 0 4294967295 a\n+ 00000000001 0 a\n",
+        b"@18446744073709551616 + 0 1 a\n@18446744073709551615 + 0 1 a\n+ 1 0 a\n",
+        b"+ 0 1 a b\nv 0 A B\n- 0 1\n+ 0\n+\n",
+        b"+ 0 1 caf\xe9\n+ 0 1 ok # caf\xe9\n\xff 0 1 a\n",
+        b"+ 0 1 a\n+ 0 1 b\n+ 0 1 c\nv 3 d a\n+ 0 1 a\n",
+        b"@10 + 0 1 a\n@5 + 1 2 a\n+ 2 3 a\n@10\n@ + 0 1 a\n@x - 0 1 a\n",
+        gap.as_bytes(),
+        b"e 0 1 a\nq\n+ 0 x a\n- -1 0 a\n",
+        b"# only\n\n \t\r\n",
+        b"+ 0 1 a",
+        b"",
+    ];
+    for text in streams {
+        stream_parity(text, 3, 2);
+        stream_parity(text, 0, 100);
+    }
 
     let corpus = corpus();
     let mut rng = Pcg32::new(0x7E57);
     let (mut ascii, mut graphs) = (0, 0);
     for _ in 0..20_000 {
         let input = hostile(&mut rng, &corpus);
+        stream_parity(&input, input.len() as u32 % 9, 1 + input.len() as u32 % 6);
         let Ok(text) = std::str::from_utf8(&input) else { continue };
         if text.is_ascii() {
             ascii += 1;

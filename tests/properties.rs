@@ -1,4 +1,5 @@
 //! Randomized property tests, as Pcg32 loops: `LabelSet` subset laws,
+//! `GraphStats` counts as a per-vertex subset test counts them,
 //! update-stream truncation is a prefix, and an insert burst drawn from the
 //! harness's generator (`common`) deleted in reverse returns the DCG and the
 //! match set to their initial state and the warmed engine's resident bytes
@@ -32,6 +33,63 @@ fn label_set_subset_laws() {
         // transitivity via union: a ⊆ b implies a ∪ b == b (as sets)
         if sa.is_subset_of(&sb) {
             assert_eq!(union.as_slice(), sb.as_slice());
+        }
+    }
+}
+
+/// `GraphStats` decides label-set containment once per distinct set the
+/// graph stores; its counts must equal a test of every vertex and every
+/// edge, on an LSBench g0 (seven labelled entity types) and on random graphs
+/// whose vertices draw random label sets, for every query label set the
+/// graph holds plus random ones, and every edge label, a wildcard and an
+/// absent label.
+#[test]
+fn graph_stats_count_as_a_per_vertex_test_does() {
+    use turboflux::datagen::lsbench::generate;
+    use turboflux::datagen::LsBenchConfig;
+    use turboflux::graph::GraphStats;
+    let mut rng = Pcg32::new(0x57a7);
+    let lsbench = generate(&LsBenchConfig { users: 60, seed: 7, stream_frac: 0.1 }).g0;
+    let random: Vec<DynamicGraph> = (0..6)
+        .map(|_| {
+            let mut g = DynamicGraph::new();
+            let n = 1 + rng.below(40);
+            for _ in 0..n {
+                g.add_vertex(random_label_set(&mut rng));
+            }
+            for _ in 0..rng.below(4 * n) {
+                let (s, d) = (VertexId(rng.below(n) as u32), VertexId(rng.below(n) as u32));
+                g.insert_edge(s, LabelId(rng.below(4) as u32), d);
+            }
+            g
+        })
+        .collect();
+    for g in std::iter::once(lsbench).chain(random) {
+        let stats = GraphStats::new(&g);
+        let mut sets: Vec<LabelSet> = g.vertices().map(|v| g.labels(v).clone()).collect();
+        sets.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
+        sets.dedup();
+        sets.extend((0..8).map(|_| random_label_set(&mut rng)));
+        sets.push(LabelSet::empty());
+        let mut qlabels: Vec<Option<LabelId>> = g.edges().map(|e| Some(e.label)).collect();
+        qlabels.sort();
+        qlabels.dedup();
+        qlabels.extend([None, Some(LabelId(999))]);
+        for src in &sets {
+            let want = g.vertices().filter(|&v| src.is_subset_of(g.labels(v))).count();
+            assert_eq!(stats.matching_vertex_count(src), want, "{src:?}");
+            for dst in &sets {
+                for &ql in &qlabels {
+                    let want = g
+                        .edges()
+                        .filter(|e| ql.is_none_or(|l| l == e.label))
+                        .filter(|e| src.is_subset_of(g.labels(e.src)))
+                        .filter(|e| dst.is_subset_of(g.labels(e.dst)))
+                        .count();
+                    let got = stats.matching_edge_count(src, ql, dst);
+                    assert_eq!(got, want, "{src:?} -{ql:?}-> {dst:?}");
+                }
+            }
         }
     }
 }
