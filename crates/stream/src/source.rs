@@ -289,14 +289,21 @@ impl Lines<'_> {
         while !self.done {
             let lineno = self.lineno + 1;
             let io = |e: std::io::Error| SourceError { line: lineno, message: e.to_string() };
-            let mut text = &reader.fill_buf().map_err(io)?[self.read..];
+            // One call into the reader a turn: a read a signal interrupts is
+            // tried again, as `read_until` does.
+            let buffered = match reader.fill_buf() {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                buffered => buffered.map_err(io)?,
+            };
+            if buffered.is_empty() {
+                self.done = true;
+                break;
+            }
+            let text = &buffered[self.read..];
             if text.is_empty() {
+                // Used up: the next turn reads on.
                 reader.consume(std::mem::take(&mut self.read));
-                text = reader.fill_buf().map_err(io)?;
-                if text.is_empty() {
-                    self.done = true;
-                    break;
-                }
+                continue;
             }
             let line = scan(text);
             let parsed = if let Some(next) = line.next {
@@ -530,6 +537,38 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(it.get("knows"), Some(LabelId(0)));
+    }
+
+    /// A reader whose every other `fill_buf` a signal interrupts, and which
+    /// buffers five bytes at a time, so most lines straddle its buffer: the
+    /// source tries an interrupted read again, as `read_until` does, and
+    /// reads what it reads from a slice.
+    #[test]
+    fn an_interrupted_read_is_tried_again() {
+        struct Flaky<'a>(&'a [u8], bool);
+        impl std::io::Read for Flaky<'_> {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                unreachable!("read through fill_buf only")
+            }
+        }
+        impl BufRead for Flaky<'_> {
+            fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+                self.1 = !self.1;
+                if self.1 {
+                    return Err(std::io::ErrorKind::Interrupted.into());
+                }
+                Ok(&self.0[..self.0.len().min(5)])
+            }
+            fn consume(&mut self, n: usize) {
+                self.0 = &self.0[n..];
+            }
+        }
+        let text = "@3 + 0 1 knows\nv 2 A B # c\n\n- 0 1 knows\n+ 1 2 x";
+        let (want, _) = parse_all(text, ErrorMode::Strict);
+        let mut it = LabelInterner::new();
+        let mut src = FileSource::new(Flaky(text.as_bytes(), false), &mut it, ErrorMode::Strict);
+        assert_eq!(collect_events(&mut src), want);
+        assert_eq!(want.map(|events| events.len()), Ok(4));
     }
 
     /// A stream line naming a label past the interner's limit is a line
