@@ -4,28 +4,37 @@
 //! about a data vertex `v`: "which neighbors are reachable over an edge with
 //! label `l`?" (concrete query-edge label — the overwhelmingly common case)
 //! or "which neighbors at all?" (wildcard query edge). Each direction of
-//! each vertex is an [`Adjacency`] handle — `{off, len, groups, class}` and
-//! a layout flag — into the graph's single [`SlotArena`] of 4-byte words;
-//! nothing here owns heap memory, so an edge op touches one handle and one
-//! or two slots per direction and nothing else.
+//! each vertex is an 8-byte [`Adjacency`] handle — `{off, meta}` — into the
+//! graph's single [`SlotArena`] of 4-byte words; nothing here owns heap
+//! memory, so an edge op touches one handle and one or two slots per
+//! direction and nothing else. `meta`'s top two bits name the layout, and
+//! the bits below them hold what that layout keeps outside its slot.
 //!
 //! Three layouts, all enumerating in `(label, neighbor)` order:
 //!
 //! * **Inline** — exactly one entry, kept in the handle itself: the
-//!   neighbor in `off`, the label in `groups`. It owns no slot.
+//!   neighbor in `off`, the label in `meta` (labels are below 2^24). It owns
+//!   no slot.
 //! * **Flat** — one slot `[h_0 … h_{L−1} | ids]`: one header word per label
 //!   group, packing the label and the group's length (`label << 8 | len`),
 //!   in label order, then the neighbor ids, grouped by label and sorted
-//!   within each group. The label is stored once per group, not once per
-//!   entry — a netflow flat run holds 4.6 distinct labels on average. A
-//!   lookup sums the lengths of the headers below its label in one
-//!   branch-free pass over the `L` headers; an insert or delete shifts the
-//!   ids after its position, and the headers after its group too when the
-//!   group appears or empties.
-//! * **Directory** — one slot of `[label, off, len, class]` records sorted
-//!   by label, each naming a slot with that label's sorted neighbor ids. An
-//!   insert or delete shifts one label group, not the whole degree, which
-//!   keeps a hub's update cost flat in its fan-out.
+//!   within each group. `meta` packs the run's length and its group count
+//!   `L`, a byte each, and its slot's class. The label is stored once per
+//!   group, not once per entry — a netflow flat run holds 4.6 distinct
+//!   labels on average. A lookup sums the lengths of the headers below its
+//!   label in one branch-free pass over the `L` headers; an insert or delete
+//!   shifts the ids after its position, and the headers after its group too
+//!   when the group appears or empties. An empty run is the flat run of no
+//!   entries, at offset 0, and owns no slot.
+//! * **Directory** — one slot `[len | records]`: the run's entry count, then
+//!   one `[label·class, off, len]` record per label group, sorted by label,
+//!   each naming a slot of `class` at `off` with that label's `len` sorted
+//!   neighbor ids. `meta` keeps the slot's class and the record count (less
+//!   one, in 24 bits: no vertex carries more labels than there are), so a
+//!   lookup finds the records without reading a count first; the entry
+//!   count, which no lookup needs, is the slot's first word. An insert or
+//!   delete shifts one label group, not the whole degree, which keeps a
+//!   hub's update cost flat in its fan-out.
 //!
 //! **One rule** picks the layout: a run of one entry is inline, a longer one
 //! flat up to `FLAT_MAX` entries, a directory past it, and folds back to
@@ -59,11 +68,36 @@ pub const FLAT_MAX: usize = 32;
 /// label takes the rest.
 const LEN_BITS: u32 = 8;
 
-const _: () = assert!(FLAT_MAX < 1 << LEN_BITS, "a group's length fits its header");
-const _: () = assert!((LabelId::LIMIT as u64) << LEN_BITS == 1 << 32, "a label fits a header");
+const _: () = assert!(FLAT_MAX < 1 << LEN_BITS, "a group's length, or a run's, fits a byte");
+const _: () = assert!(
+    (LabelId::LIMIT as u64) << LEN_BITS == 1 << 32 && LabelId::LIMIT == 1 << CLASS_SHIFT,
+    "a label fits a header, and a label or a count of labels fits below a handle's class"
+);
 
-/// Words per directory record: `[label, off, len, class]`.
-const REC: usize = 4;
+/// Words per directory record: `[label·class, off, len]`, the group slot's
+/// class packed below the label as a flat header packs a group's length.
+const REC: usize = 3;
+
+/// Words before a directory's records: `[len]`, its entry count.
+const DIR_HEAD: usize = 1;
+
+/// Where a handle's `meta` keeps its layout: the top two bits.
+const KIND: u32 = 3 << 30;
+/// Layout bits of a flat run, the empty one included.
+const FLAT: u32 = 0;
+/// Layout bits of a one-entry run kept in the handle.
+const INLINE: u32 = 1 << 30;
+/// Layout bits of a directory.
+const DIR: u32 = 2 << 30;
+/// Where a flat run's `meta` keeps its group count, above its length: a
+/// byte each, as wide as a header's length.
+const GROUPS_SHIFT: u32 = LEN_BITS;
+/// Where a flat run's or a directory's `meta` keeps its slot's class, in the
+/// six bits below the layout. A directory's record count, less one, takes
+/// the 24 bits below the class.
+const CLASS_SHIFT: u32 = 24;
+/// The class bits, shifted down.
+const CLASS_MASK: u32 = 0x3F;
 
 /// How scan sites access the adjacency index.
 ///
@@ -82,23 +116,31 @@ pub enum AdjacencyMode {
 }
 
 /// A single vertex's adjacency in one direction: a handle into the arena.
-/// An empty run (`len == 0`) owns no slot, and neither does an inline one
-/// (`len == 1`), whose entry is the handle's `(groups, off)`.
+/// An empty run owns no slot, and neither does an inline one, whose entry
+/// is the handle's `(meta, off)`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Adjacency {
     /// The slot's offset; an inline run's neighbor.
     off: Word,
-    /// Total `(label, neighbor)` entries.
-    len: u32,
-    /// Label groups: a flat run's headers, a directory's records; an inline
-    /// run's label.
-    groups: Word,
-    class: u8,
-    /// True for a directory.
-    dir: bool,
+    /// The layout ([`KIND`]) and below it an inline run's label, a flat
+    /// run's `class · groups · len` or a directory's `class · groups − 1`.
+    meta: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Adjacency>() == 16, "a handle is 16 bytes");
+const _: () = assert!(std::mem::size_of::<Adjacency>() == 8, "a handle is 8 bytes");
+
+/// A flat run's `meta`: `len` entries in `groups` label groups, in a slot
+/// of `class`.
+#[inline]
+fn flat_meta(len: usize, groups: usize, class: u8) -> u32 {
+    u32::from(class) << CLASS_SHIFT | (groups as u32) << GROUPS_SHIFT | len as u32
+}
+
+/// A directory's `meta`: `groups ≥ 1` records in a slot of `class`.
+#[inline]
+fn dir_meta(groups: usize, class: u8) -> u32 {
+    DIR | u32::from(class) << CLASS_SHIFT | (groups - 1) as u32
+}
 
 /// A flat run's header for a group of `n` entries under `label`.
 #[inline]
@@ -141,17 +183,30 @@ fn find_group(dir: &[Word], label: LabelId) -> Result<usize, usize> {
     let (mut lo, mut hi) = (0, dir.len() / REC);
     while lo < hi {
         let mid = (lo + hi) / 2;
-        if dir[mid * REC].0 < label.0 {
+        if head_label(dir[mid * REC]) < label {
             lo = mid + 1;
         } else {
             hi = mid;
         }
     }
-    if dir.get(lo * REC).is_some_and(|l| l.0 == label.0) {
+    if dir.get(lo * REC).is_some_and(|&h| head_label(h) == label) {
         Ok(lo)
     } else {
         Err(lo)
     }
+}
+
+/// A directory record: `label`'s group of `len` ids in the slot of `class`
+/// at `off`.
+#[inline]
+fn record(label: LabelId, off: u32, len: usize, class: u8) -> [Word; REC] {
+    [header(label, class.into()), Word(off), Word(len as u32)]
+}
+
+/// The class of the slot a directory record names.
+#[inline]
+fn rec_class(rec: &[Word]) -> u8 {
+    head_len(rec[0]) as u8
 }
 
 /// The id run a directory record names.
@@ -188,62 +243,110 @@ impl RunWords {
         match self.n {
             0 | 1 => 0,
             n if n <= FLAT_MAX => class_cap(class_for(self.groups + n)) as usize,
-            _ => self.dir_ids + class_cap(class_for(REC * self.groups)) as usize,
+            _ => self.dir_ids + class_cap(class_for(DIR_HEAD + REC * self.groups)) as usize,
         }
     }
 }
 
 impl Adjacency {
     /// The run with no entries.
-    pub(crate) const EMPTY: Adjacency =
-        Adjacency { off: Word(0), len: 0, groups: Word(0), class: 0, dir: false };
+    pub(crate) const EMPTY: Adjacency = Adjacency { off: Word(0), meta: FLAT };
 
     /// The one-entry run `(label, v)`, kept in the handle.
     #[inline]
     fn inline(label: LabelId, v: VertexId) -> Adjacency {
-        Adjacency { off: v, len: 1, groups: Word(label.0), class: 0, dir: false }
+        Adjacency { off: v, meta: INLINE | label.0 }
     }
 
-    /// Total number of `(label, neighbor)` entries.
+    /// Total number of `(label, neighbor)` entries; a directory's count is
+    /// the first word of its slot.
     #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.len as usize
+    pub(crate) fn len(&self, a: &Arena) -> usize {
+        match self.meta & KIND {
+            FLAT => self.flat_len(),
+            INLINE => 1,
+            _ => a.data()[self.off.index()].index(),
+        }
     }
 
     /// True while the run's one entry is kept in the handle.
     #[inline]
     pub(crate) fn is_inline(&self) -> bool {
-        self.len == 1
+        self.meta & KIND == INLINE
     }
 
     /// True while the run is a label directory of id runs.
     #[inline]
     pub(crate) fn is_directory(&self) -> bool {
-        self.dir
+        self.meta & KIND == DIR
+    }
+
+    /// True while the run is flat and holds entries: it owns its slot.
+    #[inline]
+    pub(crate) fn is_flat(&self) -> bool {
+        self.meta & KIND == FLAT && self.meta != FLAT
+    }
+
+    /// A flat run's entries.
+    #[inline]
+    fn flat_len(&self) -> usize {
+        (self.meta & 0xFF) as usize
+    }
+
+    /// A flat run's label groups.
+    #[inline]
+    fn flat_groups(&self) -> usize {
+        (self.meta >> GROUPS_SHIFT & 0xFF) as usize
+    }
+
+    /// The class of the slot a flat run or a directory owns.
+    #[inline]
+    fn class(&self) -> u8 {
+        (self.meta >> CLASS_SHIFT & CLASS_MASK) as u8
+    }
+
+    /// Sets the class of the slot a flat run or a directory owns.
+    #[inline]
+    fn set_class(&mut self, class: u8) {
+        let rest = self.meta & !(CLASS_MASK << CLASS_SHIFT);
+        self.meta = rest | u32::from(class) << CLASS_SHIFT;
+    }
+
+    /// An inline run's label.
+    #[inline]
+    fn inline_label(&self) -> LabelId {
+        LabelId(self.meta & !KIND)
     }
 
     /// A flat run's `(headers, ids)`; both empty for an empty run.
     #[inline]
     fn flat<'a>(&self, a: &'a Arena) -> (&'a [Word], &'a [VertexId]) {
-        let (off, heads) = (self.off.index(), self.groups.index());
-        a.data()[off..off + heads + self.len()].split_at(heads)
+        let (off, heads) = (self.off.index(), self.flat_groups());
+        a.data()[off..off + heads + self.flat_len()].split_at(heads)
     }
 
     /// An inline run's entry as a group: its id if `label` is its label.
     #[inline]
     fn inline_ids(&self, label: LabelId) -> &[VertexId] {
         let ids = std::slice::from_ref(&self.off);
-        if self.groups.0 == label.0 {
+        if self.inline_label() == label {
             ids
         } else {
             &ids[..0]
         }
     }
 
+    /// A directory's record count.
+    #[inline]
+    fn dir_groups(&self) -> usize {
+        (self.meta & ((1 << CLASS_SHIFT) - 1)) as usize + 1
+    }
+
     /// A directory's records.
     #[inline]
     fn dir<'a>(&self, a: &'a Arena) -> &'a [Word] {
-        a.run(self.off.0, self.groups.0 * REC as u32)
+        let at = self.off.index() + DIR_HEAD;
+        &a.data()[at..at + self.dir_groups() * REC]
     }
 
     /// Lays the sorted, duplicate-free `entries` out as a fresh run.
@@ -280,23 +383,33 @@ impl Adjacency {
     fn lay_flat(a: &mut Arena, heads: usize, n: usize, words: &[Word]) -> Adjacency {
         let class = class_for(heads + n);
         let off = a.alloc_from(class, words.iter().copied());
-        let (len, groups) = (n as u32, Word(heads as u32));
-        Adjacency { off: Word(off), len, groups, class, dir: false }
+        Adjacency { off: Word(off), meta: flat_meta(n, heads, class) }
+    }
+
+    /// A directory of `n` entries in `groups` label groups, its slot carved
+    /// and its entry count written; the caller writes the records.
+    fn lay_dir(a: &mut Arena, n: usize, groups: usize) -> Adjacency {
+        let class = class_for(DIR_HEAD + REC * groups);
+        let off = a.alloc_from(class, std::iter::once(Word(n as u32)));
+        Adjacency { off: Word(off), meta: dir_meta(groups, class) }
+    }
+
+    /// Writes record `g` of a directory.
+    fn set_record(&self, a: &mut Arena, g: usize, rec: [Word; REC]) {
+        let at = self.off.index() + DIR_HEAD + g * REC;
+        a.data_mut()[at..at + REC].copy_from_slice(&rec);
     }
 
     fn build_dir(a: &mut Arena, entries: &[(LabelId, VertexId)]) -> Adjacency {
         // Counted without an early exit, so the compiler can widen it.
         let groups = 1 + entries.windows(2).filter(|w| w[0].0 != w[1].0).count();
-        let class = class_for(REC * groups);
-        let off = a.alloc(class);
+        let dir = Self::lay_dir(a, entries.len(), groups);
         for (g, run) in entries.chunk_by(|x, y| x.0 == y.0).enumerate() {
             let gclass = class_for(run.len());
             let goff = a.alloc_from(gclass, run.iter().map(|e| e.1));
-            let rec = [run[0].0 .0, goff, run.len() as u32, gclass as u32].map(Word);
-            a.data_mut()[off as usize + g * REC..][..REC].copy_from_slice(&rec);
+            dir.set_record(a, g, record(run[0].0, goff, run.len(), gclass));
         }
-        let (len, groups) = (entries.len() as u32, Word(groups as u32));
-        Adjacency { off: Word(off), len, groups, class, dir: true }
+        dir
     }
 
     /// Lays sorted, duplicate-free, non-empty label groups out as a fresh
@@ -320,54 +433,64 @@ impl Adjacency {
             }
             return Self::lay_flat(a, groups.len(), n, &words[..groups.len() + n]);
         }
-        let class = class_for(REC * groups.len());
-        let off = a.alloc(class);
+        let dir = Self::lay_dir(a, n, groups.len());
         for (g, &(label, ids)) in groups.iter().enumerate() {
             let gclass = class_for(ids.len());
             let goff = a.alloc_from(gclass, ids.iter().copied());
-            let rec = [label.0, goff, ids.len() as u32, gclass as u32].map(Word);
-            a.data_mut()[off as usize + g * REC..][..REC].copy_from_slice(&rec);
+            dir.set_record(a, g, record(label, goff, ids.len(), gclass));
         }
-        let (len, recs) = (n as u32, Word(groups.len() as u32));
-        Adjacency { off: Word(off), len, groups: recs, class, dir: true }
+        dir
     }
 
     /// Every slot this run owns, as `(off, class)`.
     pub(crate) fn slots<'a>(&self, a: &'a Arena) -> impl Iterator<Item = (u32, u8)> + 'a {
-        let own = (self.len > 1).then_some((self.off.0, self.class));
-        let recs = if self.dir { self.dir(a) } else { &[] };
-        own.into_iter().chain(recs.chunks_exact(REC).map(|rec| (rec[1].0, rec[3].0 as u8)))
+        let dir = self.is_directory();
+        let own = (dir || self.is_flat()).then_some((self.off.0, self.class()));
+        let recs = if dir { self.dir(a) } else { &[] };
+        own.into_iter().chain(recs.chunks_exact(REC).map(|rec| (rec[1].0, rec_class(rec))))
     }
 
-    /// Asserts what a flat run's headers promise (test support): labels
-    /// strictly ascending, no empty group, lengths summing to the run's, and
-    /// headers and ids within the slot.
+    /// Asserts what a run's headers promise (test support): labels strictly
+    /// ascending, no empty group, lengths summing to the run's — a
+    /// directory's entry count included —, and a flat run's headers and ids,
+    /// a directory's counts and records and each of its groups within their
+    /// slots.
     pub(crate) fn check_headers(&self, a: &Arena) {
-        if self.dir || self.len < 2 {
+        let (groups, words, fit): (Vec<(LabelId, usize)>, _, _) = if self.is_flat() {
+            let (heads, ids) = self.flat(a);
+            let groups = heads.iter().map(|&h| (head_label(h), head_len(h))).collect();
+            (groups, heads.len() + ids.len(), true)
+        } else if self.is_directory() {
+            let recs = self.dir(a).chunks_exact(REC);
+            let fit = recs.clone().all(|rec| rec[2].0 <= class_cap(rec_class(rec)));
+            let groups = recs.map(|rec| (head_label(rec[0]), rec[2].index())).collect();
+            (groups, DIR_HEAD + self.dir(a).len(), fit)
+        } else {
             return;
-        }
-        let (heads, _) = self.flat(a);
-        assert!(heads.windows(2).all(|h| head_label(h[0]) < head_label(h[1])), "headers unsorted");
-        assert!(heads.iter().all(|&h| head_len(h) > 0), "an empty group kept its header");
-        let total = heads.iter().map(|&h| head_len(h)).sum::<usize>();
-        assert_eq!(total, self.len(), "header lengths do not sum to the run's");
-        let words = heads.len() + self.len();
-        assert!(words <= class_cap(self.class) as usize, "a flat run overflows its slot");
+        };
+        assert!(groups.windows(2).all(|g| g[0].0 < g[1].0), "headers unsorted");
+        assert!(groups.iter().all(|&(_, n)| n > 0), "an empty group kept its header");
+        let total = groups.iter().map(|&(_, n)| n).sum::<usize>();
+        assert_eq!(total, self.len(a), "header lengths do not sum to the run's");
+        assert!(fit && words <= class_cap(self.class()) as usize, "a run overflows its slot");
     }
 
     /// Re-lays the run in the other layout (at most [`FLAT_MAX`] entries
     /// either way), recycling its slots.
     pub(crate) fn relay(&mut self, a: &mut Arena) {
         let mut buf = [(LabelId(0), VertexId(0)); FLAT_MAX];
-        let n = self.len();
+        let n = self.len(a);
         for (slot, (v, l)) in buf.iter_mut().zip(self.iter(a)) {
             *slot = (l, v);
         }
         let mut owned = [(0, 0); FLAT_MAX + 1];
         let slots = self.slots(a).zip(&mut owned).map(|(s, o)| *o = s).count();
         owned[..slots].iter().for_each(|&(off, class)| a.release(off, class));
-        *self =
-            if self.dir { Self::build_flat(a, &buf[..n]) } else { Self::build_dir(a, &buf[..n]) };
+        *self = if self.is_directory() {
+            Self::build_flat(a, &buf[..n])
+        } else {
+            Self::build_dir(a, &buf[..n])
+        };
     }
 
     /// Drops the label groups `keep` rejects, in place and in the slots the
@@ -378,73 +501,75 @@ impl Adjacency {
     /// everything.
     pub(crate) fn retain(&mut self, a: &mut Arena, keep: impl Fn(LabelId) -> bool) {
         let off = self.off.index();
-        match self.len {
-            0 => return,
-            1 => {
-                if !keep(LabelId(self.groups.0)) {
-                    *self = Adjacency::EMPTY;
-                }
-                return;
+        if self.meta == FLAT {
+            return;
+        }
+        if self.is_inline() {
+            if !keep(self.inline_label()) {
+                *self = Adjacency::EMPTY;
             }
-            _ if !self.dir => {
-                // The kept ids land where dropped headers were, so the
-                // headers are read from a copy.
-                let mut heads = [Word(0); FLAT_MAX];
-                let heads = &mut heads[..self.groups.index()];
-                heads.copy_from_slice(&a.data()[off..off + heads.len()]);
-                let kept = heads.iter().filter(|&&h| keep(head_label(h))).count();
-                let data = a.data_mut();
-                let (mut g, mut from, mut to) = (0, off + heads.len(), off + kept);
-                for &h in heads.iter() {
-                    if keep(head_label(h)) {
-                        data[off + g] = h;
-                        data.copy_within(from..from + head_len(h), to);
-                        (g, to) = (g + 1, to + head_len(h));
-                    }
-                    from += head_len(h);
+            return;
+        }
+        if self.is_flat() {
+            // The kept ids land where dropped headers were, so the headers
+            // are read from a copy.
+            let mut heads = [Word(0); FLAT_MAX];
+            let heads = &mut heads[..self.flat_groups()];
+            heads.copy_from_slice(&a.data()[off..off + heads.len()]);
+            let kept = heads.iter().filter(|&&h| keep(head_label(h))).count();
+            let data = a.data_mut();
+            let (mut g, mut from, mut to) = (0, off + heads.len(), off + kept);
+            for &h in heads.iter() {
+                if keep(head_label(h)) {
+                    data[off + g] = h;
+                    data.copy_within(from..from + head_len(h), to);
+                    (g, to) = (g + 1, to + head_len(h));
                 }
-                self.groups = Word(kept as u32);
-                let last = (head_label(data[off]), data[off + kept]);
-                self.settle(a, (to - off - kept) as u32, last);
-                return;
+                from += head_len(h);
             }
-            _ => {}
+            let len = to - off - kept;
+            self.meta = flat_meta(len, kept, self.class());
+            let last = (head_label(data[off]), data[off + kept]);
+            self.settle(a, len, last);
+            return;
         }
         let (mut kept, mut len) = (0, 0);
-        for g in 0..self.groups.index() {
-            let mut rec = [Word(0); REC];
-            rec.copy_from_slice(&a.data()[off + g * REC..][..REC]);
-            if keep(LabelId(rec[0].0)) {
-                a.data_mut()[off + kept * REC..][..REC].copy_from_slice(&rec);
-                (kept, len) = (kept + 1, len + rec[2].0);
+        for g in 0..self.dir_groups() {
+            let at = off + DIR_HEAD + g * REC;
+            let rec: [Word; REC] = a.data()[at..at + REC].try_into().expect("a record");
+            if keep(head_label(rec[0])) {
+                self.set_record(a, kept, rec);
+                (kept, len) = (kept + 1, len + rec[2].index());
             } else {
-                a.release(rec[1].0, rec[3].0 as u8);
+                a.release(rec[1].0, rec_class(&rec));
             }
         }
-        self.groups = Word(kept as u32);
-        let rec: [Word; REC] = a.data()[off..off + REC].try_into().expect("a record");
-        let last = (LabelId(rec[0].0), a.data()[rec[1].index()]);
+        a.data_mut()[off] = Word(len as u32);
+        let rec = &a.data()[off + DIR_HEAD..][..REC];
+        let (last, group) = ((head_label(rec[0]), a.data()[rec[1].index()]), rec[1].0);
         if len == 1 {
-            a.release(rec[1].0, rec[3].0 as u8);
+            a.release(group, rec_class(rec));
+        }
+        if kept > 0 {
+            self.meta = dir_meta(kept, self.class());
         }
         self.settle(a, len, last);
     }
 
-    /// Sets a run [`Self::retain`] shrank to its new length `len`: one left
+    /// Settles a run [`Self::retain`] shrank to `len` entries: one left
     /// (`last`) moves into the handle, none leaves it empty, and either gives
     /// the run's own slot back.
-    fn settle(&mut self, a: &mut Arena, len: u32, last: (LabelId, VertexId)) {
-        self.len = len;
+    fn settle(&mut self, a: &mut Arena, len: usize, last: (LabelId, VertexId)) {
         if len <= 1 {
-            a.release(self.off.0, self.class);
+            a.release(self.off.0, self.class());
             *self = if len == 1 { Self::inline(last.0, last.1) } else { Adjacency::EMPTY };
         }
     }
 
     /// True for a directory of at most [`FLAT_MAX`] entries, which the one
     /// rule lays flat: what [`Self::retain`] can leave behind.
-    pub(crate) fn folds(&self) -> bool {
-        self.dir && self.len() <= FLAT_MAX
+    pub(crate) fn folds(&self, a: &Arena) -> bool {
+        self.is_directory() && self.len(a) <= FLAT_MAX
     }
 
     /// Moves the slot of this run at `from` — its own, or one of its
@@ -457,47 +582,49 @@ impl Adjacency {
         let (src, dst) = (from as usize, to as usize);
         if from != self.off.0 {
             // One of the directory's groups: its record follows it.
-            let dir = self.off.index();
-            let g = (0..self.groups.index()).find(|g| a.data()[dir + g * REC + 1].0 == from);
+            let dir = self.off.index() + DIR_HEAD;
+            let g = (0..self.dir_groups()).find(|g| a.data()[dir + g * REC + 1].0 == from);
             let at = dir + g.expect("a slot of this run") * REC;
             let n = a.data()[at + 2].index();
             let class = class_for(n);
             let data = a.data_mut();
             data.copy_within(src..src + n, dst);
-            (data[at + 1], data[at + 3]) = (Word(to), Word(class as u32));
+            (data[at], data[at + 1]) = (header(head_label(data[at]), class.into()), Word(to));
             return class_cap(class);
         }
-        let groups = self.groups.index();
-        let words = if self.dir { groups * REC } else { groups + self.len() };
+        let words = if self.is_directory() {
+            DIR_HEAD + self.dir_groups() * REC
+        } else {
+            self.flat_groups() + self.flat_len()
+        };
         a.data_mut().copy_within(src..src + words, dst);
-        (self.off, self.class) = (Word(to), class_for(words));
-        class_cap(self.class)
+        self.off = Word(to);
+        self.set_class(class_for(words));
+        class_cap(self.class())
     }
 
     /// Inserts `(label, v)`; returns `false` if it is already present.
     pub(crate) fn insert(&mut self, a: &mut Arena, label: LabelId, v: VertexId) -> bool {
-        if self.dir {
+        if self.is_directory() {
             return self.insert_dir(a, label, v);
         }
-        match self.len {
-            0 => {
-                *self = Self::inline(label, v);
-                return true;
+        if self.is_inline() {
+            let (old, new) = ((self.inline_label(), self.off), (label, v));
+            if old == new {
+                return false;
             }
-            1 => {
-                let (old, new) = ((LabelId(self.groups.0), self.off), (label, v));
-                if old == new {
-                    return false;
-                }
-                *self = Self::build_flat(a, &[old.min(new), old.max(new)]);
-                return true;
-            }
-            _ => {}
+            *self = Self::build_flat(a, &[old.min(new), old.max(new)]);
+            return true;
+        }
+        if self.meta == FLAT {
+            *self = Self::inline(label, v);
+            return true;
         }
         let (heads, ids) = self.flat(a);
         let (g, at, n) = find_head(heads, label);
         let Err(p) = ids[at..at + n].binary_search(&v) else { return false };
-        if self.len() == FLAT_MAX {
+        let (heads, len) = (heads.len(), self.flat_len());
+        if len == FLAT_MAX {
             self.relay(a);
             return self.insert_dir(a, label, v);
         }
@@ -505,12 +632,12 @@ impl Adjacency {
         // and the end. A new group adds its header at `g`, which moves
         // everything from there on up one more word.
         let new = usize::from(n == 0);
-        let (ins, end) = (heads.len() + at + p, heads.len() + self.len());
-        let (src, src_class) = (self.off.index(), self.class);
+        let (ins, end) = (heads + at + p, heads + len);
+        let (src, src_class) = (self.off.index(), self.class());
         let moves = end + 1 + new > class_cap(src_class) as usize;
+        let class = if moves { class_for(end + 1 + new) } else { src_class };
         if moves {
-            self.class = class_for(end + 1 + new);
-            self.off = Word(a.alloc(self.class));
+            self.off = Word(a.alloc(class));
         }
         let dst = self.off.index();
         let data = a.data_mut();
@@ -525,8 +652,7 @@ impl Adjacency {
         }
         data[dst + ins + new] = v;
         data[dst + g] = if new == 1 { header(label, 1) } else { Word(data[dst + g].0 + 1) };
-        self.groups.0 += new as u32;
-        self.len += 1;
+        self.meta = flat_meta(len + 1, heads + new, class);
         if moves {
             a.release(src as u32, src_class);
         }
@@ -534,28 +660,28 @@ impl Adjacency {
     }
 
     fn insert_dir(&mut self, a: &mut Arena, label: LabelId, v: VertexId) -> bool {
-        let at = self.off.index();
         match find_group(self.dir(a), label) {
             Ok(g) => {
-                let rec = &a.data()[at + g * REC..][..REC];
-                let (goff, glen, gclass) = (rec[1].0, rec[2].0, rec[3].0 as u8);
+                let at = self.off.index() + DIR_HEAD + g * REC;
+                let rec = &a.data()[at..at + REC];
+                let (goff, glen, gclass) = (rec[1].0, rec[2].0, rec_class(rec));
                 let Err(pos) = a.run(goff, glen).binary_search(&v) else { return false };
                 let (goff, gclass) = a.insert_at(goff, glen, gclass, pos, v);
-                let rec = [label.0, goff, glen + 1, gclass as u32].map(Word);
-                a.data_mut()[at + g * REC..][..REC].copy_from_slice(&rec);
+                self.set_record(a, g, record(label, goff, glen as usize + 1, gclass));
             }
             Err(g) => {
-                let goff = a.alloc(0);
-                a.data_mut()[goff as usize] = v;
-                for (i, w) in [label.0, goff, 1, 0].into_iter().enumerate() {
-                    let (len, pos) = ((self.groups.index() * REC + i) as u32, g * REC + i);
-                    let (off, class) = a.insert_at(self.off.0, len, self.class, pos, Word(w));
-                    (self.off, self.class) = (Word(off), class);
+                let goff = a.alloc_from(0, std::iter::once(v));
+                let (groups, mut class) = (self.dir_groups(), self.class());
+                let words = DIR_HEAD + groups * REC;
+                for (i, w) in record(label, goff, 1, 0).into_iter().enumerate() {
+                    let (len, pos) = ((words + i) as u32, DIR_HEAD + g * REC + i);
+                    let (off, grown) = a.insert_at(self.off.0, len, class, pos, w);
+                    (self.off, class) = (Word(off), grown);
                 }
-                self.groups.0 += 1;
+                self.meta = dir_meta(groups + 1, class);
             }
         }
-        self.len += 1;
+        a.data_mut()[self.off.index()].0 += 1;
         true
     }
 
@@ -569,15 +695,16 @@ impl Adjacency {
             }
             return found;
         }
-        if !self.dir {
+        if !self.is_directory() {
             let (heads, ids) = self.flat(a);
             let (g, at, n) = find_head(heads, label);
             let Ok(p) = ids[at..at + n].binary_search(&v) else { return false };
             // An emptied group takes its header along: what lies between
             // it and the entry moves down one word, what follows two.
             let gone = usize::from(n == 1);
-            let off = self.off.index();
-            let (pos, end) = (off + heads.len() + at + p, off + heads.len() + self.len());
+            let (off, len) = (self.off.index(), self.flat_len());
+            let (pos, end) = (off + heads.len() + at + p, off + heads.len() + len);
+            self.meta = flat_meta(len - 1, heads.len() - gone, self.class());
             let data = a.data_mut();
             if gone == 1 {
                 data.copy_within(off + g + 1..pos, off + g);
@@ -585,32 +712,35 @@ impl Adjacency {
                 data[off + g].0 -= 1;
             }
             data.copy_within(pos + 1..end, pos - gone);
-            self.groups.0 -= gone as u32;
-            self.len -= 1;
-            if self.is_inline() {
+            if len == 2 {
                 // The one entry left moves into the handle.
                 let last = (head_label(a.data()[off]), a.data()[off + 1]);
-                a.release(self.off.0, self.class);
+                a.release(self.off.0, self.class());
                 *self = Self::inline(last.0, last.1);
             }
             return true;
         }
         let Ok(g) = find_group(self.dir(a), label) else { return false };
-        let at = self.off.index() + g * REC;
+        let (off, groups) = (self.off.index(), self.dir_groups());
+        let at = off + DIR_HEAD + g * REC;
         let rec = &a.data()[at..at + REC];
-        let (goff, glen, gclass) = (rec[1].0, rec[2].0, rec[3].0 as u8);
+        let (goff, glen, gclass) = (rec[1].0, rec[2].0, rec_class(rec));
         let Ok(pos) = a.run(goff, glen).binary_search(&v) else { return false };
         a.remove_at(goff, glen, pos);
-        a.data_mut()[at + 2] = Word(glen - 1);
-        self.len -= 1;
+        let data = a.data_mut();
+        data[at + 2] = Word(glen - 1);
+        data[off].0 -= 1;
+        let left = data[off].index();
         if glen == 1 {
             a.release(goff, gclass);
             for i in 0..REC {
-                a.remove_at(self.off.0, (self.groups.index() * REC - i) as u32, g * REC);
+                a.remove_at(self.off.0, (DIR_HEAD + groups * REC - i) as u32, DIR_HEAD + g * REC);
             }
-            self.groups.0 -= 1;
+            // At least the 16 entries a directory keeps are left, in
+            // another group.
+            self.meta = dir_meta(groups - 1, self.class());
         }
-        if self.len() * 2 <= FLAT_MAX {
+        if left * 2 <= FLAT_MAX {
             self.relay(a);
         }
         true
@@ -620,7 +750,7 @@ impl Adjacency {
     /// sorted duplicate-free run.
     #[inline]
     pub(crate) fn labeled<'a>(&'a self, a: &'a Arena, label: LabelId) -> LabeledNeighbors<'a> {
-        if self.dir {
+        if self.is_directory() {
             let dir = self.dir(a);
             let ids = find_group(dir, label).map(|g| group_ids(a.data(), &dir[g * REC..]));
             return LabeledNeighbors(ids.unwrap_or(&[]));
@@ -642,14 +772,14 @@ impl Adjacency {
     #[inline]
     pub(crate) fn prefetch(&self, a: &Arena, stage: u8) {
         let (data, off) = (a.data(), self.off.index());
-        match (stage, self.dir) {
-            (1, false) if self.len > 1 => {
+        match stage {
+            1 if self.is_flat() => {
                 prefetch_at(data, off);
-                prefetch_at(data, off + self.groups.index() + self.len() - 1);
+                prefetch_at(data, off + self.flat_groups() + self.flat_len() - 1);
             }
-            (1, true) => {
+            1 if self.is_directory() => {
                 prefetch_at(data, off);
-                prefetch_at(data, off + self.groups.index() / 2 * REC);
+                prefetch_at(data, off + DIR_HEAD + self.dir_groups() / 2 * REC);
             }
             _ => {}
         }
@@ -659,11 +789,11 @@ impl Adjacency {
     #[inline]
     pub(crate) fn groups<'a>(&'a self, a: &'a Arena) -> Groups<'a> {
         let data = a.data();
-        if self.dir {
+        if self.is_directory() {
             return Groups { data, heads: &[], ids: &[], label: LabelId(0), recs: self.dir(a) };
         }
         if self.is_inline() {
-            let (label, ids) = (LabelId(self.groups.0), std::slice::from_ref(&self.off));
+            let (label, ids) = (self.inline_label(), std::slice::from_ref(&self.off));
             return Groups { data, heads: &[], ids, label, recs: &[] };
         }
         let (heads, ids) = self.flat(a);
@@ -737,7 +867,7 @@ impl<'a> Iterator for Groups<'a> {
         }
         if let Some((rec, rest)) = self.recs.split_at_checked(REC) {
             self.recs = rest;
-            return Some((LabelId(rec[0].0), group_ids(self.data, rec)));
+            return Some((head_label(rec[0]), group_ids(self.data, rec)));
         }
         // An inline run's entry, once; a flat run has no ids past its last
         // header.
@@ -911,7 +1041,7 @@ mod tests {
             assert!(r.is_directory());
             assert!(r.remove(&mut a, lab, w));
         }
-        assert_eq!(r.len(), FLAT_MAX / 2 + 1);
+        assert_eq!(r.len(&a), FLAT_MAX / 2 + 1);
         assert!(r.is_directory(), "no repacking inside the band");
         assert!(r.remove(&mut a, got[FLAT_MAX / 2].1, got[FLAT_MAX / 2].0));
         assert!(!r.is_directory(), "folds back at half");
@@ -1004,7 +1134,7 @@ mod tests {
                     continue;
                 }
                 a.validate(r.slots(&a));
-                assert_eq!(r.len(), reference.len());
+                assert_eq!(r.len(&a), reference.len());
                 let got: Vec<_> = r.iter(&a).map(|(w, lab)| (lab, w)).collect();
                 assert!(got.iter().eq(reference.iter()), "iteration diverged at step {step}");
                 let mut want_runs: Vec<(LabelId, usize)> = Vec::new();
@@ -1024,12 +1154,106 @@ mod tests {
             for (lab, w) in std::mem::take(&mut reference) {
                 assert!(r.remove(&mut a, lab, w));
             }
-            assert_eq!((r.len(), a.live_slots()), (0, 0), "a drained run owns nothing");
+            assert_eq!((r.len(&a), a.live_slots()), (0, 0), "a drained run owns nothing");
             a.validate([]);
             *carved = a.carved_entries();
         }
         assert!(unfolds >= 4 && folds >= 4, "{unfolds} unfolds, {folds} folds");
         assert!(classes.len() >= 6, "size classes seen: {classes:?}");
         assert_eq!(carved[0], carved[1], "the replay carved new storage");
+    }
+
+    /// Asserts that `r` holds exactly `reference`: its length, the slots it
+    /// owns (none up to one entry, one flat, one per group and its own as a
+    /// directory, tiling the arena with the free lists), every label group,
+    /// its iteration and its headers. `full` adds the walks over every
+    /// entry.
+    fn assert_holds(
+        a: &Arena,
+        r: &Adjacency,
+        reference: &BTreeSet<(LabelId, VertexId)>,
+        full: bool,
+    ) {
+        let n = reference.len();
+        assert_eq!(r.len(a), n);
+        assert_eq!(r.is_inline(), n == 1);
+        assert!(r.is_directory() || n <= FLAT_MAX, "an oversized flat run");
+        r.check_headers(a);
+        a.validate(r.slots(a));
+        let groups = r.groups(a).count();
+        let slots = match n {
+            0 | 1 => 0,
+            _ if r.is_directory() => 1 + groups,
+            _ => 1,
+        };
+        assert_eq!(r.slots(a).count(), slots);
+        if !full {
+            return;
+        }
+        assert!(r.iter(a).map(|(w, lab)| (lab, w)).eq(reference.iter().copied()));
+        let mut labels: Vec<LabelId> = reference.iter().map(|e| e.0).collect();
+        labels.dedup();
+        assert_eq!(groups, labels.len());
+        for lab in labels {
+            let want = reference.range((lab, v(0))..=(lab, v(u32::MAX))).map(|e| e.1);
+            assert!(r.labeled(a, lab).eq(want), "label {lab:?}");
+        }
+        assert!(r.labeled(a, l(0)).is_empty(), "no case uses label 0");
+    }
+
+    /// Grows a run from empty by `entries`, in order, then removes them in
+    /// reverse back to empty, checking it against a `BTreeSet` at every
+    /// step — every entry at the steps `full` selects by length. Returns the
+    /// classes of the slot the run itself owned on the way.
+    fn grow_and_drain(
+        entries: &[(LabelId, VertexId)],
+        full: impl Fn(usize) -> bool,
+    ) -> BTreeSet<u8> {
+        let (mut a, mut r, mut reference) = (Arena::new(), Adjacency::EMPTY, BTreeSet::new());
+        let mut classes = BTreeSet::new();
+        let mut step = |a: &mut Arena, r: &Adjacency, reference: &BTreeSet<_>| {
+            assert_holds(a, r, reference, full(reference.len()));
+            classes.extend(r.slots(a).take(1).map(|(_, class)| class));
+        };
+        step(&mut a, &r, &reference);
+        for &(lab, w) in entries {
+            assert!(r.insert(&mut a, lab, w) && reference.insert((lab, w)));
+            assert!(!r.insert(&mut a, lab, w), "a duplicate");
+            step(&mut a, &r, &reference);
+        }
+        for &(lab, w) in entries.iter().rev() {
+            assert!(r.remove(&mut a, lab, w) && reference.remove(&(lab, w)));
+            assert!(!r.remove(&mut a, lab, w), "already gone");
+            step(&mut a, &r, &reference);
+        }
+        assert_eq!(a.live_slots(), 0, "a drained run owns nothing");
+        classes
+    }
+
+    /// Every field a handle or a directory packs, at its extremes: the
+    /// largest label and id inline; a flat run of `FLAT_MAX` one-entry
+    /// groups, and one of a single `FLAT_MAX`-entry group, through every
+    /// class a flat slot can take; a directory of more than 2^16 entries
+    /// under one label, and one of more than 64 labels.
+    #[test]
+    fn every_packed_field_holds_its_extremes() {
+        let (top, max) = (LabelId::LIMIT - 1, u32::MAX);
+        let every = |_: usize| true;
+        assert!(grow_and_drain(&[(l(top), v(max))], every).is_empty(), "inline owns no slot");
+
+        let flat = FLAT_MAX as u32;
+        let one_each: Vec<_> = (0..flat).map(|i| (l(top - i), v(max - i))).collect();
+        let one_group: Vec<_> = (0..flat).map(|i| (l(top), v(max - i))).collect();
+        // The widest flat slot: a header and an id per entry.
+        let widest = class_for(FLAT_MAX + FLAT_MAX);
+        assert_eq!(grow_and_drain(&one_each, every), (0..=widest).collect());
+        let tallest = class_for(FLAT_MAX + 1);
+        assert_eq!(grow_and_drain(&one_group, every), (0..=tallest).collect());
+
+        assert!(class_for(u32::MAX as usize) as u32 <= CLASS_MASK, "every class fits a handle");
+        let tall: Vec<_> = (0..(1 << 16) + 100).map(|i| (l(top), v(max - (1 << 17) + i))).collect();
+        grow_and_drain(&tall, |n| n <= 4 * FLAT_MAX || n.is_power_of_two() || n == tall.len());
+        let wide: Vec<_> = (0..200).map(|i| (l(top - 3 * (i % 100)), v(max - i))).collect();
+        grow_and_drain(&wide, every);
     }
 }

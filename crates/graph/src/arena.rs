@@ -9,8 +9,10 @@
 //! carving and never returned, so steady-state churn allocates nothing and
 //! reserved bytes are an exact, replay-deterministic measure. The arena
 //! knows nothing about what a run means: the data graph's adjacency
-//! ([`crate::adjacency`]) keeps its own `{off, len, class}` handles and its
-//! own sort order.
+//! ([`crate::adjacency`]) keeps its own 8-byte `{off, meta}` handles — the
+//! slot's offset, and its class packed with the run's layout and counts —
+//! its own directory records and its own sort order. A class fits six bits:
+//! with `u32` offsets no slot is past class 60.
 
 /// Capacity of size class 0, in entries. Every second class doubles it.
 pub const MIN_CLASS_CAP: u32 = 4;

@@ -54,7 +54,7 @@ static NO_RUN: Adjacency = Adjacency::EMPTY;
 
 /// What a vertex costs the graph: its two handles and its set id.
 const _: () = assert!(
-    std::mem::size_of::<[Adjacency; 2]>() + std::mem::size_of::<SetId>() == 36,
+    std::mem::size_of::<[Adjacency; 2]>() + std::mem::size_of::<SetId>() == 20,
     "a vertex is two handles and a set id"
 );
 
@@ -377,9 +377,11 @@ impl DynamicGraph {
         let mut order = Vec::new();
         self.slide(&mut order);
         let mut folded = false;
-        for adj in self.runs.iter_mut().flatten().filter(|adj| adj.folds()) {
-            adj.relay(&mut self.arena);
-            folded = true;
+        for adj in self.runs.iter_mut().flatten() {
+            if adj.folds(&self.arena) {
+                adj.relay(&mut self.arena);
+                folded = true;
+            }
         }
         if folded {
             self.slide(&mut order);
@@ -530,7 +532,7 @@ impl DynamicGraph {
     #[inline]
     pub fn has_edge(&self, src: VertexId, label: LabelId, dst: VertexId) -> bool {
         let (out, inc) = (self.run(src, OUT), self.run(dst, IN));
-        if out.len() <= inc.len() {
+        if out.len(&self.arena) <= inc.len(&self.arena) {
             out.labeled(&self.arena, label).contains(dst)
         } else {
             inc.labeled(&self.arena, label).contains(src)
@@ -658,13 +660,13 @@ impl DynamicGraph {
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: VertexId) -> usize {
-        self.runs[v.index()][OUT].len()
+        self.runs[v.index()][OUT].len(&self.arena)
     }
 
     /// In-degree of `v`.
     #[inline]
     pub fn in_degree(&self, v: VertexId) -> usize {
-        self.runs[v.index()][IN].len()
+        self.runs[v.index()][IN].len(&self.arena)
     }
 
     /// Number of outgoing edges of `v` labeled `label`.
@@ -764,7 +766,7 @@ impl DynamicGraph {
             free_slots: self.arena.free_slots(),
             carved_entries: self.arena.carved_entries(),
             inline_runs: runs().filter(|r| r.is_inline()).count(),
-            flat_runs: runs().filter(|r| r.len() > 1 && !r.is_directory()).count(),
+            flat_runs: runs().filter(|r| r.is_flat()).count(),
             directory_runs: runs().filter(|r| r.is_directory()).count(),
             label_sets: self.sets.len(),
         }
@@ -784,9 +786,10 @@ impl DynamicGraph {
             run.check_headers(&self.arena);
             let got: Vec<_> = run.iter(&self.arena).map(|(w, l)| (l, w)).collect();
             assert!(got.windows(2).all(|w| w[0] < w[1]), "a run of v{} is unsorted", v / 2);
-            assert_eq!(got.len(), run.len(), "a run of v{}: length drifted", v / 2);
-            assert!(run.is_directory() || run.len() <= FLAT_MAX, "v{}: oversized flat run", v / 2);
-            assert!(!run.is_directory() || run.len() * 2 > FLAT_MAX, "v{}: unfolded", v / 2);
+            let len = run.len(&self.arena);
+            assert_eq!(got.len(), len, "a run of v{}: length drifted", v / 2);
+            assert!(run.is_directory() || len <= FLAT_MAX, "v{}: oversized flat run", v / 2);
+            assert!(!run.is_directory() || len * 2 > FLAT_MAX, "v{}: unfolded", v / 2);
         }
         let sets = self.sets.len();
         assert!(self.vertex_sets.iter().all(|&id| (id as usize) < sets), "a set id dangles");
@@ -794,7 +797,8 @@ impl DynamicGraph {
             let mirror = self.run(e.dst, IN).labeled(&self.arena, e.label);
             assert!(mirror.contains(e.src), "{e:?} has no in-run entry");
         }
-        let degrees = |dir: usize| self.runs.iter().map(|pair| pair[dir].len()).sum::<usize>();
+        let degrees =
+            |dir: usize| self.runs.iter().map(|pair| pair[dir].len(&self.arena)).sum::<usize>();
         assert_eq!([degrees(OUT), degrees(IN)], [self.edge_count; 2], "edge counter drifted");
     }
 }

@@ -40,11 +40,12 @@ impl VertexId {
 pub const MAX_VERTEX_GAP: u32 = 1 << 20;
 
 impl LabelId {
-    /// Label ids run `0..LIMIT`. A flat adjacency run packs an edge label and
-    /// its group's length into one 4-byte word ([`crate::adjacency`]), which
-    /// leaves 24 bits for the label; [`crate::LabelInterner`] hands out no
-    /// more ids than that, and [`crate::DynamicGraph`] stores no edge label
-    /// at or past it.
+    /// Label ids run `0..LIMIT`. A flat adjacency run's header, a
+    /// directory's record and an inline run's handle each pack an edge label
+    /// into one 4-byte word beside a byte or the layout bits
+    /// ([`crate::adjacency`]), which leaves 24 bits for the label;
+    /// [`crate::LabelInterner`] hands out no more ids than that, and
+    /// [`crate::DynamicGraph`] stores no edge label at or past it.
     pub const LIMIT: u32 = 1 << 24;
 
     /// The id as a `usize` index.

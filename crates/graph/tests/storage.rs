@@ -136,6 +136,32 @@ fn project_equals_from_edges_of_the_kept_edges() {
     assert_eq!(none.edges().count() + none.storage_stats().live_slots, 0);
 }
 
+/// A vertex costs the graph 20 bytes: its two 8-byte adjacency handles and
+/// its 4-byte label set id. For `n` isolated vertices over `k` distinct label
+/// sets, `resident_bytes` is 20·n plus what does not grow with `n` — the set
+/// table and the per-label counters — exactly: the bulk build reserves the
+/// per-vertex tables exactly, and the first `k` vertices, one per set, hold
+/// the same table and counters as all `n`.
+#[test]
+fn a_vertex_costs_its_two_handles_and_a_set_id() {
+    for k in [1, 3, 7, 40] {
+        let sets: Vec<LabelSet> =
+            (0..k).map(|i| (0..1 + i % 3).map(|j| l((i + j) as u32)).collect()).collect();
+        let graph = |n: usize| {
+            let labels = (0..n).map(|v| sets[v % k].clone()).collect();
+            DynamicGraph::from_edges(labels, Vec::new())
+        };
+        let first = graph(k);
+        assert_eq!(first.storage_stats().label_sets, k);
+        let table_and_counters = first.resident_bytes() - 20 * k;
+        for n in [k + 1, 2 * k + 5, 1000, 100_003] {
+            let g = graph(n);
+            assert_eq!(g.vertex_count(), n);
+            assert_eq!(g.resident_bytes(), 20 * n + table_and_counters, "{n} vertices, {k} sets");
+        }
+    }
+}
+
 /// `resident_bytes` is capacity-charged, so once a churn cycle has
 /// warmed every free list, repeating it must not move the figure — the
 /// property `Dcg::resident_bytes` has, on the same arena scheme.
@@ -260,14 +286,15 @@ fn from_edges_equals_incremental_inserts_on_random_graphs() {
 
 /// The arena words a run with label groups of `lens` entries takes, from
 /// the layout rule alone: none inline, one slot of headers and ids flat, a
-/// slot of 4-word records and one id slot per group as a directory.
+/// slot of its entry count and 3-word records and one id slot per group as
+/// a directory.
 fn run_words(lens: &[usize]) -> usize {
     use tfx_graph::arena::{class_cap, class_for};
     let words = |len| class_cap(class_for(len)) as usize;
     match lens.iter().sum::<usize>() {
         0 | 1 => 0,
         n if n <= FLAT_MAX => words(lens.len() + n),
-        _ => lens.iter().map(|&len| words(len)).sum::<usize>() + words(4 * lens.len()),
+        _ => lens.iter().map(|&len| words(len)).sum::<usize>() + words(1 + 3 * lens.len()),
     }
 }
 

@@ -99,13 +99,28 @@ if grep -rnE "fn (random_scenario|random_ops|random_graph|random_window|random_p
 fi
 
 echo "=== one label set per distinct set ==="
-# A vertex costs the graph its two 16-byte handles and a 4-byte set id
+# A vertex costs the graph its two 8-byte handles and a 4-byte set id
 # (DESIGN.md, "Graph storage & adjacency index"): each distinct label set is
 # stored once, in `labels::SetTable`. A `Vec<LabelSet>` per vertex was 3.07
 # of lsbench_maint's 13.94 MB peak heap. It comes back by deleting this check
 # and saying which e2e workload it wins.
 if grep -nE "^\s*(pub(\([a-z]+\))? )?[a-z_]+: Vec<LabelSet>" crates/graph/src/dynamic_graph.rs; then
   echo "ci: a per-vertex label set table is back in DynamicGraph" >&2
+  exit 1
+fi
+
+echo "=== a vertex is 20 bytes ==="
+# A vertex costs the graph two 8-byte `{off, meta}` adjacency handles and a
+# 4-byte set id (DESIGN.md, "Graph storage & adjacency index"): `meta` packs
+# the layout with an inline run's label, a flat run's length, group count and
+# class, or a directory's class and record count, and a directory keeps its
+# entry count in its own slot. The 16-byte handle's spare fields were 1.76 of
+# lsbench_maint's 7.77 MB peak heap (16 B x 109 698 vertices). A wider handle
+# comes back by deleting this check and saying which e2e workload it wins.
+handle=$(awk '/struct Adjacency \{/, /^\}/' crates/graph/src/adjacency.rs)
+if ! grep -qF 'size_of::<Adjacency>() == 8' crates/graph/src/adjacency.rs || [ -z "$handle" ] \
+  || grep -nE "^\s*(pub(\([a-z]+\))? )?(dir: bool|class: u8|len: u32)\b" <<< "$handle"; then
+  echo "ci: the adjacency handle is no longer 8 bytes of {off, meta}" >&2
   exit 1
 fi
 
