@@ -5,13 +5,15 @@
 //! subgraph matching *from scratch* starting from the partial solution
 //! `{(u, v), (u', v')}` with a Generic-Join-style worst-case-optimal
 //! extension: each remaining query vertex is bound by intersecting the
-//! adjacency lists of its already-bound neighbors, cheapest list first.
+//! adjacency lists of its already-bound neighbors, cheapest list first —
+//! the static matcher's own step, [`tfx_match::extend`].
 //!
 //! Duplicate suppression across the per-query-edge delta evaluations uses
 //! the standard delta-query rule: a solution is kept only in the evaluation
 //! of the *smallest* query edge that maps onto the updated data edge.
 
-use tfx_graph::{intersect_into, AdjacencyMode, DynamicGraph, LabelId, UpdateOp, VertexId};
+use tfx_graph::{DynamicGraph, LabelId, UpdateOp, VertexId};
+use tfx_match::joinable;
 use tfx_query::{
     ContinuousMatcher, EdgeId, MatchRecord, MatchSemantics, Positiveness, QVertexId, QueryGraph,
 };
@@ -49,111 +51,6 @@ impl Graphflow {
     /// The data graph as maintained by the engine.
     pub fn graph(&self) -> &DynamicGraph {
         &self.g
-    }
-
-    /// All query edges between `u` and bound vertices hold for `m[u] = v`?
-    fn joinable(&self, u: QVertexId, v: VertexId, m: &[Option<VertexId>]) -> bool {
-        if self.semantics == MatchSemantics::Isomorphism
-            && m.iter().enumerate().any(|(i, mv)| *mv == Some(v) && i != u.index())
-        {
-            return false;
-        }
-        for &(w, e) in self.q.out_adj(u) {
-            let pair = if w == u { Some((v, v)) } else { m[w.index()].map(|mw| (v, mw)) };
-            if let Some((s, d)) = pair {
-                if !self.g.has_edge_matching(s, d, self.q.edge(e).label) {
-                    return false;
-                }
-            }
-        }
-        for &(w, e) in self.q.in_adj(u) {
-            if w == u {
-                continue; // handled above
-            }
-            if let Some(mw) = m[w.index()] {
-                if !self.g.has_edge_matching(mw, v, self.q.edge(e).label) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Candidates for `u` as the generic-join intersection of *every*
-    /// bound neighbor's adjacency list (smallest-first, through the
-    /// vectorized merge/gallop kernels). `joinable` re-verifies each edge
-    /// afterwards, so the intersection only prunes — it cannot change the
-    /// reported match set.
-    fn candidates(&self, u: QVertexId, m: &[Option<VertexId>]) -> Vec<VertexId> {
-        // (zero-copy label group | materialized sorted+deduped list)
-        enum Src<'g> {
-            Borrowed(&'g [VertexId]),
-            Owned(Vec<VertexId>),
-        }
-        impl Src<'_> {
-            fn as_slice(&self) -> &[VertexId] {
-                match self {
-                    Src::Borrowed(s) => s,
-                    Src::Owned(v) => v,
-                }
-            }
-        }
-        let mut sources: Vec<Src<'_>> = Vec::new();
-        let mut push = |follow_out: bool, mw: VertexId, label: Option<LabelId>| match label {
-            Some(l) => {
-                let run = if follow_out {
-                    self.g.out_neighbors_labeled(mw, l)
-                } else {
-                    self.g.in_neighbors_labeled(mw, l)
-                };
-                sources.push(Src::Borrowed(run.as_id_slice()));
-            }
-            None => {
-                // Wildcard: neighbors repeat across label groups.
-                let mut buf: Vec<VertexId> = if follow_out {
-                    self.g.out_neighbors_matching(mw, None, AdjacencyMode::Indexed).collect()
-                } else {
-                    self.g.in_neighbors_matching(mw, None, AdjacencyMode::Indexed).collect()
-                };
-                buf.sort_unstable();
-                buf.dedup();
-                sources.push(Src::Owned(buf));
-            }
-        };
-        for &(w, e) in self.q.in_adj(u) {
-            if w == u {
-                continue;
-            }
-            if let Some(mw) = m[w.index()] {
-                // edge w -> u: follow out-edges of m(w)
-                push(true, mw, self.q.edge(e).label);
-            }
-        }
-        for &(w, e) in self.q.out_adj(u) {
-            if w == u {
-                continue;
-            }
-            if let Some(mw) = m[w.index()] {
-                // edge u -> w: follow in-edges of m(w)
-                push(false, mw, self.q.edge(e).label);
-            }
-        }
-        sources.sort_by_key(|s| s.as_slice().len());
-        let mut iter = sources.iter();
-        let Some(first) = iter.next() else {
-            return Vec::new();
-        };
-        let mut cur: Vec<VertexId> = first.as_slice().to_vec();
-        let mut tmp: Vec<VertexId> = Vec::new();
-        for s in iter {
-            if cur.is_empty() {
-                break;
-            }
-            tmp.clear();
-            intersect_into(&cur, s.as_slice(), &mut tmp);
-            std::mem::swap(&mut cur, &mut tmp);
-        }
-        cur
     }
 
     /// Next unbound query vertex adjacent to a bound one.
@@ -210,14 +107,13 @@ impl Graphflow {
             }
             return;
         };
-        for v in self.candidates(u, m) {
+        for v in tfx_match::extend(&self.g, &self.q, m, u) {
             if !self.budget.consume(1) {
                 return;
             }
-            if !self.q.labels(u).is_subset_of(self.g.labels(v)) {
-                continue;
-            }
-            if !self.joinable(u, v, m) {
+            if !self.q.labels(u).is_subset_of(self.g.labels(v))
+                || !joinable(&self.g, &self.q, self.semantics, m, u, v)
+            {
                 continue;
             }
             m[u.index()] = Some(v);
@@ -249,7 +145,8 @@ impl Graphflow {
             m[qe.dst.index()] = Some(dst);
             // Validate the seed binding itself (labels were checked by
             // edge_matches; cross-edges between the two seeds were not).
-            if !self.joinable(qe.src, src, &m) || !self.joinable(qe.dst, dst, &m) {
+            let (g, q, sem) = (&self.g, &self.q, self.semantics);
+            if !joinable(g, q, sem, &m, qe.src, src) || !joinable(g, q, sem, &m, qe.dst, dst) {
                 continue;
             }
             self.extend(e, src, label, dst, &mut m, p, sink);

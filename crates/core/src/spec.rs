@@ -17,8 +17,7 @@
 //! every update — the property is exercised by the core test-suite and the
 //! cross-crate property tests.
 
-use rustc_hash::FxHashSet;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use tfx_graph::{AdjacencyMode, DynamicGraph, VertexId};
 use tfx_query::{QVertexId, QueryGraph, QueryTree};
 
@@ -35,7 +34,7 @@ pub fn reference_dcg(g: &DynamicGraph, q: &QueryGraph, tree: &QueryTree) -> DcgI
 
     // Phase 1 (downward): candidate sets = vertices with ≥1 non-NULL
     // incoming edge per query vertex, and the non-NULL edge list.
-    let mut cand: Vec<FxHashSet<VertexId>> = vec![FxHashSet::default(); nq];
+    let mut cand: Vec<HashSet<VertexId>> = vec![HashSet::new(); nq];
     for v in g.vertices() {
         if q.labels(root).is_subset_of(g.labels(v)) {
             cand[root.index()].insert(v);
@@ -50,7 +49,7 @@ pub fn reference_dcg(g: &DynamicGraph, q: &QueryGraph, tree: &QueryTree) -> DcgI
         let parent = tree.parent(u).expect("non-root");
         let parents: Vec<VertexId> = cand[parent.index()].iter().copied().collect();
         for pv in parents {
-            let mut seen = FxHashSet::default();
+            let mut seen = HashSet::new();
             for_each_child_candidate(g, q, tree, u, pv, &mut |cv| {
                 if seen.insert(cv) {
                     edges.push((Some(pv), u.0, cv));
@@ -64,7 +63,7 @@ pub fn reference_dcg(g: &DynamicGraph, q: &QueryGraph, tree: &QueryTree) -> DcgI
     // explicit out-edge from the child data vertex. Children are deeper, so
     // processing edges by descending child depth suffices.
     let mut image = DcgImage::new();
-    let mut has_expl_out: FxHashSet<(VertexId, u32)> = FxHashSet::default();
+    let mut has_expl_out: HashSet<(VertexId, u32)> = HashSet::new();
     let mut by_depth: Vec<Vec<(Option<VertexId>, u32, VertexId)>> = Vec::new();
     for e in edges {
         let d = tree.depth(QVertexId(e.1)) as usize;

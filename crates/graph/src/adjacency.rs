@@ -375,23 +375,9 @@ impl Adjacency {
         for (w, e) in words[heads..heads + n].iter_mut().zip(entries) {
             *w = e.1;
         }
-        Self::lay_flat(a, heads, n, &words[..heads + n])
-    }
-
-    /// Lays a flat run of `heads` groups and `n` entries from its `words`:
-    /// the headers, then the ids.
-    fn lay_flat(a: &mut Arena, heads: usize, n: usize, words: &[Word]) -> Adjacency {
         let class = class_for(heads + n);
-        let off = a.alloc_from(class, words.iter().copied());
+        let off = a.alloc_from(class, words[..heads + n].iter().copied());
         Adjacency { off: Word(off), meta: flat_meta(n, heads, class) }
-    }
-
-    /// A directory of `n` entries in `groups` label groups, its slot carved
-    /// and its entry count written; the caller writes the records.
-    fn lay_dir(a: &mut Arena, n: usize, groups: usize) -> Adjacency {
-        let class = class_for(DIR_HEAD + REC * groups);
-        let off = a.alloc_from(class, std::iter::once(Word(n as u32)));
-        Adjacency { off: Word(off), meta: dir_meta(groups, class) }
     }
 
     /// Writes record `g` of a directory.
@@ -403,41 +389,14 @@ impl Adjacency {
     fn build_dir(a: &mut Arena, entries: &[(LabelId, VertexId)]) -> Adjacency {
         // Counted without an early exit, so the compiler can widen it.
         let groups = 1 + entries.windows(2).filter(|w| w[0].0 != w[1].0).count();
-        let dir = Self::lay_dir(a, entries.len(), groups);
+        // The slot: the entry count, then one record per group.
+        let class = class_for(DIR_HEAD + REC * groups);
+        let off = a.alloc_from(class, std::iter::once(Word(entries.len() as u32)));
+        let dir = Adjacency { off: Word(off), meta: dir_meta(groups, class) };
         for (g, run) in entries.chunk_by(|x, y| x.0 == y.0).enumerate() {
             let gclass = class_for(run.len());
             let goff = a.alloc_from(gclass, run.iter().map(|e| e.1));
             dir.set_record(a, g, record(run[0].0, goff, run.len(), gclass));
-        }
-        dir
-    }
-
-    /// Lays sorted, duplicate-free, non-empty label groups out as a fresh
-    /// run: what [`Self::build`] lays out for their entries, one id slice
-    /// copied at a time.
-    pub(crate) fn build_groups(a: &mut Arena, groups: &[(LabelId, &[VertexId])]) -> Adjacency {
-        let n = groups.iter().map(|(_, ids)| ids.len()).sum::<usize>();
-        match (n, groups.first()) {
-            (0, _) => return Adjacency::EMPTY,
-            (1, Some(&(label, ids))) => return Self::inline(label, ids[0]),
-            _ => {}
-        }
-        if n <= FLAT_MAX {
-            let mut words = [Word(0); 2 * FLAT_MAX];
-            let (heads, ids) = words.split_at_mut(groups.len());
-            let mut at = 0;
-            for (h, &(label, group)) in heads.iter_mut().zip(groups) {
-                *h = header(label, group.len());
-                ids[at..at + group.len()].copy_from_slice(group);
-                at += group.len();
-            }
-            return Self::lay_flat(a, groups.len(), n, &words[..groups.len() + n]);
-        }
-        let dir = Self::lay_dir(a, n, groups.len());
-        for (g, &(label, ids)) in groups.iter().enumerate() {
-            let gclass = class_for(ids.len());
-            let goff = a.alloc_from(gclass, ids.iter().copied());
-            dir.set_record(a, g, record(label, goff, ids.len(), gclass));
         }
         dir
     }

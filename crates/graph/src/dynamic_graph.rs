@@ -153,14 +153,14 @@ impl ByLabel {
 /// the new handles and that arena.
 fn relay(runs: &[[Adjacency; 2]], from: &Arena, words: usize) -> (Vec<[Adjacency; 2]>, Arena) {
     let mut arena = Arena::with_capacity(words);
-    let mut groups = Vec::new();
+    let mut entries = Vec::new();
     let mut laid = Vec::with_capacity(runs.len());
     for pair in runs {
         let mut copy = [Adjacency::EMPTY; 2];
         for (run, new) in pair.iter().zip(&mut copy) {
-            groups.clear();
-            groups.extend(run.groups(from).filter(|(_, ids)| !ids.is_empty()));
-            *new = Adjacency::build_groups(&mut arena, &groups);
+            entries.clear();
+            entries.extend(run.iter(from).map(|(v, label)| (label, v)));
+            *new = Adjacency::build(&mut arena, &entries);
         }
         laid.push(copy);
     }

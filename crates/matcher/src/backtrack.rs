@@ -1,4 +1,7 @@
-//! Backtracking enumeration of homomorphisms / isomorphisms.
+//! Backtracking enumeration of homomorphisms / isomorphisms, and the one
+//! static extension step every static matcher binds a vertex with.
+
+use std::borrow::Cow;
 
 use rustc_hash::FxHashSet;
 use tfx_graph::{intersect_into, AdjacencyMode, DynamicGraph, VertexId};
@@ -16,199 +19,101 @@ pub struct Enumeration {
     pub completed: bool,
 }
 
-/// How candidates for the next query vertex are produced once at least one
-/// of its neighbors is bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExtendStrategy {
-    /// Scan the single cheapest bound neighbor's adjacency list and let
-    /// `joinable` reject candidates edge by edge (hash-probe per edge).
-    PivotScan,
-    /// Intersect *all* bound neighbors' sorted adjacency runs through the
-    /// vectorized kernels ([`tfx_graph::intersect_into`]); `joinable` then
-    /// only has to verify self-loops and wildcard-collapsed duplicates.
-    #[default]
-    Intersect,
+/// True iff `m[u] = v` keeps the partial mapping `m` a match: every query
+/// edge between `u` and a bound vertex, and every self-loop on `u`, has a
+/// matching data edge, and under isomorphism no other query vertex is bound
+/// to `v` (one scan of `m`). `m[u]` itself may already be `v`.
+pub fn joinable(
+    g: &DynamicGraph,
+    q: &QueryGraph,
+    semantics: MatchSemantics,
+    m: &[Option<VertexId>],
+    u: QVertexId,
+    v: VertexId,
+) -> bool {
+    if semantics == MatchSemantics::Isomorphism
+        && m.iter().enumerate().any(|(w, &mv)| mv == Some(v) && w != u.index())
+    {
+        return false;
+    }
+    let outs = q.out_adj(u).iter().all(|&(w, e)| {
+        let to = if w == u { Some(v) } else { m[w.index()] };
+        to.is_none_or(|mw| g.has_edge_matching(v, mw, q.edge(e).label))
+    });
+    // A self-loop is an out-edge too, checked above.
+    outs && q.in_adj(u).iter().all(|&(w, e)| {
+        w == u || m[w.index()].is_none_or(|mw| g.has_edge_matching(mw, v, q.edge(e).label))
+    })
+}
+
+/// The extension step (Generic-Join style): the candidates for the unbound
+/// `u` under the partial mapping `m`, as the intersection of every bound
+/// neighbor's adjacency run, smallest first, through the graph crate's
+/// merge/gallop kernels. Sorted and duplicate-free; empty when no neighbor
+/// of `u` is bound.
+///
+/// Membership in the run of `m(w)` for a query edge between `u` and `w` is
+/// the `has_edge_matching` probe [`joinable`] makes for that edge, so the
+/// step drops only candidates `joinable` rejects; self-loops, injectivity
+/// and vertex labels are left to the caller.
+pub fn extend(
+    g: &DynamicGraph,
+    q: &QueryGraph,
+    m: &[Option<VertexId>],
+    u: QVertexId,
+) -> Vec<VertexId> {
+    // Edge w -> u: candidates are out-neighbors of m(w); u -> w: in-neighbors.
+    let ins = q.in_adj(u).iter().map(|&(w, e)| (w, e, true));
+    let outs = q.out_adj(u).iter().map(|&(w, e)| (w, e, false));
+    let mut sources: Vec<Cow<'_, [VertexId]>> = Vec::new();
+    for (w, e, follow_out) in ins.chain(outs) {
+        let Some(mw) = m[w.index()] else { continue };
+        sources.push(match q.edge(e).label {
+            Some(l) if follow_out => Cow::Borrowed(g.out_neighbors_labeled(mw, l).as_id_slice()),
+            Some(l) => Cow::Borrowed(g.in_neighbors_labeled(mw, l).as_id_slice()),
+            None => {
+                // A wildcard repeats neighbors across label groups.
+                let mut ids: Vec<VertexId> = if follow_out {
+                    g.out_neighbors_matching(mw, None, AdjacencyMode::Indexed).collect()
+                } else {
+                    g.in_neighbors_matching(mw, None, AdjacencyMode::Indexed).collect()
+                };
+                ids.sort_unstable();
+                ids.dedup();
+                Cow::Owned(ids)
+            }
+        });
+    }
+    // Smallest-first keeps every intermediate no larger than the smallest
+    // source and lets the gallop kernel exploit size skew.
+    sources.sort_by_key(|s| s.len());
+    let Some((first, rest)) = sources.split_first() else { return Vec::new() };
+    let mut cur = first.to_vec();
+    let mut tmp = Vec::new();
+    for s in rest {
+        if cur.is_empty() {
+            break;
+        }
+        tmp.clear();
+        intersect_into(&cur, s, &mut tmp);
+        std::mem::swap(&mut cur, &mut tmp);
+    }
+    cur
 }
 
 struct Search<'a> {
     g: &'a DynamicGraph,
     q: &'a QueryGraph,
     semantics: MatchSemantics,
-    strategy: ExtendStrategy,
     order: Vec<QVertexId>,
     /// One precomputed neighborhood filter per query vertex (indexed by
     /// `u.index()`), so per-candidate checks don't rebuild label lists.
     filters: Vec<NeighborhoodFilter>,
     mapping: Vec<Option<VertexId>>,
-    used: FxHashSet<VertexId>,
     found: u64,
 }
 
-/// A candidate source list: either a zero-copy borrow of a label group or
-/// a materialized (sorted, duplicate-free) buffer.
-enum SrcList<'g> {
-    Borrowed(&'g [VertexId]),
-    Owned(Vec<VertexId>),
-}
-
-impl SrcList<'_> {
-    fn as_slice(&self) -> &[VertexId] {
-        match self {
-            SrcList::Borrowed(s) => s,
-            SrcList::Owned(v) => v,
-        }
-    }
-}
-
-impl<'a> Search<'a> {
-    /// Verifies every query edge between `u` (about to be mapped to `v`) and
-    /// already-mapped query vertices, plus self-loops on `u`.
-    fn joinable(&self, u: QVertexId, v: VertexId) -> bool {
-        for &(w, e) in self.q.out_adj(u) {
-            if w == u {
-                // self-loop: needs a data self-loop at v
-                if !self.g.has_edge_matching(v, v, self.q.edge(e).label) {
-                    return false;
-                }
-                continue;
-            }
-            if let Some(mw) = self.mapping[w.index()] {
-                if !self.g.has_edge_matching(v, mw, self.q.edge(e).label) {
-                    return false;
-                }
-            }
-        }
-        for &(w, e) in self.q.in_adj(u) {
-            if w == u {
-                continue; // self-loop handled above
-            }
-            if let Some(mw) = self.mapping[w.index()] {
-                if !self.g.has_edge_matching(mw, v, self.q.edge(e).label) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Candidates for `order[depth]`, enumerated from the cheapest matched
-    /// neighbor's adjacency list.
-    fn candidates_from_pivot(&self, u: QVertexId) -> Vec<VertexId> {
-        // (pivot data vertex, true = follow out-edges of pivot)
-        let mut best: Option<(usize, VertexId, bool, Option<tfx_graph::LabelId>)> = None;
-        for &(w, e) in self.q.in_adj(u) {
-            if w == u {
-                continue;
-            }
-            if let Some(mw) = self.mapping[w.index()] {
-                // edge w -> u: follow out-edges of m(w); a concrete edge
-                // label narrows the cost to its own group.
-                let label = self.q.edge(e).label;
-                let cost = match label {
-                    Some(l) => self.g.out_degree_labeled(mw, l),
-                    None => self.g.out_degree(mw),
-                };
-                if best.is_none_or(|(c, _, _, _)| cost < c) {
-                    best = Some((cost, mw, true, label));
-                }
-            }
-        }
-        for &(w, e) in self.q.out_adj(u) {
-            if w == u {
-                continue;
-            }
-            if let Some(mw) = self.mapping[w.index()] {
-                // edge u -> w: follow in-edges of m(w)
-                let label = self.q.edge(e).label;
-                let cost = match label {
-                    Some(l) => self.g.in_degree_labeled(mw, l),
-                    None => self.g.in_degree(mw),
-                };
-                if best.is_none_or(|(c, _, _, _)| cost < c) {
-                    best = Some((cost, mw, false, label));
-                }
-            }
-        }
-        let (_, pivot, follow_out, label) =
-            best.expect("connected matching order guarantees a mapped neighbor");
-        let mut out: Vec<VertexId> = if follow_out {
-            self.g.out_neighbors_matching(pivot, label, AdjacencyMode::Indexed).collect()
-        } else {
-            self.g.in_neighbors_matching(pivot, label, AdjacencyMode::Indexed).collect()
-        };
-        // A concrete label yields one already-sorted, duplicate-free group;
-        // the wildcard path can repeat neighbors across label groups.
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Candidates for `u` as the intersection of *every* bound neighbor's
-    /// relevant adjacency run, folded smallest-first through the graph
-    /// crate's merge/gallop kernels.
-    ///
-    /// Equivalent to [`Search::candidates_from_pivot`] filtered by
-    /// `joinable`: membership in the run of `m(w)` for edge `(u, w)` is
-    /// exactly the `has_edge_matching` probe `joinable` applies for that
-    /// edge, so the intersection drops only candidates `joinable` would
-    /// reject — and the result stays sorted, so enumeration order is
-    /// deterministic without a sort+dedup pass.
-    fn candidates_intersect(&self, u: QVertexId) -> Vec<VertexId> {
-        let mut sources: Vec<SrcList<'a>> = Vec::new();
-        for &(w, e) in self.q.in_adj(u) {
-            if w == u {
-                continue; // self-loops are joinable's job
-            }
-            let Some(mw) = self.mapping[w.index()] else { continue };
-            // edge w -> u: candidates live among out-neighbors of m(w)
-            match self.q.edge(e).label {
-                Some(l) => sources
-                    .push(SrcList::Borrowed(self.g.out_neighbors_labeled(mw, l).as_id_slice())),
-                None => {
-                    let mut buf: Vec<VertexId> =
-                        self.g.out_neighbors_matching(mw, None, AdjacencyMode::Indexed).collect();
-                    buf.sort_unstable();
-                    buf.dedup();
-                    sources.push(SrcList::Owned(buf));
-                }
-            }
-        }
-        for &(w, e) in self.q.out_adj(u) {
-            if w == u {
-                continue;
-            }
-            let Some(mw) = self.mapping[w.index()] else { continue };
-            // edge u -> w: candidates live among in-neighbors of m(w)
-            match self.q.edge(e).label {
-                Some(l) => sources
-                    .push(SrcList::Borrowed(self.g.in_neighbors_labeled(mw, l).as_id_slice())),
-                None => {
-                    let mut buf: Vec<VertexId> =
-                        self.g.in_neighbors_matching(mw, None, AdjacencyMode::Indexed).collect();
-                    buf.sort_unstable();
-                    buf.dedup();
-                    sources.push(SrcList::Owned(buf));
-                }
-            }
-        }
-        // Smallest-first keeps every intermediate no larger than the
-        // smallest source and lets the gallop kernel exploit size skew.
-        sources.sort_by_key(|s| s.as_slice().len());
-        let mut iter = sources.iter();
-        let first = iter.next().expect("connected matching order guarantees a mapped neighbor");
-        let mut cur: Vec<VertexId> = first.as_slice().to_vec();
-        let mut tmp: Vec<VertexId> = Vec::new();
-        for s in iter {
-            if cur.is_empty() {
-                break;
-            }
-            tmp.clear();
-            intersect_into(&cur, s.as_slice(), &mut tmp);
-            std::mem::swap(&mut cur, &mut tmp);
-        }
-        cur
-    }
-
+impl Search<'_> {
     fn recurse(&mut self, depth: usize, sink: &mut dyn FnMut(&MatchRecord) -> bool) -> bool {
         if depth == self.order.len() {
             self.found += 1;
@@ -220,30 +125,17 @@ impl<'a> Search<'a> {
             let filter = &self.filters[u.index()];
             self.g.vertices().filter(|&v| filter.matches(self.g, v)).collect()
         } else {
-            match self.strategy {
-                ExtendStrategy::PivotScan => self.candidates_from_pivot(u),
-                ExtendStrategy::Intersect => self.candidates_intersect(u),
-            }
+            extend(self.g, self.q, &self.mapping, u)
         };
         for v in cands {
-            if self.semantics == MatchSemantics::Isomorphism && self.used.contains(&v) {
-                continue;
-            }
-            if !self.filters[u.index()].matches(self.g, v) {
-                continue;
-            }
-            if !self.joinable(u, v) {
+            if !self.filters[u.index()].matches(self.g, v)
+                || !joinable(self.g, self.q, self.semantics, &self.mapping, u, v)
+            {
                 continue;
             }
             self.mapping[u.index()] = Some(v);
-            if self.semantics == MatchSemantics::Isomorphism {
-                self.used.insert(v);
-            }
             let keep_going = self.recurse(depth + 1, sink);
             self.mapping[u.index()] = None;
-            if self.semantics == MatchSemantics::Isomorphism {
-                self.used.remove(&v);
-            }
             if !keep_going {
                 return false;
             }
@@ -254,40 +146,16 @@ impl<'a> Search<'a> {
 
 /// Enumerates every match of `q` in `g` under `semantics`, streaming each
 /// into `sink`. The sink returns `false` to abort the search early.
-///
-/// Uses the default [`ExtendStrategy::Intersect`]; see
-/// [`enumerate_matches_with`] to pick the extension strategy explicitly
-/// (benchmark ablations, mostly).
 pub fn enumerate_matches(
     g: &DynamicGraph,
     q: &QueryGraph,
     semantics: MatchSemantics,
     sink: &mut dyn FnMut(&MatchRecord) -> bool,
 ) -> Enumeration {
-    enumerate_matches_with(g, q, semantics, ExtendStrategy::default(), sink)
-}
-
-/// [`enumerate_matches`] with an explicit candidate-extension strategy.
-pub fn enumerate_matches_with(
-    g: &DynamicGraph,
-    q: &QueryGraph,
-    semantics: MatchSemantics,
-    strategy: ExtendStrategy,
-    sink: &mut dyn FnMut(&MatchRecord) -> bool,
-) -> Enumeration {
     let order = matching_order(g, q);
     let filters = q.vertices().map(|u| NeighborhoodFilter::new(q, u)).collect();
-    let mut search = Search {
-        g,
-        q,
-        semantics,
-        strategy,
-        order,
-        filters,
-        mapping: vec![None; q.vertex_count()],
-        used: FxHashSet::default(),
-        found: 0,
-    };
+    let mut search =
+        Search { g, q, semantics, order, filters, mapping: vec![None; q.vertex_count()], found: 0 };
     let completed = search.recurse(0, sink);
     Enumeration { matches: search.found, completed }
 }
@@ -432,23 +300,24 @@ mod tests {
         assert_eq!(count_matches(&g, &q, MatchSemantics::Homomorphism), 3);
     }
 
-    /// Both extension strategies must enumerate the same match set — the
-    /// intersection path only pre-applies checks `joinable` would make.
-    #[test]
-    fn strategies_agree_on_random_graph() {
-        let mut state = 0x9e37_79b9_u64;
-        let mut rng = move || {
+    /// A xorshift stream: the tests' only randomness.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
-        };
+        }
+    }
+
+    /// `n` vertices labeled `i % 3` and up to `edges` random edges over
+    /// three labels, self-loops included.
+    fn random_graph(rng: &mut impl FnMut() -> u64, n: u64, edges: usize) -> DynamicGraph {
         let mut g = DynamicGraph::new();
-        let n = 40u64;
         for i in 0..n {
             g.add_vertex(LabelSet::single(l((i % 3) as u32)));
         }
-        for _ in 0..300 {
+        for _ in 0..edges {
             let s = VertexId((rng() % n) as u32);
             let d = VertexId((rng() % n) as u32);
             let lab = l((rng() % 3) as u32);
@@ -456,6 +325,49 @@ mod tests {
                 g.insert_edge(s, lab, d);
             }
         }
+        g
+    }
+
+    /// Every match by brute force: binds query vertices in id order to every
+    /// data vertex, checking labels, every query edge among bound vertices
+    /// and, under isomorphism, injectivity. Shares no code with the
+    /// extension step.
+    fn naive_matches(
+        g: &DynamicGraph,
+        q: &QueryGraph,
+        sem: MatchSemantics,
+        m: &mut Vec<Option<VertexId>>,
+        out: &mut FxHashSet<MatchRecord>,
+    ) {
+        let Some(u) = m.iter().position(Option::is_none) else {
+            out.insert(MatchRecord::from_partial(m));
+            return;
+        };
+        for v in g.vertices() {
+            if !q.labels(QVertexId(u as u32)).is_subset_of(g.labels(v))
+                || (sem == MatchSemantics::Isomorphism && m.contains(&Some(v)))
+            {
+                continue;
+            }
+            m[u] = Some(v);
+            let edges_hold =
+                q.edges().iter().all(|qe| match (m[qe.src.index()], m[qe.dst.index()]) {
+                    (Some(s), Some(d)) => g.has_edge_matching(s, d, qe.label),
+                    _ => true,
+                });
+            if edges_hold {
+                naive_matches(g, q, sem, m, out);
+            }
+            m[u] = None;
+        }
+    }
+
+    /// `enumerate_matches` finds exactly the naive reference's match set, each
+    /// match once.
+    #[test]
+    fn strategies_agree_on_random_graph() {
+        let mut rng = xorshift(0x9e37_79b9);
+        let g = random_graph(&mut rng, 40, 300);
 
         // Labeled triangle, wildcard path, and a diamond with a repeated
         // label exercise concrete runs, wildcard lists, and dedup.
@@ -494,19 +406,72 @@ mod tests {
 
         for q in &queries {
             for sem in [MatchSemantics::Homomorphism, MatchSemantics::Isomorphism] {
-                let mut pivot = FxHashSet::default();
-                enumerate_matches_with(&g, q, sem, ExtendStrategy::PivotScan, &mut |m| {
-                    pivot.insert(m.clone());
+                let mut naive = FxHashSet::default();
+                naive_matches(&g, q, sem, &mut vec![None; q.vertex_count()], &mut naive);
+                let mut found = FxHashSet::default();
+                enumerate_matches(&g, q, sem, &mut |m| {
+                    assert!(found.insert(m.clone()), "enumeration produced a duplicate");
                     true
                 });
-                let mut isect = FxHashSet::default();
-                enumerate_matches_with(&g, q, sem, ExtendStrategy::Intersect, &mut |m| {
-                    assert!(isect.insert(m.clone()), "intersect path produced a duplicate");
-                    true
-                });
-                assert_eq!(pivot, isect, "strategies disagree ({sem:?})");
+                assert!(!naive.is_empty() || sem == MatchSemantics::Isomorphism, "{sem:?}");
+                assert_eq!(found, naive, "enumeration disagrees with the reference ({sem:?})");
             }
         }
+    }
+
+    /// The step as Graphflow takes it: both endpoints of a data edge bound,
+    /// `u` adjacent to both. `extend` filtered by `joinable` is exactly the
+    /// vertices that carry `u`'s labels and pass `joinable`, in ascending
+    /// order, on random graphs with wildcard edges and query self-loops.
+    #[test]
+    fn extension_step_is_every_joinable_vertex() {
+        let mut rng = xorshift(0x51ed_270b);
+        let mut hits = 0;
+        for _ in 0..40 {
+            let g = random_graph(&mut rng, 24, 200);
+            // Seed query edge a -l0-> b; u joins both, with a wildcard or a
+            // concrete label each way, and may carry a self-loop.
+            let mut q = QueryGraph::new();
+            let a = q.add_vertex(LabelSet::empty());
+            let b = q.add_vertex(LabelSet::empty());
+            let labels =
+                if rng().is_multiple_of(2) { LabelSet::empty() } else { LabelSet::single(l(1)) };
+            let u = q.add_vertex(labels);
+            q.add_edge(a, b, Some(l(0)));
+            let pick = |r: u64| (r % 4 < 3).then_some(l((r % 4) as u32));
+            q.add_edge(a, u, pick(rng()));
+            if rng().is_multiple_of(2) {
+                q.add_edge(u, b, pick(rng()));
+            } else {
+                q.add_edge(b, u, pick(rng()));
+            }
+            if rng().is_multiple_of(2) {
+                q.add_edge(u, u, pick(rng()));
+            }
+            for s in g.vertices() {
+                for (d, lab) in g.out_neighbors(s).collect::<Vec<_>>() {
+                    if lab != l(0) {
+                        continue;
+                    }
+                    let mut m = vec![None; 3];
+                    (m[a.index()], m[b.index()]) = (Some(s), Some(d));
+                    for sem in [MatchSemantics::Homomorphism, MatchSemantics::Isomorphism] {
+                        let join = |v| joinable(&g, &q, sem, &m, u, v);
+                        let got: Vec<VertexId> = extend(&g, &q, &m, u)
+                            .into_iter()
+                            .filter(|&v| q.labels(u).is_subset_of(g.labels(v)) && join(v))
+                            .collect();
+                        let want: Vec<VertexId> = g
+                            .vertices()
+                            .filter(|&v| q.labels(u).is_subset_of(g.labels(v)) && join(v))
+                            .collect();
+                        assert_eq!(got, want, "{sem:?}, seed {s:?}->{d:?}, query {q:?}");
+                        hits += want.len();
+                    }
+                }
+            }
+        }
+        assert!(hits > 1000, "only {hits} joinable candidates: the graphs are too sparse");
     }
 
     #[test]

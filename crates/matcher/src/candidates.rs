@@ -68,6 +68,9 @@ impl NeighborhoodFilter {
     }
 
     /// True iff `v` passes the label and neighborhood-structure filters.
+    /// Every condition is necessary under homomorphism (hence isomorphism):
+    /// one edge per distinct label, not per query edge, since several query
+    /// edges may map onto the same data edge.
     pub fn matches(&self, g: &DynamicGraph, v: VertexId) -> bool {
         if !self.labels.is_subset_of(g.labels(v)) {
             return false;
@@ -83,26 +86,8 @@ impl NeighborhoodFilter {
     }
 }
 
-/// True iff `v` passes the label and neighborhood-structure filters for `u`.
-///
-/// Conditions (all necessary under homomorphism, hence also isomorphism):
-/// * `L(u) ⊆ L(v)`;
-/// * for every concrete out-edge label of `u`, `v` has at least one out-edge
-///   with that label (and symmetrically for in-edges);
-/// * if `u` has any out-edge (resp. in-edge), so does `v`.
-///
-/// Degree counting is deliberately "at least one per distinct label" rather
-/// than per-edge: under homomorphism several query edges may map onto the
-/// same data edge.
-///
-/// One-shot convenience over [`NeighborhoodFilter`]; loops testing many
-/// candidates against the same `u` should build the filter once instead.
-pub fn vertex_matches(g: &DynamicGraph, q: &QueryGraph, u: QVertexId, v: VertexId) -> bool {
-    NeighborhoodFilter::new(q, u).matches(g, v)
-}
-
-/// All data vertices passing [`vertex_matches`] for `u`.
-pub fn candidate_vertices(g: &DynamicGraph, q: &QueryGraph, u: QVertexId) -> Vec<VertexId> {
+/// All data vertices passing [`NeighborhoodFilter`] for `u`.
+pub(crate) fn candidate_vertices(g: &DynamicGraph, q: &QueryGraph, u: QVertexId) -> Vec<VertexId> {
     let filter = NeighborhoodFilter::new(q, u);
     g.vertices().filter(|&v| filter.matches(g, v)).collect()
 }
@@ -123,8 +108,9 @@ mod tests {
         let b = g.add_vertex(LabelSet::single(l(1)));
         let mut q = QueryGraph::new();
         let u = q.add_vertex(LabelSet::single(l(0)));
-        assert!(vertex_matches(&g, &q, u, a));
-        assert!(!vertex_matches(&g, &q, u, b));
+        let f = NeighborhoodFilter::new(&q, u);
+        assert!(f.matches(&g, a));
+        assert!(!f.matches(&g, b));
     }
 
     #[test]
@@ -159,9 +145,10 @@ mod tests {
         let u0 = q.add_vertex(LabelSet::empty());
         let u1 = q.add_vertex(LabelSet::empty());
         q.add_edge(u0, u1, None);
-        assert!(vertex_matches(&g, &q, u0, a));
-        assert!(!vertex_matches(&g, &q, u0, iso), "isolated vertex has no out edge");
-        assert!(!vertex_matches(&g, &q, u0, b), "b has no out edge");
+        let f = NeighborhoodFilter::new(&q, u0);
+        assert!(f.matches(&g, a));
+        assert!(!f.matches(&g, iso), "isolated vertex has no out edge");
+        assert!(!f.matches(&g, b), "b has no out edge");
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //!   subgraph before and after each update,
 //! * the naive-recompute baseline (and the test oracle) match the whole
 //!   graph per update,
-//! * the selectivity study (Fig. 17) counts positive matches per query.
+//! * the selectivity study (Fig. 17) counts positive matches per query,
+//! * the Graphflow baseline binds each next query vertex with the same
+//!   extension step ([`extend`]) and joinability test ([`joinable`]) as the
+//!   backtracking search.
 //!
 //! The matcher supports both graph homomorphism and subgraph isomorphism,
 //! directed labeled edges, wildcard edge labels, and multi-label vertices.
@@ -18,9 +21,6 @@ pub mod backtrack;
 pub mod candidates;
 pub mod order;
 
-pub use backtrack::{
-    count_matches, enumerate_matches, enumerate_matches_with, match_set, Enumeration,
-    ExtendStrategy,
-};
-pub use candidates::{candidate_vertices, NeighborhoodFilter};
+pub use backtrack::{count_matches, enumerate_matches, extend, joinable, match_set, Enumeration};
+pub use candidates::NeighborhoodFilter;
 pub use order::matching_order;

@@ -166,6 +166,20 @@ if grep -rnE "mod tree_nav|collect_child_candidates|child_mask|FxHashMap" crates
   exit 1
 fi
 
+echo "=== one static extension step ==="
+# Every static matcher binds its next query vertex with `tfx_match::extend`
+# (every bound neighbor's run intersected, smallest first) and tests it with
+# `tfx_match::joinable` (DESIGN.md, "Intersection kernels"): Graphflow calls
+# them, it keeps no copy. `tfx-core` uses `tfx-match` in its tests alone, as
+# the oracle. A second copy, or the engine depending on the static matcher,
+# comes back by deleting this check and saying what it is for.
+if grep -rnE "intersect_into|fn (joinable|candidates)\b" crates/baselines/src \
+  || awk '/^\[/ { sec = $0; next } sec == "[dependencies]"' crates/core/Cargo.toml \
+    | grep -n "tfx-match"; then
+  echo "ci: a copy of the static extension step is back, or tfx-core depends on tfx-match" >&2
+  exit 1
+fi
+
 echo "=== no new panic site ==="
 # Every non-test `unwrap()` / `expect(` / `panic!` / `assert*!` line of the
 # engine, the graph, the stream layer and the CLI is sorted in DESIGN.md,
