@@ -644,7 +644,7 @@ impl Dcg {
     /// Returns and clears the dirty bitmask: bit `u` is set iff the
     /// explicit count of query vertex `u` changed since the previous call.
     #[inline]
-    pub fn take_dirty_expl(&mut self) -> u64 {
+    pub(crate) fn take_dirty_expl(&mut self) -> u64 {
         std::mem::take(&mut self.dirty_expl)
     }
 

@@ -16,9 +16,9 @@
 //!   [`TurboFlux::eval_inserted_edge`] / [`TurboFlux::eval_deleting_edge`]
 //!   / [`TurboFlux::register_new_vertices`]): the caller owns the graph,
 //!   mutates it itself, and passes it in read-only for evaluation. This is
-//!   what the round driver does with the cells of a [`crate::fleet::Fleet`]
-//!   (many engines over one graph); standalone mode is the same round on
-//!   the engine's own graph.
+//!   what a [`crate::fleet::Fleet`] does for its engines (many engines over
+//!   one graph). Both runtimes apply a batch with the one round loop,
+//!   `crate::round::apply`.
 
 use std::cell::Cell;
 
@@ -84,7 +84,7 @@ impl TurboFlux {
     /// The query is fixed from here on, so the engine keeps only what it can
     /// see: `g0` projected onto the edge labels `q` names (all of them if `q`
     /// has a wildcard edge), and ops on the other labels never reach its
-    /// graph ([`round::stage`]). The plan's statistics read only those labels
+    /// graph ([`round::apply`]). The plan's statistics read only those labels
     /// and the vertex labels, so they come out the same on either graph.
     ///
     /// Panics if `q` is empty, disconnected, or has more than 64 vertices.
@@ -362,10 +362,10 @@ impl TurboFlux {
 
     /// Applies `ops` in order to the engine-owned graph, reporting every
     /// match as `sink(op index, positiveness, record)` (Algorithm 2, lines
-    /// 12–20): one round of [`crate::round`] per op on a single engine —
-    /// stage, evaluate, finalize — with the batch lookahead
-    /// ([`round::lookahead`]) pulling the graph groups of the ops a few
-    /// rounds ahead into cache meanwhile. Batching changes when an
+    /// 12–20): one round of [`round::apply`] per op on this engine alone —
+    /// stage, register the vertices the op created and evaluate its edge,
+    /// finalize — with the batch lookahead pulling the graph groups of the
+    /// ops a few rounds ahead into cache meanwhile. Batching changes when an
     /// op's memory is fetched, never what it emits. Standalone mode only —
     /// with [`TurboFlux::register`] the caller drives the `eval_*` methods
     /// directly.
@@ -376,37 +376,23 @@ impl TurboFlux {
         // Evaluation borrows the engine mutably and the graph shared: the
         // graph steps out of the engine for the batch.
         let mut g = std::mem::take(&mut self.g);
-        for (i, op) in ops.iter().enumerate() {
-            round::lookahead(ops, i, |src, label, dst, stage| {
-                if self.sees(label) {
-                    g.prefetch_edge(src, dst, stage);
-                }
-            });
-            let round = round::stage(&mut g, op, |label| self.sees(label));
-            self.refused_ops += u64::from(round == Round::Refused);
-            self.eval_round(&g, &round, true, &mut |p, r| sink(i, p, r));
-            round::finalize(&mut g, &round);
-        }
+        round::apply(self, &mut g, ops, Self::sees, |engine, i, g, round| {
+            engine.refused_ops += u64::from(*round == Round::Refused);
+            if let Some(from) = round.new_vertices() {
+                engine.register_new_vertices(g, from);
+            }
+            engine.eval_round(g, round, &mut |p, r| sink(i, p, r));
+        });
         self.g = g;
     }
 
-    /// This engine's part of one round over the staged graph `g`: register
-    /// the vertices the op created, then — unless the round only reached the
-    /// engine for that (`!eval`, [`round::route`]) — evaluate its edge.
-    pub(crate) fn eval_round<S>(
-        &mut self,
-        g: &DynamicGraph,
-        round: &Round,
-        eval: bool,
-        sink: &mut S,
-    ) where
+    /// Evaluates the edge of one round over the staged graph `g`: an
+    /// `Insert` or a `Delete`; every other round has none.
+    pub(crate) fn eval_round<S>(&mut self, g: &DynamicGraph, round: &Round, sink: &mut S)
+    where
         S: FnMut(Positiveness, &MatchRecord) + ?Sized,
     {
-        if let Some(from) = round.new_vertices() {
-            self.register_new_vertices(g, from);
-        }
         match *round {
-            _ if !eval => {}
             Round::Insert { src, label, dst, .. } => {
                 self.eval_inserted_edge(g, src, label, dst, sink)
             }

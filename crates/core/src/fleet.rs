@@ -16,16 +16,21 @@
 //! an op whose label no query mentions costs O(1), not O(N engines).
 //! Skipping is exact: a non-interested engine would find zero matching query
 //! edges, change nothing, and emit nothing, so routing cannot change output.
-//! Vertex additions still visit every engine ([`crate::round::route`]).
-//! [`Fleet::stats`] reports the routing counters.
+//! Vertex additions still visit every engine: start-candidate registration
+//! is root-*vertex*-label work, not edge-label work. [`Fleet::stats`]
+//! reports the routing counters.
 //!
 //! # Execution
 //!
-//! A batch runs on the round driver ([`crate::round`]) with one cell per
-//! engine: the fleet contributes only its [`Rounds`] hooks — the shared
-//! graph around `stage` / `finalize` and the routing table as the target
-//! list. The loop and the `(engine, op_index, emission)` output order —
-//! independent of routing — are the driver's.
+//! A batch runs on the one round loop ([`crate::round`]) over the shared
+//! graph. Each round registers the vertices the op created with every engine
+//! and evaluates its edge on the label's routing entry, in ascending engine
+//! order. With one engine the deltas stream straight to the sink; otherwise
+//! each engine buffers its own — in op order, because it runs its rounds in
+//! order; flat, an entry of fixed size plus the record's vertex ids in one
+//! run per engine — and the buffers drain engine by engine after the last
+//! round. So the sink sees `(engine, op_index, emission)` order, independent
+//! of routing, and nothing is sorted.
 //!
 //! [`ShardedEngine`] and [`ShardStats`] are inert names the frozen `e2e`
 //! benchmark still compiles against: a fleet, and four zeros.
@@ -36,7 +41,7 @@ use tfx_query::{MatchRecord, Positiveness, QueryGraph};
 use crate::config::TurboFluxConfig;
 use crate::dcg::DcgView;
 use crate::engine::TurboFlux;
-use crate::round::{self, DeltaBufs, Round, Rounds, Target};
+use crate::round::{self, Round};
 
 /// A match delta reported by [`Fleet::apply_batch`].
 #[derive(Clone, Copy, Debug)]
@@ -76,9 +81,26 @@ pub struct FleetStats {
     pub suffix_evals: u64,
 }
 
-/// Everything the engines share, and the fleet's round hooks over it.
-struct Shared {
+/// A buffered delta: its record is the next `len` words of its engine's
+/// buffer.
+struct Pending {
+    op: u32,
+    p: Positiveness,
+    len: u8,
+}
+
+/// One engine's buffered deltas, in emission order: fixed-size entries over
+/// one flat run of vertex ids — no allocation per delta.
+#[derive(Default)]
+struct DeltaBuf {
+    pend: Vec<Pending>,
+    words: Vec<VertexId>,
+}
+
+/// A set of continuous queries evaluated together over one streaming graph.
+pub struct Fleet {
     graph: DynamicGraph,
+    engines: Vec<TurboFlux>,
     /// Edge label (by `label.index()`) → engine positions with a query edge
     /// that label can match, wildcard engines included (ascending). Rebuilt
     /// on register/deregister.
@@ -86,54 +108,12 @@ struct Shared {
     /// Engine positions with label-wildcard query edges (ascending): the
     /// routing entry of every label past the table.
     wildcard: Vec<usize>,
-    ops_routed: u64,
-    ops_skipped: u64,
-    ops_refused: u64,
-}
-
-impl Rounds for Shared {
-    type Cell = TurboFlux;
-
-    /// The shared graph only: hinting the routed engines' DCG count buckets
-    /// as well read ×0.99 of no lookahead at all on `lsbench_fleet8` when the
-    /// DCG had them, this ×1.03 — most ops reach no engine, or one whose probe
-    /// ended at a cached bucket.
-    fn hint(&self, src: VertexId, dst: VertexId, stage: u8) {
-        self.graph.prefetch_edge(src, dst, stage);
-    }
-
-    fn stage(&mut self, op: &UpdateOp, engines: usize, targets: &mut Vec<Target>) -> Round {
-        let round = round::stage(&mut self.graph, op, |_| true);
-        let interested = round.edge().map_or(&[][..], |(_, label, _)| {
-            self.routing.get(label.index()).unwrap_or(&self.wildcard)
-        });
-        round::route(&round, engines, interested.iter().copied(), targets);
-        if round.edge().is_some() {
-            self.ops_routed += interested.len() as u64;
-            self.ops_skipped += (engines - interested.len()) as u64;
-        }
-        self.ops_refused += u64::from(round == Round::Refused);
-        round
-    }
-
-    fn run<S>(&self, engine: &mut TurboFlux, target: Target, round: &Round, emit: &mut S)
-    where
-        S: FnMut(Positiveness, &MatchRecord) + ?Sized,
-    {
-        engine.eval_round(&self.graph, round, target.eval, emit);
-    }
-
-    fn finalize(&mut self, round: &Round) {
-        round::finalize(&mut self.graph, round);
-    }
-}
-
-/// A set of continuous queries evaluated together over one streaming graph.
-pub struct Fleet {
-    shared: Shared,
-    engines: Vec<TurboFlux>,
-    /// The round driver's delta buffers, kept warm across batches.
-    bufs: DeltaBufs,
+    stats: FleetStats,
+    /// Per-engine delta buffers, kept warm across batches: a batch allocates
+    /// only where it outgrows every batch before it.
+    bufs: Vec<DeltaBuf>,
+    /// The record every buffered delta is delivered through.
+    rec: MatchRecord,
     /// Stable registration id per engine position; strictly ascending
     /// ([`Fleet::deregister`] removes, never renumbers), so position order
     /// is id order and [`FleetDelta`]s stay sorted by `(engine, op_index)`.
@@ -145,16 +125,13 @@ impl Fleet {
     /// A fleet over `g0` with no query registered yet.
     pub fn new(g0: DynamicGraph) -> Self {
         Fleet {
-            shared: Shared {
-                graph: g0,
-                routing: Vec::new(),
-                wildcard: Vec::new(),
-                ops_routed: 0,
-                ops_skipped: 0,
-                ops_refused: 0,
-            },
+            graph: g0,
             engines: Vec::new(),
-            bufs: DeltaBufs::default(),
+            routing: Vec::new(),
+            wildcard: Vec::new(),
+            stats: FleetStats::default(),
+            bufs: Vec::new(),
+            rec: MatchRecord::default(),
             ids: Vec::new(),
             next_id: 0,
         }
@@ -174,7 +151,7 @@ impl Fleet {
     /// stable id, used in [`FleetDelta::engine`] and [`Fleet::deregister`];
     /// ids are never reused.
     pub fn register(&mut self, q: QueryGraph, cfg: TurboFluxConfig) -> usize {
-        self.engines.push(TurboFlux::register(q, &self.shared.graph, cfg));
+        self.engines.push(TurboFlux::register(q, &self.graph, cfg));
         let id = self.next_id;
         self.next_id += 1;
         self.ids.push(id);
@@ -200,7 +177,7 @@ impl Fleet {
     /// position at most once per list, in ascending position order, so
     /// every list stays sorted and duplicate-free.
     fn rebuild_routing(&mut self) {
-        let Shared { routing, wildcard, .. } = &mut self.shared;
+        let Fleet { routing, wildcard, .. } = self;
         routing.clear();
         wildcard.clear();
         let labels = self.engines.iter().map(|e| e.qedge_by_label.len()).max().unwrap_or(0);
@@ -218,7 +195,7 @@ impl Fleet {
 
     /// The shared data graph.
     pub fn graph(&self) -> &DynamicGraph {
-        &self.shared.graph
+        &self.graph
     }
 
     /// Engine position for a stable registration id.
@@ -234,7 +211,7 @@ impl Fleet {
     /// The DCG of the engine registered as `id`, read against the shared
     /// graph it derives from.
     pub fn dcg(&self, id: usize) -> DcgView<'_> {
-        DcgView::new(&self.engine(id).dcg, &self.shared.graph)
+        DcgView::new(&self.engine(id).dcg, &self.graph)
     }
 
     /// Number of registered engines.
@@ -249,12 +226,7 @@ impl Fleet {
 
     /// Cumulative routing counters.
     pub fn stats(&self) -> FleetStats {
-        FleetStats {
-            ops_routed: self.shared.ops_routed,
-            ops_skipped: self.shared.ops_skipped,
-            ops_refused: self.shared.ops_refused,
-            ..FleetStats::default()
-        }
+        self.stats
     }
 
     /// Reports all matches of engine `id` against the current graph state.
@@ -265,7 +237,7 @@ impl Fleet {
     /// `e2e` benchmark's host-probe code (DESIGN.md, "Enumeration path").
     pub fn report_initial(&mut self, id: usize, sink: &mut dyn FnMut(&MatchRecord)) {
         let pos = self.pos_of(id);
-        self.engines[pos].initial_matches_in(&self.shared.graph, sink);
+        self.engines[pos].initial_matches_in(&self.graph, sink);
     }
 
     /// Applies a batch of updates to the shared graph, evaluating every
@@ -276,10 +248,62 @@ impl Fleet {
     where
         S: FnMut(FleetDelta<'_>) + ?Sized,
     {
-        let Fleet { shared, engines, bufs, ids, .. } = self;
-        round::drive(shared, engines, bufs, ops, &mut |pos, op_index, p, r| {
-            sink(FleetDelta { engine: ids[pos], op_index, positiveness: p, record: r })
-        });
+        let Fleet { graph, engines, routing, wildcard, stats, bufs, rec, ids, .. } = self;
+        // One engine in total: op order is output order, nothing to buffer.
+        let direct = engines.len() == 1;
+        bufs.resize_with(engines.len(), DeltaBuf::default);
+        // Cleared here, not after delivery: a batch that unwound leaves
+        // nothing for the next one to deliver.
+        for buf in bufs.iter_mut() {
+            buf.pend.clear();
+            buf.words.clear();
+        }
+        round::apply(
+            engines,
+            graph,
+            ops,
+            |_, _| true,
+            |engines, op_index, graph, round| {
+                stats.ops_refused += u64::from(*round == Round::Refused);
+                if let Some(from) = round.new_vertices() {
+                    engines.iter_mut().for_each(|engine| engine.register_new_vertices(graph, from));
+                }
+                let Some((_, label, _)) = round.edge() else { return };
+                let interested = routing.get(label.index()).unwrap_or(wildcard);
+                stats.ops_routed += interested.len() as u64;
+                stats.ops_skipped += (engines.len() - interested.len()) as u64;
+                for &pos in interested {
+                    if direct {
+                        let engine = ids[pos];
+                        engines[pos].eval_round(graph, round, &mut |p, r| {
+                            sink(FleetDelta { engine, op_index, positiveness: p, record: r })
+                        });
+                    } else {
+                        let DeltaBuf { pend, words } = &mut bufs[pos];
+                        engines[pos].eval_round(graph, round, &mut |p, r| {
+                            let len =
+                                u8::try_from(r.len()).expect("a query has at most 64 vertices");
+                            words.extend_from_slice(r.as_slice());
+                            pend.push(Pending { op: op_index as u32, p, len });
+                        });
+                    }
+                }
+            },
+        );
+        for (pos, buf) in bufs.iter().enumerate() {
+            let mut words = &buf.words[..];
+            for d in &buf.pend {
+                let (record, rest) = words.split_at(d.len as usize);
+                rec.fill_from_slice(record);
+                sink(FleetDelta {
+                    engine: ids[pos],
+                    op_index: d.op as usize,
+                    positiveness: d.p,
+                    record: rec,
+                });
+                words = rest;
+            }
+        }
     }
 }
 
@@ -386,10 +410,10 @@ mod tests {
         ]
     }
 
-    fn collect_batch(
-        fleet: &mut Fleet,
-        ops: &[UpdateOp],
-    ) -> Vec<(usize, usize, Positiveness, MatchRecord)> {
+    /// One delta as `(engine, op_index, positiveness, record)`.
+    type Delta = (usize, usize, Positiveness, MatchRecord);
+
+    fn collect_batch(fleet: &mut Fleet, ops: &[UpdateOp]) -> Vec<Delta> {
         let mut out = Vec::new();
         fleet.apply_batch(ops, &mut |d| {
             out.push((d.engine, d.op_index, d.positiveness, d.record.clone()));
@@ -397,26 +421,79 @@ mod tests {
         out
     }
 
-    #[test]
-    fn fleet_equals_standalone() {
-        let (g0, queries) = setup();
-
+    fn fleet_of(g0: &DynamicGraph, queries: &[QueryGraph]) -> Fleet {
         let mut fleet = Fleet::new(g0.clone());
-        for q in &queries {
+        for q in queries {
             fleet.register(q.clone(), TurboFluxConfig::default());
         }
-        let got = collect_batch(&mut fleet, &ops());
-        assert!(!got.is_empty());
+        fleet
+    }
 
-        // Standalone engines applying the ops one by one are the oracle.
+    /// Standalone engines, query `i` as engine `i`, applying `ops` one by
+    /// one: the oracle a fleet's deltas are held to.
+    fn standalone(g0: &DynamicGraph, queries: &[QueryGraph], ops: &[UpdateOp]) -> Vec<Delta> {
         let mut want = Vec::new();
         for (id, q) in queries.iter().enumerate() {
             let mut engine = TurboFlux::new(q.clone(), g0.clone(), TurboFluxConfig::default());
-            for (op_index, op) in ops().iter().enumerate() {
+            for (op_index, op) in ops.iter().enumerate() {
                 engine.apply_op(op, &mut |p, r| want.push((id, op_index, p, r.clone())));
             }
         }
-        assert_eq!(got, want);
+        want
+    }
+
+    /// One batch on a fresh fleet, the same ops as two batches on one warm
+    /// fleet (the second delivers its own deltas and nothing the first
+    /// buffered), each query alone (the one-engine fleet streams, unbuffered)
+    /// and a third engine the label-8 op skips: all equal the standalone
+    /// engines' deltas.
+    #[test]
+    fn fleet_equals_standalone() {
+        let (g0, queries) = setup();
+        let ops = ops();
+        let want = standalone(&g0, &queries, &ops);
+        assert!(!want.is_empty());
+        assert_eq!(collect_batch(&mut fleet_of(&g0, &queries), &ops), want);
+
+        let k = 3;
+        let mut fleet = fleet_of(&g0, &queries);
+        let first = collect_batch(&mut fleet, &ops[..k]);
+        let second = collect_batch(&mut fleet, &ops[k..]);
+        let (early, late): (Vec<Delta>, Vec<Delta>) = want.iter().cloned().partition(|d| d.1 < k);
+        assert!(!early.is_empty() && !late.is_empty());
+        assert_eq!(first, early);
+        let late: Vec<Delta> = late.into_iter().map(|(e, op, p, r)| (e, op - k, p, r)).collect();
+        assert_eq!(second, late);
+
+        for (id, q) in queries.iter().enumerate() {
+            let got = collect_batch(&mut fleet_of(&g0, std::slice::from_ref(q)), &ops);
+            let alone: Vec<Delta> = want.iter().filter(|d| d.0 == id).cloned().collect();
+            let alone: Vec<Delta> = alone.into_iter().map(|(_, op, p, r)| (0, op, p, r)).collect();
+            assert!(!alone.is_empty());
+            assert_eq!(got, alone, "query {id} alone");
+        }
+
+        let three = [queries[0].clone(), queries[1].clone(), queries[0].clone()];
+        let mut fleet = fleet_of(&g0, &three);
+        assert_eq!(collect_batch(&mut fleet, &ops), standalone(&g0, &three, &ops));
+        let stats = fleet.stats();
+        assert_eq!((stats.ops_routed, stats.ops_skipped), (13, 2), "q1 twice skips the label-8 op");
+    }
+
+    /// The routing counters of `ops()` plus one op on a label out of range:
+    /// five edge rounds (two ops skip at stage, one is a vertex), of which
+    /// the label-8 insert reaches q2 alone, and the refused op reaches none.
+    #[test]
+    fn stats_count_every_edge_round_once_per_engine() {
+        let (g0, queries) = setup();
+        let mut fleet = fleet_of(&g0, &queries);
+        let mut batch = ops();
+        let label = LabelId(LabelId::LIMIT);
+        batch.push(UpdateOp::InsertEdge { src: VertexId(0), label, dst: VertexId(1) });
+        fleet.apply_batch(&batch, &mut |_| {});
+        let want =
+            FleetStats { ops_routed: 9, ops_skipped: 1, ops_refused: 1, ..FleetStats::default() };
+        assert_eq!(fleet.stats(), want);
     }
 
     /// The frozen benchmark's `ShardedEngine` is a fleet of its queries

@@ -45,7 +45,7 @@ pub mod dcg;
 pub mod engine;
 pub mod fleet;
 mod ops;
-pub mod order;
+mod order;
 mod round;
 mod scratch;
 mod search;
@@ -55,7 +55,6 @@ pub use config::TurboFluxConfig;
 pub use dcg::{Dcg, DcgStorageStats, DcgView, EdgeState};
 pub use engine::TurboFlux;
 pub use fleet::{Fleet, FleetDelta, FleetStats, ShardStats, ShardedEngine};
-pub use order::OrderMaintenance;
 pub use search::INTERSECT_MIN_FRONTIER;
 pub use spec::{reference_dcg, DcgImage};
 

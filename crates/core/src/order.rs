@@ -30,8 +30,9 @@ const DRIFT_FLOOR: u64 = 64;
 /// Snapshot-and-compare state for matching-order drift detection.
 #[derive(Default, Debug, Clone)]
 pub struct OrderMaintenance {
-    /// Explicit counts at the time the current matching order was computed.
-    snapshot: Vec<u64>,
+    /// Explicit counts at the time the current matching order was computed
+    /// (empty before the first [`Self::resnapshot`]).
+    pub(crate) snapshot: Vec<u64>,
 }
 
 impl OrderMaintenance {
@@ -39,11 +40,6 @@ impl OrderMaintenance {
     pub fn resnapshot(&mut self, counts: &[u64]) {
         self.snapshot.clear();
         self.snapshot.extend_from_slice(counts);
-    }
-
-    /// The captured counts (empty before the first [`Self::resnapshot`]).
-    pub fn snapshot(&self) -> &[u64] {
-        &self.snapshot
     }
 
     /// The paper's "significant change" predicate for one count: the larger
@@ -190,7 +186,7 @@ mod tests {
         let mut om = OrderMaintenance::default();
         om.resnapshot(&[1, 2]);
         om.resnapshot(&[500, 600]);
-        assert_eq!(om.snapshot(), &[500, 600]);
+        assert_eq!(om.snapshot, [500, 600]);
         assert!(!om.drifted_masked(&[500, 600], 0b11));
     }
 }

@@ -38,7 +38,7 @@ pub mod window;
 
 pub use driver::{BatchPolicy, BatchTarget, RunSummary, StreamDriver, StreamStats};
 pub use event::StreamEvent;
-pub use sink::{CallbackSink, CountingSink, DeltaRef, DeltaSink, JsonlSink, NullSink};
+pub use sink::{CallbackSink, CountingSink, DeltaRef, DeltaSink, JsonlSink};
 pub use source::{ErrorMode, FileSource, SourceError, StreamSource, VecSource};
 pub use synthetic::{SyntheticKind, SyntheticSource};
 pub use window::{SlidingWindow, WindowSpec};

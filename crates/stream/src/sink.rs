@@ -44,14 +44,6 @@ pub trait DeltaSink {
     fn on_summary(&mut self, _summary: &RunSummary) {}
 }
 
-/// Discards everything (benchmark baseline).
-#[derive(Default)]
-pub struct NullSink;
-
-impl DeltaSink for NullSink {
-    fn on_delta(&mut self, _d: &DeltaRef<'_>) {}
-}
-
 /// Counts deltas without keeping them.
 #[derive(Default, Debug)]
 pub struct CountingSink {

@@ -63,6 +63,19 @@ if grep -rnE "fn (build_upwards|clear_upwards|plan_seeds_into)\b" crates/core/sr
   exit 1
 fi
 
+echo "=== one round loop ==="
+# `round::apply` is the one loop a batch is applied with, by the standalone
+# engine and the fleet alike (DESIGN.md, "Round driver"): each hands it a
+# closure, and nothing outside `round.rs` stages, finalizes or hints an op
+# itself. A hook trait, a second loop or a caller of the round's halves comes
+# back by deleting this check and saying what the closures cannot do.
+if grep -rnE "trait Rounds\b|fn drive\b" crates/core/src \
+  || grep -rnE "round::((stage|finalize|lookahead)\b|\{[^}]*\b(stage|finalize|lookahead)\b)" \
+    crates/core/src --exclude=round.rs; then
+  echo "ci: a second round loop, or a round half called outside round.rs, is back" >&2
+  exit 1
+fi
+
 echo "=== one tokenizer ==="
 # Graph, query and stream files are read by the one line scanner in
 # `parser.rs` (`scan`, `LabelCache`; DESIGN.md, "Text ingest"), and it is the

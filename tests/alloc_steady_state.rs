@@ -442,12 +442,12 @@ fn text_source_lines_of_known_labels_do_not_allocate() {
     assert_eq!(during, 0, "{LINES} text lines of one known label allocated {during} times");
 }
 
-/// The buffered emission of a multi-cell batch (`round::drive`: a fleet of
+/// The buffered emission of a multi-engine batch (`Fleet::apply_batch` with
 /// two queries) holds its deltas in flat buffers that stay warm across
 /// batches. Eight `B` hubs of 40 `C` leaves under the path query
 /// `A -r-> B -s-> C`; one batch feeds and unfeeds every hub from one `A`
 /// source: 8 × 40 × 2 = 640 deltas per query. A warm batch allocates
-/// nothing: the buffers drain cell by cell, with no sort and no merge
+/// nothing: the buffers drain engine by engine, with no sort and no merge
 /// buffer, where every delta used to cost a record clone.
 fn warm_multi_cell_batches_allocate_per_batch_not_per_delta() {
     const HUBS: u32 = 8;

@@ -1,7 +1,7 @@
-//! The one harness the delta oracles (`stream_oracle`, `fleet_equivalence`,
-//! `shard_equivalence`) run on. [`random_scenario`] draws a [`Scenario`] of
-//! one of six [`Shape`]s; [`closing_edge_scenario`] and [`lookahead_hazards`]
-//! build what the draws reach too rarely. [`assert_equivalent`] runs a
+//! The one harness the delta oracles (`stream_oracle`, `fleet_equivalence`)
+//! run on. [`random_scenario`] draws a [`Scenario`] of one of six
+//! [`Shape`]s; [`closing_edge_scenario`] and [`lookahead_hazards`] build
+//! what the draws reach too rarely. [`assert_equivalent`] runs a
 //! scenario under one semantics × window × batch policy through
 //! `StreamDriver` on both runtimes — [`TurboFlux`] per query, under the
 //! adjusting and the static matching order, and [`Fleet`] — and holds the
@@ -353,8 +353,8 @@ pub fn closing_edge_scenario() -> Scenario {
     Scenario { g0: g, queries: vec![q], events, churn: None }
 }
 
-/// A stream built to put every hazard of the batch lookahead (`round::drive`
-/// and `TurboFlux::apply_batch` hint the ops 2, 4 and 8 rounds ahead) inside
+/// A stream built to put every hazard of the batch lookahead (`round::apply`,
+/// the round loop of both runtimes, hints the ops 2 and 4 rounds ahead) inside
 /// one batch, within that distance of each other: an `AddVertex` and the
 /// insert that uses it; straggler inserts that grow the vertex table, one by
 /// a gap; deletes naming ids no line ever created; a duplicate insert; a
