@@ -11,7 +11,7 @@
 
 use rustc_hash::FxHashSet;
 use std::collections::VecDeque;
-use tfx_graph::{DynamicGraph, LabelId, UpdateOp, VertexId};
+use tfx_graph::{Dir, DynamicGraph, LabelId, UpdateOp, VertexId};
 use tfx_query::{
     diameter, ContinuousMatcher, MatchRecord, MatchSemantics, Positiveness, QueryGraph,
 };
@@ -85,7 +85,7 @@ impl IncIsoMat {
             if d == self.diameter {
                 continue;
             }
-            for (w, _) in self.g.out_neighbors(v).chain(self.g.in_neighbors(v)) {
+            for (w, _) in self.g.neighbors(v, Dir::Out).chain(self.g.neighbors(v, Dir::In)) {
                 if dist_ok.insert(w) {
                     queue.push_back((w, d + 1));
                 }

@@ -47,7 +47,7 @@
 
 use std::ops::Deref;
 
-use tfx_graph::{AdjacencyMode, DynamicGraph, LabelId, LabelSet, VertexId};
+use tfx_graph::{Dir, DynamicGraph, LabelId, LabelSet, VertexId};
 use tfx_query::{QVertexId, QueryGraph, QueryTree};
 
 use crate::spec::DcgImage;
@@ -165,9 +165,10 @@ impl Bits {
 struct TreeEdge {
     parent: QVertexId,
     label: Option<LabelId>,
-    /// The query edge points from the parent to the child: a parent's
-    /// candidates are its out-neighbors, a child's parents its in-neighbors.
-    down: bool,
+    /// The way a parent reads its candidates: `Out` when the query edge
+    /// points from the parent to the child. A child reads its parents the
+    /// other way.
+    down: Dir,
 }
 
 /// Shape counters of the DCG (see [`Dcg::storage_stats`]).
@@ -231,9 +232,9 @@ impl Dcg {
                 Some(e) => TreeEdge {
                     parent: tree.parent(u).expect("a tree edge has a parent"),
                     label: q.edge(e).label,
-                    down: tree.child_is_target(u),
+                    down: if tree.child_is_target(u) { Dir::Out } else { Dir::In },
                 },
-                None => TreeEdge { parent: u, label: None, down: true },
+                None => TreeEdge { parent: u, label: None, down: Dir::Out },
             })
             .collect();
         let children =
@@ -461,7 +462,7 @@ impl Dcg {
         let other = |w: VertexId| w != except && Some(w) != skip && set.has(w);
         match self.run(g, v, u, to_child) {
             Some(run) => run.iter().any(|&w| other(w)),
-            None => self.every_group(g, v, u, to_child).any(other),
+            None => g.neighbors(v, self.side(u, to_child)).any(|(w, _)| other(w)),
         }
     }
 
@@ -476,9 +477,20 @@ impl Dcg {
         image: Option<(VertexId, VertexId)>,
     ) -> Option<VertexId> {
         let (src, dst) = image?;
-        let (near, far) =
-            if self.edges[u.index()].down == to_child { (src, dst) } else { (dst, src) };
+        let (near, far) = if self.side(u, to_child) == Dir::Out { (src, dst) } else { (dst, src) };
         (near == v).then_some(far)
+    }
+
+    /// The way `v` reads under the tree edge into `u`: toward its candidates
+    /// for `u` (`to_child`) or toward its candidate parents.
+    #[inline]
+    fn side(&self, u: QVertexId, to_child: bool) -> Dir {
+        let down = self.edges[u.index()].down;
+        if to_child {
+            down
+        } else {
+            down.reverse()
+        }
     }
 
     /// The graph group `v` reads under the tree edge into `u`: `v`'s
@@ -494,14 +506,8 @@ impl Dcg {
         u: QVertexId,
         to_child: bool,
     ) -> Option<&'g [VertexId]> {
-        let e = self.edges[u.index()];
-        let label = e.label?;
-        let group = if e.down == to_child {
-            g.out_neighbors_labeled(v, label)
-        } else {
-            g.in_neighbors_labeled(v, label)
-        };
-        Some(group.as_id_slice())
+        let label = self.edges[u.index()].label?;
+        Some(g.group(v, self.side(u, to_child), label))
     }
 
     /// The directed data pair `(src, dst)` of the DCG edge `(pv, u, cv)`: the
@@ -509,32 +515,16 @@ impl Dcg {
     /// is its own inverse, so the pair of `(src, dst)` is `(pv, cv)` again.
     #[inline]
     pub(crate) fn pair(&self, u: QVertexId, pv: VertexId, cv: VertexId) -> (VertexId, VertexId) {
-        if self.edges[u.index()].down {
+        if self.edges[u.index()].down == Dir::Out {
             (pv, cv)
         } else {
             (cv, pv)
         }
     }
 
-    /// Every neighbor on the side of `v` [`Dcg::run`] names, over all labels
-    /// in `(label, id)` order: once per parallel edge.
-    fn every_group<'g>(
-        &self,
-        g: &'g DynamicGraph,
-        v: VertexId,
-        u: QVertexId,
-        to_child: bool,
-    ) -> impl Iterator<Item = VertexId> + 'g {
-        if self.edges[u.index()].down == to_child {
-            g.out_neighbors_matching(v, None, AdjacencyMode::Indexed)
-        } else {
-            g.in_neighbors_matching(v, None, AdjacencyMode::Indexed)
-        }
-    }
-
     /// Appends the members of the group [`Dcg::run`] names that `keep`
-    /// accepts to `buf`, ascending and each once: a wildcard walks every
-    /// label group, and meets a neighbor once per parallel edge.
+    /// accepts to `buf`, ascending and each once: a wildcard's are the
+    /// graph's [`DynamicGraph::collect_any`].
     pub(crate) fn collect(
         &self,
         g: &DynamicGraph,
@@ -544,14 +534,10 @@ impl Dcg {
         keep: impl Fn(VertexId) -> bool,
         buf: &mut Vec<VertexId>,
     ) {
-        if let Some(run) = self.run(g, v, u, to_child) {
-            buf.extend(run.iter().copied().filter(|&w| keep(w)));
-            return;
+        match self.run(g, v, u, to_child) {
+            Some(run) => buf.extend(run.iter().copied().filter(|&w| keep(w))),
+            None => g.collect_any(v, self.side(u, to_child), keep, buf),
         }
-        let start = buf.len();
-        buf.extend(self.every_group(g, v, u, to_child).filter(|&w| keep(w)));
-        buf[start..].sort_unstable();
-        dedup_tail(buf, start);
     }
 
     /// Appends `pv`'s candidates for `u` to `buf`, ascending and each once:
@@ -755,19 +741,6 @@ impl Dcg {
         assert_eq!(stored, self.stored_edges, "stored_edges counter wrong");
         assert_eq!(expl, self.expl_count, "expl_count wrong");
     }
-}
-
-/// Drops repeats from the sorted segment `buf[start..]` in place
-/// (`Vec::dedup` would scan the prefix too).
-fn dedup_tail(buf: &mut Vec<VertexId>, start: usize) {
-    let mut write = start;
-    for read in start..buf.len() {
-        if write == start || buf[write - 1] != buf[read] {
-            buf[write] = buf[read];
-            write += 1;
-        }
-    }
-    buf.truncate(write);
 }
 
 /// A DCG read against the data graph it derives from: what

@@ -29,7 +29,7 @@
 //! which is required for correctness when the updated edge matches several
 //! tree edges.
 
-use tfx_graph::{intersect_into, DynamicGraph, LabelId, VertexId};
+use tfx_graph::{intersect_into, Dir, DynamicGraph, LabelId, VertexId};
 use tfx_query::{EdgeId, MatchRecord, MatchSemantics, Positiveness, QVertexId};
 
 use crate::dcg::EdgeState;
@@ -357,25 +357,21 @@ impl TurboFlux {
             let Some(label) = qe.label else { continue };
             // Query edge u → w maps to data edge v → m(w), so candidates
             // lie in m(w)'s *in*-run; w → u symmetrically in its out-run.
-            let run = if qe.src == u && qe.dst != u {
-                match scratch.m[qe.dst.index()] {
-                    Some(w) => g.in_neighbors_labeled(w, label),
-                    None => continue,
-                }
+            let (w, dir) = if qe.src == u && qe.dst != u {
+                (qe.dst, Dir::In)
             } else if qe.dst == u && qe.src != u {
-                match scratch.m[qe.src.index()] {
-                    Some(w) => g.out_neighbors_labeled(w, label),
-                    None => continue,
-                }
+                (qe.src, Dir::Out)
             } else {
                 continue; // self-loop: left to IsJoinable
             };
+            let Some(mw) = scratch.m[w.index()] else { continue };
+            let run = g.group(mw, dir, label);
             if let Some(frontier) = frontier.take() {
-                intersect_into(frontier, run.as_id_slice(), &mut scratch.isect);
+                intersect_into(frontier, run, &mut scratch.isect);
             } else {
                 let tmp_base = scratch.isect_tmp.len();
                 let SearchScratch { isect, isect_tmp, .. } = scratch;
-                intersect_into(&isect[base..], run.as_id_slice(), isect_tmp);
+                intersect_into(&isect[base..], run, isect_tmp);
                 scratch.isect.truncate(base);
                 let (lo, hi) = (tmp_base, scratch.isect_tmp.len());
                 scratch.isect.extend_from_slice(&scratch.isect_tmp[lo..hi]);

@@ -18,7 +18,7 @@
 //! cross-crate property tests.
 
 use std::collections::{BTreeMap, HashSet};
-use tfx_graph::{AdjacencyMode, DynamicGraph, VertexId};
+use tfx_graph::{Dir, DynamicGraph, VertexId};
 use tfx_query::{QVertexId, QueryGraph, QueryTree};
 
 use crate::dcg::EdgeState;
@@ -93,7 +93,9 @@ pub fn reference_dcg(g: &DynamicGraph, q: &QueryGraph, tree: &QueryTree) -> DcgI
 
 /// Calls `f` with every data vertex `cv` such that a live data edge matching
 /// the tree edge into `u` joins `pv` and `cv`, both endpoints' labels
-/// matching, in `(label, id)` order: once per parallel edge.
+/// matching, in `(label, id)` order: once per parallel edge. It walks every
+/// neighbor and tests the label itself, so it never reads the label lookup
+/// (the engine's `DynamicGraph::group`) it cross-validates.
 fn for_each_child_candidate(
     g: &DynamicGraph,
     q: &QueryGraph,
@@ -103,16 +105,16 @@ fn for_each_child_candidate(
     f: &mut dyn FnMut(VertexId),
 ) {
     let qe = q.edge(tree.parent_edge(u).expect("non-root vertex has a parent edge"));
-    let (parent, child, near) = if tree.child_is_target(u) {
-        (qe.src, qe.dst, g.out_neighbors_matching(pv, qe.label, AdjacencyMode::FlatScan))
+    let (parent, child, dir) = if tree.child_is_target(u) {
+        (qe.src, qe.dst, Dir::Out)
     } else {
-        (qe.dst, qe.src, g.in_neighbors_matching(pv, qe.label, AdjacencyMode::FlatScan))
+        (qe.dst, qe.src, Dir::In)
     };
     if !q.labels(parent).is_subset_of(g.labels(pv)) {
         return;
     }
-    for cv in near {
-        if q.labels(child).is_subset_of(g.labels(cv)) {
+    for (cv, label) in g.neighbors(pv, dir) {
+        if qe.label.is_none_or(|l| l == label) && q.labels(child).is_subset_of(g.labels(cv)) {
             f(cv);
         }
     }

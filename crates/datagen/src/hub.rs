@@ -177,7 +177,7 @@ pub fn probe_query(d: &Dataset) -> QueryGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfx_graph::{GraphStats, FLAT_MAX};
+    use tfx_graph::{Dir, GraphStats, FLAT_MAX};
     use tfx_query::choose_start_vertex;
 
     #[test]
@@ -200,11 +200,11 @@ mod tests {
         let probe = d.interner.get("probe").unwrap();
         for h in 0..cfg.hubs {
             let hub = VertexId((cfg.sources + h) as u32);
-            assert!(d.g0.out_degree(hub) > FLAT_MAX, "hub fan-out is the skew");
-            assert!(d.g0.out_is_directory(hub));
-            let group = d.g0.out_neighbors_labeled(hub, probe);
+            assert!(d.g0.degree(hub, Dir::Out) > FLAT_MAX, "hub fan-out is the skew");
+            assert!(d.g0.is_directory(hub, Dir::Out));
+            let group = d.g0.group(hub, Dir::Out, probe);
             assert_eq!(group.len(), cfg.probe_edges_per_hub);
-            assert!(group.len() * 8 < d.g0.out_degree(hub), "probe group is the rare one");
+            assert!(group.len() * 8 < d.g0.degree(hub, Dir::Out), "probe group is the rare one");
         }
     }
 
@@ -216,13 +216,14 @@ mod tests {
         let unseeded = cfg.hubs - (cfg.hubs / 4).max(1);
         assert_eq!(d.stream.ops().len(), cfg.rounds * unseeded * 2);
         let mut g = d.g0.clone();
-        let base: Vec<usize> = d.g0.vertices().map(|v| d.g0.in_degree_labeled(v, feed)).collect();
+        let base: Vec<usize> =
+            d.g0.vertices().map(|v| d.g0.group(v, Dir::In, feed).len()).collect();
         for op in &d.stream {
             g.apply(op);
         }
         // Every round returns the graph to its initial feed state.
         for v in g.vertices() {
-            assert_eq!(g.in_degree_labeled(v, feed), base[v.index()]);
+            assert_eq!(g.group(v, Dir::In, feed).len(), base[v.index()]);
         }
         for op in d.stream.ops() {
             match op {

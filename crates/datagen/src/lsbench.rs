@@ -190,6 +190,7 @@ fn window_shuffle<T>(items: &mut [T], window: usize, rng: &mut Pcg32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tfx_graph::Dir;
 
     #[test]
     fn deterministic() {
@@ -226,7 +227,8 @@ mod tests {
     fn degrees_are_heavy_tailed() {
         let d = generate(&LsBenchConfig { users: 300, seed: 5, stream_frac: 0.1 });
         let g = d.final_graph();
-        let mut degs: Vec<usize> = g.vertices().map(|v| g.degree(v)).collect();
+        let mut degs: Vec<usize> =
+            g.vertices().map(|v| g.degree(v, Dir::Out) + g.degree(v, Dir::In)).collect();
         degs.sort_unstable_by(|a, b| b.cmp(a));
         let max = degs[0];
         let median = degs[degs.len() / 2];

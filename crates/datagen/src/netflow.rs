@@ -84,6 +84,7 @@ pub fn generate(cfg: &NetflowConfig) -> Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tfx_graph::Dir;
 
     #[test]
     fn deterministic_and_sized() {
@@ -111,7 +112,8 @@ mod tests {
     fn degrees_are_heavy_tailed() {
         let d = generate(&NetflowConfig { hosts: 500, flows: 10_000, seed: 3, stream_frac: 0.1 });
         let g = d.final_graph();
-        let mut degs: Vec<usize> = g.vertices().map(|v| g.degree(v)).collect();
+        let mut degs: Vec<usize> =
+            g.vertices().map(|v| g.degree(v, Dir::Out) + g.degree(v, Dir::In)).collect();
         degs.sort_unstable_by(|a, b| b.cmp(a));
         assert!(degs[0] >= 5 * degs[degs.len() / 2].max(1));
     }

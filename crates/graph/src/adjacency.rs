@@ -42,10 +42,9 @@
 //! nothing. Every label group of every layout is a contiguous `&[VertexId]`
 //! the intersection kernels read in place, and layout never changes
 //! enumeration order (pinned by the randomized tests below,
-//! `tests/adjacency_oracle.rs` and `crates/graph/tests/storage.rs`) — which
-//! is what lets [`AdjacencyMode::FlatScan`] serve as a faithful reference
-//! path: same storage, same order, but every lookup walks the whole run and
-//! filters, like the pre-index code.
+//! `tests/adjacency_oracle.rs` and `crates/graph/tests/storage.rs`), so a
+//! walk of every entry filtered by label — which never locates a group — is
+//! the reference each group is checked against, and `core::spec`'s reader.
 
 use crate::arena::{class_cap, class_for, SlotArena};
 use crate::ids::{LabelId, VertexId};
@@ -98,22 +97,6 @@ const GROUPS_SHIFT: u32 = LEN_BITS;
 const CLASS_SHIFT: u32 = 24;
 /// The class bits, shifted down.
 const CLASS_MASK: u32 = 0x3F;
-
-/// How scan sites access the adjacency index.
-///
-/// Storage is always label-partitioned; this only selects the *access path*,
-/// so both modes produce byte-identical results. The engine always reads
-/// through [`Self::Indexed`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum AdjacencyMode {
-    /// Label-qualified lookups: locate the label group, walk only it.
-    #[default]
-    Indexed,
-    /// Pre-index behavior: walk the entire neighbor list and filter by
-    /// label. The spec oracle's reference path, and the other side of the
-    /// accessor-level benchmarks.
-    FlatScan,
-}
 
 /// A single vertex's adjacency in one direction: a handle into the arena.
 /// An empty run owns no slot, and neither does an inline one, whose entry
@@ -708,18 +691,18 @@ impl Adjacency {
     /// The neighbors reachable over an edge labeled exactly `label`, as a
     /// sorted duplicate-free run.
     #[inline]
-    pub(crate) fn labeled<'a>(&'a self, a: &'a Arena, label: LabelId) -> LabeledNeighbors<'a> {
+    pub(crate) fn group<'a>(&'a self, a: &'a Arena, label: LabelId) -> &'a [VertexId] {
         if self.is_directory() {
             let dir = self.dir(a);
             let ids = find_group(dir, label).map(|g| group_ids(a.data(), &dir[g * REC..]));
-            return LabeledNeighbors(ids.unwrap_or(&[]));
+            return ids.unwrap_or(&[]);
         }
         if self.is_inline() {
-            return LabeledNeighbors(self.inline_ids(label));
+            return self.inline_ids(label);
         }
         let (heads, ids) = self.flat(a);
         let (_, at, n) = find_head(heads, label);
-        LabeledNeighbors(&ids[at..at + n])
+        &ids[at..at + n]
     }
 
     /// The batch lookahead's hint (`tfx_core::round::lookahead`) for a coming
@@ -765,19 +748,21 @@ impl Adjacency {
         Neighbors { groups: self.groups(a), label: LabelId(0), ids: [].iter() }
     }
 
-    /// Neighbors matching an optional query-edge label, via the access path
-    /// selected by `mode`. Yields in `(label, neighbor)` order either way.
-    #[inline]
-    pub(crate) fn matching<'a>(
-        &'a self,
-        a: &'a Arena,
-        qlabel: Option<LabelId>,
-        mode: AdjacencyMode,
-    ) -> MatchingNeighbors<'a> {
-        MatchingNeighbors(match (qlabel, mode) {
-            (Some(label), AdjacencyMode::Indexed) => MatchingRepr::Labeled(self.labeled(a, label)),
-            _ => MatchingRepr::Scan { groups: self.groups(a), qlabel, keep: false, ids: [].iter() },
-        })
+    /// Appends to `buf` every neighbor over any label that `keep` accepts,
+    /// ascending and each once: a neighbor joined by edges of several labels
+    /// is met once per label group, and kept once.
+    pub(crate) fn collect_any(
+        &self,
+        a: &Arena,
+        mut keep: impl FnMut(VertexId) -> bool,
+        buf: &mut Vec<VertexId>,
+    ) {
+        let start = buf.len();
+        for (_, ids) in self.groups(a) {
+            buf.extend(ids.iter().copied().filter(|&w| keep(w)));
+        }
+        buf[start..].sort_unstable();
+        dedup_tail(buf, start);
     }
 
     /// True iff some entry points at `v` (any label).
@@ -834,51 +819,6 @@ impl<'a> Iterator for Groups<'a> {
     }
 }
 
-/// Iterator over one label group's neighbors (sorted, duplicate-free).
-#[derive(Clone, Copy)]
-pub struct LabeledNeighbors<'a>(&'a [VertexId]);
-
-impl<'a> LabeledNeighbors<'a> {
-    /// Number of neighbors in the group — the label-qualified degree.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True iff the group is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// True iff `v` is in the group: linear under the probe cutoff, binary
-    /// search above it (see [`crate::intersect::contains_sorted`]).
-    pub fn contains(&self, v: VertexId) -> bool {
-        contains_sorted(self.0, v)
-    }
-
-    /// The group as a contiguous id slice, borrowed from the graph's arena:
-    /// what the intersection kernels read zero-copy.
-    pub fn as_id_slice(&self) -> &'a [VertexId] {
-        self.0
-    }
-}
-
-impl Iterator for LabeledNeighbors<'_> {
-    type Item = VertexId;
-
-    #[inline]
-    fn next(&mut self) -> Option<VertexId> {
-        let (&v, rest) = self.0.split_first()?;
-        self.0 = rest;
-        Some(v)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.0.len(), Some(self.0.len()))
-    }
-}
-
-impl ExactSizeIterator for LabeledNeighbors<'_> {}
-
 /// Iterator over all `(neighbor, edge label)` pairs of one adjacency run,
 /// in `(label, neighbor)` order regardless of layout.
 #[derive(Clone)]
@@ -904,40 +844,17 @@ impl Iterator for Neighbors<'_> {
     }
 }
 
-/// Iterator over neighbors matching an optional query-edge label, through
-/// either access path ([`AdjacencyMode`]). Yields neighbor ids.
-pub struct MatchingNeighbors<'a>(MatchingRepr<'a>);
-
-enum MatchingRepr<'a> {
-    Labeled(LabeledNeighbors<'a>),
-    /// Walks every group; `keep` says whether the one being walked matches.
-    Scan {
-        groups: Groups<'a>,
-        qlabel: Option<LabelId>,
-        keep: bool,
-        ids: std::slice::Iter<'a, VertexId>,
-    },
-}
-
-impl Iterator for MatchingNeighbors<'_> {
-    type Item = VertexId;
-
-    #[inline]
-    fn next(&mut self) -> Option<VertexId> {
-        match &mut self.0 {
-            MatchingRepr::Labeled(iter) => iter.next(),
-            MatchingRepr::Scan { groups, qlabel, keep, ids } => loop {
-                match ids.next() {
-                    Some(&v) if *keep => return Some(v),
-                    Some(_) => {}
-                    None => {
-                        let (label, run) = groups.next()?;
-                        (*keep, *ids) = (qlabel.is_none_or(|ql| ql == label), run.iter());
-                    }
-                }
-            },
+/// Drops repeats from the sorted segment `buf[start..]` in place
+/// (`Vec::dedup` would scan the prefix too).
+fn dedup_tail(buf: &mut Vec<VertexId>, start: usize) {
+    let mut write = start;
+    for read in start..buf.len() {
+        if write == start || buf[write - 1] != buf[read] {
+            buf[write] = buf[read];
+            write += 1;
         }
     }
+    buf.truncate(write);
 }
 
 #[cfg(test)]
@@ -970,10 +887,12 @@ mod tests {
         assert!(!r.insert(&mut a, l(2), v(3)), "duplicate");
         let want = vec![(v(1), l(1)), (v(9), l(1)), (v(3), l(2)), (v(5), l(2))];
         assert_eq!(r.iter(&a).collect::<Vec<_>>(), want);
-        assert_eq!(r.labeled(&a, l(2)).as_id_slice(), &[v(3), v(5)]);
-        assert_eq!(r.labeled(&a, l(1)).len(), 2);
-        assert!(r.labeled(&a, l(7)).is_empty() && r.labeled(&a, l(0)).is_empty());
-        assert!(r.labeled(&a, l(1)).contains(v(9)) && !r.labeled(&a, l(1)).contains(v(3)));
+        assert_eq!(r.group(&a, l(2)), &[v(3), v(5)]);
+        assert_eq!(r.group(&a, l(1)).len(), 2);
+        assert!(r.group(&a, l(7)).is_empty() && r.group(&a, l(0)).is_empty());
+        assert!(
+            contains_sorted(r.group(&a, l(1)), v(9)) && !contains_sorted(r.group(&a, l(1)), v(3))
+        );
         assert_eq!(r.label_runs(&a).collect::<Vec<_>>(), vec![(l(1), 2), (l(2), 2)]);
         assert!(!r.remove(&mut a, l(1), v(5)), "absent neighbor");
         assert!(!r.remove(&mut a, l(9), v(1)), "absent label");
@@ -993,7 +912,7 @@ mod tests {
         assert_eq!(got.len(), FLAT_MAX + 1);
         for lab in 0..3 {
             let flat: Vec<_> = got.iter().filter(|e| e.1 == l(lab)).map(|e| e.0).collect();
-            assert_eq!(r.labeled(&a, l(lab)).as_id_slice(), &flat[..]);
+            assert_eq!(r.group(&a, l(lab)), &flat[..]);
         }
         // Shrinking keeps the directory down to half of FLAT_MAX, then folds.
         for &(w, lab) in &got[..FLAT_MAX / 2] {
@@ -1017,39 +936,81 @@ mod tests {
         let mut a = Arena::new();
         let mut r = run_of(&mut a, (0..3 * FLAT_MAX as u32).map(|i| (i % 3, i)));
         assert!(r.is_directory());
-        for w in r.labeled(&a, l(1)).collect::<Vec<_>>() {
+        for w in r.group(&a, l(1)).to_vec() {
             assert!(r.remove(&mut a, l(1), w));
         }
-        assert!(r.labeled(&a, l(1)).is_empty());
+        assert!(r.group(&a, l(1)).is_empty());
         let n = FLAT_MAX;
         assert_eq!(r.label_runs(&a).collect::<Vec<_>>(), vec![(l(0), n), (l(2), n)]);
         assert_eq!(r.slots(&a).count(), 3, "the emptied group's slot went back");
         let free = a.free_slots();
         assert!(r.insert(&mut a, l(1), v(999)));
         assert_eq!(a.free_slots(), free - 1, "and is reused, not carved");
-        assert_eq!(r.labeled(&a, l(1)).as_id_slice(), &[v(999)]);
+        assert_eq!(r.group(&a, l(1)), &[v(999)]);
         assert!(!r.remove(&mut a, l(1), v(0)), "absent neighbor");
         assert!(!r.remove(&mut a, l(9), v(0)), "absent label");
         a.validate(r.slots(&a));
     }
 
+    /// Grown one entry at a time from empty past `FLAT_MAX` and drained
+    /// back — inline, flat, directory, flat again — a run's every label
+    /// group equals the label filter of its full walk, the wildcard
+    /// collector equals that walk's ids sorted and deduplicated (parallel
+    /// edges under other labels included), and the target probes count the
+    /// walk's entries. The walk never locates a group.
     #[test]
-    fn matching_modes_and_target_probes_agree_across_layouts() {
-        let mut a = Arena::new();
-        for n in [5, FLAT_MAX as u32 + 5] {
-            let r = run_of(&mut a, (0..n).map(|i| (i % 4, i * 7 % 31)));
-            assert_eq!(r.is_directory(), n as usize > FLAT_MAX);
-            for qlabel in [None, Some(l(0)), Some(l(3)), Some(l(9))] {
-                let indexed: Vec<_> = r.matching(&a, qlabel, AdjacencyMode::Indexed).collect();
-                let scanned: Vec<_> = r.matching(&a, qlabel, AdjacencyMode::FlatScan).collect();
-                assert_eq!(indexed, scanned, "qlabel {qlabel:?}");
+    fn groups_and_the_wildcard_collector_match_a_filtered_walk_across_layouts() {
+        // Ids repeat 31 apart under another label: parallel edges. The last
+        // entry's label sorts after every group of the directory it joins.
+        let mut entries: Vec<_> =
+            (0..FLAT_MAX as u32 + 5).map(|i| (l(i % 4), v(i * 7 % 31))).collect();
+        entries.push((l(9), v(3)));
+        let check = |a: &Arena, r: &Adjacency| {
+            let walk: Vec<(VertexId, LabelId)> = r.iter(a).collect();
+            for label in [0, 1, 3, 9].map(l) {
+                let want: Vec<_> = walk.iter().filter(|e| e.1 == label).map(|e| e.0).collect();
+                assert_eq!(r.group(a, label), &want[..], "label {label:?}");
+            }
+            for odd in [false, true] {
+                let keep = |w: VertexId| !odd || w.0 % 2 == 1;
+                let mut want: Vec<_> = walk.iter().map(|e| e.0).filter(|&w| keep(w)).collect();
+                want.sort_unstable();
+                want.dedup();
+                // A prefix the collector must leave as it is.
+                let mut got = vec![v(u32::MAX), v(0)];
+                r.collect_any(a, keep, &mut got);
+                assert_eq!(got[..2], [v(u32::MAX), v(0)]);
+                assert_eq!(got[2..], want[..], "odd ids only: {odd}");
             }
             for w in 0..32 {
-                let want = r.iter(&a).filter(|e| e.0 == v(w)).count();
-                assert_eq!(r.count_to(&a, v(w)), want);
-                assert_eq!(r.any_to(&a, v(w)), want > 0);
+                let want = walk.iter().filter(|e| e.0 == v(w)).count();
+                assert_eq!(r.count_to(a, v(w)), want);
+                assert_eq!(r.any_to(a, v(w)), want > 0);
             }
+        };
+        let (mut a, mut r) = (Arena::new(), Adjacency::EMPTY);
+        let mut layouts = Vec::new();
+        let mut seen = |r: &Adjacency| {
+            let layout = (r.is_inline(), r.is_flat(), r.is_directory());
+            if layouts.last() != Some(&layout) {
+                layouts.push(layout);
+            }
+        };
+        check(&a, &r);
+        for &(lab, w) in &entries {
+            assert!(r.insert(&mut a, lab, w));
+            check(&a, &r);
+            seen(&r);
         }
+        for &(lab, w) in entries.iter().rev() {
+            assert!(r.remove(&mut a, lab, w));
+            check(&a, &r);
+            seen(&r);
+        }
+        let (inline, flat, dir) =
+            ((true, false, false), (false, true, false), (false, false, true));
+        let empty = (false, false, false);
+        assert_eq!(layouts, [inline, flat, dir, flat, inline, empty]);
     }
 
     /// The tentpole invariant: under any interleaving of inserts and
@@ -1106,8 +1067,11 @@ mod tests {
                 assert_eq!(r.label_runs(&a).collect::<Vec<_>>(), want_runs, "step {step}");
                 for &(lab, n) in &want_runs {
                     let want = reference.range((lab, v(0))..=(lab, v(u32::MAX))).map(|e| e.1);
-                    assert!(r.labeled(&a, lab).eq(want), "label {lab:?} at step {step}");
-                    assert_eq!(r.labeled(&a, lab).len(), n);
+                    assert!(
+                        r.group(&a, lab).iter().copied().eq(want),
+                        "label {lab:?} at step {step}"
+                    );
+                    assert_eq!(r.group(&a, lab).len(), n);
                 }
             }
             for (lab, w) in std::mem::take(&mut reference) {
@@ -1155,9 +1119,9 @@ mod tests {
         assert_eq!(groups, labels.len());
         for lab in labels {
             let want = reference.range((lab, v(0))..=(lab, v(u32::MAX))).map(|e| e.1);
-            assert!(r.labeled(a, lab).eq(want), "label {lab:?}");
+            assert!(r.group(a, lab).iter().copied().eq(want), "label {lab:?}");
         }
-        assert!(r.labeled(a, l(0)).is_empty(), "no case uses label 0");
+        assert!(r.group(a, l(0)).is_empty(), "no case uses label 0");
     }
 
     /// Grows a run from empty by `entries`, in order, then removes them in

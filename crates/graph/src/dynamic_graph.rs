@@ -17,12 +17,9 @@
 //! * Vertices are never physically removed — the paper's update streams only
 //!   insert/delete edges — but new vertices can appear at any point.
 
-use crate::adjacency::{
-    Adjacency, AdjacencyMode, Arena, LabeledNeighbors, MatchingNeighbors, Neighbors, RunWords,
-    FLAT_MAX,
-};
+use crate::adjacency::{Adjacency, Arena, Neighbors, RunWords, FLAT_MAX};
 use crate::ids::{LabelId, VertexId};
-use crate::intersect::prefetch_at;
+use crate::intersect::{contains_sorted, prefetch_at};
 use crate::labels::{LabelSet, SetId, SetTable};
 use crate::stream::UpdateOp;
 use std::borrow::Borrow;
@@ -45,9 +42,31 @@ impl EdgeRef {
     }
 }
 
+/// Which way a read follows the edges at a vertex. Each reader of
+/// [`DynamicGraph`] takes it as an argument: a query edge, not the reader,
+/// says which way it points.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
+pub enum Dir {
+    /// Along out-going edges: the neighbors are their destinations.
+    Out,
+    /// Along in-coming edges: the neighbors are their sources.
+    In,
+}
+
+impl Dir {
+    /// The other way: what an edge's far end reads to come back along it.
+    #[inline]
+    pub fn reverse(self) -> Dir {
+        match self {
+            Dir::Out => Dir::In,
+            Dir::In => Dir::Out,
+        }
+    }
+}
+
 /// Index of a vertex's out-run in its handle pair; `IN` is the in-run.
-const OUT: usize = 0;
-const IN: usize = 1;
+const OUT: usize = Dir::Out as usize;
+const IN: usize = Dir::In as usize;
 
 /// The run of a vertex id that was never created.
 static NO_RUN: Adjacency = Adjacency::EMPTY;
@@ -520,22 +539,23 @@ impl DynamicGraph {
         true
     }
 
-    /// The handle of `v`'s run in direction `dir`; the empty run for an id
-    /// that was never created.
+    /// The handle of `v`'s run along `dir`; the empty run for an id that
+    /// was never created. Every reader below goes through it, so each reads
+    /// such an id as a vertex without edges.
     #[inline]
-    fn run(&self, v: VertexId, dir: usize) -> &Adjacency {
-        self.runs.get(v.index()).map_or(&NO_RUN, |pair| &pair[dir])
+    fn run(&self, v: VertexId, dir: Dir) -> &Adjacency {
+        self.runs.get(v.index()).map_or(&NO_RUN, |pair| &pair[dir as usize])
     }
 
     /// True iff the exact `(src, label, dst)` triple is a live edge: a
     /// search in the shorter of `src`'s out-run and `dst`'s in-run.
     #[inline]
     pub fn has_edge(&self, src: VertexId, label: LabelId, dst: VertexId) -> bool {
-        let (out, inc) = (self.run(src, OUT), self.run(dst, IN));
+        let (out, inc) = (self.run(src, Dir::Out), self.run(dst, Dir::In));
         if out.len(&self.arena) <= inc.len(&self.arena) {
-            out.labeled(&self.arena, label).contains(dst)
+            contains_sorted(out.group(&self.arena, label), dst)
         } else {
-            inc.labeled(&self.arena, label).contains(src)
+            contains_sorted(inc.group(&self.arena, label), src)
         }
     }
 
@@ -551,20 +571,20 @@ impl DynamicGraph {
     /// batch creates it) hints nothing.
     #[inline]
     pub fn prefetch_edge(&self, src: VertexId, dst: VertexId, stage: u8) {
-        self.prefetch_group(src, true, stage);
-        self.prefetch_group(dst, false, stage);
+        self.prefetch_group(src, Dir::Out, stage);
+        self.prefetch_group(dst, Dir::In, stage);
     }
 
-    /// [`Self::prefetch_edge`]'s stages for the groups of `v`, out-going
-    /// (`out`) or in-coming: **0** `v`'s handle pair and set id,
-    /// **1** the slot the handle names (nothing for an inline run).
+    /// [`Self::prefetch_edge`]'s stages for the groups of `v` along `dir`:
+    /// **0** `v`'s handle pair and set id, **1** the slot the handle names
+    /// (nothing for an inline run).
     #[inline]
-    pub fn prefetch_group(&self, v: VertexId, out: bool, stage: u8) {
+    pub fn prefetch_group(&self, v: VertexId, dir: Dir, stage: u8) {
         if stage == 0 {
             prefetch_at(&self.runs, v.index());
             prefetch_at(&self.vertex_sets, v.index());
-        } else if let Some(pair) = self.runs.get(v.index()) {
-            pair[if out { OUT } else { IN }].prefetch(&self.arena, stage);
+        } else {
+            self.run(v, dir).prefetch(&self.arena, stage);
         }
     }
 
@@ -573,7 +593,7 @@ impl DynamicGraph {
     pub fn has_edge_matching(&self, src: VertexId, dst: VertexId, qlabel: Option<LabelId>) -> bool {
         match qlabel {
             Some(l) => self.has_edge(src, l, dst),
-            None => self.run(src, OUT).any_to(&self.arena, dst),
+            None => self.run(src, Dir::Out).any_to(&self.arena, dst),
         }
     }
 
@@ -588,126 +608,57 @@ impl DynamicGraph {
     ) -> usize {
         match qlabel {
             Some(l) => usize::from(self.has_edge(src, l, dst)),
-            None => self.run(src, OUT).count_to(&self.arena, dst),
+            None => self.run(src, Dir::Out).count_to(&self.arena, dst),
         }
     }
 
-    /// Out-neighbors of `v` as `(neighbor, edge label)` pairs, in
+    /// The neighbors of `v` along `dir` as `(neighbor, edge label)` pairs, in
     /// `(label, neighbor)` order.
     #[inline]
-    pub fn out_neighbors(&self, v: VertexId) -> Neighbors<'_> {
-        self.runs[v.index()][OUT].iter(&self.arena)
+    pub fn neighbors(&self, v: VertexId, dir: Dir) -> Neighbors<'_> {
+        self.run(v, dir).iter(&self.arena)
     }
 
-    /// In-neighbors of `v` as `(neighbor, edge label)` pairs, in
-    /// `(label, neighbor)` order.
+    /// The neighbors of `v` along `dir` over edges labeled exactly `label`:
+    /// a sorted, duplicate-free group, borrowed from the graph's arena —
+    /// what the intersection kernels read in place and
+    /// [`crate::contains_sorted`] probes.
     #[inline]
-    pub fn in_neighbors(&self, v: VertexId) -> Neighbors<'_> {
-        self.runs[v.index()][IN].iter(&self.arena)
+    pub fn group(&self, v: VertexId, dir: Dir, label: LabelId) -> &[VertexId] {
+        self.run(v, dir).group(&self.arena, label)
     }
 
-    /// Out-neighbors of `v` over edges labeled exactly `label`: a sorted,
-    /// duplicate-free group.
+    /// The wildcard's group: appends to `buf` the neighbors of `v` along
+    /// `dir` over every label that `keep` accepts, ascending and each once —
+    /// a neighbor joined by edges of several labels is kept once.
     #[inline]
-    pub fn out_neighbors_labeled(&self, v: VertexId, label: LabelId) -> LabeledNeighbors<'_> {
-        self.runs[v.index()][OUT].labeled(&self.arena, label)
-    }
-
-    /// In-neighbors of `v` over edges labeled exactly `label`.
-    #[inline]
-    pub fn in_neighbors_labeled(&self, v: VertexId, label: LabelId) -> LabeledNeighbors<'_> {
-        self.runs[v.index()][IN].labeled(&self.arena, label)
-    }
-
-    /// Out-neighbors of `v` matching an optional query-edge label, through
-    /// the access path selected by `mode`. Both modes yield the same ids in
-    /// the same order; [`AdjacencyMode::FlatScan`] is the reference path
-    /// that walks the whole list.
-    #[inline]
-    pub fn out_neighbors_matching(
+    pub fn collect_any(
         &self,
         v: VertexId,
-        qlabel: Option<LabelId>,
-        mode: AdjacencyMode,
-    ) -> MatchingNeighbors<'_> {
-        self.runs[v.index()][OUT].matching(&self.arena, qlabel, mode)
+        dir: Dir,
+        keep: impl FnMut(VertexId) -> bool,
+        buf: &mut Vec<VertexId>,
+    ) {
+        self.run(v, dir).collect_any(&self.arena, keep, buf);
     }
 
-    /// In-neighbors of `v` matching an optional query-edge label (see
-    /// [`Self::out_neighbors_matching`]).
+    /// The number of edges at `v` along `dir`.
     #[inline]
-    pub fn in_neighbors_matching(
-        &self,
-        v: VertexId,
-        qlabel: Option<LabelId>,
-        mode: AdjacencyMode,
-    ) -> MatchingNeighbors<'_> {
-        self.runs[v.index()][IN].matching(&self.arena, qlabel, mode)
+    pub fn degree(&self, v: VertexId, dir: Dir) -> usize {
+        self.run(v, dir).len(&self.arena)
     }
 
-    /// True iff `v` has at least one outgoing edge labeled `label`.
+    /// The distinct labels of `v`'s edges along `dir` with their group
+    /// sizes, in label order.
     #[inline]
-    pub fn has_out_label(&self, v: VertexId, label: LabelId) -> bool {
-        !self.out_neighbors_labeled(v, label).is_empty()
+    pub fn label_runs(&self, v: VertexId, dir: Dir) -> impl Iterator<Item = (LabelId, usize)> + '_ {
+        self.run(v, dir).label_runs(&self.arena)
     }
 
-    /// True iff `v` has at least one incoming edge labeled `label`.
-    #[inline]
-    pub fn has_in_label(&self, v: VertexId, label: LabelId) -> bool {
-        !self.in_neighbors_labeled(v, label).is_empty()
-    }
-
-    /// Out-degree of `v`.
-    #[inline]
-    pub fn out_degree(&self, v: VertexId) -> usize {
-        self.runs[v.index()][OUT].len(&self.arena)
-    }
-
-    /// In-degree of `v`.
-    #[inline]
-    pub fn in_degree(&self, v: VertexId) -> usize {
-        self.runs[v.index()][IN].len(&self.arena)
-    }
-
-    /// Number of outgoing edges of `v` labeled `label`.
-    #[inline]
-    pub fn out_degree_labeled(&self, v: VertexId, label: LabelId) -> usize {
-        self.out_neighbors_labeled(v, label).len()
-    }
-
-    /// Number of incoming edges of `v` labeled `label`.
-    #[inline]
-    pub fn in_degree_labeled(&self, v: VertexId, label: LabelId) -> usize {
-        self.in_neighbors_labeled(v, label).len()
-    }
-
-    /// Distinct out-edge labels of `v` with their group sizes, label order.
-    #[inline]
-    pub fn out_label_runs(&self, v: VertexId) -> impl Iterator<Item = (LabelId, usize)> + '_ {
-        self.runs[v.index()][OUT].label_runs(&self.arena)
-    }
-
-    /// Distinct in-edge labels of `v` with their group sizes, label order.
-    #[inline]
-    pub fn in_label_runs(&self, v: VertexId) -> impl Iterator<Item = (LabelId, usize)> + '_ {
-        self.runs[v.index()][IN].label_runs(&self.arena)
-    }
-
-    /// True iff `v`'s out-adjacency is a label directory rather than one
-    /// flat run (diagnostics / tests).
-    pub fn out_is_directory(&self, v: VertexId) -> bool {
-        self.runs[v.index()][OUT].is_directory()
-    }
-
-    /// True iff `v`'s in-adjacency is a label directory.
-    pub fn in_is_directory(&self, v: VertexId) -> bool {
-        self.runs[v.index()][IN].is_directory()
-    }
-
-    /// Total degree (in + out) of `v`.
-    #[inline]
-    pub fn degree(&self, v: VertexId) -> usize {
-        self.out_degree(v) + self.in_degree(v)
+    /// True iff `v`'s edges along `dir` are stored as a label directory
+    /// rather than one flat run (diagnostics / tests).
+    pub fn is_directory(&self, v: VertexId, dir: Dir) -> bool {
+        self.run(v, dir).is_directory()
     }
 
     /// Iterates over all vertex ids.
@@ -718,7 +669,7 @@ impl DynamicGraph {
     /// Iterates over all live edges in `(src, label, dst)` order.
     pub fn edges(&self) -> impl Iterator<Item = EdgeRef> + '_ {
         self.vertices().flat_map(move |src| {
-            self.out_neighbors(src).map(move |(dst, label)| EdgeRef { src, label, dst })
+            self.neighbors(src, Dir::Out).map(move |(dst, label)| EdgeRef { src, label, dst })
         })
     }
 
@@ -794,8 +745,8 @@ impl DynamicGraph {
         let sets = self.sets.len();
         assert!(self.vertex_sets.iter().all(|&id| (id as usize) < sets), "a set id dangles");
         for e in self.edges() {
-            let mirror = self.run(e.dst, IN).labeled(&self.arena, e.label);
-            assert!(mirror.contains(e.src), "{e:?} has no in-run entry");
+            let mirror = self.group(e.dst, Dir::In, e.label);
+            assert!(contains_sorted(mirror, e.src), "{e:?} has no in-run entry");
         }
         let degrees =
             |dir: usize| self.runs.iter().map(|pair| pair[dir].len(&self.arena)).sum::<usize>();
@@ -843,16 +794,16 @@ mod tests {
         assert!(g.has_edge_matching(VertexId(0), VertexId(1), Some(l(8))));
         assert!(!g.has_edge_matching(VertexId(0), VertexId(1), Some(l(9))));
         assert_eq!(g.count_edges_matching(VertexId(0), VertexId(1), None), 2);
-        assert_eq!(g.out_degree(VertexId(0)), 2);
-        assert_eq!(g.in_degree(VertexId(1)), 2);
-        assert_eq!(g.degree(VertexId(0)), 2);
+        assert_eq!(g.degree(VertexId(0), Dir::Out), 2);
+        assert_eq!(g.degree(VertexId(1), Dir::In), 2);
+        assert_eq!(g.degree(VertexId(0), Dir::In), 0);
         assert_eq!(g.edge_label_count(l(7)), 1);
-        assert_eq!(g.out_degree_labeled(VertexId(0), l(7)), 1);
-        assert_eq!(g.in_degree_labeled(VertexId(1), l(8)), 1);
-        assert!(g.has_out_label(VertexId(0), l(8)));
-        assert!(!g.has_out_label(VertexId(0), l(9)));
-        assert!(g.has_in_label(VertexId(1), l(7)));
-        assert!(!g.has_in_label(VertexId(0), l(7)));
+        assert_eq!(g.group(VertexId(0), Dir::Out, l(7)).len(), 1);
+        assert_eq!(g.group(VertexId(1), Dir::In, l(8)).len(), 1);
+        assert!(!g.group(VertexId(0), Dir::Out, l(8)).is_empty());
+        assert!(g.group(VertexId(0), Dir::Out, l(9)).is_empty());
+        assert!(!g.group(VertexId(1), Dir::In, l(7)).is_empty());
+        assert!(g.group(VertexId(0), Dir::In, l(7)).is_empty());
     }
 
     #[test]
@@ -865,8 +816,9 @@ mod tests {
         assert_eq!(g.edge_count(), 1);
         assert!(!g.has_edge(VertexId(0), l(1), VertexId(1)));
         assert!(g.has_edge(VertexId(0), l(1), VertexId(2)));
-        assert_eq!(g.out_neighbors(VertexId(0)).collect::<Vec<_>>(), vec![(VertexId(2), l(1))]);
-        assert_eq!(g.in_neighbors(VertexId(1)).count(), 0);
+        let out: Vec<_> = g.neighbors(VertexId(0), Dir::Out).collect();
+        assert_eq!(out, vec![(VertexId(2), l(1))]);
+        assert_eq!(g.neighbors(VertexId(1), Dir::In).count(), 0);
         assert_eq!(g.edge_label_count(l(1)), 1);
     }
 
@@ -885,7 +837,7 @@ mod tests {
         for lab in [10, 11, 12] {
             g.insert_edge(hub, l(lab), peer);
         }
-        assert!(g.out_is_directory(hub) && !g.in_is_directory(peer));
+        assert!(g.is_directory(hub, Dir::Out) && !g.is_directory(peer, Dir::In));
         assert_eq!(g.count_edges_matching(hub, peer, None), 3);
 
         assert!(g.delete_edge(hub, l(11), peer));
@@ -894,20 +846,22 @@ mod tests {
         assert!(g.has_edge(hub, l(12), peer));
         assert!(!g.has_edge(hub, l(11), peer));
         assert_eq!(g.count_edges_matching(hub, peer, None), 2);
-        assert_eq!(g.out_degree(hub), fan + 2);
-        assert_eq!(g.out_degree_labeled(hub, l(50)), fan, "other group untouched");
-        assert!(g.in_neighbors_labeled(peer, l(11)).is_empty());
-        assert_eq!(g.in_neighbors_labeled(peer, l(10)).collect::<Vec<_>>(), vec![hub]);
+        assert_eq!(g.degree(hub, Dir::Out), fan + 2);
+        assert_eq!(g.group(hub, Dir::Out, l(50)).len(), fan, "other group untouched");
+        assert!(g.group(peer, Dir::In, l(11)).is_empty());
+        assert_eq!(g.group(peer, Dir::In, l(10)), [hub]);
         assert!(g.insert_edge(hub, l(11), peer));
         assert_eq!(g.count_edges_matching(hub, peer, None), 3);
         g.validate();
     }
 
+    /// Every reader takes an id at or past `vertex_count()` as a vertex
+    /// without edges: empty, 0 or false, never a panic.
     #[test]
     fn unknown_endpoints_are_absent_edges_not_panics() {
         let mut g = labeled_graph(2);
         g.insert_edge(VertexId(0), l(1), VertexId(1));
-        for (s, d) in [(0, 7), (7, 0), (7, 9)] {
+        for (s, d) in [(0, 7), (7, 0), (7, 9), (0, 2), (2, 1)] {
             let (s, d) = (VertexId(s), VertexId(d));
             assert!(!g.has_edge(s, l(1), d));
             assert!(!g.has_edge_matching(s, d, None));
@@ -916,6 +870,22 @@ mod tests {
             assert!(!g.delete_edge(s, l(1), d));
             assert!(!g.apply(&UpdateOp::DeleteEdge { src: s, label: l(1), dst: d }));
         }
+        let mut buf = vec![VertexId(0)];
+        for v in [2, 7, u32::MAX].map(VertexId) {
+            assert!(!g.contains_vertex(v));
+            for dir in [Dir::Out, Dir::In] {
+                assert_eq!(g.neighbors(v, dir).count(), 0);
+                assert!(g.group(v, dir, l(1)).is_empty());
+                assert_eq!(g.degree(v, dir), 0);
+                assert_eq!(g.label_runs(v, dir).count(), 0);
+                assert!(!g.is_directory(v, dir));
+                g.collect_any(v, dir, |_| true, &mut buf);
+                for stage in 0..3 {
+                    g.prefetch_group(v, dir, stage);
+                }
+            }
+        }
+        assert_eq!(buf, [VertexId(0)], "the collector appended nothing");
         assert_eq!((g.vertex_count(), g.edge_count()), (2, 1));
     }
 
@@ -938,7 +908,7 @@ mod tests {
             g.insert_edge(VertexId(0), l(1 + i % 2), VertexId(i));
             g.insert_edge(VertexId(i), l(1), VertexId(1));
         }
-        assert!(g.out_is_directory(VertexId(0)) && g.in_is_directory(VertexId(1)));
+        assert!(g.is_directory(VertexId(0), Dir::Out) && g.is_directory(VertexId(1), Dir::In));
         let before: Vec<EdgeRef> = g.edges().collect();
         hint_all(&g);
         assert!(g.edges().eq(before));

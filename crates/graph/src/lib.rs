@@ -12,7 +12,11 @@
 //!   label sets, labeled edges, and label-partitioned adjacency in both
 //!   directions ([`adjacency`]) carved out of one slot [`arena`]: O(log)
 //!   insert/delete within a label group and O(log + |group|)
-//!   label-qualified neighbor enumeration,
+//!   label-qualified neighbor enumeration. One reader per question, each
+//!   taking the [`Dir`] to read along: `neighbors` (every `(id, label)`),
+//!   `group` (one label's sorted ids, a slice), `collect_any` (every label's
+//!   ids, sorted, each once), `degree`, `label_runs`, `is_directory` and
+//!   `prefetch_group`; an id never created reads as a vertex without edges,
 //! * [`UpdateOp`] / [`UpdateStream`] — the graph update stream,
 //! * [`intersect`] — galloping / SIMD-block intersection kernels over
 //!   sorted `u32`-packed id runs, the primitive behind candidate
@@ -29,8 +33,8 @@ pub mod labels;
 pub mod stats;
 pub mod stream;
 
-pub use adjacency::{AdjacencyMode, LabeledNeighbors, MatchingNeighbors, Neighbors, FLAT_MAX};
-pub use dynamic_graph::{DynamicGraph, EdgeRef, StorageStats};
+pub use adjacency::{Neighbors, FLAT_MAX};
+pub use dynamic_graph::{Dir, DynamicGraph, EdgeRef, StorageStats};
 pub use ids::{LabelId, VertexId, MAX_VERTEX_GAP};
 pub use intersect::{contains_sorted, intersect_into, prefetch, prefetch_at, GALLOP_RATIO};
 pub use labels::{LabelInterner, LabelLimit, LabelSet};

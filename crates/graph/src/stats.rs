@@ -18,7 +18,7 @@
 //!   neighbour: every registration of a fleet asks again over the same
 //!   graph, and a graph has a handful of distinct sets.
 
-use crate::dynamic_graph::DynamicGraph;
+use crate::dynamic_graph::{Dir, DynamicGraph};
 use crate::ids::LabelId;
 use crate::labels::LabelSet;
 
@@ -61,39 +61,34 @@ impl<'g> GraphStats<'g> {
     ) -> usize {
         let g = self.g();
         let (src_ok, dst_ok) = (g.containing(src_labels), g.containing(dst_labels));
-        match (qlabel, src_labels.is_empty(), dst_labels.is_empty()) {
+        let (src_free, dst_free) = (src_labels.is_empty(), dst_labels.is_empty());
+        match (qlabel, src_free, dst_free) {
             (Some(l), true, true) => g.edge_label_count(l),
             (None, true, true) => g.edge_count(),
-            // dst unconstrained: per matching source, the whole label group
-            // (or full out-degree) counts — no per-neighbor test needed.
-            (ql, false, true) => g
-                .vertices()
-                .filter(|&v| src_ok(v))
-                .map(|v| match ql {
-                    Some(l) => g.out_degree_labeled(v, l),
-                    None => g.out_degree(v),
-                })
-                .sum(),
-            // src unconstrained: mirror over in-adjacency.
-            (ql, true, false) => g
-                .vertices()
-                .filter(|&v| dst_ok(v))
-                .map(|v| match ql {
-                    Some(l) => g.in_degree_labeled(v, l),
-                    None => g.in_degree(v),
-                })
-                .sum(),
+            // One end unconstrained: per matching vertex at the other, its
+            // whole label group (or degree) toward the free end counts — no
+            // per-neighbor test needed.
+            (ql, false, true) | (ql, true, false) => {
+                let (ok, dir) = if dst_free { (&src_ok, Dir::Out) } else { (&dst_ok, Dir::In) };
+                g.vertices()
+                    .filter(|&v| ok(v))
+                    .map(|v| match ql {
+                        Some(l) => g.group(v, dir, l).len(),
+                        None => g.degree(v, dir),
+                    })
+                    .sum()
+            }
             // Both ends constrained: walk the source's label group and test
             // each neighbor's labels.
             (Some(l), false, false) => g
                 .vertices()
                 .filter(|&v| src_ok(v))
-                .map(|v| g.out_neighbors_labeled(v, l).filter(|&w| dst_ok(w)).count())
+                .map(|v| g.group(v, Dir::Out, l).iter().filter(|&&w| dst_ok(w)).count())
                 .sum(),
             (None, false, false) => g
                 .vertices()
                 .filter(|&v| src_ok(v))
-                .map(|v| g.out_neighbors(v).filter(|&(w, _)| dst_ok(w)).count())
+                .map(|v| g.neighbors(v, Dir::Out).filter(|&(w, _)| dst_ok(w)).count())
                 .sum(),
         }
     }

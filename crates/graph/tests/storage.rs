@@ -4,7 +4,7 @@
 //! build of the kept edges does, and `resident_bytes` /
 //! `storage_stats` are exact fixpoints under self-inverting churn.
 
-use tfx_graph::{DynamicGraph, EdgeRef, LabelId, LabelSet, VertexId, FLAT_MAX};
+use tfx_graph::{Dir, DynamicGraph, EdgeRef, LabelId, LabelSet, VertexId, FLAT_MAX};
 
 fn l(i: u32) -> LabelId {
     LabelId(i)
@@ -50,9 +50,9 @@ fn from_edges_and_clone_equal_incremental_inserts_and_are_compact() {
         assert!(copy.edges().eq(g.edges()));
         assert_eq!(copy.edge_count(), g.edge_count());
         for v in g.vertices() {
-            assert!(copy.in_neighbors(v).eq(g.in_neighbors(v)));
+            assert!(copy.neighbors(v, Dir::In).eq(g.neighbors(v, Dir::In)));
             assert_eq!(copy.labels(v), g.labels(v));
-            assert_eq!(copy.out_is_directory(v), g.out_degree(v) > FLAT_MAX);
+            assert_eq!(copy.is_directory(v, Dir::Out), g.degree(v, Dir::Out) > FLAT_MAX);
         }
         for lab in 0..5 {
             assert_eq!(copy.edge_label_count(l(lab)), g.edge_label_count(l(lab)));
@@ -114,8 +114,15 @@ fn project_equals_from_edges_of_the_kept_edges() {
             assert_eq!(got.vertex_count(), g.vertex_count(), "{name}: every vertex stays");
             for v in g.vertices() {
                 assert_eq!(got.labels(v), g.labels(v), "{name}: labels of {v}");
-                assert!(got.in_neighbors(v).eq(want.in_neighbors(v)), "{name}: in-run of {v}");
-                assert_eq!(got.out_is_directory(v), want.out_is_directory(v), "{name}: {v}");
+                assert!(
+                    got.neighbors(v, Dir::In).eq(want.neighbors(v, Dir::In)),
+                    "{name}: in-run of {v}"
+                );
+                assert_eq!(
+                    got.is_directory(v, Dir::Out),
+                    want.is_directory(v, Dir::Out),
+                    "{name}: {v}"
+                );
             }
             for lab in 0..5 {
                 assert_eq!(got.edge_label_count(l(lab)), want.edge_label_count(l(lab)), "{name}");
@@ -174,7 +181,7 @@ fn resident_bytes_is_a_fixpoint_under_self_inverting_churn() {
     let cold = g.resident_bytes();
     let cycle = |g: &mut DynamicGraph| {
         let added: Vec<_> = churn.iter().filter(|e| g.insert_edge(e.src, e.label, e.dst)).collect();
-        assert!(g.out_is_directory(VertexId(0)));
+        assert!(g.is_directory(VertexId(0), Dir::Out));
         for e in added {
             assert!(g.delete_edge(e.src, e.label, e.dst));
         }
@@ -264,14 +271,20 @@ fn from_edges_equals_incremental_inserts_on_random_graphs() {
         assert_eq!(got.edge_count(), want.edge_count(), "seed {seed}");
         for v in want.vertices() {
             assert_eq!(got.labels(v), want.labels(v));
-            assert!(got.in_neighbors(v).eq(want.in_neighbors(v)), "seed {seed}: in-run of {v}");
-            assert!(got.out_label_runs(v).eq(want.out_label_runs(v)), "seed {seed}: {v}");
-            assert!(got.in_label_runs(v).eq(want.in_label_runs(v)), "seed {seed}: {v}");
-            assert_eq!(got.out_is_directory(v), want.out_degree(v) > FLAT_MAX);
-            assert_eq!(got.in_is_directory(v), want.in_degree(v) > FLAT_MAX);
-            directories +=
-                usize::from(got.out_is_directory(v)) + usize::from(got.in_is_directory(v));
-            isolated += usize::from(got.degree(v) == 0);
+            assert!(
+                got.neighbors(v, Dir::In).eq(want.neighbors(v, Dir::In)),
+                "seed {seed}: in-run of {v}"
+            );
+            assert!(
+                got.label_runs(v, Dir::Out).eq(want.label_runs(v, Dir::Out)),
+                "seed {seed}: {v}"
+            );
+            assert!(got.label_runs(v, Dir::In).eq(want.label_runs(v, Dir::In)), "seed {seed}: {v}");
+            assert_eq!(got.is_directory(v, Dir::Out), want.degree(v, Dir::Out) > FLAT_MAX);
+            assert_eq!(got.is_directory(v, Dir::In), want.degree(v, Dir::In) > FLAT_MAX);
+            directories += usize::from(got.is_directory(v, Dir::Out))
+                + usize::from(got.is_directory(v, Dir::In));
+            isolated += usize::from(got.degree(v, Dir::Out) + got.degree(v, Dir::In) == 0);
             loops += usize::from(got.has_edge_matching(v, v, None));
         }
         for label in 0..labels + 1 {
@@ -344,17 +357,29 @@ fn from_edges_over_many_labels_equals_inserts_and_reserves_exactly() {
         let got = DynamicGraph::from_edges(vertex_labels, edges);
         got.validate();
         assert!(got.edges().eq(want.edges()), "seed {seed}: edges");
-        assert!(got.out_is_directory(hub) && got.in_is_directory(hub), "seed {seed}: hubs");
+        assert!(
+            got.is_directory(hub, Dir::Out) && got.is_directory(hub, Dir::In),
+            "seed {seed}: hubs"
+        );
         let mut words = 0;
         for v in want.vertices() {
-            assert!(got.out_label_runs(v).eq(want.out_label_runs(v)), "seed {seed}: out {v}");
-            assert!(got.in_label_runs(v).eq(want.in_label_runs(v)), "seed {seed}: in {v}");
-            assert!(got.in_neighbors(v).eq(want.in_neighbors(v)), "seed {seed}: in-run of {v}");
+            assert!(
+                got.label_runs(v, Dir::Out).eq(want.label_runs(v, Dir::Out)),
+                "seed {seed}: out {v}"
+            );
+            assert!(
+                got.label_runs(v, Dir::In).eq(want.label_runs(v, Dir::In)),
+                "seed {seed}: in {v}"
+            );
+            assert!(
+                got.neighbors(v, Dir::In).eq(want.neighbors(v, Dir::In)),
+                "seed {seed}: in-run of {v}"
+            );
             let lens = |runs: &mut dyn Iterator<Item = (LabelId, usize)>| -> Vec<usize> {
                 runs.map(|(_, len)| len).collect()
             };
-            words += run_words(&lens(&mut got.out_label_runs(v)));
-            words += run_words(&lens(&mut got.in_label_runs(v)));
+            words += run_words(&lens(&mut got.label_runs(v, Dir::Out)));
+            words += run_words(&lens(&mut got.label_runs(v, Dir::In)));
         }
         // The arena holds exactly those words, and its capacity is them: all
         // the edges add to the bare vertices is the arena and a count per label.
@@ -391,43 +416,48 @@ fn inline_flat_and_directory_runs_follow_a_btreeset_through_every_transition() {
     let (mut g, mut sets) = (DynamicGraph::new(), Vec::<LabelSet>::new());
     let mut model: BTreeSet<(VertexId, LabelId, VertexId)> = BTreeSet::new();
     let mut seen = [0usize; 4];
-    let check =
-        |g: &DynamicGraph, model: &BTreeSet<_>, sets: &[LabelSet], seen: &mut [usize; 4]| {
-            g.validate();
-            assert!(g.edges().map(|e| (e.src, e.label, e.dst)).eq(model.iter().copied()));
-            let (mut inline, mut flat, mut dirs) = (0, 0, 0);
-            for v in g.vertices() {
-                assert_eq!(g.labels(v), &sets[v.index()]);
-                let ins: BTreeSet<_> =
-                    model.iter().filter(|e| e.2 == v).map(|e| (e.1, e.0)).collect();
-                assert!(g.in_neighbors(v).map(|(w, lab)| (lab, w)).eq(ins.iter().copied()), "{v}");
-                for (degree, dir) in
-                    [(g.out_degree(v), g.out_is_directory(v)), (ins.len(), g.in_is_directory(v))]
-                {
-                    inline += usize::from(degree == 1);
-                    flat += usize::from(degree > 1 && !dir);
-                    dirs += usize::from(dir);
-                    seen[degree.min(3)] += 1;
-                }
-                for lab in 0..LABELS {
-                    let want = model.iter().filter(|e| e.0 == v && e.1 == l(lab)).map(|e| e.2);
-                    assert!(g.out_neighbors_labeled(v, l(lab)).eq(want), "{v} over {lab}");
-                }
+    let check = |g: &DynamicGraph,
+                 model: &BTreeSet<_>,
+                 sets: &[LabelSet],
+                 seen: &mut [usize; 4]| {
+        g.validate();
+        assert!(g.edges().map(|e| (e.src, e.label, e.dst)).eq(model.iter().copied()));
+        let (mut inline, mut flat, mut dirs) = (0, 0, 0);
+        for v in g.vertices() {
+            assert_eq!(g.labels(v), &sets[v.index()]);
+            let ins: BTreeSet<_> = model.iter().filter(|e| e.2 == v).map(|e| (e.1, e.0)).collect();
+            assert!(
+                g.neighbors(v, Dir::In).map(|(w, lab)| (lab, w)).eq(ins.iter().copied()),
+                "{v}"
+            );
+            for (degree, dir) in [
+                (g.degree(v, Dir::Out), g.is_directory(v, Dir::Out)),
+                (ins.len(), g.is_directory(v, Dir::In)),
+            ] {
+                inline += usize::from(degree == 1);
+                flat += usize::from(degree > 1 && !dir);
+                dirs += usize::from(dir);
+                seen[degree.min(3)] += 1;
             }
-            let st = g.storage_stats();
-            assert_eq!((st.inline_runs, st.flat_runs, st.directory_runs), (inline, flat, dirs));
-            let distinct: std::collections::HashSet<_> = sets.iter().collect();
-            assert_eq!(st.label_sets, distinct.len());
-            for lab in 0..6 {
-                let want = sets.iter().filter(|s| s.contains(l(lab))).count();
-                assert_eq!(g.vertex_label_count(l(lab)), want, "label {lab}");
+            for lab in 0..LABELS {
+                let want = model.iter().filter(|e| e.0 == v && e.1 == l(lab)).map(|e| e.2);
+                assert!(g.group(v, Dir::Out, l(lab)).iter().copied().eq(want), "{v} over {lab}");
             }
-            for s in g.vertices() {
-                for d in g.vertices() {
-                    (0..3).for_each(|stage| g.prefetch_edge(s, d, stage));
-                }
+        }
+        let st = g.storage_stats();
+        assert_eq!((st.inline_runs, st.flat_runs, st.directory_runs), (inline, flat, dirs));
+        let distinct: std::collections::HashSet<_> = sets.iter().collect();
+        assert_eq!(st.label_sets, distinct.len());
+        for lab in 0..6 {
+            let want = sets.iter().filter(|s| s.contains(l(lab))).count();
+            assert_eq!(g.vertex_label_count(l(lab)), want, "label {lab}");
+        }
+        for s in g.vertices() {
+            for d in g.vertices() {
+                (0..3).for_each(|stage| g.prefetch_edge(s, d, stage));
             }
-        };
+        }
+    };
     let (mut unfolds, mut folds) = (0, 0);
     for step in 0..6_000u32 {
         if g.vertex_count() < 40 && below(rng, 8) == 0 {
@@ -460,7 +490,7 @@ fn inline_flat_and_directory_runs_follow_a_btreeset_through_every_transition() {
             _ => {}
         }
         let e = (src, l(below(rng, LABELS.into()) as u32), dst);
-        let was = (g.out_is_directory(hubs.0), g.in_is_directory(hubs.1));
+        let was = (g.is_directory(hubs.0, Dir::Out), g.is_directory(hubs.1, Dir::In));
         let growing = (step / 1_500) % 2 == 0;
         if below(rng, 4) < if growing { 3 } else { 1 } {
             assert_eq!(g.insert_edge(e.0, e.1, e.2), model.insert(e));
@@ -468,7 +498,7 @@ fn inline_flat_and_directory_runs_follow_a_btreeset_through_every_transition() {
             let victim = model.range(e..).next().copied().unwrap_or(e);
             assert_eq!(g.delete_edge(victim.0, victim.1, victim.2), model.remove(&victim));
         }
-        let now = (g.out_is_directory(hubs.0), g.in_is_directory(hubs.1));
+        let now = (g.is_directory(hubs.0, Dir::Out), g.is_directory(hubs.1, Dir::In));
         unfolds += usize::from(!was.0 && now.0) + usize::from(!was.1 && now.1);
         folds += usize::from(was.0 && !now.0) + usize::from(was.1 && !now.1);
         if step % 250 != 0 {
@@ -508,10 +538,10 @@ fn project_moves_a_lone_kept_entry_into_the_handle() {
         for e in &edges {
             g.insert_edge(e.src, e.label, e.dst);
         }
-        assert!(g.out_is_directory(VertexId(0)));
+        assert!(g.is_directory(VertexId(0), Dir::Out));
         let got = g.project(|lab| lab == keep);
         got.validate();
-        assert!(!got.out_is_directory(VertexId(0)));
+        assert!(!got.is_directory(VertexId(0), Dir::Out));
         let kept =
             [(0, 5), (2, 3), (7, 9)].map(|(s, d)| EdgeRef::new(VertexId(s), keep, VertexId(d)));
         assert!(got.edges().eq(kept));
@@ -526,7 +556,7 @@ type Model = std::collections::BTreeSet<(LabelId, VertexId)>;
 /// (which checks a flat run's headers) holds.
 fn assert_out_run(g: &DynamicGraph, v: VertexId, model: &Model) {
     g.validate();
-    assert!(g.out_neighbors(v).map(|(w, lab)| (lab, w)).eq(model.iter().copied()));
+    assert!(g.neighbors(v, Dir::Out).map(|(w, lab)| (lab, w)).eq(model.iter().copied()));
     let mut runs: Vec<(LabelId, usize)> = Vec::new();
     for &(lab, _) in model {
         match runs.last_mut() {
@@ -534,12 +564,12 @@ fn assert_out_run(g: &DynamicGraph, v: VertexId, model: &Model) {
             _ => runs.push((lab, 1)),
         }
     }
-    assert!(g.out_label_runs(v).eq(runs.iter().copied()));
+    assert!(g.label_runs(v, Dir::Out).eq(runs.iter().copied()));
     for &(lab, _) in &runs {
         let want = model.range((lab, VertexId(0))..=(lab, VertexId(u32::MAX))).map(|e| e.1);
-        assert!(g.out_neighbors_labeled(v, lab).eq(want), "{v} over {lab:?}");
+        assert!(g.group(v, Dir::Out, lab).iter().copied().eq(want), "{v} over {lab:?}");
     }
-    assert!(g.out_neighbors_labeled(v, l(LabelId::LIMIT - 1)).is_empty());
+    assert!(g.group(v, Dir::Out, l(LabelId::LIMIT - 1)).is_empty());
 }
 
 /// A hub's out-run under single edge ops, beside its model, counting the
@@ -558,7 +588,7 @@ impl Hub {
     const V: VertexId = VertexId(0);
 
     fn op(&mut self, insert: bool, e: (LabelId, VertexId)) {
-        let was = self.g.out_is_directory(Self::V);
+        let was = self.g.is_directory(Self::V, Dir::Out);
         let had = self.model.range((e.0, VertexId(0))..=(e.0, VertexId(u32::MAX))).count();
         let labels = |m: &Model| m.iter().map(|e| e.0).collect::<std::collections::BTreeSet<_>>();
         let before = labels(&self.model);
@@ -567,7 +597,7 @@ impl Hub {
         } else {
             assert_eq!(self.g.delete_edge(Self::V, e.0, e.1), self.model.remove(&e));
         }
-        let now = self.g.out_is_directory(Self::V);
+        let now = self.g.is_directory(Self::V, Dir::Out);
         // A group appears or empties in a run that is flat before and after.
         let header = if insert { had == 0 } else { had == 1 && !self.model.contains(&e) };
         let flat = !was && !now && self.model.len() >= 2 + usize::from(insert);
@@ -629,21 +659,27 @@ fn grouped_flat_runs_follow_a_btreeset_through_every_header_transition() {
     // One group of FLAT_MAX entries, flat; one more makes a directory,
     // which folds back once half of FLAT_MAX is left.
     (1..=FLAT_MAX as u32).for_each(|w| hub.op(true, e(3, w)));
-    assert!(!hub.g.out_is_directory(Hub::V));
-    assert!(hub.g.out_label_runs(Hub::V).eq([(l(3), FLAT_MAX)]));
+    assert!(!hub.g.is_directory(Hub::V, Dir::Out));
+    assert!(hub.g.label_runs(Hub::V, Dir::Out).eq([(l(3), FLAT_MAX)]));
     hub.op(true, e(3, N - 1));
-    assert!(hub.g.out_is_directory(Hub::V));
+    assert!(hub.g.is_directory(Hub::V, Dir::Out));
     for w in 1..=FLAT_MAX as u32 / 2 + 1 {
-        assert!(hub.g.out_is_directory(Hub::V), "no fold above half of FLAT_MAX");
+        assert!(hub.g.is_directory(Hub::V, Dir::Out), "no fold above half of FLAT_MAX");
         hub.op(false, e(3, w));
     }
-    assert!(!hub.g.out_is_directory(Hub::V) && hub.model.len() == FLAT_MAX / 2, "folds at half");
+    assert!(
+        !hub.g.is_directory(Hub::V, Dir::Out) && hub.model.len() == FLAT_MAX / 2,
+        "folds at half"
+    );
     hub.drain();
     // FLAT_MAX groups of one entry: the most headers a flat run holds.
     (0..FLAT_MAX as u32).for_each(|lab| hub.op(true, e(lab, lab + 1)));
-    assert!(!hub.g.out_is_directory(Hub::V) && hub.g.out_label_runs(Hub::V).count() == FLAT_MAX);
+    assert!(
+        !hub.g.is_directory(Hub::V, Dir::Out)
+            && hub.g.label_runs(Hub::V, Dir::Out).count() == FLAT_MAX
+    );
     hub.op(true, e(FLAT_MAX as u32, 1));
-    assert!(hub.g.out_is_directory(Hub::V));
+    assert!(hub.g.is_directory(Hub::V, Dir::Out));
     hub.drain();
     assert_eq!((hub.unfolds, hub.folds), (2, 2));
     // Random churn over 12 labels, the degree sweeping 0 → past FLAT_MAX →
@@ -674,7 +710,7 @@ fn grouped_flat_runs_follow_a_btreeset_through_every_header_transition() {
             assert_out_run(got, Hub::V, model);
         }
         assert_eq!(copy.storage_stats(), bulk.storage_stats(), "step {step}");
-        let present: Vec<LabelId> = g.out_label_runs(Hub::V).map(|(lab, _)| lab).collect();
+        let present: Vec<LabelId> = g.label_runs(Hub::V, Dir::Out).map(|(lab, _)| lab).collect();
         let Some(&drop) = present.get(present.len() / 2) else { continue };
         let keep = |lab: LabelId| lab != drop;
         let kept: Model = model.iter().filter(|e| keep(e.0)).copied().collect();

@@ -4,7 +4,7 @@
 use std::borrow::Cow;
 
 use rustc_hash::FxHashSet;
-use tfx_graph::{intersect_into, AdjacencyMode, DynamicGraph, VertexId};
+use tfx_graph::{intersect_into, Dir, DynamicGraph, VertexId};
 use tfx_query::{MatchRecord, MatchSemantics, QVertexId, QueryGraph};
 
 use crate::candidates::NeighborhoodFilter;
@@ -63,23 +63,16 @@ pub fn extend(
     u: QVertexId,
 ) -> Vec<VertexId> {
     // Edge w -> u: candidates are out-neighbors of m(w); u -> w: in-neighbors.
-    let ins = q.in_adj(u).iter().map(|&(w, e)| (w, e, true));
-    let outs = q.out_adj(u).iter().map(|&(w, e)| (w, e, false));
+    let ins = q.in_adj(u).iter().map(|&(w, e)| (w, e, Dir::Out));
+    let outs = q.out_adj(u).iter().map(|&(w, e)| (w, e, Dir::In));
     let mut sources: Vec<Cow<'_, [VertexId]>> = Vec::new();
-    for (w, e, follow_out) in ins.chain(outs) {
+    for (w, e, dir) in ins.chain(outs) {
         let Some(mw) = m[w.index()] else { continue };
         sources.push(match q.edge(e).label {
-            Some(l) if follow_out => Cow::Borrowed(g.out_neighbors_labeled(mw, l).as_id_slice()),
-            Some(l) => Cow::Borrowed(g.in_neighbors_labeled(mw, l).as_id_slice()),
+            Some(l) => Cow::Borrowed(g.group(mw, dir, l)),
             None => {
-                // A wildcard repeats neighbors across label groups.
-                let mut ids: Vec<VertexId> = if follow_out {
-                    g.out_neighbors_matching(mw, None, AdjacencyMode::Indexed).collect()
-                } else {
-                    g.in_neighbors_matching(mw, None, AdjacencyMode::Indexed).collect()
-                };
-                ids.sort_unstable();
-                ids.dedup();
+                let mut ids = Vec::new();
+                g.collect_any(mw, dir, |_| true, &mut ids);
                 Cow::Owned(ids)
             }
         });
@@ -449,7 +442,7 @@ mod tests {
                 q.add_edge(u, u, pick(rng()));
             }
             for s in g.vertices() {
-                for (d, lab) in g.out_neighbors(s).collect::<Vec<_>>() {
+                for (d, lab) in g.neighbors(s, Dir::Out).collect::<Vec<_>>() {
                     if lab != l(0) {
                         continue;
                     }

@@ -1,13 +1,13 @@
 //! Candidate filtering: cheap necessary conditions for `m(u) = v`.
 
-use tfx_graph::{DynamicGraph, LabelId, LabelSet, VertexId};
+use tfx_graph::{Dir, DynamicGraph, LabelId, LabelSet, VertexId};
 use tfx_query::{QVertexId, QueryGraph};
 
 /// Precomputed neighborhood-structure filter for one query vertex.
 ///
 /// The per-candidate filter asks, for every *distinct* concrete edge label
 /// incident to `u`, whether `v` has at least one matching out/in edge.
-/// Probing `has_out_label` per query edge re-locates one label run per
+/// Probing each query edge's label group re-locates one label run per
 /// probe; this filter instead sorts the required labels once at
 /// construction and [`NeighborhoodFilter::matches`] merge-joins them
 /// against the vertex's label runs — one pass over each direction's runs
@@ -16,33 +16,26 @@ use tfx_query::{QVertexId, QueryGraph};
 pub struct NeighborhoodFilter {
     /// Vertex labels `v` must carry (`L(u) ⊆ L'(v)`).
     labels: LabelSet,
-    /// Sorted, duplicate-free concrete labels required among out-edges.
-    out_labels: Vec<LabelId>,
-    /// Sorted, duplicate-free concrete labels required among in-edges.
-    in_labels: Vec<LabelId>,
-    /// `u` has at least one out-edge (resp. in-edge) — wildcard-labeled
-    /// edges still demand *some* edge in that direction.
-    needs_out: bool,
-    needs_in: bool,
+    /// Per direction: the sorted, duplicate-free concrete labels required
+    /// among the edges that way, and whether `u` has an edge that way at
+    /// all — wildcard-labeled edges still demand *some* edge.
+    sides: [(Dir, Vec<LabelId>, bool); 2],
 }
 
 impl NeighborhoodFilter {
     /// Builds the filter for `u`. Hot enumeration loops construct one per
     /// query vertex up front and reuse it across candidates.
     pub fn new(q: &QueryGraph, u: QVertexId) -> Self {
-        let collect = |adj: &[(QVertexId, tfx_query::EdgeId)]| {
+        let side = |dir, adj: &[(QVertexId, tfx_query::EdgeId)]| {
             let mut labels: Vec<LabelId> =
                 adj.iter().filter_map(|&(_, e)| q.edge(e).label).collect();
             labels.sort_unstable();
             labels.dedup();
-            labels
+            (dir, labels, !adj.is_empty())
         };
         NeighborhoodFilter {
             labels: q.labels(u).clone(),
-            out_labels: collect(q.out_adj(u)),
-            in_labels: collect(q.in_adj(u)),
-            needs_out: !q.out_adj(u).is_empty(),
-            needs_in: !q.in_adj(u).is_empty(),
+            sides: [side(Dir::Out, q.out_adj(u)), side(Dir::In, q.in_adj(u))],
         }
     }
 
@@ -75,14 +68,9 @@ impl NeighborhoodFilter {
         if !self.labels.is_subset_of(g.labels(v)) {
             return false;
         }
-        if self.needs_out && g.out_degree(v) == 0 {
-            return false;
-        }
-        if self.needs_in && g.in_degree(v) == 0 {
-            return false;
-        }
-        Self::runs_cover(&self.out_labels, g.out_label_runs(v))
-            && Self::runs_cover(&self.in_labels, g.in_label_runs(v))
+        self.sides.iter().all(|(dir, labels, needs)| {
+            (!needs || g.degree(v, *dir) > 0) && Self::runs_cover(labels, g.label_runs(v, *dir))
+        })
     }
 }
 

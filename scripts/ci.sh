@@ -168,14 +168,34 @@ echo "=== one reader per tree edge ==="
 # `core::dcg` decides where the tree edge into `u` reads in the graph, which
 # way it points and which children `u` has (DESIGN.md, "DCG storage layout",
 # *One reader per tree edge*): BuildDCG, registration, MatchAllChildren and
-# the search all ask it, and only `core::spec` keeps a reader of its own, on
-# the flat-scan path. Isomorphism's injectivity test is one scan of the
-# embedding (DESIGN.md, "Isomorphism injectivity in one scan"), not a map
-# kept at every bind. A second reader, a copy of the child masks or the map
-# comes back by deleting this check and saying what it wins.
+# the search all ask it. Only `core::spec` keeps a reader of its own (a walk
+# that tests labels itself), and `core::search`'s non-tree prefilter
+# (`intersect_frontier`) reads the label groups of non-tree edges. No other
+# module of `tfx-core` reads a graph group, the full walk, the wildcard
+# collector, label runs, a directed degree or a group hint. Isomorphism's
+# injectivity test is one scan of the embedding (DESIGN.md, "Isomorphism
+# injectivity in one scan"), not a map kept at every bind. A second reader, a
+# copy of the child masks or the map comes back by deleting this check and
+# saying what it wins.
+readers='\.(group|neighbors|collect_any|label_runs|prefetch_group)\(|\.degree\(([^(),]|\([^()]*\))*,'
 if grep -rnE "mod tree_nav|collect_child_candidates|child_mask|FxHashMap" crates/core/src \
-  || grep -rl "AdjacencyMode" crates/core/src | grep -vE "/(dcg|spec)\.rs$"; then
+  || grep -rnE "$readers" crates/core/src --exclude=dcg.rs --exclude=spec.rs --exclude=search.rs \
+  || readers="$readers" awk '/^    (pub(\(crate\))? )?fn / { f = $0 }
+      $0 ~ ENVIRON["readers"] && f !~ /fn intersect_frontier\(/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+      END { exit !bad }' crates/core/src/search.rs; then
   echo "ci: a second tree-edge reader, child mask copy or injectivity map is back" >&2
+  exit 1
+fi
+
+echo "=== one graph read surface ==="
+# `DynamicGraph` answers each read question once, the direction an argument
+# (`Dir`) and a label group a plain sorted slice (DESIGN.md, "Graph storage &
+# adjacency index"): an access-mode switch, an iterator wrapper over a group
+# or an `out_*` / `in_*` twin of a reader comes back by deleting this check
+# and saying what it wins.
+if grep -rnE "AdjacencyMode|MatchingNeighbors|LabeledNeighbors|fn (out|in)_(neighbors|degree|label_runs|is_directory)" \
+  crates/graph/src; then
+  echo "ci: a second read path over the data graph is back" >&2
   exit 1
 fi
 

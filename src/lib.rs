@@ -65,7 +65,7 @@ pub use tfx_core::{Fleet, FleetDelta, FleetStats, TurboFlux, TurboFluxConfig};
 pub mod prelude {
     pub use tfx_core::{Fleet, FleetDelta, FleetStats, TurboFlux, TurboFluxConfig};
     pub use tfx_graph::{
-        DynamicGraph, LabelId, LabelInterner, LabelSet, UpdateOp, UpdateStream, VertexId,
+        Dir, DynamicGraph, LabelId, LabelInterner, LabelSet, UpdateOp, UpdateStream, VertexId,
     };
     pub use tfx_query::{
         ContinuousMatcher, MatchRecord, MatchSemantics, Positiveness, QVertexId, QueryGraph,

@@ -4,14 +4,15 @@
 //! on few vertices with many labels, so degrees repeatedly cross the
 //! `FLAT_MAX` flat↔directory boundary in both directions and every arena
 //! size class below it — is applied to both a [`DynamicGraph`] and a
-//! trivially-correct flat reference model. Every accessor (full / labeled /
-//! mode-filtered neighbor iteration, degrees, label membership, edge
-//! predicates) must agree with the reference at every step, the two
-//! [`AdjacencyMode`]s must agree with each other, the arena must stay
-//! exactly tiled, and a `clone()` must read the same.
+//! trivially-correct flat reference model. Every reader (the full walk,
+//! label groups, the wildcard collector, degrees, label runs, edge
+//! predicates) must agree with the reference at every step, on both sides;
+//! every label group and the collector must equal the label filter of the
+//! full walk, which never locates a group; the arena must stay exactly
+//! tiled, and a `clone()` must read the same.
 
 use turboflux::datagen::Pcg32;
-use turboflux::graph::{AdjacencyMode, FLAT_MAX};
+use turboflux::graph::FLAT_MAX;
 use turboflux::prelude::*;
 
 /// Flat reference adjacency: per-vertex `(label, neighbor)` lists kept in
@@ -41,52 +42,48 @@ impl Reference {
 }
 
 fn check_vertex(g: &DynamicGraph, r: &Reference, v: VertexId, labels: &[LabelId]) {
-    for (dir, refl) in [("out", &r.out[v.index()]), ("in", &r.inc[v.index()])] {
-        let full: Vec<(VertexId, LabelId)> =
-            if dir == "out" { g.out_neighbors(v).collect() } else { g.in_neighbors(v).collect() };
+    for (dir, refl) in [(Dir::Out, &r.out[v.index()]), (Dir::In, &r.inc[v.index()])] {
+        let full: Vec<(VertexId, LabelId)> = g.neighbors(v, dir).collect();
         let want: Vec<(VertexId, LabelId)> = refl.iter().map(|&(l, w)| (w, l)).collect();
-        assert_eq!(full, want, "{dir}-neighbors of {v:?} in (label, neighbor) order");
-        let deg = if dir == "out" { g.out_degree(v) } else { g.in_degree(v) };
-        assert_eq!(deg, refl.len(), "{dir}-degree of {v:?}");
+        assert_eq!(full, want, "{dir:?}-neighbors of {v:?} in (label, neighbor) order");
+        assert_eq!(g.degree(v, dir), refl.len(), "{dir:?}-degree of {v:?}");
+        let mut runs: Vec<(LabelId, usize)> = Vec::new();
+        for &(l, _) in refl {
+            match runs.last_mut() {
+                Some((rl, n)) if *rl == l => *n += 1,
+                _ => runs.push((l, 1)),
+            }
+        }
+        assert!(g.label_runs(v, dir).eq(runs), "{dir:?}-label runs of {v:?}");
 
+        // Every group is the label filter of the full walk, and the
+        // reference's.
         for &l in labels {
-            let group: Vec<VertexId> = if dir == "out" {
-                g.out_neighbors_labeled(v, l).collect()
-            } else {
-                g.in_neighbors_labeled(v, l).collect()
-            };
+            let filtered: Vec<VertexId> =
+                full.iter().filter(|&&(_, fl)| fl == l).map(|&(w, _)| w).collect();
             let want: Vec<VertexId> =
                 refl.iter().filter(|&&(gl, _)| gl == l).map(|&(_, w)| w).collect();
-            assert_eq!(group, want, "{dir}-group {l:?} of {v:?}");
-            let (dl, has) = if dir == "out" {
-                (g.out_degree_labeled(v, l), g.has_out_label(v, l))
-            } else {
-                (g.in_degree_labeled(v, l), g.has_in_label(v, l))
-            };
-            assert_eq!(dl, want.len());
-            assert_eq!(has, !want.is_empty());
+            assert_eq!(g.group(v, dir, l), &filtered[..], "{dir:?}-group {l:?} of {v:?}");
+            assert_eq!(filtered, want, "{dir:?}-group {l:?} of {v:?} against the reference");
         }
 
-        // Both access modes agree, for concrete labels and the wildcard.
-        for qlabel in labels.iter().copied().map(Some).chain([None]) {
-            let (indexed, flat): (Vec<VertexId>, Vec<VertexId>) = if dir == "out" {
-                (
-                    g.out_neighbors_matching(v, qlabel, AdjacencyMode::Indexed).collect(),
-                    g.out_neighbors_matching(v, qlabel, AdjacencyMode::FlatScan).collect(),
-                )
-            } else {
-                (
-                    g.in_neighbors_matching(v, qlabel, AdjacencyMode::Indexed).collect(),
-                    g.in_neighbors_matching(v, qlabel, AdjacencyMode::FlatScan).collect(),
-                )
-            };
-            assert_eq!(indexed, flat, "mode disagreement: {dir} {v:?} {qlabel:?}");
-            let want: Vec<VertexId> = refl
-                .iter()
-                .filter(|&&(gl, _)| qlabel.is_none_or(|ql| ql == gl))
-                .map(|&(_, w)| w)
-                .collect();
-            assert_eq!(indexed, want, "matching-iterator: {dir} {v:?} {qlabel:?}");
+        // The wildcard collector: the walk's ids (all, or those `keep`
+        // takes) sorted and each once, appended after what `buf` holds.
+        for odd in [false, true] {
+            let keep = |w: VertexId| !odd || w.0 % 2 == 1;
+            let mut want: Vec<VertexId> =
+                refl.iter().map(|&(_, w)| w).filter(|&w| keep(w)).collect();
+            want.sort_unstable();
+            want.dedup();
+            let mut filtered: Vec<VertexId> =
+                full.iter().map(|&(w, _)| w).filter(|&w| keep(w)).collect();
+            filtered.sort_unstable();
+            filtered.dedup();
+            assert_eq!(filtered, want);
+            let mut got = vec![VertexId(u32::MAX)];
+            g.collect_any(v, dir, keep, &mut got);
+            assert_eq!(got[0], VertexId(u32::MAX), "the collector kept the prefix");
+            assert_eq!(got[1..], want[..], "collector: {dir:?} {v:?}, odd ids only: {odd}");
         }
     }
 }
@@ -116,21 +113,22 @@ fn partitioned_adjacency_matches_flat_reference() {
             let src = VertexId(rng.below(nv) as u32);
             let dst = VertexId(rng.below(nv) as u32);
             let l = labels[rng.below(labels.len())];
-            let was_directory = g.out_is_directory(src);
+            let was_directory = g.is_directory(src, Dir::Out);
             if g.insert_edge(src, l, dst) {
                 r.insert(src, l, dst);
                 live.push((src, l, dst));
-                unfolded += usize::from(!was_directory && g.out_is_directory(src));
-                assert_eq!(g.out_is_directory(src), was_directory || g.out_degree(src) > FLAT_MAX);
+                unfolded += usize::from(!was_directory && g.is_directory(src, Dir::Out));
+                let now = g.is_directory(src, Dir::Out);
+                assert_eq!(now, was_directory || g.degree(src, Dir::Out) > FLAT_MAX);
             }
         } else {
             let (src, l, dst) = live.swap_remove(rng.below(live.len()));
-            let was_directory = g.out_is_directory(src);
+            let was_directory = g.is_directory(src, Dir::Out);
             deleted_from_directory += usize::from(was_directory);
             assert!(g.delete_edge(src, l, dst));
             r.remove(src, l, dst);
-            folded += usize::from(was_directory && !g.out_is_directory(src));
-            drained += usize::from(g.out_degree(src) == 0);
+            folded += usize::from(was_directory && !g.is_directory(src, Dir::Out));
+            drained += usize::from(g.degree(src, Dir::Out) == 0);
         }
         if step % 50 == 0 || step + 1 == 4000 {
             g.validate();

@@ -413,10 +413,10 @@ pub fn lookahead_hazards() -> Scenario {
     let mut g = g0.clone();
     let (mut unfolded, mut folded, mut grew) = (false, false, 0);
     for op in &ops {
-        let (was_dir, before) = (g.out_is_directory(v(0)), g.vertex_count());
+        let (was_dir, before) = (g.is_directory(v(0), Dir::Out), g.vertex_count());
         apply_staged(&mut g, op);
-        unfolded |= !was_dir && g.out_is_directory(v(0));
-        folded |= was_dir && !g.out_is_directory(v(0));
+        unfolded |= !was_dir && g.is_directory(v(0), Dir::Out);
+        folded |= was_dir && !g.is_directory(v(0), Dir::Out);
         grew += usize::from(g.vertex_count() > before + 1);
     }
     assert!(unfolded && folded && grew >= 2, "{unfolded} {folded} {grew}");
