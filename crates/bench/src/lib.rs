@@ -12,8 +12,8 @@
 //!
 //! Performance over time is not measured here but by the `e2e` streaming
 //! benchmark, a package of its own under `src/bin/e2e/`; `benches/` keeps
-//! three Criterion targets for what `e2e` cannot isolate (`graph_mutation`,
-//! `intersect_kernels`, `dcg_ops`).
+//! two Criterion targets for what `e2e` cannot isolate (`graph_mutation` and
+//! `dcg_ops`).
 //!
 //! Scales are laptop-sized by default and adjustable through environment
 //! variables (see [`params`]); the *shapes* of the results — who wins, by

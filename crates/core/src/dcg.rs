@@ -211,10 +211,6 @@ pub struct Dcg {
     /// Global explicit-edge count per query vertex (drives matching-order
     /// maintenance).
     expl_count: Vec<u64>,
-    /// Bit `u` set iff `expl_count[u]` changed since the last
-    /// [`Dcg::take_dirty_expl`] — lets the drift check touch only the counts
-    /// that can possibly have started drifting.
-    dirty_expl: u64,
     stored_edges: u64,
 }
 
@@ -247,7 +243,6 @@ impl Dcg {
             expl: vec![Bits::default(); nq],
             kids: vec![Bits::default(); nq],
             expl_count: vec![0; nq],
-            dirty_expl: 0,
             stored_edges: 0,
         }
     }
@@ -398,7 +393,6 @@ impl Dcg {
     /// One explicit edge labeled `u` more, out of `parent`.
     fn count_up(&mut self, parent: Option<VertexId>, u: QVertexId) {
         self.expl_count[u.index()] += 1;
-        self.dirty_expl |= 1 << u.0;
         if let Some(pv) = parent {
             self.kids[u.index()].set(pv);
         }
@@ -418,7 +412,6 @@ impl Dcg {
     ) {
         let ui = u.index();
         self.expl_count[ui] -= 1;
-        self.dirty_expl |= 1 << u.0;
         let Some(pv) = parent else { return };
         if self.reached[self.edges[ui].parent.index()].has(pv)
             && !self.other_explicit_child(g, pv, u, v, image)
@@ -625,13 +618,6 @@ impl Dcg {
         reached.iter_mut().chain(&mut expl).chain(&mut kids).for_each(Bits::trim);
         (self.reached, self.expl, self.kids) = (reached, expl, kids);
         (self.stored_edges, self.expl_count) = (stored_edges, expl_count);
-    }
-
-    /// Returns and clears the dirty bitmask: bit `u` is set iff the
-    /// explicit count of query vertex `u` changed since the previous call.
-    #[inline]
-    pub(crate) fn take_dirty_expl(&mut self) -> u64 {
-        std::mem::take(&mut self.dirty_expl)
     }
 
     /// Total number of stored DCG edges (start edges included) — the
@@ -882,8 +868,6 @@ mod tests {
         g.delete_edge(a1, LabelId(9), b0);
         d.check_consistency(&g);
         assert_eq!((d.stored_edge_count(), d.expl_counts()), (2, &[0, 0, 0][..]));
-        assert_eq!(d.take_dirty_expl(), 0b111);
-        assert_eq!(d.take_dirty_expl(), 0);
     }
 
     /// The edges are the graph's: the frontier is a label group read under

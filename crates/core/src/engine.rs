@@ -30,7 +30,6 @@ use tfx_query::{
 
 use crate::config::TurboFluxConfig;
 use crate::dcg::{Dcg, DcgView, EdgeState};
-use crate::order::OrderMaintenance;
 use crate::round::{self, Round};
 use crate::scratch::SearchScratch;
 
@@ -59,8 +58,9 @@ pub struct TurboFlux {
     pub(crate) qedge_by_label: Vec<Vec<EdgeId>>,
     /// Query edges with no label constraint (match any data label).
     pub(crate) qedge_wildcard: Vec<EdgeId>,
-    /// Drift detection for `AdjustMatchingOrder`.
-    pub(crate) order_maint: OrderMaintenance,
+    /// The explicit counts the matching order was computed from
+    /// (`AdjustMatchingOrder`'s drift check, `crate::order`).
+    pub(crate) order_snapshot: Vec<u64>,
     /// Reusable buffers for the per-update hot path (embedding, candidate
     /// stacks, edge snapshots); steady-state updates allocate nothing.
     pub(crate) scratch: SearchScratch,
@@ -164,7 +164,7 @@ impl TurboFlux {
             non_tree_incident,
             qedge_by_label,
             qedge_wildcard,
-            order_maint: OrderMaintenance::default(),
+            order_snapshot: Vec::new(),
             scratch: SearchScratch::for_query(nq),
             deadline: None,
             deadline_tick: Cell::new(0),

@@ -39,6 +39,8 @@
 //! assert_eq!(positives, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod bulk;
 pub mod config;
 pub mod dcg;

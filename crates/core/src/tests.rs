@@ -690,7 +690,7 @@ fn order_adjustment_never_changes_results() {
     assert_eq!(n1, n2, "order maintenance must not change results");
     assert_eq!(without.matching_order(), &initial_order[..], "static order stays put");
     assert!(
-        with_adjust.order_maint.snapshot.iter().any(|&c| c > 64),
+        with_adjust.order_snapshot.iter().any(|&c| c > 64),
         "the stream must cross the drift floor and trigger a recomputation"
     );
     assert_dcg_matches_reference(&with_adjust);

@@ -479,20 +479,22 @@ impl DynamicGraph {
         true
     }
 
-    /// The label set of vertex `v`.
+    /// The label set of vertex `v`; the empty set for an id never created.
     #[inline]
     pub fn labels(&self, v: VertexId) -> &LabelSet {
-        self.sets.get(self.vertex_sets[v.index()])
+        static UNLABELED: LabelSet = LabelSet::empty();
+        self.vertex_sets.get(v.index()).map_or(&UNLABELED, |&id| self.sets.get(id))
     }
 
     /// A matcher for the vertices whose label set contains `labels`:
     /// containment is decided once per distinct set, and a vertex is then
-    /// one lookup of its set id.
+    /// one lookup of its set id. An id never created is unlabeled.
     pub(crate) fn containing(&self, labels: &LabelSet) -> impl Fn(VertexId) -> bool + '_ {
         let sets: Vec<bool> = (0..self.sets.len() as SetId)
             .map(|id| labels.is_subset_of(self.sets.get(id)))
             .collect();
-        move |v| sets[self.vertex_sets[v.index()] as usize]
+        let unlabeled = labels.is_empty();
+        move |v| self.vertex_sets.get(v.index()).map_or(unlabeled, |&id| sets[id as usize])
     }
 
     /// True iff vertex id `v` has been created.
@@ -856,7 +858,7 @@ mod tests {
     }
 
     /// Every reader takes an id at or past `vertex_count()` as a vertex
-    /// without edges: empty, 0 or false, never a panic.
+    /// without edges or labels: empty, 0 or false, never a panic.
     #[test]
     fn unknown_endpoints_are_absent_edges_not_panics() {
         let mut g = labeled_graph(2);
@@ -873,6 +875,9 @@ mod tests {
         let mut buf = vec![VertexId(0)];
         for v in [2, 7, u32::MAX].map(VertexId) {
             assert!(!g.contains_vertex(v));
+            assert!(g.labels(v).is_empty());
+            assert!(g.containing(&LabelSet::empty())(v), "the empty set is in every set");
+            assert!(!g.containing(&LabelSet::single(l(0)))(v));
             for dir in [Dir::Out, Dir::In] {
                 assert_eq!(g.neighbors(v, dir).count(), 0);
                 assert!(g.group(v, dir, l(1)).is_empty());

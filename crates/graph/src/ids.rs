@@ -8,9 +8,6 @@
 use std::fmt;
 
 /// Identifier of a data vertex in a [`crate::DynamicGraph`].
-///
-/// `repr(transparent)`: the SIMD intersection kernels
-/// ([`crate::intersect`]) reinterpret `&[VertexId]` as `&[u32]`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[repr(transparent)]
 pub struct VertexId(pub u32);

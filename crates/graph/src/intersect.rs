@@ -1,29 +1,26 @@
-//! Vectorized intersection kernels for sorted, duplicate-free id runs.
+//! Intersection kernels for sorted, duplicate-free id runs.
 //!
-//! The enumeration hot paths — DCG candidate expansion, the matcher's
-//! generic-join extension, Graphflow's delta evaluation — all reduce to one
-//! primitive: given two sorted, duplicate-free runs of `u32`-packed vertex
-//! ids (label groups from the adjacency index, explicit DCG frontiers),
-//! emit their intersection in order. Doing that with a per-element
-//! `binary_search` costs `O(n log m)` with a data-dependent branch per
-//! probe; this module provides two purpose-built kernels behind one entry
-//! point, [`intersect_into`]:
+//! The enumeration hot paths — the search's non-tree prefilter, the
+//! matcher's generic-join extension step — reduce to one primitive: given
+//! two sorted, duplicate-free runs of vertex ids (label groups from the
+//! adjacency index, explicit DCG frontiers), emit their intersection in
+//! order. Doing that with a per-element `binary_search` costs `O(n log m)`
+//! with a data-dependent branch per probe; this module provides two merges
+//! behind one entry point, [`intersect_into`]:
 //!
 //! * **Galloping merge** ([`intersect_gallop_into`]) for skewed pairs: each
 //!   element of the smaller run advances through the larger one by
 //!   exponential probing from a monotone cursor, so the total cost is
 //!   `O(n log(m/n))` — asymptotically optimal for `n ≪ m` and strictly
 //!   better than restarting a full binary search per element.
-//! * **Block compare** ([`intersect_linear_into`]) for comparable sizes: a
-//!   4×4 all-pairs SIMD compare (SSE2 `_mm_cmpeq_epi32` against three
-//!   shuffles of the other block, always available on `x86_64`) that
-//!   advances whichever block exhausts first, falling back to a branchless
-//!   scalar merge on other targets and for the tails.
+//! * **Branchless merge** ([`intersect_merge_into`]) for comparable sizes:
+//!   a two-pointer walk whose cursors advance by comparison results, so
+//!   mispredictions do not scale with input entropy.
 //!
-//! The size-ratio cutoff ([`GALLOP_RATIO`]) picks between them. All kernels
-//! produce byte-identical output (the sorted intersection) — a randomized
-//! differential oracle in `tests/intersect_oracle.rs` pins every kernel to
-//! the naive sorted-merge reference.
+//! The size-ratio cutoff ([`GALLOP_RATIO`]) picks between them. Both
+//! produce the same output (the sorted intersection) — a randomized
+//! differential oracle in `tests/intersect_oracle.rs` pins each to the
+//! naive sorted-merge reference.
 //!
 //! Outputs are appended to a caller-owned `Vec`, which the engines use as a
 //! segmented scratch stack: once its high-water capacity is reached,
@@ -32,9 +29,9 @@
 
 use crate::ids::VertexId;
 
-/// Size-ratio cutoff between the galloping and block kernels: when one run
-/// is at least this many times longer than the other, galloping's
-/// `O(n log(m/n))` beats the linear kernel's `O(n + m)`.
+/// Size-ratio cutoff between the two merges: when one run is at least this
+/// many times longer than the other, galloping's `O(n log(m/n))` beats the
+/// branchless merge's `O(n + m)`.
 pub const GALLOP_RATIO: usize = 16;
 
 /// Run length at or below which a membership probe scans linearly instead
@@ -43,21 +40,7 @@ pub const GALLOP_RATIO: usize = 16;
 /// index's [`crate::adjacency`] run location).
 pub const LINEAR_PROBE_CUTOFF: usize = 16;
 
-// `&[VertexId] -> &[u32]` casts below rely on the newtype being layout-
-// identical to its payload.
-const _: () = {
-    assert!(std::mem::size_of::<VertexId>() == std::mem::size_of::<u32>());
-    assert!(std::mem::align_of::<VertexId>() == std::mem::align_of::<u32>());
-};
-
-#[inline]
-fn as_u32s(ids: &[VertexId]) -> &[u32] {
-    // SAFETY: `VertexId` is `#[repr(transparent)]` over `u32` (checked by
-    // the const assertion above), so the slices have identical layout.
-    unsafe { std::slice::from_raw_parts(ids.as_ptr().cast::<u32>(), ids.len()) }
-}
-
-/// Appends `a ∩ b` to `out` in ascending order, picking the kernel by size
+/// Appends `a ∩ b` to `out` in ascending order, picking the merge by size
 /// ratio. Both inputs must be sorted and duplicate-free; the output then is
 /// too.
 pub fn intersect_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
@@ -68,7 +51,7 @@ pub fn intersect_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
     if large.len() / small.len() >= GALLOP_RATIO {
         intersect_gallop_into(small, large, out);
     } else {
-        intersect_linear_into(small, large, out);
+        intersect_merge_into(small, large, out);
     }
 }
 
@@ -87,8 +70,8 @@ pub fn contains_sorted(run: &[VertexId], v: VertexId) -> bool {
 /// advance a monotone cursor through `large` by doubling steps, then binary
 /// search only the final probe window. Appends matches to `out`.
 ///
-/// Exposed (rather than private to [`intersect_into`]) so benches can pit
-/// the kernels against each other at any size ratio.
+/// Public, as is [`intersect_merge_into`], so the oracle can check each
+/// regime at every size and in both argument orders.
 pub fn intersect_gallop_into(small: &[VertexId], large: &[VertexId], out: &mut Vec<VertexId>) {
     let mut base = 0usize;
     for &x in small {
@@ -116,33 +99,14 @@ pub fn intersect_gallop_into(small: &[VertexId], large: &[VertexId], out: &mut V
     }
 }
 
-/// Linear (block-compare) intersection for comparable-size runs. Appends
-/// matches to `out`: the SSE2 block kernel on `x86_64`, a branchless scalar
-/// merge elsewhere.
-pub fn intersect_linear_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
-    // SSE2 is part of the x86_64 baseline: no runtime detection needed.
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        sse2::intersect_blocks(a, b, out)
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    scalar_merge_from(a, b, 0, 0, out);
-}
-
-/// Branchless scalar merge from offsets `(i, j)` onward — the shared tail
-/// loop of the block kernel and the whole-input fallback off `x86_64`.
-fn scalar_merge_from(
-    a: &[VertexId],
-    b: &[VertexId],
-    mut i: usize,
-    mut j: usize,
-    out: &mut Vec<VertexId>,
-) {
-    let (a, b) = (as_u32s(a), as_u32s(b));
+/// Branchless two-pointer intersection for comparable-size runs. Appends
+/// matches to `out`.
+pub fn intersect_merge_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
+    let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         let (x, y) = (a[i], b[j]);
         if x == y {
-            out.push(VertexId(x));
+            out.push(x);
             i += 1;
             j += 1;
         } else {
@@ -154,54 +118,6 @@ fn scalar_merge_from(
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-mod sse2 {
-    use super::{as_u32s, scalar_merge_from};
-    use crate::ids::VertexId;
-
-    /// 4×4 all-pairs block intersection with SSE2. Each step loads one
-    /// 4-lane block per side, compares every pair via three lane rotations
-    /// of `b`, emits the matching `a` lanes in order, and advances the
-    /// block whose maximum is smaller (both on a tie). Tails fall through
-    /// to the scalar merge.
-    ///
-    /// # Safety
-    /// Requires SSE2, which is unconditionally part of the `x86_64`
-    /// baseline target features.
-    pub(super) unsafe fn intersect_blocks(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
-        use std::arch::x86_64::*;
-        let (au, bu) = (as_u32s(a), as_u32s(b));
-        let (mut i, mut j) = (0usize, 0usize);
-        let (na, nb) = (au.len() & !3, bu.len() & !3);
-        while i < na && j < nb {
-            // SAFETY: i + 4 <= na <= au.len(), j + 4 <= nb <= bu.len(), and
-            // loadu has no alignment requirement.
-            let va = unsafe { _mm_loadu_si128(au.as_ptr().add(i).cast()) };
-            let vb = unsafe { _mm_loadu_si128(bu.as_ptr().add(j).cast()) };
-            // All-pairs equality: compare va against vb rotated by 0..4 lanes.
-            let m0 = _mm_cmpeq_epi32(va, vb);
-            let m1 = _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0b00_11_10_01));
-            let m2 = _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0b01_00_11_10));
-            let m3 = _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0b10_01_00_11));
-            let hit = _mm_or_si128(_mm_or_si128(m0, m1), _mm_or_si128(m2, m3));
-            let mut mask = _mm_movemask_ps(_mm_castsi128_ps(hit)) as u32;
-            // Lanes of `a` are ascending, so emitting by ascending bit
-            // index keeps the output sorted.
-            while mask != 0 {
-                let k = mask.trailing_zeros() as usize;
-                out.push(VertexId(au[i + k]));
-                mask &= mask - 1;
-            }
-            let (amax, bmax) = (au[i + 3], bu[j + 3]);
-            // Runs are duplicate-free, so nothing in the advanced block can
-            // match again in the other's later blocks.
-            i += if amax <= bmax { 4 } else { 0 };
-            j += if bmax <= amax { 4 } else { 0 };
-        }
-        scalar_merge_from(a, b, i, j, out);
-    }
-}
-
 /// Hints the cache line holding `*r` into every cache level, for a caller
 /// that knows which lines a later step will touch (the batch lookahead of
 /// `tfx_core::round`). It has no architectural effect — nothing is read, no
@@ -209,6 +125,7 @@ mod sse2 {
 /// whose target moved before its use is the hint itself. A no-op off
 /// `x86_64`.
 #[inline(always)]
+#[allow(unsafe_code)]
 pub fn prefetch<T>(r: &T) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: PREFETCHT0 never dereferences its operand (and `r` is a valid
@@ -266,9 +183,9 @@ mod tests {
                 intersect_into(a, b, &mut o);
                 o
             }),
-            ("linear", {
+            ("merge", {
                 let mut o = Vec::new();
-                intersect_linear_into(a, b, &mut o);
+                intersect_merge_into(a, b, &mut o);
                 o
             }),
             ("gallop_ab", {
@@ -298,7 +215,6 @@ mod tests {
 
     #[test]
     fn block_boundaries() {
-        // Exactly 4, 5, 7, 8 elements exercise aligned blocks plus tails.
         let a = ids(&[1, 2, 3, 4, 10, 11, 12, 13]);
         let b = ids(&[2, 4, 6, 8, 10, 12, 14, 16]);
         assert_eq!(run_all(&a, &b), ids(&[2, 4, 10, 12]));

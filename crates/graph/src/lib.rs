@@ -16,13 +16,17 @@
 //!   taking the [`Dir`] to read along: `neighbors` (every `(id, label)`),
 //!   `group` (one label's sorted ids, a slice), `collect_any` (every label's
 //!   ids, sorted, each once), `degree`, `label_runs`, `is_directory` and
-//!   `prefetch_group`; an id never created reads as a vertex without edges,
+//!   `prefetch_group`; an id never created reads as a vertex without edges
+//!   or labels,
 //! * [`UpdateOp`] / [`UpdateStream`] — the graph update stream,
-//! * [`intersect`] — galloping / SIMD-block intersection kernels over
-//!   sorted `u32`-packed id runs, the primitive behind candidate
-//!   enumeration in every engine,
+//! * [`intersect`] — galloping and branchless-merge intersection over
+//!   sorted id runs, the primitive behind candidate enumeration in every
+//!   engine,
 //! * [`stats::GraphStats`] — cardinality statistics used to pick the starting
 //!   query vertex and the query spanning tree, sourced from the index.
+
+// `intersect::prefetch`, a cache hint, is the one `unsafe` block.
+#![deny(unsafe_code)]
 
 pub mod adjacency;
 pub mod arena;

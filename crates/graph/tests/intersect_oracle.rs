@@ -1,18 +1,20 @@
 //! Randomized differential oracle for the intersection kernels.
 //!
-//! Every kernel in `tfx_graph::intersect` — the auto-dispatching entry
-//! point, the galloping merge (both argument orders), and the linear block
-//! kernel — must produce byte-identical output to the naive sorted-merge
-//! reference on *any* pair of sorted duplicate-free runs. This test sweeps
-//! run-length pairs across the dispatcher's size-ratio regimes (including
-//! adversarial ratios far past `GALLOP_RATIO`), overlap densities from
-//! disjoint to identical, and value ranges from dense to sparse, using a
-//! deterministic xorshift generator so any failure replays exactly.
+//! Every entry point of `tfx_graph::intersect` — the dispatching
+//! `intersect_into`, the galloping merge and the branchless merge, each in
+//! both argument orders — must produce the same output as the naive
+//! sorted-merge reference on *any* pair of sorted duplicate-free runs. This
+//! test sweeps run-length pairs across the dispatcher's size-ratio regimes
+//! (ratios on both sides of `GALLOP_RATIO` and far past it), overlap
+//! densities from disjoint to identical, and value ranges from dense to
+//! sparse, using a deterministic xorshift generator so any failure replays
+//! exactly. The alignment sweep's short runs and offsets are ordinary input
+//! to a scalar merge; they stay because they are cheap and off-by-one prone.
 
 use tfx_graph::intersect::{
-    intersect_gallop_into, intersect_into, intersect_linear_into, intersect_reference,
+    intersect_gallop_into, intersect_into, intersect_merge_into, intersect_reference,
 };
-use tfx_graph::{contains_sorted, VertexId};
+use tfx_graph::{contains_sorted, VertexId, GALLOP_RATIO};
 
 struct XorShift(u64);
 
@@ -33,14 +35,31 @@ fn random_run(rng: &mut XorShift, len: usize, range: u64) -> Vec<VertexId> {
     v.into_iter().map(VertexId).collect()
 }
 
+/// A sorted run of exactly `len` distinct ids, gaps drawn from `1..=gap`.
+fn exact_run(rng: &mut XorShift, len: usize, gap: u64) -> Vec<VertexId> {
+    let mut x = rng.next(gap) as u32;
+    (0..len)
+        .map(|_| {
+            x += 1 + rng.next(gap) as u32;
+            VertexId(x)
+        })
+        .collect()
+}
+
 fn check_all_kernels(a: &[VertexId], b: &[VertexId], case: &str) {
     let expect = intersect_reference(a, b);
     let mut got = Vec::new();
     intersect_into(a, b, &mut got);
     assert_eq!(got, expect, "auto dispatch diverged ({case})");
     got.clear();
-    intersect_linear_into(a, b, &mut got);
-    assert_eq!(got, expect, "linear kernel diverged ({case})");
+    intersect_into(b, a, &mut got);
+    assert_eq!(got, expect, "auto dispatch (b,a) diverged ({case})");
+    got.clear();
+    intersect_merge_into(a, b, &mut got);
+    assert_eq!(got, expect, "merge(a,b) diverged ({case})");
+    got.clear();
+    intersect_merge_into(b, a, &mut got);
+    assert_eq!(got, expect, "merge(b,a) diverged ({case})");
     got.clear();
     intersect_gallop_into(a, b, &mut got);
     assert_eq!(got, expect, "gallop(a,b) diverged ({case})");
@@ -58,9 +77,9 @@ fn check_all_kernels(a: &[VertexId], b: &[VertexId], case: &str) {
 #[test]
 fn randomized_runs_match_reference_across_regimes() {
     let mut rng = XorShift(0xDEAD_BEEF_CAFE_F00D);
-    // (len_a, len_b) pairs covering: tiny×tiny, tail-only (<4, so the block
-    // kernel never runs a SIMD step), around the 4-lane block boundary,
-    // balanced mid-size, and skewed ratios straddling GALLOP_RATIO.
+    // (len_a, len_b) pairs covering: tiny×tiny, short runs, balanced
+    // mid-size (the sizes the engine's prefilter sees stay under 256), and
+    // skewed ratios straddling GALLOP_RATIO.
     let shapes: &[(usize, usize)] = &[
         (0, 0),
         (1, 1),
@@ -91,6 +110,20 @@ fn randomized_runs_match_reference_across_regimes() {
             }
         }
     }
+    // Exact lengths at ratios GALLOP_RATIO - 2 ..= GALLOP_RATIO + 2, each at
+    // its floor and just under the next integer, so `intersect_into` takes
+    // each merge on the pairs nearest the cutoff.
+    for small in [1usize, 2, 5, 32, 127] {
+        for ratio in GALLOP_RATIO - 2..=GALLOP_RATIO + 2 {
+            for large in [small * ratio, small * ratio + small - 1] {
+                for gap in [1, 4, 32] {
+                    let a = exact_run(&mut rng, small, gap * ratio as u64);
+                    let b = exact_run(&mut rng, large, gap);
+                    check_all_kernels(&a, &b, &format!("ratio ({small},{large}) gap={gap}"));
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -103,7 +136,7 @@ fn structured_edge_cases() {
         (ids(&[0, 2, 4, 6, 8, 10]), ids(&[1, 3, 5, 7, 9, 11])),
         // One run inside a single gap of the other.
         (ids(&[0, 1000]), ids(&[10, 11, 12, 13, 14, 15, 16, 17])),
-        // Matches exactly at block boundaries (indices 3, 4, 7, 8).
+        // Matches at adjacent indices (3, 4 and 7, 8).
         ((0..9u32).map(|i| VertexId(i * 10)).collect(), ids(&[30, 40, 70, 80])),
         // u32 extremes.
         (ids(&[0, u32::MAX - 1, u32::MAX]), ids(&[0, 1, u32::MAX])),
@@ -115,8 +148,8 @@ fn structured_edge_cases() {
     }
 }
 
-/// Sweep every alignment of both runs relative to the 4-lane SIMD blocks:
-/// off-by-one lengths and offsets are where block kernels typically break.
+/// Sweep short lengths and offsets of both runs: off-by-one lengths and
+/// starting points are where merge loops typically break.
 #[test]
 fn alignment_sweep() {
     let base: Vec<VertexId> = (0..40u32).map(|i| VertexId(i * 3)).collect();

@@ -29,6 +29,8 @@
 //! query, which `NaiveRecompute` confirms op by op — under homomorphism and
 //! isomorphism, for time, count and unbounded windows and any batch policy.
 
+#![forbid(unsafe_code)]
+
 pub mod driver;
 pub mod event;
 pub mod sink;

@@ -30,6 +30,8 @@
 //! @120 + 3 8 knows    # the same, at explicit stream time 120
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
 use turboflux::prelude::*;

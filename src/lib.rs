@@ -50,6 +50,8 @@
 //! | [`datagen`] | LSBench-like / Netflow-like generators, query generators |
 //! | [`stream`] | ingestion: timestamped sources, sliding windows, batching driver, delta sinks |
 
+#![forbid(unsafe_code)]
+
 pub use tfx_baselines as baselines;
 pub use tfx_core as core;
 pub use tfx_datagen as datagen;
