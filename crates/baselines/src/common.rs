@@ -1,7 +1,8 @@
 //! Shared helpers for the baseline engines.
 
+use rustc_hash::FxHashSet;
 use tfx_graph::{DynamicGraph, LabelId, VertexId};
-use tfx_query::{EdgeId, QueryGraph};
+use tfx_query::{Deadline, EdgeId, MatchRecord, MatchSemantics, QueryGraph};
 
 /// Ids of the query edges matching the data edge `(src, label, dst)`
 /// (labels of endpoints + edge label, self-loop rule included).
@@ -18,47 +19,22 @@ pub fn matching_query_edges(
         .collect()
 }
 
-/// A deadline/work budget shared by engines that can blow up on a single
-/// update (SJ-Tree, Graphflow). Once exhausted the engine stops producing
-/// results and reports itself as timed out; the harness then discards the
-/// query, mirroring the paper's per-query timeouts.
-#[derive(Debug, Clone)]
-pub struct WorkBudget {
-    remaining: u64,
-    exhausted: bool,
-}
-
-impl WorkBudget {
-    /// A budget of `units` abstract work units (tuple generations,
-    /// candidate extensions, ...).
-    pub fn new(units: u64) -> Self {
-        WorkBudget { remaining: units, exhausted: false }
-    }
-
-    /// An effectively unlimited budget.
-    pub fn unlimited() -> Self {
-        Self::new(u64::MAX)
-    }
-
-    /// Consumes `n` units; returns `false` once the budget is exhausted.
-    #[inline]
-    pub fn consume(&mut self, n: u64) -> bool {
-        if self.exhausted {
-            return false;
-        }
-        if self.remaining < n {
-            self.exhausted = true;
-            return false;
-        }
-        self.remaining -= n;
-        true
-    }
-
-    /// True once the budget ran out (results are incomplete from then on).
-    #[inline]
-    pub fn is_exhausted(&self) -> bool {
-        self.exhausted
-    }
+/// Every match of `q` in `g`, as a set, or `None` once `deadline` cut the
+/// enumeration short (probed once per match). The engines that match a
+/// whole graph per update (IncIsoMat, the naive recompute) enumerate
+/// through it.
+pub fn match_set_within(
+    g: &DynamicGraph,
+    q: &QueryGraph,
+    semantics: MatchSemantics,
+    deadline: &Deadline,
+) -> Option<FxHashSet<MatchRecord>> {
+    let mut out = FxHashSet::default();
+    let res = tfx_match::enumerate_matches(g, q, semantics, &mut |m| {
+        out.insert(m.clone());
+        !deadline.exceeded()
+    });
+    res.completed.then_some(out)
 }
 
 #[cfg(test)]
@@ -66,23 +42,6 @@ mod tests {
     use super::*;
     use tfx_graph::LabelSet;
     use tfx_query::QVertexId;
-
-    #[test]
-    fn budget_exhausts_and_sticks() {
-        let mut b = WorkBudget::new(3);
-        assert!(b.consume(2));
-        assert!(!b.is_exhausted());
-        assert!(!b.consume(2));
-        assert!(b.is_exhausted());
-        assert!(!b.consume(0), "stays exhausted");
-    }
-
-    #[test]
-    fn unlimited_budget_never_exhausts() {
-        let mut b = WorkBudget::unlimited();
-        assert!(b.consume(u64::MAX / 2));
-        assert!(!b.is_exhausted());
-    }
 
     #[test]
     fn matching_edges_respect_all_filters() {

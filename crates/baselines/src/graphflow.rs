@@ -15,37 +15,26 @@
 use tfx_graph::{DynamicGraph, LabelId, UpdateOp, VertexId};
 use tfx_match::joinable;
 use tfx_query::{
-    ContinuousMatcher, EdgeId, MatchRecord, MatchSemantics, Positiveness, QVertexId, QueryGraph,
+    ContinuousMatcher, Deadline, EdgeId, MatchRecord, MatchSemantics, Positiveness, QVertexId,
+    QueryGraph,
 };
 
-use crate::common::{matching_query_edges, WorkBudget};
+use crate::common::matching_query_edges;
 
 /// The Graphflow baseline engine.
 pub struct Graphflow {
     g: DynamicGraph,
     q: QueryGraph,
     semantics: MatchSemantics,
-    budget: WorkBudget,
+    deadline: Deadline,
 }
 
 impl Graphflow {
-    /// Registers `q` over `g0` with an unlimited work budget.
+    /// Registers `q` over `g0`.
     pub fn new(q: QueryGraph, g0: DynamicGraph, semantics: MatchSemantics) -> Self {
         assert!(q.edge_count() > 0, "query must have at least one edge");
         assert!(q.is_connected(), "query must be connected");
-        Graphflow { g: g0, q, semantics, budget: WorkBudget::unlimited() }
-    }
-
-    /// Caps the abstract work per run; once exhausted the engine stops
-    /// producing results (the harness treats that as a timeout).
-    pub fn with_budget(mut self, units: u64) -> Self {
-        self.budget = WorkBudget::new(units);
-        self
-    }
-
-    /// True once the work budget ran out.
-    pub fn timed_out(&self) -> bool {
-        self.budget.is_exhausted()
+        Graphflow { g: g0, q, semantics, deadline: Deadline::default() }
     }
 
     /// The data graph as maintained by the engine.
@@ -89,7 +78,7 @@ impl Graphflow {
 
     #[allow(clippy::too_many_arguments)]
     fn extend(
-        &mut self,
+        &self,
         eq: EdgeId,
         src: VertexId,
         label: LabelId,
@@ -98,7 +87,7 @@ impl Graphflow {
         p: Positiveness,
         sink: &mut dyn FnMut(Positiveness, &MatchRecord),
     ) {
-        if !self.budget.consume(1) {
+        if self.deadline.exceeded() {
             return;
         }
         let Some(u) = self.next_vertex(m) else {
@@ -108,7 +97,7 @@ impl Graphflow {
             return;
         };
         for v in tfx_match::extend(&self.g, &self.q, m, u) {
-            if !self.budget.consume(1) {
+            if self.deadline.exceeded() {
                 return;
             }
             if !self.q.labels(u).is_subset_of(self.g.labels(v))
@@ -123,7 +112,7 @@ impl Graphflow {
     }
 
     fn eval_update(
-        &mut self,
+        &self,
         src: VertexId,
         label: LabelId,
         dst: VertexId,
@@ -158,7 +147,7 @@ impl ContinuousMatcher for Graphflow {
     fn initial_matches(&mut self, sink: &mut dyn FnMut(&MatchRecord)) {
         tfx_match::enumerate_matches(&self.g, &self.q, self.semantics, &mut |m| {
             sink(m);
-            true
+            !self.deadline.exceeded()
         });
     }
 
@@ -181,8 +170,12 @@ impl ContinuousMatcher for Graphflow {
         }
     }
 
+    fn set_deadline(&mut self, at: Option<std::time::Instant>) {
+        self.deadline = Deadline::new(at);
+    }
+
     fn timed_out(&self) -> bool {
-        self.budget.is_exhausted()
+        self.deadline.hit()
     }
 
     fn name(&self) -> &'static str {
@@ -238,16 +231,5 @@ mod tests {
         assert_eq!(got.len(), 3);
         assert!(got.iter().all(|(p, _)| *p == Positiveness::Negative));
         assert!(!e.graph().has_edge(VertexId(2), l(0), VertexId(0)));
-    }
-
-    #[test]
-    fn budget_stops_work() {
-        let (g, q) = triangle_setup();
-        let mut e = Graphflow::new(q, g, MatchSemantics::Homomorphism).with_budget(1);
-        let op = UpdateOp::InsertEdge { src: VertexId(2), label: l(0), dst: VertexId(0) };
-        let mut got = Vec::new();
-        e.apply(&op, &mut |p, m| got.push((p, m.clone())));
-        assert!(e.timed_out());
-        assert!(got.len() < 3);
     }
 }

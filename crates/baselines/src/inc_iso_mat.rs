@@ -13,8 +13,10 @@ use rustc_hash::FxHashSet;
 use std::collections::VecDeque;
 use tfx_graph::{Dir, DynamicGraph, LabelId, UpdateOp, VertexId};
 use tfx_query::{
-    diameter, ContinuousMatcher, MatchRecord, MatchSemantics, Positiveness, QueryGraph,
+    diameter, ContinuousMatcher, Deadline, MatchRecord, MatchSemantics, Positiveness, QueryGraph,
 };
+
+use crate::common::match_set_within;
 
 /// The IncIsoMat baseline engine.
 pub struct IncIsoMat {
@@ -22,8 +24,7 @@ pub struct IncIsoMat {
     q: QueryGraph,
     semantics: MatchSemantics,
     diameter: usize,
-    deadline: Option<std::time::Instant>,
-    deadline_hit: bool,
+    deadline: Deadline,
 }
 
 impl IncIsoMat {
@@ -31,33 +32,7 @@ impl IncIsoMat {
     pub fn new(q: QueryGraph, g0: DynamicGraph, semantics: MatchSemantics) -> Self {
         assert!(q.edge_count() > 0, "query must have at least one edge");
         let d = diameter(&q); // panics on a disconnected query
-        IncIsoMat { g: g0, q, semantics, diameter: d, deadline: None, deadline_hit: false }
-    }
-
-    /// Sets a wall-clock deadline; once passed, per-update matching aborts
-    /// and [`ContinuousMatcher::timed_out`] latches true.
-    pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
-        self.deadline = deadline;
-        self.deadline_hit = false;
-    }
-
-    /// Enumerates matches of `q` in `g` into a set, aborting on deadline.
-    /// Returns `None` when aborted.
-    fn bounded_match_set(&self, g: &DynamicGraph) -> Option<FxHashSet<MatchRecord>> {
-        let mut out = FxHashSet::default();
-        let mut tick = 0u32;
-        let deadline = self.deadline;
-        let res = tfx_match::enumerate_matches(g, &self.q, self.semantics, &mut |m| {
-            out.insert(m.clone());
-            tick = tick.wrapping_add(1);
-            if tick.is_multiple_of(4096) {
-                if let Some(d) = deadline {
-                    return std::time::Instant::now() < d;
-                }
-            }
-            true
-        });
-        res.completed.then_some(out)
+        IncIsoMat { g: g0, q, semantics, diameter: d, deadline: Deadline::default() }
     }
 
     /// The data graph as maintained by the engine.
@@ -104,7 +79,7 @@ impl IncIsoMat {
     }
 
     fn eval_edge_update(
-        &mut self,
+        &self,
         src: VertexId,
         label: LabelId,
         dst: VertexId,
@@ -117,10 +92,11 @@ impl IncIsoMat {
         debug_assert!(with_edge.has_edge(src, label, dst));
         let mut without_edge = with_edge.clone();
         without_edge.delete_edge(src, label, dst);
-        let (Some(m_without), Some(m_with)) =
-            (self.bounded_match_set(&without_edge), self.bounded_match_set(&with_edge))
-        else {
-            self.deadline_hit = true;
+        let (q, sem, deadline) = (&self.q, self.semantics, &self.deadline);
+        let (Some(m_without), Some(m_with)) = (
+            match_set_within(&without_edge, q, sem, deadline),
+            match_set_within(&with_edge, q, sem, deadline),
+        ) else {
             return;
         };
         if insert {
@@ -139,7 +115,7 @@ impl ContinuousMatcher for IncIsoMat {
     fn initial_matches(&mut self, sink: &mut dyn FnMut(&MatchRecord)) {
         tfx_match::enumerate_matches(&self.g, &self.q, self.semantics, &mut |m| {
             sink(m);
-            true
+            !self.deadline.exceeded()
         });
     }
 
@@ -162,8 +138,12 @@ impl ContinuousMatcher for IncIsoMat {
         }
     }
 
+    fn set_deadline(&mut self, at: Option<std::time::Instant>) {
+        self.deadline = Deadline::new(at);
+    }
+
     fn timed_out(&self) -> bool {
-        self.deadline_hit
+        self.deadline.hit()
     }
 
     fn name(&self) -> &'static str {

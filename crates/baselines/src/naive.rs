@@ -3,22 +3,25 @@
 //! infeasible on real streams, but the ground truth every other engine is
 //! tested against.
 
-use rustc_hash::FxHashSet;
 use tfx_graph::{DynamicGraph, UpdateOp};
-use tfx_match::match_set;
-use tfx_query::{ContinuousMatcher, MatchRecord, MatchSemantics, Positiveness, QueryGraph};
+use tfx_query::{
+    ContinuousMatcher, Deadline, MatchRecord, MatchSemantics, Positiveness, QueryGraph,
+};
+
+use crate::common::match_set_within;
 
 /// Full-recompute continuous matcher.
 pub struct NaiveRecompute {
     g: DynamicGraph,
     q: QueryGraph,
     semantics: MatchSemantics,
+    deadline: Deadline,
 }
 
 impl NaiveRecompute {
     /// Registers `q` over `g0`.
     pub fn new(q: QueryGraph, g0: DynamicGraph, semantics: MatchSemantics) -> Self {
-        NaiveRecompute { g: g0, q, semantics }
+        NaiveRecompute { g: g0, q, semantics, deadline: Deadline::default() }
     }
 
     /// The data graph as maintained by the engine.
@@ -31,7 +34,7 @@ impl ContinuousMatcher for NaiveRecompute {
     fn initial_matches(&mut self, sink: &mut dyn FnMut(&MatchRecord)) {
         tfx_match::enumerate_matches(&self.g, &self.q, self.semantics, &mut |m| {
             sink(m);
-            true
+            !self.deadline.exceeded()
         });
     }
 
@@ -42,17 +45,29 @@ impl ContinuousMatcher for NaiveRecompute {
             self.g.apply(op);
             return;
         }
-        let before: FxHashSet<MatchRecord> = match_set(&self.g, &self.q, self.semantics);
+        let (q, sem) = (&self.q, self.semantics);
+        let before = match_set_within(&self.g, q, sem, &self.deadline);
         if !self.g.apply(op) {
             return; // duplicate insert / absent delete: nothing changed
         }
-        let after: FxHashSet<MatchRecord> = match_set(&self.g, &self.q, self.semantics);
+        let after = match_set_within(&self.g, q, sem, &self.deadline);
+        let (Some(before), Some(after)) = (before, after) else {
+            return; // the deadline cut an enumeration short
+        };
         for m in after.difference(&before) {
             sink(Positiveness::Positive, m);
         }
         for m in before.difference(&after) {
             sink(Positiveness::Negative, m);
         }
+    }
+
+    fn set_deadline(&mut self, at: Option<std::time::Instant>) {
+        self.deadline = Deadline::new(at);
+    }
+
+    fn timed_out(&self) -> bool {
+        self.deadline.hit()
     }
 
     fn name(&self) -> &'static str {

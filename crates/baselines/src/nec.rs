@@ -18,6 +18,7 @@
 //! [`nec_compress`] returns `None` for incompressible queries.
 
 use rustc_hash::FxHashMap;
+use std::time::Instant;
 use tfx_graph::LabelSet;
 use tfx_graph::{DynamicGraph, LabelId, UpdateOp, VertexId};
 use tfx_query::{
@@ -117,20 +118,16 @@ pub struct NecSjTree {
 }
 
 impl NecSjTree {
-    /// Builds the engine if `q` is compressible; `None` otherwise.
-    pub fn try_new(q: &QueryGraph, g0: DynamicGraph, semantics: MatchSemantics) -> Option<Self> {
-        Self::try_with_budget(q, g0, semantics, u64::MAX)
-    }
-
-    /// Like [`NecSjTree::try_new`] with an abstract work budget.
-    pub fn try_with_budget(
+    /// Builds the engine if `q` is compressible; `None` otherwise. The
+    /// g0 ingestion runs under `deadline`, as [`SjTree::new`]'s does.
+    pub fn try_new(
         q: &QueryGraph,
         g0: DynamicGraph,
         semantics: MatchSemantics,
-        units: u64,
+        deadline: Option<Instant>,
     ) -> Option<Self> {
         let compression = nec_compress(q)?;
-        let inner = SjTree::with_budget(compression.compressed.clone(), g0, semantics, units);
+        let inner = SjTree::new(compression.compressed.clone(), g0, semantics, deadline);
         Some(NecSjTree { inner, compression, semantics })
     }
 
@@ -198,6 +195,10 @@ impl ContinuousMatcher for NecSjTree {
 
     fn intermediate_result_bytes(&self) -> usize {
         self.inner.intermediate_result_bytes()
+    }
+
+    fn set_deadline(&mut self, at: Option<Instant>) {
+        self.inner.set_deadline(at);
     }
 
     fn timed_out(&self) -> bool {
@@ -288,7 +289,8 @@ mod tests {
         let g = star_data(5);
         let expected = count_matches(&g, &q, MatchSemantics::Homomorphism);
         assert_eq!(expected, 125, "5^3 choices for the C leaves");
-        let mut e = NecSjTree::try_new(&q, g, MatchSemantics::Homomorphism).expect("compresses");
+        let mut e =
+            NecSjTree::try_new(&q, g, MatchSemantics::Homomorphism, None).expect("compresses");
         assert_eq!(e.original_match_count(), expected);
     }
 
@@ -298,7 +300,8 @@ mod tests {
         let g = star_data(5);
         let expected = count_matches(&g, &q, MatchSemantics::Isomorphism);
         assert_eq!(expected, 60, "5·4·3 injective choices");
-        let mut e = NecSjTree::try_new(&q, g, MatchSemantics::Isomorphism).expect("compresses");
+        let mut e =
+            NecSjTree::try_new(&q, g, MatchSemantics::Isomorphism, None).expect("compresses");
         assert_eq!(e.original_match_count(), expected);
     }
 
@@ -306,8 +309,9 @@ mod tests {
     fn compressed_tables_are_smaller() {
         let q = star();
         let g = star_data(30);
-        let plain = SjTree::new(q.clone(), g.clone(), MatchSemantics::Homomorphism);
-        let mut nec = NecSjTree::try_new(&q, g, MatchSemantics::Homomorphism).expect("compresses");
+        let plain = SjTree::new(q.clone(), g.clone(), MatchSemantics::Homomorphism, None);
+        let mut nec =
+            NecSjTree::try_new(&q, g, MatchSemantics::Homomorphism, None).expect("compresses");
         assert!(
             nec.intermediate_result_bytes() < plain.intermediate_result_bytes(),
             "NEC must shrink the materialized state ({} vs {})",
@@ -323,9 +327,9 @@ mod tests {
     fn streaming_updates_keep_counts_consistent() {
         let q = star();
         let g = star_data(3);
-        let mut plain = SjTree::new(q.clone(), g.clone(), MatchSemantics::Homomorphism);
-        let mut nec =
-            NecSjTree::try_new(&q, g.clone(), MatchSemantics::Homomorphism).expect("compresses");
+        let mut plain = SjTree::new(q.clone(), g.clone(), MatchSemantics::Homomorphism, None);
+        let mut nec = NecSjTree::try_new(&q, g.clone(), MatchSemantics::Homomorphism, None)
+            .expect("compresses");
         // Stream three more C vertices + edges.
         let mut ops = Vec::new();
         for i in 0..3u32 {

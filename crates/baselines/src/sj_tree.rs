@@ -17,12 +17,14 @@
 //! the storage cost TurboFlux's DCG is compared against (Figures 6b, 7b).
 
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::time::Instant;
 use tfx_graph::{DynamicGraph, GraphStats, LabelId, UpdateOp, VertexId};
 use tfx_query::{
-    ContinuousMatcher, EdgeId, MatchRecord, MatchSemantics, Positiveness, QVertexId, QueryGraph,
+    ContinuousMatcher, Deadline, EdgeId, MatchRecord, MatchSemantics, Positiveness, QVertexId,
+    QueryGraph,
 };
 
-use crate::common::{matching_query_edges, WorkBudget};
+use crate::common::matching_query_edges;
 
 type Tuple = Box<[VertexId]>;
 
@@ -95,24 +97,19 @@ pub struct SjTree {
     /// internal nodes start at join level 1).
     nodes: Vec<NodeTable>,
     plans: Vec<JoinPlan>,
-    budget: WorkBudget,
+    deadline: Deadline,
 }
 
 impl SjTree {
     /// Registers `q` over `g0`, ingesting every edge of `g0` through the
     /// join tree (that is how SJ-Tree bootstraps its materialized state).
-    pub fn new(q: QueryGraph, g0: DynamicGraph, semantics: MatchSemantics) -> Self {
-        Self::with_budget(q, g0, semantics, u64::MAX)
-    }
-
-    /// Like [`SjTree::new`] but caps the abstract work (tuple generations);
-    /// once exhausted the engine stops producing results and
-    /// [`SjTree::timed_out`] turns true.
-    pub fn with_budget(
+    /// The ingestion already runs under `deadline`: once it passes, the
+    /// tables stay incomplete and [`ContinuousMatcher::timed_out`] is true.
+    pub fn new(
         q: QueryGraph,
         g0: DynamicGraph,
         semantics: MatchSemantics,
-        units: u64,
+        deadline: Option<Instant>,
     ) -> Self {
         assert!(q.edge_count() > 0, "query must have at least one edge");
         assert!(q.is_connected(), "query must be connected");
@@ -195,7 +192,7 @@ impl SjTree {
             leaves,
             nodes: nodes2,
             plans,
-            budget: WorkBudget::new(units),
+            deadline: Deadline::new(deadline),
         };
         // Ingest g0 edge by edge without reporting.
         for v in g0.vertices() {
@@ -208,12 +205,6 @@ impl SjTree {
             engine.ingest_edge(e.src, e.label, e.dst, &mut |_| {});
         }
         engine
-    }
-
-    /// True once the work budget ran out (materialized state and reports
-    /// are incomplete from then on).
-    pub fn timed_out(&self) -> bool {
-        self.budget.is_exhausted()
     }
 
     /// The data graph as maintained by the engine.
@@ -261,7 +252,7 @@ impl SjTree {
                 .iter()
                 .map(|&u| if u == qe.src { src } else { dst })
                 .collect();
-            if !self.budget.consume(1) {
+            if self.deadline.exceeded() {
                 return;
             }
             if !self.leaves[leaf_idx].insert(tuple.clone()) {
@@ -312,7 +303,7 @@ impl SjTree {
     /// Inserts a fresh tuple into internal node `level` (covering edges
     /// `e_0..=e_{level+1}`), reporting and/or propagating further up.
     fn insert_node(&mut self, level: usize, tuple: Tuple, on_match: &mut dyn FnMut(&MatchRecord)) {
-        if !self.budget.consume(1) {
+        if self.deadline.exceeded() {
             return;
         }
         if !self.nodes[level].insert(tuple.clone()) {
@@ -423,8 +414,12 @@ impl ContinuousMatcher for SjTree {
             + self.nodes.iter().map(NodeTable::bytes).sum::<usize>()
     }
 
+    fn set_deadline(&mut self, at: Option<Instant>) {
+        self.deadline = Deadline::new(at);
+    }
+
     fn timed_out(&self) -> bool {
-        self.budget.is_exhausted()
+        self.deadline.hit()
     }
 
     fn name(&self) -> &'static str {
@@ -459,7 +454,7 @@ mod tests {
     #[test]
     fn incremental_inserts_complete_a_match() {
         let (g, q) = path_setup();
-        let mut e = SjTree::new(q, g, MatchSemantics::Homomorphism);
+        let mut e = SjTree::new(q, g, MatchSemantics::Homomorphism, None);
         let mut got = Vec::new();
         e.apply(
             &UpdateOp::InsertEdge { src: VertexId(0), label: l(9), dst: VertexId(1) },
@@ -480,7 +475,7 @@ mod tests {
         let (mut g, q) = path_setup();
         g.insert_edge(VertexId(0), l(9), VertexId(1));
         g.insert_edge(VertexId(1), l(9), VertexId(2));
-        let mut e = SjTree::new(q, g, MatchSemantics::Homomorphism);
+        let mut e = SjTree::new(q, g, MatchSemantics::Homomorphism, None);
         let mut init = Vec::new();
         e.initial_matches(&mut |m| init.push(m.clone()));
         assert_eq!(init.len(), 1);
@@ -498,7 +493,7 @@ mod tests {
         let a = q.add_vertex(LabelSet::single(l(0)));
         let b = q.add_vertex(LabelSet::single(l(1)));
         q.add_edge(a, b, None);
-        let mut e = SjTree::new(q, g, MatchSemantics::Homomorphism);
+        let mut e = SjTree::new(q, g, MatchSemantics::Homomorphism, None);
         let mut got = 0;
         e.apply(
             &UpdateOp::InsertEdge { src: VertexId(0), label: l(1), dst: VertexId(1) },
@@ -516,7 +511,7 @@ mod tests {
     #[should_panic(expected = "does not support edge deletion")]
     fn deletion_panics() {
         let (g, q) = path_setup();
-        let mut e = SjTree::new(q, g, MatchSemantics::Homomorphism);
+        let mut e = SjTree::new(q, g, MatchSemantics::Homomorphism, None);
         e.apply(
             &UpdateOp::DeleteEdge { src: VertexId(0), label: l(9), dst: VertexId(1) },
             &mut |_, _| {},
@@ -526,7 +521,7 @@ mod tests {
     #[test]
     fn storage_grows_with_partial_solutions() {
         let (g, q) = path_setup();
-        let mut e = SjTree::new(q, g, MatchSemantics::Homomorphism);
+        let mut e = SjTree::new(q, g, MatchSemantics::Homomorphism, None);
         let b0 = e.intermediate_result_bytes();
         e.apply(
             &UpdateOp::InsertEdge { src: VertexId(0), label: l(9), dst: VertexId(1) },
@@ -547,12 +542,12 @@ mod tests {
         q.add_edge(a, b, None);
         let op = UpdateOp::InsertEdge { src: VertexId(0), label: l(1), dst: VertexId(0) };
 
-        let mut hom = SjTree::new(q.clone(), g.clone(), MatchSemantics::Homomorphism);
+        let mut hom = SjTree::new(q.clone(), g.clone(), MatchSemantics::Homomorphism, None);
         let mut n = 0;
         hom.apply(&op, &mut |_, _| n += 1);
         assert_eq!(n, 1);
 
-        let mut iso = SjTree::new(q, g, MatchSemantics::Isomorphism);
+        let mut iso = SjTree::new(q, g, MatchSemantics::Isomorphism, None);
         let mut n = 0;
         iso.apply(&op, &mut |_, _| n += 1);
         assert_eq!(n, 0);

@@ -196,7 +196,11 @@ fn sj_tree_matches_oracle_insert_only() {
         let cyclic = i % 2 == 0;
         let case = random_case(&mut rng, cyclic, false);
         for sem in [MatchSemantics::Homomorphism, MatchSemantics::Isomorphism] {
-            check_engine(&|c, s| Box::new(SjTree::new(c.q.clone(), c.g0.clone(), s)), &case, sem);
+            check_engine(
+                &|c, s| Box::new(SjTree::new(c.q.clone(), c.g0.clone(), s, None)),
+                &case,
+                sem,
+            );
         }
     }
 }

@@ -15,11 +15,11 @@
 //! table; `--scatter` adds the per-query tables of Figures 6c/d and 7c/d.
 
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::slice;
 
 use tfx_baselines::{nec_compress, NecSjTree, SjTree};
 use tfx_bench::harness::{
-    bare_update_time, count_stream_positives, run_query_on_engine, RunConfig,
+    bare_update_time, count_stream_positives, make_engine, run_query_on_engine, QueryRun, RunConfig,
 };
 use tfx_bench::report::{fmt_bytes, fmt_duration, mean_duration, speedup, Table};
 use tfx_bench::suite::{
@@ -252,16 +252,9 @@ fn fig12_incisomat(p: &Params, _: bool) {
 
     // Rank the queries by TurboFlux cost to select min / max.
     let ins_stream = d.stream.truncate_edge_ops(10_000.min(d.stream.insert_count()));
-    let bare = bare_update_time(&d.g0, &ins_stream);
-    let mut ranked: Vec<(usize, Duration)> = queries
-        .iter()
-        .enumerate()
-        .map(|(i, q)| {
-            let r = run_query_on_engine(EngineKind::TurboFlux, q, &d.g0, &ins_stream, bare, &cfg);
-            (i, r.matching_cost)
-        })
-        .collect();
-    ranked.sort_by_key(|&(_, c)| c);
+    let tf = compare_engines(&[EngineKind::TurboFlux], &queries, &d.g0, &ins_stream, &cfg);
+    let mut ranked: Vec<(usize, &QueryRun)> = tf[0].per_query.iter().enumerate().collect();
+    ranked.sort_by_key(|&(_, r)| r.matching_cost);
     let picks = [("min-cost", ranked[0].0), ("max-cost", ranked[ranked.len() - 1].0)];
 
     // ~6% deletions of the inserted edges (the paper's "600 deletions per
@@ -271,15 +264,15 @@ fn fig12_incisomat(p: &Params, _: bool) {
     for (label, stream) in
         [("Fig 12a: 10K insertions", &ins_stream), ("Fig 12b: +6% deletions", &del_stream)]
     {
-        let bare = bare_update_time(&d.g0, stream);
         let mut t = Table::new(
             format!("{label} — TurboFlux vs IncIsoMat"),
             &["query", "TurboFlux", "IncIsoMat", "slowdown", "IncIsoMat timeout"],
         );
         for (name, idx) in picks {
-            let q = &queries[idx];
-            let tf = run_query_on_engine(EngineKind::TurboFlux, q, &d.g0, stream, bare, &cfg);
-            let inc = run_query_on_engine(EngineKind::IncIsoMat, q, &d.g0, stream, bare, &cfg);
+            let engines = [EngineKind::TurboFlux, EngineKind::IncIsoMat];
+            let sums =
+                compare_engines(&engines, slice::from_ref(&queries[idx]), &d.g0, stream, &cfg);
+            let [tf, inc] = [&sums[0].per_query[0], &sums[1].per_query[0]];
             t.row(vec![
                 name.into(),
                 fmt_duration(tf.matching_cost),
@@ -321,7 +314,6 @@ fn fig13_netflow_tree(p: &Params, _: bool) {
         "B.4: min-cost query per size — all engines",
         &["query size", "TurboFlux", "SJ-Tree", "SJ timeout", "Graphflow", "GF timeout"],
     );
-    let bare = bare_update_time(&d.g0, &d.stream);
     for &size in &p.tree_sizes {
         let qs: Vec<QueryGraph> = queries::query_set(
             p.queries_per_set.min(10),
@@ -339,9 +331,9 @@ fn fig13_netflow_tree(p: &Params, _: bool) {
             .filter(|(_, r)| !r.timed_out)
             .min_by_key(|(_, r)| r.matching_cost);
         if let Some((idx, tfr)) = min {
-            let q = &qs[idx];
-            let sj = run_query_on_engine(EngineKind::SjTree, q, &d.g0, &d.stream, bare, &cfg);
-            let gf = run_query_on_engine(EngineKind::Graphflow, q, &d.g0, &d.stream, bare, &cfg);
+            let engines = [EngineKind::SjTree, EngineKind::Graphflow];
+            let sums = compare_engines(&engines, slice::from_ref(&qs[idx]), &d.g0, &d.stream, &cfg);
+            let [sj, gf] = [&sums[0].per_query[0], &sums[1].per_query[0]];
             vs_table.row(vec![
                 size.to_string(),
                 fmt_duration(tfr.matching_cost),
@@ -454,30 +446,39 @@ fn ablation_dcg(p: &Params, _: bool) {
             TurboFluxConfig { adjust_matching_order: false, ..TurboFluxConfig::default() },
         ),
     ];
+    let runs: Vec<Vec<QueryRun>> = variants
+        .iter()
+        .map(|&(_, cfg)| {
+            let run = |q: &QueryGraph| {
+                let build = |_| Box::new(TurboFlux::new(q.clone(), d.g0.clone(), cfg));
+                run_query_on_engine(build, &d.stream, bare, p.timeout).0
+            };
+            queries.iter().map(run).collect()
+        })
+        .collect();
+    // The order only affects speed, never results: a query that finished
+    // under both variants reports the same matches under both.
+    let finished = |i: usize| runs.iter().all(|r| !r[i].timed_out);
     let mut t = Table::new(
         "Ablation: matching-order maintenance (LSBench tree q6)",
-        &["variant", "avg cost(M(Δg,q))", "positives"],
+        &["variant", "avg cost(M(Δg,q))", "positives (finished in both)", "timeouts"],
     );
-    let mut baseline_matches = None;
-    for (name, cfg) in variants {
-        let mut costs = Vec::new();
-        let mut matches = 0u64;
-        for q in &queries {
-            let mut engine = TurboFlux::new(q.clone(), d.g0.clone(), cfg);
-            let t0 = Instant::now();
-            for op in &d.stream {
-                engine.apply(op, &mut |_, _| matches += 1);
-            }
-            costs.push(t0.elapsed().saturating_sub(bare));
-        }
-        // Every variant must report the same matches — the order only
-        // affects speed, never results.
+    let mut baseline = None;
+    for ((name, _), rs) in variants.iter().zip(&runs) {
+        let costs: Vec<_> = rs.iter().filter(|r| !r.timed_out).map(|r| r.matching_cost).collect();
+        let positives: Vec<u64> =
+            (0..rs.len()).filter(|&i| finished(i)).map(|i| rs[i].positives).collect();
         assert_eq!(
-            *baseline_matches.get_or_insert(matches),
-            matches,
+            *baseline.get_or_insert_with(|| positives.clone()),
+            positives,
             "ablation variant changed the results!"
         );
-        t.row(vec![name.into(), fmt_duration(mean_duration(&costs)), matches.to_string()]);
+        t.row(vec![
+            (*name).into(),
+            fmt_duration(mean_duration(&costs)),
+            positives.iter().sum::<u64>().to_string(),
+            (rs.len() - costs.len()).to_string(),
+        ]);
     }
     t.emit();
 
@@ -535,51 +536,49 @@ fn appb5_sjtree_nec(p: &Params, _: bool) {
             "counts agree",
         ],
     );
-    // SJ-Tree can burn minutes reaching a large budget on these star-heavy
-    // queries; a tighter cap keeps the appendix run short.
-    let budget = p.work_budget.min(5_000_000);
+    let bare = bare_update_time(&d.g0, &d.stream);
+    let cost = |r: &QueryRun| {
+        if r.timed_out {
+            "timeout".into()
+        } else {
+            fmt_duration(r.matching_cost)
+        }
+    };
     for (i, q) in compressible.iter().enumerate() {
-        let t0 = Instant::now();
-        let mut plain = SjTree::with_budget(q.clone(), d.g0.clone(), Homomorphism, budget);
-        for op in &d.stream {
-            plain.apply(op, &mut |_, _| {});
-        }
-        let plain_cost = t0.elapsed();
-
-        let t0 = Instant::now();
-        let mut nec = NecSjTree::try_with_budget(q, d.g0.clone(), Homomorphism, budget)
-            .expect("selected as compressible");
-        for op in &d.stream {
-            nec.apply(op, &mut |_, _| {});
-        }
-        let nec_cost = t0.elapsed();
-
-        let t0 = Instant::now();
-        let mut tf = TurboFlux::new(q.clone(), d.g0.clone(), TurboFluxConfig::default());
-        tf.set_deadline(Some(Instant::now() + p.timeout));
-        for op in &d.stream {
-            tf.apply(op, &mut |_, _| {});
-            if tf.timed_out() {
-                break;
-            }
-        }
-        let tf_cost = t0.elapsed();
+        let g0 = || d.g0.clone();
+        let (sj, mut plain) = run_query_on_engine(
+            |at| Box::new(SjTree::new(q.clone(), g0(), Homomorphism, at)),
+            &d.stream,
+            bare,
+            p.timeout,
+        );
+        let (sj_nec, mut nec) = run_query_on_engine(
+            |at| Box::new(NecSjTree::try_new(q, g0(), Homomorphism, at).expect("compressible")),
+            &d.stream,
+            bare,
+            p.timeout,
+        );
+        let tf_build = |at| make_engine(EngineKind::TurboFlux, q.clone(), g0(), Homomorphism, at);
+        let (tf, _) = run_query_on_engine(tf_build, &d.stream, bare, p.timeout);
 
         // The NEC engine must represent the same number of original-query
-        // matches as the plain engine (final-state check).
-        let mut plain_total = 0u64;
-        plain.initial_matches(&mut |_| plain_total += 1);
-        let timed_out = plain.timed_out() || nec.timed_out() || tf.timed_out();
-        let agree = timed_out || nec.original_match_count() == plain_total;
+        // matches as the plain engine (final-state check), where both
+        // finished.
+        let finished = !sj.timed_out && !sj_nec.timed_out;
+        let agree = !finished || {
+            let mut plain_total = 0u64;
+            plain.initial_matches(&mut |_| plain_total += 1);
+            nec.original_match_count() == plain_total
+        };
 
         t.row(vec![
             format!("Q{i}"),
-            fmt_duration(plain_cost),
-            fmt_duration(nec_cost),
+            cost(&sj),
+            cost(&sj_nec),
             fmt_bytes(plain.intermediate_result_bytes()),
             fmt_bytes(nec.intermediate_result_bytes()),
-            fmt_duration(tf_cost),
-            if timed_out { "timeout".into() } else { agree.to_string() },
+            cost(&tf),
+            if finished { agree.to_string() } else { "timeout".into() },
         ]);
         assert!(agree, "NEC expansion must match the plain count");
     }

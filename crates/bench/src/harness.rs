@@ -54,32 +54,27 @@ impl EngineKind {
 pub struct RunConfig {
     /// Matching semantics.
     pub semantics: MatchSemantics,
-    /// Wall-clock budget per query (construction + stream).
+    /// Wall-clock budget per query (construction + stream): the one
+    /// [`tfx_query::Deadline`] every engine runs under.
     pub timeout: Duration,
-    /// Abstract work budget for engines with internal budgets.
-    pub work_budget: u64,
-    /// Sample the intermediate-result size every this many operations.
-    pub sample_every: usize,
 }
 
 impl RunConfig {
     /// Standard configuration from experiment parameters.
-    pub fn new(semantics: MatchSemantics, timeout: Duration, work_budget: u64) -> Self {
-        RunConfig { semantics, timeout, work_budget, sample_every: 64 }
+    pub fn new(semantics: MatchSemantics, timeout: Duration) -> Self {
+        RunConfig { semantics, timeout }
     }
 
     /// The configuration every experiment runs under: the parameters'
-    /// timeout and work budget.
+    /// timeout.
     pub fn for_params(p: &Params, semantics: MatchSemantics) -> Self {
-        Self::new(semantics, p.timeout, p.work_budget)
+        Self::new(semantics, p.timeout)
     }
 }
 
 /// Result of running one query over one stream on one engine.
 #[derive(Clone, Debug)]
 pub struct QueryRun {
-    /// Engine.
-    pub engine: EngineKind,
     /// Total wall time spent in `apply` over the stream.
     pub stream_time: Duration,
     /// `cost(M(Δg, q))`: stream time minus the bare graph-update time.
@@ -95,9 +90,12 @@ pub struct QueryRun {
     pub positives: u64,
     /// Negative matches reported over the stream.
     pub negatives: u64,
-    /// True if the wall-clock or work budget was exhausted.
+    /// True if the deadline passed before the stream ended.
     pub timed_out: bool,
 }
+
+/// The intermediate-result size is sampled every this many operations.
+const SAMPLE_EVERY: usize = 64;
 
 /// Wall time of replaying `stream` on a bare graph (the cost excluded from
 /// `cost(M(Δg, q))`).
@@ -110,46 +108,40 @@ pub fn bare_update_time(g0: &DynamicGraph, stream: &UpdateStream) -> Duration {
     t.elapsed()
 }
 
-/// Builds an engine of `kind` for (`q`, `g0`), bounded by `deadline` /
-/// the work budget so a single explosive update cannot stall a run.
+/// Builds an engine of `kind` for (`q`, `g0`). SJ-Tree ingests `g0` in its
+/// constructor, so it takes the deadline there.
 pub fn make_engine(
     kind: EngineKind,
     q: QueryGraph,
     g0: DynamicGraph,
-    cfg: &RunConfig,
-    deadline: Instant,
+    semantics: MatchSemantics,
+    deadline: Option<Instant>,
 ) -> Box<dyn ContinuousMatcher> {
     match kind {
         EngineKind::TurboFlux => {
-            let mut e = TurboFlux::new(q, g0, TurboFluxConfig::with_semantics(cfg.semantics));
-            e.set_deadline(Some(deadline));
-            Box::new(e)
+            Box::new(TurboFlux::new(q, g0, TurboFluxConfig::with_semantics(semantics)))
         }
-        EngineKind::SjTree => Box::new(SjTree::with_budget(q, g0, cfg.semantics, cfg.work_budget)),
-        EngineKind::Graphflow => {
-            Box::new(Graphflow::new(q, g0, cfg.semantics).with_budget(cfg.work_budget))
-        }
-        EngineKind::IncIsoMat => {
-            let mut e = IncIsoMat::new(q, g0, cfg.semantics);
-            e.set_deadline(Some(deadline));
-            Box::new(e)
-        }
+        EngineKind::SjTree => Box::new(SjTree::new(q, g0, semantics, deadline)),
+        EngineKind::Graphflow => Box::new(Graphflow::new(q, g0, semantics)),
+        EngineKind::IncIsoMat => Box::new(IncIsoMat::new(q, g0, semantics)),
     }
 }
 
-/// Runs `q` on `kind` over `stream`, counting matches (never materializing
-/// them) and sampling intermediate-result sizes.
-pub fn run_query_on_engine(
-    kind: EngineKind,
-    q: &QueryGraph,
-    g0: &DynamicGraph,
+/// The one loop that streams ops through an engine: builds it with `build`
+/// (handed the run's deadline, `timeout` from now), arms that deadline,
+/// applies every op of `stream`, counting matches (never materializing
+/// them) and sampling intermediate-result sizes, and stops once the
+/// deadline has passed. Returns the measures and the engine, for a caller
+/// that reads its final state.
+pub fn run_query_on_engine<E: ContinuousMatcher + ?Sized>(
+    build: impl FnOnce(Option<Instant>) -> Box<E>,
     stream: &UpdateStream,
     bare_time: Duration,
-    cfg: &RunConfig,
-) -> QueryRun {
-    let deadline = Instant::now() + cfg.timeout;
+    timeout: Duration,
+) -> (QueryRun, Box<E>) {
+    let deadline = Instant::now() + timeout;
     let t0 = Instant::now();
-    let mut engine = make_engine(kind, q.clone(), g0.clone(), cfg, deadline);
+    let mut engine = build(Some(deadline));
     let build_time = t0.elapsed();
 
     let mut positives = 0u64;
@@ -161,12 +153,13 @@ pub fn run_query_on_engine(
 
     let t1 = Instant::now();
     if !timed_out {
+        engine.set_deadline(Some(deadline));
         for (i, op) in stream.ops().iter().enumerate() {
             engine.apply(op, &mut |p, _| match p {
                 Positiveness::Positive => positives += 1,
                 Positiveness::Negative => negatives += 1,
             });
-            if i % cfg.sample_every == 0 {
+            if i % SAMPLE_EVERY == 0 {
                 let b = engine.intermediate_result_bytes();
                 sum_bytes += b as u128;
                 samples += 1;
@@ -185,8 +178,7 @@ pub fn run_query_on_engine(
     peak_bytes = peak_bytes.max(b);
     timed_out |= engine.timed_out();
 
-    QueryRun {
-        engine: kind,
+    let run = QueryRun {
         stream_time,
         matching_cost: stream_time.saturating_sub(bare_time),
         build_time,
@@ -195,7 +187,8 @@ pub fn run_query_on_engine(
         positives,
         negatives,
         timed_out,
-    }
+    };
+    (run, engine)
 }
 
 /// Counts the positive matches a query produces over a stream (TurboFlux,
@@ -207,21 +200,12 @@ pub fn count_stream_positives(
     stream: &UpdateStream,
     timeout: Duration,
 ) -> Option<u64> {
-    let deadline = Instant::now() + timeout;
-    let mut engine = TurboFlux::new(q.clone(), dataset.g0.clone(), TurboFluxConfig::default());
-    engine.set_deadline(Some(deadline));
-    let mut positives = 0u64;
-    for op in stream.ops() {
-        engine.apply_op(op, &mut |p, _| {
-            if p == Positiveness::Positive {
-                positives += 1;
-            }
-        });
-        if engine.timed_out() || Instant::now() > deadline {
-            return None;
-        }
-    }
-    Some(positives)
+    let build = |at| {
+        let (q, g0) = (q.clone(), dataset.g0.clone());
+        make_engine(EngineKind::TurboFlux, q, g0, MatchSemantics::Homomorphism, at)
+    };
+    let (run, _) = run_query_on_engine(build, stream, Duration::ZERO, timeout);
+    (!run.timed_out).then_some(run.positives)
 }
 
 /// Filters a query set down to queries with ≥1 positive match over the
@@ -253,21 +237,25 @@ mod tests {
             lsbench::generate(&tfx_datagen::LsBenchConfig { users: 30, seed: 1, stream_frac: 0.2 });
         let mut rng = tfx_datagen::Pcg32::new(3);
         let q = tfx_datagen::queries::random_tree_query(&d.schema, 3, &mut rng);
-        let cfg = RunConfig::new(MatchSemantics::Homomorphism, Duration::from_secs(10), u64::MAX);
         let bare = bare_update_time(&d.g0, &d.stream);
-        let runs: Vec<QueryRun> = [
+        let kinds = [
             EngineKind::TurboFlux,
             EngineKind::SjTree,
             EngineKind::Graphflow,
             EngineKind::IncIsoMat,
-        ]
-        .into_iter()
-        .map(|k| run_query_on_engine(k, &q, &d.g0, &d.stream, bare, &cfg))
-        .collect();
+        ];
+        let runs: Vec<QueryRun> = kinds
+            .iter()
+            .map(|&k| {
+                let build =
+                    |at| make_engine(k, q.clone(), d.g0.clone(), MatchSemantics::Homomorphism, at);
+                run_query_on_engine(build, &d.stream, bare, Duration::from_secs(10)).0
+            })
+            .collect();
         // All engines agree on the positive-match count and none time out.
-        for r in &runs {
-            assert!(!r.timed_out, "{:?} timed out", r.engine);
-            assert_eq!(r.positives, runs[0].positives, "{:?} diverges", r.engine);
+        for (k, r) in kinds.iter().zip(&runs) {
+            assert!(!r.timed_out, "{k:?} timed out");
+            assert_eq!(r.positives, runs[0].positives, "{k:?} diverges");
             assert_eq!(r.negatives, 0);
         }
         // Only the materializing engines report storage.

@@ -8,7 +8,9 @@ use tfx_datagen::Dataset;
 use tfx_graph::{DynamicGraph, UpdateStream};
 use tfx_query::QueryGraph;
 
-use crate::harness::{bare_update_time, run_query_on_engine, EngineKind, QueryRun, RunConfig};
+use crate::harness::{
+    bare_update_time, make_engine, run_query_on_engine, EngineKind, QueryRun, RunConfig,
+};
 use crate::report::{fmt_bytes, fmt_duration, mean_duration, Table};
 
 /// TurboFlux and the two competitors that finish on most workloads.
@@ -67,7 +69,10 @@ pub fn compare_engines(
         .map(|&kind| {
             let runs: Vec<QueryRun> = queries
                 .iter()
-                .map(|q| run_query_on_engine(kind, q, g0, stream, bare, cfg))
+                .map(|q| {
+                    let build = |at| make_engine(kind, q.clone(), g0.clone(), cfg.semantics, at);
+                    run_query_on_engine(build, stream, bare, cfg.timeout).0
+                })
                 .collect();
             EngineSummary::from_runs(kind, runs)
         })
@@ -260,7 +265,7 @@ mod tests {
         let queries: Vec<QueryGraph> = (0..3)
             .map(|_| tfx_datagen::queries::random_tree_query(&d.schema, 3, &mut rng))
             .collect();
-        let cfg = RunConfig::new(MatchSemantics::Homomorphism, Duration::from_secs(5), u64::MAX);
+        let cfg = RunConfig::new(MatchSemantics::Homomorphism, Duration::from_secs(5));
         let sums = compare_engines(
             &[EngineKind::TurboFlux, EngineKind::SjTree],
             &queries,

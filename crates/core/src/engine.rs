@@ -20,21 +20,16 @@
 //!   one graph). Both runtimes apply a batch with the one round loop,
 //!   `crate::round::apply`.
 
-use std::cell::Cell;
-
 use tfx_graph::{DynamicGraph, GraphStats, LabelId, UpdateOp, VertexId};
 use tfx_query::{
-    choose_start_vertex_from, matching_edge_counts, ContinuousMatcher, EdgeId, MatchRecord,
-    Positiveness, QVertexId, QueryGraph, QueryTree,
+    choose_start_vertex_from, matching_edge_counts, ContinuousMatcher, Deadline, EdgeId,
+    MatchRecord, Positiveness, QVertexId, QueryGraph, QueryTree,
 };
 
 use crate::config::TurboFluxConfig;
 use crate::dcg::{Dcg, DcgView, EdgeState};
 use crate::round::{self, Round};
 use crate::scratch::SearchScratch;
-
-/// How many search steps between wall-clock deadline checks.
-pub(crate) const DEADLINE_CHECK_INTERVAL: u32 = 4096;
 
 /// A continuous subgraph matching engine maintaining a data-centric graph.
 pub struct TurboFlux {
@@ -64,14 +59,9 @@ pub struct TurboFlux {
     /// Reusable buffers for the per-update hot path (embedding, candidate
     /// stacks, edge snapshots); steady-state updates allocate nothing.
     pub(crate) scratch: SearchScratch,
-    /// Optional wall-clock deadline (benchmark timeouts); checked
-    /// periodically inside the search.
-    pub(crate) deadline: Option<std::time::Instant>,
-    /// Search steps until the next wall-clock probe. A `Cell` because the
-    /// search only holds `&self`; the engine stays `Send`.
-    pub(crate) deadline_tick: Cell<u32>,
-    /// Latched once the deadline passed; the engine stops enumerating.
-    pub(crate) deadline_hit: Cell<bool>,
+    /// The benchmark's per-query timeout, probed inside the search; once
+    /// it latches the engine stops enumerating.
+    pub(crate) deadline: Deadline,
     /// Edge ops [`Self::apply_batch`] refused for a label out of range.
     pub(crate) refused_ops: u64,
 }
@@ -166,9 +156,7 @@ impl TurboFlux {
             qedge_wildcard,
             order_snapshot: Vec::new(),
             scratch: SearchScratch::for_query(nq),
-            deadline: None,
-            deadline_tick: Cell::new(0),
-            deadline_hit: Cell::new(false),
+            deadline: Deadline::default(),
             refused_ops: 0,
             g: DynamicGraph::default(),
             q,
@@ -206,39 +194,6 @@ impl TurboFlux {
     /// The current matching order.
     pub fn matching_order(&self) -> &[QVertexId] {
         &self.mo
-    }
-
-    /// Sets (or clears) a wall-clock deadline. Once it passes, the engine
-    /// stops enumerating matches and [`ContinuousMatcher::timed_out`]
-    /// latches true; results are incomplete from then on. Used by the
-    /// benchmark harness to bound single explosive updates.
-    pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
-        self.deadline = deadline;
-        // 0: the clock is consulted on the very next probe after (re)arming.
-        self.deadline_tick.set(0);
-        self.deadline_hit.set(false);
-    }
-
-    /// Cheap periodic deadline probe (called from the search hot loop).
-    #[inline]
-    pub(crate) fn deadline_exceeded(&self) -> bool {
-        if self.deadline_hit.get() {
-            return true;
-        }
-        let Some(deadline) = self.deadline else {
-            return false;
-        };
-        let tick = self.deadline_tick.get();
-        if tick > 0 {
-            self.deadline_tick.set(tick - 1);
-            return false;
-        }
-        self.deadline_tick.set(DEADLINE_CHECK_INTERVAL - 1);
-        if std::time::Instant::now() >= deadline {
-            self.deadline_hit.set(true);
-            return true;
-        }
-        false
     }
 
     /// `BuildDCG` (Algorithm 3): depth-first construction of the DCG below
@@ -509,8 +464,12 @@ impl ContinuousMatcher for TurboFlux {
         self.dcg.resident_bytes()
     }
 
+    fn set_deadline(&mut self, at: Option<std::time::Instant>) {
+        self.deadline = Deadline::new(at);
+    }
+
     fn timed_out(&self) -> bool {
-        self.deadline_hit.get()
+        self.deadline.hit()
     }
 
     fn name(&self) -> &'static str {

@@ -188,7 +188,7 @@ impl TurboFlux {
     ) where
         S: FnMut(Positiveness, &MatchRecord) + ?Sized,
     {
-        if self.deadline_exceeded() {
+        if self.deadline.exceeded() {
             return;
         }
         if depth == self.mo.len() {
@@ -273,14 +273,14 @@ impl TurboFlux {
             // `&mut self`). Nothing deeper appends to `scratch.isect`, so
             // the candidates are one slice for the whole loop, read beside
             // the record taken out of the scratch.
-            let armed = self.deadline.is_some();
+            let armed = self.deadline.is_armed();
             let mut rec = std::mem::take(&mut scratch.rec);
             let cands = if isect { &scratch.isect[base..] } else { group };
             for &v in cands {
                 if !passes(v, scratch) {
                     continue;
                 }
-                if armed && self.deadline_exceeded() {
+                if armed && self.deadline.exceeded() {
                     break;
                 }
                 rec.set(u, v);

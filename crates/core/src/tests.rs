@@ -763,7 +763,7 @@ fn deadline_stops_enumeration_but_keeps_dcg_consistent() {
     // path (an update at its head). The sink holds the first match until
     // the deadline has passed; the loop's own probe then latches within one
     // interval.
-    let interval = crate::engine::DEADLINE_CHECK_INTERVAL as usize;
+    let interval = tfx_query::Deadline::PROBE_INTERVAL as usize;
     let leaves = 3 * interval;
     let (r, t) = (l(10), l(11));
     let mut g = DynamicGraph::new();
@@ -935,7 +935,7 @@ fn star_of_stars_feed_edge_matches_and_unmatches_exactly() {
     }
 }
 
-/// Engines hold `Cell`s (the deadline counters) and so are not `Sync`; they
+/// Engines hold `Cell`s (the deadline's counters) and so are not `Sync`; they
 /// stay `Send`, which is what handing a cell to another thread between
 /// batches would need.
 #[test]

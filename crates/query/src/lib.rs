@@ -8,7 +8,8 @@
 //!   (§4.1), with the remaining edges classified as non-tree edges.
 //! * [`choose_start_vertex`] — the paper's `ChooseStartQVertex` heuristic.
 //! * [`MatchRecord`], [`Positiveness`], [`MatchSemantics`],
-//!   [`ContinuousMatcher`] — the reporting interface (Definition 3).
+//!   [`ContinuousMatcher`] — the reporting interface (Definition 3), and
+//!   [`Deadline`], the one wall-clock bound every engine honours.
 
 pub mod diameter;
 pub mod matches;
@@ -18,7 +19,7 @@ pub mod start;
 pub mod tree;
 
 pub use diameter::diameter;
-pub use matches::{ContinuousMatcher, MatchRecord, MatchSemantics, Positiveness};
+pub use matches::{ContinuousMatcher, Deadline, MatchRecord, MatchSemantics, Positiveness};
 pub use qgraph::{EdgeId, QEdge, QVertexId, QueryGraph};
 pub use start::{choose_start_vertex, choose_start_vertex_from, matching_edge_counts};
 pub use tree::QueryTree;

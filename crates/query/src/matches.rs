@@ -1,6 +1,9 @@
 //! Match records and the engine interface shared by TurboFlux and all
 //! baselines (Definition 3 of the paper).
 
+use std::cell::Cell;
+use std::time::Instant;
+
 use crate::qgraph::QVertexId;
 use tfx_graph::{UpdateOp, VertexId};
 
@@ -116,15 +119,75 @@ pub trait ContinuousMatcher {
         0
     }
 
-    /// True once an internal work budget was exhausted, meaning results
-    /// are incomplete from then on. The harness treats this as the paper's
-    /// per-query timeout.
-    fn timed_out(&self) -> bool {
-        false
-    }
+    /// Arms (`Some`) or lifts (`None`) the engine's wall-clock [`Deadline`],
+    /// clearing its latch: the next op reports in full unless it runs past
+    /// `at`.
+    fn set_deadline(&mut self, at: Option<Instant>);
+
+    /// True once the armed deadline passed, meaning results are incomplete
+    /// from then on. The harness treats this as the paper's per-query
+    /// timeout.
+    fn timed_out(&self) -> bool;
 
     /// Engine name for reports.
     fn name(&self) -> &'static str;
+}
+
+/// The one bound every [`ContinuousMatcher`] honours: an optional
+/// wall-clock instant, probed from the engine's inner loops through `&self`.
+/// A probe reads the clock once every [`Deadline::PROBE_INTERVAL`] calls
+/// (the first call after arming included); once the instant has passed the
+/// deadline latches, and every later probe is true until it is re-armed.
+/// An unarmed deadline costs a probe two flag reads.
+#[derive(Debug, Default)]
+pub struct Deadline {
+    at: Option<Instant>,
+    /// Probes until the next clock read. A `Cell` because a search holds
+    /// only `&self`; the engine stays `Send`.
+    tick: Cell<u32>,
+    hit: Cell<bool>,
+}
+
+impl Deadline {
+    /// Probes between two clock reads.
+    pub const PROBE_INTERVAL: u32 = 4096;
+
+    /// A deadline at `at`, or none.
+    pub fn new(at: Option<Instant>) -> Self {
+        Deadline { at, tick: Cell::new(0), hit: Cell::new(false) }
+    }
+
+    /// True iff an instant is set.
+    #[inline]
+    pub fn is_armed(&self) -> bool {
+        self.at.is_some()
+    }
+
+    /// The probe: true once the instant has passed.
+    #[inline]
+    pub fn exceeded(&self) -> bool {
+        if self.hit.get() {
+            return true;
+        }
+        let Some(at) = self.at else {
+            return false;
+        };
+        let tick = self.tick.get();
+        if tick > 0 {
+            self.tick.set(tick - 1);
+            return false;
+        }
+        self.tick.set(Self::PROBE_INTERVAL - 1);
+        let hit = Instant::now() >= at;
+        self.hit.set(hit);
+        hit
+    }
+
+    /// True once a probe found the instant passed.
+    #[inline]
+    pub fn hit(&self) -> bool {
+        self.hit.get()
+    }
 }
 
 #[cfg(test)]
@@ -162,6 +225,22 @@ mod tests {
     fn debug_format() {
         let r = MatchRecord::new(vec![VertexId(2)]);
         assert_eq!(format!("{r:?}"), "{u0->v2}");
+    }
+
+    #[test]
+    fn deadline_reads_the_clock_once_per_interval_and_latches() {
+        use std::time::Duration;
+        let never = Deadline::default();
+        assert!(!never.is_armed() && !never.exceeded() && !never.hit());
+        let past = Deadline::new(Some(Instant::now() - Duration::from_secs(1)));
+        assert!(past.exceeded(), "the first probe after arming reads the clock");
+        assert!(past.hit() && past.exceeded(), "latched");
+        let soon = Deadline::new(Some(Instant::now() + Duration::from_millis(20)));
+        assert!(!soon.exceeded());
+        std::thread::sleep(Duration::from_millis(30));
+        let quiet = (1..Deadline::PROBE_INTERVAL).all(|_| !soon.exceeded());
+        assert!(quiet, "no clock read until the interval is up");
+        assert!(soon.exceeded() && soon.hit());
     }
 
     #[test]

@@ -14,10 +14,11 @@
 # even; every measurement is `e2e --workload W`, at e2e's defaults (seed
 # 2018, the benchmark's 18 s, untraced). Prints, per workload and end-to-end
 # metric of BENCHMARK.json, both medians, their ratio (tree / revision), in
-# how many pairs each side led and each side's range, then any failed checks;
-# where the two ranges overlap, the ratio is within the noise of the pairs.
-# Raw results go to out/ab-<sha>.jsonl. Exits 1 when a measurement fails a
-# check. Run it on an otherwise idle host.
+# how many pairs each side led and each side's quartiles (Q1..Q3) and range
+# (min..max), then any failed checks; where the two ranges overlap, the ratio
+# is within the noise of the pairs. Raw results go to out/ab-<sha>.jsonl,
+# the printed summary as JSON to out/ab-<sha>.json. Exits 1 when a
+# measurement fails a check. Run it on an otherwise idle host.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,6 +50,7 @@ sha=$(git rev-parse --short "$rev^{commit}")
 bin_rev="out/probe-$sha/crates/bench/src/bin/e2e/target/release/e2e"
 bin_tree=crates/bench/src/bin/e2e/target/release/e2e
 log="out/ab-$sha.jsonl"
+summary="out/ab-$sha.json"
 : > "$log"
 
 # Runs one measurement of workload $1 on side $2 in pair $3 and appends its
@@ -76,21 +78,34 @@ for w in "${names[@]}"; do
   done
 done
 
-python3 - "$log" "$sha" << 'EOF'
+python3 - "$log" "$sha" "$summary" << 'EOF'
 import json, statistics, sys
 
-log, sha = sys.argv[1], sys.argv[2]
+log, sha, out = sys.argv[1], sys.argv[2], sys.argv[3]
 metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
 runs = [json.loads(l) for l in open(log)]
 bad = [r for r in runs if not r["result"] or r["result"]["failed"] or not r["result"]["correct"]]
+
+
+def spread(v):
+    q1, med, q3 = statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else v * 3
+    return {"median": med, "q1": q1, "q3": q3, "min": min(v), "max": max(v)}
+
+
+def cell(s):
+    return f"{s['q1']:.6g}..{s['q3']:.6g} ({s['min']:.6g}..{s['max']:.6g})"
+
+
+summary = {"rev": sha, "workloads": {}, "failed": []}
 print(f"{'workload':<17} {'metric':<21} {sha:>12} {'tree':>12} {'ratio':>7}  {'led rev/tree':<14}"
-      f" {sha + ' range':<25} tree range")
+      f" {sha + ' Q1..Q3 (min..max)':<42} tree Q1..Q3 (min..max)")
 for w in dict.fromkeys(r["workload"] for r in runs):
     by = {}
     for r in runs:
         if r["workload"] == w and r["result"]:
             by.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"]
     pairs = [p for p in by.values() if "rev" in p and "tree" in p]
+    rows = summary["workloads"].setdefault(w, {})
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         got = [(p["rev"][name]["value"], p["tree"][name]["value"]) for p in pairs
@@ -98,15 +113,20 @@ for w in dict.fromkeys(r["workload"] for r in runs):
         if not got:
             continue
         xs, ys = [x for x, _ in got], [y for _, y in got]
-        a, b = statistics.median(xs), statistics.median(ys)
+        a, b = spread(xs), spread(ys)
         led_tree = sum((y < x) if lower else (y > x) for x, y in got)
         led_rev = sum((x < y) if lower else (x > y) for x, y in got)
-        ratio = b / a if a else float("nan")
+        ratio = b["median"] / a["median"] if a["median"] else float("nan")
+        rows[name] = {"pairs": len(got), "rev": a, "tree": b, "ratio": ratio,
+                      "led_rev": led_rev, "led_tree": led_tree}
         led = f"{led_rev}/{led_tree} of {len(got)}"
-        span = lambda v: f"{min(v):.6g}..{max(v):.6g}"
-        print(f"{w:<17} {name:<21} {a:>12.6g} {b:>12.6g} {ratio:>7.3f}  {led:<14}"
-              f" {span(xs):<25} {span(ys)}")
+        print(f"{w:<17} {name:<21} {a['median']:>12.6g} {b['median']:>12.6g} {ratio:>7.3f}"
+              f"  {led:<14} {cell(a):<42} {cell(b)}")
 for r in bad:
+    summary["failed"].append({k: r[k] for k in ("workload", "pair", "side")})
     print(f"ab: FAILED {r['workload']} pair {r['pair']} on {r['side']}", file=sys.stderr)
+with open(out, "w") as f:
+    json.dump(summary, f, indent=1)
+    f.write("\n")
 sys.exit(1 if bad else 0)
 EOF

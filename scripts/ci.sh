@@ -220,6 +220,21 @@ if grep -rnE "intersect_into|fn (joinable|candidates)\b" crates/baselines/src \
   exit 1
 fi
 
+echo "=== one deadline ==="
+# Every engine stops on one wall-clock bound, `tfx_query::Deadline` (DESIGN.md,
+# "Key design decisions", *Timeouts*): the harness arms it from
+# `TFX_TIMEOUT_MS`, and TurboFlux's search, SJ-Tree's join, Graphflow's
+# extension and the whole-graph matchers of IncIsoMat and the naive recompute
+# probe it. A work budget, its knob, an engine's own deadline counters or an
+# engine reading the clock itself comes back by deleting this check and saying
+# what the deadline cannot bound.
+if grep -rnE "WorkBudget|work_budget|with_budget|TFX_WORK_BUDGET|deadline_(tick|hit)" \
+  --include='*.rs' --exclude-dir=e2e crates src tests examples \
+  || grep -rn "Instant::now" crates/core/src crates/baselines/src --exclude=tests.rs; then
+  echo "ci: a second bound (a work budget, its knob or an engine's own clock) is back" >&2
+  exit 1
+fi
+
 echo "=== no new panic site ==="
 # Every non-test `unwrap()` / `expect(` / `panic!` / `assert*!` line of the
 # engine, the graph, the stream layer and the CLI is sorted in DESIGN.md,

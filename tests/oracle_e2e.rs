@@ -34,7 +34,7 @@ fn lsbench_insert_stream_all_engines_agree() {
         );
         let mut tf = TurboFlux::new(q.clone(), d.g0.clone(), TurboFluxConfig::default());
         assert_eq!(drive(&mut tf, &d.stream), expected, "TurboFlux, size {size}");
-        let mut sj = SjTree::new(q.clone(), d.g0.clone(), MatchSemantics::Homomorphism);
+        let mut sj = SjTree::new(q.clone(), d.g0.clone(), MatchSemantics::Homomorphism, None);
         assert_eq!(drive(&mut sj, &d.stream), expected, "SJ-Tree, size {size}");
         let mut gf = Graphflow::new(q.clone(), d.g0.clone(), MatchSemantics::Homomorphism);
         assert_eq!(drive(&mut gf, &d.stream), expected, "Graphflow, size {size}");
@@ -74,7 +74,7 @@ fn netflow_unlabeled_vertices_all_engines_agree() {
     assert!(expected.0 > 0 || expected.1 > 0, "workload should produce matches");
     let mut tf = TurboFlux::new(q.clone(), d.g0.clone(), TurboFluxConfig::default());
     assert_eq!(drive(&mut tf, &d.stream), expected, "TurboFlux");
-    let mut sj = SjTree::new(q.clone(), d.g0.clone(), MatchSemantics::Homomorphism);
+    let mut sj = SjTree::new(q.clone(), d.g0.clone(), MatchSemantics::Homomorphism, None);
     assert_eq!(drive(&mut sj, &d.stream), expected, "SJ-Tree");
     let mut gf = Graphflow::new(q, d.g0.clone(), MatchSemantics::Homomorphism);
     assert_eq!(drive(&mut gf, &d.stream), expected, "Graphflow");

@@ -138,7 +138,8 @@ fn dcg_stores_213_214_215_edges() {
 #[test]
 fn sj_tree_materializes_11311_22412_22613_partial_solutions() {
     let f = build_fig1();
-    let mut engine = turboflux::baselines::SjTree::new(f.q, f.g0, MatchSemantics::Homomorphism);
+    let mut engine =
+        turboflux::baselines::SjTree::new(f.q, f.g0, MatchSemantics::Homomorphism, None);
     assert_eq!(engine.materialized_tuples(), 11_311, "Figure 2b (g0)");
 
     let mut n = 0;
@@ -181,7 +182,7 @@ fn graphflow_and_incisomat_agree_on_the_figure() {
 fn storage_gap_matches_the_figure() {
     let f = build_fig1();
     let mut tf = TurboFlux::new(f.q.clone(), f.g0.clone(), TurboFluxConfig::default());
-    let mut sj = turboflux::baselines::SjTree::new(f.q, f.g0, MatchSemantics::Homomorphism);
+    let mut sj = turboflux::baselines::SjTree::new(f.q, f.g0, MatchSemantics::Homomorphism, None);
     for op in [&f.do1, &f.do2] {
         tf.apply(op, &mut |_, _| {});
         sj.apply(op, &mut |_, _| {});
