@@ -208,22 +208,35 @@ pub fn count_stream_positives(
     (!run.timed_out).then_some(run.positives)
 }
 
+/// What [`filter_selective_queries`] kept, and how many queries it could
+/// not judge.
+#[derive(Debug, Default)]
+pub struct Selective {
+    /// The queries with at least one positive match, with their count.
+    pub kept: Vec<(QueryGraph, u64)>,
+    /// Queries whose count hit the timeout: left out, as no-match queries
+    /// are, but not for having no match.
+    pub timed_out: usize,
+}
+
 /// Filters a query set down to queries with ≥1 positive match over the
 /// stream ("we excluded queries that have no positive matches for the
-/// entire insertion stream", §5.1).
+/// entire insertion stream", §5.1), counting apart the queries whose count
+/// timed out.
 pub fn filter_selective_queries(
     queries: Vec<QueryGraph>,
     dataset: &Dataset,
     timeout: Duration,
-) -> Vec<(QueryGraph, u64)> {
-    queries
-        .into_iter()
-        .filter_map(|q| {
-            count_stream_positives(&q, dataset, &dataset.stream, timeout)
-                .filter(|&n| n > 0)
-                .map(|n| (q, n))
-        })
-        .collect()
+) -> Selective {
+    let mut out = Selective::default();
+    for q in queries {
+        match count_stream_positives(&q, dataset, &dataset.stream, timeout) {
+            None => out.timed_out += 1,
+            Some(0) => {}
+            Some(n) => out.kept.push((q, n)),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -271,10 +284,25 @@ mod tests {
         let qs: Vec<QueryGraph> = (0..6)
             .map(|_| tfx_datagen::queries::random_tree_query(&d.schema, 4, &mut rng))
             .collect();
-        let kept = filter_selective_queries(qs.clone(), &d, Duration::from_secs(5));
-        assert!(kept.len() <= qs.len());
-        for (_, n) in &kept {
+        let selective = filter_selective_queries(qs.clone(), &d, Duration::from_secs(5));
+        assert!(selective.kept.len() <= qs.len());
+        assert_eq!(selective.timed_out, 0);
+        for (_, n) in &selective.kept {
             assert!(*n > 0);
         }
+    }
+
+    /// A count that hits the deadline is a timeout, not a query without
+    /// matches: under a zero timeout every query is reported as timed out.
+    #[test]
+    fn selectivity_filter_counts_timeouts_apart() {
+        let d =
+            lsbench::generate(&tfx_datagen::LsBenchConfig { users: 30, seed: 1, stream_frac: 0.2 });
+        let mut rng = tfx_datagen::Pcg32::new(5);
+        let qs: Vec<QueryGraph> = (0..4)
+            .map(|_| tfx_datagen::queries::random_tree_query(&d.schema, 4, &mut rng))
+            .collect();
+        let selective = filter_selective_queries(qs, &d, Duration::ZERO);
+        assert_eq!((selective.kept.len(), selective.timed_out), (0, 4));
     }
 }

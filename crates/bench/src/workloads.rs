@@ -44,9 +44,18 @@ pub fn with_deletions(d: &Dataset, stream: UpdateStream, rate: f64, seed: u64) -
     scoped.stream
 }
 
-/// The queries of `qs` with at least one positive match over the stream.
-fn selective(qs: Vec<QueryGraph>, dataset: &Dataset, p: &Params) -> Vec<QueryGraph> {
-    filter_selective_queries(qs, dataset, p.timeout).into_iter().map(|(q, _)| q).collect()
+/// The queries of `qs` with at least one positive match over the stream;
+/// reports how many of them the count of size `size` kept and how many it
+/// could not finish within the timeout.
+fn selective(qs: Vec<QueryGraph>, dataset: &Dataset, p: &Params, size: usize) -> Vec<QueryGraph> {
+    let total = qs.len();
+    let selective = filter_selective_queries(qs, dataset, p.timeout);
+    eprintln!(
+        "size {size}: {} of {total} queries match, {} timed out counting their matches",
+        selective.kept.len(),
+        selective.timed_out
+    );
+    selective.kept.into_iter().map(|(q, _)| q).collect()
 }
 
 /// The default query set (bold in Table 1): the selective tree queries of
@@ -95,7 +104,7 @@ pub fn tree_query_sets(
                     }
                 })
                 .collect();
-            (size, selective(qs, dataset, p))
+            (size, selective(qs, dataset, p, size))
         })
         .collect()
 }
@@ -112,7 +121,7 @@ pub fn graph_query_sets(
         .map(|&size| {
             let seed = p.seed ^ 0xC1C1 ^ (size as u64) << 8;
             let qs = cyclic_query_set(&dataset.schema, p.queries_per_set, seed, size);
-            (size, selective(qs, dataset, p))
+            (size, selective(qs, dataset, p, size))
         })
         .collect()
 }
@@ -127,7 +136,7 @@ pub fn path_query_sets(dataset: &Dataset, p: &Params) -> Vec<(usize, Vec<QueryGr
                 &queries::QueryGenConfig { seed: p.seed ^ 0x9A7 ^ (size as u64) << 4 },
                 |rng| Some(queries::random_path_query(&dataset.schema, size, rng)),
             );
-            (size, selective(qs, dataset, p))
+            (size, selective(qs, dataset, p, size))
         })
         .collect()
 }
@@ -143,7 +152,7 @@ pub fn btree_query_sets(dataset: &Dataset, p: &Params) -> Vec<(usize, Vec<QueryG
                 &queries::QueryGenConfig { seed: p.seed ^ 0xB7EE ^ (size as u64) << 4 },
                 |rng| Some(queries::random_binary_tree_query(&dataset.schema, size, rng)),
             );
-            (size, selective(qs, dataset, p))
+            (size, selective(qs, dataset, p, size))
         })
         .collect()
 }

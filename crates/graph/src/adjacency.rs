@@ -198,6 +198,22 @@ fn group_ids<'a>(data: &'a [Word], rec: &[Word]) -> &'a [VertexId] {
     &data[rec[1].index()..rec[1].index() + rec[2].index()]
 }
 
+/// A flat slot's words for the sorted `entries` (at most [`FLAT_MAX`]),
+/// staged: a header per label group, then the ids. Returns them and the
+/// header count.
+fn flat_words(entries: &[(LabelId, VertexId)]) -> ([Word; 2 * FLAT_MAX], usize) {
+    let mut words = [Word(0); 2 * FLAT_MAX];
+    let mut heads = 0;
+    for run in entries.chunk_by(|x, y| x.0 == y.0) {
+        words[heads] = header(run[0].0, run.len());
+        heads += 1;
+    }
+    for (w, e) in words[heads..heads + entries.len()].iter_mut().zip(entries) {
+        *w = e.1;
+    }
+    (words, heads)
+}
+
 /// The arena words [`Adjacency::build`] carves for a run, counted one label
 /// group at a time by a caller that walks the run's entries anyway.
 #[derive(Default)]
@@ -347,18 +363,8 @@ impl Adjacency {
             [(label, v)] => return Self::inline(label, v),
             _ => {}
         }
-        // The slot's words, staged: a header per group, then the ids.
-        let mut words = [Word(0); 2 * FLAT_MAX];
-        let mut heads = 0;
-        for run in entries.chunk_by(|x, y| x.0 == y.0) {
-            words[heads] = header(run[0].0, run.len());
-            heads += 1;
-        }
-        let n = entries.len();
-        for (w, e) in words[heads..heads + n].iter_mut().zip(entries) {
-            *w = e.1;
-        }
-        let class = class_for(heads + n);
+        let (words, heads) = flat_words(entries);
+        let (n, class) = (entries.len(), class_for(heads + entries.len()));
         let off = a.alloc_from(class, words[..heads + n].iter().copied());
         Adjacency { off: Word(off), meta: flat_meta(n, heads, class) }
     }
@@ -417,14 +423,22 @@ impl Adjacency {
         assert!(fit && words <= class_cap(self.class()) as usize, "a run overflows its slot");
     }
 
-    /// Re-lays the run in the other layout (at most [`FLAT_MAX`] entries
-    /// either way), recycling its slots.
-    pub(crate) fn relay(&mut self, a: &mut Arena) {
+    /// The run's entries (at most [`FLAT_MAX`]) copied onto the stack, as
+    /// `(label, neighbor)` in order, and their count.
+    fn stage(&self, a: &Arena) -> ([(LabelId, VertexId); FLAT_MAX], usize) {
         let mut buf = [(LabelId(0), VertexId(0)); FLAT_MAX];
         let n = self.len(a);
+        debug_assert!(n <= FLAT_MAX, "{n} entries to stage");
         for (slot, (v, l)) in buf.iter_mut().zip(self.iter(a)) {
             *slot = (l, v);
         }
+        (buf, n)
+    }
+
+    /// Re-lays the run in the other layout (at most [`FLAT_MAX`] entries
+    /// either way), recycling its slots.
+    pub(crate) fn relay(&mut self, a: &mut Arena) {
+        let (buf, n) = self.stage(a);
         let mut owned = [(0, 0); FLAT_MAX + 1];
         let slots = self.slots(a).zip(&mut owned).map(|(s, o)| *o = s).count();
         owned[..slots].iter().for_each(|&(off, class)| a.release(off, class));
@@ -437,10 +451,13 @@ impl Adjacency {
 
     /// Drops the label groups `keep` rejects, in place and in the slots the
     /// run has: a flat run closes the gaps among its headers and its ids, a
-    /// directory drops the records of the rejected groups and releases their
-    /// slots. Layouts and classes stay, except that a run left with one
-    /// entry moves it into the handle and a run left empty releases
-    /// everything.
+    /// directory drops the records of the rejected groups. Layouts and
+    /// classes stay, except that a run left with one entry moves it into the
+    /// handle and a run left empty owns nothing. The slots it stops owning
+    /// are forgotten, not released: only [`DynamicGraph::project`] retains,
+    /// and its compaction writes over them.
+    ///
+    /// [`DynamicGraph::project`]: crate::DynamicGraph::project
     pub(crate) fn retain(&mut self, a: &mut Arena, keep: impl Fn(LabelId) -> bool) {
         let off = self.off.index();
         if self.meta == FLAT {
@@ -471,8 +488,7 @@ impl Adjacency {
             }
             let len = to - off - kept;
             self.meta = flat_meta(len, kept, self.class());
-            let last = (head_label(data[off]), data[off + kept]);
-            self.settle(a, len, last);
+            self.settle(len, (head_label(data[off]), data[off + kept]));
             return;
         }
         let (mut kept, mut len) = (0, 0);
@@ -482,28 +498,21 @@ impl Adjacency {
             if keep(head_label(rec[0])) {
                 self.set_record(a, kept, rec);
                 (kept, len) = (kept + 1, len + rec[2].index());
-            } else {
-                a.release(rec[1].0, rec_class(&rec));
             }
         }
         a.data_mut()[off] = Word(len as u32);
         let rec = &a.data()[off + DIR_HEAD..][..REC];
-        let (last, group) = ((head_label(rec[0]), a.data()[rec[1].index()]), rec[1].0);
-        if len == 1 {
-            a.release(group, rec_class(rec));
-        }
+        let last = (head_label(rec[0]), a.data()[rec[1].index()]);
         if kept > 0 {
             self.meta = dir_meta(kept, self.class());
         }
-        self.settle(a, len, last);
+        self.settle(len, last);
     }
 
     /// Settles a run [`Self::retain`] shrank to `len` entries: one left
-    /// (`last`) moves into the handle, none leaves it empty, and either gives
-    /// the run's own slot back.
-    fn settle(&mut self, a: &mut Arena, len: usize, last: (LabelId, VertexId)) {
+    /// (`last`) moves into the handle, none leaves it empty.
+    fn settle(&mut self, len: usize, last: (LabelId, VertexId)) {
         if len <= 1 {
-            a.release(self.off.0, self.class());
             *self = if len == 1 { Self::inline(last.0, last.1) } else { Adjacency::EMPTY };
         }
     }
@@ -512,6 +521,45 @@ impl Adjacency {
     /// rule lays flat: what [`Self::retain`] can leave behind.
     pub(crate) fn folds(&self, a: &Arena) -> bool {
         self.is_directory() && self.len(a) <= FLAT_MAX
+    }
+
+    /// Slot `i` of this run in the order a compaction meets a run's slots,
+    /// `None` past the last: its own, then its directory's groups in label
+    /// order. A directory that [`Self::folds`] is one slot, its lowest: the
+    /// compaction folds it whole the first time it reaches any of its slots.
+    pub(crate) fn slot_at(&self, a: &Arena, i: usize) -> Option<u32> {
+        if !self.is_directory() {
+            return (self.is_flat() && i == 0).then_some(self.off.0);
+        }
+        if self.folds(a) {
+            return self.slots(a).map(|(off, _)| off).min().filter(|_| i == 0);
+        }
+        match i {
+            0 => Some(self.off.0),
+            _ => self.dir(a).get((i - 1) * REC + 1).map(|w| w.0),
+        }
+    }
+
+    /// Lays a directory that [`Self::folds`] flat, staged on the stack as
+    /// [`Self::relay`] stages it: at `to` when its slot ends by `limit`,
+    /// else in a fresh carving past every slot of the arena. Its old slots
+    /// are forgotten, not released, as [`Self::retain`] forgets. Returns
+    /// `Ok` with the words the slot takes at `to`, or `Err` with the
+    /// carving's offset.
+    pub(crate) fn fold(&mut self, a: &mut Arena, to: u32, limit: u32) -> Result<u32, u32> {
+        let (buf, n) = self.stage(a);
+        debug_assert!(self.is_directory() && n >= 2, "only a directory of 2..=FLAT_MAX folds");
+        let (words, heads) = flat_words(&buf[..n]);
+        let (len, class) = (heads + n, class_for(heads + n));
+        self.meta = flat_meta(n, heads, class);
+        let cap = class_cap(class);
+        if to + cap <= limit {
+            a.data_mut()[to as usize..][..len].copy_from_slice(&words[..len]);
+            self.off = Word(to);
+            return Ok(cap);
+        }
+        self.off = Word(a.alloc_from(class, words[..len].iter().copied()));
+        Err(self.off.0)
     }
 
     /// Moves the slot of this run at `from` — its own, or one of its

@@ -157,14 +157,23 @@ impl<T: Copy + Default> SlotArena<T> {
         self.data.copy_within(base + pos + 1..base + len as usize, base + pos);
     }
 
+    /// The start of an in-place compaction by the owner: forgets every free
+    /// slot, so that a slot carved until [`Self::compacted`] lies past every
+    /// slot the owner has. What the owner stops holding meanwhile it forgets
+    /// too, rather than releasing it.
+    pub fn compacting(&mut self) {
+        self.free = Vec::new();
+        self.free_slots = 0;
+    }
+
     /// The close of an in-place compaction by the owner, which has moved its
     /// `live` slots into the first `end` entries: forgets every entry past
-    /// `end` and every free slot. The capacity stays, for what the owner lays
-    /// next, until [`Self::shrink_to_fit`].
+    /// `end`. The capacity stays, for what the owner lays next, until
+    /// [`Self::shrink_to_fit`].
     pub fn compacted(&mut self, end: usize, live: usize) {
+        debug_assert!(self.free.is_empty(), "compacted without compacting");
         self.data.truncate(end);
-        self.free = Vec::new();
-        (self.slots, self.free_slots) = (live, 0);
+        self.slots = live;
     }
 
     /// Gives back the capacity past the carved entries.

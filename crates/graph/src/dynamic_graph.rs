@@ -186,6 +186,61 @@ fn relay(runs: &[[Adjacency; 2]], from: &Arena, words: usize) -> (Vec<[Adjacency
     (laid, arena)
 }
 
+/// One side's runs — every out-run, or every in-run — in vertex order, read
+/// as a stream of the slots they own: a cursor of [`DynamicGraph::compact`].
+/// The stream takes a slot only above the last one it took (and below
+/// `tail`) and passes over the rest. Before the walk, what it passes over
+/// breaks the side's order and joins the side list. During the walk it
+/// passes over the same slots, as each has been moved by then to below the
+/// stream's last slot; so has a directory folded flat at the write cursor,
+/// and one folded past the arena's end lies at `tail` or above.
+struct Stream {
+    side: usize,
+    /// The run and, within it, the slot ([`Adjacency::slot_at`]) to read next.
+    v: usize,
+    i: usize,
+    /// The offset the stream took last.
+    last: Option<u32>,
+    /// The slot the stream took last as `(offset, run)` — the run's index in
+    /// the flattened `[OUT, IN]` table —, waiting for the walk; `None` once
+    /// the stream is done.
+    head: Option<(u32, u32)>,
+}
+
+impl Stream {
+    fn new(side: usize) -> Self {
+        Stream { side, v: 0, i: 0, last: None, head: None }
+    }
+
+    /// Takes the next slot in order into `head`, handing every slot passed
+    /// over on the way to `skip` as `(offset, run)`; returns whether there
+    /// was one. Each run is read once per slot, so a walk costs O(runs +
+    /// slots) however many are empty or inline.
+    fn advance(
+        &mut self,
+        runs: &[[Adjacency; 2]],
+        arena: &Arena,
+        tail: u32,
+        mut skip: impl FnMut((u32, u32)),
+    ) -> bool {
+        while let Some(pair) = runs.get(self.v) {
+            let Some(off) = pair[self.side].slot_at(arena, self.i) else {
+                (self.v, self.i) = (self.v + 1, 0);
+                continue;
+            };
+            let slot = (off, (2 * self.v + self.side) as u32);
+            self.i += 1;
+            if self.last.is_none_or(|last| off > last) && off < tail {
+                (self.last, self.head) = (Some(off), Some(slot));
+                return true;
+            }
+            skip(slot);
+        }
+        self.head = None;
+        false
+    }
+}
+
 /// How the arena behind a [`DynamicGraph`] is occupied.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct StorageStats {
@@ -372,40 +427,34 @@ impl DynamicGraph {
     /// Compacts in place, in the arena it is given: the vertex label sets,
     /// their counts and the run table stay where they are, and every run
     /// drops its rejected label groups inside its own slots (one left moves
-    /// into its handle). Then every live slot,
-    /// in arena-offset order, slides down to a write cursor at the class its
-    /// entries need — the cursor never passes a slot not moved yet — and the
-    /// arena is truncated there. A directory left with at most [`FLAT_MAX`]
-    /// entries is then laid flat, in a slot its fold freed or past the
-    /// cursor, and the slots slide once more.
-    /// Beside the graph this holds one `(offset, run)` pair per live slot.
-    /// The layout is the one [`Self::from_edges`] gives the kept edges, in
-    /// another slot order.
-    pub fn project(mut self, keep: impl Fn(LabelId) -> bool) -> Self {
+    /// into its handle). One walk then moves every live slot, in arena-offset
+    /// order, down to a write cursor at the class its entries need — the
+    /// cursor never passes a slot not moved yet — and the arena is truncated
+    /// there. A directory left with at most [`FLAT_MAX`] entries is laid flat
+    /// when the walk first reaches it. Nothing is put on a free list. Beside
+    /// the graph this holds a few words, and 8 bytes per slot that breaks its
+    /// side's offset order — none for a layout [`Self::from_edges`],
+    /// [`Clone`] or an earlier projection laid. The layout is the one
+    /// [`Self::from_edges`] gives the kept edges, in another slot order.
+    pub fn project(self, keep: impl Fn(LabelId) -> bool) -> Self {
+        self.project_counted(keep).0
+    }
+
+    /// [`Self::project`], and how many slots went through the side list.
+    fn project_counted(mut self, keep: impl Fn(LabelId) -> bool) -> (Self, usize) {
         for (label, count) in self.edge_label_counts.iter_mut().enumerate() {
             if *count > 0 && !keep(LabelId(label as u32)) {
                 *count = 0;
             }
         }
         self.edge_count = self.edge_label_counts.iter().sum();
+        self.arena.compacting();
         let counts = &self.edge_label_counts;
         let kept = |label: LabelId| counts.get(label.index()).is_some_and(|&n| n > 0);
         for adj in self.runs.iter_mut().flatten() {
             adj.retain(&mut self.arena, kept);
         }
-        let mut order = Vec::new();
-        self.slide(&mut order);
-        let mut folded = false;
-        for adj in self.runs.iter_mut().flatten() {
-            if adj.folds(&self.arena) {
-                adj.relay(&mut self.arena);
-                folded = true;
-            }
-        }
-        if folded {
-            self.slide(&mut order);
-        }
-        drop(order);
+        let side = self.compact();
         self.arena.shrink_to_fit();
         self.vertex_sets.shrink_to_fit();
         self.runs.shrink_to_fit();
@@ -413,25 +462,73 @@ impl DynamicGraph {
             self.edge_label_counts.pop();
         }
         self.edge_label_counts.shrink_to_fit();
-        self
+        (self, side)
     }
 
     /// Moves every live slot, in arena-offset order, down to a write cursor
-    /// at the class its entries need, and truncates the arena there. `order`
-    /// is the scratch: one `(offset, run)` pair per live slot.
-    fn slide(&mut self, order: &mut Vec<(u32, u32)>) {
-        order.clear();
-        order.reserve_exact(self.arena.live_slots());
-        for (run, adj) in self.runs.iter().flatten().enumerate() {
-            order.extend(adj.slots(&self.arena).map(|(off, _)| (off, run as u32)));
+    /// at the class its entries need, and truncates the arena there; returns
+    /// how many slots the side list took.
+    ///
+    /// The order comes from merging three ascending streams, with no table of
+    /// slots: the out-runs' slots in vertex order, the in-runs' likewise
+    /// (each run's own slot, then its directory's groups), and a side list.
+    /// Every layout this crate lays is ascending on each side — the bulk
+    /// build lays every out-run, then every in-run; a clone lays a vertex's
+    /// two runs together; a projection keeps relative order — so a slot joins
+    /// the side list, sorted, only where churn broke its side's order. A
+    /// directory that [`Adjacency::folds`] is met at its lowest slot, staged
+    /// on the stack and laid flat at the cursor when it ends by the next slot
+    /// not moved yet; otherwise it is carved past the arena's end and slid
+    /// down through the side list like any other slot.
+    fn compact(&mut self) -> usize {
+        let tail = self.arena.carved_entries() as u32;
+        let (runs, arena) = (&self.runs, &self.arena);
+        let mut order_breaks = 0;
+        for side in [OUT, IN] {
+            let mut stream = Stream::new(side);
+            while stream.advance(runs, arena, tail, |_| order_breaks += 1) {}
         }
-        order.sort_unstable();
-        let mut end = 0;
-        for &(off, run) in order.iter() {
+        let mut side_list = Vec::with_capacity(order_breaks);
+        for side in [OUT, IN].into_iter().filter(|_| order_breaks > 0) {
+            let mut stream = Stream::new(side);
+            while stream.advance(runs, arena, tail, |slot| side_list.push(slot)) {}
+        }
+        side_list.sort_unstable();
+        let mut streams = [Stream::new(OUT), Stream::new(IN)];
+        for stream in &mut streams {
+            stream.advance(runs, arena, tail, |_| {});
+        }
+        // The next slot of each stream: the slots not moved yet start there.
+        let heads = |streams: &[Stream; 2], side: &[(u32, u32)]| {
+            [streams[0].head, streams[1].head, side.first().copied()]
+        };
+        let (mut next, mut end, mut live) = (0, 0, 0);
+        loop {
+            let heads_now = heads(&streams, &side_list[next..]);
+            let Some((k, (off, run))) =
+                (0..3).filter_map(|k| heads_now[k].map(|h| (k, h))).min_by_key(|h| h.1 .0)
+            else {
+                break;
+            };
+            match streams.get_mut(k) {
+                Some(stream) => _ = stream.advance(&self.runs, &self.arena, tail, |_| {}),
+                None => next += 1,
+            }
             let adj = &mut self.runs[run as usize / 2][run as usize % 2];
-            end += adj.move_slot(&mut self.arena, off, end);
+            if !adj.folds(&self.arena) {
+                end += adj.move_slot(&mut self.arena, off, end);
+                live += 1;
+                continue;
+            }
+            let unmoved = heads(&streams, &side_list[next..]);
+            let limit = unmoved.iter().flatten().map(|h| h.0).fold(tail, u32::min);
+            match adj.fold(&mut self.arena, end, limit) {
+                Ok(words) => (end, live) = (end + words, live + 1),
+                Err(carved) => side_list.push((carved, run)),
+            }
         }
-        self.arena.compacted(end as usize, order.len());
+        self.arena.compacted(end as usize, live);
+        side_list.len()
     }
 
     /// Number of vertices ever created (ids are dense `0..n`).
@@ -918,6 +1015,59 @@ mod tests {
         hint_all(&g);
         assert!(g.edges().eq(before));
         g.validate();
+    }
+
+    /// The layouts the bulk build, a clone and a projection lay are
+    /// ascending on each side, so projecting one sends no slot through the
+    /// side list — hub directories that fold included, laid flat at the
+    /// write cursor —; a churned layout does, and all lay the same graph.
+    #[test]
+    fn projecting_a_fresh_layout_leaves_the_side_list_empty() {
+        let n = 4 * FLAT_MAX as u32;
+        // Hubs 0..4 fan out past FLAT_MAX over labels 1..=4; every vertex
+        // has a ring edge too.
+        let hubs = (0..4u32).flat_map(|hub| {
+            (0..2 * FLAT_MAX as u32)
+                .map(move |i| EdgeRef::new(VertexId(hub), l(1 + i % 4), VertexId(4 + i + hub)))
+        });
+        let ring =
+            (0..n).map(|v| EdgeRef::new(VertexId(v), l(1 + v % 3), VertexId((v * 5 + 1) % n)));
+        let edges: Vec<EdgeRef> = hubs.chain(ring).collect();
+        let labels: Vec<LabelSet> = (0..n).map(|i| LabelSet::single(l(i % 3))).collect();
+        let bulk = || DynamicGraph::from_edges(labels.clone(), edges.clone());
+        let churned = || {
+            let mut g = labeled_graph(n as usize);
+            for e in edges.iter().rev() {
+                g.insert_edge(e.src, e.label, e.dst);
+            }
+            for e in edges.iter().step_by(3) {
+                g.delete_edge(e.src, e.label, e.dst);
+                g.insert_edge(e.src, e.label, e.dst);
+            }
+            g
+        };
+        type Keep = fn(LabelId) -> bool;
+        let keeps: [Keep; 3] = [|lab| lab == l(1), |lab| lab != l(2), |_| true];
+        let (mut churned_side, mut folded) = (0, 0);
+        for keep in keeps {
+            let kept = edges.iter().filter(|e| keep(e.label)).copied().collect();
+            let want = DynamicGraph::from_edges(labels.clone(), kept);
+            let folds = bulk().storage_stats().directory_runs - want.storage_stats().directory_runs;
+            folded += folds;
+            let fresh = [bulk(), bulk().clone(), bulk().project(|lab| lab != l(9))];
+            for (name, g) in ["bulk", "clone", "projection"].into_iter().zip(fresh) {
+                let (got, side) = g.project_counted(keep);
+                got.validate();
+                assert_eq!(side, 0, "{name}: {folds} folds");
+                assert!(got.edges().eq(want.edges()), "{name}");
+            }
+            let (got, side) = churned().project_counted(keep);
+            got.validate();
+            assert!(got.edges().eq(want.edges()), "churned");
+            churned_side += side;
+        }
+        assert!(folded > 0, "some directory folds");
+        assert!(churned_side > 0, "churn breaks the order somewhere");
     }
 
     #[test]

@@ -42,6 +42,7 @@
 //! its memory does not grow with the stream and [`SlidingWindow::live_len`]
 //! reads 0.
 
+use std::collections::hash_map::Entry as Slot;
 use std::collections::VecDeque;
 
 use rustc_hash::FxHashMap;
@@ -101,7 +102,8 @@ struct Entry {
 /// appended to the caller's buffer.
 pub struct SlidingWindow {
     spec: WindowSpec,
-    /// Window entries in arrival (FIFO) order, including cancelled ones.
+    /// Window entries in arrival (FIFO) order, including cancelled ones. A
+    /// count window's ring doubles up to `capacity + 1` entries, not past.
     entries: VecDeque<Entry>,
     /// Live (not cancelled) instance count per edge.
     live: FxHashMap<EdgeKey, u32>,
@@ -173,10 +175,13 @@ impl SlidingWindow {
                 let key = (src, label, dst);
                 if let WindowSpec::Count { capacity } = self.spec {
                     // A full window holds one entry more for a moment — the
-                    // insert goes in before the oldest goes out — which is
-                    // one slot, not the doubling `push_back` would reserve.
-                    if self.entries.len() == capacity && self.entries.capacity() == capacity {
-                        self.entries.reserve_exact(1);
+                    // insert goes in before the oldest goes out —, so the
+                    // ring doubles up to `capacity + 1` and no further
+                    // (unless cancelled entries crowd it).
+                    let len = self.entries.len();
+                    if len == self.entries.capacity() && len <= capacity {
+                        self.entries
+                            .reserve_exact((2 * len).max(4).min(capacity.saturating_add(1)) - len);
                     }
                 }
                 self.entries.push_back(Entry { ts: ev.ts, key });
@@ -238,24 +243,35 @@ impl SlidingWindow {
 
     /// Retires one popped entry: cancelled entries are discarded, live ones
     /// decrement their instance count and emit the delete when it reaches
-    /// zero. Returns whether the entry was live.
+    /// zero. Returns whether the entry was live. Unless something is
+    /// cancelled, that is one probe of `live`.
     fn retire(&mut self, key: EdgeKey, out: &mut Vec<UpdateOp>) -> bool {
-        if let Some(c) = self.cancelled.get_mut(&key) {
-            *c -= 1;
-            if *c == 0 {
-                self.cancelled.remove(&key);
+        if !self.cancelled.is_empty() {
+            if let Slot::Occupied(mut c) = self.cancelled.entry(key) {
+                *c.get_mut() -= 1;
+                if *c.get() == 0 {
+                    c.remove();
+                }
+                return false;
             }
-            return false;
         }
-        let n = self.live.get_mut(&key).expect("uncancelled entry is live");
-        *n -= 1;
+        let Slot::Occupied(mut n) = self.live.entry(key) else {
+            unreachable!("an uncancelled entry is live")
+        };
+        *n.get_mut() -= 1;
         self.live_total -= 1;
-        if *n == 0 {
-            self.live.remove(&key);
+        if *n.get() == 0 {
+            n.remove();
             self.expired += 1;
             out.push(UpdateOp::DeleteEdge { src: key.0, label: key.1, dst: key.2 });
         }
         true
+    }
+
+    /// The ring's capacity, in entries (test support).
+    #[cfg(test)]
+    fn ring_capacity(&self) -> usize {
+        self.entries.capacity()
     }
 }
 
@@ -357,7 +373,7 @@ mod tests {
         for i in 0..3 * C {
             w.push(&ins(i.into(), i, i + 1), &mut out);
         }
-        assert!(w.entries.capacity() <= C as usize + 1, "{} slots", w.entries.capacity());
+        assert!(w.ring_capacity() <= C as usize + 1, "{} slots", w.ring_capacity());
         assert_eq!(deletes(&out), (0..2 * C).collect::<Vec<_>>());
         assert_eq!(w.live_len(), C as usize);
 
@@ -375,6 +391,25 @@ mod tests {
         }
         assert_eq!(deletes(&out), (oldest + 1..=newest).collect::<Vec<_>>());
         assert_eq!(w.live_len(), C as usize);
+    }
+
+    /// A `count:N` ring doubles from nothing up to `N + 1` entries and never
+    /// past them, however large `N` — an unreachable one allocates nothing
+    /// up front — and whatever the duplicates among the inserts.
+    #[test]
+    fn a_count_ring_never_exceeds_its_window_plus_one() {
+        for n in [1, 2, 3, 5, 16, 100, 1000, 1_000_000_000, usize::MAX] {
+            let mut w = SlidingWindow::new(WindowSpec::Count { capacity: n });
+            assert_eq!(w.ring_capacity(), 0, "count:{n} reserved up front");
+            let mut out = Vec::new();
+            for i in 0..3000u32 {
+                w.push(&ins(i.into(), i % 700, i % 3), &mut out);
+                let cap = w.ring_capacity();
+                assert!(cap <= n.saturating_add(1), "count:{n}: {cap} slots");
+            }
+            assert_eq!(w.live_len(), n.min(3000));
+            assert!(w.ring_capacity() <= 2 * w.live_len().max(4), "count:{n} over-reserved");
+        }
     }
 
     #[test]

@@ -244,8 +244,8 @@ echo "=== no new panic site ==="
 panics=$(find crates/core/src crates/graph/src crates/stream/src src/bin/tfx.rs -name '*.rs' \
   ! -name tests.rs -exec awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next }
     /unwrap\(\)|\.expect\(|panic!\(|assert(_eq|_ne)?!/ && !/debug_assert/' {} \; | wc -l)
-if [ "$panics" -gt 67 ]; then
-  echo "ci: $panics non-test panic sites, the sorted table has 67" >&2
+if [ "$panics" -gt 66 ]; then
+  echo "ci: $panics non-test panic sites, the sorted table has 66" >&2
   exit 1
 fi
 
