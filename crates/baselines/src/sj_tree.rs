@@ -18,10 +18,10 @@
 
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::time::Instant;
-use tfx_graph::{DynamicGraph, GraphStats, LabelId, UpdateOp, VertexId};
+use tfx_graph::{DynamicGraph, LabelId, UpdateOp, VertexId};
 use tfx_query::{
-    ContinuousMatcher, Deadline, EdgeId, MatchRecord, MatchSemantics, Positiveness, QVertexId,
-    QueryGraph,
+    matching_edge_counts, most_selective_edge, ContinuousMatcher, Deadline, EdgeId, MatchRecord,
+    MatchSemantics, Positiveness, QVertexId, QueryGraph,
 };
 
 use crate::common::matching_query_edges;
@@ -340,39 +340,23 @@ impl SjTree {
 
 /// Selectivity-ascending, connected leaf order (first the globally most
 /// selective query edge, then always the most selective edge sharing a
-/// vertex with the covered prefix).
+/// vertex with the covered prefix), by `tfx_query::most_selective_edge`.
 ///
-/// A query edge with *zero* matches in `g0` sorts last, not first: in a
-/// continuous setting an empty edge type only means its matches have not
-/// streamed in yet, so [7] plans around known-selective edges. (This is
+/// Its zero-count rule — an edge with no matches in `g0` sorts last — is
 /// also what reproduces Figure 2b's 11 311 partial solutions for a query
-/// with zero complete matches.)
+/// with zero complete matches.
 fn choose_edge_order(q: &QueryGraph, g0: &DynamicGraph) -> Vec<EdgeId> {
-    let stats = GraphStats::new(g0);
-    let cost: Vec<usize> = q
-        .edges()
-        .iter()
-        .map(|e| match stats.matching_edge_count(q.labels(e.src), e.label, q.labels(e.dst)) {
-            0 => usize::MAX,
-            n => n,
-        })
-        .collect();
+    let counts = matching_edge_counts(q, g0);
     let m = q.edge_count();
     let mut chosen = vec![false; m];
     let mut covered: FxHashSet<QVertexId> = FxHashSet::default();
     let mut order = Vec::with_capacity(m);
     for step in 0..m {
-        let pick = (0..m)
-            .filter(|&i| !chosen[i])
-            .filter(|&i| {
-                if step == 0 {
-                    true
-                } else {
-                    let e = &q.edges()[i];
-                    covered.contains(&e.src) || covered.contains(&e.dst)
-                }
-            })
-            .min_by_key(|&i| (cost[i], i))
+        let frontier = (0..m).filter(|&i| !chosen[i]).filter(|&i| {
+            let e = &q.edges()[i];
+            step == 0 || covered.contains(&e.src) || covered.contains(&e.dst)
+        });
+        let pick = most_selective_edge(&counts, frontier)
             .expect("connected query always has a frontier edge");
         chosen[pick] = true;
         let e = &q.edges()[pick];

@@ -21,7 +21,7 @@ use tfx_baselines::{nec_compress, NecSjTree, SjTree};
 use tfx_bench::harness::{
     bare_update_time, count_stream_positives, make_engine, run_query_on_engine, QueryRun, RunConfig,
 };
-use tfx_bench::report::{fmt_bytes, fmt_duration, mean_duration, speedup, Table};
+use tfx_bench::report::{fmt_bytes, fmt_duration, speedup, Table};
 use tfx_bench::suite::{
     compare_engines, compare_sets, cost_cell, cost_cells, cost_table, rate_sweep, scatter_tables,
     storage_table, sweep_cost_table, EngineSummary, TF_SJ_GF,
@@ -55,7 +55,7 @@ const FIGURES: [Figure; 15] = [
     ("fig15_netflow_paths", "Fig 15 (B.6): Netflow path queries of [7]", fig15_netflow_paths),
     ("fig16_netflow_btrees", "Fig 16 (B.6): Netflow binary trees of [7]", fig16_netflow_btrees),
     ("fig17_selectivity", "Fig 17 (C): selectivity of the six query sets", fig17_selectivity),
-    ("ablation_dcg", "Ablation: AdjustMatchingOrder on/off; DCG size vs semantics", ablation_dcg),
+    ("ablation_dcg", "Ablation: DCG size vs semantics", ablation_dcg),
     ("appb5_sjtree_nec", "App B.5: SJ-Tree with NEC query compression", appb5_sjtree_nec),
 ];
 
@@ -432,70 +432,25 @@ fn fig17_selectivity(p: &Params, _: bool) {
     t.emit();
 }
 
-/// `AdjustMatchingOrder` on/off (§4.1): does re-deriving the matching order
-/// from DCG statistics pay off as the stream shifts the data? The DCG-size
-/// comparison rides along: it is semantics-independent.
+/// The DCG's size is semantics-independent, as its transition model
+/// implies.
 fn ablation_dcg(p: &Params, _: bool) {
     let d = lsbench_dataset(p);
     let queries = default_tree_queries(&d, p);
-    let bare = bare_update_time(&d.g0, &d.stream);
-    let variants = [
-        ("adjust-order (default)", TurboFluxConfig::default()),
-        (
-            "static order",
-            TurboFluxConfig { adjust_matching_order: false, ..TurboFluxConfig::default() },
-        ),
-    ];
-    let runs: Vec<Vec<QueryRun>> = variants
-        .iter()
-        .map(|&(_, cfg)| {
-            let run = |q: &QueryGraph| {
-                let build = |_| Box::new(TurboFlux::new(q.clone(), d.g0.clone(), cfg));
-                run_query_on_engine(build, &d.stream, bare, p.timeout).0
-            };
-            queries.iter().map(run).collect()
-        })
-        .collect();
-    // The order only affects speed, never results: a query that finished
-    // under both variants reports the same matches under both.
-    let finished = |i: usize| runs.iter().all(|r| !r[i].timed_out);
     let mut t = Table::new(
-        "Ablation: matching-order maintenance (LSBench tree q6)",
-        &["variant", "avg cost(M(Δg,q))", "positives (finished in both)", "timeouts"],
-    );
-    let mut baseline = None;
-    for ((name, _), rs) in variants.iter().zip(&runs) {
-        let costs: Vec<_> = rs.iter().filter(|r| !r.timed_out).map(|r| r.matching_cost).collect();
-        let positives: Vec<u64> =
-            (0..rs.len()).filter(|&i| finished(i)).map(|i| rs[i].positives).collect();
-        assert_eq!(
-            *baseline.get_or_insert_with(|| positives.clone()),
-            positives,
-            "ablation variant changed the results!"
-        );
-        t.row(vec![
-            (*name).into(),
-            fmt_duration(mean_duration(&costs)),
-            positives.iter().sum::<u64>().to_string(),
-            (rs.len() - costs.len()).to_string(),
-        ]);
-    }
-    t.emit();
-
-    let mut t2 = Table::new(
         "Ablation: DCG size is semantics-independent",
         &["semantics", "DCG edges", "bytes"],
     );
     for (name, semantics) in [("homomorphism", Homomorphism), ("isomorphism", Isomorphism)] {
         let cfg = TurboFluxConfig::with_semantics(semantics);
         let engine = TurboFlux::new(queries[0].clone(), d.g0.clone(), cfg);
-        t2.row(vec![
+        t.row(vec![
             name.into(),
             engine.dcg().stored_edge_count().to_string(),
             engine.intermediate_result_bytes().to_string(),
         ]);
     }
-    t2.emit();
+    t.emit();
 }
 
 /// The paper compresses SJ-Tree's query with TurboISO's neighborhood
@@ -505,16 +460,20 @@ fn ablation_dcg(p: &Params, _: bool) {
 /// percent — TurboFlux still wins by orders of magnitude. Generates
 /// star-heavy tree queries until it finds compressible ones, then compares
 /// plain SJ-Tree, SJ-Tree+NEC and TurboFlux on the same stream.
+///
+/// SJ-Tree+NEC reports the matches of the compressed query, one per class
+/// assignment, not every match of `q`, so TurboFlux runs both: `q`, as
+/// plain SJ-Tree does, and the compressed query, as SJ-Tree+NEC does.
 fn appb5_sjtree_nec(p: &Params, _: bool) {
     let d = lsbench_dataset(p);
-    let mut compressible: Vec<QueryGraph> = Vec::new();
+    let mut compressible: Vec<(QueryGraph, QueryGraph)> = Vec::new();
     let mut tried = 0u64;
     while compressible.len() < 5 && tried < 4000 {
         let mut rng = Pcg32::with_stream(p.seed ^ 0xB5 ^ tried, 0x7);
         tried += 1;
         let q = queries::random_tree_query(&d.schema, 6, &mut rng);
-        if nec_compress(&q).is_some() {
-            compressible.push(q);
+        if let Some(nec) = nec_compress(&q) {
+            compressible.push((q, nec.compressed));
         }
     }
     eprintln!(
@@ -528,12 +487,13 @@ fn appb5_sjtree_nec(p: &Params, _: bool) {
         "App B.5: SJ-Tree vs SJ-Tree+NEC vs TurboFlux (compressible tree q6)",
         &[
             "query",
-            "SJ-Tree cost",
-            "SJ+NEC cost",
-            "SJ bytes",
-            "SJ+NEC bytes",
-            "TurboFlux cost",
-            "counts agree",
+            "SJ-Tree cost (q)",
+            "SJ+NEC cost (compressed q)",
+            "SJ bytes (q)",
+            "SJ+NEC bytes (compressed q)",
+            "TurboFlux cost (q)",
+            "TurboFlux cost (compressed q)",
+            "q match counts agree",
         ],
     );
     let bare = bare_update_time(&d.g0, &d.stream);
@@ -544,7 +504,7 @@ fn appb5_sjtree_nec(p: &Params, _: bool) {
             fmt_duration(r.matching_cost)
         }
     };
-    for (i, q) in compressible.iter().enumerate() {
+    for (i, (q, compressed)) in compressible.iter().enumerate() {
         let g0 = || d.g0.clone();
         let (sj, mut plain) = run_query_on_engine(
             |at| Box::new(SjTree::new(q.clone(), g0(), Homomorphism, at)),
@@ -558,8 +518,10 @@ fn appb5_sjtree_nec(p: &Params, _: bool) {
             bare,
             p.timeout,
         );
-        let tf_build = |at| make_engine(EngineKind::TurboFlux, q.clone(), g0(), Homomorphism, at);
-        let (tf, _) = run_query_on_engine(tf_build, &d.stream, bare, p.timeout);
+        let tf = |q: &QueryGraph| {
+            let build = |at| make_engine(EngineKind::TurboFlux, q.clone(), g0(), Homomorphism, at);
+            cost(&run_query_on_engine(build, &d.stream, bare, p.timeout).0)
+        };
 
         // The NEC engine must represent the same number of original-query
         // matches as the plain engine (final-state check), where both
@@ -577,7 +539,8 @@ fn appb5_sjtree_nec(p: &Params, _: bool) {
             cost(&sj_nec),
             fmt_bytes(plain.intermediate_result_bytes()),
             fmt_bytes(nec.intermediate_result_bytes()),
-            cost(&tf),
+            tf(q),
+            tf(compressed),
             if finished { agree.to_string() } else { "timeout".into() },
         ]);
         assert!(agree, "NEC expansion must match the plain count");

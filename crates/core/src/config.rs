@@ -7,10 +7,6 @@ use tfx_query::MatchSemantics;
 pub struct TurboFluxConfig {
     /// Matching semantics (homomorphism by default, §2.1).
     pub semantics: MatchSemantics,
-    /// Enable `AdjustMatchingOrder` (§4.1): recompute the matching order
-    /// when per-query-vertex explicit-edge counts drift. Disable for the
-    /// static-order ablation.
-    pub adjust_matching_order: bool,
     /// Inert: nothing reads it, every engine evaluates on the calling thread
     /// (DESIGN.md, "Parallel execution: tried, measured, removed"). Kept only
     /// so the frozen `e2e` benchmark compiles; leaves with its
@@ -26,12 +22,7 @@ pub struct TurboFluxConfig {
 
 impl Default for TurboFluxConfig {
     fn default() -> Self {
-        TurboFluxConfig {
-            semantics: MatchSemantics::Homomorphism,
-            adjust_matching_order: true,
-            parallel_workers: 1,
-            shards: 1,
-        }
+        TurboFluxConfig { semantics: MatchSemantics::Homomorphism, parallel_workers: 1, shards: 1 }
     }
 }
 
@@ -49,11 +40,10 @@ mod tests {
     #[test]
     fn defaults() {
         let c = TurboFluxConfig::default();
-        // Destructured without `..`: a fifth field does not compile until
+        // Destructured without `..`: a fourth field does not compile until
         // someone writes down which two callers need different values.
-        let TurboFluxConfig { semantics, adjust_matching_order, parallel_workers, shards } = c;
+        let TurboFluxConfig { semantics, parallel_workers, shards } = c;
         assert_eq!(semantics, MatchSemantics::Homomorphism);
-        assert!(adjust_matching_order);
         assert_eq!(
             parallel_workers, 1,
             "inert; the value the frozen benchmark's one-thread runs set"

@@ -772,7 +772,8 @@ impl Deref for DcgView<'_> {
 mod tests {
     use super::*;
     use crate::spec::reference_dcg;
-    use tfx_graph::{GraphStats, LabelSet};
+    use tfx_graph::LabelSet;
+    use tfx_query::matching_edge_counts;
 
     fn v(i: u32) -> VertexId {
         VertexId(i)
@@ -794,7 +795,7 @@ mod tests {
         let us: Vec<_> = (0..3).map(|i| q.add_vertex(LabelSet::single(LabelId(i)))).collect();
         q.add_edge(us[0], us[1], Some(LabelId(9)));
         q.add_edge(us[2], us[1], Some(LabelId(9)));
-        let tree = QueryTree::build(&q, us[0], &GraphStats::new(&g));
+        let tree = QueryTree::build(&q, us[0], &matching_edge_counts(&q, &g));
         (g, q, tree)
     }
 
@@ -917,7 +918,7 @@ mod tests {
         let mut q = QueryGraph::new();
         let (q0, q1) = (q.add_vertex(LabelSet::empty()), q.add_vertex(LabelSet::empty()));
         q.add_edge(q0, q1, None);
-        let tree = QueryTree::build(&q, q0, &GraphStats::new(&g));
+        let tree = QueryTree::build(&q, q0, &matching_edge_counts(&q, &g));
         let d = Dcg::new(&q, &tree);
         assert_eq!(d.run(&g, v(0), q1, true), None);
         let mut buf = vec![v(99)];
@@ -944,7 +945,7 @@ mod tests {
         let us: Vec<_> = (0..3).map(|i| q.add_vertex(LabelSet::single(LabelId(i)))).collect();
         q.add_edge(us[0], us[1], Some(LabelId(9)));
         q.add_edge(us[2], us[0], Some(LabelId(9)));
-        let tree = QueryTree::build(&q, us[0], &GraphStats::new(&g));
+        let tree = QueryTree::build(&q, us[0], &matching_edge_counts(&q, &g));
         (g, q, tree)
     }
 
@@ -1001,7 +1002,7 @@ mod tests {
         let q0 = q.add_vertex(LabelSet::single(LabelId(0)));
         let q1 = q.add_vertex(LabelSet::single(LabelId(1)));
         q.add_edge(q0, q1, None);
-        let tree = QueryTree::build(&q, q0, &GraphStats::new(&g));
+        let tree = QueryTree::build(&q, q0, &matching_edge_counts(&q, &g));
         let d = Dcg::new(&q, &tree);
         assert_eq!(candidates(&g, &q, &d, 0, 1), [v(1), v(2)]);
     }
@@ -1020,7 +1021,7 @@ mod tests {
             let mut q = QueryGraph::new();
             let (q0, q1) = (q.add_vertex(LabelSet::empty()), q.add_vertex(LabelSet::empty()));
             q.add_edge(q0, q1, label);
-            let tree = QueryTree::build(&q, q0, &GraphStats::new(&g));
+            let tree = QueryTree::build(&q, q0, &matching_edge_counts(&q, &g));
             let d = Dcg::new(&q, &tree);
             let mut buf = vec![v(2), v(1)];
             d.candidates(&g, v(0), q1, &LabelSet::empty(), &mut buf);

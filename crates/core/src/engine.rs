@@ -20,10 +20,10 @@
 //!   one graph). Both runtimes apply a batch with the one round loop,
 //!   `crate::round::apply`.
 
-use tfx_graph::{DynamicGraph, GraphStats, LabelId, UpdateOp, VertexId};
+use tfx_graph::{DynamicGraph, LabelId, UpdateOp, VertexId};
 use tfx_query::{
-    choose_start_vertex_from, matching_edge_counts, ContinuousMatcher, Deadline, EdgeId,
-    MatchRecord, Positiveness, QVertexId, QueryGraph, QueryTree,
+    choose_start_vertex, matching_edge_counts, ContinuousMatcher, Deadline, EdgeId, MatchRecord,
+    Positiveness, QVertexId, QueryGraph, QueryTree,
 };
 
 use crate::config::TurboFluxConfig;
@@ -118,11 +118,10 @@ impl TurboFlux {
         // scratch's trust bits): `1 << u.0` wraps past bit 63 in release
         // builds.
         assert!(q.vertex_count() <= 64, "queries are limited to 64 vertices");
-        let stats = GraphStats::new(g0);
         // One pass of the statistics for both planners.
-        let counts = matching_edge_counts(&q, &stats);
-        let us = choose_start_vertex_from(&q, &stats, &counts);
-        let tree = QueryTree::build_from(&q, us, &counts);
+        let counts = matching_edge_counts(&q, g0);
+        let us = choose_start_vertex(&q, g0, &counts);
+        let tree = QueryTree::build(&q, us, &counts);
         let nq = q.vertex_count();
 
         let mut non_tree_incident = vec![Vec::new(); nq];

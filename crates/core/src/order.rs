@@ -83,9 +83,6 @@ impl TurboFlux {
     /// explicit count drifted beyond [`DRIFT_FACTOR`] since the last
     /// computation.
     pub(crate) fn maybe_adjust_order(&mut self) {
-        if !self.cfg.adjust_matching_order {
-            return;
-        }
         if drifted(self.dcg.expl_counts(), &self.order_snapshot) {
             self.recompute_matching_order();
         }

@@ -123,7 +123,8 @@ fn for_each_child_candidate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfx_graph::{GraphStats, LabelId, LabelSet};
+    use tfx_graph::{LabelId, LabelSet};
+    use tfx_query::matching_edge_counts;
 
     fn l(i: u32) -> LabelId {
         LabelId(i)
@@ -160,8 +161,7 @@ mod tests {
         q.add_edge(u0, u3, Some(l(9)));
         q.add_edge(u1, u4, Some(l(9)));
         q.add_edge(u2, u5, Some(l(9)));
-        let stats = GraphStats::new(&g);
-        let tree = QueryTree::build(&q, u0, &stats);
+        let tree = QueryTree::build(&q, u0, &matching_edge_counts(&q, &g));
         (g, q, tree)
     }
 
@@ -203,8 +203,7 @@ mod tests {
     fn empty_graph_empty_dcg() {
         let (_, q, _) = fig4();
         let g = DynamicGraph::new();
-        let stats = GraphStats::new(&g);
-        let tree = QueryTree::build(&q, QVertexId(0), &stats);
+        let tree = QueryTree::build(&q, QVertexId(0), &matching_edge_counts(&q, &g));
         assert!(reference_dcg(&g, &q, &tree).is_empty());
     }
 }

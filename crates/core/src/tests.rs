@@ -282,7 +282,9 @@ fn random_case_with_ops(rng: &mut Rng, cyclic: bool, n_ops: usize) -> RandomCase
     RandomCase { g0, q, ops }
 }
 
-fn run_oracle_case(case: &RandomCase, semantics: MatchSemantics, check_dcg: bool) {
+/// Holds every delta of `case` against the static matcher and returns the
+/// engine it ran.
+fn run_oracle_case(case: &RandomCase, semantics: MatchSemantics, check_dcg: bool) -> TurboFlux {
     let cfg = TurboFluxConfig::with_semantics(semantics);
     let mut engine = TurboFlux::new(case.q.clone(), case.g0.clone(), cfg);
     let mut shadow = case.g0.clone();
@@ -320,6 +322,7 @@ fn run_oracle_case(case: &RandomCase, semantics: MatchSemantics, check_dcg: bool
             assert_dcg_matches_reference(&engine);
         }
     }
+    engine
 }
 
 #[test]
@@ -454,19 +457,17 @@ fn bulk_registration_equals_replayed_insertions_and_the_reference() {
 }
 
 /// `TurboFlux::plan` takes the per-query-edge statistics once and plans the
-/// start vertex and the tree from the one slice; the plan is the one the two
-/// planners reach when each sweeps the graph for itself.
+/// start vertex and the tree from the one slice, as §4.1's one pass does.
 #[test]
 fn registration_plans_from_one_pass_of_edge_counts() {
-    use tfx_graph::GraphStats;
-    use tfx_query::{choose_start_vertex, QueryTree};
+    use tfx_query::{choose_start_vertex, matching_edge_counts, QueryTree};
     let mut rng = Rng::new(0x57A7);
     for _ in 0..40 {
         let case = random_case(&mut rng, true);
         let engine = TurboFlux::register(case.q.clone(), &case.g0, TurboFluxConfig::default());
-        let stats = GraphStats::new(&case.g0);
-        let us = choose_start_vertex(&case.q, &stats);
-        let tree = QueryTree::build(&case.q, us, &stats);
+        let counts = matching_edge_counts(&case.q, &case.g0);
+        let us = choose_start_vertex(&case.q, &case.g0, &counts);
+        let tree = QueryTree::build(&case.q, us, &counts);
         let got = engine.query_tree();
         assert_eq!(got.root(), us);
         assert_eq!(got.bfs_order(), tree.bfs_order());
@@ -658,7 +659,8 @@ fn matching_order_visits_wide_branches_late() {
 }
 
 /// AdjustMatchingOrder must leave reported matches untouched while the
-/// stream shifts the label statistics (order affects speed, never results).
+/// stream shifts the label statistics (order affects speed, never results):
+/// every delta is held against the static matcher.
 #[test]
 fn order_adjustment_never_changes_results() {
     let mut q = QueryGraph::new();
@@ -668,33 +670,21 @@ fn order_adjustment_never_changes_results() {
     q.add_edge(u0, u1, Some(l(9)));
     q.add_edge(u0, u2, Some(l(9)));
 
-    let mut g = DynamicGraph::new();
-    let a = g.add_vertex(LabelSet::single(l(0)));
+    let mut g0 = DynamicGraph::new();
+    let a = g0.add_vertex(LabelSet::single(l(0)));
     // 100 B and 100 C neighbors: both explicit counts grow from 0 past the
     // drift floor (64), so the order is recomputed mid-stream.
     for i in 0..200 {
-        g.add_vertex(LabelSet::single(l(1 + i % 2)));
+        g0.add_vertex(LabelSet::single(l(1 + i % 2)));
     }
-    let ops: Vec<UpdateOp> =
+    let ops =
         (1..=200u32).map(|i| UpdateOp::InsertEdge { src: a, label: l(9), dst: v(i) }).collect();
 
-    let fixed = TurboFluxConfig { adjust_matching_order: false, ..TurboFluxConfig::default() };
-    let mut with_adjust = TurboFlux::new(q.clone(), g.clone(), TurboFluxConfig::default());
-    let mut without = TurboFlux::new(q, g, fixed);
-    let initial_order = without.matching_order().to_vec();
-    let (mut n1, mut n2) = (0u64, 0u64);
-    for op in &ops {
-        with_adjust.apply(op, &mut |_, _| n1 += 1);
-        without.apply(op, &mut |_, _| n2 += 1);
-    }
-    assert_eq!(n1, n2, "order maintenance must not change results");
-    assert_eq!(without.matching_order(), &initial_order[..], "static order stays put");
+    let engine = run_oracle_case(&RandomCase { g0, q, ops }, MatchSemantics::Homomorphism, true);
     assert!(
-        with_adjust.order_snapshot.iter().any(|&c| c > 64),
+        engine.order_snapshot.iter().any(|&c| c > 64),
         "the stream must cross the drift floor and trigger a recomputation"
     );
-    assert_dcg_matches_reference(&with_adjust);
-    assert_dcg_matches_reference(&without);
 }
 
 /// An edge on a label no query edge names never enters the engine's graph,

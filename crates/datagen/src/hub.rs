@@ -177,8 +177,8 @@ pub fn probe_query(d: &Dataset) -> QueryGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfx_graph::{Dir, GraphStats, FLAT_MAX};
-    use tfx_query::choose_start_vertex;
+    use tfx_graph::{Dir, FLAT_MAX};
+    use tfx_query::{choose_start_vertex, matching_edge_counts};
 
     #[test]
     fn generation_is_deterministic() {
@@ -239,7 +239,8 @@ mod tests {
     fn probe_query_roots_at_source() {
         let d = generate(&HubConfig::default());
         let q = probe_query(&d);
-        let stats = GraphStats::new(&d.g0);
-        assert_eq!(choose_start_vertex(&q, &stats), tfx_query::QVertexId(0), "root is Source");
+        let counts = matching_edge_counts(&q, &d.g0);
+        let root = choose_start_vertex(&q, &d.g0, &counts);
+        assert_eq!(root, tfx_query::QVertexId(0), "root is Source");
     }
 }

@@ -22,8 +22,9 @@
 //! * [`intersect`] — galloping and branchless-merge intersection over
 //!   sorted id runs, the primitive behind candidate enumeration in every
 //!   engine,
-//! * [`stats::GraphStats`] — cardinality statistics used to pick the starting
-//!   query vertex and the query spanning tree, sourced from the index.
+//! * [`stats`] — [`DynamicGraph::matching_vertex_count`] and
+//!   [`DynamicGraph::matching_edge_count`], the cardinalities that pick the
+//!   starting query vertex and the query spanning tree, read off the index.
 
 // `intersect::prefetch`, a cache hint, is the one `unsafe` block.
 #![deny(unsafe_code)]
@@ -42,5 +43,4 @@ pub use dynamic_graph::{Dir, DynamicGraph, EdgeRef, StorageStats};
 pub use ids::{LabelId, VertexId, MAX_VERTEX_GAP};
 pub use intersect::{contains_sorted, intersect_into, prefetch, prefetch_at, GALLOP_RATIO};
 pub use labels::{LabelInterner, LabelLimit, LabelSet};
-pub use stats::GraphStats;
 pub use stream::{UpdateOp, UpdateStream};

@@ -22,31 +22,15 @@ use crate::dynamic_graph::{Dir, DynamicGraph};
 use crate::ids::LabelId;
 use crate::labels::LabelSet;
 
-/// Exact matching-cardinality statistics computed from a graph snapshot.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GraphStats<'g> {
-    graph: Option<&'g DynamicGraph>,
-}
-
-impl<'g> GraphStats<'g> {
-    /// Builds statistics over `graph`.
-    pub fn new(graph: &'g DynamicGraph) -> Self {
-        GraphStats { graph: Some(graph) }
-    }
-
-    fn g(&self) -> &'g DynamicGraph {
-        self.graph.expect("GraphStats::default has no graph")
-    }
-
+impl DynamicGraph {
     /// Number of data vertices `v` with `labels ⊆ L(v)`.
     pub fn matching_vertex_count(&self, labels: &LabelSet) -> usize {
-        let g = self.g();
         match labels.as_slice() {
-            [] => g.vertex_count(),
-            [l] => g.vertex_label_count(*l),
+            [] => self.vertex_count(),
+            [l] => self.vertex_label_count(*l),
             _ => {
-                let matches = g.containing(labels);
-                g.vertices().filter(|&v| matches(v)).count()
+                let matches = self.containing(labels);
+                self.vertices().filter(|&v| matches(v)).count()
             }
         }
     }
@@ -59,36 +43,35 @@ impl<'g> GraphStats<'g> {
         qlabel: Option<LabelId>,
         dst_labels: &LabelSet,
     ) -> usize {
-        let g = self.g();
-        let (src_ok, dst_ok) = (g.containing(src_labels), g.containing(dst_labels));
+        let (src_ok, dst_ok) = (self.containing(src_labels), self.containing(dst_labels));
         let (src_free, dst_free) = (src_labels.is_empty(), dst_labels.is_empty());
         match (qlabel, src_free, dst_free) {
-            (Some(l), true, true) => g.edge_label_count(l),
-            (None, true, true) => g.edge_count(),
+            (Some(l), true, true) => self.edge_label_count(l),
+            (None, true, true) => self.edge_count(),
             // One end unconstrained: per matching vertex at the other, its
             // whole label group (or degree) toward the free end counts — no
             // per-neighbor test needed.
             (ql, false, true) | (ql, true, false) => {
                 let (ok, dir) = if dst_free { (&src_ok, Dir::Out) } else { (&dst_ok, Dir::In) };
-                g.vertices()
+                self.vertices()
                     .filter(|&v| ok(v))
                     .map(|v| match ql {
-                        Some(l) => g.group(v, dir, l).len(),
-                        None => g.degree(v, dir),
+                        Some(l) => self.group(v, dir, l).len(),
+                        None => self.degree(v, dir),
                     })
                     .sum()
             }
             // Both ends constrained: walk the source's label group and test
             // each neighbor's labels.
-            (Some(l), false, false) => g
+            (Some(l), false, false) => self
                 .vertices()
                 .filter(|&v| src_ok(v))
-                .map(|v| g.group(v, Dir::Out, l).iter().filter(|&&w| dst_ok(w)).count())
+                .map(|v| self.group(v, Dir::Out, l).iter().filter(|&&w| dst_ok(w)).count())
                 .sum(),
-            (None, false, false) => g
+            (None, false, false) => self
                 .vertices()
                 .filter(|&v| src_ok(v))
-                .map(|v| g.neighbors(v, Dir::Out).filter(|&(w, _)| dst_ok(w)).count())
+                .map(|v| self.neighbors(v, Dir::Out).filter(|&(w, _)| dst_ok(w)).count())
                 .sum(),
         }
     }
@@ -119,28 +102,26 @@ mod tests {
     #[test]
     fn vertex_counts() {
         let g = setup();
-        let s = GraphStats::new(&g);
-        assert_eq!(s.matching_vertex_count(&LabelSet::single(l(0))), 2);
-        assert_eq!(s.matching_vertex_count(&LabelSet::single(l(1))), 1);
-        assert_eq!(s.matching_vertex_count(&LabelSet::empty()), 4, "wildcard matches all");
-        assert_eq!(s.matching_vertex_count(&LabelSet::single(l(9))), 0);
+        assert_eq!(g.matching_vertex_count(&LabelSet::single(l(0))), 2);
+        assert_eq!(g.matching_vertex_count(&LabelSet::single(l(1))), 1);
+        assert_eq!(g.matching_vertex_count(&LabelSet::empty()), 4, "wildcard matches all");
+        assert_eq!(g.matching_vertex_count(&LabelSet::single(l(9))), 0);
     }
 
     #[test]
     fn edge_counts() {
         let g = setup();
-        let s = GraphStats::new(&g);
         let a = LabelSet::single(l(0));
         let b = LabelSet::single(l(1));
-        assert_eq!(s.matching_edge_count(&a, Some(l(10)), &b), 2);
-        assert_eq!(s.matching_edge_count(&a, None, &b), 2, "wildcard edge label");
-        assert_eq!(s.matching_edge_count(&a, Some(l(11)), &LabelSet::empty()), 1);
-        assert_eq!(s.matching_edge_count(&b, Some(l(10)), &a), 0, "direction matters");
-        assert_eq!(s.matching_edge_count(&LabelSet::empty(), Some(l(10)), &LabelSet::empty()), 2);
-        assert_eq!(s.matching_edge_count(&LabelSet::empty(), None, &LabelSet::empty()), 3);
-        assert_eq!(s.matching_edge_count(&LabelSet::empty(), Some(l(10)), &b), 2);
-        assert_eq!(s.matching_edge_count(&LabelSet::empty(), None, &b), 2);
-        assert_eq!(s.matching_edge_count(&a, None, &LabelSet::empty()), 3);
+        assert_eq!(g.matching_edge_count(&a, Some(l(10)), &b), 2);
+        assert_eq!(g.matching_edge_count(&a, None, &b), 2, "wildcard edge label");
+        assert_eq!(g.matching_edge_count(&a, Some(l(11)), &LabelSet::empty()), 1);
+        assert_eq!(g.matching_edge_count(&b, Some(l(10)), &a), 0, "direction matters");
+        assert_eq!(g.matching_edge_count(&LabelSet::empty(), Some(l(10)), &LabelSet::empty()), 2);
+        assert_eq!(g.matching_edge_count(&LabelSet::empty(), None, &LabelSet::empty()), 3);
+        assert_eq!(g.matching_edge_count(&LabelSet::empty(), Some(l(10)), &b), 2);
+        assert_eq!(g.matching_edge_count(&LabelSet::empty(), None, &b), 2);
+        assert_eq!(g.matching_edge_count(&a, None, &LabelSet::empty()), 3);
     }
 
     #[test]
@@ -148,7 +129,6 @@ mod tests {
         let mut g = setup();
         g.delete_edge(VertexId(1), l(10), VertexId(2));
         g.insert_edge(VertexId(2), l(11), VertexId(0));
-        let s = GraphStats::new(&g);
         let sets = [LabelSet::empty(), LabelSet::single(l(0)), LabelSet::single(l(1))];
         for src in &sets {
             for dst in &sets {
@@ -162,7 +142,7 @@ mod tests {
                         })
                         .count();
                     assert_eq!(
-                        s.matching_edge_count(src, ql, dst),
+                        g.matching_edge_count(src, ql, dst),
                         naive,
                         "src {src:?} ql {ql:?} dst {dst:?}"
                     );

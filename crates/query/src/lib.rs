@@ -21,5 +21,5 @@ pub mod tree;
 pub use diameter::diameter;
 pub use matches::{ContinuousMatcher, Deadline, MatchRecord, MatchSemantics, Positiveness};
 pub use qgraph::{EdgeId, QEdge, QVertexId, QueryGraph};
-pub use start::{choose_start_vertex, choose_start_vertex_from, matching_edge_counts};
+pub use start::{choose_start_vertex, matching_edge_counts, most_selective_edge};
 pub use tree::QueryTree;

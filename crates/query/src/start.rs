@@ -6,53 +6,52 @@
 //! fewer matching data vertices, breaking ties by larger degree.
 
 use crate::qgraph::{QVertexId, QueryGraph};
-use tfx_graph::GraphStats;
+use tfx_graph::DynamicGraph;
 
-/// The number of data edges matching each query edge, in edge-id order: the
-/// one statistic both [`choose_start_vertex`] and [`crate::QueryTree::build`]
-/// plan from. A count with both endpoints label-constrained is a sweep over
-/// every data vertex, so a registration takes the counts once and hands the
-/// slice to [`choose_start_vertex_from`] and [`crate::QueryTree::build_from`].
-pub fn matching_edge_counts(q: &QueryGraph, stats: &GraphStats<'_>) -> Vec<usize> {
+/// The number of data edges of `g` matching each query edge, in edge-id
+/// order: the one statistic [`choose_start_vertex`] and
+/// [`crate::QueryTree::build`] plan from. A count with both endpoints
+/// label-constrained is a sweep over every data vertex, so a registration
+/// takes the counts once and hands the slice to both.
+pub fn matching_edge_counts(q: &QueryGraph, g: &DynamicGraph) -> Vec<usize> {
     q.edges()
         .iter()
-        .map(|e| stats.matching_edge_count(q.labels(e.src), e.label, q.labels(e.dst)))
+        .map(|e| g.matching_edge_count(q.labels(e.src), e.label, q.labels(e.dst)))
         .collect()
 }
 
-/// Picks the starting query vertex `u_s` for `q` against the statistics of
-/// the initial data graph.
+/// The most selective of `edges` (indices into `counts`, a
+/// [`matching_edge_counts`] slice); ties go to the lowest id, for
+/// determinism. `None` when `edges` is empty.
 ///
-/// Panics if the query has no edges.
-pub fn choose_start_vertex(q: &QueryGraph, stats: &GraphStats<'_>) -> QVertexId {
-    choose_start_vertex_from(q, stats, &matching_edge_counts(q, stats))
+/// A zero count sorts last, not first: in a continuous setting an edge type
+/// with no matches *yet* carries no selectivity information, and rooting the
+/// DCG there would leave it empty until the first such edge streams in,
+/// forcing full rebuilds (the paper's running example accordingly roots at
+/// `u0`, not at the empty `(u3, u4)`).
+pub fn most_selective_edge(
+    counts: &[usize],
+    edges: impl IntoIterator<Item = usize>,
+) -> Option<usize> {
+    edges.into_iter().min_by_key(|&i| match counts[i] {
+        0 => (usize::MAX, i),
+        n => (n, i),
+    })
 }
 
-/// [`choose_start_vertex`] over already taken [`matching_edge_counts`].
-pub fn choose_start_vertex_from(
-    q: &QueryGraph,
-    stats: &GraphStats<'_>,
-    counts: &[usize],
-) -> QVertexId {
+/// Picks the starting query vertex `u_s` for `q` over the initial data graph
+/// `g`, whose [`matching_edge_counts`] are `counts`.
+///
+/// Panics if the query has no edges.
+pub fn choose_start_vertex(q: &QueryGraph, g: &DynamicGraph, counts: &[usize]) -> QVertexId {
     assert!(q.edge_count() > 0, "query must have at least one edge");
     assert_eq!(counts.len(), q.edge_count(), "one count per query edge");
 
-    // Edge with the smallest number of matching data edges (ties: lowest id,
-    // for determinism). A zero count sorts last, not first: in a continuous
-    // setting an edge type with no matches *yet* carries no selectivity
-    // information, and rooting the DCG there would leave it empty until the
-    // first such edge streams in, forcing full rebuilds (the paper's running
-    // example accordingly roots at `u0`, not at the empty `(u3, u4)`).
-    let (best_edge, _) = counts
-        .iter()
-        .map(|&n| if n == 0 { usize::MAX } else { n })
-        .enumerate()
-        .min_by_key(|&(i, c)| (c, i))
-        .expect("non-empty edge list");
+    let best_edge = most_selective_edge(counts, 0..counts.len()).expect("non-empty edge list");
     let e = &q.edges()[best_edge];
 
-    let cnt_src = stats.matching_vertex_count(q.labels(e.src));
-    let cnt_dst = stats.matching_vertex_count(q.labels(e.dst));
+    let cnt_src = g.matching_vertex_count(q.labels(e.src));
+    let cnt_dst = g.matching_vertex_count(q.labels(e.dst));
     match cnt_src.cmp(&cnt_dst) {
         std::cmp::Ordering::Less => e.src,
         std::cmp::Ordering::Greater => e.dst,
@@ -70,10 +69,14 @@ pub fn choose_start_vertex_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfx_graph::{DynamicGraph, LabelId, LabelSet};
+    use tfx_graph::{LabelId, LabelSet};
 
     fn l(i: u32) -> LabelId {
         LabelId(i)
+    }
+
+    fn start(q: &QueryGraph, g: &DynamicGraph) -> QVertexId {
+        choose_start_vertex(q, g, &matching_edge_counts(q, g))
     }
 
     /// Figure 1's setup, condensed: (u0,u1) is the most selective query edge
@@ -99,10 +102,9 @@ mod tests {
         q.add_edge(u0, u2, None); // 10 matching data edges
         let _ = u1;
 
-        let stats = GraphStats::new(&g);
         // Most selective edge is (u0,u1). A-vertices: 2, B-vertices: 1, so
         // u1 has strictly fewer matches and wins despite lower degree.
-        assert_eq!(choose_start_vertex(&q, &stats), u1);
+        assert_eq!(start(&q, &g), u1);
     }
 
     #[test]
@@ -122,7 +124,7 @@ mod tests {
         // in a continuous setting, so the start vertex comes from (u0,u1):
         // u0 and u1 both match one data vertex; the tie goes to u0 (larger
         // query degree).
-        assert_eq!(choose_start_vertex(&q, &GraphStats::new(&g)), u0);
+        assert_eq!(start(&q, &g), u0);
     }
 
     #[test]
@@ -140,6 +142,6 @@ mod tests {
         q.add_edge(u2, u0, Some(l(6)));
         // Counts tie at 1 apiece on (u0,u1); u0 (degree 2) beats u1
         // (degree 1).
-        assert_eq!(choose_start_vertex(&q, &GraphStats::new(&g)), u0);
+        assert_eq!(start(&q, &g), u0);
     }
 }

@@ -13,8 +13,6 @@
 //! is the *target* ([`QueryTree::child_is_target`]) of its parent edge.
 
 use crate::qgraph::{EdgeId, QVertexId, QueryGraph};
-use crate::start::matching_edge_counts;
-use tfx_graph::GraphStats;
 
 /// A rooted spanning tree of a [`QueryGraph`] plus the non-tree edges.
 #[derive(Clone, Debug)]
@@ -32,16 +30,11 @@ pub struct QueryTree {
 
 impl QueryTree {
     /// Builds a spanning tree rooted at `root`, choosing edges greedily by
-    /// ascending estimated matching-edge cardinality from `stats`.
+    /// ascending `cost`: `cost[e]` is the data-edge match count of query edge
+    /// `e`, as [`crate::matching_edge_counts`] takes it.
     ///
     /// Panics if `q` is not connected or is empty.
-    pub fn build(q: &QueryGraph, root: QVertexId, stats: &GraphStats<'_>) -> QueryTree {
-        Self::build_from(q, root, &matching_edge_counts(q, stats))
-    }
-
-    /// [`QueryTree::build`] over already taken [`matching_edge_counts`]:
-    /// `cost[e]` is the estimated data-edge match count of query edge `e`.
-    pub fn build_from(q: &QueryGraph, root: QVertexId, cost: &[usize]) -> QueryTree {
+    pub fn build(q: &QueryGraph, root: QVertexId, cost: &[usize]) -> QueryTree {
         assert!(q.vertex_count() > 0, "empty query");
         assert_eq!(cost.len(), q.edge_count(), "one cost per query edge");
         assert!(q.is_connected(), "query graph must be connected");
@@ -185,15 +178,10 @@ mod tests {
         q
     }
 
-    fn empty_stats_graph() -> DynamicGraph {
-        DynamicGraph::new()
-    }
-
     #[test]
     fn spanning_tree_of_triangle_has_one_non_tree_edge() {
         let q = triangle();
-        let g = empty_stats_graph();
-        let t = QueryTree::build(&q, QVertexId(0), &GraphStats::new(&g));
+        let t = QueryTree::build(&q, QVertexId(0), &[0; 3]);
         assert_eq!(t.root(), QVertexId(0));
         assert_eq!(t.non_tree_edges().len(), 1);
         assert_eq!(t.bfs_order().len(), 3);
@@ -217,8 +205,7 @@ mod tests {
         let a = q.add_vertex(LabelSet::empty());
         let b = q.add_vertex(LabelSet::empty());
         q.add_edge(b, a, None);
-        let g = empty_stats_graph();
-        let t = QueryTree::build(&q, a, &GraphStats::new(&g));
+        let t = QueryTree::build(&q, a, &[0]);
         assert_eq!(t.parent(b), Some(a));
         assert!(!t.child_is_target(b), "b is the source of the parent edge");
     }
@@ -244,7 +231,7 @@ mod tests {
         let b = q.add_vertex(l1);
         let _ex = q.add_edge(a, b, Some(LabelId(10)));
         let ey = q.add_edge(a, b, Some(LabelId(11)));
-        let t = QueryTree::build(&q, a, &GraphStats::new(&g));
+        let t = QueryTree::build(&q, a, &crate::matching_edge_counts(&q, &g));
         assert_eq!(t.parent_edge(b), Some(ey), "cheap edge chosen for tree");
         assert_eq!(t.non_tree_edges().len(), 1);
     }
@@ -257,8 +244,7 @@ mod tests {
         let c = q.add_vertex(LabelSet::empty());
         q.add_edge(a, b, None);
         q.add_edge(b, c, None);
-        let g = empty_stats_graph();
-        let t = QueryTree::build(&q, a, &GraphStats::new(&g));
+        let t = QueryTree::build(&q, a, &[0; 2]);
         assert_eq!(t.depth(a), 0);
         assert_eq!(t.depth(b), 1);
         assert_eq!(t.depth(c), 2);

@@ -25,7 +25,9 @@
 //! * **Upstream explicit deletes** cancel every live instance of the edge
 //!   immediately (the delete op passes through); the cancelled entries are
 //!   discarded silently when they later reach the window boundary, so an
-//!   edge is never double-deleted.
+//!   edge is never double-deleted. Once they outnumber both the live entries
+//!   and 64, a delete drops them all from the window at once, so a stream
+//!   that deletes what it inserts holds no more than it keeps live.
 //! * Vertex arrivals and deletes of edges the window never saw (e.g. `g0`
 //!   edges) pass through untouched; vertices do not expire.
 //!
@@ -102,7 +104,8 @@ struct Entry {
 /// appended to the caller's buffer.
 pub struct SlidingWindow {
     spec: WindowSpec,
-    /// Window entries in arrival (FIFO) order, including cancelled ones. A
+    /// Window entries in arrival (FIFO) order, including cancelled ones: after
+    /// a delete those number at most `max(live_total, 64)`. Without them a
     /// count window's ring doubles up to `capacity + 1` entries, not past.
     entries: VecDeque<Entry>,
     /// Live (not cancelled) instance count per edge.
@@ -198,6 +201,9 @@ impl SlidingWindow {
                 if let Some(n) = self.live.remove(&key) {
                     *self.cancelled.entry(key).or_insert(0) += n;
                     self.live_total -= n as usize;
+                    if self.entries.len() - self.live_total > self.live_total.max(64) {
+                        self.drop_cancelled();
+                    }
                 }
                 out.push(ev.op.clone());
             }
@@ -213,6 +219,24 @@ impl SlidingWindow {
         }
         self.entries.clear();
         self.cancelled.clear();
+    }
+
+    /// Drops every cancelled entry. A delete cancels every live instance of
+    /// its edge, so a key's cancelled entries are its oldest ones: dropping
+    /// the first `cancelled[key]` entries of each key, front to back, drops
+    /// exactly them. Called once cancelled entries outnumber
+    /// `max(live_total, 64)`, so its cost is amortized O(1) per insert.
+    fn drop_cancelled(&mut self) {
+        let cancelled = &mut self.cancelled;
+        self.entries.retain(|e| match cancelled.get_mut(&e.key) {
+            Some(c) if *c > 0 => {
+                *c -= 1;
+                false
+            }
+            _ => true,
+        });
+        cancelled.clear();
+        debug_assert_eq!(self.entries.len(), self.live_total);
     }
 
     /// Pops entries with `ts + width <= now`, emitting deletes for edges
@@ -409,6 +433,40 @@ mod tests {
             }
             assert_eq!(w.live_len(), n.min(3000));
             assert!(w.ring_capacity() <= 2 * w.live_len().max(4), "count:{n} over-reserved");
+        }
+    }
+
+    /// A stream that deletes every edge it inserts holds a bounded ring in
+    /// every retaining window, with or without an older live entry at the
+    /// front, and emits what a window that kept every cancelled entry emits:
+    /// the pairs pass through, and the live entry leaves at the drain.
+    #[test]
+    fn cancelled_entries_do_not_grow_the_ring() {
+        let specs = [
+            WindowSpec::Count { capacity: 1000 },
+            WindowSpec::Time { width: 1 << 20 },
+            WindowSpec::Unbounded,
+        ];
+        for front in [false, true] {
+            for spec in specs {
+                let mut w = SlidingWindow::new(spec);
+                let (mut out, mut want) = (Vec::new(), Vec::new());
+                if front {
+                    w.push(&ins(0, 0, 0), &mut out);
+                    want.push(ins_op(0, 0));
+                }
+                for i in 0..200_000u32 {
+                    let (s, d) = (1 + i % 5000, i % 7);
+                    w.push(&ins(i.into(), s, d), &mut out);
+                    w.push(&del(i.into(), s, d), &mut out);
+                    want.extend([ins_op(s, d), del_op(s, d)]);
+                    assert!(w.ring_capacity() <= 128, "{spec:?}: {} slots", w.ring_capacity());
+                }
+                assert_eq!(w.live_len(), usize::from(front));
+                w.drain(&mut out);
+                want.extend(front.then(|| del_op(0, 0)));
+                assert!(out == want, "{spec:?}, front {front}: the output changed");
+            }
         }
     }
 

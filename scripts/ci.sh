@@ -235,6 +235,19 @@ if grep -rnE "WorkBudget|work_budget|with_budget|TFX_WORK_BUDGET|deadline_(tick|
   exit 1
 fi
 
+echo "=== one plan, no switch ==="
+# §4.1 plans a query in one pass, one form per step (DESIGN.md, "Plan
+# statistics once"): `matching_edge_counts(q, g)`, `choose_start_vertex(q, g,
+# &counts)`, `QueryTree::build(q, root, &counts)`, the counts read off
+# `DynamicGraph` itself, and `AdjustMatchingOrder` always on. A statistics
+# wrapper, a planner twin or a matching-order switch comes back by deleting
+# this check and saying what a committed benchmark shows it buys.
+if grep -rnE "adjust_matching_order|GraphStats|choose_start_vertex_from|build_from" \
+  --exclude-dir=e2e crates src tests examples; then
+  echo "ci: a planner switch, wrapper or twin entry point is back" >&2
+  exit 1
+fi
+
 echo "=== no new panic site ==="
 # Every non-test `unwrap()` / `expect(` / `panic!` / `assert*!` line of the
 # engine, the graph, the stream layer and the CLI is sorted in DESIGN.md,
@@ -244,8 +257,8 @@ echo "=== no new panic site ==="
 panics=$(find crates/core/src crates/graph/src crates/stream/src src/bin/tfx.rs -name '*.rs' \
   ! -name tests.rs -exec awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next }
     /unwrap\(\)|\.expect\(|panic!\(|assert(_eq|_ne)?!/ && !/debug_assert/' {} \; | wc -l)
-if [ "$panics" -gt 66 ]; then
-  echo "ci: $panics non-test panic sites, the sorted table has 66" >&2
+if [ "$panics" -gt 65 ]; then
+  echo "ci: $panics non-test panic sites, the sorted table has 65" >&2
   exit 1
 fi
 

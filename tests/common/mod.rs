@@ -3,14 +3,14 @@
 //! [`Shape`]s; [`closing_edge_scenario`] and [`lookahead_hazards`] build
 //! what the draws reach too rarely. [`assert_equivalent`] runs a
 //! scenario under one semantics × window × batch policy through
-//! `StreamDriver` on both runtimes — [`TurboFlux`] per query, under the
-//! adjusting and the static matching order, and [`Fleet`] — and holds the
-//! window's output to [`reference_window`], the standalone engines' signed
-//! match sets per query and op to `NaiveRecompute` and their DCG at every
-//! batch boundary to `spec::reference_dcg`, their batched deltas to their
-//! one-op run's and the fleet's to theirs byte for byte, and every runtime's
-//! graph to the ops replayed on `g0` (the fleet's at every batch boundary) —
-//! a standalone engine's to the replay's projection onto its query's labels.
+//! `StreamDriver` on both runtimes — [`TurboFlux`] per query and [`Fleet`]
+//! — and holds the window's output to [`reference_window`], the standalone
+//! engines' signed match sets per query and op to `NaiveRecompute` and their
+//! DCG at every batch boundary to `spec::reference_dcg`, their batched
+//! deltas to their one-op run's and the fleet's to theirs byte for byte, and
+//! every runtime's graph to the ops replayed on `g0` (the fleet's at every
+//! batch boundary) — a standalone engine's to the replay's projection onto
+//! its query's labels.
 
 #![allow(dead_code)] // each test binary uses part of the harness
 
@@ -668,7 +668,8 @@ pub fn assert_equivalent(
     };
     // Every query on a standalone engine of its own, each held against its
     // recompute: deltas tagged with their query, batches.
-    let alone = |cfg: TurboFluxConfig, policy| {
+    let cfg = TurboFluxConfig::with_semantics(semantics);
+    let alone = |policy| {
         let (mut deltas, mut batches) = (Vec::new(), Vec::new());
         for (id, q) in s.queries.iter().enumerate() {
             let mut engine = TurboFlux::new(q.clone(), s.g0.clone(), cfg);
@@ -678,7 +679,7 @@ pub fn assert_equivalent(
             let rec = run(&mut rt, policy);
             assert_dcg(&mut rt.rt, 0);
             same_graph(rt.rt.graph(), &g_end.clone().project(|label| sees(q, label)));
-            let ctx = format!("{ctx}, query {id} alone under {cfg:?}");
+            let ctx = format!("{ctx}, query {id} alone under {policy:?}");
             naive[id].assert_agrees(&init, &rec.deltas, 0, &ctx);
             deltas.extend(rec.deltas.into_iter().map(|(op, _, p, r)| (op, id, p, r)));
             batches = rec.batches;
@@ -686,14 +687,11 @@ pub fn assert_equivalent(
         (deltas, batches)
     };
 
-    let adjusting = TurboFluxConfig::with_semantics(semantics);
     // One op per batch, where nothing is ever hinted ahead: batching changes
     // no standalone engine's deltas.
     let unbatched = BatchPolicy { max_ops: 1, ..policy };
-    let (want, batches) = alone(adjusting, policy);
-    assert_eq!(want, alone(adjusting, unbatched).0, "{ctx}: batching changed the deltas");
-    // The matching order's other setting, held against the recompute alone.
-    alone(TurboFluxConfig { adjust_matching_order: false, ..adjusting }, policy);
+    let (want, batches) = alone(policy);
+    assert_eq!(want, alone(unbatched).0, "{ctx}: batching changed the deltas");
     // A multi-engine runtime delivers batch by batch, engine by engine.
     let batch_of: Vec<usize> = batches.iter().enumerate().flat_map(|(b, &n)| vec![b; n]).collect();
     let delivered = |mut deltas: Vec<Delta>| {
@@ -703,7 +701,7 @@ pub fn assert_equivalent(
 
     let mut fleet = Fleet::new(s.g0.clone());
     s.queries.iter().for_each(|q| {
-        fleet.register(q.clone(), adjusting);
+        fleet.register(q.clone(), cfg);
     });
     // The graph at every batch boundary against `g0` replayed so far; ops
     // applied before the churn, and whether the late query met a churned
@@ -718,7 +716,7 @@ pub fn assert_equivalent(
             Some(c) if churned.is_none() && applied >= c.at => {
                 assert!(fleet.deregister(c.victim));
                 let (st, n) = (fleet.graph().storage_stats(), fleet.graph().vertex_count());
-                let id = fleet.register(c.late.clone(), adjusting);
+                let id = fleet.register(c.late.clone(), cfg);
                 assert_eq!(id, s.queries.len(), "a fresh id");
                 let grown = n > s.g0.vertex_count() + 20;
                 churned = Some((applied, st.directory_runs > 0 && st.free_slots > 0 && grown));
@@ -736,7 +734,7 @@ pub fn assert_equivalent(
         // The late query alone on a compact replay of the graph the fleet
         // registered it on, and against the recompute from there.
         let g_k = replay_graph(&s.g0, &ops[..k]);
-        let mut engine = TurboFlux::new(c.late.clone(), g_k.clone(), adjusting);
+        let mut engine = TurboFlux::new(c.late.clone(), g_k.clone(), cfg);
         let mut init = Vec::new();
         engine.report_initial(&mut |r| init.push(r.clone()));
         let tail: Vec<_> = ops[k..].iter().map(|op| StreamEvent::new(0, op.clone())).collect();

@@ -1,9 +1,9 @@
-//! Randomized property tests, as Pcg32 loops: `LabelSet` subset laws,
-//! `GraphStats` counts as a per-vertex subset test counts them,
-//! update-stream truncation is a prefix, and an insert burst drawn from the
-//! harness's generator (`common`) deleted in reverse returns the DCG and the
-//! match set to their initial state and the warmed engine's resident bytes
-//! to a fixpoint.
+//! Randomized property tests, as Pcg32 loops: `LabelSet` subset laws, the
+//! graph's matching counts equal a brute-force count over its vertices and
+//! `edges()`, update-stream truncation is a prefix, and an insert burst
+//! drawn from the harness's generator (`common`) deleted in reverse returns
+//! the DCG and the match set to their initial state and the warmed engine's
+//! resident bytes to a fixpoint.
 
 mod common;
 
@@ -37,17 +37,17 @@ fn label_set_subset_laws() {
     }
 }
 
-/// `GraphStats` decides label-set containment once per distinct set the
-/// graph stores; its counts must equal a test of every vertex and every
-/// edge, on an LSBench g0 (seven labelled entity types) and on random graphs
-/// whose vertices draw random label sets, for every query label set the
-/// graph holds plus random ones, and every edge label, a wildcard and an
-/// absent label.
+/// `DynamicGraph::matching_vertex_count` and `matching_edge_count` decide
+/// label-set containment once per distinct set the graph stores; their
+/// counts must equal a test of every vertex and of every edge of `edges()`,
+/// on an LSBench g0 (seven labelled entity types) and on random graphs whose
+/// vertices draw random label sets, for every query label set the graph
+/// holds plus random ones, and every edge label, a wildcard and an absent
+/// label.
 #[test]
-fn graph_stats_count_as_a_per_vertex_test_does() {
+fn matching_counts_equal_a_brute_force_count_over_edges() {
     use turboflux::datagen::lsbench::generate;
     use turboflux::datagen::LsBenchConfig;
-    use turboflux::graph::GraphStats;
     let mut rng = Pcg32::new(0x57a7);
     let lsbench = generate(&LsBenchConfig { users: 60, seed: 7, stream_frac: 0.1 }).g0;
     let random: Vec<DynamicGraph> = (0..6)
@@ -65,7 +65,6 @@ fn graph_stats_count_as_a_per_vertex_test_does() {
         })
         .collect();
     for g in std::iter::once(lsbench).chain(random) {
-        let stats = GraphStats::new(&g);
         let mut sets: Vec<LabelSet> = g.vertices().map(|v| g.labels(v).clone()).collect();
         sets.sort_by(|a, b| a.as_slice().cmp(b.as_slice()));
         sets.dedup();
@@ -77,7 +76,7 @@ fn graph_stats_count_as_a_per_vertex_test_does() {
         qlabels.extend([None, Some(LabelId(999))]);
         for src in &sets {
             let want = g.vertices().filter(|&v| src.is_subset_of(g.labels(v))).count();
-            assert_eq!(stats.matching_vertex_count(src), want, "{src:?}");
+            assert_eq!(g.matching_vertex_count(src), want, "{src:?}");
             for dst in &sets {
                 for &ql in &qlabels {
                     let want = g
@@ -86,7 +85,7 @@ fn graph_stats_count_as_a_per_vertex_test_does() {
                         .filter(|e| src.is_subset_of(g.labels(e.src)))
                         .filter(|e| dst.is_subset_of(g.labels(e.dst)))
                         .count();
-                    let got = stats.matching_edge_count(src, ql, dst);
+                    let got = g.matching_edge_count(src, ql, dst);
                     assert_eq!(got, want, "{src:?} -{ql:?}-> {dst:?}");
                 }
             }

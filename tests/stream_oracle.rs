@@ -53,6 +53,43 @@ fn drain_restores_zero_sum() {
     }
 }
 
+/// Streams that delete most of what they insert, over a few edges, through
+/// every kind of window: its output is the reference window's, whether its
+/// cancelled entries leave at the boundary or are dropped in bulk.
+#[test]
+fn delete_heavy_streams_match_the_reference_window() {
+    let mut rng = Pcg32::new(0xC4);
+    let specs = [
+        WindowSpec::Count { capacity: 3 },
+        WindowSpec::Count { capacity: 200 },
+        WindowSpec::Time { width: 8 },
+        WindowSpec::Time { width: 1000 },
+        WindowSpec::Unbounded,
+    ];
+    for spec in specs {
+        for drain in [false, true] {
+            let events: Vec<StreamEvent> = (0..3000u64)
+                .map(|ts| {
+                    let (src, label, dst) =
+                        (VertexId(rng.below(40) as u32), LabelId(0), VertexId(rng.below(3) as u32));
+                    let op = match rng.below(2) {
+                        0 => UpdateOp::InsertEdge { src, label, dst },
+                        _ => UpdateOp::DeleteEdge { src, label, dst },
+                    };
+                    StreamEvent::new(ts, op)
+                })
+                .collect();
+            let mut window = SlidingWindow::new(spec);
+            let mut out = Vec::new();
+            events.iter().for_each(|ev| window.push(ev, &mut out));
+            if drain {
+                window.drain(&mut out);
+            }
+            assert!(out == reference_window(&events, spec, drain), "{spec:?}, drain {drain}");
+        }
+    }
+}
+
 /// Every runtime, at batch sizes below, around and above the lookahead
 /// distances, emits on [`lookahead_hazards`] what the one-op-per-batch runs
 /// the harness holds them to emit — runs in which no op is ever hinted.
