@@ -1,4 +1,4 @@
-//! Graphflow (Kankanamge et al. [16]), as described in §2.2.
+//! Graphflow (Kankanamge et al. \[16\]), as described in §2.2.
 //!
 //! Graphflow maintains no intermediate results. For each updated edge
 //! `(v, v')` and each query edge `(u, u')` it matches, the engine evaluates

@@ -1,4 +1,4 @@
-//! IncIsoMat (Fan et al. [10]), as described in §2.2 of the paper.
+//! IncIsoMat (Fan et al. \[10\]), as described in §2.2 of the paper.
 //!
 //! For each update on edge `(v, v')`, the affected subgraph `g'` consists of
 //! the data vertices within distance `diameter(q)` of either endpoint

@@ -3,11 +3,11 @@
 //!
 //! * [`NaiveRecompute`] — full subgraph matching per update plus set
 //!   difference (the strawman of §1; also the test oracle),
-//! * [`IncIsoMat`] — Fan et al. [10]: extract the diameter-bounded affected
+//! * [`IncIsoMat`] — Fan et al. \[10\]: extract the diameter-bounded affected
 //!   subgraph, match it before and after the update, diff,
-//! * [`Graphflow`] — Kankanamge et al. [16]: delta evaluation with a
+//! * [`Graphflow`] — Kankanamge et al. \[16\]: delta evaluation with a
 //!   Generic-Join-style worst-case-optimal join, no maintained state,
-//! * [`SjTree`] — Choudhury et al. [7]: a left-deep join tree of
+//! * [`SjTree`] — Choudhury et al. \[7\]: a left-deep join tree of
 //!   materialized partial solutions with the generate-and-discard
 //!   duplicate-elimination strategy (insert-only, as in the paper).
 //!

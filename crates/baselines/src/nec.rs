@@ -1,6 +1,6 @@
 //! NEC query compression for SJ-Tree (Appendix B.5).
 //!
-//! The paper applies TurboISO's [14] *neighborhood equivalence class* (NEC)
+//! The paper applies TurboISO's \[14\] *neighborhood equivalence class* (NEC)
 //! compression to SJ-Tree's query: query leaf vertices with identical label
 //! sets hanging off the same neighbor via the same edge label and direction
 //! are interchangeable, so the query can be evaluated with one

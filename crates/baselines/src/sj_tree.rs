@@ -1,4 +1,4 @@
-//! SJ-Tree (Choudhury et al. [7]), as described in §2.2 and Figure 2.
+//! SJ-Tree (Choudhury et al. \[7\]), as described in §2.2 and Figure 2.
 //!
 //! The query is decomposed into a left-deep join tree: leaf `i` covers the
 //! single query edge `e_i` (chosen in a selectivity-ascending, connected

@@ -19,7 +19,7 @@ use std::slice;
 
 use tfx_baselines::{nec_compress, NecSjTree, SjTree};
 use tfx_bench::harness::{
-    bare_update_time, count_stream_positives, make_engine, run_query_on_engine, QueryRun, RunConfig,
+    count_stream_positives, make_engine, run_query_on_engine, BareTimes, QueryRun, RunConfig,
 };
 use tfx_bench::report::{fmt_bytes, fmt_duration, speedup, Table};
 use tfx_bench::suite::{
@@ -83,7 +83,13 @@ fn main() -> ExitCode {
     let Some(picked) = picked.filter(|p| !p.is_empty()) else {
         return usage();
     };
-    let p = Params::from_env();
+    let p = match Params::from_env() {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
     for (id, title, run) in picked {
         eprintln!("=== {id}: {title}");
         run(&p, scatter);
@@ -496,7 +502,7 @@ fn appb5_sjtree_nec(p: &Params, _: bool) {
             "q match counts agree",
         ],
     );
-    let bare = bare_update_time(&d.g0, &d.stream);
+    let bare = BareTimes::new(&d.g0, &d.stream);
     let cost = |r: &QueryRun| {
         if r.timed_out {
             "timeout".into()
@@ -509,17 +515,18 @@ fn appb5_sjtree_nec(p: &Params, _: bool) {
         let (sj, mut plain) = run_query_on_engine(
             |at| Box::new(SjTree::new(q.clone(), g0(), Homomorphism, at)),
             &d.stream,
-            bare,
+            bare.of(EngineKind::SjTree, q),
             p.timeout,
         );
         let (sj_nec, mut nec) = run_query_on_engine(
             |at| Box::new(NecSjTree::try_new(q, g0(), Homomorphism, at).expect("compressible")),
             &d.stream,
-            bare,
+            bare.of(EngineKind::SjTree, q),
             p.timeout,
         );
         let tf = |q: &QueryGraph| {
             let build = |at| make_engine(EngineKind::TurboFlux, q.clone(), g0(), Homomorphism, at);
+            let bare = bare.of(EngineKind::TurboFlux, q);
             cost(&run_query_on_engine(build, &d.stream, bare, p.timeout).0)
         };
 

@@ -9,7 +9,7 @@ use tfx_graph::{DynamicGraph, UpdateStream};
 use tfx_query::QueryGraph;
 
 use crate::harness::{
-    bare_update_time, make_engine, run_query_on_engine, EngineKind, QueryRun, RunConfig,
+    make_engine, run_query_on_engine, BareTimes, EngineKind, QueryRun, RunConfig,
 };
 use crate::report::{fmt_bytes, fmt_duration, mean_duration, Table};
 
@@ -63,7 +63,7 @@ pub fn compare_engines(
     stream: &UpdateStream,
     cfg: &RunConfig,
 ) -> Vec<EngineSummary> {
-    let bare = bare_update_time(g0, stream);
+    let bare = BareTimes::new(g0, stream);
     engines
         .iter()
         .map(|&kind| {
@@ -71,7 +71,7 @@ pub fn compare_engines(
                 .iter()
                 .map(|q| {
                     let build = |at| make_engine(kind, q.clone(), g0.clone(), cfg.semantics, at);
-                    run_query_on_engine(build, stream, bare, cfg.timeout).0
+                    run_query_on_engine(build, stream, bare.of(kind, q), cfg.timeout).0
                 })
                 .collect();
             EngineSummary::from_runs(kind, runs)

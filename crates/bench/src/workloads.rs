@@ -126,7 +126,7 @@ pub fn graph_query_sets(
         .collect()
 }
 
-/// Path query sets (the [7] queryset; Fig. 15): sizes 3–5.
+/// Path query sets (the \[7\] queryset; Fig. 15): sizes 3–5.
 pub fn path_query_sets(dataset: &Dataset, p: &Params) -> Vec<(usize, Vec<QueryGraph>)> {
     [3usize, 4, 5]
         .iter()
@@ -141,7 +141,7 @@ pub fn path_query_sets(dataset: &Dataset, p: &Params) -> Vec<(usize, Vec<QueryGr
         .collect()
 }
 
-/// Binary-tree query sets (the [7] queryset; Fig. 16): sizes 4–14 step 2,
+/// Binary-tree query sets (the \[7\] queryset; Fig. 16): sizes 4–14 step 2,
 /// three queries per size as in the paper.
 pub fn btree_query_sets(dataset: &Dataset, p: &Params) -> Vec<(usize, Vec<QueryGraph>)> {
     [4usize, 6, 8, 10, 12, 14]

@@ -74,7 +74,7 @@ impl TurboFlux {
     /// The query is fixed from here on, so the engine keeps only what it can
     /// see: `g0` projected onto the edge labels `q` names (all of them if `q`
     /// has a wildcard edge), and ops on the other labels never reach its
-    /// graph ([`round::apply`]). The plan's statistics read only those labels
+    /// graph (`round::apply`). The plan's statistics read only those labels
     /// and the vertex labels, so they come out the same on either graph.
     ///
     /// Panics if `q` is empty, disconnected, or has more than 64 vertices.
@@ -316,7 +316,7 @@ impl TurboFlux {
 
     /// Applies `ops` in order to the engine-owned graph, reporting every
     /// match as `sink(op index, positiveness, record)` (Algorithm 2, lines
-    /// 12–20): one round of [`round::apply`] per op on this engine alone —
+    /// 12–20): one round of `round::apply` per op on this engine alone —
     /// stage, register the vertices the op created and evaluate its edge,
     /// finalize — with the batch lookahead pulling the graph groups of the
     /// ops a few rounds ahead into cache meanwhile. Batching changes when an

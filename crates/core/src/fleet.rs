@@ -22,7 +22,7 @@
 //!
 //! # Execution
 //!
-//! A batch runs on the one round loop ([`crate::round`]) over the shared
+//! A batch runs on the one round loop (`round::apply`) over the shared
 //! graph. Each round registers the vertices the op created with every engine
 //! and evaluates its edge on the label's routing entry, in ascending engine
 //! order. With one engine the deltas stream straight to the sink; otherwise
@@ -64,7 +64,7 @@ pub struct FleetStats {
     pub ops_routed: u64,
     /// Engine-evaluations of edge ops that were skipped by routing.
     pub ops_skipped: u64,
-    /// Edge ops refused for a label out of range ([`round::Round::Refused`]):
+    /// Edge ops refused for a label out of range (`round::Round::Refused`):
     /// they reached neither the graph nor any engine.
     pub ops_refused: u64,
     /// Always 0: the five cross-query sharing counters are kept only so the

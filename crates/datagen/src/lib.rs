@@ -13,7 +13,7 @@
 //! Queries are generated per §5.1 ([`queries`]): tree queries by random
 //! schema-graph traversal (sizes 3–12), cyclic "graph" queries grown from
 //! triangles/squares/pentagons, plus the path and binary-tree querysets of
-//! the SJ-Tree paper [7] used in Appendix B.6.
+//! the SJ-Tree paper \[7\] used in Appendix B.6.
 //!
 //! Everything is reproducible from a `u64` seed via a small PCG generator
 //! ([`rng::Pcg32`]); no external RNG crate is used so datasets are stable

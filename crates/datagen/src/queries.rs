@@ -7,7 +7,7 @@
 //!   (triangle / square / pentagon) grown to the target size with random
 //!   triples.
 //! * Path and complete-binary-tree queries: the querysets of the SJ-Tree
-//!   paper [7] used for Appendix B.6.
+//!   paper \[7\] used for Appendix B.6.
 
 use tfx_query::{QVertexId, QueryGraph};
 
@@ -105,7 +105,7 @@ pub fn random_tree_query(schema: &Schema, size: usize, rng: &mut Pcg32) -> Query
     b.q
 }
 
-/// A random path query of `size` triples (the path queryset of [7]).
+/// A random path query of `size` triples (the path queryset of \[7\]).
 pub fn random_path_query(schema: &Schema, size: usize, rng: &mut Pcg32) -> QueryGraph {
     assert!(size >= 1);
     let mut b = Builder::new();
@@ -121,7 +121,7 @@ pub fn random_path_query(schema: &Schema, size: usize, rng: &mut Pcg32) -> Query
 }
 
 /// A complete-binary-tree query of `size` triples (the tree queryset of
-/// [7]): vertex `i`'s parent is vertex `(i-1)/2`.
+/// \[7\]): vertex `i`'s parent is vertex `(i-1)/2`.
 pub fn random_binary_tree_query(schema: &Schema, size: usize, rng: &mut Pcg32) -> QueryGraph {
     assert!(size >= 1);
     let mut b = Builder::new();

@@ -10,7 +10,7 @@ use tfx_graph::{LabelId, LabelInterner, LabelSet};
 /// A typed relation `src_type -label-> dst_type` of a schema.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Relation {
-    /// Index of the source vertex type (into [`Schema::vertex_types`]),
+    /// Index of the source vertex type ([`Schema::type_name`]),
     pub src_type: usize,
     /// the interned edge label,
     pub label: LabelId,

@@ -4,7 +4,7 @@
 //! about a data vertex `v`: "which neighbors are reachable over an edge with
 //! label `l`?" (concrete query-edge label — the overwhelmingly common case)
 //! or "which neighbors at all?" (wildcard query edge). Each direction of
-//! each vertex is an 8-byte [`Adjacency`] handle — `{off, meta}` — into the
+//! each vertex is an 8-byte `Adjacency` handle — `{off, meta}` — into the
 //! graph's single [`SlotArena`] of 4-byte words; nothing here owns heap
 //! memory, so an edge op touches one handle and one or two slots per
 //! direction and nothing else. `meta`'s top two bits name the layout, and

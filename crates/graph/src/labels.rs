@@ -5,7 +5,7 @@
 //! Most vertices in the paper's datasets carry zero or one label, so
 //! [`LabelSet`] is optimized for tiny cardinalities: a sorted `Vec` on the
 //! heap (none for the empty set) with O(|a|+|b|) subset tests. A graph
-//! stores each distinct set once, in a [`SetTable`], and gives every vertex
+//! stores each distinct set once, in a `SetTable`, and gives every vertex
 //! a 4-byte id into it: a dataset has a handful of distinct sets, and a
 //! `Vec` per vertex cost 24 bytes of handle plus a heap cell.
 

@@ -1,5 +1,5 @@
 //! `tfx-match` — a static subgraph matching engine (backtracking search in
-//! the style of TurboHom++ [17], simplified).
+//! the style of TurboHom++ \[17\], simplified).
 //!
 //! TurboFlux itself only needs a matcher for its *intermediate-result-aware*
 //! `SubgraphSearch`, which lives in `tfx-core`. This crate provides the

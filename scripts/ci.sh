@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, release build, e2e smoke + goldens, tests, bench compile,
+# Local CI gate: formatting, lints, docs, release build, e2e smoke + goldens, tests, bench compile,
 # the two kept Criterion targets (quick), the e2e snapshot comparison, CLI smokes.
 # Run from the repo root. Fails fast on the first broken step.
 set -euo pipefail
@@ -10,6 +10,11 @@ cargo fmt --all -- --check
 
 echo "=== cargo clippy (workspace, -D warnings) ==="
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "=== cargo doc (workspace, -D warnings) ==="
+# The docs build without a warning: a broken or private intra-doc link, or a
+# bracketed citation read as one, fails here rather than drifting unseen.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "=== no threads in the engine, the stream layer or the CLI ==="
 # Every parallel layer this repo had lost every measurement (DESIGN.md,
@@ -257,8 +262,8 @@ echo "=== no new panic site ==="
 panics=$(find crates/core/src crates/graph/src crates/stream/src src/bin/tfx.rs -name '*.rs' \
   ! -name tests.rs -exec awk '/^#\[cfg\(test\)\]/ { exit } /^[[:space:]]*\/\// { next }
     /unwrap\(\)|\.expect\(|panic!\(|assert(_eq|_ne)?!/ && !/debug_assert/' {} \; | wc -l)
-if [ "$panics" -gt 65 ]; then
-  echo "ci: $panics non-test panic sites, the sorted table has 65" >&2
+if [ "$panics" -gt 61 ]; then
+  echo "ci: $panics non-test panic sites, the sorted table has 61" >&2
   exit 1
 fi
 

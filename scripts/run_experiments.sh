@@ -3,14 +3,12 @@
 # `figures <id>` run per experiment, tables to <outdir>/<id>.txt (progress on
 # stderr). The committed results/<id>.txt are summarized in EXPERIMENTS.md.
 #
+# The scale is the `figures` defaults (`tfx_bench::params`, the run
+# configuration EXPERIMENTS.md records); `TFX_*` variables override it.
+#
 # usage: scripts/run_experiments.sh [outdir]     (default: results)
 set -u
 cd "$(dirname "$0")/.."
-export TFX_USERS="${TFX_USERS:-400}"
-export TFX_HOSTS="${TFX_HOSTS:-1200}"
-export TFX_FLOWS="${TFX_FLOWS:-25000}"
-export TFX_QUERIES="${TFX_QUERIES:-10}"
-export TFX_TIMEOUT_MS="${TFX_TIMEOUT_MS:-3000}"
 out="${1:-results}"
 mkdir -p "$out"
 cargo build --offline --release -p tfx-bench --bin figures || exit 1

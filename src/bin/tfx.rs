@@ -1,27 +1,27 @@
-//! `tfx` — command-line continuous subgraph matching.
+//! `tfx` — continuous subgraph matching on the command line.
 //!
-//! Two modes:
-//!
-//! **Run mode** (the original interface). Loads an initial data graph and a
-//! query (both in the text format of `tfx_query::parser`), registers the
-//! query, then streams update operations from a file (or stdin) and prints
-//! every positive / negative match as it appears:
-//!
-//! ```sh
-//! tfx <graph.txt> <query.txt> [--stream <ops.txt>] [--iso] [--quiet]
-//! ```
-//!
-//! **Stream mode** (`tfx stream`). Full ingestion pipeline: a timestamped
-//! source (text file or built-in synthetic generator), an optional sliding
-//! window that expires old edges, a batching driver, and JSONL delta/stats
-//! output on stdout:
+//! One front end, `tfx stream`, runs Algorithm 2's one loop: register the
+//! queries over an initial graph and report their initial matches, then
+//! stream timestamped updates through an optional sliding window (which
+//! expires old edges) and a batching driver, and report every positive /
+//! negative match each batch makes:
 //!
 //! ```sh
-//! tfx stream --query <q.txt> --file <ops.txt> --graph <g.txt> --window time:100
+//! tfx stream --query <q.txt> --graph <g.txt> --file <ops.txt>|- --window time:100
 //! tfx stream --query <q.txt> --synthetic netflow --window count:1000 --iso
 //! ```
 //!
-//! Both modes share one stream text format (see `tfx_stream::source`):
+//! Stdout is JSONL. Per engine (one per `--query`, numbered from 0): its
+//! initial matches (`match`), then their count (`init`). Then a `delta` line
+//! per match and a `batch` line per batch, and one `summary`. `--quiet`
+//! keeps only the `init` counts; several queries run as a fleet, which adds
+//! its routing counters (`fleet_stats`). Stderr names the input's shape and
+//! each engine's DCG shape after registration; its closing line
+//! (`processed N events …`) adds the totals, each engine's DCG shape again
+//! and the graph's shape.
+//!
+//! Graph, query and stream files are text (`tfx_query::parser`,
+//! `tfx_stream::source`):
 //!
 //! ```text
 //! v 7 User            # vertex 7 arrives with label User
@@ -32,8 +32,10 @@
 
 #![forbid(unsafe_code)]
 
+use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
+use turboflux::core::DcgView;
 use turboflux::prelude::*;
 use turboflux::query::parser;
 use turboflux::stream::{
@@ -43,67 +45,160 @@ use turboflux::stream::{
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("stream") {
-        stream_main(&args[1..])
-    } else {
-        run_main(&args)
+    match args.first().map(String::as_str) {
+        Some("stream") => run(&args[1..]),
+        Some("--help" | "-h") => usage(0),
+        _ => {
+            eprintln!("error: tfx runs as `tfx stream`");
+            usage(2)
+        }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Run mode (original interface)
-// ---------------------------------------------------------------------------
-
 fn usage(code: u8) -> ExitCode {
-    eprintln!("usage: tfx <graph.txt> <query.txt> [--stream <ops.txt>|-] [--iso] [--quiet]");
-    eprintln!("       tfx stream --help");
+    eprintln!(
+        "usage: tfx stream --query <q.txt> [--query <q2.txt> ...]
+                  (--file <ops.txt>|- | --synthetic uniform|hub|lsbench|netflow)
+                  [--graph <g.txt>]          initial graph (file source only)
+                  [--window time:<W>|count:<N>|none]   sliding window (default none)
+                  [--batch-ops <N>]          flush batches at N ops (default 256)
+                  [--batch-ticks <T>]        flush batches every T stream ticks
+                  [--drain]                  expire the whole window at end of stream
+                  [--iso]                    isomorphism semantics (default homomorphism)
+                  [--lenient]                skip malformed stream lines (default strict)
+                  [--seed <S>]               synthetic generator seed (default 2018)
+                  [--ticks-per-event <T>]    synthetic clock rate (default 1)
+                  [--quiet]                  suppress JSONL matches and deltas, keep counts
+
+Emits JSONL on stdout: initial-match and init lines per engine, delta lines,
+per-batch stats lines, one summary line."
+    );
     ExitCode::from(code)
 }
 
+/// Where the updates come from, as the flags name it.
+enum Source {
+    /// A stream file, or stdin for `-`.
+    File(String),
+    /// A built-in generator, which brings its own g0.
+    Synthetic(SyntheticKind),
+}
+
+/// [`Source`] once g0 is loaded: a generator has made its stream.
+enum Updates {
+    File(String),
+    Generated(SyntheticSource),
+}
+
 struct Options {
-    graph_path: String,
-    query_path: String,
-    stream_path: Option<String>,
+    query_paths: Vec<String>,
+    graph_path: Option<String>,
+    window: WindowSpec,
+    batch_ops: usize,
+    batch_ticks: Option<u64>,
+    drain: bool,
     semantics: MatchSemantics,
+    mode: ErrorMode,
+    seed: u64,
+    ticks_per_event: u64,
     quiet: bool,
 }
 
-fn parse_args(args: &[String]) -> Result<Options, ExitCode> {
+fn parse_args(args: &[String]) -> Result<(Options, Source), ExitCode> {
+    let mut o = Options {
+        query_paths: Vec::new(),
+        graph_path: None,
+        window: WindowSpec::Unbounded,
+        batch_ops: 256,
+        batch_ticks: None,
+        drain: false,
+        semantics: MatchSemantics::Homomorphism,
+        mode: ErrorMode::Strict,
+        seed: 2018,
+        ticks_per_event: 1,
+        quiet: false,
+    };
+    let (mut file, mut synthetic) = (None, None);
     let mut args = args.iter();
-    let mut positional = Vec::new();
-    let mut stream_path = None;
-    let mut semantics = MatchSemantics::Homomorphism;
-    let mut quiet = false;
+    let value = |args: &mut std::slice::Iter<'_, String>, flag: &str| -> Result<String, ExitCode> {
+        args.next().cloned().ok_or_else(|| {
+            eprintln!("error: {flag} requires a value");
+            usage(2)
+        })
+    };
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--stream" => {
-                let Some(p) = args.next() else {
-                    eprintln!("error: --stream requires a path (or - for stdin)");
+            "--query" => o.query_paths.push(value(&mut args, a)?),
+            "--graph" => o.graph_path = Some(value(&mut args, a)?),
+            "--file" => file = Some(value(&mut args, a)?),
+            "--synthetic" => {
+                let v = value(&mut args, a)?;
+                let Some(kind) = SyntheticKind::parse(&v) else {
+                    eprintln!("error: unknown synthetic kind `{v}` (uniform|hub|lsbench|netflow)");
                     return Err(usage(2));
                 };
-                stream_path = Some(p.clone());
+                synthetic = Some(kind);
             }
-            "--iso" => semantics = MatchSemantics::Isomorphism,
-            "--quiet" => quiet = true,
+            "--window" => {
+                let v = value(&mut args, a)?;
+                let Some(spec) = WindowSpec::parse(&v) else {
+                    eprintln!("error: bad window `{v}` (time:<width>|count:<capacity>|none)");
+                    return Err(usage(2));
+                };
+                o.window = spec;
+            }
+            "--batch-ops" => o.batch_ops = number(&value(&mut args, a)?, a, 1)?,
+            "--batch-ticks" => o.batch_ticks = Some(number(&value(&mut args, a)?, a, 1)?),
+            "--drain" => o.drain = true,
+            "--iso" => o.semantics = MatchSemantics::Isomorphism,
+            "--lenient" => o.mode = ErrorMode::Lenient,
+            "--seed" => o.seed = number(&value(&mut args, a)?, a, 0)?,
+            "--ticks-per-event" => o.ticks_per_event = number(&value(&mut args, a)?, a, 0)?,
+            "--quiet" => o.quiet = true,
             "--help" | "-h" => return Err(usage(0)),
-            other if other.starts_with('-') && other != "-" => {
-                eprintln!("error: unknown flag `{other}`");
+            other => {
+                eprintln!("error: unknown stream flag `{other}`");
                 return Err(usage(2));
             }
-            other => positional.push(other.to_owned()),
         }
     }
-    if positional.len() != 2 {
+    if o.query_paths.is_empty() {
+        eprintln!("error: at least one --query is required");
         return Err(usage(2));
     }
-    let mut it = positional.into_iter();
-    Ok(Options {
-        graph_path: it.next().expect("checked length"),
-        query_path: it.next().expect("checked length"),
-        stream_path,
-        semantics,
-        quiet,
-    })
+    match (file, synthetic) {
+        (Some(path), None) => Ok((o, Source::File(path))),
+        (None, Some(_)) if o.graph_path.is_some() => {
+            eprintln!(
+                "error: --graph only applies to --file sources (synthetic brings its own g0)"
+            );
+            Err(usage(2))
+        }
+        (None, Some(kind)) => Ok((o, Source::Synthetic(kind))),
+        (Some(_), Some(_)) => {
+            eprintln!("error: --file and --synthetic are mutually exclusive");
+            Err(usage(2))
+        }
+        (None, None) => {
+            eprintln!("error: one of --file or --synthetic is required");
+            Err(usage(2))
+        }
+    }
+}
+
+/// `flag`'s value `v` as an integer of at least `min`.
+fn number<T: std::str::FromStr + PartialOrd + fmt::Display>(
+    v: &str,
+    flag: &str,
+    min: T,
+) -> Result<T, ExitCode> {
+    match v.parse::<T>() {
+        Ok(n) if n >= min => Ok(n),
+        _ => {
+            eprintln!("error: {flag} needs an integer >= {min}");
+            Err(usage(2))
+        }
+    }
 }
 
 /// Standard output with a latch: the first write error is kept and ends the
@@ -121,7 +216,7 @@ impl<W: Write> Out<W> {
 
     /// Writes `line` (which brings its own newline) unless a write failed
     /// before.
-    fn line(&mut self, line: std::fmt::Arguments<'_>) {
+    fn line(&mut self, line: fmt::Arguments<'_>) {
         if self.err.is_none() {
             self.err = self.w.write_fmt(line).err();
         }
@@ -197,91 +292,63 @@ fn load_graph(path: &str, interner: &mut LabelInterner) -> Result<DynamicGraph, 
     }
 }
 
-fn run_main(args: &[String]) -> ExitCode {
-    let opts = match parse_args(args) {
-        Ok(o) => o,
-        Err(code) => return code,
-    };
-    let mut interner = LabelInterner::new();
-    let g0 = match load_graph(&opts.graph_path, &mut interner) {
-        Ok(g) => g,
-        Err(code) => return code,
-    };
-    let q = match load_query(&opts.query_path, &mut interner) {
-        Ok(q) => q,
-        Err(code) => return code,
-    };
+/// The registered queries: one engine over its own projected graph, or a
+/// fleet of several over one shared graph. Engine ids count from 0.
+enum Engines {
+    One(Box<TurboFlux>),
+    Fleet(Box<Fleet>),
+}
 
-    eprintln!(
-        "graph: {} vertices, {} edges; query: {} vertices, {} edges ({:?})",
-        g0.vertex_count(),
-        g0.edge_count(),
-        q.vertex_count(),
-        q.edge_count(),
-        opts.semantics,
-    );
-    let g0_vertices = g0.vertex_count();
-    let mut engine = TurboFlux::new(q, g0, TurboFluxConfig::with_semantics(opts.semantics));
-
-    let quiet = opts.quiet;
-    // Line-buffered, as `println!` is: a match is printed as it appears.
-    let mut out = Out::new(std::io::stdout().lock());
-    let mut initial = 0u64;
-    engine.initial_matches(&mut |m| {
-        initial += 1;
-        if !quiet {
-            out.line(format_args!("= {m:?}\n"));
+impl Engines {
+    fn ids(&self) -> Vec<usize> {
+        match self {
+            Engines::One(_) => vec![0],
+            Engines::Fleet(f) => f.engine_ids().to_vec(),
         }
-    });
-    eprintln!("{initial} initial matches; DCG {}", dcg_shape(&engine.dcg()));
-
-    let Some(stream_path) = opts.stream_path else {
-        return match out.finish() {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(code) => code,
-        };
-    };
-    let reader = match open_reader(&stream_path) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-
-    let (mut pos, mut neg, mut ops) = (0u64, 0u64, 0u64);
-    let started = std::time::Instant::now();
-    let mut source =
-        FileSource::new(reader, &mut interner, ErrorMode::Strict).with_vertex_count(g0_vertices);
-    // Nobody is left to read what a failed output would be told.
-    while out.err.is_none() {
-        let ev = match source.next_event() {
-            Ok(None) => break,
-            Ok(Some(ev)) => ev,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        ops += 1;
-        engine.apply(&ev.op, &mut |p, m| {
-            match p {
-                Positiveness::Positive => pos += 1,
-                Positiveness::Negative => neg += 1,
-            }
-            if !quiet {
-                let sign = if p == Positiveness::Positive { '+' } else { '-' };
-                out.line(format_args!("{sign} {m:?}\n"));
-            }
-        });
     }
-    if let Err(code) = out.finish() {
-        return code;
+
+    fn report_initial(&mut self, id: usize, sink: &mut dyn FnMut(&MatchRecord)) {
+        match self {
+            Engines::One(e) => e.report_initial(sink),
+            Engines::Fleet(f) => f.report_initial(id, sink),
+        }
     }
-    eprintln!(
-        "processed {ops} ops in {:.2?}: {pos} positive, {neg} negative matches; DCG {}; graph {}",
-        started.elapsed(),
-        dcg_shape(&engine.dcg()),
-        graph_shape(engine.graph()),
-    );
-    ExitCode::SUCCESS
+
+    fn dcg(&self, id: usize) -> DcgView<'_> {
+        match self {
+            Engines::One(e) => e.dcg(),
+            Engines::Fleet(f) => f.dcg(id),
+        }
+    }
+
+    fn graph(&self) -> &DynamicGraph {
+        match self {
+            Engines::One(e) => e.graph(),
+            Engines::Fleet(f) => f.graph(),
+        }
+    }
+
+    fn target(&mut self) -> &mut dyn BatchTarget {
+        match self {
+            Engines::One(e) => e.as_mut(),
+            Engines::Fleet(f) => f.as_mut(),
+        }
+    }
+}
+
+/// A match's data vertices, comma-separated: the body of a JSON array.
+struct Embedding<'a>(&'a MatchRecord);
+
+impl fmt::Display for Embedding<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, v) in self.0.as_slice().iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            write!(f, "{}", v.0)?;
+        }
+        Ok(())
+    }
 }
 
 /// How big and how explicit the DCG is: its edges, the data vertices each
@@ -316,198 +383,40 @@ fn graph_shape(g: &DynamicGraph) -> String {
     )
 }
 
-// ---------------------------------------------------------------------------
-// Stream mode
-// ---------------------------------------------------------------------------
-
-fn stream_usage(code: u8) -> ExitCode {
-    eprintln!(
-        "usage: tfx stream --query <q.txt> [--query <q2.txt> ...]
-                  (--file <ops.txt>|- | --synthetic uniform|hub|lsbench|netflow)
-                  [--graph <g.txt>]          initial graph (file source only)
-                  [--window time:<W>|count:<N>|none]   sliding window (default none)
-                  [--batch-ops <N>]          flush batches at N ops (default 256)
-                  [--batch-ticks <T>]        flush batches every T stream ticks
-                  [--drain]                  expire the whole window at end of stream
-                  [--iso]                    isomorphism semantics (default homomorphism)
-                  [--lenient]                skip malformed stream lines (default strict)
-                  [--seed <S>]               synthetic generator seed (default 2018)
-                  [--ticks-per-event <T>]    synthetic clock rate (default 1)
-                  [--quiet]                  suppress JSONL deltas, keep counts
-
-Emits JSONL on stdout: delta lines, per-batch stats lines, one summary line."
-    );
-    ExitCode::from(code)
-}
-
-struct StreamOptions {
-    query_paths: Vec<String>,
-    graph_path: Option<String>,
-    file: Option<String>,
-    synthetic: Option<SyntheticKind>,
-    window: WindowSpec,
-    batch_ops: usize,
-    batch_ticks: Option<u64>,
-    drain: bool,
-    semantics: MatchSemantics,
-    mode: ErrorMode,
-    seed: u64,
-    ticks_per_event: u64,
-    quiet: bool,
-}
-
-fn parse_stream_args(args: &[String]) -> Result<StreamOptions, ExitCode> {
-    let mut o = StreamOptions {
-        query_paths: Vec::new(),
-        graph_path: None,
-        file: None,
-        synthetic: None,
-        window: WindowSpec::Unbounded,
-        batch_ops: 256,
-        batch_ticks: None,
-        drain: false,
-        semantics: MatchSemantics::Homomorphism,
-        mode: ErrorMode::Strict,
-        seed: 2018,
-        ticks_per_event: 1,
-        quiet: false,
-    };
-    let mut args = args.iter();
-    let value = |args: &mut std::slice::Iter<'_, String>, flag: &str| -> Result<String, ExitCode> {
-        args.next().cloned().ok_or_else(|| {
-            eprintln!("error: {flag} requires a value");
-            stream_usage(2)
-        })
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--query" => o.query_paths.push(value(&mut args, "--query")?),
-            "--graph" => o.graph_path = Some(value(&mut args, "--graph")?),
-            "--file" => o.file = Some(value(&mut args, "--file")?),
-            "--synthetic" => {
-                let v = value(&mut args, "--synthetic")?;
-                let Some(kind) = SyntheticKind::parse(&v) else {
-                    eprintln!("error: unknown synthetic kind `{v}` (uniform|hub|lsbench|netflow)");
-                    return Err(stream_usage(2));
-                };
-                o.synthetic = Some(kind);
-            }
-            "--window" => {
-                let v = value(&mut args, "--window")?;
-                let Some(spec) = WindowSpec::parse(&v) else {
-                    eprintln!("error: bad window `{v}` (time:<width>|count:<capacity>|none)");
-                    return Err(stream_usage(2));
-                };
-                o.window = spec;
-            }
-            "--batch-ops" => {
-                let v = value(&mut args, "--batch-ops")?;
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => o.batch_ops = n,
-                    _ => {
-                        eprintln!("error: --batch-ops needs an integer >= 1");
-                        return Err(stream_usage(2));
-                    }
-                }
-            }
-            "--batch-ticks" => {
-                let v = value(&mut args, "--batch-ticks")?;
-                match v.parse::<u64>() {
-                    Ok(n) if n >= 1 => o.batch_ticks = Some(n),
-                    _ => {
-                        eprintln!("error: --batch-ticks needs an integer >= 1");
-                        return Err(stream_usage(2));
-                    }
-                }
-            }
-            "--drain" => o.drain = true,
-            "--iso" => o.semantics = MatchSemantics::Isomorphism,
-            "--lenient" => o.mode = ErrorMode::Lenient,
-            "--seed" => {
-                let v = value(&mut args, "--seed")?;
-                match v.parse::<u64>() {
-                    Ok(n) => o.seed = n,
-                    _ => {
-                        eprintln!("error: --seed needs an integer");
-                        return Err(stream_usage(2));
-                    }
-                }
-            }
-            "--ticks-per-event" => {
-                let v = value(&mut args, "--ticks-per-event")?;
-                match v.parse::<u64>() {
-                    Ok(n) => o.ticks_per_event = n,
-                    _ => {
-                        eprintln!("error: --ticks-per-event needs an integer");
-                        return Err(stream_usage(2));
-                    }
-                }
-            }
-            "--quiet" => o.quiet = true,
-            "--help" | "-h" => return Err(stream_usage(0)),
-            other => {
-                eprintln!("error: unknown stream flag `{other}`");
-                return Err(stream_usage(2));
-            }
-        }
-    }
-    if o.query_paths.is_empty() {
-        eprintln!("error: at least one --query is required");
-        return Err(stream_usage(2));
-    }
-    match (&o.file, &o.synthetic) {
-        (Some(_), Some(_)) => {
-            eprintln!("error: --file and --synthetic are mutually exclusive");
-            Err(stream_usage(2))
-        }
-        (None, None) => {
-            eprintln!("error: one of --file or --synthetic is required");
-            Err(stream_usage(2))
-        }
-        _ => Ok(o),
-    }
-}
-
-fn stream_main(args: &[String]) -> ExitCode {
-    let opts = match parse_stream_args(args) {
-        Ok(o) => o,
+fn run(args: &[String]) -> ExitCode {
+    let (opts, source) = match parse_args(args) {
+        Ok(parsed) => parsed,
         Err(code) => return code,
     };
 
-    // Interner + initial graph + (for synthetic mode) the generated stream.
-    let mut interner;
-    let g0;
-    let mut synthetic_source = None;
-    if let Some(kind) = opts.synthetic {
-        let (dataset, source) = SyntheticSource::demo(kind, opts.seed, opts.ticks_per_event);
-        interner = dataset.interner;
-        g0 = dataset.g0;
-        if opts.graph_path.is_some() {
-            eprintln!(
-                "error: --graph only applies to --file sources (synthetic brings its own g0)"
-            );
-            return ExitCode::from(2);
+    // Interner + initial graph: a generator brings its own, a stream file's
+    // is `--graph` (empty without one).
+    let (mut interner, g0, mut updates) = match source {
+        Source::Synthetic(kind) => {
+            let (dataset, generated) = SyntheticSource::demo(kind, opts.seed, opts.ticks_per_event);
+            // Every event gets its own tick: the last one's must fit the clock.
+            let events = generated.events_left();
+            if (events.saturating_sub(1) as u64).checked_mul(opts.ticks_per_event).is_none() {
+                eprintln!(
+                    "error: --ticks-per-event {} puts the last of {events} events past the u64 clock",
+                    opts.ticks_per_event
+                );
+                return ExitCode::from(2);
+            }
+            (dataset.interner, dataset.g0, Updates::Generated(generated))
         }
-        // Every event gets its own tick: the last one's must fit the clock.
-        let events = source.events_left();
-        if (events.saturating_sub(1) as u64).checked_mul(opts.ticks_per_event).is_none() {
-            eprintln!(
-                "error: --ticks-per-event {} puts the last of {events} events past the u64 clock",
-                opts.ticks_per_event
-            );
-            return ExitCode::from(2);
+        Source::File(path) => {
+            let mut interner = LabelInterner::new();
+            let g0 = match &opts.graph_path {
+                Some(p) => match load_graph(p, &mut interner) {
+                    Ok(g) => g,
+                    Err(code) => return code,
+                },
+                None => DynamicGraph::new(),
+            };
+            (interner, g0, Updates::File(path))
         }
-        synthetic_source = Some(source);
-    } else {
-        interner = LabelInterner::new();
-        g0 = match &opts.graph_path {
-            Some(p) => match load_graph(p, &mut interner) {
-                Ok(g) => g,
-                Err(code) => return code,
-            },
-            None => DynamicGraph::new(),
-        };
-    }
+    };
 
     let mut queries = Vec::new();
     for p in &opts.query_paths {
@@ -529,28 +438,33 @@ fn stream_main(args: &[String]) -> ExitCode {
     // The text source measures its vertex-id bound from g0's ids.
     let g0_vertices = g0.vertex_count();
 
-    // Build the target and report initial match counts per engine.
+    // Register, then report each engine's initial matches and their count.
     let cfg = TurboFluxConfig::with_semantics(opts.semantics);
-    let mut out = Out::new(std::io::BufWriter::new(std::io::stdout().lock()));
-    let mut target: Box<dyn BatchTarget> = if queries.len() > 1 {
-        let mut fleet = Fleet::new(g0);
-        for q in queries {
-            fleet.register(q, cfg);
+    let mut engines = match <[QueryGraph; 1]>::try_from(queries) {
+        Ok([q]) => Engines::One(Box::new(TurboFlux::new(q, g0, cfg))),
+        Err(queries) => {
+            let mut fleet = Fleet::new(g0);
+            for q in queries {
+                fleet.register(q, cfg);
+            }
+            Engines::Fleet(Box::new(fleet))
         }
-        for id in fleet.engine_ids().to_vec() {
-            let mut n = 0u64;
-            fleet.report_initial(id, &mut |_| n += 1);
-            out.line(format_args!("{{\"type\":\"init\",\"engine\":{id},\"matches\":{n}}}\n"));
-        }
-        Box::new(fleet)
-    } else {
-        let q = queries.into_iter().next().expect("at least one query");
-        let mut engine = TurboFlux::new(q, g0, cfg);
-        let mut n = 0u64;
-        engine.initial_matches(&mut |_| n += 1);
-        out.line(format_args!("{{\"type\":\"init\",\"engine\":0,\"matches\":{n}}}\n"));
-        Box::new(engine)
     };
+    let mut out = Out::new(std::io::BufWriter::new(std::io::stdout().lock()));
+    for id in engines.ids() {
+        let mut n = 0u64;
+        engines.report_initial(id, &mut |m| {
+            n += 1;
+            if !opts.quiet {
+                out.line(format_args!(
+                    "{{\"type\":\"match\",\"engine\":{id},\"embedding\":[{}]}}\n",
+                    Embedding(m)
+                ));
+            }
+        });
+        out.line(format_args!("{{\"type\":\"init\",\"engine\":{id},\"matches\":{n}}}\n"));
+        eprintln!("engine {id}: {n} initial matches; DCG {}", dcg_shape(&engines.dcg(id)));
+    }
 
     let mut driver = StreamDriver::new(
         SlidingWindow::new(opts.window),
@@ -561,37 +475,28 @@ fn stream_main(args: &[String]) -> ExitCode {
         },
     );
 
-    // Run: the source is either the synthetic stream or the text file.
-    let mut run = |driver: &mut StreamDriver,
-                   source: &mut dyn StreamSource,
-                   target: &mut dyn BatchTarget,
-                   quiet: bool| {
-        if quiet {
-            let mut sink = CountingSink::default();
-            driver.run(source, target, &mut sink)
-        } else {
-            let mut sink = JsonlSink::new(&mut out.w);
-            let result = driver.run(source, target, &mut sink);
-            out.err = out.err.take().or(sink.take_error());
-            result
-        }
-    };
-    let result = if let Some(mut source) = synthetic_source.take() {
-        run(&mut driver, &mut source, &mut *target, opts.quiet)
-    } else {
-        let path = opts.file.as_deref().expect("file or synthetic");
-        let reader = match open_reader(path) {
-            Ok(r) => r,
+    // Run: the source is either the generated stream or the text file.
+    let mut text = None;
+    let source: &mut dyn StreamSource = match &mut updates {
+        Updates::Generated(generated) => generated,
+        Updates::File(path) => match open_reader(path) {
+            Ok(reader) => text.insert(
+                FileSource::new(reader, &mut interner, opts.mode).with_vertex_count(g0_vertices),
+            ),
             Err(code) => return code,
-        };
-        let mut source =
-            FileSource::new(reader, &mut interner, opts.mode).with_vertex_count(g0_vertices);
-        let result = run(&mut driver, &mut source, &mut *target, opts.quiet);
-        for d in source.diagnostics() {
-            eprintln!("warning: {d}");
-        }
+        },
+    };
+    let result = if opts.quiet {
+        driver.run(source, engines.target(), &mut CountingSink::default())
+    } else {
+        let mut sink = JsonlSink::new(&mut out.w);
+        let result = driver.run(source, engines.target(), &mut sink);
+        out.err = out.err.take().or(sink.take_error());
         result
     };
+    for d in text.iter().flat_map(FileSource::diagnostics) {
+        eprintln!("warning: {d}");
+    }
     let summary = match result {
         Ok(s) => s,
         Err(e) => {
@@ -603,7 +508,7 @@ fn stream_main(args: &[String]) -> ExitCode {
         }
     };
     // Multi-query fleets report their routing counters.
-    if let Some(s) = target.fleet_stats() {
+    if let Some(s) = engines.target().fleet_stats() {
         out.line(format_args!(
             "{{\"type\":\"fleet_stats\",\"ops_routed\":{},\"ops_skipped\":{}}}\n",
             s.ops_routed, s.ops_skipped
@@ -612,9 +517,13 @@ fn stream_main(args: &[String]) -> ExitCode {
     if let Err(code) = out.finish() {
         return code;
     }
-    let graph = target.graph().map(|g| format!("graph {}; ", graph_shape(g))).unwrap_or_default();
+    let dcgs: String = engines
+        .ids()
+        .into_iter()
+        .map(|id| format!("engine {id} DCG {}; ", dcg_shape(&engines.dcg(id))))
+        .collect();
     eprintln!(
-        "processed {} events -> {} ops in {} batches ({} expiry deletes) in {:.2?}: {} positive, {} negative; {graph}window live {}",
+        "processed {} events -> {} ops in {} batches ({} expiry deletes) in {:.2?}: {} positive, {} negative; {dcgs}graph {}; window live {}",
         summary.events,
         summary.ops,
         summary.batches,
@@ -622,6 +531,7 @@ fn stream_main(args: &[String]) -> ExitCode {
         summary.elapsed,
         summary.positive,
         summary.negative,
+        graph_shape(engines.graph()),
         driver.window().live_len(),
     );
     ExitCode::SUCCESS

@@ -1,5 +1,5 @@
-//! End-to-end test of the `tfx` CLI binary: graph + query + stream files
-//! in, match lines out.
+//! End-to-end test of the `tfx` CLI binary, `tfx stream`: graph + query +
+//! stream files (or a synthetic trace) in, JSONL match lines out.
 
 use std::process::Command;
 
@@ -26,25 +26,26 @@ fn cli_streams_matches_end_to_end() {
     let stream = write(&dir, "s.txt", "+ 1 2 worksAt\n+ 0 1 knows\n- 0 2 worksAt\n");
 
     let out = Command::new(tfx_bin())
-        .args([graph.to_str().unwrap(), query.to_str().unwrap(), "--stream"])
+        .args(["stream", "--graph", graph.to_str().unwrap(), "--query", query.to_str().unwrap()])
+        .arg("--file")
         .arg(&stream)
         .output()
-        .expect("run tfx");
+        .expect("run tfx stream");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let positives = stdout.lines().filter(|l| l.starts_with('+')).count();
-    let negatives = stdout.lines().filter(|l| l.starts_with('-')).count();
-    assert_eq!(positives, 1, "stdout: {stdout}");
-    assert_eq!(negatives, 1, "stdout: {stdout}");
+    let deltas = |sign: &str| stdout.lines().filter(|l| l.contains(sign)).count();
+    assert_eq!(deltas("\"sign\":\"+\""), 1, "stdout: {stdout}");
+    assert_eq!(deltas("\"sign\":\"-\""), 1, "stdout: {stdout}");
+    assert!(stdout.starts_with("{\"type\":\"init\",\"engine\":0,\"matches\":0}\n"), "{stdout}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("0 initial matches"), "stderr: {stderr}");
-    assert!(stderr.contains("1 positive, 1 negative"), "stderr: {stderr}");
+    assert!(stderr.contains("engine 0: 0 initial matches; DCG "), "stderr: {stderr}");
+    assert!(stderr.contains(": 1 positive, 1 negative; "), "stderr: {stderr}");
     // How big and how explicit the DCG is, per query vertex; its bytes, the
     // bitsets' reservation, follow.
     let shape =
-        "DCG 2 edges (0 explicit, 2 implicit; reached/explicit per query vertex 1/0 0/0 1/0)";
+        "DCG 2 edges (0 explicit, 2 implicit; reached/explicit per query vertex 1/0 0/0 1/0), ";
     assert_eq!(stderr.matches(shape).count(), 2, "at registration and at the end: {stderr}");
-    assert_eq!(stderr.matches(" bytes\n").count(), 2, "{stderr}");
+    assert_eq!(stderr.matches(" bytes\n").count(), 1, "the registration line: {stderr}");
     // The closing line adds the graph's shape: one run per direction, each
     // of one edge and so kept in its handle.
     let graph = "; graph 3 vertices, 2 edges, 2 label sets; runs 4 inline / 0 flat / 0 directory; ";
@@ -52,12 +53,90 @@ fn cli_streams_matches_end_to_end() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Without `--quiet` each engine lists its initial matches, one JSONL
+/// `match` line each, before its `init` count line: exactly as many lines
+/// as the count, for one query and for every engine of a fleet. Stderr
+/// shows each engine's DCG shape at registration and on the closing line.
+#[test]
+fn cli_lists_exactly_the_initial_matches_it_counts() {
+    let dir = std::env::temp_dir().join(format!("tfx-cli8-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    // `A -r-> B` over a graph with two such edges: two initial matches.
+    let graph = write(&dir, "g.txt", "v 0 A\nv 1 B\nv 2 B\ne 0 1 r\ne 0 2 r\n");
+    let query = write(&dir, "q.txt", "v 0 A\nv 1 B\ne 0 1 r\n");
+    let (graph, query) = (graph.to_str().unwrap(), query.to_str().unwrap());
+    let out = Command::new(tfx_bin())
+        .args(["stream", "--query", query, "--graph", graph, "--file", "/dev/null"])
+        .output()
+        .expect("run tfx stream");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let head: Vec<&str> = stdout.lines().take(3).collect();
+    assert_eq!(
+        head,
+        [
+            "{\"type\":\"match\",\"engine\":0,\"embedding\":[0,1]}",
+            "{\"type\":\"match\",\"engine\":0,\"embedding\":[0,2]}",
+            "{\"type\":\"init\",\"engine\":0,\"matches\":2}",
+        ],
+        "{stdout}"
+    );
+
+    let netflow = testdata("netflow_query.txt");
+    let synthetic = ["stream", "--synthetic", "netflow", "--window", "count:1000"];
+    for queries in [1, 2] {
+        let out = Command::new(tfx_bin())
+            .args(synthetic)
+            .args((0..queries).flat_map(|_| ["--query", netflow.as_str()]))
+            .output()
+            .expect("run tfx stream");
+        let (stdout, stderr) =
+            (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert!(out.status.success(), "stderr: {stderr}");
+        let closing = stderr.lines().last().unwrap_or_default();
+        assert!(closing.starts_with("processed 4000 events"), "{stderr}");
+        for engine in 0..queries {
+            let listed = stdout
+                .lines()
+                .filter(|l| l.starts_with(&format!("{{\"type\":\"match\",\"engine\":{engine},")))
+                .count();
+            let init = format!("{{\"type\":\"init\",\"engine\":{engine},\"matches\":{listed}}}");
+            assert!(listed > 0 && stdout.lines().any(|l| l == init), "{queries} queries: {init}");
+            let registered = format!("engine {engine}: {listed} initial matches; DCG ");
+            assert!(stderr.contains(&registered), "{queries} queries: {stderr}");
+            assert!(closing.contains(&format!("; engine {engine} DCG ")), "{closing}");
+        }
+        // `--quiet` keeps the counts and lists nothing.
+        let quiet = Command::new(tfx_bin())
+            .args(synthetic)
+            .args((0..queries).flat_map(|_| ["--query", netflow.as_str()]))
+            .arg("--quiet")
+            .output()
+            .expect("run tfx stream --quiet");
+        let quiet = String::from_utf8_lossy(&quiet.stdout);
+        assert!(!quiet.contains("\"type\":\"match\""), "{quiet}");
+        assert_eq!(quiet.lines().filter(|l| l.starts_with("{\"type\":\"init\"")).count(), queries);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `tfx stream` is the one front end: the positional `tfx <graph> <query>`
+/// of the removed run mode, a bare `tfx` and an unknown first flag are
+/// usage errors that name it.
+#[test]
+fn cli_without_stream_is_a_usage_error() {
+    let (graph, query) = (testdata("demo_graph.txt"), testdata("demo_query.txt"));
+    for args in [&[graph.as_str(), query.as_str()][..], &[], &["--bogus"]] {
+        let out = Command::new(tfx_bin()).args(args).output().expect("run tfx");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: tfx stream --query"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
 #[test]
 fn cli_rejects_unknown_flags_and_bad_streams() {
-    let out = Command::new(tfx_bin()).arg("--bogus").output().expect("run tfx");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"));
-
     // `tfx stream` took `--fleet <threads>` while fleets had a worker pool.
     let out = Command::new(tfx_bin())
         .args(["stream", "--query", &testdata("netflow_query.txt"), "--synthetic", "netflow"])
@@ -73,17 +152,19 @@ fn cli_rejects_unknown_flags_and_bad_streams() {
     let query = write(&dir, "q.txt", "v 0 A\nv 1 B\ne 0 1 r\n");
     let stream = write(&dir, "s.txt", "+ 0 oops r\n");
     let out = Command::new(tfx_bin())
-        .args([graph.to_str().unwrap(), query.to_str().unwrap(), "--stream"])
+        .args(["stream", "--graph", graph.to_str().unwrap(), "--query", query.to_str().unwrap()])
+        .arg("--file")
         .arg(&stream)
         .output()
-        .expect("run tfx");
+        .expect("run tfx stream");
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("vertex ids are integers"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A query past the engine's 64-vertex limit is a user error like an empty
-/// or disconnected one: `error:` and exit 1, not a panic, in every mode.
+/// or disconnected one: `error:` and exit 1, not a panic, alone or as a
+/// fleet's second query.
 #[test]
 fn cli_rejects_a_query_over_64_vertices() {
     let dir = std::env::temp_dir().join(format!("tfx-cli5-{}", std::process::id()));
@@ -93,8 +174,11 @@ fn cli_rejects_a_query_over_64_vertices() {
     path65.extend((0..64).map(|i| format!("e {i} {} r\n", i + 1)));
     let query = write(&dir, "q65.txt", &path65);
     let (graph, query) = (graph.to_str().unwrap(), query.to_str().unwrap());
+    let demo = testdata("demo_query.txt");
     let stream = ["stream", "--query", query, "--graph", graph, "--file", "/dev/null"];
-    for args in [&[graph, query][..], &stream] {
+    let fleet =
+        ["stream", "--query", &demo, "--query", query, "--graph", graph, "--file", "/dev/null"];
+    for args in [&stream[..], &fleet] {
         let out = Command::new(tfx_bin()).args(args).output().expect("run tfx");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
@@ -105,7 +189,8 @@ fn cli_rejects_a_query_over_64_vertices() {
 }
 
 /// A query file that repeats an edge line is a parse error naming the second
-/// declaration (`QueryGraph::add_edge` asserts on it), in run and stream mode.
+/// declaration (`QueryGraph::add_edge` asserts on it), over a file source
+/// and over a synthetic one.
 #[test]
 fn cli_rejects_a_repeated_query_edge() {
     let dir = std::env::temp_dir().join(format!("tfx-cli6-{}", std::process::id()));
@@ -113,7 +198,8 @@ fn cli_rejects_a_repeated_query_edge() {
     let query = write(&dir, "qdup.txt", "v 0 Person\nv 1 Person\ne 0 1 knows\ne 0 1 knows\n");
     let (graph, query) = (testdata("demo_graph.txt"), query.to_str().unwrap().to_owned());
     let stream = ["stream", "--query", &query, "--graph", &graph, "--file", "/dev/null"];
-    for args in [&[graph.as_str(), query.as_str()][..], &stream] {
+    let synthetic = ["stream", "--query", &query, "--synthetic", "lsbench"];
+    for args in [&stream[..], &synthetic] {
         let out = Command::new(tfx_bin()).args(args).output().expect("run tfx");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
@@ -128,7 +214,7 @@ fn cli_rejects_a_repeated_query_edge() {
 /// graph fill every slot below it (`+ 0 300000000 knows`: a 3 GB allocation
 /// and SIGABRT). The text source refuses the line where it has a line
 /// number: `error:` and exit 1 in strict mode, a warning and a skipped line
-/// under `--lenient`, for `+` and `v` lines, in run and stream mode.
+/// under `--lenient`, for `+` and `v` lines, read from a file or stdin.
 #[test]
 fn cli_refuses_a_vertex_id_far_past_the_known_ones() {
     let dir = std::env::temp_dir().join(format!("tfx-cli7-{}", std::process::id()));
@@ -140,8 +226,10 @@ fn cli_refuses_a_vertex_id_far_past_the_known_ones() {
         let ops = write(&dir, name, &format!("+ 0 1 knows\n{line}\n+ 1 2 worksAt\n"));
         let ops = ops.to_str().unwrap();
         let stream = ["stream", "--query", &query, "--graph", &graph, "--file", ops];
-        for args in [&[&graph, &query, "--stream", ops][..], &stream] {
-            let out = Command::new(tfx_bin()).args(args).output().expect("run tfx");
+        let stdin = ["stream", "--query", &query, "--graph", &graph, "--file", "-"];
+        for args in [&stream, &stdin] {
+            let input = std::fs::File::open(ops).expect("the stream file");
+            let out = Command::new(tfx_bin()).args(args).stdin(input).output().expect("run tfx");
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
             assert!(stderr.contains(&format!("error: {want}")), "{args:?}: {stderr}");
@@ -282,33 +370,46 @@ fn cli_isomorphism_flag_changes_semantics() {
     let graph = write(&dir, "g.txt", "v 0 A\nv 1 B\n");
     let query = write(&dir, "q.txt", "v 0 A\nv 1 B\nv 2 B\ne 0 1 r\ne 0 2 r\n");
     let stream = write(&dir, "s.txt", "+ 0 1 r\n");
-    let hom = Command::new(tfx_bin())
-        .args([graph.to_str().unwrap(), query.to_str().unwrap(), "--stream"])
-        .arg(&stream)
-        .output()
-        .expect("run tfx");
-    assert!(String::from_utf8_lossy(&hom.stderr).contains("1 positive"));
-    let iso = Command::new(tfx_bin())
-        .args([graph.to_str().unwrap(), query.to_str().unwrap(), "--iso", "--stream"])
-        .arg(&stream)
-        .output()
-        .expect("run tfx");
-    assert!(String::from_utf8_lossy(&iso.stderr).contains("0 positive"));
+    let run = |extra: &[&str]| {
+        let out = Command::new(tfx_bin())
+            .args([
+                "stream",
+                "--graph",
+                graph.to_str().unwrap(),
+                "--query",
+                query.to_str().unwrap(),
+            ])
+            .arg("--file")
+            .arg(&stream)
+            .args(extra)
+            .output()
+            .expect("run tfx stream");
+        assert!(out.status.success(), "{extra:?}: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    let hom = run(&[]);
+    assert!(hom.contains(": 1 positive, 0 negative; "), "{hom}");
+    let iso = run(&["--iso"]);
+    assert!(iso.contains(": 0 positive, 0 negative; "), "{iso}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A writer that cannot take the output is an error, not a silent success
-/// (stream mode dropped every line and exited 0) and not a panic (run mode
-/// died in `println!`): `error: writing output`, exit 1, in every mode.
+/// (`tfx stream` once dropped every line and exited 0) and not a panic (a
+/// `println!` dies on it): `error: writing output`, exit 1, whether the
+/// initial matches, the deltas or a fleet's lines fill it.
 #[cfg(target_os = "linux")]
 #[test]
 fn cli_reports_a_full_output_device() {
     let (graph, query) = (testdata("demo_graph.txt"), testdata("demo_query.txt"));
     let (disjoint, ops) = (testdata("demo_query_disjoint.txt"), testdata("demo_stream.txt"));
+    let netflow = testdata("netflow_query.txt");
     let stream = ["stream", "--query", &query, "--graph", &graph, "--file", &ops];
     let windowed = [&stream[..], &["--window", "count:3"]].concat();
     let fleet = [&stream[..], &["--query", &disjoint]].concat();
-    for args in [&[&graph, &query, "--stream", &ops][..], &windowed, &fleet] {
+    // 7 298 initial matches, more than the output buffer holds.
+    let synthetic = ["stream", "--query", &netflow, "--synthetic", "netflow"];
+    for args in [&synthetic[..], &windowed, &fleet] {
         let full = std::fs::OpenOptions::new().write(true).open("/dev/full").expect("/dev/full");
         let out = Command::new(tfx_bin()).args(args).stdout(full).output().expect("run tfx");
         let stderr = String::from_utf8_lossy(&out.stderr);
