@@ -25,12 +25,13 @@
 //! A batch runs on the one round loop (`round::apply`) over the shared
 //! graph. Each round registers the vertices the op created with every engine
 //! and evaluates its edge on the label's routing entry, in ascending engine
-//! order. With one engine the deltas stream straight to the sink; otherwise
-//! each engine buffers its own — in op order, because it runs its rounds in
-//! order; flat, an entry of fixed size plus the record's vertex ids in one
-//! run per engine — and the buffers drain engine by engine after the last
-//! round. So the sink sees `(engine, op_index, emission)` order, independent
-//! of routing, and nothing is sorted.
+//! order. The engine at position 0 comes first in that order, so its deltas
+//! stream straight to the sink; every later engine buffers its own — in op
+//! order, because it runs its rounds in order; flat, an entry of fixed size
+//! plus the record's vertex ids in one run per engine — and the buffers drain
+//! engine by engine after the last round. So the sink sees
+//! `(engine, op_index, emission)` order, independent of routing, and nothing
+//! is sorted.
 //!
 //! [`ShardedEngine`] and [`ShardStats`] are inert names the frozen `e2e`
 //! benchmark still compiles against: a fleet, and four zeros.
@@ -242,15 +243,14 @@ impl Fleet {
 
     /// Applies a batch of updates to the shared graph, evaluating every
     /// routed engine. Matches are delivered in deterministic
-    /// `(engine, op_index, emission)` order. A one-engine fleet streams them
-    /// as they are found; otherwise they are buffered per batch.
+    /// `(engine, op_index, emission)` order. Every delta of the engine at
+    /// position 0 precedes every other engine's, so its deltas stream to the
+    /// sink as they are found; the later engines' are buffered per batch.
     pub fn apply_batch<S>(&mut self, ops: &[UpdateOp], sink: &mut S)
     where
         S: FnMut(FleetDelta<'_>) + ?Sized,
     {
         let Fleet { graph, engines, routing, wildcard, stats, bufs, rec, ids, .. } = self;
-        // One engine in total: op order is output order, nothing to buffer.
-        let direct = engines.len() == 1;
         bufs.resize_with(engines.len(), DeltaBuf::default);
         // Cleared here, not after delivery: a batch that unwound leaves
         // nothing for the next one to deliver.
@@ -273,7 +273,8 @@ impl Fleet {
                 stats.ops_routed += interested.len() as u64;
                 stats.ops_skipped += (engines.len() - interested.len()) as u64;
                 for &pos in interested {
-                    if direct {
+                    // Position 0 delivers first: op order is output order.
+                    if pos == 0 {
                         let engine = ids[pos];
                         engines[pos].eval_round(graph, round, &mut |p, r| {
                             sink(FleetDelta { engine, op_index, positiveness: p, record: r })

@@ -95,6 +95,33 @@ fn sizes_to_starts(sizes: &mut [usize]) {
     }
 }
 
+/// Permutes `pairs` in place into buckets by source, ascending: an
+/// American-flag pass over the bucket sizes in `ends`, which it leaves at
+/// each bucket's end. Each swap puts one pair, its source in `srcs` moving
+/// alongside, into its final bucket, so the pass costs O(pairs + buckets)
+/// and holds one head per bucket beside the columns.
+fn bucket_by_source(ends: &mut [usize], srcs: &mut [VertexId], pairs: &mut [(LabelId, VertexId)]) {
+    let mut heads = ends.to_vec();
+    sizes_to_starts(&mut heads);
+    for (end, &head) in ends.iter_mut().zip(&heads) {
+        *end += head;
+    }
+    for (v, &end) in ends.iter().enumerate() {
+        // Only a pair of another bucket moves this bucket's head.
+        let mut i = heads[v];
+        while i < end {
+            let s = srcs[i].index();
+            if s == v {
+                i += 1;
+            } else {
+                srcs.swap(i, heads[s]);
+                pairs.swap(i, heads[s]);
+                heads[s] += 1;
+            }
+        }
+    }
+}
+
 /// The index ranges of consecutive buckets with the given ends, the first
 /// starting at `base`, each less `base`.
 fn bucket_ranges(base: usize, ends: &[usize]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
@@ -102,7 +129,7 @@ fn bucket_ranges(base: usize, ends: &[usize]) -> impl Iterator<Item = std::ops::
         .scan(base, move |start, &end| Some(std::mem::replace(start, end) - base..end - base))
 }
 
-/// [`DynamicGraph::from_edges`]' stable counting pass by label: the
+/// [`DynamicGraph::from_columns`]' stable counting pass by label: the
 /// scratch it keeps across the in-buckets.
 struct ByLabel {
     /// Per label: its entries in the bucket, then where the next goes.
@@ -299,52 +326,73 @@ impl DynamicGraph {
     }
 
     /// A graph over vertices `0..vertex_labels.len()` holding `edges`
-    /// (any order, duplicates dropped), built by counting sorts where a
-    /// comparison sort of the whole list would do. The edges are bucketed
-    /// by source on degree prefix sums; each bucket is sorted and
-    /// deduplicated by `(label, dst)`, and the loop that does so also counts
-    /// the bucket's label groups, the arena words its run takes, the edges
-    /// per label and the in-degrees. Each out-bucket is then laid as its
-    /// out-run. The out-runs, read back in source order, fill the in-buckets
-    /// ascending by source, so a stable counting pass by label leaves each
-    /// in `(label, src)` order — no sort — and counts its words on the way;
-    /// each is then laid as its in-run.
-    /// Every run is laid once at its final size — what N incremental
-    /// inserts reach only through N shifts and a fragmented arena — into an
-    /// arena reserved for exactly the words each side's runs take, and one
-    /// `(label, vertex)` array of the edge count is the only scratch. The
-    /// in-side reuses it cut to half the edges and half the largest
-    /// in-bucket: it fills and lays the in-buckets in two ranges of
-    /// destinations, so the scratch the graph's full arena sits beside is
-    /// about half the edges.
+    /// (any order, duplicates dropped): [`Self::from_columns`] of the edges'
+    /// sources and their `(label, destination)` pairs.
     ///
     /// Panics if an edge names a vertex that does not exist or carries a
     /// label not below [`LabelId::LIMIT`].
     pub fn from_edges(vertex_labels: Vec<LabelSet>, edges: Vec<EdgeRef>) -> Self {
+        let srcs = edges.iter().map(|e| e.src).collect();
+        let pairs = edges.iter().map(|e| (e.label, e.dst)).collect();
+        drop(edges);
+        Self::from_columns(vertex_labels, srcs, pairs)
+    }
+
+    /// A graph with a vertex per label set of `vertex_labels`, in id order,
+    /// holding the edges `srcs[i] → pairs[i]` (a `(label, destination)`;
+    /// any order, duplicates dropped), built by counting sorts where a
+    /// comparison sort of the whole list would do, and beside the two
+    /// columns themselves rather than beside a copy. The pairs are bucketed
+    /// by source in place, on degree prefix sums — each swap puts one pair
+    /// into its final bucket, its source moving alongside — and the sources
+    /// are dropped. Each bucket is sorted and deduplicated by
+    /// `(label, dst)`, and the loop that does so also counts the bucket's
+    /// label groups, the arena words its run takes, the edges per label and
+    /// the in-degrees. Each out-bucket is then laid as its out-run. The
+    /// out-runs, read back in source order, fill the in-buckets ascending by
+    /// source, so a stable counting pass by label leaves each in
+    /// `(label, src)` order — no sort — and counts its words on the way;
+    /// each is then laid as its in-run. Every run is laid once at its final
+    /// size — what N incremental inserts reach only through N shifts and a
+    /// fragmented arena — into an arena reserved for exactly the words each
+    /// side's runs take. The in-side fills and lays the in-buckets in ranges
+    /// of destinations, in the pair column cut down as the arena grows: each
+    /// range's scratch is 9/16 of the entries left plus the widest
+    /// in-bucket, and all of them once a fifth of the edges plus the widest
+    /// holds them — about 9E/16, E/4, E/5, three ranges at most, each a walk
+    /// over the out-runs —, so the in-arena laid so far and the scratch
+    /// beside it stay within what the out-side's pair column held beside the
+    /// out-arena.
+    ///
+    /// Panics if the columns differ in length (with an edge), or an edge
+    /// names a vertex that does not exist or carries a label not below
+    /// [`LabelId::LIMIT`].
+    pub fn from_columns(
+        vertex_labels: impl IntoIterator<Item = LabelSet>,
+        mut srcs: Vec<VertexId>,
+        mut pairs: Vec<(LabelId, VertexId)>,
+    ) -> Self {
         let mut g = DynamicGraph::new();
-        g.vertex_sets.reserve_exact(vertex_labels.len());
-        g.runs.reserve_exact(vertex_labels.len());
-        for labels in &vertex_labels {
+        let vertex_labels = vertex_labels.into_iter();
+        g.vertex_sets.reserve_exact(vertex_labels.size_hint().0);
+        g.runs.reserve_exact(vertex_labels.size_hint().0);
+        for labels in vertex_labels {
             g.add_vertex(labels);
         }
-        drop(vertex_labels);
         let n = g.runs.len();
         let (mut ends, mut labels) = (vec![0; n], 0);
-        for e in &edges {
-            let exists = e.src.index() < n && e.dst.index() < n;
+        // A pair without its source (the columns differ in length) names a
+        // missing vertex too.
+        let sources = srcs.iter().chain(std::iter::repeat(&VertexId(u32::MAX)));
+        for (&(label, dst), src) in pairs.iter().zip(sources) {
+            let exists = srcs.len() == pairs.len() && src.index() < n && dst.index() < n;
             assert!(exists, "from_edges: an edge names a missing vertex");
-            assert!(e.label.0 < LabelId::LIMIT, "from_edges: label {} is out of range", e.label);
-            ends[e.src.index()] += 1;
-            labels = labels.max(e.label.index() + 1);
+            assert!(label.0 < LabelId::LIMIT, "from_edges: label {label} is out of range");
+            ends[src.index()] += 1;
+            labels = labels.max(label.index() + 1);
         }
-        sizes_to_starts(&mut ends);
-        let mut buf = vec![(LabelId(0), VertexId(0)); edges.len()];
-        for e in &edges {
-            let at = &mut ends[e.src.index()];
-            buf[*at] = (e.label, e.dst);
-            *at += 1;
-        }
-        drop(edges);
+        bucket_by_source(&mut ends, &mut srcs, &mut pairs);
+        drop(srcs);
         // Sort and deduplicate each out-bucket, closing the gaps up as it
         // goes, and count what its run takes.
         g.edge_label_counts = vec![0; labels];
@@ -352,18 +400,18 @@ impl DynamicGraph {
         let (mut start, mut kept, mut words) = (0, 0, 0);
         for end in &mut ends {
             let key = |&(label, w): &(LabelId, VertexId)| u64::from(label.0) << 32 | u64::from(w.0);
-            buf[start..*end].sort_unstable_by_key(key);
+            pairs[start..*end].sort_unstable_by_key(key);
             let (first, mut group, mut run) = (kept, kept, RunWords::default());
             for i in start..*end {
-                let e = buf[i];
-                if kept > first && buf[kept - 1] == e {
+                let e = pairs[i];
+                if kept > first && pairs[kept - 1] == e {
                     continue;
                 }
-                if kept > first && buf[kept - 1].0 != e.0 {
+                if kept > first && pairs[kept - 1].0 != e.0 {
                     run.group(kept - group);
                     group = kept;
                 }
-                buf[kept] = e;
+                pairs[kept] = e;
                 kept += 1;
                 g.edge_label_counts[e.0.index()] += 1;
                 in_ends[e.1.index()] += 1;
@@ -377,43 +425,49 @@ impl DynamicGraph {
         g.edge_count = kept;
         g.arena = Arena::with_capacity(words);
         for (v, range) in bucket_ranges(0, &ends).enumerate() {
-            g.runs[v][OUT] = Adjacency::build(&mut g.arena, &buf[range]);
+            g.runs[v][OUT] = Adjacency::build(&mut g.arena, &pairs[range]);
         }
         drop(ends);
         // The in-buckets, filled from the out-runs in source order, for the
-        // destinations `lo..hi` whose buckets fit the cut scratch.
+        // destinations `lo..hi` whose buckets fit the range's scratch.
         sizes_to_starts(&mut in_ends);
         let start = |in_ends: &[usize], w: usize| in_ends.get(w).copied().unwrap_or(kept);
         let widest = (0..n).map(|w| start(&in_ends, w + 1) - in_ends[w]).max().unwrap_or(0);
-        // Half the edges and half the widest bucket: a range of buckets
-        // stops short of the part by less than the widest, so two ranges
-        // always take every bucket.
-        let part = widest.max((kept + widest).div_ceil(2));
-        buf.truncate(part);
-        buf.shrink_to_fit();
+        // A range of buckets stops short of its scratch by less than the
+        // widest, so 9/16 of what is left plus the widest leaves at most
+        // 7/16 of it to the next range: after two, less than a fifth of the
+        // edges is left, which the floor takes in one.
+        let floor = kept / 5 + widest;
         let mut by_label = ByLabel::new(labels);
         let mut lo = 0;
         while lo < n {
             let base = in_ends[lo];
+            let left = kept - base;
+            pairs.truncate(left.min(floor.max((9 * left).div_ceil(16) + widest)));
+            pairs.shrink_to_fit();
+            let part = pairs.len();
             let fits = |&w: &usize| start(&in_ends, w) - base <= part;
             let hi = (lo + 1..=n).take_while(fits).last().expect("a bucket fits the scratch");
             for (v, pair) in g.runs.iter().enumerate() {
                 for (label, ids) in pair[OUT].groups(&g.arena) {
+                    if ids.last().is_none_or(|w| w.index() < lo) {
+                        continue;
+                    }
                     let from = if lo == 0 { 0 } else { ids.partition_point(|w| w.index() < lo) };
                     for w in ids[from..].iter().take_while(|w| w.index() < hi) {
                         let at = &mut in_ends[w.index()];
-                        buf[*at - base] = (label, VertexId(v as u32));
+                        pairs[*at - base] = (label, VertexId(v as u32));
                         *at += 1;
                     }
                 }
             }
             let mut words = 0;
             for range in bucket_ranges(base, &in_ends[lo..hi]) {
-                words += by_label.sort(&mut buf[range]).words();
+                words += by_label.sort(&mut pairs[range]).words();
             }
             g.arena.reserve_exact(words);
             for (w, range) in (lo..hi).zip(bucket_ranges(base, &in_ends[lo..hi])) {
-                g.runs[w][IN] = Adjacency::build(&mut g.arena, &buf[range]);
+                g.runs[w][IN] = Adjacency::build(&mut g.arena, &pairs[range]);
             }
             lo = hi;
         }

@@ -393,11 +393,103 @@ fn from_edges_over_many_labels_equals_inserts_and_reserves_exactly() {
     }
 }
 
+/// Checks that the bulk build of `edges`, as the two columns the parser
+/// hands it, lays out the graph incremental inserts build down to the words
+/// it carves: every run's label groups, entries and layout on both sides,
+/// and an arena of exactly the words the layout rule charges those runs —
+/// what a compact clone of the incremental build carves too.
+fn assert_columns_equal_inserts(case: &str, n: u32, edges: &[EdgeRef]) {
+    let vertex_labels: Vec<LabelSet> = (0..n).map(|i| LabelSet::single(l(i % 3))).collect();
+    let mut want = DynamicGraph::new();
+    for labels in &vertex_labels {
+        want.add_vertex(labels.clone());
+    }
+    for e in edges {
+        want.insert_edge(e.src, e.label, e.dst);
+    }
+    let srcs = edges.iter().map(|e| e.src).collect();
+    let pairs = edges.iter().map(|e| (e.label, e.dst)).collect();
+    let got = DynamicGraph::from_columns(vertex_labels, srcs, pairs);
+    got.validate();
+    assert!(got.edges().eq(want.edges()), "{case}: edges");
+    assert_eq!(got.edge_count(), want.edge_count(), "{case}");
+    let mut words = 0;
+    for v in want.vertices() {
+        for dir in [Dir::Out, Dir::In] {
+            assert!(got.neighbors(v, dir).eq(want.neighbors(v, dir)), "{case}: {v} {dir:?}");
+            assert!(got.label_runs(v, dir).eq(want.label_runs(v, dir)), "{case}: {v} {dir:?}");
+            assert_eq!(got.is_directory(v, dir), want.degree(v, dir) > FLAT_MAX, "{case}: {v}");
+            let lens: Vec<usize> = got.label_runs(v, dir).map(|(_, len)| len).collect();
+            words += run_words(&lens);
+        }
+    }
+    let (stats, compact) = (got.storage_stats(), want.clone().storage_stats());
+    assert_eq!(stats.carved_entries, words, "{case}: the words the layout rule charges");
+    assert_eq!(stats, compact, "{case}: what a compact clone of the inserts carves");
+    for e in edges {
+        assert_eq!(got.edge_label_count(e.label), want.edge_label_count(e.label), "{case}");
+    }
+}
+
+/// The bulk build buckets the edges by source in place, then fills the
+/// in-runs in ranges of destinations whose scratch shrinks as the arena
+/// grows. Inputs that stress both: edges sorted in reverse (every pair
+/// moves), every edge from one source, one destination whose in-bucket is
+/// wider than the scratch the later ranges would otherwise take (it sits
+/// last, so a late range must take it whole), every edge three times, and
+/// labels up to `LabelId::LIMIT - 1`.
+#[test]
+fn from_columns_buckets_adversarial_orders_like_inserts() {
+    let rng = &mut 0x2545_F491_4F6C_DD1Du64;
+    let n = 6 * FLAT_MAX as u32;
+    let e = |s: u32, lab: u32, d: u32| EdgeRef::new(VertexId(s), l(lab), VertexId(d));
+    let mut random: Vec<EdgeRef> = (0..30 * n)
+        .map(|_| e(below(rng, n.into()) as u32, below(rng, 5) as u32, below(rng, n.into()) as u32))
+        .collect();
+    random.sort_unstable();
+    random.dedup();
+    let mut reversed = random.clone();
+    reversed.reverse();
+    assert_columns_equal_inserts("reverse-sorted", n, &reversed);
+
+    let one_source: Vec<EdgeRef> =
+        (0..4 * n).rev().map(|i| e(n / 2, i % 7, (i * 37) % n)).collect();
+    assert_columns_equal_inserts("one source", n, &one_source);
+
+    // A third of the edges into the last vertex: wider than an eighth of
+    // them, so the ranges after the first are sized by it.
+    let mut wide = random.clone();
+    wide.extend((0..wide.len() as u32 / 2).map(|i| e(i % n, i % 5 + i / n, n - 1)));
+    for i in (1..wide.len()).rev() {
+        wide.swap(i, below(rng, i as u64 + 1) as usize);
+    }
+    assert_columns_equal_inserts("one wide in-bucket last", n, &wide);
+
+    let tripled: Vec<EdgeRef> =
+        random.iter().rev().flat_map(|&edge| [edge; 3]).chain(random.iter().copied()).collect();
+    assert_columns_equal_inserts("every edge three times", n, &tripled);
+
+    let top = LabelId::LIMIT - 1;
+    let mut far: Vec<EdgeRef> = (0..8 * n)
+        .map(|i| e((i * 13) % n, [0, 1, top - 1, top][i as usize % 4], (i * 29) % n))
+        .collect();
+    far.extend((0..FLAT_MAX as u32 + 3).map(|i| e(i, top - (i % 3), 2)));
+    far.reverse();
+    assert_columns_equal_inserts("labels up to LIMIT - 1", n, &far);
+}
+
 #[test]
 #[should_panic(expected = "missing vertex")]
 fn from_edges_rejects_an_edge_naming_a_missing_vertex() {
     let edge = EdgeRef::new(VertexId(0), l(0), VertexId(2));
     DynamicGraph::from_edges(vec![LabelSet::empty(); 2], vec![edge]);
+}
+
+#[test]
+#[should_panic(expected = "missing vertex")]
+fn from_columns_rejects_a_pair_without_its_source() {
+    let pairs = vec![(l(0), VertexId(1)), (l(0), VertexId(0))];
+    DynamicGraph::from_columns(vec![LabelSet::empty(); 2], vec![VertexId(0)], pairs);
 }
 
 /// The three layouts under random churn, against a `BTreeSet` of edges: most

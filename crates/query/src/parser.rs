@@ -25,7 +25,7 @@
 //! read them — and a [`LabelCache`] turns a label token into a [`LabelId`].
 
 use crate::qgraph::{QVertexId, QueryGraph};
-use tfx_graph::{DynamicGraph, EdgeRef, LabelId, LabelInterner, LabelLimit, LabelSet, VertexId};
+use tfx_graph::{DynamicGraph, LabelId, LabelInterner, LabelLimit, LabelSet, VertexId};
 
 /// A parse failure, with a 1-based line number.
 #[derive(Debug, PartialEq, Eq)]
@@ -350,14 +350,18 @@ impl LabelCache {
     }
 }
 
-/// The label an unlabeled `e` line carries through [`RawGraph::edges`].
+/// The label an unlabeled `e` line carries through [`RawGraph::pairs`].
 const NO_LABEL: LabelId = LabelId(u32::MAX);
 
 struct RawGraph {
     /// Label sets by vertex id (ids are validated dense `0..n`).
     vertices: Vec<LabelSet>,
-    /// In file order; an unlabeled edge carries [`NO_LABEL`].
-    edges: Vec<EdgeRef>,
+    /// Each edge's source, in file order.
+    srcs: Vec<VertexId>,
+    /// Each edge's `(label, destination)`, in file order: the two columns
+    /// [`DynamicGraph::from_columns`] builds in place. An unlabeled edge
+    /// carries [`NO_LABEL`].
+    pairs: Vec<(LabelId, VertexId)>,
     /// The declaring line of each edge, when asked for.
     lines: Vec<usize>,
     /// True if some edge is unlabeled.
@@ -378,7 +382,7 @@ fn parse_raw(
     let newline = |n: u8, &b: &u8| n + u8::from(b == b'\n');
     let line_count =
         text.chunks(255).map(|c| usize::from(c.iter().fold(0, newline))).sum::<usize>() + 1;
-    let mut edges = Vec::with_capacity(line_count);
+    let (mut srcs, mut pairs) = (Vec::with_capacity(line_count), Vec::with_capacity(line_count));
     // `(id, declaring line, labels)`.
     let mut vertices: Vec<(u32, usize, LabelSet)> = Vec::new();
     let mut lines = Vec::new();
@@ -415,7 +419,8 @@ fn parse_raw(
                 if line.trailing {
                     return Err(err(lineno, "trailing tokens after edge"));
                 }
-                edges.push(EdgeRef::new(VertexId(src), label.unwrap_or(NO_LABEL), VertexId(dst)));
+                srcs.push(VertexId(src));
+                pairs.push((label.unwrap_or(NO_LABEL), VertexId(dst)));
                 top = top.max(Some(src.max(dst)));
                 unlabeled |= label.is_none();
                 if keep_lines {
@@ -428,8 +433,10 @@ fn parse_raw(
             }
         }
     }
-    // Stable, so of two declarations of one id the later line sorts second.
-    vertices.sort_by_key(|&(id, ..)| id);
+    // Of two declarations of one id the later line sorts second. Each line
+    // declares once, so the key is unique: an unstable sort gives the same
+    // order and, unlike a stable one, needs no scratch.
+    vertices.sort_unstable_by_key(|&(id, line, _)| (id, line));
     if let Some(dup) = vertices.windows(2).find(|w| w[0].0 == w[1].0) {
         return Err(err(dup[1].1, format!("vertex {} declared twice", dup[1].0)));
     }
@@ -439,13 +446,13 @@ fn parse_raw(
         }
     }
     let n = vertices.len() as u32;
-    let dangling = |_| edges.iter().find(|e| e.src.0 >= n || e.dst.0 >= n);
-    if let Some(e) = top.filter(|&top| top >= n).and_then(dangling) {
-        let (s, d) = (e.src.0, e.dst.0);
+    let mut edges = srcs.iter().zip(&pairs).map(|(s, &(_, d))| (s.0, d.0));
+    let dangling = |_| edges.find(|&(s, d)| s >= n || d >= n);
+    if let Some((s, d)) = top.filter(|&top| top >= n).and_then(dangling) {
         return Err(err(0, format!("edge ({s},{d}) references undeclared vertex")));
     }
     let vertices = vertices.into_iter().map(|(.., labels)| labels).collect();
-    Ok(RawGraph { vertices, edges, lines, unlabeled })
+    Ok(RawGraph { vertices, srcs, pairs, lines, unlabeled })
 }
 
 /// Parses a [`QueryGraph`], interning labels into `interner`.
@@ -457,9 +464,10 @@ pub fn parse_query(text: &str, interner: &mut LabelInterner) -> Result<QueryGrap
     }
     // `QueryGraph::add_edge` asserts on a repeated `(src, dst, label)`; a
     // query file must not be able to reach that (queries are tiny: a scan).
-    for (i, (e, &line)) in raw.edges.iter().zip(&raw.lines).enumerate() {
-        let (s, d, l) = (e.src.0, e.dst.0, (e.label != NO_LABEL).then_some(e.label));
-        if raw.edges[..i].contains(e) {
+    let edges: Vec<_> = raw.srcs.iter().zip(&raw.pairs).map(|(&s, &(l, d))| (s, l, d)).collect();
+    for (i, (&(src, label, dst), &line)) in edges.iter().zip(&raw.lines).enumerate() {
+        let (s, d, l) = (src.0, dst.0, (label != NO_LABEL).then_some(label));
+        if edges[..i].contains(&edges[i]) {
             let label = l.map_or("*", |l| interner.name(l).unwrap_or("?"));
             return Err(err(line, format!("edge ({s}, {d}, {label}) declared twice")));
         }
@@ -475,15 +483,17 @@ pub fn parse_data_graph(
     text: &str,
     interner: &mut LabelInterner,
 ) -> Result<DynamicGraph, ParseError> {
-    let RawGraph { vertices, mut edges, unlabeled, .. } = parse_raw(text, interner, false)?;
-    // The list was sized from the line count; what the `v` lines, comments
-    // and blank lines reserved goes back before the bulk build's scratch.
-    edges.shrink_to_fit();
+    let RawGraph { vertices, mut srcs, mut pairs, unlabeled, .. } =
+        parse_raw(text, interner, false)?;
+    // The columns were sized from the line count; what the `v` lines,
+    // comments and blank lines reserved goes back before the bulk build.
+    srcs.shrink_to_fit();
+    pairs.shrink_to_fit();
     if unlabeled {
         let any = interner.try_intern("_").map_err(|e| err(0, format!("label `_`: {e}")))?;
-        edges.iter_mut().filter(|e| e.label == NO_LABEL).for_each(|e| e.label = any);
+        pairs.iter_mut().filter(|e| e.0 == NO_LABEL).for_each(|e| e.0 = any);
     }
-    Ok(DynamicGraph::from_edges(vertices, edges))
+    Ok(DynamicGraph::from_columns(vertices, srcs, pairs))
 }
 
 #[cfg(test)]

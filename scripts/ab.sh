@@ -3,9 +3,11 @@
 # alternating pairs of single measurements, so that neither side always runs
 # first on a host whose speed drifts.
 #
-# usage: scripts/ab.sh <rev> [--workloads W,...] [--pairs N]
+# usage: scripts/ab.sh <rev> [--workloads W,...] [--pairs N] [--pr N]
 #   --workloads  comma-separated e2e workloads (default: all six)
 #   --pairs      measurement pairs per workload (default: 10)
+#   --pr         also write the summary, verdicts included, to
+#                results/ab/pr<N>.json (the file scripts/ci.sh gates on)
 #
 # Builds both sides with scripts/probe_code.sh (the revision as a `git
 # archive` copy under out/) and refuses to run when the host probe compiled
@@ -17,13 +19,17 @@
 # how many pairs each side led and each side's quartiles (Q1..Q3) and range
 # (min..max), then any failed checks; where the two ranges overlap, the ratio
 # is within the noise of the pairs. Raw results go to out/ab-<sha>.jsonl,
-# the printed summary as JSON to out/ab-<sha>.json. Exits 1 when a
-# measurement fails a check. Run it on an otherwise idle host.
+# the printed summary as JSON to out/ab-<sha>.json. Then `ab-verdict`
+# (crates/ab) prints each row's verdict against BENCHMARK.json's bound —
+# better, same, worse, or unresolved where a side's quartile spread exceeds
+# the bound — and stores it in the JSON beside the row's ratio. Exits 1 when
+# a measurement fails a check or a row reads worse. Run it on an otherwise
+# idle host.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  echo "usage: scripts/ab.sh <rev> [--workloads W,...] [--pairs N]" >&2
+  echo "usage: scripts/ab.sh <rev> [--workloads W,...] [--pairs N] [--pr N]" >&2
   exit 2
 }
 [ $# -ge 1 ] || usage
@@ -31,16 +37,19 @@ rev="$1"
 shift
 workloads=netflow_window,netflow_shards2,netflow_enum,lsbench_maint,lsbench_fleet8,ingest_selective
 pairs=10
+pr=
 while [ $# -gt 0 ]; do
   [ $# -ge 2 ] || usage
   case "$1" in
     --workloads) workloads="$2" ;;
     --pairs) pairs="$2" ;;
+    --pr) pr="$2" ;;
     *) usage ;;
   esac
   shift 2
 done
 [[ "$pairs" =~ ^[1-9][0-9]*$ ]] || usage
+[[ -z "$pr" || "$pr" =~ ^[1-9][0-9]*$ ]] || usage
 
 if ! scripts/probe_code.sh "$rev"; then
   echo "ab: the host probe differs between $rev and the working tree; no A/B" >&2
@@ -78,7 +87,8 @@ for w in "${names[@]}"; do
   done
 done
 
-python3 - "$log" "$sha" "$summary" << 'EOF'
+status=0
+python3 - "$log" "$sha" "$summary" << 'EOF' || status=$?
 import json, statistics, sys
 
 log, sha, out = sys.argv[1], sys.argv[2], sys.argv[3]
@@ -130,3 +140,10 @@ with open(out, "w") as f:
     f.write("\n")
 sys.exit(1 if bad else 0)
 EOF
+
+if [ -n "$pr" ]; then
+  cp "$summary" "results/ab/pr$pr.json"
+  summary="results/ab/pr$pr.json"
+fi
+cargo run --release --offline --quiet -p tfx-ab -- --write "$summary" || status=1
+exit "$status"

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, docs, release build, e2e smoke + goldens, tests, bench compile,
-# the two kept Criterion targets (quick), the e2e snapshot comparison, CLI smokes.
+# the two kept Criterion targets (quick), the A/B gate, CLI smokes.
 # Run from the repo root. Fails fast on the first broken step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -317,20 +317,20 @@ for bench in graph_mutation dcg_ops; do
     cargo bench --offline -p tfx-bench --bench "$bench"
 done
 
-echo "=== e2e compare (the two newest committed snapshots) ==="
-# The perf gate: results/e2e/pr<N>.json is one all-six-workloads e2e result
-# per PR (scripts/bench_snapshot.sh). A comparison of two files, not a timing
-# made here: it leaves a pair "unresolved" when the host moved between the
-# two (`host.calib_ms`) or a side's own spread exceeds the bound, and exits
-# non-zero on any "worse".
-mapfile -t snaps < <(git ls-files 'results/e2e/pr*.json' | sort -V | tail -n2)
-if [ "${#snaps[@]}" -lt 2 ]; then
-  echo "ci: fewer than two snapshots committed under results/e2e - comparison skipped"
-else
-  cargo run --release --offline --quiet \
-    --manifest-path crates/bench/src/bin/e2e/Cargo.toml -- \
-    compare "${snaps[0]}" "${snaps[1]}"
+echo "=== A/B gate (the newest committed A/B file) ==="
+# The perf gate: results/ab/pr<N>.json is each change's A/B against its
+# parent (scripts/ab.sh <rev> --pr <N>): alternating pairs per workload, and
+# per end-to-end metric both sides' medians and quartiles. `ab-verdict`
+# (crates/ab) reads every row against BENCHMARK.json's bound: "worse" or
+# "better" when the ratio of the medians lies beyond it, "unresolved" when
+# a side's quartile spread exceeds it. It exits non-zero on any "worse" or a
+# failed run.
+newest=$(git ls-files 'results/ab/pr*.json' | sort -V | tail -n1)
+if [ -z "$newest" ]; then
+  echo "ci: no A/B file committed under results/ab" >&2
+  exit 1
 fi
+cargo run --release --offline --quiet -p tfx-ab -- "$newest"
 
 echo "=== tfx stream smoke ==="
 # The CLI subcommand end to end against the checked-in testdata: a count-3

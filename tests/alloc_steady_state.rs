@@ -184,8 +184,8 @@ fn main() {
     text_source_lines_of_known_labels_do_not_allocate();
     println!("test text_source_lines_of_known_labels_do_not_allocate ... ok");
 
-    g0_parse_peak_stays_within_half_the_graph_again();
-    println!("test g0_parse_peak_stays_within_half_the_graph_again ... ok");
+    g0_parse_peak_stays_within_a_fifth_over_the_graph();
+    println!("test g0_parse_peak_stays_within_a_fifth_over_the_graph ... ok");
 
     project_holds_nothing_beside_a_fresh_layout_and_a_pair_per_churned_slot();
     println!("test project_holds_nothing_beside_a_fresh_layout_and_a_pair_per_churned_slot ... ok");
@@ -331,13 +331,16 @@ fn g0_clone_holds_exactly_its_resident_bytes() {
 }
 
 /// Loading a g0 from text holds little beside the graph it returns: the
-/// parser pushes edges into one list sized from a newline count, and the
-/// bulk build's only scratch is one `(label, vertex)` array of the edge
-/// count, reused by both directions. The live heap above what was live
-/// before the call peaks within 1.5 × the graph's `resident_bytes`; a
-/// comparison sort of the list, a clone of it and a second sort took it to
-/// about 2 ×.
-fn g0_parse_peak_stays_within_half_the_graph_again() {
+/// parser pushes each edge's source into one column and its
+/// `(label, destination)` into another, both sized from a newline count,
+/// and the bulk build buckets the pairs by source in place, drops the
+/// sources, and fills the in-runs in ranges whose scratch, cut from the
+/// pair column, shrinks as the arena grows. The live heap above what was
+/// live before the call peaks within 1.2 × the graph's `resident_bytes`
+/// (1.16 × measured); a pair array built beside the parsed list took it to
+/// 1.43 ×, and a comparison sort of the list, a clone of it and a second
+/// sort to about 2 ×.
+fn g0_parse_peak_stays_within_a_fifth_over_the_graph() {
     use std::fmt::Write as _;
     use turboflux::datagen::netflow::{generate, NetflowConfig};
     use turboflux::query::parser::parse_data_graph;
@@ -359,7 +362,7 @@ fn g0_parse_peak_stays_within_half_the_graph_again() {
     let resident = g.resident_bytes();
     assert_eq!(g.edge_count(), d.g0.edge_count());
     assert!(
-        2 * peak <= 3 * resident,
+        5 * peak <= 6 * resident,
         "parsing a {}-edge g0 peaked at {peak} B over a {resident} B graph ({:.2}x)",
         g.edge_count(),
         peak as f64 / resident as f64
