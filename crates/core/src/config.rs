@@ -8,13 +8,13 @@ pub struct TurboFluxConfig {
     /// Matching semantics (homomorphism by default, §2.1).
     pub semantics: MatchSemantics,
     /// Inert: nothing reads it, every engine evaluates on the calling thread
-    /// (DESIGN.md, "Parallel execution: tried, measured, removed"). Kept only
+    /// (DESIGN.md, "Tried, measured, removed"). Kept only
     /// so the frozen `e2e` benchmark compiles; leaves with its
     /// `core.default_workers_events_per_s` / `core.intra_parallel_speedup_x`
     /// rows in the next `benchmark` PR.
     pub parallel_workers: usize,
     /// Inert: nothing reads it, the partitioned runtime is gone (DESIGN.md,
-    /// "Sharded execution: tried, measured, removed"). Kept only so the
+    /// "Tried, measured, removed"). Kept only so the
     /// frozen `e2e` benchmark compiles; leaves with its `netflow_shards2`
     /// workload in the next `benchmark` PR.
     pub shards: usize,

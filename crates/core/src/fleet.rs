@@ -139,7 +139,7 @@ impl Fleet {
     }
 
     /// Inert: `threads` is ignored, every fleet evaluates on the calling
-    /// thread (DESIGN.md, "Parallel execution: tried, measured, removed").
+    /// thread (DESIGN.md, "Tried, measured, removed").
     /// Kept only so the frozen `e2e` benchmark compiles; leaves with its
     /// `fleet.threads2_events_per_s` / `fleet.parallel_speedup_x` rows in the
     /// next `benchmark` PR.
@@ -235,7 +235,7 @@ impl Fleet {
     /// Takes a `dyn` sink, where [`TurboFlux::report_initial`] takes its
     /// sink as a type parameter: a fleet reports a query's initial matches
     /// once, off the stream path, and a generic sink here moved the frozen
-    /// `e2e` benchmark's host-probe code (DESIGN.md, "Enumeration path").
+    /// `e2e` benchmark's host-probe code (DESIGN.md, "One call per match").
     pub fn report_initial(&mut self, id: usize, sink: &mut dyn FnMut(&MatchRecord)) {
         let pos = self.pos_of(id);
         self.engines[pos].initial_matches_in(&self.graph, sink);
@@ -310,7 +310,7 @@ impl Fleet {
 
 /// Inert: a [`Fleet`] of the given queries under the frozen `e2e`
 /// benchmark's name for the partitioned runtime, which is gone (DESIGN.md,
-/// "Sharded execution: tried, measured, removed"). Kept only so that
+/// "Tried, measured, removed"). Kept only so that
 /// benchmark compiles; leaves with its `netflow_shards2` workload in the next
 /// `benchmark` PR.
 pub struct ShardedEngine(Fleet);

@@ -15,7 +15,7 @@
 //!
 //! Before each round the batch lookahead ([`lookahead`]) hints the graph
 //! memory of the edge ops a few rounds ahead. Everything runs on the calling
-//! thread (DESIGN.md, "Parallel execution: tried, measured, removed"), so a
+//! thread (DESIGN.md, "Tried, measured, removed"), so a
 //! panic in `run` unwinds through [`apply`] to the caller with every earlier
 //! op fully applied.
 

@@ -9,7 +9,11 @@
 # usage: scripts/bench_snapshot.sh [N]
 #   N  the PR the snapshot belongs to (default: one past the newest snapshot)
 #
-# Commit the file: scripts/ci.sh compares the two newest committed snapshots.
+# Commit the file for the trajectory. No CI step compares snapshots: the
+# perf gate is scripts/ci.sh's "A/B gate" step, which reads the newest
+# committed results/ab/pr<N>.json (scripts/ab.sh <rev> --pr <N>), and which
+# also fails when the newest CHANGES.md entry committed neither its A/B file
+# nor a snapshot from this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

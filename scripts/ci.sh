@@ -18,9 +18,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "=== no threads in the engine, the stream layer or the CLI ==="
 # Every parallel layer this repo had lost every measurement (DESIGN.md,
-# "Parallel execution: tried, measured, removed"). A thread comes back by
-# deleting this check and saying which e2e workload it wins. (An `if`, not
-# `! grep`: errexit ignores a status inverted with `!`.)
+# "Tried, measured, removed"). A thread comes back by deleting this check and
+# saying which e2e workload it wins. (An `if`, not `! grep`: errexit ignores
+# a status inverted with `!`.)
 if grep -rnE "std::thread|std::sync" crates/core/src crates/stream/src src; then
   echo "ci: std::thread / std::sync is back in the engine, stream layer or CLI" >&2
   exit 1
@@ -68,7 +68,7 @@ fi
 
 echo "=== one climb, one invocation plan ==="
 # `ops.rs` holds the upward climb once and `matching_query_edges` the plan
-# once (DESIGN.md, "Enumeration path", "Round driver"); a twin of either
+# once (DESIGN.md, "One climb", "Round driver"); a twin of either
 # comes back by deleting this check and saying what it is for.
 if grep -rnE "fn (build_upwards|clear_upwards|plan_seeds_into)\b" crates/core/src; then
   echo "ci: a second climb or a second invocation plan is back" >&2
@@ -102,8 +102,8 @@ fi
 
 echo "=== one query, one engine ==="
 # The partitioned runtime and the keyed merge it needed are gone (DESIGN.md,
-# "Sharded execution: tried, measured, removed"); what is left of it is the
-# inert `ShardedEngine` fleet shim the frozen e2e benchmark compiles against.
+# "Tried, measured, removed"); what is left of it is the inert `ShardedEngine`
+# fleet shim the frozen e2e benchmark compiles against.
 # A partitioned query comes back by deleting this check and saying which e2e
 # workload it wins.
 if grep -rnE "register_partitioned|owns_root|shard_of|cells_per_query|run_seed|seed_start|struct Key" \
@@ -128,18 +128,21 @@ echo "=== one label set per distinct set ==="
 # (DESIGN.md, "Graph storage & adjacency index"): each distinct label set is
 # stored once, in `labels::SetTable`. A `Vec<LabelSet>` per vertex was 3.07
 # of lsbench_maint's 13.94 MB peak heap. It comes back by deleting this check
-# and saying which e2e workload it wins.
-if grep -nE "^\s*(pub(\([a-z]+\))? )?[a-z_]+: Vec<LabelSet>" crates/graph/src/dynamic_graph.rs; then
+# and saying which e2e workload it wins. Only the fields of the struct are
+# read: a function parameter of that type, one a line once rustfmt splits a
+# signature, is no table.
+graph=$(awk '/^pub struct DynamicGraph \{/, /^\}/ { print FNR ":" $0 }' crates/graph/src/dynamic_graph.rs)
+if [ -z "$graph" ] || grep -E "^[0-9]+:\s*(pub(\([a-z]+\))? )?[a-z_]+: Vec<LabelSet>" <<< "$graph"; then
   echo "ci: a per-vertex label set table is back in DynamicGraph" >&2
   exit 1
 fi
 
 echo "=== a vertex is 20 bytes ==="
 # A vertex costs the graph two 8-byte `{off, meta}` adjacency handles and a
-# 4-byte set id (DESIGN.md, "Graph storage & adjacency index"): `meta` packs
-# the layout with an inline run's label, a flat run's length, group count and
-# class, or a directory's class and record count, and a directory keeps its
-# entry count in its own slot. The 16-byte handle's spare fields were 1.76 of
+# 4-byte set id (DESIGN.md, "The handle encoding"): `meta` packs the layout
+# with an inline run's label, a flat run's length, group count and class, or
+# a directory's class and record count, and a directory keeps its entry count
+# in its own slot. The 16-byte handle's spare fields were 1.76 of
 # lsbench_maint's 7.77 MB peak heap (16 B x 109 698 vertices). A wider handle
 # comes back by deleting this check and saying which e2e workload it wins.
 handle=$(awk '/struct Adjacency \{/, /^\}/' crates/graph/src/adjacency.rs)
@@ -150,12 +153,12 @@ if ! grep -qF 'size_of::<Adjacency>() == 8' crates/graph/src/adjacency.rs || [ -
 fi
 
 echo "=== a flat run stores no label per entry ==="
-# A flat run is `[label·len headers | ids]` (DESIGN.md, "Graph storage &
-# adjacency index"): one header word per label group, not a label word
-# beside every id. The per-entry label half held 4.16 of netflow_window's
-# 17.10 MB g0 arena; the grouped layout took that workload's peak heap from
-# 20.52 to 15.97 MB. A label half comes back by deleting this check and
-# saying which e2e workload it wins.
+# A flat run is `[label·len headers | ids]` (DESIGN.md, "Run layouts"): one
+# header word per label group, not a label word beside every id. The
+# per-entry label half held 4.16 of netflow_window's 17.10 MB g0 arena; the
+# grouped layout took that workload's peak heap from 20.52 to 15.97 MB. A
+# label half comes back by deleting this check and saying which e2e workload
+# it wins.
 if grep -nE "fn (run_bounds|flat_cap)\b|class_for\(2 \* |class_cap\([a-z.]+\) as usize / 2" \
   crates/graph/src/adjacency.rs; then
   echo "ci: a per-entry label half is back in the flat adjacency run" >&2
@@ -164,12 +167,12 @@ fi
 
 echo "=== one call per match ==="
 # The sink is a type parameter from the public entry points down to the
-# last-level frontier loop (DESIGN.md, "Enumeration path", piece 6): a
-# caller's closure is called, and inlined, once per match, where a `dyn`
-# sink in the search cost an indirect call per match and each wrapper one
-# more. The lookahead hints the graph only (DESIGN.md, "Batch lookahead"):
-# the DCG hint cost more than it hid. Either comes back by deleting this
-# check and saying which e2e workload it wins.
+# last-level frontier loop (DESIGN.md, "One call per match"): a caller's
+# closure is called, and inlined, once per match, where a `dyn` sink in the
+# search cost an indirect call per match and each wrapper one more. The
+# lookahead hints the graph only (DESIGN.md, "Batch lookahead"): the DCG hint
+# cost more than it hid. Either comes back by deleting this check and saying
+# which e2e workload it wins.
 if grep -nE "dyn FnMut" crates/core/src/search.rs crates/core/src/ops.rs \
   || grep -rnE "fn prefetch_dcg\b" crates/core/src; then
   echo "ci: a dyn sink is back in the search, or the DCG half of the lookahead" >&2
@@ -178,17 +181,16 @@ fi
 
 echo "=== one reader per tree edge ==="
 # `core::dcg` decides where the tree edge into `u` reads in the graph, which
-# way it points and which children `u` has (DESIGN.md, "DCG storage layout",
-# *One reader per tree edge*): BuildDCG, registration, MatchAllChildren and
-# the search all ask it. Only `core::spec` keeps a reader of its own (a walk
-# that tests labels itself), and `core::search`'s non-tree prefilter
-# (`intersect_frontier`) reads the label groups of non-tree edges. No other
-# module of `tfx-core` reads a graph group, the full walk, the wildcard
-# collector, label runs, a directed degree or a group hint. Isomorphism's
-# injectivity test is one scan of the embedding (DESIGN.md, "Isomorphism
-# injectivity in one scan"), not a map kept at every bind. A second reader, a
-# copy of the child masks or the map comes back by deleting this check and
-# saying what it wins.
+# way it points and which children `u` has (DESIGN.md, "One reader per tree
+# edge"): BuildDCG, registration, MatchAllChildren and the search all ask it.
+# Only `core::spec` keeps a reader of its own (a walk that tests labels
+# itself), and `core::search`'s non-tree prefilter (`intersect_frontier`)
+# reads the label groups of non-tree edges. No other module of `tfx-core`
+# reads a graph group, the full walk, the wildcard collector, label runs, a
+# directed degree or a group hint. Isomorphism's injectivity test is one scan
+# of the embedding (DESIGN.md, "Isomorphism injectivity in one scan"), not a
+# map kept at every bind. A second reader, a copy of the child masks or the
+# map comes back by deleting this check and saying what it wins.
 readers='\.(group|neighbors|collect_any|label_runs|prefetch_group)\(|\.degree\(([^(),]|\([^()]*\))*,'
 if grep -rnE "mod tree_nav|collect_child_candidates|child_mask|FxHashMap" crates/core/src \
   || grep -rnE "$readers" crates/core/src --exclude=dcg.rs --exclude=spec.rs --exclude=search.rs \
@@ -250,6 +252,31 @@ echo "=== one plan, no switch ==="
 if grep -rnE "adjust_matching_order|GraphStats|choose_start_vertex_from|build_from" \
   --exclude-dir=e2e crates src tests examples; then
   echo "ci: a planner switch, wrapper or twin entry point is back" >&2
+  exit 1
+fi
+
+echo "=== DESIGN.md citations resolve ==="
+# Code, scripts and docs point into DESIGN.md by heading: the file name, an
+# optional comma and a double-quoted heading (more quoted headings may follow,
+# comma-separated), or the file name in backticks, a section sign and the
+# heading in asterisks; a citation may wrap across comment lines. Each cited
+# heading must begin some level 1-4 heading of the file, so a renamed or
+# dropped section fails here instead of leaving a pointer to nothing.
+heads=$(sed -nE 's/^#{1,4} +//p' DESIGN.md)
+bad=$(grep -rlIZ --exclude-dir=e2e --exclude-dir=target DESIGN \
+    crates src tests scripts examples README.md EXPERIMENTS.md .claude \
+  | HEADS="$heads" xargs -0r perl -0777 -ne '
+    BEGIN { @h = split /\n/, $ENV{HEADS} }
+    s{[ \t]*\n[ \t]*(?://[/!]?|#)?[ \t]*}{ }g;
+    while (/`?DESIGN\.md`?,?\s*(?:"([^"]+)"((?:,\s*"[^"]+")*)|\xc2\xa7\s*\*([^*]+)\*)/g) {
+      my ($first, $more, $starred) = ($1, $2, $3);
+      for my $x (defined $starred ? ($starred) : ($first, $more =~ /"([^"]+)"/g)) {
+        print "$ARGV: \"$x\"\n" unless grep { index($_, $x) == 0 } @h;
+      }
+    }')
+if [ -n "$bad" ]; then
+  echo "$bad" >&2
+  echo "ci: a cited DESIGN.md heading (above) does not exist" >&2
   exit 1
 fi
 
@@ -324,10 +351,17 @@ echo "=== A/B gate (the newest committed A/B file) ==="
 # (crates/ab) reads every row against BENCHMARK.json's bound: "worse" or
 # "better" when the ratio of the medians lies beyond it, "unresolved" when
 # a side's quartile spread exceeds it. It exits non-zero on any "worse" or a
-# failed run.
+# failed run. It also fails when the newest "- PR N" entry of CHANGES.md
+# committed neither its A/B file nor an e2e snapshot, so no change lands
+# without a measurement beside it.
 newest=$(git ls-files 'results/ab/pr*.json' | sort -V | tail -n1)
 if [ -z "$newest" ]; then
   echo "ci: no A/B file committed under results/ab" >&2
+  exit 1
+fi
+pr=$(sed -nE 's/^- PR ([0-9]+)\b.*/\1/p' CHANGES.md | tail -n1)
+if [ -z "$pr" ] || [ -z "$(git ls-files "results/ab/pr$pr.json" "results/e2e/pr$pr.json")" ]; then
+  echo "ci: CHANGES.md's newest entry, PR ${pr:-?}, has neither results/ab/pr$pr.json nor results/e2e/pr$pr.json committed" >&2
   exit 1
 fi
 cargo run --release --offline --quiet -p tfx-ab -- "$newest"

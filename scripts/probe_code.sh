@@ -4,7 +4,7 @@
 # is the divisor of every normalised e2e metric, and it is compiled inside the
 # e2e crate: a generic the engine makes that crate instantiate can change its
 # inlining, and with it every normalised number of an A/B (DESIGN.md,
-# "Enumeration path", piece 6). Run it before an A/B of two builds.
+# "One call per match"). Run it before an A/B of two builds.
 #
 # usage: scripts/probe_code.sh <rev>
 #
