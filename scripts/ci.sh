@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, docs, release build, e2e smoke + goldens, tests, bench compile,
-# the two kept Criterion targets (quick), the A/B gate, CLI smokes.
-# Run from the repo root. Fails fast on the first broken step.
+# the two kept Criterion targets (quick), the A/B verdict's tests and gate, CLI smokes.
+# Run from the repo root. Fails fast on the first broken step. Needs cargo, awk, perl and
+# python3 (scripts/ab.py, stdlib only).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -344,16 +345,22 @@ for bench in graph_mutation dcg_ops; do
     cargo bench --offline -p tfx-bench --bench "$bench"
 done
 
+echo "=== A/B verdict tests ==="
+# The verdict the gate reads, on synthetic rows: the ratio against the bound
+# both ways round, unresolved on a wide spread or a median of 0, and a
+# malformed result line counted as a failed run.
+python3 scripts/ab.py test
+
 echo "=== A/B gate (the newest committed A/B file) ==="
 # The perf gate: results/ab/pr<N>.json is each change's A/B against its
 # parent (scripts/ab.sh <rev> --pr <N>): alternating pairs per workload, and
-# per end-to-end metric both sides' medians and quartiles. `ab-verdict`
-# (crates/ab) reads every row against BENCHMARK.json's bound: "worse" or
-# "better" when the ratio of the medians lies beyond it, "unresolved" when
-# a side's quartile spread exceeds it. It exits non-zero on any "worse" or a
-# failed run. It also fails when the newest "- PR N" entry of CHANGES.md
-# committed neither its A/B file nor an e2e snapshot, so no change lands
-# without a measurement beside it.
+# per end-to-end metric both sides' medians and quartiles. `ab.py judge`
+# reads every row against BENCHMARK.json's bound: "worse" or "better" when
+# the ratio of the medians lies beyond it, "unresolved" when a side's
+# quartile spread exceeds it. It exits non-zero on any "worse" or a failed
+# run. It also fails when the newest "- PR N" entry of CHANGES.md committed
+# neither its A/B file nor an e2e snapshot, so no change lands without a
+# measurement beside it.
 newest=$(git ls-files 'results/ab/pr*.json' | sort -V | tail -n1)
 if [ -z "$newest" ]; then
   echo "ci: no A/B file committed under results/ab" >&2
@@ -364,7 +371,7 @@ if [ -z "$pr" ] || [ -z "$(git ls-files "results/ab/pr$pr.json" "results/e2e/pr$
   echo "ci: CHANGES.md's newest entry, PR ${pr:-?}, has neither results/ab/pr$pr.json nor results/e2e/pr$pr.json committed" >&2
   exit 1
 fi
-cargo run --release --offline --quiet -p tfx-ab -- "$newest"
+python3 scripts/ab.py judge "$newest"
 
 echo "=== tfx stream smoke ==="
 # The CLI subcommand end to end against the checked-in testdata: a count-3

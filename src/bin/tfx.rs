@@ -13,9 +13,10 @@
 //!
 //! Stdout is JSONL. Per engine (one per `--query`, numbered from 0): its
 //! initial matches (`match`), then their count (`init`). Then a `delta` line
-//! per match and a `batch` line per batch, and one `summary`. `--quiet`
-//! keeps only the `init` counts; several queries run as a fleet, which adds
-//! its routing counters (`fleet_stats`). Stderr names the input's shape and
+//! per match and a `batch` line per batch, and one `summary`; several
+//! queries run as a fleet, which adds its routing counters (`fleet_stats`)
+//! last. `--quiet` prints only the `init` and `fleet_stats` lines, and the
+//! stream's totals are then on stderr alone. Stderr names the input's shape and
 //! each engine's DCG shape after registration; its closing line
 //! (`processed N events …`) adds the totals, each engine's DCG shape again
 //! and the graph's shape.
@@ -68,10 +69,12 @@ fn usage(code: u8) -> ExitCode {
                   [--lenient]                skip malformed stream lines (default strict)
                   [--seed <S>]               synthetic generator seed (default 2018)
                   [--ticks-per-event <T>]    synthetic clock rate (default 1)
-                  [--quiet]                  suppress JSONL matches and deltas, keep counts
+                  [--quiet]                  print only the init and fleet_stats lines
 
-Emits JSONL on stdout: initial-match and init lines per engine, delta lines,
-per-batch stats lines, one summary line."
+Emits JSONL on stdout: per engine its initial matches (match) and their
+count (init), then a delta line per match, a batch line per batch, one
+summary line and, with several queries, one fleet_stats line. Under --quiet
+only the init and fleet_stats lines; stderr's closing line keeps the totals."
     );
     ExitCode::from(code)
 }

@@ -106,7 +106,8 @@ fn cli_lists_exactly_the_initial_matches_it_counts() {
             assert!(stderr.contains(&registered), "{queries} queries: {stderr}");
             assert!(closing.contains(&format!("; engine {engine} DCG ")), "{closing}");
         }
-        // `--quiet` keeps the counts and lists nothing.
+        // `--quiet` prints the `init` counts and a fleet's `fleet_stats`:
+        // no `match`, `delta`, `batch` or `summary` line.
         let quiet = Command::new(tfx_bin())
             .args(synthetic)
             .args((0..queries).flat_map(|_| ["--query", netflow.as_str()]))
@@ -114,8 +115,11 @@ fn cli_lists_exactly_the_initial_matches_it_counts() {
             .output()
             .expect("run tfx stream --quiet");
         let quiet = String::from_utf8_lossy(&quiet.stdout);
-        assert!(!quiet.contains("\"type\":\"match\""), "{quiet}");
-        assert_eq!(quiet.lines().filter(|l| l.starts_with("{\"type\":\"init\"")).count(), queries);
+        let types: Vec<&str> =
+            quiet.lines().map(|l| l.split('"').nth(3).unwrap_or_default()).collect();
+        let mut expected = vec!["init"; queries];
+        expected.extend((queries > 1).then_some("fleet_stats"));
+        assert_eq!(types, expected, "{quiet}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
